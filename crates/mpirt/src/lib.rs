@@ -9,7 +9,10 @@
 //!   BTL ([`protocol::sm`]) uses CUDA IPC + the paper's **pipelined RDMA
 //!   protocol** (Figure 4); the `openib` BTL ([`protocol::copyio`]) uses the
 //!   **copy-in/copy-out protocol** through pinned host fragment rings,
-//!   optionally with zero-copy.
+//!   optionally with zero-copy. Both — and the two offload classes in
+//!   [`protocol::offload`] — are [`protocol::plan::TransferPlan`]s: one
+//!   stage list per transfer that the single executor in
+//!   `protocol::exec` runs and [`tuner`] prices.
 //! * The **GPU datatype engine** (`devengine`) packs and unpacks device
 //!   data; the **CPU convertor** (`datatype` + [`cpupack`]) handles host
 //!   data. Contiguous datatypes short-circuit the pack and/or unpack

@@ -14,483 +14,42 @@
 //! overlaps with it); otherwise explicit `cudaMemcpy` staging hops are
 //! inserted on the copy stream. Dense sides skip their conversion stage
 //! entirely.
+//!
+//! Those variants are [`plan_for`]'s to enumerate and the executor's
+//! to run; this module establishes the pinned-ring connection. It is also
+//! what every demotion lands on: SmIpc renegotiation and both offload
+//! classes substitute this protocol's plan.
 
-use crate::connection::{ib_connection, IbConn};
-use crate::protocol::{make_engine, Side, SideEngine};
-use crate::request::{MpiError, Request};
-use crate::tuner::{tuned_shape, PathClass};
+use crate::connection::ib_connection;
+use crate::protocol::exec::{self, Conn};
+use crate::protocol::plan::{plan_for, Facts};
+use crate::protocol::Side;
+use crate::request::Request;
 use crate::world::MpiWorld;
-use devengine::Direction;
-use gpusim::memcpy;
-use gpusim::GpuWorld as _;
-use memsim::Ptr;
-use netsim::{ensure_registered, send_am, wire_send};
-use simcore::trace::names;
-use simcore::{Sim, SpanId, Track};
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
+use simcore::Sim;
 
-struct Xfer {
+pub(crate) fn start(
+    sim: &mut Sim<MpiWorld>,
     s: Side,
     r: Side,
-    conn: Rc<RefCell<IbConn>>,
-    s_engine: Option<SideEngine>,
-    r_engine: Option<SideEngine>,
-    total: u64,
-    frag: u64,
-    nfrags: u64,
-    next_seq: u64,
-    free_slots: VecDeque<usize>,
-    acked: u64,
-    recvd: u64,
     send_req: Request,
     recv_req: Request,
-    zero_copy: bool,
-    span: SpanId,
-    /// Open "frag" span per ring slot, from claim to ack-recycle.
-    frag_spans: Vec<SpanId>,
-}
-
-type St = Rc<RefCell<Xfer>>;
-
-/// Abort the transfer: resolve both requests with `err` (unless a
-/// completion already beat the abort) and close the protocol span.
-fn fail(sim: &mut Sim<MpiWorld>, st: &St, err: MpiError) {
-    let (send_req, recv_req, span) = {
-        let x = st.borrow();
-        (x.send_req.clone(), x.recv_req.clone(), x.span)
-    };
-    send_req.complete_if_pending(sim, Err(err.clone()));
-    recv_req.complete_if_pending(sim, Err(err));
-    sim.trace.span_end(sim.now(), span);
-}
-
-pub fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, send_req: Request, recv_req: Request) {
-    let total = s.total();
-    if total == 0 {
-        send_req.complete(sim, Ok(0));
-        recv_req.complete(sim, Ok(0));
-        return;
-    }
-    let s_rank = s.rank;
-    let r_rank = r.rank;
-    let span = sim.trace.span_begin(
-        sim.now(),
-        names::CAT_MPIRT,
-        names::SPAN_COPYIO,
-        Track::Proto {
-            from: s_rank as u32,
-            to: r_rank as u32,
-        },
-    );
-    ib_connection(sim, s_rank, r_rank, move |sim, conn| {
+) {
+    let class = Facts::of(sim, s.rank, r.rank).copy_class();
+    let t = exec::open(sim, s, r, class, send_req, recv_req);
+    ib_connection(sim, t.s.rank, t.r.rank, move |sim, conn| {
+        let mut t = t;
         let conn = match conn {
             Ok(c) => c,
-            Err(e) => {
-                send_req.complete_if_pending(sim, Err(e.clone()));
-                recv_req.complete_if_pending(sim, Err(e));
-                sim.trace.span_end(sim.now(), span);
-                return;
-            }
-        };
-        let (frag0, depth0) = {
-            let c = conn.borrow();
-            (c.frag_size, c.depth)
+            Err(e) => return t.fail(sim, e),
         };
         // Zero copy needs both the configured knob and the runtime
-        // capability (the latter flips off on permanent pinned-
-        // registration loss, demoting this transfer to staged copies).
-        let zero_copy = sim.world.mpi.config.zero_copy && sim.world.mpi.zero_copy_runtime_ok;
-        let class = if zero_copy {
-            PathClass::ZeroCopy
-        } else {
-            PathClass::CopyInOut
-        };
-        let (frag, depth) = tuned_shape(sim, &s, &r, class, frag0, depth0);
-        let (s_engine, r_engine) = match (
-            make_engine(sim, &s, Direction::Pack),
-            make_engine(sim, &r, Direction::Unpack),
-        ) {
-            (Ok(se), Ok(re)) => (Some(se), Some(re)),
-            (Err(e), _) | (_, Err(e)) => {
-                send_req.complete(sim, Err(e.clone()));
-                recv_req.complete(sim, Err(e));
-                sim.trace.span_end(sim.now(), span);
-                return;
-            }
-        };
-        let st = Rc::new(RefCell::new(Xfer {
-            s,
-            r,
-            conn,
-            s_engine,
-            r_engine,
-            total,
-            frag,
-            nfrags: total.div_ceil(frag),
-            next_seq: 0,
-            free_slots: (0..depth).collect(),
-            acked: 0,
-            recvd: 0,
-            send_req,
-            recv_req,
-            zero_copy,
-            span,
-            frag_spans: vec![SpanId::disabled(); depth],
-        }));
-        // A dense host sender wires straight out of the user buffer,
-        // which must be registered with the NIC once.
-        let needs_reg = {
-            let x = st.borrow();
-            matches!(x.s_engine, Some(SideEngine::Contig)) && !x.s.device()
-        };
-        if needs_reg {
-            let (buf, rank) = {
-                let x = st.borrow();
-                (x.s.buf, x.s.rank)
-            };
-            ensure_registered(sim, rank, buf, move |sim| pump(sim, st));
-        } else {
-            pump(sim, st);
+        // capability; mapping the pinned rings may just have lost the
+        // latter, which demotes this very transfer to staged copies.
+        let facts = Facts::of(sim, t.s.rank, t.r.rank);
+        if facts.copy_class() != t.plan.class {
+            t.plan = plan_for(&facts, &t.s, &t.r, facts.copy_class());
         }
+        exec::run(sim, t, Conn::Ib(conn));
     });
-}
-
-/// Launch sender stages for every free fragment slot, in sequence order.
-fn pump(sim: &mut Sim<MpiWorld>, st: St) {
-    loop {
-        let (slot, seq, n) = {
-            let mut x = st.borrow_mut();
-            if x.next_seq >= x.nfrags {
-                return;
-            }
-            let Some(slot) = x.free_slots.pop_front() else {
-                return;
-            };
-            let seq = x.next_seq;
-            x.next_seq += 1;
-            let n = x.frag.min(x.total - seq * x.frag);
-            (slot, seq, n)
-        };
-        {
-            let track = {
-                let x = st.borrow();
-                Track::Ring {
-                    from: x.s.rank as u32,
-                    to: x.r.rank as u32,
-                }
-            };
-            let id = sim
-                .trace
-                .span_begin(sim.now(), names::CAT_MPIRT, names::SPAN_FRAG, track);
-            if let Some(span) = st.borrow_mut().frag_spans.get_mut(slot) {
-                *span = id;
-            }
-        }
-        sender_stage(sim, Rc::clone(&st), slot, seq, n);
-    }
-}
-
-/// Stage 1: produce packed bytes into the sender's host fragment.
-fn sender_stage(sim: &mut Sim<MpiWorld>, st: St, slot: usize, seq: u64, n: u64) {
-    let (host_slot, dev_slot, zero_copy) = {
-        let x = st.borrow();
-        let c = x.conn.borrow();
-        (c.send_host_slot(slot), c.send_dev_slot(slot), x.zero_copy)
-    };
-    let (Some(host_slot), Some(dev_slot)) = (host_slot, dev_slot) else {
-        return fail(
-            sim,
-            &st,
-            MpiError::Faulted("copyio ring slot out of range".into()),
-        );
-    };
-    let Some(mut engine) = st.borrow_mut().s_engine.take() else {
-        return fail(
-            sim,
-            &st,
-            MpiError::Faulted("copyio sender engine already in use".into()),
-        );
-    };
-    match &mut engine {
-        SideEngine::Gpu(eng) => {
-            if zero_copy {
-                // Kernel scatters straight into the mapped host slot.
-                let stw = Rc::clone(&st);
-                eng.process_fragment(
-                    sim,
-                    host_slot,
-                    n,
-                    |_| {},
-                    move |sim, _| {
-                        wire(sim, stw, slot, seq, n, None);
-                    },
-                );
-            } else {
-                // Kernel packs into the device slot, then DMA to host.
-                let stw = Rc::clone(&st);
-                eng.process_fragment(
-                    sim,
-                    dev_slot,
-                    n,
-                    |_| {},
-                    move |sim, _| {
-                        let copy_stream = {
-                            let x = stw.borrow();
-                            sim.world.rank(x.s.rank).copy_stream
-                        };
-                        let stw2 = Rc::clone(&stw);
-                        memcpy(sim, copy_stream, dev_slot, host_slot, n, move |sim, _| {
-                            wire(sim, stw2, slot, seq, n, None);
-                        });
-                    },
-                );
-            }
-        }
-        SideEngine::Cpu(eng) => {
-            let stw = Rc::clone(&st);
-            eng.process_fragment(sim, host_slot, n, move |sim, _| {
-                wire(sim, stw, slot, seq, n, None);
-            });
-        }
-        SideEngine::Contig => {
-            let x = st.borrow();
-            let user = x.s.data_ptr().add(seq * x.frag);
-            if x.s.device() {
-                // DMA the window of the user buffer down to the host slot.
-                let copy_stream = sim.world.rank(x.s.rank).copy_stream;
-                drop(x);
-                let stw = Rc::clone(&st);
-                memcpy(sim, copy_stream, user, host_slot, n, move |sim, _| {
-                    wire(sim, stw, slot, seq, n, None);
-                });
-            } else {
-                // Registered host data goes on the wire directly.
-                drop(x);
-                let stw = Rc::clone(&st);
-                sim.schedule_now(move |sim| wire(sim, stw, slot, seq, n, Some(user)));
-            }
-        }
-    }
-    st.borrow_mut().s_engine = Some(engine);
-}
-
-/// Stage 2: RDMA-write the fragment to the receiver's host ring (or,
-/// for a dense host receiver, straight into the user buffer).
-fn wire(sim: &mut Sim<MpiWorld>, st: St, slot: usize, seq: u64, n: u64, direct_src: Option<Ptr>) {
-    let (s_rank, r_rank, src) = {
-        let x = st.borrow();
-        let c = x.conn.borrow();
-        (x.s.rank, x.r.rank, direct_src.or(c.send_host_slot(slot)))
-    };
-    let Some(src) = src else {
-        return fail(
-            sim,
-            &st,
-            MpiError::Faulted("copyio ring slot out of range".into()),
-        );
-    };
-    let dst = {
-        let x = st.borrow();
-        let dense_host_recv = matches!(x.r_engine, Some(SideEngine::Contig)) && !x.r.device();
-        if dense_host_recv {
-            Some(x.r.data_ptr().add(seq * x.frag))
-        } else {
-            x.conn.borrow().recv_host_slot(slot)
-        }
-    };
-    let Some(dst) = dst else {
-        return fail(
-            sim,
-            &st,
-            MpiError::Faulted("copyio ring slot out of range".into()),
-        );
-    };
-    let now = sim.now();
-    let stw = Rc::clone(&st);
-    // The hop must go through the faultsim-consulting wrapper — raw
-    // link charges are banned by the fault-coverage lint rule.
-    let shipped = wire_send(sim, s_rank, r_rank, n, move |sim| {
-        if let Err(e) = sim.world.mem().copy(src, dst, n) {
-            return fail(sim, &stw, MpiError::Mem(e.to_string()));
-        }
-        sim.trace
-            .count(names::MPIRT_WIRE_BYTES, s_rank as u32, r_rank as u32, n);
-        receiver_stage(sim, stw, slot, seq, n, dst);
-    });
-    match shipped {
-        Ok(arrive) => {
-            let track = Track::LinkData {
-                from: s_rank as u32,
-                to: r_rank as u32,
-            };
-            sim.trace
-                .span_at(now, arrive, names::CAT_MPIRT, names::SPAN_WIRE, track);
-        }
-        Err(e) => fail(sim, &st, MpiError::Net(e)),
-    }
-}
-
-/// How the receiver consumes an arrived fragment.
-enum RecvKind {
-    GpuZeroCopy,
-    GpuStaged,
-    Cpu,
-    ContigDevice,
-    ContigHost,
-}
-
-/// Stage 3: consume the fragment on the receiver.
-fn receiver_stage(sim: &mut Sim<MpiWorld>, st: St, slot: usize, seq: u64, n: u64, arrived_at: Ptr) {
-    let (dev_slot, kind, copy_stream, user) = {
-        let x = st.borrow();
-        let c = x.conn.borrow();
-        let kind = match x.r_engine.as_ref() {
-            Some(SideEngine::Gpu(_)) if x.zero_copy => RecvKind::GpuZeroCopy,
-            Some(SideEngine::Gpu(_)) => RecvKind::GpuStaged,
-            Some(SideEngine::Cpu(_)) => RecvKind::Cpu,
-            Some(SideEngine::Contig) if x.r.device() => RecvKind::ContigDevice,
-            Some(SideEngine::Contig) => RecvKind::ContigHost,
-            None => {
-                drop(c);
-                drop(x);
-                return fail(
-                    sim,
-                    &st,
-                    MpiError::Faulted("copyio receiver engine already in use".into()),
-                );
-            }
-        };
-        (
-            c.recv_dev_slot(slot),
-            kind,
-            sim.world.rank(x.r.rank).copy_stream,
-            x.r.data_ptr().add(seq * x.frag),
-        )
-    };
-    match kind {
-        RecvKind::GpuZeroCopy => {
-            run_unpack(sim, st, arrived_at, slot, n);
-        }
-        RecvKind::GpuStaged => {
-            // H2D staging hop, then the unpack kernel. Copies on the
-            // copy stream complete in arrival order, preserving the
-            // engine's sequential consumption.
-            let Some(dev_slot) = dev_slot else {
-                return fail(
-                    sim,
-                    &st,
-                    MpiError::Faulted("copyio ring slot out of range".into()),
-                );
-            };
-            let stw = Rc::clone(&st);
-            memcpy(sim, copy_stream, arrived_at, dev_slot, n, move |sim, _| {
-                run_unpack(sim, stw, dev_slot, slot, n);
-            });
-        }
-        RecvKind::Cpu => {
-            let Some(mut engine) = st.borrow_mut().r_engine.take() else {
-                return fail(
-                    sim,
-                    &st,
-                    MpiError::Faulted("copyio receiver engine already in use".into()),
-                );
-            };
-            if let SideEngine::Cpu(eng) = &mut engine {
-                let stw = Rc::clone(&st);
-                eng.process_fragment(sim, arrived_at, n, move |sim, _| {
-                    consumed(sim, stw, slot, n);
-                });
-            }
-            st.borrow_mut().r_engine = Some(engine);
-        }
-        RecvKind::ContigDevice => {
-            let stw = Rc::clone(&st);
-            memcpy(sim, copy_stream, arrived_at, user, n, move |sim, _| {
-                consumed(sim, stw, slot, n);
-            });
-        }
-        RecvKind::ContigHost => {
-            // The wire already landed the bytes in the user buffer.
-            let stw = Rc::clone(&st);
-            sim.schedule_now(move |sim| consumed(sim, stw, slot, n));
-        }
-    }
-}
-
-/// Run the GPU unpack engine on a fragment's bytes at `src`.
-fn run_unpack(sim: &mut Sim<MpiWorld>, st: St, src: Ptr, slot: usize, n: u64) {
-    let Some(mut engine) = st.borrow_mut().r_engine.take() else {
-        return fail(
-            sim,
-            &st,
-            MpiError::Faulted("copyio receiver engine already in use".into()),
-        );
-    };
-    if let SideEngine::Gpu(eng) = &mut engine {
-        let stw = Rc::clone(&st);
-        eng.process_fragment(
-            sim,
-            src,
-            n,
-            |_| {},
-            move |sim, _| {
-                consumed(sim, stw, slot, n);
-            },
-        );
-        st.borrow_mut().r_engine = Some(engine);
-    } else {
-        // receiver_stage only routes GPU engines here; anything else is
-        // a protocol-state corruption, surfaced as a typed failure.
-        st.borrow_mut().r_engine = Some(engine);
-        fail(
-            sim,
-            &st,
-            MpiError::Faulted("copyio unpack reached a non-GPU engine".into()),
-        );
-    }
-}
-
-/// Stage 4: account the fragment, ack the slot back to the sender, and
-/// complete the requests when everything has moved.
-fn consumed(sim: &mut Sim<MpiWorld>, st: St, slot: usize, n: u64) {
-    let (s_rank, r_rank, recv_finished) = {
-        let mut x = st.borrow_mut();
-        x.recvd += n;
-        (x.s.rank, x.r.rank, x.recvd >= x.total)
-    };
-    sim.trace
-        .count(names::MPI_DELIVERED_BYTES, s_rank as u32, r_rank as u32, n);
-    if recv_finished {
-        let x = st.borrow();
-        x.recv_req.complete(sim, Ok(x.total));
-    }
-    let stw = Rc::clone(&st);
-    let acked = send_am(sim, r_rank, s_rank, 16, move |sim| {
-        let frag_span = stw
-            .borrow()
-            .frag_spans
-            .get(slot)
-            .copied()
-            .unwrap_or(SpanId::disabled());
-        sim.trace.span_end(sim.now(), frag_span);
-        let send_finished = {
-            let mut x = stw.borrow_mut();
-            x.acked += n;
-            x.free_slots.push_back(slot);
-            x.acked >= x.total
-        };
-        if send_finished {
-            let x = stw.borrow();
-            x.send_req.complete(sim, Ok(x.total));
-            let span = x.span;
-            sim.trace.span_end(sim.now(), span);
-        } else {
-            pump(sim, stw);
-        }
-    });
-    if let Err(e) = acked {
-        fail(sim, &st, MpiError::Net(e));
-    }
 }

@@ -1,13 +1,20 @@
 //! Protocol selection (the BML role) and shared per-side machinery.
+//!
+//! Every rendezvous is one [`plan::TransferPlan`] run by the one
+//! executor in `exec`; [`sm`], [`copyio`] and [`offload`] establish
+//! the connection a plan runs over (DESIGN.md §17).
 
 pub mod copyio;
 pub mod eager;
+pub(crate) mod exec;
 pub mod offload;
+pub mod plan;
 pub mod sm;
 
 use crate::cpupack::{CpuDir, CpuEngine};
 use crate::matcher::RecvPosting;
 use crate::request::{MpiError, Request};
+use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
 use devengine::{Direction, FragmentEngine};
@@ -43,12 +50,28 @@ impl Side {
     }
 }
 
-/// The engine driving one side's conversion.
+/// The engine driving a non-dense side's conversion (dense sides have
+/// none: their fragments are direct windows of the user buffer).
 pub(crate) enum SideEngine {
     Gpu(FragmentEngine),
     Cpu(CpuEngine),
-    /// Dense layout: fragments are direct windows of the user buffer.
-    Contig,
+}
+
+impl SideEngine {
+    /// Convert the next `n` packed bytes between the typed buffer and
+    /// the fragment at `frag`; `done` runs when the bytes have moved.
+    pub(crate) fn process_fragment(
+        &mut self,
+        sim: &mut Sim<MpiWorld>,
+        frag: Ptr,
+        n: u64,
+        done: impl FnOnce(&mut Sim<MpiWorld>) + 'static,
+    ) {
+        match self {
+            SideEngine::Gpu(eng) => eng.process_fragment(sim, frag, n, |_| {}, |sim, _| done(sim)),
+            SideEngine::Cpu(eng) => eng.process_fragment(sim, frag, n, |sim, _| done(sim)),
+        }
+    }
 }
 
 pub(crate) fn make_engine(
@@ -56,9 +79,6 @@ pub(crate) fn make_engine(
     side: &Side,
     dir: Direction,
 ) -> Result<SideEngine, MpiError> {
-    if side.dense() {
-        return Ok(SideEngine::Contig);
-    }
     if side.device() {
         let (stream, cache) = {
             let r = sim.world.rank(side.rank);
@@ -131,6 +151,11 @@ pub(crate) fn run_transfer(
     send_req: Request,
     recv_req: Request,
 ) {
+    if send.total() == 0 {
+        send_req.complete(sim, Ok(0));
+        recv_req.complete(sim, Ok(0));
+        return;
+    }
     let same_node = sim.world.same_node(send.rank, recv.rank);
     let use_ipc = sim.world.mpi.config.use_ipc && sim.world.mpi.ipc_runtime_ok;
     if same_node && use_ipc && send.device() && recv.device() {
@@ -141,11 +166,8 @@ pub(crate) fn run_transfer(
         // their knobs are on and their runtime-health flags are up, and
         // win only past the never-worse margin.
         match crate::tuner::select_path(sim, &send, &recv, same_node) {
-            crate::tuner::PathClass::NicOffload => {
-                offload::start_nic(sim, send, recv, send_req, recv_req)
-            }
-            crate::tuner::PathClass::StreamTriggered => {
-                offload::start_stream(sim, send, recv, send_req, recv_req)
+            class @ (PathClass::NicOffload | PathClass::StreamTriggered) => {
+                offload::start(sim, class, send, recv, send_req, recv_req)
             }
             _ => copyio::start(sim, send, recv, send_req, recv_req),
         }

@@ -24,17 +24,23 @@
 //! Neither path is entered unless `tuner::select_path` predicted a win
 //! past its never-worse margin, so a demotion only ever returns the
 //! transfer to the timing it would have had with the knob off.
+//!
+//! Both are one-fragment [`plan_for`](crate::protocol::plan::plan_for) plans run by the executor; this
+//! module owns what precedes them — the capability handshake, the NIC
+//! program cache and graph capture — and demotion, which substitutes
+//! the incumbent's plan by handing the transfer to `copyio::start`.
 
 use crate::connection::{HANDSHAKE_RETRY_MAX, HANDSHAKE_TIMEOUT};
+use crate::protocol::exec::{self, Conn};
 use crate::protocol::{copyio, Side};
 use crate::request::{MpiError, Request};
 use crate::tuner::{cache_key, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units, whole_units};
 use faultsim::{Backoff, FaultDecision, FaultOp};
-use gpusim::{fault, graph_kernel, GpuWorld as _, GraphCapture, StreamGraph};
+use gpusim::{fault, GpuWorld as _, GraphCapture, StreamGraph};
 use memsim::{MemSpace, Ptr};
-use netsim::{compile_program, execute_program, wire_send, NicCosts};
+use netsim::{compile_program, NicProgram};
 use simcore::par::CopyOp;
 use simcore::trace::names;
 use simcore::Sim;
@@ -54,211 +60,108 @@ pub struct CapturedXfer {
     pub total: u64,
 }
 
-fn complete_both(sim: &mut Sim<MpiWorld>, send_req: &Request, recv_req: &Request, err: MpiError) {
-    send_req.complete_if_pending(sim, Err(err.clone()));
-    recv_req.complete_if_pending(sim, Err(err));
-}
-
-// ---------------------------------------------------------------- NIC
-
-/// Start one NicOffload rendezvous: install the DEV handler on the pair
-/// (once, cached), compile the merged descriptor program (once per
-/// shape, cached), execute it on the NIC. Demotes to
-/// [`copyio::start`] when the handler capability is lost.
-pub fn start_nic(sim: &mut Sim<MpiWorld>, s: Side, r: Side, send_req: Request, recv_req: Request) {
-    let total = s.total();
-    if total == 0 {
-        send_req.complete(sim, Ok(0));
-        recv_req.complete(sim, Ok(0));
-        return;
-    }
-    let deadline = sim.now() + HANDSHAKE_TIMEOUT;
-    nic_handler_attempt(
-        sim,
-        s.rank,
-        r.rank,
-        fault::default_backoff(),
-        deadline,
-        move |sim, installed| {
-            if !installed {
-                // The capability is gone: this and every later transfer
-                // renegotiate to the GPU-pack pipeline.
-                return copyio::start(sim, s, r, send_req, recv_req);
-            }
-            let key = cache_key(sim, &s, &r, PathClass::NicOffload);
-            let prog = match sim.world.mpi.nic_programs.get(&key) {
-                Some(p) => Rc::clone(p),
-                None => match compile_program(&s.ty, s.count, &r.ty, r.count) {
-                    Ok(p) => {
-                        let p = Rc::new(p);
-                        sim.world.mpi.nic_programs.insert(key, Rc::clone(&p));
-                        p
-                    }
-                    Err(e) => {
-                        return complete_both(sim, &send_req, &recv_req, MpiError::Type(e));
-                    }
-                },
-            };
-            let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-            let (s_rank, r_rank) = (s.rank, r.rank);
-            let sreq = send_req.clone();
-            let rreq = recv_req.clone();
-            let shipped = execute_program(
-                sim,
-                s_rank,
-                r_rank,
-                s.buf,
-                r.buf,
-                &prog,
-                &costs,
-                move |sim| {
-                    sim.trace.count(
-                        names::MPI_DELIVERED_BYTES,
-                        s_rank as u32,
-                        r_rank as u32,
-                        total,
-                    );
-                    rreq.complete(sim, Ok(total));
-                    sreq.complete(sim, Ok(total));
-                },
-            );
-            if let Err(e) = shipped {
-                complete_both(sim, &send_req, &recv_req, MpiError::Net(e));
-            }
-        },
-    );
-}
-
-/// Install (or reuse) the DEV handler for the directed pair, rolling
-/// the `NicHandler` fault charge point: transients retry under the
-/// connection-handshake budget, permanent loss (or an exhausted budget)
-/// flips the runtime flag, counts the demotion, and reports `false`.
-fn nic_handler_attempt(
+/// Start one offload rendezvous (`class` is `NicOffload` or
+/// `StreamTriggered`): acquire the class's capability, fetch its cached
+/// per-shape state — the compiled descriptor program or the captured
+/// graph — and run the class's plan. A lost capability demotes to
+/// `copyio::start`: this and every later transfer renegotiate to the
+/// GPU-pack pipeline.
+pub(crate) fn start(
     sim: &mut Sim<MpiWorld>,
-    s_rank: usize,
-    r_rank: usize,
-    mut backoff: Backoff,
-    deadline: simcore::SimTime,
-    then: impl FnOnce(&mut Sim<MpiWorld>, bool) + 'static,
-) {
-    if sim.world.mpi.nic_handlers.contains_key(&(s_rank, r_rank)) {
-        sim.schedule_now(move |sim| then(sim, true));
-        return;
-    }
-    match fault::fault_roll(sim, FaultOp::NicHandler) {
-        FaultDecision::Ok => {
-            let setup = sim.world.gpus_ref().topo.nic_handler_setup;
-            sim.schedule_in(setup, move |sim| {
-                sim.world.mpi.nic_handlers.insert((s_rank, r_rank), ());
-                then(sim, true);
-            });
-        }
-        FaultDecision::Transient
-            if sim.now() < deadline && backoff.attempts() < HANDSHAKE_RETRY_MAX =>
-        {
-            fault::count_retry(sim, FaultOp::NicHandler);
-            let delay = backoff.next_delay();
-            sim.schedule_in(delay, move |sim| {
-                nic_handler_attempt(sim, s_rank, r_rank, backoff, deadline, then);
-            });
-        }
-        _ => {
-            sim.world.mpi.nic_offload_runtime_ok = false;
-            sim.trace.count(
-                names::OFFLOAD_NIC_DEMOTIONS,
-                s_rank as u32,
-                r_rank as u32,
-                1,
-            );
-            sim.trace.count(
-                faultsim::counters::FALLBACK_EVENTS,
-                s_rank as u32,
-                r_rank as u32,
-                1,
-            );
-            then(sim, false);
-        }
-    }
-}
-
-// ------------------------------------------------------------- stream
-
-/// Start one StreamTriggered rendezvous: roll the doorbell, capture the
-/// graph if this shape has never been captured on the pair, replay it.
-/// A lost doorbell demotes to [`copyio::start`].
-pub fn start_stream(
-    sim: &mut Sim<MpiWorld>,
+    class: PathClass,
     s: Side,
     r: Side,
     send_req: Request,
     recv_req: Request,
 ) {
-    let total = s.total();
-    if total == 0 {
-        send_req.complete(sim, Ok(0));
-        recv_req.complete(sim, Ok(0));
-        return;
-    }
     let deadline = sim.now() + HANDSHAKE_TIMEOUT;
-    doorbell_attempt(
-        sim,
-        s.rank,
-        r.rank,
-        fault::default_backoff(),
-        deadline,
-        move |sim, rung| {
-            if !rung {
-                return copyio::start(sim, s, r, send_req, recv_req);
-            }
-            let cap = match captured(sim, &s, &r) {
-                Ok(c) => c,
-                Err(e) => return complete_both(sim, &send_req, &recv_req, e),
-            };
-            replay(sim, cap, s, r, send_req, recv_req);
-        },
-    );
+    let (pair, backoff) = ((s.rank, r.rank), fault::default_backoff());
+    acquire(sim, class, pair, backoff, deadline, move |sim, held| {
+        if !held {
+            return copyio::start(sim, s, r, send_req, recv_req);
+        }
+        let conn = if class == PathClass::NicOffload {
+            nic_program(sim, &s, &r).map(Conn::Nic)
+        } else {
+            captured(sim, &s, &r).map(Conn::Graph)
+        };
+        let t = exec::open(sim, s, r, class, send_req, recv_req);
+        match conn {
+            Ok(conn) => exec::run(sim, t, conn),
+            Err(e) => t.fail(sim, e),
+        }
+    });
 }
 
-/// Ring the doorbell for one replay, rolling the `StreamDoorbell` fault
-/// charge point. Transients re-ring under the handshake budget; a lost
-/// doorbell flips the runtime flag, counts the demotion, and reports
-/// `false` so the caller renegotiates to the CPU-driven pipeline.
-fn doorbell_attempt(
+/// Acquire the capability `class` runs on, rolling its fault charge
+/// point. NicOffload installs (or reuses) the DEV handler of the
+/// directed pair — once, cached, charged `nic_handler_setup`, rolling
+/// `FaultOp::NicHandler`; StreamTriggered rings the doorbell before
+/// every replay, rolling `FaultOp::StreamDoorbell`. Transients retry
+/// under the connection-handshake budget; permanent loss (or an
+/// exhausted budget) flips the class's runtime flag, counts the
+/// demotion, and reports `false`.
+fn acquire(
     sim: &mut Sim<MpiWorld>,
-    s_rank: usize,
-    r_rank: usize,
+    class: PathClass,
+    pair: (usize, usize),
     mut backoff: Backoff,
     deadline: simcore::SimTime,
     then: impl FnOnce(&mut Sim<MpiWorld>, bool) + 'static,
 ) {
-    match fault::fault_roll(sim, FaultOp::StreamDoorbell) {
+    let nic = class == PathClass::NicOffload;
+    let (op, demotions) = if nic {
+        (FaultOp::NicHandler, names::OFFLOAD_NIC_DEMOTIONS)
+    } else {
+        (FaultOp::StreamDoorbell, names::OFFLOAD_STREAM_DEMOTIONS)
+    };
+    if nic && sim.world.mpi.nic_handlers.contains_key(&pair) {
+        sim.schedule_now(move |sim| then(sim, true));
+        return;
+    }
+    match fault::fault_roll(sim, op) {
+        FaultDecision::Ok if nic => {
+            let setup = sim.world.gpus_ref().topo.nic_handler_setup;
+            sim.schedule_in(setup, move |sim| {
+                sim.world.mpi.nic_handlers.insert(pair, ());
+                then(sim, true);
+            });
+        }
         FaultDecision::Ok => then(sim, true),
         FaultDecision::Transient
             if sim.now() < deadline && backoff.attempts() < HANDSHAKE_RETRY_MAX =>
         {
-            fault::count_retry(sim, FaultOp::StreamDoorbell);
+            fault::count_retry(sim, op);
             let delay = backoff.next_delay();
             sim.schedule_in(delay, move |sim| {
-                doorbell_attempt(sim, s_rank, r_rank, backoff, deadline, then);
+                acquire(sim, class, pair, backoff, deadline, then);
             });
         }
         _ => {
-            sim.world.mpi.stream_trigger_runtime_ok = false;
-            sim.trace.count(
-                names::OFFLOAD_STREAM_DEMOTIONS,
-                s_rank as u32,
-                r_rank as u32,
-                1,
-            );
-            sim.trace.count(
-                faultsim::counters::FALLBACK_EVENTS,
-                s_rank as u32,
-                r_rank as u32,
-                1,
-            );
+            let mpi = &mut sim.world.mpi;
+            if nic {
+                mpi.nic_offload_runtime_ok = false;
+            } else {
+                mpi.stream_trigger_runtime_ok = false;
+            }
+            let (a, b) = (pair.0 as u32, pair.1 as u32);
+            sim.trace.count(demotions, a, b, 1);
+            sim.trace
+                .count(faultsim::counters::FALLBACK_EVENTS, a, b, 1);
             then(sim, false);
         }
     }
+}
+
+/// Get (or compile) the merged NIC descriptor program for this shape.
+fn nic_program(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<NicProgram>, MpiError> {
+    let key = cache_key(sim, s, r, PathClass::NicOffload);
+    if let Some(p) = sim.world.mpi.nic_programs.get(&key) {
+        return Ok(Rc::clone(p));
+    }
+    let p = Rc::new(compile_program(&s.ty, s.count, &r.ty, r.count).map_err(MpiError::Type)?);
+    sim.world.mpi.nic_programs.insert(key, Rc::clone(&p));
+    Ok(p)
 }
 
 /// Get (or capture) the stream-op graph for this pair and shape. The
@@ -315,53 +218,4 @@ fn captured(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<CapturedXf
         .or_default()
         .insert(key, Rc::clone(&cap));
     Ok(cap)
-}
-
-/// Replay the captured graph for one iteration: re-arm on the stream
-/// front-end, then pack kernel → wire → unpack kernel with no CPU event
-/// in between (the graph kernels skip the driver launch path — they
-/// were baked at capture).
-fn replay(
-    sim: &mut Sim<MpiWorld>,
-    cap: Rc<CapturedXfer>,
-    s: Side,
-    r: Side,
-    send_req: Request,
-    recv_req: Request,
-) {
-    let cap2 = Rc::clone(&cap);
-    gpusim::replay_issue(sim, &cap.graph, move |sim, _| {
-        let cap = cap2;
-        let src = s.buf.offset_by(cap.s_shift);
-        let pack = cap.pack_units.clone();
-        let stream = sim.world.rank(s.rank).kernel_stream;
-        let cap3 = Rc::clone(&cap);
-        graph_kernel(sim, stream, src, cap.bounce, pack, move |sim, _| {
-            let cap = cap3;
-            let total = cap.total;
-            let (s_rank, r_rank) = (s.rank, r.rank);
-            let cap4 = Rc::clone(&cap);
-            let sreq = send_req.clone();
-            let rreq = recv_req.clone();
-            let shipped = wire_send(sim, s_rank, r_rank, total, move |sim| {
-                let cap = cap4;
-                let dst = r.buf.offset_by(cap.r_shift);
-                let unpack = cap.unpack_units.clone();
-                let stream = sim.world.rank(r_rank).kernel_stream;
-                graph_kernel(sim, stream, cap.bounce, dst, unpack, move |sim, _| {
-                    sim.trace.count(
-                        names::MPI_DELIVERED_BYTES,
-                        s_rank as u32,
-                        r_rank as u32,
-                        total,
-                    );
-                    rreq.complete(sim, Ok(total));
-                    sreq.complete(sim, Ok(total));
-                });
-            });
-            if let Err(e) = shipped {
-                complete_both(sim, &send_req, &recv_req, MpiError::Net(e));
-            }
-        });
-    });
 }

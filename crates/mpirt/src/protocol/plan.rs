@@ -1,0 +1,301 @@
+//! Transfer plans: the one description of a rendezvous pipeline.
+//!
+//! The paper's two protocols (§4.1 pipelined RDMA over CUDA IPC, §4.2
+//! pipelined copy-in/copy-out) and the two offload classes are the same
+//! machine: fragments flow through a short list of stages over a
+//! bounded ring of slots, and a credit comes back per fragment. A
+//! [`TransferPlan`] writes that machine down once. [`plan_for`] is the
+//! only place that decides which stages a path has; the executor
+//! (`crate::protocol::exec`) walks the plan and the tuner
+//! ([`crate::tuner`]) prices the very same [`StageOp`]s, so the model
+//! cannot drift from what runs (DESIGN.md §17).
+
+use crate::protocol::Side;
+use crate::tuner::PathClass;
+use crate::world::MpiWorld;
+use simcore::trace::names;
+use simcore::Sim;
+
+/// One endpoint of a transfer: the rank a stage runs on, or whose
+/// buffer / ring a location names.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum End {
+    Send,
+    Recv,
+}
+
+impl End {
+    pub fn other(self) -> End {
+        match self {
+            End::Send => End::Recv,
+            End::Recv => End::Send,
+        }
+    }
+}
+
+/// Where the non-typed (fragment) side of a conversion kernel lives.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Far {
+    /// Fragment buffer in the executing GPU's own DRAM.
+    LocalDevice,
+    /// Zero-copy mapped host fragment (PCIe per payload byte).
+    MappedHost,
+    /// Peer GPU memory through the IPC mapping.
+    PeerDevice,
+}
+
+/// Where a fragment's packed bytes sit between two stages.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Loc {
+    /// Window `data_ptr() + seq·frag` of that end's dense user buffer.
+    User(End),
+    /// The fragment's slot in that end's device ring: the exported
+    /// fragment ring (sender) or the local staging ring (receiver) of
+    /// an `SmConn`, the device staging rings of an `IbConn`.
+    Dev(End),
+    /// The fragment's slot in that end's pinned host ring (`IbConn`).
+    Host(End),
+}
+
+/// One charge site of a pipeline. Each variant has exactly one `run`
+/// arm in the executor and one `cost` arm in the tuner.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StageOp {
+    /// GPU pack (`end == Send`) or unpack kernel between the end's
+    /// typed buffer and the fragment at `frag`.
+    Kernel { end: End, far: Far, frag: Loc },
+    /// Host CPU convertor pass between typed buffer and `frag`.
+    CpuConvert { end: End, frag: Loc },
+    /// `cudaMemcpy` on `stream_of`'s copy stream.
+    Copy { stream_of: End, from: Loc, to: Loc },
+    /// The data-link hop; lands the bytes at `to`.
+    Wire { from: Loc, to: Loc },
+    /// 16-byte active message telling `to` the fragment is ready.
+    Notify { to: End },
+    /// Event hop of a dense host endpoint (no data motion of its own:
+    /// the wire reads / lands the user buffer directly).
+    Direct,
+    /// The NIC packet processor runs the merged gather/scatter program.
+    NicProgram,
+    /// Re-arm → graph kernel → wire → graph kernel of a captured graph.
+    GraphReplay,
+}
+
+/// How a slot's credit returns and how the requests complete.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Credit {
+    /// The slot frees when its last stage completes; that end's request
+    /// completes with the last fragment and `far` gets one active
+    /// message per *transfer* (the sm fast paths).
+    Local { far: End },
+    /// The receiver active-messages every slot back; the last ack
+    /// completes the send request (full sm pipeline, copy-in/out).
+    Ack,
+    /// Hardware completion: both requests resolve when the single
+    /// fragment's last stage does, no control traffic (offload classes).
+    Fused,
+}
+
+/// The executable, priceable description of one transfer.
+#[derive(Clone, Debug)]
+pub struct TransferPlan {
+    pub class: PathClass,
+    /// Per-fragment stages, in execution order.
+    pub stages: Vec<StageOp>,
+    /// Pipeline shape: the configured one from [`plan_for`]; the
+    /// executor re-tunes it against the ring actually allocated.
+    pub frag: u64,
+    pub depth: usize,
+    /// Fragments cycle through a connection's slot ring (and get a
+    /// `frag` span each). `false` for the one-fragment plans.
+    pub ring: bool,
+    pub credit: Credit,
+    /// Protocol span name; the offload classes have none.
+    pub span: Option<&'static str>,
+}
+
+impl TransferPlan {
+    /// Does `end` run a conversion engine in this plan?
+    pub fn converts(&self, end: End) -> bool {
+        self.stages.iter().any(|op| match *op {
+            StageOp::Kernel { end: e, .. } | StageOp::CpuConvert { end: e, .. } => e == end,
+            _ => false,
+        })
+    }
+}
+
+/// What [`plan_for`] needs to know beyond the two sides.
+#[derive(Clone, Copy, Debug)]
+pub struct Facts {
+    /// Both ranks are bound to the same GPU.
+    pub same_gpu: bool,
+    pub recv_local_staging: bool,
+    /// Zero copy is configured *and* its runtime capability is up.
+    pub zero_copy: bool,
+    /// Configured pipeline shape.
+    pub frag_size: u64,
+    pub depth: usize,
+}
+
+impl Facts {
+    pub fn of(sim: &Sim<MpiWorld>, s_rank: usize, r_rank: usize) -> Facts {
+        let mpi = &sim.world.mpi;
+        Facts {
+            same_gpu: sim.world.rank(s_rank).gpu == sim.world.rank(r_rank).gpu,
+            recv_local_staging: mpi.config.recv_local_staging,
+            zero_copy: mpi.config.zero_copy && mpi.zero_copy_runtime_ok,
+            frag_size: mpi.config.frag_size,
+            depth: mpi.config.pipeline_depth,
+        }
+    }
+
+    /// The copy-in/out flavour a transfer takes right now — also what
+    /// every demotion substitutes: zero copy while healthy, explicitly
+    /// staged once a permanent pinned-registration loss flipped it off.
+    pub fn copy_class(&self) -> PathClass {
+        if self.zero_copy {
+            PathClass::ZeroCopy
+        } else {
+            PathClass::CopyInOut
+        }
+    }
+}
+
+/// Conversion stages of one copy-in/out endpoint between its typed
+/// buffer and its host fragment, plus the wire-side location. Dense
+/// sides skip conversion; zero copy folds the staging hop into the
+/// kernel. The receiver is the sender's mirror image: it stages first
+/// and converts last.
+fn host_side(end: End, side: &Side, zero: bool) -> (Vec<StageOp>, Loc) {
+    let (user, dev, host) = (Loc::User(end), Loc::Dev(end), Loc::Host(end));
+    let kernel = |far, frag| StageOp::Kernel { end, far, frag };
+    // A staging copy between a typed-side and a wire-side location, in
+    // the direction the data flows on this end.
+    let hop = |typed_side, wire_side| {
+        let (from, to) = match end {
+            End::Send => (typed_side, wire_side),
+            End::Recv => (wire_side, typed_side),
+        };
+        StageOp::Copy {
+            stream_of: end,
+            from,
+            to,
+        }
+    };
+    let (mut ops, wire_loc) = match (side.dense(), side.device()) {
+        (false, true) if zero => (vec![kernel(Far::MappedHost, host)], host),
+        (false, true) => (vec![kernel(Far::LocalDevice, dev), hop(dev, host)], host),
+        (false, false) => (vec![StageOp::CpuConvert { end, frag: host }], host),
+        (true, true) => (vec![hop(user, host)], host),
+        // Registered host data is wired from / landed in place.
+        (true, false) => (vec![StageOp::Direct], user),
+    };
+    if end == End::Recv {
+        ops.reverse();
+    }
+    (ops, wire_loc)
+}
+
+/// Build the plan one transfer takes down `class`: which stages it has
+/// given each side's density and placement, whether the ranks share a
+/// GPU, receiver-local staging and zero-copy health.
+pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> TransferPlan {
+    use Credit::Local as L;
+    use End::{Recv, Send};
+    let mut stages = Vec::new();
+    let (credit, span, ring) = match class {
+        PathClass::SmIpc => {
+            let (s_dense, r_dense) = (s.dense(), r.dense());
+            let staged = facts.recv_local_staging && !facts.same_gpu;
+            // Where the receiver finds a packed fragment: a window of a
+            // dense sender's mapped user buffer (no pack at all), else
+            // the ring slot the sender's pack kernel filled.
+            let packed = if s_dense {
+                Loc::User(Send)
+            } else {
+                stages.push(StageOp::Kernel {
+                    end: Send,
+                    far: Far::LocalDevice,
+                    frag: Loc::Dev(Send),
+                });
+                Loc::Dev(Send)
+            };
+            if r_dense {
+                // No unpack at all: one bulk copy to the final window at
+                // P2P rate — a GET by the receiver when both sides are
+                // dense, a PUT by the packing sender otherwise.
+                stages.push(StageOp::Copy {
+                    stream_of: if s_dense { Recv } else { Send },
+                    from: packed,
+                    to: Loc::User(Recv),
+                });
+            } else {
+                if !s_dense {
+                    stages.push(StageOp::Notify { to: Recv });
+                }
+                // GET the fragment into local staging when present, then
+                // unpack — out of local memory if it was staged or the
+                // peers share a GPU, through the IPC mapping otherwise.
+                let frag = if staged {
+                    stages.push(StageOp::Copy {
+                        stream_of: Recv,
+                        from: packed,
+                        to: Loc::Dev(Recv),
+                    });
+                    Loc::Dev(Recv)
+                } else {
+                    packed
+                };
+                let far = if staged || facts.same_gpu {
+                    Far::LocalDevice
+                } else {
+                    Far::PeerDevice
+                };
+                stages.push(StageOp::Kernel {
+                    end: Recv,
+                    far,
+                    frag,
+                });
+            }
+            // Only the full Figure 4 pipeline acks every slot; the fast
+            // paths recycle locally and notify the idle side once.
+            match (s_dense, r_dense) {
+                (true, true) => (L { far: Send }, Some(names::SPAN_SM_BOTH_DENSE), false),
+                (true, false) => (L { far: Send }, Some(names::SPAN_SM_SENDER_DENSE), true),
+                (false, true) => (L { far: Recv }, Some(names::SPAN_SM_RECEIVER_DENSE), true),
+                (false, false) => (Credit::Ack, Some(names::SPAN_SM_PIPELINE), true),
+            }
+        }
+        PathClass::CopyInOut | PathClass::ZeroCopy => {
+            let zero = class == PathClass::ZeroCopy;
+            let (send_ops, from) = host_side(Send, s, zero);
+            let (recv_ops, to) = host_side(Recv, r, zero);
+            stages.extend(send_ops);
+            stages.push(StageOp::Wire { from, to });
+            stages.extend(recv_ops);
+            (Credit::Ack, Some(names::SPAN_COPYIO), true)
+        }
+        PathClass::NicOffload => {
+            stages.push(StageOp::NicProgram);
+            (Credit::Fused, None, false)
+        }
+        PathClass::StreamTriggered => {
+            stages.push(StageOp::GraphReplay);
+            (Credit::Fused, None, false)
+        }
+    };
+    let (frag, depth) = if ring {
+        (facts.frag_size, facts.depth)
+    } else {
+        (s.total().max(1), 1)
+    };
+    TransferPlan {
+        class,
+        stages,
+        frag,
+        depth,
+        ring,
+        credit,
+        span,
+    }
+}

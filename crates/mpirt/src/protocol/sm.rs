@@ -13,767 +13,72 @@
 //! * receiver contiguous → the sender's pack kernels scatter directly
 //!   into the receiver's (mapped) user buffer, no unpack at all;
 //! * both contiguous → a bulk peer-to-peer copy.
+//!
+//! Which stages each shape has is [`plan_for`](crate::protocol::plan::plan_for)'s decision and running
+//! them the executor's; this module owns the IPC handshake — mapping a
+//! dense side's user buffer, establishing the fragment ring — and the
+//! renegotiation when that handshake loses the IPC capability.
 
-use crate::connection::{open_peer_buffer, sm_connection, SmConn};
-use crate::protocol::{make_engine, Side, SideEngine};
-use crate::request::{MpiError, Request};
-use crate::tuner::{tuned_shape, PathClass};
+use crate::connection::{open_peer_buffer, sm_connection};
+use crate::protocol::exec::{self, Conn, Transfer};
+use crate::protocol::{copyio, Side};
+use crate::request::Request;
+use crate::tuner::PathClass;
 use crate::world::MpiWorld;
-use devengine::Direction;
-use gpusim::memcpy;
-use netsim::send_am;
-use simcore::trace::names;
-use simcore::{Sim, SpanId, Track};
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
-
-fn proto_track(s_rank: usize, r_rank: usize) -> Track {
-    Track::Proto {
-        from: s_rank as u32,
-        to: r_rank as u32,
-    }
-}
-
-fn ring_track(s_rank: usize, r_rank: usize) -> Track {
-    Track::Ring {
-        from: s_rank as u32,
-        to: r_rank as u32,
-    }
-}
-
-/// Abort a transfer: complete both requests with `err` (unless a racing
-/// completion already resolved one) and close the protocol span.
-fn fail_both(
-    sim: &mut Sim<MpiWorld>,
-    send_req: &Request,
-    recv_req: &Request,
-    span: SpanId,
-    err: MpiError,
-) {
-    send_req.complete_if_pending(sim, Err(err.clone()));
-    recv_req.complete_if_pending(sim, Err(err));
-    sim.trace.span_end(sim.now(), span);
-}
-
-fn pull_fail(sim: &mut Sim<MpiWorld>, st: &Rc<RefCell<PullState>>, err: MpiError) {
-    let (sreq, rreq, span) = {
-        let x = st.borrow();
-        (x.send_req.clone(), x.recv_req.clone(), x.span)
-    };
-    fail_both(sim, &sreq, &rreq, span, err);
-}
-
-fn put_fail(sim: &mut Sim<MpiWorld>, st: &Rc<RefCell<PutState>>, err: MpiError) {
-    let (sreq, rreq, span) = {
-        let x = st.borrow();
-        (x.send_req.clone(), x.recv_req.clone(), x.span)
-    };
-    fail_both(sim, &sreq, &rreq, span, err);
-}
-
-fn full_fail(sim: &mut Sim<MpiWorld>, st: &FSt, err: MpiError) {
-    let (sreq, rreq, span) = {
-        let x = st.borrow();
-        (x.send_req.clone(), x.recv_req.clone(), x.span)
-    };
-    fail_both(sim, &sreq, &rreq, span, err);
-}
+use simcore::Sim;
 
 /// Path renegotiation: the IPC mapping was lost mid-handshake, so replay
-/// the same transfer over the copy-in/copy-out protocol. Connection
+/// the same transfer over the copy-in/copy-out plan. Connection
 /// establishment precedes all data motion, so nothing has moved yet and
 /// the sides and requests replay verbatim; the connection layer already
 /// freed the half-built ring and flipped the runtime IPC flag, steering
 /// every *later* transfer straight to copy-in/out.
-fn renegotiate(
+fn renegotiate(sim: &mut Sim<MpiWorld>, t: Transfer) {
+    sim.trace.count(
+        faultsim::counters::FALLBACK_EVENTS,
+        t.s.rank as u32,
+        t.r.rank as u32,
+        1,
+    );
+    sim.trace.span_end(sim.now(), t.span);
+    copyio::start(sim, t.s, t.r, t.send_req, t.recv_req);
+}
+
+pub(crate) fn start(
     sim: &mut Sim<MpiWorld>,
     s: Side,
     r: Side,
     send_req: Request,
     recv_req: Request,
-    span: SpanId,
 ) {
-    sim.trace.count(
-        faultsim::counters::FALLBACK_EVENTS,
-        s.rank as u32,
-        r.rank as u32,
-        1,
-    );
-    sim.trace.span_end(sim.now(), span);
-    crate::protocol::copyio::start(sim, s, r, send_req, recv_req);
-}
-
-pub fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, send_req: Request, recv_req: Request) {
-    let total = s.total();
-    if total == 0 {
-        send_req.complete(sim, Ok(0));
-        recv_req.complete(sim, Ok(0));
-        return;
-    }
-    match (s.dense(), r.dense()) {
-        (true, true) => both_dense(sim, s, r, send_req, recv_req),
-        (true, false) => sender_dense(sim, s, r, send_req, recv_req),
-        (false, true) => receiver_dense(sim, s, r, send_req, recv_req),
-        (false, false) => full_pipeline(sim, s, r, send_req, recv_req),
-    }
-}
-
-/// Both sides contiguous: one bulk GET (peer-to-peer DMA, or an
-/// in-device copy when the ranks share a GPU).
-fn both_dense(sim: &mut Sim<MpiWorld>, s: Side, r: Side, send_req: Request, recv_req: Request) {
-    let total = s.total();
-    let src = s.data_ptr();
-    let dst = r.data_ptr();
-    let (s_rank, r_rank) = (s.rank, r.rank);
-    let span = sim.trace.span_begin(
-        sim.now(),
-        names::CAT_MPIRT,
-        names::SPAN_SM_BOTH_DENSE,
-        proto_track(s_rank, r_rank),
-    );
-    open_peer_buffer(sim, src, total, move |sim, res| {
-        if res.is_err() {
-            renegotiate(sim, s, r, send_req, recv_req, span);
-            return;
-        }
-        let copy_stream = sim.world.rank(r_rank).copy_stream;
-        memcpy(sim, copy_stream, src, dst, total, move |sim, _| {
-            sim.trace.count(
-                names::MPI_DELIVERED_BYTES,
-                s_rank as u32,
-                r_rank as u32,
-                total,
-            );
-            recv_req.complete(sim, Ok(total));
-            // Tell the sender its buffer is free.
-            let sreq = send_req.clone();
-            let acked = send_am(sim, r_rank, s_rank, 16, move |sim| {
-                send_req.complete(sim, Ok(total));
-                sim.trace.span_end(sim.now(), span);
-            });
-            if let Err(e) = acked {
-                sreq.complete_if_pending(sim, Err(MpiError::Net(e)));
-                sim.trace.span_end(sim.now(), span);
-            }
-        });
-    });
-}
-
-/// Sender contiguous: receiver-driven unpack straight from the sender's
-/// mapped buffer, pipelined through the staging ring when present.
-fn sender_dense(sim: &mut Sim<MpiWorld>, s: Side, r: Side, send_req: Request, recv_req: Request) {
-    let total = s.total();
-    let src = s.data_ptr();
-    let (s_rank, r_rank) = (s.rank, r.rank);
-    let span = sim.trace.span_begin(
-        sim.now(),
-        names::CAT_MPIRT,
-        names::SPAN_SM_SENDER_DENSE,
-        proto_track(s_rank, r_rank),
-    );
-    open_peer_buffer(sim, src, total, move |sim, res| {
-        if res.is_err() {
-            renegotiate(sim, s, r, send_req, recv_req, span);
-            return;
-        }
-        sm_connection(sim, s_rank, r_rank, move |sim, conn| {
-            let conn = match conn {
-                Ok(c) => c,
-                Err(_) => {
-                    renegotiate(sim, s, r, send_req, recv_req, span);
-                    return;
-                }
-            };
-            let (frag0, depth0) = {
-                let c = conn.borrow();
-                (c.frag_size, c.depth)
-            };
-            let (frag, depth) = tuned_shape(sim, &s, &r, PathClass::SmIpc, frag0, depth0);
-            let unpacker = match make_engine(sim, &r, Direction::Unpack) {
-                Ok(e) => e,
-                Err(err) => return fail_both(sim, &send_req, &recv_req, span, err),
-            };
-            let st = Rc::new(RefCell::new(PullState {
-                conn,
-                engine: Some(unpacker),
-                src,
-                total,
-                frag,
-                depth,
-                next_seq: 0,
-                consumed: 0,
-                inflight: 0,
-                r_rank,
-                s_rank,
-                send_req,
-                recv_req,
-                span,
-            }));
-            pull_pump(sim, st);
-        });
-    });
-}
-
-/// State for the sender-dense pull pipeline.
-struct PullState {
-    conn: Rc<RefCell<SmConn>>,
-    engine: Option<SideEngine>,
-    src: memsim::Ptr,
-    total: u64,
-    /// Pipeline shape in use (auto-tuned; never exceeds the ring's
-    /// allocated `frag_size`/`depth`).
-    frag: u64,
-    depth: usize,
-    next_seq: u64,
-    consumed: u64,
-    inflight: usize,
-    r_rank: usize,
-    s_rank: usize,
-    send_req: Request,
-    recv_req: Request,
-    span: SpanId,
-}
-
-fn pull_pump(sim: &mut Sim<MpiWorld>, st: Rc<RefCell<PullState>>) {
-    loop {
-        let (seq, n, frag, depth, staging_slot) = {
-            let mut x = st.borrow_mut();
-            let frag = x.frag;
-            let depth = x.depth;
-            if x.next_seq * frag >= x.total || x.inflight >= depth {
-                return;
-            }
-            let seq = x.next_seq;
-            x.next_seq += 1;
-            x.inflight += 1;
-            let n = frag.min(x.total - seq * frag);
-            let staging = x.conn.borrow().staging_slot(seq as usize);
-            (seq, n, frag, depth, staging)
-        };
-        let _ = depth;
-        let window = { st.borrow().src.add(seq * frag) };
-        let frag_span = {
-            let x = st.borrow();
-            sim.trace.span_begin(
-                sim.now(),
-                names::CAT_MPIRT,
-                names::SPAN_FRAG,
-                ring_track(x.s_rank, x.r_rank),
-            )
-        };
-        match staging_slot {
-            Some(stage) => {
-                // GET the window into local staging, then unpack locally.
-                let copy_stream = {
-                    let r_rank = st.borrow().r_rank;
-                    sim.world.rank(r_rank).copy_stream
-                };
-                let stw = Rc::clone(&st);
-                memcpy(sim, copy_stream, window, stage, n, move |sim, _| {
-                    pull_unpack(sim, stw, stage, n, frag_span);
-                });
-            }
-            None => {
-                // Same GPU (or staging disabled): unpack from the
-                // window directly.
-                pull_unpack(sim, Rc::clone(&st), window, n, frag_span);
-            }
-        }
-    }
-}
-
-fn pull_unpack(
-    sim: &mut Sim<MpiWorld>,
-    st: Rc<RefCell<PullState>>,
-    src: memsim::Ptr,
-    n: u64,
-    frag_span: SpanId,
-) {
-    let Some(mut engine) = st.borrow_mut().engine.take() else {
-        return pull_fail(
-            sim,
-            &st,
-            MpiError::Faulted("sm unpacker already in use".into()),
-        );
-    };
-    if let SideEngine::Gpu(eng) = &mut engine {
-        let stw = Rc::clone(&st);
-        eng.process_fragment(
-            sim,
-            src,
-            n,
-            |_| {},
-            move |sim, _| {
-                let finished = {
-                    let mut x = stw.borrow_mut();
-                    x.consumed += n;
-                    x.inflight -= 1;
-                    x.consumed >= x.total
-                };
-                {
-                    let x = stw.borrow();
-                    sim.trace.count(
-                        names::MPI_DELIVERED_BYTES,
-                        x.s_rank as u32,
-                        x.r_rank as u32,
-                        n,
-                    );
-                }
-                sim.trace.span_end(sim.now(), frag_span);
-                if finished {
-                    let x = stw.borrow();
-                    x.recv_req.complete(sim, Ok(x.total));
-                    let send_req = x.send_req.clone();
-                    let (r, s, total) = (x.r_rank, x.s_rank, x.total);
-                    let span = x.span;
-                    drop(x);
-                    let acked = send_am(sim, r, s, 16, move |sim| {
-                        send_req.complete(sim, Ok(total));
-                        sim.trace.span_end(sim.now(), span);
-                    });
-                    if let Err(e) = acked {
-                        pull_fail(sim, &stw, MpiError::Net(e));
-                    }
-                } else {
-                    pull_pump(sim, stw);
-                }
-            },
-        );
-        st.borrow_mut().engine = Some(engine);
+    // A dense side's user buffer is read (sender) or written (receiver)
+    // in place by the peer, so it must be mapped over IPC first.
+    let window = if s.dense() {
+        Some(s.data_ptr())
+    } else if r.dense() {
+        Some(r.data_ptr())
     } else {
-        // The sm protocol only runs device-to-device, so a non-dense
-        // receiver always gets a GPU engine; anything else is protocol
-        // corruption, surfaced as a typed failure.
-        st.borrow_mut().engine = Some(engine);
-        pull_fail(
-            sim,
-            &st,
-            MpiError::Faulted("sm sender-dense path requires a GPU unpacker".into()),
-        );
-    }
-}
-
-/// Receiver contiguous: the sender packs fragments into its ring and
-/// bulk-DMAs each one (PUT-style) straight to its final offset in the
-/// receiver's mapped buffer — no unpack stage, and the wire hop runs at
-/// full P2P rate instead of strided kernel-over-IPC speed. Ring slots
-/// recycle when their PUT completes.
-fn receiver_dense(sim: &mut Sim<MpiWorld>, s: Side, r: Side, send_req: Request, recv_req: Request) {
-    let total = s.total();
-    let dst = r.data_ptr();
-    let (s_rank, r_rank) = (s.rank, r.rank);
-    let span = sim.trace.span_begin(
-        sim.now(),
-        names::CAT_MPIRT,
-        names::SPAN_SM_RECEIVER_DENSE,
-        proto_track(s_rank, r_rank),
-    );
-    open_peer_buffer(sim, dst, total, move |sim, res| {
-        if res.is_err() {
-            renegotiate(sim, s, r, send_req, recv_req, span);
-            return;
-        }
-        sm_connection(sim, s_rank, r_rank, move |sim, conn| {
-            let conn = match conn {
-                Ok(c) => c,
-                Err(_) => {
-                    renegotiate(sim, s, r, send_req, recv_req, span);
-                    return;
-                }
-            };
-            let (frag0, depth0) = {
-                let c = conn.borrow();
-                (c.frag_size, c.depth)
-            };
-            let (frag, depth) = tuned_shape(sim, &s, &r, PathClass::SmIpc, frag0, depth0);
-            let packer = match make_engine(sim, &s, Direction::Pack) {
-                Ok(e) => e,
-                Err(err) => return fail_both(sim, &send_req, &recv_req, span, err),
-            };
-            let st = Rc::new(RefCell::new(PutState {
-                conn,
-                engine: Some(packer),
-                dst,
-                total,
-                frag,
-                depth,
-                next_seq: 0,
-                put_bytes: 0,
-                inflight: 0,
-                s_rank,
-                r_rank,
-                send_req,
-                recv_req,
-                span,
-            }));
-            put_pump(sim, st);
-        });
-    });
-}
-
-/// State for the receiver-dense push pipeline.
-struct PutState {
-    conn: Rc<RefCell<SmConn>>,
-    engine: Option<SideEngine>,
-    dst: memsim::Ptr,
-    total: u64,
-    /// Pipeline shape in use (auto-tuned; never exceeds the ring's
-    /// allocated `frag_size`/`depth`).
-    frag: u64,
-    depth: usize,
-    next_seq: u64,
-    put_bytes: u64,
-    inflight: usize,
-    s_rank: usize,
-    r_rank: usize,
-    send_req: Request,
-    recv_req: Request,
-    span: SpanId,
-}
-
-fn put_pump(sim: &mut Sim<MpiWorld>, st: Rc<RefCell<PutState>>) {
-    loop {
-        let (seq, n, frag, slot_ptr) = {
-            let mut x = st.borrow_mut();
-            let frag = x.frag;
-            let depth = x.depth;
-            if x.next_seq * frag >= x.total || x.inflight >= depth {
-                return;
-            }
-            let seq = x.next_seq;
-            x.next_seq += 1;
-            x.inflight += 1;
-            let n = frag.min(x.total - seq * frag);
-            let slot_ptr = x.conn.borrow().ring_slot(seq as usize);
-            (seq, n, frag, slot_ptr)
-        };
-        let Some(slot_ptr) = slot_ptr else {
-            return put_fail(
-                sim,
-                &st,
-                MpiError::Faulted("sm ring slot out of range".into()),
-            );
-        };
-        // Pack into the local ring slot, then PUT to the final offset.
-        let frag_span = {
-            let x = st.borrow();
-            sim.trace.span_begin(
-                sim.now(),
-                names::CAT_MPIRT,
-                names::SPAN_FRAG,
-                ring_track(x.s_rank, x.r_rank),
-            )
-        };
-        let Some(mut engine) = st.borrow_mut().engine.take() else {
-            return put_fail(
-                sim,
-                &st,
-                MpiError::Faulted("sm packer already in use".into()),
-            );
-        };
-        if let SideEngine::Gpu(eng) = &mut engine {
-            let stw = Rc::clone(&st);
-            eng.process_fragment(
-                sim,
-                slot_ptr,
-                n,
-                |_| {},
-                move |sim, _| {
-                    let (window, copy_stream) = {
-                        let x = stw.borrow();
-                        (x.dst.add(seq * frag), sim.world.rank(x.s_rank).copy_stream)
-                    };
-                    let stw2 = Rc::clone(&stw);
-                    memcpy(sim, copy_stream, slot_ptr, window, n, move |sim, _| {
-                        let finished = {
-                            let mut x = stw2.borrow_mut();
-                            x.put_bytes += n;
-                            x.inflight -= 1;
-                            x.put_bytes >= x.total
-                        };
-                        {
-                            let x = stw2.borrow();
-                            sim.trace.count(
-                                names::MPI_DELIVERED_BYTES,
-                                x.s_rank as u32,
-                                x.r_rank as u32,
-                                n,
-                            );
-                        }
-                        sim.trace.span_end(sim.now(), frag_span);
-                        if finished {
-                            let x = stw2.borrow();
-                            x.send_req.complete(sim, Ok(x.total));
-                            let rreq = x.recv_req.clone();
-                            let (s_rank, r_rank, total) = (x.s_rank, x.r_rank, x.total);
-                            let span = x.span;
-                            drop(x);
-                            let acked = send_am(sim, s_rank, r_rank, 16, move |sim| {
-                                rreq.complete(sim, Ok(total));
-                                sim.trace.span_end(sim.now(), span);
-                            });
-                            if let Err(e) = acked {
-                                put_fail(sim, &stw2, MpiError::Net(e));
-                            }
-                        } else {
-                            put_pump(sim, stw2);
-                        }
-                    });
-                },
-            );
-            st.borrow_mut().engine = Some(engine);
-        } else {
-            // Device-to-device protocol: a non-dense sender always gets
-            // a GPU engine; anything else is protocol corruption.
-            st.borrow_mut().engine = Some(engine);
-            return put_fail(
-                sim,
-                &st,
-                MpiError::Faulted("sm receiver-dense path requires a GPU packer".into()),
-            );
-        }
-    }
-}
-
-/// Both sides non-contiguous: the full Figure 4 pipeline.
-struct FullState {
-    conn: Rc<RefCell<SmConn>>,
-    packer: Option<SideEngine>,
-    unpacker: Option<SideEngine>,
-    total: u64,
-    frag: u64,
-    nfrags: u64,
-    next_seq: u64,
-    free_slots: VecDeque<usize>,
-    acked: u64,
-    recvd: u64,
-    s_rank: usize,
-    r_rank: usize,
-    send_req: Request,
-    recv_req: Request,
-    span: SpanId,
-}
-
-type FSt = Rc<RefCell<FullState>>;
-
-fn full_pipeline(sim: &mut Sim<MpiWorld>, s: Side, r: Side, send_req: Request, recv_req: Request) {
-    let total = s.total();
-    let (s_rank, r_rank) = (s.rank, r.rank);
-    let span = sim.trace.span_begin(
-        sim.now(),
-        names::CAT_MPIRT,
-        names::SPAN_SM_PIPELINE,
-        proto_track(s_rank, r_rank),
-    );
-    sm_connection(sim, s_rank, r_rank, move |sim, conn| {
-        let conn = match conn {
-            Ok(c) => c,
-            Err(_) => {
-                renegotiate(sim, s, r, send_req, recv_req, span);
-                return;
-            }
-        };
-        let (frag0, depth0) = {
-            let c = conn.borrow();
-            (c.frag_size, c.depth)
-        };
-        let (frag, depth) = tuned_shape(sim, &s, &r, PathClass::SmIpc, frag0, depth0);
-        let engines = make_engine(sim, &s, Direction::Pack)
-            .and_then(|p| make_engine(sim, &r, Direction::Unpack).map(|u| (p, u)));
-        let (packer, unpacker) = match engines {
-            Ok(pair) => pair,
-            Err(err) => return fail_both(sim, &send_req, &recv_req, span, err),
-        };
-        let st = Rc::new(RefCell::new(FullState {
-            conn,
-            packer: Some(packer),
-            unpacker: Some(unpacker),
-            total,
-            frag,
-            nfrags: total.div_ceil(frag),
-            next_seq: 0,
-            free_slots: (0..depth).collect(),
-            acked: 0,
-            recvd: 0,
-            s_rank,
-            r_rank,
-            send_req,
-            recv_req,
-            span,
-        }));
-        full_pump(sim, st);
-    });
-}
-
-fn full_pump(sim: &mut Sim<MpiWorld>, st: FSt) {
-    loop {
-        let (slot, n, ring_slot) = {
-            let mut x = st.borrow_mut();
-            if x.next_seq >= x.nfrags {
-                return;
-            }
-            let Some(slot) = x.free_slots.pop_front() else {
-                return;
-            };
-            let seq = x.next_seq;
-            x.next_seq += 1;
-            let n = x.frag.min(x.total - seq * x.frag);
-            let ring_slot = x.conn.borrow().ring_slot(slot);
-            (slot, n, ring_slot)
-        };
-        let Some(ring_slot) = ring_slot else {
-            return full_fail(
-                sim,
-                &st,
-                MpiError::Faulted("sm ring slot out of range".into()),
-            );
-        };
-        // Sender packs the fragment into the ring slot... The frag span
-        // covers the slot's whole residency: claim here, recycle on ack.
-        let frag_span = {
-            let x = st.borrow();
-            sim.trace.span_begin(
-                sim.now(),
-                names::CAT_MPIRT,
-                names::SPAN_FRAG,
-                ring_track(x.s_rank, x.r_rank),
-            )
-        };
-        let Some(mut packer) = st.borrow_mut().packer.take() else {
-            return full_fail(
-                sim,
-                &st,
-                MpiError::Faulted("sm packer already in use".into()),
-            );
-        };
-        if let SideEngine::Gpu(eng) = &mut packer {
-            let stw = Rc::clone(&st);
-            eng.process_fragment(
-                sim,
-                ring_slot,
-                n,
-                |_| {},
-                move |sim, _| {
-                    // ...then active-messages an unpack request (§4.1).
-                    let (s_rank, r_rank) = {
-                        let x = stw.borrow();
-                        (x.s_rank, x.r_rank)
-                    };
-                    let stw2 = Rc::clone(&stw);
-                    let sent = send_am(sim, s_rank, r_rank, 16, move |sim| {
-                        full_recv(sim, stw2, slot, n, ring_slot, frag_span);
-                    });
-                    if let Err(e) = sent {
-                        full_fail(sim, &stw, MpiError::Net(e));
-                    }
-                },
-            );
-            st.borrow_mut().packer = Some(packer);
-        } else {
-            // Device-to-device protocol: both engines are GPU engines;
-            // anything else is protocol corruption.
-            st.borrow_mut().packer = Some(packer);
-            return full_fail(
-                sim,
-                &st,
-                MpiError::Faulted("sm full pipeline requires a GPU packer".into()),
-            );
-        }
-    }
-}
-
-fn full_recv(
-    sim: &mut Sim<MpiWorld>,
-    st: FSt,
-    slot: usize,
-    n: u64,
-    ring_slot: memsim::Ptr,
-    frag_span: SpanId,
-) {
-    let staging = { st.borrow().conn.borrow().staging_slot(slot) };
-    match staging {
-        Some(stage) => {
-            let copy_stream = {
-                let r_rank = st.borrow().r_rank;
-                sim.world.rank(r_rank).copy_stream
-            };
-            let stw = Rc::clone(&st);
-            memcpy(sim, copy_stream, ring_slot, stage, n, move |sim, _| {
-                full_unpack(sim, stw, stage, slot, n, frag_span);
-            });
-        }
-        None => full_unpack(sim, Rc::clone(&st), ring_slot, slot, n, frag_span),
-    }
-}
-
-fn full_unpack(
-    sim: &mut Sim<MpiWorld>,
-    st: FSt,
-    src: memsim::Ptr,
-    slot: usize,
-    n: u64,
-    frag_span: SpanId,
-) {
-    let Some(mut unpacker) = st.borrow_mut().unpacker.take() else {
-        return full_fail(
-            sim,
-            &st,
-            MpiError::Faulted("sm unpacker already in use".into()),
-        );
+        None
     };
-    if let SideEngine::Gpu(eng) = &mut unpacker {
-        let stw = Rc::clone(&st);
-        eng.process_fragment(
-            sim,
-            src,
-            n,
-            |_| {},
-            move |sim, _| {
-                let (r_rank, s_rank, recv_finished) = {
-                    let mut x = stw.borrow_mut();
-                    x.recvd += n;
-                    (x.r_rank, x.s_rank, x.recvd >= x.total)
-                };
-                sim.trace
-                    .count(names::MPI_DELIVERED_BYTES, s_rank as u32, r_rank as u32, n);
-                if recv_finished {
-                    let x = stw.borrow();
-                    x.recv_req.complete(sim, Ok(x.total));
-                }
-                // Ack the slot so the sender can reuse it.
-                let stw2 = Rc::clone(&stw);
-                let acked = send_am(sim, r_rank, s_rank, 16, move |sim| {
-                    sim.trace.span_end(sim.now(), frag_span);
-                    let send_finished = {
-                        let mut x = stw2.borrow_mut();
-                        x.acked += n;
-                        x.free_slots.push_back(slot);
-                        x.acked >= x.total
-                    };
-                    if send_finished {
-                        let x = stw2.borrow();
-                        x.send_req.complete(sim, Ok(x.total));
-                        let span = x.span;
-                        sim.trace.span_end(sim.now(), span);
-                    } else {
-                        full_pump(sim, stw2);
-                    }
-                });
-                if let Err(e) = acked {
-                    full_fail(sim, &stw, MpiError::Net(e));
-                }
-            },
-        );
-        st.borrow_mut().unpacker = Some(unpacker);
-    } else {
-        // Device-to-device protocol: both engines are GPU engines;
-        // anything else is protocol corruption.
-        st.borrow_mut().unpacker = Some(unpacker);
-        full_fail(
-            sim,
-            &st,
-            MpiError::Faulted("sm full pipeline requires a GPU unpacker".into()),
-        );
+    let total = s.total();
+    let t = exec::open(sim, s, r, PathClass::SmIpc, send_req, recv_req);
+    match window {
+        Some(buf) => open_peer_buffer(sim, buf, total, move |sim, res| match res {
+            Ok(()) => connect(sim, t),
+            Err(_) => renegotiate(sim, t),
+        }),
+        None => connect(sim, t),
     }
+}
+
+/// Establish (or reuse) the fragment ring when the plan pipelines, then
+/// run the plan.
+fn connect(sim: &mut Sim<MpiWorld>, t: Transfer) {
+    if !t.plan.ring {
+        return exec::run(sim, t, Conn::None);
+    }
+    sm_connection(sim, t.s.rank, t.r.rank, move |sim, conn| match conn {
+        Ok(conn) => exec::run(sim, t, Conn::Sm(conn)),
+        Err(_) => renegotiate(sim, t),
+    });
 }

@@ -2,8 +2,10 @@
 //!
 //! The rendezvous protocols pipeline a transfer through a ring of
 //! `pipeline_depth` fragments of `frag_size` bytes, both hand-picked
-//! constants in [`crate::MpiConfig`]. This module evaluates the same
-//! per-fragment cost arithmetic the simulator charges — kernel launch +
+//! constants in [`crate::MpiConfig`]. This module prices the very
+//! [`TransferPlan`] the executor runs — one `cost` arm per
+//! [`StageOp`], next to the one `run` arm in `protocol::exec` — with
+//! the same per-fragment cost arithmetic the simulator charges — kernel launch +
 //! DRAM/PCIe traffic for the conversion stages, link bandwidth +
 //! latency for the wire, active-message latency for the per-fragment
 //! control traffic — as a closed-form pipeline makespan
@@ -24,6 +26,7 @@
 //! Decisions are cached in [`crate::world::MpiState::tuned_shapes`] and
 //! surfaced through the `optimizer.frag.*` trace counters.
 
+use crate::protocol::plan::{plan_for, Credit, End, Facts, Far, Loc, StageOp, TransferPlan};
 use crate::protocol::Side;
 use crate::world::MpiWorld;
 use devengine::tune::{pick_fragment, pipeline_makespan_ns, Stage};
@@ -132,9 +135,9 @@ struct Model {
     /// Data link between the ranks: ns per byte + fixed latency.
     wire_nspb: f64,
     wire_lat_ns: f64,
-    /// One active message on the control link (per-fragment protocol
-    /// traffic: unpack requests, slot acks).
-    am_ns: f64,
+    /// One 16-byte active message on the control link (per-fragment
+    /// protocol traffic: unpack requests, slot acks), as a stage.
+    am: Stage,
     /// NIC packet processor: per-descriptor issue on the handler cores
     /// and the gather/scatter DMA streaming rate (ns per byte).
     nic_desc_issue_ns: f64,
@@ -215,7 +218,10 @@ fn gather(sim: &mut Sim<MpiWorld>, s_rank: usize, r_rank: usize) -> Model {
         cpu_pack_nspb: nspb(cfg.cpu_pack_bw),
         wire_nspb,
         wire_lat_ns,
-        am_ns,
+        am: Stage {
+            fixed_ns: am_ns,
+            ns_per_byte: 0.0,
+        },
         nic_desc_issue_ns,
         nic_dma_nspb,
         stream_doorbell_ns,
@@ -226,20 +232,9 @@ fn gather(sim: &mut Sim<MpiWorld>, s_rank: usize, r_rank: usize) -> Model {
     }
 }
 
-/// Where the non-typed side of a conversion kernel lives.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum KernelFar {
-    /// Fragment buffer in the executing GPU's own DRAM.
-    LocalDevice,
-    /// Zero-copy mapped host fragment (PCIe per payload byte).
-    MappedHost,
-    /// Peer GPU's ring slot through the IPC mapping.
-    PeerDevice,
-}
-
 /// Cost stage of one GPU pack/unpack kernel over a fragment, for a
 /// non-dense `side` whose typed buffer is local to the executing GPU.
-fn kernel_stage(m: &Model, side: &Side, opt: &OptimizerConfig, far: KernelFar) -> Stage {
+fn kernel_stage(m: &Model, side: &Side, opt: &OptimizerConfig, far: Far) -> Stage {
     let total = side.total().max(1);
     let ty = if opt.canonicalize {
         side.ty.canonical()
@@ -278,16 +273,16 @@ fn kernel_stage(m: &Model, side: &Side, opt: &OptimizerConfig, far: KernelFar) -
     let scattered_factor = 1.0 + m.txn_bytes / m.warp_chunk + m.txn_bytes / run;
     let dense_factor = 1.0 + m.txn_bytes / run;
     let local_traffic = match far {
-        KernelFar::LocalDevice => scattered_factor + dense_factor,
-        KernelFar::MappedHost | KernelFar::PeerDevice => scattered_factor,
+        Far::LocalDevice => scattered_factor + dense_factor,
+        Far::MappedHost | Far::PeerDevice => scattered_factor,
     };
     let dram = local_traffic * m.dram_nspb + desc_nspb;
     let pcie = match far {
-        KernelFar::LocalDevice => 0.0,
-        KernelFar::MappedHost => m.pcie_host_nspb,
-        KernelFar::PeerDevice => m.peer_nspb,
+        Far::LocalDevice => 0.0,
+        Far::MappedHost => m.pcie_host_nspb,
+        Far::PeerDevice => m.peer_nspb,
     };
-    let fixed_pcie = if far == KernelFar::LocalDevice {
+    let fixed_pcie = if far == Far::LocalDevice {
         0.0
     } else {
         m.pcie_lat_ns
@@ -298,89 +293,51 @@ fn kernel_stage(m: &Model, side: &Side, opt: &OptimizerConfig, far: KernelFar) -
     }
 }
 
-/// Per-fragment stage list for one transfer down a given path. Dense
-/// sides contribute their staging copies only; non-dense sides their
-/// conversion engines.
-fn path_stages(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> Vec<Stage> {
-    let m = gather(sim, s.rank, r.rank);
-    let opt = sim.world.mpi.config.engine.optimizer;
-    let mut stages = Vec::new();
-    let copy = |nspb: f64| Stage {
-        fixed_ns: m.memcpy_fixed_ns,
-        ns_per_byte: nspb,
+/// The model's price of one executable stage: the `cost` arm matching
+/// the executor's `run` arm for the same [`StageOp`]. Most ops are one
+/// pipeline stage; `Direct` moves nothing and costs nothing, and a
+/// graph replay is four serial legs.
+fn cost(
+    op: StageOp,
+    m: &Model,
+    (s, r): (&Side, &Side),
+    opt: &OptimizerConfig,
+    out: &mut Vec<Stage>,
+) {
+    let side = |end| match end {
+        End::Send => s,
+        End::Recv => r,
     };
-    let am = Stage {
-        fixed_ns: m.am_ns,
-        ns_per_byte: 0.0,
+    let on_device = |loc| match loc {
+        Loc::User(end) => side(end).device(),
+        Loc::Dev(_) => true,
+        Loc::Host(_) => false,
     };
-    match class {
-        PathClass::SmIpc => {
-            let s_gpu = sim.world.mpi.ranks[s.rank].gpu;
-            let r_gpu = sim.world.mpi.ranks[r.rank].gpu;
-            let staged = sim.world.mpi.config.recv_local_staging && s_gpu != r_gpu;
-            if !s.dense() {
-                // Pack into the sender-local ring slot.
-                stages.push(kernel_stage(&m, s, &opt, KernelFar::LocalDevice));
-            }
-            if staged {
-                // Receiver GETs the fragment into local staging.
-                stages.push(copy(m.p2p_copy_nspb));
-            }
-            if !r.dense() {
-                let far = if staged || s_gpu == r_gpu {
-                    KernelFar::LocalDevice
-                } else {
-                    KernelFar::PeerDevice
-                };
-                stages.push(kernel_stage(&m, r, &opt, far));
-            } else if !s.dense() {
-                // receiver-dense: the packed fragment is PUT to its
-                // final window at bulk P2P rate.
-                stages.push(copy(m.p2p_copy_nspb));
-            }
-            stages.push(am);
-        }
-        PathClass::CopyInOut | PathClass::ZeroCopy => {
-            let zero = class == PathClass::ZeroCopy;
-            // Sender conversion into the host fragment.
-            match (s.dense(), s.device()) {
-                (false, true) if zero => {
-                    stages.push(kernel_stage(&m, s, &opt, KernelFar::MappedHost));
-                }
-                (false, true) => {
-                    stages.push(kernel_stage(&m, s, &opt, KernelFar::LocalDevice));
-                    stages.push(copy(m.pcie_copy_nspb));
-                }
-                (false, false) => stages.push(Stage {
-                    fixed_ns: 0.0,
-                    ns_per_byte: m.cpu_pack_nspb,
-                }),
-                (true, true) => stages.push(copy(m.pcie_copy_nspb)),
-                (true, false) => {} // registered host data wires directly
-            }
-            stages.push(Stage {
-                fixed_ns: m.wire_lat_ns,
-                ns_per_byte: m.wire_nspb,
-            });
-            // Receiver consumption out of the arrived fragment.
-            match (r.dense(), r.device()) {
-                (false, true) if zero => {
-                    stages.push(kernel_stage(&m, r, &opt, KernelFar::MappedHost));
-                }
-                (false, true) => {
-                    stages.push(copy(m.pcie_copy_nspb));
-                    stages.push(kernel_stage(&m, r, &opt, KernelFar::LocalDevice));
-                }
-                (false, false) => stages.push(Stage {
-                    fixed_ns: 0.0,
-                    ns_per_byte: m.cpu_pack_nspb,
-                }),
-                (true, true) => stages.push(copy(m.pcie_copy_nspb)),
-                (true, false) => {} // the wire landed in the user buffer
-            }
-            stages.push(am);
-        }
-        PathClass::NicOffload => {
+    let wire = Stage {
+        fixed_ns: m.wire_lat_ns,
+        ns_per_byte: m.wire_nspb,
+    };
+    match op {
+        StageOp::Kernel { end, far, .. } => out.push(kernel_stage(m, side(end), opt, far)),
+        StageOp::CpuConvert { .. } => out.push(Stage {
+            fixed_ns: 0.0,
+            ns_per_byte: m.cpu_pack_nspb,
+        }),
+        // Device-to-device copies (staging GET, PUT, bulk) run at P2P
+        // rate, D2H/H2D staging hops at PCIe rate.
+        StageOp::Copy { from, to, .. } => out.push(Stage {
+            fixed_ns: m.memcpy_fixed_ns,
+            ns_per_byte: if on_device(from) && on_device(to) {
+                m.p2p_copy_nspb
+            } else {
+                m.pcie_copy_nspb
+            },
+        }),
+        StageOp::Wire { .. } => out.push(wire),
+        StageOp::Notify { .. } => out.push(m.am),
+        // Registered host data wires directly / lands in place.
+        StageOp::Direct => {}
+        StageOp::NicProgram => {
             // One stage: the handler front-end serializes descriptor
             // issue while the payload streams at the slower of the wire
             // and the NIC gather/scatter DMA — the legs pipeline per
@@ -395,13 +352,13 @@ fn path_stages(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) ->
                 ty.segment_estimate().saturating_mul(side.count).max(1) as f64
                     / side.total().max(1) as f64
             };
-            stages.push(Stage {
+            out.push(Stage {
                 fixed_ns: m.wire_lat_ns,
                 ns_per_byte: m.wire_nspb.max(m.nic_dma_nspb)
                     + (upb(s) + upb(r)) * m.nic_desc_issue_ns,
             });
         }
-        PathClass::StreamTriggered => {
+        StageOp::GraphReplay => {
             // Replay re-arm on the stream front-end (doorbell MMIO plus
             // per-op issue for the five captured nodes), then the
             // graph's own legs: zero-copy pack into the mapped bounce,
@@ -410,23 +367,43 @@ fn path_stages(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) ->
             // Graph-baked kernels skip the driver launch path — the
             // stream front-end pays op issue instead.
             let graph_kernel = |side: &Side| {
-                let mut st = kernel_stage(&m, side, &opt, KernelFar::MappedHost);
+                let mut st = kernel_stage(m, side, opt, Far::MappedHost);
                 st.fixed_ns = st.fixed_ns - m.launch_ns + m.stream_op_issue_ns;
                 st
             };
-            stages.push(Stage {
+            out.push(Stage {
                 fixed_ns: m.stream_doorbell_ns + 5.0 * m.stream_op_issue_ns,
                 ns_per_byte: 0.0,
             });
-            stages.push(graph_kernel(s));
-            stages.push(Stage {
-                fixed_ns: m.wire_lat_ns,
-                ns_per_byte: m.wire_nspb,
-            });
-            stages.push(graph_kernel(r));
+            out.push(graph_kernel(s));
+            out.push(wire);
+            out.push(graph_kernel(r));
         }
     }
-    stages
+}
+
+/// The plan a transfer would run down `class` right now, and its
+/// per-fragment stage prices: every stage comes from a [`StageOp`] the
+/// executor would run, plus the credit stage the plan declares — one
+/// active message per fragment under [`Credit::Ack`]; `Local` and
+/// `Fused` credits cost nothing per fragment.
+fn path_stages(
+    sim: &mut Sim<MpiWorld>,
+    s: &Side,
+    r: &Side,
+    class: PathClass,
+) -> (TransferPlan, Vec<Stage>) {
+    let plan = plan_for(&Facts::of(sim, s.rank, r.rank), s, r, class);
+    let m = gather(sim, s.rank, r.rank);
+    let opt = sim.world.mpi.config.engine.optimizer;
+    let mut stages = Vec::new();
+    for &op in &plan.stages {
+        cost(op, &m, (s, r), &opt, &mut stages);
+    }
+    if plan.credit == Credit::Ack {
+        stages.push(m.am);
+    }
+    (plan, stages)
 }
 
 /// Fraction of the incumbent's predicted makespan an offload candidate
@@ -443,46 +420,39 @@ const SELECT_MARGIN: f64 = 0.9;
 /// returns the incumbent immediately — no model evaluation, no
 /// counters, so default runs stay byte-identical.
 pub fn select_path(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, same_node: bool) -> PathClass {
-    let (zero_copy, nic_knob, stream_knob, frag0, depth0) = {
-        let cfg = &sim.world.mpi.config;
-        (
-            cfg.zero_copy,
-            cfg.nic_offload,
-            cfg.stream_trigger,
-            cfg.frag_size,
-            cfg.pipeline_depth,
-        )
-    };
-    let incumbent = if zero_copy && sim.world.mpi.zero_copy_runtime_ok && s.device() && r.device() {
-        PathClass::ZeroCopy
+    let incumbent = if s.device() && r.device() {
+        Facts::of(sim, s.rank, r.rank).copy_class()
     } else {
         PathClass::CopyInOut
     };
-    let nic_ok = nic_knob && sim.world.mpi.nic_offload_runtime_ok;
-    let stream_ok = stream_knob && sim.world.mpi.stream_trigger_runtime_ok;
+    let mpi = &sim.world.mpi;
+    let nic_ok = mpi.config.nic_offload && mpi.nic_offload_runtime_ok;
+    let stream_ok = mpi.config.stream_trigger && mpi.stream_trigger_runtime_ok;
     if (!nic_ok && !stream_ok) || same_node || !s.device() || !r.device() {
         return incumbent;
     }
+    // Predicted makespan of the plan `class` would run, at the plan's
+    // own shape: the configured ring for the pipelined incumbent, one
+    // whole-message fragment for the offload classes.
     let total = s.total().max(1);
-    let inc_stages = path_stages(sim, s, r, incumbent);
-    let inc_ns = pipeline_makespan_ns(total, frag0.min(total), depth0, &inc_stages);
+    let mut predict = |class| {
+        let (plan, stages) = path_stages(sim, s, r, class);
+        pipeline_makespan_ns(total, plan.frag.min(total), plan.depth, &stages)
+    };
     let mut best = incumbent;
     // The candidate must beat the incumbent by the margin; between the
     // two offload classes, plain better-than wins.
-    let mut best_ns = inc_ns * SELECT_MARGIN;
-    if nic_ok {
-        let stages = path_stages(sim, s, r, PathClass::NicOffload);
-        let ns = pipeline_makespan_ns(total, total, 1, &stages);
-        if ns < best_ns {
-            best = PathClass::NicOffload;
-            best_ns = ns;
-        }
-    }
-    if stream_ok {
-        let stages = path_stages(sim, s, r, PathClass::StreamTriggered);
-        let ns = pipeline_makespan_ns(total, total, 1, &stages);
-        if ns < best_ns {
-            best = PathClass::StreamTriggered;
+    let mut best_ns = predict(incumbent) * SELECT_MARGIN;
+    for (ok, class) in [
+        (nic_ok, PathClass::NicOffload),
+        (stream_ok, PathClass::StreamTriggered),
+    ] {
+        if ok {
+            let ns = predict(class);
+            if ns < best_ns {
+                best = class;
+                best_ns = ns;
+            }
         }
     }
     best
@@ -506,13 +476,7 @@ pub fn tuned_shape(
         return (frag0, depth0);
     }
     let total = s.total();
-    let key = TuneKey {
-        arch: sim.world.gpus_ref().arch.name,
-        s_layout: side_fingerprint(s, &opt),
-        r_layout: side_fingerprint(r, &opt),
-        total,
-        class,
-    };
+    let key = cache_key(sim, s, r, class);
     if let Some(&shape) = sim.world.mpi.tuned_shapes.get(&key) {
         sim.trace.count(
             names::OPTIMIZER_FRAG_CACHE_HIT,
@@ -522,7 +486,7 @@ pub fn tuned_shape(
         );
         return shape;
     }
-    let stages = path_stages(sim, s, r, class);
+    let (_, stages) = path_stages(sim, s, r, class);
     let shape = pick_fragment(total, frag0, depth0, &stages);
     sim.world.mpi.tuned_shapes.insert(key, shape);
     let counter = if shape == (frag0, depth0) {
@@ -754,6 +718,187 @@ mod tests {
         let s = side_on(&mut sim, 0, &coarse_ty(), 1);
         let r = side_on(&mut sim, 1, &coarse_ty(), 1);
         assert_eq!(select_path(&mut sim, &s, &r, false), PathClass::ZeroCopy);
+    }
+
+    /// The priced plan is the executed plan. One multi-fragment
+    /// transfer per row of {SmIpc one GPU, SmIpc two GPUs (staged),
+    /// CopyInOut, ZeroCopy} × {dense, strided}² × legal placements, run
+    /// with the tracer on: the primitives the run actually issued — kernel
+    /// launches, `cudaMemcpy`s, CPU convertor passes, wire sends, active
+    /// messages — must equal, per fragment, the `StageOp`s of
+    /// `plan_for(..)`, the tuner must have priced exactly that many
+    /// stages, and the received bytes must equal the CPU reference
+    /// `pack_all` → `unpack_all`.
+    #[test]
+    fn executed_primitives_match_the_planned_and_priced_stages() {
+        use crate::protocol::run_transfer;
+        use crate::request::Request;
+        use datatype::convertor::{pack_all, unpack_all};
+        use faultsim::FaultPlan;
+        use simcore::trace::TraceEvent;
+
+        const FRAG: u64 = 64 << 10;
+        const DOUBLES: u64 = 36_864; // 4.5 fragments
+        let dense = DataType::contiguous(DOUBLES, &DataType::double())
+            .unwrap()
+            .commit();
+        let strided = DataType::vector(DOUBLES / 2, 2, 4, &DataType::double())
+            .unwrap()
+            .commit();
+        let total = dense.size();
+        assert_eq!(strided.size(), total);
+
+        #[derive(Clone, Copy, Debug)]
+        enum Topo {
+            Sm1Gpu,
+            Sm2Gpu,
+            IbStaged,
+            IbZeroCopy,
+        }
+        let mut rows = 0;
+        for topo in [Topo::Sm1Gpu, Topo::Sm2Gpu, Topo::IbStaged, Topo::IbZeroCopy] {
+            let sm = matches!(topo, Topo::Sm1Gpu | Topo::Sm2Gpu);
+            // sm runs device-to-device only; copy-in/out takes any mix.
+            let placements: &[(bool, bool)] = if sm {
+                &[(true, true)]
+            } else {
+                &[(true, true), (true, false), (false, true), (false, false)]
+            };
+            for (s_dense, r_dense) in [(true, true), (true, false), (false, true), (false, false)] {
+                for &(s_dev, r_dev) in placements {
+                    let row = format!(
+                        "{topo:?} s(dense={s_dense},dev={s_dev}) r(dense={r_dense},dev={r_dev})"
+                    );
+                    let config = MpiConfig {
+                        frag_size: FRAG,
+                        zero_copy: matches!(topo, Topo::IbZeroCopy),
+                        nic_offload: false,
+                        stream_trigger: false,
+                        fault_plan: FaultPlan::empty(),
+                        engine: EngineConfig {
+                            optimizer: OptimizerConfig {
+                                autotune: false,
+                                ..OptimizerConfig::enabled()
+                            },
+                            ..EngineConfig::default()
+                        },
+                        ..MpiConfig::default()
+                    };
+                    let mut sim = Sim::new(match topo {
+                        Topo::Sm1Gpu => MpiWorld::two_ranks_one_gpu(config),
+                        Topo::Sm2Gpu => MpiWorld::two_ranks_two_gpus(config),
+                        Topo::IbStaged | Topo::IbZeroCopy => MpiWorld::two_ranks_ib(config),
+                    });
+                    let side = |sim: &mut Sim<MpiWorld>, rank: usize, is_dense, dev| {
+                        let ty: &DataType = if is_dense { &dense } else { &strided };
+                        let space = if dev {
+                            MemSpace::Device(sim.world.mpi.ranks[rank].gpu)
+                        } else {
+                            MemSpace::Host
+                        };
+                        let buf = sim.world.mem().alloc(space, ty.extent() as u64).unwrap();
+                        Side {
+                            rank,
+                            ty: ty.clone(),
+                            count: 1,
+                            buf,
+                        }
+                    };
+                    let s = side(&mut sim, 0, s_dense, s_dev);
+                    let r = side(&mut sim, 1, r_dense, r_dev);
+                    let sent: Vec<u8> = (0..s.ty.extent() as usize)
+                        .map(|i| (i * 31 + 7) as u8)
+                        .collect();
+                    sim.world.mem().write(s.buf, &sent).unwrap();
+                    let r_len = r.ty.extent() as u64;
+                    let mut expect = sim.world.mem().read_vec(r.buf, r_len).unwrap();
+                    unpack_all(&r.ty, 1, &mut expect, 0, &pack_all(&s.ty, 1, &sent, 0));
+
+                    let facts = Facts::of(&sim, 0, 1);
+                    let class = if sm {
+                        PathClass::SmIpc
+                    } else {
+                        facts.copy_class()
+                    };
+                    let (plan, priced) = path_stages(&mut sim, &s, &r, class);
+                    let priced = priced.len() as u64;
+                    let nfrags = if plan.ring { total.div_ceil(FRAG) } else { 1 };
+                    assert!(!plan.ring || nfrags >= 3, "{row}: not multi-fragment");
+
+                    sim.trace.set_recording(true);
+                    let (sreq, rreq) = (Request::new(), Request::new());
+                    run_transfer(&mut sim, s.clone(), r.clone(), sreq.clone(), rreq.clone());
+                    sim.run();
+                    assert_eq!(sreq.expect_bytes(), total, "{row}");
+                    assert_eq!(rreq.expect_bytes(), total, "{row}");
+                    let got = sim.world.mem().read_vec(r.buf, r_len).unwrap();
+                    assert!(got == expect, "{row}: bytes differ from the CPU reference");
+
+                    let planned = |pick: fn(&StageOp) -> bool| {
+                        plan.stages.iter().filter(|op| pick(op)).count() as u64
+                    };
+                    let spans = |span: &str| {
+                        sim.trace
+                            .events()
+                            .iter()
+                            .filter(|e| matches!(e, TraceEvent::Span { name, .. } if *name == span))
+                            .count() as u64
+                    };
+                    let kernels = sim.trace.counter(names::GPUSIM_KERNEL_LAUNCHES);
+                    let memcpys = spans(names::SPAN_MEMCPY);
+                    let cpu_passes = spans(names::SPAN_CPU_PACK) + spans(names::SPAN_CPU_UNPACK);
+                    let wires = spans(names::SPAN_WIRE);
+                    let ams = sim.trace.counter(names::NETSIM_AM_COUNT);
+                    assert_eq!(
+                        kernels,
+                        nfrags * planned(|op| matches!(op, StageOp::Kernel { .. })),
+                        "{row}: kernel launches"
+                    );
+                    assert_eq!(
+                        memcpys,
+                        nfrags * planned(|op| matches!(op, StageOp::Copy { .. })),
+                        "{row}: memcpys"
+                    );
+                    assert_eq!(
+                        cpu_passes,
+                        nfrags * planned(|op| matches!(op, StageOp::CpuConvert { .. })),
+                        "{row}: CPU convertor passes"
+                    );
+                    assert_eq!(
+                        wires,
+                        nfrags * planned(|op| matches!(op, StageOp::Wire { .. })),
+                        "{row}: wire sends"
+                    );
+                    // Per fragment: one AM per Notify, one more under
+                    // Ack credit; a Local credit adds one per transfer.
+                    let (per_frag_credit, per_transfer) = match plan.credit {
+                        Credit::Ack => (1, 0),
+                        Credit::Local { .. } => (0, 1),
+                        Credit::Fused => (0, 0),
+                    };
+                    let notifies = planned(|op| matches!(op, StageOp::Notify { .. }));
+                    assert_eq!(
+                        ams,
+                        nfrags * (notifies + per_frag_credit) + per_transfer,
+                        "{row}: active messages"
+                    );
+                    assert_eq!(
+                        spans(names::SPAN_FRAG),
+                        if plan.ring { nfrags } else { 0 },
+                        "{row}: one frag span per slot residency"
+                    );
+                    // What the tuner priced per fragment is what ran per
+                    // fragment (the one per-transfer AM is unpriced).
+                    assert_eq!(
+                        priced * nfrags,
+                        kernels + memcpys + cpu_passes + wires + ams - per_transfer,
+                        "{row}: priced stages vs executed primitives"
+                    );
+                    rows += 1;
+                }
+            }
+        }
+        assert_eq!(rows, 2 * 4 + 2 * 16);
     }
 
     #[test]

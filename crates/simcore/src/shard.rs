@@ -39,6 +39,7 @@ use crate::time::SimTime;
 use crate::trace::Tracer;
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -496,16 +497,36 @@ impl<W: ShardModel> ShardedSim<W> {
             // clocks deadlock, hence the global run lock — concurrent
             // ShardedSim runs (e.g. parallel tests) serialize instead
             // of starving each other of workers.
-            let _run = run_lock().lock().expect("shard run lock");
+            // The lock guards no data, so a holder that re-raised a worker
+            // panic (below) leaves nothing inconsistent behind.
+            let _run = run_lock().lock().unwrap_or_else(|p| p.into_inner());
+            // A panicking shard loop must fail the run, not wedge it:
+            // its peers would spin forever on a clock that never
+            // advances. Catch the panic on the worker, raise `stop` so
+            // every peer returns, and re-raise it on the caller below.
+            let died: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
             let mut jobs: Vec<Job> = states
                 .iter_mut()
                 .map(|st| {
-                    let f: Box<dyn FnMut() + Send + '_> =
-                        Box::new(|| run_shard(st, &shared, &lookahead, part));
+                    let (shared, lookahead, died) = (&shared, &lookahead, &died);
+                    let f: Box<dyn FnMut() + Send + '_> = Box::new(move || {
+                        let run = AssertUnwindSafe(|| run_shard(st, shared, lookahead, part));
+                        if let Err(payload) = catch_unwind(run) {
+                            shared.stop.store(true, Ordering::SeqCst);
+                            // Keep the first panic; a poisoned lock only
+                            // means another worker is reporting too.
+                            if let Ok(mut first) = died.lock() {
+                                first.get_or_insert(payload);
+                            }
+                        }
+                    });
                     Job::new(f)
                 })
                 .collect();
             pool().run(&mut jobs);
+            if let Some(payload) = died.into_inner().unwrap_or_else(|p| p.into_inner()) {
+                resume_unwind(payload);
+            }
         }
 
         let mut executed = 0;
@@ -541,9 +562,15 @@ fn run_shard<W: ShardModel>(
     let s = part.shards as usize;
     let me = st.id as usize;
     loop {
-        drain_inboxes(st, shared, s, me);
-
+        // Sample the horizon *before* draining: a neighbour's push
+        // happens-before its clock publication, so every envelope below
+        // the sampled horizon is already in the mailbox when the drain
+        // runs. The other order lets a neighbour push and publish a
+        // later clock in between, admitting local events past the
+        // arrival time of a message still sitting in the mailbox.
         let safe = safe_horizon(shared, lookahead, s, me);
+
+        drain_inboxes(st, shared, s, me);
 
         // Process every event strictly below the horizon.
         let mut progressed = false;
@@ -553,11 +580,13 @@ fn run_shard<W: ShardModel>(
             }
             let (_, _, slot) = st.cal.pop_head();
             let env = st.take(slot);
-            debug_assert!(env.at >= st.last_at, "shard time went backwards");
+            // Always-on: in release builds a causality violation would
+            // otherwise execute events out of timestamp order silently.
+            assert!(env.at >= st.last_at, "shard time went backwards");
             st.last_at = env.at;
             st.executed += 1;
             progressed = true;
-            debug_assert!(st.ranks.contains(&env.dst), "misrouted envelope");
+            assert!(st.ranks.contains(&env.dst), "misrouted envelope");
             let mut ctx = ShardCtx {
                 now: env.at,
                 current: env.dst,
@@ -572,8 +601,9 @@ fn run_shard<W: ShardModel>(
 
         // Publish the clock: nothing below min(next event, horizon) can
         // leave this shard. Monotone because `safe` is (neighbor clocks
-        // only rise) and arrivals are never below the horizon they were
-        // admitted under.
+        // only rise) and an envelope that reaches the mailbox after the
+        // drain was sent after the clocks `safe` was sampled from, so it
+        // arrives at or above `safe`.
         let next = st.cal.peek().map_or(u64::MAX, |(at, _)| at.as_nanos());
         let clock = next.min(safe);
         shared.clocks[me].fetch_max(clock, Ordering::AcqRel);
@@ -678,6 +708,10 @@ fn route_staged<W: ShardModel>(
             match shared.boxes[dst_shard][me].push(pending) {
                 Ok(()) => break,
                 Err(back) => {
+                    if shared.stop.load(Ordering::SeqCst) {
+                        // A peer died; its inbox will never drain.
+                        return;
+                    }
                     pending = back;
                     drain_inboxes(st, shared, s, me);
                     std::thread::yield_now();
@@ -950,6 +984,30 @@ mod tests {
             fn deliver(&mut self, _: &mut ShardCtx<'_, ()>, _: Envelope<()>) {}
         }
         let _ = ShardedSim::new(Partition::new(4, 2), vec![Nop, Nop], |_, _| SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "model blew up on rank 3")]
+    fn a_panicking_worker_fails_the_run_instead_of_wedging_it() {
+        // The token walks 0 → 1 → 2 → 3 and rank 3 (shard 1) panics on
+        // delivery. Without the stop flag shard 0 would spin forever on
+        // shard 1's frozen clock, waiting for a hop that never comes.
+        struct Bomb;
+        impl ShardModel for Bomb {
+            type Msg = u32;
+            fn deliver(&mut self, ctx: &mut ShardCtx<'_, u32>, env: Envelope<u32>) {
+                assert!(env.dst != 3, "model blew up on rank {}", env.dst);
+                if env.msg > 0 {
+                    let next = (env.dst + 1) % 4;
+                    ctx.send(next, env.at + SimTime::from_nanos(HOP_NS), env.msg - 1);
+                }
+            }
+        }
+        let mut sim = ShardedSim::new(Partition::new(4, 2), vec![Bomb, Bomb], |_, _| {
+            SimTime::from_nanos(HOP_NS)
+        });
+        sim.inject(0, 0, SimTime::from_nanos(1), 1000);
+        sim.run();
     }
 
     #[test]

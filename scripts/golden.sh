@@ -1,0 +1,52 @@
+#!/bin/sh
+# Golden-CSV check: regenerate all 15 results/*.csv with the release
+# figure binaries and `cmp` each against the committed copy. Virtual
+# time is a pure function of the code, so any byte of difference is a
+# behaviour change that a PR must declare (regenerate and commit the
+# CSV) or fix.
+#
+#   scripts/golden.sh [BIN_DIR] [OUT_DIR]
+#
+# BIN_DIR defaults to target/release (build first:
+# `cargo build --release -p bench`); OUT_DIR to a fresh temp directory.
+set -eu
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+bin=${1:-"$root/target/release"}
+out=${2:-$(mktemp -d)}
+mkdir -p "$out"
+
+# <binary>:<csv stem>[:<extra args>] — names as in the README table.
+# Read line by line: the extra-args field holds spaces.
+status=0
+while IFS=: read -r binary stem args; do
+    # shellcheck disable=SC2086  # args is a deliberate word list
+    "$bin/$binary" $args > "$out/$stem.csv"
+    if cmp -s "$root/results/$stem.csv" "$out/$stem.csv"; then
+        echo "ok    $stem.csv"
+    else
+        echo "DIFF  $stem.csv  (diff results/$stem.csv $out/$stem.csv)"
+        status=1
+    fi
+done <<EOF
+fig6_kernel_bandwidth:fig6
+fig7_pack_unpack:fig7
+fig8_vs_memcpy2d:fig8
+fig9_pcie_bw:fig9
+fig10_pingpong:fig10
+fig11_vec_contig:fig11
+fig12_transpose:fig12
+exp13_resources:exp13
+exp14_contention:exp14
+ablation_engines:ablation_engines
+ablation_optimizer:ablation_optimizer
+ablation_pipeline:ablation_pipeline
+ablation_unit_size:ablation_unit_size
+latency_sweep:latency_sweep
+offload_frontier:offload_frontier:--arch k40,p100,v100,a100
+EOF
+if [ "$status" -ne 0 ]; then
+    echo "golden: results/ differ from the regenerated CSVs in $out" >&2
+    exit 1
+fi
+echo "golden: all 15 CSVs byte-identical"
