@@ -27,7 +27,7 @@ use memsim::{MemSpace, Ptr};
 use mpirt::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
 use mpirt::MpiConfig;
 use simcore::trace::names;
-use simcore::SimTime;
+use simcore::{Counter, SimTime};
 
 /// A run that exceeds this multiple of its fault-free makespan (plus a
 /// fixed grace for backoff delays on short runs) counts as unbounded.
@@ -233,8 +233,8 @@ fn main() {
         &DataType,
         MpiConfig,
         FaultOp,
-        &str,
-        &str,
+        Counter,
+        Counter,
     ); 2] = [
         (
             "nic-handler-loss",

@@ -375,6 +375,6 @@ mod tests {
             assert!(cats.contains(want), "missing {want} spans, have {cats:?}");
         }
         let m = Metrics::from_trace(&trace);
-        assert!(m.counter("mpi.delivered.bytes") > 0);
+        assert!(m.counter(simcore::Counter::MpiDeliveredBytes) > 0);
     }
 }

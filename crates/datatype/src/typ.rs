@@ -106,6 +106,9 @@ pub(crate) struct Node {
     depth: u32,
     /// Lazily computed canonical form (commit-time normalization).
     canon: OnceCell<CanonMemo>,
+    /// Lazily computed [`DataType::layout_fingerprint`]. The node is
+    /// immutable behind its `Rc`, so the hash of its tree never changes.
+    fingerprint: OnceCell<u64>,
 }
 
 /// Two-level strided description: `outer` groups, each of `inner`
@@ -177,6 +180,7 @@ impl DataType {
                 segment_estimate: 1,
                 depth: 0,
                 canon: OnceCell::new(),
+                fingerprint: OnceCell::new(),
             }),
             committed: false,
         }
@@ -242,6 +246,7 @@ impl DataType {
                 },
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
+                fingerprint: OnceCell::new(),
             }),
             committed: false,
         })
@@ -320,6 +325,7 @@ impl DataType {
                 },
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
+                fingerprint: OnceCell::new(),
             }),
             committed: false,
         })
@@ -465,6 +471,7 @@ impl DataType {
                 segment_estimate: if gapless { 1 } else { segment_estimate },
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
+                fingerprint: OnceCell::new(),
             }),
             committed: false,
         })
@@ -563,6 +570,7 @@ impl DataType {
                 segment_estimate: if gapless { 1 } else { seg.max(1) },
                 depth: depth + 1,
                 canon: OnceCell::new(),
+                fingerprint: OnceCell::new(),
             }),
             committed: false,
         })
@@ -592,6 +600,7 @@ impl DataType {
                 segment_estimate: c.segment_estimate,
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
+                fingerprint: OnceCell::new(),
             }),
             committed: false,
         })
@@ -888,10 +897,15 @@ impl DataType {
     /// identical layout up to hash collisions; cache keys should pair
     /// the fingerprint with cheap exact invariants (size, true bounds)
     /// to make collisions harmless in practice.
+    ///
+    /// The tree is walked once per node; later calls (every warm cache
+    /// lookup makes one) read the stored hash.
     pub fn layout_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        self.fingerprint_into(&mut h);
-        h.finish()
+        *self.node.fingerprint.get_or_init(|| {
+            let mut h = Fnv1a::new();
+            self.fingerprint_into(&mut h);
+            h.finish()
+        })
     }
 
     fn fingerprint_into(&self, h: &mut Fnv1a) {
@@ -1455,6 +1469,25 @@ mod tests {
         assert!(d.is_contiguous(100));
     }
 
+    /// `layout_fingerprint` as it was computed before the node stored
+    /// it: a fresh walk of the whole tree.
+    fn fresh_fingerprint(ty: &DataType) -> u64 {
+        let mut h = Fnv1a::new();
+        ty.fingerprint_into(&mut h);
+        h.finish()
+    }
+
+    /// The stored hash equals a fresh walk, on the first call and on
+    /// later ones, for every handle that shares or derives from `ty`.
+    fn assert_fingerprint_memo(ty: &DataType) {
+        for t in [ty.clone(), ty.dup(), ty.clone().commit(), ty.canonical()] {
+            let fresh = fresh_fingerprint(&t);
+            assert_eq!(t.layout_fingerprint(), fresh, "first call for {t}");
+            assert_eq!(t.layout_fingerprint(), fresh, "stored hash for {t}");
+            assert_eq!(t.node.fingerprint.get(), Some(&fresh));
+        }
+    }
+
     #[test]
     fn layout_fingerprint_matches_across_separate_builds() {
         let build = || {
@@ -1465,6 +1498,7 @@ mod tests {
         let b = build();
         assert_ne!(a.id(), b.id(), "separately built trees have distinct ids");
         assert_eq!(a.layout_fingerprint(), b.layout_fingerprint());
+        assert_fingerprint_memo(&a);
     }
 
     #[test]
@@ -1484,6 +1518,9 @@ mod tests {
         let r2 = DataType::resized(&v1, 8, 256).unwrap();
         assert_ne!(r1.layout_fingerprint(), r2.layout_fingerprint());
         assert_ne!(v1.layout_fingerprint(), r1.layout_fingerprint());
+        for t in [&vec, &cont, &v1, &v2, &r1, &r2] {
+            assert_fingerprint_memo(t);
+        }
     }
 
     #[test]
@@ -1491,6 +1528,7 @@ mod tests {
         let t = DataType::vector(4, 1, 3, &dbl()).unwrap();
         let fp = t.layout_fingerprint();
         assert_eq!(t.dup().layout_fingerprint(), fp);
+        assert_fingerprint_memo(&t);
         assert_eq!(t.commit().layout_fingerprint(), fp);
     }
 
@@ -1899,6 +1937,7 @@ mod tests {
             c.layout_fingerprint(),
             "canonical not idempotent for {ty}"
         );
+        assert_fingerprint_memo(ty);
     }
 
     #[test]

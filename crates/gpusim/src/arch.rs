@@ -160,7 +160,7 @@ impl GpuArch {
                 peak_copy_gbps: s.peak_copy_rate().as_gbps(),
                 p2p_gbps: t.pcie_p2p.as_gbps(),
                 h2d_gbps: t.pcie_h2d.as_gbps(),
-                warp_chunk: s.warp_chunk(),
+                warp_chunk: s.warp_chunk().get(),
                 memcpy2d_cliff: t.memcpy2d_cliff(),
             }
         })

@@ -5,7 +5,7 @@ use crate::system::{GpuWorld, StreamId};
 use faultsim::{Backoff, FaultDecision, FaultOp};
 use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
-use simcore::trace::names;
+use simcore::trace::{names, Counter};
 use simcore::{Sim, SimTime, Track};
 
 /// Direction of a contiguous copy, derived from the pointer spaces.
@@ -30,9 +30,9 @@ impl CopyDirection {
         }
     }
 
-    /// Byte-counter name for this direction (same identity every run,
-    /// so tests can sum per-direction traffic).
-    pub fn counter(self) -> &'static str {
+    /// Byte counter for this direction (same identity every run, so
+    /// tests can sum per-direction traffic).
+    pub fn counter(self) -> Counter {
         match self {
             CopyDirection::HostToHost => names::GPUSIM_MEMCPY_H2H_BYTES,
             CopyDirection::HostToDevice => names::GPUSIM_MEMCPY_H2D_BYTES,

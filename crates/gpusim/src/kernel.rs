@@ -21,7 +21,7 @@
 //! overlaps them.
 
 use crate::fault;
-use crate::spec::GpuSpec;
+use crate::spec::{GpuSpec, Pow2};
 use crate::system::{GpuWorld, StreamId};
 use faultsim::{Backoff, FaultDecision, FaultOp};
 use memsim::{MemSpace, Ptr};
@@ -51,27 +51,22 @@ impl Default for KernelConfig {
     }
 }
 
-/// 128-byte lines touched by one warp-chunked access of `len` bytes at
-/// byte address `disp`. Full 256-byte chunks share the same phase
-/// (256 ≡ 0 mod 128), so this is O(1).
-fn access_lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
+/// Cache lines touched by one warp-chunked access of `len` bytes at
+/// byte address `disp`. Full chunks share the same phase (the chunk is
+/// a multiple of the line), so this is O(1); line and chunk are powers
+/// of two by the type of [`GpuSpec`]'s fields, so it is also free of
+/// divisions — it runs once per work unit per side.
+fn access_lines(disp: u64, len: u64, txn: Pow2, chunk: Pow2) -> u64 {
     if len == 0 {
         return 0;
     }
-    let txn = spec.transaction_bytes;
-    let chunk = spec.warp_chunk();
-    let full_chunks = len / chunk;
-    let phase = disp % txn;
-    let lines_per_full = if phase == 0 {
-        chunk / txn
-    } else {
-        chunk / txn + 1
-    };
+    let full_chunks = len >> chunk.log2();
+    let lines_per_full = (chunk.get() >> txn.log2()) + u64::from(disp & txn.mask() != 0);
     let mut lines = full_chunks * lines_per_full;
-    let residue = len % chunk;
+    let residue = len & chunk.mask();
     if residue > 0 {
-        let start = disp + full_chunks * chunk;
-        lines += (start + residue - 1) / txn - start / txn + 1;
+        let start = disp + (len - residue);
+        lines += ((start + residue - 1) >> txn.log2()) - (start >> txn.log2()) + 1;
     }
     lines
 }
@@ -79,13 +74,15 @@ fn access_lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
 /// DRAM traffic (bytes) one side of the kernel generates for a unit list,
 /// given the base byte offset of that side's buffer.
 pub fn side_traffic_bytes(units: &[CopyOp], base_off: u64, side_src: bool, spec: &GpuSpec) -> u64 {
-    units
+    let (txn, chunk) = (spec.transaction_bytes, spec.warp_chunk());
+    let lines: u64 = units
         .iter()
         .map(|u| {
             let off = base_off + if side_src { u.src_off } else { u.dst_off } as u64;
-            access_lines(off, u.len as u64, spec) * spec.transaction_bytes
+            access_lines(off, u.len as u64, txn, chunk)
         })
-        .sum()
+        .sum();
+    lines << txn.log2()
 }
 
 /// Where one side of the transfer lives, relative to the executing GPU.
@@ -286,33 +283,84 @@ mod tests {
         GpuSpec::k40()
     }
 
+    fn lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
+        access_lines(disp, len, spec.transaction_bytes, spec.warp_chunk())
+    }
+
+    /// The model as it was first written, with runtime divisions: the
+    /// reference the shift form must reproduce exactly.
+    fn access_lines_by_division(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let txn = spec.transaction_bytes.get();
+        let chunk = spec.warp_chunk().get();
+        let full_chunks = len / chunk;
+        let phase = disp % txn;
+        let lines_per_full = if phase == 0 {
+            chunk / txn
+        } else {
+            chunk / txn + 1
+        };
+        let mut lines = full_chunks * lines_per_full;
+        let residue = len % chunk;
+        if residue > 0 {
+            let start = disp + full_chunks * chunk;
+            lines += (start + residue - 1) / txn - start / txn + 1;
+        }
+        lines
+    }
+
+    #[test]
+    fn shift_form_equals_division_form_on_every_registry_spec() {
+        for arch in crate::arch::GpuArch::registry() {
+            let s = arch.spec();
+            for disp in 0..512 {
+                for len in 0..1024 {
+                    assert_eq!(
+                        lines(disp, len, &s),
+                        access_lines_by_division(disp, len, &s),
+                        "{} disp {disp} len {len}",
+                        arch.name
+                    );
+                }
+            }
+            // Far from the origin too: the phase is all that matters.
+            let far = (1u64 << 40) + 24;
+            assert_eq!(
+                lines(far, 3000, &s),
+                access_lines_by_division(far, 3000, &s)
+            );
+        }
+    }
+
     #[test]
     fn aligned_chunk_touches_two_lines() {
         let s = spec();
-        assert_eq!(access_lines(0, 256, &s), 2);
-        assert_eq!(access_lines(128, 256, &s), 2);
-        assert_eq!(access_lines(0, 1024, &s), 8);
+        assert_eq!(lines(0, 256, &s), 2);
+        assert_eq!(lines(128, 256, &s), 2);
+        assert_eq!(lines(0, 1024, &s), 8);
     }
 
     #[test]
     fn misaligned_chunk_touches_three_lines() {
         let s = spec();
-        assert_eq!(access_lines(8, 256, &s), 3);
-        assert_eq!(access_lines(120, 256, &s), 3);
+        assert_eq!(lines(8, 256, &s), 3);
+        assert_eq!(lines(120, 256, &s), 3);
         // 1 KB misaligned: 4 chunks × 3 lines.
-        assert_eq!(access_lines(8, 1024, &s), 12);
+        assert_eq!(lines(8, 1024, &s), 12);
     }
 
     #[test]
     fn residue_lines() {
         let s = spec();
         // 8 bytes at offset 0: one line.
-        assert_eq!(access_lines(0, 8, &s), 1);
+        assert_eq!(lines(0, 8, &s), 1);
         // 8 bytes straddling a line boundary: two lines.
-        assert_eq!(access_lines(124, 8, &s), 2);
+        assert_eq!(lines(124, 8, &s), 2);
         // 300 bytes aligned: one full chunk (2 lines) + 44-byte residue (1 line).
-        assert_eq!(access_lines(0, 300, &s), 3);
-        assert_eq!(access_lines(0, 0, &s), 0);
+        assert_eq!(lines(0, 300, &s), 3);
+        assert_eq!(lines(0, 0, &s), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use arch::{CostParams, GpuArch};
 pub use copy::{memcpy, memcpy_2d, CopyDirection};
 pub use fault::{count_retry, fault_roll, fault_scaled};
 pub use kernel::{launch_transfer_kernel, transfer_kernel_time, KernelConfig};
-pub use spec::{GpuSpec, Interconnect, NodeTopology};
+pub use spec::{GpuSpec, Interconnect, NodeTopology, NotPowerOfTwo, Pow2};
 pub use stream_trigger::{graph_kernel, replay_issue, GraphCapture, StreamGraph};
 pub use system::{
     ipc_export, ipc_open, stream_sync, GpuState, GpuSystem, GpuWorld, NodeWorld, StreamId,

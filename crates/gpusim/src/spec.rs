@@ -15,6 +15,61 @@
 use simcore::Bandwidth;
 use simcore::SimTime;
 
+/// A spec constant the kernel traffic model needs to be a power of two
+/// (it divides by it with a shift, once per work unit) and is not.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct NotPowerOfTwo(pub u64);
+
+impl std::fmt::Display for NotPowerOfTwo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "GPU access-geometry constant {} is not a power of two",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for NotPowerOfTwo {}
+
+/// A power of two, held as its exponent: the only form the access
+/// geometry of a [`GpuSpec`] can take, so the traffic model's shifts
+/// and masks are exact for every spec that exists.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Pow2(u32);
+
+impl Pow2 {
+    /// The checked way in for a value not known at build time.
+    pub const fn new(v: u64) -> Result<Pow2, NotPowerOfTwo> {
+        if v.is_power_of_two() {
+            Ok(Pow2(v.trailing_zeros()))
+        } else {
+            Err(NotPowerOfTwo(v))
+        }
+    }
+
+    pub const fn get(self) -> u64 {
+        1 << self.0
+    }
+
+    pub const fn log2(self) -> u32 {
+        self.0
+    }
+
+    /// `x & mask()` is `x % get()`.
+    pub const fn mask(self) -> u64 {
+        self.get() - 1
+    }
+}
+
+/// [`Pow2::new`] for the constant tables below. They call it inside
+/// `const { }`, so a constant that is not a power of two fails the
+/// build instead of a run.
+const fn pow2(v: u64) -> Pow2 {
+    assert!(v.is_power_of_two(), "spec constant is not a power of two");
+    Pow2(v.trailing_zeros())
+}
+
 /// Static description of one GPU.
 #[derive(Clone, Debug)]
 pub struct GpuSpec {
@@ -22,12 +77,12 @@ pub struct GpuSpec {
     /// Number of streaming multiprocessors.
     pub sm_count: u32,
     /// Threads per warp (32 on every CUDA architecture).
-    pub warp_size: u32,
+    pub warp_size: Pow2,
     /// Size of a global-memory transaction (cache line), bytes.
-    pub transaction_bytes: u64,
+    pub transaction_bytes: Pow2,
     /// Bytes each thread moves per iteration (the paper's kernels use
     /// 8-byte accesses to minimize transactions).
-    pub bytes_per_thread: u64,
+    pub bytes_per_thread: Pow2,
     /// Raw DRAM traffic bandwidth (read + write traffic combined). A
     /// perfectly coalesced device-to-device copy moves 2 bytes of traffic
     /// per payload byte, so `360 GB/s` of traffic is the `~180 GB/s`
@@ -55,9 +110,9 @@ impl GpuSpec {
         GpuSpec {
             name: "Tesla K40",
             sm_count: 15,
-            warp_size: 32,
-            transaction_bytes: 128,
-            bytes_per_thread: 8,
+            warp_size: const { pow2(32) },
+            transaction_bytes: const { pow2(128) },
+            bytes_per_thread: const { pow2(8) },
             dram_traffic_bw: Bandwidth::from_gbps(360.0),
             launch_overhead: SimTime::from_micros(6),
             memcpy_latency: SimTime::from_micros(4),
@@ -75,9 +130,9 @@ impl GpuSpec {
         GpuSpec {
             name: "Tesla P100-SXM2",
             sm_count: 56,
-            warp_size: 32,
-            transaction_bytes: 32,
-            bytes_per_thread: 8,
+            warp_size: const { pow2(32) },
+            transaction_bytes: const { pow2(32) },
+            bytes_per_thread: const { pow2(8) },
             dram_traffic_bw: Bandwidth::from_gbps(960.0),
             launch_overhead: SimTime::from_micros(5),
             memcpy_latency: SimTime::from_micros(3),
@@ -95,9 +150,9 @@ impl GpuSpec {
         GpuSpec {
             name: "Tesla V100-SXM2",
             sm_count: 80,
-            warp_size: 32,
-            transaction_bytes: 32,
-            bytes_per_thread: 8,
+            warp_size: const { pow2(32) },
+            transaction_bytes: const { pow2(32) },
+            bytes_per_thread: const { pow2(8) },
             dram_traffic_bw: Bandwidth::from_gbps(1560.0),
             launch_overhead: SimTime::from_micros(4),
             memcpy_latency: SimTime::from_nanos(2500),
@@ -114,9 +169,9 @@ impl GpuSpec {
         GpuSpec {
             name: "A100-SXM4-40GB",
             sm_count: 108,
-            warp_size: 32,
-            transaction_bytes: 32,
-            bytes_per_thread: 8,
+            warp_size: const { pow2(32) },
+            transaction_bytes: const { pow2(32) },
+            bytes_per_thread: const { pow2(8) },
             dram_traffic_bw: Bandwidth::from_gbps(2720.0),
             launch_overhead: SimTime::from_micros(3),
             memcpy_latency: SimTime::from_micros(2),
@@ -127,8 +182,8 @@ impl GpuSpec {
     }
 
     /// Bytes one warp moves per iteration (256 with the defaults).
-    pub fn warp_chunk(&self) -> u64 {
-        self.warp_size as u64 * self.bytes_per_thread
+    pub fn warp_chunk(&self) -> Pow2 {
+        Pow2(self.warp_size.0 + self.bytes_per_thread.0)
     }
 
     /// Practical peak *copy* rate (payload bytes per second) of a
@@ -342,9 +397,24 @@ mod tests {
     #[test]
     fn k40_constants() {
         let s = GpuSpec::k40();
-        assert_eq!(s.warp_chunk(), 256);
+        assert_eq!(s.warp_chunk().get(), 256);
         assert!((s.peak_copy_rate().as_gbps() - 180.0).abs() < 1e-9);
         assert_eq!(s.sm_count, 15);
+    }
+
+    #[test]
+    fn pow2_accepts_exactly_the_powers_of_two() {
+        for log2 in 0..64 {
+            let p = Pow2::new(1 << log2).unwrap();
+            assert_eq!(
+                (p.get(), p.log2(), p.mask()),
+                (1 << log2, log2, (1 << log2) - 1)
+            );
+        }
+        for v in [0, 3, 96, 129, u64::MAX] {
+            assert_eq!(Pow2::new(v), Err(NotPowerOfTwo(v)));
+        }
+        assert_eq!(const { pow2(128) }, Pow2::new(128).unwrap());
     }
 
     #[test]

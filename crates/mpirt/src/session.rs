@@ -20,7 +20,7 @@
 //! let r = mpirt::irecv(&mut sess, RecvArgs::new(1, 0, rbuf, &ty, 1));
 //! mpirt::api::wait_all(&mut sess, &[s, r]).unwrap();
 //! let metrics = sess.finish();
-//! assert_eq!(metrics.counter("mpi.delivered.bytes"), 2048);
+//! assert_eq!(metrics.counter(simcore::Counter::MpiDeliveredBytes), 2048);
 //! ```
 
 use crate::config::MpiConfig;
@@ -363,7 +363,7 @@ mod tests {
         let r = irecv(&mut sess, RecvArgs::new(1, 0, rbuf, &ty, 1));
         wait_all(&mut sess, &[s, r]).unwrap();
         let metrics = sess.finish();
-        assert_eq!(metrics.counter("mpi.delivered.bytes"), 40_000);
+        assert_eq!(metrics.counter(names::MPI_DELIVERED_BYTES), 40_000);
         assert!(metrics.makespan > simcore::SimTime::ZERO);
     }
 
@@ -419,12 +419,12 @@ mod tests {
         }
         let m = sess.finish();
         assert!(
-            m.counter("devengine.cache.miss") >= 1,
+            m.counter(names::DEVENGINE_CACHE_MISS) >= 1,
             "first transfer must miss: {:?}",
             m.counters
         );
         assert!(
-            m.counter("devengine.cache.hit") >= 1,
+            m.counter(names::DEVENGINE_CACHE_HIT) >= 1,
             "repeat transfer must hit: {:?}",
             m.counters
         );
@@ -442,7 +442,7 @@ mod tests {
         let r = irecv(&mut sess, RecvArgs::new(1, 0, rbuf, &ty, 1));
         wait_all(&mut sess, &[s, r]).unwrap();
         let m = sess.metrics();
-        assert_eq!(m.counter("mpi.delivered.bytes"), 512);
+        assert_eq!(m.counter(names::MPI_DELIVERED_BYTES), 512);
         assert_eq!(
             m.makespan,
             simcore::SimTime::ZERO,

@@ -171,8 +171,8 @@ fn gather(sim: &mut Sim<MpiWorld>, s_rank: usize, r_rank: usize) -> Model {
             g.spec.launch_overhead.as_nanos() as f64,
             g.spec.memcpy_latency.as_nanos() as f64,
             g.spec.descriptor_bytes as f64,
-            g.spec.transaction_bytes as f64,
-            g.spec.warp_chunk() as f64,
+            g.spec.transaction_bytes.get() as f64,
+            g.spec.warp_chunk().get() as f64,
         )
     };
     let (pcie_host_nspb, peer_nspb, p2p_copy_nspb, pcie_copy_nspb, pcie_lat_ns) = {
@@ -557,7 +557,7 @@ mod tests {
         assert_eq!(sim.world.mpi.tuned_shapes.len(), 1);
         let again = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc, 512 << 10, 4);
         assert_eq!(again, (f, d));
-        assert_eq!(sim.trace.counter("optimizer.frag.cache.hit"), 1);
+        assert_eq!(sim.trace.counter(names::OPTIMIZER_FRAG_CACHE_HIT), 1);
         assert_eq!(sim.world.mpi.tuned_shapes.len(), 1);
     }
 

@@ -19,6 +19,7 @@ use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemSpace};
 use mpirt::{irecv, isend, wait_all, MpiConfig, RecvArgs, SendArgs, Session};
 use simcore::rng::SimRng;
+use simcore::Counter;
 
 /// Random coarse-grained indexed layout (1–4 KiB blocks, ~100 KiB
 /// total): large enough for rendezvous, block-granular enough that the
@@ -104,17 +105,17 @@ fn nic_offload_is_byte_identical_to_gpu_pack() {
         let ty = random_coarse_ty(&mut rng);
         assert!(ty.size() > 64 << 10, "rendezvous-sized: {}", ty.size());
         let (base_bytes, base_m, _) = run_transfers("a100", MpiConfig::default(), &ty, seed, 1);
-        assert_eq!(base_m.counter("offload.nic.programs"), 0);
+        assert_eq!(base_m.counter(Counter::OffloadNicPrograms), 0);
         let cfg = MpiConfig {
             nic_offload: true,
             ..MpiConfig::default()
         };
         let (nic_bytes, nic_m, _) = run_transfers("a100", cfg, &ty, seed, 1);
         assert!(
-            nic_m.counter("offload.nic.programs") >= 1,
+            nic_m.counter(Counter::OffloadNicPrograms) >= 1,
             "seed {seed}: the tuner must route this shape to the NIC"
         );
-        assert_eq!(nic_m.counter("offload.nic.bytes"), ty.size());
+        assert_eq!(nic_m.counter(Counter::OffloadNicBytes), ty.size());
         assert_eq!(nic_bytes, base_bytes, "seed {seed}: delivery differs");
     }
 }
@@ -126,19 +127,19 @@ fn stream_trigger_is_byte_identical_and_captures_once() {
         let ty = random_medium_ty(&mut rng);
         assert!(ty.size() > 64 << 10, "rendezvous-sized: {}", ty.size());
         let (base_bytes, base_m, _) = run_transfers("p100", MpiConfig::default(), &ty, seed, 2);
-        assert_eq!(base_m.counter("offload.stream.replays"), 0);
+        assert_eq!(base_m.counter(Counter::OffloadStreamReplays), 0);
         let cfg = MpiConfig {
             stream_trigger: true,
             ..MpiConfig::default()
         };
         let (st_bytes, st_m, _) = run_transfers("p100", cfg, &ty, seed, 2);
         assert_eq!(
-            st_m.counter("offload.stream.replays"),
+            st_m.counter(Counter::OffloadStreamReplays),
             2,
             "seed {seed}: both iterations replay the graph"
         );
         assert_eq!(
-            st_m.counter("offload.stream.captures"),
+            st_m.counter(Counter::OffloadStreamCaptures),
             1,
             "seed {seed}: the second iteration reuses the capture"
         );
@@ -164,11 +165,11 @@ fn nic_handler_loss_demotes_byte_equal_and_sticky() {
     assert_eq!(got, base_bytes, "demoted delivery must stay byte-equal");
     assert!(!sess.world.mpi.nic_offload_runtime_ok);
     assert_eq!(
-        m.counter("offload.nic.demotions"),
+        m.counter(Counter::OffloadNicDemotions),
         1,
         "sticky: the second transfer never re-attempts the handler"
     );
-    assert_eq!(m.counter("offload.nic.programs"), 0);
+    assert_eq!(m.counter(Counter::OffloadNicPrograms), 0);
     assert!(sess.world.mpi.nic_handlers.is_empty());
 }
 
@@ -190,11 +191,11 @@ fn doorbell_loss_demotes_byte_equal_and_sticky() {
     assert_eq!(got, base_bytes, "demoted delivery must stay byte-equal");
     assert!(!sess.world.mpi.stream_trigger_runtime_ok);
     assert_eq!(
-        m.counter("offload.stream.demotions"),
+        m.counter(Counter::OffloadStreamDemotions),
         1,
         "sticky: the second transfer never re-rings the doorbell"
     );
-    assert_eq!(m.counter("offload.stream.replays"), 0);
+    assert_eq!(m.counter(Counter::OffloadStreamReplays), 0);
     assert!(sess.world.mpi.stream_captures.is_empty());
 }
 
@@ -217,9 +218,9 @@ fn transient_faults_retry_without_demoting() {
     let (got, m, sess) = run_transfers("a100", cfg, &ty, 61, 1);
     assert_eq!(got, base_bytes);
     assert!(sess.world.mpi.nic_offload_runtime_ok);
-    assert_eq!(m.counter("offload.nic.demotions"), 0);
+    assert_eq!(m.counter(Counter::OffloadNicDemotions), 0);
     assert!(
-        m.counter("offload.nic.programs") >= 1,
+        m.counter(Counter::OffloadNicPrograms) >= 1,
         "retries then offloads"
     );
 }
@@ -229,15 +230,15 @@ fn defaults_leave_offload_machinery_untouched() {
     let mut rng = SimRng::new(77);
     let ty = random_coarse_ty(&mut rng);
     let (_, m, sess) = run_transfers("a100", MpiConfig::default(), &ty, 77, 2);
-    for name in [
-        "offload.nic.programs",
-        "offload.nic.bytes",
-        "offload.nic.demotions",
-        "offload.stream.replays",
-        "offload.stream.captures",
-        "offload.stream.demotions",
+    for c in [
+        Counter::OffloadNicPrograms,
+        Counter::OffloadNicBytes,
+        Counter::OffloadNicDemotions,
+        Counter::OffloadStreamReplays,
+        Counter::OffloadStreamCaptures,
+        Counter::OffloadStreamDemotions,
     ] {
-        assert_eq!(m.counter(name), 0, "{name} must stay silent by default");
+        assert_eq!(m.counter(c), 0, "{c} must stay silent by default");
     }
     assert!(sess.world.mpi.nic_handlers.is_empty());
     assert!(sess.world.mpi.nic_programs.is_empty());

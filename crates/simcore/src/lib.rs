@@ -32,4 +32,4 @@ pub use event::{EventId, Sim};
 pub use rate::Bandwidth;
 pub use resource::FifoResource;
 pub use time::SimTime;
-pub use trace::{Metrics, SpanId, Tracer, Track};
+pub use trace::{Counter, Metrics, SpanId, Tracer, Track};

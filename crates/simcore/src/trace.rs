@@ -12,96 +12,145 @@
 //! equal bytes unpacked for every protocol run.
 //!
 //! Span/instant recording is off by default (zero allocation on hot
-//! paths); counters are always on, they are a handful of integer adds.
+//! paths). Counters are always on: a counter is a [`Counter`] variant,
+//! a bump indexes a fixed array by `Counter as usize` and resolves the
+//! `(a, b)` dimensions in a [`DetHashMap`] keyed by two integers — no
+//! string is compared and no tree is walked on the event path. Ordering
+//! is paid for where it is used: the listing sorts each counter's
+//! dimensions when it is read.
 //! The recorded form exports directly as Chrome `trace_event` JSON,
 //! loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 
+use crate::hash::DetHashMap;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+
+pub use names::Counter;
+
+/// Declares every counter once: its `names::CONST`, its [`Counter`]
+/// variant and its display name, as `const CONST: Variant = "name";`.
+///
+/// Entries must stay in byte order of the display name. `Counter as
+/// usize` is then name order, which is what lets the counter table
+/// index by variant and still list `(name, a, b)`-sorted
+/// (`counter_order_is_name_order` checks it).
+macro_rules! counters {
+    ($( $(#[$doc:meta])* const $konst:ident: $variant:ident = $name:literal; )+) => {
+        /// A trace counter. Emit sites pass one to [`Tracer::count`];
+        /// a name that is not a variant does not compile.
+        ///
+        /// [`Tracer::count`]: super::Tracer::count
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+        pub enum Counter {
+            $( $(#[$doc])* $variant, )+
+        }
+
+        impl Counter {
+            /// Number of counters.
+            pub const COUNT: usize = [$($name),+].len();
+
+            /// Every counter, in `as usize` (= display-name) order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant),+];
+
+            /// The display name used in summaries and reports.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $( Counter::$variant => $name, )+
+                }
+            }
+        }
+
+        $( $(#[$doc])* pub const $konst: Counter = Counter::$variant; )+
+    };
+}
 
 /// The single registry of every trace counter, span category, and
 /// span/instant name emitted anywhere in the workspace.
 ///
-/// Counters double as correctness checks (bytes packed must equal
-/// bytes delivered), and `Metrics` lookups are stringly keyed — a typo
-/// at an emit site would silently report zero. The `xtask lint`
-/// metrics-coherence rule therefore bans inline string literals at
-/// `count`/`span_*`/`instant` call sites in simulator crates: every
-/// name must be one of these constants.
+/// Counters are the [`Counter`] enum, declared here by one `counters!`
+/// table; the `SCREAMING_CASE` constants are the spelling emit sites
+/// use. Span categories and span/instant names are still strings —
+/// `Metrics` and `WorkClass` match on them — so the `xtask lint`
+/// metrics-coherence rule bans inline string literals at
+/// `span_*`/`instant` call sites in simulator crates: every such name
+/// must be one of these constants.
 pub mod names {
-    // ---- counters: protocol layer ----
-    /// Bytes landed in a matched receive buffer (the end-to-end total).
-    pub const MPI_DELIVERED_BYTES: &str = "mpi.delivered.bytes";
-    /// Bytes that crossed the staged copy-in/copy-out wire hop.
-    pub const MPIRT_WIRE_BYTES: &str = "mpirt.wire.bytes";
+    counters! {
+        // ---- datatype engines ----
+        const CPUPACK_PACK_BYTES: CpupackPackBytes = "cpupack.pack.bytes";
+        const CPUPACK_UNPACK_BYTES: CpupackUnpackBytes = "cpupack.unpack.bytes";
+        const DEVENGINE_CACHE_EVICT: DevengineCacheEvict = "devengine.cache.evict";
+        const DEVENGINE_CACHE_HIT: DevengineCacheHit = "devengine.cache.hit";
+        const DEVENGINE_CACHE_MISS: DevengineCacheMiss = "devengine.cache.miss";
+        const DEVENGINE_PACK_BYTES: DevenginePackBytes = "devengine.pack.bytes";
+        const DEVENGINE_SOURCE_CACHED: DevengineSourceCached = "devengine.source.cached";
+        const DEVENGINE_SOURCE_FRESH: DevengineSourceFresh = "devengine.source.fresh";
+        const DEVENGINE_SOURCE_STRIDED2D: DevengineSourceStrided2d = "devengine.source.strided2d";
+        const DEVENGINE_SOURCE_VECTOR: DevengineSourceVector = "devengine.source.vector";
+        const DEVENGINE_UNPACK_BYTES: DevengineUnpackBytes = "devengine.unpack.bytes";
 
-    // ---- counters: fault engine ----
-    /// Injections fired, dimensioned by `FaultOp::index()`.
-    pub const FAULT_INJECTED: &str = "fault.injected";
-    /// Retries provoked by transient faults (all layers).
-    pub const RETRY_ATTEMPTS: &str = "retry.attempts";
-    /// Protocol path renegotiations (SmIpc → CopyInOut, ZeroCopy → staged).
-    pub const FALLBACK_EVENTS: &str = "fallback.events";
+        // ---- fault engine ----
+        /// Protocol path renegotiations (SmIpc → CopyInOut, ZeroCopy → staged).
+        const FALLBACK_EVENTS: FallbackEvents = "fallback.events";
+        /// Injections fired, dimensioned by `FaultOp::index()`.
+        const FAULT_INJECTED: FaultInjected = "fault.injected";
 
-    // ---- counters: commit-time optimizer / tuner ----
-    pub const OPTIMIZER_UNIT_TUNED: &str = "optimizer.unit.tuned";
-    pub const OPTIMIZER_CHUNK_TUNED: &str = "optimizer.chunk.tuned";
-    pub const OPTIMIZER_FRAG_TUNED: &str = "optimizer.frag.tuned";
-    pub const OPTIMIZER_FRAG_DEFAULT: &str = "optimizer.frag.default";
-    pub const OPTIMIZER_FRAG_CACHE_HIT: &str = "optimizer.frag.cache.hit";
+        // ---- GPU substrate ----
+        const GPUSIM_IPC_OPEN_COUNT: GpusimIpcOpenCount = "gpusim.ipc_open.count";
+        const GPUSIM_KERNEL_BYTES: GpusimKernelBytes = "gpusim.kernel.bytes";
+        const GPUSIM_KERNEL_LAUNCHES: GpusimKernelLaunches = "gpusim.kernel.launches";
+        const GPUSIM_KERNEL_UNITS: GpusimKernelUnits = "gpusim.kernel.units";
+        const GPUSIM_MEMCPY_D2D_BYTES: GpusimMemcpyD2dBytes = "gpusim.memcpy.d2d.bytes";
+        const GPUSIM_MEMCPY_D2H_BYTES: GpusimMemcpyD2hBytes = "gpusim.memcpy.d2h.bytes";
+        const GPUSIM_MEMCPY_H2D_BYTES: GpusimMemcpyH2dBytes = "gpusim.memcpy.h2d.bytes";
+        const GPUSIM_MEMCPY_H2H_BYTES: GpusimMemcpyH2hBytes = "gpusim.memcpy.h2h.bytes";
+        const GPUSIM_MEMCPY_P2P_BYTES: GpusimMemcpyP2pBytes = "gpusim.memcpy.p2p.bytes";
 
-    // ---- counters: GPU substrate ----
-    pub const GPUSIM_KERNEL_BYTES: &str = "gpusim.kernel.bytes";
-    pub const GPUSIM_KERNEL_UNITS: &str = "gpusim.kernel.units";
-    pub const GPUSIM_KERNEL_LAUNCHES: &str = "gpusim.kernel.launches";
-    pub const GPUSIM_IPC_OPEN_COUNT: &str = "gpusim.ipc_open.count";
-    pub const GPUSIM_MEMCPY_H2H_BYTES: &str = "gpusim.memcpy.h2h.bytes";
-    pub const GPUSIM_MEMCPY_H2D_BYTES: &str = "gpusim.memcpy.h2d.bytes";
-    pub const GPUSIM_MEMCPY_D2H_BYTES: &str = "gpusim.memcpy.d2h.bytes";
-    pub const GPUSIM_MEMCPY_D2D_BYTES: &str = "gpusim.memcpy.d2d.bytes";
-    pub const GPUSIM_MEMCPY_P2P_BYTES: &str = "gpusim.memcpy.p2p.bytes";
+        // ---- protocol layer ----
+        /// Bytes landed in a matched receive buffer (the end-to-end total).
+        const MPI_DELIVERED_BYTES: MpiDeliveredBytes = "mpi.delivered.bytes";
+        /// Bytes that crossed the staged copy-in/copy-out wire hop.
+        const MPIRT_WIRE_BYTES: MpirtWireBytes = "mpirt.wire.bytes";
 
-    // ---- counters: datatype engines ----
-    pub const DEVENGINE_PACK_BYTES: &str = "devengine.pack.bytes";
-    pub const DEVENGINE_UNPACK_BYTES: &str = "devengine.unpack.bytes";
-    pub const DEVENGINE_SOURCE_VECTOR: &str = "devengine.source.vector";
-    pub const DEVENGINE_SOURCE_STRIDED2D: &str = "devengine.source.strided2d";
-    pub const DEVENGINE_SOURCE_CACHED: &str = "devengine.source.cached";
-    pub const DEVENGINE_SOURCE_FRESH: &str = "devengine.source.fresh";
-    pub const DEVENGINE_CACHE_HIT: &str = "devengine.cache.hit";
-    pub const DEVENGINE_CACHE_MISS: &str = "devengine.cache.miss";
-    pub const DEVENGINE_CACHE_EVICT: &str = "devengine.cache.evict";
-    pub const CPUPACK_PACK_BYTES: &str = "cpupack.pack.bytes";
-    pub const CPUPACK_UNPACK_BYTES: &str = "cpupack.unpack.bytes";
+        // ---- network substrate ----
+        const NETSIM_AM_COUNT: NetsimAmCount = "netsim.am.count";
+        const NETSIM_AM_PAYLOAD_BYTES: NetsimAmPayloadBytes = "netsim.am.payload.bytes";
+        const NETSIM_RDMA_BYTES: NetsimRdmaBytes = "netsim.rdma.bytes";
 
-    // ---- counters: network substrate ----
-    pub const NETSIM_AM_COUNT: &str = "netsim.am.count";
-    pub const NETSIM_AM_PAYLOAD_BYTES: &str = "netsim.am.payload.bytes";
-    pub const NETSIM_RDMA_BYTES: &str = "netsim.rdma.bytes";
+        // ---- offload frontier (NIC executor + stream trigger) ----
+        /// Payload bytes gathered/scattered by NIC-executed DEV programs.
+        const OFFLOAD_NIC_BYTES: OffloadNicBytes = "offload.nic.bytes";
+        /// NicOffload → GpuPack demotions (NIC handler install lost).
+        const OFFLOAD_NIC_DEMOTIONS: OffloadNicDemotions = "offload.nic.demotions";
+        /// DEV descriptor programs executed on a NIC packet processor.
+        const OFFLOAD_NIC_PROGRAMS: OffloadNicPrograms = "offload.nic.programs";
+        /// Stream-op graphs captured (once per persistent transfer shape).
+        const OFFLOAD_STREAM_CAPTURES: OffloadStreamCaptures = "offload.stream.captures";
+        /// StreamTriggered → CPU-driven demotions (doorbell lost).
+        const OFFLOAD_STREAM_DEMOTIONS: OffloadStreamDemotions = "offload.stream.demotions";
+        /// Captured stream-op graph replays (one per iteration re-issue).
+        const OFFLOAD_STREAM_REPLAYS: OffloadStreamReplays = "offload.stream.replays";
 
-    // ---- counters: infrastructure ----
-    /// Copy-pool sizing decision, surfaced once per session.
-    pub const PAR_POOL_THREADS: &str = "simcore.par.pool_threads";
+        // ---- commit-time optimizer / tuner ----
+        const OPTIMIZER_CHUNK_TUNED: OptimizerChunkTuned = "optimizer.chunk.tuned";
+        const OPTIMIZER_FRAG_CACHE_HIT: OptimizerFragCacheHit = "optimizer.frag.cache.hit";
+        const OPTIMIZER_FRAG_DEFAULT: OptimizerFragDefault = "optimizer.frag.default";
+        const OPTIMIZER_FRAG_TUNED: OptimizerFragTuned = "optimizer.frag.tuned";
+        const OPTIMIZER_UNIT_TUNED: OptimizerUnitTuned = "optimizer.unit.tuned";
 
-    // ---- counters: sharded scale model ----
-    /// Messages delivered by the message-level scale model.
-    pub const SCALE_MSGS: &str = "scale.msgs";
-    /// Bytes delivered by the message-level scale model.
-    pub const SCALE_DELIVERED_BYTES: &str = "scale.delivered.bytes";
+        /// Retries provoked by transient faults (all layers).
+        const RETRY_ATTEMPTS: RetryAttempts = "retry.attempts";
 
-    // ---- counters: offload frontier (NIC executor + stream trigger) ----
-    /// DEV descriptor programs executed on a NIC packet processor.
-    pub const OFFLOAD_NIC_PROGRAMS: &str = "offload.nic.programs";
-    /// Payload bytes gathered/scattered by NIC-executed DEV programs.
-    pub const OFFLOAD_NIC_BYTES: &str = "offload.nic.bytes";
-    /// NicOffload → GpuPack demotions (NIC handler install lost).
-    pub const OFFLOAD_NIC_DEMOTIONS: &str = "offload.nic.demotions";
-    /// Captured stream-op graph replays (one per iteration re-issue).
-    pub const OFFLOAD_STREAM_REPLAYS: &str = "offload.stream.replays";
-    /// Stream-op graphs captured (once per persistent transfer shape).
-    pub const OFFLOAD_STREAM_CAPTURES: &str = "offload.stream.captures";
-    /// StreamTriggered → CPU-driven demotions (doorbell lost).
-    pub const OFFLOAD_STREAM_DEMOTIONS: &str = "offload.stream.demotions";
+        // ---- sharded scale model ----
+        /// Bytes delivered by the message-level scale model.
+        const SCALE_DELIVERED_BYTES: ScaleDeliveredBytes = "scale.delivered.bytes";
+        /// Messages delivered by the message-level scale model.
+        const SCALE_MSGS: ScaleMsgs = "scale.msgs";
+
+        // ---- infrastructure ----
+        /// Copy-pool sizing decision, surfaced once per session.
+        const PAR_POOL_THREADS: ParPoolThreads = "simcore.par.pool_threads";
+    }
 
     // ---- span categories (one per emitting layer) ----
     pub const CAT_MPIRT: &str = "mpirt";
@@ -223,23 +272,56 @@ struct OpenSpan {
     start: SimTime,
 }
 
-/// Monotonic counter identity: a static name plus two small dimensions
-/// (rank/GPU/link endpoints — 0 when unused).
+impl Counter {
+    /// The counter with this display name, if any.
+    pub fn from_name(name: &str) -> Option<Counter> {
+        // `ALL` is in name order (see `counters!`).
+        Counter::ALL
+            .binary_search_by(|c| c.name().cmp(name))
+            .ok()
+            .map(|i| Counter::ALL[i])
+    }
+}
+
+impl std::fmt::Display for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(self.name())
+    }
+}
+
+/// Monotonic counter identity: a counter plus two small dimensions
+/// (rank/GPU/link endpoints — 0 when unused). Orders as
+/// `(name, a, b)`, because `Counter` orders by name.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct CounterKey {
-    pub name: &'static str,
+    pub counter: Counter,
     pub a: u32,
     pub b: u32,
 }
 
+/// The `(a, b)` dimensions of one counter and their values. Allocates
+/// nothing until the first touch.
+type Dims = DetHashMap<(u32, u32), u64>;
+
 /// The per-simulation trace recorder. Owned by [`crate::Sim`] as the
 /// public `trace` field.
-#[derive(Default)]
 pub struct Tracer {
     recording: bool,
     events: Vec<TraceEvent>,
     open: Vec<Option<OpenSpan>>,
-    counters: BTreeMap<CounterKey, u64>,
+    /// Indexed by `Counter as usize`.
+    counters: [Dims; Counter::COUNT],
+}
+
+impl Default for Tracer {
+    fn default() -> Tracer {
+        Tracer {
+            recording: false,
+            events: Vec::new(),
+            open: Vec::new(),
+            counters: std::array::from_fn(|_| Dims::default()),
+        }
+    }
 }
 
 impl Tracer {
@@ -340,42 +422,47 @@ impl Tracer {
 
     /// Bump a counter. Always on; call this from the event that
     /// actually moves the bytes it counts.
-    pub fn count(&mut self, name: &'static str, a: u32, b: u32, delta: u64) {
-        *self.counters.entry(CounterKey { name, a, b }).or_insert(0) += delta;
+    pub fn count(&mut self, counter: Counter, a: u32, b: u32, delta: u64) {
+        *self.counters[counter as usize].entry((a, b)).or_insert(0) += delta;
     }
 
     /// Raise a counter to an absolute total (monotone: never lowers).
     /// For reconciling externally-accumulated totals — e.g. the per-rank
     /// `DevCache` hit/miss/evict tallies — into the trace without double
     /// counting increments that were already `count`ed along the way.
-    pub fn count_to(&mut self, name: &'static str, a: u32, b: u32, total: u64) {
-        let e = self.counters.entry(CounterKey { name, a, b }).or_insert(0);
+    pub fn count_to(&mut self, counter: Counter, a: u32, b: u32, total: u64) {
+        let e = self.counters[counter as usize].entry((a, b)).or_insert(0);
         if *e < total {
             *e = total;
         }
     }
 
     /// Total of a counter across all dimensions.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| *v)
-            .sum()
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].values().sum()
     }
 
     /// One dimension of a counter.
-    pub fn counter_at(&self, name: &str, a: u32, b: u32) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name && k.a == a && k.b == b)
-            .map(|(_, v)| *v)
-            .sum()
+    pub fn counter_at(&self, counter: Counter, a: u32, b: u32) -> u64 {
+        self.counters[counter as usize]
+            .get(&(a, b))
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// All counters, sorted by key.
-    pub fn counters(&self) -> impl Iterator<Item = (CounterKey, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+    /// Every counter dimension touched so far (a bump by zero counts as
+    /// a touch), sorted by `(name, a, b)`.
+    pub fn counters(&self) -> Vec<(CounterKey, u64)> {
+        let mut out = Vec::with_capacity(self.counters.iter().map(Dims::len).sum());
+        for (&counter, dims) in Counter::ALL.iter().zip(&self.counters) {
+            let from = out.len();
+            out.extend(
+                dims.iter()
+                    .map(|(&(a, b), &v)| (CounterKey { counter, a, b }, v)),
+            );
+            out[from..].sort_unstable_by_key(|(k, _)| (k.a, k.b));
+        }
+        out
     }
 
     /// All recorded events.
@@ -463,8 +550,10 @@ impl Tracer {
         assert_eq!(other.open_spans(), 0, "absorbing a tracer with open spans");
         self.recording |= other.recording;
         self.events.extend(other.events);
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
+            for (&dim, &v) in theirs {
+                *mine.entry(dim).or_insert(0) += v;
+            }
         }
     }
 
@@ -632,7 +721,7 @@ impl Metrics {
         if all.is_empty() {
             // No timing spans (recording off) — counters still apply.
             return Metrics {
-                counters: trace.counters().collect(),
+                counters: trace.counters(),
                 ..Metrics::default()
             };
         }
@@ -666,16 +755,16 @@ impl Metrics {
             } else {
                 0.0
             },
-            counters: trace.counters().collect(),
+            counters: trace.counters(),
             arch: None,
         }
     }
 
     /// Final total of a named counter, summed across its dimensions.
-    pub fn counter(&self, name: &str) -> u64 {
+    pub fn counter(&self, counter: Counter) -> u64 {
         self.counters
             .iter()
-            .filter(|(k, _)| k.name == name)
+            .filter(|(k, _)| k.counter == counter)
             .map(|(_, v)| *v)
             .sum()
     }
@@ -701,9 +790,9 @@ impl Metrics {
         );
         for (k, v) in &self.counters {
             if k.a == 0 && k.b == 0 {
-                let _ = writeln!(s, "{:<24} {v}", k.name);
+                let _ = writeln!(s, "{:<24} {v}", k.counter);
             } else {
-                let _ = writeln!(s, "{:<24} {v}  [{}->{}]", k.name, k.a, k.b);
+                let _ = writeln!(s, "{:<24} {v}  [{}->{}]", k.counter, k.a, k.b);
             }
         }
         s
@@ -713,6 +802,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     const T: Track = Track::Cpu { rank: 0 };
 
@@ -733,12 +823,141 @@ mod tests {
     #[test]
     fn counters_always_on() {
         let mut t = Tracer::new();
-        t.count("x.bytes", 0, 1, 7);
-        t.count("x.bytes", 0, 1, 5);
-        t.count("x.bytes", 2, 3, 1);
-        assert_eq!(t.counter_at("x.bytes", 0, 1), 12);
-        assert_eq!(t.counter("x.bytes"), 13);
-        assert_eq!(t.counter("y.bytes"), 0);
+        t.count(names::NETSIM_RDMA_BYTES, 0, 1, 7);
+        t.count(names::NETSIM_RDMA_BYTES, 0, 1, 5);
+        t.count(names::NETSIM_RDMA_BYTES, 2, 3, 1);
+        assert_eq!(t.counter_at(names::NETSIM_RDMA_BYTES, 0, 1), 12);
+        assert_eq!(t.counter_at(names::NETSIM_RDMA_BYTES, 1, 0), 0);
+        assert_eq!(t.counter(names::NETSIM_RDMA_BYTES), 13);
+        assert_eq!(t.counter(names::NETSIM_AM_COUNT), 0);
+    }
+
+    #[test]
+    fn counter_order_is_name_order() {
+        // The listing guarantee: `as usize` order is the byte order of
+        // the display names, so names are unique as well.
+        for (i, w) in Counter::ALL.windows(2).enumerate() {
+            assert!(w[0].name() < w[1].name(), "{} !< {}", w[0], w[1]);
+            assert_eq!(w[0] as usize, i);
+        }
+        for c in Counter::ALL {
+            assert_eq!(Counter::from_name(c.name()), Some(c));
+            assert_eq!(format!("{c:<30}|"), format!("{:<30}|", c.name()));
+        }
+        assert_eq!(Counter::from_name("no.such.counter"), None);
+        assert_eq!(names::SCALE_MSGS.name(), "scale.msgs");
+    }
+
+    /// The reference the counter table is checked against: the
+    /// string-keyed sorted map it replaced.
+    type RefMap = BTreeMap<(String, u32, u32), u64>;
+
+    /// One random `count` / `count_to` on `t` and on the reference. The
+    /// caller picks `a`, so shards can stay on disjoint dimensions.
+    fn random_bump(rng: &mut SimRng, a: u32, t: &mut Tracer, r: &mut RefMap) {
+        let c = *rng.choose(&Counter::ALL);
+        let b = *rng.choose(&[0, 0, 1, 7, u32::MAX]);
+        let e = r.entry((c.name().to_string(), a, b)).or_insert(0);
+        if rng.chance(0.25) {
+            let total = rng.range_u64(0, 2_000);
+            let before = t.counter_at(c, a, b);
+            t.count_to(c, a, b, total);
+            assert_eq!(
+                t.counter_at(c, a, b),
+                before.max(total),
+                "count_to is monotone"
+            );
+            *e = (*e).max(total);
+        } else {
+            // Zero deltas included: a touch lists the dimension.
+            let delta = rng.range_u64(0, 50);
+            t.count(c, a, b, delta);
+            *e += delta;
+        }
+    }
+
+    fn random_dim(rng: &mut SimRng) -> u32 {
+        if rng.chance(0.1) {
+            u32::MAX - rng.range_u64(0, 3) as u32
+        } else {
+            rng.range_u64(0, 300) as u32
+        }
+    }
+
+    fn assert_matches(t: &Tracer, r: &RefMap) {
+        let listed: Vec<((String, u32, u32), u64)> = t
+            .counters()
+            .into_iter()
+            .map(|(k, v)| ((k.counter.name().to_string(), k.a, k.b), v))
+            .collect();
+        let expect: Vec<_> = r.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        assert_eq!(listed, expect, "same dimensions, same (name, a, b) order");
+        for c in Counter::ALL {
+            let total: u64 = r
+                .iter()
+                .filter(|(k, _)| k.0 == c.name())
+                .map(|(_, v)| *v)
+                .sum();
+            assert_eq!(t.counter(c), total);
+        }
+        for ((name, a, b), v) in r {
+            let c = Counter::from_name(name).unwrap();
+            assert_eq!(t.counter_at(c, *a, *b), *v);
+        }
+        assert_eq!(Metrics::from_trace(t).counters, t.counters());
+    }
+
+    #[test]
+    fn counter_table_matches_a_sorted_string_map() {
+        for seed in 0..8 {
+            let mut rng = SimRng::new(0xC0DE + seed);
+            let mut t = Tracer::new();
+            let mut r = RefMap::new();
+            assert!(t.counters().is_empty());
+            for step in 0..4_000 {
+                if step % 500 == 499 {
+                    // Fold in a tracer that overlaps this one's keys.
+                    let mut other = Tracer::new();
+                    let mut other_ref = RefMap::new();
+                    for _ in 0..rng.range(0, 200) {
+                        let a = random_dim(&mut rng);
+                        random_bump(&mut rng, a, &mut other, &mut other_ref);
+                    }
+                    t.absorb(other);
+                    for (k, v) in other_ref {
+                        *r.entry(k).or_insert(0) += v;
+                    }
+                    assert_matches(&t, &r);
+                }
+                let a = random_dim(&mut rng);
+                random_bump(&mut rng, a, &mut t, &mut r);
+            }
+            assert_matches(&t, &r);
+        }
+    }
+
+    #[test]
+    fn n_shard_counter_merge_equals_one_shard() {
+        for shards in [2usize, 3, 8] {
+            let mut rng = SimRng::new(0x5EED + shards as u64);
+            let mut single = Tracer::new();
+            let mut parts: Vec<Tracer> = (0..shards).map(|_| Tracer::new()).collect();
+            let mut r = RefMap::new();
+            let mut scratch = RefMap::new();
+            for _ in 0..5_000 {
+                // Shards count on disjoint dimensions: `a` picks the shard.
+                let a = random_dim(&mut rng);
+                let mut fork = rng.clone();
+                random_bump(&mut rng, a, &mut single, &mut r);
+                random_bump(&mut fork, a, &mut parts[a as usize % shards], &mut scratch);
+            }
+            let merged = Tracer::merge_shards(parts);
+            assert_matches(&merged, &r);
+            assert_eq!(
+                merged.counters(),
+                Tracer::merge_shards(vec![single]).counters()
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! Fixture trace-name registry, every name live.
 
 pub mod names {
-    pub const LIVE_BYTES: &str = "live.bytes";
+    counters! {
+        const LIVE_BYTES: LiveBytes = "live.bytes";
+    }
+
+    pub const CAT_LIVE: &str = "live";
+    pub const SPAN_LIVE: &str = "live-span";
 }
 
 pub struct Metrics;

@@ -1,8 +1,13 @@
-//! Fixture trace-name registry.
+//! Fixture trace-name registry: counters in the `counters!` table form
+//! the real registry uses, span names as string constants.
 
 pub mod names {
-    pub const LIVE_BYTES: &str = "live.bytes";
-    pub const DEAD_NAME: &str = "dead.name";
+    counters! {
+        const DEAD_NAME: DeadName = "dead.name";
+        const LIVE_BYTES: LiveBytes = "live.bytes";
+    }
+
+    pub const CAT_LIVE: &str = "live";
 }
 
 pub struct Metrics;

@@ -15,8 +15,9 @@
 //!    per-file token heuristic with call-graph reachability.
 //! 3. **counter-live** — every counter/span name registered in
 //!    `simcore::trace::names` must have an emission site, every
-//!    emission must use a registered name, and `Session::metrics()`
-//!    must still reach `Metrics::from_trace` so counters surface.
+//!    span/instant emission must use a registered name (an unknown
+//!    counter does not compile), and `Session::metrics()` must still
+//!    reach `Metrics::from_trace` so counters surface.
 //! 4. **unsafe** — every `unsafe` token in the simulator crates must
 //!    carry a `SAFETY` comment (or `# Safety` doc) nearby and live in a
 //!    sanctioned module.
@@ -104,7 +105,7 @@ const FAULT_IDENTS: [&str; 6] = [
 /// two pool layers whose invariants the loom models and miri cover.
 const SANCTIONED_UNSAFE: [&str; 2] = ["crates/simcore/src/shard.rs", "crates/simcore/src/par.rs"];
 
-/// Trace methods that *emit* (count or open a span) vs merely read.
+/// Trace methods that *emit* (count or record a span) vs merely read.
 const EMIT_METHODS: [&str; 5] = ["count", "count_to", "instant", "span_begin", "span_at"];
 
 /// Build the call graph for pre-lexed files.
@@ -310,19 +311,15 @@ fn counter_live(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>)
         return;
     }
     let registered: BTreeSet<&str> = registry.iter().map(|(n, _, _)| n.as_str()).collect();
-    // Emission sites: registry uses inside count/span calls, in
-    // non-test code outside the registry's own file. A name is also
-    // credited when a function references it anywhere *and* makes at
-    // least one emit call — the codebase's idiom selects the constant
-    // through a match and passes the binding (`let ctr = match dir
-    // { .. names::A .. }; trace.count(ctr, ..)`), which argument
-    // scanning alone cannot see.
-    let mut emitted: BTreeSet<&str> = BTreeSet::new();
+    // Every `names::X` path must resolve to the registry. The compiler
+    // says so first for code that builds; here it guards the registry
+    // extraction above (a table entry it missed shows up as
+    // unregistered at every use) and the seeded trees.
     for n in &graph.nodes {
         if n.in_test || n.file == TRACE_FILE {
             continue;
         }
-        for (method, name, line) in &n.trace_uses {
+        for (name, line) in &n.names_refs {
             if !registered.contains(name.as_str()) {
                 push(
                     out,
@@ -330,27 +327,23 @@ fn counter_live(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>)
                     n.file.clone(),
                     *line,
                     "unregistered-name",
-                    format!("`.{method}(names::{name}, ..)` uses a name missing from simcore::trace::names"),
+                    format!("`names::{name}` is missing from simcore::trace::names"),
                 );
-            }
-            if EMIT_METHODS.contains(&method.as_str()) {
-                if let Some(r) = registered.get(name.as_str()) {
-                    emitted.insert(r);
-                }
             }
         }
     }
-    // Indirection credit, second form: a pure selector function
-    // (`CopyDirection::counter()`, `OneSided::span_name()`) returns a
-    // registry constant and its *caller* emits it. Credit a function's
-    // references when it emits itself or when any emitting function
-    // calls it by name.
-    let emits = |n: &FnNode| {
-        n.trace_uses
-            .iter()
-            .any(|(m, _, _)| EMIT_METHODS.contains(&m.as_str()))
-            || EMIT_METHODS.iter().any(|m| n.calls.contains(*m))
-    };
+    // Liveness: a registry name — counter or span — is emitted when a
+    // non-test function outside the registry's file references it and
+    // makes at least one emit call. Whole-function credit rather than
+    // argument scanning, because the codebase's idiom selects the
+    // constant through a match and passes the binding (`let ctr = match
+    // dir { .. names::A .. }; trace.count(ctr, ..)`). A pure selector
+    // function (`CopyDirection::counter()`, `OneSided::span_name()`)
+    // returns a registry constant and its *caller* emits it, so a
+    // function's references are also credited when any emitting
+    // function calls it by name.
+    let mut emitted: BTreeSet<&str> = BTreeSet::new();
+    let emits = |n: &FnNode| EMIT_METHODS.iter().any(|m| n.calls.contains(*m));
     let mut emitter_calls: BTreeSet<&str> = BTreeSet::new();
     for n in &graph.nodes {
         if !n.in_test && n.file != TRACE_FILE && emits(n) {
@@ -362,7 +355,7 @@ fn counter_live(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>)
             continue;
         }
         if emits(n) || emitter_calls.contains(n.name.as_str()) {
-            for name in &n.names_refs {
+            for name in n.names_refs.keys() {
                 if let Some(r) = registered.get(name.as_str()) {
                     emitted.insert(r);
                 }

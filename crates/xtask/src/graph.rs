@@ -38,13 +38,11 @@ pub struct FnNode {
     pub mentions: BTreeSet<String>,
     /// Lines of `.reserve(` method calls — the simulated-time charges.
     pub reserve_lines: Vec<u32>,
-    /// Trace-registry uses inside `.count(` / `.span_at(` / … calls:
-    /// `(method, CONST_NAME, line)` for each `names::CONST_NAME` arg.
-    pub trace_uses: Vec<(String, String, u32)>,
-    /// Every `names::CONST` path mentioned anywhere in the body — the
-    /// counter-liveness analysis uses these to credit emission through
+    /// Every `names::CONST` path mentioned anywhere in the body, with
+    /// the line of its first mention — the counter-liveness analysis
+    /// checks each against the registry and credits emission through
     /// indirection (`let ctr = match dir { names::A, .. }; count(ctr)`).
-    pub names_refs: BTreeSet<String>,
+    pub names_refs: BTreeMap<String, u32>,
 }
 
 /// The whole-workspace graph: nodes plus a name → node-indices index
@@ -71,8 +69,7 @@ impl CallGraph {
                     field_reads: BTreeSet::new(),
                     mentions: BTreeSet::new(),
                     reserve_lines: Vec::new(),
-                    trace_uses: Vec::new(),
-                    names_refs: BTreeSet::new(),
+                    names_refs: BTreeMap::new(),
                 };
                 scan_body(body, &mut node);
                 g.by_name
@@ -182,7 +179,7 @@ fn scan_body(body: &[Token], node: &mut FnNode) {
                 && body.get(i + 2).is_some_and(|n| n.is_punct(':'))
             {
                 if let Some(c) = body.get(i + 3).and_then(|n| n.ident()) {
-                    node.names_refs.insert(c.to_string());
+                    node.names_refs.entry(c.to_string()).or_insert(t.line);
                 }
             }
             let next_open = body.get(i + 1).is_some_and(|n| n.is_punct('('));
@@ -194,38 +191,8 @@ fn scan_body(body: &[Token], node: &mut FnNode) {
                 if after_dot && id == "reserve" {
                     node.reserve_lines.push(t.line);
                 }
-                if after_dot && crate::rules::TRACE_METHODS.contains(&id) {
-                    collect_trace_args(body, i + 1, id, node);
-                }
             } else if after_dot && !after_dotdot && !next_open && !is_macro {
                 node.field_reads.insert(id.to_string());
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Walk the argument list starting at the `(` token index, collecting
-/// every `names :: CONST` path as a trace-registry use of `method`.
-fn collect_trace_args(body: &[Token], open: usize, method: &str, node: &mut FnNode) {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < body.len() {
-        let t = &body[i];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return;
-            }
-        } else if t.is_ident("names")
-            && body.get(i + 1).is_some_and(|n| n.is_punct(':'))
-            && body.get(i + 2).is_some_and(|n| n.is_punct(':'))
-        {
-            if let Some(name) = body.get(i + 3).and_then(|n| n.ident()) {
-                node.trace_uses
-                    .push((method.to_string(), name.to_string(), t.line));
             }
         }
         i += 1;
@@ -302,23 +269,22 @@ mod tests {
     }
 
     #[test]
-    fn trace_registry_uses_are_collected() {
+    fn names_paths_are_collected_with_their_first_line() {
         let g = graph_of(&[(
             "crates/a/src/lib.rs",
             r#"
             fn f(sim: &mut Sim) {
-                sim.trace.count(names::GOOD, 1);
+                sim.trace.count(names::A_COUNTER, 1);
                 sim.trace.span_at(names::CAT_X, names::SPAN_Y, t, d, Track::Cpu);
-                let v = sim.trace.counter(names::READ_ONLY);
+                let sel = match dir { Up => names::PICKED, Down => names::CAT_X };
             }
             "#,
         )]);
         let f = &g.nodes[g.defs_of("f")[0]];
-        let methods: Vec<&str> = f.trace_uses.iter().map(|(m, _, _)| m.as_str()).collect();
-        assert!(methods.contains(&"count"));
-        assert!(methods.contains(&"span_at"));
-        assert!(methods.contains(&"counter"));
-        let names: Vec<&str> = f.trace_uses.iter().map(|(_, n, _)| n.as_str()).collect();
-        assert_eq!(names, ["GOOD", "CAT_X", "SPAN_Y", "READ_ONLY"]);
+        let refs: Vec<(&str, u32)> = f.names_refs.iter().map(|(n, l)| (n.as_str(), *l)).collect();
+        assert_eq!(
+            refs,
+            [("A_COUNTER", 3), ("CAT_X", 4), ("PICKED", 5), ("SPAN_Y", 4)]
+        );
     }
 }

@@ -10,8 +10,9 @@
 //!    typed errors instead of panicking;
 //! 3. **fault** — every simulated-time charge goes through the wrapper
 //!    layer the fault injector interposes on;
-//! 4. **metrics** — trace counter/span names come from the
-//!    `simcore::trace::names` registry, never inline literals;
+//! 4. **metrics** — trace span/instant names come from the
+//!    `simcore::trace::names` registry, never inline literals (counter
+//!    names are the `Counter` enum — the compiler's job);
 //! 5. **arch** — per-architecture constants come from the `GpuArch`
 //!    registry, never hardcoded constructors;
 //! 6. **sched** — the calendar queue + event arena in

@@ -84,16 +84,11 @@ const DEV_EXECUTORS: [&str; 4] = [
 /// hand-assembling op lists.
 const GRAPH_CAPTURE: &str = "crates/gpusim/src/stream_trigger.rs";
 
-/// Trace methods whose name arguments must come from
-/// `simcore::trace::names`, never inline literals.
-pub const TRACE_METHODS: [&str; 6] = [
-    "count",
-    "count_to",
-    "counter",
-    "instant",
-    "span_begin",
-    "span_at",
-];
+/// Trace methods whose category/name arguments are strings and must
+/// come from `simcore::trace::names`, never inline literals. Counters
+/// are not here: `count`/`count_to`/`counter` take the `Counter` enum,
+/// so a literal (or an unregistered name) there does not compile.
+const SPAN_METHODS: [&str; 3] = ["instant", "span_begin", "span_at"];
 
 pub fn in_crate_src(rel: &str, krate: &str) -> bool {
     rel.strip_prefix("crates/")
@@ -366,9 +361,10 @@ fn scan_fault(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
     }
 }
 
-/// Family 4 — metrics coherence: counter/span name arguments must be
-/// the constants in `simcore::trace::names`, never inline string
-/// literals, so the analysis tooling and the emitters cannot drift.
+/// Family 4 — metrics coherence: span/instant category and name
+/// arguments must be the constants in `simcore::trace::names`, never
+/// inline string literals, so the analysis tooling and the emitters
+/// cannot drift.
 fn scan_metrics(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
     // The registry itself is the one place literals are defined.
     if rel == "crates/simcore/src/trace.rs" {
@@ -378,7 +374,7 @@ fn scan_metrics(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
     while i < toks.len() {
         let t = &toks[i];
         let is_call = !t.in_test
-            && t.ident().is_some_and(|id| TRACE_METHODS.contains(&id))
+            && t.ident().is_some_and(|id| SPAN_METHODS.contains(&id))
             && i > 0
             && toks[i - 1].is_punct('.')
             && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
@@ -881,10 +877,13 @@ mod tests {
 
     #[test]
     fn metrics_rule_wants_registry_constants() {
-        let bad = "fn f(sim: &mut S) { sim.trace.count(\"mpi.rogue\", a, b, n); }";
+        let bad = "fn f(sim: &mut S) { sim.trace.instant(now, names::CAT_GPUSIM, \"rogue\", t); }";
         assert_eq!(kinds("crates/gpusim/src/x.rs", bad), vec!["literal-name"]);
-        let good = "fn f(sim: &mut S) { sim.trace.count(names::MPI_DELIVERED_BYTES, a, b, n); }";
+        let good = "fn f(sim: &mut S) { sim.trace.instant(now, names::CAT_GPUSIM, names::SPAN_KERNEL, t); }";
         assert!(kinds("crates/gpusim/src/x.rs", good).is_empty());
+        // Counters are the compiler's to police: `count` takes a `Counter`.
+        let counter = "fn f(sim: &mut S) { sim.trace.count(\"mpi.rogue\", a, b, n); }";
+        assert!(kinds("crates/gpusim/src/x.rs", counter).is_empty());
         // An iterator .count() has no arguments and stays silent.
         let iter = "fn f(v: &[u8]) -> usize { v.iter().count() }";
         assert!(kinds("crates/simcore/src/x.rs", iter).is_empty());

@@ -53,10 +53,19 @@ fn counter_live_fixture_fires() {
     for kind in ["unregistered-name", "dead-name", "metrics-chain"] {
         assert!(ks.contains(&kind), "missing {kind} in {ks:?}");
     }
+    // Dead names are found in the `counters!` table; the unregistered
+    // name is the span one (an unknown counter is a compile error).
     assert!(r
         .violations
         .iter()
         .any(|v| v.kind == "dead-name" && v.file.ends_with("::DEAD_NAME")));
+    let unregistered: Vec<_> = r
+        .violations
+        .iter()
+        .filter(|v| v.kind == "unregistered-name")
+        .collect();
+    assert_eq!(unregistered.len(), 1, "{unregistered:?}");
+    assert!(unregistered[0].msg.contains("ROGUE_SPAN"));
 }
 
 #[test]

@@ -96,6 +96,9 @@ fn main() {
     }
 
     let metrics = sess.finish();
-    assert_eq!(metrics.counter("mpi.delivered.bytes"), 2 * send_ty.size());
+    assert_eq!(
+        metrics.counter(Counter::MpiDeliveredBytes),
+        2 * send_ty.size()
+    );
     println!("OK — all {n_leaving} migrated particles verified");
 }

@@ -113,7 +113,7 @@ fn main() {
     println!("OK — all {}x{} tiles verified on every rank", p, p);
     let bytes_total = tile.size() * (p * (p - 1)) as u64;
     let metrics = sess.finish();
-    assert_eq!(metrics.counter("mpi.delivered.bytes"), bytes_total);
+    assert_eq!(metrics.counter(Counter::MpiDeliveredBytes), bytes_total);
     println!(
         "aggregate payload {} MB, effective {:.2} GB/s across the job",
         bytes_total >> 20,

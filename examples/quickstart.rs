@@ -95,10 +95,10 @@ fn main() {
     //    delivered-bytes counter is maintained by the very events that
     //    moved the data.
     let metrics = sess.finish();
-    assert_eq!(metrics.counter("mpi.delivered.bytes"), ty.size());
+    assert_eq!(metrics.counter(Counter::MpiDeliveredBytes), ty.size());
     println!(
         "metrics: delivered {} bytes",
-        metrics.counter("mpi.delivered.bytes")
+        metrics.counter(Counter::MpiDeliveredBytes)
     );
     println!("OK — received data verified against the CPU reference engine");
 }

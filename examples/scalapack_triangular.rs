@@ -83,8 +83,8 @@ fn main() {
     let metrics = sess.finish();
     println!(
         "metrics: {} DEV cache hits, {} misses, {} bytes delivered",
-        metrics.counter("devengine.cache.hit"),
-        metrics.counter("devengine.cache.miss"),
-        metrics.counter("mpi.delivered.bytes")
+        metrics.counter(Counter::DevengineCacheHit),
+        metrics.counter(Counter::DevengineCacheMiss),
+        metrics.counter(Counter::MpiDeliveredBytes)
     );
 }

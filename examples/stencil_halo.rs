@@ -113,7 +113,7 @@ fn main() {
 
     let metrics = sess.finish();
     let expect = iters as u64 * (col_ty.size() + row_ty.size());
-    assert_eq!(metrics.counter("mpi.delivered.bytes"), expect);
+    assert_eq!(metrics.counter(Counter::MpiDeliveredBytes), expect);
     println!(
         "metrics: {} bytes delivered over {iters} iterations",
         expect

@@ -37,5 +37,5 @@ pub mod prelude {
     pub use gpusim::GpuArch;
     pub use memsim::Ptr;
     pub use mpirt::{irecv, isend, ping_pong, wait_all, PingPongSpec, RecvArgs, SendArgs, Session};
-    pub use simcore::{Metrics, SimTime, Tracer};
+    pub use simcore::{Counter, Metrics, SimTime, Tracer};
 }

@@ -9,7 +9,7 @@ use memsim::{MemSpace, Ptr};
 use mpirt::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
 use mpirt::{MpiConfig, MpiWorld};
 use simcore::rng::SimRng;
-use simcore::Sim;
+use simcore::{Counter, Sim};
 
 fn alloc_typed(
     sim: &mut Sim<MpiWorld>,
@@ -72,7 +72,7 @@ fn roundtrip(mut sim: Sim<MpiWorld>, ty: &DataType, count: u64, s_dev: bool, r_d
     // datatype's payload exactly — a second, independent correctness
     // check on every protocol path.
     assert_eq!(
-        sim.trace.counter("mpi.delivered.bytes"),
+        sim.trace.counter(Counter::MpiDeliveredBytes),
         ty.size() * count,
         "trace delivered bytes for {ty} x{count}"
     );
@@ -198,7 +198,7 @@ fn reshape_transfers() {
                 reference_pack(b, 1, &got_buf, rbase),
                 reference_pack(a, 1, &sbytes, sbase)
             );
-            assert_eq!(sim.trace.counter("mpi.delivered.bytes"), a.size());
+            assert_eq!(sim.trace.counter(Counter::MpiDeliveredBytes), a.size());
         }
     }
 }
@@ -255,7 +255,7 @@ fn multiple_concurrent_messages() {
         }
     }
     wait_all(&mut sim, &reqs).expect("transfers failed");
-    assert_eq!(sim.trace.counter("mpi.delivered.bytes"), 4 * t.size());
+    assert_eq!(sim.trace.counter(Counter::MpiDeliveredBytes), 4 * t.size());
     for (sbytes, sbase, rbuf, rbase, rlen) in bufs {
         let got_buf = sim
             .world
@@ -312,7 +312,7 @@ fn repeated_transfers_stay_correct() {
     );
     // Exactly one SM connection was established.
     assert_eq!(sim.world.mpi.sm_conns.len(), 1);
-    assert_eq!(sim.trace.counter("mpi.delivered.bytes"), 5 * t.size());
+    assert_eq!(sim.trace.counter(Counter::MpiDeliveredBytes), 5 * t.size());
 }
 
 /// Random datatype trees through the full GPU-to-GPU SM stack.

@@ -8,7 +8,7 @@ use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemSpace, Ptr};
 use mpirt::api::PingPongSpec;
 use mpirt::{ping_pong, MpiConfig, MpiWorld};
-use simcore::{Sim, SimTime};
+use simcore::{Counter, Sim, SimTime};
 
 fn triangular(n: u64) -> DataType {
     let lens: Vec<u64> = (0..n).map(|c| n - c).collect();
@@ -359,7 +359,7 @@ fn pipelined_protocol_shows_overlap_and_ring_residency() {
         m.ring_residency
     );
     // Warm-up round + 2 measured rounds, two transfers each.
-    assert_eq!(m.counter("mpi.delivered.bytes"), 6 * t.size());
+    assert_eq!(m.counter(Counter::MpiDeliveredBytes), 6 * t.size());
 }
 
 /// exp13 shape: two thread blocks already get within 10% of the full
