@@ -85,6 +85,31 @@ pub fn assert_roundtrip(ty: &DataType, count: u64) -> Vec<u8> {
     packed
 }
 
+/// Lower-triangular `n × n` matrix of doubles, column-major: column `c`
+/// holds rows `c..n` (the paper's **T** workload).
+pub fn lower_triangular(n: u64) -> DataType {
+    let lens: Vec<u64> = (0..n).map(|c| n - c).collect();
+    let disps: Vec<i64> = (0..n as i64).map(|c| c * n as i64 + c).collect();
+    DataType::indexed(&lens, &disps, &DataType::double())
+        .expect("triangular")
+        .commit()
+}
+
+/// The transpose of [`lower_triangular`] in the same column-major
+/// storage: what was column `c` lands in row `c`, one double every `n`.
+/// Same type signature (`n(n+1)/2` doubles, in the same order), a very
+/// different layout — a long run on one side meets 8-byte units on the
+/// other.
+pub fn transposed_triangular(n: u64) -> DataType {
+    let rows: Vec<DataType> = (0..n)
+        .map(|c| DataType::vector(n - c, 1, n as i64, &DataType::double()).expect("row"))
+        .collect();
+    let disps: Vec<i64> = (0..n as i64).map(|c| (c * n as i64 + c) * 8).collect();
+    DataType::structure(&vec![1; n as usize], &disps, &rows)
+        .expect("transposed triangular")
+        .commit()
+}
+
 /// Seeded generator: a random primitive.
 pub fn arb_primitive(r: &mut SimRng) -> crate::Primitive {
     *r.choose(&crate::Primitive::ALL)

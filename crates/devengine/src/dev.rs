@@ -144,6 +144,92 @@ pub fn flip_units_in_place(units: &mut [CopyOp]) {
     }
 }
 
+/// Why two unit lists could not be merged over a packed window.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MergeError {
+    /// A unit does not start where its predecessor ended in the packed
+    /// stream: the list is not ascending and gap-free from offset 0.
+    Misaligned { unit_at: usize, expected: usize },
+    /// A list ran out before the window was covered.
+    Short { covered: usize, window: usize },
+}
+
+impl std::fmt::Display for MergeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            MergeError::Misaligned { unit_at, expected } => write!(
+                f,
+                "unit list misaligned: unit at packed offset {unit_at}, expected {expected}"
+            ),
+            MergeError::Short { covered, window } => write!(
+                f,
+                "unit list covers {covered} of a {window}-byte packed window"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MergeError {}
+
+/// Merge the sender's and the receiver's unit lists over the packed
+/// window `[0, window)` into direct typed → typed moves, appended to
+/// `out` (cleared first): the packed stream is the merge index, never
+/// memory. Both lists are in **pack orientation** (`src_off` typed,
+/// `dst_off` packed) and must be ascending and gap-free in packed
+/// offset from 0 — what every unit source yields — which is checked
+/// unit by unit; whatever a list holds past `window` is ignored. In the
+/// result `src_off` is relative to the sender's typed base and
+/// `dst_off` to the receiver's.
+pub fn merge_units(
+    send: &[CopyOp],
+    recv: &[CopyOp],
+    window: usize,
+    out: &mut Vec<CopyOp>,
+) -> Result<(), MergeError> {
+    // The unit of `list` the merge stands in, `used` bytes into it.
+    let unit_at = |list: &[CopyOp], idx: usize, used: usize, pos: usize| {
+        let u = *list.get(idx).ok_or(MergeError::Short {
+            covered: pos,
+            window,
+        })?;
+        if u.dst_off + used != pos {
+            return Err(MergeError::Misaligned {
+                unit_at: u.dst_off,
+                expected: pos - used,
+            });
+        }
+        Ok(u)
+    };
+    out.clear();
+    let (mut i, mut j) = (0usize, 0usize);
+    let (mut si, mut rj) = (0usize, 0usize);
+    let mut pos = 0usize;
+    while pos < window {
+        let s = unit_at(send, i, si, pos)?;
+        let r = unit_at(recv, j, rj, pos)?;
+        let take = (s.len - si).min(r.len - rj).min(window - pos);
+        if take > 0 {
+            out.push(CopyOp {
+                src_off: s.src_off + si,
+                dst_off: r.src_off + rj,
+                len: take,
+            });
+        }
+        si += take;
+        rj += take;
+        pos += take;
+        if si == s.len {
+            i += 1;
+            si = 0;
+        }
+        if rj == r.len {
+            j += 1;
+            rj = 0;
+        }
+    }
+    Ok(())
+}
+
 /// One-shot DEV walk: the full unit list for `count` elements of `ty`
 /// in pack orientation (`src_off` typed, `dst_off` packed from 0),
 /// plus the typed-side `base_shift`. Whole-message consumers — the

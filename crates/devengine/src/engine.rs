@@ -6,7 +6,7 @@ use crate::config::EngineConfig;
 use crate::dev::{flip_units_in_place, DevCursor, DevPlan};
 use crate::tune;
 use datatype::{DataType, Strided2D, TypeError};
-use gpusim::{launch_transfer_kernel, GpuWorld, KernelConfig, StreamId};
+use gpusim::{charge_transfer_kernel, GpuWorld, KernelConfig, StreamId};
 use memsim::Ptr;
 use simcore::par::CopyOp;
 use simcore::trace::names;
@@ -394,9 +394,24 @@ impl FragmentEngine {
         }
     }
 
+    /// The pointer every typed-side unit offset is relative to.
+    pub fn typed_base(&self) -> Ptr {
+        self.typed.offset_by(self.base_shift)
+    }
+
+    /// Kernel source and destination for a fragment stored at `frag`.
+    fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
+        match self.dir {
+            Direction::Pack => (self.typed_base(), frag),
+            Direction::Unpack => (frag, self.typed_base()),
+        }
+    }
+
     /// Process the next fragment: up to `cap` packed bytes moved
     /// between the typed buffer and `frag` (a pointer to the fragment's
-    /// contiguous storage — GPU, peer-GPU or mapped-host memory).
+    /// contiguous storage — GPU, peer-GPU or mapped-host memory):
+    /// [`Self::charge_fragment`], then the bytes move at the kernel's
+    /// completion instant.
     ///
     /// `on_prepped` fires when the CPU stage is done (the caller may
     /// immediately start the next fragment — that is the pipeline);
@@ -410,31 +425,56 @@ impl FragmentEngine {
         on_prepped: impl FnOnce(&mut Sim<W>) + 'static,
         on_complete: impl FnOnce(&mut Sim<W>, u64) + 'static,
     ) {
+        let (ksrc, kdst) = self.kernel_ends(frag);
+        // Unit buffers cycle through the scratch shelf so steady-state
+        // streaming reuses a handful of Vecs.
+        let units = simcore::scratch::take_units_buf();
+        self.charge_fragment(sim, frag, cap, units, on_prepped, move |sim, n, units| {
+            sim.world
+                .mem()
+                .transfer(ksrc, kdst, &units)
+                .expect("fragment transfer failed");
+            simcore::scratch::recycle_units_buf(units);
+            on_complete(sim, n);
+        });
+    }
+
+    /// The charge half of [`Self::process_fragment`]: advance the unit
+    /// source over the next fragment, charge its CPU preparation and
+    /// its kernel, count its bytes — and move nothing. The unit list is
+    /// built in `units` (cleared first; the caller's buffer, so the
+    /// caller decides how buffers are reused) and handed back when
+    /// `on_complete` fires at the kernel's completion instant, with the
+    /// fragment's size, in the kernel's orientation (`src_off` is the
+    /// typed side for a pack, the fragment side for an unpack).
+    pub fn charge_fragment<W: GpuWorld>(
+        &mut self,
+        sim: &mut Sim<W>,
+        frag: Ptr,
+        cap: u64,
+        mut units: Vec<CopyOp>,
+        on_prepped: impl FnOnce(&mut Sim<W>) + 'static,
+        on_complete: impl FnOnce(&mut Sim<W>, u64, Vec<CopyOp>) + 'static,
+    ) {
         let n = cap.min(self.total - self.pos);
         if n == 0 {
             // Defer so callers never see their callbacks re-enter while
             // they still hold state borrows.
+            units.clear();
             sim.schedule_now(move |sim| {
                 on_prepped(sim);
-                on_complete(sim, 0);
+                on_complete(sim, 0, units);
             });
             return;
         }
-        // The kernel completion recycles this buffer once the bytes have
-        // moved, so steady-state streaming reuses a handful of Vecs.
-        let mut units = simcore::scratch::take_units_buf();
         let charge_prep = self.take_units_into(n, &mut units);
         self.pos += n;
         debug_assert_eq!(units.iter().map(|u| u.len as u64).sum::<u64>(), n);
 
-        let typed = self.typed.offset_by(self.base_shift);
-        let (ksrc, kdst) = match self.dir {
-            Direction::Pack => (typed, frag),
-            Direction::Unpack => {
-                flip_units_in_place(&mut units);
-                (frag, typed)
-            }
-        };
+        if self.dir == Direction::Unpack {
+            flip_units_in_place(&mut units);
+        }
+        let (ksrc, kdst) = self.kernel_ends(frag);
         let kcfg = KernelConfig {
             blocks: self.cfg.blocks,
             descriptor_stream: self.descriptor_stream,
@@ -445,9 +485,23 @@ impl FragmentEngine {
             Direction::Pack => names::DEVENGINE_PACK_BYTES,
             Direction::Unpack => names::DEVENGINE_UNPACK_BYTES,
         };
+        let prep = prep_time(&self.cfg, units.len());
+        let launch = move |sim: &mut Sim<W>| {
+            charge_transfer_kernel(
+                sim,
+                stream,
+                ksrc,
+                kdst,
+                units,
+                kcfg,
+                move |sim, _, units| {
+                    sim.trace.count(bytes_counter, rank, 0, n);
+                    on_complete(sim, n, units);
+                },
+            );
+        };
 
         if charge_prep {
-            let prep = prep_time(&self.cfg, units.len());
             let now = sim.now();
             let (s, prep_end) = sim.world.cpu(self.rank).reserve(now, prep);
             sim.trace.span_at(
@@ -459,20 +513,14 @@ impl FragmentEngine {
             );
             sim.schedule_at(prep_end, move |sim| {
                 on_prepped(sim);
-                launch_transfer_kernel(sim, stream, ksrc, kdst, units, kcfg, move |sim, _| {
-                    sim.trace.count(bytes_counter, rank, 0, n);
-                    on_complete(sim, n);
-                });
+                launch(sim);
             });
         } else {
             // No CPU stage owed: the caller may continue at the same
             // virtual time, but deferred to the next event so callbacks
             // never re-enter the caller's borrows.
             sim.schedule_now(move |sim| on_prepped(sim));
-            launch_transfer_kernel(sim, stream, ksrc, kdst, units, kcfg, move |sim, _| {
-                sim.trace.count(bytes_counter, rank, 0, n);
-                on_complete(sim, n);
-            });
+            launch(sim);
         }
     }
 }

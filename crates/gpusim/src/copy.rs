@@ -65,13 +65,36 @@ fn contiguous_copy_time<W: GpuWorld>(
     }
 }
 
-/// Asynchronous contiguous copy on `stream` (like `cudaMemcpyAsync`).
-/// Moves the bytes at completion time and then invokes `done`.
-///
-/// Fault charge point (`FaultOp::Memcpy`): transient injections re-issue
-/// the copy after a capped exponential backoff (the engine charges the
-/// stream again per attempt); degradation windows stretch the charge.
+/// Asynchronous contiguous copy on `stream` (like `cudaMemcpyAsync`):
+/// [`charge_memcpy`], then move the bytes at the completion instant and
+/// invoke `done`.
 pub fn memcpy<W: GpuWorld>(
+    sim: &mut Sim<W>,
+    stream: StreamId,
+    src: Ptr,
+    dst: Ptr,
+    bytes: u64,
+    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
+) {
+    charge_memcpy(sim, stream, src, dst, bytes, move |sim, at| {
+        sim.world
+            .mem()
+            .copy(src, dst, bytes)
+            .expect("memcpy failed");
+        done(sim, at);
+    });
+}
+
+/// The charge half of a contiguous copy: reserves `stream` for the
+/// modeled duration, records the span and the per-direction byte
+/// counter, and invokes `done` at the completion instant. No byte
+/// moves: `src` and `dst` only pick the direction's rate.
+///
+/// Fault charge point (`FaultOp::Memcpy`): the verdict is rolled at
+/// issue; transient injections re-issue the copy after a capped
+/// exponential backoff (the engine charges the stream again per
+/// attempt); degradation windows stretch the charge.
+pub fn charge_memcpy<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
     src: Ptr,
@@ -115,10 +138,6 @@ fn memcpy_attempt<W: GpuWorld>(
             });
             return;
         }
-        sim.world
-            .mem()
-            .copy(src, dst, bytes)
-            .expect("memcpy failed");
         sim.trace.count(dir.counter(), stream.gpu.0, 0, bytes);
         done(sim, sim.now());
     });

@@ -151,13 +151,9 @@ pub fn transfer_kernel_time(
     spec.launch_overhead + dram_time.max(pcie_time)
 }
 
-/// Launch a pack/unpack kernel on `stream`: reserves the stream for the
-/// modeled duration, moves the bytes when it completes, then calls
-/// `done` with the completion time.
-///
-/// Fault charge point (`FaultOp::KernelLaunch`): transient injections
-/// re-launch with the same unit list after a capped backoff; degrade
-/// windows stretch the charge.
+/// Launch a pack/unpack kernel on `stream`: [`charge_transfer_kernel`],
+/// then move the bytes at the completion instant and call `done` with
+/// the completion time.
 pub fn launch_transfer_kernel<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
@@ -166,6 +162,37 @@ pub fn launch_transfer_kernel<W: GpuWorld>(
     units: Vec<CopyOp>,
     cfg: KernelConfig,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
+) {
+    charge_transfer_kernel(sim, stream, src, dst, units, cfg, move |sim, at, units| {
+        sim.world
+            .mem()
+            .transfer(src, dst, &units)
+            .expect("kernel transfer failed");
+        // Unit buffers cycle back to the scratch shelf so the fragment
+        // pipeline reuses a handful of allocations at steady state.
+        simcore::scratch::recycle_units_buf(units);
+        done(sim, at);
+    });
+}
+
+/// The charge half of a pack/unpack kernel: reserves `stream` for the
+/// modeled duration, records the span and the launch counters, and
+/// calls `done` at the completion instant with the completion time and
+/// the unit list handed back. No byte moves: `src`, `dst` and `units`
+/// only price the launch (placement, alignment, descriptor count).
+///
+/// Fault charge point (`FaultOp::KernelLaunch`): the verdict is rolled
+/// at launch, before `done` can move anything; transient injections
+/// re-charge with the same unit list after a capped backoff; degrade
+/// windows stretch the charge.
+pub fn charge_transfer_kernel<W: GpuWorld>(
+    sim: &mut Sim<W>,
+    stream: StreamId,
+    src: Ptr,
+    dst: Ptr,
+    units: Vec<CopyOp>,
+    cfg: KernelConfig,
+    done: impl FnOnce(&mut Sim<W>, SimTime, Vec<CopyOp>) + 'static,
 ) {
     launch_attempt(
         sim,
@@ -188,7 +215,7 @@ fn launch_attempt<W: GpuWorld>(
     units: Vec<CopyOp>,
     cfg: KernelConfig,
     mut backoff: Backoff,
-    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
+    done: impl FnOnce(&mut Sim<W>, SimTime, Vec<CopyOp>) + 'static,
 ) {
     let gpu = stream.gpu;
     let (eff_bw, spec, pcie_bw, pcie_lat) = {
@@ -250,10 +277,6 @@ fn launch_attempt<W: GpuWorld>(
             return;
         }
         let payload: u64 = units.iter().map(|u| u.len as u64).sum();
-        sim.world
-            .mem()
-            .transfer(src, dst, &units)
-            .expect("kernel transfer failed");
         sim.trace
             .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, payload);
         // Units per launch make the optimizer's coalescing visible in
@@ -266,10 +289,7 @@ fn launch_attempt<W: GpuWorld>(
         );
         sim.trace
             .count(names::GPUSIM_KERNEL_LAUNCHES, stream.gpu.0, 0, 1);
-        // Unit buffers cycle back to the scratch shelf so the fragment
-        // pipeline reuses a handful of allocations at steady state.
-        simcore::scratch::recycle_units_buf(units);
-        done(sim, sim.now());
+        done(sim, sim.now(), units);
     });
 }
 

@@ -1,10 +1,15 @@
 //! A CUDA-like simulated GPU runtime.
 //!
-//! Functionally, every operation (kernel, memcpy, zero-copy access)
-//! really moves bytes between the host-backed buffers in [`memsim`].
-//! Temporally, every operation is charged virtual time on a FIFO *stream*
-//! from a cost model built on the same first-order mechanics that shaped
-//! the paper's Figure 6–8 results:
+//! Every operation (kernel, memcpy, zero-copy access) has two halves.
+//! Temporally, it is charged virtual time on a FIFO *stream* — with its
+//! fault roll, span and counters — by one charging body
+//! ([`charge_transfer_kernel`], [`charge_memcpy`]); functionally, the
+//! moving form ([`launch_transfer_kernel`], [`memcpy`]) wraps that body
+//! and really moves the bytes between the host-backed buffers in
+//! [`memsim`] at the completion instant. A caller that moves a staged
+//! pipeline's payload itself, once (the rendezvous executor), uses the
+//! charging forms. The cost model is built on the same first-order
+//! mechanics that shaped the paper's Figure 6–8 results:
 //!
 //! * global-memory access happens in 128-byte transactions issued per
 //!   32-thread warp, 8 bytes per thread (one 256-byte warp chunk per
@@ -31,9 +36,11 @@ pub mod stream_trigger;
 pub mod system;
 
 pub use arch::{CostParams, GpuArch};
-pub use copy::{memcpy, memcpy_2d, CopyDirection};
+pub use copy::{charge_memcpy, memcpy, memcpy_2d, CopyDirection};
 pub use fault::{count_retry, fault_roll, fault_scaled};
-pub use kernel::{launch_transfer_kernel, transfer_kernel_time, KernelConfig};
+pub use kernel::{
+    charge_transfer_kernel, launch_transfer_kernel, transfer_kernel_time, KernelConfig,
+};
 pub use spec::{GpuSpec, Interconnect, NodeTopology, NotPowerOfTwo, Pow2};
 pub use stream_trigger::{graph_kernel, replay_issue, GraphCapture, StreamGraph};
 pub use system::{

@@ -174,6 +174,30 @@ impl MemPool {
         }
         Ok(())
     }
+
+    /// Range-checked segment moves whose source and destination share
+    /// this pool's allocation `src.alloc` (a self-send inside one
+    /// buffer): gather every source segment into a scratch copy first,
+    /// then scatter, so a destination segment that overlaps a later
+    /// op's source cannot clobber it — what the fragment ring used to
+    /// provide for such a transfer.
+    fn transfer_within(&mut self, src: Ptr, dst: Ptr, ops: &[CopyOp]) -> Result<(), MemError> {
+        let data = self
+            .allocs
+            .get_mut(&src.alloc)
+            .ok_or(MemError::InvalidPointer(src))?;
+        let (s0, d0) = (src.offset as usize, dst.offset as usize);
+        let mut scratch = Vec::with_capacity(ops.iter().map(|o| o.len).sum());
+        for o in ops {
+            scratch.extend_from_slice(&data[s0 + o.src_off..s0 + o.src_off + o.len]);
+        }
+        let mut at = 0;
+        for o in ops {
+            data[d0 + o.dst_off..d0 + o.dst_off + o.len].copy_from_slice(&scratch[at..at + o.len]);
+            at += o.len;
+        }
+        Ok(())
+    }
 }
 
 /// The full memory system of a simulated node: host memory plus one pool
@@ -182,6 +206,8 @@ pub struct Memory {
     host: MemPool,
     devices: Vec<MemPool>,
     pub registry: RegistrationTable,
+    /// Bytes written by [`Memory::copy`] and [`Memory::transfer`].
+    bytes_moved: u64,
 }
 
 impl Memory {
@@ -194,7 +220,16 @@ impl Memory {
                 .map(|i| MemPool::new(MemSpace::Device(GpuId(i)), device_capacity))
                 .collect(),
             registry: RegistrationTable::new(),
+            bytes_moved: 0,
         }
+    }
+
+    /// Physical traffic so far: every byte `copy` and `transfer` wrote.
+    /// Divided by the payload delivered it says how many times the
+    /// simulator itself touched each byte (1 on the rendezvous paths:
+    /// staging hops are charged, not executed).
+    pub fn bytes_moved(&self) -> u64 {
+        self.bytes_moved
     }
 
     pub fn gpu_count(&self) -> u32 {
@@ -250,11 +285,14 @@ impl Memory {
             return Ok(());
         }
         if src.space == dst.space {
-            return self.pool_mut(src.space).copy_internal(src, dst, len);
+            self.pool_mut(src.space).copy_internal(src, dst, len)?;
+            self.bytes_moved += len;
+            return Ok(());
         }
         // Cross-space: distinct pools, distinct heap allocations.
         self.pool(src.space).check_range(src, len)?;
         self.pool(dst.space).check_range(dst, len)?;
+        self.bytes_moved += len;
         let src_raw = self.pool(src.space).allocs[&src.alloc][src.offset as usize..].as_ptr();
         let dst_pool = self.pool_mut(dst.space);
         let dst_slice = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
@@ -266,18 +304,15 @@ impl Memory {
     }
 
     /// Batch of segment moves between a source and destination base
-    /// pointer (the functional half of a pack/unpack kernel). Offsets in
-    /// `ops` are relative to `src`/`dst`. Destination segments must be
-    /// disjoint; `src` and `dst` must be different allocations (kernels
-    /// always pack into a dedicated buffer).
+    /// pointer (the functional half of a pack/unpack kernel, and of a
+    /// rendezvous fragment moved typed → typed). Offsets in `ops` are
+    /// relative to `src`/`dst`. Destination segments must be disjoint.
+    /// `src` and `dst` may share an allocation: every source segment is
+    /// then read before any destination segment is written.
     pub fn transfer(&mut self, src: Ptr, dst: Ptr, ops: &[CopyOp]) -> Result<(), MemError> {
         if ops.is_empty() {
             return Ok(());
         }
-        assert!(
-            src.space != dst.space || src.alloc != dst.alloc,
-            "transfer within one allocation is not supported (pack buffers are dedicated)"
-        );
         let src_need = ops
             .iter()
             .map(|o| (o.src_off + o.len) as u64)
@@ -290,11 +325,15 @@ impl Memory {
             .unwrap_or(0);
         self.pool(src.space).check_range(src, src_need)?;
         self.pool(dst.space).check_range(dst, dst_need)?;
+        self.bytes_moved += ops.iter().map(|o| o.len as u64).sum::<u64>();
+        if src.space == dst.space && src.alloc == dst.alloc {
+            return self.pool_mut(src.space).transfer_within(src, dst, ops);
+        }
         let src_raw = self.pool(src.space).allocs[&src.alloc][src.offset as usize..].as_ptr();
         let dst_pool = self.pool_mut(dst.space);
         let dst_slice = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
         let dst_range = &mut dst_slice[dst.offset as usize..(dst.offset + dst_need) as usize];
-        // SAFETY: different allocations (asserted above).
+        // SAFETY: different allocations (the shared case returned above).
         let src_range = unsafe { std::slice::from_raw_parts(src_raw, src_need as usize) };
         par_transfer(dst_range, src_range, ops);
         Ok(())
@@ -418,6 +457,65 @@ mod tests {
         let out = m.read_vec(dst, 64).unwrap();
         assert_eq!(&out[32..48], &bytes[0..16]);
         assert_eq!(&out[0..16], &bytes[16..32]);
+    }
+
+    #[test]
+    fn transfer_within_one_allocation_reads_before_it_writes() {
+        let mut m = mem();
+        let p = m.alloc(MemSpace::Host, 32).unwrap();
+        let bytes: Vec<u8> = (0..32).collect();
+        m.write(p, &bytes).unwrap();
+        // Swap the two halves of bytes 4..20 through one call: each
+        // op's destination is the other op's source.
+        let ops = [
+            CopyOp {
+                src_off: 0,
+                dst_off: 8,
+                len: 8,
+            },
+            CopyOp {
+                src_off: 8,
+                dst_off: 0,
+                len: 8,
+            },
+        ];
+        m.transfer(p.add(4), p.add(4), &ops).unwrap();
+        let out = m.read_vec(p, 32).unwrap();
+        assert_eq!(&out[4..12], &bytes[12..20]);
+        assert_eq!(&out[12..20], &bytes[4..12]);
+        assert_eq!((&out[..4], &out[20..]), (&bytes[..4], &bytes[20..]));
+        // Out of range is still a typed error, and moves nothing.
+        let err = m.transfer(p.add(20), p, &ops).unwrap_err();
+        assert!(matches!(err, MemError::OutOfBounds { .. }));
+        assert_eq!(m.read_vec(p, 32).unwrap(), out);
+    }
+
+    #[test]
+    fn bytes_moved_counts_what_copy_and_transfer_wrote() {
+        let mut m = mem();
+        let h = m.alloc(MemSpace::Host, 64).unwrap();
+        let d = m.alloc(MemSpace::Device(GpuId(0)), 64).unwrap();
+        m.write(h, &[7u8; 64]).unwrap();
+        assert_eq!(
+            m.bytes_moved(),
+            0,
+            "write() is the test harness, not traffic"
+        );
+        m.copy(h, d, 48).unwrap();
+        m.copy(h, h.add(32), 16).unwrap();
+        assert_eq!(m.bytes_moved(), 64);
+        let ops = [CopyOp {
+            src_off: 0,
+            dst_off: 8,
+            len: 24,
+        }];
+        m.transfer(d, h, &ops).unwrap();
+        m.transfer(h, h, &ops).unwrap();
+        assert_eq!(m.bytes_moved(), 64 + 48);
+        // A failed move is not traffic.
+        assert!(m.copy(h, d, 65).is_err());
+        assert!(m.transfer(h.add(48), d, &ops).is_err());
+        assert_eq!(m.bytes_moved(), 64 + 48);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use devengine::{flip_units_in_place, DevCursor};
 use faultsim::{FaultDecision, FaultOp};
 use gpusim::{fault, GpuWorld};
 use memsim::Ptr;
+use simcore::par::CopyOp;
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
 
@@ -65,9 +66,15 @@ impl CpuEngine {
         self.cursor.finished()
     }
 
+    /// The pointer every typed-side unit offset is relative to.
+    pub fn typed_base(&self) -> Ptr {
+        self.typed.offset_by(self.cursor.base_shift())
+    }
+
     /// Move the next `cap` packed bytes between the typed buffer and
-    /// `frag` (contiguous host memory). Time is charged on the rank's
-    /// CPU; `done` runs at completion with the fragment size.
+    /// `frag` (contiguous host memory): [`Self::charge_fragment`], then
+    /// the bytes move at the pass's completion instant; `done` runs
+    /// after them with the fragment size.
     pub fn process_fragment<W: GpuWorld>(
         &mut self,
         sim: &mut Sim<W>,
@@ -75,27 +82,51 @@ impl CpuEngine {
         cap: u64,
         done: impl FnOnce(&mut Sim<W>, u64) + 'static,
     ) {
+        let (src, dst) = match self.dir {
+            CpuDir::Pack => (self.typed_base(), frag),
+            CpuDir::Unpack => (frag, self.typed_base()),
+        };
+        let units = simcore::scratch::take_units_buf();
+        self.charge_fragment(sim, cap, units, move |sim, n, units| {
+            sim.world
+                .mem()
+                .transfer(src, dst, &units)
+                .expect("cpu pack transfer");
+            simcore::scratch::recycle_units_buf(units);
+            done(sim, n);
+        });
+    }
+
+    /// The charge half of [`Self::process_fragment`]: walk the next
+    /// `cap` packed bytes, charge the pass on the rank's CPU, count its
+    /// bytes — and move nothing. The unit list is built in `units`
+    /// (cleared first; the caller's buffer) and handed back when `done`
+    /// runs at completion, with the fragment size, in the pass's
+    /// orientation (`src_off` is the typed side for a pack, the
+    /// fragment side for an unpack).
+    ///
+    /// Fault charge point (`FaultOp::CpuPack`): every verdict is rolled
+    /// here, before `done` can move anything.
+    pub fn charge_fragment<W: GpuWorld>(
+        &mut self,
+        sim: &mut Sim<W>,
+        cap: u64,
+        mut units: Vec<CopyOp>,
+        done: impl FnOnce(&mut Sim<W>, u64, Vec<CopyOp>) + 'static,
+    ) {
         let from = self.position();
-        // Scratch buffer: recycled by the completion event below.
-        let mut units = simcore::scratch::take_units_buf();
         self.cursor.next_units_into(cap, &mut units);
         for u in &mut units {
             u.dst_off -= from as usize;
         }
         let n: u64 = units.iter().map(|u| u.len as u64).sum();
         if n == 0 {
-            simcore::scratch::recycle_units_buf(units);
-            sim.schedule_now(move |sim| done(sim, 0));
+            sim.schedule_now(move |sim| done(sim, 0, units));
             return;
         }
-        let typed = self.typed.offset_by(self.cursor.base_shift());
-        let (src, dst) = match self.dir {
-            CpuDir::Pack => (typed, frag),
-            CpuDir::Unpack => {
-                flip_units_in_place(&mut units);
-                (frag, typed)
-            }
-        };
+        if self.dir == CpuDir::Unpack {
+            flip_units_in_place(&mut units);
+        }
         let pass = self.bw.time_for(n) + self.per_call;
         let mut duration = fault::fault_scaled(sim, FaultOp::CpuPack, pass);
         // The CPU convertor is the fallback of last resort, so a faulted
@@ -128,13 +159,8 @@ impl CpuEngine {
             Track::Cpu { rank },
         );
         sim.schedule_at(end, move |sim| {
-            sim.world
-                .mem()
-                .transfer(src, dst, &units)
-                .expect("cpu pack transfer");
-            simcore::scratch::recycle_units_buf(units);
             sim.trace.count(counter, rank, 0, n);
-            done(sim, n);
+            done(sim, n, units);
         });
     }
 }

@@ -10,10 +10,24 @@
 //! struct, one pump, one failure path, one slot free-list and one
 //! `frag` span per slot residency serve every path class.
 //!
+//! **Charge per stage, move per fragment.** Every stage is charged —
+//! stream, CPU and link reservations, fault rolls and retries, spans,
+//! counters, completion events, against the ring slots the connection
+//! allocated — but no stage writes a byte. Each conversion charge hands
+//! its unit list back, the fragment carries them, and [`landed`] moves
+//! the fragment exactly once, source buffer → destination buffer: a
+//! typed end's own list against a dense end's window, or the merge of
+//! the two lists ([`devengine::merge_units`]) when both ends are typed.
+//! The packed stream is an index, never memory. The offload stages
+//! ([`StageOp::moves_payload`]) are one hardware gather/scatter already
+//! and land their own bytes.
+//!
 //! Ordering obligations (DESIGN.md §17): conversion engines are
 //! sequential, so fragments enter every stage in sequence order; the
 //! receive request completes before the last ack (or notification) is
-//! sent; a failure resolves both requests at most once.
+//! sent; the send request completes only after the last fragment
+//! landed, so the send buffer is stable from pack charge to landing; a
+//! failure resolves both requests at most once.
 
 use crate::connection::{IbConn, SmConn};
 use crate::protocol::offload::CapturedXfer;
@@ -22,10 +36,12 @@ use crate::protocol::{make_engine, Side, SideEngine};
 use crate::request::{MpiError, Request};
 use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
-use devengine::Direction;
-use gpusim::{graph_kernel, memcpy, GpuWorld as _};
+use devengine::{flip_units_in_place, merge_units, Direction};
+use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
 use memsim::Ptr;
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts, NicProgram};
+use simcore::par::CopyOp;
+use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Sim, SpanId, Track};
 use std::cell::RefCell;
@@ -154,18 +170,37 @@ struct Exec {
     /// Bytes whose last stage completed / whose slot ack came back.
     landed: u64,
     acked: u64,
+    /// The sequence number each end's conversion engine converts next.
+    /// The engines walk the packed stream strictly forward, and a
+    /// retried stage lets later fragments overtake an earlier one, so a
+    /// fragment that reaches a conversion stage ahead of its turn waits
+    /// in `parked` (with its stage index) until the engine gets there.
+    s_turn: u64,
+    r_turn: u64,
+    parked: Vec<(Frag, usize)>,
+    /// Unit buffers of landed fragments, for this transfer's later
+    /// fragments: a transfer cycles the same few lists, however long
+    /// they are. They return to [`simcore::scratch`] with the last
+    /// fragment.
+    spare: Vec<Vec<CopyOp>>,
 }
 
 type St = Rc<RefCell<Exec>>;
 
 /// One fragment on its way through the stages.
-#[derive(Clone, Copy)]
 struct Frag {
     seq: u64,
     slot: usize,
     n: u64,
     /// Covers the slot's whole residency: claim to credit return.
     span: SpanId,
+    /// What each end's conversion charge handed back: the fragment's
+    /// unit list the way that end would have moved it — the sender's
+    /// typed buffer → fragment, the receiver's fragment → typed buffer,
+    /// fragment offsets relative to the fragment's start. Empty until
+    /// that stage completes, and for a dense end.
+    s_units: Vec<CopyOp>,
+    r_units: Vec<CopyOp>,
 }
 
 impl Exec {
@@ -176,9 +211,20 @@ impl Exec {
         }
     }
 
+    fn units_buf(&mut self) -> Vec<CopyOp> {
+        self.spare.pop().unwrap_or_else(take_units_buf)
+    }
+
+    fn turn(&mut self, end: End) -> &mut u64 {
+        match end {
+            End::Send => &mut self.s_turn,
+            End::Recv => &mut self.r_turn,
+        }
+    }
+
     /// Where fragment `f` sits at `loc`; a miss is corrupted ring
     /// bookkeeping, surfaced as a typed failure.
-    fn resolve(&self, loc: Loc, f: Frag) -> Result<Ptr, MpiError> {
+    fn resolve(&self, loc: Loc, f: &Frag) -> Result<Ptr, MpiError> {
         match loc {
             Loc::User(end) => Ok(self.t.side(end).data_ptr().add(f.seq * self.t.plan.frag)),
             _ => (self.conn.slot(loc, f.slot)).ok_or_else(|| faulted("ring slot out of range")),
@@ -231,6 +277,10 @@ pub(crate) fn run(sim: &mut Sim<MpiWorld>, mut t: Transfer, conn: Conn) {
         next_seq: 0,
         landed: 0,
         acked: 0,
+        s_turn: 0,
+        r_turn: 0,
+        parked: Vec::new(),
+        spare: Vec::new(),
     }));
     match register {
         Some((rank, buf)) => ensure_registered(sim, rank, buf, move |sim| pump(sim, st)),
@@ -262,7 +312,15 @@ fn pump(sim: &mut Sim<MpiWorld>, st: St) {
         } else {
             SpanId::disabled()
         };
-        step(sim, Rc::clone(&st), Frag { seq, slot, n, span }, 0);
+        let f = Frag {
+            seq,
+            slot,
+            n,
+            span,
+            s_units: Vec::new(),
+            r_units: Vec::new(),
+        };
+        step(sim, Rc::clone(&st), f, 0);
     }
 }
 
@@ -280,51 +338,72 @@ fn step(sim: &mut Sim<MpiWorld>, st: St, f: Frag, idx: usize) {
     }
 }
 
-/// The `run` arm of every [`StageOp`]: issue the stage's one primitive
-/// with `step(idx + 1)` as its completion.
+/// The `run` arm of every [`StageOp`]: issue the stage's one charge with
+/// `step(idx + 1)` as its completion.
 fn run_op(
     sim: &mut Sim<MpiWorld>,
     st: &St,
-    f: Frag,
+    mut f: Frag,
     op: StageOp,
     idx: usize,
 ) -> Result<(), MpiError> {
     let rank_of = |end| st.borrow().t.side(end).rank;
     let (s_rank, r_rank) = (rank_of(End::Send), rank_of(End::Recv));
     let (a, b) = (s_rank as u32, r_rank as u32);
-    let at = |loc| st.borrow().resolve(loc, f);
+    let at = |loc, f: &Frag| st.borrow().resolve(loc, f);
     let stw = Rc::clone(st);
-    let next = move |sim: &mut Sim<MpiWorld>| step(sim, stw, f, idx + 1);
+    let next = move |sim: &mut Sim<MpiWorld>, f: Frag| step(sim, stw, f, idx + 1);
     match op {
         // Engines are sequential: one fragment at a time, in sequence
         // order, so the engine is lent out for the call only.
         StageOp::Kernel { end, frag, .. } | StageOp::CpuConvert { end, frag } => {
-            let frag = at(frag)?;
+            let frag = at(frag, &f)?;
+            let seq = f.seq;
+            if seq != *st.borrow_mut().turn(end) {
+                st.borrow_mut().parked.push((f, idx));
+                return Ok(());
+            }
             let mut engine = (st.borrow_mut().engine(end).take())
                 .ok_or_else(|| faulted("conversion engine already in use"))?;
-            engine.process_fragment(sim, frag, f.n, next);
-            *st.borrow_mut().engine(end) = Some(engine);
+            let buf = st.borrow_mut().units_buf();
+            engine.charge_fragment(sim, frag, f.n, buf, move |sim, units| {
+                match end {
+                    End::Send => f.s_units = units,
+                    End::Recv => f.r_units = units,
+                }
+                next(sim, f);
+            });
+            let due = {
+                let mut x = st.borrow_mut();
+                *x.engine(end) = Some(engine);
+                *x.turn(end) = seq + 1;
+                let next_up = (x.parked.iter()).position(|(p, i)| *i == idx && p.seq == seq + 1);
+                next_up.map(|pos| x.parked.swap_remove(pos))
+            };
+            if let Some((parked, idx)) = due {
+                step(sim, Rc::clone(st), parked, idx);
+            }
         }
         StageOp::Copy {
             stream_of,
             from,
             to,
         } => {
-            let (from, to) = (at(from)?, at(to)?);
+            let (from, to) = (at(from, &f)?, at(to, &f)?);
             let stream = sim.world.rank(rank_of(stream_of)).copy_stream;
-            memcpy(sim, stream, from, to, f.n, move |sim, _| next(sim));
+            charge_memcpy(sim, stream, from, to, f.n, move |sim, _| next(sim, f));
         }
         StageOp::Wire { from, to } => {
-            let (src, dst) = (at(from)?, at(to)?);
-            let (now, stw) = (sim.now(), Rc::clone(st));
+            // Both ends of the hop must exist, though the wire only
+            // charges: the bytes land with the fragment.
+            at(from, &f)?;
+            at(to, &f)?;
+            let (now, n) = (sim.now(), f.n);
             // The hop must go through the faultsim-consulting wrapper —
             // raw link charges are banned by the fault-coverage lint.
-            let arrive = wire_send(sim, s_rank, r_rank, f.n, move |sim| {
-                if let Err(e) = sim.world.mem().copy(src, dst, f.n) {
-                    return fail(sim, &stw, MpiError::Mem(e.to_string()));
-                }
-                sim.trace.count(names::MPIRT_WIRE_BYTES, a, b, f.n);
-                next(sim);
+            let arrive = wire_send(sim, s_rank, r_rank, n, move |sim| {
+                sim.trace.count(names::MPIRT_WIRE_BYTES, a, b, n);
+                next(sim, f);
             })
             .map_err(MpiError::Net)?;
             let track = Track::LinkData { from: a, to: b };
@@ -332,10 +411,13 @@ fn run_op(
                 .span_at(now, arrive, names::CAT_MPIRT, names::SPAN_WIRE, track);
         }
         StageOp::Notify { to } => {
-            send_am(sim, rank_of(to.other()), rank_of(to), 16, next).map_err(MpiError::Net)?;
+            send_am(sim, rank_of(to.other()), rank_of(to), 16, move |sim| {
+                next(sim, f)
+            })
+            .map_err(MpiError::Net)?;
         }
         StageOp::Direct => {
-            sim.schedule_now(next);
+            sim.schedule_now(move |sim| next(sim, f));
         }
         StageOp::NicProgram => {
             let (prog, s_buf, r_buf) = match &*st.borrow() {
@@ -347,7 +429,8 @@ fn run_op(
                 _ => return Err(faulted("NIC stage without a compiled program")),
             };
             let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-            execute_program(sim, s_rank, r_rank, s_buf, r_buf, &prog, &costs, next)
+            let done = move |sim: &mut Sim<MpiWorld>| next(sim, f);
+            execute_program(sim, s_rank, r_rank, s_buf, r_buf, &prog, &costs, done)
                 .map_err(MpiError::Net)?;
         }
         StageOp::GraphReplay => {
@@ -359,7 +442,7 @@ fn run_op(
                 } => (Rc::clone(c), (t.s.clone(), t.r.clone())),
                 _ => return Err(faulted("replay stage without a captured graph")),
             };
-            graph_replay(sim, cap, sides, Rc::clone(st), next);
+            graph_replay(sim, cap, sides, Rc::clone(st), move |sim| next(sim, f));
         }
     }
     Ok(())
@@ -398,17 +481,72 @@ fn graph_replay(
     });
 }
 
-/// A fragment's last stage completed: account it, return the slot's
-/// credit per the plan's policy, and complete the requests when
-/// everything has moved.
-fn landed(sim: &mut Sim<MpiWorld>, st: &St, f: Frag) -> Result<(), MpiError> {
+/// Move fragment `f`'s bytes, once, from the sender's buffer to the
+/// receiver's. An end that runs no conversion is dense and its window
+/// of the user buffer *is* the fragment, so a lone typed end's list
+/// applies as it stands; two typed ends meet through the merge of
+/// their lists over the fragment's packed window. The unit buffers go
+/// back to the transfer's spares either way.
+fn move_fragment(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<(), MpiError> {
+    let n = f.n as usize;
+    // Where `end`'s unit offsets are relative to — `None` for a dense
+    // end, which has no engine — and that end's window.
+    let bases = |end: End| {
+        let x = st.borrow();
+        let engine = match end {
+            End::Send => &x.s_engine,
+            End::Recv => &x.r_engine,
+        };
+        let typed = engine.as_ref().map(SideEngine::typed_base);
+        x.resolve(Loc::User(end), f).map(|window| (typed, window))
+    };
+    let ((s_typed, s_window), (r_typed, r_window)) = (bases(End::Send)?, bases(End::Recv)?);
+    let whole_window = [CopyOp {
+        src_off: 0,
+        dst_off: 0,
+        len: n,
+    }];
+    let mut merged = Vec::new();
+    let (src, dst, units) = match (s_typed, r_typed) {
+        (Some(src), Some(dst)) => {
+            merged = st.borrow_mut().units_buf();
+            // Back to pack orientation: typed side first on both lists.
+            flip_units_in_place(&mut f.r_units);
+            merge_units(&f.s_units, &f.r_units, n, &mut merged)?;
+            (src, dst, merged.as_slice())
+        }
+        (Some(src), None) => (src, r_window, f.s_units.as_slice()),
+        (None, Some(dst)) => (s_window, dst, f.r_units.as_slice()),
+        (None, None) => (s_window, r_window, whole_window.as_slice()),
+    };
+    let moved = sim.world.mem().transfer(src, dst, units);
+    let mut x = st.borrow_mut();
+    x.spare.push(std::mem::take(&mut f.s_units));
+    x.spare.push(std::mem::take(&mut f.r_units));
+    x.spare.push(merged);
+    x.spare.retain(|buf| buf.capacity() > 0);
+    moved.map_err(|e| MpiError::Mem(e.to_string()))
+}
+
+/// A fragment's last stage completed: move its bytes (unless a stage
+/// landed them itself), account it, return the slot's credit per the
+/// plan's policy, and complete the requests when everything has moved.
+fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError> {
+    let self_moving = (st.borrow().t.plan.stages.iter()).any(|op| op.moves_payload());
+    if !self_moving {
+        move_fragment(sim, st, &mut f)?;
+    }
     let (credit, (a, b), total, done) = {
         let mut x = st.borrow_mut();
         x.landed += f.n;
         if x.t.plan.credit != Credit::Ack {
             x.free_slots.push_back(f.slot);
         }
-        (x.t.plan.credit, x.t.ranks(), x.total, x.landed >= x.total)
+        let done = x.landed >= x.total;
+        if done {
+            x.spare.drain(..).for_each(recycle_units_buf);
+        }
+        (x.t.plan.credit, x.t.ranks(), x.total, done)
     };
     sim.trace.count(names::MPI_DELIVERED_BYTES, a, b, f.n);
     let rank_of = |end| st.borrow().t.side(end).rank;

@@ -19,6 +19,7 @@ use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
 use devengine::{Direction, FragmentEngine};
 use memsim::Ptr;
+use simcore::par::CopyOp;
 use simcore::Sim;
 
 /// One endpoint of a transfer.
@@ -58,18 +59,33 @@ pub(crate) enum SideEngine {
 }
 
 impl SideEngine {
-    /// Convert the next `n` packed bytes between the typed buffer and
-    /// the fragment at `frag`; `done` runs when the bytes have moved.
-    pub(crate) fn process_fragment(
+    /// Charge the conversion of the next `n` packed bytes between the
+    /// typed buffer and the fragment at `frag`. Nothing moves: `done`
+    /// runs at the charge's completion instant with the fragment's
+    /// unit list, built in the caller's `units`, the way the engine
+    /// priced it — typed side in `src_off` (relative to
+    /// [`Self::typed_base`]) for a pack, in `dst_off` for an unpack.
+    pub(crate) fn charge_fragment(
         &mut self,
         sim: &mut Sim<MpiWorld>,
         frag: Ptr,
         n: u64,
-        done: impl FnOnce(&mut Sim<MpiWorld>) + 'static,
+        units: Vec<CopyOp>,
+        done: impl FnOnce(&mut Sim<MpiWorld>, Vec<CopyOp>) + 'static,
     ) {
         match self {
-            SideEngine::Gpu(eng) => eng.process_fragment(sim, frag, n, |_| {}, |sim, _| done(sim)),
-            SideEngine::Cpu(eng) => eng.process_fragment(sim, frag, n, |sim, _| done(sim)),
+            SideEngine::Gpu(eng) => {
+                eng.charge_fragment(sim, frag, n, units, |_| {}, |sim, _, u| done(sim, u))
+            }
+            SideEngine::Cpu(eng) => eng.charge_fragment(sim, n, units, |sim, _, u| done(sim, u)),
+        }
+    }
+
+    /// The pointer the typed-side unit offsets are relative to.
+    pub(crate) fn typed_base(&self) -> Ptr {
+        match self {
+            SideEngine::Gpu(eng) => eng.typed_base(),
+            SideEngine::Cpu(eng) => eng.typed_base(),
         }
     }
 }

@@ -81,6 +81,16 @@ pub enum StageOp {
     GraphReplay,
 }
 
+impl StageOp {
+    /// Does the stage land the payload itself? The offload stages are
+    /// one hardware gather/scatter; every other stage only charges, and
+    /// the executor moves the fragment once when its last stage
+    /// completes.
+    pub fn moves_payload(&self) -> bool {
+        matches!(self, StageOp::NicProgram | StageOp::GraphReplay)
+    }
+}
+
 /// How a slot's credit returns and how the requests complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Credit {

@@ -52,6 +52,13 @@ impl From<netsim::NetError> for MpiError {
     }
 }
 
+/// A unit list that cannot be merged is corrupted engine bookkeeping.
+impl From<devengine::MergeError> for MpiError {
+    fn from(e: devengine::MergeError) -> Self {
+        MpiError::Faulted(e.to_string())
+    }
+}
+
 type Waker = Box<dyn FnOnce(&mut Sim<MpiWorld>, &Result<u64, MpiError>)>;
 
 struct RequestState {

@@ -25,7 +25,7 @@
 
 use crate::config::MpiConfig;
 use crate::world::{MpiWorld, RankSpec};
-use gpusim::GpuArch;
+use gpusim::{GpuArch, GpuWorld as _};
 use memsim::GpuId;
 use simcore::trace::names;
 use simcore::{Metrics, Sim, SpanId, Track};
@@ -263,18 +263,23 @@ impl Session {
     /// running). Counters are always populated; timing fields need the
     /// builder's `record()` or `trace()`.
     pub fn metrics(&mut self) -> Metrics {
-        self.sync_devcache_counters();
+        self.sync_counters();
         let mut m = Metrics::from_trace(&self.sim.trace);
         m.arch = Some(self.arch().name);
         m
     }
 
-    /// Reconcile each rank's `DevCache` hit/miss/evict tallies into the
-    /// trace counters. The engines bump `devengine.cache.*` as they go;
-    /// raising to the cache's own (authoritative, monotone) totals also
-    /// covers plans built outside a `FragmentEngine` without ever double
-    /// counting.
-    fn sync_devcache_counters(&mut self) {
+    /// Raise the counters whose authoritative totals live outside the
+    /// tracer. `memsim.bytes_moved` is the memory system's own tally of
+    /// bytes written. Each rank's `DevCache` hit/miss/evict tallies: the
+    /// engines bump `devengine.cache.*` as they go; raising to the
+    /// cache's own (monotone) totals also covers plans built outside a
+    /// `FragmentEngine` without ever double counting.
+    fn sync_counters(&mut self) {
+        let moved = self.sim.world.mem().bytes_moved();
+        self.sim
+            .trace
+            .count_to(names::MEMSIM_BYTES_MOVED, 0, 0, moved);
         for i in 0..self.sim.world.mpi.ranks.len() {
             let (hits, misses, evictions) = {
                 let c = self.sim.world.mpi.ranks[i].dev_cache.borrow();
@@ -303,7 +308,7 @@ impl Session {
     /// End the run span and hand back the raw tracer, for callers that
     /// merge several runs into one trace document (the bench runner).
     pub fn into_trace(mut self) -> simcore::Tracer {
-        self.sync_devcache_counters();
+        self.sync_counters();
         let now = self.sim.now();
         self.sim.trace.span_end(now, self.run_span);
         std::mem::take(&mut self.sim.trace)
@@ -312,7 +317,7 @@ impl Session {
     /// Close the run: end the session span, write the Chrome trace if a
     /// sink was configured, and return the run's metrics.
     pub fn finish(mut self) -> Metrics {
-        self.sync_devcache_counters();
+        self.sync_counters();
         let now = self.sim.now();
         self.sim.trace.span_end(now, self.run_span);
         let mut metrics = Metrics::from_trace(&self.sim.trace);
@@ -344,7 +349,6 @@ mod tests {
     use super::*;
     use crate::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
     use datatype::DataType;
-    use gpusim::GpuWorld as _;
     use memsim::MemSpace;
 
     fn contig(bytes: u64) -> DataType {

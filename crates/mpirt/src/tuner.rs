@@ -721,14 +721,16 @@ mod tests {
     }
 
     /// The priced plan is the executed plan. One multi-fragment
-    /// transfer per row of {SmIpc one GPU, SmIpc two GPUs (staged),
-    /// CopyInOut, ZeroCopy} × {dense, strided}² × legal placements, run
+    /// transfer per row of {SmIpc one GPU, SmIpc two GPUs staged and
+    /// unstaged, CopyInOut, ZeroCopy} × {dense, strided}² × legal
+    /// placements, run
     /// with the tracer on: the primitives the run actually issued — kernel
     /// launches, `cudaMemcpy`s, CPU convertor passes, wire sends, active
     /// messages — must equal, per fragment, the `StageOp`s of
     /// `plan_for(..)`, the tuner must have priced exactly that many
-    /// stages, and the received bytes must equal the CPU reference
-    /// `pack_all` → `unpack_all`.
+    /// stages, the received bytes must equal the CPU reference
+    /// `pack_all` → `unpack_all`, and `Memory` must have written each
+    /// delivered byte once.
     #[test]
     fn executed_primitives_match_the_planned_and_priced_stages() {
         use crate::protocol::run_transfer;
@@ -752,12 +754,20 @@ mod tests {
         enum Topo {
             Sm1Gpu,
             Sm2Gpu,
+            /// Two GPUs, unpacking straight out of the peer's ring.
+            Sm2GpuUnstaged,
             IbStaged,
             IbZeroCopy,
         }
         let mut rows = 0;
-        for topo in [Topo::Sm1Gpu, Topo::Sm2Gpu, Topo::IbStaged, Topo::IbZeroCopy] {
-            let sm = matches!(topo, Topo::Sm1Gpu | Topo::Sm2Gpu);
+        for topo in [
+            Topo::Sm1Gpu,
+            Topo::Sm2Gpu,
+            Topo::Sm2GpuUnstaged,
+            Topo::IbStaged,
+            Topo::IbZeroCopy,
+        ] {
+            let sm = !matches!(topo, Topo::IbStaged | Topo::IbZeroCopy);
             // sm runs device-to-device only; copy-in/out takes any mix.
             let placements: &[(bool, bool)] = if sm {
                 &[(true, true)]
@@ -772,6 +782,7 @@ mod tests {
                     let config = MpiConfig {
                         frag_size: FRAG,
                         zero_copy: matches!(topo, Topo::IbZeroCopy),
+                        recv_local_staging: !matches!(topo, Topo::Sm2GpuUnstaged),
                         nic_offload: false,
                         stream_trigger: false,
                         fault_plan: FaultPlan::empty(),
@@ -786,7 +797,7 @@ mod tests {
                     };
                     let mut sim = Sim::new(match topo {
                         Topo::Sm1Gpu => MpiWorld::two_ranks_one_gpu(config),
-                        Topo::Sm2Gpu => MpiWorld::two_ranks_two_gpus(config),
+                        Topo::Sm2Gpu | Topo::Sm2GpuUnstaged => MpiWorld::two_ranks_two_gpus(config),
                         Topo::IbStaged | Topo::IbZeroCopy => MpiWorld::two_ranks_ib(config),
                     });
                     let side = |sim: &mut Sim<MpiWorld>, rank: usize, is_dense, dev| {
@@ -833,6 +844,13 @@ mod tests {
                     assert_eq!(rreq.expect_bytes(), total, "{row}");
                     let got = sim.world.mem().read_vec(r.buf, r_len).unwrap();
                     assert!(got == expect, "{row}: bytes differ from the CPU reference");
+                    // Every stage was charged (asserted below); the
+                    // payload itself moved exactly once.
+                    assert_eq!(
+                        sim.world.mem().bytes_moved(),
+                        sim.trace.counter(names::MPI_DELIVERED_BYTES),
+                        "{row}: bytes moved per byte delivered"
+                    );
 
                     let planned = |pick: fn(&StageOp) -> bool| {
                         plan.stages.iter().filter(|op| pick(op)).count() as u64
@@ -898,7 +916,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rows, 2 * 4 + 2 * 16);
+        assert_eq!(rows, 3 * 4 + 2 * 16);
     }
 
     #[test]

@@ -117,6 +117,11 @@ fn nic_offload_is_byte_identical_to_gpu_pack() {
         );
         assert_eq!(nic_m.counter(Counter::OffloadNicBytes), ty.size());
         assert_eq!(nic_bytes, base_bytes, "seed {seed}: delivery differs");
+        // One gather/scatter, like the charged GPU-pack pipeline: every
+        // delivered byte is written once.
+        for m in [&base_m, &nic_m] {
+            assert_eq!(m.counter(Counter::MemsimBytesMoved), ty.size());
+        }
     }
 }
 
@@ -144,6 +149,12 @@ fn stream_trigger_is_byte_identical_and_captures_once() {
             "seed {seed}: the second iteration reuses the capture"
         );
         assert_eq!(st_bytes, base_bytes, "seed {seed}: delivery differs");
+        // The graph kernels still stream through the pinned bounce
+        // buffer: each delivered byte is written twice.
+        assert_eq!(
+            st_m.counter(Counter::MemsimBytesMoved),
+            2 * st_m.counter(Counter::MpiDeliveredBytes)
+        );
     }
 }
 

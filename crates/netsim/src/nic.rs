@@ -31,7 +31,7 @@ use crate::channel::NetError;
 use crate::wire::wire_send;
 use crate::world::NetWorld;
 use datatype::{DataType, TypeError};
-use devengine::DevCursor;
+use devengine::{merge_units, DevCursor};
 use gpusim::NodeTopology;
 use memsim::Ptr;
 use simcore::par::CopyOp;
@@ -99,8 +99,9 @@ impl NicProgram {
 /// Compile the DEV programs of both endpoints into one NIC descriptor
 /// program. Walks each datatype with the shared `DevCursor` machinery
 /// and merges the two packed-order unit lists into direct typed→typed
-/// moves — the packed intermediate exists only as a merge index, never
-/// as memory.
+/// moves ([`merge_units`], the merge the rendezvous executor runs per
+/// fragment) — the packed intermediate exists only as a merge index,
+/// never as memory.
 pub fn compile_program(
     send_ty: &DataType,
     send_count: u64,
@@ -118,29 +119,15 @@ pub fn compile_program(
     r_cur.next_units_into(u64::MAX, &mut r_units);
     let descriptors = (s_units.len() + r_units.len()) as u64;
 
-    // Merge the two pack-orientation lists (both ordered by packed
-    // offset, both covering [0, bytes)) into direct typed→typed moves.
+    // The receiver may post a longer type than the message; a shorter
+    // one cannot take it.
     let mut units = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut si, mut rj) = (0usize, 0usize);
-    while let (Some(s), Some(r)) = (s_units.get(i), r_units.get(j)) {
-        let take = (s.len - si).min(r.len - rj);
-        units.push(CopyOp {
-            src_off: s.src_off + si,
-            dst_off: r.src_off + rj,
-            len: take,
-        });
-        si += take;
-        rj += take;
-        if si == s.len {
-            i += 1;
-            si = 0;
+    merge_units(&s_units, &r_units, bytes as usize, &mut units).map_err(|_| {
+        TypeError::Truncated {
+            incoming: bytes,
+            capacity: r_cur.total_bytes(),
         }
-        if rj == r.len {
-            j += 1;
-            rj = 0;
-        }
-    }
+    })?;
     Ok(NicProgram {
         units,
         descriptors,
@@ -296,6 +283,40 @@ mod tests {
             );
             pos += seg.len as usize;
         }
+    }
+
+    #[test]
+    fn compiled_program_is_the_merge_of_the_two_walks() {
+        let dbl = datatype::DataType::double();
+        // 3 blocks of 16 bytes every 32 | blocks of 8, 24 and 16 bytes.
+        let s_ty = datatype::DataType::vector(3, 2, 4, &dbl).unwrap().commit();
+        let r_ty = datatype::DataType::indexed(&[1, 3, 2], &[0, 2, 8], &dbl)
+            .unwrap()
+            .commit();
+        let prog = compile_program(&s_ty, 1, &r_ty, 1).unwrap();
+        let op = |src_off, dst_off, len| CopyOp {
+            src_off,
+            dst_off,
+            len,
+        };
+        assert_eq!(
+            prog.units,
+            [op(0, 0, 8), op(8, 16, 8), op(32, 24, 16), op(64, 64, 16)]
+        );
+        assert_eq!((prog.bytes(), prog.descriptors()), (48, 6));
+        // A receive posted longer than the message: the same moves, and
+        // the handler still issues the whole receive program.
+        let long = compile_program(&s_ty, 1, &r_ty, 2).unwrap();
+        assert_eq!(long.units, prog.units);
+        assert!(long.descriptors() > prog.descriptors());
+        // A shorter one cannot take the message.
+        assert_eq!(
+            compile_program(&s_ty, 2, &r_ty, 1).unwrap_err(),
+            TypeError::Truncated {
+                incoming: 96,
+                capacity: 48
+            }
+        );
     }
 
     #[test]

@@ -106,6 +106,11 @@ pub mod names {
         const GPUSIM_MEMCPY_H2H_BYTES: GpusimMemcpyH2hBytes = "gpusim.memcpy.h2h.bytes";
         const GPUSIM_MEMCPY_P2P_BYTES: GpusimMemcpyP2pBytes = "gpusim.memcpy.p2p.bytes";
 
+        // ---- memory substrate ----
+        /// Bytes the simulator itself wrote (`Memory::copy` + `transfer`):
+        /// physical traffic, against `mpi.delivered.bytes` of payload.
+        const MEMSIM_BYTES_MOVED: MemsimBytesMoved = "memsim.bytes_moved";
+
         // ---- protocol layer ----
         /// Bytes landed in a matched receive buffer (the end-to-end total).
         const MPI_DELIVERED_BYTES: MpiDeliveredBytes = "mpi.delivered.bytes";
@@ -420,8 +425,8 @@ impl Tracer {
         });
     }
 
-    /// Bump a counter. Always on; call this from the event that
-    /// actually moves the bytes it counts.
+    /// Bump a counter. Always on; call this from the completion event
+    /// of the operation it counts.
     pub fn count(&mut self, counter: Counter, a: u32, b: u32, delta: u64) {
         *self.counters[counter as usize].entry((a, b)).or_insert(0) += delta;
     }

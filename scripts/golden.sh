@@ -1,14 +1,18 @@
 #!/bin/sh
-# Golden-CSV check: regenerate all 15 results/*.csv with the release
-# figure binaries and `cmp` each against the committed copy. Virtual
-# time is a pure function of the code, so any byte of difference is a
-# behaviour change that a PR must declare (regenerate and commit the
-# CSV) or fix.
+# Golden check: regenerate all 15 results/*.csv with the release figure
+# binaries and `cmp` each against the committed copy, then run the repo
+# benchmark's smoke pass and compare its five `exact:` lines (virtual
+# time, events, delivered bytes and failures per op) with
+# results/benchmark_exact_smoke.txt. Virtual time is a pure function of
+# the code, so any byte of difference is a behaviour change that a PR
+# must declare (regenerate and commit the file) or fix — a wall-clock
+# PR most of all: this is its "the model did not move".
 #
 #   scripts/golden.sh [BIN_DIR] [OUT_DIR]
 #
 # BIN_DIR defaults to target/release (build first:
 # `cargo build --release -p bench`); OUT_DIR to a fresh temp directory.
+# The benchmark is a package of its own and is built here.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -45,8 +49,19 @@ ablation_unit_size:ablation_unit_size
 latency_sweep:latency_sweep
 offload_frontier:offload_frontier:--arch k40,p100,v100,a100
 EOF
+
+stem=benchmark_exact_smoke
+cargo run --release --quiet --offline --manifest-path "$root/benchmark/Cargo.toml" -- --smoke \
+    | grep '^exact:' > "$out/$stem.txt" || true
+if cmp -s "$root/results/$stem.txt" "$out/$stem.txt"; then
+    echo "ok    $stem.txt"
+else
+    echo "DIFF  $stem.txt  (diff results/$stem.txt $out/$stem.txt)"
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
-    echo "golden: results/ differ from the regenerated CSVs in $out" >&2
+    echo "golden: results/ differ from the regenerated files in $out" >&2
     exit 1
 fi
-echo "golden: all 15 CSVs byte-identical"
+echo "golden: all 15 CSVs and the benchmark's exact: lines byte-identical"

@@ -1,0 +1,246 @@
+//! Charge per stage, move per fragment (DESIGN.md §17): ring-hazard and
+//! fault guard.
+//!
+//! The executor charges every stage of a rendezvous against the ring
+//! the connection allocated and moves each fragment once, typed source
+//! → typed destination, when its last stage completes. These tests pin
+//! what that must not change — the bytes, clean and under the
+//! `chaos_soak` fault plans, and fault-free the virtual completion time
+//! and every counter, on rings shallow enough that every slot is reused
+//! dozens of times — and what it must: no ring, staging or host slot is
+//! ever written, and `Memory` writes each delivered byte exactly once.
+
+use datatype::convertor::{pack_all, unpack_all};
+use datatype::testutil::{buffer_span, lower_triangular, pattern, transposed_triangular};
+use datatype::DataType;
+use devengine::{EngineConfig, OptimizerConfig};
+use faultsim::{counters, FaultKind, FaultPlan};
+use gpusim::GpuWorld as _;
+use memsim::{MemSpace, Ptr};
+use mpirt::{irecv, isend, wait_all, MpiConfig, RecvArgs, SendArgs, Session};
+use simcore::Counter;
+
+const FRAG: u64 = 4 << 10;
+
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    SmIpc,
+    CopyInOut,
+    ZeroCopy,
+}
+
+fn session(path: Path, depth: usize, plan: FaultPlan) -> Session {
+    let config = MpiConfig {
+        eager_limit: 2 << 10,
+        frag_size: FRAG,
+        pipeline_depth: depth,
+        zero_copy: matches!(path, Path::ZeroCopy),
+        nic_offload: false,
+        stream_trigger: false,
+        fault_plan: plan,
+        // A fixed shape: the tuner would trade fragments for depth.
+        engine: EngineConfig {
+            optimizer: OptimizerConfig {
+                autotune: false,
+                ..OptimizerConfig::enabled()
+            },
+            ..EngineConfig::default()
+        },
+        ..MpiConfig::default()
+    };
+    let b = Session::builder().config(config);
+    match path {
+        Path::SmIpc => b.two_ranks_two_gpus(),
+        Path::CopyInOut | Path::ZeroCopy => b.two_ranks_ib(),
+    }
+    .build()
+}
+
+/// `chaos_soak`'s plan shape: every charge point, transient, at `rate` %.
+fn chaos(rate: u64, seed: u64) -> FaultPlan {
+    FaultPlan::empty()
+        .with_seed(seed)
+        .with_rule(None, FaultKind::Transient, rate as f64 / 100.0)
+}
+
+/// A device buffer for one `ty` on `rank`'s GPU: (displacement-0
+/// pointer, allocation, length, base index).
+fn alloc_typed(sess: &mut Session, rank: usize, ty: &DataType) -> (Ptr, Ptr, usize, i64) {
+    let (base, len) = buffer_span(ty, 1);
+    let space = MemSpace::Device(sess.world.mpi.ranks[rank].gpu);
+    let alloc = sess.world.mem().alloc(space, len as u64).unwrap();
+    (alloc.add(base as u64), alloc, len, base)
+}
+
+/// Send `s_ty` from rank 0 into `r_ty` on rank 1 and check the receive
+/// buffer against the convertor oracle.
+fn transfer(sess: &mut Session, s_ty: &DataType, r_ty: &DataType) {
+    let (s_buf, s_alloc, s_len, s_base) = alloc_typed(sess, 0, s_ty);
+    let (r_buf, r_alloc, r_len, r_base) = alloc_typed(sess, 1, r_ty);
+    let sent = pattern(s_len);
+    sess.world.mem().write(s_alloc, &sent).unwrap();
+    let mut expect = vec![0u8; r_len];
+    unpack_all(
+        r_ty,
+        1,
+        &mut expect,
+        r_base,
+        &pack_all(s_ty, 1, &sent, s_base),
+    );
+    let s = isend(sess, SendArgs::new(0, 1, s_buf, s_ty, 1));
+    let r = irecv(sess, RecvArgs::new(1, 0, r_buf, r_ty, 1));
+    wait_all(sess, &[s, r]).expect("transfer failed");
+    let got = sess.world.mem().read_vec(r_alloc, r_len as u64).unwrap();
+    assert!(got == expect, "received bytes differ from the oracle");
+}
+
+/// Every slot of every ring the session's connections hold.
+fn ring_slots(sess: &Session) -> Vec<Ptr> {
+    let mpi = &sess.world.mpi;
+    let mut slots = Vec::new();
+    for c in mpi.sm_conns.values() {
+        let c = c.borrow();
+        slots.extend(c.ring.iter().chain(c.staging.iter().flatten()));
+    }
+    for c in mpi.ib_conns.values() {
+        let c = c.borrow();
+        slots.extend(
+            (c.send_host.iter())
+                .chain(&c.recv_host)
+                .chain(&c.send_dev)
+                .chain(&c.recv_dev),
+        );
+    }
+    slots
+}
+
+/// FNV-1a over the virtual clock and every counter dimension, in name
+/// order. `memsim.bytes_moved` is left out: it counts the simulator's
+/// own traffic, which is the one thing meant to differ from the parent.
+fn fingerprint(sess: &mut Session) -> (u64, u64) {
+    let now = sess.now().as_nanos();
+    let mut text = format!("{now}");
+    for (k, v) in sess.metrics().counters {
+        if k.counter != Counter::MemsimBytesMoved {
+            text.push_str(&format!(";{}[{},{}]={v}", k.counter, k.a, k.b));
+        }
+    }
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (now, digest)
+}
+
+/// (virtual completion ns, counter digest) of the fault-free cells
+/// below at the parent commit, where every stage still copied its
+/// fragment through the rings: path-major, then depth 2 / 4. The
+/// faulted cells have no parent to match: there a retried stage let
+/// later fragments overtake, the strictly-forward conversion engines
+/// converted the wrong windows, and all twelve delivered wrong bytes.
+const PARENT_CLEAN: [(u64, u64); 6] = [
+    (1437570, 9140669974722719842),
+    (989445, 17694973059724053294),
+    (2015940, 882312489581171398),
+    (1072531, 9737139821557014546),
+    (1448563, 7746749522214352765),
+    (1231388, 17184521853125953714),
+];
+
+#[test]
+fn rings_are_charged_never_written_and_the_model_does_not_move() {
+    let (s_ty, r_ty) = (lower_triangular(368), transposed_triangular(368));
+    let payload = s_ty.size();
+    assert!(payload.div_ceil(FRAG) >= 100, "not a ring-reuse workload");
+    let mut cells = PARENT_CLEAN.iter();
+    for path in [Path::SmIpc, Path::CopyInOut, Path::ZeroCopy] {
+        for depth in [2usize, 4] {
+            let clean = *cells.next().expect("one pin per (path, depth)");
+            for rate in [0u64, 5, 20] {
+                let note = format!("{path:?} depth {depth} faults {rate}%");
+                let plan = match rate {
+                    0 => FaultPlan::empty(),
+                    _ => chaos(rate, 1000 + 100 * depth as u64 + rate),
+                };
+                let mut sess = session(path, depth, plan);
+                transfer(&mut sess, &s_ty, &r_ty);
+
+                let got = fingerprint(&mut sess);
+                if rate == 0 {
+                    assert_eq!(got, clean, "{note}: virtual time or counters moved");
+                } else {
+                    assert!(got.0 > clean.0, "{note}: retries cost no virtual time");
+                }
+                let m = sess.metrics();
+                assert_eq!(m.counter(Counter::MpiDeliveredBytes), payload, "{note}");
+                assert_eq!(
+                    m.counter(Counter::MemsimBytesMoved),
+                    payload,
+                    "{note}: retries re-charge, they never re-move"
+                );
+                assert_eq!(m.counter(counters::FAULT_INJECTED) > 0, rate > 0, "{note}");
+
+                let slots = ring_slots(&sess);
+                assert!(slots.len() >= depth, "{note}: no ring was established");
+                for slot in slots {
+                    let bytes = sess.world.mem().read_vec(slot, FRAG).unwrap();
+                    assert!(bytes.iter().all(|&b| b == 0), "{note}: a slot was written");
+                }
+            }
+        }
+    }
+}
+
+/// A triangular matrix sent into its transpose inside the *same*
+/// allocation, between two ranks of one GPU (a rank cannot send to
+/// itself here; two ranks sharing a buffer is the modeled form of a
+/// self-send). The ring used to stand between the two regions; now
+/// `Memory::transfer` gathers before it scatters.
+#[test]
+fn self_send_inside_one_allocation_matches_the_oracle() {
+    let n = 160u64;
+    let (s_ty, r_ty) = (lower_triangular(n), transposed_triangular(n));
+    let matrix = n * n * 8;
+    let config = MpiConfig {
+        frag_size: 16 << 10,
+        ..MpiConfig::default()
+    };
+    assert!(s_ty.size() > config.eager_limit, "rendezvous-sized");
+    let mut sess = Session::builder()
+        .config(config)
+        .two_ranks_one_gpu()
+        .build();
+    let space = MemSpace::Device(sess.world.mpi.ranks[0].gpu);
+    let alloc = sess.world.mem().alloc(space, 2 * matrix).unwrap();
+    let before = pattern(2 * matrix as usize);
+    sess.world.mem().write(alloc, &before).unwrap();
+    let mut expect = before.clone();
+    unpack_all(
+        &r_ty,
+        1,
+        &mut expect,
+        matrix as i64,
+        &pack_all(&s_ty, 1, &before, 0),
+    );
+
+    let s = isend(&mut sess, SendArgs::new(0, 1, alloc, &s_ty, 1));
+    let r = irecv(&mut sess, RecvArgs::new(1, 0, alloc.add(matrix), &r_ty, 1));
+    wait_all(&mut sess, &[s, r]).expect("self-send failed");
+    let got = sess.world.mem().read_vec(alloc, 2 * matrix).unwrap();
+    assert!(got == expect, "bytes differ from the oracle");
+    assert_eq!(sess.world.mem().bytes_moved(), s_ty.size());
+}
+
+/// Eager keeps the moving primitives: one pack into the bounce buffer,
+/// one unpack out of it.
+#[test]
+fn eager_writes_each_delivered_byte_twice() {
+    let ty = DataType::vector(64, 2, 5, &DataType::double())
+        .unwrap()
+        .commit();
+    let mut sess = Session::builder().two_ranks_two_gpus().build();
+    assert!(ty.size() <= sess.world.mpi.config.eager_limit);
+    transfer(&mut sess, &ty, &ty);
+    let m = sess.metrics();
+    assert_eq!(m.counter(Counter::MpiDeliveredBytes), ty.size());
+    assert_eq!(m.counter(Counter::MemsimBytesMoved), 2 * ty.size());
+}
