@@ -1,30 +1,24 @@
-//! Scale soak: the sharded message-level engine pushed to the regime
-//! the full protocol stack can't reach — a 1024-rank alltoall is over a
-//! million point-to-point messages — with the fault plan live, swept
-//! across shard counts, and every parallel run checked bit-identical to
-//! the 1-shard reference before its timing is allowed into the
-//! artifact.
+//! Scale soak: the message-level engine pushed to the regime the full
+//! protocol stack can't reach — a 1024-rank alltoall is over a million
+//! point-to-point messages — with the fault plan live.
 //!
-//! Emits `BENCH_scale.json` at the repo root. All numeric values are
-//! floored integers so the artifact is diff-stable: wall-clock jitter
-//! moves the numbers, not the schema. The >1× speedup expectation is
-//! CI's to enforce on a multi-core runner; a single-core box records
-//! `cores: 1` and whatever honest (≤1×) ratios timesharing produces.
+//! Emits `BENCH_scale.json` at the repo root: the exact, reproducible
+//! facts of the run (`scale-soak/v2`), no wall-clock field. The file is
+//! the digest the repo benchmark's `soak_1k` workload is checked
+//! against; CI compares a fresh run to it field by field. Wall-clock
+//! cost of the soak is `soak_1k`'s to measure (BENCHMARK.json).
 //!
 //! Usage:
 //!   scale_soak [--smoke] [--ranks <n>] [--out <path>]
 //!
-//! `--smoke` shrinks the soak (64 ranks, two shard counts) for CI; the
-//! JSON keeps the same shape with `"mode": "smoke"`. `--ranks`
-//! overrides the rank count (the ≥1M-message floor is only asserted at
-//! the default full-mode size).
+//! `--smoke` shrinks the soak to 64 ranks for CI; the JSON keeps the
+//! same shape with `"mode": "smoke"`. `--ranks` overrides the rank
+//! count.
 
 use faultsim::{FaultKind, FaultOp, FaultPlan};
 use mpirt::scale::{self, ScaleConfig, ScaleOp};
 use netsim::Topology;
-use simcore::shard::MAX_SHARDS;
 use std::path::PathBuf;
-use std::time::Instant;
 
 struct Opts {
     smoke: bool,
@@ -61,26 +55,12 @@ fn parse_opts() -> Opts {
     Opts { smoke, ranks, out }
 }
 
-/// The report fields that must not move when the shard count does.
-fn fingerprint(r: &scale::ScaleReport) -> (u64, u64, u64, u64, u64) {
-    (r.executed, r.end_time.as_nanos(), r.msgs, r.bytes, r.digest)
-}
-
-struct Sweep {
-    shards: u32,
-    executed: u64,
-    wall_ms: u64,
-    events_per_sec: u64,
-}
-
 fn main() {
     let opts = parse_opts();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
 
     // One alltoall at n ranks is n·(n−1) data messages; 1024 ranks
     // clears the million-message bar in a single program step.
-    let default_ranks: u32 = if opts.smoke { 64 } else { 1024 };
-    let ranks = opts.ranks.unwrap_or(default_ranks);
+    let ranks = opts.ranks.unwrap_or(if opts.smoke { 64 } else { 1024 });
     let bytes: u64 = 1024;
     let mut cfg = ScaleConfig::new(ranks, vec![ScaleOp::Alltoall { bytes }]);
     cfg.topo = Topology::FatTree {
@@ -97,111 +77,24 @@ fn main() {
         );
     cfg.seed = 0xD15C0;
 
-    // Sweep shard counts in powers of two: always 1 and 2 (the identity
-    // check needs a parallel run even on one core), then up to the
-    // machine, the engine cap, and the rank count.
-    let max_shards = cores.clamp(2, MAX_SHARDS).min(ranks);
-    let mut shard_counts = vec![1u32];
-    let mut s = 2;
-    while s <= max_shards {
-        shard_counts.push(s);
-        s *= 2;
-    }
+    eprintln!("# {ranks}-rank alltoall...");
+    let report = scale::run(&cfg, false);
+    let pairs = ranks as u64 * (ranks as u64 - 1);
+    assert_eq!(report.msgs, pairs, "one data message per ordered pair");
 
-    let soak = Instant::now();
-    let mut sweeps: Vec<Sweep> = Vec::new();
-    let mut reference: Option<(u64, u64, u64, u64, u64)> = None;
-    let mut digest = 0u64;
-    let mut msgs = 0u64;
-    // Best-of-2 per shard count: on shared runners individual runs
-    // vary with the neighbours, and the faster one is the one that
-    // reflects the code. Both runs are identity-checked.
-    const REPS: u32 = 2;
-    for &shards in &shard_counts {
-        eprintln!("# {ranks}-rank alltoall on {shards} shard(s)...");
-        let mut best: Option<(f64, scale::ScaleReport)> = None;
-        for _ in 0..REPS {
-            let sim = scale::build(&cfg, shards);
-            let wall = Instant::now();
-            let run = sim.run();
-            let secs = wall.elapsed().as_secs_f64();
-            let report = scale::finish(&cfg, shards, run);
-            let fp = fingerprint(&report);
-            match reference {
-                None => {
-                    reference = Some(fp);
-                    digest = report.digest;
-                    msgs = report.msgs;
-                }
-                Some(want) => assert_eq!(
-                    fp, want,
-                    "{shards}-shard run diverged from the 1-shard reference"
-                ),
-            }
-            if best.as_ref().is_none_or(|(b, _)| secs < *b) {
-                best = Some((secs, report));
-            }
-        }
-        let (secs, report) = best.unwrap();
-        sweeps.push(Sweep {
-            shards,
-            executed: report.executed,
-            wall_ms: (secs * 1e3) as u64,
-            events_per_sec: (report.executed as f64 / secs) as u64,
-        });
-    }
-    let soak_wall_ms = (soak.elapsed().as_secs_f64() * 1e3) as u64;
-    let min_msgs: u64 = if ranks < default_ranks {
-        1
-    } else if opts.smoke {
-        1_000
-    } else {
-        1_000_000
-    };
-    assert!(
-        msgs >= min_msgs,
-        "soak must push ≥{min_msgs} messages, got {msgs}"
-    );
-
-    let base = sweeps[0].events_per_sec as f64;
-    let best = sweeps.iter().map(|s| s.events_per_sec).max().unwrap() as f64;
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"scale-soak/v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if opts.smoke { "smoke" } else { "full" }
-    ));
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!("  \"ranks\": {ranks},\n"));
-    out.push_str(&format!("  \"messages\": {msgs},\n"));
-    out.push_str(&format!("  \"digest\": \"{digest:#018x}\",\n"));
-    out.push_str("  \"identical_to_one_shard\": true,\n");
-    out.push_str(&format!("  \"soak_wall_ms\": {soak_wall_ms},\n"));
-    out.push_str(&format!(
-        "  \"best_speedup_millis\": {},\n",
-        (best / base * 1e3) as u64
-    ));
-    out.push_str("  \"shards\": {\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"events\": {}, \"wall_ms\": {}, \"events_per_sec\": {}}}{}\n",
-            s.shards,
-            s.executed,
-            s.wall_ms,
-            s.events_per_sec,
-            if i + 1 < sweeps.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
+    let mode = if opts.smoke { "smoke" } else { "full" };
+    let fields = [
+        ("schema", "\"scale-soak/v2\"".to_string()),
+        ("mode", format!("\"{mode}\"")),
+        ("ranks", ranks.to_string()),
+        ("messages", report.msgs.to_string()),
+        ("events", report.executed.to_string()),
+        ("end_time_ns", report.end_time.as_nanos().to_string()),
+        ("digest", format!("\"{:#018x}\"", report.digest)),
+    ]
+    .map(|(k, v)| format!("  \"{k}\": {v}"));
+    let out = format!("{{\n{}\n}}\n", fields.join(",\n"));
     std::fs::write(&opts.out, &out).unwrap_or_else(|e| panic!("write {}: {e}", opts.out.display()));
-
-    for s in &sweeps {
-        println!(
-            "shards={:<2} events={:<9} wall_ms={:<6} events_per_sec={}",
-            s.shards, s.executed, s.wall_ms, s.events_per_sec
-        );
-    }
+    print!("{out}");
     println!("wrote {}", opts.out.display());
 }

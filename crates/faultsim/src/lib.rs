@@ -415,13 +415,13 @@ impl FaultSim {
         }
     }
 
-    /// A per-rank engine for the sharded scale model: same plan, but
-    /// rolled from the deterministic stream `(plan.seed, rank)`
+    /// A per-rank engine for the message-level scale model: same plan,
+    /// but rolled from the deterministic stream `(plan.seed, rank)`
     /// ([`SimRng::for_stream`]). Each rank consumes only its own
-    /// stream, so a plan injects identically however ranks are
-    /// partitioned into shards or interleaved by worker threads —
-    /// unlike the single global engine, whose draw order depends on the
-    /// global charge-point order.
+    /// stream, so what a plan injects into one rank does not depend on
+    /// how that rank's sends interleave with other ranks' — unlike the
+    /// single global engine, whose draw order depends on the global
+    /// charge-point order.
     pub fn for_rank(plan: &FaultPlan, rank: u32) -> Self {
         let active = !plan.rules.is_empty();
         Self {

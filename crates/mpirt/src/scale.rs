@@ -5,15 +5,14 @@
 //! state that can only ever run single-threaded. This module trades
 //! that fidelity for scale: each rank is a small state machine over
 //! *whole messages*, costed by [`netsim::Topology`] latency/bandwidth
-//! plus a per-rank NIC serialization point — exactly the granularity
-//! the sharded engine ([`simcore::shard`]) can partition across
-//! worker threads under conservative lookahead.
+//! plus a per-rank NIC serialization point, run on the serial
+//! message loop in [`simcore::msgsim`].
 //!
 //! Determinism is the design center, not an afterthought:
 //!
 //! * all randomness comes from per-rank streams
-//!   ([`SimRng::for_stream`]), so draw order cannot depend on shard
-//!   count or worker interleaving;
+//!   ([`SimRng::for_stream`]), so one rank's draws never depend on how
+//!   other ranks' deliveries interleave with its own;
 //! * fault injection uses a per-rank [`FaultSim`]
 //!   ([`FaultSim::for_rank`]) rolled at send time, charged as launch
 //!   delay and retransmit penalties;
@@ -22,10 +21,9 @@
 //!   rank reaches their program step are buffered in a `BTreeMap` and
 //!   replayed in key order.
 //!
-//! The result: an N-shard run is *bit-identical* — timestamps,
-//! counters, trace — to the 1-shard run (property-tested in
-//! `tests/shard_equivalence.rs`), so parallelism is purely a
-//! wall-clock optimization.
+//! The result: a run is a pure function of its [`ScaleConfig`] —
+//! timestamps, counters and Chrome trace are pinned per configuration
+//! in `tests/scale_pinned.rs`.
 //!
 //! Collective algorithms mirror the classic Open MPI/MPICH defaults at
 //! message granularity: binomial-tree broadcast, ring allgather,
@@ -34,16 +32,15 @@
 
 use faultsim::{FaultDecision, FaultOp, FaultPlan, FaultSim};
 use netsim::Topology;
+use simcore::msgsim::{Envelope, MsgCtx, MsgModel, MsgRun, MsgSim};
 use simcore::rng::SimRng;
-use simcore::shard::{Envelope, Partition, ShardCtx, ShardModel, ShardedSim};
 use simcore::time::SimTime;
 use simcore::trace::names;
 use simcore::{Tracer, Track};
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Per-send CPU/doorbell overhead, ns. Strictly positive so every send
-/// lands in the future (the sharded engine's ordering requirement).
+/// lands in the future (the engine's ordering requirement).
 const SEND_OVERHEAD_NS: u64 = 50;
 /// Wire size of control messages (acks, get requests).
 const CTRL_BYTES: u64 = 16;
@@ -110,8 +107,8 @@ fn ceil_log2(n: u32) -> u32 {
     }
 }
 
-/// A seeded random mix of all op kinds — the workload generator the
-/// equivalence property and the soak bench share. The program is a
+/// A seeded random mix of all op kinds — the workload generator behind
+/// the pinned-fingerprint table (`tests/scale_pinned.rs`). The program is a
 /// *global* input (every rank runs the same list), so it draws from its
 /// own dedicated stream, not any rank's.
 pub fn random_program(seed: u64, ranks: u32, len: usize) -> Vec<ScaleOp> {
@@ -214,30 +211,28 @@ struct RankSt {
     completions: Vec<u64>,
 }
 
-/// Immutable job shape shared by every rank of a shard.
+/// Immutable job shape shared by every rank.
 struct Shape {
     ranks: u32,
     topo: Topology,
     program: Vec<ScaleOp>,
 }
 
-/// One shard's block of rank state machines.
+/// The job's rank state machines, indexed by rank.
 pub struct ScaleModel {
     shape: Shape,
-    base: u32,
     states: Vec<RankSt>,
 }
 
 impl ScaleModel {
-    fn new(cfg: &ScaleConfig, block: Range<u32>) -> ScaleModel {
+    fn new(cfg: &ScaleConfig) -> ScaleModel {
         ScaleModel {
             shape: Shape {
                 ranks: cfg.ranks,
                 topo: cfg.topo,
                 program: cfg.program.clone(),
             },
-            base: block.start,
-            states: block
+            states: (0..cfg.ranks)
                 .map(|r| RankSt {
                     rank: r,
                     step: 0,
@@ -261,7 +256,7 @@ impl ScaleModel {
 fn send_msg(
     shape: &Shape,
     st: &mut RankSt,
-    ctx: &mut ShardCtx<'_, ScaleMsg>,
+    ctx: &mut MsgCtx<'_, ScaleMsg>,
     dst: u32,
     kind: MsgKind,
     bytes: u64,
@@ -321,7 +316,7 @@ fn send_msg(
 
 /// Binomial-tree children of `rank` for a bcast rooted at `root`:
 /// descending sub-tree masks, MPICH order.
-fn bcast_children(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>) {
+fn bcast_children(shape: &Shape, st: &mut RankSt, ctx: &mut MsgCtx<'_, ScaleMsg>) {
     let (root, bytes) = match shape.program[st.step as usize] {
         ScaleOp::Bcast { root, bytes } => (root, bytes),
         other => unreachable!("bcast_children in {other:?}"),
@@ -349,7 +344,7 @@ fn bcast_children(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMs
 
 /// Entering round `st.round` of the current op: emit its sends and set
 /// how many receives finish it.
-fn start_round(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>) {
+fn start_round(shape: &Shape, st: &mut RankSt, ctx: &mut MsgCtx<'_, ScaleMsg>) {
     let n = shape.ranks;
     let r = st.rank;
     match shape.program[st.step as usize] {
@@ -390,13 +385,7 @@ fn start_round(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>)
 }
 
 /// Consume one message belonging to the current `(step, round)`.
-fn on_msg(
-    shape: &Shape,
-    st: &mut RankSt,
-    ctx: &mut ShardCtx<'_, ScaleMsg>,
-    src: u32,
-    kind: MsgKind,
-) {
+fn on_msg(shape: &Shape, st: &mut RankSt, ctx: &mut MsgCtx<'_, ScaleMsg>, src: u32, kind: MsgKind) {
     debug_assert!(st.pending > 0, "unexpected message in a settled round");
     st.pending -= 1;
     match shape.program[st.step as usize] {
@@ -420,7 +409,7 @@ fn on_msg(
 /// Drive the rank forward: replay buffered arrivals for the current
 /// round, close finished rounds, start the next, complete steps — until
 /// it blocks on the network or finishes the program.
-fn advance(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>) {
+fn advance(shape: &Shape, st: &mut RankSt, ctx: &mut MsgCtx<'_, ScaleMsg>) {
     loop {
         if st.step as usize == shape.program.len() {
             debug_assert!(st.buffered.is_empty(), "done rank holds buffered messages");
@@ -461,12 +450,12 @@ fn advance(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>) {
     }
 }
 
-impl ShardModel for ScaleModel {
+impl MsgModel for ScaleModel {
     type Msg = ScaleMsg;
 
-    fn deliver(&mut self, ctx: &mut ShardCtx<'_, ScaleMsg>, env: Envelope<ScaleMsg>) {
+    fn deliver(&mut self, ctx: &mut MsgCtx<'_, ScaleMsg>, env: Envelope<ScaleMsg>) {
         let shape = &self.shape;
-        let st = &mut self.states[(env.dst - self.base) as usize];
+        let st = &mut self.states[env.dst as usize];
         match env.msg.kind {
             MsgKind::Kick => {
                 debug_assert!(st.step == 0 && st.round == 0 && st.pending == 0);
@@ -506,11 +495,9 @@ impl ShardModel for ScaleModel {
 // ---------------------------------------------------------------------
 
 /// Everything a completed scale run reports. All fields are pure
-/// functions of the config — independent of shard count and thread
-/// interleaving.
+/// functions of the config.
 pub struct ScaleReport {
     pub ranks: u32,
-    pub shards: u32,
     /// Total model deliveries (kicks included).
     pub executed: u64,
     /// Latest virtual delivery time.
@@ -522,64 +509,53 @@ pub struct ScaleReport {
     /// FNV-1a over every rank's per-step completion times: the
     /// bit-identity fingerprint.
     pub digest: u64,
-    /// Deterministically merged trace (counters always; spans/instants
-    /// when recording was on).
+    /// Counters always; spans/instants when recording was on.
     pub trace: Tracer,
 }
 
-/// Build the sharded engine for `cfg` without running it (the soak
-/// bench wants to time `run` alone).
-pub fn build(cfg: &ScaleConfig, shards: u32) -> ShardedSim<ScaleModel> {
-    let part = Partition::new(cfg.ranks, shards);
-    let models = (0..shards)
-        .map(|s| ScaleModel::new(cfg, part.range(s)))
-        .collect();
-    let topo = cfg.topo;
-    let ranks = cfg.ranks;
-    let mut sim = ShardedSim::new(part, models, move |a, b| topo.latency(ranks, a, b));
+/// Build the engine for `cfg` without running it (the benchmark times
+/// `run` alone).
+// `_shards` is ignored: only frozen `benchmark/` passes it; goes with its `simcore.shard.*` probes.
+pub fn build(cfg: &ScaleConfig, _shards: u32) -> MsgSim<ScaleModel> {
+    assert!(cfg.ranks > 0, "a scale job needs at least one rank");
+    let mut sim = MsgSim::new(ScaleModel::new(cfg), cfg.ranks);
     for r in 0..cfg.ranks {
         sim.inject(r, r, SimTime::from_nanos(1), KICK);
     }
     sim
 }
 
-/// Run `cfg` on `shards` shards.
-pub fn run(cfg: &ScaleConfig, shards: u32, record: bool) -> ScaleReport {
-    let mut sim = build(cfg, shards);
+/// Run `cfg` to completion.
+pub fn run(cfg: &ScaleConfig, record: bool) -> ScaleReport {
+    let mut sim = build(cfg, 1);
     sim.set_recording(record);
-    finish(cfg, shards, sim.run())
+    finish(cfg, 1, sim.run())
 }
 
 /// Fold a finished engine run into a [`ScaleReport`].
-pub fn finish(
-    cfg: &ScaleConfig,
-    shards: u32,
-    run: simcore::shard::ShardRun<ScaleModel>,
-) -> ScaleReport {
+// `_shards` is ignored: as in `build`, and it goes at the same time.
+pub fn finish(cfg: &ScaleConfig, _shards: u32, run: MsgRun<ScaleModel>) -> ScaleReport {
     let mut digest: u64 = 0xcbf29ce484222325;
     let mut fnv = |x: u64| {
         digest ^= x;
         digest = digest.wrapping_mul(0x100000001b3);
     };
-    for model in &run.models {
-        for st in &model.states {
-            debug_assert_eq!(
-                st.completions.len(),
-                cfg.program.len(),
-                "rank {} finished {} of {} steps",
-                st.rank,
-                st.completions.len(),
-                cfg.program.len()
-            );
-            fnv(st.rank as u64);
-            for &c in &st.completions {
-                fnv(c);
-            }
+    for st in &run.model.states {
+        debug_assert_eq!(
+            st.completions.len(),
+            cfg.program.len(),
+            "rank {} finished {} of {} steps",
+            st.rank,
+            st.completions.len(),
+            cfg.program.len()
+        );
+        fnv(st.rank as u64);
+        for &c in &st.completions {
+            fnv(c);
         }
     }
     ScaleReport {
         ranks: cfg.ranks,
-        shards,
         executed: run.executed,
         end_time: run.end_time,
         msgs: run.trace.counter(names::SCALE_MSGS),
@@ -594,10 +570,6 @@ mod tests {
     use super::*;
     use faultsim::FaultKind;
 
-    fn report_key(r: &ScaleReport) -> (u64, u64, u64, u64, u64) {
-        (r.executed, r.end_time.as_nanos(), r.msgs, r.bytes, r.digest)
-    }
-
     #[test]
     fn bcast_sends_one_data_message_per_non_root() {
         let cfg = ScaleConfig::new(
@@ -607,7 +579,7 @@ mod tests {
                 bytes: 4096,
             }],
         );
-        let r = run(&cfg, 1, false);
+        let r = run(&cfg, false);
         assert_eq!(r.msgs, 7);
         assert_eq!(r.bytes, 7 * 4096);
         assert_eq!(r.executed, 8 + 7, "kicks + data");
@@ -617,7 +589,7 @@ mod tests {
     fn alltoall_is_pairwise_rotation() {
         let n = 6u64;
         let cfg = ScaleConfig::new(n as u32, vec![ScaleOp::Alltoall { bytes: 256 }]);
-        let r = run(&cfg, 1, false);
+        let r = run(&cfg, false);
         assert_eq!(r.msgs, n * (n - 1));
         assert_eq!(r.bytes, n * (n - 1) * 256);
     }
@@ -632,7 +604,7 @@ mod tests {
                 ScaleOp::GetRing { bytes: 1024 },
             ],
         );
-        let r = run(&cfg, 1, false);
+        let r = run(&cfg, false);
         // Barrier: 5·⌈log₂5⌉ ctrl msgs; put: 5 data + 5 acks; get: 5
         // reqs + 5 data.
         assert_eq!(r.msgs, 5 * 3 + 10 + 10);
@@ -648,37 +620,17 @@ mod tests {
             1,
             vec![ScaleOp::Bcast { root: 0, bytes: 64 }, ScaleOp::Barrier],
         );
-        let r = run(&cfg, 1, false);
+        let r = run(&cfg, false);
         assert_eq!(r.msgs, 0);
         assert_eq!(r.executed, 1, "just the kick");
     }
 
     #[test]
-    fn sharded_run_matches_single_shard_with_faults_on() {
-        let mut cfg = ScaleConfig::new(8, random_program(11, 8, 5));
-        cfg.fault_plan = FaultPlan::default()
-            .with_seed(99)
-            .with_rule(None, FaultKind::Transient, 0.05)
-            .with_rule(
-                Some(FaultOp::WireCopy),
-                FaultKind::Degrade { factor: 2.0 },
-                1.0,
-            );
-        cfg.seed = 4;
-        let reference = run(&cfg, 1, true);
-        for shards in [2, 4, 8] {
-            let r = run(&cfg, shards, true);
-            assert_eq!(
-                report_key(&r),
-                report_key(&reference),
-                "{shards}-shard run diverged"
-            );
-            assert_eq!(
-                r.trace.chrome_json("scale"),
-                reference.trace.chrome_json("scale"),
-                "{shards}-shard trace diverged"
-            );
-        }
+    #[should_panic(expected = "at least one rank")]
+    fn zero_rank_job_is_rejected() {
+        let mut cfg = ScaleConfig::new(1, vec![ScaleOp::Barrier]);
+        cfg.ranks = 0;
+        build(&cfg, 1);
     }
 
     #[test]
@@ -690,8 +642,8 @@ mod tests {
             FaultKind::Transient,
             0.5,
         );
-        let a = run(&clean, 1, false);
-        let b = run(&faulty, 1, false);
+        let a = run(&clean, false);
+        let b = run(&faulty, false);
         assert_eq!(
             a.msgs, b.msgs,
             "retransmits are charged as delay, not copies"

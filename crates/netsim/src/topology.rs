@@ -21,8 +21,7 @@
 //! Latency composes as the base [`ChannelKind`] latency plus
 //! [`HOP_NS`] per switch hop past the first; bandwidth stays the
 //! channel's. Same-node pairs are [`ChannelKind::SharedMemory`]
-//! regardless of topology. The minimum cross-pair latency doubles as
-//! the conservative-lookahead horizon for the sharded engine.
+//! regardless of topology.
 
 use crate::channel::ChannelKind;
 use simcore::rate::Bandwidth;

@@ -1,13 +1,13 @@
 //! Generic calendar queue: the future-event structure shared by the
-//! single-threaded driver ([`crate::event::Sim`]) and the sharded
-//! parallel engine ([`crate::shard`]).
+//! closure driver ([`crate::event::Sim`]) and the message-level loop
+//! ([`crate::msgsim`]).
 //!
 //! Entries are ordered by `(at, key)` where `key` is a caller-chosen
 //! `u64` tiebreaker: the driver uses a globally monotonic sequence
-//! number (insertion order), the shard engine packs `(src_rank << 32) |
-//! send_seq` so cross-shard message order is independent of the
-//! rank→shard partition. Three structures share the order (DESIGN.md
-//! §13):
+//! number (insertion order), the message loop packs `(src_rank << 32) |
+//! send_seq` so same-instant delivery order is a function of the
+//! model's sends, not of insertion order. Three structures share the
+//! order (DESIGN.md §13):
 //!
 //! * the **calendar ring** — entries bucketed by virtual-time epoch
 //!   (`at >> shift`). A ring of [`RING`] buckets covers one *lap* of
@@ -44,7 +44,7 @@ impl<P: Copy> CalEntry<P> {
 }
 
 /// Future events: calendar ring + sorted active run + overflow rung.
-/// `P` is a small `Copy` payload (an arena slot index, a mailbox slab
+/// `P` is a small `Copy` payload (an arena slot index, an envelope slab
 /// index); anything bigger belongs behind an index.
 pub struct CalendarQueue<P: Copy> {
     shift: u32,
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn non_monotonic_keys_still_sort_within_instant() {
-        // The shard engine's keys are (src_rank, seq): not globally
+        // The message loop's keys are (src_rank, seq): not globally
         // monotonic across inserts. Entries at one instant must still
         // pop in key order regardless of insertion order.
         let mut q = CalendarQueue::new();

@@ -16,7 +16,7 @@
 //!   this way; a `VecDeque` push/pop is far cheaper than any priority
 //!   structure, and the lane always drains before time can advance;
 //! * the **calendar queue** ([`crate::calq::CalendarQueue`], shared
-//!   with the sharded engine) — future events bucketed by virtual-time
+//!   with the message loop in [`crate::msgsim`]) — future events bucketed by virtual-time
 //!   epoch with a sorted active run and an adaptive overflow rung; the
 //!   driver's tiebreak key is a globally monotonic sequence number, so
 //!   ties in firing time break by insertion order.

@@ -17,12 +17,12 @@
 pub mod calq;
 pub mod event;
 pub mod hash;
+pub mod msgsim;
 pub mod par;
 pub mod rate;
 pub mod resource;
 pub mod rng;
 pub mod scratch;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;

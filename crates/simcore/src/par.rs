@@ -809,8 +809,11 @@ mod tests {
     }
 }
 
-/// Loom model of the [`run_sharded`] handoff protocol (nightly `loom`
-/// CI job; see `shard.rs` for the invocation). The worker pool itself
+/// Loom model of the [`run_sharded`] handoff protocol. Run by the
+/// nightly `loom` CI job only, which appends the target-gated loom
+/// dependency at job time (loom never appears in the local manifest, by
+/// the no-new-deps policy): `RUSTFLAGS="--cfg loom" cargo test -p
+/// simcore --release loom_`. The worker pool itself
 /// cannot run under loom — it parks on real channels and lives for the
 /// process — so this models the exact protocol shape instead: workers
 /// write disjoint destination ranges through a shared raw pointer, then

@@ -100,13 +100,12 @@ impl SimRng {
     }
 
     /// Create an independent per-stream generator from a base seed and a
-    /// stream id (a rank, a shard, a plan). The derivation mixes the id
-    /// through SplitMix64's finalizer before reseeding, so streams for
-    /// adjacent ids share no low-bit structure, and — crucially for the
-    /// sharded engine — the stream for `(seed, rank)` is a pure function
-    /// of those two values: the draw sequence a rank sees is identical
-    /// however ranks are partitioned into shards or interleaved by the
-    /// worker pool.
+    /// stream id (a rank, a plan). The derivation mixes the id through
+    /// SplitMix64's finalizer before reseeding, so streams for adjacent
+    /// ids share no low-bit structure, and the stream for `(seed, rank)`
+    /// is a pure function of those two values: the draw sequence a rank
+    /// sees is identical however its draws interleave with other
+    /// ranks'.
     pub fn for_stream(seed: u64, stream: u64) -> SimRng {
         let mut z = seed ^ stream.wrapping_mul(0x9E3779B97F4A7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

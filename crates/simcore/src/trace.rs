@@ -146,7 +146,7 @@ pub mod names {
         /// Retries provoked by transient faults (all layers).
         const RETRY_ATTEMPTS: RetryAttempts = "retry.attempts";
 
-        // ---- sharded scale model ----
+        // ---- message-level scale model ----
         /// Bytes delivered by the message-level scale model.
         const SCALE_DELIVERED_BYTES: ScaleDeliveredBytes = "scale.delivered.bytes";
         /// Messages delivered by the message-level scale model.
@@ -197,7 +197,7 @@ pub mod names {
     pub const SPAN_STREAM_CAPTURE: &str = "stream-capture";
     pub const SPAN_STREAM_REPLAY: &str = "stream-replay";
 
-    // ---- span / instant names: sharded scale model ----
+    // ---- span / instant names: message-level scale model ----
     pub const SPAN_SCALE_OP: &str = "scale-op";
 }
 
@@ -549,40 +549,18 @@ impl Tracer {
         format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
     }
 
-    /// Fold another tracer into this one: events append, counters sum.
-    /// All of `other`'s spans must be closed.
-    pub fn absorb(&mut self, other: Tracer) {
-        assert_eq!(other.open_spans(), 0, "absorbing a tracer with open spans");
-        self.recording |= other.recording;
-        self.events.extend(other.events);
-        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
-            for (&dim, &v) in theirs {
-                *mine.entry(dim).or_insert(0) += v;
-            }
-        }
-    }
-
-    /// Deterministically merge per-shard tracers into one trace whose
-    /// event order is independent of shard count and worker
-    /// interleaving: events are re-sorted by the content key
-    /// `(time, track, category, name)` and counters sum per key (shards
-    /// count on disjoint dimensions, so summing loses nothing). A
-    /// 1-shard run passed through this function yields byte-identical
-    /// `chrome_json` output to an N-shard run of the same model.
-    pub fn merge_shards(parts: Vec<Tracer>) -> Tracer {
-        let mut out = Tracer::new();
-        for t in parts {
-            out.absorb(t);
-        }
-        out.events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        out
+    /// Re-order recorded events by content — `(time, span before
+    /// instant, track, category, name)` — instead of recording order.
+    /// The message-level engine ([`crate::msgsim`]) ends every run with
+    /// this, so a scale Chrome trace lists same-instant events by track
+    /// rather than by which sender's message completed them.
+    pub fn sort_by_content(&mut self) {
+        self.events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
     }
 }
 
 impl TraceEvent {
-    /// Content-based total-order key for the deterministic shard merge.
-    /// Spans sort before instants at the same `(time, track)` so the
-    /// order does not depend on which shard recorded what.
+    /// Content-based order key for [`Tracer::sort_by_content`].
     fn sort_key(&self) -> (u64, u8, Track, &'static str, &'static str, u64) {
         match *self {
             TraceEvent::Span {
@@ -857,9 +835,13 @@ mod tests {
     /// string-keyed sorted map it replaced.
     type RefMap = BTreeMap<(String, u32, u32), u64>;
 
-    /// One random `count` / `count_to` on `t` and on the reference. The
-    /// caller picks `a`, so shards can stay on disjoint dimensions.
-    fn random_bump(rng: &mut SimRng, a: u32, t: &mut Tracer, r: &mut RefMap) {
+    /// One random `count` / `count_to` on `t` and on the reference.
+    fn random_bump(rng: &mut SimRng, t: &mut Tracer, r: &mut RefMap) {
+        let a = if rng.chance(0.1) {
+            u32::MAX - rng.range_u64(0, 3) as u32
+        } else {
+            rng.range_u64(0, 300) as u32
+        };
         let c = *rng.choose(&Counter::ALL);
         let b = *rng.choose(&[0, 0, 1, 7, u32::MAX]);
         let e = r.entry((c.name().to_string(), a, b)).or_insert(0);
@@ -878,14 +860,6 @@ mod tests {
             let delta = rng.range_u64(0, 50);
             t.count(c, a, b, delta);
             *e += delta;
-        }
-    }
-
-    fn random_dim(rng: &mut SimRng) -> u32 {
-        if rng.chance(0.1) {
-            u32::MAX - rng.range_u64(0, 3) as u32
-        } else {
-            rng.range_u64(0, 300) as u32
         }
     }
 
@@ -921,47 +895,11 @@ mod tests {
             assert!(t.counters().is_empty());
             for step in 0..4_000 {
                 if step % 500 == 499 {
-                    // Fold in a tracer that overlaps this one's keys.
-                    let mut other = Tracer::new();
-                    let mut other_ref = RefMap::new();
-                    for _ in 0..rng.range(0, 200) {
-                        let a = random_dim(&mut rng);
-                        random_bump(&mut rng, a, &mut other, &mut other_ref);
-                    }
-                    t.absorb(other);
-                    for (k, v) in other_ref {
-                        *r.entry(k).or_insert(0) += v;
-                    }
                     assert_matches(&t, &r);
                 }
-                let a = random_dim(&mut rng);
-                random_bump(&mut rng, a, &mut t, &mut r);
+                random_bump(&mut rng, &mut t, &mut r);
             }
             assert_matches(&t, &r);
-        }
-    }
-
-    #[test]
-    fn n_shard_counter_merge_equals_one_shard() {
-        for shards in [2usize, 3, 8] {
-            let mut rng = SimRng::new(0x5EED + shards as u64);
-            let mut single = Tracer::new();
-            let mut parts: Vec<Tracer> = (0..shards).map(|_| Tracer::new()).collect();
-            let mut r = RefMap::new();
-            let mut scratch = RefMap::new();
-            for _ in 0..5_000 {
-                // Shards count on disjoint dimensions: `a` picks the shard.
-                let a = random_dim(&mut rng);
-                let mut fork = rng.clone();
-                random_bump(&mut rng, a, &mut single, &mut r);
-                random_bump(&mut fork, a, &mut parts[a as usize % shards], &mut scratch);
-            }
-            let merged = Tracer::merge_shards(parts);
-            assert_matches(&merged, &r);
-            assert_eq!(
-                merged.counters(),
-                Tracer::merge_shards(vec![single]).counters()
-            );
         }
     }
 
@@ -1059,38 +997,27 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_is_partition_independent() {
-        // The same three events recorded into one tracer vs split across
-        // two (in a different order) must merge to identical traces.
-        let record = |t: &mut Tracer, which: &[u8]| {
+    fn sort_by_content_ignores_recording_order() {
+        // Same three events, two recording orders, one sorted trace:
+        // by time, then span before instant, then track.
+        let record = |which: &[u8]| {
+            let mut t = Tracer::new();
+            t.set_recording(true);
             for &w in which {
                 match w {
-                    0 => t.span_at(ns(10), ns(20), "scale", "scale-op", Track::Cpu { rank: 0 }),
-                    1 => t.span_at(ns(10), ns(15), "scale", "scale-op", Track::Cpu { rank: 1 }),
-                    _ => t.instant(ns(12), "scale", "scale-op", Track::Cpu { rank: 2 }),
+                    0 => t.span_at(ns(10), ns(20), "scale", "scale-op", Track::Cpu { rank: 1 }),
+                    1 => t.instant(ns(10), "scale", "scale-op", Track::Cpu { rank: 0 }),
+                    _ => t.instant(ns(5), "scale", "scale-op", Track::Cpu { rank: 2 }),
                 }
-                t.count(names::SCALE_MSGS, w as u32, 0, 1);
             }
+            t.sort_by_content();
+            t
         };
-        let mut single = Tracer::new();
-        single.set_recording(true);
-        record(&mut single, &[0, 1, 2]);
-        let merged_single = Tracer::merge_shards(vec![single]);
-
-        let mut a = Tracer::new();
-        a.set_recording(true);
-        let mut b = Tracer::new();
-        b.set_recording(true);
-        record(&mut a, &[2, 0]);
-        record(&mut b, &[1]);
-        let merged_split = Tracer::merge_shards(vec![a, b]);
-
-        assert_eq!(
-            merged_single.chrome_json("x"),
-            merged_split.chrome_json("x")
-        );
-        assert_eq!(merged_split.counter(names::SCALE_MSGS), 3);
-        assert_eq!(merged_split.counter_at(names::SCALE_MSGS, 1, 0), 1);
+        let (a, b) = (record(&[0, 1, 2]), record(&[1, 2, 0]));
+        assert_eq!(a.chrome_json("x"), b.chrome_json("x"));
+        let times: Vec<u64> = a.events().iter().map(|e| e.sort_key().0).collect();
+        assert_eq!(times, [5, 10, 10]);
+        assert!(matches!(a.events()[1], TraceEvent::Span { .. }));
     }
 
     #[test]

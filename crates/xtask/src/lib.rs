@@ -1,11 +1,12 @@
 //! `cargo xtask lint` — the workspace invariant checker.
 //!
-//! Eight static rule families guard properties the test suite can only
+//! Seven static rule families guard properties the test suite can only
 //! sample but the source can prove by absence:
 //!
-//! 1. **determinism** — no `RandomState` hash containers in simulator
-//!    crates, no wall-clock/entropy reads outside the measurement
-//!    harnesses;
+//! 1. **determinism** — no `RandomState` hash containers and no
+//!    process-global mutable statics (outside the copy pool,
+//!    `simcore/src/par.rs`) in simulator crates, no wall-clock/entropy
+//!    reads outside the measurement harnesses;
 //! 2. **panic** — protocol state machines and runtime paths surface
 //!    typed errors instead of panicking;
 //! 3. **fault** — every simulated-time charge goes through the wrapper
@@ -18,11 +19,7 @@
 //! 6. **sched** — the calendar queue + event arena in
 //!    `simcore/src/event.rs` are the only event queue: no shadow
 //!    `BinaryHeap`s, no hand-boxed closures in `schedule_*` calls;
-//! 7. **shard** — shard-model code crosses shard boundaries only
-//!    through the stamped mailbox API (`ShardCtx::send`), and the
-//!    simulator crates hold no shared-mutable statics outside the
-//!    pool layers in `simcore/src/shard.rs` and `simcore/src/par.rs`;
-//! 8. **offload** — DEV descriptor programs execute only in the
+//! 7. **offload** — DEV descriptor programs execute only in the
 //!    sanctioned interpreters (devengine, the NIC executor, the CPU
 //!    convertor, the MPI-IO file-view walker), and stream-op graphs are
 //!    built only through gpusim's `GraphCapture` API.

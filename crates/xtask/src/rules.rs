@@ -1,4 +1,4 @@
-//! The eight invariant rule families.
+//! The seven invariant rule families.
 //!
 //! Every rule walks the token stream of one file (test regions already
 //! marked by the lexer) and emits [`Violation`]s. Scopes are path
@@ -9,14 +9,13 @@ use crate::lexer::Token;
 
 /// Rule family identifiers; one ratchet allowlist file exists per
 /// family under `lint/<family>.allow`.
-pub const FAMILIES: [&str; 8] = [
+pub const FAMILIES: [&str; 7] = [
     "determinism",
     "panic",
     "fault",
     "metrics",
     "arch",
     "sched",
-    "shard",
     "offload",
 ];
 
@@ -100,9 +99,9 @@ pub fn in_sim_crates(rel: &str) -> bool {
     SIM_CRATES.iter().any(|c| in_crate_src(rel, c))
 }
 
-/// Determinism scope: HashMap/HashSet bans apply to the simulator
-/// crates; wall-clock bans apply to every crate except the measurement
-/// harnesses.
+/// Determinism scope: HashMap/HashSet and global-mutable-state bans
+/// apply to the simulator crates; wall-clock bans apply to every crate
+/// except the measurement harnesses.
 fn determinism_wallclock_scope(rel: &str) -> bool {
     rel.starts_with("crates/")
         && rel.contains("/src/")
@@ -136,13 +135,9 @@ fn sched_scope(rel: &str) -> bool {
     in_sim_crates(rel) && rel != "crates/simcore/src/event.rs"
 }
 
-/// Shard-hygiene scope: the simulator crates, minus the shard engine
-/// itself. `simcore/src/shard.rs` owns the mailboxes, the worker pool,
-/// and the per-shard `Sim` bridge — it is the one module allowed to
-/// schedule on behalf of a shard or hold shared-mutable state.
-fn shard_scope(rel: &str) -> bool {
-    in_sim_crates(rel) && rel != "crates/simcore/src/shard.rs"
-}
+/// The one simulator module allowed process-global mutable state: the
+/// copy pool's lazily started workers.
+const GLOBAL_STATE_EXEMPT: &str = "crates/simcore/src/par.rs";
 
 /// True when any rule family wants to see this file.
 pub fn any_scope(rel: &str) -> bool {
@@ -166,9 +161,6 @@ pub fn scan_file(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
     }
     if sched_scope(rel) {
         scan_sched(rel, toks, out);
-    }
-    if shard_scope(rel) {
-        scan_shard(rel, toks, out);
     }
     if in_sim_crates(rel) {
         scan_offload(rel, toks, out);
@@ -194,17 +186,23 @@ fn push(
 
 /// Family 1 — determinism: no default-`RandomState` hash containers in
 /// simulator crates (iteration order must be stable across processes),
-/// and no wall-clock or OS-entropy reads anywhere outside the
-/// measurement harnesses.
+/// no process-global mutable state there either (**static-mut** /
+/// **shared-static**: a run must not depend on what ran before it in
+/// the same process; [`GLOBAL_STATE_EXEMPT`] is the one exception), and
+/// no wall-clock or OS-entropy reads anywhere outside the measurement
+/// harnesses.
 fn scan_determinism(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
-    let hash_scope = in_sim_crates(rel);
+    let sim_scope = in_sim_crates(rel);
     let clock_scope = determinism_wallclock_scope(rel);
     for (i, t) in toks.iter().enumerate() {
         if t.in_test {
             continue;
         }
         let Some(id) = t.ident() else { continue };
-        if hash_scope && (id == "HashMap" || id == "HashSet") {
+        if sim_scope && id == "static" && rel != GLOBAL_STATE_EXEMPT {
+            scan_static_item(rel, toks, i, out);
+        }
+        if sim_scope && (id == "HashMap" || id == "HashSet") {
             let kind = if id == "HashMap" {
                 "hashmap"
             } else {
@@ -526,22 +524,11 @@ fn scan_sched(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
     }
 }
 
-/// Family 7 — shard hygiene: the conservative-lookahead engine's
-/// determinism rests on exactly two channels between shards — the SPSC
-/// mailboxes (`ShardCtx::send`) and the atomics `shard.rs` owns. Two
-/// bans keep it that way:
-///
-/// * **direct-schedule** — a file that implements against the shard API
-///   (mentions `ShardModel`/`ShardCtx`) must not call
-///   `schedule_at`/`schedule_in`/`schedule_now`: scheduling into a
-///   `Sim` directly bypasses the mailbox stamping that gives
-///   cross-shard events their `(time, src, seq)` total order;
-/// * **shared-static** / **static-mut** — no shared-mutable statics in
-///   simulator crates outside `shard.rs` (the mailbox/pool layer) and
-///   `par.rs` (the copy pool): ambient shared state is invisible to the
-///   lookahead protocol and breaks N-shard ≡ 1-shard bit-identity.
-fn scan_shard(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
-    const SCHEDULE_METHODS: [&str; 3] = ["schedule_at", "schedule_in", "schedule_now"];
+/// `toks[i]` is the `static` keyword of a real item (`'static` lexes as
+/// a Lifetime token; the items `thread_local!` wraps do reach here).
+/// Flags `static mut`, and interior-mutable `Sync` wrappers in the
+/// item's type.
+fn scan_static_item(rel: &str, toks: &[Token], i: usize, out: &mut Vec<Violation>) {
     const SHARED_MUTABLE: [&str; 16] = [
         "Mutex",
         "RwLock",
@@ -560,82 +547,42 @@ fn scan_shard(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
         "AtomicIsize",
         "AtomicPtr",
     ];
-    let shard_aware = toks
+    if toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
+        push(
+            out,
+            "determinism",
+            rel,
+            toks[i].line,
+            "static-mut",
+            "`static mut` is process-global mutable state; a run would depend on what \
+             ran before it"
+                .to_string(),
+        );
+        return;
+    }
+    // Scan the item's type (up to `=` or `;`). `!Sync` cells (RefCell
+    // et al.) can only appear under thread_local!, which stays legal.
+    for a in toks[i + 1..]
         .iter()
-        .any(|t| t.ident() == Some("ShardModel") || t.ident() == Some("ShardCtx"));
-    let statics_exempt = rel == "crates/simcore/src/par.rs";
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test {
-            continue;
-        }
-        let Some(id) = t.ident() else { continue };
-        if shard_aware
-            && SCHEDULE_METHODS.contains(&id)
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
+        .take_while(|a| !a.is_punct('=') && !a.is_punct(';'))
+    {
+        if let Some(ty) = a.ident().filter(|ty| SHARED_MUTABLE.contains(ty)) {
             push(
                 out,
-                "shard",
+                "determinism",
                 rel,
-                t.line,
-                "direct-schedule",
+                a.line,
+                "shared-static",
                 format!(
-                    ".{id}() in shard-model code bypasses the mailbox; cross-shard events \
-                     go through ShardCtx::send so they carry a (time, src, seq) stamp"
+                    "process-global mutable static (`{ty}`) outside the copy pool \
+                     (simcore/src/par.rs); a run would depend on what ran before it"
                 ),
             );
-        }
-        if id != "static" || statics_exempt {
-            continue;
-        }
-        // `'static` lexes as a Lifetime token, so an ident here is a
-        // real `static` item (including the ones thread_local! expands).
-        if toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
-            push(
-                out,
-                "shard",
-                rel,
-                t.line,
-                "static-mut",
-                "`static mut` is unsynchronized shared state; shards may only share \
-                 through the mailbox API in simcore/src/shard.rs"
-                    .to_string(),
-            );
-            continue;
-        }
-        // Scan the item's type (up to `=` or `;`) for interior-mutable
-        // Sync wrappers. `!Sync` cells (RefCell et al.) can only appear
-        // under thread_local!, which is per-thread and stays legal.
-        let mut j = i + 1;
-        while j < toks.len() {
-            let a = &toks[j];
-            if a.is_punct('=') || a.is_punct(';') {
-                break;
-            }
-            if let Some(ty) = a.ident() {
-                if SHARED_MUTABLE.contains(&ty) {
-                    push(
-                        out,
-                        "shard",
-                        rel,
-                        a.line,
-                        "shared-static",
-                        format!(
-                            "shared-mutable static (`{ty}`) outside the shard/copy pool \
-                             layer; ambient cross-shard state breaks N-shard ≡ 1-shard \
-                             bit-identity"
-                        ),
-                    );
-                }
-            }
-            j += 1;
         }
     }
 }
 
-/// Family 8 — offload hygiene: the two offload surfaces added for the
+/// Family 7 — offload hygiene: the two offload surfaces added for the
 /// NIC/stream-triggered paths stay behind their construction APIs.
 ///
 /// * **dev-exec** — DEV descriptor programs execute only in the
@@ -804,22 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_rule_bans_direct_schedules_in_model_code() {
-        // A ShardModel impl reaching for Sim scheduling bypasses the
-        // mailbox stamping.
-        let bad = "impl ShardModel for M { fn deliver(&mut self, sim: &mut Sim<W>) { \
-                   sim.schedule_in(d, f); } }";
-        assert_eq!(kinds("crates/mpirt/src/x.rs", bad), vec!["direct-schedule"]);
-        // The same call in a file that never touches the shard API is
-        // ordinary simulation code (sched family territory, not ours).
-        let plain = "fn f(sim: &mut Sim<W>) { sim.schedule_in(d, g); }";
-        assert!(kinds("crates/mpirt/src/x.rs", plain).is_empty());
-        // The engine itself is exempt — it owns the Sim bridge.
-        assert!(kinds("crates/simcore/src/shard.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn shard_rule_bans_shared_mutable_statics() {
+    fn determinism_bans_process_global_mutable_state() {
         let ks = kinds(
             "crates/netsim/src/x.rs",
             "static mut COUNT: u64 = 0;\nstatic Q: Mutex<Vec<u8>> = Mutex::new(Vec::new());",
@@ -831,11 +763,12 @@ mod tests {
                   fn f(s: &'static str) {}\n\
                   thread_local! { static SHELF: RefCell<Shelf> = RefCell::new(Shelf::new()); }";
         assert!(kinds("crates/simcore/src/x.rs", ok).is_empty());
-        // The two pool modules are the sanctioned homes.
+        // The copy pool is the one sanctioned home.
         let pool = "static POOL: OnceLock<CopyPool> = OnceLock::new();";
         assert!(kinds("crates/simcore/src/par.rs", pool).is_empty());
-        assert!(kinds("crates/simcore/src/shard.rs", pool).is_empty());
         assert_eq!(kinds("crates/gpusim/src/x.rs", pool), vec!["shared-static"]);
+        // Outside the simulator crates the ban does not apply.
+        assert!(kinds("crates/bench/src/x.rs", pool).is_empty());
     }
 
     #[test]

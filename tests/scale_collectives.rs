@@ -4,7 +4,7 @@
 //!
 //! Every transfer here still runs the complete protocol stack —
 //! matching, rendezvous, channel scheduling — just on bigger jobs; the
-//! message-level shard engine (`mpirt::scale`, `scale_soak`) covers the
+//! message-level model (`mpirt::scale`, `scale_soak`) covers the
 //! 1024-rank regime these worlds are too detailed for.
 
 use datatype::DataType;
