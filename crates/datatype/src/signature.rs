@@ -12,12 +12,13 @@
 use crate::error::TypeError;
 use crate::primitive::Primitive;
 use crate::typ::DataType;
+use std::rc::Rc;
 
 /// Run-length-encoded type signature of `count` instances of a type.
 #[derive(Clone, Debug)]
 pub struct Signature {
-    /// Merged runs of one instance.
-    runs: Vec<(Primitive, u64)>,
+    /// Merged runs of one instance, shared with the type tree.
+    runs: Rc<[(Primitive, u64)]>,
     /// Number of instances.
     count: u64,
 }
@@ -91,18 +92,13 @@ impl Iterator for MergedRuns<'_> {
 }
 
 impl Signature {
+    /// O(1) on a type whose signature was taken before: the type tree
+    /// keeps its per-instance runs.
     pub fn of(ty: &DataType, count: u64) -> Signature {
-        let mut runs: Vec<(Primitive, u64)> = Vec::new();
-        ty.for_each_primitive(|p, n| {
-            if n == 0 {
-                return;
-            }
-            match runs.last_mut() {
-                Some((lp, ln)) if *lp == p => *ln += n,
-                _ => runs.push((p, n)),
-            }
-        });
-        Signature { runs, count }
+        Signature {
+            runs: ty.signature_runs(),
+            count,
+        }
     }
 
     /// Total number of primitive elements described.
@@ -210,14 +206,49 @@ mod tests {
         DataType::double()
     }
 
+    /// The per-instance runs as they were computed before the type tree
+    /// kept them: one walk over every primitive leaf.
+    fn fresh_runs(ty: &DataType) -> Vec<(Primitive, u64)> {
+        let mut runs: Vec<(Primitive, u64)> = Vec::new();
+        ty.for_each_primitive(|p, n| {
+            if n == 0 {
+                return;
+            }
+            match runs.last_mut() {
+                Some((lp, ln)) if *lp == p => *ln += n,
+                _ => runs.push((p, n)),
+            }
+        });
+        runs
+    }
+
+    /// [`Signature::of`] for every test below, checked on the way: the
+    /// first call on a tree computes its runs, later calls — on the
+    /// type, a `dup` or a `commit` of it — read the very same list
+    /// back, and all of them equal the unmemoised walk.
+    fn of(ty: &DataType, count: u64) -> Signature {
+        let fresh = fresh_runs(ty);
+        let first = Signature::of(ty, count);
+        assert_eq!(first.runs[..], fresh[..], "first call for {ty}");
+        for again in [ty.clone(), ty.dup(), ty.clone().commit()] {
+            let kept = Signature::of(&again, count);
+            assert!(
+                Rc::ptr_eq(&kept.runs, &first.runs),
+                "runs not kept for {ty}"
+            );
+            assert_eq!(kept.count, count);
+        }
+        first
+    }
+
     #[test]
     fn homogeneous_signatures_match_across_layouts() {
         // A 64-double vector layout vs a 64-double contiguous layout:
         // same signature (the FFT reshape case).
         let v = DataType::vector(8, 8, 16, &dbl()).unwrap();
         let c = DataType::contiguous(64, &dbl()).unwrap();
-        let sv = Signature::of(&v, 1);
-        let sc = Signature::of(&c, 1);
+        let sv = of(&v, 1);
+        let sc = of(&c, 1);
         assert!(sv.matches(&sc));
         assert_eq!(sv.byte_count(), 512);
         assert_eq!(sv.element_count(), 64);
@@ -225,15 +256,15 @@ mod tests {
 
     #[test]
     fn counts_multiply() {
-        let c4 = Signature::of(&DataType::contiguous(4, &dbl()).unwrap(), 2);
-        let c8 = Signature::of(&DataType::contiguous(8, &dbl()).unwrap(), 1);
+        let c4 = of(&DataType::contiguous(4, &dbl()).unwrap(), 2);
+        let c8 = of(&DataType::contiguous(8, &dbl()).unwrap(), 1);
         assert!(c4.matches(&c8));
     }
 
     #[test]
     fn different_primitives_do_not_match() {
-        let a = Signature::of(&DataType::int(), 2);
-        let b = Signature::of(&DataType::long(), 1);
+        let a = of(&DataType::int(), 2);
+        let b = of(&DataType::long(), 1);
         // Same byte count (8) but different signature.
         assert_eq!(a.byte_count(), b.byte_count());
         assert!(!a.matches(&b));
@@ -243,10 +274,10 @@ mod tests {
     fn struct_signature_order_matters() {
         let id = DataType::structure(&[1, 1], &[0, 8], &[DataType::int(), dbl()]).unwrap();
         let di = DataType::structure(&[1, 1], &[0, 8], &[dbl(), DataType::int()]).unwrap();
-        let a = Signature::of(&id, 1);
-        let b = Signature::of(&di, 1);
+        let a = of(&id, 1);
+        let b = of(&di, 1);
         assert!(!a.matches(&b));
-        assert!(a.matches(&Signature::of(&id, 1)));
+        assert!(a.matches(&of(&id, 1)));
     }
 
     #[test]
@@ -259,7 +290,7 @@ mod tests {
             &[DataType::int(), dbl(), DataType::int(), dbl()],
         )
         .unwrap();
-        assert!(Signature::of(&one, 2).matches(&Signature::of(&two, 1)));
+        assert!(of(&one, 2).matches(&of(&two, 1)));
     }
 
     #[test]
@@ -273,24 +304,24 @@ mod tests {
             &[dbl(), DataType::int(), dbl(), DataType::int()],
         )
         .unwrap();
-        assert!(Signature::of(&di, 2).matches(&Signature::of(&flat, 1)));
+        assert!(of(&di, 2).matches(&of(&flat, 1)));
         // [int, int] x2 merges into one run of 4.
         let ii = DataType::contiguous(2, &DataType::int()).unwrap();
         let i4 = DataType::contiguous(4, &DataType::int()).unwrap();
-        assert!(Signature::of(&ii, 2).matches(&Signature::of(&i4, 1)));
+        assert!(of(&ii, 2).matches(&of(&i4, 1)));
     }
 
     #[test]
     fn recv_allows_shorter_message() {
-        let recv = Signature::of(&DataType::contiguous(10, &dbl()).unwrap(), 1);
-        let msg = Signature::of(&DataType::contiguous(6, &dbl()).unwrap(), 1);
+        let recv = of(&DataType::contiguous(10, &dbl()).unwrap(), 1);
+        let msg = of(&DataType::contiguous(6, &dbl()).unwrap(), 1);
         assert!(recv.check_recv(&msg).is_ok());
     }
 
     #[test]
     fn recv_rejects_truncation() {
-        let recv = Signature::of(&DataType::contiguous(4, &dbl()).unwrap(), 1);
-        let msg = Signature::of(&DataType::contiguous(6, &dbl()).unwrap(), 1);
+        let recv = of(&DataType::contiguous(4, &dbl()).unwrap(), 1);
+        let msg = of(&DataType::contiguous(6, &dbl()).unwrap(), 1);
         assert!(matches!(
             recv.check_recv(&msg),
             Err(TypeError::Truncated { .. })
@@ -299,8 +330,8 @@ mod tests {
 
     #[test]
     fn recv_rejects_wrong_primitive_prefix() {
-        let recv = Signature::of(&DataType::contiguous(8, &DataType::int()).unwrap(), 1);
-        let msg = Signature::of(&DataType::contiguous(2, &dbl()).unwrap(), 1);
+        let recv = of(&DataType::contiguous(8, &DataType::int()).unwrap(), 1);
+        let msg = of(&DataType::contiguous(2, &dbl()).unwrap(), 1);
         assert!(matches!(
             recv.check_recv(&msg),
             Err(TypeError::SignatureMismatch)
@@ -310,27 +341,27 @@ mod tests {
     #[test]
     fn recv_prefix_must_align_with_runs() {
         // recv = [int x4], msg = [int x2, double x1]: mismatch.
-        let recv = Signature::of(&DataType::contiguous(4, &DataType::int()).unwrap(), 1);
+        let recv = of(&DataType::contiguous(4, &DataType::int()).unwrap(), 1);
         let s = DataType::structure(&[2, 1], &[0, 8], &[DataType::int(), dbl()]).unwrap();
-        let msg = Signature::of(&s, 1);
+        let msg = of(&s, 1);
         assert!(recv.check_recv(&msg).is_err());
     }
 
     #[test]
     fn heterogeneous_repetition() {
         let s = DataType::structure(&[1, 1], &[0, 8], &[DataType::int(), dbl()]).unwrap();
-        let a = Signature::of(&s, 3);
-        let b = Signature::of(&s, 3);
+        let a = of(&s, 3);
+        let b = of(&s, 3);
         assert!(a.matches(&b));
         assert_eq!(a.element_count(), 6);
-        let c = Signature::of(&s, 2);
+        let c = of(&s, 2);
         assert!(!a.matches(&c));
     }
 
     #[test]
     fn get_elements_semantics() {
         let s = DataType::structure(&[2, 1], &[0, 8], &[DataType::int(), dbl()]).unwrap();
-        let sig = Signature::of(&s, 2); // [i32 x2, f64] x2
+        let sig = of(&s, 2); // [i32 x2, f64] x2
         assert_eq!(sig.elements_in_bytes(0), Some(0));
         assert_eq!(sig.elements_in_bytes(8), Some(2)); // the two ints
         assert_eq!(sig.elements_in_bytes(16), Some(3)); // + the double
@@ -343,9 +374,9 @@ mod tests {
 
     #[test]
     fn empty_and_zero_count() {
-        let z = Signature::of(&dbl(), 0);
+        let z = of(&dbl(), 0);
         assert_eq!(z.byte_count(), 0);
-        assert!(z.matches(&Signature::of(&DataType::int(), 0)));
-        assert!(Signature::of(&dbl(), 1).check_recv(&z).is_ok());
+        assert!(z.matches(&of(&DataType::int(), 0)));
+        assert!(of(&dbl(), 1).check_recv(&z).is_ok());
     }
 }

@@ -109,6 +109,9 @@ pub(crate) struct Node {
     /// Lazily computed [`DataType::layout_fingerprint`]. The node is
     /// immutable behind its `Rc`, so the hash of its tree never changes.
     fingerprint: OnceCell<u64>,
+    /// Lazily computed [`DataType::signature_runs`], shared by every
+    /// `dup` / `commit` of the type the same way.
+    signature_runs: OnceCell<Rc<[(Primitive, u64)]>>,
 }
 
 /// Two-level strided description: `outer` groups, each of `inner`
@@ -181,6 +184,7 @@ impl DataType {
                 depth: 0,
                 canon: OnceCell::new(),
                 fingerprint: OnceCell::new(),
+                signature_runs: OnceCell::new(),
             }),
             committed: false,
         }
@@ -247,6 +251,7 @@ impl DataType {
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
                 fingerprint: OnceCell::new(),
+                signature_runs: OnceCell::new(),
             }),
             committed: false,
         })
@@ -326,6 +331,7 @@ impl DataType {
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
                 fingerprint: OnceCell::new(),
+                signature_runs: OnceCell::new(),
             }),
             committed: false,
         })
@@ -472,6 +478,7 @@ impl DataType {
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
                 fingerprint: OnceCell::new(),
+                signature_runs: OnceCell::new(),
             }),
             committed: false,
         })
@@ -571,6 +578,7 @@ impl DataType {
                 depth: depth + 1,
                 canon: OnceCell::new(),
                 fingerprint: OnceCell::new(),
+                signature_runs: OnceCell::new(),
             }),
             committed: false,
         })
@@ -601,6 +609,7 @@ impl DataType {
                 depth: c.depth + 1,
                 canon: OnceCell::new(),
                 fingerprint: OnceCell::new(),
+                signature_runs: OnceCell::new(),
             }),
             committed: false,
         })
@@ -824,6 +833,27 @@ impl DataType {
     /// Visit every primitive leaf in datatype order (for signatures).
     pub fn for_each_primitive(&self, mut f: impl FnMut(Primitive, u64)) {
         self.visit_prims(&mut f);
+    }
+
+    /// The primitive leaves of one instance as run-length-encoded
+    /// `(primitive, count)` runs, adjacent equal primitives merged: what
+    /// [`crate::Signature`] holds per instance. The walk visits every
+    /// block of an indexed type, so it runs once per type tree and the
+    /// node keeps the result.
+    pub(crate) fn signature_runs(&self) -> Rc<[(Primitive, u64)]> {
+        Rc::clone(self.node.signature_runs.get_or_init(|| {
+            let mut runs: Vec<(Primitive, u64)> = Vec::new();
+            self.for_each_primitive(|p, n| {
+                if n == 0 {
+                    return;
+                }
+                match runs.last_mut() {
+                    Some((lp, ln)) if *lp == p => *ln += n,
+                    _ => runs.push((p, n)),
+                }
+            });
+            runs.into()
+        }))
     }
 
     fn visit_prims(&self, f: &mut impl FnMut(Primitive, u64)) {

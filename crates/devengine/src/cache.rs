@@ -13,50 +13,69 @@
 //! still hits. TEMPI showed canonical keying is what makes datatype
 //! caching pay off in real MPI applications, where types are routinely
 //! reconstructed per communication epoch. Fingerprints are
-//! collision-guarded by the type's exact size and true bounds.
+//! collision-guarded by the type's exact size and true bounds
+//! ([`LayoutKey`], which the runtime's byte-deciding caches share).
+//!
+//! The plan is the first of the facts a repeated transfer would
+//! otherwise re-derive; the rest are memoised where their inputs live,
+//! all under the one [`Lru`] discipline: a plan keeps the kernel traffic
+//! of each window it has launched (`DevPlan`'s traffic memo — it lives
+//! in the plan, so it is evicted with it), and the runtime keeps each
+//! fragment's merged typed → typed move list (`mpirt`'s `move_lists`).
+//! Each is lookup-or-compute keyed by the exact inputs of a pure
+//! function, so a hit and a miss differ only in whether it ran
+//! (DESIGN.md §17, "What a repeated transfer reuses").
 
 use crate::dev::{build_plan_opt, DevPlan};
 use datatype::{DataType, TypeError};
 use simcore::hash::DetHashMap;
+use std::hash::Hash;
 use std::rc::Rc;
+
+/// A datatype layout as a cache key: the structural fingerprint plus
+/// the exact invariants a fingerprint collision would have to match
+/// too before a wrong entry could be served. Every cache whose entries
+/// decide bytes keys its layouts with this.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct LayoutKey {
+    /// Structural layout hash ([`DataType::layout_fingerprint`]).
+    pub fingerprint: u64,
+    pub size: u64,
+    pub true_lb: i64,
+    pub true_ub: i64,
+    pub count: u64,
+}
+
+impl LayoutKey {
+    pub fn of(ty: &DataType, count: u64) -> LayoutKey {
+        LayoutKey {
+            fingerprint: ty.layout_fingerprint(),
+            size: ty.size(),
+            true_lb: ty.true_lb(),
+            true_ub: ty.true_ub(),
+            count,
+        }
+    }
+}
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct Key {
-    /// Structural layout hash ([`DataType::layout_fingerprint`]).
-    fingerprint: u64,
-    /// Exact invariants that any fingerprint collision would have to
-    /// match too before a wrong plan could be served.
-    size: u64,
-    true_lb: i64,
-    true_ub: i64,
-    count: u64,
+    layout: LayoutKey,
     unit_size: u64,
     /// Coalesced and split plans have different unit lists; they must
     /// not alias.
     coalesce: bool,
 }
 
-impl Key {
-    fn of(ty: &DataType, count: u64, unit_size: u64, coalesce: bool) -> Key {
-        Key {
-            fingerprint: ty.layout_fingerprint(),
-            size: ty.size(),
-            true_lb: ty.true_lb(),
-            true_ub: ty.true_ub(),
-            count,
-            unit_size,
-            coalesce,
-        }
-    }
-}
-
-/// Default bound on cached plans; descriptor bytes usually bind first,
-/// this catches pathological sweeps over thousands of tiny types.
-const DEFAULT_MAX_ENTRIES: usize = 256;
-
-/// LRU cache of materialized [`DevPlan`]s.
-pub struct DevCache {
-    map: DetHashMap<Key, (Rc<DevPlan>, u64)>,
+/// A map bounded in bytes *and* entries that evicts its least recently
+/// used entry: the discipline of every derived-fact cache here (plans,
+/// their traffic summaries, the runtime's merged move lists). An entry
+/// bigger than the whole capacity is still kept — alone, until the next
+/// insertion — so a lookup-or-compute caller always makes progress.
+#[derive(Clone, Debug)]
+pub struct Lru<K, V> {
+    /// Value, its charged size, and the clock at its last use.
+    map: DetHashMap<K, (V, u64, u64)>,
     capacity_bytes: u64,
     max_entries: usize,
     used_bytes: u64,
@@ -66,16 +85,9 @@ pub struct DevCache {
     evictions: u64,
 }
 
-impl DevCache {
-    /// `capacity_bytes` bounds the descriptor memory (the paper spends
-    /// "a few MBs of GPU memory"; default callers pass 8 MB).
-    pub fn new(capacity_bytes: u64) -> DevCache {
-        DevCache::with_limits(capacity_bytes, DEFAULT_MAX_ENTRIES)
-    }
-
-    /// Bound both descriptor bytes and the number of cached plans.
-    pub fn with_limits(capacity_bytes: u64, max_entries: usize) -> DevCache {
-        DevCache {
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    pub fn with_limits(capacity_bytes: u64, max_entries: usize) -> Lru<K, V> {
+        Lru {
             map: DetHashMap::default(),
             capacity_bytes,
             max_entries: max_entries.max(1),
@@ -87,58 +99,38 @@ impl DevCache {
         }
     }
 
-    /// Fetch the plan for `(ty, count, unit_size)`, building and
-    /// inserting it on a miss. Returns the plan and whether it was a
-    /// cache hit (the caller charges CPU preparation time only on a
-    /// miss).
-    pub fn get_or_build(
-        &mut self,
-        ty: &DataType,
-        count: u64,
-        unit_size: u64,
-    ) -> Result<(Rc<DevPlan>, bool), TypeError> {
-        self.get_or_build_opt(ty, count, unit_size, false)
-    }
-
-    /// [`DevCache::get_or_build`] with an explicit coalescing mode, keyed
-    /// so split and coalesced plans never alias.
-    pub fn get_or_build_opt(
-        &mut self,
-        ty: &DataType,
-        count: u64,
-        unit_size: u64,
-        coalesce: bool,
-    ) -> Result<(Rc<DevPlan>, bool), TypeError> {
-        let key = Key::of(ty, count, unit_size, coalesce);
+    /// The entry under `key`, now the most recently used. Counts a hit
+    /// or a miss.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
         self.clock += 1;
-        if let Some((plan, stamp)) = self.map.get_mut(&key) {
-            *stamp = self.clock;
-            self.hits += 1;
-            return Ok((Rc::clone(plan), true));
-        }
-        self.misses += 1;
-        let plan = Rc::new(build_plan_opt(ty, count, unit_size, coalesce)?);
-        let bytes = plan.descriptor_bytes();
-        self.evict_for(bytes);
-        self.used_bytes += bytes;
-        self.map.insert(key, (Rc::clone(&plan), self.clock));
-        Ok((plan, false))
+        let Some((value, _, stamp)) = self.map.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        *stamp = self.clock;
+        Some(value)
     }
 
-    fn evict_for(&mut self, incoming: u64) {
-        while (self.used_bytes + incoming > self.capacity_bytes
-            || self.map.len() >= self.max_entries)
+    /// Store `value`, charged `bytes`, evicting least recently used
+    /// entries until it fits both bounds.
+    pub fn insert(&mut self, key: K, value: V, bytes: u64) {
+        self.clock += 1;
+        if let Some((_, old, _)) = self.map.remove(&key) {
+            self.used_bytes -= old;
+        }
+        while (self.used_bytes + bytes > self.capacity_bytes || self.map.len() >= self.max_entries)
             && !self.map.is_empty()
         {
-            let (&victim, _) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+            let (&victim, _) = (self.map.iter())
+                .min_by_key(|(_, (_, _, stamp))| *stamp)
                 .expect("non-empty");
-            let (plan, _) = self.map.remove(&victim).expect("exists");
-            self.used_bytes -= plan.descriptor_bytes();
+            let (_, freed, _) = self.map.remove(&victim).expect("exists");
+            self.used_bytes -= freed;
             self.evictions += 1;
         }
+        self.used_bytes += bytes;
+        self.map.insert(key, (value, bytes, self.clock));
     }
 
     pub fn used_bytes(&self) -> u64 {
@@ -172,12 +164,104 @@ impl DevCache {
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
+}
+
+/// Default bound on cached plans; descriptor bytes usually bind first,
+/// this catches pathological sweeps over thousands of tiny types.
+const DEFAULT_MAX_ENTRIES: usize = 256;
+
+/// LRU cache of materialized [`DevPlan`]s.
+pub struct DevCache {
+    plans: Lru<Key, Rc<DevPlan>>,
+}
+
+impl DevCache {
+    /// `capacity_bytes` bounds the descriptor memory (the paper spends
+    /// "a few MBs of GPU memory"; default callers pass 8 MB).
+    pub fn new(capacity_bytes: u64) -> DevCache {
+        DevCache::with_limits(capacity_bytes, DEFAULT_MAX_ENTRIES)
+    }
+
+    /// Bound both descriptor bytes and the number of cached plans.
+    pub fn with_limits(capacity_bytes: u64, max_entries: usize) -> DevCache {
+        DevCache {
+            plans: Lru::with_limits(capacity_bytes, max_entries),
+        }
+    }
+
+    /// Fetch the plan for `(ty, count, unit_size)`, building and
+    /// inserting it on a miss. Returns the plan and whether it was a
+    /// cache hit (the caller charges CPU preparation time only on a
+    /// miss).
+    pub fn get_or_build(
+        &mut self,
+        ty: &DataType,
+        count: u64,
+        unit_size: u64,
+    ) -> Result<(Rc<DevPlan>, bool), TypeError> {
+        self.get_or_build_opt(ty, count, unit_size, false)
+    }
+
+    /// [`DevCache::get_or_build`] with an explicit coalescing mode, keyed
+    /// so split and coalesced plans never alias.
+    pub fn get_or_build_opt(
+        &mut self,
+        ty: &DataType,
+        count: u64,
+        unit_size: u64,
+        coalesce: bool,
+    ) -> Result<(Rc<DevPlan>, bool), TypeError> {
+        let key = Key {
+            layout: LayoutKey::of(ty, count),
+            unit_size,
+            coalesce,
+        };
+        if let Some(plan) = self.plans.get(&key) {
+            return Ok((Rc::clone(plan), true));
+        }
+        let plan = Rc::new(build_plan_opt(ty, count, unit_size, coalesce)?);
+        (self.plans).insert(key, Rc::clone(&plan), plan.descriptor_bytes());
+        Ok((plan, false))
+    }
+
+    pub fn used_bytes(&self) -> u64 {
+        self.plans.used_bytes()
+    }
+
+    pub fn capacity_bytes(&self) -> u64 {
+        self.plans.capacity_bytes()
+    }
+
+    pub fn max_entries(&self) -> usize {
+        self.plans.max_entries()
+    }
+
+    pub fn len(&self) -> usize {
+        self.plans.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.plans.is_empty()
+    }
+
+    pub fn hits(&self) -> u64 {
+        self.plans.hits()
+    }
+
+    pub fn misses(&self) -> u64 {
+        self.plans.misses()
+    }
+
+    pub fn evictions(&self) -> u64 {
+        self.plans.evictions()
+    }
 
     pub fn hit_rate(&self) -> f64 {
-        if self.hits + self.misses == 0 {
+        let lookups = self.hits() + self.misses();
+        if lookups == 0 {
             0.0
         } else {
-            self.hits as f64 / (self.hits + self.misses) as f64
+            self.hits() as f64 / lookups as f64
         }
     }
 }
@@ -319,6 +403,58 @@ mod tests {
         assert_eq!(coal.units.len(), 1);
         let (_, hit) = c.get_or_build_opt(&t, 1, 1024, true).unwrap();
         assert!(hit);
+    }
+
+    #[test]
+    fn equal_fingerprints_with_different_guards_are_different_keys() {
+        let base = LayoutKey::of(&vec_type(16), 2);
+        let colliding = [
+            base,
+            LayoutKey {
+                size: base.size + 8,
+                ..base
+            },
+            LayoutKey {
+                true_lb: base.true_lb - 8,
+                ..base
+            },
+            LayoutKey {
+                true_ub: base.true_ub + 8,
+                ..base
+            },
+            LayoutKey {
+                count: base.count + 1,
+                ..base
+            },
+        ];
+        let mut c: Lru<LayoutKey, usize> = Lru::with_limits(u64::MAX, 16);
+        for (i, key) in colliding.iter().enumerate() {
+            assert_eq!(key.fingerprint, base.fingerprint);
+            assert!(c.get(key).is_none(), "guard {i} aliased an earlier key");
+            c.insert(*key, i, 0);
+        }
+        assert_eq!(c.len(), colliding.len());
+        for (i, key) in colliding.iter().enumerate() {
+            assert_eq!(c.get(key), Some(&i));
+        }
+    }
+
+    #[test]
+    fn lru_charges_bytes_replaces_in_place_and_keeps_an_oversized_entry_alone() {
+        let mut c: Lru<u32, &str> = Lru::with_limits(100, 8);
+        c.insert(1, "a", 40);
+        c.insert(2, "b", 40);
+        c.insert(1, "a again", 60); // replaces: 40 + 60 fits, nothing evicted
+        assert_eq!((c.len(), c.used_bytes(), c.evictions()), (2, 100, 0));
+        assert_eq!(c.get(&1), Some(&"a again"));
+        c.insert(3, "huge", 500); // evicts everything, stays anyway
+        assert_eq!((c.len(), c.used_bytes(), c.evictions()), (1, 500, 2));
+        assert_eq!(c.get(&3), Some(&"huge"));
+        c.insert(4, "d", 10); // the oversized entry goes at the next insertion
+        assert_eq!((c.len(), c.used_bytes(), c.evictions()), (1, 10, 3));
+        assert_eq!((c.hits(), c.misses()), (2, 0));
+        assert!(c.get(&3).is_none());
+        assert_eq!((c.hits(), c.misses()), (2, 1));
     }
 
     #[test]

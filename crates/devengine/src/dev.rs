@@ -6,8 +6,12 @@
 //! fragment of the packed stream be described by a contiguous run of
 //! units, which both the fragment engine and the cache slicing rely on.
 
+use crate::cache::Lru;
 use datatype::{Convertor, DataType, PackKind, Segment, TypeError};
+use gpusim::{GpuSpec, KernelTraffic, Pow2};
+use memsim::{GpuId, MemSpace, Ptr};
 use simcore::par::CopyOp;
+use std::cell::RefCell;
 
 /// A borrowed view of the units covering one packed range: at most one
 /// boundary-trimmed unit on each side plus an untouched middle run of
@@ -24,6 +28,47 @@ pub struct SliceParts<'a> {
     pub tail: Option<CopyOp>,
 }
 
+/// Everything [`KernelTraffic::of`] reads, for one window of one plan:
+/// the exact inputs of the summary a plan keeps per launch it has seen.
+/// Placement is part of it — each side's offset sets the phase of every
+/// unit against the DRAM lines, and its space decides DRAM or PCIe — so
+/// the same window through two ring slots is two keys.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct TrafficKey {
+    /// Packed window `[from, to)` of the plan.
+    window: (u64, u64),
+    /// Kernel orientation: is the typed side the destination?
+    unpack: bool,
+    src: (MemSpace, u64),
+    dst: (MemSpace, u64),
+    exec_gpu: GpuId,
+    /// The spec's access geometry (transaction, warp chunk).
+    geometry: (Pow2, Pow2),
+}
+
+impl TrafficKey {
+    pub(crate) fn new(
+        window: (u64, u64),
+        unpack: bool,
+        (src, dst): (Ptr, Ptr),
+        exec_gpu: GpuId,
+        spec: &GpuSpec,
+    ) -> TrafficKey {
+        TrafficKey {
+            window,
+            unpack,
+            src: (src.space, src.offset),
+            dst: (dst.space, dst.offset),
+            exec_gpu,
+            geometry: (spec.transaction_bytes, spec.warp_chunk()),
+        }
+    }
+}
+
+/// Bound on the traffic summaries one plan keeps (a ping-pong uses
+/// fragments × ring slots × 2 directions of them; each is ~100 bytes).
+const MAX_TRAFFIC_MEMOS: usize = 1024;
+
 /// A fully materialized CUDA-DEV plan for `count` instances of a type,
 /// in **pack orientation** (src = typed memory, dst = packed stream).
 #[derive(Clone, Debug)]
@@ -38,9 +83,24 @@ pub struct DevPlan {
     pub total_bytes: u64,
     /// Unit size the plan was built with.
     pub unit_size: u64,
+    /// Kernel traffic of the windows of this plan launched so far,
+    /// least recently used first out. It lives in the plan, so it goes
+    /// when the plan's cache entry does.
+    traffic: RefCell<Lru<TrafficKey, KernelTraffic>>,
 }
 
 impl DevPlan {
+    /// The traffic of a launch this plan has priced before.
+    pub(crate) fn known_traffic(&self, key: &TrafficKey) -> Option<KernelTraffic> {
+        self.traffic.borrow_mut().get(key).copied()
+    }
+
+    /// Keep `traffic` — [`KernelTraffic::of`] the window's units between
+    /// the key's places — for the next launch under the same key.
+    pub(crate) fn remember_traffic(&self, key: TrafficKey, traffic: KernelTraffic) {
+        self.traffic.borrow_mut().insert(key, traffic, 0);
+    }
+
     /// Approximate device memory the cached descriptor array occupies
     /// (the paper's "a few MBs of GPU memory to cache the CUDA DEVs").
     pub fn descriptor_bytes(&self) -> u64 {
@@ -403,6 +463,7 @@ pub fn build_plan_opt(
         base_shift: cur.base_shift(),
         total_bytes: total,
         unit_size,
+        traffic: RefCell::new(Lru::with_limits(u64::MAX, MAX_TRAFFIC_MEMOS)),
     })
 }
 

@@ -3,12 +3,13 @@
 
 use crate::cache::DevCache;
 use crate::config::EngineConfig;
-use crate::dev::{flip_units_in_place, DevCursor, DevPlan};
+use crate::dev::{flip_units_in_place, DevCursor, DevPlan, TrafficKey};
 use crate::tune;
 use datatype::{DataType, Strided2D, TypeError};
-use gpusim::{charge_transfer_kernel, GpuWorld, KernelConfig, StreamId};
+use gpusim::{charge_transfer_kernel, GpuSpec, GpuWorld, KernelConfig, KernelTraffic, StreamId};
 use memsim::Ptr;
 use simcore::par::CopyOp;
+use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Sim, SimTime, Track};
 use std::cell::RefCell;
@@ -25,8 +26,9 @@ pub enum Direction {
 enum UnitSource {
     /// Streaming conversion on the CPU (charged preparation time).
     Fresh(DevCursor),
-    /// A cached CUDA-DEV plan (no preparation cost).
-    Cached { plan: Rc<DevPlan>, pos: u64 },
+    /// A cached CUDA-DEV plan (no preparation cost); the engine's own
+    /// position is the cursor.
+    Cached(Rc<DevPlan>),
     /// Vector-shaped type: units are computed arithmetically by the
     /// specialized kernel — no descriptor array, no per-unit CPU cost.
     Vector {
@@ -230,7 +232,7 @@ impl FragmentEngine {
             }
             sim.trace
                 .count(names::DEVENGINE_SOURCE_CACHED, rank as u32, 0, 1);
-            UnitSource::Cached { plan, pos: 0 }
+            UnitSource::Cached(plan)
         } else {
             sim.trace
                 .count(names::DEVENGINE_SOURCE_FRESH, rank as u32, 0, 1);
@@ -319,6 +321,53 @@ impl FragmentEngine {
         !matches!(self.source, UnitSource::Fresh(_))
     }
 
+    /// Advance the unit source over the next `n` packed bytes and
+    /// price the kernel that converts them between `ends`: the
+    /// window's [`KernelTraffic`], and whether CPU prep is owed.
+    ///
+    /// The window's unit list (kernel orientation, packed offsets
+    /// rebased to the fragment) is derived only when something reads
+    /// it. Pricing does, for every source but a cached plan that has
+    /// launched this window between these places before (it remembers
+    /// what it priced, per [`TrafficKey`]); the caller does when it
+    /// lent `units` to get the list back. A list only pricing read is
+    /// built in a scratch buffer that returns to the shelf at once.
+    fn advance(
+        &mut self,
+        n: u64,
+        ends: (Ptr, Ptr),
+        spec: &GpuSpec,
+        units: &mut Option<Vec<CopyOp>>,
+    ) -> (KernelTraffic, bool) {
+        let (unpack, gpu) = (self.dir == Direction::Unpack, self.stream.gpu);
+        let wanted = units.is_some();
+        let memo = match &self.source {
+            UnitSource::Cached(plan) => {
+                let window = (self.pos, self.pos + n);
+                let key = TrafficKey::new(window, unpack, ends, gpu, spec);
+                Some((Rc::clone(plan), key))
+            }
+            _ => None,
+        };
+        let known = (memo.as_ref()).and_then(|(plan, key)| plan.known_traffic(key));
+        if let (Some(traffic), false) = (known, wanted) {
+            return (traffic, false);
+        }
+        let list = units.get_or_insert_with(take_units_buf);
+        let charge_prep = self.take_units_into(n, list);
+        if unpack {
+            flip_units_in_place(list);
+        }
+        let traffic = known.unwrap_or_else(|| KernelTraffic::of(list, ends.0, ends.1, gpu, spec));
+        if let (Some((plan, key)), None) = (memo, known) {
+            plan.remember_traffic(key, traffic);
+        }
+        if !wanted {
+            recycle_units_buf(units.take().unwrap_or_default());
+        }
+        (traffic, charge_prep)
+    }
+
     /// Fill `units` (cleared first) with the units for the next `n`
     /// packed bytes (pack orientation, packed offsets rebased to the
     /// fragment). Returns whether CPU prep is owed. Writing into a
@@ -335,9 +384,8 @@ impl FragmentEngine {
                 }
                 true
             }
-            UnitSource::Cached { plan, pos } => {
-                plan.slice_into(*pos, (*pos + n).min(plan.total_bytes), units);
-                *pos = (*pos + n).min(plan.total_bytes);
+            UnitSource::Cached(plan) => {
+                plan.slice_into(from, from + n, units);
                 false
             }
             UnitSource::Vector {
@@ -428,31 +476,34 @@ impl FragmentEngine {
         let (ksrc, kdst) = self.kernel_ends(frag);
         // Unit buffers cycle through the scratch shelf so steady-state
         // streaming reuses a handful of Vecs.
-        let units = simcore::scratch::take_units_buf();
+        let units = Some(take_units_buf());
         self.charge_fragment(sim, frag, cap, units, on_prepped, move |sim, n, units| {
             sim.world
                 .mem()
                 .transfer(ksrc, kdst, &units)
                 .expect("fragment transfer failed");
-            simcore::scratch::recycle_units_buf(units);
+            recycle_units_buf(units);
             on_complete(sim, n);
         });
     }
 
     /// The charge half of [`Self::process_fragment`]: advance the unit
     /// source over the next fragment, charge its CPU preparation and
-    /// its kernel, count its bytes — and move nothing. The unit list is
-    /// built in `units` (cleared first; the caller's buffer, so the
-    /// caller decides how buffers are reused) and handed back when
-    /// `on_complete` fires at the kernel's completion instant, with the
-    /// fragment's size, in the kernel's orientation (`src_off` is the
-    /// typed side for a pack, the fragment side for an unpack).
+    /// its kernel, count its bytes — and move nothing. A caller that
+    /// will read the fragment's unit list lends a buffer in `units`: the
+    /// list is built there (cleared first; the caller decides how
+    /// buffers are reused) and handed back when `on_complete` fires at
+    /// the kernel's completion instant, with the fragment's size, in the
+    /// kernel's orientation (`src_off` is the typed side for a pack, the
+    /// fragment side for an unpack). With `None` no list comes back
+    /// (`on_complete` gets an empty one), and a cached plan that knows
+    /// the launch's traffic derives none at all.
     pub fn charge_fragment<W: GpuWorld>(
         &mut self,
         sim: &mut Sim<W>,
         frag: Ptr,
         cap: u64,
-        mut units: Vec<CopyOp>,
+        mut units: Option<Vec<CopyOp>>,
         on_prepped: impl FnOnce(&mut Sim<W>) + 'static,
         on_complete: impl FnOnce(&mut Sim<W>, u64, Vec<CopyOp>) + 'static,
     ) {
@@ -460,6 +511,7 @@ impl FragmentEngine {
         if n == 0 {
             // Defer so callers never see their callbacks re-enter while
             // they still hold state borrows.
+            let mut units = units.unwrap_or_default();
             units.clear();
             sim.schedule_now(move |sim| {
                 on_prepped(sim);
@@ -467,14 +519,13 @@ impl FragmentEngine {
             });
             return;
         }
-        let charge_prep = self.take_units_into(n, &mut units);
-        self.pos += n;
-        debug_assert_eq!(units.iter().map(|u| u.len as u64).sum::<u64>(), n);
-
-        if self.dir == Direction::Unpack {
-            flip_units_in_place(&mut units);
-        }
         let (ksrc, kdst) = self.kernel_ends(frag);
+        let spec = &sim.world.gpus_ref().gpu(self.stream.gpu).spec;
+        let (traffic, charge_prep) = self.advance(n, (ksrc, kdst), spec, &mut units);
+        self.pos += n;
+        debug_assert_eq!(traffic.payload, n);
+        let units = units.unwrap_or_default();
+
         let kcfg = KernelConfig {
             blocks: self.cfg.blocks,
             descriptor_stream: self.descriptor_stream,
@@ -485,20 +536,12 @@ impl FragmentEngine {
             Direction::Pack => names::DEVENGINE_PACK_BYTES,
             Direction::Unpack => names::DEVENGINE_UNPACK_BYTES,
         };
-        let prep = prep_time(&self.cfg, units.len());
+        let prep = prep_time(&self.cfg, traffic.units as usize);
         let launch = move |sim: &mut Sim<W>| {
-            charge_transfer_kernel(
-                sim,
-                stream,
-                ksrc,
-                kdst,
-                units,
-                kcfg,
-                move |sim, _, units| {
-                    sim.trace.count(bytes_counter, rank, 0, n);
-                    on_complete(sim, n, units);
-                },
-            );
+            charge_transfer_kernel(sim, stream, ksrc, kdst, traffic, kcfg, move |sim, _| {
+                sim.trace.count(bytes_counter, rank, 0, n);
+                on_complete(sim, n, units);
+            });
         };
 
         if charge_prep {
@@ -1071,6 +1114,90 @@ mod tests {
         }
         let got = sim.world.memory.read_vec(packed, total).unwrap();
         assert_eq!(got, reference_pack(&t, 1, &bytes, base));
+    }
+
+    /// One plan window launched into two ring slots whose offsets sit
+    /// at different phases of the 128-byte lines: the plan keeps two
+    /// summaries, each equal to [`KernelTraffic::of`] computed fresh, and
+    /// a launch priced from a kept summary takes exactly the virtual
+    /// time the first one took.
+    #[test]
+    fn a_window_through_two_slot_phases_keeps_two_summaries_equal_to_fresh_ones() {
+        let t = triangular(64);
+        let total = t.size();
+        let mut sim = world();
+        let gpu = GpuId(0);
+        let (typed, _, _) = setup_typed(&mut sim, &t, 1, gpu);
+        let ring = sim
+            .world
+            .memory
+            .alloc(MemSpace::Device(gpu), 2 * total + 129)
+            .unwrap();
+        let slots = [ring, ring.add(total + 129)];
+        assert_ne!(slots[0].offset % 128, slots[1].offset % 128);
+        let stream = sim.world.gpu_system.default_stream(gpu);
+        let cache = Rc::new(RefCell::new(DevCache::default()));
+        let spec = GpuSpec::k40();
+
+        for dir in [Direction::Pack, Direction::Unpack] {
+            let (mut took, mut kept) = (Vec::new(), Vec::new());
+            for round in 0..2 {
+                for slot in slots {
+                    let mut eng = FragmentEngine::new(
+                        &mut sim,
+                        0,
+                        stream,
+                        &t,
+                        1,
+                        typed,
+                        dir,
+                        EngineConfig::default(),
+                        Some(&cache),
+                    )
+                    .unwrap();
+                    let (then, ends) = (sim.now(), eng.kernel_ends(slot));
+                    let plan = match &eng.source {
+                        UnitSource::Cached(plan) => Rc::clone(plan),
+                        _ => panic!("an indexed type converts from a cached plan"),
+                    };
+                    let key =
+                        TrafficKey::new((0, total), dir == Direction::Unpack, ends, gpu, &spec);
+                    assert_eq!(plan.known_traffic(&key).is_some(), round == 1);
+                    // Nobody reads the list: a warm launch derives none.
+                    eng.charge_fragment(
+                        &mut sim,
+                        slot,
+                        u64::MAX,
+                        None,
+                        |_| {},
+                        move |_, n, units| assert_eq!((n, units.len()), (total, 0)),
+                    );
+                    sim.run();
+                    took.push(sim.now() - then);
+
+                    let mut fresh = plan.slice(0, total);
+                    if dir == Direction::Unpack {
+                        flip_units_in_place(&mut fresh);
+                    }
+                    let fresh = KernelTraffic::of(&fresh, ends.0, ends.1, gpu, &spec);
+                    assert_eq!(
+                        plan.known_traffic(&key),
+                        Some(fresh),
+                        "{dir:?} round {round}"
+                    );
+                    kept.push(fresh);
+                }
+            }
+            assert_ne!(
+                kept[0], kept[1],
+                "{dir:?}: the slot's phase is part of the traffic"
+            );
+            assert_eq!(
+                took[..2],
+                took[2..],
+                "{dir:?}: a kept summary moved a timestamp"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod dev;
 pub mod engine;
 pub mod tune;
 
-pub use cache::DevCache;
+pub use cache::{DevCache, LayoutKey, Lru};
 pub use config::{EngineConfig, OptimizerConfig};
 pub use dev::{
     build_plan, build_plan_opt, flip_units, flip_units_in_place, merge_units, whole_units,

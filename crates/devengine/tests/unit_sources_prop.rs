@@ -327,7 +327,7 @@ fn charged_units(
         sim,
         ring,
         cap,
-        Vec::new(),
+        Some(Vec::new()),
         |_| {},
         move |_, n, units| *sink.borrow_mut() = Some((n, units)),
     );

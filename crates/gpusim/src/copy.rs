@@ -272,18 +272,10 @@ fn memcpy_2d_attempt<W: GpuWorld>(
 }
 
 fn row_traffic(off: u64, width: u64, spec: &crate::spec::GpuSpec) -> u64 {
-    // Same access-lines arithmetic as the kernel model, inlined for a
-    // single row treated as one unit.
-    crate::kernel::side_traffic_bytes(
-        &[CopyOp {
-            src_off: 0,
-            dst_off: 0,
-            len: width as usize,
-        }],
-        off,
-        true,
-        spec,
-    )
+    // Same access-lines arithmetic as the kernel model, for a single
+    // row treated as one unit.
+    let txn = spec.transaction_bytes;
+    crate::kernel::access_lines(off, width, txn, spec.warp_chunk()) << txn.log2()
 }
 
 #[cfg(test)]

@@ -19,6 +19,14 @@
 //! GPU's memory accessed through IPC) are charged PCIe time instead of
 //! DRAM traffic; kernel time is the max of the two, since the hardware
 //! overlaps them.
+//!
+//! Everything above is read off the unit list in one pass and held in a
+//! [`KernelTraffic`]; [`transfer_kernel_time`], a retry's re-launch and
+//! the completion counters are arithmetic on that summary and never see
+//! the list. The summary is a pure function of the list, both sides'
+//! placement and the spec's access geometry, which is what lets the
+//! caller that owns the list — a cached DEV plan — keep it per launch
+//! it has priced (`devengine::dev::TrafficKey`).
 
 use crate::fault;
 use crate::spec::{GpuSpec, Pow2};
@@ -56,7 +64,7 @@ impl Default for KernelConfig {
 /// a multiple of the line), so this is O(1); line and chunk are powers
 /// of two by the type of [`GpuSpec`]'s fields, so it is also free of
 /// divisions — it runs once per work unit per side.
-fn access_lines(disp: u64, len: u64, txn: Pow2, chunk: Pow2) -> u64 {
+pub(crate) fn access_lines(disp: u64, len: u64, txn: Pow2, chunk: Pow2) -> u64 {
     if len == 0 {
         return 0;
     }
@@ -69,20 +77,6 @@ fn access_lines(disp: u64, len: u64, txn: Pow2, chunk: Pow2) -> u64 {
         lines += ((start + residue - 1) >> txn.log2()) - (start >> txn.log2()) + 1;
     }
     lines
-}
-
-/// DRAM traffic (bytes) one side of the kernel generates for a unit list,
-/// given the base byte offset of that side's buffer.
-pub fn side_traffic_bytes(units: &[CopyOp], base_off: u64, side_src: bool, spec: &GpuSpec) -> u64 {
-    let (txn, chunk) = (spec.transaction_bytes, spec.warp_chunk());
-    let lines: u64 = units
-        .iter()
-        .map(|u| {
-            let off = base_off + if side_src { u.src_off } else { u.dst_off } as u64;
-            access_lines(off, u.len as u64, txn, chunk)
-        })
-        .sum();
-    lines << txn.log2()
 }
 
 /// Where one side of the transfer lives, relative to the executing GPU.
@@ -104,47 +98,82 @@ fn classify(ptr: Ptr, exec_gpu: memsim::GpuId) -> Side {
     }
 }
 
-/// Pure timing of a transfer kernel (no event scheduling): used both by
-/// the launch path and by analytical tests.
-#[allow(clippy::too_many_arguments)]
+/// Everything the kernel model reads from a unit list: what one launch
+/// over `units` between `src` and `dst` asks of the executing GPU's DRAM
+/// and of PCIe. A pure function of [`KernelTraffic::of`]'s arguments —
+/// the list, each side's space and offset (the offset sets every unit's
+/// phase against the 128-byte lines), the executing GPU and the spec's
+/// access geometry — so a caller that launches the same window between
+/// the same places again may keep it instead of walking the list.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct KernelTraffic {
+    /// Work units (each streams one descriptor).
+    pub units: u64,
+    /// Sum of the unit lengths.
+    pub payload: u64,
+    /// DRAM traffic of the sides in the executing GPU's own memory,
+    /// in whole transactions, descriptors not included.
+    pub dram_bytes: u64,
+    /// Bytes crossing PCIe: the payload once per off-GPU side.
+    pub pcie_bytes: u64,
+}
+
+impl KernelTraffic {
+    /// One pass over `units`.
+    pub fn of(
+        units: &[CopyOp],
+        src: Ptr,
+        dst: Ptr,
+        exec_gpu: memsim::GpuId,
+        spec: &GpuSpec,
+    ) -> KernelTraffic {
+        let src_local = classify(src, exec_gpu) == Side::LocalDevice;
+        let dst_local = classify(dst, exec_gpu) == Side::LocalDevice;
+        assert!(
+            src_local || dst_local,
+            "transfer kernel must touch the executing GPU's memory on at least one side"
+        );
+        let (txn, chunk) = (spec.transaction_bytes, spec.warp_chunk());
+        let (mut payload, mut lines) = (0u64, 0u64);
+        for u in units {
+            let len = u.len as u64;
+            payload += len;
+            if src_local {
+                lines += access_lines(src.offset + u.src_off as u64, len, txn, chunk);
+            }
+            if dst_local {
+                lines += access_lines(dst.offset + u.dst_off as u64, len, txn, chunk);
+            }
+        }
+        KernelTraffic {
+            units: units.len() as u64,
+            payload,
+            dram_bytes: lines << txn.log2(),
+            pcie_bytes: payload * (u64::from(!src_local) + u64::from(!dst_local)),
+        }
+    }
+}
+
+/// Pure timing of a transfer kernel (no event scheduling): arithmetic
+/// on the launch's [`KernelTraffic`], used both by the launch path and
+/// by analytical tests.
 pub fn transfer_kernel_time(
     spec: &GpuSpec,
     eff_traffic_bw: Bandwidth,
     pcie_bw: Bandwidth,
     pcie_latency: SimTime,
-    src: Ptr,
-    dst: Ptr,
-    exec_gpu: memsim::GpuId,
-    units: &[CopyOp],
+    traffic: &KernelTraffic,
     descriptor_stream: bool,
 ) -> SimTime {
-    let payload: u64 = units.iter().map(|u| u.len as u64).sum();
-    let src_side = classify(src, exec_gpu);
-    let dst_side = classify(dst, exec_gpu);
-    assert!(
-        src_side == Side::LocalDevice || dst_side == Side::LocalDevice,
-        "transfer kernel must touch the executing GPU's memory on at least one side"
-    );
-
     // The general DEV kernel streams its descriptors from local DRAM.
-    let mut dram_traffic = if descriptor_stream {
-        units.len() as u64 * spec.descriptor_bytes
+    let descriptors = if descriptor_stream {
+        traffic.units * spec.descriptor_bytes
     } else {
         0
     };
-    let mut pcie_bytes = 0u64;
-    for (side, is_src, base) in [(src_side, true, src.offset), (dst_side, false, dst.offset)] {
-        match side {
-            Side::LocalDevice => {
-                dram_traffic += side_traffic_bytes(units, base, is_src, spec);
-            }
-            Side::MappedHost | Side::PeerDevice => pcie_bytes += payload,
-        }
-    }
-
-    let dram_time = eff_traffic_bw.time_for(dram_traffic);
-    let pcie_time = if pcie_bytes > 0 {
-        pcie_bw.time_for(pcie_bytes) + pcie_latency
+    let dram_time = eff_traffic_bw.time_for(traffic.dram_bytes + descriptors);
+    let pcie_time = if traffic.pcie_bytes > 0 {
+        pcie_bw.time_for(traffic.pcie_bytes) + pcie_latency
     } else {
         SimTime::ZERO
     };
@@ -163,7 +192,9 @@ pub fn launch_transfer_kernel<W: GpuWorld>(
     cfg: KernelConfig,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    charge_transfer_kernel(sim, stream, src, dst, units, cfg, move |sim, at, units| {
+    let spec = &sim.world.gpus_ref().gpu(stream.gpu).spec;
+    let traffic = KernelTraffic::of(&units, src, dst, stream.gpu, spec);
+    charge_transfer_kernel(sim, stream, src, dst, traffic, cfg, move |sim, at| {
         sim.world
             .mem()
             .transfer(src, dst, &units)
@@ -177,29 +208,30 @@ pub fn launch_transfer_kernel<W: GpuWorld>(
 
 /// The charge half of a pack/unpack kernel: reserves `stream` for the
 /// modeled duration, records the span and the launch counters, and
-/// calls `done` at the completion instant with the completion time and
-/// the unit list handed back. No byte moves: `src`, `dst` and `units`
-/// only price the launch (placement, alignment, descriptor count).
+/// calls `done` at the completion instant with the completion time. No
+/// byte moves and no unit list is read: `src` and `dst` pick the PCIe
+/// link, `traffic` — [`KernelTraffic::of`] the launch's units between
+/// exactly these two pointers — prices everything else.
 ///
 /// Fault charge point (`FaultOp::KernelLaunch`): the verdict is rolled
 /// at launch, before `done` can move anything; transient injections
-/// re-charge with the same unit list after a capped backoff; degrade
-/// windows stretch the charge.
+/// re-charge the same traffic after a capped backoff; degrade windows
+/// stretch the charge.
 pub fn charge_transfer_kernel<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
     src: Ptr,
     dst: Ptr,
-    units: Vec<CopyOp>,
+    traffic: KernelTraffic,
     cfg: KernelConfig,
-    done: impl FnOnce(&mut Sim<W>, SimTime, Vec<CopyOp>) + 'static,
+    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
     launch_attempt(
         sim,
         stream,
         src,
         dst,
-        units,
+        traffic,
         cfg,
         fault::default_backoff(),
         done,
@@ -212,15 +244,14 @@ fn launch_attempt<W: GpuWorld>(
     stream: StreamId,
     src: Ptr,
     dst: Ptr,
-    units: Vec<CopyOp>,
+    traffic: KernelTraffic,
     cfg: KernelConfig,
     mut backoff: Backoff,
-    done: impl FnOnce(&mut Sim<W>, SimTime, Vec<CopyOp>) + 'static,
+    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let gpu = stream.gpu;
-    let (eff_bw, spec, pcie_bw, pcie_lat) = {
+    let duration = {
         let sys = sim.world.gpus_ref();
-        let g = sys.gpu(gpu);
+        let g = sys.gpu(stream.gpu);
         let mut bw = g
             .effective_traffic_bw()
             .derated(g.spec.pack_kernel_efficiency);
@@ -236,20 +267,15 @@ fn launch_attempt<W: GpuWorld>(
         } else {
             sys.topo.pcie_p2p.derated(sys.topo.peer_kernel_efficiency)
         };
-        (bw, g.spec.clone(), pcie, sys.topo.pcie_latency)
+        transfer_kernel_time(
+            &g.spec,
+            bw,
+            pcie,
+            sys.topo.pcie_latency,
+            &traffic,
+            cfg.descriptor_stream,
+        )
     };
-
-    let duration = transfer_kernel_time(
-        &spec,
-        eff_bw,
-        pcie_bw,
-        pcie_lat,
-        src,
-        dst,
-        gpu,
-        &units,
-        cfg.descriptor_stream,
-    );
     let duration = fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let now = sim.now();
     let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
@@ -272,24 +298,19 @@ fn launch_attempt<W: GpuWorld>(
             fault::count_retry(sim, FaultOp::KernelLaunch);
             let delay = backoff.next_delay();
             sim.schedule_in(delay, move |sim| {
-                launch_attempt(sim, stream, src, dst, units, cfg, backoff, done);
+                launch_attempt(sim, stream, src, dst, traffic, cfg, backoff, done);
             });
             return;
         }
-        let payload: u64 = units.iter().map(|u| u.len as u64).sum();
         sim.trace
-            .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, payload);
+            .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, traffic.payload);
         // Units per launch make the optimizer's coalescing visible in
         // metrics: fewer, larger units at the same byte count.
-        sim.trace.count(
-            names::GPUSIM_KERNEL_UNITS,
-            stream.gpu.0,
-            0,
-            units.len() as u64,
-        );
+        sim.trace
+            .count(names::GPUSIM_KERNEL_UNITS, stream.gpu.0, 0, traffic.units);
         sim.trace
             .count(names::GPUSIM_KERNEL_LAUNCHES, stream.gpu.0, 0, 1);
-        done(sim, sim.now(), units);
+        done(sim, sim.now());
     });
 }
 
@@ -354,6 +375,127 @@ mod tests {
         }
     }
 
+    /// The kernel time as it was computed before [`KernelTraffic`]: one
+    /// pass over the list for the payload and one per local side for
+    /// its lines. The reference the summary form must reproduce.
+    #[allow(clippy::too_many_arguments)]
+    fn kernel_time_by_list(
+        spec: &GpuSpec,
+        eff_traffic_bw: Bandwidth,
+        pcie_bw: Bandwidth,
+        pcie_latency: SimTime,
+        src: Ptr,
+        dst: Ptr,
+        exec_gpu: memsim::GpuId,
+        units: &[CopyOp],
+        descriptor_stream: bool,
+    ) -> SimTime {
+        let side_traffic_bytes = |base_off: u64, side_src: bool| {
+            let lines: u64 = units
+                .iter()
+                .map(|u| {
+                    let off = base_off + if side_src { u.src_off } else { u.dst_off } as u64;
+                    lines(off, u.len as u64, spec)
+                })
+                .sum();
+            lines << spec.transaction_bytes.log2()
+        };
+        let payload: u64 = units.iter().map(|u| u.len as u64).sum();
+        let mut dram_traffic = if descriptor_stream {
+            units.len() as u64 * spec.descriptor_bytes
+        } else {
+            0
+        };
+        let mut pcie_bytes = 0u64;
+        for (ptr, is_src) in [(src, true), (dst, false)] {
+            match classify(ptr, exec_gpu) {
+                Side::LocalDevice => dram_traffic += side_traffic_bytes(ptr.offset, is_src),
+                Side::MappedHost | Side::PeerDevice => pcie_bytes += payload,
+            }
+        }
+        let dram_time = eff_traffic_bw.time_for(dram_traffic);
+        let pcie_time = if pcie_bytes > 0 {
+            pcie_bw.time_for(pcie_bytes) + pcie_latency
+        } else {
+            SimTime::ZERO
+        };
+        spec.launch_overhead + dram_time.max(pcie_time)
+    }
+
+    #[test]
+    fn summary_form_equals_list_form_on_every_registry_spec() {
+        let gpu = GpuId(0);
+        let at = |space, offset| Ptr {
+            space,
+            alloc: memsim::AllocId(0),
+            offset,
+        };
+        // Ragged units, so phases and residues differ unit to unit.
+        let units: Vec<CopyOp> = (0..97usize)
+            .map(|i| CopyOp {
+                src_off: i * 1000 + (i % 7) * 8,
+                dst_off: i * 300,
+                len: 1 + (i * 37) % 300,
+            })
+            .collect();
+        let (pcie, lat) = (Bandwidth::from_gbps(10.0), SimTime::from_micros(2));
+        for arch in crate::arch::GpuArch::registry() {
+            let s = arch.spec();
+            for disp in 0..512u64 {
+                // Local → local, local → mapped host, peer → local.
+                for (src, dst) in [
+                    (
+                        at(MemSpace::Device(gpu), disp),
+                        at(MemSpace::Device(gpu), 3 * disp),
+                    ),
+                    (at(MemSpace::Device(gpu), disp), at(MemSpace::Host, 0)),
+                    (
+                        at(MemSpace::Device(GpuId(1)), 0),
+                        at(MemSpace::Device(gpu), disp),
+                    ),
+                ] {
+                    for descriptors in [true, false] {
+                        let traffic = KernelTraffic::of(&units, src, dst, gpu, &s);
+                        assert_eq!(
+                            transfer_kernel_time(
+                                &s,
+                                s.dram_traffic_bw,
+                                pcie,
+                                lat,
+                                &traffic,
+                                descriptors
+                            ),
+                            kernel_time_by_list(
+                                &s,
+                                s.dram_traffic_bw,
+                                pcie,
+                                lat,
+                                src,
+                                dst,
+                                gpu,
+                                &units,
+                                descriptors
+                            ),
+                            "{} disp {disp} {src} -> {dst}",
+                            arch.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must touch the executing GPU")]
+    fn traffic_of_a_kernel_with_no_local_side_is_refused() {
+        let host = Ptr {
+            space: MemSpace::Host,
+            alloc: memsim::AllocId(0),
+            offset: 0,
+        };
+        KernelTraffic::of(&[], host, host, GpuId(0), &spec());
+    }
+
     #[test]
     fn aligned_chunk_touches_two_lines() {
         let s = spec();
@@ -412,10 +554,7 @@ mod tests {
             s.dram_traffic_bw,
             Bandwidth::from_gbps(10.0),
             SimTime::from_micros(2),
-            d,
-            d2,
-            gpu,
-            &units,
+            &KernelTraffic::of(&units, d, d2, gpu, &s),
             true,
         );
         let rate = payload as f64 / t.as_secs_f64() / 1e9;
@@ -447,28 +586,17 @@ mod tests {
             alloc: memsim::AllocId(1),
             offset: 0,
         };
-        let t_aligned = transfer_kernel_time(
-            &s,
-            s.dram_traffic_bw,
-            Bandwidth::from_gbps(10.0),
-            SimTime::ZERO,
-            d,
-            d2,
-            gpu,
-            &mk(0),
-            true,
-        );
-        let t_misaligned = transfer_kernel_time(
-            &s,
-            s.dram_traffic_bw,
-            Bandwidth::from_gbps(10.0),
-            SimTime::ZERO,
-            d,
-            d2,
-            gpu,
-            &mk(8),
-            true,
-        );
+        let time = |units: &[CopyOp]| {
+            transfer_kernel_time(
+                &s,
+                s.dram_traffic_bw,
+                Bandwidth::from_gbps(10.0),
+                SimTime::ZERO,
+                &KernelTraffic::of(units, d, d2, gpu, &s),
+                true,
+            )
+        };
+        let (t_aligned, t_misaligned) = (time(&mk(0)), time(&mk(8)));
         let ratio = t_misaligned.as_secs_f64() / t_aligned.as_secs_f64();
         assert!(
             (1.4..1.6).contains(&ratio),

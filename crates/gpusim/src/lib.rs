@@ -40,6 +40,7 @@ pub use copy::{charge_memcpy, memcpy, memcpy_2d, CopyDirection};
 pub use fault::{count_retry, fault_roll, fault_scaled};
 pub use kernel::{
     charge_transfer_kernel, launch_transfer_kernel, transfer_kernel_time, KernelConfig,
+    KernelTraffic,
 };
 pub use spec::{GpuSpec, Interconnect, NodeTopology, NotPowerOfTwo, Pow2};
 pub use stream_trigger::{graph_kernel, replay_issue, GraphCapture, StreamGraph};

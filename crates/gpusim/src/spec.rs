@@ -35,7 +35,7 @@ impl std::error::Error for NotPowerOfTwo {}
 /// A power of two, held as its exponent: the only form the access
 /// geometry of a [`GpuSpec`] can take, so the traffic model's shifts
 /// and masks are exact for every spec that exists.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Pow2(u32);
 
 impl Pow2 {

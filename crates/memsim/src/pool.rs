@@ -6,7 +6,29 @@ use crate::ptr::{AllocId, Ptr};
 use crate::registry::RegistrationTable;
 use crate::space::{GpuId, MemSpace};
 use simcore::hash::DetHashMap;
-use simcore::par::{par_copy, par_transfer, CopyOp};
+use simcore::par::{par_copy, par_transfer_total, CopyOp};
+use std::cell::OnceCell;
+
+/// One allocation: its length, and its bytes from the first access on.
+/// An allocation is all zeroes until something writes it, so the zeroed
+/// backing is made when a byte is first borrowed — a ring slot that is
+/// only ever resolved, registered and charged never costs host memory.
+struct Backing {
+    len: u64,
+    bytes: OnceCell<Box<[u8]>>,
+}
+
+impl Backing {
+    fn bytes(&self) -> &[u8] {
+        self.bytes
+            .get_or_init(|| vec![0u8; self.len as usize].into_boxed_slice())
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self.bytes();
+        self.bytes.get_mut().expect("materialised above")
+    }
+}
 
 /// All allocations living in one memory space.
 pub struct MemPool {
@@ -15,7 +37,7 @@ pub struct MemPool {
     used: u64,
     peak: u64,
     next_id: u64,
-    allocs: DetHashMap<AllocId, Box<[u8]>>,
+    allocs: DetHashMap<AllocId, Backing>,
 }
 
 impl MemPool {
@@ -36,7 +58,9 @@ impl MemPool {
         self.space
     }
 
-    /// Allocate `len` zero-initialized bytes.
+    /// Allocate `len` zero-initialized bytes. Only the length is
+    /// recorded (and counted against the capacity); the bytes are
+    /// backed at their first access.
     pub fn alloc(&mut self, len: u64) -> Result<Ptr, MemError> {
         if self.used + len > self.capacity {
             return Err(MemError::OutOfMemory {
@@ -46,8 +70,8 @@ impl MemPool {
         }
         let id = AllocId(self.next_id);
         self.next_id += 1;
-        self.allocs
-            .insert(id, vec![0u8; len as usize].into_boxed_slice());
+        let bytes = OnceCell::new();
+        self.allocs.insert(id, Backing { len, bytes });
         self.used += len;
         self.peak = self.peak.max(self.used);
         Ok(Ptr {
@@ -65,9 +89,9 @@ impl MemPool {
             return Err(MemError::InvalidPointer(ptr));
         }
         match self.allocs.remove(&ptr.alloc) {
-            Some(data) => {
-                self.used -= data.len() as u64;
-                Ok(data.len() as u64)
+            Some(freed) => {
+                self.used -= freed.len;
+                Ok(freed.len)
             }
             None => Err(MemError::InvalidPointer(ptr)),
         }
@@ -78,7 +102,7 @@ impl MemPool {
         self.check_space(ptr)?;
         self.allocs
             .get(&ptr.alloc)
-            .map(|d| d.len() as u64)
+            .map(|b| b.len)
             .ok_or(MemError::InvalidPointer(ptr))
     }
 
@@ -123,7 +147,7 @@ impl MemPool {
     /// Borrow `len` bytes starting at `ptr`.
     pub fn slice(&self, ptr: Ptr, len: u64) -> Result<&[u8], MemError> {
         self.check_range(ptr, len)?;
-        let data = &self.allocs[&ptr.alloc];
+        let data = self.allocs[&ptr.alloc].bytes();
         Ok(&data[ptr.offset as usize..(ptr.offset + len) as usize])
     }
 
@@ -131,7 +155,7 @@ impl MemPool {
     pub fn slice_mut(&mut self, ptr: Ptr, len: u64) -> Result<&mut [u8], MemError> {
         self.check_range(ptr, len)?;
         let data = self.allocs.get_mut(&ptr.alloc).expect("checked above");
-        Ok(&mut data[ptr.offset as usize..(ptr.offset + len) as usize])
+        Ok(&mut data.bytes_mut()[ptr.offset as usize..(ptr.offset + len) as usize])
     }
 
     /// Copy from a user slice into the pool.
@@ -154,20 +178,22 @@ impl MemPool {
         self.check_range(dst, len)?;
         if src.alloc == dst.alloc {
             let data = self.allocs.get_mut(&src.alloc).expect("checked");
-            data.copy_within(
+            data.bytes_mut().copy_within(
                 src.offset as usize..(src.offset + len) as usize,
                 dst.offset as usize,
             );
         } else {
             // Two distinct boxed slices: split the borrow through raw
             // pointers. SAFETY: distinct `AllocId`s map to distinct heap
-            // allocations, so the ranges cannot alias.
-            let src_ptr = self.allocs[&src.alloc][src.offset as usize..].as_ptr();
+            // allocations, so the ranges cannot alias; the source is
+            // backed before its pointer is taken, and backing the
+            // destination afterwards does not move it.
+            let src_ptr = self.allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
             let dst_slice = self.allocs.get_mut(&dst.alloc).expect("checked");
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     src_ptr,
-                    dst_slice[dst.offset as usize..].as_mut_ptr(),
+                    dst_slice.bytes_mut()[dst.offset as usize..].as_mut_ptr(),
                     len as usize,
                 );
             }
@@ -181,13 +207,20 @@ impl MemPool {
     /// then scatter, so a destination segment that overlaps a later
     /// op's source cannot clobber it — what the fragment ring used to
     /// provide for such a transfer.
-    fn transfer_within(&mut self, src: Ptr, dst: Ptr, ops: &[CopyOp]) -> Result<(), MemError> {
+    fn transfer_within(
+        &mut self,
+        src: Ptr,
+        dst: Ptr,
+        ops: &[CopyOp],
+        bytes: u64,
+    ) -> Result<(), MemError> {
         let data = self
             .allocs
             .get_mut(&src.alloc)
-            .ok_or(MemError::InvalidPointer(src))?;
+            .ok_or(MemError::InvalidPointer(src))?
+            .bytes_mut();
         let (s0, d0) = (src.offset as usize, dst.offset as usize);
-        let mut scratch = Vec::with_capacity(ops.iter().map(|o| o.len).sum());
+        let mut scratch = Vec::with_capacity(bytes as usize);
         for o in ops {
             scratch.extend_from_slice(&data[s0 + o.src_off..s0 + o.src_off + o.len]);
         }
@@ -197,6 +230,31 @@ impl MemPool {
             at += o.len;
         }
         Ok(())
+    }
+}
+
+/// What a batch of segment moves needs of its two buffers, and how much
+/// it moves: the bookkeeping [`Memory::transfer`] derives from a list
+/// in one pass, and a cached list carries with it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct MoveExtent {
+    /// Bytes the source must hold past its base pointer.
+    pub src_need: u64,
+    /// Bytes the destination must hold past its base pointer.
+    pub dst_need: u64,
+    /// Sum of the segment lengths.
+    pub bytes: u64,
+}
+
+impl MoveExtent {
+    pub fn of(ops: &[CopyOp]) -> MoveExtent {
+        let mut e = MoveExtent::default();
+        for o in ops {
+            e.src_need = e.src_need.max((o.src_off + o.len) as u64);
+            e.dst_need = e.dst_need.max((o.dst_off + o.len) as u64);
+            e.bytes += o.len as u64;
+        }
+        e
     }
 }
 
@@ -293,11 +351,14 @@ impl Memory {
         self.pool(src.space).check_range(src, len)?;
         self.pool(dst.space).check_range(dst, len)?;
         self.bytes_moved += len;
-        let src_raw = self.pool(src.space).allocs[&src.alloc][src.offset as usize..].as_ptr();
+        let src_raw =
+            self.pool(src.space).allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
         let dst_pool = self.pool_mut(dst.space);
         let dst_slice = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
-        let dst_range = &mut dst_slice[dst.offset as usize..(dst.offset + len) as usize];
-        // SAFETY: source and destination are different heap allocations.
+        let dst_range =
+            &mut dst_slice.bytes_mut()[dst.offset as usize..(dst.offset + len) as usize];
+        // SAFETY: source and destination are different heap allocations,
+        // and the source was backed before its pointer was taken.
         let src_range = unsafe { std::slice::from_raw_parts(src_raw, len as usize) };
         par_copy(dst_range, src_range);
         Ok(())
@@ -310,32 +371,47 @@ impl Memory {
     /// `src` and `dst` may share an allocation: every source segment is
     /// then read before any destination segment is written.
     pub fn transfer(&mut self, src: Ptr, dst: Ptr, ops: &[CopyOp]) -> Result<(), MemError> {
+        self.transfer_measured(src, dst, ops, MoveExtent::of(ops))
+    }
+
+    /// [`Memory::transfer`] for a list whose [`MoveExtent`] the caller
+    /// already holds. Both ranges are checked against the live
+    /// allocations as ever, and every segment is still checked on its
+    /// way to memory — by the copy layer against the two ranges, by
+    /// slice indexing when the ranges share an allocation — so an
+    /// extent that understates its list panics instead of letting a
+    /// segment out of bounds.
+    pub fn transfer_measured(
+        &mut self,
+        src: Ptr,
+        dst: Ptr,
+        ops: &[CopyOp],
+        extent: MoveExtent,
+    ) -> Result<(), MemError> {
         if ops.is_empty() {
             return Ok(());
         }
-        let src_need = ops
-            .iter()
-            .map(|o| (o.src_off + o.len) as u64)
-            .max()
-            .unwrap_or(0);
-        let dst_need = ops
-            .iter()
-            .map(|o| (o.dst_off + o.len) as u64)
-            .max()
-            .unwrap_or(0);
+        let MoveExtent {
+            src_need,
+            dst_need,
+            bytes,
+        } = extent;
         self.pool(src.space).check_range(src, src_need)?;
         self.pool(dst.space).check_range(dst, dst_need)?;
-        self.bytes_moved += ops.iter().map(|o| o.len as u64).sum::<u64>();
+        self.bytes_moved += bytes;
         if src.space == dst.space && src.alloc == dst.alloc {
-            return self.pool_mut(src.space).transfer_within(src, dst, ops);
+            return (self.pool_mut(src.space)).transfer_within(src, dst, ops, bytes);
         }
-        let src_raw = self.pool(src.space).allocs[&src.alloc][src.offset as usize..].as_ptr();
+        let src_raw =
+            self.pool(src.space).allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
         let dst_pool = self.pool_mut(dst.space);
         let dst_slice = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
-        let dst_range = &mut dst_slice[dst.offset as usize..(dst.offset + dst_need) as usize];
-        // SAFETY: different allocations (the shared case returned above).
+        let dst_range =
+            &mut dst_slice.bytes_mut()[dst.offset as usize..(dst.offset + dst_need) as usize];
+        // SAFETY: different allocations (the shared case returned above),
+        // the source backed before its pointer was taken.
         let src_range = unsafe { std::slice::from_raw_parts(src_raw, src_need as usize) };
-        par_transfer(dst_range, src_range, ops);
+        par_transfer_total(dst_range, src_range, ops, bytes as usize);
         Ok(())
     }
 }
@@ -516,6 +592,125 @@ mod tests {
         assert!(m.copy(h, d, 65).is_err());
         assert!(m.transfer(h.add(48), d, &ops).is_err());
         assert_eq!(m.bytes_moved(), 64 + 48);
+    }
+
+    fn backed(m: &Memory, p: Ptr) -> bool {
+        m.pool(p.space).allocs[&p.alloc].bytes.get().is_some()
+    }
+
+    #[test]
+    fn an_allocation_is_backed_at_its_first_access_and_counted_from_the_start() {
+        let mut m = Memory::new(1, 1 << 40);
+        let d = MemSpace::Device(GpuId(0));
+        // More than the box holds: only ever counted, never backed.
+        let ring = m.alloc(d, 1 << 39).unwrap();
+        assert!(!backed(&m, ring));
+        assert_eq!(m.pool(d).used(), 1 << 39);
+        assert_eq!(m.pool(d).peak(), 1 << 39);
+        assert_eq!(m.pool(d).alloc_len(ring).unwrap(), 1 << 39);
+        // Range checks and OOM go by the recorded length.
+        assert!(matches!(
+            m.slice(ring.add(1 << 39), 1),
+            Err(MemError::OutOfBounds { .. })
+        ));
+        assert!(!backed(&m, ring), "a refused access backs nothing");
+        assert!(matches!(
+            m.alloc(d, (1 << 39) + 1),
+            Err(MemError::OutOfMemory { .. })
+        ));
+        assert_eq!(m.free(ring).unwrap(), 1 << 39);
+        assert_eq!((m.pool(d).used(), m.pool(d).peak()), (0, 1 << 39));
+
+        // Each way in backs the allocation, zeroed, exactly once.
+        let read = m.alloc(d, 64).unwrap();
+        assert_eq!(m.slice(read, 64).unwrap(), &[0u8; 64]);
+        assert!(backed(&m, read));
+        let written = m.alloc(d, 64).unwrap();
+        m.slice_mut(written.add(8), 8).unwrap().fill(7);
+        assert_eq!(
+            m.read_vec(written, 24).unwrap()[6..18],
+            [0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 0, 0]
+        );
+        let (src, dst) = (
+            m.alloc(d, 64).unwrap(),
+            m.alloc(MemSpace::Host, 64).unwrap(),
+        );
+        m.copy(src, dst, 32).unwrap();
+        assert!(backed(&m, src) && backed(&m, dst));
+        let (src, dst) = (m.alloc(d, 64).unwrap(), m.alloc(d, 64).unwrap());
+        let ops = [CopyOp {
+            src_off: 0,
+            dst_off: 16,
+            len: 8,
+        }];
+        m.transfer(src, dst, &ops).unwrap();
+        assert!(backed(&m, src) && backed(&m, dst));
+        assert_eq!(m.read_vec(dst, 64).unwrap(), vec![0u8; 64]);
+    }
+
+    #[test]
+    fn extent_is_what_three_scans_found_and_a_wrong_one_cannot_reach_memory() {
+        let ops = [
+            CopyOp {
+                src_off: 40,
+                dst_off: 0,
+                len: 8,
+            },
+            CopyOp {
+                src_off: 0,
+                dst_off: 20,
+                len: 12,
+            },
+        ];
+        let extent = MoveExtent::of(&ops);
+        let by_scans = MoveExtent {
+            src_need: ops
+                .iter()
+                .map(|o| (o.src_off + o.len) as u64)
+                .max()
+                .unwrap(),
+            dst_need: ops
+                .iter()
+                .map(|o| (o.dst_off + o.len) as u64)
+                .max()
+                .unwrap(),
+            bytes: ops.iter().map(|o| o.len as u64).sum(),
+        };
+        assert_eq!(extent, by_scans);
+        assert_eq!(
+            (extent.src_need, extent.dst_need, extent.bytes),
+            (48, 32, 20)
+        );
+        assert_eq!(MoveExtent::of(&[]), MoveExtent::default());
+
+        let mut m = mem();
+        let (src, dst) = (
+            m.alloc(MemSpace::Host, 48).unwrap(),
+            m.alloc(MemSpace::Device(GpuId(0)), 32).unwrap(),
+        );
+        m.write(src, &(0..48).collect::<Vec<u8>>()).unwrap();
+        m.transfer_measured(src, dst, &ops, extent).unwrap();
+        assert_eq!(m.read_vec(dst, 8).unwrap(), (40..48).collect::<Vec<u8>>());
+        assert_eq!(m.bytes_moved(), 20);
+        // Overstated: refused against the live allocation.
+        let wide = MoveExtent {
+            src_need: 49,
+            ..extent
+        };
+        assert!(matches!(
+            m.transfer_measured(src, dst, &ops, wide),
+            Err(MemError::OutOfBounds { .. })
+        ));
+        // Understated: the copy layer's per-segment check panics before
+        // a byte moves.
+        let narrow = MoveExtent {
+            dst_need: 16,
+            ..extent
+        };
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = m.transfer_measured(src, dst, &ops, narrow);
+        }));
+        assert!(r.is_err(), "an understated extent must not reach memory");
     }
 
     #[test]

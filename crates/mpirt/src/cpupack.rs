@@ -12,6 +12,7 @@ use faultsim::{FaultDecision, FaultOp};
 use gpusim::{fault, GpuWorld};
 use memsim::Ptr;
 use simcore::par::CopyOp;
+use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
 
@@ -86,24 +87,27 @@ impl CpuEngine {
             CpuDir::Pack => (self.typed_base(), frag),
             CpuDir::Unpack => (frag, self.typed_base()),
         };
-        let units = simcore::scratch::take_units_buf();
+        let units = Some(take_units_buf());
         self.charge_fragment(sim, cap, units, move |sim, n, units| {
             sim.world
                 .mem()
                 .transfer(src, dst, &units)
                 .expect("cpu pack transfer");
-            simcore::scratch::recycle_units_buf(units);
+            recycle_units_buf(units);
             done(sim, n);
         });
     }
 
     /// The charge half of [`Self::process_fragment`]: walk the next
     /// `cap` packed bytes, charge the pass on the rank's CPU, count its
-    /// bytes — and move nothing. The unit list is built in `units`
-    /// (cleared first; the caller's buffer) and handed back when `done`
-    /// runs at completion, with the fragment size, in the pass's
-    /// orientation (`src_off` is the typed side for a pack, the
-    /// fragment side for an unpack).
+    /// bytes — and move nothing. A caller that will read the unit list
+    /// lends a buffer in `units`: the list is built there (cleared
+    /// first) and handed back when `done` runs at completion, with the
+    /// fragment size, in the pass's orientation (`src_off` is the typed
+    /// side for a pack, the fragment side for an unpack). The convertor
+    /// walks every segment to get anywhere, so with `None` the list is
+    /// still built — in a scratch buffer that returns to the shelf as
+    /// soon as the pass is priced — and `done` gets an empty one.
     ///
     /// Fault charge point (`FaultOp::CpuPack`): every verdict is rolled
     /// here, before `done` can move anything.
@@ -111,21 +115,27 @@ impl CpuEngine {
         &mut self,
         sim: &mut Sim<W>,
         cap: u64,
-        mut units: Vec<CopyOp>,
+        units: Option<Vec<CopyOp>>,
         done: impl FnOnce(&mut Sim<W>, u64, Vec<CopyOp>) + 'static,
     ) {
+        let wanted = units.is_some();
+        let mut units = units.unwrap_or_else(take_units_buf);
         let from = self.position();
         self.cursor.next_units_into(cap, &mut units);
-        for u in &mut units {
-            u.dst_off -= from as usize;
-        }
         let n: u64 = units.iter().map(|u| u.len as u64).sum();
+        if wanted {
+            for u in &mut units {
+                u.dst_off -= from as usize;
+            }
+            if self.dir == CpuDir::Unpack {
+                flip_units_in_place(&mut units);
+            }
+        } else {
+            recycle_units_buf(std::mem::take(&mut units));
+        }
         if n == 0 {
             sim.schedule_now(move |sim| done(sim, 0, units));
             return;
-        }
-        if self.dir == CpuDir::Unpack {
-            flip_units_in_place(&mut units);
         }
         let pass = self.bw.time_for(n) + self.per_call;
         let mut duration = fault::fault_scaled(sim, FaultOp::CpuPack, pass);

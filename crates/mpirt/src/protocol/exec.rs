@@ -22,6 +22,20 @@
 //! ([`StageOp::moves_payload`]) are one hardware gather/scatter already
 //! and land their own bytes.
 //!
+//! **Derive per fragment, once.** The merge is a pure function of the
+//! two layouts and the fragment's packed window, so its result is kept
+//! in `MpiState::move_lists` under exactly that ([`MoveKey`]) with the
+//! bookkeeping `Memory::transfer` would derive from it. A fragment looks
+//! its list up when it starts and pins what it finds; with the list in
+//! hand nothing will read either end's unit list, so the conversion
+//! charges are asked for none, and a cached DEV plan that also knows the
+//! launch's traffic derives none — the engine advances its cursor, and
+//! the one pass over units left is the copy. A miss runs the merge as
+//! ever, on lists [`merge_units`] validates, and leaves the result
+//! behind. One `pump`, one `step`, one `run_op` arm per stage, one
+//! `landed` either way (DESIGN.md §17, "What a repeated transfer
+//! reuses").
+//!
 //! Ordering obligations (DESIGN.md §17): conversion engines are
 //! sequential, so fragments enter every stage in sequence order; the
 //! receive request completes before the last ack (or notification) is
@@ -32,13 +46,13 @@
 use crate::connection::{IbConn, SmConn};
 use crate::protocol::offload::CapturedXfer;
 use crate::protocol::plan::{plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan};
-use crate::protocol::{make_engine, Side, SideEngine};
+use crate::protocol::{make_engine, ShapeKey, Side, SideEngine};
 use crate::request::{MpiError, Request};
 use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
-use memsim::Ptr;
+use memsim::{MoveExtent, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts, NicProgram};
 use simcore::par::CopyOp;
 use simcore::scratch::{recycle_units_buf, take_units_buf};
@@ -156,12 +170,33 @@ pub(crate) fn open(
     }
 }
 
+/// Which fragment of which exchange a typed → typed move list belongs
+/// to: exactly what [`merge_units`] of the two ends' lists depends on —
+/// both layouts and the packed window `[seq·frag, seq·frag + n)`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct MoveKey {
+    shape: ShapeKey,
+    frag: u64,
+    seq: u64,
+    n: u64,
+}
+
+/// A fragment's typed → typed moves, stored exact-size, with the
+/// bookkeeping [`memsim::Memory::transfer`] would derive from them.
+pub struct MoveList {
+    units: Box<[CopyOp]>,
+    extent: MoveExtent,
+}
+
 /// State of one transfer in flight.
 struct Exec {
     t: Transfer,
     conn: Conn,
     s_engine: Option<SideEngine>,
     r_engine: Option<SideEngine>,
+    /// The key of the transfer's move lists, when both ends are typed
+    /// and fragments land through a merge.
+    shape: Option<ShapeKey>,
     total: u64,
     nfrags: u64,
     next_seq: u64,
@@ -198,9 +233,14 @@ struct Frag {
     /// unit list the way that end would have moved it — the sender's
     /// typed buffer → fragment, the receiver's fragment → typed buffer,
     /// fragment offsets relative to the fragment's start. Empty until
-    /// that stage completes, and for a dense end.
+    /// that stage completes, for a dense end, and when nothing will
+    /// read them because `moves` is known.
     s_units: Vec<CopyOp>,
     r_units: Vec<CopyOp>,
+    /// The fragment's typed → typed move list, if an earlier transfer
+    /// left it in [`crate::world::MpiState::move_lists`]: found once,
+    /// when the fragment starts, and pinned here until it lands.
+    moves: Option<Rc<MoveList>>,
 }
 
 impl Exec {
@@ -213,6 +253,15 @@ impl Exec {
 
     fn units_buf(&mut self) -> Vec<CopyOp> {
         self.spare.pop().unwrap_or_else(take_units_buf)
+    }
+
+    fn move_key(&self, f: &Frag) -> Option<MoveKey> {
+        self.shape.map(|shape| MoveKey {
+            shape,
+            frag: self.t.plan.frag,
+            seq: f.seq,
+            n: f.n,
+        })
     }
 
     fn turn(&mut self, end: End) -> &mut u64 {
@@ -265,6 +314,7 @@ pub(crate) fn run(sim: &mut Sim<MpiWorld>, mut t: Transfer, conn: Conn) {
     // host sender's user buffer, which must be registered with the NIC
     // once.
     let register = (t.plan.stages.first() == Some(&StageOp::Direct)).then_some((t.s.rank, t.s.buf));
+    let shape = (s_engine.is_some() && r_engine.is_some()).then(|| ShapeKey::of(sim, &t.s, &t.r));
     let total = t.s.total();
     let st = Rc::new(RefCell::new(Exec {
         nfrags: total.div_ceil(t.plan.frag.max(1)),
@@ -273,6 +323,7 @@ pub(crate) fn run(sim: &mut Sim<MpiWorld>, mut t: Transfer, conn: Conn) {
         conn,
         s_engine,
         r_engine,
+        shape,
         total,
         next_seq: 0,
         landed: 0,
@@ -312,14 +363,18 @@ fn pump(sim: &mut Sim<MpiWorld>, st: St) {
         } else {
             SpanId::disabled()
         };
-        let f = Frag {
+        let mut f = Frag {
             seq,
             slot,
             n,
             span,
             s_units: Vec::new(),
             r_units: Vec::new(),
+            moves: None,
         };
+        if let Some(key) = st.borrow().move_key(&f) {
+            f.moves = sim.world.mpi.move_lists.get(&key).cloned();
+        }
         step(sim, Rc::clone(&st), f, 0);
     }
 }
@@ -365,7 +420,8 @@ fn run_op(
             }
             let mut engine = (st.borrow_mut().engine(end).take())
                 .ok_or_else(|| faulted("conversion engine already in use"))?;
-            let buf = st.borrow_mut().units_buf();
+            // The list is read at landing, unless the moves are known.
+            let buf = (f.moves.is_none()).then(|| st.borrow_mut().units_buf());
             engine.charge_fragment(sim, frag, f.n, buf, move |sim, units| {
                 match end {
                     End::Send => f.s_units = units,
@@ -484,11 +540,10 @@ fn graph_replay(
 /// Move fragment `f`'s bytes, once, from the sender's buffer to the
 /// receiver's. An end that runs no conversion is dense and its window
 /// of the user buffer *is* the fragment, so a lone typed end's list
-/// applies as it stands; two typed ends meet through the merge of
-/// their lists over the fragment's packed window. The unit buffers go
-/// back to the transfer's spares either way.
+/// applies as it stands; two typed ends meet through their
+/// [`typed_moves`]. The unit buffers go back to the transfer's spares
+/// either way.
 fn move_fragment(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<(), MpiError> {
-    let n = f.n as usize;
     // Where `end`'s unit offsets are relative to — `None` for a dense
     // end, which has no engine — and that end's window.
     let bases = |end: End| {
@@ -504,28 +559,53 @@ fn move_fragment(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<(), M
     let whole_window = [CopyOp {
         src_off: 0,
         dst_off: 0,
-        len: n,
+        len: f.n as usize,
     }];
-    let mut merged = Vec::new();
-    let (src, dst, units) = match (s_typed, r_typed) {
+    let pinned;
+    let (src, dst, units, extent) = match (s_typed, r_typed) {
         (Some(src), Some(dst)) => {
-            merged = st.borrow_mut().units_buf();
-            // Back to pack orientation: typed side first on both lists.
-            flip_units_in_place(&mut f.r_units);
-            merge_units(&f.s_units, &f.r_units, n, &mut merged)?;
-            (src, dst, merged.as_slice())
+            pinned = typed_moves(sim, st, f)?;
+            (src, dst, &*pinned.units, Some(pinned.extent))
         }
-        (Some(src), None) => (src, r_window, f.s_units.as_slice()),
-        (None, Some(dst)) => (s_window, dst, f.r_units.as_slice()),
-        (None, None) => (s_window, r_window, whole_window.as_slice()),
+        (Some(src), None) => (src, r_window, f.s_units.as_slice(), None),
+        (None, Some(dst)) => (s_window, dst, f.r_units.as_slice(), None),
+        (None, None) => (s_window, r_window, whole_window.as_slice(), None),
     };
-    let moved = sim.world.mem().transfer(src, dst, units);
+    let extent = extent.unwrap_or_else(|| MoveExtent::of(units));
+    let moved = sim.world.mem().transfer_measured(src, dst, units, extent);
     let mut x = st.borrow_mut();
     x.spare.push(std::mem::take(&mut f.s_units));
     x.spare.push(std::mem::take(&mut f.r_units));
-    x.spare.push(merged);
     x.spare.retain(|buf| buf.capacity() > 0);
     moved.map_err(|e| MpiError::Mem(e.to_string()))
+}
+
+/// Fragment `f`'s typed → typed move list: the one pinned when the
+/// fragment started, or — a miss — the merge of the two lists the
+/// conversion charges handed back over the fragment's packed window,
+/// left in `move_lists` for the next transfer through the same window
+/// of the same two layouts. [`merge_units`] validates the lists it
+/// merges; its result is a pure function of the [`MoveKey`].
+fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<MoveList>, MpiError> {
+    if let Some(known) = f.moves.take() {
+        return Ok(known);
+    }
+    let mut merged = st.borrow_mut().units_buf();
+    // Back to pack orientation: typed side first on both lists.
+    flip_units_in_place(&mut f.r_units);
+    let moves = merge_units(&f.s_units, &f.r_units, f.n as usize, &mut merged).map(|()| {
+        Rc::new(MoveList {
+            extent: MoveExtent::of(&merged),
+            units: merged.as_slice().into(),
+        })
+    });
+    st.borrow_mut().spare.push(merged);
+    let moves = moves?;
+    if let Some(key) = st.borrow().move_key(f) {
+        let bytes = std::mem::size_of_val(&*moves.units) as u64;
+        (sim.world.mpi.move_lists).insert(key, Rc::clone(&moves), bytes);
+    }
+    Ok(moves)
 }
 
 /// A fragment's last stage completed: move its bytes (unless a stage

@@ -17,7 +17,7 @@ use crate::request::{MpiError, Request};
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
-use devengine::{Direction, FragmentEngine};
+use devengine::{Direction, FragmentEngine, LayoutKey};
 use memsim::Ptr;
 use simcore::par::CopyOp;
 use simcore::Sim;
@@ -51,6 +51,36 @@ impl Side {
     }
 }
 
+/// The two layouts of a transfer as the key of per-shape state that
+/// decides bytes — compiled NIC programs, captured graphs, merged move
+/// lists: each side's [`LayoutKey`], so a fingerprint collision must
+/// also match exact size, true bounds and count before a wrong entry
+/// could be served. Taken of the canonical tree when canonicalization
+/// is on, so equivalent datatype trees share an entry. (The tuner's
+/// `TuneKey` folds bare fingerprints; it may only ever decide time.)
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct ShapeKey {
+    pub s: LayoutKey,
+    pub r: LayoutKey,
+}
+
+impl ShapeKey {
+    pub(crate) fn of(sim: &Sim<MpiWorld>, s: &Side, r: &Side) -> ShapeKey {
+        let canonicalize = sim.world.mpi.config.engine.optimizer.canonicalize;
+        let key = |side: &Side| {
+            if canonicalize {
+                LayoutKey::of(&side.ty.canonical(), side.count)
+            } else {
+                LayoutKey::of(&side.ty, side.count)
+            }
+        };
+        ShapeKey {
+            s: key(s),
+            r: key(r),
+        }
+    }
+}
+
 /// The engine driving a non-dense side's conversion (dense sides have
 /// none: their fragments are direct windows of the user buffer).
 pub(crate) enum SideEngine {
@@ -60,17 +90,20 @@ pub(crate) enum SideEngine {
 
 impl SideEngine {
     /// Charge the conversion of the next `n` packed bytes between the
-    /// typed buffer and the fragment at `frag`. Nothing moves: `done`
-    /// runs at the charge's completion instant with the fragment's
-    /// unit list, built in the caller's `units`, the way the engine
-    /// priced it — typed side in `src_off` (relative to
-    /// [`Self::typed_base`]) for a pack, in `dst_off` for an unpack.
+    /// typed buffer and the fragment at `frag`. Nothing moves. A caller
+    /// that will read the fragment's unit list lends a buffer in
+    /// `units`, and `done` runs at the charge's completion instant with
+    /// the list built there, the way the engine priced it — typed side
+    /// in `src_off` (relative to [`Self::typed_base`]) for a pack, in
+    /// `dst_off` for an unpack. With `None`, `done` gets an empty list,
+    /// and an engine that can price the fragment without deriving its
+    /// list (a cached plan, warm) derives none.
     pub(crate) fn charge_fragment(
         &mut self,
         sim: &mut Sim<MpiWorld>,
         frag: Ptr,
         n: u64,
-        units: Vec<CopyOp>,
+        units: Option<Vec<CopyOp>>,
         done: impl FnOnce(&mut Sim<MpiWorld>, Vec<CopyOp>) + 'static,
     ) {
         match self {

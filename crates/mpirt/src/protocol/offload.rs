@@ -32,9 +32,9 @@
 
 use crate::connection::{HANDSHAKE_RETRY_MAX, HANDSHAKE_TIMEOUT};
 use crate::protocol::exec::{self, Conn};
-use crate::protocol::{copyio, Side};
+use crate::protocol::{copyio, ShapeKey, Side};
 use crate::request::{MpiError, Request};
-use crate::tuner::{cache_key, PathClass};
+use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use devengine::{flip_units, whole_units};
 use faultsim::{Backoff, FaultDecision, FaultOp};
@@ -155,7 +155,7 @@ fn acquire(
 
 /// Get (or compile) the merged NIC descriptor program for this shape.
 fn nic_program(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<NicProgram>, MpiError> {
-    let key = cache_key(sim, s, r, PathClass::NicOffload);
+    let key = ShapeKey::of(sim, s, r);
     if let Some(p) = sim.world.mpi.nic_programs.get(&key) {
         return Ok(Rc::clone(p));
     }
@@ -169,7 +169,7 @@ fn nic_program(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<NicProg
 /// pack/unpack unit lists, pin a bounce buffer, and walk the graph
 /// through the capture API (its only sanctioned constructor).
 fn captured(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<CapturedXfer>, MpiError> {
-    let key = cache_key(sim, s, r, PathClass::StreamTriggered);
+    let key = ShapeKey::of(sim, s, r);
     if let Some(c) = sim
         .world
         .mpi

@@ -5,7 +5,9 @@
 use crate::config::MpiConfig;
 use crate::connection::{IbConn, SmConn};
 use crate::matcher::Matcher;
-use devengine::DevCache;
+use crate::protocol::exec::{MoveKey, MoveList};
+use crate::protocol::ShapeKey;
+use devengine::{DevCache, Lru};
 use faultsim::FaultSim;
 use gpusim::{GpuArch, GpuSystem, GpuWorld, StreamId};
 use memsim::{GpuId, Memory};
@@ -71,17 +73,26 @@ pub struct MpiState {
     /// (the sPIN handler-registration is once per connection, like the
     /// pinned-host registration in [`IbConn`]).
     pub nic_handlers: BTreeMap<(usize, usize), ()>,
-    /// Compiled NIC DEV programs, keyed like tuner decisions (canonical
-    /// layouts + size); programs are rank-independent descriptor lists.
-    pub nic_programs: DetHashMap<crate::tuner::TuneKey, Rc<netsim::NicProgram>>,
+    /// Compiled NIC DEV programs per transfer shape (canonical layouts
+    /// and counts, collision-guarded); programs are rank-independent
+    /// descriptor lists.
+    pub nic_programs: DetHashMap<ShapeKey, Rc<netsim::NicProgram>>,
     /// Captured stream-op graphs plus their baked unit lists and bounce
     /// buffer, per directed rank pair and transfer shape (persistent /
     /// partitioned requests capture once, replay per iteration).
-    pub stream_captures: BTreeMap<
-        (usize, usize),
-        DetHashMap<crate::tuner::TuneKey, Rc<crate::protocol::offload::CapturedXfer>>,
-    >,
+    pub stream_captures:
+        BTreeMap<(usize, usize), DetHashMap<ShapeKey, Rc<crate::protocol::offload::CapturedXfer>>>,
+    /// Typed → typed move lists of the fragments transferred so far
+    /// (`protocol::exec`): what a repeated transfer of the same shape
+    /// through the same fragment windows would merge again. Bounded in
+    /// bytes, least recently used first out.
+    pub move_lists: Lru<MoveKey, Rc<MoveList>>,
 }
+
+/// Bounds of [`MpiState::move_lists`]: two directions of a 131 072-block
+/// indexed exchange (3.1 MB of moves each) fit.
+const MOVE_LISTS_BYTES: u64 = 8 << 20;
+const MOVE_LISTS_ENTRIES: usize = 1024;
 
 /// The complete world: hardware + runtime.
 pub struct MpiWorld {
@@ -154,6 +165,7 @@ impl MpiWorld {
                 nic_handlers: BTreeMap::new(),
                 nic_programs: DetHashMap::default(),
                 stream_captures: BTreeMap::new(),
+                move_lists: Lru::with_limits(MOVE_LISTS_BYTES, MOVE_LISTS_ENTRIES),
             },
         }
     }

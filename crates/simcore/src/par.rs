@@ -428,9 +428,15 @@ fn partition_runs(
 /// (overlap in `src` is fine — a broadcast-style unpack may read the same
 /// source bytes twice).
 pub fn par_transfer(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
-    let total: usize = ops.iter().map(|o| o.len).sum();
-    let n = lanes_for(total);
-    transfer_with(dst, src, ops, total, n);
+    par_transfer_total(dst, src, ops, ops.iter().map(|o| o.len).sum());
+}
+
+/// [`par_transfer`] for a caller that already holds the sum of the
+/// segment lengths (it summed them for its own bookkeeping, or the list
+/// is a cached one that carries its sum). `total` only sizes the lane
+/// count and the shard split; every segment is still bounds-checked.
+pub fn par_transfer_total(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usize) {
+    transfer_with(dst, src, ops, total, lanes_for(total));
 }
 
 /// [`par_transfer`] with an explicit lane count, clamped to the pool's
@@ -450,6 +456,7 @@ fn transfer_with(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usize, n: us
     assert_in_bounds(dst, src, ops);
     #[cfg(debug_assertions)]
     assert_dst_disjoint(ops);
+    debug_assert_eq!(total, ops.iter().map(|o| o.len).sum::<usize>());
 
     if n <= 1 {
         // Inline path: same chunked segment copies the workers use.
@@ -667,6 +674,30 @@ mod tests {
         let info = pool_info();
         assert!(info.threads >= 1 && info.threads <= MAX_POOL_THREADS);
         assert_eq!(pool_info_if_started(), Some(info));
+    }
+
+    #[test]
+    fn a_handed_in_total_moves_the_same_bytes_and_skips_no_bounds_check() {
+        // Small (inline) and large (pooled) lists.
+        for (seg, count) in [(48usize, 40usize), (4096, 600)] {
+            let (src, ops) = gather_case(seg, count);
+            let mut want = vec![0u8; seg * count];
+            par_transfer(&mut want, &src, &ops);
+            let mut dst = vec![0u8; seg * count];
+            par_transfer_total(&mut dst, &src, &ops, seg * count);
+            assert_eq!(dst, want, "seg={seg}");
+        }
+        let src = vec![0u8; 16];
+        let mut dst = vec![0u8; 16];
+        let oob = [CopyOp {
+            src_off: 10,
+            dst_off: 0,
+            len: 10,
+        }];
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_transfer_total(&mut dst, &src, &oob, 10);
+        }));
+        assert!(r.is_err(), "out-of-bounds op must panic");
     }
 
     #[test]

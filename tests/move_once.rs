@@ -9,11 +9,15 @@
 //! and every counter, on rings shallow enough that every slot is reused
 //! dozens of times — and what it must: no ring, staging or host slot is
 //! ever written, and `Memory` writes each delivered byte exactly once.
+//!
+//! A repeated transfer reuses what the first one derived (DESIGN.md §17
+//! "what a repeated transfer reuses"); every cell therefore runs cold
+//! and warm, and nothing observable may tell the two apart.
 
 use datatype::convertor::{pack_all, unpack_all};
 use datatype::testutil::{buffer_span, lower_triangular, pattern, transposed_triangular};
 use datatype::DataType;
-use devengine::{EngineConfig, OptimizerConfig};
+use devengine::{EngineConfig, Lru, OptimizerConfig};
 use faultsim::{counters, FaultKind, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
@@ -63,10 +67,15 @@ fn chaos(rate: u64, seed: u64) -> FaultPlan {
         .with_rule(None, FaultKind::Transient, rate as f64 / 100.0)
 }
 
-/// A device buffer for one `ty` on `rank`'s GPU: (displacement-0
+/// A device buffer for `count × ty` on `rank`'s GPU: (displacement-0
 /// pointer, allocation, length, base index).
-fn alloc_typed(sess: &mut Session, rank: usize, ty: &DataType) -> (Ptr, Ptr, usize, i64) {
-    let (base, len) = buffer_span(ty, 1);
+fn alloc_typed(
+    sess: &mut Session,
+    rank: usize,
+    ty: &DataType,
+    count: u64,
+) -> (Ptr, Ptr, usize, i64) {
+    let (base, len) = buffer_span(ty, count);
     let space = MemSpace::Device(sess.world.mpi.ranks[rank].gpu);
     let alloc = sess.world.mem().alloc(space, len as u64).unwrap();
     (alloc.add(base as u64), alloc, len, base)
@@ -75,8 +84,13 @@ fn alloc_typed(sess: &mut Session, rank: usize, ty: &DataType) -> (Ptr, Ptr, usi
 /// Send `s_ty` from rank 0 into `r_ty` on rank 1 and check the receive
 /// buffer against the convertor oracle.
 fn transfer(sess: &mut Session, s_ty: &DataType, r_ty: &DataType) {
-    let (s_buf, s_alloc, s_len, s_base) = alloc_typed(sess, 0, s_ty);
-    let (r_buf, r_alloc, r_len, r_base) = alloc_typed(sess, 1, r_ty);
+    transfer_between(sess, (0, s_ty), (1, r_ty));
+}
+
+fn transfer_between(sess: &mut Session, (from, s_ty): (usize, &DataType), to: (usize, &DataType)) {
+    let (to, r_ty) = to;
+    let (s_buf, s_alloc, s_len, s_base) = alloc_typed(sess, from, s_ty, 1);
+    let (r_buf, r_alloc, r_len, r_base) = alloc_typed(sess, to, r_ty, 1);
     let sent = pattern(s_len);
     sess.world.mem().write(s_alloc, &sent).unwrap();
     let mut expect = vec![0u8; r_len];
@@ -87,8 +101,8 @@ fn transfer(sess: &mut Session, s_ty: &DataType, r_ty: &DataType) {
         r_base,
         &pack_all(s_ty, 1, &sent, s_base),
     );
-    let s = isend(sess, SendArgs::new(0, 1, s_buf, s_ty, 1));
-    let r = irecv(sess, RecvArgs::new(1, 0, r_buf, r_ty, 1));
+    let s = isend(sess, SendArgs::new(from, to, s_buf, s_ty, 1));
+    let r = irecv(sess, RecvArgs::new(to, from, r_buf, r_ty, 1));
     wait_all(sess, &[s, r]).expect("transfer failed");
     let got = sess.world.mem().read_vec(r_alloc, r_len as u64).unwrap();
     assert!(got == expect, "received bytes differ from the oracle");
@@ -150,43 +164,144 @@ const PARENT_CLEAN: [(u64, u64); 6] = [
 fn rings_are_charged_never_written_and_the_model_does_not_move() {
     let (s_ty, r_ty) = (lower_triangular(368), transposed_triangular(368));
     let payload = s_ty.size();
-    assert!(payload.div_ceil(FRAG) >= 100, "not a ring-reuse workload");
+    let nfrags = payload.div_ceil(FRAG);
+    assert!(nfrags >= 100, "not a ring-reuse workload");
     let mut cells = PARENT_CLEAN.iter();
     for path in [Path::SmIpc, Path::CopyInOut, Path::ZeroCopy] {
         for depth in [2usize, 4] {
             let clean = *cells.next().expect("one pin per (path, depth)");
             for rate in [0u64, 5, 20] {
-                let note = format!("{path:?} depth {depth} faults {rate}%");
-                let plan = match rate {
+                let chaotic = || match rate {
                     0 => FaultPlan::empty(),
                     _ => chaos(rate, 1000 + 100 * depth as u64 + rate),
                 };
-                let mut sess = session(path, depth, plan);
-                transfer(&mut sess, &s_ty, &r_ty);
+                // Three fresh sessions, the move lists of each handed to
+                // the next: cold under the cell's fault plan — every
+                // lookup misses, and retries, parked fragments and
+                // demotion re-opens meet the merge — then warm and
+                // fault-free, then warm under the cell's plan again,
+                // where they meet pinned hits instead.
+                let mut lists = None;
+                let mut cold = None;
+                for (iter, plan) in [
+                    ("cold", chaotic()),
+                    ("warm", FaultPlan::empty()),
+                    ("warm again", chaotic()),
+                ] {
+                    let note = format!("{path:?} depth {depth} faults {rate}%, {iter}");
+                    let faulted = !plan.rules.is_empty();
+                    let mut sess = session(path, depth, plan);
+                    if let Some(lists) = lists.take() {
+                        sess.world.mpi.move_lists = lists;
+                    }
+                    let hits = sess.world.mpi.move_lists.hits();
+                    transfer(&mut sess, &s_ty, &r_ty);
 
-                let got = fingerprint(&mut sess);
-                if rate == 0 {
-                    assert_eq!(got, clean, "{note}: virtual time or counters moved");
-                } else {
-                    assert!(got.0 > clean.0, "{note}: retries cost no virtual time");
-                }
-                let m = sess.metrics();
-                assert_eq!(m.counter(Counter::MpiDeliveredBytes), payload, "{note}");
-                assert_eq!(
-                    m.counter(Counter::MemsimBytesMoved),
-                    payload,
-                    "{note}: retries re-charge, they never re-move"
-                );
-                assert_eq!(m.counter(counters::FAULT_INJECTED) > 0, rate > 0, "{note}");
+                    // Fault-free, cold or warm, is the parent's run to
+                    // the nanosecond and the counter; under faults a
+                    // warm run is the cold one over again.
+                    let got = fingerprint(&mut sess);
+                    if !faulted {
+                        assert_eq!(got, clean, "{note}: virtual time or counters moved");
+                    } else {
+                        assert!(got.0 > clean.0, "{note}: retries cost no virtual time");
+                        let cold = *cold.get_or_insert(got);
+                        assert_eq!(got, cold, "{note}: a warm run differs from the cold one");
+                    }
+                    let m = sess.metrics();
+                    assert_eq!(m.counter(Counter::MpiDeliveredBytes), payload, "{note}");
+                    assert_eq!(
+                        m.counter(Counter::MemsimBytesMoved),
+                        payload,
+                        "{note}: retries re-charge, they never re-move"
+                    );
+                    assert_eq!(m.counter(counters::FAULT_INJECTED) > 0, faulted, "{note}");
 
-                let slots = ring_slots(&sess);
-                assert!(slots.len() >= depth, "{note}: no ring was established");
-                for slot in slots {
-                    let bytes = sess.world.mem().read_vec(slot, FRAG).unwrap();
-                    assert!(bytes.iter().all(|&b| b == 0), "{note}: a slot was written");
+                    let slots = ring_slots(&sess);
+                    assert!(slots.len() >= depth, "{note}: no ring was established");
+                    for slot in slots {
+                        let bytes = sess.world.mem().read_vec(slot, FRAG).unwrap();
+                        assert!(bytes.iter().all(|&b| b == 0), "{note}: a slot was written");
+                    }
+
+                    let known = &sess.world.mpi.move_lists;
+                    assert_eq!(known.len() as u64, nfrags, "{note}: one list per fragment");
+                    let warm = if iter == "cold" { 0 } else { nfrags };
+                    assert_eq!(known.hits() - hits, warm, "{note}: move-list hits");
+                    let keep = Lru::with_limits(0, 1);
+                    lists = Some(std::mem::replace(&mut sess.world.mpi.move_lists, keep));
                 }
             }
         }
+    }
+}
+
+/// What the caches hold is bounded, and the bound is invisible: with
+/// room for one move list — every insertion evicts, no lookup ever
+/// hits — a ping-pong between two irregular layouts reads the same
+/// clock, counters and bytes after every transfer as with the default
+/// bounds, where the second round trip is all hits.
+#[test]
+fn a_cache_with_room_for_one_entry_changes_nothing_but_its_evictions() {
+    let (a_ty, b_ty) = (lower_triangular(200), transposed_triangular(200));
+    let nfrags = a_ty.size().div_ceil(FRAG);
+    let run = |one_entry: bool| {
+        let mut sess = session(Path::ZeroCopy, 4, FaultPlan::empty());
+        if one_entry {
+            sess.world.mpi.move_lists = Lru::with_limits(u64::MAX, 1);
+        }
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            transfer(&mut sess, &a_ty, &b_ty);
+            seen.push(fingerprint(&mut sess));
+            transfer_between(&mut sess, (1, &b_ty), (0, &a_ty));
+            seen.push(fingerprint(&mut sess));
+        }
+        let lists = &sess.world.mpi.move_lists;
+        (seen, lists.hits(), lists.evictions())
+    };
+    let (default, hits, evictions) = run(false);
+    assert_eq!((hits, evictions), (2 * nfrags, 0), "second round trip hits");
+    let (one, hits, evictions) = run(true);
+    assert_eq!(
+        (hits, evictions),
+        (0, 4 * nfrags - 1),
+        "every insertion evicts"
+    );
+    assert_eq!(
+        one, default,
+        "the bound showed in virtual time or a counter"
+    );
+}
+
+/// A receive posted longer than the message: the receiver's engine
+/// covers more packed bytes than arrive, the merge stops at the
+/// sender's last byte, and what lies past it keeps its bytes — on a
+/// miss and on a hit.
+#[test]
+fn a_receive_longer_than_the_message_matches_the_oracle_cold_and_warm() {
+    let (s_ty, r_ty) = (lower_triangular(96), transposed_triangular(96));
+    let mut sess = session(Path::SmIpc, 2, FaultPlan::empty());
+    let nfrags = s_ty.size().div_ceil(FRAG);
+    for iter in 0..2 {
+        let (s_buf, s_alloc, s_len, s_base) = alloc_typed(&mut sess, 0, &s_ty, 1);
+        let (r_buf, r_alloc, r_len, r_base) = alloc_typed(&mut sess, 1, &r_ty, 3);
+        let (sent, before) = (pattern(s_len), vec![0xA5u8; r_len]);
+        sess.world.mem().write(s_alloc, &sent).unwrap();
+        sess.world.mem().write(r_alloc, &before).unwrap();
+        let mut expect = before;
+        let packed = pack_all(&s_ty, 1, &sent, s_base);
+        unpack_all(&r_ty, 3, &mut expect, r_base, &packed);
+
+        let s = isend(&mut sess, SendArgs::new(0, 1, s_buf, &s_ty, 1));
+        let r = irecv(&mut sess, RecvArgs::new(1, 0, r_buf, &r_ty, 3));
+        wait_all(&mut sess, &[s, r]).expect("transfer failed");
+        let got = sess.world.mem().read_vec(r_alloc, r_len as u64).unwrap();
+        assert!(
+            got == expect,
+            "iteration {iter}: bytes differ from the oracle"
+        );
+        assert_eq!(sess.world.mpi.move_lists.hits(), iter * nfrags);
     }
 }
 
@@ -194,7 +309,8 @@ fn rings_are_charged_never_written_and_the_model_does_not_move() {
 /// allocation, between two ranks of one GPU (a rank cannot send to
 /// itself here; two ranks sharing a buffer is the modeled form of a
 /// self-send). The ring used to stand between the two regions; now
-/// `Memory::transfer` gathers before it scatters.
+/// `Memory::transfer` gathers before it scatters — through a freshly
+/// merged move list the first time, a remembered one the second.
 #[test]
 fn self_send_inside_one_allocation_matches_the_oracle() {
     let n = 160u64;
@@ -205,6 +321,7 @@ fn self_send_inside_one_allocation_matches_the_oracle() {
         ..MpiConfig::default()
     };
     assert!(s_ty.size() > config.eager_limit, "rendezvous-sized");
+    let nfrags = s_ty.size().div_ceil(config.frag_size);
     let mut sess = Session::builder()
         .config(config)
         .two_ranks_one_gpu()
@@ -212,7 +329,6 @@ fn self_send_inside_one_allocation_matches_the_oracle() {
     let space = MemSpace::Device(sess.world.mpi.ranks[0].gpu);
     let alloc = sess.world.mem().alloc(space, 2 * matrix).unwrap();
     let before = pattern(2 * matrix as usize);
-    sess.world.mem().write(alloc, &before).unwrap();
     let mut expect = before.clone();
     unpack_all(
         &r_ty,
@@ -222,12 +338,19 @@ fn self_send_inside_one_allocation_matches_the_oracle() {
         &pack_all(&s_ty, 1, &before, 0),
     );
 
-    let s = isend(&mut sess, SendArgs::new(0, 1, alloc, &s_ty, 1));
-    let r = irecv(&mut sess, RecvArgs::new(1, 0, alloc.add(matrix), &r_ty, 1));
-    wait_all(&mut sess, &[s, r]).expect("self-send failed");
-    let got = sess.world.mem().read_vec(alloc, 2 * matrix).unwrap();
-    assert!(got == expect, "bytes differ from the oracle");
-    assert_eq!(sess.world.mem().bytes_moved(), s_ty.size());
+    for iter in 0..2 {
+        sess.world.mem().write(alloc, &before).unwrap();
+        let s = isend(&mut sess, SendArgs::new(0, 1, alloc, &s_ty, 1));
+        let r = irecv(&mut sess, RecvArgs::new(1, 0, alloc.add(matrix), &r_ty, 1));
+        wait_all(&mut sess, &[s, r]).expect("self-send failed");
+        let got = sess.world.mem().read_vec(alloc, 2 * matrix).unwrap();
+        assert!(
+            got == expect,
+            "iteration {iter}: bytes differ from the oracle"
+        );
+        assert_eq!(sess.world.mem().bytes_moved(), (iter + 1) * s_ty.size());
+        assert_eq!(sess.world.mpi.move_lists.hits(), iter * nfrags);
+    }
 }
 
 /// Eager keeps the moving primitives: one pack into the bounce buffer,
