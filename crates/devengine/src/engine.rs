@@ -29,23 +29,45 @@ enum UnitSource {
     /// A cached CUDA-DEV plan (no preparation cost); the engine's own
     /// position is the cursor.
     Cached(Rc<DevPlan>),
-    /// Vector-shaped type: units are computed arithmetically by the
-    /// specialized kernel — no descriptor array, no per-unit CPU cost.
-    Vector {
-        block_bytes: u64,
-        stride: i64,
-        first_disp: i64,
-        pos: u64,
-        total: u64,
-    },
-    /// Doubly-strided type (e.g. a matrix transpose): units come from
-    /// two nested strides computed arithmetically by the kernel — like
-    /// `Vector`, no descriptor array and no per-unit CPU cost.
-    Strided2D {
-        shape: Strided2D,
-        pos: u64,
-        total: u64,
-    },
+    /// Vector-shaped or doubly-strided type (e.g. a matrix transpose):
+    /// units come from one or two nested strides computed arithmetically
+    /// by the specialized kernel — no descriptor array, no per-unit CPU
+    /// cost. A vector is one row of blocks that never ends.
+    Strided(Strided2D),
+}
+
+/// Fill `units` (cleared first) with the packed window `from..to` of a
+/// doubly-strided layout, pack orientation, packed offsets relative to
+/// `from`, typed offsets relative to `base_shift`. The window's first
+/// block is found by division, once; every later block steps `(i, j)`
+/// and its displacement by addition — the transpose cells pay this per
+/// 8-byte unit.
+fn strided_units(shape: &Strided2D, base_shift: i64, from: u64, to: u64, units: &mut Vec<CopyOp>) {
+    units.clear();
+    let bb = shape.block_bytes;
+    let (block, mut intra) = (from / bb, from % bb);
+    let (i, mut j) = (block / shape.inner, block % shape.inner);
+    // Displacement of block (i, 0), then of block (i, j).
+    let mut row = shape.first_disp + i as i64 * shape.outer_stride - base_shift;
+    let mut disp = row + j as i64 * shape.inner_stride;
+    let mut p = from;
+    while p < to {
+        let take = (bb - intra).min(to - p);
+        units.push(CopyOp {
+            src_off: (disp + intra as i64) as usize,
+            dst_off: (p - from) as usize,
+            len: take as usize,
+        });
+        p += take;
+        intra = 0;
+        j += 1;
+        disp += shape.inner_stride;
+        if j == shape.inner {
+            j = 0;
+            row += shape.outer_stride;
+            disp = row;
+        }
+    }
 }
 
 /// Drives one logical pack or unpack job fragment by fragment.
@@ -119,13 +141,14 @@ impl FragmentEngine {
             sim.trace
                 .count(names::DEVENGINE_SOURCE_VECTOR, rank as u32, 0, 1);
             return Ok(FragmentEngine {
-                source: UnitSource::Vector {
+                source: UnitSource::Strided(Strided2D {
+                    outer: 1,
+                    inner: u64::MAX,
                     block_bytes,
-                    stride,
+                    inner_stride: stride,
+                    outer_stride: 0,
                     first_disp,
-                    pos: 0,
-                    total,
-                },
+                }),
                 dir,
                 cfg,
                 rank,
@@ -147,11 +170,7 @@ impl FragmentEngine {
                 sim.trace
                     .count(names::DEVENGINE_SOURCE_STRIDED2D, rank as u32, 0, 1);
                 return Ok(FragmentEngine {
-                    source: UnitSource::Strided2D {
-                        shape,
-                        pos: 0,
-                        total,
-                    },
+                    source: UnitSource::Strided(shape),
                     dir,
                     cfg,
                     rank,
@@ -388,55 +407,8 @@ impl FragmentEngine {
                 plan.slice_into(from, from + n, units);
                 false
             }
-            UnitSource::Vector {
-                block_bytes,
-                stride,
-                first_disp,
-                pos,
-                total,
-            } => {
-                units.clear();
-                let to = (*pos + n).min(*total);
-                let bb = *block_bytes;
-                let mut p = *pos;
-                while p < to {
-                    let block = p / bb;
-                    let intra = p % bb;
-                    let take = (bb - intra).min(to - p);
-                    let disp = *first_disp + block as i64 * *stride + intra as i64;
-                    units.push(CopyOp {
-                        src_off: (disp - self.base_shift) as usize,
-                        dst_off: (p - from) as usize,
-                        len: take as usize,
-                    });
-                    p += take;
-                }
-                *pos = to;
-                false
-            }
-            UnitSource::Strided2D { shape, pos, total } => {
-                units.clear();
-                let to = (*pos + n).min(*total);
-                let bb = shape.block_bytes;
-                let mut p = *pos;
-                while p < to {
-                    let block = p / bb;
-                    let intra = p % bb;
-                    let take = (bb - intra).min(to - p);
-                    let i = (block / shape.inner) as i64;
-                    let j = (block % shape.inner) as i64;
-                    let disp = shape.first_disp
-                        + i * shape.outer_stride
-                        + j * shape.inner_stride
-                        + intra as i64;
-                    units.push(CopyOp {
-                        src_off: (disp - self.base_shift) as usize,
-                        dst_off: (p - from) as usize,
-                        len: take as usize,
-                    });
-                    p += take;
-                }
-                *pos = to;
+            UnitSource::Strided(shape) => {
+                strided_units(shape, self.base_shift, from, from + n, units);
                 false
             }
         }
@@ -750,6 +722,81 @@ mod tests {
 
     fn world() -> Sim<NodeWorld> {
         Sim::new(NodeWorld::new(2))
+    }
+
+    /// The division form [`strided_units`] replaced: block, row and
+    /// column of every unit recomputed from its packed position.
+    fn strided_units_by_division(
+        s: &Strided2D,
+        base_shift: i64,
+        from: u64,
+        to: u64,
+    ) -> Vec<CopyOp> {
+        let mut units = Vec::new();
+        let mut p = from;
+        while p < to {
+            let (block, intra) = (p / s.block_bytes, p % s.block_bytes);
+            let take = (s.block_bytes - intra).min(to - p);
+            let (i, j) = ((block / s.inner) as i64, (block % s.inner) as i64);
+            let disp = s.first_disp + i * s.outer_stride + j * s.inner_stride + intra as i64;
+            units.push(CopyOp {
+                src_off: (disp - base_shift) as usize,
+                dst_off: (p - from) as usize,
+                len: take as usize,
+            });
+            p += take;
+        }
+        units
+    }
+
+    #[test]
+    fn stepping_units_equal_the_division_form_over_random_shapes_and_window_cuts() {
+        let mut rng = simcore::rng::rng(0x57e9);
+        let mut units = Vec::new();
+        for case in 0..400 {
+            // Every fourth shape is a vector: one endless row.
+            let inner = match case % 4 {
+                0 => u64::MAX,
+                _ => rng.range_u64(1, 9),
+            };
+            let rows = rng.range_u64(1, 7);
+            let block_bytes = 8 * rng.range_u64(1, 6);
+            let inner_stride = block_bytes as i64 + 8 * rng.range_u64(0, 5) as i64;
+            let shape = Strided2D {
+                outer: rows,
+                inner,
+                block_bytes,
+                inner_stride: if case % 3 == 0 {
+                    -inner_stride
+                } else {
+                    inner_stride
+                },
+                outer_stride: 8 * rng.range_u64(0, 400) as i64 - 800,
+                first_disp: 8 * rng.range_u64(0, 50) as i64,
+            };
+            let base_shift = -(1 << 20);
+            let total = block_bytes * inner.min(11) * rows;
+            // Random cuts, plus one inside a block, one at a block end
+            // and one at a row end.
+            let row_bytes = block_bytes * inner.min(11);
+            let mut cuts = vec![0, total, block_bytes / 2, block_bytes, row_bytes];
+            cuts.extend((0..6).map(|_| rng.range_u64(0, total + 1)));
+            cuts.retain(|&c| c <= total);
+            cuts.sort_unstable();
+            cuts.dedup();
+            for w in cuts.windows(2) {
+                strided_units(&shape, base_shift, w[0], w[1], &mut units);
+                let want = strided_units_by_division(&shape, base_shift, w[0], w[1]);
+                assert_eq!(units, want, "{shape:?} window {w:?}");
+                assert_eq!(units.iter().map(|u| u.len as u64).sum::<u64>(), w[1] - w[0]);
+            }
+            // And the whole stream at once.
+            strided_units(&shape, base_shift, 0, total, &mut units);
+            assert_eq!(
+                units,
+                strided_units_by_division(&shape, base_shift, 0, total)
+            );
+        }
     }
 
     /// Allocate a device buffer holding `count` instances of `ty`,

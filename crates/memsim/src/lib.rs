@@ -19,7 +19,7 @@ pub mod registry;
 pub mod space;
 
 pub use error::MemError;
-pub use pool::{MemPool, Memory, MoveExtent};
+pub use pool::{MemPool, Memory, Move, MoveExtent};
 pub use ptr::{AllocId, Ptr};
 pub use registry::{IpcHandle, Registration, RegistrationTable};
 pub use space::{GpuId, MemSpace};

@@ -6,7 +6,7 @@ use crate::ptr::{AllocId, Ptr};
 use crate::registry::RegistrationTable;
 use crate::space::{GpuId, MemSpace};
 use simcore::hash::DetHashMap;
-use simcore::par::{par_copy, par_transfer_total, CopyOp};
+use simcore::par::{par_copy, par_transfer_batch, CopyOp, SegList};
 use std::cell::OnceCell;
 
 /// One allocation: its length, and its bytes from the first access on.
@@ -134,7 +134,7 @@ impl MemPool {
 
     fn check_range(&self, ptr: Ptr, len: u64) -> Result<(), MemError> {
         let alloc_len = self.alloc_len(ptr)?;
-        if ptr.offset + len > alloc_len {
+        if (ptr.offset.checked_add(len)).is_none_or(|end| end > alloc_len) {
             return Err(MemError::OutOfBounds {
                 ptr,
                 len,
@@ -248,13 +248,41 @@ pub struct MoveExtent {
 
 impl MoveExtent {
     pub fn of(ops: &[CopyOp]) -> MoveExtent {
+        // An end that would wrap saturates: more than any allocation
+        // holds.
+        let end = |off: usize, len: usize| (off as u64).saturating_add(len as u64);
         let mut e = MoveExtent::default();
         for o in ops {
-            e.src_need = e.src_need.max((o.src_off + o.len) as u64);
-            e.dst_need = e.dst_need.max((o.dst_off + o.len) as u64);
+            e.src_need = e.src_need.max(end(o.src_off, o.len));
+            e.dst_need = e.dst_need.max(end(o.dst_off, o.len));
             e.bytes += o.len as u64;
         }
         e
+    }
+}
+
+/// One entry of [`Memory::transfer_batch`]: a segment list between two
+/// base pointers, with the extent it needs of them.
+#[derive(Clone, Copy, Debug)]
+pub struct Move<'a> {
+    pub src: Ptr,
+    pub dst: Ptr,
+    pub ops: &'a [CopyOp],
+    pub extent: MoveExtent,
+}
+
+impl<'a> Move<'a> {
+    /// The entry as the copy layer takes it: offsets relative to the two
+    /// allocations' first bytes, windows as wide as the extent.
+    fn seg_list(&self) -> SegList<'a> {
+        SegList {
+            src_at: self.src.offset as usize,
+            src_len: self.extent.src_need as usize,
+            dst_at: self.dst.offset as usize,
+            dst_len: self.extent.dst_need as usize,
+            bytes: self.extent.bytes as usize,
+            ops: self.ops,
+        }
     }
 }
 
@@ -375,12 +403,7 @@ impl Memory {
     }
 
     /// [`Memory::transfer`] for a list whose [`MoveExtent`] the caller
-    /// already holds. Both ranges are checked against the live
-    /// allocations as ever, and every segment is still checked on its
-    /// way to memory — by the copy layer against the two ranges, by
-    /// slice indexing when the ranges share an allocation — so an
-    /// extent that understates its list panics instead of letting a
-    /// segment out of bounds.
+    /// already holds: the one-entry [`Memory::transfer_batch`].
     pub fn transfer_measured(
         &mut self,
         src: Ptr,
@@ -391,27 +414,76 @@ impl Memory {
         if ops.is_empty() {
             return Ok(());
         }
-        let MoveExtent {
-            src_need,
-            dst_need,
-            bytes,
-        } = extent;
-        self.pool(src.space).check_range(src, src_need)?;
-        self.pool(dst.space).check_range(dst, dst_need)?;
-        self.bytes_moved += bytes;
-        if src.space == dst.space && src.alloc == dst.alloc {
-            return (self.pool_mut(src.space)).transfer_within(src, dst, ops, bytes);
+        let entry = Move {
+            src,
+            dst,
+            ops,
+            extent,
+        };
+        self.transfer_batch(&[entry])
+    }
+
+    /// Whether `len` bytes at `ptr` lie inside a live allocation.
+    pub fn check_range(&self, ptr: Ptr, len: u64) -> Result<(), MemError> {
+        self.pool(ptr.space).check_range(ptr, len)
+    }
+
+    /// Execute `moves` in order, as `transfer` would one by one — but
+    /// every entry's two ranges are checked against the live
+    /// allocations before any entry moves a byte, and each run of
+    /// entries between the same two allocations reaches the copy layer
+    /// as one job, so a transfer's fragments share its lanes the way
+    /// one list of their total size would. Every segment is still
+    /// checked on its way to memory — by the copy layer against the
+    /// entry's two ranges, by slice indexing when the ranges share an
+    /// allocation (those entries gather-then-scatter one at a time) —
+    /// so an extent that understates its list panics instead of letting
+    /// a segment out of bounds. Within a run, destination segments must
+    /// be disjoint across entries.
+    pub fn transfer_batch(&mut self, moves: &[Move<'_>]) -> Result<(), MemError> {
+        for m in moves {
+            self.check_range(m.src, m.extent.src_need)?;
+            self.check_range(m.dst, m.extent.dst_need)?;
         }
-        let src_raw =
-            self.pool(src.space).allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
-        let dst_pool = self.pool_mut(dst.space);
-        let dst_slice = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
-        let dst_range =
-            &mut dst_slice.bytes_mut()[dst.offset as usize..(dst.offset + dst_need) as usize];
-        // SAFETY: different allocations (the shared case returned above),
-        // the source backed before its pointer was taken.
-        let src_range = unsafe { std::slice::from_raw_parts(src_raw, src_need as usize) };
-        par_transfer_total(dst_range, src_range, ops, bytes as usize);
+        let mut rest = moves;
+        while let Some(&Move { src, dst, .. }) = rest.first() {
+            let same = |m: &&Move<'_>| {
+                m.src.distance_to(src).is_some() && m.dst.distance_to(dst).is_some()
+            };
+            let run;
+            (run, rest) = rest.split_at(rest.iter().take_while(same).count());
+            self.bytes_moved += run.iter().map(|m| m.extent.bytes).sum::<u64>();
+            if src.distance_to(dst).is_some() {
+                for m in run {
+                    (self.pool_mut(src.space)).transfer_within(
+                        m.src,
+                        m.dst,
+                        m.ops,
+                        m.extent.bytes,
+                    )?;
+                }
+                continue;
+            }
+            let (one, many);
+            let lists: &[SegList<'_>] = match run {
+                [m] => {
+                    one = [m.seg_list()];
+                    &one
+                }
+                _ => {
+                    many = run.iter().map(Move::seg_list).collect::<Vec<_>>();
+                    &many
+                }
+            };
+            let src_all = self.pool(src.space).allocs[&src.alloc].bytes();
+            let (src_raw, src_len) = (src_all.as_ptr(), src_all.len());
+            let dst_pool = self.pool_mut(dst.space);
+            let dst_all = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
+            // SAFETY: different allocations (the shared case was handled
+            // above), the source backed before its pointer was taken.
+            let src_all = unsafe { std::slice::from_raw_parts(src_raw, src_len) };
+            par_transfer_batch(dst_all.bytes_mut(), src_all, lists);
+        }
         Ok(())
     }
 }
@@ -711,6 +783,124 @@ mod tests {
             let _ = m.transfer_measured(src, dst, &ops, narrow);
         }));
         assert!(r.is_err(), "an understated extent must not reach memory");
+    }
+
+    /// Four allocations in three spaces, filled alike on every call.
+    fn four_buffers(m: &mut Memory) -> [Ptr; 4] {
+        let spaces = [
+            MemSpace::Host,
+            MemSpace::Device(GpuId(0)),
+            MemSpace::Device(GpuId(1)),
+            MemSpace::Device(GpuId(0)),
+        ];
+        let mut seed = 0u8;
+        spaces.map(|space| {
+            let p = m.alloc(space, 256).unwrap();
+            seed += 1;
+            let bytes: Vec<u8> = (0..=255u8).map(|i| i.wrapping_mul(7) ^ seed).collect();
+            m.write(p, &bytes).unwrap();
+            p
+        })
+    }
+
+    fn op(src_off: usize, dst_off: usize, len: usize) -> CopyOp {
+        CopyOp {
+            src_off,
+            dst_off,
+            len,
+        }
+    }
+
+    #[test]
+    fn a_batch_is_its_entries_transferred_one_by_one() {
+        let lists = [
+            vec![op(0, 8, 16), op(32, 40, 8)],
+            vec![op(3, 100, 29)],
+            vec![op(0, 64, 32), op(64, 0, 32)], // aliased: swaps through itself
+            vec![op(100, 0, 50), op(0, 200, 50)],
+            vec![op(8, 8, 8)],
+            vec![],
+        ];
+        // (source, destination, base offsets) per entry: a run of two
+        // between the same allocations, an aliased entry, a pair in the
+        // other direction that reads what the run wrote, another run.
+        let plan = [
+            (0, 1, 0, 0, 0),
+            (0, 1, 16, 32, 1),
+            (2, 2, 0, 64, 2),
+            (1, 0, 0, 0, 3),
+            (3, 2, 100, 0, 4),
+            (3, 2, 0, 128, 5),
+            (3, 2, 7, 16, 0),
+        ];
+        let (mut one_by_one, mut batched) = (mem(), mem());
+        let (a, b) = (four_buffers(&mut one_by_one), four_buffers(&mut batched));
+        for &(s, d, s_at, d_at, l) in &plan {
+            (one_by_one.transfer(a[s].add(s_at), a[d].add(d_at), &lists[l])).unwrap();
+        }
+        let moves: Vec<Move<'_>> = (plan.iter())
+            .map(|&(s, d, s_at, d_at, l)| Move {
+                src: b[s].add(s_at),
+                dst: b[d].add(d_at),
+                ops: &lists[l],
+                extent: MoveExtent::of(&lists[l]),
+            })
+            .collect();
+        batched.transfer_batch(&moves).unwrap();
+        for (a, b) in a.iter().zip(&b) {
+            assert_eq!(
+                batched.read_vec(*b, 256).unwrap(),
+                one_by_one.read_vec(*a, 256).unwrap()
+            );
+        }
+        assert_eq!(batched.bytes_moved(), one_by_one.bytes_moved());
+        assert_eq!(batched.bytes_moved(), 24 + 29 + 64 + 100 + 8 + 24);
+        batched.transfer_batch(&[]).unwrap();
+    }
+
+    #[test]
+    fn a_bad_entry_anywhere_fails_the_batch_before_a_byte_moves() {
+        let good = [op(0, 0, 16)];
+        let wraps_src = [op(usize::MAX - 3, 0, 8)];
+        let wraps_dst = [op(0, usize::MAX - 3, 8)];
+        let past_end = [op(250, 0, 16)];
+        for at in 0..3 {
+            for bad in [&wraps_src[..], &wraps_dst[..], &past_end[..]] {
+                let mut m = mem();
+                let [h, d0, d1, _] = four_buffers(&mut m);
+                let before = m.read_vec(d0, 256).unwrap();
+                let entry = |src, dst, ops| Move {
+                    src,
+                    dst,
+                    ops,
+                    extent: MoveExtent::of(ops),
+                };
+                let mut moves = vec![entry(h, d0, &good[..]), entry(h, d0.add(16), &good[..])];
+                moves.insert(at, entry(d1, d0.add(32), bad));
+                assert!(matches!(
+                    m.transfer_batch(&moves),
+                    Err(MemError::OutOfBounds { .. })
+                ));
+                assert_eq!(m.read_vec(d0, 256).unwrap(), before);
+                assert_eq!(m.bytes_moved(), 0, "a failed batch is not traffic");
+                // The one-list call refuses the same ops the same way: a
+                // wrapped end is an extent no allocation holds.
+                assert_eq!(MoveExtent::of(&wraps_src).src_need, u64::MAX);
+                assert!(matches!(
+                    m.transfer(d1, d0, bad),
+                    Err(MemError::OutOfBounds { .. })
+                ));
+                // A buffer freed since the entry was made is a typed
+                // error too, whichever end it is.
+                m.free(if at == 0 { h } else { d0 }).unwrap();
+                moves.remove(at);
+                assert!(matches!(
+                    m.transfer_batch(&moves),
+                    Err(MemError::InvalidPointer(_))
+                ));
+                assert_eq!(m.bytes_moved(), 0);
+            }
+        }
     }
 
     #[test]

@@ -10,17 +10,25 @@
 //! struct, one pump, one failure path, one slot free-list and one
 //! `frag` span per slot residency serve every path class.
 //!
-//! **Charge per stage, move per fragment.** Every stage is charged —
-//! stream, CPU and link reservations, fault rolls and retries, spans,
-//! counters, completion events, against the ring slots the connection
-//! allocated — but no stage writes a byte. Each conversion charge hands
-//! its unit list back, the fragment carries them, and [`landed`] moves
-//! the fragment exactly once, source buffer → destination buffer: a
-//! typed end's own list against a dense end's window, or the merge of
-//! the two lists ([`devengine::merge_units`]) when both ends are typed.
-//! The packed stream is an index, never memory. The offload stages
-//! ([`StageOp::moves_payload`]) are one hardware gather/scatter already
-//! and land their own bytes.
+//! **Charge per stage, queue per fragment, move per transfer.** Every
+//! stage is charged — stream, CPU and link reservations, fault rolls and
+//! retries, spans, counters, completion events, against the ring slots
+//! the connection allocated — but no stage writes a byte. Each
+//! conversion charge hands its unit list back, the fragment carries
+//! them, and [`landed`] resolves the fragment's one move, source buffer
+//! → destination buffer: a typed end's own list against a dense end's
+//! window, or the merge of the two lists ([`devengine::merge_units`])
+//! when both ends are typed. The packed stream is an index, never
+//! memory. The move is range-checked and accounted at the landing
+//! instant and appended to the transfer's queue; [`flush`] hands the
+//! queue to [`memsim::Memory::transfer_batch`] as one job the copy pool
+//! can split — when the last fragment lands (before either request
+//! resolves), on the failure path (before the requests resolve `Err`),
+//! early when the queue holds [`QUEUE_UNITS`], and after every fragment
+//! of a transfer whose two buffers share an allocation. A one-fragment
+//! transfer is a one-entry queue through the same flush. The offload
+//! stages ([`StageOp::moves_payload`]) are one hardware gather/scatter
+//! already and land their own bytes.
 //!
 //! **Derive per fragment, once.** The merge is a pure function of the
 //! two layouts and the fragment's packed window, so its result is kept
@@ -40,8 +48,9 @@
 //! sequential, so fragments enter every stage in sequence order; the
 //! receive request completes before the last ack (or notification) is
 //! sent; the send request completes only after the last fragment
-//! landed, so the send buffer is stable from pack charge to landing; a
-//! failure resolves both requests at most once.
+//! landed and the queue moved, so the send buffer is stable — and the
+//! receive buffer unobserved — from pack charge to the flush that
+//! precedes completion; a failure resolves both requests at most once.
 
 use crate::connection::{IbConn, SmConn};
 use crate::protocol::offload::CapturedXfer;
@@ -52,7 +61,7 @@ use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
-use memsim::{MoveExtent, Ptr};
+use memsim::{Move, MoveExtent, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts, NicProgram};
 use simcore::par::CopyOp;
 use simcore::scratch::{recycle_units_buf, take_units_buf};
@@ -213,11 +222,58 @@ struct Exec {
     s_turn: u64,
     r_turn: u64,
     parked: Vec<(Frag, usize)>,
-    /// Unit buffers of landed fragments, for this transfer's later
+    /// Unit buffers of moved fragments, for this transfer's later
     /// fragments: a transfer cycles the same few lists, however long
-    /// they are. They return to [`simcore::scratch`] with the last
+    /// it is. They return to [`simcore::scratch`] with the last
     /// fragment.
     spare: Vec<Vec<CopyOp>>,
+    /// Landed fragments whose bytes have not moved yet, in landing
+    /// order, and the units their lists hold; [`flush`] moves them as
+    /// one batch.
+    queue: Vec<Queued>,
+    queued_units: usize,
+}
+
+/// The queue is flushed early once its lists hold this many units
+/// (768 KiB of `CopyOp`s). The bound is on what holding the queue costs
+/// — memory, and lists that should still be in cache when a flush reads
+/// them the second time (every segment is checked before any moves) —
+/// not on payload. Coarse lists reach tens of megabytes of payload
+/// first (a 67 MB triangle is 4 Ki units as the optimizer coalesces it
+/// — one flush — and 70 Ki in bare 1 KiB units: three flushes, each two
+/// full lanes), and a fine list is moved on one lane whenever it is
+/// flushed, so it loses nothing by going early: `pp_irregular` read the
+/// same with eight times this bound. Pinned lists count like owned
+/// ones — `move_lists` may evict a list while the queue holds it, and
+/// then the queue is all that keeps it alive.
+const QUEUE_UNITS: usize = 32 << 10;
+
+/// A landed fragment awaiting its transfer's flush: what
+/// [`memsim::Move`] takes, with the list kept alive.
+struct Queued {
+    src: Ptr,
+    dst: Ptr,
+    list: QueuedList,
+    extent: MoveExtent,
+}
+
+enum QueuedList {
+    /// Two typed ends: the fragment's (cached) merged list.
+    Pinned(Rc<MoveList>),
+    /// A lone typed end's own list, in a unit buffer.
+    Owned(Vec<CopyOp>),
+    /// Two dense ends: the fragment's window, one op.
+    Window([CopyOp; 1]),
+}
+
+impl QueuedList {
+    fn ops(&self) -> &[CopyOp] {
+        match self {
+            QueuedList::Pinned(list) => &list.units,
+            QueuedList::Owned(units) => units,
+            QueuedList::Window(op) => op,
+        }
+    }
 }
 
 type St = Rc<RefCell<Exec>>;
@@ -285,9 +341,13 @@ fn faulted(why: &str) -> MpiError {
     MpiError::Faulted(why.into())
 }
 
+/// The executor's one failure path. A partly-landed transfer shows
+/// exactly its landed fragments, so the queue moves first; a flush that
+/// fails as well cannot outrank the error being reported.
 // Resolving a request only queues its continuations, so holding the
 // state borrow across the abort cannot re-enter.
 fn fail(sim: &mut Sim<MpiWorld>, st: &St, err: MpiError) {
+    let _ = flush(sim, st);
     st.borrow().t.fail(sim, err);
 }
 
@@ -332,6 +392,8 @@ pub(crate) fn run(sim: &mut Sim<MpiWorld>, mut t: Transfer, conn: Conn) {
         r_turn: 0,
         parked: Vec::new(),
         spare: Vec::new(),
+        queue: Vec::new(),
+        queued_units: 0,
     }));
     match register {
         Some((rank, buf)) => ensure_registered(sim, rank, buf, move |sim| pump(sim, st)),
@@ -537,13 +599,17 @@ fn graph_replay(
     });
 }
 
-/// Move fragment `f`'s bytes, once, from the sender's buffer to the
-/// receiver's. An end that runs no conversion is dense and its window
-/// of the user buffer *is* the fragment, so a lone typed end's list
-/// applies as it stands; two typed ends meet through their
-/// [`typed_moves`]. The unit buffers go back to the transfer's spares
-/// either way.
-fn move_fragment(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<(), MpiError> {
+/// Queue fragment `f`'s one move, sender's buffer → receiver's. An end
+/// that runs no conversion is dense and its window of the user buffer
+/// *is* the fragment, so a lone typed end's list applies as it stands;
+/// two typed ends meet through their [`typed_moves`]. Both ranges are
+/// checked against the live allocations here, so a bad buffer fails the
+/// transfer at the landing instant, and again by [`flush`], which is
+/// when they are dereferenced. Returns whether the queue must move now:
+/// it holds [`QUEUE_UNITS`], or the two buffers share an allocation — a
+/// later fragment's source may be this one's destination, so such a
+/// transfer gathers-then-scatters fragment by fragment, as ever.
+fn queue_fragment(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<bool, MpiError> {
     // Where `end`'s unit offsets are relative to — `None` for a dense
     // end, which has no engine — and that end's window.
     let bases = |end: End| {
@@ -556,27 +622,77 @@ fn move_fragment(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<(), M
         x.resolve(Loc::User(end), f).map(|window| (typed, window))
     };
     let ((s_typed, s_window), (r_typed, r_window)) = (bases(End::Send)?, bases(End::Recv)?);
-    let whole_window = [CopyOp {
-        src_off: 0,
-        dst_off: 0,
-        len: f.n as usize,
-    }];
-    let pinned;
-    let (src, dst, units, extent) = match (s_typed, r_typed) {
-        (Some(src), Some(dst)) => {
-            pinned = typed_moves(sim, st, f)?;
-            (src, dst, &*pinned.units, Some(pinned.extent))
+    let (src, dst, list) = match (s_typed, r_typed) {
+        (Some(src), Some(dst)) => (src, dst, QueuedList::Pinned(typed_moves(sim, st, f)?)),
+        (Some(src), None) => (
+            src,
+            r_window,
+            QueuedList::Owned(std::mem::take(&mut f.s_units)),
+        ),
+        (None, Some(dst)) => (
+            s_window,
+            dst,
+            QueuedList::Owned(std::mem::take(&mut f.r_units)),
+        ),
+        (None, None) => {
+            let whole_window = CopyOp {
+                src_off: 0,
+                dst_off: 0,
+                len: f.n as usize,
+            };
+            (s_window, r_window, QueuedList::Window([whole_window]))
         }
-        (Some(src), None) => (src, r_window, f.s_units.as_slice(), None),
-        (None, Some(dst)) => (s_window, dst, f.r_units.as_slice(), None),
-        (None, None) => (s_window, r_window, whole_window.as_slice(), None),
     };
-    let extent = extent.unwrap_or_else(|| MoveExtent::of(units));
-    let moved = sim.world.mem().transfer_measured(src, dst, units, extent);
+    let extent = match &list {
+        QueuedList::Pinned(known) => known.extent,
+        other => MoveExtent::of(other.ops()),
+    };
+    let mem = sim.world.mem();
+    let in_range = (mem.check_range(src, extent.src_need))
+        .and_then(|()| mem.check_range(dst, extent.dst_need));
     let mut x = st.borrow_mut();
     x.spare.push(std::mem::take(&mut f.s_units));
     x.spare.push(std::mem::take(&mut f.r_units));
     x.spare.retain(|buf| buf.capacity() > 0);
+    in_range.map_err(|e| MpiError::Mem(e.to_string()))?;
+    x.queued_units += list.ops().len();
+    x.queue.push(Queued {
+        src,
+        dst,
+        list,
+        extent,
+    });
+    let aliased = src.distance_to(dst).is_some();
+    Ok(aliased || x.queued_units >= QUEUE_UNITS)
+}
+
+/// Move every queued fragment, as one batch: `Memory` re-checks each
+/// against the live allocations, then copies the run as one job. The
+/// unit buffers go back to the transfer's spares.
+fn flush(sim: &mut Sim<MpiWorld>, st: &St) -> Result<(), MpiError> {
+    let queue = {
+        let mut x = st.borrow_mut();
+        x.queued_units = 0;
+        std::mem::take(&mut x.queue)
+    };
+    if queue.is_empty() {
+        return Ok(());
+    }
+    let moves: Vec<Move<'_>> = (queue.iter())
+        .map(|q| Move {
+            src: q.src,
+            dst: q.dst,
+            ops: q.list.ops(),
+            extent: q.extent,
+        })
+        .collect();
+    let moved = sim.world.mem().transfer_batch(&moves);
+    let mut x = st.borrow_mut();
+    for q in queue {
+        if let QueuedList::Owned(units) = q.list {
+            x.spare.push(units);
+        }
+    }
     moved.map_err(|e| MpiError::Mem(e.to_string()))
 }
 
@@ -608,13 +724,19 @@ fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<Move
     Ok(moves)
 }
 
-/// A fragment's last stage completed: move its bytes (unless a stage
-/// landed them itself), account it, return the slot's credit per the
-/// plan's policy, and complete the requests when everything has moved.
+/// A fragment's last stage completed: queue its bytes' move (unless a
+/// stage landed them itself) and move the queue if this is the last
+/// fragment — before either request resolves — or the queue cannot
+/// wait; account the fragment, return the slot's credit per the plan's
+/// policy, and complete the requests when everything has moved.
 fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError> {
-    let self_moving = (st.borrow().t.plan.stages.iter()).any(|op| op.moves_payload());
-    if !self_moving {
-        move_fragment(sim, st, &mut f)?;
+    let (self_moving, last) = {
+        let x = st.borrow();
+        let self_moving = x.t.plan.stages.iter().any(|op| op.moves_payload());
+        (self_moving, x.landed + f.n >= x.total)
+    };
+    if !self_moving && (queue_fragment(sim, st, &mut f)? || last) {
+        flush(sim, st)?;
     }
     let (credit, (a, b), total, done) = {
         let mut x = st.borrow_mut();

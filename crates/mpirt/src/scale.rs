@@ -298,8 +298,12 @@ fn send_msg(
         }
         slowdown = st.faults.slowdown(op, launch);
     }
-    let wire = shape.topo.bandwidth(st.rank, dst).time_for(bytes);
-    let wire = SimTime::from_nanos((wire.as_nanos() as f64 * slowdown).ceil() as u64);
+    let mut wire = shape.topo.bandwidth(st.rank, dst).time_for(bytes);
+    // Only a degraded send pays the float round trip (`ceil` is a libm
+    // call on baseline x86-64); × 1.0 is the identity below 2⁵³ ns.
+    if slowdown != 1.0 {
+        wire = SimTime::from_nanos((wire.as_nanos() as f64 * slowdown).ceil() as u64);
+    }
     st.nic_free = launch + wire;
     let at = st.nic_free + shape.topo.latency(shape.ranks, st.rank, dst);
     ctx.send(

@@ -1,31 +1,40 @@
 //! Parallel byte movement on the host.
 //!
 //! The simulated GPU kernels *really* move bytes between host-backed
-//! buffers; for multi-megabyte packs this is worth parallelizing across
-//! host cores. Rayon is outside this workspace's dependency policy, so we
-//! provide a tiny fork-join built on a **persistent worker pool** —
-//! enough for the two access patterns the datatype engine needs:
+//! buffers, and a rendezvous transfer moves its landed fragments in as
+//! few calls as it can, so the copies that matter are tens of
+//! megabytes. Rayon is outside this workspace's dependency policy, so
+//! this is a tiny fork-join on a **persistent worker pool**, with one
+//! shape of work:
 //!
-//! * [`par_copy`] — one large contiguous copy, split into chunks;
-//! * [`par_transfer`] — a list of `(src_off, dst_off, len)` segment moves
-//!   (the shape of a DEV work-unit list), partitioned across threads.
+//! * [`par_transfer_batch`] — a run of segment lists ([`SegList`]: a
+//!   DEV work-unit list with the window of each buffer its offsets are
+//!   relative to), copied as one job;
+//! * [`par_transfer`] / [`par_transfer_total`] — its one-list case;
+//! * [`par_copy`] — its one-list, one-segment case.
 //!
-//! The pool is lazily initialized on the first transfer that crosses the
-//! parallel threshold and lives for the process. Workers block on
-//! channels and are woken only when a sharded copy arrives, so the hot
-//! data path never spawns OS threads (the pre-pool `std::thread::scope`
-//! implementation paid a spawn+join for *every* large simulated kernel —
-//! it is preserved in [`scoped`] for wall-clock comparison benchmarks).
+//! One partitioner ([`partition`]) splits a batch's bytes evenly across
+//! lanes at segment boundaries, and inside a segment that straddles a
+//! boundary; one rule ([`lanes_for`]) decides how many lanes a batch is
+//! worth, from the measured cost of handing work to a parked thread
+//! (see [`MIN_BYTES_PER_LANE`]). The calling thread is always lane 0.
+//!
+//! The pool is lazily initialized by the first batch the rule gives a
+//! second lane and lives for the process. Workers block on channels and
+//! are woken only when a lane is theirs, so the data path never spawns
+//! OS threads (the pre-pool `std::thread::scope` implementation paid a
+//! spawn+join per large kernel — it is kept in [`scoped`] as the
+//! wall-clock baseline).
 //!
 //! Pool size defaults to `min(available_parallelism, 8)` and can be
 //! overridden with the `GPU_DDT_COPY_THREADS` environment variable
 //! (validated, `1..=64`); the choice is logged once at initialization.
-//! The shard count also adapts to the transfer size so medium transfers
-//! don't wake more workers than they can feed.
 //!
-//! Safety relies on the segments being disjoint **in the destination**,
-//! which the datatype engine guarantees by construction (a pack writes
-//! each packed byte exactly once); debug builds verify it.
+//! Safety relies on every segment lying inside its two buffers, which is
+//! asserted — overflow-proof, per segment, before a byte moves — and on
+//! the segments being disjoint **in the destination**, which the
+//! datatype engine guarantees by construction (a pack writes each packed
+//! byte exactly once); debug builds verify it across the whole batch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -39,13 +48,59 @@ pub struct CopyOp {
     pub len: usize,
 }
 
-/// Below this total size the cross-thread handoff costs more than it
-/// saves and the copy stays inline on the calling thread.
-const PAR_THRESHOLD: usize = 1 << 20;
+/// One segment list of a batch: `ops` whose offsets are relative to
+/// `src[src_at..]` / `dst[dst_at..]` and may reach `src_len` /
+/// `dst_len` bytes past those points — every segment is checked against
+/// that window, and the window against the buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct SegList<'a> {
+    pub src_at: usize,
+    pub src_len: usize,
+    pub dst_at: usize,
+    pub dst_len: usize,
+    /// Sum of the segment lengths. It only sizes the lane count and the
+    /// split (debug builds check it); a wrong sum costs balance, never
+    /// coverage.
+    pub bytes: usize,
+    pub ops: &'a [CopyOp],
+}
 
-/// Each shard should carry at least this many bytes; transfers just over
-/// the threshold wake fewer workers than the pool holds.
-const MIN_BYTES_PER_SHARD: usize = 256 << 10;
+impl<'a> SegList<'a> {
+    /// `ops` relative to the whole of `dst` and `src`.
+    fn whole(dst: &[u8], src: &[u8], ops: &'a [CopyOp], bytes: usize) -> Self {
+        SegList {
+            src_at: 0,
+            src_len: src.len(),
+            dst_at: 0,
+            dst_len: dst.len(),
+            bytes,
+            ops,
+        }
+    }
+}
+
+/// A lane beyond the caller's must carry at least this much. Handing a
+/// lane to a parked worker (channel send, `unpark`, the caller's `park`
+/// and wake-up) was measured on the 2-vCPU boxes this runs on, with both
+/// cores awake, at p50 38–45 µs back to back, 57–61 µs after 100 µs
+/// idle, 100–110 µs after 1 ms idle, p99 80–280 µs back to back and up
+/// to 1.4 ms after idle — against 60–80 µs to copy 512 KiB. The two
+/// 67 MB triangles of a `pp_dense` round trip, handed over in jobs of
+/// one 512 KiB fragment, read 26 ms on two lanes for 32 ms on one at
+/// 10 % more CPU (and 18 ms for 12 ms when the vCPUs share a core); in
+/// 4 MiB jobs 20 for 29 ms; as two whole lists 10 for 21 ms at equal
+/// CPU (EXPERIMENTS.md, "Move per transfer"). 2 MiB is about 300 µs of
+/// copying: six median wake-ups, one bad one.
+const MIN_BYTES_PER_LANE: usize = 2 << 20;
+
+/// Below this mean segment length a list is instruction-bound, not
+/// bandwidth-bound: on 8 MiB of 36-byte segments a second lane buys
+/// 18 % of wall time for 25 % more CPU (and first-touches a cold
+/// destination from two threads), at 512 B and above 40 % of wall time
+/// for none. The DEV engine's bare work units are 1 KiB runs with
+/// shorter row ends (mean ≈ 960 B on a triangle), so the line sits one
+/// power of two under that.
+const MIN_MEAN_SEGMENT: usize = 512;
 
 /// Hard ceiling on the pool size (env override included).
 pub const MAX_POOL_THREADS: usize = 64;
@@ -66,22 +121,34 @@ pub struct PoolInfo {
     pub from_env: bool,
 }
 
-/// One sharded copy handed to a worker. Raw pointers erase the caller's
-/// borrow lifetimes; the caller blocks until every shard completes, so
-/// the pointee outlives the job (the classic scoped-pool contract).
+/// A position in a batch's segment stream: everything before byte `byte`
+/// of segment `op` of list `list`. A lane is the stretch between two.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Cut {
+    list: usize,
+    op: usize,
+    byte: usize,
+}
+
+/// One lane of a batch handed to a worker: the stretch `from..to` of
+/// `lists`. Raw pointers erase the caller's borrow lifetimes; the caller
+/// blocks until every lane completes, so the pointees outlive the job
+/// (the classic scoped-pool contract).
 struct Job {
     src: *const u8,
     dst: *mut u8,
-    ops: *const CopyOp,
-    ops_len: usize,
+    lists: *const SegList<'static>,
+    lists_len: usize,
+    from: Cut,
+    to: Cut,
     done: *const Completion,
 }
 // SAFETY: the pointers stay valid until `done.remaining` hits zero (the
-// submitting thread parks until then), and every job writes a disjoint
-// destination range.
+// submitting thread parks until then), the lists behind `lists` are
+// plain shared data, and every job writes a disjoint destination range.
 unsafe impl Send for Job {}
 
-/// Completion latch shared by all shards of one call, on the caller's
+/// Completion latch shared by all lanes of one call, on the caller's
 /// stack.
 struct Completion {
     remaining: AtomicUsize,
@@ -89,7 +156,7 @@ struct Completion {
 }
 
 struct CopyPool {
-    /// One channel per parked worker; shard `i` goes to worker `i - 1`.
+    /// One channel per parked worker; lane `i` goes to worker `i - 1`.
     senders: Vec<Sender<Job>>,
     info: PoolInfo,
 }
@@ -168,12 +235,13 @@ pub fn pool_info_if_started() -> Option<PoolInfo> {
 
 fn worker_loop(rx: Receiver<Job>) {
     while let Ok(job) = rx.recv() {
-        // SAFETY: the submitting thread keeps src/dst/ops/done alive
-        // until the latch releases; destination ranges are disjoint
-        // across shards (debug-checked before submission).
+        // SAFETY: the submitting thread keeps src/dst/lists/done alive
+        // until the latch releases, every segment was bounds-checked
+        // before submission, and destination ranges are disjoint across
+        // lanes (debug-checked before submission).
         unsafe {
-            let ops = std::slice::from_raw_parts(job.ops, job.ops_len);
-            copy_ops_raw(job.dst, job.src, ops);
+            let lists = std::slice::from_raw_parts(job.lists, job.lists_len);
+            copy_span(job.dst, job.src, lists, job.from, job.to);
             // Clone the caller handle *before* the decrement: once
             // `remaining` hits zero the Completion may be freed.
             let caller = (*job.done).caller.clone();
@@ -184,41 +252,142 @@ fn worker_loop(rx: Receiver<Job>) {
     }
 }
 
-/// How many copy lanes a transfer of `total_bytes` should use. Returns 1
-/// (inline) below the threshold without touching — or initializing —
-/// the pool.
-fn lanes_for(total_bytes: usize) -> usize {
-    if total_bytes < PAR_THRESHOLD {
+/// How many lanes the rule wants for `bytes` in `segments` segments,
+/// before the pool's size caps it: one, unless the list is coarse
+/// ([`MIN_MEAN_SEGMENT`]) and every lane gets [`MIN_BYTES_PER_LANE`].
+fn lanes_wanted(bytes: usize, segments: usize) -> usize {
+    if bytes / MIN_MEAN_SEGMENT < segments {
         return 1;
     }
-    let adaptive = (total_bytes / MIN_BYTES_PER_SHARD).max(1);
-    pool().info.threads.min(adaptive).min(MAX_POOL_THREADS)
+    (bytes / MIN_BYTES_PER_LANE).max(1)
 }
 
-/// Execute `shards` (disjoint-destination op runs) using the pool: shard
-/// 0 runs on the calling thread, the rest on parked workers. Blocks
-/// until every shard has completed.
-fn run_sharded(dst: &mut [u8], src: &[u8], shards: &[&[CopyOp]]) {
-    let dst_ptr = dst.as_mut_ptr();
-    let src_ptr = src.as_ptr();
-    if shards.len() <= 1 {
-        if let Some(ops) = shards.first() {
-            // SAFETY: bounds checked by the caller.
-            unsafe { copy_ops_raw(dst_ptr, src_ptr, ops) };
-        }
-        return;
+/// How many copy lanes a batch of `bytes` in `segments` segments should
+/// use — the one lane rule of every entry point. Returns 1 (inline)
+/// without touching — or initializing — the pool when the rule wants no
+/// second lane.
+fn lanes_for(bytes: usize, segments: usize) -> usize {
+    match lanes_wanted(bytes, segments) {
+        1 => 1,
+        n => n.min(pool().info.threads),
     }
+}
+
+/// Split the segment stream of `lists` into at most `n` lanes of equal
+/// byte volume: `cuts[0]` is the start, `cuts[lanes]` the end, lane `k`
+/// the stretch `cuts[k]..cuts[k + 1]`; returns `lanes`. A boundary falls
+/// between two segments where it can; a segment that straddles one is
+/// split a whole number of cache lines in, so a batch with fewer
+/// segments than lanes — one huge block — still spreads, and no segment
+/// shorter than a line is ever cut. Whole lists are skipped by their
+/// `bytes`, so the walk reads only the lists a boundary falls in.
+fn partition(lists: &[SegList<'_>], n: usize, cuts: &mut [Cut; MAX_POOL_THREADS + 1]) -> usize {
+    let n = n.clamp(1, MAX_POOL_THREADS);
+    let end = Cut {
+        list: lists.len(),
+        ..Cut::default()
+    };
+    let total: usize = lists.iter().map(|l| l.bytes).sum();
+    let per_lane = total.div_ceil(n);
+    cuts[0] = Cut::default();
+    let mut lanes = 0;
+    // `seen` bytes lie before segment `at.op` of list `at.list`.
+    let (mut at, mut seen) = (Cut::default(), 0usize);
+    for k in 1..n {
+        let target = per_lane * k;
+        while let Some(l) = lists.get(at.list) {
+            if at.op == 0 && seen + l.bytes <= target {
+                (at.list, seen) = (at.list + 1, seen + l.bytes);
+            } else if let Some(o) = l.ops.get(at.op) {
+                at.byte = round_up_cache_line(target.saturating_sub(seen));
+                if at.byte < o.len {
+                    break;
+                }
+                (at.op, seen) = (at.op + 1, seen + o.len);
+            } else {
+                at.list += 1;
+                at.op = 0;
+            }
+            at.byte = 0;
+        }
+        // Rounding can make two boundaries meet: the lane between them
+        // is dropped, as is one that would start at the end.
+        if at > cuts[lanes] && at < end {
+            lanes += 1;
+            cuts[lanes] = at;
+        }
+    }
+    cuts[lanes + 1] = end;
+    lanes + 1
+}
+
+/// Copy the stretch `from..to` of the batch's segment stream: the tail
+/// of a segment `from` cuts, whole segments, the head of one `to` cuts.
+///
+/// # Safety
+/// Every segment of `lists` must lie inside `src` and `dst`
+/// ([`assert_in_bounds`]), no other thread may write the destination
+/// bytes of the stretch meanwhile, and `from..to` must come from
+/// [`partition`] over the same `lists`.
+unsafe fn copy_span(dst: *mut u8, src: *const u8, lists: &[SegList<'_>], from: Cut, to: Cut) {
+    for (li, l) in lists.iter().enumerate().take(to.list + 1).skip(from.list) {
+        let (mut op, byte) = if li == from.list {
+            (from.op, from.byte)
+        } else {
+            (0, 0)
+        };
+        let (end, tail) = if li == to.list {
+            (to.op, to.byte)
+        } else {
+            (l.ops.len(), 0)
+        };
+        // The part `a..b` of a segment a cut falls in, as a segment.
+        let part = |o: CopyOp, a: usize, b: usize| {
+            [CopyOp {
+                src_off: o.src_off + a,
+                dst_off: o.dst_off + a,
+                len: b - a,
+            }]
+        };
+        // SAFETY: the caller's contract — the list's windows and every
+        // segment in them are in bounds, and a cut lies inside its
+        // segment, so each part is too.
+        unsafe {
+            let (s, d) = (src.add(l.src_at), dst.add(l.dst_at));
+            if byte > 0 {
+                let stop = if op == end { tail } else { l.ops[op].len };
+                copy_ops_raw(d, s, &part(l.ops[op], byte, stop));
+                if op == end {
+                    continue;
+                }
+                op += 1;
+            }
+            copy_ops_raw(d, s, &l.ops[op..end]);
+            if tail > 0 {
+                copy_ops_raw(d, s, &part(l.ops[end], 0, tail));
+            }
+        }
+    }
+}
+
+/// Run the two or more lanes `cuts` describes (lane `k` is
+/// `cuts[k]..cuts[k + 1]`): lane 0 on the calling thread, the rest on
+/// parked workers. Blocks until every lane has completed.
+fn run_lanes(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], cuts: &[Cut]) {
+    let (dst_ptr, src_ptr) = (dst.as_mut_ptr(), src.as_ptr());
     let p = pool();
     let completion = Completion {
-        remaining: AtomicUsize::new(shards.len() - 1),
+        remaining: AtomicUsize::new(cuts.len() - 2),
         caller: std::thread::current(),
     };
-    for (i, shard) in shards[1..].iter().enumerate() {
+    for (i, lane) in cuts[1..].windows(2).enumerate() {
         let job = Job {
             src: src_ptr,
             dst: dst_ptr,
-            ops: shard.as_ptr(),
-            ops_len: shard.len(),
+            lists: lists.as_ptr().cast(),
+            lists_len: lists.len(),
+            from: lane[0],
+            to: lane[1],
             done: &completion,
         };
         p.senders[i % p.senders.len()]
@@ -228,8 +397,9 @@ fn run_sharded(dst: &mut [u8], src: &[u8], shards: &[&[CopyOp]]) {
     // The calling thread is lane 0 — it copies too instead of idling.
     // All writes go through the raw pointer so the worker aliases stay
     // legal.
-    // SAFETY: destination ranges are disjoint across shards.
-    unsafe { copy_ops_raw(dst_ptr, src_ptr, shards[0]) };
+    // SAFETY: bounds asserted by the caller, destination ranges are
+    // disjoint across lanes, and the cuts are `partition`'s.
+    unsafe { copy_span(dst_ptr, src_ptr, lists, cuts[0], cuts[1]) };
     while completion.remaining.load(Ordering::Acquire) != 0 {
         std::thread::park();
     }
@@ -260,8 +430,7 @@ unsafe fn copy_segment(src: *const u8, dst: *mut u8, len: usize) {
     // Head-and-tail whole-register moves: the widest chunk that fits,
     // then one (possibly overlapping) chunk flush against the end.
     // Overlapped bytes are rewritten with identical values. Unaligned
-    // reads/writes keep the split points free — callers still align
-    // shard boundaries to cache lines where they can.
+    // reads/writes keep the split points free.
     macro_rules! tiers {
         ($($w:literal),*) => {$(
             if len >= $w {
@@ -284,6 +453,8 @@ unsafe fn copy_segment(src: *const u8, dst: *mut u8, len: usize) {
 }
 
 /// Raw-pointer segment copies (bounds already validated by the caller).
+/// The one call site of [`copy_segment`], so the tiers inline into this
+/// loop.
 unsafe fn copy_ops_raw(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
     for o in ops {
         // SAFETY: bounds validated by the caller; destinations disjoint.
@@ -291,48 +462,25 @@ unsafe fn copy_ops_raw(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
     }
 }
 
-/// Parallel contiguous copy: `dst.copy_from_slice(src)` using the pool
-/// when the copy is large enough to benefit.
+/// Parallel contiguous copy: `dst.copy_from_slice(src)`, the one-list,
+/// one-segment batch.
 pub fn par_copy(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "par_copy length mismatch");
-    let n = lanes_for(dst.len());
-    if n <= 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    // One whole-chunk op per lane, built on the stack. Chunk boundaries
-    // round up to cache lines so no two lanes ever write the same line.
-    let mut ops = [CopyOp {
+    let whole = [CopyOp {
         src_off: 0,
         dst_off: 0,
-        len: 0,
-    }; MAX_POOL_THREADS];
-    let chunk = round_up_cache_line(dst.len().div_ceil(n));
-    let mut lanes = 0usize;
-    let mut off = 0usize;
-    while off < dst.len() {
-        let l = chunk.min(dst.len() - off);
-        ops[lanes] = CopyOp {
-            src_off: off,
-            dst_off: off,
-            len: l,
-        };
-        lanes += 1;
-        off += l;
-    }
-    let mut shards: [&[CopyOp]; MAX_POOL_THREADS] = [&[]; MAX_POOL_THREADS];
-    for (i, shard) in shards.iter_mut().enumerate().take(lanes) {
-        *shard = &ops[i..i + 1];
-    }
-    run_sharded(dst, src, &shards[..lanes]);
+        len: dst.len(),
+    }];
+    par_transfer_total(dst, src, &whole, dst.len());
 }
 
 #[cfg(debug_assertions)]
-fn assert_dst_disjoint(ops: &[CopyOp]) {
-    let mut spans: Vec<(usize, usize)> = ops
+fn assert_dst_disjoint(lists: &[SegList<'_>]) {
+    let mut spans: Vec<(usize, usize)> = lists
         .iter()
-        .filter(|o| o.len > 0)
-        .map(|o| (o.dst_off, o.dst_off + o.len))
+        .flat_map(|l| l.ops.iter().map(|o| (l.dst_at + o.dst_off, o.len)))
+        .filter(|&(_, len)| len > 0)
+        .map(|(at, len)| (at, at + len))
         .collect();
     spans.sort_unstable();
     for w in spans.windows(2) {
@@ -345,81 +493,45 @@ fn assert_dst_disjoint(ops: &[CopyOp]) {
     }
 }
 
-fn assert_in_bounds(dst: &[u8], src: &[u8], ops: &[CopyOp]) {
-    for o in ops {
+/// Every list's windows against the buffers and every segment against
+/// its list's windows, with no addition that can wrap: the release
+/// profile has overflow checks off, and a wrapped `off + len` passed
+/// `<=` and read the bytes *before* the buffer. A sum that saturates
+/// exceeds any window that fits a slice, and the windows are checked
+/// against the slices first.
+fn assert_in_bounds(dst: &[u8], src: &[u8], lists: &[SegList<'_>]) {
+    let fits = |at: usize, len: usize, room: usize| at.saturating_add(len) <= room;
+    for l in lists {
         assert!(
-            o.src_off + o.len <= src.len(),
-            "source segment out of bounds: {o:?} vs len {}",
-            src.len()
-        );
-        assert!(
-            o.dst_off + o.len <= dst.len(),
-            "destination segment out of bounds: {o:?} vs len {}",
+            fits(l.src_at, l.src_len, src.len()) && fits(l.dst_at, l.dst_len, dst.len()),
+            "segment list out of bounds: source {}+{} of {}, destination {}+{} of {}",
+            l.src_at,
+            l.src_len,
+            src.len(),
+            l.dst_at,
+            l.dst_len,
             dst.len()
         );
+        for o in l.ops {
+            assert!(
+                fits(o.src_off, o.len, l.src_len),
+                "source segment out of bounds: {o:?} vs len {}",
+                l.src_len
+            );
+            assert!(
+                fits(o.dst_off, o.len, l.dst_len),
+                "destination segment out of bounds: {o:?} vs len {}",
+                l.dst_len
+            );
+        }
     }
 }
 
-/// Cache-line size the shard splits align to.
+/// Cache-line size the lane splits align to.
 const CACHE_LINE: usize = 64;
 
 fn round_up_cache_line(n: usize) -> usize {
-    (n + (CACHE_LINE - 1)) & !(CACHE_LINE - 1)
-}
-
-/// Split `ops` into pieces no longer than `target` bytes (rounded up to
-/// a cache line), so a transfer with fewer segments than copy lanes —
-/// one huge contiguous block, say — still spreads across the pool, and
-/// no two lanes share a destination cache line.
-fn split_ops_to_target(ops: &[CopyOp], target: usize) -> Vec<CopyOp> {
-    let target = round_up_cache_line(target.max(1));
-    let mut out = Vec::with_capacity(ops.len() * 2);
-    for o in ops {
-        let mut off = 0usize;
-        while o.len - off > target {
-            out.push(CopyOp {
-                src_off: o.src_off + off,
-                dst_off: o.dst_off + off,
-                len: target,
-            });
-            off += target;
-        }
-        out.push(CopyOp {
-            src_off: o.src_off + off,
-            dst_off: o.dst_off + off,
-            len: o.len - off,
-        });
-    }
-    out
-}
-
-/// Partition `ops` into at most `n` contiguous runs of roughly equal
-/// byte volume. Returns the number of runs written into `bounds`
-/// (half-open index ranges into `ops`).
-fn partition_runs(
-    ops: &[CopyOp],
-    total: usize,
-    n: usize,
-    bounds: &mut [(usize, usize); MAX_POOL_THREADS],
-) -> usize {
-    let target = total.div_ceil(n);
-    let mut runs = 0usize;
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for (i, o) in ops.iter().enumerate() {
-        acc += o.len;
-        if acc >= target && runs + 1 < n {
-            bounds[runs] = (start, i + 1);
-            runs += 1;
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < ops.len() {
-        bounds[runs] = (start, ops.len());
-        runs += 1;
-    }
-    runs
+    n.saturating_add(CACHE_LINE - 1) & !(CACHE_LINE - 1)
 }
 
 /// Execute a batch of segment moves from `src` into `dst`.
@@ -434,56 +546,57 @@ pub fn par_transfer(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
 /// [`par_transfer`] for a caller that already holds the sum of the
 /// segment lengths (it summed them for its own bookkeeping, or the list
 /// is a cached one that carries its sum). `total` only sizes the lane
-/// count and the shard split; every segment is still bounds-checked.
+/// count and the split; every segment is still bounds-checked.
 pub fn par_transfer_total(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usize) {
-    transfer_with(dst, src, ops, total, lanes_for(total));
+    par_transfer_batch(dst, src, &[SegList::whole(dst, src, ops, total)]);
+}
+
+/// Execute a run of segment lists from `src` into `dst` as one job: the
+/// lists' bytes are split across lanes as if they were one list, so a
+/// hundred half-megabyte fragments share the pool the way one transfer
+/// of their total size would. Every segment of every list is checked
+/// before a byte moves; segments must be pairwise disjoint in `dst`
+/// across the whole batch.
+pub fn par_transfer_batch(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>]) {
+    let (bytes, segments) = lists
+        .iter()
+        .fold((0, 0), |(b, s), l| (b + l.bytes, s + l.ops.len()));
+    transfer_with(dst, src, lists, lanes_for(bytes, segments));
 }
 
 /// [`par_transfer`] with an explicit lane count, clamped to the pool's
 /// actual worker count (so the numbers stay honest on small machines —
 /// requesting 8 lanes on a single-core box measures 1). This is the
 /// per-core-count measurement hook for the wall-clock harness, not a
-/// hot-path API: the adaptive `par_transfer` sizing is the production
-/// path.
+/// hot-path API: the [`lanes_for`] rule is the production path.
 pub fn par_transfer_lanes(dst: &mut [u8], src: &[u8], ops: &[CopyOp], lanes: usize) -> usize {
     let total: usize = ops.iter().map(|o| o.len).sum();
     let n = lanes.clamp(1, pool().info.threads);
-    transfer_with(dst, src, ops, total, n);
+    transfer_with(dst, src, &[SegList::whole(dst, src, ops, total)], n);
     n
 }
 
-fn transfer_with(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usize, n: usize) {
-    assert_in_bounds(dst, src, ops);
+fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
+    assert_in_bounds(dst, src, lists);
     #[cfg(debug_assertions)]
-    assert_dst_disjoint(ops);
-    debug_assert_eq!(total, ops.iter().map(|o| o.len).sum::<usize>());
-
-    if n <= 1 {
-        // Inline path: same chunked segment copies the workers use.
+    assert_dst_disjoint(lists);
+    debug_assert!(lists
+        .iter()
+        .all(|l| l.bytes == l.ops.iter().map(|o| o.len).sum::<usize>()));
+    if n > 1 {
+        let mut cuts = [Cut::default(); MAX_POOL_THREADS + 1];
+        let lanes = partition(lists, n, &mut cuts);
+        if lanes > 1 {
+            return run_lanes(dst, src, lists, &cuts[..=lanes]);
+        }
+    }
+    // One lane is the whole stream, inline; the small copies that
+    // dominate by count never see a cut or the pool.
+    let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+    for l in lists {
         // SAFETY: bounds asserted above; a single thread writes dst.
-        unsafe { copy_ops_raw(dst.as_mut_ptr(), src.as_ptr(), ops) };
-        return;
+        unsafe { copy_ops_raw(d.add(l.dst_at), s.add(l.src_at), l.ops) };
     }
-
-    // Fewer segments than lanes (a contiguous block, or a couple of huge
-    // extents): split the big ops at cache-line-aligned points so each
-    // worker owns a chunk sized to the slice length.
-    let split;
-    let ops = if ops.len() < n {
-        split = split_ops_to_target(ops, total.div_ceil(n));
-        &split[..]
-    } else {
-        ops
-    };
-
-    let mut bounds = [(0usize, 0usize); MAX_POOL_THREADS];
-    let runs = partition_runs(ops, total, n, &mut bounds);
-    let mut shards: [&[CopyOp]; MAX_POOL_THREADS] = [&[]; MAX_POOL_THREADS];
-    for (i, shard) in shards.iter_mut().enumerate().take(runs) {
-        let (s, e) = bounds[i];
-        *shard = &ops[s..e];
-    }
-    run_sharded(dst, src, &shards[..runs]);
 }
 
 pub mod scoped {
@@ -492,13 +605,13 @@ pub mod scoped {
     //! against (`cargo bench -p bench`, `hotpath_wallclock`) and as an
     //! independent correctness cross-check. Not used on the hot path.
 
-    use super::{assert_in_bounds, lanes_for, CopyOp, MAX_POOL_THREADS};
+    use super::{assert_in_bounds, copy_span, lanes_for, partition, CopyOp, Cut, SegList};
 
     /// [`super::par_copy`] via `std::thread::scope` — spawns threads on
     /// every call.
     pub fn par_copy_scoped(dst: &mut [u8], src: &[u8]) {
         assert_eq!(dst.len(), src.len(), "par_copy length mismatch");
-        let n = lanes_for(dst.len());
+        let n = lanes_for(dst.len(), 1);
         if n <= 1 {
             dst.copy_from_slice(src);
             return;
@@ -518,18 +631,18 @@ pub mod scoped {
     // SAFETY: every thread writes a disjoint destination range, so
     // concurrent use is data-race free.
     unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
 
     /// [`super::par_transfer`] via `std::thread::scope` — spawns threads
-    /// on every call.
+    /// on every call, one per lane of the same partition.
     pub fn par_transfer_scoped(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
         let total: usize = ops.iter().map(|o| o.len).sum();
-        assert_in_bounds(dst, src, ops);
+        let lists = [SegList::whole(dst, src, ops, total)];
+        assert_in_bounds(dst, src, &lists);
         #[cfg(debug_assertions)]
-        super::assert_dst_disjoint(ops);
+        super::assert_dst_disjoint(&lists);
 
-        let n = lanes_for(total);
-        if n <= 1 || ops.len() == 1 {
+        let n = lanes_for(total, ops.len());
+        if n <= 1 {
             for o in ops {
                 dst[o.dst_off..o.dst_off + o.len]
                     .copy_from_slice(&src[o.src_off..o.src_off + o.len]);
@@ -537,25 +650,18 @@ pub mod scoped {
             return;
         }
 
-        let mut bounds = [(0usize, 0usize); MAX_POOL_THREADS];
-        let runs = super::partition_runs(ops, total, n, &mut bounds);
+        let mut cuts = [Cut::default(); super::MAX_POOL_THREADS + 1];
+        let lanes = partition(&lists, n, &mut cuts);
         let dst_ptr = SendPtr(dst.as_mut_ptr());
+        let lists = &lists;
         std::thread::scope(|scope| {
-            for &(s, e) in &bounds[..runs] {
-                let run = &ops[s..e];
+            for lane in cuts[..=lanes].windows(2) {
                 scope.spawn(move || {
                     let dst_ptr = dst_ptr; // move the Copy wrapper into the thread
-                    for o in run {
-                        // SAFETY: bounds were checked above; destination
-                        // ranges are disjoint across all ops.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                src.as_ptr().add(o.src_off),
-                                dst_ptr.0.add(o.dst_off),
-                                o.len,
-                            );
-                        }
-                    }
+                                           // SAFETY: bounds were checked above; destination
+                                           // ranges are disjoint across all ops, and the cuts
+                                           // are `partition`'s.
+                    unsafe { copy_span(dst_ptr.0, src.as_ptr(), lists, lane[0], lane[1]) };
                 });
             }
         });
@@ -567,9 +673,21 @@ mod tests {
     use super::scoped::{par_copy_scoped, par_transfer_scoped};
     use super::*;
 
+    fn op(src_off: usize, dst_off: usize, len: usize) -> CopyOp {
+        CopyOp {
+            src_off,
+            dst_off,
+            len,
+        }
+    }
+
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
     #[test]
     fn par_copy_small_and_large() {
-        for len in [0usize, 13, 4096, (1 << 20) + 17] {
+        for len in [0usize, 13, 4096, (1 << 20) + 17, (5 << 20) + 3] {
             let src: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let mut dst = vec![0u8; len];
             par_copy(&mut dst, &src);
@@ -582,13 +700,7 @@ mod tests {
         // Gather every other 4-byte block of src into a packed dst.
         let src: Vec<u8> = (0..64u8).collect();
         let mut dst = vec![0u8; 32];
-        let ops: Vec<CopyOp> = (0..8)
-            .map(|i| CopyOp {
-                src_off: i * 8,
-                dst_off: i * 4,
-                len: 4,
-            })
-            .collect();
+        let ops: Vec<CopyOp> = (0..8).map(|i| op(i * 8, i * 4, 4)).collect();
         par_transfer(&mut dst, &src, &ops);
         let expect: Vec<u8> = (0..8)
             .flat_map(|i| i * 8..i * 8 + 4)
@@ -599,20 +711,19 @@ mod tests {
 
     fn gather_case(seg: usize, count: usize) -> (Vec<u8>, Vec<CopyOp>) {
         let src: Vec<u8> = (0..seg * count * 2).map(|i| (i % 253) as u8).collect();
-        let ops: Vec<CopyOp> = (0..count)
-            .map(|i| CopyOp {
-                src_off: i * 2 * seg,
-                dst_off: i * seg,
-                len: seg,
-            })
-            .collect();
+        let ops = (0..count).map(|i| op(i * 2 * seg, i * seg, seg)).collect();
         (src, ops)
     }
 
+    /// The existing gather cases: (segment, count), fine to coarse, under
+    /// and over the size the lane rule hands out a second lane at.
+    const GATHERS: [(usize, usize); 4] = [(48, 40), (2048, 700), (4096, 600), (4096, 1200)];
+
     #[test]
     fn transfer_large_parallel_path() {
-        // Big enough to trigger the pooled path.
-        let (seg, count) = (4096usize, 600usize); // ~2.4 MB
+        // Coarse and big enough for the rule to want two lanes.
+        let (seg, count) = (4096usize, 1200usize); // ~4.9 MB
+        assert!(lanes_wanted(seg * count, count) >= 2);
         let (src, ops) = gather_case(seg, count);
         let mut dst = vec![0u8; seg * count];
         par_transfer(&mut dst, &src, &ops);
@@ -639,10 +750,126 @@ mod tests {
         }
     }
 
+    /// Split `lists` into `n` lanes and run them one after the other on
+    /// this thread — the partition and the span copy without the pool,
+    /// so every lane count runs on every machine. Checks the cuts on
+    /// the way: strictly ascending, inside their segments, a cut inside
+    /// a segment a whole number of cache lines in.
+    fn run_split(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) -> Vec<Cut> {
+        assert_in_bounds(dst, src, lists);
+        let mut cuts = [Cut::default(); MAX_POOL_THREADS + 1];
+        let lanes = partition(lists, n, &mut cuts);
+        assert!((1..=n.max(1)).contains(&lanes), "n={n} lanes={lanes}");
+        let cuts = &cuts[..=lanes];
+        assert_eq!(cuts[0], Cut::default());
+        assert_eq!((cuts[lanes].list, cuts[lanes].op), (lists.len(), 0));
+        for w in cuts.windows(2) {
+            assert!(w[0] < w[1] || lanes == 1, "cuts must ascend: {cuts:?}");
+        }
+        for c in &cuts[1..lanes] {
+            assert!(c.byte < lists[c.list].ops[c.op].len, "cut outside its op");
+            assert_eq!(c.byte % CACHE_LINE, 0, "interior split unaligned");
+        }
+        for w in cuts.windows(2) {
+            unsafe { copy_span(dst.as_mut_ptr(), src.as_ptr(), lists, w[0], w[1]) };
+        }
+        cuts.to_vec()
+    }
+
+    #[test]
+    fn a_one_entry_batch_is_par_transfer_at_every_lane_count() {
+        for (seg, count) in GATHERS {
+            let (src, ops) = gather_case(seg, count);
+            let mut want = vec![0u8; seg * count];
+            par_transfer(&mut want, &src, &ops);
+            let list = [SegList::whole(&want, &src, &ops, seg * count)];
+            let mut dst = vec![0u8; seg * count];
+            par_transfer_batch(&mut dst, &src, &list);
+            assert_eq!(dst, want, "seg={seg}: batch");
+            for lanes in [1usize, 2, 4, 8, 64] {
+                dst.fill(0);
+                run_split(&mut dst, &src, &list, lanes);
+                assert_eq!(dst, want, "seg={seg} lanes={lanes}: split");
+                // And through the pool, as many lanes as it has.
+                dst.fill(0);
+                transfer_with(&mut dst, &src, &list, lanes.min(pool_info().threads));
+                assert_eq!(dst, want, "seg={seg} lanes={lanes}: pooled");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_moves_what_its_lists_move_one_by_one_wherever_the_lanes_cut() {
+        // Three lists over one pair of buffers, each with its own base
+        // offsets: a fine one, one huge segment, a coarse one.
+        let src: Vec<u8> = (0..3 << 20).map(|i| (i % 247) as u8).collect();
+        let fine: Vec<CopyOp> = (0..4096).map(|i| op(i * 80, i * 40, 40)).collect();
+        let huge = [op(5, 0, (1 << 20) + 11)];
+        let coarse: Vec<CopyOp> = (0..100).map(|i| op(i * 9000, i * 4500, 4500)).collect();
+        let sum = |ops: &[CopyOp]| ops.iter().map(|o| o.len).sum::<usize>();
+        let (f, h, c) = (sum(&fine), sum(&huge), sum(&coarse));
+        let list = |src_at, dst_at, bytes, ops| SegList {
+            src_at,
+            src_len: src.len() - src_at,
+            dst_at,
+            dst_len: bytes,
+            bytes,
+            ops,
+        };
+        let lists = [
+            list(100, 0, f, &fine[..]),
+            list(400_000, f, h, &huge[..]),
+            list(2_000_000, f + h, c, &coarse[..]),
+        ];
+        let mut want = vec![0u8; f + h + c];
+        for l in &lists {
+            let (d, s) = (&mut want[l.dst_at..], &src[l.src_at..]);
+            par_transfer(d, s, l.ops);
+        }
+        let mut seen = [false; 2]; // a boundary inside a list / inside the huge op
+        for n in 1..=64usize {
+            let mut dst = vec![0u8; want.len()];
+            for c in &run_split(&mut dst, &src, &lists, n)[1..] {
+                seen[0] |= c.list == 0 && c.op > 0;
+                seen[1] |= c.list == 1 && c.byte > 0;
+            }
+            assert!(dst == want, "n={n}");
+            dst.fill(0);
+            transfer_with(&mut dst, &src, &lists, n.min(pool_info().threads));
+            assert!(dst == want, "n={n}, pooled");
+        }
+        assert_eq!(seen, [true; 2], "a kind of lane boundary never occurred");
+        // Two lists of equal volume on two lanes: the boundary is the
+        // seam, found without reading either list.
+        let twins = [list(100, 0, f, &fine[..]), list(100, f, f, &fine[..])];
+        let mut dst = vec![0u8; want.len()];
+        let cuts = run_split(&mut dst, &src, &twins, 2);
+        assert_eq!(
+            (cuts.len(), cuts[1]),
+            (
+                3,
+                Cut {
+                    list: 1,
+                    op: 0,
+                    byte: 0
+                }
+            )
+        );
+        assert!(dst[..f] == want[..f] && dst[f..2 * f] == want[..f]);
+        // A huge op next to a tiny one still spreads (the old `ops.len()
+        // < n` guard left this on one lane).
+        let pair = [op(0, 0, 1 << 20), op(1 << 20, 1 << 20, 8)];
+        let lists = [SegList::whole(&want, &src, &pair, (1 << 20) + 8)];
+        let mut dst = vec![0u8; want.len()];
+        let cuts = run_split(&mut dst, &src, &lists, 2);
+        assert_eq!((cuts.len(), cuts[1].op), (3, 0));
+        assert!(cuts[1].byte.abs_diff(1 << 19) <= CACHE_LINE);
+    }
+
     #[test]
     fn pooled_and_scoped_agree() {
         // Same inputs through the pool and the scoped baseline.
-        let (seg, count) = (2048usize, 700usize); // ~1.4 MB
+        let (seg, count) = (2048usize, 2400usize); // ~4.9 MB
         let (src, ops) = gather_case(seg, count);
         let mut pooled = vec![0u8; seg * count];
         let mut scoped = vec![0u8; seg * count];
@@ -650,7 +877,7 @@ mod tests {
         par_transfer_scoped(&mut scoped, &src, &ops);
         assert_eq!(pooled, scoped);
 
-        let big: Vec<u8> = (0..(1 << 21)).map(|i| (i % 241) as u8).collect();
+        let big: Vec<u8> = (0..(5 << 20)).map(|i| (i % 241) as u8).collect();
         let mut a = vec![0u8; big.len()];
         let mut b = vec![0u8; big.len()];
         par_copy(&mut a, &big);
@@ -663,23 +890,39 @@ mod tests {
         // Exercise the persistent workers across many calls (the
         // regression the pool exists for: no spawn per call, no leaked
         // completions).
-        let (seg, count) = (4096usize, 300usize); // ~1.2 MB
+        let (seg, count) = (4096usize, 1100usize); // ~4.5 MB
         let (src, ops) = gather_case(seg, count);
         let mut dst = vec![0u8; seg * count];
         for round in 0..16 {
             dst.fill(0);
             par_transfer(&mut dst, &src, &ops);
             assert_eq!(&dst[..seg], &src[..seg], "round {round}");
+            assert_eq!(
+                &dst[(count - 1) * seg..],
+                &src[(count - 1) * 2 * seg..][..seg]
+            );
         }
         let info = pool_info();
         assert!(info.threads >= 1 && info.threads <= MAX_POOL_THREADS);
         assert_eq!(pool_info_if_started(), Some(info));
     }
 
+    /// Ops no buffer holds: past the end, and with an `off + len` that
+    /// wraps (which a release build's unchecked `+` let through — it
+    /// read the bytes *before* the buffer).
+    fn bad_ops() -> [CopyOp; 4] {
+        [
+            op(10, 0, 10),
+            op(0, 10, 10),
+            op(usize::MAX - 3, 0, 8),
+            op(0, usize::MAX - 3, 8),
+        ]
+    }
+
     #[test]
     fn a_handed_in_total_moves_the_same_bytes_and_skips_no_bounds_check() {
         // Small (inline) and large (pooled) lists.
-        for (seg, count) in [(48usize, 40usize), (4096, 600)] {
+        for (seg, count) in GATHERS {
             let (src, ops) = gather_case(seg, count);
             let mut want = vec![0u8; seg * count];
             par_transfer(&mut want, &src, &ops);
@@ -687,35 +930,84 @@ mod tests {
             par_transfer_total(&mut dst, &src, &ops, seg * count);
             assert_eq!(dst, want, "seg={seg}");
         }
-        let src = vec![0u8; 16];
+        let src = vec![7u8; 16];
         let mut dst = vec![0u8; 16];
-        let oob = [CopyOp {
-            src_off: 10,
-            dst_off: 0,
-            len: 10,
-        }];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_transfer_total(&mut dst, &src, &oob, 10);
-        }));
-        assert!(r.is_err(), "out-of-bounds op must panic");
+        for bad in bad_ops() {
+            assert!(
+                panics(|| par_transfer_total(&mut dst, &src, &[bad], bad.len)),
+                "{bad:?} must panic"
+            );
+            assert_eq!(dst, [0u8; 16], "{bad:?} moved a byte");
+        }
     }
 
     #[test]
     fn transfer_rejects_oob() {
-        let src = vec![0u8; 16];
+        let src = vec![7u8; 16];
         let mut dst = vec![0u8; 16];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_transfer(
-                &mut dst,
-                &src,
-                &[CopyOp {
-                    src_off: 10,
-                    dst_off: 0,
-                    len: 10,
-                }],
+        for bad in bad_ops() {
+            assert!(
+                panics(|| par_transfer(&mut dst, &src, &[bad])),
+                "{bad:?} must panic"
             );
-        }));
-        assert!(r.is_err(), "out-of-bounds op must panic");
+            assert_eq!(dst, [0u8; 16], "{bad:?} moved a byte");
+        }
+    }
+
+    #[test]
+    fn a_bad_op_or_window_in_any_entry_panics_before_a_byte_moves() {
+        fn list(
+            src_at: usize,
+            src_len: usize,
+            dst_at: usize,
+            dst_len: usize,
+            ops: &[CopyOp],
+        ) -> SegList<'_> {
+            SegList {
+                src_at,
+                src_len,
+                dst_at,
+                dst_len,
+                bytes: 16,
+                ops,
+            }
+        }
+        let src = vec![7u8; 64];
+        let good = [op(0, 0, 8), op(8, 8, 8)];
+        for bad in bad_ops() {
+            let bad = [bad];
+            for at in 0..3 {
+                // The bad entry first, in the middle, last.
+                let mut lists = vec![list(0, 16, 0, 16, &good[..]); 2];
+                lists.insert(at, list(32, 16, 32, 16, &bad[..]));
+                lists[(at + 1) % 3].dst_at = 16;
+                let mut dst = vec![0u8; 64];
+                assert!(
+                    panics(|| par_transfer_batch(&mut dst, &src, &lists)),
+                    "{bad:?} at {at}"
+                );
+                assert_eq!(dst, [0u8; 64], "{bad:?} at {at} moved a byte");
+            }
+        }
+        // A window the buffer does not hold, plain and wrapping; and a
+        // segment inside the buffer but outside its list's window.
+        for (src_at, src_len, dst_at, dst_len) in [
+            (56, 16, 0, 16),
+            (0, 16, 56, 16),
+            (usize::MAX - 7, 16, 0, 16),
+            (0, 16, 8, usize::MAX),
+            (0, 15, 0, 16),
+            (0, 16, 0, 15),
+        ] {
+            let lists = [list(src_at, src_len, dst_at, dst_len, &good[..])];
+            let mut dst = vec![0u8; 64];
+            assert!(
+                panics(|| par_transfer_batch(&mut dst, &src, &lists)),
+                "{:?}",
+                lists[0]
+            );
+            assert_eq!(dst, [0u8; 64]);
+        }
     }
 
     #[test]
@@ -724,19 +1016,52 @@ mod tests {
     fn transfer_rejects_overlap_in_debug() {
         let src = vec![0u8; 32];
         let mut dst = vec![0u8; 32];
-        let ops = [
-            CopyOp {
-                src_off: 0,
-                dst_off: 0,
-                len: 8,
-            },
-            CopyOp {
-                src_off: 8,
-                dst_off: 4,
-                len: 8,
-            },
-        ];
+        let ops = [op(0, 0, 8), op(8, 4, 8)];
         par_transfer(&mut dst, &src, &ops);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overlapping destination")]
+    fn a_batch_rejects_overlap_across_its_entries_in_debug() {
+        // Each list is disjoint in itself; their windows are not.
+        let src = vec![0u8; 32];
+        let mut dst = vec![0u8; 32];
+        let ops = [op(0, 0, 8)];
+        let list = |dst_at| SegList {
+            src_at: 0,
+            src_len: 8,
+            dst_at,
+            dst_len: 8,
+            bytes: 8,
+            ops: &ops,
+        };
+        par_transfer_batch(&mut dst, &src, &[list(0), list(4)]);
+    }
+
+    #[test]
+    fn the_lane_rule_wants_lanes_only_for_coarse_multi_megabyte_batches() {
+        const MIB: usize = 1 << 20;
+        for (bytes, segments, wanted, why) in [
+            (512 << 10, 512, 1, "one fragment"),
+            (4_700_000, 131_072, 1, "4.7 MB of 36-byte segments"),
+            (2_000_000, 2_000, 1, "2 MB, coarse"),
+            (4 * MIB - 1, 1, 1, "not two full lanes"),
+            (4 * MIB, 4096, 2, "two lanes' worth of 1 KiB units"),
+            (8 * MIB, 8192, 4, "8 MiB coarse"),
+            (
+                8 * MIB,
+                8 * MIB / 511,
+                1,
+                "8 MiB, mean segment under the line",
+            ),
+            (67 * MIB, 69_632, 33, "the dense triangle, one direction"),
+            (0, 0, 1, "nothing"),
+        ] {
+            assert_eq!(lanes_wanted(bytes, segments), wanted, "{why}");
+            let capped = wanted.min(pool_info().threads);
+            assert_eq!(lanes_for(bytes, segments), capped, "{why}, capped");
+        }
     }
 
     #[test]
@@ -744,6 +1069,7 @@ mod tests {
         let src = vec![1u8; 8];
         let mut dst = vec![2u8; 8];
         par_transfer(&mut dst, &src, &[]);
+        par_transfer_batch(&mut dst, &src, &[]);
         assert_eq!(dst, vec![2u8; 8]);
     }
 
@@ -763,84 +1089,52 @@ mod tests {
 
     #[test]
     fn single_huge_op_splits_across_lanes() {
-        // One contiguous 2 MB segment: previously forced inline, now
-        // split at cache-line boundaries across the pool.
-        let len = 2 << 20;
+        // One contiguous 5 MB segment: split at cache-line boundaries
+        // across the pool.
+        let len = 5 << 20;
         let src: Vec<u8> = (0..len).map(|i| (i % 239) as u8).collect();
         let mut dst = vec![0u8; len];
-        let op = [CopyOp {
-            src_off: 0,
-            dst_off: 0,
-            len,
-        }];
-        par_transfer(&mut dst, &src, &op);
+        let whole = [op(0, 0, len)];
+        par_transfer(&mut dst, &src, &whole);
         assert_eq!(dst, src);
     }
 
     #[test]
     fn split_targets_are_cache_line_aligned_and_cover() {
-        let ops = [
-            CopyOp {
-                src_off: 10,
-                dst_off: 3,
-                len: 1_000_000,
-            },
-            CopyOp {
-                src_off: 2_000_000,
-                dst_off: 1_000_003,
-                len: 100,
-            },
-        ];
-        let total: usize = ops.iter().map(|o| o.len).sum();
-        let pieces = split_ops_to_target(&ops, total.div_ceil(4));
-        assert!(pieces.len() >= 4);
-        // Pieces tile each original op exactly, in order, and every
-        // split point (piece length before the last of an op) is a
-        // cache-line multiple.
-        let mut idx = 0usize;
-        for o in &ops {
-            let mut off = 0usize;
-            while off < o.len {
-                let p = pieces[idx];
-                assert_eq!(p.src_off, o.src_off + off);
-                assert_eq!(p.dst_off, o.dst_off + off);
-                if off + p.len < o.len {
-                    assert_eq!(p.len % CACHE_LINE, 0, "interior split unaligned");
-                }
-                off += p.len;
-                idx += 1;
-            }
-            assert_eq!(off, o.len);
-        }
-        assert_eq!(idx, pieces.len());
+        let ops = [op(10, 3, 1_000_000), op(2_000_000, 1_000_003, 100)];
+        let src: Vec<u8> = (0..2_000_100).map(|i| (i % 233) as u8).collect();
+        let mut dst = vec![0u8; 1_000_103];
+        let lists = [SegList::whole(&dst, &src, &ops, 1_000_100)];
+        // `run_split` checks alignment; four lanes, all inside the
+        // first op, the short second op never cut.
+        let cuts = run_split(&mut dst, &src, &lists, 4);
+        assert_eq!(cuts.len(), 5);
+        assert!(cuts[1..4].iter().all(|c| c.op == 0 && c.byte > 0));
+        assert_eq!(dst[3..1_000_003], src[10..1_000_010]);
+        assert_eq!(dst[1_000_003..], src[2_000_000..]);
     }
 
     #[test]
     fn partitioning_covers_all_ops() {
-        let ops: Vec<CopyOp> = (0..37)
-            .map(|i| CopyOp {
-                src_off: i * 100,
-                dst_off: i * 50,
-                len: 13 + (i % 7),
-            })
-            .collect();
+        let ops: Vec<CopyOp> = (0..37).map(|i| op(i * 100, i * 50, 13 + (i % 7))).collect();
         let total: usize = ops.iter().map(|o| o.len).sum();
+        let src: Vec<u8> = (0..3700).map(|i| (i % 251) as u8).collect();
+        let mut want = vec![0u8; 37 * 50];
+        par_transfer(&mut want, &src, &ops);
         for n in 1..=8usize {
-            let mut bounds = [(0usize, 0usize); MAX_POOL_THREADS];
-            let runs = partition_runs(&ops, total, n, &mut bounds);
-            assert!(runs >= 1 && runs <= n, "n={n} runs={runs}");
-            let mut pos = 0usize;
-            for &(s, e) in &bounds[..runs] {
-                assert_eq!(s, pos, "runs must be contiguous");
-                assert!(e > s);
-                pos = e;
-            }
-            assert_eq!(pos, ops.len(), "runs must cover all ops (n={n})");
+            let mut dst = vec![0u8; want.len()];
+            let lists = [SegList::whole(&dst, &src, &ops, total)];
+            let cuts = run_split(&mut dst, &src, &lists, n);
+            // Segments shorter than a cache line are never cut.
+            assert!(cuts.iter().all(|c| c.byte == 0), "n={n}: {cuts:?}");
+            assert_eq!(dst, want, "lanes must cover all ops (n={n})");
         }
     }
 }
 
-/// Loom model of the [`run_sharded`] handoff protocol. Run by the
+/// Loom model of the [`run_lanes`] handoff protocol — unchanged by the
+/// batch call: a job now names a stretch of a run of lists instead of
+/// one op slice, behind the same latch. Run by the
 /// nightly `loom` CI job only, which appends the target-gated loom
 /// dependency at job time (loom never appears in the local manifest, by
 /// the no-new-deps policy): `RUSTFLAGS="--cfg loom" cargo test -p
@@ -876,7 +1170,7 @@ mod loom_tests {
                     })
                 })
                 .collect();
-            // Submitter side: `run_sharded` parks/unparks around the
+            // Submitter side: `run_lanes` parks/unparks around the
             // same Acquire load; the spin models the wakeup.
             while remaining.load(Ordering::Acquire) != 0 {
                 thread::yield_now();

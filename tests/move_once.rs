@@ -13,6 +13,13 @@
 //! A repeated transfer reuses what the first one derived (DESIGN.md §17
 //! "what a repeated transfer reuses"); every cell therefore runs cold
 //! and warm, and nothing observable may tell the two apart.
+//!
+//! Queue per fragment, move per transfer: a landed fragment's move
+//! waits in its transfer's queue and the queue moves as one batch — with
+//! the last fragment, on failure, or when it holds too many units. The
+//! queue must be invisible: the cells above see the same bytes, clock
+//! and counters, and the tests at the end pin what a failed, a long and
+//! an interfered-with transfer leave behind.
 
 use datatype::convertor::{pack_all, unpack_all};
 use datatype::testutil::{buffer_span, lower_triangular, pattern, transposed_triangular};
@@ -21,7 +28,7 @@ use devengine::{EngineConfig, Lru, OptimizerConfig};
 use faultsim::{counters, FaultKind, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
-use mpirt::{irecv, isend, wait_all, MpiConfig, RecvArgs, SendArgs, Session};
+use mpirt::{irecv, isend, wait_all, MpiConfig, MpiError, RecvArgs, SendArgs, Session};
 use simcore::Counter;
 
 const FRAG: u64 = 4 << 10;
@@ -366,4 +373,140 @@ fn eager_writes_each_delivered_byte_twice() {
     let m = sess.metrics();
     assert_eq!(m.counter(Counter::MpiDeliveredBytes), ty.size());
     assert_eq!(m.counter(Counter::MemsimBytesMoved), 2 * ty.size());
+}
+
+/// `bytes` of doubles, dense.
+fn dense(bytes: u64) -> DataType {
+    DataType::contiguous(bytes / 8, &DataType::double())
+        .unwrap()
+        .commit()
+}
+
+/// A transfer made to fail when fragment `k` of `n` lands — the receive
+/// allocation ends inside that fragment's window — leaves exactly the
+/// `k` fragments that landed before it in the receive buffer, moved by
+/// the flush on the failure path, and resolves both requests `Err`,
+/// once: a second resolution would panic in `Request::complete`.
+#[test]
+fn a_transfer_failing_after_k_fragments_shows_exactly_those_k() {
+    let s_ty = lower_triangular(368);
+    let payload = s_ty.size();
+    let r_ty = dense(payload);
+    let (k, tail) = (37u64, 100u64);
+    assert!((k + 1) * FRAG < payload);
+    for path in [Path::SmIpc, Path::CopyInOut, Path::ZeroCopy] {
+        let mut sess = session(path, 2, FaultPlan::empty());
+        let (s_buf, s_alloc, s_len, s_base) = alloc_typed(&mut sess, 0, &s_ty, 1);
+        let sent = pattern(s_len);
+        sess.world.mem().write(s_alloc, &sent).unwrap();
+        let packed = pack_all(&s_ty, 1, &sent, s_base);
+        let space = MemSpace::Device(sess.world.mpi.ranks[1].gpu);
+        let short = k * FRAG + tail;
+        let r_buf = sess.world.mem().alloc(space, short).unwrap();
+        sess.world
+            .mem()
+            .write(r_buf, &vec![0xA5u8; short as usize])
+            .unwrap();
+
+        let s = isend(&mut sess, SendArgs::new(0, 1, s_buf, &s_ty, 1));
+        let r = irecv(&mut sess, RecvArgs::new(1, 0, r_buf, &r_ty, 1));
+        let failed = wait_all(&mut sess, &[s.clone(), r.clone()]);
+        assert!(
+            matches!(failed, Err(MpiError::Mem(_))),
+            "{path:?}: {failed:?}"
+        );
+        // Stragglers land (and fail) after the requests resolved.
+        while sess.step() {}
+        for req in [&s, &r] {
+            assert!(
+                matches!(req.result(), Some(Err(MpiError::Mem(_)))),
+                "{path:?}"
+            );
+        }
+        let got = sess.world.mem().read_vec(r_buf, short).unwrap();
+        let landed = (k * FRAG) as usize;
+        assert!(got[..landed] == packed[..landed], "{path:?}: landed bytes");
+        assert!(
+            got[landed..].iter().all(|&b| b == 0xA5),
+            "{path:?}: the rest"
+        );
+        let m = sess.metrics();
+        assert_eq!(m.counter(Counter::MpiDeliveredBytes), k * FRAG, "{path:?}");
+        assert_eq!(m.counter(Counter::MemsimBytesMoved), k * FRAG, "{path:?}");
+    }
+}
+
+/// A lone typed end queues its own unit lists, and the queue moves
+/// early once it holds too many units: a strided vector of single
+/// doubles — 512 units per fragment, thousands of fragments — is moved
+/// in batches of dozens of fragments, not one batch and not one per
+/// fragment, equals the reference, and takes no more fresh unit
+/// buffers when it is twice as long.
+#[test]
+fn a_long_fine_transfer_flushes_by_unit_budget_and_reuses_its_buffers() {
+    let mut fresh = Vec::new();
+    for blocks in [600u64 << 10, 1200 << 10] {
+        let s_ty = DataType::vector(blocks, 1, 2, &DataType::double())
+            .unwrap()
+            .commit();
+        let nfrags = s_ty.size().div_ceil(FRAG);
+        let r_ty = dense(s_ty.size());
+        let mut sess = session(Path::SmIpc, 4, FaultPlan::empty());
+        let (s_buf, s_alloc, s_len, s_base) = alloc_typed(&mut sess, 0, &s_ty, 1);
+        let (r_buf, r_alloc, r_len, _) = alloc_typed(&mut sess, 1, &r_ty, 1);
+        let sent = pattern(s_len);
+        sess.world.mem().write(s_alloc, &sent).unwrap();
+        simcore::scratch::reset_stats();
+        let s = isend(&mut sess, SendArgs::new(0, 1, s_buf, &s_ty, 1));
+        let r = irecv(&mut sess, RecvArgs::new(1, 0, r_buf, &r_ty, 1));
+        // Watch `Memory`'s traffic counter step: once per flush.
+        let (mut flushes, mut moved) = (0u64, 0u64);
+        while !(s.is_complete() && r.is_complete()) {
+            assert!(sess.step(), "stalled");
+            let now = sess.world.mem().bytes_moved();
+            flushes += (now != moved) as u64;
+            moved = now;
+        }
+        assert_eq!(moved, s_ty.size());
+        assert!(
+            flushes > 1 && flushes < nfrags / 10,
+            "{flushes} flushes for {nfrags} fragments"
+        );
+        let got = sess.world.mem().read_vec(r_alloc, r_len as u64).unwrap();
+        assert!(got == pack_all(&s_ty, 1, &sent, s_base), "bytes differ");
+        fresh.push(simcore::scratch::stats().fresh);
+        assert!(fresh[0] < nfrags / 4, "a buffer per fragment: {fresh:?}");
+    }
+    assert!(fresh[1] <= fresh[0], "buffers grew with length: {fresh:?}");
+}
+
+/// Freeing a buffer while its transfer has fragments queued: the next
+/// landing's range check fails the transfer with a typed error, the
+/// flush on the failure path meets the freed allocation and moves
+/// nothing, and nothing panics — whichever end was freed.
+#[test]
+fn freeing_a_buffer_under_a_queued_transfer_is_a_typed_error() {
+    let (s_ty, r_ty) = (lower_triangular(368), transposed_triangular(368));
+    for free_recv in [false, true] {
+        let mut sess = session(Path::CopyInOut, 4, FaultPlan::empty());
+        let (s_buf, s_alloc, s_len, _) = alloc_typed(&mut sess, 0, &s_ty, 1);
+        let (r_buf, r_alloc, _, _) = alloc_typed(&mut sess, 1, &r_ty, 1);
+        sess.world.mem().write(s_alloc, &pattern(s_len)).unwrap();
+        let s = isend(&mut sess, SendArgs::new(0, 1, s_buf, &s_ty, 1));
+        let r = irecv(&mut sess, RecvArgs::new(1, 0, r_buf, &r_ty, 1));
+        while sess.trace.counter(Counter::MpiDeliveredBytes) < 10 * FRAG {
+            assert!(sess.step(), "stalled");
+        }
+        assert_eq!(sess.world.mem().bytes_moved(), 0, "landed, not yet moved");
+        let freed = if free_recv { r_alloc } else { s_alloc };
+        sess.world.mem().free(freed).unwrap();
+        let failed = wait_all(&mut sess, &[s, r]);
+        assert!(matches!(failed, Err(MpiError::Mem(_))), "{failed:?}");
+        while sess.step() {}
+        assert_eq!(
+            sess.world.mem().bytes_moved(),
+            0,
+            "a failed batch is no traffic"
+        );
+    }
 }
