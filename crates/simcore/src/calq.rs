@@ -44,7 +44,7 @@ impl<P: Copy> CalEntry<P> {
 }
 
 /// Future events: calendar ring + sorted active run + overflow rung.
-/// `P` is a small `Copy` payload (an arena slot index, an envelope slab
+/// `P` is a small `Copy` payload (an event slot index, an envelope slab
 /// index); anything bigger belongs behind an index.
 pub struct CalendarQueue<P: Copy> {
     shift: u32,

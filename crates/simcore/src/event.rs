@@ -21,12 +21,12 @@
 //!   driver's tiebreak key is a globally monotonic sequence number, so
 //!   ties in firing time break by insertion order.
 //!
-//! Event payloads live in a generation-tagged **arena** (`Slab`): a
-//! closure small enough for the inline slot area is stored in place and
-//! never individually boxed; larger closures fall back to one heap
-//! allocation. `EventId` carries (slot, generation), so cancellation is
-//! an O(1) tombstone — the payload drops immediately and the queue entry
-//! is skipped when it surfaces.
+//! Event payloads live in generation-tagged **slots** (`Slab`): each
+//! closure is boxed into a slot taken from a free list. `EventId`
+//! carries (slot, generation), so cancellation is an O(1) tombstone —
+//! the payload drops immediately and the queue entry is skipped when it
+//! surfaces. Why the payload is boxed rather than stored in the slot:
+//! DESIGN.md §13.
 //!
 //! The old `BinaryHeap` scheduler this replaces is preserved as the
 //! reference model in `simcore/tests/event_queue_prop.rs`, which drives
@@ -37,10 +37,9 @@ use crate::calq::CalendarQueue;
 use crate::time::SimTime;
 use crate::trace::Tracer;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
 
-/// Identifier of a scheduled event, usable for cancellation. Packs an
-/// arena slot index (low 32 bits) and that slot's generation at
+/// Identifier of a scheduled event, usable for cancellation. Packs a
+/// slot index (low 32 bits) and that slot's generation at
 /// scheduling time (high 32 bits), so a stale id — fired, cancelled, or
 /// from a recycled slot — can never cancel a live event.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -60,76 +59,23 @@ impl EventId {
 }
 
 // ---------------------------------------------------------------------
-// Arena slots
+// Event slots
 // ---------------------------------------------------------------------
 
-/// Inline payload area per slot, sized for the engine's completion
-/// closures (a unit buffer, a couple of `Ptr`s, counters and a nested
-/// callback). Anything larger — or over-aligned — falls back to one
-/// heap allocation for that event only.
-const INLINE_WORDS: usize = 8;
-/// Bytes of in-slot closure storage: closures up to this size (and
-/// 16-byte alignment) are stored in the arena, never boxed.
-pub const INLINE_PAYLOAD_BYTES: usize = INLINE_WORDS * 16;
+type Payload<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
-/// 16-byte-aligned raw storage. `MaybeUninit<u128>` is `Copy`, so a
-/// payload image can be moved to the stack with a plain assignment.
-type InlineBuf = [MaybeUninit<u128>; INLINE_WORDS];
-
-const EMPTY_BUF: InlineBuf = [MaybeUninit::uninit(); INLINE_WORDS];
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SlotState {
+enum SlotState<W> {
     Free,
-    Scheduled,
+    Scheduled(Payload<W>),
     /// Cancelled: payload already dropped; the queue entry still points
     /// here and frees the slot when it surfaces.
     Tombstone,
 }
 
-/// Call the payload at `p` (a by-value copy on the caller's stack).
-type CallFn<W> = unsafe fn(*mut u8, &mut Sim<W>);
-/// Drop the payload at `p` in place without calling it.
-type DropFn = unsafe fn(*mut u8);
-
-unsafe fn call_inline<W, F: FnOnce(&mut Sim<W>)>(p: *mut u8, sim: &mut Sim<W>) {
-    // SAFETY: caller passes a 16-aligned buffer holding a valid F,
-    // ownership of which transfers to this read.
-    let f = unsafe { p.cast::<F>().read() };
-    f(sim)
-}
-
-unsafe fn drop_inline<F>(p: *mut u8) {
-    // SAFETY: caller passes a buffer holding a valid F it will not
-    // touch again.
-    unsafe { std::ptr::drop_in_place(p.cast::<F>()) }
-}
-
-unsafe fn call_boxed<W, F: FnOnce(&mut Sim<W>)>(p: *mut u8, sim: &mut Sim<W>) {
-    // SAFETY: the buffer holds a raw Box pointer produced by
-    // Box::into_raw in Slab::alloc; this is the unique owner.
-    let b = unsafe { Box::from_raw(p.cast::<*mut F>().read()) };
-    (*b)(sim)
-}
-
-unsafe fn drop_boxed<F>(p: *mut u8) {
-    // SAFETY: as in call_boxed; dropping the Box drops the closure.
-    drop(unsafe { Box::from_raw(p.cast::<*mut F>().read()) })
-}
-
-/// One arena slot. Fixed-size plain data: the closure (or the Box
-/// pointer to it) lives in `data`, typed only through the `call`/`drop_`
-/// function pointers recorded when the event was scheduled.
 struct Slot<W> {
-    state: SlotState,
+    state: SlotState<W>,
     gen: u32,
-    /// Bytes of `data` that carry the payload (closure size, or pointer
-    /// size for the boxed fallback) — only this much is copied out.
-    size: u16,
     next_free: u32,
-    call: CallFn<W>,
-    drop_payload: DropFn,
-    data: InlineBuf,
 }
 
 /// Generation-tagged slab of event slots with an intrusive free list.
@@ -149,79 +95,41 @@ impl<W> Slab<W> {
     }
 
     /// Store `f` and return its slot index. O(1): pops the free list or
-    /// appends; the closure is written in place when it fits inline.
-    fn alloc<F: FnOnce(&mut Sim<W>) + 'static>(&mut self, f: F) -> u32 {
-        let idx = match self.free_head {
+    /// appends.
+    fn alloc(&mut self, f: Payload<W>) -> u32 {
+        match self.free_head {
             NO_SLOT => {
-                assert!(self.slots.len() < NO_SLOT as usize, "event arena exhausted");
+                assert!(self.slots.len() < NO_SLOT as usize, "event slots exhausted");
                 self.slots.push(Slot {
-                    state: SlotState::Free,
+                    state: SlotState::Scheduled(f),
                     gen: 0,
-                    size: 0,
                     next_free: NO_SLOT,
-                    call: call_inline::<W, fn(&mut Sim<W>)>,
-                    drop_payload: drop_inline::<fn(&mut Sim<W>)>,
-                    data: EMPTY_BUF,
                 });
                 (self.slots.len() - 1) as u32
             }
             head => {
-                self.free_head = self.slots[head as usize].next_free;
+                let slot = &mut self.slots[head as usize];
+                debug_assert!(matches!(slot.state, SlotState::Free));
+                self.free_head = slot.next_free;
+                slot.state = SlotState::Scheduled(f);
                 head
             }
-        };
-        let slot = &mut self.slots[idx as usize];
-        debug_assert_eq!(slot.state, SlotState::Free);
-        let p = slot.data.as_mut_ptr().cast::<u8>();
-        if size_of::<F>() <= INLINE_PAYLOAD_BYTES && align_of::<F>() <= align_of::<InlineBuf>() {
-            // SAFETY: the inline area is big and aligned enough for F
-            // (just checked); the slot is free, so nothing is
-            // overwritten that still owns a payload.
-            unsafe { p.cast::<F>().write(f) };
-            slot.size = size_of::<F>() as u16;
-            slot.call = call_inline::<W, F>;
-            slot.drop_payload = drop_inline::<F>;
-        } else {
-            let raw = Box::into_raw(Box::new(f));
-            // SAFETY: a thin raw pointer always fits the inline area.
-            unsafe { p.cast::<*mut F>().write(raw) };
-            slot.size = size_of::<*mut F>() as u16;
-            slot.call = call_boxed::<W, F>;
-            slot.drop_payload = drop_boxed::<F>;
         }
-        slot.state = SlotState::Scheduled;
-        idx
     }
 
-    #[inline]
-    fn free(&mut self, idx: u32) {
-        debug_assert!((idx as usize) < self.slots.len());
-        // SAFETY: callers pass indices handed out by `alloc`, and the
-        // slots vec never shrinks.
-        let slot = unsafe { self.slots.get_unchecked_mut(idx as usize) };
-        debug_assert_ne!(slot.state, SlotState::Free);
-        slot.state = SlotState::Free;
+    /// Free the slot and hand back what it held. The generation bump
+    /// makes every id issued for the slot so far stale.
+    fn free(&mut self, idx: u32) -> SlotState<W> {
+        let slot = &mut self.slots[idx as usize];
+        debug_assert!(!matches!(slot.state, SlotState::Free));
         slot.gen = slot.gen.wrapping_add(1);
         slot.next_free = self.free_head;
         self.free_head = idx;
+        std::mem::replace(&mut slot.state, SlotState::Free)
     }
 
     fn gen(&self, idx: u32) -> u32 {
         self.slots[idx as usize].gen
-    }
-}
-
-impl<W> Drop for Slab<W> {
-    fn drop(&mut self) {
-        // Pending payloads (events never fired) still own resources;
-        // tombstones and free slots were already dropped.
-        for slot in &mut self.slots {
-            if slot.state == SlotState::Scheduled {
-                // SAFETY: the slot owns a valid payload and is dropped
-                // exactly once here.
-                unsafe { (slot.drop_payload)(slot.data.as_mut_ptr().cast::<u8>()) };
-            }
-        }
     }
 }
 
@@ -237,7 +145,7 @@ pub struct Sim<W> {
     /// Fast lane for events scheduled at the *current* instant
     /// (`schedule_now` and zero-delay `schedule_in`). The lane drains
     /// before virtual time can advance, so entries always fire at
-    /// `now`, in FIFO = insertion order: only the arena slot needs
+    /// `now`, in FIFO = insertion order: only the slot index needs
     /// storing. No stored seq is needed for arbitration either — any
     /// calendar entry at time == `now` predates (hence outranks) every
     /// lane entry, and one at time > `now` never outranks them.
@@ -292,7 +200,7 @@ impl<W> Sim<W> {
             self.now
         );
         let at = at.max(self.now);
-        let slot = self.slab.alloc(f);
+        let slot = self.slab.alloc(Box::new(f));
         if at == self.now {
             // Same-instant events take the FIFO fast lane. The lane
             // drains before time advances (see `step`), so "at the
@@ -331,46 +239,22 @@ impl<W> Sim<W> {
         let Some(slot) = self.slab.slots.get_mut(idx as usize) else {
             return;
         };
-        if slot.gen != id.gen() || slot.state != SlotState::Scheduled {
-            return;
+        if slot.gen == id.gen() && matches!(slot.state, SlotState::Scheduled(_)) {
+            slot.state = SlotState::Tombstone;
         }
-        // SAFETY: the slot holds a valid payload (state Scheduled) and
-        // transitions to Tombstone, so it is dropped exactly once.
-        unsafe { (slot.drop_payload)(slot.data.as_mut_ptr().cast::<u8>()) };
-        slot.state = SlotState::Tombstone;
     }
 
     /// Consume the queue entry for `slot_idx`: sweep it if it was
-    /// tombstoned by `cancel`, otherwise move the payload out, free the
-    /// slot, and run it. The payload image is copied to the stack first
-    /// so the closure may freely schedule (and thereby grow the arena)
-    /// while it runs.
+    /// tombstoned by `cancel`, otherwise run its payload. The slot is
+    /// freed before the call, so the closure may freely schedule (and
+    /// thereby grow or reuse the slots) while it runs, and its own id is
+    /// already stale.
     #[inline]
     fn fire(&mut self, slot_idx: u32) {
-        debug_assert!((slot_idx as usize) < self.slab.slots.len());
-        // SAFETY: every slot index stored in the lane or calendar was
-        // produced by Slab::alloc and the slots vec never shrinks.
-        let slot = unsafe { self.slab.slots.get_unchecked_mut(slot_idx as usize) };
-        if slot.state == SlotState::Tombstone {
-            self.slab.free(slot_idx);
-            return;
+        if let SlotState::Scheduled(f) = self.slab.free(slot_idx) {
+            self.executed += 1;
+            f(self);
         }
-        debug_assert_eq!(slot.state, SlotState::Scheduled);
-        let call = slot.call;
-        let size = slot.size as usize;
-        let mut image = EMPTY_BUF;
-        // Fixed-size copies: the payload image moves with one or eight
-        // vector loads instead of a dynamic-length memcpy call.
-        if size <= 16 {
-            image[0] = slot.data[0];
-        } else {
-            image = slot.data;
-        }
-        self.slab.free(slot_idx);
-        self.executed += 1;
-        // SAFETY: `image` now owns the payload (the slot was freed
-        // without dropping it); `call` consumes it exactly once.
-        unsafe { call(image.as_mut_ptr().cast::<u8>(), self) };
     }
 
     /// Execute a single event. Returns `false` when the queue is empty.
@@ -746,31 +630,82 @@ mod tests {
         assert_eq!(sim.pending_events(), 0);
     }
 
+    /// Capture size of the big test closures: well past anything the
+    /// engine schedules, so payload handling is shown size-independent.
+    const BIG_CAPTURE: usize = 512;
+
     #[test]
-    fn large_closures_fall_back_to_boxing() {
-        // A closure bigger than the inline payload area must round-trip
-        // through the boxed fallback, including cancellation (payload
-        // drop) without running.
-        let big = [7u8; 4 * INLINE_PAYLOAD_BYTES];
-        let payload = vec![1u32; 100];
+    fn closures_of_any_size_run_once_or_drop_unrun_when_cancelled() {
+        // Capture-free, 16-byte and 512-byte closures: each runs exactly
+        // once, and a cancelled twin is dropped (its `Rc` released) at
+        // `cancel`, without running.
         let mut sim = Sim::new(0u64);
+        let alive = Rc::new(());
+        sim.schedule_at(SimTime::from_nanos(1), |s| s.world += 1);
+        let pair = [10u64, 20];
+        sim.schedule_at(SimTime::from_nanos(1), move |s| {
+            s.world += pair[0] + pair[1]
+        });
+        let big = [7u8; BIG_CAPTURE];
         sim.schedule_at(SimTime::from_nanos(1), move |s| {
             s.world += big.iter().map(|&b| b as u64).sum::<u64>();
-            s.world += payload.iter().sum::<u32>() as u64;
         });
-        let big2 = [1u8; 4 * INLINE_PAYLOAD_BYTES];
-        let cancelled = sim.schedule_at(SimTime::from_nanos(2), move |s| {
-            s.world += big2.iter().map(|&b| b as u64).sum::<u64>();
-        });
-        sim.cancel(cancelled);
+        let cancelled = [
+            sim.schedule_at(SimTime::from_nanos(2), |s| s.world += 1_000_000),
+            {
+                let (pair, held) = ([1u64 << 32, 1 << 33], Rc::clone(&alive));
+                sim.schedule_at(SimTime::from_nanos(2), move |s| {
+                    s.world += pair[0] + pair[1] + Rc::strong_count(&held) as u64;
+                })
+            },
+            {
+                let (big, held) = ([1u8; BIG_CAPTURE], Rc::clone(&alive));
+                sim.schedule_at(SimTime::from_nanos(2), move |s| {
+                    s.world += big.len() as u64 + Rc::strong_count(&held) as u64;
+                })
+            },
+        ];
+        assert_eq!(Rc::strong_count(&alive), 3);
+        for id in cancelled {
+            sim.cancel(id);
+        }
+        assert_eq!(Rc::strong_count(&alive), 1, "payloads drop at cancel");
         sim.run();
-        assert_eq!(sim.world, 7 * 4 * INLINE_PAYLOAD_BYTES as u64 + 100);
+        assert_eq!(sim.world, 1 + 30 + 7 * BIG_CAPTURE as u64);
+        assert_eq!(sim.executed_events(), 3);
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_firing_event_may_grow_the_slots_and_cancel_siblings_and_itself() {
+        let own_id = Rc::new(RefCell::new(None));
+        let mut sim = Sim::new(0u64);
+        let sibling = sim.schedule_at(SimTime::from_nanos(9), |s| s.world += 1_000_000);
+        let id = {
+            let own_id = Rc::clone(&own_id);
+            sim.schedule_at(SimTime::from_nanos(5), move |s| {
+                // Far more events than slots exist: the slab reallocates
+                // under the running closure, which was moved out first.
+                for i in 0..1000u64 {
+                    s.schedule_in(SimTime::from_nanos(1 + i % 3), |s| s.world += 1);
+                }
+                s.cancel(sibling);
+                // Its own id went stale when the slot was freed before
+                // the call — the slot's new tenant must survive this.
+                s.cancel(own_id.borrow().expect("id stored before run"));
+            })
+        };
+        *own_id.borrow_mut() = Some(id);
+        sim.run();
+        assert_eq!(sim.world, 1000);
+        assert_eq!(sim.executed_events(), 1001);
+        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
     fn pending_payloads_drop_with_the_sim() {
         // Payloads still scheduled when the Sim drops must be released
-        // (the arena owns them; miri would flag the leak).
+        // (the slots own them; miri would flag the leak).
         struct Count(Rc<RefCell<u32>>);
         impl Drop for Count {
             fn drop(&mut self) {
@@ -782,7 +717,7 @@ mod tests {
             let mut sim = Sim::new(());
             let c1 = Count(Rc::clone(&drops));
             let c2 = Count(Rc::clone(&drops));
-            let big = [0u8; 4 * INLINE_PAYLOAD_BYTES];
+            let big = [0u8; BIG_CAPTURE];
             sim.schedule_at(SimTime::from_nanos(5), move |_| drop(c1));
             sim.schedule_at(SimTime::from_nanos(6), move |_| {
                 drop(c2);

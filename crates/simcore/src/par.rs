@@ -22,9 +22,7 @@
 //! The pool is lazily initialized by the first batch the rule gives a
 //! second lane and lives for the process. Workers block on channels and
 //! are woken only when a lane is theirs, so the data path never spawns
-//! OS threads (the pre-pool `std::thread::scope` implementation paid a
-//! spawn+join per large kernel — it is kept in [`scoped`] as the
-//! wall-clock baseline).
+//! OS threads.
 //!
 //! Pool size defaults to `min(available_parallelism, 8)` and can be
 //! overridden with the `GPU_DDT_COPY_THREADS` environment variable
@@ -221,8 +219,8 @@ fn pool() -> &'static CopyPool {
 }
 
 /// The pool's sizing decision. Forces initialization (spawns the
-/// workers) — benchmarks and the wall-clock harness call this; the data
-/// path initializes lazily instead.
+/// workers) — the repo benchmark's probes call this; the data path
+/// initializes lazily instead.
 pub fn pool_info() -> PoolInfo {
     pool().info
 }
@@ -564,18 +562,6 @@ pub fn par_transfer_batch(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>]) {
     transfer_with(dst, src, lists, lanes_for(bytes, segments));
 }
 
-/// [`par_transfer`] with an explicit lane count, clamped to the pool's
-/// actual worker count (so the numbers stay honest on small machines —
-/// requesting 8 lanes on a single-core box measures 1). This is the
-/// per-core-count measurement hook for the wall-clock harness, not a
-/// hot-path API: the [`lanes_for`] rule is the production path.
-pub fn par_transfer_lanes(dst: &mut [u8], src: &[u8], ops: &[CopyOp], lanes: usize) -> usize {
-    let total: usize = ops.iter().map(|o| o.len).sum();
-    let n = lanes.clamp(1, pool().info.threads);
-    transfer_with(dst, src, &[SegList::whole(dst, src, ops, total)], n);
-    n
-}
-
 fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
     assert_in_bounds(dst, src, lists);
     #[cfg(debug_assertions)]
@@ -599,78 +585,8 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
     }
 }
 
-pub mod scoped {
-    //! The pre-pool implementation: spawn scoped threads per call. Kept
-    //! as the wall-clock baseline the persistent pool is measured
-    //! against (`cargo bench -p bench`, `hotpath_wallclock`) and as an
-    //! independent correctness cross-check. Not used on the hot path.
-
-    use super::{assert_in_bounds, copy_span, lanes_for, partition, CopyOp, Cut, SegList};
-
-    /// [`super::par_copy`] via `std::thread::scope` — spawns threads on
-    /// every call.
-    pub fn par_copy_scoped(dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "par_copy length mismatch");
-        let n = lanes_for(dst.len(), 1);
-        if n <= 1 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let chunk = dst.len().div_ceil(n);
-        std::thread::scope(|scope| {
-            for (d, s) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-                scope.spawn(move || d.copy_from_slice(s));
-            }
-        });
-    }
-
-    /// Raw pointer wrapper so disjoint destination writes can cross the
-    /// `std::thread::scope` boundary.
-    #[derive(Clone, Copy)]
-    struct SendPtr(*mut u8);
-    // SAFETY: every thread writes a disjoint destination range, so
-    // concurrent use is data-race free.
-    unsafe impl Send for SendPtr {}
-
-    /// [`super::par_transfer`] via `std::thread::scope` — spawns threads
-    /// on every call, one per lane of the same partition.
-    pub fn par_transfer_scoped(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
-        let total: usize = ops.iter().map(|o| o.len).sum();
-        let lists = [SegList::whole(dst, src, ops, total)];
-        assert_in_bounds(dst, src, &lists);
-        #[cfg(debug_assertions)]
-        super::assert_dst_disjoint(&lists);
-
-        let n = lanes_for(total, ops.len());
-        if n <= 1 {
-            for o in ops {
-                dst[o.dst_off..o.dst_off + o.len]
-                    .copy_from_slice(&src[o.src_off..o.src_off + o.len]);
-            }
-            return;
-        }
-
-        let mut cuts = [Cut::default(); super::MAX_POOL_THREADS + 1];
-        let lanes = partition(&lists, n, &mut cuts);
-        let dst_ptr = SendPtr(dst.as_mut_ptr());
-        let lists = &lists;
-        std::thread::scope(|scope| {
-            for lane in cuts[..=lanes].windows(2) {
-                scope.spawn(move || {
-                    let dst_ptr = dst_ptr; // move the Copy wrapper into the thread
-                                           // SAFETY: bounds were checked above; destination
-                                           // ranges are disjoint across all ops, and the cuts
-                                           // are `partition`'s.
-                    unsafe { copy_span(dst_ptr.0, src.as_ptr(), lists, lane[0], lane[1]) };
-                });
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::scoped::{par_copy_scoped, par_transfer_scoped};
     use super::*;
 
     fn op(src_off: usize, dst_off: usize, len: usize) -> CopyOp {
@@ -734,6 +650,15 @@ mod tests {
                 "segment {i}"
             );
         }
+    }
+
+    /// [`par_transfer`] with an explicit lane count, clamped to the
+    /// pool's actual size; returns the count used.
+    fn par_transfer_lanes(dst: &mut [u8], src: &[u8], ops: &[CopyOp], lanes: usize) -> usize {
+        let total: usize = ops.iter().map(|o| o.len).sum();
+        let n = lanes.clamp(1, pool_info().threads);
+        transfer_with(dst, src, &[SegList::whole(dst, src, ops, total)], n);
+        n
     }
 
     #[test]
@@ -867,22 +792,38 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_scoped_agree() {
-        // Same inputs through the pool and the scoped baseline.
+    fn pooled_agrees_with_a_sequential_reference_at_every_lane_count() {
+        // The reference shares nothing with `partition` / `copy_span`:
+        // one bounds-checked slice copy per op, in order.
+        fn reference(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
+            for o in ops {
+                dst[o.dst_off..o.dst_off + o.len]
+                    .copy_from_slice(&src[o.src_off..o.src_off + o.len]);
+            }
+        }
         let (seg, count) = (2048usize, 2400usize); // ~4.9 MB
         let (src, ops) = gather_case(seg, count);
+        let mut want = vec![0u8; seg * count];
+        reference(&mut want, &src, &ops);
         let mut pooled = vec![0u8; seg * count];
-        let mut scoped = vec![0u8; seg * count];
         par_transfer(&mut pooled, &src, &ops);
-        par_transfer_scoped(&mut scoped, &src, &ops);
-        assert_eq!(pooled, scoped);
+        assert!(pooled == want, "lane rule");
+        for lanes in [1usize, 2, 4, 8, 64] {
+            pooled.fill(0);
+            par_transfer_lanes(&mut pooled, &src, &ops, lanes);
+            assert!(pooled == want, "lanes={lanes}");
+        }
 
         let big: Vec<u8> = (0..(5 << 20)).map(|i| (i % 241) as u8).collect();
+        let whole = [op(0, 0, big.len())];
         let mut a = vec![0u8; big.len()];
-        let mut b = vec![0u8; big.len()];
         par_copy(&mut a, &big);
-        par_copy_scoped(&mut b, &big);
-        assert_eq!(a, b);
+        assert!(a == big, "par_copy");
+        for lanes in [1usize, 2, 4, 8, 64] {
+            a.fill(0);
+            par_transfer_lanes(&mut a, &big, &whole, lanes);
+            assert!(a == big, "one segment, lanes={lanes}");
+        }
     }
 
     #[test]

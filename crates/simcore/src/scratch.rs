@@ -22,10 +22,10 @@
 //!   (counted in `decayed`), so a burst's buffers don't linger after
 //!   the workload shrinks.
 //!
-//! The shelf also counts its traffic ([`ScratchStats`]): the
-//! `hotpath_wallclock` harness uses `fresh` vs `recycled` as an
-//! allocation-pressure proxy and asserts the trim policy engages, since
-//! the workspace has no global allocator hooks.
+//! The shelf also counts its traffic ([`ScratchStats`]): the repo
+//! benchmark's `simcore.scratch.fresh_per_op` probe reads `fresh` as an
+//! allocation-pressure proxy, since the workspace has no global
+//! allocator hooks; the unit tests below pin the trim and decay policy.
 
 use crate::par::CopyOp;
 use std::cell::RefCell;

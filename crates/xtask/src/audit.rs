@@ -102,7 +102,9 @@ const FAULT_IDENTS: [&str; 6] = [
 ];
 
 /// The module sanctioned to contain `unsafe` in the simulator crates:
-/// the copy pool, whose invariants the loom model and miri cover.
+/// the copy pool, whose invariants the loom model and miri cover. The
+/// one other file with `unsafe`, `memsim/src/pool.rs`, is counted in
+/// `lint/unsafe.allow`.
 const SANCTIONED_UNSAFE: &str = "crates/simcore/src/par.rs";
 
 /// Trace methods that *emit* (count or record a span) vs merely read.

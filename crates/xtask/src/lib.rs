@@ -16,9 +16,8 @@
 //!    names are the `Counter` enum — the compiler's job);
 //! 5. **arch** — per-architecture constants come from the `GpuArch`
 //!    registry, never hardcoded constructors;
-//! 6. **sched** — the calendar queue + event arena in
-//!    `simcore/src/event.rs` are the only event queue: no shadow
-//!    `BinaryHeap`s, no hand-boxed closures in `schedule_*` calls;
+//! 6. **sched** — the calendar queue in `simcore/src/event.rs` is the
+//!    only event queue: no shadow `BinaryHeap`s;
 //! 7. **offload** — DEV descriptor programs execute only in the
 //!    sanctioned interpreters (devengine, the NIC executor, the CPU
 //!    convertor, the MPI-IO file-view walker), and stream-op graphs are

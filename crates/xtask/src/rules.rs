@@ -127,10 +127,8 @@ fn arch_scope(rel: &str) -> bool {
 }
 
 /// Scheduler-hygiene scope: the simulator crates, minus the scheduler
-/// itself. `simcore/src/event.rs` owns the calendar queue and the event
-/// arena; a `BinaryHeap` event queue or a per-event `Box::new` anywhere
-/// else reintroduces exactly the allocation and ordering costs the
-/// arena exists to remove.
+/// itself. `simcore/src/event.rs` owns the calendar queue; a `BinaryHeap`
+/// event queue anywhere else forks the `(time, seq)` total order.
 fn sched_scope(rel: &str) -> bool {
     in_sim_crates(rel) && rel != "crates/simcore/src/event.rs"
 }
@@ -454,23 +452,13 @@ fn scan_arch(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
     }
 }
 
-/// Family 6 — scheduler hygiene: the calendar queue + event arena in
-/// `simcore/src/event.rs` are the only sanctioned event queue. Bans
+/// Family 6 — scheduler hygiene: the calendar queue in
+/// `simcore/src/event.rs` is the only sanctioned event queue. Bans
 /// `BinaryHeap` (a shadow priority queue would fork the `(time, seq)`
-/// total order the determinism suite pins) and `Box::new` inside a
-/// `schedule_at`/`schedule_in`/`schedule_now` argument list (events are
-/// arena-allocated; hand-boxing a closure re-adds the per-event heap
-/// round-trip the slab removed).
+/// total order the determinism suite pins).
 fn scan_sched(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
-    const SCHEDULE_METHODS: [&str; 3] = ["schedule_at", "schedule_in", "schedule_now"];
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.in_test {
-            i += 1;
-            continue;
-        }
-        if t.ident() == Some("BinaryHeap") {
+    for t in toks {
+        if !t.in_test && t.ident() == Some("BinaryHeap") {
             push(
                 out,
                 "sched",
@@ -481,46 +469,7 @@ fn scan_sched(rel: &str, toks: &[Token], out: &mut Vec<Violation>) {
                  schedule through simcore::Sim (the calendar queue in simcore/src/event.rs)"
                     .to_string(),
             );
-            i += 1;
-            continue;
         }
-        let is_schedule_call = t.ident().is_some_and(|id| SCHEDULE_METHODS.contains(&id))
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-        if !is_schedule_call {
-            i += 1;
-            continue;
-        }
-        let method = t.ident().unwrap_or_default().to_string();
-        // Walk the argument list to the matching ')'.
-        let mut depth = 0usize;
-        let mut j = i + 1;
-        while j < toks.len() {
-            let a = &toks[j];
-            if a.is_punct('(') || a.is_punct('[') || a.is_punct('{') {
-                depth += 1;
-            } else if a.is_punct(')') || a.is_punct(']') || a.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if a.ident() == Some("Box") && follows_path_call(toks, j, "new") {
-                push(
-                    out,
-                    "sched",
-                    rel,
-                    a.line,
-                    "boxed-event",
-                    format!(
-                        "Box::new in .{method}(); events are arena-allocated — pass the \
-                         closure directly and let the slab place it"
-                    ),
-                );
-            }
-            j += 1;
-        }
-        i = j + 1;
     }
 }
 
@@ -729,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn sched_rule_bans_shadow_queues_and_boxed_events() {
+    fn sched_rule_bans_shadow_queues() {
         let heap = "use std::collections::BinaryHeap;\nfn f() { let q: BinaryHeap<u32> = BinaryHeap::new(); }";
         assert_eq!(
             kinds("crates/netsim/src/x.rs", heap),
@@ -741,13 +690,6 @@ mod tests {
         // scheduler with a reference heap).
         let test_region = "#[cfg(test)] mod t { use std::collections::BinaryHeap; }";
         assert!(kinds("crates/memsim/src/x.rs", test_region).is_empty());
-
-        let boxed = "fn f(sim: &mut Sim<W>) { sim.schedule_in(d, Box::new(move |s| go(s))); }";
-        assert_eq!(kinds("crates/mpirt/src/x.rs", boxed), vec!["boxed-event"]);
-        // Plain closures and Box::new outside a schedule call are fine.
-        let plain =
-            "fn f(sim: &mut Sim<W>) { sim.schedule_now(move |s| go(s)); let b = Box::new(1); }";
-        assert!(kinds("crates/mpirt/src/x.rs", plain).is_empty());
     }
 
     #[test]
