@@ -420,7 +420,7 @@ impl FragmentEngine {
     }
 
     /// Kernel source and destination for a fragment stored at `frag`.
-    fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
+    pub fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
         match self.dir {
             Direction::Pack => (self.typed_base(), frag),
             Direction::Unpack => (frag, self.typed_base()),

@@ -7,7 +7,7 @@
 //! memcpy-bound rate.
 
 use datatype::{DataType, TypeError};
-use devengine::{flip_units_in_place, DevCursor};
+use devengine::{flip_units_in_place, DevCursor, Direction};
 use faultsim::{FaultDecision, FaultOp};
 use gpusim::{fault, GpuWorld};
 use memsim::Ptr;
@@ -16,17 +16,10 @@ use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
 
-/// Direction of the host conversion.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CpuDir {
-    Pack,
-    Unpack,
-}
-
 /// Sequential CPU pack/unpack over a datatype, fragment by fragment.
 pub struct CpuEngine {
     cursor: DevCursor,
-    dir: CpuDir,
+    dir: Direction,
     typed: Ptr,
     rank: usize,
     bw: Bandwidth,
@@ -38,7 +31,7 @@ impl CpuEngine {
         ty: &DataType,
         count: u64,
         typed: Ptr,
-        dir: CpuDir,
+        dir: Direction,
         rank: usize,
         bw: Bandwidth,
     ) -> Result<CpuEngine, TypeError> {
@@ -72,6 +65,14 @@ impl CpuEngine {
         self.typed.offset_by(self.cursor.base_shift())
     }
 
+    /// Source and destination of a pass over the fragment at `frag`.
+    pub fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
+        match self.dir {
+            Direction::Pack => (self.typed_base(), frag),
+            Direction::Unpack => (frag, self.typed_base()),
+        }
+    }
+
     /// Move the next `cap` packed bytes between the typed buffer and
     /// `frag` (contiguous host memory): [`Self::charge_fragment`], then
     /// the bytes move at the pass's completion instant; `done` runs
@@ -83,10 +84,7 @@ impl CpuEngine {
         cap: u64,
         done: impl FnOnce(&mut Sim<W>, u64) + 'static,
     ) {
-        let (src, dst) = match self.dir {
-            CpuDir::Pack => (self.typed_base(), frag),
-            CpuDir::Unpack => (frag, self.typed_base()),
-        };
+        let (src, dst) = self.kernel_ends(frag);
         let units = Some(take_units_buf());
         self.charge_fragment(sim, cap, units, move |sim, n, units| {
             sim.world
@@ -127,7 +125,7 @@ impl CpuEngine {
             for u in &mut units {
                 u.dst_off -= from as usize;
             }
-            if self.dir == CpuDir::Unpack {
+            if self.dir == Direction::Unpack {
                 flip_units_in_place(&mut units);
             }
         } else {
@@ -158,8 +156,8 @@ impl CpuEngine {
         let (start, end) = sim.world.cpu(self.rank).reserve(now, duration);
         let rank = self.rank as u32;
         let (span_name, counter) = match self.dir {
-            CpuDir::Pack => (names::SPAN_CPU_PACK, names::CPUPACK_PACK_BYTES),
-            CpuDir::Unpack => (names::SPAN_CPU_UNPACK, names::CPUPACK_UNPACK_BYTES),
+            Direction::Pack => (names::SPAN_CPU_PACK, names::CPUPACK_PACK_BYTES),
+            Direction::Unpack => (names::SPAN_CPU_UNPACK, names::CPUPACK_UNPACK_BYTES),
         };
         sim.trace.span_at(
             start,
@@ -200,7 +198,7 @@ mod tests {
             &ty,
             2,
             typed.add(base as u64),
-            CpuDir::Pack,
+            Direction::Pack,
             0,
             Bandwidth::from_gbps(5.0),
         )
@@ -242,7 +240,7 @@ mod tests {
             &ty,
             1,
             dst.add(base as u64),
-            CpuDir::Unpack,
+            Direction::Unpack,
             0,
             Bandwidth::from_gbps(5.0),
         )
@@ -282,7 +280,7 @@ mod tests {
                 &ty,
                 2,
                 typed.add(base as u64),
-                CpuDir::Pack,
+                Direction::Pack,
                 0,
                 Bandwidth::from_gbps(5.0),
             )
@@ -313,6 +311,6 @@ mod tests {
             alloc: memsim::AllocId(0),
             offset: 0,
         };
-        let _ = CpuEngine::new(&ty, 1, p, CpuDir::Pack, 0, Bandwidth::from_gbps(5.0));
+        let _ = CpuEngine::new(&ty, 1, p, Direction::Pack, 0, Bandwidth::from_gbps(5.0));
     }
 }

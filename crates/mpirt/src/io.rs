@@ -168,9 +168,9 @@ fn stage_through_host<F: FnOnce(&mut Sim<MpiWorld>, Ptr) + 'static>(
     } else {
         let bw = sim.world.mpi.config.cpu_pack_bw;
         let dir = if pack {
-            crate::cpupack::CpuDir::Pack
+            devengine::Direction::Pack
         } else {
-            crate::cpupack::CpuDir::Unpack
+            devengine::Direction::Unpack
         };
         let mut eng =
             crate::cpupack::CpuEngine::new(ty, count, buf, dir, rank, bw).expect("committed type");

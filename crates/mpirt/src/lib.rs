@@ -29,6 +29,7 @@ pub mod onesided;
 pub mod protocol;
 pub mod request;
 pub mod scale;
+pub mod schedule;
 pub mod session;
 pub mod tuner;
 pub mod world;

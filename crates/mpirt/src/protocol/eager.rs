@@ -5,12 +5,12 @@
 //! as soon as the data is buffered. The receiver unpacks at match time
 //! — possibly much later, from the unexpected queue.
 
-use crate::cpupack::{CpuDir, CpuEngine};
+use crate::cpupack::CpuEngine;
 use crate::matcher::{Envelope, RecvPosting};
 use crate::request::{MpiError, Request};
 use crate::world::MpiWorld;
 use datatype::Signature;
-use devengine::pack_async;
+use devengine::{pack_async, Direction};
 use gpusim::GpuWorld as _;
 use memsim::Ptr;
 use netsim::send_am;
@@ -18,7 +18,7 @@ use simcore::trace::names;
 use simcore::{Sim, SpanId, Track};
 use std::rc::Rc;
 
-use super::Side;
+use super::{make_engine, Side};
 
 /// Start an eager send. `bytes` must be at or below the eager limit.
 pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Request) {
@@ -95,7 +95,7 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
         );
     } else {
         let bw = sim.world.mpi.config.cpu_pack_bw;
-        match CpuEngine::new(&s.ty, s.count, s.buf, CpuDir::Pack, s.rank, bw) {
+        match CpuEngine::new(&s.ty, s.count, s.buf, Direction::Pack, s.rank, bw) {
             Ok(mut eng) => {
                 eng.process_fragment(sim, bounce, u64::MAX, move |sim, _| after_pack(sim));
             }
@@ -118,75 +118,36 @@ fn deliver(
     sig: Signature,
     span: SpanId,
 ) {
-    if let Err(e) = posting.signature().check_recv(&sig) {
-        posting.request.complete(sim, Err(MpiError::Type(e)));
-        // The signature error is the root cause; releasing a pointer we
-        // allocated cannot fail independently of it.
-        let _ = sim.world.mem().free(bounce);
-        sim.trace.span_end(sim.now(), span);
-        return;
-    }
     let req = posting.request.clone();
     let to = posting.rank;
-    let finish = move |sim: &mut Sim<MpiWorld>| {
-        sim.trace
-            .count(names::MPI_DELIVERED_BYTES, from as u32, to as u32, n);
-        match sim.world.mem().free(bounce) {
-            Ok(_) => req.complete(sim, Ok(n)),
-            Err(e) => req.complete(sim, Err(MpiError::Mem(e.to_string()))),
+    // However the delivery ends, the receive resolves, the bounce
+    // buffer is released and the span closes.
+    let finish = move |sim: &mut Sim<MpiWorld>, unpacked: Result<(), MpiError>| {
+        if unpacked.is_ok() {
+            sim.trace
+                .count(names::MPI_DELIVERED_BYTES, from as u32, to as u32, n);
         }
+        let freed = sim.world.mem().free(bounce);
+        let freed = freed.map_err(|e| MpiError::Mem(e.to_string()));
+        req.complete(sim, unpacked.and(freed).map(|_| n));
         sim.trace.span_end(sim.now(), span);
     };
+    if let Err(e) = posting.signature().check_recv(&sig) {
+        return finish(sim, Err(MpiError::Type(e)));
+    }
     if n == 0 {
-        finish(sim);
-        return;
+        return finish(sim, Ok(()));
     }
-    if posting.buf.space.is_device() {
-        let (stream, cache) = {
-            let r = sim.world.rank(posting.rank);
-            (r.kernel_stream, Rc::clone(&r.dev_cache))
-        };
-        let cfg = sim.world.mpi.config.engine.clone();
-        // The message may be shorter than the posted receive; a single
-        // capped fragment unpacks exactly the incoming prefix.
-        match devengine::FragmentEngine::new(
-            sim,
-            posting.rank,
-            stream,
-            &posting.ty,
-            posting.count,
-            posting.buf,
-            devengine::Direction::Unpack,
-            cfg,
-            Some(&cache),
-        ) {
-            Ok(mut eng) => {
-                eng.process_fragment(sim, bounce, n, |_| {}, move |sim, _| finish(sim));
-            }
-            Err(e) => fail_delivery(sim, &posting.request, bounce, span, MpiError::Type(e)),
-        }
-    } else {
-        let bw = sim.world.mpi.config.cpu_pack_bw;
-        match CpuEngine::new(
-            &posting.ty,
-            posting.count,
-            posting.buf,
-            CpuDir::Unpack,
-            posting.rank,
-            bw,
-        ) {
-            Ok(mut eng) => {
-                eng.process_fragment(sim, bounce, n, move |sim, _| finish(sim));
-            }
-            Err(e) => fail_delivery(sim, &posting.request, bounce, span, MpiError::Type(e)),
-        }
+    let side = Side {
+        rank: posting.rank,
+        ty: posting.ty,
+        count: posting.count,
+        buf: posting.buf,
+    };
+    // The message may be shorter than the posted receive; a single
+    // capped fragment unpacks exactly the incoming prefix.
+    match make_engine(sim, &side, Direction::Unpack) {
+        Ok(mut eng) => eng.process_fragment(sim, bounce, n, finish),
+        Err(e) => finish(sim, Err(e)),
     }
-}
-
-/// Abort an eager delivery after matching: fail the receive, release the
-/// bounce buffer, and close the span.
-fn fail_delivery(sim: &mut Sim<MpiWorld>, req: &Request, bounce: Ptr, span: SpanId, err: MpiError) {
-    req.complete_if_pending(sim, Err(err));
-    let _ = sim.world.mem().free(bounce);
-    sim.trace.span_end(sim.now(), span);
 }

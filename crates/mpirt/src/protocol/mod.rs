@@ -11,15 +11,17 @@ pub mod offload;
 pub mod plan;
 pub mod sm;
 
-use crate::cpupack::{CpuDir, CpuEngine};
+use crate::cpupack::CpuEngine;
 use crate::matcher::RecvPosting;
 use crate::request::{MpiError, Request};
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
 use devengine::{Direction, FragmentEngine, LayoutKey};
+use gpusim::GpuWorld as _;
 use memsim::Ptr;
 use simcore::par::CopyOp;
+use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::Sim;
 
 /// One endpoint of a transfer.
@@ -114,6 +116,28 @@ impl SideEngine {
         }
     }
 
+    /// [`Self::charge_fragment`], then the fragment's bytes move at the
+    /// charge's completion instant and `done` runs after them. A buffer
+    /// that does not hold the fragment is a typed error there.
+    pub(crate) fn process_fragment(
+        &mut self,
+        sim: &mut Sim<MpiWorld>,
+        frag: Ptr,
+        n: u64,
+        done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
+    ) {
+        let (src, dst) = match self {
+            SideEngine::Gpu(eng) => eng.kernel_ends(frag),
+            SideEngine::Cpu(eng) => eng.kernel_ends(frag),
+        };
+        let units = Some(take_units_buf());
+        self.charge_fragment(sim, frag, n, units, move |sim, units| {
+            let moved = sim.world.mem().transfer(src, dst, &units);
+            recycle_units_buf(units);
+            done(sim, moved.map_err(|e| MpiError::Mem(e.to_string())));
+        });
+    }
+
     /// The pointer the typed-side unit offsets are relative to.
     pub(crate) fn typed_base(&self) -> Ptr {
         match self {
@@ -148,13 +172,9 @@ pub(crate) fn make_engine(
         .map_err(MpiError::Type)?;
         Ok(SideEngine::Gpu(eng))
     } else {
-        let cdir = match dir {
-            Direction::Pack => CpuDir::Pack,
-            Direction::Unpack => CpuDir::Unpack,
-        };
         let bw = sim.world.mpi.config.cpu_pack_bw;
         Ok(SideEngine::Cpu(
-            CpuEngine::new(&side.ty, side.count, side.buf, cdir, side.rank, bw)
+            CpuEngine::new(&side.ty, side.count, side.buf, dir, side.rank, bw)
                 .map_err(MpiError::Type)?,
         ))
     }

@@ -25,11 +25,12 @@
 //! timestamps, counters and Chrome trace are pinned per configuration
 //! in `tests/scale_pinned.rs`.
 //!
-//! Collective algorithms mirror the classic Open MPI/MPICH defaults at
-//! message granularity: binomial-tree broadcast, ring allgather,
-//! pairwise-rotation alltoall, dissemination barrier, and ring RMA
-//! put/get epochs (data + ack, request + data).
+//! The collectives walk the schedules in [`crate::schedule`] — the same
+//! functions [`crate::coll`] posts on the full stack — at message
+//! granularity; the ring RMA put/get epochs (data + ack, request +
+//! data) are this module's own.
 
+use crate::schedule::{self, Exchange};
 use faultsim::{FaultDecision, FaultOp, FaultPlan, FaultSim};
 use netsim::Topology;
 use simcore::msgsim::{Envelope, MsgCtx, MsgModel, MsgRun, MsgSim};
@@ -81,29 +82,35 @@ pub enum ScaleOp {
     GetRing { bytes: u64 },
 }
 
-impl ScaleOp {
-    /// Rounds the op needs for a job of `n` ranks.
-    fn rounds(self, n: u32) -> u32 {
-        match self {
-            ScaleOp::Bcast { .. } => 1,
-            ScaleOp::Allgather { .. } | ScaleOp::Alltoall { .. } => n - 1,
-            ScaleOp::Barrier => ceil_log2(n),
-            ScaleOp::PutRing { .. } | ScaleOp::GetRing { .. } => {
-                if n > 1 {
-                    1
-                } else {
-                    0
-                }
-            }
-        }
-    }
+/// How an op's rounds are walked.
+enum Walk {
+    /// A [`schedule`] exchange: one such message per rank and round.
+    Rounds(Exchange, MsgKind, u64),
+    /// The [`schedule`] broadcast tree, one round.
+    Tree { root: u32, bytes: u64 },
+    /// An RMA epoch on the right neighbour: its opening message (`on_msg` answers).
+    RmaRing(MsgKind, u64),
 }
 
-fn ceil_log2(n: u32) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        32 - (n - 1).leading_zeros()
+impl ScaleOp {
+    fn walk(self) -> Walk {
+        match self {
+            ScaleOp::Bcast { root, bytes } => Walk::Tree { root, bytes },
+            ScaleOp::Allgather { bytes } => Walk::Rounds(Exchange::Ring, MsgKind::Data, bytes),
+            ScaleOp::Alltoall { bytes } => Walk::Rounds(Exchange::Rotation, MsgKind::Data, bytes),
+            ScaleOp::Barrier => Walk::Rounds(Exchange::Dissemination, MsgKind::Ack, CTRL_BYTES),
+            ScaleOp::PutRing { bytes } => Walk::RmaRing(MsgKind::Data, bytes),
+            ScaleOp::GetRing { .. } => Walk::RmaRing(MsgKind::Req, CTRL_BYTES),
+        }
+    }
+
+    /// Rounds the op needs for a job of `n` ranks.
+    fn rounds(self, n: u32) -> u32 {
+        match self.walk() {
+            Walk::Rounds(kind, ..) => kind.rounds(n as usize) as u32,
+            Walk::Tree { .. } => 1,
+            Walk::RmaRing(..) => (n > 1) as u32,
+        }
     }
 }
 
@@ -318,72 +325,43 @@ fn send_msg(
     );
 }
 
-/// Binomial-tree children of `rank` for a bcast rooted at `root`:
-/// descending sub-tree masks, MPICH order.
-fn bcast_children(shape: &Shape, st: &mut RankSt, ctx: &mut MsgCtx<'_, ScaleMsg>) {
-    let (root, bytes) = match shape.program[st.step as usize] {
-        ScaleOp::Bcast { root, bytes } => (root, bytes),
-        other => unreachable!("bcast_children in {other:?}"),
-    };
-    let n = shape.ranks;
-    let v = (st.rank + n - root % n) % n; // relative rank
-    let mut mask = if v == 0 {
-        // Root: start at the largest power of two below n.
-        let mut m = 1u32;
-        while m < n {
-            m <<= 1;
-        }
-        m >> 1
-    } else {
-        (v & v.wrapping_neg()) >> 1 // below our lowest set bit
-    };
-    while mask > 0 {
-        if v + mask < n {
-            let dst = (v + mask + root) % n;
-            send_msg(shape, st, ctx, dst, MsgKind::Data, bytes);
-        }
-        mask >>= 1;
+/// Forward a bcast to this rank's children in the tree from `root`.
+fn bcast_children(
+    shape: &Shape,
+    st: &mut RankSt,
+    ctx: &mut MsgCtx<'_, ScaleMsg>,
+    root: u32,
+    bytes: u64,
+) {
+    let n = shape.ranks as usize;
+    for dst in schedule::bcast_children(st.rank as usize, root as usize, n) {
+        send_msg(shape, st, ctx, dst as u32, MsgKind::Data, bytes);
     }
 }
 
 /// Entering round `st.round` of the current op: emit its sends and set
 /// how many receives finish it.
 fn start_round(shape: &Shape, st: &mut RankSt, ctx: &mut MsgCtx<'_, ScaleMsg>) {
-    let n = shape.ranks;
-    let r = st.rank;
-    match shape.program[st.step as usize] {
-        ScaleOp::Bcast { root, .. } => {
-            let v = (r + n - root % n) % n;
-            if v == 0 {
-                st.pending = 0;
-                bcast_children(shape, st, ctx);
-            } else {
-                st.pending = 1;
+    let (r, n) = (st.rank, shape.ranks);
+    match shape.program[st.step as usize].walk() {
+        Walk::Rounds(kind, msg, bytes) => {
+            st.pending = 1;
+            let to = kind.step(r as usize, st.round as usize, n as usize).to;
+            send_msg(shape, st, ctx, to as u32, msg, bytes);
+        }
+        Walk::Tree { root, bytes } => {
+            // Every rank but the root first awaits its parent's message.
+            let parent = schedule::bcast_parent(r as usize, root as usize, n as usize);
+            st.pending = parent.is_some() as u32;
+            if parent.is_none() {
+                bcast_children(shape, st, ctx, root, bytes);
             }
         }
-        ScaleOp::Allgather { bytes } => {
-            st.pending = 1;
-            send_msg(shape, st, ctx, (r + 1) % n, MsgKind::Data, bytes);
-        }
-        ScaleOp::Alltoall { bytes } => {
-            st.pending = 1;
-            let peer = (r + st.round + 1) % n;
-            send_msg(shape, st, ctx, peer, MsgKind::Data, bytes);
-        }
-        ScaleOp::Barrier => {
-            st.pending = 1;
-            let peer = (r + (1 << st.round)) % n;
-            send_msg(shape, st, ctx, peer, MsgKind::Ack, CTRL_BYTES);
-        }
-        ScaleOp::PutRing { bytes } => {
-            // Await the ack of our put and the put from our left.
+        Walk::RmaRing(msg, bytes) => {
+            // Await the reply to our message — a put's ack, a get's
+            // data — and our left neighbour's own opening message.
             st.pending = 2;
-            send_msg(shape, st, ctx, (r + 1) % n, MsgKind::Data, bytes);
-        }
-        ScaleOp::GetRing { .. } => {
-            // Await our get's data and our left neighbor's request.
-            st.pending = 2;
-            send_msg(shape, st, ctx, (r + 1) % n, MsgKind::Req, CTRL_BYTES);
+            send_msg(shape, st, ctx, (r + 1) % n, msg, bytes);
         }
     }
 }
@@ -393,7 +371,7 @@ fn on_msg(shape: &Shape, st: &mut RankSt, ctx: &mut MsgCtx<'_, ScaleMsg>, src: u
     debug_assert!(st.pending > 0, "unexpected message in a settled round");
     st.pending -= 1;
     match shape.program[st.step as usize] {
-        ScaleOp::Bcast { .. } => bcast_children(shape, st, ctx),
+        ScaleOp::Bcast { root, bytes } => bcast_children(shape, st, ctx, root, bytes),
         ScaleOp::PutRing { .. } => {
             if kind == MsgKind::Data {
                 // The put landed; ack the origin.

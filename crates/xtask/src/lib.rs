@@ -31,7 +31,6 @@ pub mod allow;
 pub mod audit;
 pub mod graph;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 
 use allow::RuleReport;

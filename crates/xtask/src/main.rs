@@ -1,10 +1,9 @@
 //! `cargo xtask <lint|audit|ratchet>` — workspace invariant tooling.
 //!
-//! * `lint  [--root <dir>] [--report <file>]` — the eight per-file
-//!   token-level rule families.
-//! * `audit [--root <dir>] [--report <file>] [--json]` — the four
-//!   cross-file semantic analyses over the call graph. `--json` prints
-//!   the machine-readable report to stdout.
+//! * `lint  [--root <dir>]` — the seven per-file token-level rule
+//!   families.
+//! * `audit [--root <dir>]` — the four cross-file semantic analyses
+//!   over the call graph.
 //! * `ratchet --old <dir> --new <dir>` — assert every `*.allow` file in
 //!   `<new>` only shrinks relative to `<old>` (CI materializes the base
 //!   revision's `lint/` into `<old>` via `git show`).
@@ -17,53 +16,30 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo xtask lint [--root <dir>] [--report <file>]\n\
-        \x20      cargo xtask audit [--root <dir>] [--report <file>] [--json]\n\
+        "usage: cargo xtask lint [--root <dir>]\n\
+        \x20      cargo xtask audit [--root <dir>]\n\
         \x20      cargo xtask ratchet --old <dir> --new <dir>"
     );
     ExitCode::from(2)
 }
 
-struct CommonArgs {
-    root: PathBuf,
-    report: Option<PathBuf>,
-    json: bool,
-}
-
-fn parse_common(args: impl Iterator<Item = String>, allow_json: bool) -> Option<CommonArgs> {
-    let mut args = args.peekable();
+/// `[--root <dir>]`, defaulting to the workspace this binary was built in.
+fn parse_root(mut args: impl Iterator<Item = String>) -> Option<PathBuf> {
     let mut root: Option<PathBuf> = None;
-    let mut report: Option<PathBuf> = None;
-    let mut json = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = Some(PathBuf::from(args.next()?)),
-            "--report" => report = Some(PathBuf::from(args.next()?)),
-            "--json" if allow_json => json = true,
             _ => return None,
         }
     }
-    Some(CommonArgs {
-        root: root.unwrap_or_else(xtask::workspace_root),
-        report,
-        json,
-    })
-}
-
-fn write_report(path: &PathBuf, json: &str, cmd: &str) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("xtask {cmd}: writing {}: {e}", path.display());
-        return Err(ExitCode::from(2));
-    }
-    println!("report written to {}", path.display());
-    Ok(())
+    Some(root.unwrap_or_else(xtask::workspace_root))
 }
 
 fn cmd_lint(args: impl Iterator<Item = String>) -> ExitCode {
-    let Some(a) = parse_common(args, false) else {
+    let Some(root) = parse_root(args) else {
         return usage();
     };
-    let outcome = match xtask::run_lint(&a.root) {
+    let outcome = match xtask::run_lint(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("xtask lint: {e}");
@@ -74,14 +50,8 @@ fn cmd_lint(args: impl Iterator<Item = String>) -> ExitCode {
     println!(
         "scanned {} file(s) under {}",
         outcome.files_scanned,
-        a.root.display()
+        root.display()
     );
-    if let Some(path) = &a.report {
-        let json = xtask::report::render_json(&outcome.reports);
-        if let Err(code) = write_report(path, &json, "lint") {
-            return code;
-        }
-    }
     if outcome.ok() {
         ExitCode::SUCCESS
     } else {
@@ -90,33 +60,23 @@ fn cmd_lint(args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 fn cmd_audit(args: impl Iterator<Item = String>) -> ExitCode {
-    let Some(a) = parse_common(args, true) else {
+    let Some(root) = parse_root(args) else {
         return usage();
     };
-    let outcome = match xtask::run_audit(&a.root) {
+    let outcome = match xtask::run_audit(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("xtask audit: {e}");
             return ExitCode::from(2);
         }
     };
-    let json = xtask::report::render_json(&outcome.reports);
-    if a.json {
-        print!("{json}");
-    } else {
-        print!("{}", outcome.render_text());
-        println!(
-            "audited {} file(s), {} fn(s) in the call graph, under {}",
-            outcome.files_scanned,
-            outcome.fns_indexed,
-            a.root.display()
-        );
-    }
-    if let Some(path) = &a.report {
-        if let Err(code) = write_report(path, &json, "audit") {
-            return code;
-        }
-    }
+    print!("{}", outcome.render_text());
+    println!(
+        "audited {} file(s), {} fn(s) in the call graph, under {}",
+        outcome.files_scanned,
+        outcome.fns_indexed,
+        root.display()
+    );
     if outcome.ok() {
         ExitCode::SUCCESS
     } else {

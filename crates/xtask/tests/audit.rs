@@ -1,8 +1,7 @@
 //! End-to-end audit tests: each seeded fixture tree must trip exactly
 //! its analysis, the clean tree must pass, and the real workspace must
 //! pass — which keeps the `lint/*.allow` audit ratchets honest under
-//! `cargo test`. Also covers the JSON report round-trip and the
-//! ratchet-direction check CI runs.
+//! `cargo test`. Also covers the ratchet-direction check CI runs.
 
 use std::path::PathBuf;
 
@@ -94,22 +93,6 @@ fn workspace_audit_is_clean() {
         out.fns_indexed
     );
     assert!(out.ok(), "workspace audit failed:\n{}", out.render_text());
-}
-
-#[test]
-fn audit_json_report_round_trips() {
-    let out = xtask::run_audit(&fixture("audit-violations")).unwrap();
-    let text = xtask::report::render_json(&out.reports);
-    let v = xtask::report::json::parse(&text).expect("report JSON parses");
-    assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(out.ok()));
-    let rules = v.get("rules").and_then(|r| r.as_obj()).unwrap();
-    for family in xtask::audit::AUDIT_FAMILIES {
-        let rep = rules
-            .get(family)
-            .unwrap_or_else(|| panic!("{family} missing"));
-        let parsed = rep.get("violations").and_then(|a| a.as_arr()).unwrap();
-        assert_eq!(parsed.len(), out.family(family).violations.len());
-    }
 }
 
 #[test]

@@ -103,6 +103,33 @@ fn eager_signature_mismatch_fails_receiver_only() {
     assert!(matches!(r.result(), Some(Err(MpiError::Type(_)))));
 }
 
+/// An eager message that does not fit the buffer it lands in fails
+/// the receive with a typed error at the landing instant — host or
+/// device — and releases its bounce buffer; the send, complete since
+/// the bytes were buffered, stands.
+#[test]
+fn eager_landing_outside_the_buffer_is_a_typed_error() {
+    let ty = DataType::contiguous(64, &DataType::double())
+        .unwrap()
+        .commit();
+    for space in [MemSpace::Host, MemSpace::Device(GpuId(1))] {
+        let mut sim = world();
+        let sbuf = sim.world.mem().alloc(MemSpace::Host, ty.size()).unwrap();
+        let rbuf = sim.world.mem().alloc(space, ty.size() / 2).unwrap();
+        let host_used = sim.world.mem().pool(MemSpace::Host).used();
+        let s = isend(&mut sim, SendArgs::new(0, 1, sbuf, &ty, 1));
+        let r = irecv(&mut sim, RecvArgs::new(1, 0, rbuf, &ty, 1));
+        sim.run();
+        assert_eq!(s.expect_bytes(), ty.size());
+        assert!(
+            matches!(r.result(), Some(Err(MpiError::Mem(_)))),
+            "{space:?}: {:?}",
+            r.result()
+        );
+        assert_eq!(sim.world.mem().pool(MemSpace::Host).used(), host_used);
+    }
+}
+
 #[test]
 fn device_oom_is_an_error_not_a_crash() {
     let mut sim = Sim::new(MpiWorld::two_ranks_two_gpus(MpiConfig::default()));

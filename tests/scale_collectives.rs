@@ -10,8 +10,10 @@
 use datatype::DataType;
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
+use mpirt::scale::{self, ScaleConfig, ScaleOp};
 use mpirt::{allgather, alltoall, barrier, bcast, fence, get, put, RmaArgs, Session, Win};
 use netsim::{ChannelKind, Topology};
+use simcore::Counter;
 
 fn contig(bytes: u64) -> DataType {
     DataType::contiguous(bytes / 8, &DataType::double())
@@ -150,6 +152,50 @@ fn barrier_synchronizes_64_ranks() {
     let req = barrier(&mut sess, 0);
     sess.run();
     assert!(req.is_complete());
+}
+
+/// The two models run one schedule: with eager-sized host blocks every
+/// transfer of the full stack is one active message, so a collective's
+/// `netsim.am.count` equals the message count of the scale model's
+/// matching op — `n − 1`, `n(n − 1)`, `n(n − 1)`, `n ⌈log₂ n⌉`.
+#[test]
+fn full_stack_and_scale_model_send_the_same_messages() {
+    let ty = contig(256);
+    let bytes = ty.size();
+    for n in [4usize, 16] {
+        let log2 = n.trailing_zeros() as u64; // both sizes are powers of two
+        let n64 = n as u64;
+        let cases = [
+            (ScaleOp::Bcast { root: 1, bytes }, n64 - 1),
+            (ScaleOp::Allgather { bytes }, n64 * (n64 - 1)),
+            (ScaleOp::Alltoall { bytes }, n64 * (n64 - 1)),
+            (ScaleOp::Barrier, n64 * log2),
+        ];
+        for (op, want) in cases {
+            let mut sess = Session::builder().ranks(n).build();
+            let small: Vec<Ptr> = (0..n).map(|_| host_alloc(&mut sess, bytes)).collect();
+            let wide = |sess: &mut Session| -> Vec<Ptr> {
+                (0..n).map(|_| host_alloc(sess, bytes * n64)).collect()
+            };
+            let req = match op {
+                ScaleOp::Bcast { root, .. } => bcast(&mut sess, root as usize, &ty, 1, &small, 0),
+                ScaleOp::Allgather { .. } => {
+                    let recvs = wide(&mut sess);
+                    allgather(&mut sess, &ty, 1, &small, &recvs, 0)
+                }
+                ScaleOp::Alltoall { .. } => {
+                    let (sends, recvs) = (wide(&mut sess), wide(&mut sess));
+                    alltoall(&mut sess, &ty, 1, &sends, &recvs, 0)
+                }
+                _ => barrier(&mut sess, 0),
+            };
+            sess.run();
+            req.expect_bytes();
+            let full = sess.trace.counter(Counter::NetsimAmCount);
+            let model = scale::run(&ScaleConfig::new(n as u32, vec![op]), false).msgs;
+            assert_eq!((full, model), (want, want), "{op:?} on {n} ranks");
+        }
+    }
 }
 
 #[test]
