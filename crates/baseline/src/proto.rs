@@ -323,7 +323,7 @@ mod tests {
         );
         sim.run();
         req.expect_bytes();
-        let lat = gpusim::GpuSpec::k40().memcpy_latency;
+        let lat = gpusim::GpuSpec::default().memcpy_latency;
         assert!(
             sim.now().as_nanos() >= n * lat.as_nanos(),
             "expected >= {} per-call latencies, took {}",

@@ -368,7 +368,7 @@ mod tests {
             .iter()
             .map(|e| match e {
                 simcore::trace::TraceEvent::Span { cat, .. }
-                | simcore::trace::TraceEvent::Instant { cat, .. } => *cat,
+                | simcore::trace::TraceEvent::Instant { cat, .. } => cat.as_str(),
             })
             .collect();
         for want in ["gpusim", "devengine", "mpirt", "netsim"] {

@@ -5,6 +5,18 @@
 //! symmetrically `src_off` for an unpack). This ordering is what lets a
 //! fragment of the packed stream be described by a contiguous run of
 //! units, which both the fragment engine and the cache slicing rely on.
+//!
+//! [`DevCursor`] walks a descriptor program directly. `clippy.toml`
+//! bans it outside the sanctioned executors (devengine, the NIC
+//! executor, the CPU convertor, the MPI-IO file-view walker); everyone
+//! else builds on the wrapped walks ([`whole_units`], [`flip_units`])
+//! or an engine, so each executor charges time and faults at one layer.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this module defines the DEV cursor and its wrapped walks"
+)]
 
 use crate::cache::Lru;
 use datatype::{Convertor, DataType, PackKind, Segment, TypeError};

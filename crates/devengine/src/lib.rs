@@ -28,7 +28,7 @@ pub mod tune;
 pub use cache::{DevCache, LayoutKey, Lru};
 pub use config::{EngineConfig, OptimizerConfig};
 pub use dev::{
-    build_plan, build_plan_opt, flip_units, flip_units_in_place, merge_units, whole_units,
-    DevCursor, DevPlan, MergeError, SliceParts,
+    build_plan, build_plan_opt, flip_units, flip_units_in_place, merge_units, whole_units, DevPlan,
+    MergeError, SliceParts,
 };
 pub use engine::{pack_async, unpack_async, Direction, FragmentEngine};

@@ -16,7 +16,7 @@ use datatype::testutil::{
 };
 use datatype::DataType;
 use devengine::{
-    build_plan, build_plan_opt, flip_units_in_place, merge_units, DevCache, DevCursor, Direction,
+    build_plan, build_plan_opt, flip_units_in_place, merge_units, DevCache, Direction,
     EngineConfig, FragmentEngine, MergeError, OptimizerConfig,
 };
 use gpusim::NodeWorld;
@@ -49,8 +49,13 @@ fn normalize(mut ops: Vec<CopyOp>) -> Vec<(usize, usize, usize)> {
 }
 
 /// `Fresh`: stream units fragment by fragment through the convertor.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the reference the engine's unit sources are checked against"
+)]
 fn fresh_units(ty: &DataType, count: u64, unit_size: u64, frag: u64) -> Vec<CopyOp> {
-    let mut cur = DevCursor::new(ty, count, unit_size).unwrap();
+    let mut cur = devengine::dev::DevCursor::new(ty, count, unit_size).unwrap();
     let mut ops = Vec::new();
     while !cur.finished() {
         ops.extend(cur.next_units(frag));

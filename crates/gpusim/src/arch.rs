@@ -8,15 +8,16 @@
 //! tuners and harnesses actually consume). Execution — streams, kernels
 //! and copies in [`crate::system`]/[`crate::kernel`] — reads whichever
 //! spec the world was built with, so selecting an architecture at
-//! session-build time re-parameterizes every layer above.
+//! session-build time re-parameterizes every layer above. The raw
+//! per-part constructors are private to `spec.rs`, which holds the
+//! registry table, so no code path can pin itself to one part.
 //!
 //! Lookup is by short slug (`"k40"`, `"a100"`) or alias, case
 //! insensitive. The registry default is the paper's K40 testbed: with
 //! every knob at its default, all figure harnesses reproduce the
 //! committed `results/` CSVs byte-identically.
 
-use crate::spec::{GpuSpec, NodeTopology};
-use std::sync::OnceLock;
+use crate::spec::{GpuSpec, NodeTopology, REGISTRY};
 
 /// Derived per-architecture cost parameters, computed once per process
 /// from the spec/topology constructors and cached. These are the
@@ -44,6 +45,14 @@ pub struct CostParams {
     pub memcpy2d_cliff: bool,
 }
 
+/// The lazily derived cost table of one registry entry.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a process-global cache that cannot carry state between runs: the value is \
+              a pure function of the entry's const spec and topology tables"
+)]
+type CostCache = std::sync::OnceLock<CostParams>;
+
 /// One registered GPU architecture: named constructors for its spec and
 /// node topology plus the cached derived cost table.
 pub struct GpuArch {
@@ -55,45 +64,29 @@ pub struct GpuArch {
     pub summary: &'static str,
     spec: fn() -> GpuSpec,
     topo: fn() -> NodeTopology,
-    cost: OnceLock<CostParams>,
+    cost: CostCache,
 }
 
-static REGISTRY: [GpuArch; 4] = [
-    GpuArch {
-        name: "k40",
-        aliases: &["tesla-k40", "kepler"],
-        summary: "Kepler GK110B, PCIe gen3 PSG node (the paper's testbed; default)",
-        spec: GpuSpec::k40,
-        topo: NodeTopology::psg_node,
-        cost: OnceLock::new(),
-    },
-    GpuArch {
-        name: "p100",
-        aliases: &["tesla-p100", "pascal"],
-        summary: "Pascal GP100 SXM2, NVLink 1.0 DGX-1 node",
-        spec: GpuSpec::p100,
-        topo: NodeTopology::dgx1_p100_node,
-        cost: OnceLock::new(),
-    },
-    GpuArch {
-        name: "v100",
-        aliases: &["tesla-v100", "volta"],
-        summary: "Volta GV100 SXM2, NVLink 2.0 DGX-1V node",
-        spec: GpuSpec::v100,
-        topo: NodeTopology::dgx1v_node,
-        cost: OnceLock::new(),
-    },
-    GpuArch {
-        name: "a100",
-        aliases: &["ampere", "dgx-a100"],
-        summary: "Ampere GA100 SXM4-40GB, NVLink 3.0 DGX A100 node",
-        spec: GpuSpec::a100,
-        topo: NodeTopology::dgxa100_node,
-        cost: OnceLock::new(),
-    },
-];
-
 impl GpuArch {
+    /// A registry entry; [`REGISTRY`] in `spec.rs` is the only caller,
+    /// next to the constructors it names.
+    pub(crate) const fn new(
+        name: &'static str,
+        aliases: &'static [&'static str],
+        summary: &'static str,
+        spec: fn() -> GpuSpec,
+        topo: fn() -> NodeTopology,
+    ) -> GpuArch {
+        GpuArch {
+            name,
+            aliases,
+            summary,
+            spec,
+            topo,
+            cost: CostCache::new(),
+        }
+    }
+
     /// Every registered architecture, default first.
     pub fn registry() -> &'static [GpuArch] {
         &REGISTRY
@@ -118,6 +111,10 @@ impl GpuArch {
     /// [`GpuArch::lookup`] and aborts with the list of known
     /// architectures on an unknown name (a user-input error — there is
     /// no meaningful way to continue with an unknown cost model).
+    #[expect(
+        clippy::panic,
+        reason = "the documented CLI-boundary lookup: an unknown name has no cost model"
+    )]
     pub fn named(name: &str) -> &'static GpuArch {
         match GpuArch::lookup(name) {
             Some(a) => a,
@@ -217,12 +214,16 @@ mod tests {
     fn default_arch_is_the_papers_k40() {
         let d = GpuArch::default_arch();
         assert_eq!(d.name, "k40");
-        // Byte-identical to the hand-written constants: the registry is
-        // a view over spec.rs, not a re-derivation.
-        assert_eq!(format!("{:?}", d.spec()), format!("{:?}", GpuSpec::k40()));
+        assert_eq!(d.spec().name, "Tesla K40");
+        assert_eq!(d.topology().interconnect, Interconnect::Pcie);
+        // The unnamed defaults are the same entry.
+        assert_eq!(
+            format!("{:?}", d.spec()),
+            format!("{:?}", GpuSpec::default())
+        );
         assert_eq!(
             format!("{:?}", d.topology()),
-            format!("{:?}", NodeTopology::psg_node())
+            format!("{:?}", NodeTopology::default())
         );
     }
 

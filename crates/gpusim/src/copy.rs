@@ -6,7 +6,7 @@ use faultsim::{Backoff, FaultDecision, FaultOp};
 use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::{names, Counter};
-use simcore::{Sim, SimTime, Track};
+use simcore::{Bandwidth, Sim, SimTime, Track};
 
 /// Direction of a contiguous copy, derived from the pointer spaces.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,6 +68,11 @@ fn contiguous_copy_time<W: GpuWorld>(
 /// Asynchronous contiguous copy on `stream` (like `cudaMemcpyAsync`):
 /// [`charge_memcpy`], then move the bytes at the completion instant and
 /// invoke `done`.
+#[expect(
+    clippy::expect_used,
+    reason = "the memory model validated both pointers when the copy was charged; a \
+              failure at completion is corrupted bookkeeping, not an input"
+)]
 pub fn memcpy<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
@@ -105,6 +110,10 @@ pub fn charge_memcpy<W: GpuWorld>(
     memcpy_attempt(sim, stream, src, dst, bytes, fault::default_backoff(), done);
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the memcpy charge wrapper: the reservation is fault-scaled and rolled here"
+)]
 fn memcpy_attempt<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
@@ -181,6 +190,15 @@ pub fn memcpy_2d<W: GpuWorld>(
     );
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the memcpy2d charge wrapper: the reservation is fault-scaled and rolled here"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "the memory model validated both pointers when the copy was charged; a \
+              failure at completion is corrupted bookkeeping, not an input"
+)]
 #[allow(clippy::too_many_arguments)]
 fn memcpy_2d_attempt<W: GpuWorld>(
     sim: &mut Sim<W>,
@@ -201,6 +219,16 @@ fn memcpy_2d_attempt<W: GpuWorld>(
         let topo = &sys.topo;
         let g = sys.gpu(stream.gpu);
         let row_overhead = SimTime::from_nanos(topo.memcpy2d_row_overhead.as_nanos() * height);
+        // Through the DMA engine: the misaligned-row cliff and a
+        // per-row descriptor overhead.
+        let dma = |base_bw: Bandwidth| {
+            let eff = if width.is_multiple_of(64) {
+                base_bw
+            } else {
+                base_bw.derated(topo.memcpy2d_misaligned_factor)
+            };
+            eff.time_for(bytes) + topo.pcie_latency + g.spec.memcpy_latency + row_overhead
+        };
         match dir {
             CopyDirection::DeviceToDevice => {
                 // Kernel-backed: charge coalesced traffic per row.
@@ -213,21 +241,10 @@ fn memcpy_2d_attempt<W: GpuWorld>(
                 }
                 g.effective_traffic_bw().time_for(traffic) + spec.launch_overhead
             }
-            _ => {
-                let base_bw = match dir {
-                    CopyDirection::HostToDevice => topo.pcie_h2d,
-                    CopyDirection::DeviceToHost => topo.pcie_d2h,
-                    CopyDirection::PeerToPeer => topo.pcie_p2p,
-                    CopyDirection::HostToHost => topo.host_memcpy_bw,
-                    CopyDirection::DeviceToDevice => unreachable!(),
-                };
-                let eff = if width.is_multiple_of(64) {
-                    base_bw
-                } else {
-                    base_bw.derated(topo.memcpy2d_misaligned_factor)
-                };
-                eff.time_for(bytes) + topo.pcie_latency + g.spec.memcpy_latency + row_overhead
-            }
+            CopyDirection::HostToDevice => dma(topo.pcie_h2d),
+            CopyDirection::DeviceToHost => dma(topo.pcie_d2h),
+            CopyDirection::PeerToPeer => dma(topo.pcie_p2p),
+            CopyDirection::HostToHost => dma(topo.host_memcpy_bw),
         }
     };
 
@@ -514,7 +531,7 @@ mod tests {
             memcpy(&mut sim, st, h.add(i * len), d.add(i * len), len, |_, _| {});
         }
         let many = sim.run();
-        let lat = GpuSpec::k40().memcpy_latency;
+        let lat = GpuSpec::default().memcpy_latency;
         assert!(many.as_nanos() >= 64 * lat.as_nanos());
     }
 }

@@ -56,6 +56,11 @@ pub fn fault_scaled<W: GpuWorld>(sim: &mut Sim<W>, op: FaultOp, duration: SimTim
 /// this for ops with no fallback path (copies, kernels, wire transfers);
 /// ops with a fallback (IPC open, pinned registration) surface a typed
 /// error instead.
+#[expect(
+    clippy::panic,
+    reason = "the fault plan makes an op with no fallback path fail deterministically; \
+              there is no run to continue"
+)]
 pub fn retries_exhausted(op: FaultOp, attempts: u32) -> ! {
     panic!(
         "{} failed {attempts} consecutive attempts (injected faults); \

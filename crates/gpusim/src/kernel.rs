@@ -183,6 +183,11 @@ pub fn transfer_kernel_time(
 /// Launch a pack/unpack kernel on `stream`: [`charge_transfer_kernel`],
 /// then move the bytes at the completion instant and call `done` with
 /// the completion time.
+#[expect(
+    clippy::expect_used,
+    reason = "the memory model validated both pointers when the copy was charged; a \
+              failure at completion is corrupted bookkeeping, not an input"
+)]
 pub fn launch_transfer_kernel<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
@@ -238,6 +243,10 @@ pub fn charge_transfer_kernel<W: GpuWorld>(
     );
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the kernel-launch charge wrapper: the reservation is fault-scaled and rolled here"
+)]
 #[allow(clippy::too_many_arguments)]
 fn launch_attempt<W: GpuWorld>(
     sim: &mut Sim<W>,
@@ -321,7 +330,7 @@ mod tests {
     use memsim::GpuId;
 
     fn spec() -> GpuSpec {
-        GpuSpec::k40()
+        GpuSpec::default()
     }
 
     fn lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
@@ -643,7 +652,7 @@ mod tests {
             },
         );
         sim.run();
-        assert!(sim.now() >= GpuSpec::k40().launch_overhead);
+        assert!(sim.now() >= GpuSpec::default().launch_overhead);
         assert_eq!(sim.world.gpu_system.stream(stream).op_count(), 1);
     }
 
@@ -688,7 +697,7 @@ mod tests {
         };
         let full = run(None);
         let third = run(Some(5));
-        let launch = GpuSpec::k40().launch_overhead;
+        let launch = GpuSpec::default().launch_overhead;
         let work_full = (full - launch).as_secs_f64();
         let work_third = (third - launch).as_secs_f64();
         assert!(

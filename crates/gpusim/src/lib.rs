@@ -27,6 +27,17 @@
 //!   latencies, and SM occupancy can be throttled (the paper's "minimal
 //!   GPU resources" experiment) or derated by a co-running application.
 
+// Panic freedom (DESIGN.md §11): a simulated GPU surfaces typed errors.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod arch;
 pub mod copy;
 pub mod fault;

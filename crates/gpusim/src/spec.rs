@@ -5,13 +5,14 @@
 //! harnesses use these defaults; tests may build cheaper specs.
 //!
 //! This module is the *only* place raw per-architecture constants are
-//! written down (the `cargo xtask lint` arch rule enforces it). The
-//! [`crate::arch::GpuArch`] registry layers lookup-by-name, aliases and
-//! cached derived cost parameters on top of these constructors; newer
-//! parts (P100/V100/A100) exist so the figure harnesses can ask whether
-//! the paper's pipeline still wins on NVLink-era hardware. Sources for
-//! each number are cited on the constructor.
+//! written down: the constructors are private, and [`REGISTRY`] is
+//! their one reader. The [`GpuArch`] registry layers lookup-by-name,
+//! aliases and cached derived cost parameters on top; newer parts
+//! (P100/V100/A100) exist so the figure harnesses can ask whether the
+//! paper's pipeline still wins on NVLink-era hardware. Sources for each
+//! number are cited on the constructor.
 
+use crate::arch::GpuArch;
 use simcore::Bandwidth;
 use simcore::SimTime;
 
@@ -106,7 +107,7 @@ pub struct GpuSpec {
 
 impl GpuSpec {
     /// NVIDIA Tesla K40 (the paper's GPU).
-    pub fn k40() -> Self {
+    fn k40() -> Self {
         GpuSpec {
             name: "Tesla K40",
             sm_count: 15,
@@ -126,7 +127,7 @@ impl GpuSpec {
     /// HBM2 at 732 GB/s peak (~480 GB/s practical `cudaMemcpy` D2D, so
     /// 960 GB/s of read+write traffic), 32-byte L2 sectors instead of
     /// Kepler's monolithic 128-byte lines, CUDA 8-era launch overheads.
-    pub fn p100() -> Self {
+    fn p100() -> Self {
         GpuSpec {
             name: "Tesla P100-SXM2",
             sm_count: 56,
@@ -146,7 +147,7 @@ impl GpuSpec {
     /// HBM2 at 900 GB/s peak (~780 GB/s D2D copy measured by the
     /// bandwidthTest sample, 1560 GB/s traffic), 32-byte sectors,
     /// CUDA 9-era overheads.
-    pub fn v100() -> Self {
+    fn v100() -> Self {
         GpuSpec {
             name: "Tesla V100-SXM2",
             sm_count: 80,
@@ -165,7 +166,7 @@ impl GpuSpec {
     /// NVIDIA A100 (Ampere GA100, SXM4, 40 GB). DGX A100 era: 108 SMs,
     /// HBM2e at 1555 GB/s peak (~1360 GB/s D2D copy, 2720 GB/s
     /// traffic), 32-byte sectors, CUDA 11-era overheads.
-    pub fn a100() -> Self {
+    fn a100() -> Self {
         GpuSpec {
             name: "A100-SXM4-40GB",
             sm_count: 108,
@@ -196,7 +197,7 @@ impl GpuSpec {
 
 impl Default for GpuSpec {
     fn default() -> Self {
-        crate::arch::GpuArch::default_arch().spec()
+        GpuArch::default_arch().spec()
     }
 }
 
@@ -270,7 +271,7 @@ pub struct NodeTopology {
 
 impl NodeTopology {
     /// PCIe gen3 x16 era constants matching the NVIDIA PSG cluster.
-    pub fn psg_node() -> Self {
+    fn psg_node() -> Self {
         NodeTopology {
             interconnect: Interconnect::Pcie,
             pcie_h2d: Bandwidth::from_gbps(10.0),
@@ -303,7 +304,7 @@ impl NodeTopology {
     /// keeps fine-grained kernels close to bulk-DMA rates, and the
     /// post-Kepler DMA engines largely flatten the `cudaMemcpy2D`
     /// misaligned-row cliff of Figure 8.
-    pub fn dgx1_p100_node() -> Self {
+    fn dgx1_p100_node() -> Self {
         NodeTopology {
             interconnect: Interconnect::NvLink,
             pcie_h2d: Bandwidth::from_gbps(11.0),
@@ -329,7 +330,7 @@ impl NodeTopology {
 
     /// DGX-1V (V100) node: NVLink 2.0 (~45 GB/s per neighbour pair),
     /// PCIe gen3 host link with Volta's improved copy engines.
-    pub fn dgx1v_node() -> Self {
+    fn dgx1v_node() -> Self {
         NodeTopology {
             interconnect: Interconnect::NvLink,
             pcie_h2d: Bandwidth::from_gbps(12.0),
@@ -352,7 +353,7 @@ impl NodeTopology {
 
     /// DGX A100 node: NVLink 3.0 through NVSwitch (~235 GB/s
     /// unidirectional per GPU pair), PCIe gen4 x16 host link.
-    pub fn dgxa100_node() -> Self {
+    fn dgxa100_node() -> Self {
         NodeTopology {
             interconnect: Interconnect::NvLink,
             pcie_h2d: Bandwidth::from_gbps(22.0),
@@ -386,9 +387,43 @@ impl NodeTopology {
 
 impl Default for NodeTopology {
     fn default() -> Self {
-        crate::arch::GpuArch::default_arch().topology()
+        GpuArch::default_arch().topology()
     }
 }
+
+/// The architecture registry, default first. It is the one reader of
+/// the per-part constructors above, which are private to this module:
+/// everything else reaches a part's constants through [`GpuArch`].
+pub(crate) static REGISTRY: [GpuArch; 4] = [
+    GpuArch::new(
+        "k40",
+        &["tesla-k40", "kepler"],
+        "Kepler GK110B, PCIe gen3 PSG node (the paper's testbed; default)",
+        GpuSpec::k40,
+        NodeTopology::psg_node,
+    ),
+    GpuArch::new(
+        "p100",
+        &["tesla-p100", "pascal"],
+        "Pascal GP100 SXM2, NVLink 1.0 DGX-1 node",
+        GpuSpec::p100,
+        NodeTopology::dgx1_p100_node,
+    ),
+    GpuArch::new(
+        "v100",
+        &["tesla-v100", "volta"],
+        "Volta GV100 SXM2, NVLink 2.0 DGX-1V node",
+        GpuSpec::v100,
+        NodeTopology::dgx1v_node,
+    ),
+    GpuArch::new(
+        "a100",
+        &["ampere", "dgx-a100"],
+        "Ampere GA100 SXM4-40GB, NVLink 3.0 DGX A100 node",
+        GpuSpec::a100,
+        NodeTopology::dgxa100_node,
+    ),
+];
 
 #[cfg(test)]
 mod tests {

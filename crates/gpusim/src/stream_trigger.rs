@@ -12,13 +12,11 @@
 //!
 //! This module owns the op vocabulary and the only way to build a
 //! graph: the [`GraphCapture`] builder, mirroring `cudaStreamBegin/
-//! EndCapture`. The `xtask lint` offload rule bans naming [`StreamOp`]
-//! anywhere else, so graphs cannot be hand-assembled behind the
-//! capture API's back. Replay charges the owning stream for the
-//! doorbell latency plus per-op issue — both per-arch constants from
-//! the node topology tables — which makes this file a charge wrapper
-//! in the fault-coverage sense (it is listed in the lint's
-//! `CHARGE_WRAPPERS`).
+//! EndCapture`. `StreamOp` is private here, so graphs cannot be
+//! hand-assembled behind the capture API's back. Replay charges the
+//! owning stream for the doorbell latency plus per-op issue — both
+//! per-arch constants from the node topology tables — which makes this
+//! file a charge wrapper in the fault-coverage sense.
 
 use crate::kernel::{transfer_kernel_time, KernelTraffic};
 use crate::system::{GpuWorld, StreamId};
@@ -28,13 +26,11 @@ use simcore::par::CopyOp;
 use simcore::trace::names;
 use simcore::{Sim, SimTime, Track};
 
-/// One node of a captured stream-op graph.
-///
-/// Construction is confined to this module (lint-enforced): protocol
-/// code describes intent through [`GraphCapture`] and replays through
+/// One node of a captured stream-op graph. Private: protocol code
+/// describes intent through [`GraphCapture`] and replays through
 /// [`replay_issue`], never by assembling op lists.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamOp {
+enum StreamOp {
     /// Wait for the producing stream work (kernel/event) to land.
     Trigger,
     /// Ring the NIC command doorbell for a `bytes`-sized send.
@@ -114,6 +110,11 @@ impl GraphCapture {
     /// End capture: charge the one-time capture cost on the stream (the
     /// driver walks the graph once to bake command buffers — one op
     /// issue per node) and return the replayable graph.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "capture is one-time setup, like a plan compile; the replays it feeds are \
+                  fault-scaled"
+    )]
     pub fn finish<W: GpuWorld>(self, sim: &mut Sim<W>) -> StreamGraph {
         let issue = sim.world.gpus_ref().topo.stream_op_issue;
         let cost = SimTime::from_nanos(issue.as_nanos().saturating_mul(self.ops.len() as u64));
@@ -155,6 +156,10 @@ impl GraphCapture {
 /// charge; transient/permanent doorbell faults are rolled by the
 /// protocol layer *before* replay (a lost doorbell demotes the path,
 /// it does not corrupt an issued one).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the replay charge wrapper: the reservation is fault-scaled on StreamDoorbell"
+)]
 pub fn replay_issue<W: GpuWorld>(
     sim: &mut Sim<W>,
     graph: &StreamGraph,
@@ -189,6 +194,15 @@ pub fn replay_issue<W: GpuWorld>(
 /// on [`FaultOp::KernelLaunch`] still stretch the charge; loss faults
 /// are the doorbell's to absorb (the whole replay demotes), so no
 /// retry loop lives here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the graph-kernel charge wrapper: the reservation is fault-scaled on KernelLaunch"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "the memory model validated both pointers when the kernel was charged; a \
+              failure at completion is corrupted bookkeeping, not an input"
+)]
 pub fn graph_kernel<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,

@@ -100,10 +100,18 @@ impl GpuSystem {
         self.gpus.len() as u32
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-GPU tables are fixed at construction and ids come from the same node"
+    )]
     pub fn gpu(&self, id: GpuId) -> &GpuState {
         &self.gpus[id.index()]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-GPU tables are fixed at construction and ids come from the same node"
+    )]
     pub fn gpu_mut(&mut self, id: GpuId) -> &mut GpuState {
         &mut self.gpus[id.index()]
     }
@@ -123,10 +131,18 @@ impl GpuSystem {
         StreamId { gpu, index: 0 }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-GPU tables are fixed at construction and ids come from the same node"
+    )]
     pub fn stream(&self, id: StreamId) -> &FifoResource {
         &self.gpus[id.gpu.index()].streams[id.index]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-GPU tables are fixed at construction and ids come from the same node"
+    )]
     pub fn stream_mut(&mut self, id: StreamId) -> &mut FifoResource {
         &mut self.gpus[id.gpu.index()].streams[id.index]
     }
@@ -188,6 +204,10 @@ impl GpuWorld for NodeWorld {
     fn gpus_ref(&self) -> &GpuSystem {
         &self.gpu_system
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the table was grown to cover `rank` just above"
+    )]
     fn cpu(&mut self, rank: usize) -> &mut FifoResource {
         if self.cpus.len() <= rank {
             self.cpus.resize_with(rank + 1, FifoResource::new);
@@ -299,7 +319,7 @@ mod tests {
         sys.gpu_mut(GpuId(0)).block_limit = Some(100);
         assert!(
             (sys.gpu(GpuId(0)).effective_traffic_bw().as_gbps()
-                - GpuSpec::k40().dram_traffic_bw.as_gbps())
+                - GpuSpec::default().dram_traffic_bw.as_gbps())
             .abs()
                 < 1e-6
         );
@@ -339,6 +359,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "checks the per-rank CPU tables themselves"
+    )]
     fn cpu_resources_grow_per_rank() {
         let mut w = NodeWorld::new(1);
         let _ = w.cpu(5);

@@ -1,6 +1,12 @@
 //! Slab allocators backing the simulated memory spaces, and the
 //! cross-space byte mover.
 
+#![expect(
+    unsafe_code,
+    reason = "a copy between two allocations of one table splits the borrow through \
+              raw pointers; every block states its SAFETY argument"
+)]
+
 use crate::error::MemError;
 use crate::ptr::{AllocId, Ptr};
 use crate::registry::RegistrationTable;
@@ -184,12 +190,13 @@ impl MemPool {
             );
         } else {
             // Two distinct boxed slices: split the borrow through raw
-            // pointers. SAFETY: distinct `AllocId`s map to distinct heap
+            // pointers.
+            let src_ptr = self.allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
+            let dst_slice = self.allocs.get_mut(&dst.alloc).expect("checked");
+            // SAFETY: distinct `AllocId`s map to distinct heap
             // allocations, so the ranges cannot alias; the source is
             // backed before its pointer is taken, and backing the
             // destination afterwards does not move it.
-            let src_ptr = self.allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
-            let dst_slice = self.allocs.get_mut(&dst.alloc).expect("checked");
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     src_ptr,

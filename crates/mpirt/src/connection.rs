@@ -14,6 +14,17 @@
 //! never leak — flips the runtime IPC flag off, and surfaces a typed
 //! error so the protocol layer can renegotiate the path.
 
+// Panic freedom (DESIGN.md §11): establishment surfaces a typed `MpiError`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::request::MpiError;
 use crate::world::MpiWorld;
 use faultsim::{Backoff, FaultDecision, FaultOp};

@@ -7,7 +7,7 @@
 //! memcpy-bound rate.
 
 use datatype::{DataType, TypeError};
-use devengine::{flip_units_in_place, DevCursor, Direction};
+use devengine::{flip_units_in_place, Direction};
 use faultsim::{FaultDecision, FaultOp};
 use gpusim::{fault, GpuWorld};
 use memsim::Ptr;
@@ -17,8 +17,12 @@ use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
 
 /// Sequential CPU pack/unpack over a datatype, fragment by fragment.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the host CPU convertor is a sanctioned DEV executor"
+)]
 pub struct CpuEngine {
-    cursor: DevCursor,
+    cursor: devengine::dev::DevCursor,
     dir: Direction,
     typed: Ptr,
     rank: usize,
@@ -27,6 +31,10 @@ pub struct CpuEngine {
 }
 
 impl CpuEngine {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the host CPU convertor is a sanctioned DEV executor"
+    )]
     pub fn new(
         ty: &DataType,
         count: u64,
@@ -39,7 +47,7 @@ impl CpuEngine {
         Ok(CpuEngine {
             // Huge unit size: the CPU walks whole segments; no warp
             // balancing needed.
-            cursor: DevCursor::new(ty, count, 1 << 30)?,
+            cursor: devengine::dev::DevCursor::new(ty, count, 1 << 30)?,
             dir,
             typed,
             rank,
@@ -109,6 +117,11 @@ impl CpuEngine {
     ///
     /// Fault charge point (`FaultOp::CpuPack`): every verdict is rolled
     /// here, before `done` can move anything.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the CPU convertor walks its DEV cursor and is the CpuPack charge wrapper: \
+                  the reservation is fault-scaled and rolled here"
+    )]
     pub fn charge_fragment<W: GpuWorld>(
         &mut self,
         sim: &mut Sim<W>,

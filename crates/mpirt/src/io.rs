@@ -15,10 +15,10 @@
 use crate::request::{MpiError, Request};
 use crate::world::MpiWorld;
 use datatype::{DataType, TypeError};
-use devengine::{pack_async, unpack_async, DevCursor};
+use devengine::{pack_async, unpack_async};
 use faultsim::{FaultDecision, FaultOp};
 use gpusim::{fault, GpuWorld as _};
-use memsim::{MemSpace, Ptr};
+use memsim::{MemError, MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::{Bandwidth, Sim, SimTime};
 use std::cell::RefCell;
@@ -101,12 +101,17 @@ impl FileView {
     /// File-relative CopyOps covering `bytes` visible bytes starting at
     /// element offset `offset_et` (pack orientation: src = file bytes,
     /// dst = visible stream).
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the MPI-IO file-view walker is a sanctioned DEV executor"
+    )]
     fn visible_ops(&self, offset_et: u64, bytes: u64) -> Vec<CopyOp> {
         let per_tile = self.filetype.size();
         let skip = offset_et * self.etype.size();
         let tiles_needed = (skip + bytes).div_ceil(per_tile);
-        let mut cursor =
-            DevCursor::new(&self.filetype, tiles_needed, 1 << 30).expect("committed filetype");
+        let mut cursor = devengine::dev::DevCursor::new(&self.filetype, tiles_needed, 1 << 30)
+            .expect("committed filetype");
         // Discard the skipped prefix of the visible stream.
         let _ = cursor.next_units(skip);
         let mut ops = cursor.next_units(bytes);
@@ -209,6 +214,10 @@ pub fn read_at(
     file_op(sim, rank, file, view, offset_et, mem_ty, count, buf, false)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the FileIo charge wrapper: the disk reservation is fault-scaled and rolled here"
+)]
 #[allow(clippy::too_many_arguments)]
 fn file_op(
     sim: &mut Sim<MpiWorld>,
@@ -242,22 +251,28 @@ fn file_op(
     }
     let ops = view.visible_ops(offset_et, bytes);
     if let Some(end) = ops.iter().map(|o| (o.src_off + o.len) as u64).max() {
-        assert!(
-            end <= file.len,
-            "file view access beyond EOF ({end} > {})",
-            file.len
-        );
+        if end > file.len {
+            let eof = MemError::OutOfBounds {
+                ptr: file.data,
+                len: end,
+                alloc_len: file.len,
+            };
+            req.complete(sim, Err(MpiError::Mem(eof.to_string())));
+            return req;
+        }
     }
     if bytes == 0 {
         req.complete(sim, Ok(0));
         return req;
     }
 
-    let bounce = sim
-        .world
-        .mem()
-        .alloc(MemSpace::Host, bytes)
-        .expect("io bounce");
+    let bounce = match sim.world.mem().alloc(MemSpace::Host, bytes) {
+        Ok(p) => p,
+        Err(e) => {
+            req.complete(sim, Err(MpiError::Mem(e.to_string())));
+            return req;
+        }
+    };
     let file_data = file.data;
     let channel = Rc::clone(&file.channel);
     let io_time = file.bandwidth.time_for(bytes) + file.latency;
@@ -580,5 +595,30 @@ mod tests {
         let buf = sim.world.mem().alloc(MemSpace::Host, 4).unwrap();
         let w = write_at(&mut sim, 0, &file, &view, 0, &ty, 1, buf);
         assert!(matches!(w.result(), Some(Err(MpiError::Type(_)))));
+    }
+
+    #[test]
+    fn access_past_eof_is_a_typed_error() {
+        let mut sim = sim();
+        let file = SimFile::create(&mut sim, 256);
+        let before = file.contents(&sim);
+        let d = DataType::double().commit();
+        let view = FileView {
+            disp: 0,
+            etype: d.clone(),
+            filetype: d.clone(),
+        };
+        let buf = sim.world.mem().alloc(MemSpace::Host, 8).unwrap();
+        sim.world.mem().write(buf, &[7u8; 8]).unwrap();
+        let used = sim.world.mem().pool(MemSpace::Host).used();
+        // Element 32 is bytes 256..264: one etype past the end.
+        let w = write_at(&mut sim, 0, &file, &view, 32, &d, 1, buf);
+        let r = read_at(&mut sim, 0, &file, &view, 32, &d, 1, buf);
+        sim.run();
+        for req in [w, r] {
+            assert!(matches!(req.result(), Some(Err(MpiError::Mem(_)))));
+        }
+        assert_eq!(file.contents(&sim), before);
+        assert_eq!(sim.world.mem().pool(MemSpace::Host).used(), used);
     }
 }

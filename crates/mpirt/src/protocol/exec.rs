@@ -518,7 +518,7 @@ fn run_op(
             at(to, &f)?;
             let (now, n) = (sim.now(), f.n);
             // The hop must go through the faultsim-consulting wrapper —
-            // raw link charges are banned by the fault-coverage lint.
+            // the fault-reach audit checks every charge on this path.
             let arrive = wire_send(sim, s_rank, r_rank, n, move |sim| {
                 sim.trace.count(names::MPIRT_WIRE_BYTES, a, b, n);
                 next(sim, f);

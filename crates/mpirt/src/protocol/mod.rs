@@ -4,6 +4,18 @@
 //! executor in `exec`; [`sm`], [`copyio`] and [`offload`] establish
 //! the connection a plan runs over (DESIGN.md §17).
 
+// Panic freedom (DESIGN.md §11): every protocol step surfaces a typed
+// `MpiError`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod copyio;
 pub mod eager;
 pub(crate) mod exec;

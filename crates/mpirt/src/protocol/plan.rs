@@ -13,7 +13,7 @@
 use crate::protocol::Side;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
-use simcore::trace::names;
+use simcore::trace::{names, Name};
 use simcore::Sim;
 
 /// One endpoint of a transfer: the rank a stage runs on, or whose
@@ -121,7 +121,7 @@ pub struct TransferPlan {
     pub ring: bool,
     pub credit: Credit,
     /// Protocol span name; the offload classes have none.
-    pub span: Option<&'static str>,
+    pub span: Option<Name>,
 }
 
 impl TransferPlan {

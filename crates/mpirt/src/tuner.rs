@@ -742,7 +742,7 @@ mod tests {
         use crate::request::Request;
         use datatype::convertor::{pack_all, unpack_all};
         use faultsim::FaultPlan;
-        use simcore::trace::TraceEvent;
+        use simcore::trace::{Name, TraceEvent};
 
         const FRAG: u64 = 64 << 10;
         const DOUBLES: u64 = 36_864; // 4.5 fragments
@@ -896,7 +896,7 @@ mod tests {
                                 .sum()
                         };
                         let events = &sim.trace.events()[recorded..];
-                        let spans = |span: &str| {
+                        let spans = |span: Name| {
                             events
                                 .iter()
                                 .filter(

@@ -58,6 +58,10 @@ impl Link {
     /// Reserve the link for a `bytes`-sized message submitted at `now`;
     /// returns the delivery completion time (wire occupancy + one-way
     /// latency).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the link charge wrapper: its callers roll the hop's fault op"
+    )]
     pub fn reserve(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let wire = self.wire_time(bytes);
         let (_start, end) = self.resource.reserve(now, wire);
@@ -143,10 +147,20 @@ impl NetSystem {
     /// Infallible lookup for call sites where the channel's existence is
     /// an established invariant (e.g. mid-transfer, after the rendezvous
     /// handshake already crossed it).
+    #[expect(
+        clippy::panic,
+        reason = "the documented infallible lookup, used only after the handshake \
+                  established the channel"
+    )]
     pub fn channel(&self, from: usize, to: usize) -> &Channel {
         self.try_channel(from, to).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "the documented infallible lookup, used only after the handshake \
+                  established the channel"
+    )]
     pub fn channel_mut(&mut self, from: usize, to: usize) -> &mut Channel {
         self.try_channel_mut(from, to)
             .unwrap_or_else(|e| panic!("{e}"))

@@ -15,6 +15,17 @@
 //! a registration cache — the cost structure that motivates the paper's
 //! single-connection pipelined protocol.
 
+// Panic freedom (DESIGN.md §11): the interconnect surfaces typed errors.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod am;
 pub mod channel;
 pub mod nic;

@@ -23,15 +23,15 @@
 //! (`FaultOp::WireCopy`) and retransmission machinery as every other
 //! data-link hop.
 //!
-//! This file is one of the three sanctioned DEV interpreters (with
-//! `devengine` and `mpirt`'s CPU convertor) — the `xtask lint` offload
-//! rule bans descriptor-walking outside them.
+//! This file is one of the four sanctioned DEV interpreters (with
+//! `devengine`, `mpirt`'s CPU convertor and its MPI-IO file-view
+//! walker); `clippy.toml` bans the `DevCursor` walk outside them.
 
 use crate::channel::NetError;
 use crate::wire::wire_send;
 use crate::world::NetWorld;
 use datatype::{DataType, TypeError};
-use devengine::{merge_units, DevCursor};
+use devengine::merge_units;
 use gpusim::NodeTopology;
 use memsim::Ptr;
 use simcore::par::CopyOp;
@@ -102,12 +102,18 @@ impl NicProgram {
 /// moves ([`merge_units`], the merge the rendezvous executor runs per
 /// fragment) — the packed intermediate exists only as a merge index,
 /// never as memory.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the NIC packet processor is a sanctioned DEV executor"
+)]
 pub fn compile_program(
     send_ty: &DataType,
     send_count: u64,
     recv_ty: &DataType,
     recv_count: u64,
 ) -> Result<NicProgram, TypeError> {
+    use devengine::dev::DevCursor;
     let mut s_cur = DevCursor::with_coalesce(send_ty, send_count, u64::MAX, true)?;
     let mut r_cur = DevCursor::with_coalesce(recv_ty, recv_count, u64::MAX, true)?;
     let send_shift = s_cur.base_shift();
@@ -148,6 +154,11 @@ pub fn compile_program(
 /// `FaultOp::WireCopy` injection and retransmission from
 /// [`wire_send`]; a lost fragment retransmits before `done` runs, so
 /// delivery stays exactly-once.
+#[expect(
+    clippy::expect_used,
+    reason = "the endpoints validated both pointers when the program was installed; a \
+              failure at landing is simulator-state corruption, not an input"
+)]
 #[allow(clippy::too_many_arguments)]
 pub fn execute_program<W: NetWorld>(
     sim: &mut Sim<W>,

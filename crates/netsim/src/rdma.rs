@@ -13,7 +13,7 @@ use crate::world::NetWorld;
 use faultsim::{Backoff, FaultDecision, FaultOp};
 use gpusim::fault;
 use memsim::{MemError, Ptr, Registration};
-use simcore::trace::names;
+use simcore::trace::{names, Name};
 use simcore::{Sim, Track};
 
 /// Ensure `ptr` is registered for RDMA. On a cache hit `done` runs
@@ -40,6 +40,11 @@ pub fn ensure_registered<W: NetWorld>(
     register_attempt(sim, rank, ptr, fault::default_backoff(), done);
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the registration charge wrapper: the reservation is fault-scaled and rolled \
+              on RdmaRegister"
+)]
 fn register_attempt<W: NetWorld>(
     sim: &mut Sim<W>,
     rank: usize,
@@ -185,7 +190,7 @@ impl OneSided {
             OneSided::Put => FaultOp::RdmaPut,
         }
     }
-    fn span_name(self) -> &'static str {
+    fn span_name(self) -> Name {
         match self {
             OneSided::Get => names::SPAN_RDMA_GET,
             OneSided::Put => names::SPAN_RDMA_PUT,
@@ -195,6 +200,11 @@ impl OneSided {
 
 /// Shared engine for get/put: the wire always runs `from -> to` (the
 /// direction the payload moves), `src`/`dst` are already validated.
+#[expect(
+    clippy::expect_used,
+    reason = "get/put validated both pointers before the charge; a failure at landing \
+              is corrupted bookkeeping, not an input"
+)]
 #[allow(clippy::too_many_arguments)]
 fn one_sided_attempt<W: NetWorld>(
     sim: &mut Sim<W>,

@@ -4,8 +4,8 @@
 //! This is a wrapper module in the fault-coverage sense: it is the only
 //! place outside `rdma`/`am` allowed to reserve data-link time, and it
 //! consults the fault engine on every hop. Protocol code must come
-//! through here — the `xtask lint` fault-coverage rule bans raw
-//! `reserve` calls everywhere else.
+//! through here — `clippy.toml` bans raw `FifoResource::reserve`
+//! calls everywhere else.
 
 use crate::channel::NetError;
 use crate::world::NetWorld;

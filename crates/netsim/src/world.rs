@@ -56,6 +56,10 @@ impl GpuWorld for ClusterWorld {
     fn gpus_ref(&self) -> &GpuSystem {
         &self.gpu_system
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the table was grown to cover `rank` just above"
+    )]
     fn cpu(&mut self, rank: usize) -> &mut FifoResource {
         if self.cpus.len() <= rank {
             self.cpus.resize_with(rank + 1, FifoResource::new);

@@ -1,13 +1,18 @@
 //! Deterministic hashing for simulator-side collections.
 //!
 //! `std::collections::HashMap` seeds its hasher from process entropy,
-//! so iteration order differs between runs. Nothing in the simulator
-//! is allowed to observe that: the `xtask lint` determinism rule bans
-//! the default-`RandomState` map in simulator crates. Code that wants
-//! O(1) lookups uses [`DetHashMap`]/[`DetHashSet`] instead — the same
-//! std containers behind an FxHash-style hasher with a fixed seed, so
-//! iteration order is a pure function of the insertion sequence and is
-//! identical on every run and every platform.
+//! so iteration order differs between runs. Nothing in the workspace
+//! is allowed to observe that: `clippy.toml` bans the std maps
+//! everywhere but here. Code that wants O(1) lookups uses
+//! [`DetHashMap`]/[`DetHashSet`] instead — the same std containers
+//! behind an FxHash-style hasher with a fixed seed, so iteration order
+//! is a pure function of the insertion sequence and is identical on
+//! every run and every platform.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the deterministic maps wrap std's, with the seeded hasher fixed"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

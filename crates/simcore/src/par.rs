@@ -34,6 +34,17 @@
 //! datatype engine guarantees by construction (a pack writes each packed
 //! byte exactly once); debug builds verify it across the whole batch.
 
+#![expect(
+    unsafe_code,
+    reason = "the copy pool hands each worker a disjoint destination range through \
+              raw pointers; every block states its SAFETY argument"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the lazily started copy pool is the one process-global state: its \
+              workers never touch simulation state, only the bytes of the job"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::OnceLock;
@@ -696,6 +707,8 @@ mod tests {
             assert_eq!(c.byte % CACHE_LINE, 0, "interior split unaligned");
         }
         for w in cuts.windows(2) {
+            // SAFETY: `assert_in_bounds` checked every window above, and
+            // the ascending cuts hand each destination byte to one span.
             unsafe { copy_span(dst.as_mut_ptr(), src.as_ptr(), lists, w[0], w[1]) };
         }
         cuts.to_vec()
@@ -1021,6 +1034,8 @@ mod tests {
         for len in 0..=2 * CHUNKED_COPY_MAX {
             let src: Vec<u8> = (0..len).map(|i| (i % 249) as u8 ^ 0x5a).collect();
             let mut dst = vec![0xEEu8; len + 16];
+            // SAFETY: `src` holds `len` bytes and `dst` holds `len` after
+            // its 8-byte head guard; the two vectors are distinct.
             unsafe { copy_segment(src.as_ptr(), dst.as_mut_ptr().add(8), len) };
             assert_eq!(&dst[..8], &[0xEE; 8], "head guard, len={len}");
             assert_eq!(&dst[8..8 + len], &src[..], "payload, len={len}");

@@ -64,6 +64,10 @@ impl FifoResource {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the charge primitive's own tests"
+)]
 mod tests {
     use super::*;
 

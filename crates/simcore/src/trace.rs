@@ -69,12 +69,12 @@ macro_rules! counters {
 ///
 /// Counters are the [`Counter`] enum, declared here by one `counters!`
 /// table; the `SCREAMING_CASE` constants are the spelling emit sites
-/// use. Span categories and span/instant names are still strings —
-/// `Metrics` and `WorkClass` match on them — so the `xtask lint`
-/// metrics-coherence rule bans inline string literals at
-/// `span_*`/`instant` call sites in simulator crates: every such name
-/// must be one of these constants.
+/// use. Span categories and span/instant names are [`Name`]s, whose
+/// field is private to this file: an emit site can only pass one of
+/// these constants, never an inline string.
 pub mod names {
+    use super::Name;
+
     counters! {
         // ---- datatype engines ----
         const CPUPACK_PACK_BYTES: CpupackPackBytes = "cpupack.pack.bytes";
@@ -158,47 +158,64 @@ pub mod names {
     }
 
     // ---- span categories (one per emitting layer) ----
-    pub const CAT_MPIRT: &str = "mpirt";
-    pub const CAT_NETSIM: &str = "netsim";
-    pub const CAT_GPUSIM: &str = "gpusim";
-    pub const CAT_DEVENGINE: &str = "devengine";
-    pub const CAT_CPUPACK: &str = "cpupack";
-    pub const CAT_SCALE: &str = "scale";
+    pub const CAT_MPIRT: Name = Name("mpirt");
+    pub const CAT_NETSIM: Name = Name("netsim");
+    pub const CAT_GPUSIM: Name = Name("gpusim");
+    pub const CAT_DEVENGINE: Name = Name("devengine");
+    pub const CAT_CPUPACK: Name = Name("cpupack");
+    pub const CAT_SCALE: Name = Name("scale");
 
     // ---- span / instant names: protocol layer ----
-    pub const SPAN_SESSION: &str = "session";
-    pub const SPAN_EAGER: &str = "eager";
-    pub const SPAN_COPYIO: &str = "copyio";
-    pub const SPAN_WIRE: &str = "wire";
-    pub const SPAN_FRAG: &str = "frag";
-    pub const SPAN_SM_BOTH_DENSE: &str = "sm-both-dense";
-    pub const SPAN_SM_SENDER_DENSE: &str = "sm-sender-dense";
-    pub const SPAN_SM_RECEIVER_DENSE: &str = "sm-receiver-dense";
-    pub const SPAN_SM_PIPELINE: &str = "sm-pipeline";
+    pub const SPAN_SESSION: Name = Name("session");
+    pub const SPAN_EAGER: Name = Name("eager");
+    pub const SPAN_COPYIO: Name = Name("copyio");
+    pub const SPAN_WIRE: Name = Name("wire");
+    pub const SPAN_FRAG: Name = Name("frag");
+    pub const SPAN_SM_BOTH_DENSE: Name = Name("sm-both-dense");
+    pub const SPAN_SM_SENDER_DENSE: Name = Name("sm-sender-dense");
+    pub const SPAN_SM_RECEIVER_DENSE: Name = Name("sm-receiver-dense");
+    pub const SPAN_SM_PIPELINE: Name = Name("sm-pipeline");
 
     // ---- span / instant names: substrates ----
-    pub const SPAN_AM: &str = "am";
-    pub const SPAN_RDMA_REGISTER: &str = "rdma-register";
-    pub const SPAN_RDMA_GET: &str = "rdma-get";
-    pub const SPAN_RDMA_PUT: &str = "rdma-put";
-    pub const SPAN_KERNEL: &str = "kernel";
-    pub const SPAN_MEMCPY: &str = "memcpy";
-    pub const SPAN_MEMCPY2D: &str = "memcpy2d";
-    pub const SPAN_IPC_OPEN: &str = "ipc-open";
-    pub const SPAN_STREAM_SYNC: &str = "stream-sync";
-    pub const SPAN_PREP: &str = "prep";
-    pub const SPAN_DEV_CACHE_HIT: &str = "dev-cache-hit";
-    pub const SPAN_DEV_CACHE_MISS: &str = "dev-cache-miss";
-    pub const SPAN_CPU_PACK: &str = "cpu-pack";
-    pub const SPAN_CPU_UNPACK: &str = "cpu-unpack";
+    pub const SPAN_AM: Name = Name("am");
+    pub const SPAN_RDMA_REGISTER: Name = Name("rdma-register");
+    pub const SPAN_RDMA_GET: Name = Name("rdma-get");
+    pub const SPAN_RDMA_PUT: Name = Name("rdma-put");
+    pub const SPAN_KERNEL: Name = Name("kernel");
+    pub const SPAN_MEMCPY: Name = Name("memcpy");
+    pub const SPAN_MEMCPY2D: Name = Name("memcpy2d");
+    pub const SPAN_IPC_OPEN: Name = Name("ipc-open");
+    pub const SPAN_STREAM_SYNC: Name = Name("stream-sync");
+    pub const SPAN_PREP: Name = Name("prep");
+    pub const SPAN_DEV_CACHE_HIT: Name = Name("dev-cache-hit");
+    pub const SPAN_DEV_CACHE_MISS: Name = Name("dev-cache-miss");
+    pub const SPAN_CPU_PACK: Name = Name("cpu-pack");
+    pub const SPAN_CPU_UNPACK: Name = Name("cpu-unpack");
 
     // ---- span / instant names: offload frontier ----
-    pub const SPAN_NIC_PROGRAM: &str = "nic-program";
-    pub const SPAN_STREAM_CAPTURE: &str = "stream-capture";
-    pub const SPAN_STREAM_REPLAY: &str = "stream-replay";
+    pub const SPAN_NIC_PROGRAM: Name = Name("nic-program");
+    pub const SPAN_STREAM_CAPTURE: Name = Name("stream-capture");
+    pub const SPAN_STREAM_REPLAY: Name = Name("stream-replay");
 
     // ---- span / instant names: message-level scale model ----
-    pub const SPAN_SCALE_OP: &str = "scale-op";
+    pub const SPAN_SCALE_OP: Name = Name("scale-op");
+}
+
+/// A span category or span / instant name. The field is private to this
+/// file, so the only values are the [`names`] constants.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct Name(&'static str);
+
+impl Name {
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+impl std::fmt::Display for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(self.0)
+    }
 }
 
 /// Where a span ran: a stable, allocation-free identifier that maps to
@@ -240,16 +257,16 @@ impl std::fmt::Display for Track {
 pub enum TraceEvent {
     /// A closed span: work occupying `track` over `[start, end]`.
     Span {
-        cat: &'static str,
-        name: &'static str,
+        cat: Name,
+        name: Name,
         track: Track,
         start: SimTime,
         end: SimTime,
     },
     /// A point event.
     Instant {
-        cat: &'static str,
-        name: &'static str,
+        cat: Name,
+        name: Name,
         track: Track,
         at: SimTime,
     },
@@ -271,8 +288,8 @@ impl SpanId {
 }
 
 struct OpenSpan {
-    cat: &'static str,
-    name: &'static str,
+    cat: Name,
+    name: Name,
     track: Track,
     start: SimTime,
 }
@@ -347,14 +364,7 @@ impl Tracer {
     /// Record a span whose window is already known — the shape of every
     /// `FifoResource::reserve` call site, which learns `(start, end)` up
     /// front.
-    pub fn span_at(
-        &mut self,
-        start: SimTime,
-        end: SimTime,
-        cat: &'static str,
-        name: &'static str,
-        track: Track,
-    ) {
+    pub fn span_at(&mut self, start: SimTime, end: SimTime, cat: Name, name: Name, track: Track) {
         if !self.recording {
             return;
         }
@@ -370,13 +380,7 @@ impl Tracer {
 
     /// Open a span now; close it with [`Tracer::span_end`]. Used for
     /// protocol lifecycles whose end is not known at the start.
-    pub fn span_begin(
-        &mut self,
-        now: SimTime,
-        cat: &'static str,
-        name: &'static str,
-        track: Track,
-    ) -> SpanId {
+    pub fn span_begin(&mut self, now: SimTime, cat: Name, name: Name, track: Track) -> SpanId {
         if !self.recording {
             return SpanId(SPAN_DISABLED);
         }
@@ -413,7 +417,7 @@ impl Tracer {
     }
 
     /// Record a point event.
-    pub fn instant(&mut self, at: SimTime, cat: &'static str, name: &'static str, track: Track) {
+    pub fn instant(&mut self, at: SimTime, cat: Name, name: Name, track: Track) {
         if !self.recording {
             return;
         }
@@ -555,13 +559,13 @@ impl Tracer {
     /// this, so a scale Chrome trace lists same-instant events by track
     /// rather than by which sender's message completed them.
     pub fn sort_by_content(&mut self) {
-        self.events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        self.events.sort_by_key(TraceEvent::sort_key);
     }
 }
 
 impl TraceEvent {
     /// Content-based order key for [`Tracer::sort_by_content`].
-    fn sort_key(&self) -> (u64, u8, Track, &'static str, &'static str, u64) {
+    fn sort_key(&self) -> (u64, u8, Track, Name, Name, u64) {
         match *self {
             TraceEvent::Span {
                 cat,
@@ -602,12 +606,12 @@ pub enum WorkClass {
 impl WorkClass {
     /// Classify a span by its category/name; `None` for spans that are
     /// not pipeline work (protocol lifecycles, sync, session spans).
-    pub fn of(cat: &str, name: &str) -> Option<WorkClass> {
+    pub fn of(cat: Name, name: Name) -> Option<WorkClass> {
         match cat {
             names::CAT_DEVENGINE | names::CAT_CPUPACK => Some(WorkClass::Prep),
             names::CAT_GPUSIM => match name {
                 names::SPAN_KERNEL => Some(WorkClass::Kernel),
-                n if n.starts_with(names::SPAN_MEMCPY) => Some(WorkClass::Copy),
+                n if n.as_str().starts_with(names::SPAN_MEMCPY.as_str()) => Some(WorkClass::Copy),
                 _ => None,
             },
             names::CAT_NETSIM => Some(WorkClass::Wire),
@@ -688,7 +692,7 @@ impl Metrics {
             if *cat == names::CAT_MPIRT && *name == names::SPAN_FRAG {
                 frag_total += end.as_nanos() - start.as_nanos();
             }
-            let Some(class) = WorkClass::of(cat, name) else {
+            let Some(class) = WorkClass::of(*cat, *name) else {
                 let _ = track;
                 continue;
             };
@@ -796,10 +800,10 @@ mod tests {
     #[test]
     fn spans_record_only_when_recording() {
         let mut t = Tracer::new();
-        t.span_at(ns(0), ns(10), "gpusim", "kernel", T);
+        t.span_at(ns(0), ns(10), names::CAT_GPUSIM, names::SPAN_KERNEL, T);
         assert!(t.events().is_empty());
         t.set_recording(true);
-        t.span_at(ns(0), ns(10), "gpusim", "kernel", T);
+        t.span_at(ns(0), ns(10), names::CAT_GPUSIM, names::SPAN_KERNEL, T);
         assert_eq!(t.events().len(), 1);
     }
 
@@ -907,8 +911,8 @@ mod tests {
     fn begin_end_spans_close_in_time_order() {
         let mut t = Tracer::new();
         t.set_recording(true);
-        let outer = t.span_begin(ns(10), "mpirt", "rendezvous", T);
-        let inner = t.span_begin(ns(20), "mpirt", "frag", T);
+        let outer = t.span_begin(ns(10), names::CAT_MPIRT, names::SPAN_SESSION, T);
+        let inner = t.span_begin(ns(20), names::CAT_MPIRT, names::SPAN_FRAG, T);
         t.span_end(ns(30), inner);
         t.span_end(ns(50), outer);
         assert_eq!(t.open_spans(), 0);
@@ -929,7 +933,7 @@ mod tests {
     fn double_close_panics() {
         let mut t = Tracer::new();
         t.set_recording(true);
-        let id = t.span_begin(ns(0), "mpirt", "run", T);
+        let id = t.span_begin(ns(0), names::CAT_MPIRT, names::SPAN_SESSION, T);
         t.span_end(ns(1), id);
         t.span_end(ns(2), id);
     }
@@ -939,14 +943,14 @@ mod tests {
     fn closing_before_opening_panics() {
         let mut t = Tracer::new();
         t.set_recording(true);
-        let id = t.span_begin(ns(10), "mpirt", "run", T);
+        let id = t.span_begin(ns(10), names::CAT_MPIRT, names::SPAN_SESSION, T);
         t.span_end(ns(5), id);
     }
 
     #[test]
     fn disabled_span_handles_are_inert() {
         let mut t = Tracer::new();
-        let id = t.span_begin(ns(0), "mpirt", "run", T);
+        let id = t.span_begin(ns(0), names::CAT_MPIRT, names::SPAN_SESSION, T);
         t.span_end(ns(5), id);
         assert!(t.events().is_empty());
         assert_eq!(t.open_spans(), 0);
@@ -963,12 +967,12 @@ mod tests {
     fn overlap_zero_when_serialized() {
         let mut t = Tracer::new();
         t.set_recording(true);
-        t.span_at(ns(0), ns(10), "devengine", "prep", T);
+        t.span_at(ns(0), ns(10), names::CAT_DEVENGINE, names::SPAN_PREP, T);
         t.span_at(
             ns(10),
             ns(30),
-            "gpusim",
-            "kernel",
+            names::CAT_GPUSIM,
+            names::SPAN_KERNEL,
             Track::Stream { gpu: 0, index: 0 },
         );
         let m = Metrics::from_trace(&t);
@@ -982,15 +986,15 @@ mod tests {
         let mut t = Tracer::new();
         t.set_recording(true);
         // Prep of fragment i+1 hides behind kernel of fragment i.
-        t.span_at(ns(0), ns(10), "devengine", "prep", T);
+        t.span_at(ns(0), ns(10), names::CAT_DEVENGINE, names::SPAN_PREP, T);
         t.span_at(
             ns(10),
             ns(30),
-            "gpusim",
-            "kernel",
+            names::CAT_GPUSIM,
+            names::SPAN_KERNEL,
             Track::Stream { gpu: 0, index: 0 },
         );
-        t.span_at(ns(10), ns(20), "devengine", "prep", T);
+        t.span_at(ns(10), ns(20), names::CAT_DEVENGINE, names::SPAN_PREP, T);
         let m = Metrics::from_trace(&t);
         assert!(m.overlap_pct > 0.0, "overlap {}", m.overlap_pct);
         assert_eq!(m.kernel_occupancy, 20.0 / 30.0);
@@ -1005,9 +1009,25 @@ mod tests {
             t.set_recording(true);
             for &w in which {
                 match w {
-                    0 => t.span_at(ns(10), ns(20), "scale", "scale-op", Track::Cpu { rank: 1 }),
-                    1 => t.instant(ns(10), "scale", "scale-op", Track::Cpu { rank: 0 }),
-                    _ => t.instant(ns(5), "scale", "scale-op", Track::Cpu { rank: 2 }),
+                    0 => t.span_at(
+                        ns(10),
+                        ns(20),
+                        names::CAT_SCALE,
+                        names::SPAN_SCALE_OP,
+                        Track::Cpu { rank: 1 },
+                    ),
+                    1 => t.instant(
+                        ns(10),
+                        names::CAT_SCALE,
+                        names::SPAN_SCALE_OP,
+                        Track::Cpu { rank: 0 },
+                    ),
+                    _ => t.instant(
+                        ns(5),
+                        names::CAT_SCALE,
+                        names::SPAN_SCALE_OP,
+                        Track::Cpu { rank: 2 },
+                    ),
                 }
             }
             t.sort_by_content();
@@ -1027,11 +1047,11 @@ mod tests {
         t.span_at(
             ns(1000),
             ns(2500),
-            "gpusim",
-            "kernel",
+            names::CAT_GPUSIM,
+            names::SPAN_KERNEL,
             Track::Stream { gpu: 0, index: 1 },
         );
-        t.instant(ns(1200), "devengine", "dev-cache-hit", T);
+        t.instant(ns(1200), names::CAT_DEVENGINE, names::SPAN_DEV_CACHE_HIT, T);
         let json = t.chrome_json("test");
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains(r#""ph":"X""#));

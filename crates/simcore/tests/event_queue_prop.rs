@@ -26,7 +26,7 @@
 use simcore::rng::{rng, SimRng};
 use simcore::{EventId, Sim, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BTreeSet;
 
 type World = Vec<u64>;
 
@@ -78,9 +78,13 @@ fn spawn(sim: &mut Sim<World>, seed: u64, tag: u64) {
 /// The reference scheduler: a heap of `(at, seq, tag)` with monotonic
 /// insertion seqs — the total order the real scheduler must preserve.
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the reference model the calendar queue is checked against"
+)]
 struct Model {
-    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    cancelled: HashSet<u64>,
+    heap: std::collections::BinaryHeap<Reverse<(u64, u64, u64)>>,
+    cancelled: BTreeSet<u64>,
     next_seq: u64,
     now: u64,
     fired: Vec<u64>,

@@ -5,8 +5,8 @@ pub mod names {
         const LIVE_BYTES: LiveBytes = "live.bytes";
     }
 
-    pub const CAT_LIVE: &str = "live";
-    pub const SPAN_LIVE: &str = "live-span";
+    pub const CAT_LIVE: Name = Name("live");
+    pub const SPAN_LIVE: Name = Name("live-span");
 }
 
 pub struct Metrics;

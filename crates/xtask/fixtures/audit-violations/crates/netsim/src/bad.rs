@@ -10,5 +10,5 @@ pub fn inner_ok(sim: &mut Sim) {
 
 pub fn emits(tr: &mut Trace) {
     tr.count(names::LIVE_BYTES, 0, 0, 1);
-    tr.instant(now, names::CAT_LIVE, names::ROGUE_SPAN, track);
+    tr.instant(now, names::CAT_LIVE, names::SPAN_LIVE, track);
 }

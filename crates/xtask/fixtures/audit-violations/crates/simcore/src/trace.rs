@@ -1,5 +1,5 @@
-//! Fixture trace-name registry: counters in the `counters!` table form
-//! the real registry uses, span names as string constants.
+//! Fixture trace-name registry in the real registry's two forms:
+//! counters in the `counters!` table, span names as `Name` constants.
 
 pub mod names {
     counters! {
@@ -7,7 +7,9 @@ pub mod names {
         const LIVE_BYTES: LiveBytes = "live.bytes";
     }
 
-    pub const CAT_LIVE: &str = "live";
+    pub const CAT_LIVE: Name = Name("live");
+    pub const SPAN_LIVE: Name = Name("live-span");
+    pub const SPAN_DEAD: Name = Name("dead-span");
 }
 
 pub struct Metrics;

@@ -1,15 +1,15 @@
 //! Ratchet allowlists.
 //!
-//! Each rule family reads `lint/<family>.allow`, a line-oriented file of
+//! Each audit family reads `lint/<family>.allow`, a line-oriented file of
 //! `<path> <kind> <count>` entries. An entry suppresses exactly `count`
 //! findings of `kind` in `path`:
 //!
 //! * more findings than allowed  → the group is reported as violations;
-//! * fewer findings than allowed → the entry is **stale** and the lint
+//! * fewer findings than allowed → the entry is **stale** and the audit
 //!   fails too, so the ratchet can only ever tighten;
 //! * exactly as many             → suppressed, counted in the report.
 
-use crate::rules::Violation;
+use crate::audit::Violation;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;

@@ -1,8 +1,7 @@
 //! `cargo xtask audit` — the semantic analysis layer.
 //!
-//! Where the lint families ([`crate::rules`]) judge one file at a time,
-//! the audit builds a workspace-wide item table and approximate call
-//! graph ([`crate::graph`]) and runs four cross-file analyses:
+//! The audit builds a workspace-wide item table and approximate call
+//! graph ([`crate::graph`]) and runs three cross-file analyses:
 //!
 //! 1. **charge-model** — every cost constant in the `gpusim` spec and
 //!    topology tables must be read by both a simulator charge site and
@@ -11,42 +10,71 @@
 //!    built on their agreement is silently corrupt.
 //! 2. **fault-reach** — every simulated-time charge (`.reserve(`)
 //!    reachable from the `mpirt` protocol entry surface must have a
-//!    `faultsim` consult somewhere on the call path, replacing the old
-//!    per-file token heuristic with call-graph reachability.
+//!    `faultsim` consult somewhere on the call path.
 //! 3. **counter-live** — every counter/span name registered in
-//!    `simcore::trace::names` must have an emission site, every
-//!    span/instant emission must use a registered name (an unknown
-//!    counter does not compile), and `Session::metrics()` must still
-//!    reach `Metrics::from_trace` so counters surface.
-//! 4. **unsafe** — every `unsafe` token in the simulator crates must
-//!    carry a `SAFETY` comment (or `# Safety` doc) nearby and live in a
-//!    sanctioned module.
+//!    `simcore::trace::names` must have an emission site. (An unknown
+//!    name does not compile: counters are an enum, span names a newtype
+//!    only `trace.rs` can build.)
 //!
 //! Each analysis reconciles against its own tightening-only
-//! `lint/<family>.allow` ratchet, exactly like the lint families.
-//! Per-constant and per-name findings key their allowlist entries as
-//! `<file>::<name>` so a single entry can be justified individually.
-//! Soundness caveats of the name-resolved call graph are documented in
-//! DESIGN.md §16: reachability over-approximates, so these analyses
-//! check that visible paths satisfy invariants — they cannot prove a
-//! path does not exist.
+//! `lint/<family>.allow` ratchet. Per-constant and per-name findings
+//! key their allowlist entries as `<file>::<name>` so a single entry
+//! can be justified individually. Soundness caveats of the
+//! name-resolved call graph are documented in DESIGN.md §16:
+//! reachability over-approximates, so these analyses check that visible
+//! paths satisfy invariants — they cannot prove a path does not exist.
 
 use crate::graph::{CallGraph, FnNode};
 use crate::lexer::{self, Token};
-use crate::rules::{in_sim_crates, Violation, CHARGE_WRAPPERS};
 use std::collections::BTreeSet;
 
 /// Audit analysis identifiers; one ratchet allowlist exists per family
-/// under `lint/<family>.allow`, same as the lint families.
-pub const AUDIT_FAMILIES: [&str; 4] = ["charge-model", "fault-reach", "counter-live", "unsafe"];
+/// under `lint/<family>.allow`.
+pub const AUDIT_FAMILIES: [&str; 3] = ["charge-model", "fault-reach", "counter-live"];
 
-/// One lexed file plus its raw source (the unsafe audit needs to see
-/// comments, which the lexer strips).
+/// One finding, before allowlist reconciliation.
+#[derive(Debug, Clone)]
+pub struct Violation {
+    pub family: &'static str,
+    /// Workspace-relative path, forward slashes.
+    pub file: String,
+    pub line: u32,
+    /// Stable kind used as the allowlist key (`tuner-blind`, …).
+    pub kind: &'static str,
+    pub msg: String,
+}
+
+/// One lexed source file.
 pub struct FileData {
     /// Workspace-relative path, forward slashes.
     pub rel: String,
-    pub src: String,
     pub toks: Vec<Token>,
+}
+
+/// The simulator crates: everything that executes under virtual time.
+const SIM_CRATES: [&str; 7] = [
+    "simcore",
+    "memsim",
+    "gpusim",
+    "netsim",
+    "devengine",
+    "mpirt",
+    "faultsim",
+];
+
+fn in_sim_crates(rel: &str) -> bool {
+    SIM_CRATES.iter().any(|c| {
+        rel.strip_prefix("crates/")
+            .and_then(|r| r.strip_prefix(c))
+            .is_some_and(|r| r.starts_with("/src/"))
+    })
+}
+
+/// `rel` is one of `prefixes`, or inside one that ends in `/`.
+fn under(rel: &str, prefixes: &[&str]) -> bool {
+    prefixes
+        .iter()
+        .any(|p| rel == *p || (p.ends_with('/') && rel.starts_with(p)))
 }
 
 /// The spec/topology cost tables.
@@ -73,11 +101,22 @@ const TUNER_REACH: [&str; 5] = [
     "crates/gpusim/src/system.rs",
 ];
 
-/// Charge-side roots beyond [`CHARGE_WRAPPERS`]: the sanctioned DEV
-/// executors charge time through the wrappers but read their own cost
-/// constants first (the NIC packet processor reads `nic_dma_bw`, …).
-const CHARGE_EXTRA_ROOTS: [&str; 3] = [
+/// Charge-side roots: the modules that reserve simulated time (the
+/// wrappers the fault injector interposes on) and the DEV executors,
+/// which read their own cost constants (the NIC packet processor reads
+/// `nic_dma_bw`, …).
+const CHARGE_ROOTS: [&str; 13] = [
+    "crates/simcore/src/resource.rs",
+    "crates/netsim/src/channel.rs",
+    "crates/netsim/src/am.rs",
+    "crates/netsim/src/wire.rs",
+    "crates/netsim/src/rdma.rs",
     "crates/netsim/src/nic.rs",
+    "crates/gpusim/src/kernel.rs",
+    "crates/gpusim/src/copy.rs",
+    "crates/gpusim/src/system.rs",
+    "crates/gpusim/src/stream_trigger.rs",
+    "crates/mpirt/src/cpupack.rs",
     "crates/mpirt/src/io.rs",
     "crates/devengine/src/",
 ];
@@ -101,12 +140,6 @@ const FAULT_IDENTS: [&str; 6] = [
     "FaultDecision",
 ];
 
-/// The module sanctioned to contain `unsafe` in the simulator crates:
-/// the copy pool, whose invariants the loom model and miri cover. The
-/// one other file with `unsafe`, `memsim/src/pool.rs`, is counted in
-/// `lint/unsafe.allow`.
-const SANCTIONED_UNSAFE: &str = "crates/simcore/src/par.rs";
-
 /// Trace methods that *emit* (count or record a span) vs merely read.
 const EMIT_METHODS: [&str; 5] = ["count", "count_to", "instant", "span_begin", "span_at"];
 
@@ -115,14 +148,13 @@ pub fn build_graph(files: &[FileData]) -> CallGraph {
     CallGraph::build(files.iter().map(|f| (f.rel.as_str(), f.toks.as_slice())))
 }
 
-/// Run all four analyses over pre-lexed files and their call graph,
+/// Run the three analyses over pre-lexed files and their call graph,
 /// returning raw findings for allowlist reconciliation.
 pub fn analyze(files: &[FileData], graph: &CallGraph) -> Vec<Violation> {
     let mut out = Vec::new();
     charge_model(files, graph, &mut out);
     fault_reach(graph, &mut out);
     counter_live(files, graph, &mut out);
-    unsafe_audit(files, &mut out);
     out
 }
 
@@ -146,13 +178,6 @@ fn push(
 // ---------------------------------------------------------------------
 // 1. charge-model coherence
 // ---------------------------------------------------------------------
-
-fn is_charge_root(rel: &str) -> bool {
-    CHARGE_WRAPPERS.contains(&rel)
-        || CHARGE_EXTRA_ROOTS
-            .iter()
-            .any(|p| rel == *p || (p.ends_with('/') && rel.starts_with(p)))
-}
 
 /// Union of field reads over the non-test functions reachable from
 /// `roots`, where the walk only expands callees for which `expand`
@@ -194,7 +219,7 @@ fn charge_model(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>)
     }
     let charge_reads = reads_from(
         graph,
-        |n| is_charge_root(&n.file),
+        |n| under(&n.file, &CHARGE_ROOTS),
         |n| in_sim_crates(&n.file) && !TUNER_FILES.contains(&n.file.as_str()),
     );
     let tuner_reads = reads_from(
@@ -252,12 +277,7 @@ fn fault_reach(graph: &CallGraph, out: &mut Vec<Violation>) {
         .nodes
         .iter()
         .enumerate()
-        .filter(|(_, n)| {
-            !n.in_test
-                && PROTOCOL_ROOTS
-                    .iter()
-                    .any(|p| n.file == *p || (p.ends_with('/') && n.file.starts_with(p)))
-        })
+        .filter(|(_, n)| !n.in_test && under(&n.file, &PROTOCOL_ROOTS))
         .map(|(i, _)| i)
         .collect();
     if roots.is_empty() {
@@ -302,7 +322,6 @@ fn fault_reach(graph: &CallGraph, out: &mut Vec<Violation>) {
 // ---------------------------------------------------------------------
 
 const TRACE_FILE: &str = "crates/simcore/src/trace.rs";
-const SESSION_FILE: &str = "crates/mpirt/src/session.rs";
 
 fn counter_live(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>) {
     let Some(trace) = files.iter().find(|f| f.rel == TRACE_FILE) else {
@@ -313,27 +332,6 @@ fn counter_live(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>)
         return;
     }
     let registered: BTreeSet<&str> = registry.iter().map(|(n, _, _)| n.as_str()).collect();
-    // Every `names::X` path must resolve to the registry. The compiler
-    // says so first for code that builds; here it guards the registry
-    // extraction above (a table entry it missed shows up as
-    // unregistered at every use) and the seeded trees.
-    for n in &graph.nodes {
-        if n.in_test || n.file == TRACE_FILE {
-            continue;
-        }
-        for (name, line) in &n.names_refs {
-            if !registered.contains(name.as_str()) {
-                push(
-                    out,
-                    "counter-live",
-                    n.file.clone(),
-                    *line,
-                    "unregistered-name",
-                    format!("`names::{name}` is missing from simcore::trace::names"),
-                );
-            }
-        }
-    }
     // Liveness: a registry name — counter or span — is emitted when a
     // non-test function outside the registry's file references it and
     // makes at least one emit call. Whole-function credit rather than
@@ -375,135 +373,5 @@ fn counter_live(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>)
                 format!("`names::{name}` is registered but never emitted outside tests"),
             );
         }
-    }
-    // Structural check that counters still surface: Session::metrics
-    // must reach Metrics::from_trace through the call graph.
-    let metrics_roots: Vec<usize> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| !n.in_test && n.file == SESSION_FILE && n.name == "metrics")
-        .map(|(i, _)| i)
-        .collect();
-    if let Some(&root) = metrics_roots.first() {
-        let reached = graph.reachable(metrics_roots.iter().copied());
-        let surfaces = reached
-            .iter()
-            .any(|&i| graph.nodes[i].name == "from_trace" && graph.nodes[i].file == TRACE_FILE);
-        if !surfaces {
-            push(
-                out,
-                "counter-live",
-                SESSION_FILE.to_string(),
-                graph.nodes[root].line,
-                "metrics-chain",
-                "Session::metrics() no longer reaches Metrics::from_trace — counters don't surface"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. unsafe audit
-// ---------------------------------------------------------------------
-
-fn unsafe_audit(files: &[FileData], out: &mut Vec<Violation>) {
-    for f in files {
-        if !in_sim_crates(&f.rel) {
-            continue;
-        }
-        let lines: Vec<&str> = f.src.lines().collect();
-        let mut seen_lines: BTreeSet<u32> = BTreeSet::new();
-        for (i, t) in f.toks.iter().enumerate() {
-            if t.in_test || !t.is_ident("unsafe") {
-                continue;
-            }
-            // `unsafe fn(` is a function-pointer *type*, not a block or
-            // item — nothing to document at the use site.
-            if f.toks.get(i + 1).is_some_and(|n| n.is_ident("fn"))
-                && f.toks.get(i + 2).is_some_and(|n| n.is_punct('('))
-            {
-                continue;
-            }
-            if !seen_lines.insert(t.line) {
-                continue;
-            }
-            if f.rel != SANCTIONED_UNSAFE {
-                push(
-                    out,
-                    "unsafe",
-                    f.rel.clone(),
-                    t.line,
-                    "unsanctioned-unsafe",
-                    "`unsafe` outside the sanctioned copy-pool module (simcore par.rs)".to_string(),
-                );
-            }
-            // A `// SAFETY:` comment (or `/// # Safety` doc section)
-            // must appear within 8 lines above or 2 lines below the
-            // `unsafe` keyword — the two lines below admit the
-            // codebase's idiom of putting the comment on the first line
-            // inside an `unsafe fn` body.
-            let at = t.line as usize; // 1-based, so `lines[at-1]` is the unsafe line
-            let start = at.saturating_sub(9);
-            let end = (at + 2).min(lines.len());
-            let documented = lines[start..end]
-                .iter()
-                .any(|l| l.contains("SAFETY") || l.contains("# Safety"));
-            if !documented {
-                push(
-                    out,
-                    "unsafe",
-                    f.rel.clone(),
-                    t.line,
-                    "missing-safety",
-                    "`unsafe` without a `// SAFETY:` comment or `# Safety` doc nearby".to_string(),
-                );
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    fn file(rel: &str, src: &str) -> FileData {
-        FileData {
-            rel: rel.to_string(),
-            src: src.to_string(),
-            toks: lex(src),
-        }
-    }
-
-    #[test]
-    fn unsafe_without_safety_comment_is_flagged_twice_in_unsanctioned_file() {
-        let files = [file(
-            "crates/simcore/src/rogue.rs",
-            "pub fn f(p: *mut u8) { unsafe { *p = 0; } }\n",
-        )];
-        let found = analyze(&files, &build_graph(&files));
-        let kinds: Vec<&str> = found.iter().map(|v| v.kind).collect();
-        assert!(kinds.contains(&"unsanctioned-unsafe"));
-        assert!(kinds.contains(&"missing-safety"));
-    }
-
-    #[test]
-    fn safety_comment_in_sanctioned_module_is_clean() {
-        let files = [file(
-            "crates/simcore/src/par.rs",
-            "pub fn f(p: *mut u8) {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p = 0; }\n}\n",
-        )];
-        assert!(analyze(&files, &build_graph(&files)).is_empty());
-    }
-
-    #[test]
-    fn unsafe_fn_pointer_type_is_not_an_unsafe_site() {
-        let files = [file(
-            "crates/simcore/src/rogue.rs",
-            "pub struct H { f: unsafe fn(*mut u8) }\n",
-        )];
-        assert!(analyze(&files, &build_graph(&files)).is_empty());
     }
 }

@@ -87,22 +87,6 @@ impl CallGraph {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Forward reachability from `roots` over name-resolved call edges.
-    pub fn reachable(&self, roots: impl IntoIterator<Item = usize>) -> BTreeSet<usize> {
-        let mut seen: BTreeSet<usize> = roots.into_iter().collect();
-        let mut work: Vec<usize> = seen.iter().copied().collect();
-        while let Some(i) = work.pop() {
-            for callee in &self.nodes[i].calls {
-                for &j in self.defs_of(callee) {
-                    if seen.insert(j) {
-                        work.push(j);
-                    }
-                }
-            }
-        }
-        seen
-    }
-
     /// Reachability that stops descending at protected nodes: a node
     /// for which `protected` returns true is recorded as visited but
     /// its callees are not expanded. The result maps each *unprotected*

@@ -1,12 +1,12 @@
-//! A minimal Rust token scanner for the lint rules.
+//! A minimal Rust token scanner for the audit's call graph.
 //!
-//! Deliberately not a parser: the rules only need identifier/punctuation
+//! Deliberately not a parser: the graph only needs identifier/punctuation
 //! sequences with comments and literals out of the way, plus line
 //! numbers for reporting and a flag marking test-only regions. The
 //! scanner handles line and (nested) block comments, plain and raw
 //! string literals (including byte-string prefixes), character literals
 //! versus lifetimes, and tracks `#[cfg(test)]` / `#[test]` items by
-//! brace matching so rules can exempt test code.
+//! brace matching so the analyses can exempt test code.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub enum Tok {
     Punct(char),
 }
 
-/// A token plus the context the rules need.
+/// A token plus the context the analyses need.
 #[derive(Debug, Clone)]
 pub struct Token {
     pub tok: Tok,
@@ -481,7 +481,8 @@ pub fn extract_struct_fields(toks: &[Token], name: &str) -> Vec<(String, u32)> {
     out
 }
 
-/// `pub const NAME: &str = "value";` items inside `mod <module> { .. }`:
+/// `const NAME: T = "value";` (or `= Name("value")`) items inside
+/// `mod <module> { .. }`:
 /// returns `(NAME, value, line)` triples. Used to read the
 /// `simcore::trace::names` registry without compiling it.
 pub fn extract_mod_consts(toks: &[Token], module: &str) -> Vec<(String, String, u32)> {
@@ -506,12 +507,17 @@ pub fn extract_mod_consts(toks: &[Token], module: &str) -> Vec<(String, String, 
                 }
             } else if t.is_ident("const") {
                 if let Some(name) = toks.get(j + 1).and_then(|t| t.ident()) {
-                    // Scan to `=` then expect a string literal.
+                    // Scan to `=`, then take the first string literal
+                    // before `;` (`= "n"` and `= Name("n")` alike).
                     let mut k = j + 2;
                     while k < toks.len() && !toks[k].is_punct('=') && !toks[k].is_punct(';') {
                         k += 1;
                     }
-                    if let Some(val) = toks.get(k + 1).and_then(|t| t.str_lit()) {
+                    let val = toks[k..]
+                        .iter()
+                        .take_while(|t| !t.is_punct(';'))
+                        .find_map(Token::str_lit);
+                    if let Some(val) = val {
                         out.push((name.to_string(), val.to_string(), toks[j].line));
                     }
                 }

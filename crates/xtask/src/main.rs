@@ -1,9 +1,7 @@
-//! `cargo xtask <lint|audit|ratchet>` — workspace invariant tooling.
+//! `cargo xtask <audit|ratchet>` — the workspace's call-graph audit.
 //!
-//! * `lint  [--root <dir>]` — the seven per-file token-level rule
-//!   families.
-//! * `audit [--root <dir>]` — the four cross-file semantic analyses
-//!   over the call graph.
+//! * `audit [--root <dir>]` — the three cross-file analyses over the
+//!   call graph.
 //! * `ratchet --old <dir> --new <dir>` — assert every `*.allow` file in
 //!   `<new>` only shrinks relative to `<old>` (CI materializes the base
 //!   revision's `lint/` into `<old>` via `git show`).
@@ -16,53 +14,21 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo xtask lint [--root <dir>]\n\
-        \x20      cargo xtask audit [--root <dir>]\n\
+        "usage: cargo xtask audit [--root <dir>]\n\
         \x20      cargo xtask ratchet --old <dir> --new <dir>"
     );
     ExitCode::from(2)
 }
 
-/// `[--root <dir>]`, defaulting to the workspace this binary was built in.
-fn parse_root(mut args: impl Iterator<Item = String>) -> Option<PathBuf> {
+fn cmd_audit(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--root" => root = Some(PathBuf::from(args.next()?)),
-            _ => return None,
+        match (a.as_str(), args.next()) {
+            ("--root", Some(dir)) => root = Some(PathBuf::from(dir)),
+            _ => return usage(),
         }
     }
-    Some(root.unwrap_or_else(xtask::workspace_root))
-}
-
-fn cmd_lint(args: impl Iterator<Item = String>) -> ExitCode {
-    let Some(root) = parse_root(args) else {
-        return usage();
-    };
-    let outcome = match xtask::run_lint(&root) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    print!("{}", outcome.render_text());
-    println!(
-        "scanned {} file(s) under {}",
-        outcome.files_scanned,
-        root.display()
-    );
-    if outcome.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
-
-fn cmd_audit(args: impl Iterator<Item = String>) -> ExitCode {
-    let Some(root) = parse_root(args) else {
-        return usage();
-    };
+    let root = root.unwrap_or_else(xtask::workspace_root);
     let outcome = match xtask::run_audit(&root) {
         Ok(o) => o,
         Err(e) => {
@@ -101,9 +67,7 @@ fn cmd_ratchet(mut args: impl Iterator<Item = String>) -> ExitCode {
     // when the base had none (the family itself is new); any file
     // already present in `old` must only shrink. An unknown family
     // appearing out of nowhere always fails.
-    let mut known: Vec<&str> = xtask::rules::FAMILIES.to_vec();
-    known.extend(xtask::audit::AUDIT_FAMILIES);
-    match xtask::allow::ratchet_check(&old, &new, &known) {
+    match xtask::allow::ratchet_check(&old, &new, &xtask::audit::AUDIT_FAMILIES) {
         Ok(errors) if errors.is_empty() => {
             println!("ratchet OK: every allowlist only shrank");
             ExitCode::SUCCESS
@@ -124,7 +88,6 @@ fn cmd_ratchet(mut args: impl Iterator<Item = String>) -> ExitCode {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("lint") => cmd_lint(args),
         Some("audit") => cmd_audit(args),
         Some("ratchet") => cmd_ratchet(args),
         _ => usage(),
