@@ -8,7 +8,7 @@
 //!
 //! [`DevCursor`] walks a descriptor program directly. `clippy.toml`
 //! bans it outside the sanctioned executors (devengine, the NIC
-//! executor, the CPU convertor, the MPI-IO file-view walker); everyone
+//! executor, the CPU convertor); everyone
 //! else builds on the wrapped walks ([`whole_units`], [`flip_units`])
 //! or an engine, so each executor charges time and faults at one layer.
 

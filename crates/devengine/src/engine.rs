@@ -2,16 +2,19 @@
 //! kernels, fragment by fragment.
 
 use crate::cache::DevCache;
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, OptimizerConfig};
 use crate::dev::{flip_units_in_place, DevPlan, TrafficKey};
 use crate::tune;
 use datatype::{DataType, Strided2D, TypeError};
-use gpusim::{charge_transfer_kernel, GpuSpec, GpuWorld, KernelConfig, KernelTraffic, StreamId};
-use memsim::Ptr;
+use gpusim::{
+    charge_transfer_kernel, kernel_time, GpuSpec, GpuSystem, GpuWorld, KernelConfig, KernelTraffic,
+    StreamId,
+};
+use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
-use simcore::{Sim, SimTime, Track};
+use simcore::{Counter, Sim, SimTime, Track};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -71,6 +74,97 @@ fn strided_units(shape: &Strided2D, base_shift: i64, from: u64, to: u64, units: 
             row += shape.outer_stride;
             disp = row;
         }
+    }
+}
+
+/// The arithmetic source an engine over `count` × `work_ty` (already
+/// canonical when canonicalization is on) takes instead of a
+/// descriptor list, with the counter naming it: the specialized vector
+/// kernel, or — with `vector_dispatch` — the doubly-strided one
+/// (transposes, submatrices of vectors).
+fn strided_source(
+    work_ty: &DataType,
+    count: u64,
+    opt: OptimizerConfig,
+) -> Result<Option<(Strided2D, Counter)>, TypeError> {
+    let effective = if count <= 1 {
+        work_ty.clone()
+    } else {
+        let c = DataType::contiguous(count, work_ty)?.commit();
+        if opt.canonicalize {
+            c.canonical()
+        } else {
+            c
+        }
+    };
+    if let Some((_, block_bytes, stride, first_disp)) = effective.vector_shape() {
+        let vector = Strided2D {
+            outer: 1,
+            inner: u64::MAX,
+            block_bytes,
+            inner_stride: stride,
+            outer_stride: 0,
+            first_disp,
+        };
+        return Ok(Some((vector, names::DEVENGINE_SOURCE_VECTOR)));
+    }
+    if !opt.vector_dispatch {
+        return Ok(None);
+    }
+    let shape = effective.strided2d_shape();
+    Ok(shape.map(|shape| (shape, names::DEVENGINE_SOURCE_STRIDED2D)))
+}
+
+/// Units of a descriptor plan over `segments` contiguous runs totalling
+/// `total` bytes: one per run, plus — uncoalesced — a split at every
+/// `unit_size` bytes.
+fn plan_units(segments: u64, total: u64, opt: OptimizerConfig, unit_size: u64) -> u64 {
+    if opt.coalesce {
+        segments
+    } else {
+        segments + total / unit_size
+    }
+}
+
+/// What a fragment engine over a layout launches, read off the layout
+/// without building the engine: for the tuner, which prices a
+/// conversion stage before the transfer's engines exist.
+#[derive(Clone, Copy, Debug)]
+pub struct LaunchEstimate {
+    /// The kernels stream a CUDA-DEV descriptor per unit: every source
+    /// but the arithmetic strided ones.
+    pub descriptor_stream: bool,
+    units: u64,
+    total: u64,
+}
+
+impl LaunchEstimate {
+    /// The launches of a fragment engine over `count` × `ty`.
+    pub fn of(ty: &DataType, count: u64, cfg: &EngineConfig) -> LaunchEstimate {
+        let opt = cfg.optimizer;
+        let work_ty = if opt.canonicalize {
+            ty.canonical()
+        } else {
+            ty.clone()
+        };
+        let strided = matches!(strided_source(&work_ty, count, opt), Ok(Some(_)));
+        let segments = work_ty.segment_estimate().saturating_mul(count).max(1);
+        let total = ty.size() * count;
+        LaunchEstimate {
+            descriptor_stream: !strided,
+            // A strided kernel runs one unit per block.
+            units: if strided {
+                segments
+            } else {
+                plan_units(segments, total, opt, cfg.unit_size)
+            },
+            total,
+        }
+    }
+
+    /// About how many units a window of `n` packed bytes holds.
+    pub fn units_in(&self, n: u64) -> u64 {
+        (self.units as f64 * n as f64 / self.total.max(1) as f64).round() as u64
     }
 }
 
@@ -138,30 +232,13 @@ impl FragmentEngine {
         } else {
             ty.clone()
         };
-        let effective = if count <= 1 {
-            work_ty.clone()
-        } else {
-            let c = DataType::contiguous(count, &work_ty)?.commit();
-            if opt.canonicalize {
-                c.canonical()
-            } else {
-                c
-            }
-        };
 
-        // Specialized vector kernel path.
-        if let Some((_, block_bytes, stride, first_disp)) = effective.vector_shape() {
-            sim.trace
-                .count(names::DEVENGINE_SOURCE_VECTOR, rank as u32, 0, 1);
+        // Specialized vector / strided-2D kernel path: no descriptor
+        // array, no CPU preparation.
+        if let Some((shape, counter)) = strided_source(&work_ty, count, opt)? {
+            sim.trace.count(counter, rank as u32, 0, 1);
             return Ok(FragmentEngine {
-                source: UnitSource::Strided(Strided2D {
-                    outer: 1,
-                    inner: u64::MAX,
-                    block_bytes,
-                    inner_stride: stride,
-                    outer_stride: 0,
-                    first_disp,
-                }),
+                source: UnitSource::Strided(shape),
                 dir,
                 cfg,
                 rank,
@@ -175,47 +252,35 @@ impl FragmentEngine {
             });
         }
 
-        // Doubly-strided layouts (transposes, submatrices of vectors)
-        // also compute their offsets arithmetically — no descriptor
-        // array, no CPU preparation.
-        if opt.vector_dispatch {
-            if let Some(shape) = effective.strided2d_shape() {
-                sim.trace
-                    .count(names::DEVENGINE_SOURCE_STRIDED2D, rank as u32, 0, 1);
-                return Ok(FragmentEngine {
-                    source: UnitSource::Strided(shape),
-                    dir,
-                    cfg,
-                    rank,
-                    stream,
-                    typed,
-                    base_shift,
-                    total,
-                    pos: 0,
-                    descriptor_stream: false,
-                    chunk_hint: None,
-                });
-            }
-        }
+        // The descriptor kernel that converts `n` packed bytes in `units`
+        // units, priced on an estimated traffic against a fragment in
+        // the executing GPU's memory. The pickers below add the units'
+        // preparation, `prep_time`.
+        let kernel = |sys: &GpuSystem, n: u64, units: u64| {
+            let g = sys.gpu(stream.gpu);
+            let frag = MemSpace::Device(stream.gpu);
+            let spaces = match dir {
+                Direction::Pack => (typed.space, frag),
+                Direction::Unpack => (frag, typed.space),
+            };
+            let local = (spaces.0 == frag, spaces.1 == frag);
+            let traffic = KernelTraffic::estimate(n, units, local, &g.spec);
+            let kcfg = KernelConfig {
+                blocks: cfg.blocks,
+                descriptor_stream: true,
+            };
+            kernel_time(g, &sys.topo, spaces, kcfg, &traffic)
+        };
 
         // Work-unit size: with coalescing the plan no longer splits at S
-        // so there is nothing to tune; otherwise evaluate the analytic
-        // per-unit cost over the paper's candidate sizes.
+        // so there is nothing to tune; otherwise price the whole job in
+        // the units each of the paper's candidate sizes shatters it into.
         let segments = work_ty.segment_estimate().saturating_mul(count).max(1);
         let unit_size = if opt.autotune && !opt.coalesce {
-            let g = sim.world.gpus_ref().gpu(stream.gpu);
-            let bw = g
-                .effective_traffic_bw()
-                .derated(g.spec.pack_kernel_efficiency)
-                .as_gbps(); // bytes per nanosecond
-            let desc_ns = g.spec.descriptor_bytes as f64 / bw;
-            let picked = tune::pick_unit_size(
-                cfg.unit_size,
-                total,
-                segments,
-                cfg.prep_per_unit.as_nanos() as f64,
-                desc_ns,
-            );
+            let sys = sim.world.gpus_ref();
+            let picked = tune::pick_unit_size(cfg.unit_size, total, segments, |units| {
+                prep_time(&cfg, units as usize) + kernel(sys, total, units)
+            });
             if picked != cfg.unit_size {
                 sim.trace
                     .count(names::OPTIMIZER_UNIT_TUNED, rank as u32, 0, 1);
@@ -278,33 +343,23 @@ impl FragmentEngine {
 
         // Pipeline-granularity tuning for streaming sources: weigh the
         // CPU preparation that pipelining hides against the extra kernel
-        // launches it costs, using the same constants the simulator
-        // charges.
+        // launches it costs, each priced by the function its charge
+        // calls.
         let mut chunk_hint = None;
         if opt.autotune && cfg.pipeline && total > 0 {
             if let UnitSource::Fresh(_) = source {
-                let g = sim.world.gpus_ref().gpu(stream.gpu);
-                let bw = g
-                    .effective_traffic_bw()
-                    .derated(g.spec.pack_kernel_efficiency)
-                    .as_gbps();
-                let units = if opt.coalesce {
-                    segments as f64
-                } else {
-                    segments as f64 + total as f64 / unit_size as f64
-                };
-                // D2D pack traffic: payload read + write, plus the
-                // descriptor each unit streams from DRAM.
-                let traffic_per_byte = 2.0 + g.spec.descriptor_bytes as f64 * units / total as f64;
-                let m = tune::ChunkModel {
+                let est = LaunchEstimate {
+                    descriptor_stream: true,
+                    units: plan_units(segments, total, opt, unit_size),
                     total,
-                    units_per_byte: units / total as f64,
-                    prep_call_ns: cfg.prep_call.as_nanos() as f64,
-                    prep_per_unit_ns: cfg.prep_per_unit.as_nanos() as f64,
-                    launch_ns: g.spec.launch_overhead.as_nanos() as f64,
-                    kernel_ns_per_byte: traffic_per_byte / bw,
                 };
-                let picked = tune::pick_pipeline_chunk(&m, cfg.pipeline_chunk);
+                let sys = sim.world.gpus_ref();
+                let picked = tune::pick_pipeline_chunk(
+                    total,
+                    cfg.pipeline_chunk,
+                    |n| prep_time(&cfg, est.units_in(n) as usize),
+                    |n| kernel(sys, n, est.units_in(n)),
+                );
                 if picked != cfg.pipeline_chunk {
                     sim.trace
                         .count(names::OPTIMIZER_CHUNK_TUNED, rank as u32, 0, 1);
@@ -562,6 +617,8 @@ impl FragmentEngine {
     }
 }
 
+/// The price of preparing `units` CUDA-DEV units on the CPU: what a
+/// fresh window or a cache miss charges the rank's CPU.
 fn prep_time(cfg: &EngineConfig, units: usize) -> SimTime {
     SimTime::from_nanos(cfg.prep_per_unit.as_nanos() * units as u64) + cfg.prep_call
 }

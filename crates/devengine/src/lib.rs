@@ -31,4 +31,4 @@ pub use dev::{
     build_plan, build_plan_opt, flip_units, flip_units_in_place, merge_units, whole_units, DevPlan,
     MergeError, SliceParts,
 };
-pub use engine::{pack_async, unpack_async, Direction, FragmentEngine};
+pub use engine::{pack_async, unpack_async, Direction, FragmentEngine, LaunchEstimate};

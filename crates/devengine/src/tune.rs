@@ -1,30 +1,24 @@
-//! The analytic auto-tuner: evaluates the gpusim/netsim cost model in
-//! closed form (no simulation runs) to pick work-unit size, pipeline
-//! granularity, fragment size and ring depth per datatype layout.
+//! The analytic auto-tuner: prices candidate shapes in closed form (no
+//! simulation runs) to pick work-unit size, pipeline granularity,
+//! fragment size and ring depth per datatype layout.
 //!
-//! The model is deliberately the same arithmetic the simulator charges —
-//! fixed per-stage overheads (kernel launch, preparation call, message
-//! latency) plus a per-byte rate per stage — folded into a bounded-buffer
-//! pipeline makespan. Every picker includes the static default among its
+//! It holds no cost constants. Every stage is priced by a closure its
+//! caller builds from the charging crate's own price function —
+//! `gpusim::kernel_time`, `gpusim::copy_time`, `netsim::Link::time`,
+//! the engine's `prep_time`, … — the function that crate's charge
+//! calls, so the model prices what the simulator charges; the only
+//! model error left is an estimated traffic against the exact one.
+//! This module folds the prices into a bounded-buffer pipeline
+//! makespan. Every picker includes the static default among its
 //! candidates and only deviates when the model predicts a win beyond a
 //! safety margin, so a tuned run is never *predicted* worse than the
 //! default; the `ablation_optimizer` bench asserts the simulated times
 //! agree.
 
-/// One pipeline stage: `fixed_ns + ns_per_byte * bytes`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Stage {
-    pub fixed_ns: f64,
-    pub ns_per_byte: f64,
-}
+use simcore::SimTime;
 
-impl Stage {
-    pub fn time_ns(&self, bytes: u64) -> f64 {
-        self.fixed_ns + self.ns_per_byte * bytes as f64
-    }
-}
-
-/// Makespan estimate for `total` bytes moved through `stages` in
+/// Makespan estimate for `total` bytes moved through `stages` — each
+/// the price of one stage for a fragment of the given size — in
 /// fragments of `frag` bytes with at most `depth` fragments in flight:
 /// the first fragment fills the whole pipe, every further fragment costs
 /// the bottleneck stage (or the fill time divided by the ring depth when
@@ -32,14 +26,20 @@ impl Stage {
 /// *actual* size — billing the tail as a full round systematically
 /// overprices large fragments and makes shrinking look profitable when
 /// it isn't.
-pub fn pipeline_makespan_ns(total: u64, frag: u64, depth: usize, stages: &[Stage]) -> f64 {
+pub fn pipeline_makespan_ns<F: Fn(u64) -> SimTime>(
+    total: u64,
+    frag: u64,
+    depth: usize,
+    stages: &[F],
+) -> f64 {
     assert!(frag > 0 && depth > 0, "degenerate pipeline shape");
     let total = total.max(1);
     let first = frag.min(total);
     let nf = total.div_ceil(first);
-    let fill = |b: u64| stages.iter().map(|s| s.time_ns(b)).sum::<f64>();
+    let times = |b: u64| stages.iter().map(move |price| price(b).as_nanos() as f64);
+    let fill = |b: u64| times(b).sum::<f64>();
     let per_round = |b: u64| {
-        let bottleneck = stages.iter().map(|s| s.time_ns(b)).fold(0.0f64, f64::max);
+        let bottleneck = times(b).fold(0.0f64, f64::max);
         bottleneck.max(fill(b) / depth as f64)
     };
     let tail = total - (nf - 1) * first;
@@ -53,20 +53,13 @@ pub fn pipeline_makespan_ns(total: u64, frag: u64, depth: usize, stages: &[Stage
 /// Work-unit candidates from §3.2 (the paper sweeps S ∈ {1, 2, 4} KB).
 pub const UNIT_CANDIDATES: [u64; 3] = [1024, 2048, 4096];
 
-/// Pick the work-unit size S for the generic DEV path: cost per unit is
-/// the CPU preparation charge plus the 32-byte descriptor each unit
-/// streams from DRAM, and a layout with `segments` contiguous runs
-/// totalling `total` bytes shatters into about `segments + total / S`
-/// units. The static `base` is always a candidate and wins ties.
-pub fn pick_unit_size(
-    base: u64,
-    total: u64,
-    segments: u64,
-    prep_per_unit_ns: f64,
-    desc_ns_per_unit: f64,
-) -> u64 {
-    let units = |s: u64| segments as f64 + total as f64 / s.max(1) as f64;
-    let cost = |s: u64| units(s) * (prep_per_unit_ns + desc_ns_per_unit);
+/// Pick the work-unit size S for the generic DEV path: a layout with
+/// `segments` contiguous runs totalling `total` bytes shatters into
+/// about `segments + total / S` units, and `price` is what converting
+/// the layout costs in that many units. The static `base` is always a
+/// candidate and wins ties.
+pub fn pick_unit_size(base: u64, total: u64, segments: u64, price: impl Fn(u64) -> SimTime) -> u64 {
+    let cost = |s: u64| price(segments + total / s.max(1));
     let mut best = base;
     let mut best_cost = cost(base);
     for cand in UNIT_CANDIDATES {
@@ -79,48 +72,25 @@ pub fn pick_unit_size(
     best
 }
 
-/// Inputs to the engine-level pipeline-granularity decision.
-#[derive(Clone, Copy, Debug)]
-pub struct ChunkModel {
-    /// Total packed bytes of the job.
-    pub total: u64,
-    /// Estimated work units per packed byte (layout shatter factor).
-    pub units_per_byte: f64,
-    /// Fixed CPU cost per preparation batch.
-    pub prep_call_ns: f64,
-    /// CPU cost per work unit prepared.
-    pub prep_per_unit_ns: f64,
-    /// Kernel launch overhead.
-    pub launch_ns: f64,
-    /// Kernel time per payload byte (traffic factor over effective
-    /// bandwidth, descriptors included).
-    pub kernel_ns_per_byte: f64,
-}
-
 /// Only deviate from the default when the model predicts at least this
 /// much improvement (guards against model/simulator disagreement).
 const CHUNK_MARGIN: f64 = 0.97;
 
-/// Pick the CPU→kernel pipeline chunk for a streaming (Fresh) job. With
-/// cheap preparation the per-chunk kernel launch dominates and a single
-/// launch wins; with expensive preparation overlapping chunks win — the
-/// two-stage makespan model decides, with the configured default always
-/// a candidate.
-pub fn pick_pipeline_chunk(m: &ChunkModel, default_chunk: u64) -> u64 {
-    let model = |chunk: u64| -> f64 {
-        let stages = [
-            Stage {
-                fixed_ns: m.prep_call_ns,
-                ns_per_byte: m.prep_per_unit_ns * m.units_per_byte,
-            },
-            Stage {
-                fixed_ns: m.launch_ns,
-                ns_per_byte: m.kernel_ns_per_byte,
-            },
-        ];
-        // Depth 2: the CPU prepares one chunk ahead of the kernel.
-        pipeline_makespan_ns(m.total, chunk, 2, &stages)
-    };
+/// Pick the CPU→kernel pipeline chunk for a streaming (Fresh) job of
+/// `total` bytes, given the price of preparing and of converting a
+/// chunk of a given size. With cheap preparation the per-chunk kernel
+/// launch dominates and a single launch wins; with expensive
+/// preparation overlapping chunks win — the two-stage makespan model
+/// decides, with the configured default always a candidate.
+pub fn pick_pipeline_chunk(
+    total: u64,
+    default_chunk: u64,
+    prep: impl Fn(u64) -> SimTime,
+    kernel: impl Fn(u64) -> SimTime,
+) -> u64 {
+    let stages: [&dyn Fn(u64) -> SimTime; 2] = [&prep, &kernel];
+    // Depth 2: the CPU prepares one chunk ahead of the kernel.
+    let model = |chunk: u64| pipeline_makespan_ns(total, chunk, 2, &stages);
     let default_cost = model(default_chunk);
     let mut best = default_chunk;
     let mut best_cost = default_cost;
@@ -151,11 +121,17 @@ const FRAG_MARGIN: f64 = 0.93;
 pub const MIN_FRAG: u64 = 64 << 10;
 
 /// Pick the transport fragment size and ring depth for a pipelined
-/// protocol whose per-fragment stages are `stages`. Candidates shrink
-/// the configured fragment (the ring slots are allocated at `frag0`
-/// bytes, so a tuned fragment must never exceed it) and may halve the
-/// ring depth; `(frag0, depth0)` always competes and wins ties.
-pub fn pick_fragment(total: u64, frag0: u64, depth0: usize, stages: &[Stage]) -> (u64, usize) {
+/// protocol whose per-fragment stages are priced by `stages`.
+/// Candidates shrink the configured fragment (the ring slots are
+/// allocated at `frag0` bytes, so a tuned fragment must never exceed
+/// it) and may halve the ring depth; `(frag0, depth0)` always competes
+/// and wins ties.
+pub fn pick_fragment<F: Fn(u64) -> SimTime>(
+    total: u64,
+    frag0: u64,
+    depth0: usize,
+    stages: &[F],
+) -> (u64, usize) {
     let depth0 = depth0.max(1);
     // Below three fragments at the configured size the pipeline never
     // reaches a steady state and the makespan model systematically
@@ -191,36 +167,23 @@ pub fn pick_fragment(total: u64, frag0: u64, depth0: usize, stages: &[Stage]) ->
 mod tests {
     use super::*;
 
+    /// A stage costing `fixed_ns + ns_per_byte · bytes`.
+    fn affine(fixed_ns: f64, ns_per_byte: f64) -> impl Fn(u64) -> SimTime {
+        move |b| SimTime::from_nanos((fixed_ns + ns_per_byte * b as f64).round() as u64)
+    }
+
     #[test]
     fn makespan_reduces_to_serial_for_one_fragment() {
-        let stages = [
-            Stage {
-                fixed_ns: 1000.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 6000.0,
-                ns_per_byte: 0.5,
-            },
-        ];
+        let stages = [affine(1000.0, 1.0), affine(6000.0, 0.5)];
         let total = 1 << 20;
         let serial = pipeline_makespan_ns(total, u64::MAX, 2, &stages);
-        let expect: f64 = stages.iter().map(|s| s.time_ns(total)).sum();
+        let expect: f64 = stages.iter().map(|s| s(total).as_nanos() as f64).sum();
         assert!((serial - expect).abs() < 1e-6);
     }
 
     #[test]
     fn makespan_pipelining_approaches_bottleneck() {
-        let stages = [
-            Stage {
-                fixed_ns: 0.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 0.0,
-                ns_per_byte: 1.0,
-            },
-        ];
+        let stages = [affine(0.0, 1.0), affine(0.0, 1.0)];
         let total = 1u64 << 20;
         let piped = pipeline_makespan_ns(total, 1 << 14, 4, &stages);
         // 64 fragments: ~total * 1 ns/B bottleneck, not 2x (the serial sum).
@@ -232,46 +195,37 @@ mod tests {
     fn unit_size_prefers_fewer_units() {
         // Monotone model: the largest candidate wins for any shattered
         // layout; an explicitly larger base survives as the incumbent.
-        assert_eq!(pick_unit_size(1024, 1 << 20, 1000, 12.0, 0.1), 4096);
-        assert_eq!(pick_unit_size(8192, 1 << 20, 1000, 12.0, 0.1), 8192);
+        let price = |units: u64| SimTime::from_nanos(12 * units);
+        assert_eq!(pick_unit_size(1024, 1 << 20, 1000, price), 4096);
+        assert_eq!(pick_unit_size(8192, 1 << 20, 1000, price), 8192);
     }
 
     #[test]
     fn chunk_collapses_to_single_kernel_when_prep_is_cheap() {
         // Coalesced triangular: ~2k units over 17 MB, launch 6 us.
-        let m = ChunkModel {
-            total: 17 << 20,
-            units_per_byte: 2048.0 / (17 << 20) as f64,
-            prep_call_ns: 1000.0,
-            prep_per_unit_ns: 12.0,
-            launch_ns: 6000.0,
-            kernel_ns_per_byte: 2.0 / 338.0, // ~2B traffic/B at ~338 GB/s
-        };
-        assert_eq!(pick_pipeline_chunk(&m, 1 << 20), u64::MAX);
+        let total = 17 << 20;
+        let units_per_byte = 2048.0 / total as f64;
+        let prep = affine(1000.0, 12.0 * units_per_byte);
+        let kernel = affine(6000.0, 2.0 / 338.0); // ~2B traffic/B at ~338 GB/s
+        assert_eq!(pick_pipeline_chunk(total, 1 << 20, prep, kernel), u64::MAX);
     }
 
     #[test]
     fn chunk_keeps_pipelining_when_prep_dominates() {
         // Unsplit 1 KB units: ~17k units of prep vs ~100 us of kernel.
-        let m = ChunkModel {
-            total: 17 << 20,
-            units_per_byte: 1.0 / 1024.0,
-            prep_call_ns: 1000.0,
-            prep_per_unit_ns: 12.0,
-            launch_ns: 6000.0,
-            kernel_ns_per_byte: 2.0 / 338.0,
-        };
-        assert_eq!(pick_pipeline_chunk(&m, 1 << 20), 1 << 20);
+        let prep = affine(1000.0, 12.0 / 1024.0);
+        let kernel = affine(6000.0, 2.0 / 338.0);
+        assert_eq!(
+            pick_pipeline_chunk(17 << 20, 1 << 20, prep, kernel),
+            1 << 20
+        );
     }
 
     #[test]
     fn fragment_default_always_competes() {
         // A pipe dominated by per-fragment fixed cost: shrinking can
         // only hurt, the default must survive.
-        let stages = [Stage {
-            fixed_ns: 100_000.0,
-            ns_per_byte: 0.01,
-        }];
+        let stages = [affine(100_000.0, 0.01)];
         let (f, d) = pick_fragment(8 << 20, 512 << 10, 4, &stages);
         assert_eq!((f, d), (512 << 10, 4));
     }
@@ -280,20 +234,7 @@ mod tests {
     fn fragment_shrinks_when_fill_dominates() {
         // Four fragments of a 2 MB message through a deep per-byte pipe:
         // halving the fragment shortens the fill ramp.
-        let stages = [
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-        ];
+        let stages = [affine(100.0, 1.0), affine(100.0, 1.0), affine(100.0, 1.0)];
         let (f, _) = pick_fragment(2 << 20, 512 << 10, 4, &stages);
         assert!(f < 512 << 10, "expected a shorter ramp, kept {f}");
         assert!(f >= MIN_FRAG);
@@ -302,20 +243,7 @@ mod tests {
     #[test]
     fn fragment_keeps_default_when_message_barely_fragments() {
         // One or two fragments: no steady state to model, never split.
-        let stages = [
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-        ];
+        let stages = [affine(100.0, 1.0), affine(100.0, 1.0), affine(100.0, 1.0)];
         for total in [256u64 << 10, 1 << 20] {
             let (f, d) = pick_fragment(total, 512 << 10, 4, &stages);
             assert_eq!((f, d), (512 << 10, 4));

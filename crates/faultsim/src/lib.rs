@@ -61,12 +61,10 @@ pub enum FaultOp {
     /// Host-side pack/unpack pass on a rank's CPU (`mpirt::cpupack`).
     /// The CPU convertor is itself the fallback path, so loss panics.
     CpuPack,
-    /// Staged file read/write on an MPI-IO disk channel (`mpirt::io`).
-    FileIo,
 }
 
 impl FaultOp {
-    pub const ALL: [FaultOp; 13] = [
+    pub const ALL: [FaultOp; 12] = [
         FaultOp::AmDeliver,
         FaultOp::RdmaRegister,
         FaultOp::RdmaGet,
@@ -79,7 +77,6 @@ impl FaultOp {
         FaultOp::NicHandler,
         FaultOp::StreamDoorbell,
         FaultOp::CpuPack,
-        FaultOp::FileIo,
     ];
 
     /// Stable index, used as the counter dimension and the loss-table slot.
@@ -97,7 +94,6 @@ impl FaultOp {
             FaultOp::NicHandler => 9,
             FaultOp::StreamDoorbell => 10,
             FaultOp::CpuPack => 11,
-            FaultOp::FileIo => 12,
         }
     }
 
@@ -116,7 +112,6 @@ impl FaultOp {
             FaultOp::NicHandler => "nic",
             FaultOp::StreamDoorbell => "doorbell",
             FaultOp::CpuPack => "cpupack",
-            FaultOp::FileIo => "file",
         }
     }
 
@@ -245,7 +240,7 @@ impl FaultPlan {
     ///
     /// * `op` — `am`, `rdma_reg`, `rdma_get`, `rdma_put`, `kernel`,
     ///   `memcpy`, `ipc_open`, `pin`, `wire`, `nic`, `doorbell`,
-    ///   `cpupack`, `file`, or `any`.
+    ///   `cpupack`, or `any`.
     /// * `kind` — `transient`, `lost`, or `degrade`.
     /// * `param` — firing probability for `transient`/`lost` (default
     ///   1.0), slowdown factor for `degrade` (required, ≥ 1.0).

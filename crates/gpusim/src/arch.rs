@@ -1,16 +1,14 @@
 //! The multi-architecture GPU backend registry.
 //!
 //! One [`GpuArch`] entry per supported part ties together the raw
-//! calibration constants from [`crate::spec`] (the "memory manager"
-//! layer: what the hardware is), a node topology (how GPUs in a node
-//! peer), and a lazily-cached [`CostParams`] table of derived kernel
-//! cost parameters (the "kernel manager" layer: what the analytic
-//! tuners and harnesses actually consume). Execution — streams, kernels
-//! and copies in [`crate::system`]/[`crate::kernel`] — reads whichever
-//! spec the world was built with, so selecting an architecture at
-//! session-build time re-parameterizes every layer above. The raw
-//! per-part constructors are private to `spec.rs`, which holds the
-//! registry table, so no code path can pin itself to one part.
+//! calibration constants from [`crate::spec`] (what the hardware is)
+//! and a node topology (how GPUs in a node peer). Execution — streams,
+//! kernels and copies in [`crate::system`]/[`crate::kernel`] — and the
+//! price functions the tuner calls read whichever spec the world was
+//! built with, so selecting an architecture at session-build time
+//! re-parameterizes every layer above. The raw per-part constructors
+//! are private to `spec.rs`, which holds the registry table, so no code
+//! path can pin itself to one part.
 //!
 //! Lookup is by short slug (`"k40"`, `"a100"`) or alias, case
 //! insensitive. The registry default is the paper's K40 testbed: with
@@ -19,42 +17,8 @@
 
 use crate::spec::{GpuSpec, NodeTopology, REGISTRY};
 
-/// Derived per-architecture cost parameters, computed once per process
-/// from the spec/topology constructors and cached. These are the
-/// numbers the analytic models and harness headers want pre-folded —
-/// deriving them at every decision point would re-do the same float
-/// arithmetic thousands of times per sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct CostParams {
-    /// Kernel launch overhead, ns.
-    pub launch_ns: f64,
-    /// Fixed `cudaMemcpy` cost (driver + one PCIe transaction), ns.
-    pub memcpy_fixed_ns: f64,
-    /// DRAM traffic cost of a full-occupancy pack kernel, ns per
-    /// traffic byte (efficiency derate included).
-    pub pack_nspb: f64,
-    /// Practical peak in-device copy rate, GB/s (the Figure 6 ceiling).
-    pub peak_copy_gbps: f64,
-    /// Peer-to-peer (GPU↔GPU) bandwidth, GB/s.
-    pub p2p_gbps: f64,
-    /// Host↔device bandwidth, GB/s.
-    pub h2d_gbps: f64,
-    /// Bytes one warp moves per iteration.
-    pub warp_chunk: u64,
-    /// Whether the `cudaMemcpy2D` misaligned-row cliff exists.
-    pub memcpy2d_cliff: bool,
-}
-
-/// The lazily derived cost table of one registry entry.
-#[expect(
-    clippy::disallowed_types,
-    reason = "a process-global cache that cannot carry state between runs: the value is \
-              a pure function of the entry's const spec and topology tables"
-)]
-type CostCache = std::sync::OnceLock<CostParams>;
-
 /// One registered GPU architecture: named constructors for its spec and
-/// node topology plus the cached derived cost table.
+/// node topology.
 pub struct GpuArch {
     /// Short slug used on the command line and in CSV arch columns.
     pub name: &'static str,
@@ -64,7 +28,6 @@ pub struct GpuArch {
     pub summary: &'static str,
     spec: fn() -> GpuSpec,
     topo: fn() -> NodeTopology,
-    cost: CostCache,
 }
 
 impl GpuArch {
@@ -83,7 +46,6 @@ impl GpuArch {
             summary,
             spec,
             topo,
-            cost: CostCache::new(),
         }
     }
 
@@ -138,29 +100,6 @@ impl GpuArch {
     /// A fresh copy of this architecture's node interconnect constants.
     pub fn topology(&self) -> NodeTopology {
         (self.topo)()
-    }
-
-    /// The derived cost table, computed on first use and cached for the
-    /// life of the process.
-    pub fn cost(&self) -> &CostParams {
-        self.cost.get_or_init(|| {
-            let s = self.spec();
-            let t = self.topology();
-            let pack_bw = s
-                .dram_traffic_bw
-                .derated(s.pack_kernel_efficiency)
-                .bytes_per_sec();
-            CostParams {
-                launch_ns: s.launch_overhead.as_nanos() as f64,
-                memcpy_fixed_ns: (s.memcpy_latency.as_nanos() + t.pcie_latency.as_nanos()) as f64,
-                pack_nspb: 1e9 / pack_bw,
-                peak_copy_gbps: s.peak_copy_rate().as_gbps(),
-                p2p_gbps: t.pcie_p2p.as_gbps(),
-                h2d_gbps: t.pcie_h2d.as_gbps(),
-                warp_chunk: s.warp_chunk().get(),
-                memcpy2d_cliff: t.memcpy2d_cliff(),
-            }
-        })
     }
 }
 
@@ -236,14 +175,12 @@ mod tests {
     #[test]
     fn cost_params_cache_and_derive() {
         let k40 = GpuArch::default_arch();
-        let c = k40.cost();
-        assert!((c.peak_copy_gbps - 180.0).abs() < 1e-9);
-        assert_eq!(c.warp_chunk, 256);
-        assert!(c.memcpy2d_cliff);
-        // Cached: the same reference comes back.
-        assert!(std::ptr::eq(c, k40.cost()));
+        let s = k40.spec();
+        assert!((s.peak_copy_rate().as_gbps() - 180.0).abs() < 1e-9);
+        assert_eq!(s.warp_chunk().get(), 256);
+        assert!(k40.topology().memcpy2d_cliff());
         // NVLink parts flatten the cliff.
-        assert!(!GpuArch::named("a100").cost().memcpy2d_cliff);
+        assert!(!GpuArch::named("a100").topology().memcpy2d_cliff());
     }
 
     #[test]

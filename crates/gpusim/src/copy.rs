@@ -1,9 +1,9 @@
 //! `cudaMemcpy` / `cudaMemcpy2D` equivalents.
 
 use crate::fault;
-use crate::system::{GpuWorld, StreamId};
+use crate::system::{GpuSystem, GpuWorld, StreamId};
 use faultsim::{Backoff, FaultDecision, FaultOp};
-use memsim::{MemSpace, Ptr};
+use memsim::{GpuId, MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::{names, Counter};
 use simcore::{Bandwidth, Sim, SimTime, Track};
@@ -20,8 +20,8 @@ pub enum CopyDirection {
 }
 
 impl CopyDirection {
-    pub fn of(src: Ptr, dst: Ptr) -> CopyDirection {
-        match (src.space, dst.space) {
+    pub fn of(src: MemSpace, dst: MemSpace) -> CopyDirection {
+        match (src, dst) {
             (MemSpace::Host, MemSpace::Host) => CopyDirection::HostToHost,
             (MemSpace::Host, MemSpace::Device(_)) => CopyDirection::HostToDevice,
             (MemSpace::Device(_), MemSpace::Host) => CopyDirection::DeviceToHost,
@@ -43,15 +43,12 @@ impl CopyDirection {
     }
 }
 
-fn contiguous_copy_time<W: GpuWorld>(
-    sim: &Sim<W>,
-    stream: StreamId,
-    dir: CopyDirection,
-    bytes: u64,
-) -> SimTime {
-    let sys = sim.world.gpus_ref();
+/// The price of a contiguous `bytes`-sized copy in direction `dir`
+/// issued on a stream of `gpu`: what [`charge_memcpy`] reserves before
+/// faults.
+pub fn copy_time(sys: &GpuSystem, gpu: GpuId, dir: CopyDirection, bytes: u64) -> SimTime {
     let topo = &sys.topo;
-    let g = sys.gpu(stream.gpu);
+    let g = sys.gpu(gpu);
     let lat = g.spec.memcpy_latency;
     match dir {
         CopyDirection::HostToHost => topo.host_memcpy_bw.time_for(bytes) + lat,
@@ -123,8 +120,8 @@ fn memcpy_attempt<W: GpuWorld>(
     mut backoff: Backoff,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let dir = CopyDirection::of(src, dst);
-    let duration = contiguous_copy_time(sim, stream, dir, bytes);
+    let dir = CopyDirection::of(src.space, dst.space);
+    let duration = copy_time(sim.world.gpus_ref(), stream.gpu, dir, bytes);
     let duration = fault::fault_scaled(sim, FaultOp::Memcpy, duration);
     let now = sim.now();
     let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
@@ -212,7 +209,7 @@ fn memcpy_2d_attempt<W: GpuWorld>(
     mut backoff: Backoff,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let dir = CopyDirection::of(src, dst);
+    let dir = CopyDirection::of(src.space, dst.space);
     let bytes = width * height;
     let duration = {
         let sys = sim.world.gpus_ref();
@@ -323,11 +320,12 @@ mod tests {
             alloc: memsim::AllocId(2),
             offset: 0,
         };
-        assert_eq!(CopyDirection::of(h, d0), CopyDirection::HostToDevice);
-        assert_eq!(CopyDirection::of(d0, h), CopyDirection::DeviceToHost);
-        assert_eq!(CopyDirection::of(d0, d0), CopyDirection::DeviceToDevice);
-        assert_eq!(CopyDirection::of(d0, d1), CopyDirection::PeerToPeer);
-        assert_eq!(CopyDirection::of(h, h), CopyDirection::HostToHost);
+        let of = |a: Ptr, b: Ptr| CopyDirection::of(a.space, b.space);
+        assert_eq!(of(h, d0), CopyDirection::HostToDevice);
+        assert_eq!(of(d0, h), CopyDirection::DeviceToHost);
+        assert_eq!(of(d0, d0), CopyDirection::DeviceToDevice);
+        assert_eq!(of(d0, d1), CopyDirection::PeerToPeer);
+        assert_eq!(of(h, h), CopyDirection::HostToHost);
     }
 
     #[test]

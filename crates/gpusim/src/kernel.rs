@@ -21,16 +21,18 @@
 //! overlaps them.
 //!
 //! Everything above is read off the unit list in one pass and held in a
-//! [`KernelTraffic`]; [`transfer_kernel_time`], a retry's re-launch and
-//! the completion counters are arithmetic on that summary and never see
+//! [`KernelTraffic`]; [`kernel_time`], a retry's re-launch and the
+//! completion counters are arithmetic on that summary and never see
 //! the list. The summary is a pure function of the list, both sides'
 //! placement and the spec's access geometry, which is what lets the
 //! caller that owns the list — a cached DEV plan — keep it per launch
-//! it has priced (`devengine::dev::TrafficKey`).
+//! it has priced (`devengine::dev::TrafficKey`). A caller with no list
+//! — the tuner pricing a fragment before it exists — prices
+//! [`KernelTraffic::estimate`] through the same [`kernel_time`].
 
 use crate::fault;
-use crate::spec::{GpuSpec, Pow2};
-use crate::system::{GpuWorld, StreamId};
+use crate::spec::{GpuSpec, NodeTopology, Pow2};
+use crate::system::{GpuState, GpuWorld, StreamId};
 use faultsim::{Backoff, FaultDecision, FaultOp};
 use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
@@ -152,12 +154,77 @@ impl KernelTraffic {
             pcie_bytes: payload * (u64::from(!src_local) + u64::from(!dst_local)),
         }
     }
+
+    /// The closed-form expectation of [`KernelTraffic::of`] for `units`
+    /// runs of equal length totalling `payload` bytes, with `local`
+    /// saying which of (source, destination) is in the executing GPU's
+    /// DRAM (at least one is). One local side — a kernel's typed buffer always is — holds
+    /// the runs at any phase: each run pays a partial line and each
+    /// warp chunk one straddled line. A second local side holds the
+    /// runs end to end and pays the partial line only. The unit test
+    /// below bounds the estimate against the exact form.
+    pub fn estimate(
+        payload: u64,
+        units: u64,
+        local: (bool, bool),
+        spec: &GpuSpec,
+    ) -> KernelTraffic {
+        let txn = spec.transaction_bytes.get() as f64;
+        let run = (payload as f64 / units as f64).max(1.0);
+        let scattered = 1.0 + txn / spec.warp_chunk().get() as f64 + txn / run;
+        let dense = 1.0 + txn / run;
+        let per_byte = if local.0 && local.1 {
+            scattered + dense
+        } else {
+            scattered
+        };
+        KernelTraffic {
+            units,
+            payload,
+            dram_bytes: (payload as f64 * per_byte).round() as u64,
+            pcie_bytes: payload * (u64::from(!local.0) + u64::from(!local.1)),
+        }
+    }
 }
 
-/// Pure timing of a transfer kernel (no event scheduling): arithmetic
-/// on the launch's [`KernelTraffic`], used both by the launch path and
-/// by analytical tests.
-pub fn transfer_kernel_time(
+/// The price of one transfer kernel on GPU `g`: what
+/// [`charge_transfer_kernel`] reserves on the stream before faults, for
+/// `traffic` between a source in `spaces.0` and a destination in
+/// `spaces.1`. The tuner prices a stage with it, on an estimate.
+pub fn kernel_time(
+    g: &GpuState,
+    topo: &NodeTopology,
+    spaces: (MemSpace, MemSpace),
+    cfg: KernelConfig,
+    traffic: &KernelTraffic,
+) -> SimTime {
+    let mut bw = g
+        .effective_traffic_bw()
+        .derated(g.spec.pack_kernel_efficiency);
+    if let Some(blocks) = cfg.blocks {
+        let occ = (blocks as f64 / g.spec.sm_count as f64).min(1.0);
+        bw = bw.derated(occ.max(f64::MIN_POSITIVE));
+    }
+    // Zero-copy / peer traffic rides PCIe; pick the worst-case
+    // direction (h2d vs d2h rates are symmetric in the default
+    // topology; p2p differs only slightly).
+    let pcie = if spaces.0.is_host() || spaces.1.is_host() {
+        topo.pcie_h2d
+    } else {
+        topo.pcie_p2p.derated(topo.peer_kernel_efficiency)
+    };
+    transfer_kernel_time(
+        &g.spec,
+        bw,
+        pcie,
+        topo.pcie_latency,
+        traffic,
+        cfg.descriptor_stream,
+    )
+}
+
+/// The arithmetic of [`kernel_time`] once the rates are chosen.
+fn transfer_kernel_time(
     spec: &GpuSpec,
     eff_traffic_bw: Bandwidth,
     pcie_bw: Bandwidth,
@@ -258,33 +325,9 @@ fn launch_attempt<W: GpuWorld>(
     mut backoff: Backoff,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let duration = {
-        let sys = sim.world.gpus_ref();
-        let g = sys.gpu(stream.gpu);
-        let mut bw = g
-            .effective_traffic_bw()
-            .derated(g.spec.pack_kernel_efficiency);
-        if let Some(blocks) = cfg.blocks {
-            let occ = (blocks as f64 / g.spec.sm_count as f64).min(1.0);
-            bw = bw.derated(occ.max(f64::MIN_POSITIVE));
-        }
-        // Zero-copy / peer traffic rides PCIe; pick the worst-case
-        // direction (h2d vs d2h rates are symmetric in the default
-        // topology; p2p differs only slightly).
-        let pcie = if src.space.is_host() || dst.space.is_host() {
-            sys.topo.pcie_h2d
-        } else {
-            sys.topo.pcie_p2p.derated(sys.topo.peer_kernel_efficiency)
-        };
-        transfer_kernel_time(
-            &g.spec,
-            bw,
-            pcie,
-            sys.topo.pcie_latency,
-            &traffic,
-            cfg.descriptor_stream,
-        )
-    };
+    let sys = sim.world.gpus_ref();
+    let spaces = (src.space, dst.space);
+    let duration = kernel_time(sys.gpu(stream.gpu), &sys.topo, spaces, cfg, &traffic);
     let duration = fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let now = sim.now();
     let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
@@ -492,6 +535,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`KernelTraffic::estimate`] against [`KernelTraffic::of`] for
+    /// uniform runs — every unit one length, every typed-side run at one
+    /// phase of the line — at every phase, on every registry spec: a
+    /// pack from a scattered typed buffer into a packed fragment in the
+    /// same DRAM, and into a mapped host fragment. The estimate gets
+    /// units, payload and PCIe bytes exact; its DRAM bytes stay within
+    /// [0.54, 2.0] of the exact ones. The ends are the K40's 128-byte
+    /// lines: an 8-byte run that straddles two of them costs twice the
+    /// one line the average run pays (0.55×), and an aligned 256-byte
+    /// run touches neither the straddled nor the partial line the
+    /// estimate charges every run (2×).
+    #[test]
+    fn estimate_is_bounded_against_the_exact_traffic_for_uniform_runs() {
+        let gpu = GpuId(0);
+        let at = |space| Ptr {
+            space,
+            alloc: memsim::AllocId(0),
+            offset: 0,
+        };
+        let (dev, host) = (at(MemSpace::Device(gpu)), at(MemSpace::Host));
+        let (mut lo, mut hi) = (f64::MAX, 0f64);
+        for arch in crate::arch::GpuArch::registry() {
+            let s = arch.spec();
+            let txn = s.transaction_bytes.get();
+            for len in [8u64, 24, 64, 200, 256, 1000, 1024, 4096, 65_536] {
+                let stride = len.next_multiple_of(txn) + txn;
+                for phase in 0..txn {
+                    let units: Vec<CopyOp> = (0..64u64)
+                        .map(|i| CopyOp {
+                            src_off: (i * stride + phase) as usize,
+                            dst_off: (i * len) as usize,
+                            len: len as usize,
+                        })
+                        .collect();
+                    for (dst, local) in [(dev, (true, true)), (host, (true, false))] {
+                        let exact = KernelTraffic::of(&units, dev, dst, gpu, &s);
+                        let est = KernelTraffic::estimate(exact.payload, 64, local, &s);
+                        assert_eq!(
+                            (est.units, est.payload, est.pcie_bytes),
+                            (exact.units, exact.payload, exact.pcie_bytes)
+                        );
+                        let ratio = est.dram_bytes as f64 / exact.dram_bytes as f64;
+                        (lo, hi) = (lo.min(ratio), hi.max(ratio));
+                    }
+                }
+            }
+        }
+        assert!(
+            lo >= 0.54 && hi <= 2.0,
+            "estimate / exact DRAM bytes in [{lo:.3}, {hi:.3}]"
+        );
     }
 
     #[test]

@@ -46,15 +46,16 @@ pub mod spec;
 pub mod stream_trigger;
 pub mod system;
 
-pub use arch::{CostParams, GpuArch};
-pub use copy::{charge_memcpy, memcpy, memcpy_2d, CopyDirection};
+pub use arch::GpuArch;
+pub use copy::{charge_memcpy, copy_time, memcpy, memcpy_2d, CopyDirection};
 pub use fault::{count_retry, fault_roll, fault_scaled};
 pub use kernel::{
-    charge_transfer_kernel, launch_transfer_kernel, transfer_kernel_time, KernelConfig,
-    KernelTraffic,
+    charge_transfer_kernel, kernel_time, launch_transfer_kernel, KernelConfig, KernelTraffic,
 };
 pub use spec::{GpuSpec, Interconnect, NodeTopology, NotPowerOfTwo, Pow2};
-pub use stream_trigger::{graph_kernel, replay_issue, GraphCapture, StreamGraph};
+pub use stream_trigger::{
+    graph_kernel, graph_kernel_time, replay_issue, replay_time, GraphCapture, StreamGraph,
+};
 pub use system::{
     ipc_export, ipc_open, stream_sync, GpuState, GpuSystem, GpuWorld, NodeWorld, StreamId,
 };

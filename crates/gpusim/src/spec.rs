@@ -6,8 +6,8 @@
 //!
 //! This module is the *only* place raw per-architecture constants are
 //! written down: the constructors are private, and [`REGISTRY`] is
-//! their one reader. The [`GpuArch`] registry layers lookup-by-name,
-//! aliases and cached derived cost parameters on top; newer parts
+//! their one reader. The [`GpuArch`] registry layers lookup-by-name
+//! and aliases on top; newer parts
 //! (P100/V100/A100) exist so the figure harnesses can ask whether the
 //! paper's pipeline still wins on NVLink-era hardware. Sources for each
 //! number are cited on the constructor.

@@ -18,10 +18,11 @@
 //! per-arch constants from the node topology tables — which makes this
 //! file a charge wrapper in the fault-coverage sense.
 
-use crate::kernel::{transfer_kernel_time, KernelTraffic};
-use crate::system::{GpuWorld, StreamId};
+use crate::kernel::{kernel_time, KernelConfig, KernelTraffic};
+use crate::spec::NodeTopology;
+use crate::system::{GpuState, GpuWorld, StreamId};
 use faultsim::FaultOp;
-use memsim::Ptr;
+use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::names;
 use simcore::{Sim, SimTime, Track};
@@ -107,6 +108,11 @@ impl GraphCapture {
         self
     }
 
+    /// Nodes captured so far.
+    pub fn op_count(&self) -> usize {
+        self.ops.len()
+    }
+
     /// End capture: charge the one-time capture cost on the stream (the
     /// driver walks the graph once to bake command buffers — one op
     /// issue per node) and return the replayable graph.
@@ -147,10 +153,29 @@ impl GraphCapture {
     }
 }
 
+/// The price of re-arming a graph of `ops` nodes: the doorbell latency
+/// once plus per-op issue for every node.
+pub fn replay_time(topo: &NodeTopology, ops: usize) -> SimTime {
+    let issue = topo.stream_op_issue.as_nanos().saturating_mul(ops as u64);
+    topo.stream_doorbell_lat + SimTime::from_nanos(issue)
+}
+
+/// The price of one kernel node of a captured graph: the coalescing
+/// cost model of [`kernel_time`] with the DEV descriptor stream, minus
+/// the driver launch overhead — the graph pre-baked the launch, and the
+/// stream front-end pays per-op issue at replay instead.
+pub fn graph_kernel_time(
+    g: &GpuState,
+    topo: &NodeTopology,
+    spaces: (MemSpace, MemSpace),
+    traffic: &KernelTraffic,
+) -> SimTime {
+    kernel_time(g, topo, spaces, KernelConfig::default(), traffic) - g.spec.launch_overhead
+}
+
 /// Re-arm a captured graph for one iteration: the stream front-end
-/// pays the doorbell latency once plus per-op issue for every node,
-/// then `armed` runs — at which point the graph's kernels and wire
-/// legs proceed with no CPU event in between.
+/// is charged [`replay_time`], then `armed` runs — at which point the
+/// graph's kernels and wire legs proceed with no CPU event in between.
 ///
 /// Degradation windows on [`FaultOp::StreamDoorbell`] stretch the
 /// charge; transient/permanent doorbell faults are rolled by the
@@ -165,10 +190,7 @@ pub fn replay_issue<W: GpuWorld>(
     graph: &StreamGraph,
     armed: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let topo = &sim.world.gpus_ref().topo;
-    let issue = topo.stream_op_issue;
-    let cost = topo.stream_doorbell_lat
-        + SimTime::from_nanos(issue.as_nanos().saturating_mul(graph.op_count() as u64));
+    let cost = replay_time(&sim.world.gpus_ref().topo, graph.op_count());
     let cost = crate::fault::fault_scaled(sim, FaultOp::StreamDoorbell, cost);
     let now = sim.now();
     let stream = graph.stream;
@@ -187,13 +209,11 @@ pub fn replay_issue<W: GpuWorld>(
     sim.schedule_at(end, move |sim| armed(sim, end));
 }
 
-/// Run one kernel node of a captured graph: the same coalescing cost
-/// model as [`crate::kernel::launch_transfer_kernel`], minus the driver
-/// launch overhead — the graph pre-baked the launch and the stream
-/// front-end already paid per-op issue at replay. Degradation windows
-/// on [`FaultOp::KernelLaunch`] still stretch the charge; loss faults
-/// are the doorbell's to absorb (the whole replay demotes), so no
-/// retry loop lives here.
+/// Run one kernel node of a captured graph, charged
+/// [`graph_kernel_time`]. Degradation windows on
+/// [`FaultOp::KernelLaunch`] still stretch the charge; loss faults are
+/// the doorbell's to absorb (the whole replay demotes), so no retry
+/// loop lives here.
 #[expect(
     clippy::disallowed_methods,
     reason = "the graph-kernel charge wrapper: the reservation is fault-scaled on KernelLaunch"
@@ -211,21 +231,10 @@ pub fn graph_kernel<W: GpuWorld>(
     units: Vec<CopyOp>,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let (traffic, duration) = {
-        let sys = sim.world.gpus_ref();
-        let g = sys.gpu(stream.gpu);
-        let traffic = KernelTraffic::of(&units, src, dst, stream.gpu, &g.spec);
-        let bw = g
-            .effective_traffic_bw()
-            .derated(g.spec.pack_kernel_efficiency);
-        let pcie = if src.space.is_host() || dst.space.is_host() {
-            sys.topo.pcie_h2d
-        } else {
-            sys.topo.pcie_p2p.derated(sys.topo.peer_kernel_efficiency)
-        };
-        let time = transfer_kernel_time(&g.spec, bw, pcie, sys.topo.pcie_latency, &traffic, true);
-        (traffic, time - g.spec.launch_overhead)
-    };
+    let sys = sim.world.gpus_ref();
+    let g = sys.gpu(stream.gpu);
+    let traffic = KernelTraffic::of(&units, src, dst, stream.gpu, &g.spec);
+    let duration = graph_kernel_time(g, &sys.topo, (src.space, dst.space), &traffic);
     let duration = crate::fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let now = sim.now();
     let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);

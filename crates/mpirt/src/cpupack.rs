@@ -6,6 +6,7 @@
 //! functional byte movement, and charge the rank's CPU at a calibrated
 //! memcpy-bound rate.
 
+use crate::config::MpiConfig;
 use datatype::{DataType, TypeError};
 use devengine::{flip_units_in_place, Direction};
 use faultsim::{FaultDecision, FaultOp};
@@ -15,6 +16,21 @@ use simcore::par::CopyOp;
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
+
+/// Fixed cost of one convertor pass: the call, and positioning the
+/// cursor on the fragment.
+const PER_CALL: SimTime = SimTime::from_nanos(500);
+
+/// The price of one pass over `n` packed bytes on a CPU converting at
+/// `bw`: what [`CpuEngine::charge_fragment`] charges before faults.
+pub fn pass_time(bw: Bandwidth, n: u64) -> SimTime {
+    bw.time_for(n) + PER_CALL
+}
+
+/// [`pass_time`] at the configured convertor rate.
+pub fn configured_pass_time(config: &MpiConfig, n: u64) -> SimTime {
+    pass_time(config.cpu_pack_bw, n)
+}
 
 /// Sequential CPU pack/unpack over a datatype, fragment by fragment.
 #[expect(
@@ -27,7 +43,6 @@ pub struct CpuEngine {
     typed: Ptr,
     rank: usize,
     bw: Bandwidth,
-    per_call: SimTime,
 }
 
 impl CpuEngine {
@@ -52,7 +67,6 @@ impl CpuEngine {
             typed,
             rank,
             bw,
-            per_call: SimTime::from_nanos(500),
         })
     }
 
@@ -148,7 +162,7 @@ impl CpuEngine {
             sim.schedule_now(move |sim| done(sim, 0, units));
             return;
         }
-        let pass = self.bw.time_for(n) + self.per_call;
+        let pass = pass_time(self.bw, n);
         let mut duration = fault::fault_scaled(sim, FaultOp::CpuPack, pass);
         // The CPU convertor is the fallback of last resort, so a faulted
         // pass cannot demote to another path: it backs off and re-walks

@@ -23,7 +23,6 @@ pub mod coll;
 pub mod config;
 pub mod connection;
 pub mod cpupack;
-pub mod io;
 pub mod matcher;
 pub mod onesided;
 pub mod protocol;
@@ -37,7 +36,6 @@ pub mod world;
 pub use api::{irecv, isend, ping_pong, wait_all, PingPongSpec, RecvArgs, SendArgs};
 pub use coll::{allgather, alltoall, barrier, bcast};
 pub use config::MpiConfig;
-pub use io::{read_at, write_at, FileView, SimFile};
 pub use onesided::{fence, get, put, RmaArgs, Win};
 pub use request::{join, MpiError, Request};
 pub use session::{Session, SessionBuilder};

@@ -54,7 +54,9 @@
 
 use crate::connection::{IbConn, SmConn};
 use crate::protocol::offload::CapturedXfer;
-use crate::protocol::plan::{plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan};
+use crate::protocol::plan::{
+    plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan, CONTROL_BYTES,
+};
 use crate::protocol::{make_engine, ShapeKey, Side, SideEngine};
 use crate::request::{MpiError, Request};
 use crate::tuner::{tuned_shape, PathClass};
@@ -529,9 +531,13 @@ fn run_op(
                 .span_at(now, arrive, names::CAT_MPIRT, names::SPAN_WIRE, track);
         }
         StageOp::Notify { to } => {
-            send_am(sim, rank_of(to.other()), rank_of(to), 16, move |sim| {
-                next(sim, f)
-            })
+            send_am(
+                sim,
+                rank_of(to.other()),
+                rank_of(to),
+                CONTROL_BYTES,
+                move |sim| next(sim, f),
+            )
             .map_err(MpiError::Net)?;
         }
         StageOp::Direct => {
@@ -763,7 +769,7 @@ fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError>
                 sim,
                 rank_of(End::Recv),
                 rank_of(End::Send),
-                16,
+                CONTROL_BYTES,
                 move |sim| {
                     sim.trace.span_end(sim.now(), f.span);
                     let finished = {
@@ -791,11 +797,17 @@ fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError>
             }
             st.borrow().t.req(far.other()).complete(sim, Ok(total));
             // Tell the far side its buffer is free / filled.
-            send_am(sim, rank_of(far.other()), rank_of(far), 16, move |sim| {
-                let x = stw.borrow();
-                x.t.req(far).complete(sim, Ok(total));
-                sim.trace.span_end(sim.now(), x.t.span);
-            })
+            send_am(
+                sim,
+                rank_of(far.other()),
+                rank_of(far),
+                CONTROL_BYTES,
+                move |sim| {
+                    let x = stw.borrow();
+                    x.t.req(far).complete(sim, Ok(total));
+                    sim.trace.span_end(sim.now(), x.t.span);
+                },
+            )
             .map_err(MpiError::Net)?;
         }
         Credit::Fused => {

@@ -232,6 +232,22 @@ pub(crate) fn run_transfer(
     send_req: Request,
     recv_req: Request,
 ) {
+    // A fragment must hold a byte and a ring a fragment: a shape that
+    // pipelines nothing fails both requests before any handshake.
+    let cfg = &sim.world.mpi.config;
+    let degenerate = if cfg.frag_size == 0 {
+        Some("frag_size")
+    } else if cfg.pipeline_depth == 0 {
+        Some("pipeline_depth")
+    } else {
+        None
+    };
+    if let Some(field) = degenerate {
+        let err = MpiError::Faulted(format!("MpiConfig::{field} must be positive"));
+        send_req.complete(sim, Err(err.clone()));
+        recv_req.complete(sim, Err(err));
+        return;
+    }
     if send.total() == 0 {
         send_req.complete(sim, Ok(0));
         recv_req.complete(sim, Ok(0));

@@ -38,7 +38,7 @@ use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use devengine::{flip_units, whole_units};
 use faultsim::{Backoff, FaultDecision, FaultOp};
-use gpusim::{fault, GpuWorld as _, GraphCapture, StreamGraph};
+use gpusim::{fault, GpuWorld as _, GraphCapture, StreamGraph, StreamId};
 use memsim::{MemSpace, Ptr};
 use netsim::{compile_program, NicProgram};
 use simcore::par::CopyOp;
@@ -164,6 +164,16 @@ fn nic_program(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<NicProg
     Ok(p)
 }
 
+/// The graph a stream-triggered transfer of `total` bytes captures on
+/// `stream`: trigger → pack kernel → doorbell → unpack kernel →
+/// completion.
+pub(crate) fn transfer_graph(stream: StreamId, total: u64) -> GraphCapture {
+    (GraphCapture::begin(stream).trigger().kernel())
+        .doorbell(total)
+        .kernel()
+        .completion()
+}
+
 /// Get (or capture) the stream-op graph for this pair and shape. The
 /// capture is the expensive, once-per-shape step: bake whole-message
 /// pack/unpack unit lists, pin a bounce buffer, and walk the graph
@@ -195,13 +205,7 @@ fn captured(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<CapturedXf
         .alloc(MemSpace::Host, total)
         .map_err(|e| MpiError::Mem(e.to_string()))?;
     let stream = sim.world.rank(s.rank).kernel_stream;
-    let graph = GraphCapture::begin(stream)
-        .trigger()
-        .kernel()
-        .doorbell(total)
-        .kernel()
-        .completion()
-        .finish(sim);
+    let graph = transfer_graph(stream, total).finish(sim);
     let cap = Rc::new(CapturedXfer {
         graph,
         pack_units,

@@ -33,17 +33,6 @@ impl End {
     }
 }
 
-/// Where the non-typed (fragment) side of a conversion kernel lives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Far {
-    /// Fragment buffer in the executing GPU's own DRAM.
-    LocalDevice,
-    /// Zero-copy mapped host fragment (PCIe per payload byte).
-    MappedHost,
-    /// Peer GPU memory through the IPC mapping.
-    PeerDevice,
-}
-
 /// Where a fragment's packed bytes sit between two stages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Loc {
@@ -58,12 +47,14 @@ pub enum Loc {
 }
 
 /// One charge site of a pipeline. Each variant has exactly one `run`
-/// arm in the executor and one `cost` arm in the tuner.
+/// arm in the executor and one `price` arm in the tuner.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StageOp {
     /// GPU pack (`end == Send`) or unpack kernel between the end's
-    /// typed buffer and the fragment at `frag`.
-    Kernel { end: End, far: Far, frag: Loc },
+    /// typed buffer and the fragment at `frag`: in the executing GPU's
+    /// own DRAM, a peer GPU's through the IPC mapping, or zero-copy
+    /// mapped host memory.
+    Kernel { end: End, frag: Loc },
     /// Host CPU convertor pass between typed buffer and `frag`.
     CpuConvert { end: End, frag: Loc },
     /// `cudaMemcpy` on `stream_of`'s copy stream.
@@ -90,6 +81,10 @@ impl StageOp {
         matches!(self, StageOp::NicProgram | StageOp::GraphReplay)
     }
 }
+
+/// Payload of every per-fragment control message — a [`StageOp::Notify`]
+/// and a slot ack — and of a transfer's closing notification.
+pub const CONTROL_BYTES: u64 = 16;
 
 /// How a slot's credit returns and how the requests complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -178,7 +173,7 @@ impl Facts {
 /// and converts last.
 fn host_side(end: End, side: &Side, zero: bool) -> (Vec<StageOp>, Loc) {
     let (user, dev, host) = (Loc::User(end), Loc::Dev(end), Loc::Host(end));
-    let kernel = |far, frag| StageOp::Kernel { end, far, frag };
+    let kernel = |frag| StageOp::Kernel { end, frag };
     // A staging copy between a typed-side and a wire-side location, in
     // the direction the data flows on this end.
     let hop = |typed_side, wire_side| {
@@ -193,8 +188,8 @@ fn host_side(end: End, side: &Side, zero: bool) -> (Vec<StageOp>, Loc) {
         }
     };
     let (mut ops, wire_loc) = match (side.dense(), side.device()) {
-        (false, true) if zero => (vec![kernel(Far::MappedHost, host)], host),
-        (false, true) => (vec![kernel(Far::LocalDevice, dev), hop(dev, host)], host),
+        (false, true) if zero => (vec![kernel(host)], host),
+        (false, true) => (vec![kernel(dev), hop(dev, host)], host),
         (false, false) => (vec![StageOp::CpuConvert { end, frag: host }], host),
         (true, true) => (vec![hop(user, host)], host),
         // Registered host data is wired from / landed in place.
@@ -225,7 +220,6 @@ pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> Transfer
             } else {
                 stages.push(StageOp::Kernel {
                     end: Send,
-                    far: Far::LocalDevice,
                     frag: Loc::Dev(Send),
                 });
                 Loc::Dev(Send)
@@ -256,16 +250,7 @@ pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> Transfer
                 } else {
                     packed
                 };
-                let far = if staged || facts.same_gpu {
-                    Far::LocalDevice
-                } else {
-                    Far::PeerDevice
-                };
-                stages.push(StageOp::Kernel {
-                    end: Recv,
-                    far,
-                    frag,
-                });
+                stages.push(StageOp::Kernel { end: Recv, frag });
             }
             // Only the full Figure 4 pipeline acks every slot; the fast
             // paths recycle locally and notify the idle side once.

@@ -17,7 +17,9 @@ pub enum MpiError {
     /// the ranks, link torn down).
     Net(netsim::NetError),
     /// An injected fault permanently took out a capability and no
-    /// fallback path remained, or the retry/timeout budget ran out.
+    /// fallback path remained, or the retry/timeout budget ran out —
+    /// or the configuration leaves no path at all (a zero fragment size
+    /// or ring depth, named in the message).
     Faulted(String),
     /// The simulation drained with requests still incomplete — an
     /// unmatched rendezvous or a protocol deadlock.

@@ -3,14 +3,17 @@
 //! The rendezvous protocols pipeline a transfer through a ring of
 //! `pipeline_depth` fragments of `frag_size` bytes, both hand-picked
 //! constants in [`crate::MpiConfig`]. This module prices the very
-//! [`TransferPlan`] the executor runs — one `cost` arm per
+//! [`TransferPlan`] the executor runs — one `price` arm per
 //! [`StageOp`], next to the one `run` arm in `protocol::exec` — with
-//! the same per-fragment cost arithmetic the simulator charges — kernel launch +
-//! DRAM/PCIe traffic for the conversion stages, link bandwidth +
-//! latency for the wire, active-message latency for the per-fragment
-//! control traffic — as a closed-form pipeline makespan
-//! ([`devengine::tune::pipeline_makespan_ns`]) and lets
-//! [`devengine::tune::pick_fragment`] choose a (fragment, depth) shape
+//! the price function of the crate whose charge the `run` arm calls
+//! (`gpusim::kernel_time`, `gpusim::copy_time`, `netsim::Link::time`,
+//! `netsim::am_time`, `NicCosts::time`, `cpupack::pass_time`, …), so
+//! it holds no rate or latency of its own. A kernel is priced on
+//! [`KernelTraffic::estimate`], the one input the executor knows
+//! exactly and the tuner does not. The stage prices fold into a
+//! closed-form pipeline makespan
+//! ([`devengine::tune::pipeline_makespan_ns`]) from which
+//! [`devengine::tune::pick_fragment`] chooses a (fragment, depth) shape
 //! per *(canonical sender layout, canonical receiver layout, message
 //! size, path class)*.
 //!
@@ -26,15 +29,23 @@
 //! Decisions are cached in [`crate::world::MpiState::tuned_shapes`] and
 //! surfaced through the `optimizer.frag.*` trace counters.
 
-use crate::protocol::plan::{plan_for, Credit, End, Facts, Far, Loc, StageOp, TransferPlan};
+use crate::cpupack;
+use crate::protocol::offload;
+use crate::protocol::plan::{
+    plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan, CONTROL_BYTES,
+};
 use crate::protocol::Side;
 use crate::world::MpiWorld;
-use devengine::tune::{pick_fragment, pipeline_makespan_ns, Stage};
-use devengine::OptimizerConfig;
-use gpusim::GpuWorld as _;
-use netsim::NetWorld as _;
+use devengine::tune::{pick_fragment, pipeline_makespan_ns};
+use devengine::{LaunchEstimate, OptimizerConfig};
+use gpusim::{
+    copy_time, graph_kernel_time, kernel_time, replay_time, CopyDirection, GpuState, GpuWorld as _,
+    KernelConfig, KernelTraffic, NodeTopology,
+};
+use memsim::MemSpace;
+use netsim::{am_time, NetWorld as _, NicCosts};
 use simcore::trace::names;
-use simcore::Sim;
+use simcore::{Sim, SimTime};
 
 /// Which transfer pipeline a rendezvous took.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -106,281 +117,148 @@ fn cache_key(sim: &Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> TuneK
     }
 }
 
-/// Calibration constants gathered once per decision from the same specs
-/// the simulator charges.
-struct Model {
-    /// Effective pack-kernel DRAM bandwidth, ns per traffic byte.
-    dram_nspb: f64,
-    /// ns per byte over PCIe for kernels touching mapped host memory.
-    pcie_host_nspb: f64,
-    /// ns per byte over PCIe P2P for kernels touching peer GPU memory
-    /// through an IPC mapping (derated per §5.2.1).
-    peer_nspb: f64,
-    /// ns per byte of a bulk P2P `cudaMemcpy` (staging GET/PUT).
-    p2p_copy_nspb: f64,
-    /// ns per byte of a D2H/H2D staging `cudaMemcpy`.
-    pcie_copy_nspb: f64,
-    /// Fixed cost of any `cudaMemcpy` (driver + PCIe transaction).
-    memcpy_fixed_ns: f64,
-    /// Kernel launch overhead.
-    launch_ns: f64,
-    /// PCIe transaction latency (added once per off-GPU kernel).
-    pcie_lat_ns: f64,
-    /// Descriptor bytes streamed per CUDA-DEV work unit.
-    desc_bytes: f64,
-    /// CPU preparation: fixed per batch / per unit produced.
-    prep_call_ns: f64,
-    prep_per_unit_ns: f64,
-    /// Host CPU pack/unpack path, ns per byte.
-    cpu_pack_nspb: f64,
-    /// Data link between the ranks: ns per byte + fixed latency.
-    wire_nspb: f64,
-    wire_lat_ns: f64,
-    /// One 16-byte active message on the control link (per-fragment
-    /// protocol traffic: unpack requests, slot acks), as a stage.
-    am: Stage,
-    /// NIC packet processor: per-descriptor issue on the handler cores
-    /// and the gather/scatter DMA streaming rate (ns per byte).
-    nic_desc_issue_ns: f64,
-    nic_dma_nspb: f64,
-    /// Stream-triggered replay: doorbell MMIO latency and per-op re-arm
-    /// issue on the stream front-end.
-    stream_doorbell_ns: f64,
-    stream_op_issue_ns: f64,
-    /// Engine work-unit size (for descriptor-path shatter estimates).
-    unit_size: u64,
-    /// DRAM transaction granularity and warp chunk (bytes): the
-    /// simulator charges kernel traffic in whole transactions per warp
-    /// chunk (`gpusim::kernel::access_lines`), so the model must too.
-    txn_bytes: f64,
-    warp_chunk: f64,
+/// One stage's price for a fragment of the given size.
+type Price<'a> = Box<dyn Fn(u64) -> SimTime + 'a>;
+
+/// Where a fragment location lives.
+fn space_of(sim: &Sim<MpiWorld>, (s, r): (&Side, &Side), loc: Loc) -> MemSpace {
+    let side = |end| if end == End::Send { s } else { r };
+    match loc {
+        Loc::User(end) => side(end).buf.space,
+        Loc::Dev(end) => MemSpace::Device(sim.world.rank(side(end).rank).gpu),
+        Loc::Host(_) => MemSpace::Host,
+    }
 }
 
-fn nspb(bw: simcore::Bandwidth) -> f64 {
-    1e9 / bw.bytes_per_sec()
+/// The conversion kernel `side`'s engine launches between its typed
+/// buffer and a fragment in `frag`, as far as its price is concerned:
+/// [`gpusim::kernel_time`] — or [`gpusim::graph_kernel_time`] for a
+/// kernel baked into a captured graph, which streams a whole-message
+/// descriptor list — over the launch's traffic. The executor's charge
+/// calls the same function on the exact traffic; the tuner on
+/// [`KernelTraffic::estimate`].
+struct KernelStage<'a> {
+    g: &'a GpuState,
+    topo: &'a NodeTopology,
+    spaces: (MemSpace, MemSpace),
+    /// Which of the two spaces is the executing GPU's own DRAM.
+    local: (bool, bool),
+    kcfg: KernelConfig,
+    est: LaunchEstimate,
+    graph: bool,
 }
 
-fn gather(sim: &mut Sim<MpiWorld>, s_rank: usize, r_rank: usize) -> Model {
-    let (dram_nspb, launch_ns, memcpy_lat_ns, desc_bytes, txn_bytes, warp_chunk) = {
+impl<'a> KernelStage<'a> {
+    fn of(sim: &'a Sim<MpiWorld>, side: &Side, end: End, frag: MemSpace, graph: bool) -> Self {
         let sys = sim.world.gpus_ref();
-        let g = sys.gpu(sim.world.mpi.ranks[s_rank].gpu);
-        let eff = g
-            .effective_traffic_bw()
-            .derated(g.spec.pack_kernel_efficiency);
-        (
-            nspb(eff),
-            g.spec.launch_overhead.as_nanos() as f64,
-            g.spec.memcpy_latency.as_nanos() as f64,
-            g.spec.descriptor_bytes as f64,
-            g.spec.transaction_bytes.get() as f64,
-            g.spec.warp_chunk().get() as f64,
-        )
-    };
-    let (pcie_host_nspb, peer_nspb, p2p_copy_nspb, pcie_copy_nspb, pcie_lat_ns) = {
-        let topo = &sim.world.gpus_ref().topo;
-        (
-            nspb(topo.pcie_h2d),
-            nspb(topo.pcie_p2p.derated(topo.peer_kernel_efficiency)),
-            nspb(topo.pcie_p2p),
-            nspb(topo.pcie_d2h),
-            topo.pcie_latency.as_nanos() as f64,
-        )
-    };
-    let (nic_desc_issue_ns, nic_dma_nspb, stream_doorbell_ns, stream_op_issue_ns) = {
-        let topo = &sim.world.gpus_ref().topo;
-        (
-            topo.nic_desc_issue.as_nanos() as f64,
-            nspb(topo.nic_dma_bw),
-            topo.stream_doorbell_lat.as_nanos() as f64,
-            topo.stream_op_issue.as_nanos() as f64,
-        )
-    };
-    let (wire_nspb, wire_lat_ns, am_ns) = {
-        let ch = sim.world.net().channel_mut(s_rank, r_rank);
-        (
-            nspb(ch.data.bandwidth),
-            ch.data.latency.as_nanos() as f64,
-            ch.ctrl.latency.as_nanos() as f64 + ch.ctrl.bandwidth.time_for(16).as_nanos() as f64,
-        )
-    };
-    let cfg = &sim.world.mpi.config;
-    Model {
-        dram_nspb,
-        pcie_host_nspb,
-        peer_nspb,
-        p2p_copy_nspb,
-        pcie_copy_nspb,
-        memcpy_fixed_ns: memcpy_lat_ns + pcie_lat_ns,
-        launch_ns,
-        pcie_lat_ns,
-        desc_bytes,
-        prep_call_ns: cfg.engine.prep_call.as_nanos() as f64,
-        prep_per_unit_ns: cfg.engine.prep_per_unit.as_nanos() as f64,
-        cpu_pack_nspb: nspb(cfg.cpu_pack_bw),
-        wire_nspb,
-        wire_lat_ns,
-        am: Stage {
-            fixed_ns: am_ns,
-            ns_per_byte: 0.0,
-        },
-        nic_desc_issue_ns,
-        nic_dma_nspb,
-        stream_doorbell_ns,
-        stream_op_issue_ns,
-        unit_size: cfg.engine.unit_size,
-        txn_bytes,
-        warp_chunk,
+        let cfg = &sim.world.mpi.config.engine;
+        let est = LaunchEstimate::of(&side.ty, side.count, cfg);
+        let gpu = sim.world.rank(side.rank).gpu;
+        let spaces = match end {
+            End::Send => (side.buf.space, frag),
+            End::Recv => (frag, side.buf.space),
+        };
+        let here = MemSpace::Device(gpu);
+        KernelStage {
+            g: sys.gpu(gpu),
+            topo: &sys.topo,
+            spaces,
+            local: (spaces.0 == here, spaces.1 == here),
+            kcfg: KernelConfig {
+                blocks: cfg.blocks,
+                descriptor_stream: est.descriptor_stream,
+            },
+            est,
+            graph,
+        }
+    }
+
+    fn time(&self, traffic: &KernelTraffic) -> SimTime {
+        if self.graph {
+            graph_kernel_time(self.g, self.topo, self.spaces, traffic)
+        } else {
+            kernel_time(self.g, self.topo, self.spaces, self.kcfg, traffic)
+        }
+    }
+
+    fn price(self) -> Price<'a> {
+        Box::new(move |n| {
+            let units = self.est.units_in(n);
+            self.time(&KernelTraffic::estimate(n, units, self.local, &self.g.spec))
+        })
     }
 }
 
-/// Cost stage of one GPU pack/unpack kernel over a fragment, for a
-/// non-dense `side` whose typed buffer is local to the executing GPU.
-fn kernel_stage(m: &Model, side: &Side, opt: &OptimizerConfig, far: Far) -> Stage {
-    let total = side.total().max(1);
-    let ty = if opt.canonicalize {
-        side.ty.canonical()
-    } else {
-        side.ty.clone()
-    };
-    let arithmetic = opt.vector_dispatch
-        && (ty.vector_shape().is_some()
-            || ty.strided2d_shape().is_some()
-            || ty.is_contiguous(side.count));
-    let segments = ty.segment_estimate().saturating_mul(side.count).max(1) as f64;
-    let units = if arithmetic {
-        // The specialized kernels still emit a unit per contiguous run
-        // (prep-charged) but stream no descriptors.
-        segments
-    } else if opt.coalesce {
-        segments
-    } else {
-        segments + total as f64 / m.unit_size as f64
-    };
-    let units_per_byte = units / total as f64;
-    let desc_nspb = if arithmetic {
-        0.0
-    } else {
-        units_per_byte * m.desc_bytes * m.dram_nspb
-    };
-    // Traffic per payload byte: the simulator charges each local side
-    // `access_lines(off, len) * txn` bytes (`gpusim::kernel`), so a
-    // misaligned scattered run costs one extra transaction per warp
-    // chunk plus a partial line per run, and even the dense fragment
-    // side pays at least one whole transaction per unit. Mirror that
-    // here so the model and the simulator agree on what a conversion
-    // kernel's DRAM traffic costs; the off-GPU side rides PCIe and the
-    // hardware overlaps the two (kernel time is their max).
-    let run = (total as f64 / units).max(1.0);
-    let scattered_factor = 1.0 + m.txn_bytes / m.warp_chunk + m.txn_bytes / run;
-    let dense_factor = 1.0 + m.txn_bytes / run;
-    let local_traffic = match far {
-        Far::LocalDevice => scattered_factor + dense_factor,
-        Far::MappedHost | Far::PeerDevice => scattered_factor,
-    };
-    let dram = local_traffic * m.dram_nspb + desc_nspb;
-    let pcie = match far {
-        Far::LocalDevice => 0.0,
-        Far::MappedHost => m.pcie_host_nspb,
-        Far::PeerDevice => m.peer_nspb,
-    };
-    let fixed_pcie = if far == Far::LocalDevice {
-        0.0
-    } else {
-        m.pcie_lat_ns
-    };
-    Stage {
-        fixed_ns: m.launch_ns + m.prep_call_ns + fixed_pcie,
-        ns_per_byte: dram.max(pcie) + m.prep_per_unit_ns * units_per_byte,
-    }
-}
-
-/// The model's price of one executable stage: the `cost` arm matching
-/// the executor's `run` arm for the same [`StageOp`]. Most ops are one
-/// pipeline stage; `Direct` moves nothing and costs nothing, and a
-/// graph replay is four serial legs.
-fn cost(
+/// The model's price of one executable stage — the `price` arm matching
+/// the executor's `run` arm for the same [`StageOp`] — built from the
+/// function the stage's charge calls. `Direct` moves nothing and has
+/// no stage; a graph replay is four serial legs in one stage.
+fn price<'a>(
+    sim: &'a Sim<MpiWorld>,
     op: StageOp,
-    m: &Model,
-    (s, r): (&Side, &Side),
-    opt: &OptimizerConfig,
-    out: &mut Vec<Stage>,
-) {
+    (s, r): (&'a Side, &'a Side),
+) -> Option<Price<'a>> {
     let side = |end| match end {
         End::Send => s,
         End::Recv => r,
     };
-    let on_device = |loc| match loc {
-        Loc::User(end) => side(end).device(),
-        Loc::Dev(_) => true,
-        Loc::Host(_) => false,
-    };
-    let wire = Stage {
-        fixed_ns: m.wire_lat_ns,
-        ns_per_byte: m.wire_nspb,
-    };
-    match op {
-        StageOp::Kernel { end, far, .. } => out.push(kernel_stage(m, side(end), opt, far)),
-        StageOp::CpuConvert { .. } => out.push(Stage {
-            fixed_ns: 0.0,
-            ns_per_byte: m.cpu_pack_nspb,
-        }),
-        // Device-to-device copies (staging GET, PUT, bulk) run at P2P
-        // rate, D2H/H2D staging hops at PCIe rate.
-        StageOp::Copy { from, to, .. } => out.push(Stage {
-            fixed_ns: m.memcpy_fixed_ns,
-            ns_per_byte: if on_device(from) && on_device(to) {
-                m.p2p_copy_nspb
-            } else {
-                m.pcie_copy_nspb
-            },
-        }),
-        StageOp::Wire { .. } => out.push(wire),
-        StageOp::Notify { .. } => out.push(m.am),
-        // Registered host data wires directly / lands in place.
-        StageOp::Direct => {}
+    let at = |loc| space_of(sim, (s, r), loc);
+    let channel = |from: &Side, to: &Side| sim.world.net_ref().channel(from.rank, to.rank);
+    let data = &channel(s, r).data;
+    let wire = move |n| data.time(n);
+    Some(match op {
+        StageOp::Kernel { end, frag } => {
+            KernelStage::of(sim, side(end), end, at(frag), false).price()
+        }
+        StageOp::CpuConvert { .. } => {
+            let config = &sim.world.mpi.config;
+            Box::new(move |n| cpupack::configured_pass_time(config, n))
+        }
+        StageOp::Copy {
+            stream_of,
+            from,
+            to,
+        } => {
+            let gpu = sim.world.rank(side(stream_of).rank).gpu;
+            let dir = CopyDirection::of(at(from), at(to));
+            Box::new(move |n| copy_time(sim.world.gpus_ref(), gpu, dir, n))
+        }
+        StageOp::Wire { .. } => Box::new(wire),
+        StageOp::Notify { to } => {
+            let ctrl = &channel(side(to.other()), side(to)).ctrl;
+            Box::new(move |_| am_time(ctrl, CONTROL_BYTES))
+        }
+        StageOp::Direct => return None,
         StageOp::NicProgram => {
-            // One stage: the handler front-end serializes descriptor
-            // issue while the payload streams at the slower of the wire
-            // and the NIC gather/scatter DMA — the legs pipeline per
-            // packet, so they max instead of add. No pack kernels, no
-            // staging copies, no per-fragment active messages.
-            let upb = |side: &Side| {
-                let ty = if opt.canonicalize {
-                    side.ty.canonical()
-                } else {
-                    side.ty.clone()
-                };
-                ty.segment_estimate().saturating_mul(side.count).max(1) as f64
-                    / side.total().max(1) as f64
-            };
-            out.push(Stage {
-                fixed_ns: m.wire_lat_ns,
-                ns_per_byte: m.wire_nspb.max(m.nic_dma_nspb)
-                    + (upb(s) + upb(r)) * m.nic_desc_issue_ns,
-            });
+            // One stage: the handler front-end issues every descriptor
+            // of the merged program while the payload streams at the
+            // slower of the wire and the NIC gather/scatter DMA. No pack
+            // kernels, no staging copies, no per-fragment active
+            // messages.
+            let costs = NicCosts::of(&sim.world.gpus_ref().topo);
+            let cfg = &sim.world.mpi.config.engine;
+            let (s_est, r_est) = (
+                LaunchEstimate::of(&s.ty, s.count, cfg),
+                LaunchEstimate::of(&r.ty, r.count, cfg),
+            );
+            Box::new(move |n| {
+                let descriptors = s_est.units_in(n) + r_est.units_in(n);
+                costs.time(descriptors, n, data)
+            })
         }
         StageOp::GraphReplay => {
-            // Replay re-arm on the stream front-end (doorbell MMIO plus
-            // per-op issue for the five captured nodes), then the
-            // graph's own legs: zero-copy pack into the mapped bounce,
-            // the wire, zero-copy unpack. Completion is the graph's
-            // flag write — no per-fragment active messages, no CPU.
-            // Graph-baked kernels skip the driver launch path — the
-            // stream front-end pays op issue instead.
-            let graph_kernel = |side: &Side| {
-                let mut st = kernel_stage(m, side, opt, Far::MappedHost);
-                st.fixed_ns = st.fixed_ns - m.launch_ns + m.stream_op_issue_ns;
-                st
-            };
-            out.push(Stage {
-                fixed_ns: m.stream_doorbell_ns + 5.0 * m.stream_op_issue_ns,
-                ns_per_byte: 0.0,
-            });
-            out.push(graph_kernel(s));
-            out.push(wire);
-            out.push(graph_kernel(r));
+            // Replay re-arm on the stream front-end, then the graph's
+            // own legs: zero-copy pack into the mapped bounce, the wire,
+            // zero-copy unpack. Completion is the graph's flag write — no
+            // per-fragment active messages, no CPU.
+            let topo = &sim.world.gpus_ref().topo;
+            let stream = sim.world.rank(s.rank).kernel_stream;
+            let re_arm = replay_time(topo, offload::transfer_graph(stream, 0).op_count());
+            let pack = KernelStage::of(sim, s, End::Send, MemSpace::Host, true).price();
+            let unpack = KernelStage::of(sim, r, End::Recv, MemSpace::Host, true).price();
+            Box::new(move |n| re_arm + pack(n) + wire(n) + unpack(n))
         }
-    }
+    })
 }
 
 /// The plan a transfer would run down `class` right now, and its
@@ -388,21 +266,19 @@ fn cost(
 /// executor would run, plus the credit stage the plan declares — one
 /// active message per fragment under [`Credit::Ack`]; `Local` and
 /// `Fused` credits cost nothing per fragment.
-fn path_stages(
-    sim: &mut Sim<MpiWorld>,
-    s: &Side,
-    r: &Side,
+fn path_stages<'a>(
+    sim: &'a Sim<MpiWorld>,
+    s: &'a Side,
+    r: &'a Side,
     class: PathClass,
-) -> (TransferPlan, Vec<Stage>) {
+) -> (TransferPlan, Vec<Price<'a>>) {
     let plan = plan_for(&Facts::of(sim, s.rank, r.rank), s, r, class);
-    let m = gather(sim, s.rank, r.rank);
-    let opt = sim.world.mpi.config.engine.optimizer;
-    let mut stages = Vec::new();
-    for &op in &plan.stages {
-        cost(op, &m, (s, r), &opt, &mut stages);
-    }
+    let mut stages: Vec<Price<'a>> = (plan.stages.iter())
+        .filter_map(|&op| price(sim, op, (s, r)))
+        .collect();
     if plan.credit == Credit::Ack {
-        stages.push(m.am);
+        // The receiver's slot ack: a control message back to the sender.
+        stages.extend(price(sim, StageOp::Notify { to: End::Send }, (s, r)));
     }
     (plan, stages)
 }
@@ -436,7 +312,7 @@ pub fn select_path(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, same_node: bool)
     // own shape: the configured ring for the pipelined incumbent, one
     // whole-message fragment for the offload classes.
     let total = s.total().max(1);
-    let mut predict = |class| {
+    let predict = |class| {
         let (plan, stages) = path_stages(sim, s, r, class);
         pipeline_makespan_ns(total, plan.frag.min(total), plan.depth, &stages)
     };
@@ -487,8 +363,10 @@ pub fn tuned_shape(
         );
         return shape;
     }
-    let (_, stages) = path_stages(sim, s, r, class);
-    let shape = pick_fragment(total, frag0, depth0, &stages);
+    let shape = {
+        let (_, stages) = path_stages(sim, s, r, class);
+        pick_fragment(total, frag0, depth0, &stages)
+    };
     sim.world.mpi.tuned_shapes.insert(key, shape);
     let counter = if shape == (frag0, depth0) {
         names::OPTIMIZER_FRAG_DEFAULT
@@ -688,13 +566,18 @@ mod tests {
 
     #[test]
     fn stream_trigger_wins_latency_bound_medium_messages() {
-        let mut sim = ib_world("p100", false, true);
-        let s = side_on(&mut sim, 0, &medium_ty(), 1);
-        let r = side_on(&mut sim, 1, &medium_ty(), 1);
-        assert_eq!(
-            select_path(&mut sim, &s, &r, false),
-            PathClass::StreamTriggered
-        );
+        // One re-arm beats two launches, two fragments' handshakes and
+        // the pipeline's fill — on the K40, past its 3 µs doorbell, too.
+        for arch in ["k40", "p100"] {
+            let mut sim = ib_world(arch, false, true);
+            let s = side_on(&mut sim, 0, &medium_ty(), 1);
+            let r = side_on(&mut sim, 1, &medium_ty(), 1);
+            assert_eq!(
+                select_path(&mut sim, &s, &r, false),
+                PathClass::StreamTriggered,
+                "{arch}"
+            );
+        }
         // Large coarse transfers pipeline on the incumbent but replay
         // serially on the stream graph: the model keeps them off.
         let mut sim = ib_world("p100", false, true);
@@ -704,10 +587,13 @@ mod tests {
             select_path(&mut sim, &s, &r, false),
             PathClass::StreamTriggered
         );
-        // The K40's 3 µs doorbell eats the saved launches.
+        // Twice the message already pipelines on the incumbent.
+        let twice = DataType::vector(1024, 32, 64, &DataType::double())
+            .unwrap()
+            .commit();
         let mut sim = ib_world("k40", false, true);
-        let s = side_on(&mut sim, 0, &medium_ty(), 1);
-        let r = side_on(&mut sim, 1, &medium_ty(), 1);
+        let s = side_on(&mut sim, 0, &twice, 1);
+        let r = side_on(&mut sim, 1, &twice, 1);
         assert_eq!(select_path(&mut sim, &s, &r, false), PathClass::ZeroCopy);
     }
 
@@ -721,6 +607,118 @@ mod tests {
         assert_eq!(select_path(&mut sim, &s, &r, false), PathClass::ZeroCopy);
     }
 
+    /// Priced ≡ charged: the first fragment's charge of every stage of
+    /// `plan` — its span, with nothing queued ahead of it — lasts
+    /// exactly the tuner's price at the fragment's size. A kernel is
+    /// priced on the launch's exact traffic, the one input the tuner
+    /// otherwise estimates; `events` are the transfer's.
+    fn first_fragment_costs_its_price(
+        sim: &Sim<MpiWorld>,
+        plan: &TransferPlan,
+        (s, r): (&Side, &Side),
+        events: &[simcore::trace::TraceEvent],
+        row: &str,
+    ) {
+        use simcore::trace::{Name, TraceEvent, Track};
+        let n = plan.frag.min(s.total());
+        let side = |end| if end == End::Send { s } else { r };
+        let span = |name: Name, track: Track| {
+            let first = events.iter().find_map(|e| match *e {
+                TraceEvent::Span {
+                    name: nm,
+                    track: tr,
+                    start,
+                    end,
+                    ..
+                } if nm == name && tr == track => Some(end - start),
+                _ => None,
+            });
+            first.unwrap_or_else(|| panic!("{row}: no {name:?} span on {track}"))
+        };
+        let stream = |s: gpusim::StreamId| Track::Stream {
+            gpu: s.gpu.0,
+            index: s.index as u32,
+        };
+        let ctrl = |from: &Side, to: &Side| Track::LinkCtrl {
+            from: from.rank as u32,
+            to: to.rank as u32,
+        };
+        let mut checks: Vec<(StageOp, Track, Name)> = Vec::new();
+        for &op in &plan.stages {
+            let rank = |end| sim.world.rank(side(end).rank);
+            checks.push(match op {
+                StageOp::Kernel { end, .. } => {
+                    (op, stream(rank(end).kernel_stream), names::SPAN_KERNEL)
+                }
+                StageOp::CpuConvert { end, .. } => {
+                    let pass = if end == End::Send {
+                        names::SPAN_CPU_PACK
+                    } else {
+                        names::SPAN_CPU_UNPACK
+                    };
+                    (
+                        op,
+                        Track::Cpu {
+                            rank: side(end).rank as u32,
+                        },
+                        pass,
+                    )
+                }
+                StageOp::Copy { stream_of, .. } => {
+                    (op, stream(rank(stream_of).copy_stream), names::SPAN_MEMCPY)
+                }
+                StageOp::Wire { .. } => {
+                    let data = Track::LinkData {
+                        from: s.rank as u32,
+                        to: r.rank as u32,
+                    };
+                    (op, data, names::SPAN_WIRE)
+                }
+                StageOp::Notify { to } => (op, ctrl(side(to.other()), side(to)), names::SPAN_AM),
+                _ => continue,
+            });
+        }
+        for (op, track, name) in checks {
+            let priced = match op {
+                StageOp::Kernel { end, frag } => {
+                    let typed = side(end);
+                    let frag = space_of(sim, (s, r), frag);
+                    let at = |space| memsim::Ptr {
+                        space,
+                        alloc: memsim::AllocId(0),
+                        offset: 0,
+                    };
+                    // Every fragment slot and the first window of a user
+                    // buffer start their allocation.
+                    let mut units = devengine::whole_units(&typed.ty, 1, 1 << 30, true)
+                        .unwrap()
+                        .0;
+                    units.retain(|u| (u.dst_off as u64) < n);
+                    let (src, dst) = if end == End::Send {
+                        (at(typed.buf.space), at(frag))
+                    } else {
+                        devengine::flip_units_in_place(&mut units);
+                        (at(frag), at(typed.buf.space))
+                    };
+                    let gpu = sim.world.rank(typed.rank).gpu;
+                    let spec = &sim.world.gpus_ref().gpu(gpu).spec;
+                    let exact = KernelTraffic::of(&units, src, dst, gpu, spec);
+                    KernelStage::of(sim, typed, end, frag, false).time(&exact)
+                }
+                _ => price(sim, op, (s, r)).unwrap()(n),
+            };
+            assert_eq!(span(name, track), priced, "{row}: {op:?} charged vs priced");
+        }
+        if plan.credit == Credit::Ack {
+            let priced = price(sim, StageOp::Notify { to: End::Send }, (s, r)).unwrap()(n);
+            assert_eq!(
+                span(names::SPAN_AM, ctrl(r, s)),
+                priced,
+                "{row}: Ack credit"
+            );
+        }
+    }
+
     /// The priced plan is the executed plan. One multi-fragment
     /// transfer per row of {SmIpc one GPU, SmIpc two GPUs staged and
     /// unstaged, CopyInOut, ZeroCopy} × {dense, strided}² × legal
@@ -730,8 +728,9 @@ mod tests {
     /// messages — must equal, per fragment, the `StageOp`s of
     /// `plan_for(..)`, the tuner must have priced exactly that many
     /// stages, the received bytes must equal the CPU reference
-    /// `pack_all` → `unpack_all`, and `Memory` must have written each
-    /// delivered byte once. Every row runs three times on its one
+    /// `pack_all` → `unpack_all`, `Memory` must have written each
+    /// delivered byte once, and each stage of the first fragment must
+    /// have been charged exactly its price. Every row runs three times on its one
     /// world — handshake, cold caches, warm caches — and the warm run
     /// must equal the cold one in virtual duration, recorded events and
     /// every counter delta (DESIGN.md §17, "What a repeated transfer
@@ -837,8 +836,10 @@ mod tests {
                     } else {
                         facts.copy_class()
                     };
-                    let (plan, priced) = path_stages(&mut sim, &s, &r, class);
-                    let priced = priced.len() as u64;
+                    let (plan, priced) = {
+                        let (plan, prices) = path_stages(&sim, &s, &r, class);
+                        (plan, prices.len() as u64)
+                    };
                     let nfrags = if plan.ring { total.div_ceil(FRAG) } else { 1 };
                     assert!(!plan.ring || nfrags >= 3, "{row}: not multi-fragment");
                     let planned = |pick: fn(&StageOp) -> bool| {
@@ -962,6 +963,9 @@ mod tests {
                             kernels + memcpys + cpu_passes + wires + ams - per_transfer,
                             "{row}: priced stages vs executed primitives"
                         );
+                        if iter > 0 {
+                            first_fragment_costs_its_price(&sim, &plan, (&s, &r), events, &row);
+                        }
                         observed.push((sim.now() - then, events.len(), deltas));
                     }
                     assert!(

@@ -7,16 +7,22 @@
 //! needs it. In the simulation the "callback reference" is a Rust
 //! closure delivered with the message.
 
-use crate::channel::NetError;
+use crate::channel::{Link, NetError};
 use crate::world::NetWorld;
 use faultsim::{Backoff, FaultDecision, FaultOp};
 use gpusim::fault;
 use simcore::trace::names;
-use simcore::{Sim, Track};
+use simcore::{Sim, SimTime, Track};
 
 /// Fixed header size of an active message (matches the BTL fragment
 /// header: callback reference + fragment index + tag).
 pub const AM_HEADER_BYTES: u64 = 64;
+
+/// The price of an active message of `payload_bytes` on an idle
+/// control link: what [`send_am`] charges when nothing queues ahead.
+pub fn am_time(ctrl: &Link, payload_bytes: u64) -> SimTime {
+    ctrl.time(AM_HEADER_BYTES + payload_bytes)
+}
 
 /// Send an active message of `payload_bytes` (plus header) from rank
 /// `from` to rank `to` on the control link; `deliver` runs on arrival.

@@ -55,6 +55,13 @@ impl Link {
         self.bandwidth.time_for(bytes)
     }
 
+    /// The price of a `bytes`-sized message on an idle link: from
+    /// submission to delivery, wire occupancy plus one-way latency —
+    /// what [`Self::reserve`] charges when nothing queues ahead.
+    pub fn time(&self, bytes: u64) -> SimTime {
+        self.wire_time(bytes) + self.latency
+    }
+
     /// Reserve the link for a `bytes`-sized message submitted at `now`;
     /// returns the delivery completion time (wire occupancy + one-way
     /// latency).

@@ -34,7 +34,7 @@ pub mod topology;
 pub mod wire;
 pub mod world;
 
-pub use am::send_am;
+pub use am::{am_time, send_am};
 pub use channel::{Channel, ChannelKind, Link, NetError, NetSystem};
 pub use nic::{compile_program, execute_program, NicCosts, NicProgram};
 pub use rdma::{ensure_registered, rdma_get, rdma_put};

@@ -23,11 +23,11 @@
 //! (`FaultOp::WireCopy`) and retransmission machinery as every other
 //! data-link hop.
 //!
-//! This file is one of the four sanctioned DEV interpreters (with
-//! `devengine`, `mpirt`'s CPU convertor and its MPI-IO file-view
-//! walker); `clippy.toml` bans the `DevCursor` walk outside them.
+//! This file is one of the three sanctioned DEV interpreters (with
+//! `devengine` and `mpirt`'s CPU convertor); `clippy.toml` bans the
+//! `DevCursor` walk outside them.
 
-use crate::channel::NetError;
+use crate::channel::{Link, NetError};
 use crate::wire::wire_send;
 use crate::world::NetWorld;
 use datatype::{DataType, TypeError};
@@ -42,8 +42,6 @@ use simcore::{Bandwidth, Sim, SimTime, Track};
 /// topology tables (the single source of raw arch numbers).
 #[derive(Clone, Copy, Debug)]
 pub struct NicCosts {
-    /// One-time DEV handler install (paid by the connection layer).
-    pub handler_setup: SimTime,
     /// Per-descriptor issue cost on the handler cores.
     pub desc_issue: SimTime,
     /// Gather/scatter DMA streaming rate from/into GPU memory.
@@ -53,10 +51,33 @@ pub struct NicCosts {
 impl NicCosts {
     pub fn of(topo: &NodeTopology) -> Self {
         NicCosts {
-            handler_setup: topo.nic_handler_setup,
             desc_issue: topo.nic_desc_issue,
             dma_bw: topo.nic_dma_bw,
         }
+    }
+
+    /// Handler front-end serialization: issue of `descriptors`.
+    fn issue_time(&self, descriptors: u64) -> SimTime {
+        SimTime::from_nanos(self.desc_issue.as_nanos().saturating_mul(descriptors))
+    }
+
+    /// Bytes the data link carries for a `bytes` payload. The NIC
+    /// pipelines gather-DMA, wire and scatter-DMA per packet, so the
+    /// stream runs at the slowest leg: a DMA engine slower than the wire
+    /// shows up as extra serialization on the (reserved) data link.
+    fn wire_bytes(&self, bytes: u64, wire_bw: Bandwidth) -> u64 {
+        if self.dma_bw.bytes_per_sec() < wire_bw.bytes_per_sec() {
+            (bytes as f64 * wire_bw.bytes_per_sec() / self.dma_bw.bytes_per_sec()) as u64
+        } else {
+            bytes
+        }
+    }
+
+    /// The price of a program of `descriptors` moving `bytes` over an
+    /// idle `data` link: what [`execute_program`] charges — descriptor
+    /// issue, then the stream.
+    pub fn time(&self, descriptors: u64, bytes: u64, data: &Link) -> SimTime {
+        self.issue_time(descriptors) + data.time(self.wire_bytes(bytes, data.bandwidth))
     }
 }
 
@@ -87,12 +108,6 @@ impl NicProgram {
 
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Handler front-end serialization: descriptor issue for the whole
-    /// program.
-    pub fn issue_time(&self, costs: &NicCosts) -> SimTime {
-        SimTime::from_nanos(costs.desc_issue.as_nanos().saturating_mul(self.descriptors))
     }
 }
 
@@ -171,16 +186,9 @@ pub fn execute_program<W: NetWorld>(
     done: impl FnOnce(&mut Sim<W>) + 'static,
 ) -> Result<(), NetError> {
     let wire_bw = sim.world.net().try_channel(from, to)?.data.bandwidth;
-    let issue = prog.issue_time(costs);
-    // The NIC pipelines gather-DMA, wire and scatter-DMA per packet;
-    // the stream runs at the slowest leg. A DMA engine slower than the
-    // wire shows up as extra serialization on the (reserved) data link.
+    let issue = costs.issue_time(prog.descriptors);
     let bytes = prog.bytes;
-    let wire_bytes = if costs.dma_bw.bytes_per_sec() < wire_bw.bytes_per_sec() {
-        (bytes as f64 * wire_bw.bytes_per_sec() / costs.dma_bw.bytes_per_sec()) as u64
-    } else {
-        bytes
-    };
+    let wire_bytes = costs.wire_bytes(bytes, wire_bw);
     let now = sim.now();
     sim.trace.span_at(
         now,

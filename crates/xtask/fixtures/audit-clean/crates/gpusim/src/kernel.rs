@@ -1,6 +1,5 @@
-//! Fixture charge site reading the modeled constant.
+//! Fixture charge site, reached only below a fault consult.
 
 pub fn charge(spec: &GpuSpec, r: &mut Fifo, now: u64) {
-    let cost = spec.good_bw;
-    r.reserve(now, cost);
+    r.reserve(now, spec.cost);
 }

@@ -1,17 +1,12 @@
 //! `cargo xtask audit` — the semantic analysis layer.
 //!
 //! The audit builds a workspace-wide item table and approximate call
-//! graph ([`crate::graph`]) and runs three cross-file analyses:
+//! graph ([`crate::graph`]) and runs two cross-file analyses:
 //!
-//! 1. **charge-model** — every cost constant in the `gpusim` spec and
-//!    topology tables must be read by both a simulator charge site and
-//!    a tuner cost term; a one-sided constant means the analytic model
-//!    and the simulator have drifted apart and every never-worse gate
-//!    built on their agreement is silently corrupt.
-//! 2. **fault-reach** — every simulated-time charge (`.reserve(`)
+//! 1. **fault-reach** — every simulated-time charge (`.reserve(`)
 //!    reachable from the `mpirt` protocol entry surface must have a
 //!    `faultsim` consult somewhere on the call path.
-//! 3. **counter-live** — every counter/span name registered in
+//! 2. **counter-live** — every counter/span name registered in
 //!    `simcore::trace::names` must have an emission site. (An unknown
 //!    name does not compile: counters are an enum, span names a newtype
 //!    only `trace.rs` can build.)
@@ -30,7 +25,7 @@ use std::collections::BTreeSet;
 
 /// Audit analysis identifiers; one ratchet allowlist exists per family
 /// under `lint/<family>.allow`.
-pub const AUDIT_FAMILIES: [&str; 3] = ["charge-model", "fault-reach", "counter-live"];
+pub const AUDIT_FAMILIES: [&str; 2] = ["fault-reach", "counter-live"];
 
 /// One finding, before allowlist reconciliation.
 #[derive(Debug, Clone)]
@@ -39,7 +34,7 @@ pub struct Violation {
     /// Workspace-relative path, forward slashes.
     pub file: String,
     pub line: u32,
-    /// Stable kind used as the allowlist key (`tuner-blind`, …).
+    /// Stable kind used as the allowlist key (`unguarded-charge`, …).
     pub kind: &'static str,
     pub msg: String,
 }
@@ -77,56 +72,11 @@ fn under(rel: &str, prefixes: &[&str]) -> bool {
         .any(|p| rel == *p || (p.ends_with('/') && rel.starts_with(p)))
 }
 
-/// The spec/topology cost tables.
-const SPEC_FILE: &str = "crates/gpusim/src/spec.rs";
-const SPEC_STRUCTS: [&str; 2] = ["GpuSpec", "NodeTopology"];
-
-/// Spec fields that are descriptive identity or capacity, not cost
-/// constants: nothing charges or models them per-byte.
-const SPEC_DESCRIPTIVE: [&str; 3] = ["name", "interconnect", "memory_bytes"];
-
-/// Where the analytic model lives: the tuner proper and the devengine
-/// planner it feeds.
-const TUNER_FILES: [&str; 2] = ["crates/mpirt/src/tuner.rs", "crates/devengine/src/tune.rs"];
-
-/// Files the tuner-side reachability may expand into: the cost tables
-/// and the arch registry. A spec field read inside a helper here that
-/// the tuner calls (e.g. `effective_traffic_bw`, `warp_chunk`) counts
-/// as modeled.
-const TUNER_REACH: [&str; 5] = [
-    "crates/mpirt/src/tuner.rs",
-    "crates/devengine/src/tune.rs",
-    "crates/gpusim/src/spec.rs",
-    "crates/gpusim/src/arch.rs",
-    "crates/gpusim/src/system.rs",
-];
-
-/// Charge-side roots: the modules that reserve simulated time (the
-/// wrappers the fault injector interposes on) and the DEV executors,
-/// which read their own cost constants (the NIC packet processor reads
-/// `nic_dma_bw`, …).
-const CHARGE_ROOTS: [&str; 13] = [
-    "crates/simcore/src/resource.rs",
-    "crates/netsim/src/channel.rs",
-    "crates/netsim/src/am.rs",
-    "crates/netsim/src/wire.rs",
-    "crates/netsim/src/rdma.rs",
-    "crates/netsim/src/nic.rs",
-    "crates/gpusim/src/kernel.rs",
-    "crates/gpusim/src/copy.rs",
-    "crates/gpusim/src/system.rs",
-    "crates/gpusim/src/stream_trigger.rs",
-    "crates/mpirt/src/cpupack.rs",
-    "crates/mpirt/src/io.rs",
-    "crates/devengine/src/",
-];
-
 /// The fault-reachability entry surface: the protocol state machines
-/// plus connection establishment and MPI-IO.
-const PROTOCOL_ROOTS: [&str; 3] = [
+/// plus connection establishment.
+const PROTOCOL_ROOTS: [&str; 2] = [
     "crates/mpirt/src/protocol/",
     "crates/mpirt/src/connection.rs",
-    "crates/mpirt/src/io.rs",
 ];
 
 /// A function "consults faultsim" when its body mentions the injector
@@ -148,11 +98,10 @@ pub fn build_graph(files: &[FileData]) -> CallGraph {
     CallGraph::build(files.iter().map(|f| (f.rel.as_str(), f.toks.as_slice())))
 }
 
-/// Run the three analyses over pre-lexed files and their call graph,
+/// Run the two analyses over pre-lexed files and their call graph,
 /// returning raw findings for allowlist reconciliation.
 pub fn analyze(files: &[FileData], graph: &CallGraph) -> Vec<Violation> {
     let mut out = Vec::new();
-    charge_model(files, graph, &mut out);
     fault_reach(graph, &mut out);
     counter_live(files, graph, &mut out);
     out
@@ -176,96 +125,7 @@ fn push(
 }
 
 // ---------------------------------------------------------------------
-// 1. charge-model coherence
-// ---------------------------------------------------------------------
-
-/// Union of field reads over the non-test functions reachable from
-/// `roots`, where the walk only expands callees for which `expand`
-/// holds. Reads in the root functions themselves always count.
-fn reads_from(
-    graph: &CallGraph,
-    roots: impl Fn(&FnNode) -> bool,
-    expand: impl Fn(&FnNode) -> bool,
-) -> BTreeSet<String> {
-    let root_ids: Vec<usize> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| !n.in_test && roots(n))
-        .map(|(i, _)| i)
-        .collect();
-    // `reachable_unprotected` stops descending at "protected" nodes;
-    // here the barrier is "not an expandable file", and the roots are
-    // always expanded (they pass `roots`, which implies `expand` in
-    // both uses below — wrapper and tuner files expand themselves).
-    let reached = graph.reachable_unprotected(root_ids, |n| n.in_test || !expand(n));
-    let mut reads = BTreeSet::new();
-    for &i in reached.keys() {
-        reads.extend(graph.nodes[i].field_reads.iter().cloned());
-    }
-    reads
-}
-
-fn charge_model(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>) {
-    let Some(spec) = files.iter().find(|f| f.rel == SPEC_FILE) else {
-        return; // fixture tree without spec tables — nothing to check
-    };
-    let mut fields: Vec<(String, u32)> = Vec::new();
-    for s in SPEC_STRUCTS {
-        fields.extend(lexer::extract_struct_fields(&spec.toks, s));
-    }
-    if fields.is_empty() {
-        return;
-    }
-    let charge_reads = reads_from(
-        graph,
-        |n| under(&n.file, &CHARGE_ROOTS),
-        |n| in_sim_crates(&n.file) && !TUNER_FILES.contains(&n.file.as_str()),
-    );
-    let tuner_reads = reads_from(
-        graph,
-        |n| TUNER_FILES.contains(&n.file.as_str()),
-        |n| TUNER_REACH.contains(&n.file.as_str()),
-    );
-    for (field, line) in fields {
-        if SPEC_DESCRIPTIVE.contains(&field.as_str()) {
-            continue;
-        }
-        let charged = charge_reads.contains(&field);
-        let modeled = tuner_reads.contains(&field);
-        let key = format!("{SPEC_FILE}::{field}");
-        match (charged, modeled) {
-            (true, true) => {}
-            (true, false) => push(
-                out,
-                "charge-model",
-                key,
-                line,
-                "tuner-blind",
-                format!("`{field}` is charged by the simulator but absent from the tuner model"),
-            ),
-            (false, true) => push(
-                out,
-                "charge-model",
-                key,
-                line,
-                "sim-blind",
-                format!("`{field}` is in the tuner model but no simulator charge site reads it"),
-            ),
-            (false, false) => push(
-                out,
-                "charge-model",
-                key,
-                line,
-                "dead-const",
-                format!("`{field}` is read by neither a charge site nor the tuner"),
-            ),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. fault reachability
+// 1. fault reachability
 // ---------------------------------------------------------------------
 
 fn consults_fault(n: &FnNode) -> bool {
@@ -289,7 +149,7 @@ fn fault_reach(graph: &CallGraph, out: &mut Vec<Violation>) {
     // wrapper's inner `FifoResource::reserve` into reachability; (b)
     // only expand into simulator crates, so same-named helpers in the
     // tooling crates can't splice unrelated chains together.
-    let parent = graph.reachable_unprotected_filtered(
+    let parent = graph.reachable_unprotected(
         roots,
         |n| n.in_test || consults_fault(n),
         |name, callee| name != "reserve" && in_sim_crates(&callee.file),
@@ -318,7 +178,7 @@ fn fault_reach(graph: &CallGraph, out: &mut Vec<Violation>) {
 }
 
 // ---------------------------------------------------------------------
-// 3. counter liveness
+// 2. counter liveness
 // ---------------------------------------------------------------------
 
 const TRACE_FILE: &str = "crates/simcore/src/trace.rs";

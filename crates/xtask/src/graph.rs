@@ -1,8 +1,8 @@
 //! The approximate call graph: the audit layer's middle tier.
 //!
 //! [`crate::lexer::extract_fns`] gives the item table; this module
-//! derives per-function facts (calls made, fields read, trace-registry
-//! uses, `.reserve(` charge sites, idents mentioned) and links calls to
+//! derives per-function facts (calls made, trace-registry uses,
+//! `.reserve(` charge sites, idents mentioned) and links calls to
 //! definitions *by bare name*. That resolution is deliberately
 //! unsound-free in one direction only: a call edge may point at several
 //! same-named functions in different files (over-approximation), but a
@@ -32,8 +32,6 @@ pub struct FnNode {
     /// Bare names of every call made in the body (`foo(`, `x.foo(`,
     /// `a::b::foo(`), deduplicated.
     pub calls: BTreeSet<String>,
-    /// Field reads: `.ident` not followed by `(`.
-    pub field_reads: BTreeSet<String>,
     /// Every ident mentioned anywhere in the body.
     pub mentions: BTreeSet<String>,
     /// Lines of `.reserve(` method calls — the simulated-time charges.
@@ -66,7 +64,6 @@ impl CallGraph {
                     line: span.line,
                     in_test: span.in_test,
                     calls: BTreeSet::new(),
-                    field_reads: BTreeSet::new(),
                     mentions: BTreeSet::new(),
                     reserve_lines: Vec::new(),
                     names_refs: BTreeMap::new(),
@@ -89,23 +86,13 @@ impl CallGraph {
 
     /// Reachability that stops descending at protected nodes: a node
     /// for which `protected` returns true is recorded as visited but
-    /// its callees are not expanded. The result maps each *unprotected*
-    /// reached node to the index of the caller it was first reached
-    /// from (roots map to themselves), so violations can print a path.
+    /// its callees are not expanded, and an edge to a definition of
+    /// `name` is followed only when `edge_ok(name, callee)` holds (the
+    /// audit trims the worst name-collision fan-out with it). The
+    /// result maps each *unprotected* reached node to the index of the
+    /// caller it was first reached from (roots map to themselves), so
+    /// violations can print a path.
     pub fn reachable_unprotected(
-        &self,
-        roots: impl IntoIterator<Item = usize>,
-        protected: impl Fn(&FnNode) -> bool,
-    ) -> BTreeMap<usize, usize> {
-        self.reachable_unprotected_filtered(roots, protected, |_, _| true)
-    }
-
-    /// [`Self::reachable_unprotected`] with an edge filter: an edge to
-    /// a definition of `name` is followed only when
-    /// `edge_ok(name, callee)` holds. Analyses use this to trim the
-    /// worst name-collision fan-out (ubiquitous method names resolving
-    /// to unrelated definitions) without touching the node facts.
-    pub fn reachable_unprotected_filtered(
         &self,
         roots: impl IntoIterator<Item = usize>,
         protected: impl Fn(&FnNode) -> bool,
@@ -169,14 +156,11 @@ fn scan_body(body: &[Token], node: &mut FnNode) {
             let next_open = body.get(i + 1).is_some_and(|n| n.is_punct('('));
             let is_macro = body.get(i + 1).is_some_and(|n| n.is_punct('!'));
             let after_dot = i > 0 && body[i - 1].is_punct('.');
-            let after_dotdot = after_dot && i > 1 && body[i - 2].is_punct('.');
             if next_open && !is_macro && !NON_CALL_IDENTS.contains(&id) {
                 node.calls.insert(id.to_string());
                 if after_dot && id == "reserve" {
                     node.reserve_lines.push(t.line);
                 }
-            } else if after_dot && !after_dotdot && !next_open && !is_macro {
-                node.field_reads.insert(id.to_string());
             }
         }
         i += 1;
@@ -211,20 +195,9 @@ mod tests {
         let outer = &g.nodes[g.defs_of("outer")[0]];
         assert!(outer.calls.contains("helper"));
         assert!(outer.calls.contains("cond"));
-        assert!(outer.field_reads.contains("transaction_bytes"));
-        assert!(outer.field_reads.contains("warp_size"));
-        assert!(!outer.field_reads.contains("helper"));
+        assert!(!outer.calls.contains("transaction_bytes"));
+        assert!(outer.mentions.contains("warp_size"));
         assert_eq!(outer.reserve_lines.len(), 1);
-    }
-
-    #[test]
-    fn range_idents_are_not_field_reads() {
-        let g = graph_of(&[(
-            "crates/a/src/lib.rs",
-            "fn f(n: usize) { for i in 0..n { let _ = i; } }",
-        )]);
-        let f = &g.nodes[g.defs_of("f")[0]];
-        assert!(!f.field_reads.contains("n"));
     }
 
     #[test]
@@ -240,7 +213,8 @@ mod tests {
             "#,
         )]);
         let roots = g.defs_of("entry").to_vec();
-        let parent = g.reachable_unprotected(roots, |n| n.mentions.contains("fault_roll"));
+        let guarded = |n: &FnNode| n.mentions.contains("fault_roll");
+        let parent = g.reachable_unprotected(roots, guarded, |_, _| true);
         let charge = g.defs_of("charge")[0];
         let below = g.defs_of("below_guard")[0];
         assert!(parent.contains_key(&charge), "open path reaches charge");

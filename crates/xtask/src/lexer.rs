@@ -439,48 +439,6 @@ pub fn extract_fns(toks: &[Token]) -> Vec<FnSpan> {
     out
 }
 
-/// Field names (with lines) of `struct <name> { .. }`, or empty when
-/// the struct is not in this stream. Only named-field structs are
-/// supported — that is all the audit needs for the spec tables.
-pub fn extract_struct_fields(toks: &[Token], name: &str) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !(toks[i].is_ident("struct") && toks.get(i + 1).is_some_and(|t| t.is_ident(name))) {
-            continue;
-        }
-        // Scan to the opening brace, then collect `ident :` pairs at
-        // depth 1 (skipping generics/attribute innards via depth).
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('{') {
-            if toks[j].is_punct(';') {
-                return out; // tuple/unit struct
-            }
-            j += 1;
-        }
-        let mut depth = 0usize;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-                depth = depth.saturating_sub(1);
-                if depth == 0 && t.is_punct('}') {
-                    return out;
-                }
-            } else if depth == 1 {
-                if let Some(id) = t.ident() {
-                    if id != "pub" && toks.get(j + 1).is_some_and(|n| n.is_punct(':')) {
-                        out.push((id.to_string(), t.line));
-                    }
-                }
-            }
-            j += 1;
-        }
-        return out;
-    }
-    out
-}
-
 /// `const NAME: T = "value";` (or `= Name("value")`) items inside
 /// `mod <module> { .. }`:
 /// returns `(NAME, value, line)` triples. Used to read the

@@ -3,10 +3,10 @@
 //! Most invariants are held by the toolchain (DESIGN.md §11):
 //! visibility and types, rustc's `unsafe_code`, and the clippy lints and
 //! `clippy.toml` bans that CI runs with `-D warnings`. What is left here
-//! are the three cross-file analyses a compiler lint cannot express,
-//! over an approximate call graph ([`graph`]) built from a small lexer
-//! ([`lexer`]): charge-model coherence, fault reachability and
-//! trace-name liveness (see [`audit`]).
+//! are the two cross-file analyses a compiler lint cannot express, over
+//! an approximate call graph ([`graph`]) built from a small lexer
+//! ([`lexer`]): fault reachability and trace-name liveness (see
+//! [`audit`]).
 //!
 //! Each analysis reconciles its findings against a ratchet allowlist in
 //! `lint/<family>.allow` (see [`allow`]); stale entries fail the audit
@@ -90,7 +90,7 @@ impl AuditOutcome {
 }
 
 /// Audit the workspace rooted at `root`: build the item table and call
-/// graph over every crate source file, run the three analyses, then
+/// graph over every crate source file, run the two analyses, then
 /// reconcile each against `root/lint/<family>.allow`.
 pub fn run_audit(root: &Path) -> io::Result<AuditOutcome> {
     let mut files = Vec::new();

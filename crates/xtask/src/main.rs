@@ -1,6 +1,6 @@
 //! `cargo xtask <audit|ratchet>` — the workspace's call-graph audit.
 //!
-//! * `audit [--root <dir>]` — the three cross-file analyses over the
+//! * `audit [--root <dir>]` — the two cross-file analyses over the
 //!   call graph.
 //! * `ratchet --old <dir> --new <dir>` — assert every `*.allow` file in
 //!   `<new>` only shrinks relative to `<old>` (CI materializes the base

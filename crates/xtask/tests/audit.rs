@@ -17,23 +17,6 @@ fn kinds(report: &xtask::allow::RuleReport) -> Vec<&'static str> {
 }
 
 #[test]
-fn charge_model_fixture_fires() {
-    let out = xtask::run_audit(&fixture("audit-violations")).unwrap();
-    let r = out.family("charge-model");
-    let ks = kinds(r);
-    for kind in ["tuner-blind", "sim-blind", "dead-const"] {
-        assert!(ks.contains(&kind), "missing {kind} in {ks:?}");
-    }
-    // `good_bw` is read by both sides and `name` is descriptive: three
-    // findings exactly, keyed per field.
-    assert_eq!(r.violations.len(), 3, "{:?}", r.violations);
-    assert!(r.violations[0]
-        .file
-        .starts_with("crates/gpusim/src/spec.rs::"));
-    assert!(!out.ok());
-}
-
-#[test]
 fn fault_reach_fixture_fires() {
     let out = xtask::run_audit(&fixture("audit-violations")).unwrap();
     let r = out.family("fault-reach");

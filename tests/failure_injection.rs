@@ -2,6 +2,7 @@
 //! precisely, not corrupt data.
 
 use datatype::DataType;
+use devengine::{EngineConfig, OptimizerConfig};
 use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemError, MemSpace};
 use mpirt::api::{irecv, isend, RecvArgs, SendArgs};
@@ -127,6 +128,74 @@ fn eager_landing_outside_the_buffer_is_a_typed_error() {
             r.result()
         );
         assert_eq!(sim.world.mem().pool(MemSpace::Host).used(), host_used);
+    }
+}
+
+/// A zero fragment size or ring depth is a typed error on both
+/// requests, raised before any handshake — with the tuner on, which
+/// cannot price a degenerate shape, or off, where nothing else stops
+/// zero-byte fragments — within a few events, and the receive buffer
+/// stays untouched.
+#[test]
+fn zero_fragment_size_or_ring_depth_is_a_typed_error() {
+    let ty = DataType::vector(65_536, 2, 4, &DataType::double())
+        .unwrap()
+        .commit();
+    assert_eq!(ty.size(), 1 << 20);
+    let cases = [
+        ("frag_size", 0, 4, true),
+        ("frag_size", 0, 4, false),
+        ("pipeline_depth", 512 << 10, 0, true),
+    ];
+    for (field, frag_size, pipeline_depth, autotune) in cases {
+        let config = MpiConfig {
+            frag_size,
+            pipeline_depth,
+            engine: EngineConfig {
+                optimizer: OptimizerConfig {
+                    autotune,
+                    ..OptimizerConfig::enabled()
+                },
+                ..EngineConfig::default()
+            },
+            ..MpiConfig::default()
+        };
+        let mut sim = Sim::new(MpiWorld::two_ranks_ib(config));
+        let len = ty.extent() as u64;
+        let sbuf = sim
+            .world
+            .mem()
+            .alloc(MemSpace::Device(GpuId(0)), len)
+            .unwrap();
+        let rbuf = sim
+            .world
+            .mem()
+            .alloc(MemSpace::Device(GpuId(1)), len)
+            .unwrap();
+        sim.world
+            .mem()
+            .write(sbuf, &vec![7u8; len as usize])
+            .unwrap();
+        let s = isend(&mut sim, SendArgs::new(0, 1, sbuf, &ty, 1));
+        let r = irecv(&mut sim, RecvArgs::new(1, 0, rbuf, &ty, 1));
+        sim.run();
+        let case = format!("{field} = 0, autotune {autotune}");
+        assert!(
+            sim.executed_events() < 16,
+            "{case}: {} events",
+            sim.executed_events()
+        );
+        for req in [&s, &r] {
+            match req.result() {
+                Some(Err(MpiError::Faulted(msg))) => assert!(msg.contains(field), "{case}: {msg}"),
+                other => panic!("{case}: {other:?}"),
+            }
+        }
+        let got = sim.world.mem().read_vec(rbuf, len).unwrap();
+        assert!(
+            got.iter().all(|&b| b == 0),
+            "{case}: receive buffer written"
+        );
     }
 }
 
