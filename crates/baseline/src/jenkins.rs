@@ -15,7 +15,6 @@ use devengine::{pack_async, unpack_async, EngineConfig};
 use gpusim::{memcpy, GpuWorld as _};
 use memsim::MemSpace;
 use mpirt::{MpiWorld, Request};
-use netsim::NetWorld as _;
 use simcore::{Sim, SimTime};
 
 /// One Jenkins-style message `s → r`.
@@ -78,12 +77,7 @@ pub fn jenkins_transfer(sim: &mut Sim<MpiWorld>, s: BaselineSide, r: BaselineSid
         None,
         move |sim, _| {
             memcpy(sim, s_copy, s_dev, s_host, total, move |sim, _| {
-                let now = sim.now();
-                let arrive = {
-                    let ch = sim.world.net().channel_mut(s_rank, r_rank);
-                    ch.data.reserve(now, total)
-                };
-                sim.schedule_at(arrive, move |sim| {
+                netsim::wire_send(sim, s_rank, r_rank, total, move |sim| {
                     sim.world.mem().copy(s_host, r_host, total).expect("wire");
                     memcpy(sim, r_copy, r_host, r_dev, total, move |sim, _| {
                         unpack_async(
@@ -102,7 +96,8 @@ pub fn jenkins_transfer(sim: &mut Sim<MpiWorld>, s: BaselineSide, r: BaselineSid
                             },
                         );
                     });
-                });
+                })
+                .expect("jenkins ranks are connected");
             });
         },
     );

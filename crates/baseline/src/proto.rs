@@ -6,7 +6,6 @@ use datatype::DataType;
 use gpusim::{memcpy, memcpy_2d, GpuWorld as _};
 use memsim::{MemSpace, Ptr};
 use mpirt::{MpiWorld, Request};
-use netsim::NetWorld as _;
 use simcore::{Sim, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -151,18 +150,14 @@ fn wire_phase(sim: &mut Sim<MpiWorld>, st: Rc<RefCell<State>>) {
         let x = st.borrow();
         (x.s.rank, x.r.rank, x.s_host, x.r_host, x.total)
     };
-    let now = sim.now();
-    let arrive = {
-        let ch = sim.world.net().channel_mut(s_rank, r_rank);
-        ch.data.reserve(now, total)
-    };
-    sim.schedule_at(arrive, move |sim| {
+    netsim::wire_send(sim, s_rank, r_rank, total, move |sim| {
         sim.world
             .mem()
             .copy(src, dst, total)
             .expect("baseline wire");
         unpack_phase(sim, st);
-    });
+    })
+    .expect("baseline ranks are connected");
 }
 
 /// Phase 3: one cudaMemcpy2D (H2D) per receiver-side vector run.

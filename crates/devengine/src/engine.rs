@@ -8,7 +8,7 @@ use crate::tune;
 use datatype::{DataType, Strided2D, TypeError};
 use gpusim::{
     charge_transfer_kernel, kernel_time, GpuSpec, GpuSystem, GpuWorld, KernelConfig, KernelTraffic,
-    StreamId,
+    Rolled, StreamId,
 };
 use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
@@ -199,11 +199,6 @@ impl FragmentEngine {
     /// charges its preparation once, up front; hits are free — exactly
     /// the paper's cached-CUDA-DEV behaviour.
     #[expect(
-        clippy::disallowed_methods,
-        reason = "DEV preparation on the rank's CPU: conversion, not data movement (its \
-                  fault-reach exemption is in lint/fault-reach.allow)"
-    )]
-    #[expect(
         clippy::disallowed_types,
         reason = "the fragment engine is the GPU's DEV executor"
     )]
@@ -305,7 +300,10 @@ impl FragmentEngine {
             }
             if !hit {
                 // First encounter: pay the one-time conversion.
-                let prep = prep_time(&cfg, plan.units.len());
+                let prep = Rolled::setup(
+                    prep_time(&cfg, plan.units.len()),
+                    "DEV preparation: a one-time plan conversion, not data movement",
+                );
                 let (s, e) = sim.world.cpu(rank).reserve(now, prep);
                 sim.trace.instant(
                     now,
@@ -542,11 +540,6 @@ impl FragmentEngine {
     /// fragment side for an unpack). With `None` no list comes back
     /// (`on_complete` gets an empty one), and a cached plan that knows
     /// the launch's traffic derives none at all.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "DEV preparation on the rank's CPU: conversion, not data movement (its \
-                  fault-reach exemption is in lint/fault-reach.allow)"
-    )]
     pub fn charge_fragment<W: GpuWorld>(
         &mut self,
         sim: &mut Sim<W>,
@@ -595,6 +588,10 @@ impl FragmentEngine {
 
         if charge_prep {
             let now = sim.now();
+            let prep = Rolled::setup(
+                prep,
+                "DEV preparation: a one-time plan conversion, not data movement",
+            );
             let (s, prep_end) = sim.world.cpu(self.rank).reserve(now, prep);
             sim.trace.span_at(
                 s,

@@ -107,10 +107,6 @@ pub fn charge_memcpy<W: GpuWorld>(
     memcpy_attempt(sim, stream, src, dst, bytes, fault::default_backoff(), done);
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the memcpy charge wrapper: the reservation is fault-scaled and rolled here"
-)]
 fn memcpy_attempt<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
@@ -187,10 +183,6 @@ pub fn memcpy_2d<W: GpuWorld>(
     );
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the memcpy2d charge wrapper: the reservation is fault-scaled and rolled here"
-)]
 #[expect(
     clippy::expect_used,
     reason = "the memory model validated both pointers when the copy was charged; a \

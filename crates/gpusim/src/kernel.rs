@@ -310,10 +310,6 @@ pub fn charge_transfer_kernel<W: GpuWorld>(
     );
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the kernel-launch charge wrapper: the reservation is fault-scaled and rolled here"
-)]
 #[allow(clippy::too_many_arguments)]
 fn launch_attempt<W: GpuWorld>(
     sim: &mut Sim<W>,

@@ -48,7 +48,7 @@ pub mod system;
 
 pub use arch::GpuArch;
 pub use copy::{charge_memcpy, copy_time, memcpy, memcpy_2d, CopyDirection};
-pub use fault::{count_retry, fault_roll, fault_scaled};
+pub use fault::{count_retry, fault_roll, fault_scaled, fault_scaled_bytes, FifoResource, Rolled};
 pub use kernel::{
     charge_transfer_kernel, kernel_time, launch_transfer_kernel, KernelConfig, KernelTraffic,
 };

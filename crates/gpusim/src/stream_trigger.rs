@@ -18,6 +18,7 @@
 //! per-arch constants from the node topology tables — which makes this
 //! file a charge wrapper in the fault-coverage sense.
 
+use crate::fault::Rolled;
 use crate::kernel::{kernel_time, KernelConfig, KernelTraffic};
 use crate::spec::NodeTopology;
 use crate::system::{GpuState, GpuWorld, StreamId};
@@ -116,14 +117,14 @@ impl GraphCapture {
     /// End capture: charge the one-time capture cost on the stream (the
     /// driver walks the graph once to bake command buffers — one op
     /// issue per node) and return the replayable graph.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "capture is one-time setup, like a plan compile; the replays it feeds are \
-                  fault-scaled"
-    )]
     pub fn finish<W: GpuWorld>(self, sim: &mut Sim<W>) -> StreamGraph {
         let issue = sim.world.gpus_ref().topo.stream_op_issue;
         let cost = SimTime::from_nanos(issue.as_nanos().saturating_mul(self.ops.len() as u64));
+        let cost = Rolled::setup(
+            cost,
+            "capture is one-time setup, like a plan compile; the replays it feeds are \
+             fault-scaled",
+        );
         let now = sim.now();
         let (start, end) = sim.world.gpus().stream_mut(self.stream).reserve(now, cost);
         sim.trace.span_at(
@@ -181,10 +182,6 @@ pub fn graph_kernel_time(
 /// charge; transient/permanent doorbell faults are rolled by the
 /// protocol layer *before* replay (a lost doorbell demotes the path,
 /// it does not corrupt an issued one).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the replay charge wrapper: the reservation is fault-scaled on StreamDoorbell"
-)]
 pub fn replay_issue<W: GpuWorld>(
     sim: &mut Sim<W>,
     graph: &StreamGraph,
@@ -214,10 +211,6 @@ pub fn replay_issue<W: GpuWorld>(
 /// [`FaultOp::KernelLaunch`] still stretch the charge; loss faults are
 /// the doorbell's to absorb (the whole replay demotes), so no retry
 /// loop lives here.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the graph-kernel charge wrapper: the reservation is fault-scaled on KernelLaunch"
-)]
 #[expect(
     clippy::expect_used,
     reason = "the memory model validated both pointers when the kernel was charged; a \

@@ -2,11 +2,12 @@
 //! and the world-access trait the async operations are generic over.
 
 use crate::arch::GpuArch;
+use crate::fault::FifoResource;
 use crate::spec::{GpuSpec, NodeTopology};
 use faultsim::{FaultDecision, FaultOp, FaultSim};
 use memsim::{GpuId, IpcHandle, MemError, Memory, Ptr};
 use simcore::trace::names;
-use simcore::{Bandwidth, FifoResource, Sim, SimTime, Track};
+use simcore::{Bandwidth, Sim, SimTime, Track};
 
 /// Identifies one stream on one GPU.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -359,17 +360,14 @@ mod tests {
     }
 
     #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "checks the per-rank CPU tables themselves"
-    )]
     fn cpu_resources_grow_per_rank() {
         let mut w = NodeWorld::new(1);
         let _ = w.cpu(5);
         assert_eq!(w.cpus.len(), 6);
         // Reservations are independent per rank.
-        let (_, e0) = w.cpu(0).reserve(SimTime::ZERO, SimTime::from_micros(10));
-        let (s1, _) = w.cpu(1).reserve(SimTime::ZERO, SimTime::from_micros(10));
+        let d = || crate::Rolled::setup(SimTime::from_micros(10), "the CPU table's own test");
+        let (_, e0) = w.cpu(0).reserve(SimTime::ZERO, d());
+        let (s1, _) = w.cpu(1).reserve(SimTime::ZERO, d());
         assert_eq!(e0.as_nanos(), 10_000);
         assert_eq!(s1, SimTime::ZERO, "rank 1's CPU is not blocked by rank 0");
     }

@@ -133,8 +133,7 @@ impl CpuEngine {
     /// here, before `done` can move anything.
     #[expect(
         clippy::disallowed_methods,
-        reason = "the CPU convertor walks its DEV cursor and is the CpuPack charge wrapper: \
-                  the reservation is fault-scaled and rolled here"
+        reason = "the CPU convertor is a sanctioned DEV executor: it walks its DEV cursor"
     )]
     pub fn charge_fragment<W: GpuWorld>(
         &mut self,
@@ -177,7 +176,8 @@ impl CpuEngine {
                 fault::retries_exhausted(FaultOp::CpuPack, backoff.attempts());
             }
             fault::count_retry(sim, FaultOp::CpuPack);
-            duration = duration + backoff.next_delay() + pass;
+            let delay = backoff.next_delay();
+            duration = duration.map(|d| d + delay + pass);
         }
         let now = sim.now();
         let (start, end) = sim.world.cpu(self.rank).reserve(now, duration);

@@ -519,8 +519,6 @@ fn run_op(
             at(from, &f)?;
             at(to, &f)?;
             let (now, n) = (sim.now(), f.n);
-            // The hop must go through the faultsim-consulting wrapper —
-            // the fault-reach audit checks every charge on this path.
             let arrive = wire_send(sim, s_rank, r_rank, n, move |sim| {
                 sim.trace.count(names::MPIRT_WIRE_BYTES, a, b, n);
                 next(sim, f);

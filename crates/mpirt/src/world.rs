@@ -9,11 +9,10 @@ use crate::protocol::exec::{MoveKey, MoveList};
 use crate::protocol::ShapeKey;
 use devengine::{DevCache, Lru};
 use faultsim::FaultSim;
-use gpusim::{GpuArch, GpuSystem, GpuWorld, StreamId};
+use gpusim::{FifoResource, GpuArch, GpuSystem, GpuWorld, StreamId};
 use memsim::{GpuId, Memory};
 use netsim::{ChannelKind, ClusterWorld, NetSystem, NetWorld};
 use simcore::hash::DetHashMap;
-use simcore::FifoResource;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;

@@ -60,13 +60,8 @@ fn send_am_attempt<W: NetWorld>(
     deliver: impl FnOnce(&mut Sim<W>) + 'static,
 ) {
     let now = sim.now();
-    let factor = sim.world.faults().slowdown(FaultOp::AmDeliver, now);
     let bytes = AM_HEADER_BYTES + payload_bytes;
-    let wire_bytes = if factor == 1.0 {
-        bytes
-    } else {
-        (bytes as f64 * factor) as u64
-    };
+    let wire_bytes = fault::fault_scaled_bytes(sim, FaultOp::AmDeliver, bytes);
     let arrive = {
         // Existence was checked on the first attempt; mid-retransmit the
         // channel is an invariant.

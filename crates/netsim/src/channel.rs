@@ -1,6 +1,7 @@
 //! Links and channels between process pairs.
 
-use simcore::{Bandwidth, FifoResource, SimTime};
+use gpusim::{FifoResource, Rolled};
+use simcore::{Bandwidth, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -64,13 +65,9 @@ impl Link {
 
     /// Reserve the link for a `bytes`-sized message submitted at `now`;
     /// returns the delivery completion time (wire occupancy + one-way
-    /// latency).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the link charge wrapper: its callers roll the hop's fault op"
-    )]
-    pub fn reserve(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let wire = self.wire_time(bytes);
+    /// latency). The bytes come from [`gpusim::fault_scaled_bytes`].
+    pub fn reserve(&mut self, now: SimTime, bytes: Rolled<u64>) -> SimTime {
+        let wire = bytes.map(|b| self.wire_time(b));
         let (_start, end) = self.resource.reserve(now, wire);
         end + self.latency
     }
@@ -195,11 +192,14 @@ mod tests {
 
     #[test]
     fn link_reserve_accumulates() {
+        let mut sim = simcore::Sim::new(crate::world::ClusterWorld::new(2));
+        let mut bytes =
+            || gpusim::fault_scaled_bytes(&mut sim, faultsim::FaultOp::WireCopy, 10_000);
         let mut l = Link::new(Bandwidth::from_gbps(10.0), SimTime::from_micros(1));
-        let d1 = l.reserve(SimTime::ZERO, 10_000); // 1 us wire + 1 us latency
+        let d1 = l.reserve(SimTime::ZERO, bytes()); // 1 us wire + 1 us latency
         assert_eq!(d1.as_nanos(), 2_000);
         // Second message queues behind the first's wire time.
-        let d2 = l.reserve(SimTime::ZERO, 10_000);
+        let d2 = l.reserve(SimTime::ZERO, bytes());
         assert_eq!(d2.as_nanos(), 3_000);
     }
 

@@ -40,11 +40,6 @@ pub fn ensure_registered<W: NetWorld>(
     register_attempt(sim, rank, ptr, fault::default_backoff(), done);
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the registration charge wrapper: the reservation is fault-scaled and rolled \
-              on RdmaRegister"
-)]
 fn register_attempt<W: NetWorld>(
     sim: &mut Sim<W>,
     rank: usize,
@@ -218,12 +213,7 @@ fn one_sided_attempt<W: NetWorld>(
     done: impl FnOnce(&mut Sim<W>) + 'static,
 ) {
     let now = sim.now();
-    let factor = sim.world.faults().slowdown(which.op(), now);
-    let wire_bytes = if factor == 1.0 {
-        len
-    } else {
-        (len as f64 * factor) as u64
-    };
+    let wire_bytes = fault::fault_scaled_bytes(sim, which.op(), len);
     let arrive = {
         let ch = sim.world.net().channel_mut(from, to);
         ch.data.reserve(now, wire_bytes)

@@ -1,11 +1,9 @@
 //! The staged-wire charge point: fragment hops over a data link that
 //! are not RDMA verbs (the copy-in/copy-out pipeline's middle stage).
 //!
-//! This is a wrapper module in the fault-coverage sense: it is the only
-//! place outside `rdma`/`am` allowed to reserve data-link time, and it
-//! consults the fault engine on every hop. Protocol code must come
-//! through here — `clippy.toml` bans raw `FifoResource::reserve`
-//! calls everywhere else.
+//! It consults the fault engine on every hop: the link charge is the
+//! [`gpusim::Rolled`] bytes of [`fault::fault_scaled_bytes`], and the
+//! hop's `WireCopy` roll follows the reservation.
 
 use crate::channel::NetError;
 use crate::world::NetWorld;
@@ -52,12 +50,7 @@ fn wire_attempt<W: NetWorld>(
     deliver: impl FnOnce(&mut Sim<W>) + 'static,
 ) -> SimTime {
     let now = sim.now();
-    let factor = sim.world.faults().slowdown(FaultOp::WireCopy, now);
-    let wire_bytes = if factor == 1.0 {
-        bytes
-    } else {
-        (bytes as f64 * factor) as u64
-    };
+    let wire_bytes = fault::fault_scaled_bytes(sim, FaultOp::WireCopy, bytes);
     let arrive = {
         // Existence was checked on the first attempt; mid-retransmit the
         // channel is an invariant.

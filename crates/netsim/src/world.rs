@@ -3,9 +3,9 @@
 
 use crate::channel::NetSystem;
 use faultsim::FaultSim;
+use gpusim::FifoResource;
 use gpusim::{GpuArch, GpuSystem, GpuWorld};
 use memsim::Memory;
-use simcore::FifoResource;
 
 /// World-access trait for network operations; extends [`GpuWorld`].
 pub trait NetWorld: GpuWorld {

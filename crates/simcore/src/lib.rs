@@ -5,11 +5,11 @@
 //! FDR InfiniBand). This reproduction replaces the hardware with a
 //! deterministic discrete-event simulation: every protocol step, kernel
 //! launch, DMA transfer and network message is an *event* on a single
-//! virtual clock. `simcore` provides the clock, the event queue, FIFO
-//! resource models (a stream, a DMA engine and a network link are all
-//! "busy-until" FIFO resources), and small parallel byte-movement helpers
-//! so that the *functional* side of the simulation (bytes really moving)
-//! can use all host cores.
+//! virtual clock. `simcore` provides the clock, the event queue, tracing
+//! and small parallel byte-movement helpers so that the *functional*
+//! side of the simulation (bytes really moving) can use all host cores.
+//! The "busy-until" FIFO resource a charge lands on lives with the fault
+//! glue that mints its charges (`gpusim::fault`).
 //!
 //! Everything is deterministic: same inputs, same event order, same
 //! virtual timestamps.
@@ -20,7 +20,6 @@ pub mod hash;
 pub mod msgsim;
 pub mod par;
 pub mod rate;
-pub mod resource;
 pub mod rng;
 pub mod scratch;
 pub mod stats;
@@ -30,6 +29,5 @@ pub mod trace;
 pub use calq::CalendarQueue;
 pub use event::{EventId, Sim};
 pub use rate::Bandwidth;
-pub use resource::FifoResource;
 pub use time::SimTime;
 pub use trace::{Counter, Metrics, SpanId, Tracer, Track};

@@ -64,6 +64,21 @@ macro_rules! counters {
     };
 }
 
+/// Declares every span category and span / instant name once, as
+/// `const CONST = "name";`: the [`Name`] constants emit sites use, and
+/// [`Name::ALL`], the list a liveness check walks.
+macro_rules! trace_names {
+    ($( const $konst:ident = $name:literal; )+) => {
+        $( pub const $konst: Name = Name($name); )+
+
+        impl Name {
+            /// Every span category and span / instant name, in
+            /// declaration order.
+            pub const ALL: &'static [Name] = &[$($konst),+];
+        }
+    };
+}
+
 /// The single registry of every trace counter, span category, and
 /// span/instant name emitted anywhere in the workspace.
 ///
@@ -157,48 +172,50 @@ pub mod names {
         const PAR_POOL_THREADS: ParPoolThreads = "simcore.par.pool_threads";
     }
 
-    // ---- span categories (one per emitting layer) ----
-    pub const CAT_MPIRT: Name = Name("mpirt");
-    pub const CAT_NETSIM: Name = Name("netsim");
-    pub const CAT_GPUSIM: Name = Name("gpusim");
-    pub const CAT_DEVENGINE: Name = Name("devengine");
-    pub const CAT_CPUPACK: Name = Name("cpupack");
-    pub const CAT_SCALE: Name = Name("scale");
+    trace_names! {
+        // ---- span categories (one per emitting layer) ----
+        const CAT_MPIRT = "mpirt";
+        const CAT_NETSIM = "netsim";
+        const CAT_GPUSIM = "gpusim";
+        const CAT_DEVENGINE = "devengine";
+        const CAT_CPUPACK = "cpupack";
+        const CAT_SCALE = "scale";
 
-    // ---- span / instant names: protocol layer ----
-    pub const SPAN_SESSION: Name = Name("session");
-    pub const SPAN_EAGER: Name = Name("eager");
-    pub const SPAN_COPYIO: Name = Name("copyio");
-    pub const SPAN_WIRE: Name = Name("wire");
-    pub const SPAN_FRAG: Name = Name("frag");
-    pub const SPAN_SM_BOTH_DENSE: Name = Name("sm-both-dense");
-    pub const SPAN_SM_SENDER_DENSE: Name = Name("sm-sender-dense");
-    pub const SPAN_SM_RECEIVER_DENSE: Name = Name("sm-receiver-dense");
-    pub const SPAN_SM_PIPELINE: Name = Name("sm-pipeline");
+        // ---- span / instant names: protocol layer ----
+        const SPAN_SESSION = "session";
+        const SPAN_EAGER = "eager";
+        const SPAN_COPYIO = "copyio";
+        const SPAN_WIRE = "wire";
+        const SPAN_FRAG = "frag";
+        const SPAN_SM_BOTH_DENSE = "sm-both-dense";
+        const SPAN_SM_SENDER_DENSE = "sm-sender-dense";
+        const SPAN_SM_RECEIVER_DENSE = "sm-receiver-dense";
+        const SPAN_SM_PIPELINE = "sm-pipeline";
 
-    // ---- span / instant names: substrates ----
-    pub const SPAN_AM: Name = Name("am");
-    pub const SPAN_RDMA_REGISTER: Name = Name("rdma-register");
-    pub const SPAN_RDMA_GET: Name = Name("rdma-get");
-    pub const SPAN_RDMA_PUT: Name = Name("rdma-put");
-    pub const SPAN_KERNEL: Name = Name("kernel");
-    pub const SPAN_MEMCPY: Name = Name("memcpy");
-    pub const SPAN_MEMCPY2D: Name = Name("memcpy2d");
-    pub const SPAN_IPC_OPEN: Name = Name("ipc-open");
-    pub const SPAN_STREAM_SYNC: Name = Name("stream-sync");
-    pub const SPAN_PREP: Name = Name("prep");
-    pub const SPAN_DEV_CACHE_HIT: Name = Name("dev-cache-hit");
-    pub const SPAN_DEV_CACHE_MISS: Name = Name("dev-cache-miss");
-    pub const SPAN_CPU_PACK: Name = Name("cpu-pack");
-    pub const SPAN_CPU_UNPACK: Name = Name("cpu-unpack");
+        // ---- span / instant names: substrates ----
+        const SPAN_AM = "am";
+        const SPAN_RDMA_REGISTER = "rdma-register";
+        const SPAN_RDMA_GET = "rdma-get";
+        const SPAN_RDMA_PUT = "rdma-put";
+        const SPAN_KERNEL = "kernel";
+        const SPAN_MEMCPY = "memcpy";
+        const SPAN_MEMCPY2D = "memcpy2d";
+        const SPAN_IPC_OPEN = "ipc-open";
+        const SPAN_STREAM_SYNC = "stream-sync";
+        const SPAN_PREP = "prep";
+        const SPAN_DEV_CACHE_HIT = "dev-cache-hit";
+        const SPAN_DEV_CACHE_MISS = "dev-cache-miss";
+        const SPAN_CPU_PACK = "cpu-pack";
+        const SPAN_CPU_UNPACK = "cpu-unpack";
 
-    // ---- span / instant names: offload frontier ----
-    pub const SPAN_NIC_PROGRAM: Name = Name("nic-program");
-    pub const SPAN_STREAM_CAPTURE: Name = Name("stream-capture");
-    pub const SPAN_STREAM_REPLAY: Name = Name("stream-replay");
+        // ---- span / instant names: offload frontier ----
+        const SPAN_NIC_PROGRAM = "nic-program";
+        const SPAN_STREAM_CAPTURE = "stream-capture";
+        const SPAN_STREAM_REPLAY = "stream-replay";
 
-    // ---- span / instant names: message-level scale model ----
-    pub const SPAN_SCALE_OP: Name = Name("scale-op");
+        // ---- span / instant names: message-level scale model ----
+        const SPAN_SCALE_OP = "scale-op";
+    }
 }
 
 /// A span category or span / instant name. The field is private to this
