@@ -2,8 +2,10 @@
 //!
 //! Every simulator layer consults a [`FaultSim`] at its *charge points* —
 //! the places where it reserves a resource and schedules a completion:
-//! `netsim` AM delivery and RDMA register/get/put, `gpusim` kernel
-//! launches and copies, IPC handle opens and pinned registration. The
+//! `netsim` AM delivery, staged wire hops and RDMA registration,
+//! `gpusim` kernel launches, copies and stream doorbells, IPC handle
+//! opens, pinned registration, NIC handler installs and the CPU
+//! convertor. The
 //! engine rolls a [`FaultDecision`] per attempt from a seeded
 //! `simcore::rng::SimRng`, so a given `(seed, plan, workload)` triple
 //! always injects the same faults at the same virtual times.
@@ -28,47 +30,46 @@ use simcore::rng::SimRng;
 use simcore::time::SimTime;
 
 /// The operations a fault plan can target. Doubles as the `a` dimension
-/// of the `fault.injected` trace counter.
+/// of the `fault.injected` trace counter: the discriminant is the op's
+/// [`FaultOp::index`], stable across releases, so 2 and 3 — the retired
+/// one-sided get and put — stay unused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultOp {
     /// Active-message delivery on a ctrl link (`netsim::am`).
-    AmDeliver,
+    AmDeliver = 0,
     /// Memory registration with the NIC (`netsim::rdma::ensure_registered`).
-    RdmaRegister,
-    /// One-sided get over a data link (`netsim::rdma::rdma_get`).
-    RdmaGet,
-    /// One-sided put over a data link (`netsim::rdma::rdma_put`).
-    RdmaPut,
+    RdmaRegister = 1,
     /// Pack/unpack transfer-kernel launch (`gpusim::kernel`).
-    KernelLaunch,
+    KernelLaunch = 4,
     /// DMA copy on a copy engine (`gpusim::copy`).
-    Memcpy,
+    Memcpy = 5,
     /// CUDA-IPC handle open (`gpusim::system::ipc_open`).
-    IpcOpen,
+    IpcOpen = 6,
     /// Pinned-host registration performed once per connection
     /// (`mpirt::connection::ib_connection`).
-    PinnedRegister,
+    PinnedRegister = 7,
     /// Staged copy-in/copy-out hop over a data link (`netsim::wire`).
-    WireCopy,
+    WireCopy = 8,
     /// DEV-program handler install on the NIC packet processor, done
     /// once per connection (`mpirt::protocol::offload`). Loss demotes
     /// NicOffload → GPU-pack.
-    NicHandler,
+    NicHandler = 9,
     /// GPU-stream doorbell ringing a captured stream-op graph
     /// (`gpusim::stream_trigger`). Loss demotes StreamTriggered →
     /// CPU-driven.
-    StreamDoorbell,
+    StreamDoorbell = 10,
     /// Host-side pack/unpack pass on a rank's CPU (`mpirt::cpupack`).
     /// The CPU convertor is itself the fallback path, so loss panics.
-    CpuPack,
+    CpuPack = 11,
 }
 
+/// Slots of the loss table: one past the largest [`FaultOp::index`].
+const SLOTS: usize = FaultOp::CpuPack as usize + 1;
+
 impl FaultOp {
-    pub const ALL: [FaultOp; 12] = [
+    pub const ALL: [FaultOp; 10] = [
         FaultOp::AmDeliver,
         FaultOp::RdmaRegister,
-        FaultOp::RdmaGet,
-        FaultOp::RdmaPut,
         FaultOp::KernelLaunch,
         FaultOp::Memcpy,
         FaultOp::IpcOpen,
@@ -81,20 +82,7 @@ impl FaultOp {
 
     /// Stable index, used as the counter dimension and the loss-table slot.
     pub fn index(self) -> usize {
-        match self {
-            FaultOp::AmDeliver => 0,
-            FaultOp::RdmaRegister => 1,
-            FaultOp::RdmaGet => 2,
-            FaultOp::RdmaPut => 3,
-            FaultOp::KernelLaunch => 4,
-            FaultOp::Memcpy => 5,
-            FaultOp::IpcOpen => 6,
-            FaultOp::PinnedRegister => 7,
-            FaultOp::WireCopy => 8,
-            FaultOp::NicHandler => 9,
-            FaultOp::StreamDoorbell => 10,
-            FaultOp::CpuPack => 11,
-        }
+        self as usize
     }
 
     /// Plan-DSL name (see [`FaultPlan::parse`]).
@@ -102,8 +90,6 @@ impl FaultOp {
         match self {
             FaultOp::AmDeliver => "am",
             FaultOp::RdmaRegister => "rdma_reg",
-            FaultOp::RdmaGet => "rdma_get",
-            FaultOp::RdmaPut => "rdma_put",
             FaultOp::KernelLaunch => "kernel",
             FaultOp::Memcpy => "memcpy",
             FaultOp::IpcOpen => "ipc_open",
@@ -238,9 +224,8 @@ impl FaultPlan {
     /// op:kind[:param][@start..end][#max]
     /// ```
     ///
-    /// * `op` — `am`, `rdma_reg`, `rdma_get`, `rdma_put`, `kernel`,
-    ///   `memcpy`, `ipc_open`, `pin`, `wire`, `nic`, `doorbell`,
-    ///   `cpupack`, or `any`.
+    /// * `op` — `am`, `rdma_reg`, `kernel`, `memcpy`, `ipc_open`, `pin`,
+    ///   `wire`, `nic`, `doorbell`, `cpupack`, or `any`.
     /// * `kind` — `transient`, `lost`, or `degrade`.
     /// * `param` — firing probability for `transient`/`lost` (default
     ///   1.0), slowdown factor for `degrade` (required, ≥ 1.0).
@@ -248,7 +233,7 @@ impl FaultPlan {
     ///   omitted. Times take a `ns`/`us`/`ms`/`s` suffix.
     /// * `#max` — cap on total injections from this rule.
     ///
-    /// Example: `am:transient:0.05;ipc_open:lost@2ms..;rdma_get:degrade:4@1ms..9ms`
+    /// Example: `am:transient:0.05;ipc_open:lost@2ms..;wire:degrade:4@1ms..9ms`
     pub fn parse(text: &str) -> Result<Self, PlanParseError> {
         let mut rules = Vec::new();
         for raw in text.split(';') {
@@ -373,7 +358,7 @@ pub struct FaultSim {
     rng: SimRng,
     rules: Vec<RuleState>,
     /// Ops whose capability a `PermanentLoss` rule has destroyed.
-    lost: [bool; FaultOp::ALL.len()],
+    lost: [bool; SLOTS],
     injected_total: u64,
 }
 
@@ -390,7 +375,7 @@ impl FaultSim {
             active: false,
             rng: SimRng::new(0),
             rules: Vec::new(),
-            lost: [false; FaultOp::ALL.len()],
+            lost: [false; SLOTS],
             injected_total: 0,
         }
     }
@@ -405,7 +390,7 @@ impl FaultSim {
                 .into_iter()
                 .map(|rule| RuleState { rule, injected: 0 })
                 .collect(),
-            lost: [false; FaultOp::ALL.len()],
+            lost: [false; SLOTS],
             injected_total: 0,
         }
     }
@@ -430,7 +415,7 @@ impl FaultSim {
                     injected: 0,
                 })
                 .collect(),
-            lost: [false; FaultOp::ALL.len()],
+            lost: [false; SLOTS],
             injected_total: 0,
         }
     }
@@ -581,6 +566,12 @@ mod tests {
     }
 
     #[test]
+    fn surviving_ops_keep_their_indices() {
+        let index: Vec<usize> = FaultOp::ALL.iter().map(|op| op.index()).collect();
+        assert_eq!(index, [0, 1, 4, 5, 6, 7, 8, 9, 10, 11]);
+    }
+
+    #[test]
     fn empty_plan_engine_is_inactive() {
         let f = FaultSim::from_plan(FaultPlan::empty());
         assert!(!f.active());
@@ -652,20 +643,20 @@ mod tests {
     fn windows_and_caps_limit_firing() {
         let mut plan = FaultPlan::empty();
         plan.rules.push(FaultRule {
-            op: Some(FaultOp::RdmaGet),
+            op: Some(FaultOp::WireCopy),
             kind: FaultKind::Transient,
             probability: 1.0,
             window: Some((t(10), t(20))),
             max_injections: Some(2),
         });
         let mut f = FaultSim::from_plan(plan);
-        assert_eq!(f.roll(FaultOp::RdmaGet, t(5)), FaultDecision::Ok);
-        assert_eq!(f.roll(FaultOp::RdmaGet, t(10)), FaultDecision::Transient);
-        assert_eq!(f.roll(FaultOp::RdmaGet, t(11)), FaultDecision::Transient);
+        assert_eq!(f.roll(FaultOp::WireCopy, t(5)), FaultDecision::Ok);
+        assert_eq!(f.roll(FaultOp::WireCopy, t(10)), FaultDecision::Transient);
+        assert_eq!(f.roll(FaultOp::WireCopy, t(11)), FaultDecision::Transient);
         // Cap of 2 reached.
-        assert_eq!(f.roll(FaultOp::RdmaGet, t(12)), FaultDecision::Ok);
+        assert_eq!(f.roll(FaultOp::WireCopy, t(12)), FaultDecision::Ok);
         // Window closed.
-        assert_eq!(f.roll(FaultOp::RdmaGet, t(20)), FaultDecision::Ok);
+        assert_eq!(f.roll(FaultOp::WireCopy, t(20)), FaultDecision::Ok);
     }
 
     #[test]
@@ -696,9 +687,10 @@ mod tests {
 
     #[test]
     fn dsl_round_trips() {
-        let plan =
-            FaultPlan::parse("am:transient:0.05; ipc_open:lost@2ms..; rdma_get:degrade:4@1ms..9ms; any:transient:0.5#3")
-                .unwrap();
+        let plan = FaultPlan::parse(
+            "am:transient:0.05; ipc_open:lost@2ms..; wire:degrade:4@1ms..9ms; any:transient:0.5#3",
+        )
+        .unwrap();
         assert_eq!(plan.rules.len(), 4);
         assert_eq!(plan.rules[0].op, Some(FaultOp::AmDeliver));
         assert_eq!(plan.rules[0].kind, FaultKind::Transient);

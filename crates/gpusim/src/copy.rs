@@ -1,12 +1,12 @@
 //! `cudaMemcpy` / `cudaMemcpy2D` equivalents.
 
 use crate::fault;
-use crate::system::{GpuSystem, GpuWorld, StreamId};
-use faultsim::{Backoff, FaultDecision, FaultOp};
+use crate::system::{on_stream, GpuSystem, GpuWorld, StreamId};
+use faultsim::FaultOp;
 use memsim::{GpuId, MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::{names, Counter};
-use simcore::{Bandwidth, Sim, SimTime, Track};
+use simcore::{Bandwidth, Sim, SimTime};
 
 /// Direction of a contiguous copy, derived from the pointer spaces.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -92,10 +92,11 @@ pub fn memcpy<W: GpuWorld>(
 /// counter, and invokes `done` at the completion instant. No byte
 /// moves: `src` and `dst` only pick the direction's rate.
 ///
-/// Fault charge point (`FaultOp::Memcpy`): the verdict is rolled at
-/// issue; transient injections re-issue the copy after a capped
-/// exponential backoff (the engine charges the stream again per
-/// attempt); degradation windows stretch the charge.
+/// Fault charge point (`FaultOp::Memcpy`), issued through
+/// [`fault::charge`]: the verdict is rolled at issue; transient
+/// injections re-issue the copy after a capped exponential backoff (the
+/// engine charges the stream again per attempt); degradation windows
+/// stretch the charge.
 pub fn charge_memcpy<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
@@ -104,42 +105,10 @@ pub fn charge_memcpy<W: GpuWorld>(
     bytes: u64,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    memcpy_attempt(sim, stream, src, dst, bytes, fault::default_backoff(), done);
-}
-
-fn memcpy_attempt<W: GpuWorld>(
-    sim: &mut Sim<W>,
-    stream: StreamId,
-    src: Ptr,
-    dst: Ptr,
-    bytes: u64,
-    mut backoff: Backoff,
-    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
-) {
     let dir = CopyDirection::of(src.space, dst.space);
-    let duration = copy_time(sim.world.gpus_ref(), stream.gpu, dir, bytes);
-    let duration = fault::fault_scaled(sim, FaultOp::Memcpy, duration);
-    let now = sim.now();
-    let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
-    let track = Track::Stream {
-        gpu: stream.gpu.0,
-        index: stream.index as u32,
-    };
-    sim.trace
-        .span_at(start, end, names::CAT_GPUSIM, names::SPAN_MEMCPY, track);
-    let verdict = fault::fault_roll(sim, FaultOp::Memcpy);
-    sim.schedule_at(end, move |sim| {
-        if verdict.is_fault() {
-            if verdict == FaultDecision::Lost || backoff.attempts() >= fault::RETRY_MAX {
-                fault::retries_exhausted(FaultOp::Memcpy, backoff.attempts());
-            }
-            fault::count_retry(sim, FaultOp::Memcpy);
-            let delay = backoff.next_delay();
-            sim.schedule_in(delay, move |sim| {
-                memcpy_attempt(sim, stream, src, dst, bytes, backoff, done);
-            });
-            return;
-        }
+    let price = move |sim: &Sim<W>| copy_time(sim.world.gpus_ref(), stream.gpu, dir, bytes);
+    let reserve = on_stream(stream, names::SPAN_MEMCPY);
+    fault::charge(sim, FaultOp::Memcpy, price, reserve, move |sim| {
         sim.trace.count(dir.counter(), stream.gpu.0, 0, bytes);
         done(sim, sim.now());
     });
@@ -152,7 +121,13 @@ fn memcpy_attempt<W: GpuWorld>(
 /// through the DMA engine (any H2D/D2H direction) the effective
 /// bandwidth collapses when `width` is not a multiple of 64 bytes, and
 /// every row pays a descriptor overhead. Device-internal 2-D copies run
-/// as a kernel and behave like our own pack kernels.
+/// as a kernel and behave like our own pack kernels. A fault charge
+/// point like [`charge_memcpy`]; the rows move when the copy lands.
+#[expect(
+    clippy::expect_used,
+    reason = "the memory model validated both pointers when the copy was charged; a \
+              failure at completion is corrupted bookkeeping, not an input"
+)]
 #[allow(clippy::too_many_arguments)]
 pub fn memcpy_2d<W: GpuWorld>(
     sim: &mut Sim<W>,
@@ -169,41 +144,9 @@ pub fn memcpy_2d<W: GpuWorld>(
         src_pitch >= width && dst_pitch >= width,
         "pitch smaller than width"
     );
-    memcpy_2d_attempt(
-        sim,
-        stream,
-        src,
-        src_pitch,
-        dst,
-        dst_pitch,
-        width,
-        height,
-        fault::default_backoff(),
-        done,
-    );
-}
-
-#[expect(
-    clippy::expect_used,
-    reason = "the memory model validated both pointers when the copy was charged; a \
-              failure at completion is corrupted bookkeeping, not an input"
-)]
-#[allow(clippy::too_many_arguments)]
-fn memcpy_2d_attempt<W: GpuWorld>(
-    sim: &mut Sim<W>,
-    stream: StreamId,
-    src: Ptr,
-    src_pitch: u64,
-    dst: Ptr,
-    dst_pitch: u64,
-    width: u64,
-    height: u64,
-    mut backoff: Backoff,
-    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
-) {
     let dir = CopyDirection::of(src.space, dst.space);
     let bytes = width * height;
-    let duration = {
+    let price = move |sim: &Sim<W>| {
         let sys = sim.world.gpus_ref();
         let topo = &sys.topo;
         let g = sys.gpu(stream.gpu);
@@ -236,31 +179,8 @@ fn memcpy_2d_attempt<W: GpuWorld>(
             CopyDirection::HostToHost => dma(topo.host_memcpy_bw),
         }
     };
-
-    let duration = fault::fault_scaled(sim, FaultOp::Memcpy, duration);
-    let now = sim.now();
-    let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
-    let track = Track::Stream {
-        gpu: stream.gpu.0,
-        index: stream.index as u32,
-    };
-    sim.trace
-        .span_at(start, end, names::CAT_GPUSIM, names::SPAN_MEMCPY2D, track);
-    let verdict = fault::fault_roll(sim, FaultOp::Memcpy);
-    sim.schedule_at(end, move |sim| {
-        if verdict.is_fault() {
-            if verdict == FaultDecision::Lost || backoff.attempts() >= fault::RETRY_MAX {
-                fault::retries_exhausted(FaultOp::Memcpy, backoff.attempts());
-            }
-            fault::count_retry(sim, FaultOp::Memcpy);
-            let delay = backoff.next_delay();
-            sim.schedule_in(delay, move |sim| {
-                memcpy_2d_attempt(
-                    sim, stream, src, src_pitch, dst, dst_pitch, width, height, backoff, done,
-                );
-            });
-            return;
-        }
+    let reserve = on_stream(stream, names::SPAN_MEMCPY2D);
+    fault::charge(sim, FaultOp::Memcpy, price, reserve, move |sim| {
         let ops: Vec<CopyOp> = (0..height)
             .map(|r| CopyOp {
                 src_off: (r * src_pitch) as usize,

@@ -1,18 +1,22 @@
 //! Charge-point glue between the simulators and `faultsim`, and the
 //! virtual-time resource every charge lands on.
 //!
-//! Every layer that models a fallible operation calls [`fault_roll`]
-//! right where it reserves the resource; injections are metered on the
-//! shared `fault.injected` counter (dimension `a` = [`FaultOp::index`]),
-//! retries on `retry.attempts`. With no fault plan loaded all of these
-//! helpers are constant-time no-ops — no RNG draws, no counters — so
-//! fault-free runs stay byte-identical to builds without the subsystem.
+//! Every fallible operation — a kernel launch, a copy, an active
+//! message, a staged wire hop, a registration — is issued through
+//! [`charge`], the one retry driver: it prices each attempt, passes the
+//! price through the plan's degradation windows, reserves the resource,
+//! rolls the fault and, on a transient verdict, backs off and re-issues.
+//! Injections are metered on the shared `fault.injected` counter
+//! (dimension `a` = [`FaultOp::index`]), retries on `retry.attempts`.
+//! With no fault plan loaded all of this is a constant-time no-op — no
+//! RNG draws, no counters — so fault-free runs stay byte-identical to
+//! builds without the subsystem.
 //!
 //! Fault coverage is a type: [`FifoResource::reserve`] takes a
 //! [`Rolled`] charge, and only this module mints one — by consulting
-//! the plan's degradation windows ([`fault_scaled`] for durations,
-//! [`fault_scaled_bytes`] for link bytes), or by a named one-time
-//! [`Rolled::setup`] charge that skips the plan on purpose.
+//! the plan's degradation windows ([`fault_scaled`], for a duration or a
+//! link's bytes), or by a named one-time [`Rolled::setup`] charge that
+//! skips the plan on purpose.
 
 use crate::system::GpuWorld;
 use faultsim::{counters, Backoff, FaultDecision, FaultOp};
@@ -31,10 +35,9 @@ pub fn default_backoff() -> Backoff {
 }
 
 /// A charge that the fault plan has seen: a duration (or, for a link,
-/// a byte count) that [`fault_scaled`] / [`fault_scaled_bytes`] passed
-/// through the open degradation windows, or a named [`Rolled::setup`]
-/// charge. Its field is private to this module, so a charge cannot be
-/// built any other way:
+/// a byte count) that [`fault_scaled`] passed through the open
+/// degradation windows, or a named [`Rolled::setup`] charge. Its field
+/// is private to this module, so a charge cannot be built any other way:
 ///
 /// ```compile_fail,E0451
 /// let d = gpusim::Rolled { charge: simcore::SimTime::ZERO };
@@ -84,35 +87,108 @@ pub fn count_retry<W: GpuWorld>(sim: &mut Sim<W>, op: FaultOp) {
         .count(counters::RETRY_ATTEMPTS, op.index() as u32, 0, 1);
 }
 
-/// Scale a charge duration by the open degradation windows for `op`.
-pub fn fault_scaled<W: GpuWorld>(sim: &mut Sim<W>, op: FaultOp, duration: SimTime) -> Rolled {
+/// A charge quantity the degradation windows stretch: a duration, or
+/// the bytes a link carries at its own rate.
+pub trait Quantity: Copy + 'static {
+    /// This quantity stretched by `factor` (> 1).
+    fn stretched(self, factor: f64) -> Self;
+}
+
+impl Quantity for SimTime {
+    fn stretched(self, factor: f64) -> SimTime {
+        SimTime::from_secs_f64(self.as_secs_f64() * factor)
+    }
+}
+
+impl Quantity for u64 {
+    fn stretched(self, factor: f64) -> u64 {
+        (self as f64 * factor) as u64
+    }
+}
+
+/// Scale a charge — a duration, or a link's bytes — by the open
+/// degradation windows for `op`.
+pub fn fault_scaled<W: GpuWorld, Q: Quantity>(
+    sim: &mut Sim<W>,
+    op: FaultOp,
+    charge: Q,
+) -> Rolled<Q> {
     let now = sim.now();
     let factor = sim.world.faults().slowdown(op, now);
     let charge = if factor == 1.0 {
-        duration
+        charge
     } else {
-        SimTime::from_secs_f64(duration.as_secs_f64() * factor)
+        charge.stretched(factor)
     };
     Rolled { charge }
 }
 
-/// Scale a link charge's bytes by the open degradation windows for
-/// `op`: a degraded link carries more bytes, at its own rate.
-pub fn fault_scaled_bytes<W: GpuWorld>(sim: &mut Sim<W>, op: FaultOp, bytes: u64) -> Rolled<u64> {
-    let now = sim.now();
-    let factor = sim.world.faults().slowdown(op, now);
-    let charge = if factor == 1.0 {
-        bytes
-    } else {
-        (bytes as f64 * factor) as u64
-    };
-    Rolled { charge }
+/// Issue one fallible operation of kind `op`: the one retry driver.
+///
+/// Every attempt runs the same sequence, in this order: `price` the
+/// attempt, pass the price through the open degradation windows,
+/// `reserve` the rolled charge on its resource (recording the span; it
+/// returns the landing instant), then roll `op`. At the landing instant
+/// a clean attempt runs `landed`; a transient verdict meters a retry,
+/// waits the next backoff and re-issues the attempt from the top; a lost
+/// op, or [`RETRY_MAX`] transients in a row, ends the run
+/// ([`retries_exhausted`]) — these ops have no fallback path. Returns
+/// the first attempt's landing instant.
+pub fn charge<W, Q, P, R, L>(
+    sim: &mut Sim<W>,
+    op: FaultOp,
+    price: P,
+    reserve: R,
+    landed: L,
+) -> SimTime
+where
+    W: GpuWorld,
+    Q: Quantity,
+    P: Fn(&Sim<W>) -> Q + 'static,
+    R: Fn(&mut Sim<W>, Rolled<Q>) -> SimTime + 'static,
+    L: FnOnce(&mut Sim<W>) + 'static,
+{
+    attempt(sim, op, price, reserve, default_backoff(), landed)
 }
 
-/// Panic for retry loops that cannot make progress. The simulators use
-/// this for ops with no fallback path (copies, kernels, wire transfers);
-/// ops with a fallback (IPC open, pinned registration) surface a typed
-/// error instead.
+fn attempt<W, Q, P, R, L>(
+    sim: &mut Sim<W>,
+    op: FaultOp,
+    price: P,
+    reserve: R,
+    mut backoff: Backoff,
+    landed: L,
+) -> SimTime
+where
+    W: GpuWorld,
+    Q: Quantity,
+    P: Fn(&Sim<W>) -> Q + 'static,
+    R: Fn(&mut Sim<W>, Rolled<Q>) -> SimTime + 'static,
+    L: FnOnce(&mut Sim<W>) + 'static,
+{
+    let quantity = price(sim);
+    let rolled = fault_scaled(sim, op, quantity);
+    let end = reserve(sim, rolled);
+    let verdict = fault_roll(sim, op);
+    sim.schedule_at(end, move |sim| {
+        if !verdict.is_fault() {
+            return landed(sim);
+        }
+        if verdict == FaultDecision::Lost || backoff.attempts() >= RETRY_MAX {
+            retries_exhausted(op, backoff.attempts());
+        }
+        count_retry(sim, op);
+        sim.schedule_in(backoff.next_delay(), move |sim| {
+            attempt(sim, op, price, reserve, backoff, landed);
+        });
+    });
+    end
+}
+
+/// Panic for retry loops that cannot make progress: [`charge`], whose
+/// ops have no fallback path, and the CPU convertor's retry fold, itself
+/// the fallback of last resort. Ops with a fallback (IPC open, pinned
+/// registration) surface a typed error instead.
 #[expect(
     clippy::panic,
     reason = "the fault plan makes an op with no fallback path fail deterministically; \
@@ -213,7 +289,7 @@ mod tests {
             let rolled = fault_scaled(&mut sim, FaultOp::Memcpy, ns(1_234));
             assert_eq!(a.reserve(now, rolled), b.reserve(now, setup(1_234)));
         }
-        let bytes = fault_scaled_bytes(&mut sim, FaultOp::WireCopy, 4_096);
+        let bytes = fault_scaled(&mut sim, FaultOp::WireCopy, 4_096u64);
         assert_eq!(bytes.charge, 4_096, "an empty plan scales nothing");
         assert!(sim.trace.counters().is_empty(), "and records nothing");
     }

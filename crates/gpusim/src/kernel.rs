@@ -32,12 +32,12 @@
 
 use crate::fault;
 use crate::spec::{GpuSpec, NodeTopology, Pow2};
-use crate::system::{GpuState, GpuWorld, StreamId};
-use faultsim::{Backoff, FaultDecision, FaultOp};
+use crate::system::{on_stream, GpuState, GpuWorld, StreamId};
+use faultsim::FaultOp;
 use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::names;
-use simcore::{Bandwidth, Sim, SimTime, Track};
+use simcore::{Bandwidth, Sim, SimTime};
 
 /// Launch configuration for a transfer kernel.
 #[derive(Clone, Copy, Debug)]
@@ -247,48 +247,17 @@ fn transfer_kernel_time(
     spec.launch_overhead + dram_time.max(pcie_time)
 }
 
-/// Launch a pack/unpack kernel on `stream`: [`charge_transfer_kernel`],
-/// then move the bytes at the completion instant and call `done` with
-/// the completion time.
-#[expect(
-    clippy::expect_used,
-    reason = "the memory model validated both pointers when the copy was charged; a \
-              failure at completion is corrupted bookkeeping, not an input"
-)]
-pub fn launch_transfer_kernel<W: GpuWorld>(
-    sim: &mut Sim<W>,
-    stream: StreamId,
-    src: Ptr,
-    dst: Ptr,
-    units: Vec<CopyOp>,
-    cfg: KernelConfig,
-    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
-) {
-    let spec = &sim.world.gpus_ref().gpu(stream.gpu).spec;
-    let traffic = KernelTraffic::of(&units, src, dst, stream.gpu, spec);
-    charge_transfer_kernel(sim, stream, src, dst, traffic, cfg, move |sim, at| {
-        sim.world
-            .mem()
-            .transfer(src, dst, &units)
-            .expect("kernel transfer failed");
-        // Unit buffers cycle back to the scratch shelf so the fragment
-        // pipeline reuses a handful of allocations at steady state.
-        simcore::scratch::recycle_units_buf(units);
-        done(sim, at);
-    });
-}
-
-/// The charge half of a pack/unpack kernel: reserves `stream` for the
-/// modeled duration, records the span and the launch counters, and
-/// calls `done` at the completion instant with the completion time. No
-/// byte moves and no unit list is read: `src` and `dst` pick the PCIe
-/// link, `traffic` — [`KernelTraffic::of`] the launch's units between
-/// exactly these two pointers — prices everything else.
+/// Charge a pack/unpack kernel on `stream`: reserves it for the modeled
+/// duration, records the span and the launch counters, and calls `done`
+/// at the completion instant with the completion time. No byte moves
+/// and no unit list is read: `src` and `dst` pick the PCIe link,
+/// `traffic` — [`KernelTraffic::of`] the launch's units between exactly
+/// these two pointers — prices everything else.
 ///
-/// Fault charge point (`FaultOp::KernelLaunch`): the verdict is rolled
-/// at launch, before `done` can move anything; transient injections
-/// re-charge the same traffic after a capped backoff; degrade windows
-/// stretch the charge.
+/// Fault charge point (`FaultOp::KernelLaunch`), issued through
+/// [`fault::charge`]: the verdict is rolled at launch, before `done` can
+/// move anything; transient injections re-charge the same traffic after
+/// a capped backoff; degrade windows stretch the charge.
 pub fn charge_transfer_kernel<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
@@ -298,66 +267,21 @@ pub fn charge_transfer_kernel<W: GpuWorld>(
     cfg: KernelConfig,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    launch_attempt(
-        sim,
-        stream,
-        src,
-        dst,
-        traffic,
-        cfg,
-        fault::default_backoff(),
-        done,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn launch_attempt<W: GpuWorld>(
-    sim: &mut Sim<W>,
-    stream: StreamId,
-    src: Ptr,
-    dst: Ptr,
-    traffic: KernelTraffic,
-    cfg: KernelConfig,
-    mut backoff: Backoff,
-    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
-) {
-    let sys = sim.world.gpus_ref();
     let spaces = (src.space, dst.space);
-    let duration = kernel_time(sys.gpu(stream.gpu), &sys.topo, spaces, cfg, &traffic);
-    let duration = fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
-    let now = sim.now();
-    let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
-    sim.trace.span_at(
-        start,
-        end,
-        names::CAT_GPUSIM,
-        names::SPAN_KERNEL,
-        Track::Stream {
-            gpu: stream.gpu.0,
-            index: stream.index as u32,
-        },
-    );
-    let verdict = fault::fault_roll(sim, FaultOp::KernelLaunch);
-    sim.schedule_at(end, move |sim| {
-        if verdict.is_fault() {
-            if verdict == FaultDecision::Lost || backoff.attempts() >= fault::RETRY_MAX {
-                fault::retries_exhausted(FaultOp::KernelLaunch, backoff.attempts());
-            }
-            fault::count_retry(sim, FaultOp::KernelLaunch);
-            let delay = backoff.next_delay();
-            sim.schedule_in(delay, move |sim| {
-                launch_attempt(sim, stream, src, dst, traffic, cfg, backoff, done);
-            });
-            return;
-        }
+    let price = move |sim: &Sim<W>| {
+        let sys = sim.world.gpus_ref();
+        kernel_time(sys.gpu(stream.gpu), &sys.topo, spaces, cfg, &traffic)
+    };
+    let reserve = on_stream(stream, names::SPAN_KERNEL);
+    fault::charge(sim, FaultOp::KernelLaunch, price, reserve, move |sim| {
+        let gpu = stream.gpu.0;
         sim.trace
-            .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, traffic.payload);
+            .count(names::GPUSIM_KERNEL_BYTES, gpu, 0, traffic.payload);
         // Units per launch make the optimizer's coalescing visible in
         // metrics: fewer, larger units at the same byte count.
         sim.trace
-            .count(names::GPUSIM_KERNEL_UNITS, stream.gpu.0, 0, traffic.units);
-        sim.trace
-            .count(names::GPUSIM_KERNEL_LAUNCHES, stream.gpu.0, 0, 1);
+            .count(names::GPUSIM_KERNEL_UNITS, gpu, 0, traffic.units);
+        sim.trace.count(names::GPUSIM_KERNEL_LAUNCHES, gpu, 0, 1);
         done(sim, sim.now());
     });
 }
@@ -370,6 +294,22 @@ mod tests {
 
     fn spec() -> GpuSpec {
         GpuSpec::default()
+    }
+
+    /// Charge a kernel over `units` and move its bytes when it lands,
+    /// the way every caller that owns a unit list does.
+    fn launch(
+        sim: &mut Sim<NodeWorld>,
+        stream: StreamId,
+        (src, dst): (Ptr, Ptr),
+        units: Vec<CopyOp>,
+        cfg: KernelConfig,
+    ) {
+        let spec = &sim.world.gpu_system.gpu(stream.gpu).spec;
+        let traffic = KernelTraffic::of(&units, src, dst, stream.gpu, spec);
+        charge_transfer_kernel(sim, stream, src, dst, traffic, cfg, move |sim, _| {
+            sim.world.memory.transfer(src, dst, &units).unwrap();
+        });
     }
 
     fn lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
@@ -722,28 +662,18 @@ mod tests {
             })
             .collect();
         let stream = sim.world.gpu_system.default_stream(gpu);
-        launch_transfer_kernel(
-            &mut sim,
-            stream,
-            src,
-            dst,
-            units,
-            KernelConfig::default(),
-            move |sim, at| {
-                assert!(at > SimTime::ZERO);
-                let out = sim.world.memory.read_vec(dst, 2048).unwrap();
-                for i in 0..8usize {
-                    assert_eq!(
-                        &out[i * 256..(i + 1) * 256],
-                        &(0..256)
-                            .map(|j| ((i * 512 + j) % 251) as u8)
-                            .collect::<Vec<_>>()[..],
-                        "chunk {i}"
-                    );
-                }
-            },
-        );
+        launch(&mut sim, stream, (src, dst), units, KernelConfig::default());
         sim.run();
+        let out = sim.world.memory.read_vec(dst, 2048).unwrap();
+        for i in 0..8usize {
+            assert_eq!(
+                &out[i * 256..(i + 1) * 256],
+                &(0..256)
+                    .map(|j| ((i * 512 + j) % 251) as u8)
+                    .collect::<Vec<_>>()[..],
+                "chunk {i}"
+            );
+        }
         assert!(sim.now() >= GpuSpec::default().launch_overhead);
         assert_eq!(sim.world.gpu_system.stream(stream).op_count(), 1);
     }
@@ -773,18 +703,11 @@ mod tests {
                 .alloc(MemSpace::Device(gpu), 256 * 8192)
                 .unwrap();
             let stream = sim.world.gpu_system.default_stream(gpu);
-            launch_transfer_kernel(
-                &mut sim,
-                stream,
-                src,
-                dst,
-                mk_units(),
-                KernelConfig {
-                    blocks,
-                    ..KernelConfig::default()
-                },
-                |_, _| {},
-            );
+            let cfg = KernelConfig {
+                blocks,
+                ..KernelConfig::default()
+            };
+            launch(&mut sim, stream, (src, dst), mk_units(), cfg);
             sim.run()
         };
         let full = run(None);
@@ -815,14 +738,12 @@ mod tests {
             dst_off: 0,
             len,
         }];
-        launch_transfer_kernel(
+        launch(
             &mut sim,
             stream,
-            dev,
-            host,
+            (dev, host),
             units,
             KernelConfig::default(),
-            |_, _| {},
         );
         let end = sim.run();
         // 1 MB over 10 GB/s PCIe is ~105 us; DRAM side alone would be ~6 us.

@@ -3,12 +3,12 @@
 //! Every operation (kernel, memcpy, zero-copy access) has two halves.
 //! Temporally, it is charged virtual time on a FIFO *stream* — with its
 //! fault roll, span and counters — by one charging body
-//! ([`charge_transfer_kernel`], [`charge_memcpy`]); functionally, the
-//! moving form ([`launch_transfer_kernel`], [`memcpy`]) wraps that body
-//! and really moves the bytes between the host-backed buffers in
-//! [`memsim`] at the completion instant. A caller that moves a staged
-//! pipeline's payload itself, once (the rendezvous executor), uses the
-//! charging forms. The cost model is built on the same first-order
+//! ([`charge_transfer_kernel`], [`charge_memcpy`]) issued through the
+//! retry driver [`fault::charge`]; functionally, the bytes move between
+//! the host-backed buffers in [`memsim`] at the completion instant —
+//! by [`memcpy`] / [`memcpy_2d`] themselves, or by a caller that moves a
+//! staged pipeline's payload once (the rendezvous executor, the DEV
+//! engine). The cost model is built on the same first-order
 //! mechanics that shaped the paper's Figure 6–8 results:
 //!
 //! * global-memory access happens in 128-byte transactions issued per
@@ -48,14 +48,10 @@ pub mod system;
 
 pub use arch::GpuArch;
 pub use copy::{charge_memcpy, copy_time, memcpy, memcpy_2d, CopyDirection};
-pub use fault::{count_retry, fault_roll, fault_scaled, fault_scaled_bytes, FifoResource, Rolled};
-pub use kernel::{
-    charge_transfer_kernel, kernel_time, launch_transfer_kernel, KernelConfig, KernelTraffic,
-};
+pub use fault::{count_retry, fault_roll, fault_scaled, FifoResource, Rolled};
+pub use kernel::{charge_transfer_kernel, kernel_time, KernelConfig, KernelTraffic};
 pub use spec::{GpuSpec, Interconnect, NodeTopology, NotPowerOfTwo, Pow2};
 pub use stream_trigger::{
     graph_kernel, graph_kernel_time, replay_issue, replay_time, GraphCapture, StreamGraph,
 };
-pub use system::{
-    ipc_export, ipc_open, stream_sync, GpuState, GpuSystem, GpuWorld, NodeWorld, StreamId,
-};
+pub use system::{ipc_open, GpuState, GpuSystem, GpuWorld, NodeWorld, StreamId};

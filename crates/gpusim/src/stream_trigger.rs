@@ -21,12 +21,12 @@
 use crate::fault::Rolled;
 use crate::kernel::{kernel_time, KernelConfig, KernelTraffic};
 use crate::spec::NodeTopology;
-use crate::system::{GpuState, GpuWorld, StreamId};
+use crate::system::{on_stream, GpuState, GpuWorld, StreamId};
 use faultsim::FaultOp;
 use memsim::{MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::names;
-use simcore::{Sim, SimTime, Track};
+use simcore::{Sim, SimTime};
 
 /// One node of a captured stream-op graph. Private: protocol code
 /// describes intent through [`GraphCapture`] and replays through
@@ -38,8 +38,8 @@ enum StreamOp {
     /// Ring the NIC command doorbell for a `bytes`-sized send.
     Doorbell { bytes: u64 },
     /// A pack/unpack kernel node embedded in the graph (the kernel
-    /// itself is charged by `kernel::launch_transfer_kernel`; the graph
-    /// node only pays re-arm issue cost).
+    /// itself is charged by [`graph_kernel`]; the graph node only pays
+    /// re-arm issue cost).
     Kernel,
     /// Write the completion flag the consumer polls on.
     Completion,
@@ -125,18 +125,7 @@ impl GraphCapture {
             "capture is one-time setup, like a plan compile; the replays it feeds are \
              fault-scaled",
         );
-        let now = sim.now();
-        let (start, end) = sim.world.gpus().stream_mut(self.stream).reserve(now, cost);
-        sim.trace.span_at(
-            start,
-            end,
-            names::CAT_GPUSIM,
-            names::SPAN_STREAM_CAPTURE,
-            Track::Stream {
-                gpu: self.stream.gpu.0,
-                index: self.stream.index as u32,
-            },
-        );
+        on_stream(self.stream, names::SPAN_STREAM_CAPTURE)(sim, cost);
         sim.trace.count(names::OFFLOAD_STREAM_CAPTURES, 0, 0, 1);
         let doorbell_bytes = self
             .ops
@@ -189,19 +178,7 @@ pub fn replay_issue<W: GpuWorld>(
 ) {
     let cost = replay_time(&sim.world.gpus_ref().topo, graph.op_count());
     let cost = crate::fault::fault_scaled(sim, FaultOp::StreamDoorbell, cost);
-    let now = sim.now();
-    let stream = graph.stream;
-    let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, cost);
-    sim.trace.span_at(
-        start,
-        end,
-        names::CAT_GPUSIM,
-        names::SPAN_STREAM_REPLAY,
-        Track::Stream {
-            gpu: stream.gpu.0,
-            index: stream.index as u32,
-        },
-    );
+    let end = on_stream(graph.stream, names::SPAN_STREAM_REPLAY)(sim, cost);
     sim.trace.count(names::OFFLOAD_STREAM_REPLAYS, 0, 0, 1);
     sim.schedule_at(end, move |sim| armed(sim, end));
 }
@@ -229,18 +206,7 @@ pub fn graph_kernel<W: GpuWorld>(
     let traffic = KernelTraffic::of(&units, src, dst, stream.gpu, &g.spec);
     let duration = graph_kernel_time(g, &sys.topo, (src.space, dst.space), &traffic);
     let duration = crate::fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
-    let now = sim.now();
-    let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
-    sim.trace.span_at(
-        start,
-        end,
-        names::CAT_GPUSIM,
-        names::SPAN_KERNEL,
-        Track::Stream {
-            gpu: stream.gpu.0,
-            index: stream.index as u32,
-        },
-    );
+    let end = on_stream(stream, names::SPAN_KERNEL)(sim, duration);
     sim.schedule_at(end, move |sim| {
         sim.world
             .mem()

@@ -2,11 +2,11 @@
 //! and the world-access trait the async operations are generic over.
 
 use crate::arch::GpuArch;
-use crate::fault::FifoResource;
+use crate::fault::{FifoResource, Rolled};
 use crate::spec::{GpuSpec, NodeTopology};
 use faultsim::{FaultDecision, FaultOp, FaultSim};
 use memsim::{GpuId, IpcHandle, MemError, Memory, Ptr};
-use simcore::trace::names;
+use simcore::trace::{names, Name};
 use simcore::{Bandwidth, Sim, SimTime, Track};
 
 /// Identifies one stream on one GPU.
@@ -220,16 +220,6 @@ impl GpuWorld for NodeWorld {
     }
 }
 
-/// Export a device buffer over CUDA IPC (free of charge — the handle is
-/// just bytes; the *open* on the peer side costs time).
-pub fn ipc_export<W: GpuWorld>(
-    sim: &mut Sim<W>,
-    ptr: Ptr,
-    len: u64,
-) -> Result<IpcHandle, MemError> {
-    sim.world.mem().registry.export_ipc(ptr, len)
-}
-
 /// Open a peer's IPC handle. Charges the one-time mapping cost and hands
 /// the mapped pointer to `done`. The paper's protocol opens a handle
 /// exactly once per connection and caches the mapping.
@@ -265,25 +255,24 @@ pub fn ipc_open<W: GpuWorld>(
     });
 }
 
-/// Busy-wait-free "synchronize": run `f` when everything currently queued
-/// on `stream` has completed (like `cudaStreamSynchronize` continuation).
-pub fn stream_sync<W: GpuWorld>(
-    sim: &mut Sim<W>,
+/// The resource half of a charge on `stream` (see
+/// [`crate::fault::charge`]): reserve the stream for the rolled charge,
+/// record it as a `name` span, and return the completion time.
+pub(crate) fn on_stream<W: GpuWorld>(
     stream: StreamId,
-    f: impl FnOnce(&mut Sim<W>) + 'static,
-) {
-    let free_at: SimTime = sim.world.gpus_ref().stream(stream).free_at();
-    let at = free_at.max(sim.now());
-    sim.trace.instant(
-        at,
-        names::CAT_GPUSIM,
-        names::SPAN_STREAM_SYNC,
-        Track::Stream {
+    name: Name,
+) -> impl Fn(&mut Sim<W>, Rolled) -> SimTime {
+    move |sim, charge| {
+        let now = sim.now();
+        let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, charge);
+        let track = Track::Stream {
             gpu: stream.gpu.0,
             index: stream.index as u32,
-        },
-    );
-    sim.schedule_at(at, f);
+        };
+        sim.trace
+            .span_at(start, end, names::CAT_GPUSIM, name, track);
+        end
+    }
 }
 
 #[cfg(test)]
@@ -327,39 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_sync_fires_after_queued_work() {
-        use crate::copy::memcpy;
-        let mut sim = Sim::new(NodeWorld::new(1));
-        let gpu = GpuId(0);
-        let a = sim
-            .world
-            .memory
-            .alloc(memsim::MemSpace::Device(gpu), 1 << 20)
-            .unwrap();
-        let b = sim
-            .world
-            .memory
-            .alloc(memsim::MemSpace::Device(gpu), 1 << 20)
-            .unwrap();
-        let st = sim.world.gpu_system.default_stream(gpu);
-        memcpy(&mut sim, st, a, b, 1 << 20, |_, _| {});
-        let busy_until = sim.world.gpu_system.stream(st).free_at();
-        stream_sync(&mut sim, st, move |sim| {
-            assert_eq!(sim.now(), busy_until, "sync fires exactly at drain");
-        });
-        sim.run();
-        assert!(sim.executed_events() >= 2);
-    }
-
-    #[test]
-    fn stream_sync_on_idle_stream_fires_now() {
-        let mut sim = Sim::new(NodeWorld::new(1));
-        let st = sim.world.gpu_system.default_stream(GpuId(0));
-        stream_sync(&mut sim, st, |sim| assert_eq!(sim.now(), SimTime::ZERO));
-        sim.run();
-    }
-
-    #[test]
     fn cpu_resources_grow_per_rank() {
         let mut w = NodeWorld::new(1);
         let _ = w.cpu(5);
@@ -380,7 +336,7 @@ mod tests {
             .memory
             .alloc(memsim::MemSpace::Device(GpuId(0)), 1024)
             .unwrap();
-        let handle = ipc_export(&mut sim, dev, 1024).unwrap();
+        let handle = sim.world.memory.registry.export_ipc(dev, 1024).unwrap();
         ipc_open(&mut sim, handle, move |sim, res| {
             let mapped = res.unwrap();
             assert_eq!(mapped.alloc, dev.alloc);

@@ -111,6 +111,25 @@ fn exchange(
     });
 }
 
+/// Copy `rank`'s own block `src → dst` on its copy stream, then run
+/// `then`; a buffer that does not hold the block fails the collective
+/// with `MpiError::Mem` when the copy lands.
+fn self_copy(
+    sim: &mut Sim<MpiWorld>,
+    cx: &Rc<Coll>,
+    rank: usize,
+    (src, dst): (Ptr, Ptr),
+    then: impl FnOnce(&mut Sim<MpiWorld>, Rc<Coll>) + 'static,
+) {
+    let (cx, stream) = (Rc::clone(cx), sim.world.mpi.ranks[rank].copy_stream);
+    gpusim::charge_memcpy(sim, stream, src, dst, cx.block, move |sim, _| {
+        match sim.world.mem().copy(src, dst, cx.block) {
+            Ok(()) => then(sim, cx),
+            Err(e) => cx.fail(sim, &MpiError::Mem(e.to_string())),
+        }
+    });
+}
+
 /// Broadcast `count` instances of `ty` from `root`'s buffer to every
 /// rank, binomial tree. Completes when all ranks have the data.
 pub fn bcast(
@@ -214,11 +233,9 @@ pub fn allgather(
     // ranks with small host blocks; device rendezvous masked it).
     for (r, ring) in rings.into_iter().enumerate() {
         let dst = recv_bufs[r].add(r as u64 * cx.block);
-        let stream = sim.world.mpi.ranks[r].copy_stream;
-        let cx2 = Rc::clone(&cx);
-        gpusim::memcpy(sim, stream, send_bufs[r], dst, cx.block, move |sim, _| {
-            exchange(sim, Exchange::Ring, cx2, r, 0, ring);
-        });
+        let start =
+            move |sim: &mut Sim<MpiWorld>, cx| exchange(sim, Exchange::Ring, cx, r, 0, ring);
+        self_copy(sim, &cx, r, (send_bufs[r], dst), start);
     }
     all
 }
@@ -250,10 +267,9 @@ pub fn alltoall(
     // Local block r -> r.
     let size = ty.size() * count;
     for (r, local) in locals.into_iter().enumerate() {
-        let stream = sim.world.mpi.ranks[r].copy_stream;
         let src = send_bufs[r].add(r as u64 * cx.block);
         let dst = recv_bufs[r].add(r as u64 * cx.block);
-        gpusim::memcpy(sim, stream, src, dst, cx.block, move |sim, _| {
+        self_copy(sim, &cx, r, (src, dst), move |sim, _| {
             local.complete(sim, Ok(size));
         });
     }

@@ -37,12 +37,42 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Attempt cap for one connection handshake under transient faults.
-pub const HANDSHAKE_RETRY_MAX: u32 = 5;
+const HANDSHAKE_RETRY_MAX: u32 = 5;
 
 /// Virtual-time budget for one connection handshake: when injected
 /// transient faults keep an establishment step failing past this long,
 /// the runtime treats the capability as lost and renegotiates.
-pub const HANDSHAKE_TIMEOUT: SimTime = SimTime(5_000_000);
+const HANDSHAKE_TIMEOUT: SimTime = SimTime(5_000_000);
+
+/// The retry budget of one establishment step — an IPC open, the
+/// zero-copy pin, an offload capability: [`HANDSHAKE_TIMEOUT`] of
+/// virtual time from the first attempt and [`HANDSHAKE_RETRY_MAX`]
+/// retries, under the simulators' capped exponential backoff.
+#[derive(Clone, Copy)]
+pub(crate) struct Handshake {
+    deadline: SimTime,
+    backoff: Backoff,
+}
+
+impl Handshake {
+    /// A budget whose clock starts now.
+    pub(crate) fn start(sim: &Sim<MpiWorld>) -> Handshake {
+        Handshake {
+            deadline: sim.now() + HANDSHAKE_TIMEOUT,
+            backoff: fault::default_backoff(),
+        }
+    }
+
+    /// After a transient fault on `op`: the delay before the next
+    /// attempt, metering the retry — or `None` once the budget is spent.
+    pub(crate) fn retry(&mut self, sim: &mut Sim<MpiWorld>, op: FaultOp) -> Option<SimTime> {
+        if sim.now() >= self.deadline || self.backoff.attempts() >= HANDSHAKE_RETRY_MAX {
+            return None;
+        }
+        fault::count_retry(sim, op);
+        Some(self.backoff.next_delay())
+    }
+}
 
 /// Shared-memory (CUDA IPC) connection: a fragment ring in the sender's
 /// GPU memory, mapped into the receiver, plus an optional local staging
@@ -212,40 +242,24 @@ pub fn sm_connection(
             return;
         }
     };
-    let deadline = sim.now() + HANDSHAKE_TIMEOUT;
-    sm_open_attempt(
-        sim,
-        sender,
-        receiver,
-        conn,
-        handle,
-        fault::default_backoff(),
-        deadline,
-        done,
-    );
+    let hs = Handshake::start(sim);
+    sm_open_attempt(sim, (sender, receiver), conn, handle, hs, done);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sm_open_attempt(
     sim: &mut Sim<MpiWorld>,
-    sender: usize,
-    receiver: usize,
+    (sender, receiver): (usize, usize),
     conn: Rc<RefCell<SmConn>>,
     handle: memsim::IpcHandle,
-    mut backoff: Backoff,
-    deadline: SimTime,
+    mut hs: Handshake,
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<Rc<RefCell<SmConn>>, MpiError>) + 'static,
 ) {
     ipc_open(sim, handle, move |sim, res| match res {
         Ok(_) => done(sim, Ok(conn)),
         Err(MemError::Faulted { transient }) => {
-            let retriable =
-                transient && sim.now() < deadline && backoff.attempts() < HANDSHAKE_RETRY_MAX;
-            if retriable {
-                fault::count_retry(sim, FaultOp::IpcOpen);
-                let delay = backoff.next_delay();
+            if let Some(delay) = transient.then(|| hs.retry(sim, FaultOp::IpcOpen)).flatten() {
                 sim.schedule_in(delay, move |sim| {
-                    sm_open_attempt(sim, sender, receiver, conn, handle, backoff, deadline, done);
+                    sm_open_attempt(sim, (sender, receiver), conn, handle, hs, done);
                 });
                 return;
             }
@@ -253,7 +267,7 @@ fn sm_open_attempt(
             let why = if transient {
                 format!(
                     "IPC handshake {sender} -> {receiver} timed out after {} attempts",
-                    backoff.attempts()
+                    hs.backoff.attempts()
                 )
             } else {
                 format!("IPC capability lost opening handle {sender} -> {receiver}")
@@ -331,28 +345,23 @@ pub fn open_peer_buffer(
             return;
         }
     };
-    let deadline = sim.now() + HANDSHAKE_TIMEOUT;
-    peer_open_attempt(sim, buf, handle, fault::default_backoff(), deadline, done);
+    let hs = Handshake::start(sim);
+    peer_open_attempt(sim, buf, handle, hs, done);
 }
 
 fn peer_open_attempt(
     sim: &mut Sim<MpiWorld>,
     buf: Ptr,
     handle: memsim::IpcHandle,
-    mut backoff: Backoff,
-    deadline: SimTime,
+    mut hs: Handshake,
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
     ipc_open(sim, handle, move |sim, res| match res {
         Ok(_) => done(sim, Ok(())),
         Err(MemError::Faulted { transient }) => {
-            let retriable =
-                transient && sim.now() < deadline && backoff.attempts() < HANDSHAKE_RETRY_MAX;
-            if retriable {
-                fault::count_retry(sim, FaultOp::IpcOpen);
-                let delay = backoff.next_delay();
+            if let Some(delay) = transient.then(|| hs.retry(sim, FaultOp::IpcOpen)).flatten() {
                 sim.schedule_in(delay, move |sim| {
-                    peer_open_attempt(sim, buf, handle, backoff, deadline, done);
+                    peer_open_attempt(sim, buf, handle, hs, done);
                 });
                 return;
             }
@@ -458,16 +467,13 @@ pub fn ib_connection(
         .ib_conns
         .insert((sender, receiver), Rc::clone(&conn));
 
-    let deadline = sim.now() + HANDSHAKE_TIMEOUT;
+    let hs = Handshake::start(sim);
     zero_copy_pin_attempt(
         sim,
-        sender,
-        receiver,
+        (sender, receiver),
         Rc::clone(&conn),
-        s_gpu,
-        r_gpu,
-        fault::default_backoff(),
-        deadline,
+        (s_gpu, r_gpu),
+        hs,
         move |sim| {
             let firsts = {
                 let c = conn.borrow();
@@ -494,61 +500,41 @@ pub fn ib_connection(
 /// the `PinnedRegister` fault charge point. On permanent loss the marks
 /// are skipped and the runtime zero-copy flag flips off; the staged path
 /// needs no mapping, so establishment continues either way.
-#[allow(clippy::too_many_arguments)]
 fn zero_copy_pin_attempt(
     sim: &mut Sim<MpiWorld>,
-    sender: usize,
-    receiver: usize,
+    (sender, receiver): (usize, usize),
     conn: Rc<RefCell<IbConn>>,
-    s_gpu: memsim::GpuId,
-    r_gpu: memsim::GpuId,
-    mut backoff: Backoff,
-    deadline: SimTime,
+    (s_gpu, r_gpu): (memsim::GpuId, memsim::GpuId),
+    mut hs: Handshake,
     then: impl FnOnce(&mut Sim<MpiWorld>) + 'static,
 ) {
-    let verdict = fault::fault_roll(sim, FaultOp::PinnedRegister);
-    match verdict {
-        FaultDecision::Ok => {
-            let (send_host, recv_host) = {
-                let c = conn.borrow();
-                (c.send_host.clone(), c.recv_host.clone())
-            };
-            for &p in &send_host {
-                sim.world
-                    .mem()
-                    .registry
-                    .register(p, Registration::ZeroCopy(s_gpu));
-            }
-            for &p in &recv_host {
-                sim.world
-                    .mem()
-                    .registry
-                    .register(p, Registration::ZeroCopy(r_gpu));
-            }
-            then(sim);
-        }
-        FaultDecision::Transient
-            if sim.now() < deadline && backoff.attempts() < HANDSHAKE_RETRY_MAX =>
-        {
-            fault::count_retry(sim, FaultOp::PinnedRegister);
-            let delay = backoff.next_delay();
+    let op = FaultOp::PinnedRegister;
+    let verdict = fault::fault_roll(sim, op);
+    if verdict == FaultDecision::Transient {
+        if let Some(delay) = hs.retry(sim, op) {
             sim.schedule_in(delay, move |sim| {
-                zero_copy_pin_attempt(
-                    sim, sender, receiver, conn, s_gpu, r_gpu, backoff, deadline, then,
-                );
+                zero_copy_pin_attempt(sim, (sender, receiver), conn, (s_gpu, r_gpu), hs, then);
             });
-        }
-        _ => {
-            sim.world.mpi.zero_copy_runtime_ok = false;
-            sim.trace.count(
-                faultsim::counters::FALLBACK_EVENTS,
-                sender as u32,
-                receiver as u32,
-                1,
-            );
-            then(sim);
+            return;
         }
     }
+    if verdict == FaultDecision::Ok {
+        let c = conn.borrow();
+        let marks = (c.send_host.iter().map(|&p| (p, s_gpu)))
+            .chain(c.recv_host.iter().map(|&p| (p, r_gpu)));
+        for (p, gpu) in marks {
+            sim.world
+                .mem()
+                .registry
+                .register(p, Registration::ZeroCopy(gpu));
+        }
+    } else {
+        sim.world.mpi.zero_copy_runtime_ok = false;
+        let (a, b) = (sender as u32, receiver as u32);
+        sim.trace
+            .count(faultsim::counters::FALLBACK_EVENTS, a, b, 1);
+    }
+    then(sim);
 }
 
 #[cfg(test)]

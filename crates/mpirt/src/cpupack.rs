@@ -95,33 +95,10 @@ impl CpuEngine {
         }
     }
 
-    /// Move the next `cap` packed bytes between the typed buffer and
-    /// `frag` (contiguous host memory): [`Self::charge_fragment`], then
-    /// the bytes move at the pass's completion instant; `done` runs
-    /// after them with the fragment size.
-    pub fn process_fragment<W: GpuWorld>(
-        &mut self,
-        sim: &mut Sim<W>,
-        frag: Ptr,
-        cap: u64,
-        done: impl FnOnce(&mut Sim<W>, u64) + 'static,
-    ) {
-        let (src, dst) = self.kernel_ends(frag);
-        let units = Some(take_units_buf());
-        self.charge_fragment(sim, cap, units, move |sim, n, units| {
-            sim.world
-                .mem()
-                .transfer(src, dst, &units)
-                .expect("cpu pack transfer");
-            recycle_units_buf(units);
-            done(sim, n);
-        });
-    }
-
-    /// The charge half of [`Self::process_fragment`]: walk the next
-    /// `cap` packed bytes, charge the pass on the rank's CPU, count its
-    /// bytes — and move nothing. A caller that will read the unit list
-    /// lends a buffer in `units`: the list is built there (cleared
+    /// Walk the next `cap` packed bytes, charge the pass on the rank's
+    /// CPU, count its bytes — and move nothing (the caller moves them at
+    /// the pass's completion instant). A caller that will read the unit
+    /// list lends a buffer in `units`: the list is built there (cleared
     /// first) and handed back when `done` runs at completion, with the
     /// fragment size, in the pass's orientation (`src_off` is the typed
     /// side for a pack, the fragment side for an unpack). The convertor
@@ -208,6 +185,15 @@ mod tests {
     use gpusim::NodeWorld;
     use memsim::MemSpace;
 
+    /// Convert the next `cap` packed bytes between the typed buffer and
+    /// `frag`, moving them when the pass lands.
+    fn process(eng: &mut CpuEngine, sim: &mut Sim<NodeWorld>, frag: Ptr, cap: u64) {
+        let (src, dst) = eng.kernel_ends(frag);
+        eng.charge_fragment(sim, cap, Some(Vec::new()), move |sim, _, units| {
+            sim.world.memory.transfer(src, dst, &units).unwrap();
+        });
+    }
+
     #[test]
     fn cpu_pack_matches_reference_and_charges_time() {
         let ty = DataType::vector(64, 2, 5, &DataType::double())
@@ -233,11 +219,10 @@ mod tests {
         assert_eq!(eng.total_bytes(), total);
         // Two fragments.
         let half = total / 2;
-        eng.process_fragment(&mut sim, out, half, move |_, n| assert_eq!(n, half));
+        process(&mut eng, &mut sim, out, half);
         sim.run();
-        eng.process_fragment(&mut sim, out.add(half), u64::MAX, move |_, n| {
-            assert_eq!(n, total - half)
-        });
+        assert_eq!(eng.position(), half);
+        process(&mut eng, &mut sim, out.add(half), u64::MAX);
         let end = sim.run();
         assert!(eng.finished());
         assert_eq!(
@@ -272,7 +257,7 @@ mod tests {
             Bandwidth::from_gbps(5.0),
         )
         .unwrap();
-        eng.process_fragment(&mut sim, packed, u64::MAX, |_, _| {});
+        process(&mut eng, &mut sim, packed, u64::MAX);
         sim.run();
         let got = sim.world.memory.read_vec(dst, len as u64).unwrap();
         for s in ty.segments(1) {
@@ -312,7 +297,7 @@ mod tests {
                 Bandwidth::from_gbps(5.0),
             )
             .unwrap();
-            eng.process_fragment(&mut sim, out, u64::MAX, |_, _| {});
+            process(&mut eng, &mut sim, out, u64::MAX);
             let end = sim.run();
             (
                 end,

@@ -5,7 +5,6 @@
 //! as soon as the data is buffered. The receiver unpacks at match time
 //! — possibly much later, from the unexpected queue.
 
-use crate::cpupack::CpuEngine;
 use crate::matcher::{Envelope, RecvPosting};
 use crate::request::{MpiError, Request};
 use crate::world::MpiWorld;
@@ -20,9 +19,22 @@ use std::rc::Rc;
 
 use super::{make_engine, Side};
 
-/// Start an eager send. `bytes` must be at or below the eager limit.
+/// Start an eager send. `bytes` must be at or below the eager limit. A
+/// user buffer that does not hold the typed span fails the send with
+/// `MpiError::Mem` before anything is charged.
 pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Request) {
     let n = s.total();
+    if n > 0 {
+        // Instances sit `extent` apart; the data of the first and the
+        // last bound the bytes the pack reads.
+        let last = i128::from(s.count - 1) * i128::from(s.ty.extent());
+        let reach = u64::try_from(last + i128::from(s.ty.true_extent())).unwrap_or(u64::MAX);
+        let first = s.buf.offset_by(s.ty.true_lb());
+        if let Err(e) = sim.world.mem_ref().check_range(first, reach) {
+            send_req.complete(sim, Err(MpiError::Mem(e.to_string())));
+            return;
+        }
+    }
     let bounce = match sim.world.mem().alloc(memsim::MemSpace::Host, n.max(1)) {
         Ok(p) => p,
         Err(e) => {
@@ -41,9 +53,20 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
             to: to as u32,
         },
     );
-
+    // However the send fails, the bounce buffer is released and the
+    // span closes. The error is the root cause; releasing a pointer we
+    // allocated cannot fail independently of it.
     let sreq = send_req.clone();
-    let after_pack = move |sim: &mut Sim<MpiWorld>| {
+    let fail = move |sim: &mut Sim<MpiWorld>, e: MpiError| {
+        let _ = sim.world.mem().free(bounce);
+        sim.trace.span_end(sim.now(), span);
+        sreq.complete(sim, Err(e));
+    };
+
+    let after_pack = move |sim: &mut Sim<MpiWorld>, packed: Result<(), MpiError>| {
+        if let Err(e) = packed {
+            return fail(sim, e);
+        }
         let starter_sig = sig;
         let shipped = send_am(sim, from, to, n, move |sim| {
             // Arrived: try to match.
@@ -62,19 +85,13 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
         });
         match shipped {
             Ok(()) => send_req.complete(sim, Ok(n)),
-            Err(e) => {
-                // The transport error is the root cause; releasing a
-                // pointer we allocated cannot fail independently of it.
-                let _ = sim.world.mem().free(bounce);
-                sim.trace.span_end(sim.now(), span);
-                send_req.complete(sim, Err(MpiError::Net(e)));
-            }
+            Err(e) => fail(sim, MpiError::Net(e)),
         }
     };
 
     // Pack into the bounce buffer.
     if n == 0 {
-        sim.schedule_now(after_pack);
+        sim.schedule_now(move |sim| after_pack(sim, Ok(())));
     } else if s.device() {
         let (stream, cache) = {
             let r = sim.world.rank(s.rank);
@@ -91,19 +108,12 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
             bounce,
             cfg,
             Some(&cache),
-            move |sim, _| after_pack(sim),
+            move |sim, _| after_pack(sim, Ok(())),
         );
     } else {
-        let bw = sim.world.mpi.config.cpu_pack_bw;
-        match CpuEngine::new(&s.ty, s.count, s.buf, Direction::Pack, s.rank, bw) {
-            Ok(mut eng) => {
-                eng.process_fragment(sim, bounce, u64::MAX, move |sim, _| after_pack(sim));
-            }
-            Err(e) => {
-                let _ = sim.world.mem().free(bounce);
-                sim.trace.span_end(sim.now(), span);
-                sreq.complete(sim, Err(MpiError::Type(e)));
-            }
+        match make_engine(sim, &s, Direction::Pack) {
+            Ok(mut eng) => eng.process_fragment(sim, bounce, n, after_pack),
+            Err(e) => after_pack(sim, Err(e)),
         }
     }
 }

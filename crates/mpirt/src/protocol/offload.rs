@@ -30,14 +30,14 @@
 //! program cache and graph capture — and demotion, which substitutes
 //! the incumbent's plan by handing the transfer to `copyio::start`.
 
-use crate::connection::{HANDSHAKE_RETRY_MAX, HANDSHAKE_TIMEOUT};
+use crate::connection::Handshake;
 use crate::protocol::exec::{self, Conn};
 use crate::protocol::{copyio, ShapeKey, Side};
 use crate::request::{MpiError, Request};
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use devengine::{flip_units, whole_units};
-use faultsim::{Backoff, FaultDecision, FaultOp};
+use faultsim::{FaultDecision, FaultOp};
 use gpusim::{fault, GpuWorld as _, GraphCapture, StreamGraph, StreamId};
 use memsim::{MemSpace, Ptr};
 use netsim::{compile_program, NicProgram};
@@ -74,9 +74,8 @@ pub(crate) fn start(
     send_req: Request,
     recv_req: Request,
 ) {
-    let deadline = sim.now() + HANDSHAKE_TIMEOUT;
-    let (pair, backoff) = ((s.rank, r.rank), fault::default_backoff());
-    acquire(sim, class, pair, backoff, deadline, move |sim, held| {
+    let hs = Handshake::start(sim);
+    acquire(sim, class, (s.rank, r.rank), hs, move |sim, held| {
         if !held {
             return copyio::start(sim, s, r, send_req, recv_req);
         }
@@ -105,8 +104,7 @@ fn acquire(
     sim: &mut Sim<MpiWorld>,
     class: PathClass,
     pair: (usize, usize),
-    mut backoff: Backoff,
-    deadline: simcore::SimTime,
+    mut hs: Handshake,
     then: impl FnOnce(&mut Sim<MpiWorld>, bool) + 'static,
 ) {
     let nic = class == PathClass::NicOffload;
@@ -119,7 +117,14 @@ fn acquire(
         sim.schedule_now(move |sim| then(sim, true));
         return;
     }
-    match fault::fault_roll(sim, op) {
+    let verdict = fault::fault_roll(sim, op);
+    if verdict == FaultDecision::Transient {
+        if let Some(delay) = hs.retry(sim, op) {
+            sim.schedule_in(delay, move |sim| acquire(sim, class, pair, hs, then));
+            return;
+        }
+    }
+    match verdict {
         FaultDecision::Ok if nic => {
             let setup = sim.world.gpus_ref().topo.nic_handler_setup;
             sim.schedule_in(setup, move |sim| {
@@ -128,15 +133,6 @@ fn acquire(
             });
         }
         FaultDecision::Ok => then(sim, true),
-        FaultDecision::Transient
-            if sim.now() < deadline && backoff.attempts() < HANDSHAKE_RETRY_MAX =>
-        {
-            fault::count_retry(sim, op);
-            let delay = backoff.next_delay();
-            sim.schedule_in(delay, move |sim| {
-                acquire(sim, class, pair, backoff, deadline, then);
-            });
-        }
         _ => {
             let mpi = &mut sim.world.mpi;
             if nic {

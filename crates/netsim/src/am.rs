@@ -9,7 +9,7 @@
 
 use crate::channel::{Link, NetError};
 use crate::world::NetWorld;
-use faultsim::{Backoff, FaultDecision, FaultOp};
+use faultsim::FaultOp;
 use gpusim::fault;
 use simcore::trace::names;
 use simcore::{Sim, SimTime, Track};
@@ -28,10 +28,11 @@ pub fn am_time(ctrl: &Link, payload_bytes: u64) -> SimTime {
 /// `from` to rank `to` on the control link; `deliver` runs on arrival.
 ///
 /// Errors if no channel connects the pair. Fault charge point
-/// (`FaultOp::AmDeliver`): a transient injection drops the message on
-/// the wire and the transport retransmits it after a capped exponential
-/// backoff, so `deliver` still runs exactly once — modeling a reliable
-/// transport over a lossy wire. Degradation windows scale the wire time.
+/// (`FaultOp::AmDeliver`), issued through [`fault::charge`]: a transient
+/// injection drops the message on the wire and the transport
+/// retransmits it after a capped exponential backoff, so `deliver`
+/// still runs exactly once — modeling a reliable transport over a lossy
+/// wire. Degradation windows scale the wire time.
 pub fn send_am<W: NetWorld>(
     sim: &mut Sim<W>,
     from: usize,
@@ -40,63 +41,30 @@ pub fn send_am<W: NetWorld>(
     deliver: impl FnOnce(&mut Sim<W>) + 'static,
 ) -> Result<(), NetError> {
     sim.world.net().try_channel(from, to)?;
-    send_am_attempt(
-        sim,
-        from,
-        to,
-        payload_bytes,
-        fault::default_backoff(),
-        deliver,
-    );
-    Ok(())
-}
-
-fn send_am_attempt<W: NetWorld>(
-    sim: &mut Sim<W>,
-    from: usize,
-    to: usize,
-    payload_bytes: u64,
-    mut backoff: Backoff,
-    deliver: impl FnOnce(&mut Sim<W>) + 'static,
-) {
-    let now = sim.now();
-    let bytes = AM_HEADER_BYTES + payload_bytes;
-    let wire_bytes = fault::fault_scaled_bytes(sim, FaultOp::AmDeliver, bytes);
-    let arrive = {
-        // Existence was checked on the first attempt; mid-retransmit the
-        // channel is an invariant.
-        let ch = sim.world.net().channel_mut(from, to);
-        ch.ctrl.reserve(now, wire_bytes)
-    };
-    let track = Track::LinkCtrl {
-        from: from as u32,
-        to: to as u32,
-    };
-    sim.trace
-        .span_at(now, arrive, names::CAT_NETSIM, names::SPAN_AM, track);
-    let verdict = fault::fault_roll(sim, FaultOp::AmDeliver);
-    sim.schedule_at(arrive, move |sim| {
-        if verdict.is_fault() {
-            if verdict == FaultDecision::Lost || backoff.attempts() >= fault::RETRY_MAX {
-                fault::retries_exhausted(FaultOp::AmDeliver, backoff.attempts());
-            }
-            fault::count_retry(sim, FaultOp::AmDeliver);
-            let delay = backoff.next_delay();
-            sim.schedule_in(delay, move |sim| {
-                send_am_attempt(sim, from, to, payload_bytes, backoff, deliver);
-            });
-            return;
-        }
+    let price = move |_: &Sim<W>| AM_HEADER_BYTES + payload_bytes;
+    let reserve = move |sim: &mut Sim<W>, wire_bytes| {
+        let now = sim.now();
+        // Existence was checked above; mid-retransmit the channel is an
+        // invariant.
+        let ctrl = &mut sim.world.net().channel_mut(from, to).ctrl;
+        let arrive = ctrl.reserve(now, wire_bytes);
+        let track = Track::LinkCtrl {
+            from: from as u32,
+            to: to as u32,
+        };
         sim.trace
-            .count(names::NETSIM_AM_COUNT, from as u32, to as u32, 1);
-        sim.trace.count(
-            names::NETSIM_AM_PAYLOAD_BYTES,
-            from as u32,
-            to as u32,
-            payload_bytes,
-        );
+            .span_at(now, arrive, names::CAT_NETSIM, names::SPAN_AM, track);
+        arrive
+    };
+    let landed = move |sim: &mut Sim<W>| {
+        let (a, b) = (from as u32, to as u32);
+        sim.trace.count(names::NETSIM_AM_COUNT, a, b, 1);
+        sim.trace
+            .count(names::NETSIM_AM_PAYLOAD_BYTES, a, b, payload_bytes);
         deliver(sim);
-    });
+    };
+    fault::charge(sim, FaultOp::AmDeliver, price, reserve, landed);
+    Ok(())
 }
 
 #[cfg(test)]

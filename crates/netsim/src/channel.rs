@@ -12,22 +12,13 @@ pub enum NetError {
     /// No channel exists between the two ranks (never connected, or the
     /// pair was disconnected mid-run).
     NoChannel { from: usize, to: usize },
-    /// A memory precondition failed (wrong space, missing registration).
-    Mem(memsim::MemError),
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::NoChannel { from, to } => write!(f, "no channel {from} -> {to}"),
-            NetError::Mem(e) => write!(f, "memory precondition: {e}"),
         }
-    }
-}
-
-impl From<memsim::MemError> for NetError {
-    fn from(e: memsim::MemError) -> NetError {
-        NetError::Mem(e)
     }
 }
 
@@ -65,7 +56,7 @@ impl Link {
 
     /// Reserve the link for a `bytes`-sized message submitted at `now`;
     /// returns the delivery completion time (wire occupancy + one-way
-    /// latency). The bytes come from [`gpusim::fault_scaled_bytes`].
+    /// latency). The bytes come from [`gpusim::fault_scaled`].
     pub fn reserve(&mut self, now: SimTime, bytes: Rolled<u64>) -> SimTime {
         let wire = bytes.map(|b| self.wire_time(b));
         let (_start, end) = self.resource.reserve(now, wire);
@@ -88,8 +79,8 @@ pub struct Channel {
     pub kind: ChannelKind,
     /// Control-message link (headers, acks, handshakes).
     pub ctrl: Link,
-    /// Bulk-data link (eager payloads, RDMA traffic). Unused for
-    /// shared-memory GPU data, which moves over PCIe via `gpusim`.
+    /// Bulk-data link (staged fragment hops). Unused for shared-memory
+    /// GPU data, which moves over PCIe via `gpusim`.
     pub data: Link,
 }
 
@@ -193,8 +184,7 @@ mod tests {
     #[test]
     fn link_reserve_accumulates() {
         let mut sim = simcore::Sim::new(crate::world::ClusterWorld::new(2));
-        let mut bytes =
-            || gpusim::fault_scaled_bytes(&mut sim, faultsim::FaultOp::WireCopy, 10_000);
+        let mut bytes = || gpusim::fault_scaled(&mut sim, faultsim::FaultOp::WireCopy, 10_000u64);
         let mut l = Link::new(Bandwidth::from_gbps(10.0), SimTime::from_micros(1));
         let d1 = l.reserve(SimTime::ZERO, bytes()); // 1 us wire + 1 us latency
         assert_eq!(d1.as_nanos(), 2_000);

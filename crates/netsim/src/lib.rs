@@ -11,9 +11,11 @@
 //!
 //! On top of the links sit **Active Messages** (each message carries the
 //! reference of a receiver-side callback, exactly the BTL mechanism in
-//! §4.1) and a small **RDMA engine** with one-time registration cost and
-//! a registration cache — the cost structure that motivates the paper's
-//! single-connection pipelined protocol.
+//! §4.1), the staged **wire hop** of the copy-in/copy-out pipeline, and
+//! **RDMA registration** with a one-time cost and a registration cache —
+//! the cost structure that motivates the paper's single-connection
+//! pipelined protocol. Each is one fallible charge through
+//! `gpusim::fault::charge`.
 
 // Panic freedom (DESIGN.md §11): the interconnect surfaces typed errors.
 #![deny(
@@ -37,7 +39,7 @@ pub mod world;
 pub use am::{am_time, send_am};
 pub use channel::{Channel, ChannelKind, Link, NetError, NetSystem};
 pub use nic::{compile_program, execute_program, NicCosts, NicProgram};
-pub use rdma::{ensure_registered, rdma_get, rdma_put};
+pub use rdma::ensure_registered;
 pub use topology::Topology;
 pub use wire::wire_send;
 pub use world::{ClusterWorld, NetWorld};

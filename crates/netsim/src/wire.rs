@@ -1,13 +1,13 @@
-//! The staged-wire charge point: fragment hops over a data link that
-//! are not RDMA verbs (the copy-in/copy-out pipeline's middle stage).
+//! The staged-wire charge point: fragment hops over a data link (the
+//! copy-in/copy-out pipeline's middle stage).
 //!
-//! It consults the fault engine on every hop: the link charge is the
-//! [`gpusim::Rolled`] bytes of [`fault::fault_scaled_bytes`], and the
-//! hop's `WireCopy` roll follows the reservation.
+//! Every hop is one [`fault::charge`]: the link carries the
+//! [`gpusim::Rolled`] bytes of the degradation windows, and the hop's
+//! `WireCopy` roll follows the reservation.
 
 use crate::channel::NetError;
 use crate::world::NetWorld;
-use faultsim::{Backoff, FaultDecision, FaultOp};
+use faultsim::FaultOp;
 use gpusim::fault;
 use simcore::{Sim, SimTime};
 
@@ -19,10 +19,11 @@ use simcore::{Sim, SimTime};
 /// protocol-level trace vocabulary). Errors if no channel connects the
 /// pair; nothing is scheduled in that case.
 ///
-/// Fault charge point (`FaultOp::WireCopy`): a transient injection
-/// drops the fragment on the wire and it is retransmitted after a
-/// capped exponential backoff, so `deliver` still runs exactly once.
-/// Degradation windows scale the wire time.
+/// Fault charge point (`FaultOp::WireCopy`), issued through
+/// [`fault::charge`]: a transient injection drops the fragment on the
+/// wire and it is retransmitted after a capped exponential backoff, so
+/// `deliver` still runs exactly once. Degradation windows scale the wire
+/// time.
 pub fn wire_send<W: NetWorld>(
     sim: &mut Sim<W>,
     from: usize,
@@ -31,48 +32,16 @@ pub fn wire_send<W: NetWorld>(
     deliver: impl FnOnce(&mut Sim<W>) + 'static,
 ) -> Result<SimTime, NetError> {
     sim.world.net().try_channel(from, to)?;
-    Ok(wire_attempt(
-        sim,
-        from,
-        to,
-        bytes,
-        fault::default_backoff(),
-        deliver,
-    ))
-}
-
-fn wire_attempt<W: NetWorld>(
-    sim: &mut Sim<W>,
-    from: usize,
-    to: usize,
-    bytes: u64,
-    mut backoff: Backoff,
-    deliver: impl FnOnce(&mut Sim<W>) + 'static,
-) -> SimTime {
-    let now = sim.now();
-    let wire_bytes = fault::fault_scaled_bytes(sim, FaultOp::WireCopy, bytes);
-    let arrive = {
-        // Existence was checked on the first attempt; mid-retransmit the
-        // channel is an invariant.
-        let ch = sim.world.net().channel_mut(from, to);
-        ch.data.reserve(now, wire_bytes)
+    let price = move |_: &Sim<W>| bytes;
+    let reserve = move |sim: &mut Sim<W>, wire_bytes| {
+        let now = sim.now();
+        // Existence was checked above; mid-retransmit the channel is an
+        // invariant.
+        let data = &mut sim.world.net().channel_mut(from, to).data;
+        data.reserve(now, wire_bytes)
     };
-    let verdict = fault::fault_roll(sim, FaultOp::WireCopy);
-    sim.schedule_at(arrive, move |sim| {
-        if verdict.is_fault() {
-            if verdict == FaultDecision::Lost || backoff.attempts() >= fault::RETRY_MAX {
-                fault::retries_exhausted(FaultOp::WireCopy, backoff.attempts());
-            }
-            fault::count_retry(sim, FaultOp::WireCopy);
-            let delay = backoff.next_delay();
-            sim.schedule_in(delay, move |sim| {
-                wire_attempt(sim, from, to, bytes, backoff, deliver);
-            });
-            return;
-        }
-        deliver(sim);
-    });
-    arrive
+    let op = FaultOp::WireCopy;
+    Ok(fault::charge(sim, op, price, reserve, deliver))
 }
 
 #[cfg(test)]
@@ -101,6 +70,15 @@ mod tests {
         .unwrap();
         sim.run();
         assert_eq!(hit.borrow().expect("delivered"), arrive);
+    }
+
+    #[test]
+    fn hop_runs_at_the_link_rate() {
+        let mut sim = world();
+        let len = 6_000_000u64; // 1 ms at 6 GB/s
+        let arrive = wire_send(&mut sim, 0, 1, len, |_| {}).unwrap();
+        let rate = len as f64 / arrive.as_secs_f64() / 1e9;
+        assert!((5.5..=6.0).contains(&rate), "IB rate {rate} GB/s");
     }
 
     #[test]

@@ -135,7 +135,6 @@ pub mod names {
         // ---- network substrate ----
         const NETSIM_AM_COUNT: NetsimAmCount = "netsim.am.count";
         const NETSIM_AM_PAYLOAD_BYTES: NetsimAmPayloadBytes = "netsim.am.payload.bytes";
-        const NETSIM_RDMA_BYTES: NetsimRdmaBytes = "netsim.rdma.bytes";
 
         // ---- offload frontier (NIC executor + stream trigger) ----
         /// Payload bytes gathered/scattered by NIC-executed DEV programs.
@@ -195,13 +194,10 @@ pub mod names {
         // ---- span / instant names: substrates ----
         const SPAN_AM = "am";
         const SPAN_RDMA_REGISTER = "rdma-register";
-        const SPAN_RDMA_GET = "rdma-get";
-        const SPAN_RDMA_PUT = "rdma-put";
         const SPAN_KERNEL = "kernel";
         const SPAN_MEMCPY = "memcpy";
         const SPAN_MEMCPY2D = "memcpy2d";
         const SPAN_IPC_OPEN = "ipc-open";
-        const SPAN_STREAM_SYNC = "stream-sync";
         const SPAN_PREP = "prep";
         const SPAN_DEV_CACHE_HIT = "dev-cache-hit";
         const SPAN_DEV_CACHE_MISS = "dev-cache-miss";
@@ -245,7 +241,7 @@ pub enum Track {
     Cpu { rank: u32 },
     /// The control (active-message) half of a link.
     LinkCtrl { from: u32, to: u32 },
-    /// The data (RDMA / fragment) half of a link.
+    /// The data (staged fragment) half of a link.
     LinkData { from: u32, to: u32 },
     /// The fragment ring of a connection.
     Ring { from: u32, to: u32 },
@@ -616,7 +612,7 @@ pub enum WorkClass {
     Kernel,
     /// memcpy engines (H2D/D2H/D2D/P2P).
     Copy,
-    /// Link occupancy: AMs, RDMA, staged wire fragments.
+    /// Link occupancy: AMs and staged wire fragments.
     Wire,
 }
 
@@ -827,12 +823,12 @@ mod tests {
     #[test]
     fn counters_always_on() {
         let mut t = Tracer::new();
-        t.count(names::NETSIM_RDMA_BYTES, 0, 1, 7);
-        t.count(names::NETSIM_RDMA_BYTES, 0, 1, 5);
-        t.count(names::NETSIM_RDMA_BYTES, 2, 3, 1);
-        assert_eq!(t.counter_at(names::NETSIM_RDMA_BYTES, 0, 1), 12);
-        assert_eq!(t.counter_at(names::NETSIM_RDMA_BYTES, 1, 0), 0);
-        assert_eq!(t.counter(names::NETSIM_RDMA_BYTES), 13);
+        t.count(names::NETSIM_AM_PAYLOAD_BYTES, 0, 1, 7);
+        t.count(names::NETSIM_AM_PAYLOAD_BYTES, 0, 1, 5);
+        t.count(names::NETSIM_AM_PAYLOAD_BYTES, 2, 3, 1);
+        assert_eq!(t.counter_at(names::NETSIM_AM_PAYLOAD_BYTES, 0, 1), 12);
+        assert_eq!(t.counter_at(names::NETSIM_AM_PAYLOAD_BYTES, 1, 0), 0);
+        assert_eq!(t.counter(names::NETSIM_AM_PAYLOAD_BYTES), 13);
         assert_eq!(t.counter(names::NETSIM_AM_COUNT), 0);
     }
 

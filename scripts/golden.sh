@@ -1,8 +1,10 @@
 #!/bin/sh
 # Golden check: regenerate all 15 results/*.csv with the release figure
-# binaries and `cmp` each against the committed copy, then run the repo
-# benchmark's smoke pass and compare its five `exact:` lines (virtual
-# time, events, delivered bytes and failures per op) with
+# binaries and `cmp` each against the committed copy, compare the stdout
+# of `chaos_soak --smoke --arch k40,a100` (the fault paths: transient
+# sweeps and permanent-loss demotions) with results/chaos_smoke.txt, then
+# run the repo benchmark's smoke pass and compare its five `exact:` lines
+# (virtual time, events, delivered bytes and failures per op) with
 # results/benchmark_exact_smoke.txt. Virtual time is a pure function of
 # the code, so any byte of difference is a behaviour change that a PR
 # must declare (regenerate and commit the file) or fix — a wall-clock
@@ -20,18 +22,23 @@ bin=${1:-"$root/target/release"}
 out=${2:-$(mktemp -d)}
 mkdir -p "$out"
 
+# Compare one regenerated file with the committed copy.
+status=0
+check() {
+    if cmp -s "$root/results/$1" "$out/$1"; then
+        echo "ok    $1"
+    else
+        echo "DIFF  $1  (diff results/$1 $out/$1)"
+        status=1
+    fi
+}
+
 # <binary>:<csv stem>[:<extra args>] — names as in the README table.
 # Read line by line: the extra-args field holds spaces.
-status=0
 while IFS=: read -r binary stem args; do
     # shellcheck disable=SC2086  # args is a deliberate word list
     "$bin/$binary" $args > "$out/$stem.csv"
-    if cmp -s "$root/results/$stem.csv" "$out/$stem.csv"; then
-        echo "ok    $stem.csv"
-    else
-        echo "DIFF  $stem.csv  (diff results/$stem.csv $out/$stem.csv)"
-        status=1
-    fi
+    check "$stem.csv"
 done <<EOF
 fig6_kernel_bandwidth:fig6
 fig7_pack_unpack:fig7
@@ -50,18 +57,16 @@ latency_sweep:latency_sweep
 offload_frontier:offload_frontier:--arch k40,p100,v100,a100
 EOF
 
+"$bin/chaos_soak" --smoke --arch k40,a100 > "$out/chaos_smoke.txt"
+check chaos_smoke.txt
+
 stem=benchmark_exact_smoke
 cargo run --release --quiet --offline --manifest-path "$root/benchmark/Cargo.toml" -- --smoke \
     | grep '^exact:' > "$out/$stem.txt" || true
-if cmp -s "$root/results/$stem.txt" "$out/$stem.txt"; then
-    echo "ok    $stem.txt"
-else
-    echo "DIFF  $stem.txt  (diff results/$stem.txt $out/$stem.txt)"
-    status=1
-fi
+check "$stem.txt"
 
 if [ "$status" -ne 0 ]; then
     echo "golden: results/ differ from the regenerated files in $out" >&2
     exit 1
 fi
-echo "golden: all 15 CSVs and the benchmark's exact: lines byte-identical"
+echo "golden: all 15 CSVs, the chaos smoke and the benchmark's exact: lines byte-identical"

@@ -220,19 +220,6 @@ fn freed_buffer_cannot_be_read() {
 }
 
 #[test]
-fn rdma_to_unregistered_memory_is_a_typed_error() {
-    let mut sim = world();
-    let a = sim.world.mem().alloc(MemSpace::Host, 64).unwrap();
-    let b = sim.world.mem().alloc(MemSpace::Host, 64).unwrap();
-    let err = netsim::rdma_get(&mut sim, 0, 1, a, b, 64, |_| {}).unwrap_err();
-    assert!(matches!(
-        err,
-        netsim::NetError::Mem(MemError::NotRegistered(_))
-    ));
-    assert!(!sim.step(), "failed RDMA must schedule nothing");
-}
-
-#[test]
 fn unmatched_rendezvous_is_detected_as_stall() {
     let mut sim = world();
     let t = DataType::contiguous(100_000, &DataType::double())
@@ -339,4 +326,50 @@ fn self_send_rejected() {
             buf,
         },
     );
+}
+
+/// A user buffer shorter than its type is `MpiError::Mem` on every path
+/// that reads it outside a rendezvous — an eager send from host or
+/// device memory, and the self-copy of allgather and of alltoall —
+/// where the rendezvous already fails that way.
+#[test]
+fn a_short_user_buffer_is_a_typed_error_on_every_path() {
+    let ty = DataType::contiguous(64, &DataType::double())
+        .unwrap()
+        .commit();
+    for space in [MemSpace::Host, MemSpace::Device(GpuId(0))] {
+        let mut sim = world();
+        let sbuf = sim.world.mem().alloc(space, ty.size() / 2).unwrap();
+        let s = isend(&mut sim, SendArgs::new(0, 1, sbuf, &ty, 1));
+        sim.run();
+        assert!(
+            matches!(s.result(), Some(Err(MpiError::Mem(_)))),
+            "eager from {space:?}: {:?}",
+            s.result()
+        );
+    }
+    // The last rank's own block is short; every block it sends is not.
+    let p = 4;
+    let block = ty.size();
+    for alltoall in [false, true] {
+        let mut sess = mpirt::Session::builder().ranks(p).build();
+        let mut alloc = |len| sess.world.mem().alloc(MemSpace::Host, len).unwrap();
+        let own = if alltoall { (p as u64 - 1) * block } else { 0 };
+        let send: Vec<_> = (0..p)
+            .map(|r| match r + 1 == p {
+                true => alloc(own + block / 2),
+                false => alloc(p as u64 * block),
+            })
+            .collect();
+        let recv: Vec<_> = (0..p).map(|_| alloc(p as u64 * block)).collect();
+        let req = match alltoall {
+            true => mpirt::alltoall(&mut sess, &ty, 1, &send, &recv, 0),
+            false => mpirt::allgather(&mut sess, &ty, 1, &send, &recv, 0),
+        };
+        let got = mpirt::wait_all(&mut sess, &[req]);
+        assert!(
+            matches!(got, Err(MpiError::Mem(_))),
+            "alltoall {alltoall}: {got:?}"
+        );
+    }
 }

@@ -1,6 +1,7 @@
 //! Fault-injection resilience properties.
 //!
-//! Three guarantees, exercised end to end through the MPI runtime:
+//! Three guarantees, exercised end to end through the MPI runtime, and
+//! the retry arithmetic under them:
 //!
 //! 1. A schedule of *retriable* faults (transient AM drops, copy/kernel
 //!    hiccups, IPC-open and registration failures) never corrupts or
@@ -15,15 +16,20 @@
 //! 3. An armed-but-silent fault plan (`fault.injected == 0`) leaves the
 //!    simulation bit-identical to one with no plan at all: same
 //!    makespan, same counters.
+//!
+//! Underneath, every fallible substrate charge retries through one
+//! driver (`gpusim::fault::charge`); its arithmetic is pinned per site.
 
 use datatype::testutil::{buffer_span, pattern, reference_pack};
 use datatype::DataType;
-use faultsim::{counters, FaultKind, FaultOp, FaultPlan};
-use gpusim::GpuWorld as _;
-use memsim::{MemSpace, Ptr};
+use faultsim::{counters, FaultKind, FaultOp, FaultPlan, FaultSim};
+use gpusim::{GpuWorld as _, KernelConfig, KernelTraffic};
+use memsim::{GpuId, MemSpace, Ptr};
 use mpirt::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
 use mpirt::{MpiConfig, Session};
-use simcore::Metrics;
+use netsim::{ChannelKind, ClusterWorld};
+use simcore::par::CopyOp;
+use simcore::{Metrics, Sim, SimTime};
 
 /// A strided vector large enough to take the rendezvous pipeline
 /// (well above the 64 KiB eager limit): 512 blocks of 64 doubles.
@@ -255,4 +261,94 @@ fn silent_plan_is_invisible_in_trace_and_metrics() {
     assert_eq!(armed.counter(counters::FAULT_INJECTED), 0);
     assert_eq!(armed.makespan, off.makespan, "idle faultsim cost time");
     assert_eq!(armed.counters, off.counters, "idle faultsim left a trace");
+}
+
+/// A fallible charge issued on an idle two-rank world: the run ends
+/// when it lands.
+type Site = fn(&mut Sim<ClusterWorld>);
+
+const GPU: MemSpace = MemSpace::Device(GpuId(0));
+
+fn alloc(sim: &mut Sim<ClusterWorld>, space: MemSpace, len: u64) -> Ptr {
+    sim.world.memory.alloc(space, len).unwrap()
+}
+
+fn kernel_site(sim: &mut Sim<ClusterWorld>) {
+    let (src, dst) = (alloc(sim, GPU, 64 << 10), alloc(sim, GPU, 32 << 10));
+    let units: Vec<CopyOp> = (0..64)
+        .map(|i| CopyOp {
+            src_off: i * 1024,
+            dst_off: i * 512,
+            len: 512,
+        })
+        .collect();
+    let spec = &sim.world.gpu_system.gpu(GpuId(0)).spec;
+    let traffic = KernelTraffic::of(&units, src, dst, GpuId(0), spec);
+    let stream = sim.world.gpu_system.default_stream(GpuId(0));
+    let cfg = KernelConfig::default();
+    gpusim::charge_transfer_kernel(sim, stream, src, dst, traffic, cfg, |_, _| {});
+}
+
+fn memcpy_site(sim: &mut Sim<ClusterWorld>) {
+    let (host, dev) = (
+        alloc(sim, MemSpace::Host, 1 << 20),
+        alloc(sim, GPU, 1 << 20),
+    );
+    let stream = sim.world.gpu_system.default_stream(GpuId(0));
+    gpusim::charge_memcpy(sim, stream, host, dev, 1 << 20, |_, _| {});
+}
+
+fn memcpy_2d_site(sim: &mut Sim<ClusterWorld>) {
+    let (dev, host) = (
+        alloc(sim, GPU, 256 * 1024),
+        alloc(sim, MemSpace::Host, 256 * 1000),
+    );
+    let stream = sim.world.gpu_system.default_stream(GpuId(0));
+    gpusim::memcpy_2d(sim, stream, dev, 1024, host, 1000, 1000, 256, |_, _| {});
+}
+
+fn am_site(sim: &mut Sim<ClusterWorld>) {
+    netsim::send_am(sim, 0, 1, 4096, |_| {}).unwrap();
+}
+
+fn wire_site(sim: &mut Sim<ClusterWorld>) {
+    netsim::wire_send(sim, 0, 1, 64 << 10, |_| {}).unwrap();
+}
+
+fn register_site(sim: &mut Sim<ClusterWorld>) {
+    let buf = alloc(sim, MemSpace::Host, 4096);
+    netsim::ensure_registered(sim, 0, buf, |_| {});
+}
+
+/// The retry arithmetic of every fallible charge, pinned: a plan that
+/// fails the first two attempts transiently costs each site exactly two
+/// retries and two injections, and the third attempt lands at the
+/// nanosecond given — three charges of the attempt's price on the idle
+/// resource plus the 2 µs and 4 µs backoffs.
+#[test]
+fn every_fallible_charge_retries_twice_and_lands_at_its_pinned_instant() {
+    let sites: [(&str, FaultOp, Site, u64); 6] = [
+        ("kernel", FaultOp::KernelLaunch, kernel_site, 24_600),
+        ("memcpy", FaultOp::Memcpy, memcpy_site, 338_574),
+        ("memcpy_2d", FaultOp::Memcpy, memcpy_2d_site, 559_041),
+        ("am", FaultOp::AmDeliver, am_site, 11_982),
+        ("wire", FaultOp::WireCopy, wire_site, 42_669),
+        ("register", FaultOp::RdmaRegister, register_site, 156_000),
+    ];
+    for (name, op, issue, landed_ns) in sites {
+        let mut world = ClusterWorld::new(1);
+        world.net_system.connect(0, 1, ChannelKind::InfiniBand);
+        let mut plan = FaultPlan::empty().with_rule(Some(op), FaultKind::Transient, 1.0);
+        plan.rules[0].max_injections = Some(2);
+        world.faults = FaultSim::from_plan(plan);
+        let mut sim = Sim::new(world);
+        issue(&mut sim);
+        let landed = sim.run();
+        let counts = (
+            sim.trace.counter(counters::RETRY_ATTEMPTS),
+            sim.trace.counter(counters::FAULT_INJECTED),
+        );
+        let want = (SimTime::from_nanos(landed_ns), (2, 2));
+        assert_eq!((landed, counts), want, "{name}");
+    }
 }

@@ -3,8 +3,7 @@
 //! [`Name::ALL`] is recorded, across one small fixed set of runs — each
 //! path class on shared memory and InfiniBand, the offload classes and
 //! their loss plans, a transient fault plan, an evicting DEV cache, the
-//! comparators, the substrate calls no protocol makes, and one
-//! `mpirt::scale` job. A registered name that no run emits fails here.
+//! comparators, and one `mpirt::scale` job. A registered name that no run emits fails here.
 
 use datatype::testutil::lower_triangular as triangular;
 use datatype::DataType;
@@ -190,8 +189,7 @@ fn every_registered_trace_name_is_emitted() {
 
     // The comparators: per-vector memcpy2D, and a whole-type kernel
     // with no DEV cache. Then the engine itself, uncached, with a
-    // pipeline chunk worth tuning; and the substrate calls no protocol
-    // makes (stream sync, one-sided RDMA).
+    // pipeline chunk worth tuning.
     seen.run(ib(MpiConfig::default()), |sess| {
         for (jenkins, ty) in [(false, &submatrix), (true, &tri)] {
             let mut side = |rank| baseline::BaselineSide {
@@ -225,14 +223,6 @@ fn every_registered_trace_name_is_emitted() {
             None,
             |_, _| {},
         );
-        gpusim::stream_sync(sess, stream, |_| {});
-        let bufs: Vec<Ptr> = (0..4).map(|_| alloc(sess, 0, &small, false)).collect();
-        for (i, &b) in bufs.iter().enumerate() {
-            netsim::ensure_registered(sess, i % 2, b, |_| {});
-        }
-        sess.run();
-        netsim::rdma_get(sess, 0, 1, bufs[1], bufs[0], small.size(), |_| {}).unwrap();
-        netsim::rdma_put(sess, 0, 1, bufs[2], bufs[3], small.size(), |_| {}).unwrap();
         sess.run();
     });
 
