@@ -34,6 +34,7 @@ use crate::schedule::{self, Exchange};
 use faultsim::{FaultDecision, FaultOp, FaultPlan, FaultSim};
 use netsim::Topology;
 use simcore::msgsim::{Envelope, MsgCtx, MsgModel, MsgRun, MsgSim};
+use simcore::rate::ceil_u64;
 use simcore::rng::SimRng;
 use simcore::time::SimTime;
 use simcore::trace::names;
@@ -216,6 +217,10 @@ struct RankSt {
     faults: FaultSim,
     /// Virtual completion time of each finished step (digest input).
     completions: Vec<u64>,
+    /// Non-kick messages delivered here, and their bytes: folded into
+    /// `scale.msgs` / `scale.delivered.bytes` by [`finish`].
+    msgs: u64,
+    bytes: u64,
 }
 
 /// Immutable job shape shared by every rank.
@@ -250,6 +255,8 @@ impl ScaleModel {
                     rng: SimRng::for_stream(cfg.seed, r as u64),
                     faults: FaultSim::for_rank(&cfg.fault_plan, r),
                     completions: Vec::new(),
+                    msgs: 0,
+                    bytes: 0,
                 })
                 .collect(),
         }
@@ -306,10 +313,8 @@ fn send_msg(
         slowdown = st.faults.slowdown(op, launch);
     }
     let mut wire = shape.topo.bandwidth(st.rank, dst).time_for(bytes);
-    // Only a degraded send pays the float round trip (`ceil` is a libm
-    // call on baseline x86-64); × 1.0 is the identity below 2⁵³ ns.
     if slowdown != 1.0 {
-        wire = SimTime::from_nanos((wire.as_nanos() as f64 * slowdown).ceil() as u64);
+        wire = SimTime::from_nanos(ceil_u64(wire.as_nanos() as f64 * slowdown));
     }
     st.nic_free = launch + wire;
     let at = st.nic_free + shape.topo.latency(shape.ranks, st.rank, dst);
@@ -446,9 +451,8 @@ impl MsgModel for ScaleModel {
                 }
             }
             kind => {
-                ctx.trace.count(names::SCALE_MSGS, st.rank, 0, 1);
-                ctx.trace
-                    .count(names::SCALE_DELIVERED_BYTES, st.rank, 0, env.msg.bytes);
+                st.msgs += 1;
+                st.bytes += env.msg.bytes;
                 if (env.msg.step, env.msg.round) == (st.step, st.round) {
                     on_msg(shape, st, ctx, env.src, kind);
                 } else {
@@ -522,7 +526,12 @@ pub fn finish(cfg: &ScaleConfig, _shards: u32, run: MsgRun<ScaleModel>) -> Scale
         digest ^= x;
         digest = digest.wrapping_mul(0x100000001b3);
     };
+    let mut trace = run.trace;
     for st in &run.model.states {
+        if st.msgs > 0 {
+            trace.count(names::SCALE_MSGS, st.rank, 0, st.msgs);
+            trace.count(names::SCALE_DELIVERED_BYTES, st.rank, 0, st.bytes);
+        }
         debug_assert_eq!(
             st.completions.len(),
             cfg.program.len(),
@@ -540,10 +549,10 @@ pub fn finish(cfg: &ScaleConfig, _shards: u32, run: MsgRun<ScaleModel>) -> Scale
         ranks: cfg.ranks,
         executed: run.executed,
         end_time: run.end_time,
-        msgs: run.trace.counter(names::SCALE_MSGS),
-        bytes: run.trace.counter(names::SCALE_DELIVERED_BYTES),
+        msgs: trace.counter(names::SCALE_MSGS),
+        bytes: trace.counter(names::SCALE_DELIVERED_BYTES),
         digest,
-        trace: run.trace,
+        trace,
     }
 }
 

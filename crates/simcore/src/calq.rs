@@ -16,7 +16,13 @@
 //!   promoted, sorted by `(at, key)` and drained through a cursor;
 //! * the **overflow rung** — entries beyond the current lap. When the
 //!   ring drains, the rung is re-anchored: the bucket width (`shift`)
-//!   adapts to the rung's span so the next lap covers it.
+//!   widens until the rung's span fits in the next lap.
+//!
+//! The width also narrows: a bucket promoted with more than [`CROWDED`]
+//! entries is not sorted as one run; it and the ring are re-bucketed at
+//! a width that spreads it to about [`PER_BUCKET`] entries a bucket
+//! (Brown's calendar queue sizes buckets to the event spacing for the
+//! same reason).
 
 use crate::time::SimTime;
 
@@ -24,11 +30,26 @@ use crate::time::SimTime;
 const RING: usize = 1024;
 const RING_MASK: u64 = RING as u64 - 1;
 /// Initial bucket width: 2^10 = 1024 virtual nanoseconds. Re-anchoring
-/// adapts the width to the actual event-time spread.
+/// widens it to the event-time spread; a crowded promotion narrows it.
 const INIT_SHIFT: u32 = 10;
 /// Widest bucket the re-anchor adaptation may pick (2^40 ns ≈ 18 min of
 /// virtual time per bucket): beyond this a lap covers any plausible run.
 const MAX_SHIFT: u32 = 40;
+/// A bucket promoted with more entries than this narrows the width
+/// first. Measured on the 1024-rank alltoall soak, which promotes 543
+/// envelopes per 1 µs bucket on average without it (EXPERIMENTS.md,
+/// "Calendar buckets follow event density"): at 64 it narrows 3 times
+/// per op and promotes at most 63; 32 narrows 17 times, 16 narrows 243
+/// times and pushes 2.3× the entries through the overflow rung; 128
+/// leaves 9 runs per op of up to 98 to sort. The `event::Sim`
+/// workloads promote at most 64 (`a2a_64`, mostly one instant with one
+/// entry per rank) and never narrow.
+const CROWDED: usize = 64;
+/// Entries per bucket a narrowing aims at. On the same soak 4 and 8
+/// narrow 3 times per op and 32 narrows 4 times, with timings that did
+/// not separate: a re-anchor, not the narrowing, sets the width most
+/// laps run at.
+const PER_BUCKET: u64 = 8;
 
 #[derive(Clone, Copy, Debug)]
 struct CalEntry<P: Copy> {
@@ -128,7 +149,7 @@ impl<P: Copy> CalendarQueue<P> {
             // for event chains); anything else takes the binary-insert
             // slow path.
             match self.active.last() {
-                Some(last) if last.order() > entry.order() => self.insert_slow(entry, epoch),
+                Some(last) if last.order() > entry.order() => self.insert_slow(entry),
                 _ => {
                     if self.cursor >= self.active.len() {
                         self.active.clear();
@@ -137,7 +158,16 @@ impl<P: Copy> CalendarQueue<P> {
                     self.active.push(entry);
                 }
             }
-        } else if epoch < self.lap_end {
+        } else {
+            self.file(entry, epoch);
+        }
+    }
+
+    /// Put a future entry (`epoch > cur_epoch`) in its ring bucket, or
+    /// on the overflow rung when it lies past the lap.
+    #[inline]
+    fn file(&mut self, entry: CalEntry<P>, epoch: u64) {
+        if epoch < self.lap_end {
             let b = (epoch & RING_MASK) as usize;
             self.ring[b].push(entry);
             self.ring_len += 1;
@@ -147,20 +177,15 @@ impl<P: Copy> CalendarQueue<P> {
         }
     }
 
+    /// An entry for the currently draining epoch (or one already
+    /// passed) that sorts before `active`'s tail: insert it in place so
+    /// the (time, key) order is exact. Times only land here near the
+    /// cursor, so the shifted tail is short.
     #[cold]
-    fn insert_slow(&mut self, entry: CalEntry<P>, epoch: u64) {
-        if epoch <= self.cur_epoch {
-            // The currently draining epoch (or one already passed):
-            // keep `active` sorted so the (time, key) order is exact.
-            // Times only land here near the cursor, so the shifted tail
-            // is short.
-            let pos = self.cursor
-                + self.active[self.cursor..].partition_point(|e| e.order() < entry.order());
-            self.active.insert(pos, entry);
-        } else {
-            debug_assert!(epoch >= self.lap_end);
-            self.overflow.push(entry);
-        }
+    fn insert_slow(&mut self, entry: CalEntry<P>) {
+        let pos =
+            self.cursor + self.active[self.cursor..].partition_point(|e| e.order() < entry.order());
+        self.active.insert(pos, entry);
     }
 
     /// Next pending entry in `(time, key)` order, advancing epochs,
@@ -197,16 +222,15 @@ impl<P: Copy> CalendarQueue<P> {
                 std::mem::swap(&mut self.active, &mut self.ring[next]);
                 self.ring_len -= self.active.len();
                 self.occupied[next / 64] &= !(1 << (next % 64));
-                if self.active.len() > 1 {
-                    self.active.sort_unstable_by_key(|e| e.order());
-                }
-                continue;
-            }
-            if !self.overflow.is_empty() {
+            } else if !self.overflow.is_empty() {
                 self.re_anchor();
-                continue;
+            } else {
+                return None;
             }
-            return None;
+            while self.active.len() > CROWDED && self.narrow() {}
+            if self.active.len() > 1 {
+                self.active.sort_unstable_by_key(|e| e.order());
+            }
         }
     }
 
@@ -230,16 +254,66 @@ impl<P: Copy> CalendarQueue<P> {
         None
     }
 
+    /// The just-promoted, still unsorted `active` run is crowded:
+    /// narrow the width so its entries spread about [`PER_BUCKET`] to a
+    /// bucket, and re-bucket it with the ring. The new current epoch is
+    /// the narrow one holding the run's earliest entry, which is still
+    /// in `active`; `now` is no later, so an insert at `now` lands there
+    /// too. The lap never reaches past the old one, behind which the
+    /// overflow rung waits. Returns false, leaving everything as it was,
+    /// when no narrower width would split the run.
+    #[cold]
+    fn narrow(&mut self) -> bool {
+        let (lo, hi) = self.active.iter().fold((u64::MAX, 0), |(lo, hi), e| {
+            let t = e.at.as_nanos();
+            (lo.min(t), hi.max(t))
+        });
+        let width = (hi - lo).saturating_mul(PER_BUCKET) / self.active.len() as u64;
+        let shift = width.max(1).ilog2();
+        if shift >= self.shift || lo >> shift == hi >> shift {
+            return false;
+        }
+        let d = self.shift - shift;
+        self.shift = shift;
+        self.cur_epoch = lo >> shift;
+        self.lap_end = self
+            .lap_end
+            .saturating_mul(1 << d)
+            .min(self.cur_epoch + RING as u64);
+        let mut moved = std::mem::take(&mut self.active);
+        for (wi, word) in self.occupied.iter_mut().enumerate() {
+            while *word != 0 {
+                let b = wi * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                moved.append(&mut self.ring[b]);
+            }
+        }
+        self.ring_len = 0;
+        moved.retain(|e| {
+            let epoch = e.at.as_nanos() >> shift;
+            epoch == self.cur_epoch || {
+                self.file(*e, epoch);
+                false
+            }
+        });
+        self.active = moved;
+        true
+    }
+
     /// Ring and active are empty: restart the calendar at the overflow
-    /// rung's earliest entry, adapting the bucket width so the rung's
+    /// rung's earliest entry, widening the bucket width until the rung's
     /// span fits in one lap (the far-future fallback the ring cannot
-    /// cover with fine buckets).
+    /// cover with fine buckets). Leaves the first epoch's entries in
+    /// `active`, unsorted, for `peek_slow` to promote.
     fn re_anchor(&mut self) {
         debug_assert!(self.cursor >= self.active.len() && self.ring_len == 0);
         let min_at = self.overflow.iter().map(|e| e.at).min().expect("non-empty");
         let max_at = self.overflow.iter().map(|e| e.at).max().expect("non-empty");
         let span = max_at.as_nanos() - min_at.as_nanos();
-        let mut shift = INIT_SHIFT;
+        // A width a crowded promotion narrowed is kept. Resetting to
+        // 1 µs re-crowds the next lap: the soak then narrows 218 times
+        // per op instead of 3, at twice the peak RSS (EXPERIMENTS.md).
+        let mut shift = self.shift.min(INIT_SHIFT);
         while shift < MAX_SHIFT && (span >> shift) >= RING as u64 {
             shift += 1;
         }
@@ -252,16 +326,10 @@ impl<P: Copy> CalendarQueue<P> {
             let epoch = entry.at.as_nanos() >> shift;
             if epoch == self.cur_epoch {
                 self.active.push(entry);
-            } else if epoch < self.lap_end {
-                let b = (epoch & RING_MASK) as usize;
-                self.ring[b].push(entry);
-                self.ring_len += 1;
-                self.occupied[b / 64] |= 1 << (b % 64);
             } else {
-                self.overflow.push(entry);
+                self.file(entry, epoch);
             }
         }
-        self.active.sort_unstable_by_key(|e| e.order());
     }
 
     /// Take the entry `peek` reported. Must be called directly after a
@@ -331,6 +399,50 @@ mod tests {
         got.sort_unstable(); // already sorted; keep the assert strict anyway
         assert_eq!(got, expect);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn crowded_promotion_narrows_and_keeps_order() {
+        // 600 entries ~1.7 ns apart in one 1 µs bucket (epoch 3), keys
+        // descending so the input is far from sorted.
+        let mut q = CalendarQueue::new();
+        let times: Vec<u64> = (0..600u64).map(|i| 3_072 + i * 5 / 3).collect();
+        for (i, &t) in times.iter().enumerate() {
+            q.insert(SimTime::from_nanos(t), 600 - i as u64, ());
+        }
+        assert_eq!(q.pop().unwrap().0.as_nanos(), 3_072);
+        assert!(q.shift < INIT_SHIFT, "a crowded bucket narrows the width");
+        assert!(
+            q.active.len() <= 2 * PER_BUCKET as usize,
+            "{}",
+            q.active.len()
+        );
+        // An insert at `now` still lands in the current epoch.
+        q.insert(SimTime::from_nanos(3_072), 1_000, ());
+        let mut got = vec![(3_072, 600)];
+        got.extend(std::iter::from_fn(|| {
+            q.pop().map(|(t, k, _)| (t.as_nanos(), k))
+        }));
+        let mut want: Vec<(u64, u64)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, 600 - i as u64))
+            .collect();
+        want.push((3_072, 1_000));
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn one_instant_crowd_is_sorted_not_narrowed() {
+        let mut q = CalendarQueue::new();
+        for k in (0..100u64).rev() {
+            q.insert(SimTime::from_nanos(5_000), k, ());
+        }
+        assert_eq!(q.pop().unwrap().1, 0);
+        assert_eq!(q.shift, INIT_SHIFT, "no width splits one instant");
+        let keys: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, k, _)| k)).collect();
+        assert_eq!(keys, (1..100).collect::<Vec<_>>());
     }
 
     #[test]

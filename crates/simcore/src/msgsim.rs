@@ -54,11 +54,9 @@ struct Pending<M> {
 
 impl<M> Pending<M> {
     fn post(&mut self, src: u32, dst: u32, at: SimTime, msg: M) {
-        assert!(
-            (dst as usize) < self.seqs.len(),
-            "message to rank {dst} of {}",
-            self.seqs.len()
-        );
+        let ranks = self.seqs.len();
+        assert!((src as usize) < ranks, "message from rank {src} of {ranks}");
+        assert!((dst as usize) < ranks, "message to rank {dst} of {ranks}");
         let seq = self.seqs[src as usize];
         self.seqs[src as usize] = seq.checked_add(1).expect("per-rank send seq overflow");
         let env = Some(Envelope {
@@ -299,6 +297,62 @@ mod tests {
         let mut sim = MsgSim::new(Echo, 2);
         sim.inject(0, 1, SimTime::from_nanos(5), ());
         sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "message from rank 2 of 2")]
+    fn inject_from_a_rank_outside_the_job_is_rejected() {
+        let mut sim = MsgSim::new(Log(Vec::new()), 2);
+        sim.inject(2, 0, SimTime::from_nanos(1), false);
+    }
+
+    #[test]
+    fn crowded_fan_out_delivers_in_sorted_send_order() {
+        // 48 ranks, three generations: 47 → 2209 → 103823 envelopes,
+        // jittered over 50 µs, so the last generation crowds a 1 µs
+        // bucket with hundreds and the calendar narrows its width.
+        // Whatever it does with buckets, the delivery order must be the
+        // sort of everything sent.
+        struct Fan {
+            ranks: u32,
+            /// `(at, src, seq)` of every envelope sent, in send order.
+            sent: Vec<(u64, u32, u32)>,
+            next_seq: Vec<u32>,
+            delivered: Vec<(u64, u32, u32)>,
+        }
+        impl MsgModel for Fan {
+            type Msg = u32; // generation countdown
+            fn deliver(&mut self, ctx: &mut MsgCtx<'_, u32>, env: Envelope<u32>) {
+                self.delivered.push((env.at.as_nanos(), env.src, env.seq));
+                if env.msg == 0 {
+                    return;
+                }
+                let src = env.dst;
+                for d in (0..self.ranks).filter(|&d| d != src) {
+                    let seq = self.next_seq[src as usize];
+                    self.next_seq[src as usize] += 1;
+                    let jitter = (seq as u64 * 7919 + d as u64 * 104_729) % 50_000;
+                    let at = env.at + SimTime::from_nanos(100 + jitter);
+                    self.sent.push((at.as_nanos(), src, seq));
+                    ctx.send(d, at, env.msg - 1);
+                }
+            }
+        }
+        let ranks = 48;
+        let mut fan = Fan {
+            ranks,
+            sent: vec![(1, 0, 0)], // the injection below
+            next_seq: vec![0; ranks as usize],
+            delivered: Vec::new(),
+        };
+        fan.next_seq[0] = 1;
+        let mut sim = MsgSim::new(fan, ranks);
+        sim.inject(0, 1, SimTime::from_nanos(1), 3);
+        let run = sim.run();
+        assert_eq!(run.executed, 1 + 47 + 47 * 47 + 47 * 47 * 47);
+        let mut want = run.model.sent;
+        want.sort_unstable();
+        assert_eq!(run.model.delivered, want);
     }
 
     #[test]

@@ -39,8 +39,7 @@ impl Bandwidth {
         if bytes == 0 {
             return SimTime::ZERO;
         }
-        let ns = (bytes as f64) * 1e9 / self.0;
-        SimTime::from_nanos(ns.ceil() as u64)
+        SimTime::from_nanos(ceil_u64((bytes as f64) * 1e9 / self.0))
     }
 
     /// Derate this bandwidth by a multiplicative factor in `(0, 1]`,
@@ -59,6 +58,21 @@ impl Bandwidth {
             return f64::INFINITY;
         }
         bytes as f64 / elapsed.as_secs_f64()
+    }
+}
+
+/// `x.ceil() as u64` for every `f64` — negatives and NaN give 0,
+/// `+inf` and anything ≥ 2⁶⁴ give `u64::MAX` — without `f64::ceil`,
+/// which baseline x86-64 has no instruction for and calls out to
+/// software. The saturating cast truncates; a positive fraction it cut
+/// off rounds up.
+#[inline]
+pub fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -86,6 +100,47 @@ mod tests {
         let bw = Bandwidth::from_gbps(100.0);
         // 1 byte at 100 B/ns would be 0.01 ns; must round up to 1 ns.
         assert_eq!(bw.time_for(1).as_nanos(), 1);
+    }
+
+    #[test]
+    fn ceil_u64_is_ceil_then_cast() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),  // smallest subnormal
+            4503599627370495.5, // 2⁵² − ½: the last half-integer
+            9007199254740991.0, // 2⁵³ − 1
+            9007199254740992.0, // 2⁵³
+            9007199254740994.0,
+            18446744073709549568.0, // the largest f64 below 2⁶⁴
+            18446744073709551616.0, // 2⁶⁴
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+        }
+        let mut r = crate::rng::rng(0xCE11);
+        for i in 0..100_000 {
+            // Alternate raw bit patterns (every exponent, NaNs,
+            // infinities) with nanosecond-scale values.
+            let x = if i % 2 == 0 {
+                f64::from_bits(r.next_u64())
+            } else {
+                r.next_u64() as f64 / (1u64 << (r.next_u64() % 64)) as f64
+            };
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e} ({:#x})", x.to_bits());
+        }
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! buckets), lap-edge deltas (bucket promotion and re-anchoring), and
 //! multi-second deltas (overflow rung + adaptive shift), with nested
 //! scheduling from inside callbacks and cancels aimed at live, already
-//! fired, and already cancelled handles.
+//! fired, and already cancelled handles. One case packs tens of
+//! thousands of events into a few tens of microseconds, so buckets
+//! crowd and the width narrows, again after every re-anchor.
 
 use simcore::rng::{rng, SimRng};
 use simcore::{EventId, Sim, SimTime};
@@ -258,4 +260,45 @@ fn far_future_overflow_matches_reference_model() {
     sim.run();
     model.drain(seed);
     assert_in_sync(&sim, &model, "far-future overflow");
+}
+
+/// Crowded calendar: each round packs 10 000 events into ~50 µs (about
+/// 200 to a 1 µs bucket, so promotion narrows the width) behind a
+/// 1–5 ms tail that makes the next re-anchor widen it again, with the
+/// nested children of `spawn` on top. Checked at every segment.
+#[test]
+fn crowded_buckets_match_reference_model() {
+    let seed = 0xC40D;
+    let mut r = rng(seed);
+    let mut sim = Sim::new(World::new());
+    let mut model = Model::default();
+    let mut next_tag = 1u64;
+    for round in 0..5 {
+        let base = model.now;
+        for i in 0..10_400 {
+            let delta = if i % 26 == 25 {
+                r.range_u64(1_000_000, 5_000_000)
+            } else {
+                r.range_u64(1, 50_000)
+            };
+            let tag = next_tag;
+            next_tag += 1;
+            sim.schedule_at(SimTime::from_nanos(base + delta), move |s| {
+                spawn(s, seed, tag)
+            });
+            model.schedule(base + delta, tag);
+        }
+        // Drain in segments; the last round drains everything.
+        let segments = if round == 4 { 40 } else { 3 };
+        for segment in 0..segments {
+            let k = model.fired.len() + 4_000;
+            sim.run_until(move |w: &World| w.len() >= k);
+            model.run_until_count(seed, k);
+            assert_in_sync(&sim, &model, &format!("round {round} segment {segment}"));
+        }
+    }
+    sim.run();
+    model.drain(seed);
+    assert_in_sync(&sim, &model, "crowded final");
+    assert!(model.fired.len() > 50_000, "{}", model.fired.len());
 }
