@@ -16,6 +16,7 @@ pub mod error;
 pub mod pool;
 pub mod ptr;
 pub mod registry;
+pub mod shelf;
 pub mod space;
 
 pub use error::MemError;

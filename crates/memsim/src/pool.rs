@@ -10,6 +10,7 @@
 use crate::error::MemError;
 use crate::ptr::{AllocId, Ptr};
 use crate::registry::RegistrationTable;
+use crate::shelf;
 use crate::space::{GpuId, MemSpace};
 use simcore::hash::DetHashMap;
 use simcore::par::{par_copy, par_transfer_batch, CopyOp, SegList};
@@ -19,20 +20,36 @@ use std::cell::OnceCell;
 /// An allocation is all zeroes until something writes it, so the zeroed
 /// backing is made when a byte is first borrowed — a ring slot that is
 /// only ever resolved, registered and charged never costs host memory.
+/// The backing is a block from [`shelf`], possibly longer than `len`,
+/// and goes back there when the allocation is dropped.
 struct Backing {
     len: u64,
-    bytes: OnceCell<Box<[u8]>>,
+    /// End of the furthest byte a mutable borrow has reached: the block
+    /// is still zero from here on, so reusing it re-zeroes only below.
+    dirty: u64,
+    block: OnceCell<Box<[u8]>>,
 }
 
 impl Backing {
     fn bytes(&self) -> &[u8] {
-        self.bytes
-            .get_or_init(|| vec![0u8; self.len as usize].into_boxed_slice())
+        &self.block.get_or_init(|| shelf::take(self.len as usize))[..self.len as usize]
     }
 
-    fn bytes_mut(&mut self) -> &mut [u8] {
+    /// The bytes, mutably, with everything below `end` counted as
+    /// written.
+    fn bytes_mut(&mut self, end: u64) -> &mut [u8] {
         self.bytes();
-        self.bytes.get_mut().expect("materialised above")
+        self.dirty = self.dirty.max(end.min(self.len));
+        let len = self.len as usize;
+        &mut self.block.get_mut().expect("materialised above")[..len]
+    }
+}
+
+impl Drop for Backing {
+    fn drop(&mut self) {
+        if let Some(block) = self.block.take() {
+            shelf::put(block, self.dirty as usize);
+        }
     }
 }
 
@@ -76,8 +93,12 @@ impl MemPool {
         }
         let id = AllocId(self.next_id);
         self.next_id += 1;
-        let bytes = OnceCell::new();
-        self.allocs.insert(id, Backing { len, bytes });
+        let backing = Backing {
+            len,
+            dirty: 0,
+            block: OnceCell::new(),
+        };
+        self.allocs.insert(id, backing);
         self.used += len;
         self.peak = self.peak.max(self.used);
         Ok(Ptr {
@@ -161,7 +182,8 @@ impl MemPool {
     pub fn slice_mut(&mut self, ptr: Ptr, len: u64) -> Result<&mut [u8], MemError> {
         self.check_range(ptr, len)?;
         let data = self.allocs.get_mut(&ptr.alloc).expect("checked above");
-        Ok(&mut data.bytes_mut()[ptr.offset as usize..(ptr.offset + len) as usize])
+        let end = ptr.offset + len;
+        Ok(&mut data.bytes_mut(end)[ptr.offset as usize..end as usize])
     }
 
     /// Copy from a user slice into the pool.
@@ -184,7 +206,7 @@ impl MemPool {
         self.check_range(dst, len)?;
         if src.alloc == dst.alloc {
             let data = self.allocs.get_mut(&src.alloc).expect("checked");
-            data.bytes_mut().copy_within(
+            data.bytes_mut(dst.offset + len).copy_within(
                 src.offset as usize..(src.offset + len) as usize,
                 dst.offset as usize,
             );
@@ -200,7 +222,7 @@ impl MemPool {
             unsafe {
                 std::ptr::copy_nonoverlapping(
                     src_ptr,
-                    dst_slice.bytes_mut()[dst.offset as usize..].as_mut_ptr(),
+                    dst_slice.bytes_mut(dst.offset + len)[dst.offset as usize..].as_mut_ptr(),
                     len as usize,
                 );
             }
@@ -221,11 +243,10 @@ impl MemPool {
         ops: &[CopyOp],
         bytes: u64,
     ) -> Result<(), MemError> {
-        let data = self
-            .allocs
-            .get_mut(&src.alloc)
-            .ok_or(MemError::InvalidPointer(src))?
-            .bytes_mut();
+        let backing = (self.allocs.get_mut(&src.alloc)).ok_or(MemError::InvalidPointer(src))?;
+        // Only slice indexing bounds the scatter below: the whole
+        // allocation counts as written.
+        let data = backing.bytes_mut(backing.len);
         let (s0, d0) = (src.offset as usize, dst.offset as usize);
         let mut scratch = Vec::with_capacity(bytes as usize);
         for o in ops {
@@ -390,8 +411,8 @@ impl Memory {
             self.pool(src.space).allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
         let dst_pool = self.pool_mut(dst.space);
         let dst_slice = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
-        let dst_range =
-            &mut dst_slice.bytes_mut()[dst.offset as usize..(dst.offset + len) as usize];
+        let end = dst.offset + len;
+        let dst_range = &mut dst_slice.bytes_mut(end)[dst.offset as usize..end as usize];
         // SAFETY: source and destination are different heap allocations,
         // and the source was backed before its pointer was taken.
         let src_range = unsafe { std::slice::from_raw_parts(src_raw, len as usize) };
@@ -482,6 +503,9 @@ impl Memory {
                     &many
                 }
             };
+            // The copy layer keeps each entry inside its window.
+            let ends = run.iter().map(|m| m.dst.offset + m.extent.dst_need);
+            let dst_end = ends.max().unwrap_or_default();
             let src_all = self.pool(src.space).allocs[&src.alloc].bytes();
             let (src_raw, src_len) = (src_all.as_ptr(), src_all.len());
             let dst_pool = self.pool_mut(dst.space);
@@ -489,7 +513,7 @@ impl Memory {
             // SAFETY: different allocations (the shared case was handled
             // above), the source backed before its pointer was taken.
             let src_all = unsafe { std::slice::from_raw_parts(src_raw, src_len) };
-            par_transfer_batch(dst_all.bytes_mut(), src_all, lists);
+            par_transfer_batch(dst_all.bytes_mut(dst_end), src_all, lists);
         }
         Ok(())
     }
@@ -674,7 +698,7 @@ mod tests {
     }
 
     fn backed(m: &Memory, p: Ptr) -> bool {
-        m.pool(p.space).allocs[&p.alloc].bytes.get().is_some()
+        m.pool(p.space).allocs[&p.alloc].block.get().is_some()
     }
 
     #[test]
@@ -908,6 +932,84 @@ mod tests {
                 assert_eq!(m.bytes_moved(), 0);
             }
         }
+    }
+
+    /// A block a dropped `Memory` released reads as zeros to the next
+    /// `Memory` on the thread, whichever write path dirtied it and
+    /// whatever size the next allocation asks for.
+    #[test]
+    fn a_recycled_allocation_reads_zero() {
+        const BIG: u64 = 4 * shelf::SHELF_MIN_BYTES as u64;
+        let zero = |m: &Memory, p: Ptr, len: u64| m.slice(p, len).unwrap().iter().all(|&b| b == 0);
+        shelf::clear();
+        let mut second = mem();
+        let mut first = mem();
+        let (h, d0, d1) = (
+            MemSpace::Host,
+            MemSpace::Device(GpuId(0)),
+            MemSpace::Device(GpuId(1)),
+        );
+        // Too small to shelve: the source of the moves below.
+        let head = first.alloc(h, 64).unwrap();
+        first.write(head, &[0xA5; 64]).unwrap();
+        // Each block's tail is dirtied through one path only; a path
+        // that wrote past the recorded extent would leave it dirty.
+        let tail = BIG - 64;
+        let by_slice = first.alloc(h, BIG).unwrap();
+        first.slice_mut(by_slice.add(tail), 64).unwrap().fill(1);
+        let by_write = first.alloc(d0, BIG).unwrap();
+        first.write(by_write.add(tail), &[2; 64]).unwrap();
+        let by_copy_across = first.alloc(d1, BIG).unwrap();
+        first.copy(head, by_copy_across.add(tail), 64).unwrap();
+        let by_copy_beside = first.alloc(h, BIG).unwrap();
+        first.copy(head, by_copy_beside.add(tail), 64).unwrap();
+        let by_copy_within = first.alloc(d0, BIG).unwrap();
+        first.write(by_copy_within, &[3; 64]).unwrap();
+        first
+            .copy(by_copy_within, by_copy_within.add(tail), 64)
+            .unwrap();
+        let by_transfer = first.alloc(d1, BIG).unwrap();
+        first
+            .transfer(head, by_transfer, &[op(0, tail as usize, 64)])
+            .unwrap();
+        let by_transfer_within = first.alloc(h, BIG).unwrap();
+        first.write(by_transfer_within, &[4; 64]).unwrap();
+        let to_tail = [op(0, tail as usize, 64)];
+        first
+            .transfer(by_transfer_within, by_transfer_within, &to_tail)
+            .unwrap();
+        let dirtied = [
+            by_slice,
+            by_write,
+            by_copy_across,
+            by_copy_beside,
+            by_copy_within,
+            by_transfer,
+            by_transfer_within,
+        ];
+        for p in dirtied {
+            assert!(!zero(&first, p, BIG));
+        }
+        drop(first);
+        assert_eq!(shelf::stats().idle_bytes, 7 * BIG);
+
+        // Smaller (served short), equal, and larger (a miss).
+        let short = second.alloc(h, BIG / 2).unwrap();
+        assert!(zero(&second, short, BIG / 2));
+        let equal: Vec<Ptr> = (0..6).map(|_| second.alloc(d0, BIG).unwrap()).collect();
+        for &p in &equal {
+            assert!(zero(&second, p, BIG));
+        }
+        let larger = second.alloc(d1, 2 * BIG).unwrap();
+        assert!(zero(&second, larger, 2 * BIG));
+        let st = shelf::stats();
+        assert_eq!((st.hits, st.fresh, st.idle_bytes), (7, 7 + 1, 0));
+        // The block served short comes back long.
+        second.slice_mut(short, BIG / 2).unwrap().fill(5);
+        second.free(short).unwrap();
+        let long = second.alloc(h, BIG).unwrap();
+        assert!(zero(&second, long, BIG));
+        assert_eq!(shelf::stats().hits, 8);
     }
 
     #[test]

@@ -324,6 +324,10 @@ mod tests {
     /// A 4-rank job: two nodes with two GPUs each (SM within a node,
     /// IB across).
     fn four_ranks() -> Sim<MpiWorld> {
+        four_ranks_with(MpiConfig::default())
+    }
+
+    fn four_ranks_with(config: MpiConfig) -> Sim<MpiWorld> {
         let specs = [
             RankSpec {
                 gpu: GpuId(0),
@@ -342,7 +346,7 @@ mod tests {
                 node: 1,
             },
         ];
-        Sim::new(MpiWorld::new(&specs, 4, MpiConfig::default()))
+        Sim::new(MpiWorld::new(&specs, 4, config))
     }
 
     fn dev_alloc(sim: &mut Sim<MpiWorld>, rank: usize, bytes: u64) -> Ptr {
@@ -474,8 +478,16 @@ mod tests {
             .commit();
         let block = ty.size();
         let short = 1; // the rank whose receive buffer lacks its last block
-        for which in ["alltoall", "allgather", "bcast"] {
-            let mut sim = four_ranks();
+                       // Also with NIC offload on, whose landing is the NIC's program.
+        let runs = [false, true].map(|nic_offload| MpiConfig {
+            nic_offload,
+            ..MpiConfig::default()
+        });
+        for (which, config) in runs
+            .iter()
+            .flat_map(|c| ["alltoall", "allgather", "bcast"].map(|which| (which, c.clone())))
+        {
+            let mut sim = four_ranks_with(config);
             let blocks = if which == "bcast" { 1 } else { 4 };
             let sends: Vec<Ptr> = (0..4)
                 .map(|r| dev_alloc(&mut sim, r, block * blocks))

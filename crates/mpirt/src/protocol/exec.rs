@@ -63,7 +63,7 @@ use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
-use memsim::{Move, MoveExtent, Ptr};
+use memsim::{MemError, Move, MoveExtent, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts, NicProgram};
 use simcore::par::CopyOp;
 use simcore::scratch::{recycle_units_buf, take_units_buf};
@@ -551,7 +551,14 @@ fn run_op(
                 _ => return Err(faulted("NIC stage without a compiled program")),
             };
             let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-            let done = move |sim: &mut Sim<MpiWorld>| next(sim, f);
+            let stw = Rc::clone(st);
+            // A buffer that cannot hold the program's extent fails the
+            // transfer at the landing instant, as the executor's own
+            // landings do.
+            let done = move |sim: &mut Sim<MpiWorld>, landed: Result<(), MemError>| match landed {
+                Ok(()) => next(sim, f),
+                Err(e) => fail(sim, &stw, MpiError::Mem(e.to_string())),
+            };
             execute_program(sim, s_rank, r_rank, s_buf, r_buf, &prog, &costs, done)
                 .map_err(MpiError::Net)?;
         }

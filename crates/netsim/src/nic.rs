@@ -33,7 +33,7 @@ use crate::world::NetWorld;
 use datatype::{DataType, TypeError};
 use devengine::merge_units;
 use gpusim::NodeTopology;
-use memsim::Ptr;
+use memsim::{MemError, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
@@ -161,19 +161,15 @@ pub fn compile_program(
 /// Execute a compiled program for one message on the NIC pair
 /// `from → to`: charge the handler front-end, stream the payload over
 /// the data link at `min(dma_bw, wire_bw)`, then land the bytes and run
-/// `done`.
+/// `done` with the landing's outcome.
 ///
 /// Functionally this is one direct gather/scatter: the sender's typed
 /// GPU buffer maps straight into the receiver's typed GPU buffer with
 /// no packed staging and no kernel launches. The wire leg inherits
 /// `FaultOp::WireCopy` injection and retransmission from
 /// [`wire_send`]; a lost fragment retransmits before `done` runs, so
-/// delivery stays exactly-once.
-#[expect(
-    clippy::expect_used,
-    reason = "the endpoints validated both pointers when the program was installed; a \
-              failure at landing is simulator-state corruption, not an input"
-)]
+/// delivery stays exactly-once. A buffer that cannot hold the program's
+/// extent at landing moves nothing and hands `done` the memory error.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_program<W: NetWorld>(
     sim: &mut Sim<W>,
@@ -183,7 +179,7 @@ pub fn execute_program<W: NetWorld>(
     recv_buf: Ptr,
     prog: &NicProgram,
     costs: &NicCosts,
-    done: impl FnOnce(&mut Sim<W>) + 'static,
+    done: impl FnOnce(&mut Sim<W>, Result<(), MemError>) + 'static,
 ) -> Result<(), NetError> {
     let wire_bw = sim.world.net().try_channel(from, to)?.data.bandwidth;
     let issue = costs.issue_time(prog.descriptors);
@@ -207,17 +203,14 @@ pub fn execute_program<W: NetWorld>(
     sim.schedule_in(issue, move |sim| {
         // Existence was checked above; the channel is an invariant here.
         let sent = wire_send(sim, from, to, wire_bytes, move |sim| {
-            // The endpoints validated both pointers when the program was
-            // installed; a failure here is simulator-state corruption.
-            sim.world
-                .mem()
-                .transfer(src, dst, &units)
-                .expect("nic gather/scatter failed");
-            sim.trace
-                .count(names::OFFLOAD_NIC_PROGRAMS, from_u, to_u, 1);
-            sim.trace
-                .count(names::OFFLOAD_NIC_BYTES, from_u, to_u, bytes);
-            done(sim);
+            let landed = sim.world.mem().transfer(src, dst, &units);
+            if landed.is_ok() {
+                sim.trace
+                    .count(names::OFFLOAD_NIC_PROGRAMS, from_u, to_u, 1);
+                sim.trace
+                    .count(names::OFFLOAD_NIC_BYTES, from_u, to_u, bytes);
+            }
+            done(sim, landed);
         });
         debug_assert!(sent.is_ok());
     });
@@ -283,7 +276,7 @@ mod tests {
             dst.add(r_base as u64),
             &prog,
             &costs,
-            move |_| *h.borrow_mut() = true,
+            move |_, landed| *h.borrow_mut() = landed.is_ok(),
         )
         .unwrap();
         let end = sim.run();
@@ -345,7 +338,30 @@ mod tests {
         let prog = compile_program(&ty, 8, &ty, 8).unwrap();
         let costs = NicCosts::of(&sim.world.gpus_ref().topo);
         let p = sim.world.memory.alloc(MemSpace::Host, 64).unwrap();
-        let err = execute_program(&mut sim, 0, 9, p, p, &prog, &costs, |_| {}).unwrap_err();
+        let err = execute_program(&mut sim, 0, 9, p, p, &prog, &costs, |_, _| {}).unwrap_err();
         assert_eq!(err, NetError::NoChannel { from: 0, to: 9 });
+    }
+
+    #[test]
+    fn a_short_receive_buffer_is_a_typed_error_at_landing() {
+        let mut sim = world();
+        let ty = datatype::DataType::double().commit();
+        let prog = compile_program(&ty, 8, &ty, 8).unwrap();
+        let costs = NicCosts::of(&sim.world.gpus_ref().topo);
+        let src = sim.world.memory.alloc(MemSpace::Host, 64).unwrap();
+        let dst = sim.world.memory.alloc(MemSpace::Host, 56).unwrap();
+        sim.world.memory.write(dst, &[9; 56]).unwrap();
+        let landed = Rc::new(RefCell::new(None));
+        let l = Rc::clone(&landed);
+        execute_program(&mut sim, 0, 1, src, dst, &prog, &costs, move |_, r| {
+            *l.borrow_mut() = Some(r)
+        })
+        .unwrap();
+        sim.run();
+        assert!(matches!(
+            *landed.borrow(),
+            Some(Err(memsim::MemError::OutOfBounds { .. }))
+        ));
+        assert_eq!(sim.world.memory.read_vec(dst, 56).unwrap(), [9; 56]);
     }
 }

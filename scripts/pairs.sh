@@ -21,13 +21,17 @@
 # Exit status 1 if any run was incorrect, failed an op, or printed a
 # different `exact:` line.
 #
-# Read the faults column before believing a swing: `cells_cold` has two
-# allocator modes ~25 % apart that differ 5–10× in minor faults and sys
-# seconds, and which one a process lands in depends on its early heap
-# layout — down to the environment it was started with. The runs are
+# Read the faults column before believing a swing. `cells_cold` builds
+# nine fresh sessions an op; their large buffers are recycled through
+# `memsim::shelf`, so a run takes ~9 k minor faults and almost no sys
+# time, under either launcher. (Before the shelf every buffer went back
+# to glibc, and the early heap layout — down to the environment the
+# process was started with — picked one of two allocator modes ~25 %
+# apart, differing 5–10× in faults.) A jump in faults or sys seconds on
+# any workload means its buffers reach the allocator again. The runs are
 # started through `/bin/sh -c`, as from a prompt; PAIRS_LAUNCHER=direct
-# starts them straight from the Python driver, which on the boxes this
-# was written on selects the other mode.
+# starts them straight from the Python driver, a different environment
+# block, to check that a reading does not depend on it.
 set -eu
 if [ $# -lt 3 ] || [ $# -gt 6 ]; then
     sed -n '2,7p' "$0" >&2
