@@ -41,13 +41,39 @@ impl Win {
         self.bufs[rank]
     }
 
-    fn check_target(&self, rank: usize, disp: u64, ty: &DataType, count: u64) {
-        let span = disp as i64 + count as i64 * ty.extent();
-        assert!(
-            span as u64 <= self.sizes[rank],
-            "RMA access [{disp}, {span}) exceeds rank {rank}'s {}-byte window",
-            self.sizes[rank]
+    /// `MpiError::Mem` unless `rank` has a window and `count` instances
+    /// of `ty` at `disp` lie inside it. Instances sit `extent` apart; the
+    /// data of the first and the last bound the bytes the access
+    /// touches. The bounds are computed in `i128`, where no `u64`
+    /// displacement or count wraps.
+    fn check_target(
+        &self,
+        rank: usize,
+        disp: u64,
+        ty: &DataType,
+        count: u64,
+    ) -> Result<(), MpiError> {
+        let Some(&size) = self.sizes.get(rank) else {
+            return Err(MpiError::Mem(format!(
+                "RMA target rank {rank} outside a {}-rank window",
+                self.sizes.len()
+            )));
+        };
+        if count == 0 || ty.size() == 0 {
+            return Ok(());
+        }
+        let first = i128::from(disp) + i128::from(ty.true_lb());
+        let last = first + i128::from(count - 1) * i128::from(ty.extent());
+        let (lo, hi) = (
+            first.min(last),
+            first.max(last) + i128::from(ty.true_extent()),
         );
+        if lo < 0 || hi > i128::from(size) {
+            return Err(MpiError::Mem(format!(
+                "RMA access [{lo}, {hi}) exceeds rank {rank}'s {size}-byte window"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -102,7 +128,10 @@ pub fn put(
     ) {
         return req;
     }
-    win.check_target(target_rank, target_disp, &target.ty, target.count);
+    if let Err(e) = win.check_target(target_rank, target_disp, &target.ty, target.count) {
+        req.complete(sim, Err(e));
+        return req;
+    }
     let send = Side {
         rank: origin_rank,
         ty: origin.ty,
@@ -149,7 +178,10 @@ pub fn get(
     ) {
         return req;
     }
-    win.check_target(target_rank, target_disp, &target.ty, target.count);
+    if let Err(e) = win.check_target(target_rank, target_disp, &target.ty, target.count) {
+        req.complete(sim, Err(e));
+        return req;
+    }
     let send = Side {
         rank: target_rank,
         ty: target.ty,
@@ -335,23 +367,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds rank")]
     fn out_of_window_access_rejected() {
         let t = tri(64);
         let (mut sim, win, base, _) = world_and_win(&t);
-        let _ = put(
-            &mut sim,
-            &win,
-            0,
-            RmaArgs {
-                ty: t.clone(),
-                count: 1,
-            },
-            win.buffer(0).add(base as u64),
-            1,
-            u64::MAX / 4,
-            RmaArgs { ty: t, count: 1 },
-        );
+        let args = || RmaArgs {
+            ty: t.clone(),
+            count: 1,
+        };
+        let origin = win.buffer(0).add(base as u64);
+        // Past the end; far past it; a displacement whose `disp +
+        // extent` wraps in `i64`; a rank the window does not have. Each
+        // fails the request, put and get alike.
+        let one_past = base as u64 + 1;
+        for (rank, disp) in [(1, one_past), (1, u64::MAX / 4), (1, u64::MAX - 7), (2, 0)] {
+            let p = put(&mut sim, &win, 0, args(), origin, rank, disp, args());
+            let g = get(&mut sim, &win, 0, args(), origin, rank, disp, args());
+            for req in [p, g] {
+                assert!(
+                    matches!(req.result(), Some(Err(MpiError::Mem(_)))),
+                    "rank {rank} disp {disp}: {:?}",
+                    req.result()
+                );
+            }
+        }
+        // The access that ends at the window's last byte is allowed.
+        assert_eq!(win.check_target(1, base as u64, &t, 1), Ok(()));
     }
 
     #[test]

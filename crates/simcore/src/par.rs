@@ -462,13 +462,75 @@ unsafe fn copy_segment(src: *const u8, dst: *mut u8, len: usize) {
 }
 
 /// Raw-pointer segment copies (bounds already validated by the caller).
-/// The one call site of [`copy_segment`], so the tiers inline into this
-/// loop.
+/// The tiers of [`copy_segment`] inline into this loop.
 unsafe fn copy_ops_raw(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
     for o in ops {
         // SAFETY: bounds validated by the caller; destinations disjoint.
         unsafe { copy_segment(src.add(o.src_off), dst.add(o.dst_off), o.len) };
     }
+}
+
+/// Segments up to this length move as one masked register in
+/// [`copy_ops_masked`]: a 512-bit register holds 64 bytes.
+#[cfg(target_arch = "x86_64")]
+const MASKED_COPY_MAX: usize = 64;
+
+/// Whether this CPU runs [`copy_ops_masked`]. The detection is cached
+/// by `std` after its first call; under Miri it reports the features
+/// absent, so Miri runs the tier loop.
+fn masked_copy_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("bmi2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// [`copy_ops_raw`] for a fine-grained list, the way a CUDA-DEV warp
+/// moves a work unit: a segment of at most [`MASKED_COPY_MAX`] bytes
+/// moves with one masked load and one masked store whose mask holds its
+/// first `len` byte lanes, so no branch depends on its length. Longer
+/// segments go to [`copy_segment`].
+///
+/// # Safety
+/// [`copy_ops_raw`]'s contract, and the CPU must have `avx512f`,
+/// `avx512bw` and `bmi2` ([`masked_copy_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,bmi2")]
+unsafe fn copy_ops_masked(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
+    use std::arch::x86_64::{_bzhi_u64, _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi8};
+    for o in ops {
+        // SAFETY: bounds validated by the caller; destinations disjoint.
+        // The mask holds lanes `0..len` (`bzhi` of 64 or more keeps all
+        // 64), so the load reads and the store writes exactly the
+        // segment's bytes. The register spans 64 bytes from each start,
+        // past a short segment's end: masked-off elements of an AVX-512
+        // masked load or store are fault-suppressed, so a segment ending
+        // at the last mapped byte is still sound, and the store leaves
+        // the destination bytes past `len` unwritten. The CPU features
+        // are the caller's contract.
+        unsafe {
+            let (s, d) = (src.add(o.src_off), dst.add(o.dst_off));
+            if o.len <= MASKED_COPY_MAX {
+                let k = _bzhi_u64(!0, o.len as u32);
+                _mm512_mask_storeu_epi8(d.cast(), k, _mm512_maskz_loadu_epi8(k, s.cast()));
+            } else {
+                copy_segment(s, d, o.len);
+            }
+        }
+    }
+}
+
+/// Whether the one-lane path moves `l` through the masked loop: the list
+/// is fine-grained — mean segment under [`CHUNKED_COPY_MAX`] — and the
+/// CPU has the loop. Every other list takes the tier loop.
+fn takes_masked_loop(l: &SegList<'_>) -> bool {
+    l.bytes / CHUNKED_COPY_MAX < l.ops.len() && masked_copy_available()
 }
 
 /// Parallel contiguous copy: `dst.copy_from_slice(src)`, the one-list,
@@ -589,10 +651,22 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
     }
     // One lane is the whole stream, inline; the small copies that
     // dominate by count never see a cut or the pool.
-    let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+    let (dst, src) = (dst.as_mut_ptr(), src.as_ptr());
     for l in lists {
-        // SAFETY: bounds asserted above; a single thread writes dst.
-        unsafe { copy_ops_raw(d.add(l.dst_at), s.add(l.src_at), l.ops) };
+        // SAFETY: bounds asserted above; a single thread writes dst; the
+        // masked loop runs only where `masked_copy_available` found its
+        // features.
+        unsafe {
+            let (d, s) = (dst.add(l.dst_at), src.add(l.src_at));
+            if takes_masked_loop(l) {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    copy_ops_masked(d, s, l.ops);
+                    continue;
+                }
+            }
+            copy_ops_raw(d, s, l.ops);
+        }
     }
 }
 
@@ -1041,6 +1115,146 @@ mod tests {
             assert_eq!(&dst[8..8 + len], &src[..], "payload, len={len}");
             assert_eq!(&dst[8 + len..], &[0xEE; 8], "tail guard, len={len}");
         }
+    }
+
+    /// A single-thread segment loop: [`copy_ops_raw`] or
+    /// [`copy_ops_masked`].
+    type SegLoop = unsafe fn(*mut u8, *const u8, &[CopyOp]);
+
+    /// The tier loop, and the masked loop where this CPU has it (saying
+    /// so when it does not; under Miri detection reports it absent).
+    fn segment_loops() -> Vec<(&'static str, SegLoop)> {
+        let mut loops: Vec<(&'static str, SegLoop)> = vec![("tier", copy_ops_raw)];
+        #[cfg(target_arch = "x86_64")]
+        if masked_copy_available() {
+            loops.push(("masked", copy_ops_masked));
+        }
+        if loops.len() == 1 {
+            eprintln!("masked segment loop skipped: the CPU lacks avx512f, avx512bw or bmi2");
+        }
+        loops
+    }
+
+    /// The first offset from `at` into `buf` whose address lies `mis`
+    /// bytes past a cache line.
+    fn at_misalignment(buf: &[u8], at: usize, mis: usize) -> usize {
+        let addr = buf.as_ptr() as usize + at;
+        at + (mis + CACHE_LINE - addr % CACHE_LINE) % CACHE_LINE
+    }
+
+    #[test]
+    fn both_segment_loops_move_what_a_bytewise_copy_moves_and_nothing_else() {
+        const GUARD: u8 = 0xEE;
+        const SEGS: usize = 3;
+        // Payload bytes never equal the guard, so a byte a loop failed
+        // to write cannot pass for one it wrote.
+        let src: Vec<u8> = (0..2 * CACHE_LINE + SEGS * (256 + 16))
+            .map(|i| (i % 237) as u8)
+            .collect();
+        let loops = segment_loops();
+        for len in 0..=256usize {
+            for mis in 0..CACHE_LINE {
+                // Every source and every destination misalignment at
+                // every length; the pairing shifts with the length.
+                let s0 = at_misalignment(&src, 0, mis);
+                let d_mis = (mis * 5 + len) % CACHE_LINE;
+                // A gather packs its segments; a scatter leaves 2, then
+                // 3 guard bytes between them.
+                for gap in [0usize, 1] {
+                    let ops: Vec<CopyOp> = (0..SEGS)
+                        .map(|k| op(s0 + k * (len + 16), k * len + gap * k * (k + 3) / 2, len))
+                        .collect();
+                    let span = ops[SEGS - 1].dst_off + len;
+                    for &(name, copy) in &loops {
+                        // At least 64 guard bytes before the first
+                        // segment and after the last.
+                        let mut dst = vec![GUARD; 3 * CACHE_LINE + span];
+                        let d0 = at_misalignment(&dst, CACHE_LINE, d_mis);
+                        let mut want = dst.clone();
+                        for o in &ops {
+                            for i in 0..o.len {
+                                want[d0 + o.dst_off + i] = src[o.src_off + i];
+                            }
+                        }
+                        // SAFETY: every op lies inside `src` and inside
+                        // `dst[d0..]`, destinations are disjoint, and the
+                        // masked loop is in `loops` only where the CPU
+                        // has its features.
+                        unsafe { copy(dst.as_mut_ptr().add(d0), src.as_ptr(), &ops) };
+                        assert!(
+                            dst == want,
+                            "{name}: len={len} src mis={mis} dst mis={d_mis} gap={gap}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_moves_the_same_bytes_whichever_loop_each_list_takes() {
+        let sum = |ops: &[CopyOp]| ops.iter().map(|o| o.len).sum::<usize>();
+        // Coarse and large enough to split: 4.5 MiB of 4.5 KiB units.
+        let big: Vec<CopyOp> = (0..1024).map(|i| op(i * 4700, i * 4608, 4608)).collect();
+        // Coarse, one lane's worth: 300-byte units 20 bytes apart.
+        let coarse: Vec<CopyOp> = (0..64).map(|i| op(i * 320, i * 300, 300)).collect();
+        // Fine: a scatter of 1..=64-byte segments whose last one ends at
+        // the last byte of both buffers.
+        let mut fine = Vec::new();
+        let (mut s, mut d) = (3usize, 0usize);
+        for i in 0..700usize {
+            let len = 1 + (i * 29 + i / 7) % 64;
+            fine.push(op(s, d, len));
+            (s, d) = (s + len + i % 5, d + len + i % 3);
+        }
+        let (b, c, f) = (sum(&big), sum(&coarse), sum(&fine));
+        let last = fine[fine.len() - 1];
+        let (f_src, f_dst) = (last.src_off + last.len, last.dst_off + last.len);
+        let (c_at, f_at) = (1024 * 4700, 1024 * 4700 + 64 * 320);
+        let src: Vec<u8> = (0..f_at + f_src).map(|i| (i % 241) as u8).collect();
+        let list = |src_at, src_len, dst_at, dst_len, bytes, ops| SegList {
+            src_at,
+            src_len,
+            dst_at,
+            dst_len,
+            bytes,
+            ops,
+        };
+        let lists = [
+            list(0, c_at, 0, b, b, &big[..]),
+            list(c_at, 64 * 320, b, c, c, &coarse[..]),
+            list(f_at, f_src, b + c, f_dst, f, &fine[..]),
+        ];
+        assert!(lanes_wanted(b + c + f, 1024 + 64 + 700) >= 2);
+        assert!(!takes_masked_loop(&lists[0]) && !takes_masked_loop(&lists[1]));
+        assert_eq!(takes_masked_loop(&lists[2]), masked_copy_available());
+        // The sequential reference: one bounds-checked slice copy per op.
+        let mut want = vec![0u8; b + c + f_dst];
+        for l in &lists {
+            for o in l.ops {
+                let (s, d) = (l.src_at + o.src_off, l.dst_at + o.dst_off);
+                want[d..d + o.len].copy_from_slice(&src[s..s + o.len]);
+            }
+        }
+        // As the lane rule runs the batch (pooled, every list through
+        // the tier loop), on one lane (each list through its own loop),
+        // split on this thread, and a list per batch.
+        let mut dst = vec![0u8; want.len()];
+        par_transfer_batch(&mut dst, &src, &lists);
+        assert!(dst == want, "lane rule");
+        for n in [1usize, 2, 3, 8] {
+            dst.fill(0);
+            transfer_with(&mut dst, &src, &lists, n.min(pool_info().threads));
+            assert!(dst == want, "n={n}, pooled");
+            dst.fill(0);
+            run_split(&mut dst, &src, &lists, n);
+            assert!(dst == want, "n={n}, split");
+        }
+        dst.fill(0);
+        for l in &lists {
+            par_transfer_batch(&mut dst, &src, std::slice::from_ref(l));
+        }
+        assert!(dst == want, "a list per batch");
     }
 
     #[test]

@@ -21,6 +21,14 @@
 # Exit status 1 if any run was incorrect, failed an op, or printed a
 # different `exact:` line.
 #
+# Box mode. The boxes this runs on flip between two speeds ~25 % apart
+# on compute-bound work and far more on memory-bound work. Before each
+# run a calibration of at most 0.3 s stamps the mode: `spin_ns`, the
+# median ns per iteration of a fixed pure-Python loop, and `copy_gbps`,
+# the best of three 64 MiB `bytearray` slice copies. Both print per
+# run, and their per-side medians in the summary; two sides measured in
+# different modes show two different stamps.
+#
 # Read the faults column before believing a swing. `cells_cold` builds
 # nine fresh sessions an op; their large buffers are recycled through
 # `memsim::shelf`, so a run takes ~9 k minor faults and almost no sys
@@ -38,7 +46,7 @@ if [ $# -lt 3 ] || [ $# -gt 6 ]; then
     exit 2
 fi
 exec python3 - "$@" <<'PY'
-import json, os, resource, statistics, subprocess, sys, tempfile
+import json, os, resource, statistics, subprocess, sys, tempfile, time
 
 parent, change, workload = sys.argv[1:4]
 pairs = int(sys.argv[4]) if len(sys.argv) > 4 else 10
@@ -52,7 +60,29 @@ assert pairs >= 1
 METRICS = [("ops_per_s", "1/s", 1), ("op_ms_p50", "ms", -1), ("cpu_ms_per_op", "ms", -1),
            ("setup_s", "s", -1), ("peak_rss_mb", "MiB", -1)]
 
+SPIN, COPY = 100_000, 64 << 20
+
+def calibrate():
+    """(ns per iteration of a fixed Python loop, GB/s of a 64 MiB copy)."""
+    spins = []
+    for _ in range(3):
+        t = time.perf_counter_ns()
+        x = 0
+        for i in range(SPIN):
+            x += i ^ 3
+        spins.append((time.perf_counter_ns() - t) / SPIN)
+    src, dst = bytearray(COPY), bytearray(COPY)
+    dst[:] = src  # first touch of both buffers, untimed
+    best = None
+    for _ in range(3):
+        t = time.perf_counter_ns()
+        dst[:] = src
+        ns = time.perf_counter_ns() - t
+        best = ns if best is None else min(best, ns)
+    return statistics.median(spins), COPY / best
+
 def run(binary):
+    spin_ns, copy_gbps = calibrate()
     args = [os.path.abspath(binary), "--workload", workload, "--seconds", seconds, "--trace", "0"]
     if seed is not None:
         args += ["--seed", seed]
@@ -72,14 +102,14 @@ def run(binary):
         correct=result["correct"], failed=result["failed"], exit=code,
         exact=next((l for l in lines if l.startswith("exact:")), None),
         user=after.ru_utime - before.ru_utime, sys=after.ru_stime - before.ru_stime,
-        minflt=after.ru_minflt - before.ru_minflt)
+        minflt=after.ru_minflt - before.ru_minflt, spin_ns=spin_ns, copy_gbps=copy_gbps)
     return row
 
 print(f"# pairs.sh workload={workload} pairs={pairs} seconds={seconds} "
       f"seed={seed or 'default'} launcher={launcher} cores={os.cpu_count()}")
 print(f"# parent={parent}\n# change={change}")
 print("pair side   " + " ".join(f"{n:>13}" for n, _, _ in METRICS)
-      + " correct failed  exact   user_s    sys_s    minflt")
+      + " correct failed  exact   user_s    sys_s    minflt spin_ns copy_gbps")
 rows = {"parent": [], "change": []}
 reference, clean = None, True
 for i in range(pairs):
@@ -92,7 +122,8 @@ for i in range(pairs):
         rows[side].append(r)
         print(f"{i + 1:4d} {side:6s} " + " ".join(f"{r[n]:13.4f}" for n, _, _ in METRICS)
               + f" {str(r['correct']):>7s} {r['failed']:6d} {'same' if same else 'DIFF':>6s}"
-              + f" {r['user']:8.2f} {r['sys']:8.2f} {r['minflt']:9d}", flush=True)
+              + f" {r['user']:8.2f} {r['sys']:8.2f} {r['minflt']:9d}"
+              + f" {r['spin_ns']:7.1f} {r['copy_gbps']:9.2f}", flush=True)
 
 def quartiles(xs):
     if len(xs) == 1:
@@ -110,6 +141,11 @@ for name, unit, better in METRICS + [("user", "s", -1), ("sys", "s", -1), ("minf
     ratio = f"{cm / pm:8.3f}x" if pm else "      n/a"
     print(f"{name:14s} {pm:12.4f} [{p1:11.4f},{p3:11.4f}] {cm:12.4f} [{c1:11.4f},{c3:11.4f}]"
           f"  {ratio}  {won}/{pairs} (lost {lost}) {unit}")
+print("\nbox mode       parent median [q1, q3]            change median [q1, q3]")
+for name, unit in [("spin_ns", "ns/iter"), ("copy_gbps", "GB/s")]:
+    (p1, pm, p3), (c1, cm, c3) = (quartiles([r[name] for r in rows[side]])
+                                  for side in ("parent", "change"))
+    print(f"{name:14s} {pm:12.4f} [{p1:11.4f},{p3:11.4f}] {cm:12.4f} [{c1:11.4f},{c3:11.4f}]  {unit}")
 print("\nexact: lines " + ("identical in every run" if clean else "DIFFER, or a run was incorrect / failed ops"))
 sys.exit(0 if clean else 1)
 PY
