@@ -383,14 +383,20 @@ impl Convertor {
     /// buffer for the whole conversion.
     pub fn next_segments_into(&mut self, max_bytes: u64, out: &mut Vec<(Segment, u64)>) {
         out.clear();
+        self.for_next_segments(max_bytes, |seg, at| out.push((seg, at)));
+    }
+
+    /// Hand `f` what [`Self::next_segments_into`] collects, one clipped
+    /// segment at a time with its offset in packed-stream space, with no
+    /// buffer in between.
+    pub fn for_next_segments(&mut self, max_bytes: u64, mut f: impl FnMut(Segment, u64)) {
         let mut taken = 0u64;
         while taken < max_bytes {
             let Some((seg, off)) = self.next_segment() else {
                 break;
             };
             let want = (seg.len - off).min(max_bytes - taken);
-            // (clipped segment, its offset in packed-stream space)
-            out.push((Segment::new(seg.disp + off as i64, want), self.position));
+            f(Segment::new(seg.disp + off as i64, want), self.position);
             taken += want;
             self.consume(want);
         }

@@ -19,7 +19,7 @@
 )]
 
 use crate::cache::Lru;
-use datatype::{Convertor, DataType, PackKind, Segment, TypeError};
+use datatype::{Convertor, DataType, PackKind, TypeError};
 use gpusim::{GpuSpec, KernelTraffic, Pow2};
 use memsim::{GpuId, MemSpace, Ptr};
 use simcore::par::CopyOp;
@@ -331,9 +331,6 @@ pub struct DevCursor {
     /// coalescing pass — fewer, larger units for the cost model).
     coalesce: bool,
     base_shift: i64,
-    /// Reused batch buffer for the convertor's segment output, so
-    /// steady-state streaming does not allocate per batch.
-    seg_buf: Vec<(Segment, u64)>,
 }
 
 impl DevCursor {
@@ -353,7 +350,6 @@ impl DevCursor {
             unit_size,
             coalesce,
             base_shift: ty.true_lb().min(0),
-            seg_buf: Vec::new(),
         })
     }
 
@@ -382,25 +378,17 @@ impl DevCursor {
     }
 
     /// Allocation-free variant of [`Self::next_units`]: clears `out` and
-    /// fills it, reusing the cursor's internal segment batch buffer.
+    /// fills it straight from the convertor's segments.
     pub fn next_units_into(&mut self, max_packed: u64, out: &mut Vec<CopyOp>) {
         out.clear();
-        let mut segs = std::mem::take(&mut self.seg_buf);
-        self.cv.next_segments_into(max_packed, &mut segs);
-        for (seg, packed_pos) in &segs {
-            if self.coalesce {
-                push_coalesced(seg.disp - self.base_shift, *packed_pos, seg.len, out);
+        let (coalesce, unit_size, shift) = (self.coalesce, self.unit_size, self.base_shift);
+        self.cv.for_next_segments(max_packed, |seg, packed_pos| {
+            if coalesce {
+                push_coalesced(seg.disp - shift, packed_pos, seg.len, out);
             } else {
-                split_segment(
-                    seg.disp - self.base_shift,
-                    *packed_pos,
-                    seg.len,
-                    self.unit_size,
-                    out,
-                );
+                split_segment(seg.disp - shift, packed_pos, seg.len, unit_size, out);
             }
-        }
-        self.seg_buf = segs;
+        });
     }
 }
 

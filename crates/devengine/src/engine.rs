@@ -32,7 +32,7 @@ pub enum Direction {
 )]
 enum UnitSource {
     /// Streaming conversion on the CPU (charged preparation time).
-    Fresh(crate::dev::DevCursor),
+    Fresh(Box<crate::dev::DevCursor>),
     /// A cached CUDA-DEV plan (no preparation cost); the engine's own
     /// position is the cursor.
     Cached(Rc<DevPlan>),
@@ -331,12 +331,12 @@ impl FragmentEngine {
         } else {
             sim.trace
                 .count(names::DEVENGINE_SOURCE_FRESH, rank as u32, 0, 1);
-            UnitSource::Fresh(crate::dev::DevCursor::with_coalesce(
+            UnitSource::Fresh(Box::new(crate::dev::DevCursor::with_coalesce(
                 &work_ty,
                 count,
                 unit_size,
                 opt.coalesce,
-            )?)
+            )?))
         };
 
         // Pipeline-granularity tuning for streaming sources: weigh the

@@ -87,14 +87,6 @@ impl CpuEngine {
         self.typed.offset_by(self.cursor.base_shift())
     }
 
-    /// Source and destination of a pass over the fragment at `frag`.
-    pub fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
-        match self.dir {
-            Direction::Pack => (self.typed_base(), frag),
-            Direction::Unpack => (frag, self.typed_base()),
-        }
-    }
-
     /// Walk the next `cap` packed bytes, charge the pass on the rank's
     /// CPU, count its bytes — and move nothing (the caller moves them at
     /// the pass's completion instant). A caller that will read the unit
@@ -188,7 +180,10 @@ mod tests {
     /// Convert the next `cap` packed bytes between the typed buffer and
     /// `frag`, moving them when the pass lands.
     fn process(eng: &mut CpuEngine, sim: &mut Sim<NodeWorld>, frag: Ptr, cap: u64) {
-        let (src, dst) = eng.kernel_ends(frag);
+        let (src, dst) = match eng.dir {
+            Direction::Pack => (eng.typed_base(), frag),
+            Direction::Unpack => (frag, eng.typed_base()),
+        };
         eng.charge_fragment(sim, cap, Some(Vec::new()), move |sim, _, units| {
             sim.world.memory.transfer(src, dst, &units).unwrap();
         });

@@ -115,41 +115,8 @@ pub fn put(
     target_disp: u64,
     target: RmaArgs,
 ) -> Request {
-    let req = Request::new();
-    if !origin.ty.is_committed() || !target.ty.is_committed() {
-        req.complete(sim, Err(MpiError::Type(datatype::TypeError::NotCommitted)));
-        return req;
-    }
-    if !check_sigs(
-        sim,
-        (&origin.ty, origin.count),
-        (&target.ty, target.count),
-        &req,
-    ) {
-        return req;
-    }
-    if let Err(e) = win.check_target(target_rank, target_disp, &target.ty, target.count) {
-        req.complete(sim, Err(e));
-        return req;
-    }
-    let send = Side {
-        rank: origin_rank,
-        ty: origin.ty,
-        count: origin.count,
-        buf: origin_buf,
-    };
-    let recv = Side {
-        rank: target_rank,
-        ty: target.ty,
-        count: target.count,
-        buf: win.buffer(target_rank).add(target_disp),
-    };
-    // The origin's request tracks target-side completion (strictest
-    // interpretation — data visible at the target); the internal send
-    // handle is dropped.
-    let send_req = Request::new();
-    run_transfer(sim, send, recv, send_req, req.clone());
-    req
+    let origin = (origin_rank, origin, origin_buf);
+    rma(sim, win, origin, (target_rank, target_disp, target), true)
 }
 
 /// `MPI_Get`: move typed data from the target's window into the
@@ -164,6 +131,22 @@ pub fn get(
     target_rank: usize,
     target_disp: u64,
     target: RmaArgs,
+) -> Request {
+    let origin = (origin_rank, origin, origin_buf);
+    rma(sim, win, origin, (target_rank, target_disp, target), false)
+}
+
+/// The body of [`put`] (`origin_sends`) and [`get`]: check both types
+/// and the target's window, then run the transfer from the sending side
+/// to the receiving one. The origin's request tracks completion at the
+/// receiving side (strictest interpretation — data visible there); the
+/// internal send handle is dropped.
+fn rma(
+    sim: &mut Sim<MpiWorld>,
+    win: &Win,
+    (origin_rank, origin, origin_buf): (usize, RmaArgs, Ptr),
+    (target_rank, target_disp, target): (usize, u64, RmaArgs),
+    origin_sends: bool,
 ) -> Request {
     let req = Request::new();
     if !origin.ty.is_committed() || !target.ty.is_committed() {
@@ -182,20 +165,24 @@ pub fn get(
         req.complete(sim, Err(e));
         return req;
     }
-    let send = Side {
-        rank: target_rank,
-        ty: target.ty,
-        count: target.count,
-        buf: win.buffer(target_rank).add(target_disp),
-    };
-    let recv = Side {
+    let origin = Side {
         rank: origin_rank,
         ty: origin.ty,
         count: origin.count,
         buf: origin_buf,
     };
-    let send_req = Request::new();
-    run_transfer(sim, send, recv, send_req, req.clone());
+    let target = Side {
+        rank: target_rank,
+        ty: target.ty,
+        count: target.count,
+        buf: win.buffer(target_rank).add(target_disp),
+    };
+    let (send, recv) = if origin_sends {
+        (origin, target)
+    } else {
+        (target, origin)
+    };
+    run_transfer(sim, send, recv, Request::new(), req.clone());
     req
 }
 

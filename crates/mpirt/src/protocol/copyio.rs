@@ -21,22 +21,15 @@
 //! classes substitute this protocol's plan.
 
 use crate::connection::ib_connection;
-use crate::protocol::exec::{self, Conn};
+use crate::protocol::exec::{self, Conn, Requests};
 use crate::protocol::plan::{plan_for, Facts};
 use crate::protocol::Side;
-use crate::request::Request;
 use crate::world::MpiWorld;
 use simcore::Sim;
 
-pub(crate) fn start(
-    sim: &mut Sim<MpiWorld>,
-    s: Side,
-    r: Side,
-    send_req: Request,
-    recv_req: Request,
-) {
+pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
     let class = Facts::of(sim, s.rank, r.rank).copy_class();
-    let t = exec::open(sim, s, r, class, send_req, recv_req);
+    let t = exec::open(sim, s, r, class, done);
     ib_connection(sim, t.s.rank, t.r.rank, move |sim, conn| {
         let mut t = t;
         let conn = match conn {

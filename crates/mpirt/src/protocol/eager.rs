@@ -4,20 +4,57 @@
 //! bytes with the first (and only) active message; the send completes
 //! as soon as the data is buffered. The receiver unpacks at match time
 //! — possibly much later, from the unexpected queue.
+//!
+//! Both conversions are plans the executor runs: [`eager_half`] packs
+//! the typed buffer into the bounce, and at match unpacks the bounce
+//! into the posted receive. Each half hands its outcome straight to the
+//! next step here (DESIGN.md §17, "Eager is a plan").
 
 use crate::matcher::{Envelope, RecvPosting};
+use crate::protocol::exec::{self, Conn, Then, Transfer};
+use crate::protocol::plan::{eager_half, End};
 use crate::request::{MpiError, Request};
 use crate::world::MpiWorld;
 use datatype::Signature;
-use devengine::{pack_async, Direction};
 use gpusim::GpuWorld as _;
 use memsim::Ptr;
 use netsim::send_am;
 use simcore::trace::names;
 use simcore::{Sim, SpanId, Track};
-use std::rc::Rc;
 
-use super::{make_engine, Side};
+use super::Side;
+
+/// Run the half of an `n`-byte message between `typed`'s buffer and the
+/// bounce buffer at `bounce` (held on `bounce_rank`'s behalf): a pack
+/// for the sender's side, an unpack for the receiver's. `then` gets the
+/// outcome.
+fn run_half(
+    sim: &mut Sim<MpiWorld>,
+    end: End,
+    typed: Side,
+    (bounce_rank, bounce, n): (usize, Ptr, u64),
+    then: impl FnOnce(&mut Sim<MpiWorld>, Result<u64, MpiError>) + 'static,
+) {
+    let bounce = Side {
+        rank: bounce_rank,
+        ty: sim.world.mpi.byte.clone(),
+        count: n,
+        buf: bounce,
+    };
+    let plan = eager_half(end, &typed, n);
+    let (s, r) = match end {
+        End::Send => (typed, bounce),
+        End::Recv => (bounce, typed),
+    };
+    let t = Transfer {
+        plan,
+        s,
+        r,
+        span: SpanId::disabled(),
+        done: Then(Some(then)),
+    };
+    exec::run(sim, t, Conn::None);
+}
 
 /// Start an eager send. `bytes` must be at or below the eager limit. A
 /// user buffer that does not hold the typed span fails the send with
@@ -63,7 +100,7 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
         sreq.complete(sim, Err(e));
     };
 
-    let after_pack = move |sim: &mut Sim<MpiWorld>, packed: Result<(), MpiError>| {
+    let after_pack = move |sim: &mut Sim<MpiWorld>, packed: Result<u64, MpiError>| {
         if let Err(e) = packed {
             return fail(sim, e);
         }
@@ -89,32 +126,11 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
         }
     };
 
-    // Pack into the bounce buffer.
+    // A zero-byte message has nothing to pack.
     if n == 0 {
-        sim.schedule_now(move |sim| after_pack(sim, Ok(())));
-    } else if s.device() {
-        let (stream, cache) = {
-            let r = sim.world.rank(s.rank);
-            (r.kernel_stream, Rc::clone(&r.dev_cache))
-        };
-        let cfg = sim.world.mpi.config.engine.clone();
-        pack_async(
-            sim,
-            s.rank,
-            stream,
-            &s.ty,
-            s.count,
-            s.buf,
-            bounce,
-            cfg,
-            Some(&cache),
-            move |sim, _| after_pack(sim, Ok(())),
-        );
+        sim.schedule_now(move |sim| after_pack(sim, Ok(0)));
     } else {
-        match make_engine(sim, &s, Direction::Pack) {
-            Ok(mut eng) => eng.process_fragment(sim, bounce, n, after_pack),
-            Err(e) => after_pack(sim, Err(e)),
-        }
+        run_half(sim, End::Send, s, (from, bounce, n), after_pack);
     }
 }
 
@@ -132,7 +148,7 @@ fn deliver(
     let to = posting.rank;
     // However the delivery ends, the receive resolves, the bounce
     // buffer is released and the span closes.
-    let finish = move |sim: &mut Sim<MpiWorld>, unpacked: Result<(), MpiError>| {
+    let finish = move |sim: &mut Sim<MpiWorld>, unpacked: Result<u64, MpiError>| {
         if unpacked.is_ok() {
             sim.trace
                 .count(names::MPI_DELIVERED_BYTES, from as u32, to as u32, n);
@@ -146,7 +162,7 @@ fn deliver(
         return finish(sim, Err(MpiError::Type(e)));
     }
     if n == 0 {
-        return finish(sim, Ok(()));
+        return finish(sim, Ok(0));
     }
     let side = Side {
         rank: posting.rank,
@@ -154,10 +170,7 @@ fn deliver(
         count: posting.count,
         buf: posting.buf,
     };
-    // The message may be shorter than the posted receive; a single
-    // capped fragment unpacks exactly the incoming prefix.
-    match make_engine(sim, &side, Direction::Unpack) {
-        Ok(mut eng) => eng.process_fragment(sim, bounce, n, finish),
-        Err(e) => finish(sim, Err(e)),
-    }
+    // The message may be shorter than the posted receive: the half
+    // unpacks exactly the incoming `n` bytes.
+    run_half(sim, End::Recv, side, (from, bounce, n), finish);
 }

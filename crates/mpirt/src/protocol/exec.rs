@@ -2,7 +2,8 @@
 //!
 //! [`open`] plans a transfer and opens its protocol span; the protocol
 //! modules establish the connection the plan needs and hand over to
-//! [`run`], which walks the [`TransferPlan`]: it claims ring slots FIFO in
+//! [`run`] — as eager does with each half of a message, over no
+//! connection — which walks the [`TransferPlan`]: it claims ring slots FIFO in
 //! sequence order, pushes each fragment through the plan's
 //! [`StageOp`]s — every stage's completion callback starts the next
 //! stage directly, with no event hop of its own — and returns the
@@ -25,8 +26,9 @@
 //! can split — when the last fragment lands (before either request
 //! resolves), on the failure path (before the requests resolve `Err`),
 //! early when the queue holds [`QUEUE_UNITS`], and after every fragment
-//! of a transfer whose two buffers share an allocation. A one-fragment
-//! transfer is a one-entry queue through the same flush. The offload
+//! of a transfer whose two buffers share an allocation. A fragment due
+//! at once with nothing queued ahead of it — the one fragment of a
+//! one-fragment transfer — moves alone through the same batch. The offload
 //! stages ([`StageOp::moves_payload`]) are one hardware gather/scatter
 //! already and land their own bytes.
 //!
@@ -46,11 +48,11 @@
 //!
 //! Ordering obligations (DESIGN.md §17): conversion engines are
 //! sequential, so fragments enter every stage in sequence order; the
-//! receive request completes before the last ack (or notification) is
-//! sent; the send request completes only after the last fragment
-//! landed and the queue moved, so the send buffer is stable — and the
-//! receive buffer unobserved — from pack charge to the flush that
-//! precedes completion; a failure resolves both requests at most once.
+//! receive end resolves before the last ack (or notification) is
+//! sent; the send end resolves only after the last fragment landed and
+//! the queue moved, so the send buffer is stable — and the receive
+//! buffer unobserved — from pack charge to the flush that precedes
+//! completion; a failure resolves both ends at most once.
 
 use crate::connection::{IbConn, SmConn};
 use crate::protocol::offload::CapturedXfer;
@@ -109,25 +111,90 @@ impl Conn {
     }
 }
 
+/// How a transfer resolves. It is the last thing in a transfer's
+/// state, so a continuation lives inline there, in the one allocation,
+/// and one executor serves every kind.
+pub(crate) trait Resolve: 'static {
+    /// Whether the executor counts the bytes each landed fragment
+    /// delivers (`mpi.delivered.bytes`).
+    fn counts_delivery(&self) -> bool;
+
+    /// `end` moved all `total` bytes.
+    fn resolve(&mut self, sim: &mut Sim<MpiWorld>, end: End, total: u64);
+
+    /// Abort with `err`. An end that already resolved stays resolved —
+    /// an abort may race with a completion that beat it by one event.
+    fn fail(&mut self, sim: &mut Sim<MpiWorld>, err: MpiError);
+}
+
+/// A rendezvous or an RMA operation: the send and the receive request.
+/// The executor counts what each fragment delivers.
+pub(crate) struct Requests {
+    pub send: Request,
+    pub recv: Request,
+}
+
+impl Resolve for Requests {
+    fn counts_delivery(&self) -> bool {
+        true
+    }
+
+    fn resolve(&mut self, sim: &mut Sim<MpiWorld>, end: End, total: u64) {
+        let req = if end == End::Send {
+            &self.send
+        } else {
+            &self.recv
+        };
+        req.complete(sim, Ok(total));
+    }
+
+    fn fail(&mut self, sim: &mut Sim<MpiWorld>, err: MpiError) {
+        self.send.complete_if_pending(sim, Err(err.clone()));
+        self.recv.complete_if_pending(sim, Err(err));
+    }
+}
+
+/// An eager half: the protocol's next step, run once with the outcome —
+/// no request in between. The half's plan resolves both ends at once
+/// ([`Credit::Fused`]); the protocol counts what it delivers.
+pub(crate) struct Then<F>(pub Option<F>);
+
+impl<F> Resolve for Then<F>
+where
+    F: FnOnce(&mut Sim<MpiWorld>, Result<u64, MpiError>) + 'static,
+{
+    fn counts_delivery(&self) -> bool {
+        false
+    }
+
+    fn resolve(&mut self, sim: &mut Sim<MpiWorld>, _: End, total: u64) {
+        if let Some(k) = self.0.take() {
+            k(sim, Ok(total));
+        }
+    }
+
+    fn fail(&mut self, sim: &mut Sim<MpiWorld>, err: MpiError) {
+        if let Some(k) = self.0.take() {
+            k(sim, Err(err));
+        }
+    }
+}
+
 /// One planned transfer: what exists from [`open`] on, through the
-/// handshake, until the requests resolve.
-pub(crate) struct Transfer {
+/// handshake, until it resolves.
+pub(crate) struct Transfer<D: ?Sized = Requests> {
     pub plan: TransferPlan,
     pub s: Side,
     pub r: Side,
-    pub send_req: Request,
-    pub recv_req: Request,
     /// The plan's protocol span (inert when it has none).
     pub span: SpanId,
+    pub done: D,
 }
 
-impl Transfer {
-    /// Abort: resolve both requests with `err` (unless a racing
-    /// completion already resolved one — the first resolution stands)
-    /// and close the protocol span.
-    pub fn fail(&self, sim: &mut Sim<MpiWorld>, err: MpiError) {
-        self.send_req.complete_if_pending(sim, Err(err.clone()));
-        self.recv_req.complete_if_pending(sim, Err(err));
+impl<D: Resolve + ?Sized> Transfer<D> {
+    /// Abort: resolve both ends with `err` and close the protocol span.
+    pub fn fail(&mut self, sim: &mut Sim<MpiWorld>, err: MpiError) {
+        self.done.fail(sim, err);
         sim.trace.span_end(sim.now(), self.span);
     }
 
@@ -135,13 +202,6 @@ impl Transfer {
         match end {
             End::Send => &self.s,
             End::Recv => &self.r,
-        }
-    }
-
-    fn req(&self, end: End) -> &Request {
-        match end {
-            End::Send => &self.send_req,
-            End::Recv => &self.recv_req,
         }
     }
 
@@ -157,8 +217,7 @@ pub(crate) fn open(
     s: Side,
     r: Side,
     class: PathClass,
-    send_req: Request,
-    recv_req: Request,
+    done: Requests,
 ) -> Transfer {
     let plan = plan_for(&Facts::of(sim, s.rank, r.rank), &s, &r, class);
     let track = Track::Proto {
@@ -175,9 +234,8 @@ pub(crate) fn open(
         plan,
         s,
         r,
-        send_req,
-        recv_req,
         span,
+        done,
     }
 }
 
@@ -199,20 +257,59 @@ pub struct MoveList {
     extent: MoveExtent,
 }
 
-/// State of one transfer in flight.
-struct Exec {
-    t: Transfer,
+/// The conversion engines a plan runs: none, one end's, or — two typed
+/// ends — both, boxed with the key of the move lists their fragments
+/// merge into, so a transfer's state holds one engine inline.
+enum Engines {
+    None,
+    One(End, SideEngine),
+    Both(Box<([SideEngine; 2], ShapeKey)>),
+}
+
+impl Engines {
+    fn get(&mut self, end: End) -> Option<&mut SideEngine> {
+        match self {
+            Engines::One(e, engine) if *e == end => Some(engine),
+            Engines::Both(both) => {
+                let [s, r] = &mut both.0;
+                Some(if end == End::Send { s } else { r })
+            }
+            _ => None,
+        }
+    }
+
+    /// Where `end`'s unit offsets are relative to; `None` for an end
+    /// that runs no engine (a dense one).
+    fn typed_base(&self, end: End) -> Option<Ptr> {
+        match self {
+            Engines::One(e, engine) if *e == end => Some(engine.typed_base()),
+            Engines::Both(both) => {
+                let [s, r] = &both.0;
+                Some(if end == End::Send { s } else { r }.typed_base())
+            }
+            _ => None,
+        }
+    }
+
+    fn shape(&self) -> Option<ShapeKey> {
+        match self {
+            Engines::Both(both) => Some(both.1),
+            _ => None,
+        }
+    }
+}
+
+/// State of one transfer in flight. The transfer comes last: its
+/// resolution is sized only when the state is built.
+struct Exec<D: ?Sized = dyn Resolve> {
     conn: Conn,
-    s_engine: Option<SideEngine>,
-    r_engine: Option<SideEngine>,
-    /// The key of the transfer's move lists, when both ends are typed
-    /// and fragments land through a merge.
-    shape: Option<ShapeKey>,
+    engines: Engines,
     total: u64,
     nfrags: u64,
     next_seq: u64,
-    /// Slot credits, claimed and returned FIFO.
-    free_slots: VecDeque<usize>,
+    /// Slot credits are claimed and returned FIFO: slots `fresh..depth`
+    /// have never been claimed and come first, then the returned ones.
+    fresh: usize,
     /// Bytes whose last stage completed / whose slot ack came back.
     landed: u64,
     acked: u64,
@@ -220,9 +317,23 @@ struct Exec {
     /// The engines walk the packed stream strictly forward, and a
     /// retried stage lets later fragments overtake an earlier one, so a
     /// fragment that reaches a conversion stage ahead of its turn waits
-    /// in `parked` (with its stage index) until the engine gets there.
+    /// (parked) until the engine gets there.
     s_turn: u64,
     r_turn: u64,
+    /// Made the first time a fragment needs it: a transfer of one
+    /// fragment never does.
+    pipe: Option<Box<Pipeline>>,
+    t: Transfer<D>,
+}
+
+/// What only the fragments of a pipelined transfer share.
+#[derive(Default)]
+struct Pipeline {
+    /// Returned slot credits. A credit returns only while fragments
+    /// wait for one.
+    free_slots: VecDeque<usize>,
+    /// Fragments ahead of their turn at a conversion stage, with the
+    /// stage's index.
     parked: Vec<(Frag, usize)>,
     /// Unit buffers of moved fragments, for this transfer's later
     /// fragments: a transfer cycles the same few lists, however long
@@ -257,6 +368,17 @@ struct Queued {
     dst: Ptr,
     list: QueuedList,
     extent: MoveExtent,
+}
+
+impl Queued {
+    fn entry(&self) -> Move<'_> {
+        Move {
+            src: self.src,
+            dst: self.dst,
+            ops: self.list.ops(),
+            extent: self.extent,
+        }
+    }
 }
 
 enum QueuedList {
@@ -302,19 +424,48 @@ struct Frag {
 }
 
 impl Exec {
-    fn engine(&mut self, end: End) -> &mut Option<SideEngine> {
-        match end {
-            End::Send => &mut self.s_engine,
-            End::Recv => &mut self.r_engine,
-        }
+    fn pipe(&mut self) -> &mut Pipeline {
+        self.pipe.get_or_insert_with(Box::default)
     }
 
     fn units_buf(&mut self) -> Vec<CopyOp> {
-        self.spare.pop().unwrap_or_else(take_units_buf)
+        (self.pipe.as_mut())
+            .and_then(|p| p.spare.pop())
+            .unwrap_or_else(take_units_buf)
+    }
+
+    /// Claim the next slot credit, if one is free.
+    fn claim_slot(&mut self) -> Option<usize> {
+        if self.fresh < self.t.plan.depth {
+            self.fresh += 1;
+            return Some(self.fresh - 1);
+        }
+        self.pipe.as_mut()?.free_slots.pop_front()
+    }
+
+    /// Return `slot`'s credit, unless every fragment has one already.
+    fn return_slot(&mut self, slot: usize) {
+        if self.next_seq < self.nfrags {
+            self.pipe().free_slots.push_back(slot);
+        }
+    }
+
+    /// A unit buffer a fragment is done with: kept for the transfer's
+    /// other fragments until the last one lands, or — a transfer of one
+    /// fragment has none — straight back to the shelf.
+    fn spare_buf(&mut self, buf: Vec<CopyOp>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        if self.nfrags > 1 {
+            self.pipe().spare.push(buf);
+        } else {
+            recycle_units_buf(buf);
+        }
     }
 
     fn move_key(&self, f: &Frag) -> Option<MoveKey> {
-        self.shape.map(|shape| MoveKey {
+        self.engines.shape().map(|shape| MoveKey {
             shape,
             frag: self.t.plan.frag,
             seq: f.seq,
@@ -346,16 +497,17 @@ fn faulted(why: &str) -> MpiError {
 /// The executor's one failure path. A partly-landed transfer shows
 /// exactly its landed fragments, so the queue moves first; a flush that
 /// fails as well cannot outrank the error being reported.
-// Resolving a request only queues its continuations, so holding the
+// Resolving a request only queues its continuations, and a half's
+// continuation never reaches its own transfer's state, so holding the
 // state borrow across the abort cannot re-enter.
 fn fail(sim: &mut Sim<MpiWorld>, st: &St, err: MpiError) {
     let _ = flush(sim, st);
-    st.borrow().t.fail(sim, err);
+    st.borrow_mut().t.fail(sim, err);
 }
 
 /// Run `t`'s plan over `conn`: tune the shape against the allocated
 /// ring, build the conversion engines the plan uses, then pump.
-pub(crate) fn run(sim: &mut Sim<MpiWorld>, mut t: Transfer, conn: Conn) {
+pub(crate) fn run<D: Resolve>(sim: &mut Sim<MpiWorld>, mut t: Transfer<D>, conn: Conn) {
     if let Some((frag0, depth0)) = conn.ring_shape() {
         (t.plan.frag, t.plan.depth) = tuned_shape(sim, &t.s, &t.r, t.plan.class, frag0, depth0);
     }
@@ -368,34 +520,31 @@ pub(crate) fn run(sim: &mut Sim<MpiWorld>, mut t: Transfer, conn: Conn) {
     };
     let engines = engine(sim, End::Send, Direction::Pack)
         .and_then(|p| engine(sim, End::Recv, Direction::Unpack).map(|u| (p, u)));
-    let (s_engine, r_engine) = match engines {
-        Ok(pair) => pair,
+    let engines = match engines {
+        Ok((Some(s), Some(r))) => Engines::Both(Box::new(([s, r], ShapeKey::of(sim, &t.s, &t.r)))),
+        Ok((Some(s), None)) => Engines::One(End::Send, s),
+        Ok((None, Some(r))) => Engines::One(End::Recv, r),
+        Ok((None, None)) => Engines::None,
         Err(err) => return t.fail(sim, err),
     };
     // A plan that opens with `Direct` wires straight out of a dense
     // host sender's user buffer, which must be registered with the NIC
     // once.
-    let register = (t.plan.stages.first() == Some(&StageOp::Direct)).then_some((t.s.rank, t.s.buf));
-    let shape = (s_engine.is_some() && r_engine.is_some()).then(|| ShapeKey::of(sim, &t.s, &t.r));
+    let register = (t.plan.stages.get(0) == Some(StageOp::Direct)).then_some((t.s.rank, t.s.buf));
     let total = t.s.total();
-    let st = Rc::new(RefCell::new(Exec {
+    let st: St = Rc::new(RefCell::new(Exec {
         nfrags: total.div_ceil(t.plan.frag.max(1)),
-        free_slots: (0..t.plan.depth).collect(),
-        t,
+        fresh: 0,
         conn,
-        s_engine,
-        r_engine,
-        shape,
+        engines,
         total,
         next_seq: 0,
         landed: 0,
         acked: 0,
         s_turn: 0,
         r_turn: 0,
-        parked: Vec::new(),
-        spare: Vec::new(),
-        queue: Vec::new(),
-        queued_units: 0,
+        pipe: None,
+        t,
     }));
     match register {
         Some((rank, buf)) => ensure_registered(sim, rank, buf, move |sim| pump(sim, st)),
@@ -412,7 +561,7 @@ fn pump(sim: &mut Sim<MpiWorld>, st: St) {
             if x.next_seq >= x.nfrags {
                 return;
             }
-            let Some(slot) = x.free_slots.pop_front() else {
+            let Some(slot) = x.claim_slot() else {
                 return;
             };
             let seq = x.next_seq;
@@ -447,7 +596,7 @@ fn pump(sim: &mut Sim<MpiWorld>, st: St) {
 /// and the completion of the last stage [`landed`]. A stage that cannot
 /// start fails the transfer.
 fn step(sim: &mut Sim<MpiWorld>, st: St, f: Frag, idx: usize) {
-    let op = st.borrow().t.plan.stages.get(idx).copied();
+    let op = st.borrow().t.plan.stages.get(idx);
     let started = match op {
         Some(op) => run_op(sim, &st, f, op, idx),
         None => landed(sim, &st, f),
@@ -467,38 +616,39 @@ fn run_op(
     idx: usize,
 ) -> Result<(), MpiError> {
     let rank_of = |end| st.borrow().t.side(end).rank;
-    let (s_rank, r_rank) = (rank_of(End::Send), rank_of(End::Recv));
-    let (a, b) = (s_rank as u32, r_rank as u32);
     let at = |loc, f: &Frag| st.borrow().resolve(loc, f);
     let stw = Rc::clone(st);
     let next = move |sim: &mut Sim<MpiWorld>, f: Frag| step(sim, stw, f, idx + 1);
     match op {
         // Engines are sequential: one fragment at a time, in sequence
-        // order, so the engine is lent out for the call only.
+        // order.
         StageOp::Kernel { end, frag, .. } | StageOp::CpuConvert { end, frag } => {
             let frag = at(frag, &f)?;
             let seq = f.seq;
             if seq != *st.borrow_mut().turn(end) {
-                st.borrow_mut().parked.push((f, idx));
+                st.borrow_mut().pipe().parked.push((f, idx));
                 return Ok(());
             }
-            let mut engine = (st.borrow_mut().engine(end).take())
-                .ok_or_else(|| faulted("conversion engine already in use"))?;
-            // The list is read at landing, unless the moves are known.
-            let buf = (f.moves.is_none()).then(|| st.borrow_mut().units_buf());
-            engine.charge_fragment(sim, frag, f.n, buf, move |sim, units| {
-                match end {
-                    End::Send => f.s_units = units,
-                    End::Recv => f.r_units = units,
-                }
-                next(sim, f);
-            });
             let due = {
                 let mut x = st.borrow_mut();
-                *x.engine(end) = Some(engine);
+                // The list is read at landing, unless the moves are known.
+                let buf = (f.moves.is_none()).then(|| x.units_buf());
+                let engine = (x.engines.get(end)).ok_or_else(|| faulted("no conversion engine"))?;
+                // The charge completes in a later event, never within
+                // this call, so the engine is used in place.
+                engine.charge_fragment(sim, frag, f.n, buf, move |sim, units| {
+                    match end {
+                        End::Send => f.s_units = units,
+                        End::Recv => f.r_units = units,
+                    }
+                    next(sim, f);
+                });
                 *x.turn(end) = seq + 1;
-                let next_up = (x.parked.iter()).position(|(p, i)| *i == idx && p.seq == seq + 1);
-                next_up.map(|pos| x.parked.swap_remove(pos))
+                x.pipe.as_mut().and_then(|p| {
+                    let next_up =
+                        (p.parked.iter()).position(|(f, i)| *i == idx && f.seq == seq + 1);
+                    next_up.map(|pos| p.parked.swap_remove(pos))
+                })
             };
             if let Some((parked, idx)) = due {
                 step(sim, Rc::clone(st), parked, idx);
@@ -519,7 +669,8 @@ fn run_op(
             at(from, &f)?;
             at(to, &f)?;
             let (now, n) = (sim.now(), f.n);
-            let arrive = wire_send(sim, s_rank, r_rank, n, move |sim| {
+            let (a, b) = st.borrow().t.ranks();
+            let arrive = wire_send(sim, a as usize, b as usize, n, move |sim| {
                 sim.trace.count(names::MPIRT_WIRE_BYTES, a, b, n);
                 next(sim, f);
             })
@@ -559,6 +710,7 @@ fn run_op(
                 Ok(()) => next(sim, f),
                 Err(e) => fail(sim, &stw, MpiError::Mem(e.to_string())),
             };
+            let (s_rank, r_rank) = (rank_of(End::Send), rank_of(End::Recv));
             execute_program(sim, s_rank, r_rank, s_buf, r_buf, &prog, &costs, done)
                 .map_err(MpiError::Net)?;
         }
@@ -610,98 +762,113 @@ fn graph_replay(
     });
 }
 
-/// Queue fragment `f`'s one move, sender's buffer → receiver's. An end
-/// that runs no conversion is dense and its window of the user buffer
-/// *is* the fragment, so a lone typed end's list applies as it stands;
-/// two typed ends meet through their [`typed_moves`]. Both ranges are
-/// checked against the live allocations here, so a bad buffer fails the
-/// transfer at the landing instant, and again by [`flush`], which is
-/// when they are dereferenced. Returns whether the queue must move now:
-/// it holds [`QUEUE_UNITS`], or the two buffers share an allocation — a
-/// later fragment's source may be this one's destination, so such a
-/// transfer gathers-then-scatters fragment by fragment, as ever.
-fn queue_fragment(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<bool, MpiError> {
-    // Where `end`'s unit offsets are relative to — `None` for a dense
-    // end, which has no engine — and that end's window.
-    let bases = |end: End| {
+/// Queue fragment `f`'s one move, sender's buffer → receiver's, and move
+/// the queue if `last` or if it cannot wait. An end that runs no
+/// conversion is dense and its window of the user buffer *is* the
+/// fragment, so a lone typed end's list applies as it stands; two typed
+/// ends meet through their [`typed_moves`]. The queue cannot wait when
+/// it holds [`QUEUE_UNITS`], or when the two buffers share an
+/// allocation — a later fragment's source may be this one's
+/// destination, so such a transfer gathers-then-scatters fragment by
+/// fragment, as ever. Both ranges are checked against the live
+/// allocations at the landing instant, so a bad buffer fails the
+/// transfer there: by the move itself when it is due and nothing waits
+/// ahead of it, else here and again by [`flush`], which is when they are
+/// dereferenced.
+fn queue_fragment(
+    sim: &mut Sim<MpiWorld>,
+    st: &St,
+    f: &mut Frag,
+    last: bool,
+) -> Result<(), MpiError> {
+    // Each end's base: where its engine's unit offsets are relative
+    // to, or — a dense end, which has no engine — its window.
+    let base = |end: End| {
         let x = st.borrow();
-        let engine = match end {
-            End::Send => &x.s_engine,
-            End::Recv => &x.r_engine,
-        };
-        let typed = engine.as_ref().map(SideEngine::typed_base);
-        x.resolve(Loc::User(end), f).map(|window| (typed, window))
-    };
-    let ((s_typed, s_window), (r_typed, r_window)) = (bases(End::Send)?, bases(End::Recv)?);
-    let (src, dst, list) = match (s_typed, r_typed) {
-        (Some(src), Some(dst)) => (src, dst, QueuedList::Pinned(typed_moves(sim, st, f)?)),
-        (Some(src), None) => (
-            src,
-            r_window,
-            QueuedList::Owned(std::mem::take(&mut f.s_units)),
-        ),
-        (None, Some(dst)) => (
-            s_window,
-            dst,
-            QueuedList::Owned(std::mem::take(&mut f.r_units)),
-        ),
-        (None, None) => {
-            let whole_window = CopyOp {
-                src_off: 0,
-                dst_off: 0,
-                len: f.n as usize,
-            };
-            (s_window, r_window, QueuedList::Window([whole_window]))
+        match x.engines.typed_base(end) {
+            Some(typed) => Ok((true, typed)),
+            None => x.resolve(Loc::User(end), f).map(|window| (false, window)),
         }
+    };
+    let ((s_typed, src), (r_typed, dst)) = (base(End::Send)?, base(End::Recv)?);
+    let list = match (s_typed, r_typed) {
+        (true, true) => QueuedList::Pinned(typed_moves(sim, st, f)?),
+        (true, false) => QueuedList::Owned(std::mem::take(&mut f.s_units)),
+        (false, true) => QueuedList::Owned(std::mem::take(&mut f.r_units)),
+        (false, false) => QueuedList::Window([CopyOp {
+            src_off: 0,
+            dst_off: 0,
+            len: f.n as usize,
+        }]),
     };
     let extent = match &list {
         QueuedList::Pinned(known) => known.extent,
         other => MoveExtent::of(other.ops()),
     };
-    let mem = sim.world.mem();
-    let in_range = (mem.check_range(src, extent.src_need))
-        .and_then(|()| mem.check_range(dst, extent.dst_need));
-    let mut x = st.borrow_mut();
-    x.spare.push(std::mem::take(&mut f.s_units));
-    x.spare.push(std::mem::take(&mut f.r_units));
-    x.spare.retain(|buf| buf.capacity() > 0);
-    in_range.map_err(|e| MpiError::Mem(e.to_string()))?;
-    x.queued_units += list.ops().len();
-    x.queue.push(Queued {
+    let q = Queued {
         src,
         dst,
         list,
         extent,
-    });
-    let aliased = src.distance_to(dst).is_some();
-    Ok(aliased || x.queued_units >= QUEUE_UNITS)
+    };
+    let (due, alone) = {
+        let mut x = st.borrow_mut();
+        x.spare_buf(std::mem::take(&mut f.s_units));
+        x.spare_buf(std::mem::take(&mut f.r_units));
+        let (queued, alone) =
+            (x.pipe.as_ref()).map_or((0, true), |p| (p.queued_units, p.queue.is_empty()));
+        let due =
+            last || queued + q.list.ops().len() >= QUEUE_UNITS || src.distance_to(dst).is_some();
+        (due, alone)
+    };
+    if due && alone {
+        return move_now(sim, st, [q]);
+    }
+    let mem = sim.world.mem();
+    let in_range = (mem.check_range(src, extent.src_need))
+        .and_then(|()| mem.check_range(dst, extent.dst_need));
+    in_range.map_err(|e| MpiError::Mem(e.to_string()))?;
+    {
+        let mut x = st.borrow_mut();
+        let p = x.pipe();
+        p.queued_units += q.list.ops().len();
+        p.queue.push(q);
+    }
+    if due {
+        flush(sim, st)?;
+    }
+    Ok(())
 }
 
 /// Move every queued fragment, as one batch: `Memory` re-checks each
 /// against the live allocations, then copies the run as one job. The
 /// unit buffers go back to the transfer's spares.
 fn flush(sim: &mut Sim<MpiWorld>, st: &St) -> Result<(), MpiError> {
-    let queue = {
-        let mut x = st.borrow_mut();
-        x.queued_units = 0;
-        std::mem::take(&mut x.queue)
+    let queue = (st.borrow_mut().pipe.as_mut()).map_or_else(Vec::new, |p| {
+        p.queued_units = 0;
+        std::mem::take(&mut p.queue)
+    });
+    move_now(sim, st, queue)
+}
+
+/// Move `queue`'s fragments as one batch and keep their unit buffers.
+fn move_now(
+    sim: &mut Sim<MpiWorld>,
+    st: &St,
+    queue: impl AsRef<[Queued]> + IntoIterator<Item = Queued>,
+) -> Result<(), MpiError> {
+    let moved = match queue.as_ref() {
+        [] => return Ok(()),
+        [q] => sim.world.mem().transfer_batch(&[q.entry()]),
+        all => sim
+            .world
+            .mem()
+            .transfer_batch(&all.iter().map(Queued::entry).collect::<Vec<_>>()),
     };
-    if queue.is_empty() {
-        return Ok(());
-    }
-    let moves: Vec<Move<'_>> = (queue.iter())
-        .map(|q| Move {
-            src: q.src,
-            dst: q.dst,
-            ops: q.list.ops(),
-            extent: q.extent,
-        })
-        .collect();
-    let moved = sim.world.mem().transfer_batch(&moves);
     let mut x = st.borrow_mut();
     for q in queue {
         if let QueuedList::Owned(units) = q.list {
-            x.spare.push(units);
+            x.spare_buf(units);
         }
     }
     moved.map_err(|e| MpiError::Mem(e.to_string()))
@@ -726,7 +893,7 @@ fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<Move
             units: merged.as_slice().into(),
         })
     });
-    st.borrow_mut().spare.push(merged);
+    st.borrow_mut().spare_buf(merged);
     let moves = moves?;
     if let Some(key) = st.borrow().move_key(f) {
         let bytes = std::mem::size_of_val(&*moves.units) as u64;
@@ -737,37 +904,40 @@ fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<Move
 
 /// A fragment's last stage completed: queue its bytes' move (unless a
 /// stage landed them itself) and move the queue if this is the last
-/// fragment — before either request resolves — or the queue cannot
-/// wait; account the fragment, return the slot's credit per the plan's
-/// policy, and complete the requests when everything has moved.
+/// fragment — before either end resolves — or the queue cannot wait;
+/// account the fragment, return the slot's credit per the plan's
+/// policy, and resolve the ends when everything has moved.
 fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError> {
     let (self_moving, last) = {
         let x = st.borrow();
         let self_moving = x.t.plan.stages.iter().any(|op| op.moves_payload());
         (self_moving, x.landed + f.n >= x.total)
     };
-    if !self_moving && (queue_fragment(sim, st, &mut f)? || last) {
-        flush(sim, st)?;
+    if !self_moving {
+        queue_fragment(sim, st, &mut f, last)?;
     }
-    let (credit, (a, b), total, done) = {
+    let (credit, (a, b), total, done, counts) = {
         let mut x = st.borrow_mut();
         x.landed += f.n;
         if x.t.plan.credit != Credit::Ack {
-            x.free_slots.push_back(f.slot);
+            x.return_slot(f.slot);
         }
         let done = x.landed >= x.total;
-        if done {
-            x.spare.drain(..).for_each(recycle_units_buf);
+        if let (true, Some(p)) = (done, x.pipe.as_mut()) {
+            p.spare.drain(..).for_each(recycle_units_buf);
         }
-        (x.t.plan.credit, x.t.ranks(), x.total, done)
+        let counts = x.t.done.counts_delivery();
+        (x.t.plan.credit, x.t.ranks(), x.total, done, counts)
     };
-    sim.trace.count(names::MPI_DELIVERED_BYTES, a, b, f.n);
+    if counts {
+        sim.trace.count(names::MPI_DELIVERED_BYTES, a, b, f.n);
+    }
     let rank_of = |end| st.borrow().t.side(end).rank;
     let stw = Rc::clone(st);
     match credit {
         Credit::Ack => {
             if done {
-                st.borrow().t.recv_req.complete(sim, Ok(total));
+                st.borrow_mut().t.done.resolve(sim, End::Recv, total);
             }
             // Ack the slot so the sender can reuse it.
             send_am(
@@ -780,12 +950,12 @@ fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError>
                     let finished = {
                         let mut x = stw.borrow_mut();
                         x.acked += f.n;
-                        x.free_slots.push_back(f.slot);
+                        x.return_slot(f.slot);
                         x.acked >= x.total
                     };
                     if finished {
-                        let x = stw.borrow();
-                        x.t.send_req.complete(sim, Ok(total));
+                        let mut x = stw.borrow_mut();
+                        x.t.done.resolve(sim, End::Send, total);
                         sim.trace.span_end(sim.now(), x.t.span);
                     } else {
                         pump(sim, stw);
@@ -800,7 +970,7 @@ fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError>
                 pump(sim, stw);
                 return Ok(());
             }
-            st.borrow().t.req(far.other()).complete(sim, Ok(total));
+            st.borrow_mut().t.done.resolve(sim, far.other(), total);
             // Tell the far side its buffer is free / filled.
             send_am(
                 sim,
@@ -808,17 +978,17 @@ fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError>
                 rank_of(far),
                 CONTROL_BYTES,
                 move |sim| {
-                    let x = stw.borrow();
-                    x.t.req(far).complete(sim, Ok(total));
+                    let mut x = stw.borrow_mut();
+                    x.t.done.resolve(sim, far, total);
                     sim.trace.span_end(sim.now(), x.t.span);
                 },
             )
             .map_err(MpiError::Net)?;
         }
         Credit::Fused => {
-            let x = st.borrow();
-            x.t.recv_req.complete(sim, Ok(total));
-            x.t.send_req.complete(sim, Ok(total));
+            let mut x = st.borrow_mut();
+            x.t.done.resolve(sim, End::Recv, total);
+            x.t.done.resolve(sim, End::Send, total);
         }
     }
     Ok(())

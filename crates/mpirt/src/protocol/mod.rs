@@ -1,8 +1,10 @@
 //! Protocol selection (the BML role) and shared per-side machinery.
 //!
-//! Every rendezvous is one [`plan::TransferPlan`] run by the one
-//! executor in `exec`; [`sm`], [`copyio`] and [`offload`] establish
-//! the connection a plan runs over (DESIGN.md §17).
+//! Every rendezvous, and each half of an eager message, is one
+//! [`plan::TransferPlan`] run by the one executor in `exec`; [`sm`],
+//! [`copyio`] and [`offload`] establish the connection a rendezvous
+//! plan runs over, and [`eager`] runs its two halves over none
+//! (DESIGN.md §17).
 
 // Panic freedom (DESIGN.md §11): every protocol step surfaces a typed
 // `MpiError`.
@@ -30,10 +32,8 @@ use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
 use devengine::{Direction, FragmentEngine, LayoutKey};
-use gpusim::GpuWorld as _;
 use memsim::Ptr;
 use simcore::par::CopyOp;
-use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::Sim;
 
 /// One endpoint of a transfer.
@@ -126,28 +126,6 @@ impl SideEngine {
             }
             SideEngine::Cpu(eng) => eng.charge_fragment(sim, n, units, |sim, _, u| done(sim, u)),
         }
-    }
-
-    /// [`Self::charge_fragment`], then the fragment's bytes move at the
-    /// charge's completion instant and `done` runs after them. A buffer
-    /// that does not hold the fragment is a typed error there.
-    pub(crate) fn process_fragment(
-        &mut self,
-        sim: &mut Sim<MpiWorld>,
-        frag: Ptr,
-        n: u64,
-        done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
-    ) {
-        let (src, dst) = match self {
-            SideEngine::Gpu(eng) => eng.kernel_ends(frag),
-            SideEngine::Cpu(eng) => eng.kernel_ends(frag),
-        };
-        let units = Some(take_units_buf());
-        self.charge_fragment(sim, frag, n, units, move |sim, units| {
-            let moved = sim.world.mem().transfer(src, dst, &units);
-            recycle_units_buf(units);
-            done(sim, moved.map_err(|e| MpiError::Mem(e.to_string())));
-        });
     }
 
     /// The pointer the typed-side unit offsets are relative to.
@@ -255,8 +233,12 @@ pub(crate) fn run_transfer(
     }
     let same_node = sim.world.same_node(send.rank, recv.rank);
     let use_ipc = sim.world.mpi.config.use_ipc && sim.world.mpi.ipc_runtime_ok;
+    let done = exec::Requests {
+        send: send_req,
+        recv: recv_req,
+    };
     if same_node && use_ipc && send.device() && recv.device() {
-        sm::start(sim, send, recv, send_req, recv_req);
+        sm::start(sim, send, recv, done);
     } else {
         // Cross-node (and degraded same-node) transfers consult the
         // analytic path selector: the offload classes compete only when
@@ -264,9 +246,9 @@ pub(crate) fn run_transfer(
         // win only past the never-worse margin.
         match crate::tuner::select_path(sim, &send, &recv, same_node) {
             class @ (PathClass::NicOffload | PathClass::StreamTriggered) => {
-                offload::start(sim, class, send, recv, send_req, recv_req)
+                offload::start(sim, class, send, recv, done)
             }
-            _ => copyio::start(sim, send, recv, send_req, recv_req),
+            _ => copyio::start(sim, send, recv, done),
         }
     }
 }

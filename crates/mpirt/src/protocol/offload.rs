@@ -31,9 +31,9 @@
 //! the incumbent's plan by handing the transfer to `copyio::start`.
 
 use crate::connection::Handshake;
-use crate::protocol::exec::{self, Conn};
+use crate::protocol::exec::{self, Conn, Requests};
 use crate::protocol::{copyio, ShapeKey, Side};
-use crate::request::{MpiError, Request};
+use crate::request::MpiError;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use devengine::{flip_units, whole_units};
@@ -66,25 +66,18 @@ pub struct CapturedXfer {
 /// graph — and run the class's plan. A lost capability demotes to
 /// `copyio::start`: this and every later transfer renegotiate to the
 /// GPU-pack pipeline.
-pub(crate) fn start(
-    sim: &mut Sim<MpiWorld>,
-    class: PathClass,
-    s: Side,
-    r: Side,
-    send_req: Request,
-    recv_req: Request,
-) {
+pub(crate) fn start(sim: &mut Sim<MpiWorld>, class: PathClass, s: Side, r: Side, done: Requests) {
     let hs = Handshake::start(sim);
     acquire(sim, class, (s.rank, r.rank), hs, move |sim, held| {
         if !held {
-            return copyio::start(sim, s, r, send_req, recv_req);
+            return copyio::start(sim, s, r, done);
         }
         let conn = if class == PathClass::NicOffload {
             nic_program(sim, &s, &r).map(Conn::Nic)
         } else {
             captured(sim, &s, &r).map(Conn::Graph)
         };
-        let t = exec::open(sim, s, r, class, send_req, recv_req);
+        let mut t = exec::open(sim, s, r, class, done);
         match conn {
             Ok(conn) => exec::run(sim, t, conn),
             Err(e) => t.fail(sim, e),

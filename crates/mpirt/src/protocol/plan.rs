@@ -1,11 +1,12 @@
-//! Transfer plans: the one description of a rendezvous pipeline.
+//! Transfer plans: the one description of a transfer pipeline.
 //!
 //! The paper's two protocols (§4.1 pipelined RDMA over CUDA IPC, §4.2
-//! pipelined copy-in/copy-out) and the two offload classes are the same
-//! machine: fragments flow through a short list of stages over a
-//! bounded ring of slots, and a credit comes back per fragment. A
-//! [`TransferPlan`] writes that machine down once. [`plan_for`] is the
-//! only place that decides which stages a path has; the executor
+//! pipelined copy-in/copy-out), the two offload classes and both halves
+//! of an eager message are the same machine: fragments flow through a
+//! short list of stages over a bounded ring of slots, and a credit comes
+//! back per fragment. A [`TransferPlan`] writes that machine down once.
+//! [`plan_for`] and [`eager_half`] are the only places that decide which
+//! stages a path has; the executor
 //! (`crate::protocol::exec`) walks the plan and the tuner
 //! ([`crate::tuner`]) prices the very same [`StageOp`]s, so the model
 //! cannot drift from what runs (DESIGN.md §17).
@@ -82,6 +83,34 @@ impl StageOp {
     }
 }
 
+/// The most stages a plan has: a strided device end on each side of a
+/// staged copy-in/out wire (kernel, copy, wire, copy, kernel).
+pub const MAX_STAGES: usize = 5;
+
+/// A plan's per-fragment stages, in execution order, held inline: a
+/// plan costs no allocation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Stages([Option<StageOp>; MAX_STAGES]);
+
+impl Stages {
+    pub fn iter(&self) -> impl Iterator<Item = &StageOp> {
+        self.0.iter().flatten()
+    }
+
+    pub fn get(&self, idx: usize) -> Option<StageOp> {
+        self.0.get(idx).copied().flatten()
+    }
+
+    /// Append `op`; no path has more than [`MAX_STAGES`] stages.
+    fn push(&mut self, op: StageOp) {
+        let free = self.0.iter_mut().find(|slot| slot.is_none());
+        debug_assert!(free.is_some(), "a plan has at most {MAX_STAGES} stages");
+        if let Some(slot) = free {
+            *slot = Some(op);
+        }
+    }
+}
+
 /// Payload of every per-fragment control message — a [`StageOp::Notify`]
 /// and a slot ack — and of a transfer's closing notification.
 pub const CONTROL_BYTES: u64 = 16;
@@ -96,8 +125,9 @@ pub enum Credit {
     /// The receiver active-messages every slot back; the last ack
     /// completes the send request (full sm pipeline, copy-in/out).
     Ack,
-    /// Hardware completion: both requests resolve when the single
-    /// fragment's last stage does, no control traffic (offload classes).
+    /// Both ends resolve when the single fragment's last stage
+    /// completes, with no control traffic: hardware completion (the
+    /// offload classes), or a local pass (an eager half).
     Fused,
 }
 
@@ -106,7 +136,7 @@ pub enum Credit {
 pub struct TransferPlan {
     pub class: PathClass,
     /// Per-fragment stages, in execution order.
-    pub stages: Vec<StageOp>,
+    pub stages: Stages,
     /// Pipeline shape: the configured one from [`plan_for`]; the
     /// executor re-tunes it against the ring actually allocated.
     pub frag: u64,
@@ -115,7 +145,8 @@ pub struct TransferPlan {
     /// `frag` span each). `false` for the one-fragment plans.
     pub ring: bool,
     pub credit: Credit,
-    /// Protocol span name; the offload classes have none.
+    /// Protocol span name; the offload classes and the eager halves
+    /// have none.
     pub span: Option<Name>,
 }
 
@@ -166,14 +197,14 @@ impl Facts {
     }
 }
 
-/// Conversion stages of one copy-in/out endpoint between its typed
-/// buffer and its host fragment, plus the wire-side location. Dense
+/// Push the conversion stages of one copy-in/out endpoint between its
+/// typed buffer and its host fragment; return the wire-side location. Dense
 /// sides skip conversion; zero copy folds the staging hop into the
 /// kernel. The receiver is the sender's mirror image: it stages first
 /// and converts last.
-fn host_side(end: End, side: &Side, zero: bool) -> (Vec<StageOp>, Loc) {
+fn host_side(end: End, side: &Side, zero: bool, stages: &mut Stages) -> Loc {
     let (user, dev, host) = (Loc::User(end), Loc::Dev(end), Loc::Host(end));
-    let kernel = |frag| StageOp::Kernel { end, frag };
+    let kernel = |frag| Some(StageOp::Kernel { end, frag });
     // A staging copy between a typed-side and a wire-side location, in
     // the direction the data flows on this end.
     let hop = |typed_side, wire_side| {
@@ -181,24 +212,25 @@ fn host_side(end: End, side: &Side, zero: bool) -> (Vec<StageOp>, Loc) {
             End::Send => (typed_side, wire_side),
             End::Recv => (wire_side, typed_side),
         };
-        StageOp::Copy {
+        Some(StageOp::Copy {
             stream_of: end,
             from,
             to,
-        }
+        })
     };
     let (mut ops, wire_loc) = match (side.dense(), side.device()) {
-        (false, true) if zero => (vec![kernel(host)], host),
-        (false, true) => (vec![kernel(dev), hop(dev, host)], host),
-        (false, false) => (vec![StageOp::CpuConvert { end, frag: host }], host),
-        (true, true) => (vec![hop(user, host)], host),
+        (false, true) if zero => ([kernel(host), None], host),
+        (false, true) => ([kernel(dev), hop(dev, host)], host),
+        (false, false) => ([Some(StageOp::CpuConvert { end, frag: host }), None], host),
+        (true, true) => ([hop(user, host), None], host),
         // Registered host data is wired from / landed in place.
-        (true, false) => (vec![StageOp::Direct], user),
+        (true, false) => ([Some(StageOp::Direct), None], user),
     };
     if end == End::Recv {
         ops.reverse();
     }
-    (ops, wire_loc)
+    ops.into_iter().flatten().for_each(|op| stages.push(op));
+    wire_loc
 }
 
 /// Build the plan one transfer takes down `class`: which stages it has
@@ -207,7 +239,7 @@ fn host_side(end: End, side: &Side, zero: bool) -> (Vec<StageOp>, Loc) {
 pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> TransferPlan {
     use Credit::Local as L;
     use End::{Recv, Send};
-    let mut stages = Vec::new();
+    let mut stages = Stages::default();
     let (credit, span, ring) = match class {
         PathClass::SmIpc => {
             let (s_dense, r_dense) = (s.dense(), r.dense());
@@ -263,11 +295,11 @@ pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> Transfer
         }
         PathClass::CopyInOut | PathClass::ZeroCopy => {
             let zero = class == PathClass::ZeroCopy;
-            let (send_ops, from) = host_side(Send, s, zero);
-            let (recv_ops, to) = host_side(Recv, r, zero);
-            stages.extend(send_ops);
+            let from = host_side(Send, s, zero, &mut stages);
+            let mut recv_ops = Stages::default();
+            let to = host_side(Recv, r, zero, &mut recv_ops);
             stages.push(StageOp::Wire { from, to });
-            stages.extend(recv_ops);
+            recv_ops.iter().for_each(|&op| stages.push(op));
             (Credit::Ack, Some(names::SPAN_COPYIO), true)
         }
         PathClass::NicOffload => {
@@ -292,5 +324,34 @@ pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> Transfer
         ring,
         credit,
         span,
+    }
+}
+
+/// One half of an eager message of `n` bytes: a single pass between
+/// `end`'s typed user buffer and the host bounce buffer at the other
+/// end, which is a dense [`Loc::User`] — a kernel for device data, the
+/// CPU convertor for host data. The sender's half packs (`end ==
+/// Send`), the receiver's unpacks at match; a receive posted larger
+/// than the message converts exactly its `n` bytes. Unlike a
+/// copy-in/out endpoint, a dense user side keeps its conversion pass.
+/// One fragment, no ring, no span: [`Credit::Fused`] resolves the half
+/// when its pass lands. Its class is the copy-in/out one, which only
+/// tunes ring shapes.
+pub fn eager_half(end: End, typed: &Side, n: u64) -> TransferPlan {
+    let frag = Loc::User(end.other());
+    let mut stages = Stages::default();
+    stages.push(if typed.device() {
+        StageOp::Kernel { end, frag }
+    } else {
+        StageOp::CpuConvert { end, frag }
+    });
+    TransferPlan {
+        class: PathClass::CopyInOut,
+        stages,
+        frag: n.max(1),
+        depth: 1,
+        ring: false,
+        credit: Credit::Fused,
+        span: None,
     }
 }

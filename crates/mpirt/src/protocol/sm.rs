@@ -20,9 +20,8 @@
 //! renegotiation when that handshake loses the IPC capability.
 
 use crate::connection::{open_peer_buffer, sm_connection};
-use crate::protocol::exec::{self, Conn, Transfer};
+use crate::protocol::exec::{self, Conn, Requests, Transfer};
 use crate::protocol::{copyio, Side};
-use crate::request::Request;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use simcore::Sim;
@@ -41,16 +40,10 @@ fn renegotiate(sim: &mut Sim<MpiWorld>, t: Transfer) {
         1,
     );
     sim.trace.span_end(sim.now(), t.span);
-    copyio::start(sim, t.s, t.r, t.send_req, t.recv_req);
+    copyio::start(sim, t.s, t.r, t.done);
 }
 
-pub(crate) fn start(
-    sim: &mut Sim<MpiWorld>,
-    s: Side,
-    r: Side,
-    send_req: Request,
-    recv_req: Request,
-) {
+pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
     // A dense side's user buffer is read (sender) or written (receiver)
     // in place by the peer, so it must be mapped over IPC first.
     let window = if s.dense() {
@@ -61,7 +54,7 @@ pub(crate) fn start(
         None
     };
     let total = s.total();
-    let t = exec::open(sim, s, r, PathClass::SmIpc, send_req, recv_req);
+    let t = exec::open(sim, s, r, PathClass::SmIpc, done);
     match window {
         Some(buf) => open_peer_buffer(sim, buf, total, move |sim, res| match res {
             Ok(()) => connect(sim, t),

@@ -204,8 +204,10 @@ fn price<'a>(
     };
     let at = |loc| space_of(sim, (s, r), loc);
     let channel = |from: &Side, to: &Side| sim.world.net_ref().channel(from.rank, to.rank);
-    let data = &channel(s, r).data;
-    let wire = move |n| data.time(n);
+    // The data link, for the stages that use one: an eager half's two
+    // ends share a rank.
+    let data = move || &sim.world.net_ref().channel(s.rank, r.rank).data;
+    let wire = move |n| data().time(n);
     Some(match op {
         StageOp::Kernel { end, frag } => {
             KernelStage::of(sim, side(end), end, at(frag), false).price()
@@ -241,6 +243,7 @@ fn price<'a>(
                 LaunchEstimate::of(&s.ty, s.count, cfg),
                 LaunchEstimate::of(&r.ty, r.count, cfg),
             );
+            let data = data();
             Box::new(move |n| {
                 let descriptors = s_est.units_in(n) + r_est.units_in(n);
                 costs.time(descriptors, n, data)
@@ -644,7 +647,7 @@ mod tests {
             to: to.rank as u32,
         };
         let mut checks: Vec<(StageOp, Track, Name)> = Vec::new();
-        for &op in &plan.stages {
+        for &op in plan.stages.iter() {
             let rank = |end| sim.world.rank(side(end).rank);
             checks.push(match op {
                 StageOp::Kernel { end, .. } => {
@@ -978,6 +981,149 @@ mod tests {
             }
         }
         assert_eq!(rows, 3 * 4 + 2 * 16);
+    }
+
+    /// The eager rows of the stage table. One eager message per row of
+    /// {host, device} × {dense, strided}, run through the API with the
+    /// tracer on, on a warm world: per message the kernels and CPU
+    /// convertor passes must equal the stages of the two
+    /// [`eager_half`] plans, with exactly one active message and no
+    /// wire or staging copy; each stage must be charged exactly its
+    /// price; the received bytes must equal the CPU reference; and the
+    /// payload must be counted delivered exactly once, sender →
+    /// receiver.
+    #[test]
+    fn eager_halves_execute_their_planned_and_priced_stages() {
+        use crate::api::{irecv, isend, RecvArgs, SendArgs};
+        use crate::protocol::plan::eager_half;
+        use datatype::convertor::{pack_all, unpack_all};
+        use simcore::trace::{Name, TraceEvent};
+
+        const DOUBLES: u64 = 2048; // 16 KiB: eager
+        let dense = DataType::contiguous(DOUBLES, &DataType::double())
+            .unwrap()
+            .commit();
+        let strided = DataType::vector(DOUBLES / 2, 2, 4, &DataType::double())
+            .unwrap()
+            .commit();
+        let mut rows = 0;
+        for device in [false, true] {
+            for ty in [&dense, &strided] {
+                let row = format!("eager device={device} dense={}", ty.is_contiguous(1));
+                let mut sim = Sim::new(MpiWorld::two_ranks_ib(MpiConfig::default()));
+                let n = ty.size();
+                assert!(n <= sim.world.mpi.config.eager_limit, "{row}: not eager");
+                let side = |sim: &mut Sim<MpiWorld>, rank: usize| {
+                    let space = if device {
+                        MemSpace::Device(sim.world.mpi.ranks[rank].gpu)
+                    } else {
+                        MemSpace::Host
+                    };
+                    let buf = sim.world.mem().alloc(space, ty.extent() as u64).unwrap();
+                    Side {
+                        rank,
+                        ty: ty.clone(),
+                        count: 1,
+                        buf,
+                    }
+                };
+                let (s, r) = (side(&mut sim, 0), side(&mut sim, 1));
+                let sent: Vec<u8> = (0..ty.extent() as usize)
+                    .map(|i| (i * 31 + 7) as u8)
+                    .collect();
+                sim.world.mem().write(s.buf, &sent).unwrap();
+                let r_len = ty.extent() as u64;
+                let mut expect = sim.world.mem().read_vec(r.buf, r_len).unwrap();
+                unpack_all(ty, 1, &mut expect, 0, &pack_all(ty, 1, &sent, 0));
+                // The bounce buffer each half converts against.
+                let bounce = |rank| Side {
+                    rank,
+                    ty: DataType::byte().commit(),
+                    count: n,
+                    buf: memsim::Ptr {
+                        space: MemSpace::Host,
+                        alloc: memsim::AllocId(0),
+                        offset: 0,
+                    },
+                };
+                let halves = [
+                    (eager_half(End::Send, &s, n), (s.clone(), bounce(0))),
+                    (eager_half(End::Recv, &r, n), (bounce(0), r.clone())),
+                ];
+                let planned = |pick: fn(&StageOp) -> bool| -> u64 {
+                    (halves.iter())
+                        .map(|(plan, _)| plan.stages.iter().filter(|op| pick(op)).count() as u64)
+                        .sum()
+                };
+
+                // The first message warms the DEV caches; the second is
+                // the row.
+                sim.trace.set_recording(true);
+                for iter in 0..2 {
+                    let (counted, recorded) = (sim.trace.counters(), sim.trace.events().len());
+                    let rreq = irecv(&mut sim, RecvArgs::new(1, 0, r.buf, ty, 1));
+                    let sreq = isend(&mut sim, SendArgs::new(0, 1, s.buf, ty, 1));
+                    sim.run();
+                    assert_eq!(sreq.expect_bytes(), n, "{row}");
+                    assert_eq!(rreq.expect_bytes(), n, "{row}");
+                    let got = sim.world.mem().read_vec(r.buf, r_len).unwrap();
+                    assert!(got == expect, "{row}: bytes differ from the CPU reference");
+                    if iter == 0 {
+                        continue;
+                    }
+                    let delta = |c: simcore::Counter, a: u32, b: u32| -> u64 {
+                        let now = (sim.trace.counters().into_iter())
+                            .filter(|(k, _)| k.counter == c && k.a == a && k.b == b)
+                            .map(|(_, v)| v)
+                            .sum::<u64>();
+                        let then = (counted.iter())
+                            .filter(|(k, _)| k.counter == c && k.a == a && k.b == b)
+                            .map(|(_, v)| *v)
+                            .sum::<u64>();
+                        now - then
+                    };
+                    let total = |c: simcore::Counter| -> u64 {
+                        let sum = |list: &[(simcore::trace::CounterKey, u64)]| -> u64 {
+                            (list.iter().filter(|(k, _)| k.counter == c))
+                                .map(|(_, v)| v)
+                                .sum()
+                        };
+                        sum(&sim.trace.counters()) - sum(&counted)
+                    };
+                    let events = &sim.trace.events()[recorded..];
+                    let spans = |span: Name| {
+                        (events.iter())
+                            .filter(|e| matches!(e, TraceEvent::Span { name, .. } if *name == span))
+                            .count() as u64
+                    };
+                    assert_eq!(
+                        total(names::GPUSIM_KERNEL_LAUNCHES),
+                        planned(|op| matches!(op, StageOp::Kernel { .. })),
+                        "{row}: kernel launches"
+                    );
+                    assert_eq!(
+                        spans(names::SPAN_CPU_PACK) + spans(names::SPAN_CPU_UNPACK),
+                        planned(|op| matches!(op, StageOp::CpuConvert { .. })),
+                        "{row}: CPU convertor passes"
+                    );
+                    assert_eq!(planned(|_| true), 2, "{row}: one pass per half");
+                    assert_eq!(total(names::NETSIM_AM_COUNT), 1, "{row}: active messages");
+                    assert_eq!(spans(names::SPAN_MEMCPY), 0, "{row}: staging copies");
+                    assert_eq!(spans(names::SPAN_WIRE), 0, "{row}: wire sends");
+                    assert_eq!(total(names::MPI_DELIVERED_BYTES), n, "{row}: delivered");
+                    assert_eq!(
+                        delta(names::MPI_DELIVERED_BYTES, 0, 1),
+                        n,
+                        "{row}: delivered sender → receiver"
+                    );
+                    for (plan, (ps, pr)) in &halves {
+                        first_fragment_costs_its_price(&sim, plan, (ps, pr), events, &row);
+                    }
+                }
+                rows += 1;
+            }
+        }
+        assert_eq!(rows, 4);
     }
 
     #[test]

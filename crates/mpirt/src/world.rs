@@ -7,6 +7,7 @@ use crate::connection::{IbConn, SmConn};
 use crate::matcher::Matcher;
 use crate::protocol::exec::{MoveKey, MoveList};
 use crate::protocol::ShapeKey;
+use datatype::DataType;
 use devengine::{DevCache, Lru};
 use faultsim::FaultSim;
 use gpusim::{FifoResource, GpuArch, GpuSystem, GpuWorld, StreamId};
@@ -86,6 +87,9 @@ pub struct MpiState {
     /// through the same fragment windows would merge again. Bounded in
     /// bytes, least recently used first out.
     pub move_lists: Lru<MoveKey, Rc<MoveList>>,
+    /// The committed byte type: an eager bounce buffer of `n` bytes is
+    /// `n` of them (`protocol::eager`).
+    pub byte: DataType,
 }
 
 /// Bounds of [`MpiState::move_lists`]: two directions of a 131 072-block
@@ -165,6 +169,7 @@ impl MpiWorld {
                 nic_programs: DetHashMap::default(),
                 stream_captures: BTreeMap::new(),
                 move_lists: Lru::with_limits(MOVE_LISTS_BYTES, MOVE_LISTS_ENTRIES),
+                byte: DataType::byte().commit(),
             },
         }
     }

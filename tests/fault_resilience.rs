@@ -7,7 +7,7 @@
 //!    hiccups, IPC-open and registration failures) never corrupts or
 //!    loses data — delivery is byte-identical to a fault-free run on
 //!    every path class (shared-memory IPC, zero-copy RDMA, staged
-//!    copy-in/copy-out).
+//!    copy-in/copy-out) and on eager, from device and host memory.
 //! 2. *Permanent* capability loss renegotiates the path: IPC loss
 //!    demotes SmIpc to copy-in/copy-out, pinned-registration loss
 //!    demotes zero-copy to the staged pipeline — in both cases the
@@ -127,13 +127,20 @@ fn session_for(path: Path, plan: FaultPlan) -> Session {
     .build()
 }
 
+/// An eager-sized strided vector (4 KiB): 64 blocks of 8 doubles.
+fn small_vec() -> DataType {
+    DataType::vector(64, 8, 16, &DataType::double())
+        .unwrap()
+        .commit()
+}
+
 /// Property: a retriable-only fault schedule delivers byte-identical
-/// data on a given path class, and faults actually fired.
-fn check_retriable(path: Path, seed: u64) {
-    let ty = big_vec();
-    let clean = deliver(&mut session_for(path, FaultPlan::empty()), &ty, true);
+/// data for `ty` on a given path class and placement, and faults
+/// actually fired.
+fn check_retriable(path: Path, ty: &DataType, device: bool, seed: u64) {
+    let clean = deliver(&mut session_for(path, FaultPlan::empty()), ty, device);
     let mut faulted = session_for(path, retriable_plan(seed));
-    let got = deliver(&mut faulted, &ty, true);
+    let got = deliver(&mut faulted, ty, device);
     assert_eq!(got, clean, "retriable faults must not alter delivery");
     let m = faulted.metrics();
     assert!(
@@ -144,17 +151,28 @@ fn check_retriable(path: Path, seed: u64) {
 
 #[test]
 fn retriable_schedule_is_lossless_on_sm_ipc() {
-    check_retriable(Path::SmIpc, 42);
+    check_retriable(Path::SmIpc, &big_vec(), true, 42);
 }
 
 #[test]
 fn retriable_schedule_is_lossless_on_zero_copy() {
-    check_retriable(Path::ZeroCopy, 43);
+    check_retriable(Path::ZeroCopy, &big_vec(), true, 43);
 }
 
 #[test]
 fn retriable_schedule_is_lossless_on_copy_in_out() {
-    check_retriable(Path::CopyInOut, 44);
+    check_retriable(Path::CopyInOut, &big_vec(), true, 44);
+}
+
+/// Both halves of an eager message — the pack into the bounce buffer,
+/// the active message, the unpack at match — under the same schedule,
+/// from device and from host memory.
+#[test]
+fn retriable_schedule_is_lossless_on_eager() {
+    let ty = small_vec();
+    assert!(ty.size() <= MpiConfig::default().eager_limit);
+    check_retriable(Path::CopyInOut, &ty, true, 45);
+    check_retriable(Path::CopyInOut, &ty, false, 46);
 }
 
 #[test]

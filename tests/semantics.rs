@@ -1,6 +1,7 @@
 //! MPI semantics: ordering, wildcards, partial receives, multi-count
 //! transfers, collectives and one-sided ops across mixed transports.
 
+use datatype::convertor::unpack_all;
 use datatype::testutil::{buffer_span, pattern, reference_pack};
 use datatype::DataType;
 use gpusim::GpuWorld as _;
@@ -109,55 +110,79 @@ fn non_overtaking_order() {
     assert!(got2.iter().all(|&b| b == 2));
 }
 
-/// A rendezvous message shorter than the posted receive type fills only
-/// the prefix (and reports the actual byte count).
+/// A message shorter than the posted receive type fills only the prefix
+/// of the receive type (and reports the actual byte count), on both
+/// protocols and both placements: every byte past the delivered prefix —
+/// the type's gaps and its unfilled tail — keeps the guard the buffer
+/// held before the receive.
 #[test]
 fn partial_receive_into_larger_type() {
-    let mut sim = Sim::new(MpiWorld::two_ranks_ib(MpiConfig::default()));
-    let send_ty = DataType::contiguous(30_000, &DataType::double())
-        .unwrap()
-        .commit();
-    let recv_ty = DataType::vector(20_000, 3, 5, &DataType::double())
-        .unwrap()
-        .commit();
-    assert!(recv_ty.size() > send_ty.size());
+    const GUARD: u8 = 0xA5;
+    let eager_limit = MpiConfig::default().eager_limit;
+    // (protocol, doubles sent): the receive type holds twice as many.
+    for (proto, doubles) in [("eager", 1_000u64), ("rendezvous", 30_000)] {
+        for device in [false, true] {
+            let row = format!("{proto}, device = {device}");
+            let mut sim = Sim::new(MpiWorld::two_ranks_ib(MpiConfig::default()));
+            let send_ty = DataType::contiguous(doubles, &DataType::double())
+                .unwrap()
+                .commit();
+            let recv_ty = DataType::vector(doubles * 2 / 3, 3, 5, &DataType::double())
+                .unwrap()
+                .commit();
+            assert!(recv_ty.size() > send_ty.size(), "{row}");
+            assert_eq!(send_ty.size() <= eager_limit, proto == "eager", "{row}");
 
-    let (rbase, rlen) = buffer_span(&recv_ty, 1);
-    let sbuf = alloc(&mut sim, 0, send_ty.size(), true);
-    let data = pattern(send_ty.size() as usize);
-    sim.world.mem().write(sbuf, &data).unwrap();
-    let rbuf = alloc(&mut sim, 1, rlen as u64, true);
+            let (rbase, rlen) = buffer_span(&recv_ty, 1);
+            let sbuf = alloc(&mut sim, 0, send_ty.size(), device);
+            let data = pattern(send_ty.size() as usize);
+            sim.world.mem().write(sbuf, &data).unwrap();
+            let rbuf = alloc(&mut sim, 1, rlen as u64, device);
+            let guarded = vec![GUARD; rlen];
+            sim.world.mem().write(rbuf, &guarded).unwrap();
 
-    let s = isend(
-        &mut sim,
-        SendArgs {
-            from: 0,
-            to: 1,
-            tag: 0,
-            ty: send_ty.clone(),
-            count: 1,
-            buf: sbuf,
-        },
-    );
-    let r = irecv(
-        &mut sim,
-        RecvArgs {
-            rank: 1,
-            src: Some(0),
-            tag: Some(0),
-            ty: recv_ty.clone(),
-            count: 1,
-            buf: rbuf.add(rbase as u64),
-        },
-    );
-    wait_all(&mut sim, &[s, r.clone()]).expect("transfer failed");
-    assert_eq!(r.expect_bytes(), send_ty.size());
+            let s = isend(
+                &mut sim,
+                SendArgs {
+                    from: 0,
+                    to: 1,
+                    tag: 0,
+                    ty: send_ty.clone(),
+                    count: 1,
+                    buf: sbuf,
+                },
+            );
+            let r = irecv(
+                &mut sim,
+                RecvArgs {
+                    rank: 1,
+                    src: Some(0),
+                    tag: Some(0),
+                    ty: recv_ty.clone(),
+                    count: 1,
+                    buf: rbuf.add(rbase as u64),
+                },
+            );
+            wait_all(&mut sim, &[s, r.clone()]).expect("transfer failed");
+            assert_eq!(r.expect_bytes(), send_ty.size(), "{row}");
 
-    // The received prefix, viewed through the recv type, equals the
-    // sent stream.
-    let got_buf = sim.world.mem().read_vec(rbuf, rlen as u64).unwrap();
-    let got_packed = reference_pack(&recv_ty, 1, &got_buf, rbase);
-    assert_eq!(&got_packed[..send_ty.size() as usize], &data[..]);
+            // The sent stream unpacked into the guarded buffer through
+            // the receive type's prefix, by the CPU reference: nothing
+            // else may change.
+            let mut expected = guarded;
+            unpack_all(&recv_ty, 1, &mut expected, rbase, &data);
+            let got = sim.world.mem().read_vec(rbuf, rlen as u64).unwrap();
+            assert!(
+                got == expected,
+                "{row}: bytes differ from the prefix unpack"
+            );
+            let untouched = got.iter().filter(|&&b| b == GUARD).count();
+            assert!(
+                untouched >= rlen - send_ty.size() as usize,
+                "{row}: bytes past the prefix lost their guard"
+            );
+        }
+    }
 }
 
 /// count > 1 instances of a non-contiguous type across the GPU stack.
