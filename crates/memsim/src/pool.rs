@@ -21,18 +21,20 @@ use std::cell::OnceCell;
 /// backing is made when a byte is first borrowed — a ring slot that is
 /// only ever resolved, registered and charged never costs host memory.
 /// The backing is a block from [`shelf`], possibly longer than `len`,
-/// and goes back there when the allocation is dropped.
+/// whose first byte is a host cache line's, and goes back there when
+/// the allocation is dropped.
 struct Backing {
     len: u64,
     /// End of the furthest byte a mutable borrow has reached: the block
     /// is still zero from here on, so reusing it re-zeroes only below.
     dirty: u64,
-    block: OnceCell<Box<[u8]>>,
+    block: OnceCell<shelf::Block>,
 }
 
 impl Backing {
     fn bytes(&self) -> &[u8] {
-        &self.block.get_or_init(|| shelf::take(self.len as usize))[..self.len as usize]
+        let block = self.block.get_or_init(|| shelf::take(self.len as usize));
+        &block.bytes()[..self.len as usize]
     }
 
     /// The bytes, mutably, with everything below `end` counted as
@@ -41,7 +43,11 @@ impl Backing {
         self.bytes();
         self.dirty = self.dirty.max(end.min(self.len));
         let len = self.len as usize;
-        &mut self.block.get_mut().expect("materialised above")[..len]
+        &mut self
+            .block
+            .get_mut()
+            .expect("materialised above")
+            .bytes_mut()[..len]
     }
 }
 
@@ -297,6 +303,11 @@ pub struct Move<'a> {
     pub dst: Ptr,
     pub ops: &'a [CopyOp],
     pub extent: MoveExtent,
+    /// Land whole destination cache lines with streaming stores
+    /// ([`SegList::stream`]): for a destination nothing reads back soon.
+    /// Every backing starts on a cache line, so a simulated 64-byte
+    /// boundary is a host one.
+    pub stream: bool,
 }
 
 impl<'a> Move<'a> {
@@ -310,6 +321,7 @@ impl<'a> Move<'a> {
             dst_len: self.extent.dst_need as usize,
             bytes: self.extent.bytes as usize,
             ops: self.ops,
+            stream: self.stream,
         }
     }
 }
@@ -431,7 +443,8 @@ impl Memory {
     }
 
     /// [`Memory::transfer`] for a list whose [`MoveExtent`] the caller
-    /// already holds: the one-entry [`Memory::transfer_batch`].
+    /// already holds: the one-entry [`Memory::transfer_batch`], with
+    /// plain stores.
     pub fn transfer_measured(
         &mut self,
         src: Ptr,
@@ -447,6 +460,7 @@ impl Memory {
             dst,
             ops,
             extent,
+            stream: false,
         };
         self.transfer_batch(&[entry])
     }
@@ -851,6 +865,7 @@ mod tests {
             vec![op(100, 0, 50), op(0, 200, 50)],
             vec![op(8, 8, 8)],
             vec![],
+            vec![op(5, 3, 200)], // coarse: streams whole lines
         ];
         // (source, destination, base offsets) per entry: a run of two
         // between the same allocations, an aliased entry, a pair in the
@@ -863,6 +878,7 @@ mod tests {
             (3, 2, 100, 0, 4),
             (3, 2, 0, 128, 5),
             (3, 2, 7, 16, 0),
+            (1, 3, 0, 40, 6),
         ];
         let (mut one_by_one, mut batched) = (mem(), mem());
         let (a, b) = (four_buffers(&mut one_by_one), four_buffers(&mut batched));
@@ -875,6 +891,7 @@ mod tests {
                 dst: b[d].add(d_at),
                 ops: &lists[l],
                 extent: MoveExtent::of(&lists[l]),
+                stream: l % 2 == 0,
             })
             .collect();
         batched.transfer_batch(&moves).unwrap();
@@ -885,7 +902,7 @@ mod tests {
             );
         }
         assert_eq!(batched.bytes_moved(), one_by_one.bytes_moved());
-        assert_eq!(batched.bytes_moved(), 24 + 29 + 64 + 100 + 8 + 24);
+        assert_eq!(batched.bytes_moved(), 24 + 29 + 64 + 100 + 8 + 24 + 200);
         batched.transfer_batch(&[]).unwrap();
     }
 
@@ -905,6 +922,7 @@ mod tests {
                     dst,
                     ops,
                     extent: MoveExtent::of(ops),
+                    stream: true,
                 };
                 let mut moves = vec![entry(h, d0, &good[..]), entry(h, d0.add(16), &good[..])];
                 moves.insert(at, entry(d1, d0.add(32), bad));
@@ -932,6 +950,34 @@ mod tests {
                 assert_eq!(m.bytes_moved(), 0);
             }
         }
+    }
+
+    /// Every allocation's first byte is a host cache line's, whether its
+    /// backing is fresh or comes back from the shelf, below the shelf's
+    /// threshold and above it.
+    #[test]
+    fn every_backing_starts_on_a_cache_line() {
+        let sizes = [1, 100, 4096, shelf::SHELF_MIN_BYTES as u64 - 1]
+            .into_iter()
+            .chain([1, 3].map(|k| k * shelf::SHELF_MIN_BYTES as u64 + 16));
+        let aligned = |m: &Memory, p: Ptr| {
+            (m.slice(p, 1).unwrap().as_ptr() as usize).is_multiple_of(shelf::LINE)
+        };
+        shelf::clear();
+        for round in ["fresh", "reused"] {
+            let mut m = mem();
+            for (i, len) in sizes.clone().enumerate() {
+                let space = if i % 2 == 0 {
+                    MemSpace::Host
+                } else {
+                    MemSpace::Device(GpuId(0))
+                };
+                let p = m.alloc(space, len).unwrap();
+                assert!(aligned(&m, p), "{round} {len}");
+                m.write(p.add(len - 1), &[1]).unwrap();
+            }
+        }
+        assert_eq!(shelf::stats().hits, 2, "both large blocks came back");
     }
 
     /// A block a dropped `Memory` released reads as zeros to the next

@@ -27,6 +27,17 @@
 //! the end of the furthest mutable borrow — and everything past that is
 //! still zero, so a reused block is re-zeroed below its dirty extent
 //! only. [`stats`] counts the shelf's traffic, including those bytes.
+//!
+//! Every block's usable bytes start on a host cache line ([`LINE`]), so
+//! a simulated 64-byte boundary is a real one: a store that fills a
+//! simulated line fills one host line, and the copy layer's streaming
+//! stores cover it whole. glibc's `malloc` places a block of 128 KiB or
+//! more 16 bytes past a page and a smaller one at any 16-byte offset, so
+//! a block is allocated [`LINE`]` - 1` bytes longer than it is used and
+//! used from its first aligned byte on. The bytes before it — the
+//! **lead** — are fixed for the block's life, since a boxed slice never
+//! moves, and never written, so they stay zero; the dirty extent counts
+//! from the aligned start.
 
 use std::cell::RefCell;
 
@@ -66,9 +77,44 @@ pub struct ShelfStats {
     pub peak_idle_bytes: u64,
 }
 
-/// A released block; its bytes from `dirty` on are zero.
+/// The host cache line every block's usable bytes start on.
+pub const LINE: usize = 64;
+
+/// A zeroed heap block whose usable bytes start on a [`LINE`] boundary.
+pub(crate) struct Block {
+    raw: Box<[u8]>,
+    /// Bytes of `raw` before the first aligned one.
+    lead: usize,
+}
+
+impl Block {
+    /// A fresh block of `len` usable bytes, all zero.
+    fn fresh(len: usize) -> Block {
+        let raw = vec![0u8; len + LINE - 1].into_boxed_slice();
+        // An address is always alignable for `u8`; the `min` only keeps
+        // the window inside `raw` should `align_offset` ever decline.
+        let lead = raw.as_ptr().align_offset(LINE).min(LINE - 1);
+        Block { raw, lead }
+    }
+
+    /// Usable bytes: what the block was made for, wherever it landed.
+    pub(crate) fn len(&self) -> usize {
+        self.raw.len() - (LINE - 1)
+    }
+
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.raw[self.lead..][..self.len()]
+    }
+
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        let len = self.len();
+        &mut self.raw[self.lead..][..len]
+    }
+}
+
+/// A released block; its usable bytes from `dirty` on are zero.
 struct Idle {
-    block: Box<[u8]>,
+    block: Block,
     dirty: usize,
 }
 
@@ -83,22 +129,18 @@ thread_local! {
     static SHELF: RefCell<Shelf> = RefCell::new(Shelf::default());
 }
 
-fn fresh(len: usize) -> Box<[u8]> {
-    vec![0u8; len].into_boxed_slice()
-}
-
-/// A block of at least `len` bytes, all zero.
-pub(crate) fn take(len: usize) -> Box<[u8]> {
+/// A block of at least `len` usable bytes, all zero.
+pub(crate) fn take(len: usize) -> Block {
     if len < SHELF_MIN_BYTES {
-        return fresh(len);
+        return Block::fresh(len);
     }
     SHELF
         .try_with(|s| s.borrow_mut().take(len))
-        .unwrap_or_else(|_| fresh(len))
+        .unwrap_or_else(|_| Block::fresh(len))
 }
 
-/// Release `block`, whose bytes from `dirty` on are zero.
-pub(crate) fn put(block: Box<[u8]>, dirty: usize) {
+/// Release `block`, whose usable bytes from `dirty` on are zero.
+pub(crate) fn put(block: Block, dirty: usize) {
     if block.len() >= SHELF_MIN_BYTES {
         // During thread teardown the shelf may be gone: the block drops.
         let _ = SHELF.try_with(|s| s.borrow_mut().put(block, dirty));
@@ -111,7 +153,7 @@ pub fn stats() -> ShelfStats {
 }
 
 impl Shelf {
-    fn take(&mut self, len: usize) -> Box<[u8]> {
+    fn take(&mut self, len: usize) -> Block {
         self.stats.takes += 1;
         // Best fit; among equal sizes the most recently shelved.
         let best = (self.idle.iter().enumerate().rev())
@@ -120,7 +162,7 @@ impl Shelf {
             .map(|(i, _)| i);
         if let Some(i) = best {
             let Idle { mut block, dirty } = self.idle.remove(i);
-            block[..dirty].fill(0);
+            block.bytes_mut()[..dirty].fill(0);
             self.stats.hits += 1;
             self.stats.zeroed_bytes += dirty as u64;
             self.stats.idle_bytes -= block.len() as u64;
@@ -137,10 +179,10 @@ impl Shelf {
         }
         self.stats.evicted += n as u64;
         self.stats.fresh += 1;
-        fresh(len)
+        Block::fresh(len)
     }
 
-    fn put(&mut self, block: Box<[u8]>, dirty: usize) {
+    fn put(&mut self, block: Block, dirty: usize) {
         let idle = self.stats.idle_bytes + block.len() as u64;
         if idle > SHELF_CAP_BYTES as u64 {
             return;
@@ -168,9 +210,9 @@ mod tests {
     #[test]
     fn only_blocks_past_the_threshold_are_shelved_or_served() {
         clear();
-        put(fresh(MIN - 1), 0);
+        put(Block::fresh(MIN - 1), 0);
         assert_eq!(stats(), ShelfStats::default(), "a small block just drops");
-        put(fresh(MIN), 0);
+        put(Block::fresh(MIN), 0);
         assert_eq!(stats().idle_bytes, MIN as u64);
         // A small request does not look at the shelf, even where a
         // shelved block would hold it.
@@ -184,14 +226,14 @@ mod tests {
     #[test]
     fn the_idle_total_never_passes_the_cap() {
         clear();
-        put(fresh(SHELF_CAP_BYTES + 1), 0);
+        put(Block::fresh(SHELF_CAP_BYTES + 1), 0);
         assert_eq!(stats().idle_bytes, 0, "above the cap even when empty");
         let quarter = SHELF_CAP_BYTES / 4;
         for _ in 0..4 {
-            put(fresh(quarter), 0);
+            put(Block::fresh(quarter), 0);
         }
         assert_eq!(stats().idle_bytes, SHELF_CAP_BYTES as u64);
-        put(fresh(MIN), 0);
+        put(Block::fresh(MIN), 0);
         let st = stats();
         assert_eq!(
             st.idle_bytes, SHELF_CAP_BYTES as u64,
@@ -200,7 +242,7 @@ mod tests {
         assert_eq!(st.peak_idle_bytes, SHELF_CAP_BYTES as u64);
         // Room made by a take is room again.
         take(quarter);
-        put(fresh(MIN), 0);
+        put(Block::fresh(MIN), 0);
         assert_eq!(stats().idle_bytes, (3 * quarter + MIN) as u64);
     }
 
@@ -208,14 +250,14 @@ mod tests {
     fn a_take_gets_the_smallest_block_that_holds_it_zeroed_below_its_dirty_end() {
         clear();
         for kib in [512, 256, 1024, 384] {
-            let mut block = fresh(kib << 10);
-            block[..1000].fill(7);
+            let mut block = Block::fresh(kib << 10);
+            block.bytes_mut()[..1000].fill(7);
             put(block, 1000);
         }
         for (want, got) in [(200, 256), (300, 384), (257, 512), (384, 1024)] {
             let block = take(want << 10);
             assert_eq!(block.len(), got << 10, "a {want} KiB request");
-            assert!(block.iter().all(|&b| b == 0));
+            assert!(block.raw.iter().all(|&b| b == 0));
         }
         let st = stats();
         assert_eq!((st.takes, st.hits, st.fresh, st.evicted), (4, 4, 0, 0));
@@ -227,7 +269,7 @@ mod tests {
     fn a_miss_evicts_the_coldest_blocks_totalling_at_least_the_request() {
         clear();
         for kib in [128, 256, 192, 320] {
-            put(fresh(kib << 10), 0);
+            put(Block::fresh(kib << 10), 0);
         }
         // 400 KiB: no block holds it; 128 + 256 KiB is short of it, so
         // the first three go and 320 KiB stays.
@@ -240,25 +282,37 @@ mod tests {
         assert_eq!((stats().evicted, stats().idle_bytes), (4, 0));
     }
 
+    fn aligned(block: &Block) -> bool {
+        (block.bytes().as_ptr() as usize).is_multiple_of(LINE)
+    }
+
     /// Live blocks plus idle ones never exceed the peak of the live
-    /// blocks alone, over a seeded mix of takes and releases.
+    /// blocks alone, over a seeded mix of takes and releases. Every
+    /// block starts on a line, fresh or reused, and a reused one reads
+    /// zero — its lead included — wherever its last owner wrote below
+    /// the dirty end it reported.
     #[test]
     fn evict_before_fresh_keeps_the_footprint_under_the_live_peak() {
         clear();
         let mut rng = SimRng::new(31);
-        let mut live: Vec<Box<[u8]>> = Vec::new();
+        let mut live: Vec<Block> = Vec::new();
         let (mut live_bytes, mut peak_live) = (0usize, 0usize);
         for _ in 0..4000 {
             if live.is_empty() || rng.chance(0.55) {
                 let len = MIN * rng.range(1, 24) + rng.range(0, 4096);
                 let block = take(len);
-                assert!(block.len() >= len);
+                assert!(block.len() >= len && aligned(&block));
+                // Everything a last owner may have written, and more:
+                // the lead and 4 KiB, past the 2 KiB dirty ends below.
+                assert!(block.raw[..block.lead + 4096].iter().all(|&b| b == 0));
                 live_bytes += block.len();
                 live.push(block);
             } else {
-                let block = live.swap_remove(rng.range(0, live.len()));
+                let mut block = live.swap_remove(rng.range(0, live.len()));
                 live_bytes -= block.len();
-                put(block, 0);
+                let dirty = rng.range(0, 2048);
+                block.bytes_mut()[..dirty].fill(0xA5);
+                put(block, dirty);
             }
             peak_live = peak_live.max(live_bytes);
             let idle = stats().idle_bytes as usize;
@@ -270,5 +324,19 @@ mod tests {
         let st = stats();
         assert!(st.hits > 1000 && st.evicted > 100, "{st:?}");
         assert_eq!(st.takes, st.hits + st.fresh);
+    }
+
+    #[test]
+    fn every_block_starts_on_a_line_fresh_or_reused() {
+        clear();
+        for len in [1, 63, 64, 4096, MIN - 1, MIN, MIN + 1, 4 * MIN] {
+            let block = take(len);
+            assert!(aligned(&block) && block.len() >= len, "fresh {len}");
+            put(block, len);
+            let block = take(len);
+            assert!(aligned(&block), "{len} after the shelf");
+            assert!(block.bytes().iter().all(|&b| b == 0));
+        }
+        assert_eq!(stats().hits, 3, "the blocks from MIN up came back");
     }
 }

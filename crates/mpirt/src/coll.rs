@@ -63,6 +63,31 @@ impl Coll {
     }
 }
 
+/// A collective's arguments against the world: every buffer table
+/// holds one pointer per rank, and the root, if any, is a rank.
+fn check_args(sim: &Sim<MpiWorld>, tables: &[&[Ptr]], root: Option<usize>) -> Result<(), MpiError> {
+    let p = sim.world.mpi.ranks.len();
+    if let Some(t) = tables.iter().find(|t| t.len() != p) {
+        return Err(MpiError::Mem(format!(
+            "{} buffers for a {p}-rank world",
+            t.len()
+        )));
+    }
+    match root {
+        Some(root) if root >= p => Err(MpiError::Mem(format!(
+            "root {root} outside a {p}-rank world"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// A request already failed with `e`: the collective posts nothing.
+fn failed(sim: &mut Sim<MpiWorld>, e: MpiError) -> Request {
+    let req = Request::new();
+    req.complete(sim, Err(e));
+    req
+}
+
 /// `n` unresolved parts and the request that joins them.
 fn parts(sim: &mut Sim<MpiWorld>, n: usize) -> (Vec<Request>, Request) {
     let parts: Vec<Request> = (0..n).map(|_| Request::new()).collect();
@@ -131,7 +156,9 @@ fn self_copy(
 }
 
 /// Broadcast `count` instances of `ty` from `root`'s buffer to every
-/// rank, binomial tree. Completes when all ranks have the data.
+/// rank, binomial tree. Completes when all ranks have the data. Fails
+/// at once with `MpiError::Mem`, posting nothing, unless `bufs` holds
+/// one buffer per rank and `root` is a rank.
 pub fn bcast(
     sim: &mut Sim<MpiWorld>,
     root: usize,
@@ -140,9 +167,10 @@ pub fn bcast(
     bufs: &[Ptr],
     op_tag: u64,
 ) -> Request {
+    if let Err(e) = check_args(sim, &[bufs], Some(root)) {
+        return failed(sim, e);
+    }
     let p = bufs.len();
-    assert_eq!(p, sim.world.mpi.ranks.len(), "one buffer per rank");
-    assert!(root < p, "the root is a rank");
     let done = Request::new();
     if p == 1 {
         done.complete(sim, Ok(0));
@@ -204,7 +232,8 @@ fn fan_out(
 /// Ring allgather: every rank contributes `count` instances of `ty`
 /// from `send_bufs[r]`; each rank's `recv_bufs[r]` holds `p` blocks
 /// (block `i` at offset `i * count * extent`). Completes when all ranks
-/// hold everything.
+/// hold everything. Fails at once with `MpiError::Mem`, posting
+/// nothing, unless both tables hold one buffer per rank.
 pub fn allgather(
     sim: &mut Sim<MpiWorld>,
     ty: &DataType,
@@ -213,9 +242,10 @@ pub fn allgather(
     recv_bufs: &[Ptr],
     op_tag: u64,
 ) -> Request {
-    let p = send_bufs.len();
-    assert_eq!(p, recv_bufs.len());
-    let (rings, all) = parts(sim, p);
+    if let Err(e) = check_args(sim, &[send_bufs, recv_bufs], None) {
+        return failed(sim, e);
+    }
+    let (rings, all) = parts(sim, send_bufs.len());
     let cx = Rc::new(Coll {
         ty: ty.clone(),
         count,
@@ -242,7 +272,9 @@ pub fn allgather(
 
 /// Pairwise alltoall: rank r's `send_bufs[r]` holds `p` blocks of
 /// `count` instances; block `i` goes to rank `i`, landing in block `r`
-/// of `recv_bufs[i]`. `p-1` exchange rounds plus a local copy.
+/// of `recv_bufs[i]`. `p-1` exchange rounds plus a local copy. Fails
+/// at once with `MpiError::Mem`, posting nothing, unless both tables
+/// hold one buffer per rank.
 pub fn alltoall(
     sim: &mut Sim<MpiWorld>,
     ty: &DataType,
@@ -251,8 +283,10 @@ pub fn alltoall(
     recv_bufs: &[Ptr],
     op_tag: u64,
 ) -> Request {
+    if let Err(e) = check_args(sim, &[send_bufs, recv_bufs], None) {
+        return failed(sim, e);
+    }
     let p = send_bufs.len();
-    assert_eq!(p, recv_bufs.len());
     let (mut rounds, all) = parts(sim, 2 * p);
     let locals = rounds.split_off(p);
     let cx = Rc::new(Coll {
@@ -286,11 +320,7 @@ pub fn barrier(sim: &mut Sim<MpiWorld>, op_tag: u64) -> Request {
     // Tiny host scratch per rank, released when the barrier resolves.
     let scratch = match sim.world.mem().alloc(MemSpace::Host, 8 * p as u64) {
         Ok(base) => base,
-        Err(e) => {
-            let failed = Request::new();
-            failed.complete(sim, Err(MpiError::Mem(e.to_string())));
-            return failed;
-        }
+        Err(e) => return failed(sim, MpiError::Mem(e.to_string())),
     };
     let slots: Vec<Ptr> = (0..p).map(|r| scratch.add(8 * r as u64)).collect();
     let (rounds, all) = parts(sim, p);
@@ -551,6 +581,56 @@ mod tests {
             println!("{which}: {landed} blocks landed, {posted} postings left unmatched");
             assert!(landed >= 2, "{which}: transfers before the failure land");
         }
+    }
+
+    /// A collective called with a buffer table that does not hold one
+    /// buffer per rank, or a root that is not a rank, fails at once with
+    /// `MpiError::Mem` and posts nothing.
+    fn refuses(which: &str, call: impl FnOnce(&mut Sim<MpiWorld>, &[Ptr], &[Ptr]) -> Request) {
+        let mut sim = four_ranks();
+        let bufs: Vec<Ptr> = (0..4).map(|r| dev_alloc(&mut sim, r, 64)).collect();
+        let req = call(&mut sim, &bufs, &bufs[..3]);
+        assert!(
+            matches!(req.result(), Some(Err(MpiError::Mem(_)))),
+            "{which}: {:?}",
+            req.result()
+        );
+        assert_eq!(sim.world.mpi.matcher.pending(), 0, "{which} posted");
+        assert!(!sim.step(), "{which} scheduled work");
+        assert_eq!(sim.world.mem_ref().bytes_moved(), 0, "{which} moved bytes");
+    }
+
+    #[test]
+    fn bcast_with_bad_arguments_fails_at_once() {
+        let ty = DataType::byte().commit();
+        refuses("short table", |sim, _, three| {
+            bcast(sim, 0, &ty, 8, three, 0)
+        });
+        refuses("root past the world", |sim, four, _| {
+            bcast(sim, 4, &ty, 8, four, 0)
+        });
+    }
+
+    #[test]
+    fn allgather_with_bad_arguments_fails_at_once() {
+        let ty = DataType::byte().commit();
+        refuses("short receive table", |sim, four, three| {
+            allgather(sim, &ty, 8, four, three, 0)
+        });
+        refuses("both tables short", |sim, _, three| {
+            allgather(sim, &ty, 8, three, three, 0)
+        });
+    }
+
+    #[test]
+    fn alltoall_with_bad_arguments_fails_at_once() {
+        let ty = DataType::byte().commit();
+        refuses("short send table", |sim, four, three| {
+            alltoall(sim, &ty, 8, three, four, 0)
+        });
+        refuses("both tables short", |sim, _, three| {
+            alltoall(sim, &ty, 8, three, three, 0)
+        });
     }
 
     /// A barrier releases its scratch when it resolves: a fence per

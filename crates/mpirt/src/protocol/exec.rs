@@ -368,6 +368,8 @@ struct Queued {
     dst: Ptr,
     list: QueuedList,
     extent: MoveExtent,
+    /// The plan's [`TransferPlan::stream`].
+    stream: bool,
 }
 
 impl Queued {
@@ -377,6 +379,7 @@ impl Queued {
             dst: self.dst,
             ops: self.list.ops(),
             extent: self.extent,
+            stream: self.stream,
         }
     }
 }
@@ -810,6 +813,7 @@ fn queue_fragment(
         dst,
         list,
         extent,
+        stream: st.borrow().t.plan.stream,
     };
     let (due, alone) = {
         let mut x = st.borrow_mut();

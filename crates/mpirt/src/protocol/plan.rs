@@ -148,6 +148,13 @@ pub struct TransferPlan {
     /// Protocol span name; the offload classes and the eager halves
     /// have none.
     pub span: Option<Name>,
+    /// The executor lands the plan's bytes with streaming stores
+    /// ([`memsim::Move::stream`]), as a GPU unpack kernel writes whole
+    /// transactions without reading them first. Only the eager delivery
+    /// half streams: its landing is at most one eager message, and
+    /// nothing re-reads it the way a ping-pong re-reads a landing still
+    /// in cache.
+    pub stream: bool,
 }
 
 impl TransferPlan {
@@ -324,6 +331,7 @@ pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> Transfer
         ring,
         credit,
         span,
+        stream: false,
     }
 }
 
@@ -336,7 +344,8 @@ pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> Transfer
 /// copy-in/out endpoint, a dense user side keeps its conversion pass.
 /// One fragment, no ring, no span: [`Credit::Fused`] resolves the half
 /// when its pass lands. Its class is the copy-in/out one, which only
-/// tunes ring shapes.
+/// tunes ring shapes. The receiver's half streams its landing
+/// ([`TransferPlan::stream`]).
 pub fn eager_half(end: End, typed: &Side, n: u64) -> TransferPlan {
     let frag = Loc::User(end.other());
     let mut stages = Stages::default();
@@ -353,5 +362,76 @@ pub fn eager_half(end: End, typed: &Side, n: u64) -> TransferPlan {
         ring: false,
         credit: Credit::Fused,
         span: None,
+        stream: end == End::Recv,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use datatype::DataType;
+    use memsim::{AllocId, GpuId, MemSpace, Ptr};
+
+    /// Only the eager delivery half streams its landing: every other
+    /// plan — the eager pack half, and every class [`plan_for`] builds
+    /// over every side and fact combination — lands with plain stores.
+    #[test]
+    fn only_the_eager_delivery_half_streams() {
+        use PathClass::*;
+        let classes = [SmIpc, CopyInOut, ZeroCopy, NicOffload, StreamTriggered];
+        // A new class fails to compile here until it joins the table.
+        for class in classes {
+            match class {
+                SmIpc | CopyInOut | ZeroCopy | NicOffload | StreamTriggered => {}
+            }
+        }
+        let dense = DataType::contiguous(512, &DataType::double())
+            .unwrap()
+            .commit();
+        let strided = DataType::vector(64, 32, 64, &DataType::double())
+            .unwrap()
+            .commit();
+        let mut sides = Vec::new();
+        for (rank, space) in [MemSpace::Host, MemSpace::Device(GpuId(0))]
+            .into_iter()
+            .enumerate()
+        {
+            for ty in [&dense, &strided] {
+                sides.push(Side {
+                    rank,
+                    ty: ty.clone(),
+                    count: 1,
+                    buf: Ptr {
+                        space,
+                        alloc: AllocId(0),
+                        offset: 0,
+                    },
+                });
+            }
+        }
+        let mut rows = 0;
+        for typed in &sides {
+            let n = typed.total();
+            for (end, streams) in [(End::Send, false), (End::Recv, true)] {
+                assert_eq!(eager_half(end, typed, n).stream, streams, "eager {end:?}");
+                rows += 1;
+            }
+            for r in &sides {
+                for class in classes {
+                    for bits in 0..8u8 {
+                        let facts = Facts {
+                            same_gpu: bits & 1 != 0,
+                            recv_local_staging: bits & 2 != 0,
+                            zero_copy: bits & 4 != 0,
+                            frag_size: 4096,
+                            depth: 2,
+                        };
+                        assert!(!plan_for(&facts, typed, r, class).stream, "{class:?}");
+                        rows += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(rows, 4 * 2 + 4 * 4 * 5 * 8);
     }
 }

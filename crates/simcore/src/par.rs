@@ -72,6 +72,11 @@ pub struct SegList<'a> {
     /// coverage.
     pub bytes: usize,
     pub ops: &'a [CopyOp],
+    /// Land the whole destination cache lines of a coarse list with
+    /// non-temporal stores ([`copy_ops_stream`]): for a destination
+    /// nothing reads back soon, so a store need not first fetch the
+    /// line it overwrites. A fine list ignores it.
+    pub stream: bool,
 }
 
 impl<'a> SegList<'a> {
@@ -84,6 +89,7 @@ impl<'a> SegList<'a> {
             dst_len: dst.len(),
             bytes,
             ops,
+            stream: false,
         }
     }
 }
@@ -250,6 +256,8 @@ fn worker_loop(rx: Receiver<Job>) {
         // lanes (debug-checked before submission).
         unsafe {
             let lists = std::slice::from_raw_parts(job.lists, job.lists_len);
+            // A lane that streamed has fenced by the time this returns,
+            // so the Release decrement below publishes all its stores.
             copy_span(job.dst, job.src, lists, job.from, job.to);
             // Clone the caller handle *before* the decrement: once
             // `remaining` hits zero the Completion may be freed.
@@ -332,6 +340,9 @@ fn partition(lists: &[SegList<'_>], n: usize, cuts: &mut [Cut; MAX_POOL_THREADS 
 
 /// Copy the stretch `from..to` of the batch's segment stream: the tail
 /// of a segment `from` cuts, whole segments, the head of one `to` cuts.
+/// A list that streams ([`takes_stream_loop`]) goes through the stream
+/// loop, the rest through the tier loop; if any streamed, the lane
+/// fences before it returns, so its completion publishes those stores.
 ///
 /// # Safety
 /// Every segment of `lists` must lie inside `src` and `dst`
@@ -339,6 +350,7 @@ fn partition(lists: &[SegList<'_>], n: usize, cuts: &mut [Cut; MAX_POOL_THREADS 
 /// bytes of the stretch meanwhile, and `from..to` must come from
 /// [`partition`] over the same `lists`.
 unsafe fn copy_span(dst: *mut u8, src: *const u8, lists: &[SegList<'_>], from: Cut, to: Cut) {
+    let mut streamed = false;
     for (li, l) in lists.iter().enumerate().take(to.list + 1).skip(from.list) {
         let (mut op, byte) = if li == from.list {
             (from.op, from.byte)
@@ -358,6 +370,13 @@ unsafe fn copy_span(dst: *mut u8, src: *const u8, lists: &[SegList<'_>], from: C
                 len: b - a,
             }]
         };
+        let stream = takes_stream_loop(l);
+        streamed |= stream;
+        let copy: SegLoop = if stream {
+            copy_ops_stream
+        } else {
+            copy_ops_raw
+        };
         // SAFETY: the caller's contract — the list's windows and every
         // segment in them are in bounds, and a cut lies inside its
         // segment, so each part is too.
@@ -365,18 +384,19 @@ unsafe fn copy_span(dst: *mut u8, src: *const u8, lists: &[SegList<'_>], from: C
             let (s, d) = (src.add(l.src_at), dst.add(l.dst_at));
             if byte > 0 {
                 let stop = if op == end { tail } else { l.ops[op].len };
-                copy_ops_raw(d, s, &part(l.ops[op], byte, stop));
+                copy(d, s, &part(l.ops[op], byte, stop));
                 if op == end {
                     continue;
                 }
                 op += 1;
             }
-            copy_ops_raw(d, s, &l.ops[op..end]);
+            copy(d, s, &l.ops[op..end]);
             if tail > 0 {
-                copy_ops_raw(d, s, &part(l.ops[end], 0, tail));
+                copy(d, s, &part(l.ops[end], 0, tail));
             }
         }
     }
+    fence_streamed(streamed);
 }
 
 /// Run the two or more lanes `cuts` describes (lane `k` is
@@ -470,6 +490,79 @@ unsafe fn copy_ops_raw(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
     }
 }
 
+/// A single-thread segment loop: [`copy_ops_raw`], [`copy_ops_masked`]
+/// or [`copy_ops_stream`].
+type SegLoop = unsafe fn(*mut u8, *const u8, &[CopyOp]);
+
+/// Whether this build has [`copy_ops_stream`]. SSE2, and with it the
+/// non-temporal 16-byte store, is baseline on x86_64, so no detection
+/// is needed. Miri cannot run the loop — `std` writes
+/// `_mm_stream_si128` as inline assembly — so under Miri, as on every
+/// other target, a streamed list takes the tier loop.
+const STREAM_LOOP: bool = cfg!(all(target_arch = "x86_64", not(miri)));
+
+/// [`copy_ops_raw`] for a destination nothing reads back soon, the way
+/// a GPU unpack kernel writes whole memory transactions: each segment's
+/// head up to the first destination cache-line boundary and its tail
+/// past the last go through [`copy_segment`]; every whole line between
+/// moves with four unaligned 16-byte loads and four non-temporal
+/// stores, which write the line without first reading it for
+/// ownership. The stores are weakly ordered: a lane that ran this loop
+/// must [`fence_streamed`] before it reports completion.
+///
+/// # Safety
+/// [`copy_ops_raw`]'s contract.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+unsafe fn copy_ops_stream(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
+    use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_stream_si128};
+    for o in ops {
+        // SAFETY: bounds validated by the caller; destinations disjoint.
+        // `head + lines · 64 + rest == len`, so every access stays in
+        // the segment; each streamed store is 16-byte aligned, since
+        // the line it lies in starts on a 64-byte boundary.
+        unsafe {
+            let (mut s, mut d) = (src.add(o.src_off), dst.add(o.dst_off));
+            let head = d.align_offset(CACHE_LINE).min(o.len);
+            copy_segment(s, d, head);
+            (s, d) = (s.add(head), d.add(head));
+            let lines = (o.len - head) / CACHE_LINE;
+            for _ in 0..lines {
+                for k in 0..CACHE_LINE / 16 {
+                    let v = _mm_loadu_si128(s.cast::<__m128i>().add(k));
+                    _mm_stream_si128(d.cast::<__m128i>().add(k), v);
+                }
+                (s, d) = (s.add(CACHE_LINE), d.add(CACHE_LINE));
+            }
+            copy_segment(s, d, o.len - head - lines * CACHE_LINE);
+        }
+    }
+}
+
+/// Where the build has no stream loop the tier loop stands in for it
+/// ([`takes_stream_loop`] is then always false).
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+use copy_ops_raw as copy_ops_stream;
+
+/// Whether `l` moves through [`copy_ops_stream`]: it asks to
+/// ([`SegList::stream`]), it is not fine-grained — a fine list keeps
+/// the masked / tier loop, whose short segments rarely hold a whole
+/// line — and the build has the loop.
+fn takes_stream_loop(l: &SegList<'_>) -> bool {
+    STREAM_LOOP && l.stream && !is_fine(l)
+}
+
+/// Make this thread's non-temporal stores visible before what follows:
+/// a release store (the pool's latch) does not order them on x86.
+fn fence_streamed(streamed: bool) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if streamed {
+        // SAFETY: `sfence` needs SSE, which every x86_64 CPU has.
+        unsafe { std::arch::x86_64::_mm_sfence() };
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = streamed;
+}
+
 /// Segments up to this length move as one masked register in
 /// [`copy_ops_masked`]: a 512-bit register holds 64 bytes.
 #[cfg(target_arch = "x86_64")]
@@ -526,11 +619,17 @@ unsafe fn copy_ops_masked(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
     }
 }
 
+/// Whether `l` is fine-grained: its mean segment is under
+/// [`CHUNKED_COPY_MAX`].
+fn is_fine(l: &SegList<'_>) -> bool {
+    l.bytes / CHUNKED_COPY_MAX < l.ops.len()
+}
+
 /// Whether the one-lane path moves `l` through the masked loop: the list
-/// is fine-grained — mean segment under [`CHUNKED_COPY_MAX`] — and the
-/// CPU has the loop. Every other list takes the tier loop.
+/// is fine-grained and the CPU has the loop. Every other list takes the
+/// stream loop ([`takes_stream_loop`]) or the tier loop.
 fn takes_masked_loop(l: &SegList<'_>) -> bool {
-    l.bytes / CHUNKED_COPY_MAX < l.ops.len() && masked_copy_available()
+    is_fine(l) && masked_copy_available()
 }
 
 /// Parallel contiguous copy: `dst.copy_from_slice(src)`, the one-list,
@@ -652,12 +751,18 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
     // One lane is the whole stream, inline; the small copies that
     // dominate by count never see a cut or the pool.
     let (dst, src) = (dst.as_mut_ptr(), src.as_ptr());
+    let mut streamed = false;
     for l in lists {
         // SAFETY: bounds asserted above; a single thread writes dst; the
         // masked loop runs only where `masked_copy_available` found its
         // features.
         unsafe {
             let (d, s) = (dst.add(l.dst_at), src.add(l.src_at));
+            if takes_stream_loop(l) {
+                copy_ops_stream(d, s, l.ops);
+                streamed = true;
+                continue;
+            }
             if takes_masked_loop(l) {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -668,6 +773,7 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
             copy_ops_raw(d, s, l.ops);
         }
     }
+    fence_streamed(streamed);
 }
 
 #[cfg(test)]
@@ -827,6 +933,7 @@ mod tests {
             dst_len: bytes,
             bytes,
             ops,
+            stream: false,
         };
         let lists = [
             list(100, 0, f, &fine[..]),
@@ -998,6 +1105,7 @@ mod tests {
                 dst_len,
                 bytes: 16,
                 ops,
+                stream: false,
             }
         }
         let src = vec![7u8; 64];
@@ -1063,6 +1171,7 @@ mod tests {
             dst_len: 8,
             bytes: 8,
             ops: &ops,
+            stream: false,
         };
         par_transfer_batch(&mut dst, &src, &[list(0), list(4)]);
     }
@@ -1117,19 +1226,21 @@ mod tests {
         }
     }
 
-    /// A single-thread segment loop: [`copy_ops_raw`] or
-    /// [`copy_ops_masked`].
-    type SegLoop = unsafe fn(*mut u8, *const u8, &[CopyOp]);
-
-    /// The tier loop, and the masked loop where this CPU has it (saying
-    /// so when it does not; under Miri detection reports it absent).
+    /// The tier loop, the stream loop where the build has it, and the
+    /// masked loop where this CPU has it (saying so when either is
+    /// missing; under Miri both are).
     fn segment_loops() -> Vec<(&'static str, SegLoop)> {
         let mut loops: Vec<(&'static str, SegLoop)> = vec![("tier", copy_ops_raw)];
+        if STREAM_LOOP {
+            loops.push(("stream", copy_ops_stream));
+        } else {
+            eprintln!("stream segment loop skipped: not built for this target (or under Miri)");
+        }
         #[cfg(target_arch = "x86_64")]
         if masked_copy_available() {
             loops.push(("masked", copy_ops_masked));
         }
-        if loops.len() == 1 {
+        if !loops.iter().any(|&(name, _)| name == "masked") {
             eprintln!("masked segment loop skipped: the CPU lacks avx512f, avx512bw or bmi2");
         }
         loops
@@ -1148,11 +1259,12 @@ mod tests {
         const SEGS: usize = 3;
         // Payload bytes never equal the guard, so a byte a loop failed
         // to write cannot pass for one it wrote.
-        let src: Vec<u8> = (0..2 * CACHE_LINE + SEGS * (256 + 16))
+        const MAX_LEN: usize = 300;
+        let src: Vec<u8> = (0..2 * CACHE_LINE + SEGS * (MAX_LEN + 16))
             .map(|i| (i % 237) as u8)
             .collect();
         let loops = segment_loops();
-        for len in 0..=256usize {
+        for len in 0..=MAX_LEN {
             for mis in 0..CACHE_LINE {
                 // Every source and every destination misalignment at
                 // every length; the pairing shifts with the length.
@@ -1181,6 +1293,7 @@ mod tests {
                         // masked loop is in `loops` only where the CPU
                         // has its features.
                         unsafe { copy(dst.as_mut_ptr().add(d0), src.as_ptr(), &ops) };
+                        fence_streamed(name == "stream");
                         assert!(
                             dst == want,
                             "{name}: len={len} src mis={mis} dst mis={d_mis} gap={gap}"
@@ -1219,42 +1332,78 @@ mod tests {
             dst_len,
             bytes,
             ops,
+            stream: false,
         };
-        let lists = [
+        let plain = [
             list(0, c_at, 0, b, b, &big[..]),
             list(c_at, 64 * 320, b, c, c, &coarse[..]),
             list(f_at, f_src, b + c, f_dst, f, &fine[..]),
         ];
         assert!(lanes_wanted(b + c + f, 1024 + 64 + 700) >= 2);
-        assert!(!takes_masked_loop(&lists[0]) && !takes_masked_loop(&lists[1]));
-        assert_eq!(takes_masked_loop(&lists[2]), masked_copy_available());
+        assert!(!takes_masked_loop(&plain[0]) && !takes_masked_loop(&plain[1]));
+        assert_eq!(takes_masked_loop(&plain[2]), masked_copy_available());
         // The sequential reference: one bounds-checked slice copy per op.
         let mut want = vec![0u8; b + c + f_dst];
-        for l in &lists {
+        for l in &plain {
             for o in l.ops {
                 let (s, d) = (l.src_at + o.src_off, l.dst_at + o.dst_off);
                 want[d..d + o.len].copy_from_slice(&src[s..s + o.len]);
             }
         }
-        // As the lane rule runs the batch (pooled, every list through
-        // the tier loop), on one lane (each list through its own loop),
-        // split on this thread, and a list per batch.
-        let mut dst = vec![0u8; want.len()];
-        par_transfer_batch(&mut dst, &src, &lists);
-        assert!(dst == want, "lane rule");
-        for n in [1usize, 2, 3, 8] {
+        // No list streams, then each mix of streamed and plain lists:
+        // the big one alone (the pooled lanes stream it), the other two.
+        for streams in [[false; 3], [true, false, false], [false, true, true]] {
+            let mut lists = plain;
+            for (l, stream) in lists.iter_mut().zip(streams) {
+                l.stream = stream;
+            }
+            let streamed = lists.iter().map(takes_stream_loop).collect::<Vec<_>>();
+            let asked = streams.map(|s| s && STREAM_LOOP);
+            assert_eq!(streamed, [asked[0], asked[1], false], "{streams:?}");
+            // As the lane rule runs the batch (pooled, every list
+            // through the tier or stream loop), on one lane (each list
+            // through its own loop), split on this thread, and a list
+            // per batch.
+            let mut dst = vec![0u8; want.len()];
+            par_transfer_batch(&mut dst, &src, &lists);
+            assert!(dst == want, "{streams:?}: lane rule");
+            for n in [1usize, 2, 3, 4, 8] {
+                dst.fill(0);
+                transfer_with(&mut dst, &src, &lists, n.min(pool_info().threads));
+                assert!(dst == want, "{streams:?} n={n}, pooled");
+                dst.fill(0);
+                run_split(&mut dst, &src, &lists, n);
+                assert!(dst == want, "{streams:?} n={n}, split");
+            }
             dst.fill(0);
-            transfer_with(&mut dst, &src, &lists, n.min(pool_info().threads));
-            assert!(dst == want, "n={n}, pooled");
-            dst.fill(0);
-            run_split(&mut dst, &src, &lists, n);
-            assert!(dst == want, "n={n}, split");
+            for l in &lists {
+                par_transfer_batch(&mut dst, &src, std::slice::from_ref(l));
+            }
+            assert!(dst == want, "{streams:?}: a list per batch");
         }
-        dst.fill(0);
-        for l in &lists {
-            par_transfer_batch(&mut dst, &src, std::slice::from_ref(l));
-        }
-        assert!(dst == want, "a list per batch");
+    }
+
+    #[test]
+    fn a_fine_list_marked_stream_keeps_the_masked_or_tier_loop() {
+        let sum = |ops: &[CopyOp]| ops.iter().map(|o| o.len).sum::<usize>();
+        // Mean segment 127 bytes (fine) and 128 bytes (coarse).
+        let fine: Vec<CopyOp> = (0..64).map(|i| op(i * 256, i * 127, 127)).collect();
+        let coarse: Vec<CopyOp> = (0..64).map(|i| op(i * 256, i * 128, 128)).collect();
+        let src = vec![0u8; 64 * 256];
+        let dst = vec![0u8; 64 * 128];
+        let marked = |ops| SegList {
+            stream: true,
+            ..SegList::whole(&dst, &src, ops, sum(ops))
+        };
+        let (fine, coarse) = (marked(&fine), marked(&coarse));
+        assert!(!takes_stream_loop(&fine), "a fine list never streams");
+        assert_eq!(takes_masked_loop(&fine), masked_copy_available());
+        assert_eq!(takes_stream_loop(&coarse), STREAM_LOOP);
+        assert!(!takes_masked_loop(&coarse));
+        assert!(!takes_stream_loop(&SegList {
+            stream: false,
+            ..coarse
+        }));
     }
 
     #[test]
@@ -1315,7 +1464,12 @@ mod tests {
 /// count a latch down with a Release `fetch_sub`; the submitter spins
 /// on an Acquire load and reads the buffer once the latch hits zero.
 /// Loom verifies the Release/Acquire pair is what makes every worker
-/// write visible to the submitting thread.
+/// write visible to the submitting thread. That argument covers plain
+/// stores only: a lane that ran the stream loop issues `sfence` before
+/// its `fetch_sub` ([`copy_span`] ends with [`fence_streamed`]), because
+/// x86 orders non-temporal stores after no release store. Loom has no
+/// non-temporal stores, so the model's writes stand for the fenced
+/// ones.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use loom::cell::UnsafeCell;

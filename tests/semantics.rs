@@ -127,7 +127,10 @@ fn partial_receive_into_larger_type() {
             let send_ty = DataType::contiguous(doubles, &DataType::double())
                 .unwrap()
                 .commit();
-            let recv_ty = DataType::vector(doubles * 2 / 3, 3, 5, &DataType::double())
+            // The eager rows land 256-byte blocks 512 bytes apart, so the
+            // delivery half streams whole cache lines between guards.
+            let (block, stride) = if proto == "eager" { (32, 64) } else { (3, 5) };
+            let recv_ty = DataType::vector(doubles * 2 / block, block, stride, &DataType::double())
                 .unwrap()
                 .commit();
             assert!(recv_ty.size() > send_ty.size(), "{row}");
