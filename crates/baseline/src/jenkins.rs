@@ -43,10 +43,11 @@ pub fn jenkins_transfer(sim: &mut Sim<MpiWorld>, s: BaselineSide, r: BaselineSid
     let r_host = sim.world.mem().alloc(MemSpace::Host, total).unwrap();
 
     // Whole-datatype kernel, no CPU/GPU pipelining, no caching (MPICH
-    // regenerated the flattened representation per operation).
+    // regenerated the flattened representation per operation); the
+    // session's engine settings otherwise.
     let cfg = EngineConfig {
         pipeline: false,
-        ..Default::default()
+        ..sim.world.mpi.config.engine.clone()
     };
     let s_stream = sim.world.mpi.ranks[s.rank].kernel_stream;
     let s_copy = sim.world.mpi.ranks[s.rank].copy_stream;

@@ -10,20 +10,16 @@
 //!                   (the MVAPICH approach of §2.2)
 
 use baseline::{baseline_ping_pong, jenkins_ping_pong, BaselineSide};
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{alloc_typed, triangular};
-use devengine::EngineConfig;
 use gpusim::GpuArch;
-use mpirt::MpiConfig;
 use simcore::{SimTime, Tracer};
 
 fn jenkins_rtt(topo: Topo, arch: &'static GpuArch, n: u64, record: bool) -> (SimTime, Tracer) {
     let t = triangular(n);
-    let mut sess = topo
-        .session(arch, MpiConfig::default())
-        .record_if(record)
-        .build();
+    let mut sess = topo.session(arch, env::config()).record_if(record).build();
     let b0 = alloc_typed(&mut sess, 0, &t, 1, true, true);
     let b1 = alloc_typed(&mut sess, 1, &t, 1, true, false);
     let rtt = jenkins_ping_pong(
@@ -47,10 +43,7 @@ fn jenkins_rtt(topo: Topo, arch: &'static GpuArch, n: u64, record: bool) -> (Sim
 
 fn wang_rtt(topo: Topo, arch: &'static GpuArch, n: u64, record: bool) -> (SimTime, Tracer) {
     let t = triangular(n);
-    let mut sess = topo
-        .session(arch, MpiConfig::default())
-        .record_if(record)
-        .build();
+    let mut sess = topo.session(arch, env::config()).record_if(record).build();
     let b0 = alloc_typed(&mut sess, 0, &t, 1, true, true);
     let b1 = alloc_typed(&mut sess, 1, &t, 1, true, false);
     let rtt = baseline_ping_pong(
@@ -74,14 +67,9 @@ fn wang_rtt(topo: Topo, arch: &'static GpuArch, n: u64, record: bool) -> (SimTim
 
 fn main() {
     let opts = BenchOpts::parse();
-    let depth1 = MpiConfig {
-        pipeline_depth: 1,
-        engine: EngineConfig {
-            pipeline: false,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let mut depth1 = env::config();
+    depth1.pipeline_depth = 1;
+    depth1.engine.pipeline = false;
     for (topo, label, suffix) in [
         (Topo::Sm2Gpu, "shared memory, inter-GPU (ms RTT)", "sm2"),
         (Topo::Ib, "InfiniBand (ms RTT)", "ib"),
@@ -95,7 +83,7 @@ fn main() {
         )
         .series("ours", move |n, arch, r| {
             let t = triangular(n);
-            let (rtt, tr) = ours_rtt(topo, arch, MpiConfig::default(), &t, &t, 3, r);
+            let (rtt, tr) = ours_rtt(topo, arch, env::config(), &t, &t, 3, r);
             (ms(rtt), tr)
         })
         .series("ours-depth1", move |n, arch, r| {

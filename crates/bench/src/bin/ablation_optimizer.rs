@@ -18,22 +18,19 @@
 //! the three-class incumbent, on any architecture or fragmentation
 //! regime.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{contiguous_matrix, transpose_type, triangular};
 use datatype::DataType;
-use devengine::{EngineConfig, OptimizerConfig};
+use devengine::OptimizerConfig;
 use gpusim::GpuArch;
 use mpirt::MpiConfig;
 
 fn cfg(opt: OptimizerConfig) -> MpiConfig {
-    MpiConfig {
-        engine: EngineConfig {
-            optimizer: opt,
-            ..EngineConfig::default()
-        },
-        ..MpiConfig::default()
-    }
+    let mut config = env::config();
+    config.engine.optimizer = opt;
+    config
 }
 
 fn variants() -> Vec<(&'static str, OptimizerConfig)> {
@@ -145,12 +142,12 @@ fn assert_offload_never_worse() {
     for arch_name in ["k40", "p100", "v100", "a100"] {
         let arch = GpuArch::named(arch_name);
         for (wname, ty) in &workloads {
-            let (t_base, _) = ours_rtt(Topo::Ib, arch, MpiConfig::default(), ty, ty, 2, false);
+            let (t_base, _) = ours_rtt(Topo::Ib, arch, env::config(), ty, ty, 2, false);
             for (kname, nic, stream) in knobs {
                 let on = MpiConfig {
                     nic_offload: nic,
                     stream_trigger: stream,
-                    ..MpiConfig::default()
+                    ..env::config()
                 };
                 let (t_on, _) = ours_rtt(Topo::Ib, arch, on, ty, ty, 2, false);
                 assert!(

@@ -6,11 +6,11 @@
 //! the no-overlap degenerate case, tiny fragments drown in per-launch
 //! and per-message overheads, huge fragments stop overlapping.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::triangular;
-use devengine::{EngineConfig, OptimizerConfig};
-use mpirt::MpiConfig;
+use devengine::OptimizerConfig;
 
 fn main() {
     let opts = BenchOpts::parse();
@@ -26,15 +26,10 @@ fn main() {
             // The sweep studies the static fragment/depth knobs; the
             // auto-tuner would override the swept shape, so the
             // optimizer is pinned off.
-            let cfg = MpiConfig {
-                frag_size: frag_kb << 10,
-                pipeline_depth: depth,
-                engine: EngineConfig {
-                    optimizer: OptimizerConfig::disabled(),
-                    ..EngineConfig::default()
-                },
-                ..Default::default()
-            };
+            let mut cfg = env::config();
+            cfg.frag_size = frag_kb << 10;
+            cfg.pipeline_depth = depth;
+            cfg.engine.optimizer = OptimizerConfig::disabled();
             let (rtt, tr) = ours_rtt(Topo::Sm2Gpu, arch, cfg, &t, &t, 3, r);
             (ms(rtt), tr)
         });

@@ -6,18 +6,19 @@
 //! coarser warp balancing. Reports uncached pack time of the
 //! triangular matrix per S.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{solo_session, BenchOpts, Sweep};
 use bench::workloads::{alloc_typed, triangular};
 use devengine::{pack_async, EngineConfig, OptimizerConfig};
 use gpusim::{GpuArch, GpuWorld as _};
 use memsim::MemSpace;
-use mpirt::MpiConfig;
 use simcore::{SimTime, Tracer};
 
 fn pack_time(n: u64, unit_size: u64, arch: &'static GpuArch, record: bool) -> (SimTime, Tracer) {
     let t = triangular(n);
-    let mut sess = solo_session(arch, MpiConfig::default(), record);
+    let config = env::config();
+    let mut sess = solo_session(arch, config.clone(), record);
     let typed = alloc_typed(&mut sess, 0, &t, 1, true, true);
     let gpu = sess.world.mpi.ranks[0].gpu;
     let packed = sess
@@ -32,7 +33,7 @@ fn pack_time(n: u64, unit_size: u64, arch: &'static GpuArch, record: bool) -> (S
     let cfg = EngineConfig {
         unit_size,
         optimizer: OptimizerConfig::disabled(),
-        ..Default::default()
+        ..config.engine
     };
     let start = sess.now();
     pack_async(

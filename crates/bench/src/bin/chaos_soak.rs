@@ -16,6 +16,7 @@
 //! bounded-slowdown envelope — so CI can run `chaos_soak --smoke` as a
 //! gate.
 
+use bench::env;
 use bench::harness::{ms, print_header, print_row, Figure};
 use bench::runner::{BenchOpts, Topo};
 use bench::workloads::{contiguous_matrix, submatrix, triangular};
@@ -95,11 +96,11 @@ fn transfer(
     Ok(Cell { makespan, m })
 }
 
-/// Shorthand: wrap a fault plan in an otherwise-default config.
+/// Shorthand: wrap a fault plan in the run's configuration.
 fn faulted(plan: FaultPlan) -> MpiConfig {
     MpiConfig {
         fault_plan: plan,
-        ..Default::default()
+        ..env::config()
     }
 }
 
@@ -221,11 +222,11 @@ fn main() {
         .commit();
     let nic_cfg = MpiConfig {
         nic_offload: true,
-        ..Default::default()
+        ..env::config()
     };
     let stream_cfg = MpiConfig {
         stream_trigger: true,
-        ..Default::default()
+        ..env::config()
     };
     let scenarios: [(
         &str,

@@ -7,13 +7,12 @@
 //! transfer. The paper's point: a small fraction of the GPU suffices,
 //! leaving the rest for the application.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{submatrix, triangular};
 use datatype::DataType;
-use devengine::EngineConfig;
 use gpusim::GpuArch;
-use mpirt::MpiConfig;
 use simcore::Tracer;
 
 fn throttled_rtt(
@@ -22,13 +21,8 @@ fn throttled_rtt(
     arch: &'static GpuArch,
     record: bool,
 ) -> (f64, Tracer) {
-    let cfg = MpiConfig {
-        engine: EngineConfig {
-            blocks: Some(blocks as u32),
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let mut cfg = env::config();
+    cfg.engine.blocks = Some(blocks as u32);
     let (rtt, tr) = ours_rtt(Topo::Sm2Gpu, arch, cfg, ty, ty, 3, record);
     (ms(rtt), tr)
 }

@@ -7,6 +7,7 @@
 //! moderate contention costs little — communication only collapses
 //! when the kernels become slower than the link.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{BenchOpts, Sweep, Topo};
 use bench::workloads::{alloc_typed, submatrix, triangular};
@@ -14,7 +15,7 @@ use datatype::DataType;
 use gpusim::GpuArch;
 use memsim::GpuId;
 use mpirt::api::PingPongSpec;
-use mpirt::{ping_pong, MpiConfig};
+use mpirt::ping_pong;
 use simcore::Tracer;
 
 fn rtt_with_share(
@@ -24,7 +25,7 @@ fn rtt_with_share(
     record: bool,
 ) -> (f64, Tracer) {
     let mut sess = Topo::Sm2Gpu
-        .session(arch, MpiConfig::default())
+        .session(arch, env::config())
         .record_if(record)
         .build();
     for g in [GpuId(0), GpuId(1)] {

@@ -10,10 +10,10 @@
 //! `cudaMemcpy2D` launches); intra-GPU (sm1) is ≥2× faster than
 //! inter-GPU (sm2) because nothing crosses PCIe.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{baseline_rtt, ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{submatrix, triangular};
-use mpirt::MpiConfig;
 
 fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
     Sweep::new(
@@ -26,7 +26,7 @@ fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
         let (t, tr) = ours_rtt(
             topo,
             arch,
-            MpiConfig::default(),
+            env::config(),
             &triangular(n),
             &triangular(n),
             3,
@@ -38,7 +38,7 @@ fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
         let (t, tr) = ours_rtt(
             topo,
             arch,
-            MpiConfig::default(),
+            env::config(),
             &submatrix(n),
             &submatrix(n),
             3,
@@ -50,7 +50,7 @@ fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
         let (t, tr) = baseline_rtt(
             topo,
             arch,
-            MpiConfig::default(),
+            env::config(),
             &triangular(n),
             &triangular(n),
             2,
@@ -62,7 +62,7 @@ fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
         let (t, tr) = baseline_rtt(
             topo,
             arch,
-            MpiConfig::default(),
+            env::config(),
             &submatrix(n),
             &submatrix(n),
             2,

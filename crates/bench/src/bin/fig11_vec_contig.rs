@@ -6,10 +6,10 @@
 //! Ours exploits GPU RDMA + zero-copy; the baseline still packs with
 //! cudaMemcpy2D and stages through host.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{baseline_rtt, ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{contiguous_matrix, submatrix};
-use mpirt::MpiConfig;
 
 fn main() {
     let opts = BenchOpts::parse();
@@ -28,7 +28,7 @@ fn main() {
             let (t, tr) = ours_rtt(
                 topo,
                 arch,
-                MpiConfig::default(),
+                env::config(),
                 &submatrix(n),
                 &contiguous_matrix(n),
                 3,
@@ -40,7 +40,7 @@ fn main() {
             let (t, tr) = baseline_rtt(
                 topo,
                 arch,
-                MpiConfig::default(),
+                env::config(),
                 &submatrix(n),
                 &contiguous_matrix(n),
                 2,

@@ -8,10 +8,10 @@
 //! to one `cudaMemcpy2D` per *row* with an 8-byte width — far off the
 //! 64-byte alignment sweet spot.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{baseline_rtt, ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{contiguous_matrix, transpose_type};
-use mpirt::MpiConfig;
 
 fn main() {
     let opts = BenchOpts::parse();
@@ -24,7 +24,7 @@ fn main() {
                 let (t, tr) = ours_rtt(
                     topo,
                     arch,
-                    MpiConfig::default(),
+                    env::config(),
                     &contiguous_matrix(n),
                     &transpose_type(n),
                     2,
@@ -36,7 +36,7 @@ fn main() {
                 let (t, tr) = baseline_rtt(
                     topo,
                     arch,
-                    MpiConfig::default(),
+                    env::config(),
                     &contiguous_matrix(n),
                     &transpose_type(n),
                     1,

@@ -7,6 +7,7 @@
 //! Paper's result: V ≈ 94% of peak, T ≈ 80% (occupancy/misalignment),
 //! T-stair recovers to ≈ V, C = `cudaMemcpy` = the ceiling.
 
+use bench::env;
 use bench::harness::gbps;
 use bench::runner::{solo_session, BenchOpts, Sweep};
 use bench::workloads::{alloc_typed, contiguous_matrix, stair_triangular, submatrix, triangular};
@@ -14,12 +15,11 @@ use datatype::DataType;
 use devengine::pack_async;
 use gpusim::{memcpy, GpuArch, GpuWorld as _};
 use memsim::MemSpace;
-use mpirt::MpiConfig;
 use simcore::Tracer;
 
 /// Bandwidth of one warm pack of `ty` into a device buffer.
 fn pack_bw(ty: &DataType, arch: &'static GpuArch, record: bool) -> (f64, Tracer) {
-    let mut sess = solo_session(arch, MpiConfig::default(), record);
+    let mut sess = solo_session(arch, env::config(), record);
     let typed = alloc_typed(&mut sess, 0, ty, 1, true, true);
     let total = ty.size();
     let gpu = sess.world.mpi.ranks[0].gpu;
@@ -65,7 +65,7 @@ fn pack_bw(ty: &DataType, arch: &'static GpuArch, record: bool) -> (f64, Tracer)
 
 /// `cudaMemcpy` D2D of the same payload — the practical peak.
 fn memcpy_bw(bytes: u64, arch: &'static GpuArch, record: bool) -> (f64, Tracer) {
-    let mut sess = solo_session(arch, MpiConfig::default(), record);
+    let mut sess = solo_session(arch, env::config(), record);
     let gpu = sess.world.mpi.ranks[0].gpu;
     let a = sess
         .world

@@ -11,6 +11,7 @@
 //!   zero-copy (`cpy`), which overlaps the PCIe hop with the kernels
 //!   and comes out slightly faster.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{solo_session, BenchOpts, Sweep};
 use bench::workloads::{alloc_typed, submatrix, triangular};
@@ -18,7 +19,7 @@ use datatype::DataType;
 use devengine::{pack_async, unpack_async, DevCache, EngineConfig};
 use gpusim::{memcpy, GpuWorld as _};
 use memsim::MemSpace;
-use mpirt::{MpiConfig, MpiWorld, Session};
+use mpirt::{MpiWorld, Session};
 use simcore::{Sim, SimTime, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,7 +44,7 @@ fn run(
     via: Via,
     record: bool,
 ) -> (SimTime, Tracer) {
-    let mut sess: Session = solo_session(arch, MpiConfig::default(), record);
+    let mut sess: Session = solo_session(arch, env::config(), record);
     let typed = alloc_typed(&mut sess, 0, ty, 1, true, true);
     let typed_out = alloc_typed(&mut sess, 0, ty, 1, true, false);
     let total = ty.size();
@@ -120,10 +121,10 @@ fn run(
 
 fn main() {
     let opts = BenchOpts::parse();
-    let pipe = EngineConfig::default();
+    let pipe = env::config().engine;
     let no_pipe = EngineConfig {
         pipeline: false,
-        ..Default::default()
+        ..pipe.clone()
     };
 
     type Series = (&'static str, fn(u64) -> DataType, EngineConfig, bool, Via);

@@ -13,13 +13,14 @@
 //!   mcp2d-d2d2h   — cudaMemcpy2D d2d + contiguous D2H
 //!   mcp2d-d2h     — cudaMemcpy2D device→host directly
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{solo_session, BenchOpts, Sweep};
 use bench::workloads::{alloc_typed, raw_vector};
 use devengine::pack_async;
 use gpusim::{memcpy, memcpy_2d, GpuArch, GpuWorld as _};
 use memsim::{MemSpace, Ptr};
-use mpirt::{MpiConfig, Session};
+use mpirt::Session;
 use simcore::{SimTime, Tracer};
 
 struct Setup {
@@ -35,7 +36,7 @@ struct Setup {
 
 fn setup(blocks: u64, block: u64, arch: &'static GpuArch, record: bool) -> Setup {
     let ty = raw_vector(blocks, block, block); // gap == block size
-    let mut sess = solo_session(arch, MpiConfig::default(), record);
+    let mut sess = solo_session(arch, env::config(), record);
     let typed = alloc_typed(&mut sess, 0, &ty, 1, true, true);
     let total = ty.size();
     let gpu = sess.world.mpi.ranks[0].gpu;

@@ -6,15 +6,15 @@
 //! well the pipeline keeps the link busy. The paper reaches ≈90% of
 //! the contiguous rate for V and ≈78% for T.
 
+use bench::env;
 use bench::harness::gbps;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{contiguous_matrix, submatrix, triangular};
 use datatype::DataType;
 use gpusim::GpuArch;
-use mpirt::MpiConfig;
 
 fn bw(ty: &DataType, arch: &'static GpuArch, record: bool) -> (f64, simcore::Tracer) {
-    let (rtt, trace) = ours_rtt(Topo::Sm2Gpu, arch, MpiConfig::default(), ty, ty, 3, record);
+    let (rtt, trace) = ours_rtt(Topo::Sm2Gpu, arch, env::config(), ty, ty, 3, record);
     // One direction moves ty.size() bytes in half the RTT.
     let one_way = simcore::SimTime::from_nanos(rtt.as_nanos() / 2);
     (gbps(ty.size(), one_way), trace)

@@ -5,10 +5,10 @@
 //! Shows the protocol switch at the eager limit (64 KB) and the
 //! asymptotic bandwidth regimes of Figures 9–10.
 
+use bench::env;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use datatype::DataType;
 use gpusim::GpuArch;
-use mpirt::MpiConfig;
 use simcore::Tracer;
 
 fn contig(kb: u64) -> DataType {
@@ -28,7 +28,7 @@ fn vector(kb: u64) -> DataType {
 }
 
 fn one_way_us(topo: Topo, ty: &DataType, arch: &'static GpuArch, record: bool) -> (f64, Tracer) {
-    let (rtt, trace) = ours_rtt(topo, arch, MpiConfig::default(), ty, ty, 3, record);
+    let (rtt, trace) = ours_rtt(topo, arch, env::config(), ty, ty, 3, record);
     (rtt.as_micros_f64() / 2.0, trace)
 }
 

@@ -16,6 +16,7 @@
 //! k40,p100,v100,a100` to see the per-arch frontier; `--smoke`
 //! restricts each panel to its first size for CI.
 
+use bench::env;
 use bench::harness::ms;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use datatype::DataType;
@@ -37,19 +38,19 @@ fn medium(blocks: u64) -> DataType {
 
 fn variants() -> Vec<(&'static str, MpiConfig)> {
     vec![
-        ("gpu-pack", MpiConfig::default()),
+        ("gpu-pack", env::config()),
         (
             "nic-offload",
             MpiConfig {
                 nic_offload: true,
-                ..MpiConfig::default()
+                ..env::config()
             },
         ),
         (
             "stream-triggered",
             MpiConfig {
                 stream_trigger: true,
-                ..MpiConfig::default()
+                ..env::config()
             },
         ),
     ]

@@ -6,6 +6,7 @@
 //! by one column per series, matching the series the paper plots — so
 //! the output can be compared directly against the published figures.
 
+pub mod env;
 pub mod harness;
 pub mod runner;
 pub mod workloads;

@@ -37,8 +37,10 @@ pub struct BenchOpts {
 impl BenchOpts {
     /// Parse `std::env::args`: `--trace <path>`, `--arch <names>`
     /// (repeatable and/or comma-separated), `--smoke`, plus free
-    /// positionals.
+    /// positionals. A malformed `GPU_DDT_*` variable ([`crate::env`])
+    /// exits here, before any output.
     pub fn parse() -> BenchOpts {
+        crate::env::config();
         let mut args = std::env::args().skip(1);
         let mut trace = None;
         let mut archs: Vec<&'static GpuArch> = Vec::new();

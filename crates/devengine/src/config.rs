@@ -1,22 +1,13 @@
 //! Engine tuning knobs.
 
-use simcore::SimTime;
+use datatype::TypeError;
 
 /// Toggles for the commit-time optimizer layer. Every pass is
 /// individually switchable so ablation benches can reproduce the
-/// pre-optimizer numbers exactly; [`OptimizerConfig::default`] reads the
-/// `GPU_DDT_*` environment overrides so a whole figure run can be pinned
-/// without touching bench code.
-///
-/// Environment overrides (value `0`/`false`/`off`/`no` disables,
-/// anything else enables):
-///
-/// * `GPU_DDT_OPT` — master switch; `off` starts from
-///   [`OptimizerConfig::disabled`] before per-pass overrides apply.
-/// * `GPU_DDT_CANON` — datatype canonicalization at engine entry.
-/// * `GPU_DDT_COALESCE` — DEV coalescing (adjacent work units merged).
-/// * `GPU_DDT_VECTOR` — extended strided-2D kernel dispatch.
-/// * `GPU_DDT_TUNE` — the analytic unit-size / fragment auto-tuner.
+/// pre-optimizer numbers exactly. [`OptimizerConfig::default`] is
+/// [`OptimizerConfig::enabled`]; the figure binaries map the
+/// `GPU_DDT_OPT` / `_CANON` / `_COALESCE` / `_VECTOR` / `_TUNE`
+/// variables onto these fields (`bench::env`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Rewrite the datatype tree to canonical form before planning; the
@@ -53,42 +44,12 @@ impl OptimizerConfig {
             autotune: false,
         }
     }
-
-    /// [`OptimizerConfig::enabled`] with `GPU_DDT_*` env overrides
-    /// applied (see the type-level docs for the variable list).
-    pub fn from_env() -> OptimizerConfig {
-        let mut cfg = match env_flag("GPU_DDT_OPT") {
-            Some(false) => OptimizerConfig::disabled(),
-            _ => OptimizerConfig::enabled(),
-        };
-        if let Some(v) = env_flag("GPU_DDT_CANON") {
-            cfg.canonicalize = v;
-        }
-        if let Some(v) = env_flag("GPU_DDT_COALESCE") {
-            cfg.coalesce = v;
-        }
-        if let Some(v) = env_flag("GPU_DDT_VECTOR") {
-            cfg.vector_dispatch = v;
-        }
-        if let Some(v) = env_flag("GPU_DDT_TUNE") {
-            cfg.autotune = v;
-        }
-        cfg
-    }
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig::from_env()
+        OptimizerConfig::enabled()
     }
-}
-
-fn env_flag(name: &str) -> Option<bool> {
-    let v = std::env::var(name).ok()?;
-    Some(!matches!(
-        v.to_ascii_lowercase().as_str(),
-        "0" | "false" | "off" | "no"
-    ))
 }
 
 /// Configuration of one pack/unpack job.
@@ -105,12 +66,6 @@ pub struct EngineConfig {
     /// Overlap CPU DEV preparation with kernel execution. Disabled
     /// reproduces the paper's non-pipelined baseline in Figure 7.
     pub pipeline: bool,
-    /// CPU cost per CUDA-DEV entry produced (datatype traversal,
-    /// splitting, filling `cuda_dev_dist` structs).
-    pub prep_per_unit: SimTime,
-    /// Fixed CPU cost per preparation batch (call overhead + copying
-    /// the descriptor array to the device).
-    pub prep_call: SimTime,
     /// Thread-block cap forwarded to kernel launches (None = full GPU).
     pub blocks: Option<u32>,
     /// Commit-time optimizer toggles (canonicalization, coalescing,
@@ -119,15 +74,20 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Validate the unit size constraint from §3.2.
-    pub fn validated(self) -> Self {
-        assert!(
-            self.unit_size >= 256 && self.unit_size.is_multiple_of(256),
-            "CUDA-DEV unit size must be a positive multiple of 256 bytes, got {}",
-            self.unit_size
-        );
-        assert!(self.pipeline_chunk >= self.unit_size);
-        self
+    /// Check the unit size constraint from §3.2, and that a pipeline
+    /// step holds at least one unit.
+    pub fn validated(self) -> Result<Self, TypeError> {
+        if self.unit_size == 0 || !self.unit_size.is_multiple_of(256) {
+            return Err(TypeError::InvalidArgument(
+                "EngineConfig::unit_size must be a positive multiple of 256 bytes",
+            ));
+        }
+        if self.pipeline_chunk < self.unit_size {
+            return Err(TypeError::InvalidArgument(
+                "EngineConfig::pipeline_chunk must be at least unit_size",
+            ));
+        }
+        Ok(self)
     }
 }
 
@@ -137,8 +97,6 @@ impl Default for EngineConfig {
             unit_size: 1024,
             pipeline_chunk: 1 << 20,
             pipeline: true,
-            prep_per_unit: SimTime::from_nanos(12),
-            prep_call: SimTime::from_micros(1),
             blocks: None,
             optimizer: OptimizerConfig::default(),
         }
@@ -151,9 +109,10 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        let c = EngineConfig::default().validated();
+        let c = EngineConfig::default().validated().unwrap();
         assert_eq!(c.unit_size, 1024);
         assert!(c.pipeline);
+        assert_eq!(c.optimizer, OptimizerConfig::enabled());
     }
 
     #[test]
@@ -163,7 +122,28 @@ mod tests {
             unit_size: 1000,
             ..Default::default()
         }
-        .validated();
+        .validated()
+        .unwrap();
+    }
+
+    #[test]
+    fn validated_names_the_bad_field() {
+        let field = |c: EngineConfig| match c.validated() {
+            Err(TypeError::InvalidArgument(what)) => what,
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        };
+        for unit_size in [0, 1000] {
+            let c = EngineConfig {
+                unit_size,
+                ..Default::default()
+            };
+            assert!(field(c).contains("unit_size"), "unit_size {unit_size}");
+        }
+        let short = EngineConfig {
+            pipeline_chunk: 512,
+            ..Default::default()
+        };
+        assert!(field(short).contains("pipeline_chunk"));
     }
 
     #[test]

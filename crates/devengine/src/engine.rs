@@ -214,7 +214,7 @@ impl FragmentEngine {
         cfg: EngineConfig,
         cache: Option<&Rc<RefCell<DevCache>>>,
     ) -> Result<FragmentEngine, TypeError> {
-        let cfg = cfg.validated();
+        let cfg = cfg.validated()?;
         let opt = cfg.optimizer;
         let total = ty.size() * count;
         let base_shift = ty.true_lb().min(0);
@@ -274,7 +274,7 @@ impl FragmentEngine {
         let unit_size = if opt.autotune && !opt.coalesce {
             let sys = sim.world.gpus_ref();
             let picked = tune::pick_unit_size(cfg.unit_size, total, segments, |units| {
-                prep_time(&cfg, units as usize) + kernel(sys, total, units)
+                prep_time(units as usize) + kernel(sys, total, units)
             });
             if picked != cfg.unit_size {
                 sim.trace
@@ -301,7 +301,7 @@ impl FragmentEngine {
             if !hit {
                 // First encounter: pay the one-time conversion.
                 let prep = Rolled::setup(
-                    prep_time(&cfg, plan.units.len()),
+                    prep_time(plan.units.len()),
                     "DEV preparation: a one-time plan conversion, not data movement",
                 );
                 let (s, e) = sim.world.cpu(rank).reserve(now, prep);
@@ -355,7 +355,7 @@ impl FragmentEngine {
                 let picked = tune::pick_pipeline_chunk(
                     total,
                     cfg.pipeline_chunk,
-                    |n| prep_time(&cfg, est.units_in(n) as usize),
+                    |n| prep_time(est.units_in(n) as usize),
                     |n| kernel(sys, n, est.units_in(n)),
                 );
                 if picked != cfg.pipeline_chunk {
@@ -578,7 +578,7 @@ impl FragmentEngine {
             Direction::Pack => names::DEVENGINE_PACK_BYTES,
             Direction::Unpack => names::DEVENGINE_UNPACK_BYTES,
         };
-        let prep = prep_time(&self.cfg, traffic.units as usize);
+        let prep = prep_time(traffic.units as usize);
         let launch = move |sim: &mut Sim<W>| {
             charge_transfer_kernel(sim, stream, ksrc, kdst, traffic, kcfg, move |sim, _| {
                 sim.trace.count(bytes_counter, rank, 0, n);
@@ -614,10 +614,17 @@ impl FragmentEngine {
     }
 }
 
+/// CPU cost per CUDA-DEV entry produced (datatype traversal,
+/// splitting, filling `cuda_dev_dist` structs).
+const PREP_PER_UNIT: SimTime = SimTime::from_nanos(12);
+/// Fixed CPU cost per preparation batch (call overhead + copying the
+/// descriptor array to the device).
+const PREP_CALL: SimTime = SimTime::from_micros(1);
+
 /// The price of preparing `units` CUDA-DEV units on the CPU: what a
 /// fresh window or a cache miss charges the rank's CPU.
-fn prep_time(cfg: &EngineConfig, units: usize) -> SimTime {
-    SimTime::from_nanos(cfg.prep_per_unit.as_nanos() * units as u64) + cfg.prep_call
+fn prep_time(units: usize) -> SimTime {
+    SimTime::from_nanos(PREP_PER_UNIT.as_nanos() * units as u64) + PREP_CALL
 }
 
 /// Pack `count` instances of `ty` from `typed` into the contiguous

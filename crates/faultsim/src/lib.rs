@@ -153,8 +153,8 @@ impl FaultRule {
     }
 }
 
-/// A seeded schedule of faults. Parsed from `GPU_DDT_FAULT_PLAN` /
-/// `GPU_DDT_FAULT_SEED` or built programmatically.
+/// A seeded schedule of faults, built programmatically or parsed from
+/// the rule DSL ([`FaultPlan::parse`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     pub seed: u64,
@@ -198,24 +198,6 @@ impl FaultPlan {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Read `GPU_DDT_FAULT_PLAN` (rule DSL) and `GPU_DDT_FAULT_SEED`
-    /// from the environment. Unset or empty plan text yields the empty
-    /// plan; malformed text panics — a silently ignored chaos plan is
-    /// worse than a crash at startup.
-    pub fn from_env() -> Self {
-        let seed = std::env::var("GPU_DDT_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        let plan = match std::env::var("GPU_DDT_FAULT_PLAN") {
-            Ok(text) if !text.trim().is_empty() => {
-                Self::parse(&text).unwrap_or_else(|e| panic!("GPU_DDT_FAULT_PLAN: {e}"))
-            }
-            _ => Self::empty(),
-        };
-        Self { seed, ..plan }
     }
 
     /// Parse the plan DSL: `;`-separated rules of the form

@@ -490,6 +490,62 @@ mod tests {
         assert!(matches!(r.result(), Some(Err(MpiError::Type(_)))));
     }
 
+    /// An engine configuration `FragmentEngine::new` refuses fails the
+    /// transfer with the field's `TypeError`, on both requests.
+    #[test]
+    fn invalid_engine_config_fails_the_transfer() {
+        let t = tri_ty(192);
+        let bad = [
+            devengine::EngineConfig {
+                unit_size: 1000,
+                ..Default::default()
+            },
+            devengine::EngineConfig {
+                pipeline_chunk: 512,
+                ..Default::default()
+            },
+        ];
+        for (engine, field) in bad.into_iter().zip(["unit_size", "pipeline_chunk"]) {
+            let mut sim = Sim::new(MpiWorld::two_ranks_two_gpus(MpiConfig {
+                engine,
+                ..Default::default()
+            }));
+            let (sbuf, _, _, _) = alloc_typed(&mut sim, 0, &t, 1, true, true);
+            let (rbuf, _, _, _) = alloc_typed(&mut sim, 1, &t, 1, true, false);
+            let s = isend(
+                &mut sim,
+                SendArgs {
+                    from: 0,
+                    to: 1,
+                    tag: 1,
+                    ty: t.clone(),
+                    count: 1,
+                    buf: sbuf,
+                },
+            );
+            let r = irecv(
+                &mut sim,
+                RecvArgs {
+                    rank: 1,
+                    src: Some(0),
+                    tag: Some(1),
+                    ty: t.clone(),
+                    count: 1,
+                    buf: rbuf,
+                },
+            );
+            sim.run();
+            for req in [&s, &r] {
+                match req.result() {
+                    Some(Err(MpiError::Type(datatype::TypeError::InvalidArgument(what)))) => {
+                        assert!(what.contains(field), "{field}: {what}")
+                    }
+                    other => panic!("{field}: expected InvalidArgument, got {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn truncation_detected() {
         let mut sim = Sim::new(MpiWorld::two_ranks_ib(MpiConfig::default()));

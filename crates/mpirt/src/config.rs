@@ -2,7 +2,6 @@
 
 use devengine::EngineConfig;
 use faultsim::FaultPlan;
-use simcore::Bandwidth;
 
 /// Point-to-point protocol configuration.
 #[derive(Clone, Debug)]
@@ -25,25 +24,20 @@ pub struct MpiConfig {
     /// and unpack kernels move data across PCIe themselves, overlapping
     /// the device↔host hop with the kernel (§4.2).
     pub zero_copy: bool,
-    /// Effective bandwidth of the host CPU pack/unpack path (single
-    /// threaded memcpy-bound traversal).
-    pub cpu_pack_bw: Bandwidth,
     /// Offer the NIC DEV-executor path (sPIN-style: the NIC packet
     /// processor runs the datatype program, no GPU pack kernel) to the
-    /// tuner for cross-node GPU transfers. Off by default; the env knob
-    /// `GPU_DDT_NIC_OFFLOAD` enables it, and the tuner still only picks
-    /// it where the cost model predicts a win.
+    /// tuner for cross-node GPU transfers. Off by default; the tuner
+    /// only picks it where the cost model predicts a win.
     pub nic_offload: bool,
     /// Offer the stream-triggered path (HPE-style: the transfer is
     /// captured once into a GPU stream-op graph and replayed with zero
     /// CPU events) to the tuner for cross-node GPU transfers. Off by
-    /// default; enabled by `GPU_DDT_STREAM_TRIGGER`.
+    /// default.
     pub stream_trigger: bool,
     /// GPU datatype engine settings.
     pub engine: EngineConfig,
     /// Deterministic fault-injection plan consulted at every charge
-    /// point. The default reads `GPU_DDT_FAULT_SEED` /
-    /// `GPU_DDT_FAULT_PLAN`; an empty plan keeps the fault engine
+    /// point. The default is empty, which keeps the fault engine
     /// entirely out of the hot path.
     pub fault_plan: FaultPlan,
 }
@@ -57,21 +51,12 @@ impl Default for MpiConfig {
             use_ipc: true,
             recv_local_staging: true,
             zero_copy: true,
-            cpu_pack_bw: Bandwidth::from_gbps(5.0),
-            nic_offload: env_flag("GPU_DDT_NIC_OFFLOAD"),
-            stream_trigger: env_flag("GPU_DDT_STREAM_TRIGGER"),
+            nic_offload: false,
+            stream_trigger: false,
             engine: EngineConfig::default(),
-            fault_plan: FaultPlan::from_env(),
+            fault_plan: FaultPlan::default(),
         }
     }
-}
-
-/// `1`/`true`/`on` (case-insensitive) enable a boolean env knob;
-/// everything else — including unset — leaves it off.
-fn env_flag(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

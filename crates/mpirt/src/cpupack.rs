@@ -6,7 +6,6 @@
 //! functional byte movement, and charge the rank's CPU at a calibrated
 //! memcpy-bound rate.
 
-use crate::config::MpiConfig;
 use datatype::{DataType, TypeError};
 use devengine::{flip_units_in_place, Direction};
 use faultsim::{FaultDecision, FaultOp};
@@ -21,15 +20,14 @@ use simcore::{Bandwidth, Sim, SimTime, Track};
 /// cursor on the fragment.
 const PER_CALL: SimTime = SimTime::from_nanos(500);
 
-/// The price of one pass over `n` packed bytes on a CPU converting at
-/// `bw`: what [`CpuEngine::charge_fragment`] charges before faults.
-pub fn pass_time(bw: Bandwidth, n: u64) -> SimTime {
-    bw.time_for(n) + PER_CALL
-}
+/// Effective bandwidth of the host CPU pack/unpack path in GB/s
+/// (single threaded memcpy-bound traversal).
+const GBPS: f64 = 5.0;
 
-/// [`pass_time`] at the configured convertor rate.
-pub fn configured_pass_time(config: &MpiConfig, n: u64) -> SimTime {
-    pass_time(config.cpu_pack_bw, n)
+/// The price of one pass over `n` packed bytes on the CPU convertor:
+/// what [`CpuEngine::charge_fragment`] charges before faults.
+pub fn pass_time(n: u64) -> SimTime {
+    Bandwidth::from_gbps(GBPS).time_for(n) + PER_CALL
 }
 
 /// Sequential CPU pack/unpack over a datatype, fragment by fragment.
@@ -42,7 +40,6 @@ pub struct CpuEngine {
     dir: Direction,
     typed: Ptr,
     rank: usize,
-    bw: Bandwidth,
 }
 
 impl CpuEngine {
@@ -56,7 +53,6 @@ impl CpuEngine {
         typed: Ptr,
         dir: Direction,
         rank: usize,
-        bw: Bandwidth,
     ) -> Result<CpuEngine, TypeError> {
         assert!(typed.space.is_host(), "CpuEngine drives host memory only");
         Ok(CpuEngine {
@@ -66,7 +62,6 @@ impl CpuEngine {
             dir,
             typed,
             rank,
-            bw,
         })
     }
 
@@ -130,7 +125,7 @@ impl CpuEngine {
             sim.schedule_now(move |sim| done(sim, 0, units));
             return;
         }
-        let pass = pass_time(self.bw, n);
+        let pass = pass_time(n);
         let mut duration = fault::fault_scaled(sim, FaultOp::CpuPack, pass);
         // The CPU convertor is the fallback of last resort, so a faulted
         // pass cannot demote to another path: it backs off and re-walks
@@ -202,15 +197,7 @@ mod tests {
         let total = ty.size() * 2;
         let out = sim.world.memory.alloc(MemSpace::Host, total).unwrap();
 
-        let mut eng = CpuEngine::new(
-            &ty,
-            2,
-            typed.add(base as u64),
-            Direction::Pack,
-            0,
-            Bandwidth::from_gbps(5.0),
-        )
-        .unwrap();
+        let mut eng = CpuEngine::new(&ty, 2, typed.add(base as u64), Direction::Pack, 0).unwrap();
         assert_eq!(eng.total_bytes(), total);
         // Two fragments.
         let half = total / 2;
@@ -243,15 +230,7 @@ mod tests {
         sim.world.memory.write(packed, &packed_bytes).unwrap();
 
         let dst = sim.world.memory.alloc(MemSpace::Host, len as u64).unwrap();
-        let mut eng = CpuEngine::new(
-            &ty,
-            1,
-            dst.add(base as u64),
-            Direction::Unpack,
-            0,
-            Bandwidth::from_gbps(5.0),
-        )
-        .unwrap();
+        let mut eng = CpuEngine::new(&ty, 1, dst.add(base as u64), Direction::Unpack, 0).unwrap();
         process(&mut eng, &mut sim, packed, u64::MAX);
         sim.run();
         let got = sim.world.memory.read_vec(dst, len as u64).unwrap();
@@ -283,15 +262,8 @@ mod tests {
             sim.world.memory.write(typed, &bytes).unwrap();
             let total = ty.size() * 2;
             let out = sim.world.memory.alloc(MemSpace::Host, total).unwrap();
-            let mut eng = CpuEngine::new(
-                &ty,
-                2,
-                typed.add(base as u64),
-                Direction::Pack,
-                0,
-                Bandwidth::from_gbps(5.0),
-            )
-            .unwrap();
+            let mut eng =
+                CpuEngine::new(&ty, 2, typed.add(base as u64), Direction::Pack, 0).unwrap();
             process(&mut eng, &mut sim, out, u64::MAX);
             let end = sim.run();
             (
@@ -318,6 +290,6 @@ mod tests {
             alloc: memsim::AllocId(0),
             offset: 0,
         };
-        let _ = CpuEngine::new(&ty, 1, p, Direction::Pack, 0, Bandwidth::from_gbps(5.0));
+        let _ = CpuEngine::new(&ty, 1, p, Direction::Pack, 0);
     }
 }

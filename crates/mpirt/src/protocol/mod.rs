@@ -162,9 +162,8 @@ pub(crate) fn make_engine(
         .map_err(MpiError::Type)?;
         Ok(SideEngine::Gpu(eng))
     } else {
-        let bw = sim.world.mpi.config.cpu_pack_bw;
         Ok(SideEngine::Cpu(
-            CpuEngine::new(&side.ty, side.count, side.buf, dir, side.rank, bw)
+            CpuEngine::new(&side.ty, side.count, side.buf, dir, side.rank)
                 .map_err(MpiError::Type)?,
         ))
     }

@@ -212,10 +212,7 @@ fn price<'a>(
         StageOp::Kernel { end, frag } => {
             KernelStage::of(sim, side(end), end, at(frag), false).price()
         }
-        StageOp::CpuConvert { .. } => {
-            let config = &sim.world.mpi.config;
-            Box::new(move |n| cpupack::configured_pass_time(config, n))
-        }
+        StageOp::CpuConvert { .. } => Box::new(cpupack::pass_time),
         StageOp::Copy {
             stream_of,
             from,

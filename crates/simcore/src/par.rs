@@ -178,6 +178,10 @@ struct CopyPool {
 
 static POOL: OnceLock<CopyPool> = OnceLock::new();
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "GPU_DDT_COPY_THREADS sizes the copy pool: it changes wall time, never a run's output"
+)]
 fn desired_threads() -> PoolInfo {
     let default = std::thread::available_parallelism()
         .map(|n| n.get())

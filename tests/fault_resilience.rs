@@ -29,6 +29,7 @@ use mpirt::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
 use mpirt::{MpiConfig, Session};
 use netsim::{ChannelKind, ClusterWorld};
 use simcore::par::CopyOp;
+use simcore::trace::names;
 use simcore::{Metrics, Sim, SimTime};
 
 /// A strided vector large enough to take the rendezvous pipeline
@@ -368,5 +369,44 @@ fn every_fallible_charge_retries_twice_and_lands_at_its_pinned_instant() {
         );
         let want = (SimTime::from_nanos(landed_ns), (2, 2));
         assert_eq!((landed, counts), want, "{name}");
+    }
+}
+
+/// The stream-triggered path rolls at three sites per transfer: the RTS
+/// active message, the doorbell before the replay, and the wire leg.
+/// The graph's kernel nodes are degrade-only by design (a lost kernel
+/// is the doorbell's to absorb, demoting the whole replay), so an
+/// any-op plan draws three rolls here and a low-rate one can inject
+/// nothing. Each rolled transient retries and the same graph replays,
+/// byte-equal.
+#[test]
+fn stream_triggered_path_rolls_at_am_doorbell_and_wire() {
+    let session = |plan: &str| {
+        let config = MpiConfig {
+            fault_plan: FaultPlan::parse(plan).unwrap(),
+            zero_copy: false,
+            stream_trigger: true,
+            ..Default::default()
+        };
+        Session::builder().config(config).two_ranks_ib().build()
+    };
+    let ty = big_vec();
+    let mut clean = session("");
+    let want = deliver(&mut clean, &ty, true);
+    for op in ["am", "doorbell", "wire", "kernel", "memcpy", "cpupack"] {
+        let rolled = u64::from(matches!(op, "am" | "doorbell" | "wire"));
+        let mut faulted = session(&format!("{op}:transient#1"));
+        let got = deliver(&mut faulted, &ty, true);
+        assert_eq!(got, want, "{op}: a retried fault must not alter delivery");
+        let m = faulted.metrics();
+        assert_eq!(m.counter(counters::FAULT_INJECTED), rolled, "{op}");
+        assert_eq!(m.counter(counters::RETRY_ATTEMPTS), rolled, "{op}");
+        assert_eq!(m.counter(names::OFFLOAD_STREAM_REPLAYS), 1, "{op}");
+        assert_eq!(m.counter(names::OFFLOAD_STREAM_DEMOTIONS), 0, "{op}");
+        assert_eq!(
+            faulted.now() > clean.now(),
+            rolled == 1,
+            "{op}: a retry costs time"
+        );
     }
 }
