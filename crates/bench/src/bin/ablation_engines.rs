@@ -8,62 +8,15 @@
 //!                   (the MPICH approach of §2.2)
 //!   wang-style    — per-vector cudaMemcpy2D through host, no overlap
 //!                   (the MVAPICH approach of §2.2)
+//!
+//! The two comparators are one-fragment plans of the same executor
+//! (`mpirt::protocol::comparator`), measured by `comparator_rtt`.
 
-use baseline::{baseline_ping_pong, jenkins_ping_pong, BaselineSide};
 use bench::env;
 use bench::harness::ms;
-use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
-use bench::workloads::{alloc_typed, triangular};
-use gpusim::GpuArch;
-use simcore::{SimTime, Tracer};
-
-fn jenkins_rtt(topo: Topo, arch: &'static GpuArch, n: u64, record: bool) -> (SimTime, Tracer) {
-    let t = triangular(n);
-    let mut sess = topo.session(arch, env::config()).record_if(record).build();
-    let b0 = alloc_typed(&mut sess, 0, &t, 1, true, true);
-    let b1 = alloc_typed(&mut sess, 1, &t, 1, true, false);
-    let rtt = jenkins_ping_pong(
-        &mut sess,
-        BaselineSide {
-            rank: 0,
-            ty: t.clone(),
-            count: 1,
-            buf: b0,
-        },
-        BaselineSide {
-            rank: 1,
-            ty: t,
-            count: 1,
-            buf: b1,
-        },
-        2,
-    );
-    (rtt, sess.into_trace())
-}
-
-fn wang_rtt(topo: Topo, arch: &'static GpuArch, n: u64, record: bool) -> (SimTime, Tracer) {
-    let t = triangular(n);
-    let mut sess = topo.session(arch, env::config()).record_if(record).build();
-    let b0 = alloc_typed(&mut sess, 0, &t, 1, true, true);
-    let b1 = alloc_typed(&mut sess, 1, &t, 1, true, false);
-    let rtt = baseline_ping_pong(
-        &mut sess,
-        BaselineSide {
-            rank: 0,
-            ty: t.clone(),
-            count: 1,
-            buf: b0,
-        },
-        BaselineSide {
-            rank: 1,
-            ty: t,
-            count: 1,
-            buf: b1,
-        },
-        2,
-    );
-    (rtt, sess.into_trace())
-}
+use bench::runner::{comparator_rtt, ours_rtt, BenchOpts, Sweep, Topo};
+use bench::workloads::triangular;
+use mpirt::Comparator;
 
 fn main() {
     let opts = BenchOpts::parse();
@@ -92,11 +45,15 @@ fn main() {
             (ms(rtt), tr)
         })
         .series("jenkins-style", move |n, arch, r| {
-            let (rtt, tr) = jenkins_rtt(topo, arch, n, r);
+            let t = triangular(n);
+            let config = env::config();
+            let (rtt, tr) = comparator_rtt(Comparator::Jenkins, topo, arch, config, &t, &t, 2, r);
             (ms(rtt), tr)
         })
         .series("wang-style", move |n, arch, r| {
-            let (rtt, tr) = wang_rtt(topo, arch, n, r);
+            let t = triangular(n);
+            let config = env::config();
+            let (rtt, tr) = comparator_rtt(Comparator::Wang, topo, arch, config, &t, &t, 2, r);
             (ms(rtt), tr)
         })
         .run(&opts.for_panel(suffix));

@@ -139,15 +139,22 @@ fn assert_offload_never_worse() {
         ("stream", false, true),
         ("both", true, true),
     ];
+    // The incumbent is the three-class choice whatever the environment
+    // asks for: both offload knobs off.
+    let incumbent = MpiConfig {
+        nic_offload: false,
+        stream_trigger: false,
+        ..env::config()
+    };
     for arch_name in ["k40", "p100", "v100", "a100"] {
         let arch = GpuArch::named(arch_name);
         for (wname, ty) in &workloads {
-            let (t_base, _) = ours_rtt(Topo::Ib, arch, env::config(), ty, ty, 2, false);
+            let (t_base, _) = ours_rtt(Topo::Ib, arch, incumbent.clone(), ty, ty, 2, false);
             for (kname, nic, stream) in knobs {
                 let on = MpiConfig {
                     nic_offload: nic,
                     stream_trigger: stream,
-                    ..env::config()
+                    ..incumbent.clone()
                 };
                 let (t_on, _) = ours_rtt(Topo::Ib, arch, on, ty, ty, 2, false);
                 assert!(

@@ -1,5 +1,6 @@
 //! Figure 10 — ping-pong round-trip time for sub-matrix (V) and
-//! triangular (T) datatypes, ours vs the MVAPICH2-style baseline.
+//! triangular (T) datatypes, ours vs the MVAPICH2-style baseline (the
+//! Wang-style comparator plan in `mpirt::protocol::comparator`).
 //!
 //! Three panels selected by argv: `sm1` (shared memory, one GPU),
 //! `sm2` (shared memory, two GPUs), `ib` (InfiniBand). No argument
@@ -12,8 +13,9 @@
 
 use bench::env;
 use bench::harness::ms;
-use bench::runner::{baseline_rtt, ours_rtt, BenchOpts, Sweep, Topo};
+use bench::runner::{comparator_rtt, ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{submatrix, triangular};
+use mpirt::Comparator;
 
 fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
     Sweep::new(
@@ -47,7 +49,8 @@ fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
         (ms(t), tr)
     })
     .series("T-baseline", move |n, arch, r| {
-        let (t, tr) = baseline_rtt(
+        let (t, tr) = comparator_rtt(
+            Comparator::Wang,
             topo,
             arch,
             env::config(),
@@ -59,7 +62,8 @@ fn panel(topo: Topo, label: &'static str, opts: &BenchOpts) {
         (ms(t), tr)
     })
     .series("V-baseline", move |n, arch, r| {
-        let (t, tr) = baseline_rtt(
+        let (t, tr) = comparator_rtt(
+            Comparator::Wang,
             topo,
             arch,
             env::config(),

@@ -3,13 +3,15 @@
 //! pattern). The signatures match, so MPI transfers are legal; the
 //! contiguous side's conversion stage short-circuits entirely.
 //!
-//! Ours exploits GPU RDMA + zero-copy; the baseline still packs with
+//! Ours exploits GPU RDMA + zero-copy; the baseline (the Wang-style
+//! comparator plan in `mpirt::protocol::comparator`) still packs with
 //! cudaMemcpy2D and stages through host.
 
 use bench::env;
 use bench::harness::ms;
-use bench::runner::{baseline_rtt, ours_rtt, BenchOpts, Sweep, Topo};
+use bench::runner::{comparator_rtt, ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{contiguous_matrix, submatrix};
+use mpirt::Comparator;
 
 fn main() {
     let opts = BenchOpts::parse();
@@ -37,7 +39,8 @@ fn main() {
             (ms(t), tr)
         })
         .series("baseline", move |n, arch, r| {
-            let (t, tr) = baseline_rtt(
+            let (t, tr) = comparator_rtt(
+                Comparator::Wang,
                 topo,
                 arch,
                 env::config(),

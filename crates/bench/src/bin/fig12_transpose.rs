@@ -6,12 +6,14 @@
 //! Ours handles this with the general DEV kernel (the CUDA-DEV cache
 //! matters enormously here); the baseline's vectorization degenerates
 //! to one `cudaMemcpy2D` per *row* with an 8-byte width — far off the
-//! 64-byte alignment sweet spot.
+//! 64-byte alignment sweet spot. The baseline is the Wang-style
+//! comparator plan in `mpirt::protocol::comparator`.
 
 use bench::env;
 use bench::harness::ms;
-use bench::runner::{baseline_rtt, ours_rtt, BenchOpts, Sweep, Topo};
+use bench::runner::{comparator_rtt, ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{contiguous_matrix, transpose_type};
+use mpirt::Comparator;
 
 fn main() {
     let opts = BenchOpts::parse();
@@ -33,7 +35,8 @@ fn main() {
                 (ms(t), tr)
             })
             .series("baseline", move |n, arch, r| {
-                let (t, tr) = baseline_rtt(
+                let (t, tr) = comparator_rtt(
+                    Comparator::Wang,
                     topo,
                     arch,
                     env::config(),

@@ -12,5 +12,5 @@ pub mod runner;
 pub mod workloads;
 
 pub use harness::{print_header, print_row, Figure};
-pub use runner::{baseline_rtt, ours_rtt, solo_session, BenchOpts, Sweep, Topo};
+pub use runner::{comparator_rtt, ours_rtt, solo_session, BenchOpts, Sweep, Topo};
 pub use workloads::*;

@@ -11,12 +11,14 @@
 
 use crate::harness::{print_header, print_row, Figure};
 use crate::workloads::alloc_typed;
-use baseline::proto::{baseline_ping_pong, BaselineSide};
 use datatype::DataType;
 use gpusim::GpuArch;
 use memsim::GpuId;
 use mpirt::api::PingPongSpec;
-use mpirt::{ping_pong, MpiConfig, RankSpec, Session, SessionBuilder};
+use mpirt::{
+    comparator_transfer, mean_round_trip, ping_pong, wait_all, Comparator, MpiConfig, RankSpec,
+    Session, SessionBuilder, Side,
+};
 use simcore::{Metrics, SimTime, Tracer};
 use std::path::PathBuf;
 
@@ -278,9 +280,15 @@ pub fn ours_rtt(
     (t, sess.into_trace())
 }
 
-/// Mean round-trip time of the MVAPICH2-style baseline on the same
-/// workload and topology.
-pub fn baseline_rtt(
+/// Mean round-trip time of one of the paper's comparators (§2.2) on the
+/// same workload and topology: a message 0 → 1, then 1 → 0, each run to
+/// completion.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "`ours_rtt`'s arguments and the comparator"
+)]
+pub fn comparator_rtt(
+    which: Comparator,
     topo: Topo,
     arch: &'static GpuArch,
     config: MpiConfig,
@@ -290,24 +298,19 @@ pub fn baseline_rtt(
     record: bool,
 ) -> (SimTime, Tracer) {
     let mut sess = topo.session(arch, config).record_if(record).build();
-    let b0 = alloc_typed(&mut sess, 0, ty0, 1, true, true);
-    let b1 = alloc_typed(&mut sess, 1, ty1, 1, true, false);
-    let t = baseline_ping_pong(
-        &mut sess,
-        BaselineSide {
-            rank: 0,
-            ty: ty0.clone(),
-            count: 1,
-            buf: b0,
-        },
-        BaselineSide {
-            rank: 1,
-            ty: ty1.clone(),
-            count: 1,
-            buf: b1,
-        },
-        iters,
-    );
+    let side = |sess: &mut Session, rank, ty: &DataType| Side {
+        rank,
+        ty: ty.clone(),
+        count: 1,
+        buf: alloc_typed(sess, rank, ty, 1, true, rank == 0),
+    };
+    let (a, b) = (side(&mut sess, 0, ty0), side(&mut sess, 1, ty1));
+    let t = mean_round_trip(&mut sess, iters, |sim| {
+        for (s, r) in [(&a, &b), (&b, &a)] {
+            let req = comparator_transfer(sim, which, s.clone(), r.clone());
+            wait_all(sim, &[req]).expect("comparator round failed");
+        }
+    });
     (t, sess.into_trace())
 }
 
@@ -332,8 +335,11 @@ mod tests {
         for topo in [Topo::Sm1Gpu, Topo::Sm2Gpu, Topo::Ib] {
             let (ours, _) = ours_rtt(topo, k40, MpiConfig::default(), &t, &t, 2, false);
             assert!(ours > SimTime::ZERO, "{topo:?}");
-            let (base, _) = baseline_rtt(topo, k40, MpiConfig::default(), &v, &v, 2, false);
-            assert!(base > SimTime::ZERO, "{topo:?}");
+            for which in [Comparator::Wang, Comparator::Jenkins] {
+                let (base, _) =
+                    comparator_rtt(which, topo, k40, MpiConfig::default(), &v, &v, 2, false);
+                assert!(base > SimTime::ZERO, "{topo:?} {which:?}");
+            }
         }
     }
 
@@ -343,7 +349,16 @@ mod tests {
         for arch in GpuArch::registry() {
             for topo in [Topo::Sm1Gpu, Topo::Sm2Gpu, Topo::Ib] {
                 let (ours, _) = ours_rtt(topo, arch, MpiConfig::default(), &t, &t, 2, false);
-                let (base, _) = baseline_rtt(topo, arch, MpiConfig::default(), &t, &t, 2, false);
+                let (base, _) = comparator_rtt(
+                    Comparator::Wang,
+                    topo,
+                    arch,
+                    MpiConfig::default(),
+                    &t,
+                    &t,
+                    2,
+                    false,
+                );
                 assert!(
                     ours < base,
                     "{topo:?} on {}: ours {ours} vs baseline {base}",

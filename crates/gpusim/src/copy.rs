@@ -114,15 +114,73 @@ pub fn charge_memcpy<W: GpuWorld>(
     });
 }
 
-/// Asynchronous strided 2-D copy (like `cudaMemcpy2DAsync`): `height`
-/// rows of `width` bytes, rows `src_pitch`/`dst_pitch` bytes apart.
+/// One strided 2-D copy (`cudaMemcpy2D`): `height` rows of `width`
+/// bytes, rows `src_pitch` / `dst_pitch` bytes apart.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Copy2d {
+    pub src: Ptr,
+    pub src_pitch: u64,
+    pub dst: Ptr,
+    pub dst_pitch: u64,
+    pub width: u64,
+    pub height: u64,
+}
+
+impl Copy2d {
+    /// The rows the copy moves, offsets relative to `src` and `dst`.
+    pub fn rows(&self) -> impl Iterator<Item = CopyOp> + '_ {
+        (0..self.height).map(|r| CopyOp {
+            src_off: (r * self.src_pitch) as usize,
+            dst_off: (r * self.dst_pitch) as usize,
+            len: self.width as usize,
+        })
+    }
+}
+
+/// The price of a 2-D copy issued on a stream of `gpu`: what
+/// [`charge_memcpy_2d`] reserves before faults.
 ///
-/// Timing reproduces the behaviour the paper leans on in Figure 8:
-/// through the DMA engine (any H2D/D2H direction) the effective
-/// bandwidth collapses when `width` is not a multiple of 64 bytes, and
-/// every row pays a descriptor overhead. Device-internal 2-D copies run
-/// as a kernel and behave like our own pack kernels. A fault charge
-/// point like [`charge_memcpy`]; the rows move when the copy lands.
+/// It reproduces the behaviour the paper leans on in Figure 8: through
+/// the DMA engine (any H2D/D2H direction) the effective bandwidth
+/// collapses when `width` is not a multiple of 64 bytes, and every row
+/// pays a descriptor overhead. Device-internal 2-D copies run as a
+/// kernel and behave like our own pack kernels.
+pub fn memcpy_2d_time(sys: &GpuSystem, gpu: GpuId, c: &Copy2d) -> SimTime {
+    let topo = &sys.topo;
+    let g = sys.gpu(gpu);
+    let row_overhead = SimTime::from_nanos(topo.memcpy2d_row_overhead.as_nanos() * c.height);
+    // Through the DMA engine: the misaligned-row cliff and a per-row
+    // descriptor overhead.
+    let dma = |base_bw: Bandwidth| {
+        let eff = if c.width.is_multiple_of(64) {
+            base_bw
+        } else {
+            base_bw.derated(topo.memcpy2d_misaligned_factor)
+        };
+        eff.time_for(c.width * c.height) + topo.pcie_latency + g.spec.memcpy_latency + row_overhead
+    };
+    match CopyDirection::of(c.src.space, c.dst.space) {
+        CopyDirection::DeviceToDevice => {
+            // Kernel-backed: charge coalesced traffic per row.
+            let spec = &g.spec;
+            let mut traffic = 0u64;
+            for r in 0..c.height {
+                let s_off = c.src.offset + r * c.src_pitch;
+                let d_off = c.dst.offset + r * c.dst_pitch;
+                traffic += row_traffic(s_off, c.width, spec) + row_traffic(d_off, c.width, spec);
+            }
+            g.effective_traffic_bw().time_for(traffic) + spec.launch_overhead
+        }
+        CopyDirection::HostToDevice => dma(topo.pcie_h2d),
+        CopyDirection::DeviceToHost => dma(topo.pcie_d2h),
+        CopyDirection::PeerToPeer => dma(topo.pcie_p2p),
+        CopyDirection::HostToHost => dma(topo.host_memcpy_bw),
+    }
+}
+
+/// Asynchronous strided 2-D copy (like `cudaMemcpy2DAsync`):
+/// [`charge_memcpy_2d`], then move the rows at the completion instant
+/// and invoke `done`.
 #[expect(
     clippy::expect_used,
     reason = "the memory model validated both pointers when the copy was charged; a \
@@ -144,55 +202,40 @@ pub fn memcpy_2d<W: GpuWorld>(
         src_pitch >= width && dst_pitch >= width,
         "pitch smaller than width"
     );
-    let dir = CopyDirection::of(src.space, dst.space);
-    let bytes = width * height;
-    let price = move |sim: &Sim<W>| {
-        let sys = sim.world.gpus_ref();
-        let topo = &sys.topo;
-        let g = sys.gpu(stream.gpu);
-        let row_overhead = SimTime::from_nanos(topo.memcpy2d_row_overhead.as_nanos() * height);
-        // Through the DMA engine: the misaligned-row cliff and a
-        // per-row descriptor overhead.
-        let dma = |base_bw: Bandwidth| {
-            let eff = if width.is_multiple_of(64) {
-                base_bw
-            } else {
-                base_bw.derated(topo.memcpy2d_misaligned_factor)
-            };
-            eff.time_for(bytes) + topo.pcie_latency + g.spec.memcpy_latency + row_overhead
-        };
-        match dir {
-            CopyDirection::DeviceToDevice => {
-                // Kernel-backed: charge coalesced traffic per row.
-                let spec = &g.spec;
-                let mut traffic = 0u64;
-                for r in 0..height {
-                    let s_off = src.offset + r * src_pitch;
-                    let d_off = dst.offset + r * dst_pitch;
-                    traffic += row_traffic(s_off, width, spec) + row_traffic(d_off, width, spec);
-                }
-                g.effective_traffic_bw().time_for(traffic) + spec.launch_overhead
-            }
-            CopyDirection::HostToDevice => dma(topo.pcie_h2d),
-            CopyDirection::DeviceToHost => dma(topo.pcie_d2h),
-            CopyDirection::PeerToPeer => dma(topo.pcie_p2p),
-            CopyDirection::HostToHost => dma(topo.host_memcpy_bw),
-        }
+    let c = Copy2d {
+        src,
+        src_pitch,
+        dst,
+        dst_pitch,
+        width,
+        height,
     };
-    let reserve = on_stream(stream, names::SPAN_MEMCPY2D);
-    fault::charge(sim, FaultOp::Memcpy, price, reserve, move |sim| {
-        let ops: Vec<CopyOp> = (0..height)
-            .map(|r| CopyOp {
-                src_off: (r * src_pitch) as usize,
-                dst_off: (r * dst_pitch) as usize,
-                len: width as usize,
-            })
-            .collect();
+    charge_memcpy_2d(sim, stream, c, move |sim, at| {
+        let ops: Vec<CopyOp> = c.rows().collect();
         sim.world
             .mem()
             .transfer(src, dst, &ops)
             .expect("memcpy2d failed");
-        sim.trace.count(dir.counter(), stream.gpu.0, 0, bytes);
+        done(sim, at);
+    });
+}
+
+/// The charge half of a 2-D copy, like [`charge_memcpy`]: reserves
+/// `stream` for [`memcpy_2d_time`], records a `memcpy2d` span and the
+/// per-direction byte counter, and invokes `done` at the completion
+/// instant. No byte moves. A fault charge point (`FaultOp::Memcpy`).
+pub fn charge_memcpy_2d<W: GpuWorld>(
+    sim: &mut Sim<W>,
+    stream: StreamId,
+    c: Copy2d,
+    done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
+) {
+    let dir = CopyDirection::of(c.src.space, c.dst.space);
+    let price = move |sim: &Sim<W>| memcpy_2d_time(sim.world.gpus_ref(), stream.gpu, &c);
+    let reserve = on_stream(stream, names::SPAN_MEMCPY2D);
+    fault::charge(sim, FaultOp::Memcpy, price, reserve, move |sim| {
+        sim.trace
+            .count(dir.counter(), stream.gpu.0, 0, c.width * c.height);
         done(sim, sim.now());
     });
 }

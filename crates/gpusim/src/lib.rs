@@ -3,12 +3,12 @@
 //! Every operation (kernel, memcpy, zero-copy access) has two halves.
 //! Temporally, it is charged virtual time on a FIFO *stream* — with its
 //! fault roll, span and counters — by one charging body
-//! ([`charge_transfer_kernel`], [`charge_memcpy`]) issued through the
-//! retry driver [`fault::charge`]; functionally, the bytes move between
-//! the host-backed buffers in [`memsim`] at the completion instant —
-//! by [`memcpy`] / [`memcpy_2d`] themselves, or by a caller that moves a
-//! staged pipeline's payload once (the rendezvous executor, the DEV
-//! engine). The cost model is built on the same first-order
+//! ([`charge_transfer_kernel`], [`charge_memcpy`], [`charge_memcpy_2d`])
+//! issued through the retry driver [`fault::charge`]; functionally, the
+//! bytes move between the host-backed buffers in [`memsim`] at the
+//! completion instant — by [`memcpy`] / [`memcpy_2d`] themselves, or by
+//! a caller that moves a staged pipeline's payload once (the transfer
+//! executor, the DEV engine). The cost model is built on the same first-order
 //! mechanics that shaped the paper's Figure 6–8 results:
 //!
 //! * global-memory access happens in 128-byte transactions issued per
@@ -47,7 +47,10 @@ pub mod stream_trigger;
 pub mod system;
 
 pub use arch::GpuArch;
-pub use copy::{charge_memcpy, copy_time, memcpy, memcpy_2d, CopyDirection};
+pub use copy::{
+    charge_memcpy, charge_memcpy_2d, copy_time, memcpy, memcpy_2d, memcpy_2d_time, Copy2d,
+    CopyDirection,
+};
 pub use fault::{count_retry, fault_roll, fault_scaled, FifoResource, Rolled};
 pub use kernel::{charge_transfer_kernel, kernel_time, KernelConfig, KernelTraffic};
 pub use spec::{GpuSpec, Interconnect, NodeTopology, NotPowerOfTwo, Pow2};

@@ -174,14 +174,25 @@ pub struct PingPongSpec {
 }
 
 pub fn ping_pong(sim: &mut Sim<MpiWorld>, spec: PingPongSpec) -> SimTime {
-    // Warm-up round (connection establishment, IPC mapping, DEV cache).
-    run_round(sim, &spec);
+    mean_round_trip(sim, spec.iters, |sim| run_round(sim, &spec))
+}
+
+/// The round driver of every ping-pong — ours and the comparators': run
+/// `round` once to warm up (connection establishment, IPC mapping, DEV
+/// cache), then `iters` times, and return the mean virtual time of the
+/// measured rounds.
+pub fn mean_round_trip(
+    sim: &mut Sim<MpiWorld>,
+    iters: u32,
+    mut round: impl FnMut(&mut Sim<MpiWorld>),
+) -> SimTime {
+    round(sim);
     let start = sim.now();
-    for _ in 0..spec.iters {
-        run_round(sim, &spec);
+    for _ in 0..iters {
+        round(sim);
     }
     let total = sim.now() - start;
-    SimTime::from_nanos(total.as_nanos() / spec.iters as u64)
+    SimTime::from_nanos(total.as_nanos() / iters as u64)
 }
 
 /// One synchronous round trip: 0 → 1 then 1 → 0, run to completion.

@@ -10,8 +10,9 @@
 //!   protocol** (Figure 4); the `openib` BTL ([`protocol::copyio`]) uses the
 //!   **copy-in/copy-out protocol** through pinned host fragment rings,
 //!   optionally with zero-copy. Both — and the two offload classes in
-//!   [`protocol::offload`] — are [`protocol::plan::TransferPlan`]s: one
-//!   stage list per transfer that the single executor in
+//!   [`protocol::offload`], and the paper's two comparators in
+//!   [`protocol::comparator`] — are [`protocol::plan::TransferPlan`]s:
+//!   one stage list per transfer that the single executor in
 //!   `protocol::exec` runs and [`tuner`] prices.
 //! * The **GPU datatype engine** (`devengine`) packs and unpacks device
 //!   data; the **CPU convertor** (`datatype` + [`cpupack`]) handles host
@@ -33,10 +34,15 @@ pub mod session;
 pub mod tuner;
 pub mod world;
 
-pub use api::{irecv, isend, ping_pong, wait_all, PingPongSpec, RecvArgs, SendArgs};
+pub use api::{
+    irecv, isend, mean_round_trip, ping_pong, wait_all, PingPongSpec, RecvArgs, SendArgs,
+};
 pub use coll::{allgather, alltoall, barrier, bcast};
 pub use config::MpiConfig;
 pub use onesided::{fence, get, put, RmaArgs, Win};
+pub use protocol::comparator::comparator_transfer;
+pub use protocol::plan::Comparator;
+pub use protocol::Side;
 pub use request::{join, MpiError, Request};
 pub use session::{Session, SessionBuilder};
 pub use world::{MpiWorld, RankSpec};

@@ -3,7 +3,8 @@
 //! [`open`] plans a transfer and opens its protocol span; the protocol
 //! modules establish the connection the plan needs and hand over to
 //! [`run`] — as eager does with each half of a message, over no
-//! connection — which walks the [`TransferPlan`]: it claims ring slots FIFO in
+//! connection, and a comparator over its own staging — which walks the
+//! [`TransferPlan`]: it claims ring slots FIFO in
 //! sequence order, pushes each fragment through the plan's
 //! [`StageOp`]s — every stage's completion callback starts the next
 //! stage directly, with no event hop of its own — and returns the
@@ -83,6 +84,9 @@ pub(crate) enum Conn {
     Ib(Rc<RefCell<IbConn>>),
     Nic(Rc<NicProgram>),
     Graph(Rc<CapturedXfer>),
+    /// A comparator message's own staging: a whole-message buffer for
+    /// each ring location its one-fragment plan names.
+    Staged(Rc<Vec<(Loc, Ptr)>>),
 }
 
 impl Conn {
@@ -106,6 +110,9 @@ impl Conn {
             (Conn::Ib(c), Loc::Dev(End::Recv)) => c.borrow().recv_dev_slot(slot),
             (Conn::Ib(c), Loc::Host(End::Send)) => c.borrow().send_host_slot(slot),
             (Conn::Ib(c), Loc::Host(End::Recv)) => c.borrow().recv_host_slot(slot),
+            (Conn::Staged(bufs), _) if slot == 0 => {
+                (bufs.iter()).find_map(|&(at, buf)| (at == loc).then_some(buf))
+            }
             _ => None,
         }
     }
@@ -516,7 +523,7 @@ pub(crate) fn run<D: Resolve>(sim: &mut Sim<MpiWorld>, mut t: Transfer<D>, conn:
     }
     let engine = |sim: &mut Sim<MpiWorld>, end, dir| {
         if t.plan.converts(end) {
-            make_engine(sim, t.side(end), dir).map(Some)
+            make_engine(sim, t.side(end), dir, t.plan.comparator).map(Some)
         } else {
             Ok(None)
         }
@@ -625,7 +632,9 @@ fn run_op(
     match op {
         // Engines are sequential: one fragment at a time, in sequence
         // order.
-        StageOp::Kernel { end, frag, .. } | StageOp::CpuConvert { end, frag } => {
+        StageOp::Kernel { end, frag, .. }
+        | StageOp::CpuConvert { end, frag }
+        | StageOp::Memcpy2d { end, frag } => {
             let frag = at(frag, &f)?;
             let seq = f.seq;
             if seq != *st.borrow_mut().turn(end) {

@@ -1,10 +1,10 @@
 //! Protocol selection (the BML role) and shared per-side machinery.
 //!
-//! Every rendezvous, and each half of an eager message, is one
-//! [`plan::TransferPlan`] run by the one executor in `exec`; [`sm`],
-//! [`copyio`] and [`offload`] establish the connection a rendezvous
-//! plan runs over, and [`eager`] runs its two halves over none
-//! (DESIGN.md §17).
+//! Every rendezvous, each half of an eager message and each comparator
+//! message is one [`plan::TransferPlan`] run by the one executor in
+//! `exec`; [`sm`], [`copyio`] and [`offload`] establish the connection a
+//! rendezvous plan runs over, [`eager`] runs its two halves over none,
+//! and [`comparator`] over its own staging (DESIGN.md §17).
 
 // Panic freedom (DESIGN.md §11): every protocol step surfaces a typed
 // `MpiError`.
@@ -18,6 +18,7 @@
     clippy::indexing_slicing
 )]
 
+pub mod comparator;
 pub mod copyio;
 pub mod eager;
 pub(crate) mod exec;
@@ -27,6 +28,8 @@ pub mod sm;
 
 use crate::cpupack::CpuEngine;
 use crate::matcher::RecvPosting;
+use crate::protocol::comparator::RunEngine;
+use crate::protocol::plan::Comparator;
 use crate::request::{MpiError, Request};
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
@@ -100,6 +103,8 @@ impl ShapeKey {
 pub(crate) enum SideEngine {
     Gpu(FragmentEngine),
     Cpu(CpuEngine),
+    /// A Wang-style comparator end.
+    Runs(RunEngine),
 }
 
 impl SideEngine {
@@ -125,6 +130,7 @@ impl SideEngine {
                 eng.charge_fragment(sim, frag, n, units, |_| {}, |sim, _, u| done(sim, u))
             }
             SideEngine::Cpu(eng) => eng.charge_fragment(sim, n, units, |sim, _, u| done(sim, u)),
+            SideEngine::Runs(eng) => eng.charge_fragment(sim, frag, units, done),
         }
     }
 
@@ -133,21 +139,33 @@ impl SideEngine {
         match self {
             SideEngine::Gpu(eng) => eng.typed_base(),
             SideEngine::Cpu(eng) => eng.typed_base(),
+            SideEngine::Runs(eng) => eng.typed_base(),
         }
     }
 }
 
+/// The engine converting `side` in direction `dir`, the way the plan's
+/// `comparator` (if any) defines a conversion.
 pub(crate) fn make_engine(
     sim: &mut Sim<MpiWorld>,
     side: &Side,
     dir: Direction,
+    comparator: Option<Comparator>,
 ) -> Result<SideEngine, MpiError> {
+    if comparator == Some(Comparator::Wang) {
+        return Ok(SideEngine::Runs(RunEngine::new(sim, side, dir)));
+    }
     if side.device() {
         let (stream, cache) = {
             let r = sim.world.rank(side.rank);
             (r.kernel_stream, std::rc::Rc::clone(&r.dev_cache))
         };
-        let cfg = sim.world.mpi.config.engine.clone();
+        // Ours caches DEV plans and chunks their preparation against
+        // the kernels; a comparator's kernel converts the whole type
+        // fresh.
+        let ours = comparator.is_none();
+        let mut cfg = sim.world.mpi.config.engine.clone();
+        cfg.pipeline &= ours;
         let eng = FragmentEngine::new(
             sim,
             side.rank,
@@ -157,7 +175,7 @@ pub(crate) fn make_engine(
             side.buf,
             dir,
             cfg,
-            Some(&cache),
+            ours.then_some(&cache),
         )
         .map_err(MpiError::Type)?;
         Ok(SideEngine::Gpu(eng))

@@ -4,9 +4,10 @@
 //! pipelined copy-in/copy-out), the two offload classes and both halves
 //! of an eager message are the same machine: fragments flow through a
 //! short list of stages over a bounded ring of slots, and a credit comes
-//! back per fragment. A [`TransferPlan`] writes that machine down once.
-//! [`plan_for`] and [`eager_half`] are the only places that decide which
-//! stages a path has; the executor
+//! back per fragment. So are the paper's two comparators (§2.2), as one
+//! fragment each. A [`TransferPlan`] writes that machine down once.
+//! [`plan_for`], [`eager_half`] and [`comparator_plan`] are the only
+//! places that decide which stages a path has; the executor
 //! (`crate::protocol::exec`) walks the plan and the tuner
 //! ([`crate::tuner`]) prices the very same [`StageOp`]s, so the model
 //! cannot drift from what runs (DESIGN.md §17).
@@ -14,6 +15,7 @@
 use crate::protocol::Side;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
+use datatype::DataType;
 use simcore::trace::{names, Name};
 use simcore::Sim;
 
@@ -71,6 +73,11 @@ pub enum StageOp {
     NicProgram,
     /// Re-arm → graph kernel → wire → graph kernel of a captured graph.
     GraphReplay,
+    /// Wang et al.'s conversion between the end's typed buffer and the
+    /// fragment at `frag`: one `cudaMemcpy2D` per [`vectorize`] run — a
+    /// plain `cudaMemcpy` for a run of one row — on the end's copy
+    /// stream.
+    Memcpy2d { end: End, frag: Loc },
 }
 
 impl StageOp {
@@ -115,6 +122,17 @@ impl Stages {
 /// and a slot ack — and of a transfer's closing notification.
 pub const CONTROL_BYTES: u64 = 16;
 
+/// The paper's two comparators (§2.2), each a one-fragment plan through
+/// host memory with no overlap between its stages.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Comparator {
+    /// Wang et al. (MVAPICH2-GDR): the type vectorized, one
+    /// `cudaMemcpy2D` per vector.
+    Wang,
+    /// Jenkins et al. (MPICH): one kernel per whole type, staged.
+    Jenkins,
+}
+
 /// How a slot's credit returns and how the requests complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Credit {
@@ -155,13 +173,21 @@ pub struct TransferPlan {
     /// nothing re-reads it the way a ping-pong re-reads a landing still
     /// in cache.
     pub stream: bool,
+    /// A comparator's plan converts the comparator's way: a GPU end
+    /// converts the whole type fresh — no DEV cache, no CPU/GPU
+    /// chunking, as Jenkins et al. regenerate the flattened type per
+    /// operation — and a [`StageOp::Memcpy2d`] end walks its vector
+    /// runs. `None` for every plan of ours.
+    pub comparator: Option<Comparator>,
 }
 
 impl TransferPlan {
     /// Does `end` run a conversion engine in this plan?
     pub fn converts(&self, end: End) -> bool {
         self.stages.iter().any(|op| match *op {
-            StageOp::Kernel { end: e, .. } | StageOp::CpuConvert { end: e, .. } => e == end,
+            StageOp::Kernel { end: e, .. }
+            | StageOp::CpuConvert { end: e, .. }
+            | StageOp::Memcpy2d { end: e, .. } => e == end,
             _ => false,
         })
     }
@@ -332,6 +358,7 @@ pub fn plan_for(facts: &Facts, s: &Side, r: &Side, class: PathClass) -> Transfer
         credit,
         span,
         stream: false,
+        comparator: None,
     }
 }
 
@@ -363,18 +390,107 @@ pub fn eager_half(end: End, typed: &Side, n: u64) -> TransferPlan {
         credit: Credit::Fused,
         span: None,
         stream: end == End::Recv,
+        comparator: None,
     }
+}
+
+/// The plan of one comparator message `s → r`: one fragment of the whole
+/// message through host staging, every stage waiting for the one before.
+/// Jenkins-style takes [`plan_for`]'s staged copy-in/out stage list of
+/// two device ends — for strided ones pack kernel, D2H copy, wire, H2D
+/// copy, unpack kernel; Wang-style copies its vector runs to and from
+/// host staging.
+/// Like an eager half it has no ring and no span; its copy-in/out class
+/// only tunes ring shapes, so the plan is never re-tuned.
+pub fn comparator_plan(which: Comparator, s: &Side, r: &Side) -> TransferPlan {
+    let (from, to) = (Loc::Host(End::Send), Loc::Host(End::Recv));
+    let mut stages = Stages::default();
+    match which {
+        Comparator::Jenkins => {
+            host_side(End::Send, s, false, &mut stages);
+            stages.push(StageOp::Wire { from, to });
+            host_side(End::Recv, r, false, &mut stages);
+        }
+        Comparator::Wang => {
+            let copy = |end, frag| StageOp::Memcpy2d { end, frag };
+            let ops = [
+                copy(End::Send, from),
+                StageOp::Wire { from, to },
+                copy(End::Recv, to),
+            ];
+            ops.into_iter().for_each(|op| stages.push(op));
+        }
+    }
+    TransferPlan {
+        class: PathClass::CopyInOut,
+        stages,
+        frag: s.total().max(1),
+        depth: 1,
+        ring: false,
+        credit: Credit::Fused,
+        span: None,
+        stream: false,
+        comparator: Some(which),
+    }
+}
+
+/// A uniform strided run: `height` rows of `width` bytes, `stride`
+/// bytes apart, starting at `first_disp` — exactly what one
+/// `cudaMemcpy2D` call can move.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct VectorRun {
+    pub first_disp: i64,
+    pub width: u64,
+    pub stride: i64,
+    pub height: u64,
+}
+
+impl VectorRun {
+    pub fn bytes(&self) -> u64 {
+        self.width * self.height
+    }
+}
+
+/// Wang et al.'s vectorization, the source of a [`StageOp::Memcpy2d`]
+/// stage's copies: `count` instances of a datatype as a minimal set of
+/// vector runs, in packed order. Consecutive equal-length,
+/// equally-spaced segments fold into one run; everything else
+/// degenerates to single-row runs — the behaviour the paper criticizes
+/// for indexed types, where "each contiguous block ... is considered as
+/// a single vector type and packed/unpacked separately".
+pub fn vectorize(ty: &DataType, count: u64) -> Vec<VectorRun> {
+    let mut runs: Vec<VectorRun> = Vec::new();
+    for s in ty.segments(count) {
+        if let Some(last) = runs.last_mut().filter(|last| last.width == s.len) {
+            // From the start of the run's last row: a second row fixes
+            // the stride, and every later one must keep it.
+            let gap = s.disp - (last.first_disp + last.stride * (last.height as i64 - 1));
+            if (last.height == 1 && gap >= s.len as i64) || (last.height > 1 && gap == last.stride)
+            {
+                last.stride = gap;
+                last.height += 1;
+                continue;
+            }
+        }
+        runs.push(VectorRun {
+            first_disp: s.disp,
+            width: s.len,
+            stride: s.len as i64,
+            height: 1,
+        });
+    }
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datatype::DataType;
     use memsim::{AllocId, GpuId, MemSpace, Ptr};
 
     /// Only the eager delivery half streams its landing: every other
-    /// plan — the eager pack half, and every class [`plan_for`] builds
-    /// over every side and fact combination — lands with plain stores.
+    /// plan — the eager pack half, every class [`plan_for`] builds over
+    /// every side and fact combination, and both comparators — lands
+    /// with plain stores.
     #[test]
     fn only_the_eager_delivery_half_streams() {
         use PathClass::*;
@@ -417,6 +533,10 @@ mod tests {
                 rows += 1;
             }
             for r in &sides {
+                for which in [Comparator::Wang, Comparator::Jenkins] {
+                    assert!(!comparator_plan(which, typed, r).stream, "{which:?}");
+                    rows += 1;
+                }
                 for class in classes {
                     for bits in 0..8u8 {
                         let facts = Facts {
@@ -432,6 +552,76 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rows, 4 * 2 + 4 * 4 * 5 * 8);
+        assert_eq!(rows, 4 * 2 + 4 * 4 * (2 + 5 * 8));
+    }
+
+    fn dbl() -> DataType {
+        DataType::double()
+    }
+
+    #[test]
+    fn vector_type_folds_to_one_run() {
+        let v = DataType::vector(10, 3, 7, &dbl()).unwrap();
+        let runs = vectorize(&v, 1);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(
+            runs[0],
+            VectorRun {
+                first_disp: 0,
+                width: 24,
+                stride: 56,
+                height: 10
+            }
+        );
+        assert_eq!(runs[0].bytes(), v.size());
+    }
+
+    #[test]
+    fn contiguous_is_one_row() {
+        let c = DataType::contiguous(100, &dbl()).unwrap();
+        let runs = vectorize(&c, 2);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].height, 1);
+        assert_eq!(runs[0].width, 1600);
+    }
+
+    #[test]
+    fn triangular_shatters_into_per_column_runs() {
+        let n = 16u64;
+        let lens: Vec<u64> = (0..n).map(|c| n - c).collect();
+        let disps: Vec<i64> = (0..n as i64).map(|c| c * n as i64 + c).collect();
+        let t = DataType::indexed(&lens, &disps, &dbl()).unwrap();
+        let runs = vectorize(&t, 1);
+        // Unequal column lengths cannot fold: one run per column.
+        assert_eq!(runs.len(), n as usize);
+        let total: u64 = runs.iter().map(|r| r.bytes()).sum();
+        assert_eq!(total, t.size());
+    }
+
+    #[test]
+    fn runs_conserve_bytes_on_random_mixture() {
+        let s = DataType::structure(
+            &[2, 3, 1],
+            &[0, 64, 256],
+            &[DataType::int(), dbl(), DataType::float()],
+        )
+        .unwrap();
+        let runs = vectorize(&s, 3);
+        let total: u64 = runs.iter().map(|r| r.bytes()).sum();
+        assert_eq!(total, s.size() * 3);
+    }
+
+    #[test]
+    fn multi_count_vector_keeps_folding_when_uniform() {
+        // stride pattern continues across instances when extent==stride*count.
+        let v = DataType::vector(4, 1, 2, &dbl()).unwrap();
+        let r = DataType::resized(&v, 0, 64).unwrap();
+        let runs = vectorize(&r, 3);
+        assert_eq!(
+            runs.len(),
+            1,
+            "uniform pattern across instances folds: {runs:?}"
+        );
+        assert_eq!(runs[0].height, 12);
     }
 }

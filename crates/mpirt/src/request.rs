@@ -79,10 +79,8 @@ pub struct Request {
 }
 
 impl Request {
-    /// Create an unresolved request (public for alternative protocol
-    /// implementations such as the baseline comparator).
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Request {
+    /// Create an unresolved request.
+    pub(crate) fn new() -> Request {
         Request {
             state: Rc::new(RefCell::new(RequestState {
                 result: None,

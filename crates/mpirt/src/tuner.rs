@@ -6,7 +6,8 @@
 //! [`TransferPlan`] the executor runs — one `price` arm per
 //! [`StageOp`], next to the one `run` arm in `protocol::exec` — with
 //! the price function of the crate whose charge the `run` arm calls
-//! (`gpusim::kernel_time`, `gpusim::copy_time`, `netsim::Link::time`,
+//! (`gpusim::kernel_time`, `gpusim::copy_time`,
+//! `gpusim::memcpy_2d_time`, `netsim::Link::time`,
 //! `netsim::am_time`, `NicCosts::time`, `cpupack::pass_time`, …), so
 //! it holds no rate or latency of its own. A kernel is priced on
 //! [`KernelTraffic::estimate`], the one input the executor knows
@@ -30,6 +31,7 @@
 //! surfaced through the `optimizer.frag.*` trace counters.
 
 use crate::cpupack;
+use crate::protocol::comparator::RunEngine;
 use crate::protocol::offload;
 use crate::protocol::plan::{
     plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan, CONTROL_BYTES,
@@ -37,12 +39,12 @@ use crate::protocol::plan::{
 use crate::protocol::Side;
 use crate::world::MpiWorld;
 use devengine::tune::{pick_fragment, pipeline_makespan_ns};
-use devengine::{LaunchEstimate, OptimizerConfig};
+use devengine::{Direction, LaunchEstimate, OptimizerConfig};
 use gpusim::{
     copy_time, graph_kernel_time, kernel_time, replay_time, CopyDirection, GpuState, GpuWorld as _,
     KernelConfig, KernelTraffic, NodeTopology,
 };
-use memsim::MemSpace;
+use memsim::{AllocId, MemSpace, Ptr};
 use netsim::{am_time, NetWorld as _, NicCosts};
 use simcore::trace::names;
 use simcore::{Sim, SimTime};
@@ -257,6 +259,22 @@ fn price<'a>(
             let pack = KernelStage::of(sim, s, End::Send, MemSpace::Host, true).price();
             let unpack = KernelStage::of(sim, r, End::Recv, MemSpace::Host, true).price();
             Box::new(move |n| re_arm + pack(n) + wire(n) + unpack(n))
+        }
+        StageOp::Memcpy2d { end, frag } => {
+            // The whole type's copies: a comparator plan is one
+            // fragment. Staging starts its allocation, and a copy's price
+            // reads only a pointer's space and offset.
+            let dir = match end {
+                End::Send => Direction::Pack,
+                End::Recv => Direction::Unpack,
+            };
+            let staging = Ptr {
+                space: at(frag),
+                alloc: AllocId(0),
+                offset: 0,
+            };
+            let t = RunEngine::new(sim, side(end), dir).time(sim, staging);
+            Box::new(move |_| t)
         }
     })
 }
@@ -643,6 +661,26 @@ mod tests {
             from: from.rank as u32,
             to: to.rank as u32,
         };
+        // A 2-D copy stage issues one copy per vector run, back to back
+        // on one stream: the stage lasts their sum.
+        let copies = |track: Track| -> SimTime {
+            (events.iter())
+                .filter_map(|e| match *e {
+                    TraceEvent::Span {
+                        name,
+                        track: tr,
+                        start,
+                        end,
+                        ..
+                    } if tr == track
+                        && [names::SPAN_MEMCPY, names::SPAN_MEMCPY2D].contains(&name) =>
+                    {
+                        Some(end - start)
+                    }
+                    _ => None,
+                })
+                .fold(SimTime::ZERO, |a, b| a + b)
+        };
         let mut checks: Vec<(StageOp, Track, Name)> = Vec::new();
         for &op in plan.stages.iter() {
             let rank = |end| sim.world.rank(side(end).rank);
@@ -666,6 +704,9 @@ mod tests {
                 }
                 StageOp::Copy { stream_of, .. } => {
                     (op, stream(rank(stream_of).copy_stream), names::SPAN_MEMCPY)
+                }
+                StageOp::Memcpy2d { end, .. } => {
+                    (op, stream(rank(end).copy_stream), names::SPAN_MEMCPY2D)
                 }
                 StageOp::Wire { .. } => {
                     let data = Track::LinkData {
@@ -707,7 +748,12 @@ mod tests {
                 }
                 _ => price(sim, op, (s, r)).unwrap()(n),
             };
-            assert_eq!(span(name, track), priced, "{row}: {op:?} charged vs priced");
+            let charged = if let StageOp::Memcpy2d { .. } = op {
+                copies(track)
+            } else {
+                span(name, track)
+            };
+            assert_eq!(charged, priced, "{row}: {op:?} charged vs priced");
         }
         if plan.credit == Credit::Ack {
             let priced = price(sim, StageOp::Notify { to: End::Send }, (s, r)).unwrap()(n);
@@ -722,7 +768,8 @@ mod tests {
     /// The priced plan is the executed plan. One multi-fragment
     /// transfer per row of {SmIpc one GPU, SmIpc two GPUs staged and
     /// unstaged, CopyInOut, ZeroCopy} × {dense, strided}² × legal
-    /// placements, run
+    /// placements, plus one message of each comparator between two
+    /// strided device ends over InfiniBand, run
     /// with the tracer on: the primitives the run actually issued — kernel
     /// launches, `cudaMemcpy`s, CPU convertor passes, wire sends, active
     /// messages — must equal, per fragment, the `StageOp`s of
@@ -737,6 +784,8 @@ mod tests {
     /// reuses").
     #[test]
     fn executed_primitives_match_the_planned_and_priced_stages() {
+        use crate::protocol::comparator::comparator_transfer;
+        use crate::protocol::plan::{comparator_plan, vectorize, Comparator};
         use crate::protocol::run_transfer;
         use crate::request::Request;
         use datatype::convertor::{pack_all, unpack_all};
@@ -762,6 +811,8 @@ mod tests {
             Sm2GpuUnstaged,
             IbStaged,
             IbZeroCopy,
+            /// A comparator message over InfiniBand.
+            Ib(Comparator),
         }
         let mut rows = 0;
         for topo in [
@@ -770,15 +821,27 @@ mod tests {
             Topo::Sm2GpuUnstaged,
             Topo::IbStaged,
             Topo::IbZeroCopy,
+            Topo::Ib(Comparator::Wang),
+            Topo::Ib(Comparator::Jenkins),
         ] {
-            let sm = !matches!(topo, Topo::IbStaged | Topo::IbZeroCopy);
-            // sm runs device-to-device only; copy-in/out takes any mix.
-            let placements: &[(bool, bool)] = if sm {
+            let sm = matches!(topo, Topo::Sm1Gpu | Topo::Sm2Gpu | Topo::Sm2GpuUnstaged);
+            let comparator = match topo {
+                Topo::Ib(which) => Some(which),
+                _ => None,
+            };
+            // sm and the comparators run device-to-device only;
+            // copy-in/out takes any mix.
+            let placements: &[(bool, bool)] = if sm || comparator.is_some() {
                 &[(true, true)]
             } else {
                 &[(true, true), (true, false), (false, true), (false, false)]
             };
-            for (s_dense, r_dense) in [(true, true), (true, false), (false, true), (false, false)] {
+            let densities: &[(bool, bool)] = if comparator.is_some() {
+                &[(false, false)]
+            } else {
+                &[(true, true), (true, false), (false, true), (false, false)]
+            };
+            for &(s_dense, r_dense) in densities {
                 for &(s_dev, r_dev) in placements {
                     let row = format!(
                         "{topo:?} s(dense={s_dense},dev={s_dev}) r(dense={r_dense},dev={r_dev})"
@@ -802,7 +865,9 @@ mod tests {
                     let mut sim = Sim::new(match topo {
                         Topo::Sm1Gpu => MpiWorld::two_ranks_one_gpu(config),
                         Topo::Sm2Gpu | Topo::Sm2GpuUnstaged => MpiWorld::two_ranks_two_gpus(config),
-                        Topo::IbStaged | Topo::IbZeroCopy => MpiWorld::two_ranks_ib(config),
+                        Topo::IbStaged | Topo::IbZeroCopy | Topo::Ib(_) => {
+                            MpiWorld::two_ranks_ib(config)
+                        }
                     });
                     let side = |sim: &mut Sim<MpiWorld>, rank: usize, is_dense, dev| {
                         let ty: &DataType = if is_dense { &dense } else { &strided };
@@ -836,14 +901,33 @@ mod tests {
                     } else {
                         facts.copy_class()
                     };
+                    // The primitives a stage issues per fragment: one, but
+                    // a 2-D copy stage's one copy per vector run.
+                    let issued = |op: &StageOp| match *op {
+                        StageOp::Memcpy2d { end, .. } => {
+                            let typed = if end == End::Send { &s } else { &r };
+                            vectorize(&typed.ty, typed.count).len() as u64
+                        }
+                        _ => 1,
+                    };
                     let (plan, priced) = {
-                        let (plan, prices) = path_stages(&sim, &s, &r, class);
-                        (plan, prices.len() as u64)
+                        let (plan, prices) = match comparator {
+                            Some(which) => {
+                                let plan = comparator_plan(which, &s, &r);
+                                let prices: Vec<_> = (plan.stages.iter())
+                                    .filter_map(|&op| price(&sim, op, (&s, &r)))
+                                    .collect();
+                                (plan, prices)
+                            }
+                            None => path_stages(&sim, &s, &r, class),
+                        };
+                        let more: u64 = plan.stages.iter().map(|op| issued(op) - 1).sum();
+                        (plan, prices.len() as u64 + more)
                     };
                     let nfrags = if plan.ring { total.div_ceil(FRAG) } else { 1 };
                     assert!(!plan.ring || nfrags >= 3, "{row}: not multi-fragment");
-                    let planned = |pick: fn(&StageOp) -> bool| {
-                        plan.stages.iter().filter(|op| pick(op)).count() as u64
+                    let planned = |pick: fn(&StageOp) -> bool| -> u64 {
+                        plan.stages.iter().filter(|op| pick(op)).map(issued).sum()
                     };
 
                     // The same transfer three times on the one world.
@@ -872,8 +956,24 @@ mod tests {
                             sim.trace.events().len(),
                             sim.world.mem().bytes_moved(),
                         );
-                        let (sreq, rreq) = (Request::new(), Request::new());
-                        run_transfer(&mut sim, s.clone(), r.clone(), sreq.clone(), rreq.clone());
+                        let (sreq, rreq) = match comparator {
+                            Some(which) => {
+                                let req =
+                                    comparator_transfer(&mut sim, which, s.clone(), r.clone());
+                                (req.clone(), req)
+                            }
+                            None => {
+                                let (sreq, rreq) = (Request::new(), Request::new());
+                                run_transfer(
+                                    &mut sim,
+                                    s.clone(),
+                                    r.clone(),
+                                    sreq.clone(),
+                                    rreq.clone(),
+                                );
+                                (sreq, rreq)
+                            }
+                        };
                         sim.run();
                         assert_eq!(sreq.expect_bytes(), total, "{row}");
                         assert_eq!(rreq.expect_bytes(), total, "{row}");
@@ -913,7 +1013,7 @@ mod tests {
                             "{row}: bytes moved per byte delivered"
                         );
                         let kernels = counter(names::GPUSIM_KERNEL_LAUNCHES);
-                        let memcpys = spans(names::SPAN_MEMCPY);
+                        let memcpys = spans(names::SPAN_MEMCPY) + spans(names::SPAN_MEMCPY2D);
                         let cpu_passes =
                             spans(names::SPAN_CPU_PACK) + spans(names::SPAN_CPU_UNPACK);
                         let wires = spans(names::SPAN_WIRE);
@@ -925,7 +1025,10 @@ mod tests {
                         );
                         assert_eq!(
                             memcpys,
-                            nfrags * planned(|op| matches!(op, StageOp::Copy { .. })),
+                            nfrags
+                                * planned(|op| {
+                                    matches!(op, StageOp::Copy { .. } | StageOp::Memcpy2d { .. })
+                                }),
                             "{row}: memcpys"
                         );
                         assert_eq!(
@@ -977,7 +1080,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rows, 3 * 4 + 2 * 16);
+        assert_eq!(rows, 3 * 4 + 2 * 16 + 2);
     }
 
     /// The eager rows of the stage table. One eager message per row of

@@ -12,10 +12,9 @@
 //! * [`devengine`] — the paper's GPU datatype engine (DEV methodology).
 //! * [`netsim`] — PCIe/InfiniBand/shared-memory interconnect models.
 //! * [`mpirt`] — the Open MPI-like PML/BML/BTL runtime with the paper's
-//!   pipelined RDMA and copy-in/out protocols.
-//! * [`baseline`] — the MVAPICH2-GDR-style comparator.
+//!   pipelined RDMA and copy-in/out protocols, and the paper's two
+//!   comparators (Wang- and Jenkins-style) as plans of the same executor.
 
-pub use baseline;
 pub use datatype;
 pub use devengine;
 pub use gpusim;

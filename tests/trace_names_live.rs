@@ -12,7 +12,10 @@ use faultsim::{FaultKind, FaultOp, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
 use mpirt::scale::{self, random_program, ScaleConfig};
-use mpirt::{alltoall, irecv, isend, wait_all, MpiConfig, RecvArgs, SendArgs, Session};
+use mpirt::{
+    alltoall, comparator_transfer, irecv, isend, wait_all, Comparator, MpiConfig, RecvArgs,
+    SendArgs, Session, Side,
+};
 use simcore::trace::{Name, TraceEvent};
 use simcore::{Counter, Tracer};
 use std::cell::RefCell;
@@ -191,18 +194,15 @@ fn every_registered_trace_name_is_emitted() {
     // with no DEV cache. Then the engine itself, uncached, with a
     // pipeline chunk worth tuning.
     seen.run(ib(MpiConfig::default()), |sess| {
-        for (jenkins, ty) in [(false, &submatrix), (true, &tri)] {
-            let mut side = |rank| baseline::BaselineSide {
+        for (which, ty) in [(Comparator::Wang, &submatrix), (Comparator::Jenkins, &tri)] {
+            let mut side = |rank| Side {
                 rank,
                 ty: ty.clone(),
                 count: 1,
                 buf: alloc(sess, rank, ty, true),
             };
             let (s, r) = (side(0), side(1));
-            let req = match jenkins {
-                true => baseline::jenkins_transfer(sess, s, r),
-                false => baseline::baseline_transfer(sess, s, r),
-            };
+            let req = comparator_transfer(sess, which, s, r);
             wait_all(sess, &[req]).unwrap();
         }
         let (typed, packed) = (alloc(sess, 0, &tri, true), alloc(sess, 0, &dense, true));
