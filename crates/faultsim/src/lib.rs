@@ -45,8 +45,8 @@ pub enum FaultOp {
     Memcpy = 5,
     /// CUDA-IPC handle open (`gpusim::system::ipc_open`).
     IpcOpen = 6,
-    /// Pinned-host registration performed once per connection
-    /// (`mpirt::connection::ib_connection`).
+    /// Zero-copy mapping of the pinned host rings, rolled once per
+    /// connection handshake (`mpirt::connection::ib_connection`).
     PinnedRegister = 7,
     /// Staged copy-in/copy-out hop over a data link (`netsim::wire`).
     WireCopy = 8,

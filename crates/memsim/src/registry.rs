@@ -1,5 +1,5 @@
-//! Memory registration: CUDA IPC export/open, pinned host memory, and
-//! UMA zero-copy mappings.
+//! Memory registration: CUDA IPC export/open and NIC (RDMA)
+//! registration.
 //!
 //! Real GPUDirect/IPC requires memory to be *registered* before a peer
 //! process or the NIC may touch it, and registration is expensive — the
@@ -18,11 +18,6 @@ use simcore::hash::DetHashMap;
 pub enum Registration {
     /// Exported through CUDA IPC (peer process may map it).
     IpcExport,
-    /// Page-locked host memory (required for async DMA and RDMA).
-    PinnedHost,
-    /// Host memory mapped into a GPU's address space (CUDA zero-copy):
-    /// kernels on that GPU may read/write it directly over PCIe.
-    ZeroCopy(GpuId),
     /// Registered with the NIC for RDMA.
     Rdma,
 }
@@ -189,9 +184,9 @@ mod tests {
     fn registrations_are_deduplicated() {
         let mut t = RegistrationTable::new();
         let p = dptr();
-        t.register(p, Registration::PinnedHost);
-        t.register(p, Registration::PinnedHost);
-        t.unregister(p, Registration::PinnedHost);
-        assert!(!t.is_registered(p, Registration::PinnedHost));
+        t.register(p, Registration::Rdma);
+        t.register(p, Registration::Rdma);
+        t.unregister(p, Registration::Rdma);
+        assert!(!t.is_registered(p, Registration::Rdma));
     }
 }

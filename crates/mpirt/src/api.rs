@@ -86,6 +86,21 @@ impl RecvArgs {
     }
 }
 
+/// The first of `ranks` (argument name, value) that names no rank of
+/// the job, as a typed error naming the argument — checked before
+/// anything is charged, as `run_transfer` checks a degenerate
+/// configuration.
+fn bad_rank(
+    sim: &Sim<MpiWorld>,
+    ranks: impl IntoIterator<Item = (&'static str, usize)>,
+) -> Option<MpiError> {
+    let n = sim.world.mpi.ranks.len();
+    let (what, r) = ranks.into_iter().find(|&(_, r)| r >= n)?;
+    Some(MpiError::Faulted(format!(
+        "{what} = {r} is not a rank of this {n}-rank job"
+    )))
+}
+
 /// Nonblocking send (`MPI_Isend`). The transfer progresses as the
 /// simulation runs; the returned request completes when the send buffer
 /// is reusable.
@@ -95,7 +110,19 @@ pub fn isend(sim: &mut Sim<MpiWorld>, args: SendArgs) -> Request {
         req.complete(sim, Err(MpiError::Type(datatype::TypeError::NotCommitted)));
         return req;
     }
-    assert!(args.from != args.to, "self-sends are not modeled");
+    let ranks = [("SendArgs::from", args.from), ("SendArgs::to", args.to)];
+    let bad = bad_rank(sim, ranks).or_else(|| {
+        (args.from == args.to).then(|| {
+            MpiError::Faulted(format!(
+                "SendArgs::to = {}: self-sends are not modeled",
+                args.to
+            ))
+        })
+    });
+    if let Some(err) = bad {
+        req.complete(sim, Err(err));
+        return req;
+    }
     let side = Side {
         rank: args.from,
         ty: args.ty.clone(),
@@ -137,6 +164,11 @@ pub fn irecv(sim: &mut Sim<MpiWorld>, args: RecvArgs) -> Request {
     let req = Request::new();
     if !args.ty.is_committed() {
         req.complete(sim, Err(MpiError::Type(datatype::TypeError::NotCommitted)));
+        return req;
+    }
+    let src = args.src.map(|s| ("RecvArgs::src", s));
+    if let Some(err) = bad_rank(sim, [("RecvArgs::rank", args.rank)].into_iter().chain(src)) {
+        req.complete(sim, Err(err));
         return req;
     }
     let posting = RecvPosting {

@@ -1,18 +1,27 @@
-//! Per-pair connection state: fragment rings, IPC mappings, pinned host
-//! buffers and their registrations.
+//! Connections: rings are per rank; a connection is its handshake.
 //!
-//! Connections are established **once** per rank pair and cached — the
-//! core of the paper's "light-weight pipelined RDMA protocol ... which
-//! only proposes a single one-time establishment of the RDMA connection
-//! (and then caching the registration)".
+//! Each rank owns at most one fragment ring per [`Loc`] that can name
+//! it — `Dev(Send)`, `Dev(Recv)`, `Host(Send)`, `Host(Recv)` — in
+//! [`RankState::rings`](crate::world::RankState::rings). A ring is
+//! allocated the first time a connection needs it, IPC-exported or
+//! NIC-registered once, and shared by all of that rank's connections:
+//! as in Open MPI's BTLs, whose fragments come from per-module free
+//! lists, not per-peer rings. Slot credits are counted per transfer by
+//! the executor, and no stage writes a slot byte, so a ring is only an
+//! address in a memory space plus its one-time registration.
+//!
+//! What is per pair is the handshake, performed **once** per directed
+//! rank pair and remembered in `MpiState::{sm_conns, ib_conns}` — the
+//! paper's "single one-time establishment of the RDMA connection (and
+//! then caching the registration)": the receiver's IPC open of the
+//! sender's ring, and the zero-copy pin of the pinned host rings.
 //!
 //! Establishment is also where the runtime absorbs injected faults: a
 //! transient IPC-open failure is retried under a capped exponential
 //! backoff until [`HANDSHAKE_TIMEOUT`] virtual time has elapsed; a
-//! permanent loss (or an exhausted handshake budget) tears the
-//! half-built connection back down — freeing the ring so its invariants
-//! never leak — flips the runtime IPC flag off, and surfaces a typed
-//! error so the protocol layer can renegotiate the path.
+//! permanent loss (or an exhausted handshake budget) evicts the
+//! half-built connection, flips the runtime IPC flag off, and surfaces a
+//! typed error so the protocol layer can renegotiate the path.
 
 // Panic freedom (DESIGN.md §11): establishment surfaces a typed `MpiError`.
 #![deny(
@@ -25,6 +34,7 @@
     clippy::indexing_slicing
 )]
 
+use crate::protocol::plan::{End, Loc};
 use crate::request::MpiError;
 use crate::world::MpiWorld;
 use faultsim::{Backoff, FaultDecision, FaultOp};
@@ -33,8 +43,6 @@ use gpusim::{fault, ipc_open};
 use memsim::{MemError, MemSpace, Ptr, Registration};
 use netsim::ensure_registered;
 use simcore::{Sim, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Attempt cap for one connection handshake under transient faults.
 const HANDSHAKE_RETRY_MAX: u32 = 5;
@@ -74,196 +82,117 @@ impl Handshake {
     }
 }
 
-/// Shared-memory (CUDA IPC) connection: a fragment ring in the sender's
-/// GPU memory, mapped into the receiver, plus an optional local staging
-/// ring on the receiver.
-pub struct SmConn {
-    pub frag_size: u64,
-    pub depth: usize,
-    /// Slots in the sender's device memory (receiver has them mapped).
-    pub ring: Vec<Ptr>,
-    /// Receiver-local staging slots (None when staging is disabled).
-    pub staging: Option<Vec<Ptr>>,
-}
-
-/// Copy-in/copy-out connection: pinned host rings on both sides and
-/// device-side rings for the non-zero-copy staging path.
-pub struct IbConn {
-    pub frag_size: u64,
-    pub depth: usize,
-    pub send_host: Vec<Ptr>,
-    pub recv_host: Vec<Ptr>,
-    pub send_dev: Vec<Ptr>,
-    pub recv_dev: Vec<Ptr>,
-}
-
-impl SmConn {
-    /// Ring slot for a sequence number, reduced modulo the pipeline
-    /// depth. `None` means the connection bookkeeping is corrupted (the
-    /// ring is always built with `depth` slots); callers surface that
-    /// as a typed protocol failure instead of panicking.
-    pub fn ring_slot(&self, seq: usize) -> Option<Ptr> {
-        self.ring.get(seq % self.depth.max(1)).copied()
+/// Rank `rank`'s ring at `loc`, allocated on first use: `depth` slots of
+/// `frag_size` bytes in the rank's GPU memory (`Dev`) or in host memory
+/// (`Host`), one allocation per slot, as cudaMalloc'd fragment buffers
+/// are. A failed allocation frees the slots it made, so the rank holds
+/// the whole ring or none of it.
+fn ring(sim: &mut Sim<MpiWorld>, rank: usize, loc: Loc) -> Result<Vec<Ptr>, MemError> {
+    let r = sim.world.rank(rank);
+    if let Some(slots) = r.rings.get(&loc) {
+        return Ok(slots.clone());
     }
-
-    /// Receiver-local staging slot for a sequence number; `None` when
-    /// staging is disabled (callers unpack straight from the ring).
-    pub fn staging_slot(&self, seq: usize) -> Option<Ptr> {
-        self.staging.as_ref()?.get(seq % self.depth.max(1)).copied()
-    }
-}
-
-impl IbConn {
-    /// Checked slot lookups for the four rings: every ring is built
-    /// with `depth` slots and slots are recycled through a 0..depth
-    /// free list, so `None` can only mean corrupted bookkeeping —
-    /// which the protocols report as a typed failure.
-    pub fn send_host_slot(&self, slot: usize) -> Option<Ptr> {
-        self.send_host.get(slot).copied()
-    }
-    pub fn recv_host_slot(&self, slot: usize) -> Option<Ptr> {
-        self.recv_host.get(slot).copied()
-    }
-    pub fn send_dev_slot(&self, slot: usize) -> Option<Ptr> {
-        self.send_dev.get(slot).copied()
-    }
-    pub fn recv_dev_slot(&self, slot: usize) -> Option<Ptr> {
-        self.recv_dev.get(slot).copied()
-    }
-}
-
-fn ring(
-    sim: &mut Sim<MpiWorld>,
-    space: MemSpace,
-    frag: u64,
-    depth: usize,
-) -> Result<Vec<Ptr>, MemError> {
-    // One allocation per slot keeps slots maximally aligned, matching
-    // cudaMalloc'd fragment buffers.
+    let space = match loc {
+        Loc::Dev(_) => MemSpace::Device(r.gpu),
+        _ => MemSpace::Host,
+    };
+    let cfg = &sim.world.mpi.config;
+    let (frag, depth) = (cfg.frag_size, cfg.pipeline_depth);
     let mut slots = Vec::with_capacity(depth);
     for _ in 0..depth {
         match sim.world.mem().alloc(space, frag) {
             Ok(p) => slots.push(p),
             Err(e) => {
-                free_slots(sim, slots);
+                // Every pointer here came from `alloc` just now, so a
+                // failed free cannot outrank the error being reported.
+                for p in slots {
+                    let _ = sim.world.mem().free(p);
+                }
                 return Err(e);
             }
         }
     }
+    if let Some(r) = sim.world.mpi.ranks.get_mut(rank) {
+        r.rings.insert(loc, slots.clone());
+    }
     Ok(slots)
 }
 
-/// Release ring slots, ignoring bookkeeping failures: every pointer here
-/// came from our own `alloc`, so a failed free cannot be the root cause
-/// of whatever error is already being reported.
-fn free_slots(sim: &mut Sim<MpiWorld>, slots: Vec<Ptr>) {
-    for p in slots {
-        let _ = sim.world.mem().free(p);
-    }
+/// Fail a connection request with a memory error, as an event.
+fn refuse(
+    sim: &mut Sim<MpiWorld>,
+    e: MemError,
+    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
+) {
+    let err = MpiError::Mem(e.to_string());
+    sim.schedule_now(move |sim| done(sim, Err(err)));
 }
 
 /// Get or lazily establish the SM connection `sender -> receiver`,
-/// charging the one-time IPC mapping cost on first use. `done` receives
-/// `Err` when the IPC capability was permanently lost mid-handshake (the
-/// caller is expected to renegotiate to copy-in/copy-out).
+/// charging the one-time IPC mapping cost on first use. The sender's
+/// `Dev(Send)` ring is the one exported; the receiver's `Dev(Recv)` ring
+/// stages fragments when `recv_local_staging` is on and the two GPUs
+/// differ. `done` receives `Err` when the IPC capability was permanently
+/// lost mid-handshake (the caller is expected to renegotiate to
+/// copy-in/copy-out).
 pub fn sm_connection(
     sim: &mut Sim<MpiWorld>,
     sender: usize,
     receiver: usize,
-    done: impl FnOnce(&mut Sim<MpiWorld>, Result<Rc<RefCell<SmConn>>, MpiError>) + 'static,
+    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    if let Some(conn) = sim.world.mpi.sm_conns.get(&(sender, receiver)) {
-        let conn = Rc::clone(conn);
-        sim.schedule_now(move |sim| done(sim, Ok(conn)));
+    if sim.world.mpi.sm_conns.contains(&(sender, receiver)) {
+        sim.schedule_now(move |sim| done(sim, Ok(())));
         return;
     }
     let frag = sim.world.mpi.config.frag_size;
-    let depth = sim.world.mpi.config.pipeline_depth;
-    let s_gpu = sim.world.rank(sender).gpu;
-    let r_gpu = sim.world.rank(receiver).gpu;
-    let want_staging = sim.world.mpi.config.recv_local_staging;
-
-    let ring_slots = match ring(sim, MemSpace::Device(s_gpu), frag, depth) {
+    let staged = sim.world.mpi.config.recv_local_staging
+        && sim.world.rank(receiver).gpu != sim.world.rank(sender).gpu;
+    let slots = match ring(sim, sender, Loc::Dev(End::Send)) {
         Ok(v) => v,
-        Err(e) => {
-            let err = MpiError::Mem(e.to_string());
-            sim.schedule_now(move |sim| done(sim, Err(err)));
-            return;
-        }
+        Err(e) => return refuse(sim, e, done),
     };
-    for &slot in &ring_slots {
-        if let Err(e) = sim.world.mem().registry.export_ipc(slot, frag) {
-            free_slots(sim, ring_slots);
-            let err = MpiError::Mem(e.to_string());
-            sim.schedule_now(move |sim| done(sim, Err(err)));
-            return;
+    // Exporting marks the slots; the first slot's handle is the one the
+    // receiver opens (handles for all slots travel in one exchange).
+    let mut handle = None;
+    for &slot in &slots {
+        match sim.world.mem().registry.export_ipc(slot, frag) {
+            Ok(h) => handle = handle.or(Some(h)),
+            Err(e) => return refuse(sim, e, done),
         }
     }
-    let staging = if want_staging && r_gpu != s_gpu {
-        match ring(sim, MemSpace::Device(r_gpu), frag, depth) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                free_slots(sim, ring_slots);
-                let err = MpiError::Mem(e.to_string());
-                sim.schedule_now(move |sim| done(sim, Err(err)));
-                return;
-            }
+    if staged {
+        if let Err(e) = ring(sim, receiver, Loc::Dev(End::Recv)) {
+            return refuse(sim, e, done);
         }
-    } else {
-        // Same-GPU "peers" read the ring directly; staging would be a
-        // pointless extra copy.
-        None
-    };
-    let conn = Rc::new(RefCell::new(SmConn {
-        frag_size: frag,
-        depth,
-        ring: ring_slots,
-        staging,
-    }));
-    sim.world
-        .mpi
-        .sm_conns
-        .insert((sender, receiver), Rc::clone(&conn));
-
-    // Receiver maps the exported ring: one ipc_open charge for the
-    // connection (handles for all slots are opened in one exchange).
-    let first = conn.borrow().ring.first().copied();
-    let Some(first) = first else {
+    }
+    sim.world.mpi.sm_conns.insert((sender, receiver));
+    let Some(handle) = handle else {
         // Zero-depth ring: degenerate configuration, nothing to map.
-        sim.schedule_now(move |sim| done(sim, Ok(conn)));
+        sim.schedule_now(move |sim| done(sim, Ok(())));
         return;
     };
-    let handle = match sim.world.mem().registry.export_ipc(first, frag) {
-        Ok(h) => h,
-        Err(e) => {
-            teardown_sm_connection(sim, sender, receiver, &conn);
-            let err = MpiError::Mem(e.to_string());
-            sim.schedule_now(move |sim| done(sim, Err(err)));
-            return;
-        }
-    };
     let hs = Handshake::start(sim);
-    sm_open_attempt(sim, (sender, receiver), conn, handle, hs, done);
+    sm_open_attempt(sim, (sender, receiver), handle, hs, done);
 }
 
 fn sm_open_attempt(
     sim: &mut Sim<MpiWorld>,
     (sender, receiver): (usize, usize),
-    conn: Rc<RefCell<SmConn>>,
     handle: memsim::IpcHandle,
     mut hs: Handshake,
-    done: impl FnOnce(&mut Sim<MpiWorld>, Result<Rc<RefCell<SmConn>>, MpiError>) + 'static,
+    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
     ipc_open(sim, handle, move |sim, res| match res {
-        Ok(_) => done(sim, Ok(conn)),
+        Ok(_) => done(sim, Ok(())),
         Err(MemError::Faulted { transient }) => {
             if let Some(delay) = transient.then(|| hs.retry(sim, FaultOp::IpcOpen)).flatten() {
                 sim.schedule_in(delay, move |sim| {
-                    sm_open_attempt(sim, (sender, receiver), conn, handle, hs, done);
+                    sm_open_attempt(sim, (sender, receiver), handle, hs, done);
                 });
                 return;
             }
-            abandon_sm_connection(sim, sender, receiver, &conn);
+            abandon_sm_connection(sim, sender, receiver);
             let why = if transient {
                 format!(
                     "IPC handshake {sender} -> {receiver} timed out after {} attempts",
@@ -276,43 +205,19 @@ fn sm_open_attempt(
         }
         Err(e) => {
             // Unexpected bookkeeping failure (not a fault injection):
-            // tear the half-built connection down and surface it typed.
-            abandon_sm_connection(sim, sender, receiver, &conn);
+            // drop the half-built connection and surface it typed.
+            abandon_sm_connection(sim, sender, receiver);
             done(sim, Err(MpiError::Mem(format!("ipc open: {e}"))));
         }
     });
 }
 
-/// Evict a half-established SM connection from the cache and free every
-/// ring slot (which also drops the slots' IPC exports), so a later path
-/// holds no dangling fragment-ring state.
-fn teardown_sm_connection(
-    sim: &mut Sim<MpiWorld>,
-    sender: usize,
-    receiver: usize,
-    conn: &Rc<RefCell<SmConn>>,
-) {
+/// Evict a half-established SM connection and flip the runtime IPC flag
+/// off: the capability itself is gone, so later same-node transfers
+/// renegotiate straight to copy-in/copy-out. The rings stay with their
+/// ranks, for whichever connection needs them next.
+fn abandon_sm_connection(sim: &mut Sim<MpiWorld>, sender: usize, receiver: usize) {
     sim.world.mpi.sm_conns.remove(&(sender, receiver));
-    let (slots, staging) = {
-        let mut c = conn.borrow_mut();
-        (std::mem::take(&mut c.ring), c.staging.take())
-    };
-    free_slots(sim, slots);
-    if let Some(st) = staging {
-        free_slots(sim, st);
-    }
-}
-
-/// Tear down a half-established SM connection *and* flip the runtime IPC
-/// flag off: the capability itself is gone, so later same-node transfers
-/// renegotiate straight to copy-in/copy-out.
-fn abandon_sm_connection(
-    sim: &mut Sim<MpiWorld>,
-    sender: usize,
-    receiver: usize,
-    conn: &Rc<RefCell<SmConn>>,
-) {
-    teardown_sm_connection(sim, sender, receiver, conn);
     sim.world.mpi.ipc_runtime_ok = false;
 }
 
@@ -390,121 +295,63 @@ fn peer_open_attempt(
 }
 
 /// Get or lazily establish the copy-in/out connection `sender ->
-/// receiver`: allocates pinned host rings (registered with the NIC) and
-/// device staging rings, charging registration once per side.
+/// receiver` over the sender's `Host(Send)` / `Dev(Send)` rings and the
+/// receiver's `Host(Recv)` / `Dev(Recv)` rings, registering each host
+/// ring with the NIC the first time any connection needs it.
 ///
 /// Mapping the pinned rings into the GPUs (zero copy) is its own fault
-/// charge point (`FaultOp::PinnedRegister`): a permanent loss demotes
-/// the runtime to the explicitly staged variant — the connection still
-/// comes up, just without the zero-copy capability.
+/// charge point (`FaultOp::PinnedRegister`), rolled once per connection:
+/// a permanent loss demotes the runtime to the explicitly staged variant
+/// — the connection still comes up, just without the zero-copy
+/// capability.
 pub fn ib_connection(
     sim: &mut Sim<MpiWorld>,
     sender: usize,
     receiver: usize,
-    done: impl FnOnce(&mut Sim<MpiWorld>, Result<Rc<RefCell<IbConn>>, MpiError>) + 'static,
+    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    if let Some(conn) = sim.world.mpi.ib_conns.get(&(sender, receiver)) {
-        let conn = Rc::clone(conn);
-        sim.schedule_now(move |sim| done(sim, Ok(conn)));
+    if sim.world.mpi.ib_conns.contains(&(sender, receiver)) {
+        sim.schedule_now(move |sim| done(sim, Ok(())));
         return;
     }
-    let frag = sim.world.mpi.config.frag_size;
-    let depth = sim.world.mpi.config.pipeline_depth;
-    let s_gpu = sim.world.rank(sender).gpu;
-    let r_gpu = sim.world.rank(receiver).gpu;
-
-    // Allocate all four rings, unwinding the earlier ones if a later
-    // one fails so establishment never leaks ring slots.
-    let mut rings: Vec<Vec<Ptr>> = Vec::with_capacity(4);
-    let spaces = [
-        MemSpace::Host,
-        MemSpace::Host,
-        MemSpace::Device(s_gpu),
-        MemSpace::Device(r_gpu),
+    let rings = [
+        (sender, Loc::Host(End::Send)),
+        (receiver, Loc::Host(End::Recv)),
+        (sender, Loc::Dev(End::Send)),
+        (receiver, Loc::Dev(End::Recv)),
     ];
-    for space in spaces {
-        match ring(sim, space, frag, depth) {
-            Ok(v) => rings.push(v),
-            Err(e) => {
-                for r in rings {
-                    free_slots(sim, r);
-                }
-                let err = MpiError::Mem(e.to_string());
-                sim.schedule_now(move |sim| done(sim, Err(err)));
-                return;
-            }
+    for (rank, loc) in rings {
+        if let Err(e) = ring(sim, rank, loc) {
+            return refuse(sim, e, done);
         }
     }
-    let mut rings = rings.into_iter();
-    let (send_host, recv_host, send_dev, recv_dev) =
-        match (rings.next(), rings.next(), rings.next(), rings.next()) {
-            (Some(a), Some(b), Some(c), Some(d)) => (a, b, c, d),
-            _ => {
-                let err = MpiError::Faulted("ib ring allocation bookkeeping broke".into());
-                sim.schedule_now(move |sim| done(sim, Err(err)));
-                return;
-            }
-        };
-
-    // Pin the host rings for the NIC. Registration cost is charged once
-    // per side (below, through `ensure_registered`).
-    for &p in send_host.iter().chain(recv_host.iter()) {
-        sim.world
-            .mem()
-            .registry
-            .register(p, Registration::PinnedHost);
-    }
-    let conn = Rc::new(RefCell::new(IbConn {
-        frag_size: frag,
-        depth,
-        send_host,
-        recv_host,
-        send_dev,
-        recv_dev,
-    }));
-    sim.world
-        .mpi
-        .ib_conns
-        .insert((sender, receiver), Rc::clone(&conn));
+    sim.world.mpi.ib_conns.insert((sender, receiver));
 
     let hs = Handshake::start(sim);
-    zero_copy_pin_attempt(
-        sim,
-        (sender, receiver),
-        Rc::clone(&conn),
-        (s_gpu, r_gpu),
-        hs,
-        move |sim| {
-            let firsts = {
-                let c = conn.borrow();
-                c.send_host
-                    .first()
-                    .copied()
-                    .zip(c.recv_host.first().copied())
-            };
-            let Some((first_s, first_r)) = firsts else {
-                // Zero-depth ring: degenerate configuration, nothing to
-                // register.
-                return done(sim, Ok(conn));
-            };
-            ensure_registered(sim, sender, first_s, move |sim| {
-                ensure_registered(sim, receiver, first_r, move |sim| {
-                    done(sim, Ok(conn));
-                });
-            });
-        },
-    );
+    zero_copy_pin_attempt(sim, (sender, receiver), hs, move |sim| {
+        let first = |rank, end| {
+            let slots = sim.world.rank(rank).rings.get(&Loc::Host(end));
+            slots.and_then(|s| s.first()).copied()
+        };
+        let (Some(first_s), Some(first_r)) = (first(sender, End::Send), first(receiver, End::Recv))
+        else {
+            // Zero-depth ring: degenerate configuration, nothing to
+            // register.
+            return done(sim, Ok(()));
+        };
+        ensure_registered(sim, sender, first_s, move |sim| {
+            ensure_registered(sim, receiver, first_r, move |sim| done(sim, Ok(())));
+        });
+    });
 }
 
 /// Map the pinned host rings into both GPUs (CUDA zero copy), rolling
-/// the `PinnedRegister` fault charge point. On permanent loss the marks
-/// are skipped and the runtime zero-copy flag flips off; the staged path
-/// needs no mapping, so establishment continues either way.
+/// the `PinnedRegister` fault charge point. On permanent loss the
+/// runtime zero-copy flag flips off; the staged path needs no mapping,
+/// so establishment continues either way.
 fn zero_copy_pin_attempt(
     sim: &mut Sim<MpiWorld>,
     (sender, receiver): (usize, usize),
-    conn: Rc<RefCell<IbConn>>,
-    (s_gpu, r_gpu): (memsim::GpuId, memsim::GpuId),
     mut hs: Handshake,
     then: impl FnOnce(&mut Sim<MpiWorld>) + 'static,
 ) {
@@ -513,22 +360,12 @@ fn zero_copy_pin_attempt(
     if verdict == FaultDecision::Transient {
         if let Some(delay) = hs.retry(sim, op) {
             sim.schedule_in(delay, move |sim| {
-                zero_copy_pin_attempt(sim, (sender, receiver), conn, (s_gpu, r_gpu), hs, then);
+                zero_copy_pin_attempt(sim, (sender, receiver), hs, then);
             });
             return;
         }
     }
-    if verdict == FaultDecision::Ok {
-        let c = conn.borrow();
-        let marks = (c.send_host.iter().map(|&p| (p, s_gpu)))
-            .chain(c.recv_host.iter().map(|&p| (p, r_gpu)));
-        for (p, gpu) in marks {
-            sim.world
-                .mem()
-                .registry
-                .register(p, Registration::ZeroCopy(gpu));
-        }
-    } else {
+    if verdict != FaultDecision::Ok {
         sim.world.mpi.zero_copy_runtime_ok = false;
         let (a, b) = (sender as u32, receiver as u32);
         sim.trace
@@ -545,14 +382,24 @@ mod tests {
     use faultsim::{FaultKind, FaultPlan};
     use simcore::SimTime;
 
+    /// The slots of `rank`'s ring at `loc` (empty when it has none).
+    fn slots(sim: &Sim<MpiWorld>, rank: usize, loc: Loc) -> Vec<Ptr> {
+        sim.world
+            .rank(rank)
+            .rings
+            .get(&loc)
+            .cloned()
+            .unwrap_or_default()
+    }
+
     #[test]
     fn sm_connection_cached_after_first_use() {
         let mut sim = Sim::new(MpiWorld::two_ranks_two_gpus(MpiConfig::default()));
         sm_connection(&mut sim, 0, 1, |sim, conn| {
-            let conn = conn.expect("no faults");
-            let c = conn.borrow();
-            assert_eq!(c.ring.len(), c.depth);
-            assert!(c.staging.is_some());
+            conn.expect("no faults");
+            let depth = sim.world.mpi.config.pipeline_depth;
+            assert_eq!(slots(sim, 0, Loc::Dev(End::Send)).len(), depth);
+            assert_eq!(slots(sim, 1, Loc::Dev(End::Recv)).len(), depth);
             // First establishment pays the IPC open cost.
             assert!(sim.now() >= SimTime::from_micros(120));
         });
@@ -567,8 +414,9 @@ mod tests {
     #[test]
     fn same_gpu_connection_skips_staging() {
         let mut sim = Sim::new(MpiWorld::two_ranks_one_gpu(MpiConfig::default()));
-        sm_connection(&mut sim, 0, 1, |_, conn| {
-            assert!(conn.expect("no faults").borrow().staging.is_none());
+        sm_connection(&mut sim, 0, 1, |sim, conn| {
+            conn.expect("no faults");
+            assert!(slots(sim, 1, Loc::Dev(End::Recv)).is_empty());
         });
         sim.run();
     }
@@ -577,24 +425,58 @@ mod tests {
     fn ib_connection_registers_rings() {
         let mut sim = Sim::new(MpiWorld::two_ranks_ib(MpiConfig::default()));
         ib_connection(&mut sim, 0, 1, |sim, conn| {
-            let conn = conn.expect("no faults");
-            let c = conn.borrow();
-            assert_eq!(c.send_host.len(), c.depth);
-            let p = c.send_host[0];
+            conn.expect("no faults");
+            let ring = slots(sim, 0, Loc::Host(End::Send));
+            assert_eq!(ring.len(), sim.world.mpi.config.pipeline_depth);
             assert!(sim
                 .world
                 .mem()
                 .registry
-                .is_registered(p, Registration::Rdma));
-            assert!(sim
-                .world
-                .mem()
-                .registry
-                .is_registered(p, Registration::PinnedHost));
+                .is_registered(ring[0], Registration::Rdma));
         });
         sim.run();
         // Two registrations charged (one per side).
         assert!(sim.now() >= SimTime::from_micros(100));
+    }
+
+    /// A rank's rings are its own: its second connection, to another
+    /// peer, allocates and registers only the new peer's rings.
+    #[test]
+    fn second_connection_reuses_the_ranks_rings() {
+        let topo = netsim::Topology::FatTree {
+            ranks_per_node: 1,
+            radix: 4,
+        };
+        let mut sim = Sim::new(MpiWorld::n_ranks(3, topo, MpiConfig::default()));
+        sim.trace.set_recording(true);
+        ib_connection(&mut sim, 0, 1, |_, conn| conn.expect("no faults"));
+        sim.run();
+        let locs = [Loc::Host(End::Send), Loc::Dev(End::Send)];
+        let before: Vec<_> = locs.iter().map(|&loc| slots(&sim, 0, loc)).collect();
+        let used = |sim: &mut Sim<MpiWorld>| {
+            let gpu0 = MemSpace::Device(memsim::GpuId(0));
+            (
+                sim.world.mem().pool(MemSpace::Host).used(),
+                sim.world.mem().pool(gpu0).used(),
+            )
+        };
+        let (host, dev0) = used(&mut sim);
+        ib_connection(&mut sim, 0, 2, |_, conn| conn.expect("no faults"));
+        sim.run();
+        let after: Vec<_> = locs.iter().map(|&loc| slots(&sim, 0, loc)).collect();
+        assert_eq!(before, after, "rank 0 keeps its rings");
+        let cfg = &sim.world.mpi.config;
+        let ring_bytes = cfg.frag_size * cfg.pipeline_depth as u64;
+        // Only rank 2's receive ring is new in host memory, and GPU 0
+        // gains nothing.
+        assert_eq!(used(&mut sim), (host + ring_bytes, dev0));
+        let registrations = (sim.trace.events().iter())
+            .filter(|e| {
+                matches!(e, simcore::trace::TraceEvent::Span { name, .. }
+                    if *name == simcore::trace::names::SPAN_RDMA_REGISTER)
+            })
+            .count();
+        assert_eq!(registrations, 3, "0 -> 1 registers two rings, 0 -> 2 one");
     }
 
     #[test]
@@ -657,7 +539,7 @@ mod tests {
             assert!(matches!(conn, Err(MpiError::Faulted(_))));
             assert!(!sim.world.mpi.ipc_runtime_ok);
             assert!(
-                !sim.world.mpi.sm_conns.contains_key(&(0, 1)),
+                !sim.world.mpi.sm_conns.contains(&(0, 1)),
                 "half-built connection must not stay cached"
             );
             *h.borrow_mut() = true;
@@ -678,16 +560,13 @@ mod tests {
         };
         let mut sim = Sim::new(MpiWorld::two_ranks_ib(cfg));
         ib_connection(&mut sim, 0, 1, |sim, conn| {
-            let conn = conn.expect("connects without zero copy");
-            let c = conn.borrow();
+            conn.expect("connects without zero copy");
             assert!(!sim.world.mpi.zero_copy_runtime_ok);
-            // The pinned rings are still NIC-registered, but not mapped
-            // into the GPUs.
-            assert!(!sim
-                .world
-                .mem()
-                .registry
-                .is_registered(c.send_host[0], Registration::ZeroCopy(memsim::GpuId(0))));
+            // The demotion is counted once, for the pair.
+            let fallbacks = sim
+                .trace
+                .counter_at(faultsim::counters::FALLBACK_EVENTS, 0, 1);
+            assert_eq!(fallbacks, 1);
         });
         sim.run();
     }

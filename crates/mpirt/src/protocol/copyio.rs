@@ -16,7 +16,7 @@
 //! entirely.
 //!
 //! Those variants are [`plan_for`]'s to enumerate and the executor's
-//! to run; this module establishes the pinned-ring connection. It is also
+//! to run; this module runs the copy-in/out handshake. It is also
 //! what every demotion lands on: SmIpc renegotiation and both offload
 //! classes substitute this protocol's plan.
 
@@ -32,10 +32,9 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
     let t = exec::open(sim, s, r, class, done);
     ib_connection(sim, t.s.rank, t.r.rank, move |sim, conn| {
         let mut t = t;
-        let conn = match conn {
-            Ok(c) => c,
-            Err(e) => return t.fail(sim, e),
-        };
+        if let Err(e) = conn {
+            return t.fail(sim, e);
+        }
         // Zero copy needs both the configured knob and the runtime
         // capability; mapping the pinned rings may just have lost the
         // latter, which demotes this very transfer to staged copies.
@@ -43,6 +42,6 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
         if facts.copy_class() != t.plan.class {
             t.plan = plan_for(&facts, &t.s, &t.r, facts.copy_class());
         }
-        exec::run(sim, t, Conn::Ib(conn));
+        exec::run(sim, t, Conn::Rings);
     });
 }

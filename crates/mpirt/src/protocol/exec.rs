@@ -14,8 +14,8 @@
 //!
 //! **Charge per stage, queue per fragment, move per transfer.** Every
 //! stage is charged — stream, CPU and link reservations, fault rolls and
-//! retries, spans, counters, completion events, against the ring slots
-//! the connection allocated — but no stage writes a byte. Each
+//! retries, spans, counters, completion events, against the slots of
+//! the two ranks' rings — but no stage writes a byte. Each
 //! conversion charge hands its unit list back, the fragment carries
 //! them, and [`landed`] resolves the fragment's one move, source buffer
 //! → destination buffer: a typed end's own list against a dense end's
@@ -55,7 +55,6 @@
 //! buffer unobserved — from pack charge to the flush that precedes
 //! completion; a failure resolves both ends at most once.
 
-use crate::connection::{IbConn, SmConn};
 use crate::protocol::offload::CapturedXfer;
 use crate::protocol::plan::{
     plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan, CONTROL_BYTES,
@@ -80,8 +79,9 @@ use std::rc::Rc;
 pub(crate) enum Conn {
     /// Nothing beyond the peer-buffer mapping (both-dense sm).
     None,
-    Sm(Rc<RefCell<SmConn>>),
-    Ib(Rc<RefCell<IbConn>>),
+    /// The two ranks' own rings (`RankState::rings`), one per ring
+    /// [`Loc`] the plan names.
+    Rings,
     Nic(Rc<NicProgram>),
     Graph(Rc<CapturedXfer>),
     /// A comparator message's own staging: a whole-message buffer for
@@ -89,34 +89,8 @@ pub(crate) enum Conn {
     Staged(Rc<Vec<(Loc, Ptr)>>),
 }
 
-impl Conn {
-    /// Shape of the allocated fragment rings, if the connection has any.
-    fn ring_shape(&self) -> Option<(u64, usize)> {
-        match self {
-            Conn::Sm(c) => Some((c.borrow().frag_size, c.borrow().depth)),
-            Conn::Ib(c) => Some((c.borrow().frag_size, c.borrow().depth)),
-            _ => None,
-        }
-    }
-
-    /// Resolve a ring location through the connections' checked slot
-    /// accessors: `None` is corrupted bookkeeping (or a plan run over
-    /// the wrong connection), reported as a typed failure.
-    fn slot(&self, loc: Loc, slot: usize) -> Option<Ptr> {
-        match (self, loc) {
-            (Conn::Sm(c), Loc::Dev(End::Send)) => c.borrow().ring_slot(slot),
-            (Conn::Sm(c), Loc::Dev(End::Recv)) => c.borrow().staging_slot(slot),
-            (Conn::Ib(c), Loc::Dev(End::Send)) => c.borrow().send_dev_slot(slot),
-            (Conn::Ib(c), Loc::Dev(End::Recv)) => c.borrow().recv_dev_slot(slot),
-            (Conn::Ib(c), Loc::Host(End::Send)) => c.borrow().send_host_slot(slot),
-            (Conn::Ib(c), Loc::Host(End::Recv)) => c.borrow().recv_host_slot(slot),
-            (Conn::Staged(bufs), _) if slot == 0 => {
-                (bufs.iter()).find_map(|&(at, buf)| (at == loc).then_some(buf))
-            }
-            _ => None,
-        }
-    }
-}
+// Every transfer's state holds its connection inline: two words at most.
+const _: () = assert!(std::mem::size_of::<Conn>() <= 16);
 
 /// How a transfer resolves. It is the last thing in a transfer's
 /// state, so a continuation lives inline there, in the one allocation,
@@ -490,13 +464,25 @@ impl Exec {
         }
     }
 
-    /// Where fragment `f` sits at `loc`; a miss is corrupted ring
-    /// bookkeeping, surfaced as a typed failure.
-    fn resolve(&self, loc: Loc, f: &Frag) -> Result<Ptr, MpiError> {
-        match loc {
-            Loc::User(end) => Ok(self.t.side(end).data_ptr().add(f.seq * self.t.plan.frag)),
-            _ => (self.conn.slot(loc, f.slot)).ok_or_else(|| faulted("ring slot out of range")),
-        }
+    /// Where fragment `f` sits at `loc`: its window of a user buffer, or
+    /// its slot in the end's rank's ring. A miss is corrupted ring
+    /// bookkeeping (or a plan run over the wrong connection), surfaced
+    /// as a typed failure.
+    fn resolve(&self, world: &MpiWorld, loc: Loc, f: &Frag) -> Result<Ptr, MpiError> {
+        let slot = match (loc, &self.conn) {
+            (Loc::User(end), _) => {
+                return Ok(self.t.side(end).data_ptr().add(f.seq * self.t.plan.frag))
+            }
+            (Loc::Dev(end) | Loc::Host(end), Conn::Rings) => {
+                let ring = world.rank(self.t.side(end).rank).rings.get(&loc);
+                ring.and_then(|slots| slots.get(f.slot)).copied()
+            }
+            (_, Conn::Staged(bufs)) if f.slot == 0 => {
+                (bufs.iter()).find_map(|&(at, buf)| (at == loc).then_some(buf))
+            }
+            _ => None,
+        };
+        slot.ok_or_else(|| faulted("ring slot out of range"))
     }
 }
 
@@ -518,7 +504,9 @@ fn fail(sim: &mut Sim<MpiWorld>, st: &St, err: MpiError) {
 /// Run `t`'s plan over `conn`: tune the shape against the allocated
 /// ring, build the conversion engines the plan uses, then pump.
 pub(crate) fn run<D: Resolve>(sim: &mut Sim<MpiWorld>, mut t: Transfer<D>, conn: Conn) {
-    if let Some((frag0, depth0)) = conn.ring_shape() {
+    if let Conn::Rings = conn {
+        let cfg = &sim.world.mpi.config;
+        let (frag0, depth0) = (cfg.frag_size, cfg.pipeline_depth);
         (t.plan.frag, t.plan.depth) = tuned_shape(sim, &t.s, &t.r, t.plan.class, frag0, depth0);
     }
     let engine = |sim: &mut Sim<MpiWorld>, end, dir| {
@@ -626,7 +614,7 @@ fn run_op(
     idx: usize,
 ) -> Result<(), MpiError> {
     let rank_of = |end| st.borrow().t.side(end).rank;
-    let at = |loc, f: &Frag| st.borrow().resolve(loc, f);
+    let at = |sim: &Sim<MpiWorld>, loc, f: &Frag| st.borrow().resolve(&sim.world, loc, f);
     let stw = Rc::clone(st);
     let next = move |sim: &mut Sim<MpiWorld>, f: Frag| step(sim, stw, f, idx + 1);
     match op {
@@ -635,7 +623,7 @@ fn run_op(
         StageOp::Kernel { end, frag, .. }
         | StageOp::CpuConvert { end, frag }
         | StageOp::Memcpy2d { end, frag } => {
-            let frag = at(frag, &f)?;
+            let frag = at(sim, frag, &f)?;
             let seq = f.seq;
             if seq != *st.borrow_mut().turn(end) {
                 st.borrow_mut().pipe().parked.push((f, idx));
@@ -671,15 +659,15 @@ fn run_op(
             from,
             to,
         } => {
-            let (from, to) = (at(from, &f)?, at(to, &f)?);
+            let (from, to) = (at(sim, from, &f)?, at(sim, to, &f)?);
             let stream = sim.world.rank(rank_of(stream_of)).copy_stream;
             charge_memcpy(sim, stream, from, to, f.n, move |sim, _| next(sim, f));
         }
         StageOp::Wire { from, to } => {
             // Both ends of the hop must exist, though the wire only
             // charges: the bytes land with the fragment.
-            at(from, &f)?;
-            at(to, &f)?;
+            at(sim, from, &f)?;
+            at(sim, to, &f)?;
             let (now, n) = (sim.now(), f.n);
             let (a, b) = st.borrow().t.ranks();
             let arrive = wire_send(sim, a as usize, b as usize, n, move |sim| {
@@ -799,7 +787,9 @@ fn queue_fragment(
         let x = st.borrow();
         match x.engines.typed_base(end) {
             Some(typed) => Ok((true, typed)),
-            None => x.resolve(Loc::User(end), f).map(|window| (false, window)),
+            None => x
+                .resolve(&sim.world, Loc::User(end), f)
+                .map(|window| (false, window)),
         }
     };
     let ((s_typed, src), (r_typed, dst)) = (base(End::Send)?, base(End::Recv)?);

@@ -106,7 +106,7 @@ fn acquire(
     } else {
         (FaultOp::StreamDoorbell, names::OFFLOAD_STREAM_DEMOTIONS)
     };
-    if nic && sim.world.mpi.nic_handlers.contains_key(&pair) {
+    if nic && sim.world.mpi.nic_handlers.contains(&pair) {
         sim.schedule_now(move |sim| then(sim, true));
         return;
     }
@@ -121,7 +121,7 @@ fn acquire(
         FaultDecision::Ok if nic => {
             let setup = sim.world.gpus_ref().topo.nic_handler_setup;
             sim.schedule_in(setup, move |sim| {
-                sim.world.mpi.nic_handlers.insert(pair, ());
+                sim.world.mpi.nic_handlers.insert(pair);
                 then(sim, true);
             });
         }

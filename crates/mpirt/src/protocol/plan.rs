@@ -21,7 +21,7 @@ use simcore::Sim;
 
 /// One endpoint of a transfer: the rank a stage runs on, or whose
 /// buffer / ring a location names.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum End {
     Send,
     Recv,
@@ -36,16 +36,20 @@ impl End {
     }
 }
 
-/// Where a fragment's packed bytes sit between two stages.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Where a fragment's packed bytes sit between two stages. A ring
+/// location names one of the end's rank's own rings
+/// (`RankState::rings`), shared by all of that rank's connections; the
+/// fragment's slot in it is a plain index.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Loc {
     /// Window `data_ptr() + seq·frag` of that end's dense user buffer.
     User(End),
-    /// The fragment's slot in that end's device ring: the exported
-    /// fragment ring (sender) or the local staging ring (receiver) of
-    /// an `SmConn`, the device staging rings of an `IbConn`.
+    /// The fragment's slot in that end's device ring: the sender's is
+    /// IPC-exported to its SM peers; the receiver's stages SM fragments
+    /// locally and copy-in/out fragments on their way to or from host.
     Dev(End),
-    /// The fragment's slot in that end's pinned host ring (`IbConn`).
+    /// The fragment's slot in that end's pinned host ring, registered
+    /// with the NIC (copy-in/out).
     Host(End),
 }
 

@@ -16,7 +16,7 @@
 //!
 //! Which stages each shape has is [`plan_for`](crate::protocol::plan::plan_for)'s decision and running
 //! them the executor's; this module owns the IPC handshake — mapping a
-//! dense side's user buffer, establishing the fragment ring — and the
+//! dense side's user buffer, opening the sender's fragment ring — and the
 //! renegotiation when that handshake loses the IPC capability.
 
 use crate::connection::{open_peer_buffer, sm_connection};
@@ -30,8 +30,8 @@ use simcore::Sim;
 /// the same transfer over the copy-in/copy-out plan. Connection
 /// establishment precedes all data motion, so nothing has moved yet and
 /// the sides and requests replay verbatim; the connection layer already
-/// freed the half-built ring and flipped the runtime IPC flag, steering
-/// every *later* transfer straight to copy-in/out.
+/// evicted the half-built connection and flipped the runtime IPC flag,
+/// steering every *later* transfer straight to copy-in/out.
 fn renegotiate(sim: &mut Sim<MpiWorld>, t: Transfer) {
     sim.trace.count(
         faultsim::counters::FALLBACK_EVENTS,
@@ -64,14 +64,14 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
     }
 }
 
-/// Establish (or reuse) the fragment ring when the plan pipelines, then
+/// Establish (or reuse) the SM connection when the plan pipelines, then
 /// run the plan.
 fn connect(sim: &mut Sim<MpiWorld>, t: Transfer) {
     if !t.plan.ring {
         return exec::run(sim, t, Conn::None);
     }
     sm_connection(sim, t.s.rank, t.r.rank, move |sim, conn| match conn {
-        Ok(conn) => exec::run(sim, t, Conn::Sm(conn)),
+        Ok(()) => exec::run(sim, t, Conn::Rings),
         Err(_) => renegotiate(sim, t),
     });
 }

@@ -19,7 +19,8 @@ pub enum MpiError {
     /// An injected fault permanently took out a capability and no
     /// fallback path remained, or the retry/timeout budget ran out —
     /// or the configuration leaves no path at all (a zero fragment size
-    /// or ring depth, named in the message).
+    /// or ring depth, named in the message), or a rank argument names no
+    /// peer (out of range, or a send to itself; named in the message).
     Faulted(String),
     /// The simulation drained with requests still incomplete — an
     /// unmatched rendezvous or a protocol deadlock.

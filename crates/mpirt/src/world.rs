@@ -1,21 +1,21 @@
 //! The simulation world for MPI jobs: hardware (`ClusterWorld`) plus
-//! runtime state (matching queues, connection caches, per-rank GPU
-//! bindings).
+//! runtime state (matching queues, connection handshakes, per-rank GPU
+//! bindings and fragment rings).
 
 use crate::config::MpiConfig;
-use crate::connection::{IbConn, SmConn};
 use crate::matcher::Matcher;
 use crate::protocol::exec::{MoveKey, MoveList};
+use crate::protocol::plan::Loc;
 use crate::protocol::ShapeKey;
 use datatype::DataType;
 use devengine::{DevCache, Lru};
 use faultsim::FaultSim;
 use gpusim::{FifoResource, GpuArch, GpuSystem, GpuWorld, StreamId};
-use memsim::{GpuId, Memory};
+use memsim::{GpuId, Memory, Ptr};
 use netsim::{ChannelKind, ClusterWorld, NetSystem, NetWorld};
 use simcore::hash::DetHashMap;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Placement of one MPI rank.
@@ -40,6 +40,11 @@ pub struct RankState {
     pub copy_stream: StreamId,
     /// This rank's CUDA-DEV cache.
     pub dev_cache: Rc<RefCell<DevCache>>,
+    /// This rank's fragment rings, at most one per ring [`Loc`]:
+    /// `pipeline_depth` slots of `frag_size` bytes each, allocated the
+    /// first time a connection needs the ring and shared by all of the
+    /// rank's connections (`connection`).
+    pub rings: BTreeMap<Loc, Vec<Ptr>>,
 }
 
 /// Runtime-global state.
@@ -47,8 +52,11 @@ pub struct MpiState {
     pub config: MpiConfig,
     pub ranks: Vec<RankState>,
     pub matcher: Matcher,
-    pub sm_conns: BTreeMap<(usize, usize), Rc<RefCell<SmConn>>>,
-    pub ib_conns: BTreeMap<(usize, usize), Rc<RefCell<IbConn>>>,
+    /// Directed rank pairs whose SM (CUDA IPC) handshake ran or is
+    /// running; a pair is inserted before its handshake completes.
+    pub sm_conns: BTreeSet<(usize, usize)>,
+    /// Directed rank pairs whose copy-in/out handshake ran or is running.
+    pub ib_conns: BTreeSet<(usize, usize)>,
     /// Fragment/ring-depth decisions from the protocol auto-tuner,
     /// cached per (canonical layouts, message size, path class).
     pub tuned_shapes: DetHashMap<crate::tuner::TuneKey, (u64, usize)>,
@@ -69,10 +77,10 @@ pub struct MpiState {
     /// permanent doorbell loss, demoting StreamTriggered transfers to
     /// the CPU-driven pipeline.
     pub stream_trigger_runtime_ok: bool,
-    /// NIC handler installs already performed, per directed rank pair
-    /// (the sPIN handler-registration is once per connection, like the
-    /// pinned-host registration in [`IbConn`]).
-    pub nic_handlers: BTreeMap<(usize, usize), ()>,
+    /// Directed rank pairs whose NIC handler is installed (the sPIN
+    /// handler registration is once per connection, like the zero-copy
+    /// pin of [`MpiState::ib_conns`]).
+    pub nic_handlers: BTreeSet<(usize, usize)>,
     /// Compiled NIC DEV programs per transfer shape (canonical layouts
     /// and counts, collision-guarded); programs are rank-independent
     /// descriptor lists.
@@ -140,6 +148,7 @@ impl MpiWorld {
                 kernel_stream,
                 copy_stream,
                 dev_cache: Rc::new(RefCell::new(DevCache::default())),
+                rings: BTreeMap::new(),
             });
         }
         for a in 0..specs.len() {
@@ -158,14 +167,14 @@ impl MpiWorld {
                 config,
                 ranks,
                 matcher: Matcher::new(specs.len()),
-                sm_conns: BTreeMap::new(),
-                ib_conns: BTreeMap::new(),
+                sm_conns: BTreeSet::new(),
+                ib_conns: BTreeSet::new(),
                 tuned_shapes: DetHashMap::default(),
                 ipc_runtime_ok: true,
                 zero_copy_runtime_ok: true,
                 nic_offload_runtime_ok: true,
                 stream_trigger_runtime_ok: true,
-                nic_handlers: BTreeMap::new(),
+                nic_handlers: BTreeSet::new(),
                 nic_programs: DetHashMap::default(),
                 stream_captures: BTreeMap::new(),
                 move_lists: Lru::with_limits(MOVE_LISTS_BYTES, MOVE_LISTS_ENTRIES),

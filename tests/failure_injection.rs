@@ -309,23 +309,76 @@ fn uncommitted_datatype_rejected_at_api_boundary() {
     assert!(matches!(r.result(), Some(Err(MpiError::Type(_)))));
 }
 
+/// A send to its own rank completes at once with a typed error naming
+/// the argument; nothing is charged.
 #[test]
-#[should_panic(expected = "self-sends")]
 fn self_send_rejected() {
     let mut sim = world();
     let t = DataType::double().commit();
     let buf = sim.world.mem().alloc(MemSpace::Host, 8).unwrap();
-    let _ = isend(
-        &mut sim,
-        SendArgs {
-            from: 0,
-            to: 0,
-            tag: 0,
-            ty: t,
-            count: 1,
-            buf,
-        },
-    );
+    let s = isend(&mut sim, SendArgs::new(0, 0, buf, &t, 1));
+    match s.result() {
+        Some(Err(MpiError::Faulted(msg))) => {
+            assert!(
+                msg.contains("SendArgs::to") && msg.contains("self-sends"),
+                "{msg}"
+            )
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(sim.run(), simcore::SimTime::ZERO, "nothing was charged");
+}
+
+/// A rank argument outside the job completes its request at once with a
+/// typed error naming the argument, on host and device buffers alike,
+/// before anything is charged or any per-rank state grows.
+#[test]
+fn out_of_range_rank_is_a_typed_error() {
+    let t = DataType::vector(1024, 8, 16, &DataType::double())
+        .unwrap()
+        .commit();
+    for space in [MemSpace::Host, MemSpace::Device(GpuId(0))] {
+        let mut sim = world();
+        let buf = sim.world.mem().alloc(space, 1 << 20).unwrap();
+        let reqs = [
+            (
+                "SendArgs::from",
+                isend(&mut sim, SendArgs::new(2, 1, buf, &t, 1)),
+            ),
+            (
+                "SendArgs::to",
+                isend(&mut sim, SendArgs::new(0, 7, buf, &t, 1)),
+            ),
+            (
+                "RecvArgs::rank",
+                irecv(&mut sim, RecvArgs::new(2, 0, buf, &t, 1)),
+            ),
+            (
+                "RecvArgs::src",
+                irecv(&mut sim, RecvArgs::new(1, 5, buf, &t, 1)),
+            ),
+        ];
+        for (arg, req) in reqs {
+            match req.result() {
+                Some(Err(MpiError::Faulted(msg))) => assert!(msg.contains(arg), "{msg}"),
+                other => panic!("{space:?} {arg}: {other:?}"),
+            }
+        }
+        assert_eq!(
+            sim.run(),
+            simcore::SimTime::ZERO,
+            "{space:?}: nothing was charged"
+        );
+        assert_eq!(
+            sim.world.mpi.matcher.pending(),
+            0,
+            "{space:?}: nothing queued"
+        );
+        assert!(
+            sim.world.cluster.cpus.len() <= 2,
+            "{space:?}: no CPU was added"
+        );
+    }
 }
 
 /// A user buffer shorter than its type is `MpiError::Mem` on every path

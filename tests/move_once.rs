@@ -1,8 +1,8 @@
 //! Charge per stage, move per fragment (DESIGN.md §17): ring-hazard and
 //! fault guard.
 //!
-//! The executor charges every stage of a rendezvous against the ring
-//! the connection allocated and moves each fragment once, typed source
+//! The executor charges every stage of a rendezvous against the ranks'
+//! rings and moves each fragment once, typed source
 //! → typed destination, when its last stage completes. These tests pin
 //! what that must not change — the bytes, clean and under the
 //! `chaos_soak` fault plans, and fault-free the virtual completion time
@@ -115,24 +115,11 @@ fn transfer_between(sess: &mut Session, (from, s_ty): (usize, &DataType), to: (u
     assert!(got == expect, "received bytes differ from the oracle");
 }
 
-/// Every slot of every ring the session's connections hold.
+/// Every slot of every ring the session's ranks hold.
 fn ring_slots(sess: &Session) -> Vec<Ptr> {
-    let mpi = &sess.world.mpi;
-    let mut slots = Vec::new();
-    for c in mpi.sm_conns.values() {
-        let c = c.borrow();
-        slots.extend(c.ring.iter().chain(c.staging.iter().flatten()));
-    }
-    for c in mpi.ib_conns.values() {
-        let c = c.borrow();
-        slots.extend(
-            (c.send_host.iter())
-                .chain(&c.recv_host)
-                .chain(&c.send_dev)
-                .chain(&c.recv_dev),
-        );
-    }
-    slots
+    (sess.world.mpi.ranks.iter())
+        .flat_map(|r| r.rings.values().flatten().copied())
+        .collect()
 }
 
 /// FNV-1a over the virtual clock and every counter dimension, in name

@@ -8,6 +8,7 @@ use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemSpace, Ptr};
 use mpirt::api::PingPongSpec;
 use mpirt::{ping_pong, MpiConfig, MpiWorld};
+use simcore::trace::{names, TraceEvent};
 use simcore::{Counter, Sim, SimTime};
 
 fn triangular(n: u64) -> DataType {
@@ -249,6 +250,87 @@ fn pipeline_memory_is_bounded_by_ring() {
         staging_peak <= 2 * ring_budget + (1 << 20),
         "sender staging {staging_peak} should be bounded by the rings ({ring_budget} each), \
          not the {len}-byte message"
+    );
+
+    // Rings belong to ranks, not rank pairs: a 16-rank rendezvous
+    // alltoall of 128 KiB device blocks holds two host rings and two
+    // device rings per rank, however many peers each rank has, and
+    // registers each host ring once.
+    let n = 16;
+    let topo = netsim::Topology::FatTree {
+        ranks_per_node: 4,
+        radix: 4,
+    };
+    let mut sim = Sim::new(MpiWorld::n_ranks(n, topo, MpiConfig::default()));
+    sim.trace.set_recording(true);
+    let ty = DataType::hvector(512, 256, 512, &DataType::byte())
+        .unwrap()
+        .commit();
+    let block = ty.extent() as u64;
+    let len = block * n as u64;
+    let sends: Vec<Ptr> = (0..n).map(|r| alloc_dev(&mut sim, r, len)).collect();
+    let recvs: Vec<Ptr> = (0..n).map(|r| alloc_dev(&mut sim, r, len)).collect();
+    let sent: Vec<Vec<u8>> = (0..n)
+        .map(|r| (0..len).map(|i| (i % 251) as u8 ^ r as u8).collect())
+        .collect();
+    for (&buf, bytes) in sends.iter().zip(&sent) {
+        sim.world.mem().write(buf, bytes).unwrap();
+    }
+    let user: Vec<u64> = (0..n)
+        .map(|g| {
+            sim.world
+                .mem_ref()
+                .pool(MemSpace::Device(GpuId(g as u32)))
+                .used()
+        })
+        .collect();
+    let host_user = sim.world.mem_ref().pool(MemSpace::Host).used();
+    let req = mpirt::alltoall(&mut sim, &ty, 1, &sends, &recvs, 0);
+    sim.run();
+    assert!(matches!(req.result(), Some(Ok(_))), "{:?}", req.result());
+    for (r, &buf) in recvs.iter().enumerate() {
+        let got = sim.world.mem_ref().read_vec(buf, len).unwrap();
+        let mut want = vec![0u8; len as usize];
+        // Peers deliver the typed bytes; a rank's own block is copied
+        // whole, gaps included.
+        for (i, from) in sent.iter().enumerate() {
+            let (at, src) = ((i as u64 * block) as usize, (r as u64 * block) as usize);
+            let (stride, seg) = if i == r { (block, block) } else { (512, 256) };
+            for j in (0..block).step_by(stride as usize) {
+                let (at, src, seg) = (at + j as usize, src + j as usize, seg as usize);
+                want[at..at + seg].copy_from_slice(&from[src..src + seg]);
+            }
+        }
+        assert!(
+            got == want,
+            "rank {r}: received bytes differ from the oracle"
+        );
+    }
+    let host_peak = sim.world.mem_ref().pool(MemSpace::Host).peak() - host_user;
+    assert!(
+        host_peak <= n as u64 * 2 * ring_budget,
+        "host rings {host_peak} B: two per rank"
+    );
+    for (g, user) in user.iter().enumerate() {
+        let peak = sim
+            .world
+            .mem_ref()
+            .pool(MemSpace::Device(GpuId(g as u32)))
+            .peak()
+            - user;
+        assert!(
+            peak <= 2 * ring_budget,
+            "GPU {g}: rings {peak} B, two per rank"
+        );
+    }
+    let registrations = (sim.trace.events().iter())
+        .filter(
+            |e| matches!(e, TraceEvent::Span { name, .. } if *name == names::SPAN_RDMA_REGISTER),
+        )
+        .count();
+    assert!(
+        registrations <= 2 * n,
+        "{registrations} NIC registrations: at most two host rings per rank"
     );
 }
 
