@@ -2,9 +2,10 @@
 //! workloads and topologies, asserting that every injected schedule
 //! still delivers byte-correct data within a bounded slowdown, and
 //! that permanent losses demote cleanly: IPC loss renegotiates to
-//! copy-in/copy-out, NIC-handler loss demotes NicOffload to GPU-pack,
-//! and doorbell loss demotes StreamTriggered to the CPU-driven path
-//! (DESIGN.md §15) — all byte-equal.
+//! copy-in/copy-out, zero-copy pin loss demotes to staged copies,
+//! NIC-handler loss demotes NicOffload to GPU-pack, and doorbell loss
+//! demotes StreamTriggered to the CPU-driven path (DESIGN.md §15) — all
+//! byte-equal, each with one metered fallback.
 //!
 //! Prints one CSV table (makespan in ms per cell; the `fault_rate_pct`
 //! axis is the per-charge-point transient probability in percent) plus
@@ -188,32 +189,9 @@ fn main() {
         violations.push("sweep injected no faults at all — soak is vacuous".to_string());
     }
 
-    // Permanent IPC loss: the SmIpc handshake must renegotiate to
-    // copy-in/copy-out and still deliver the exact bytes.
-    let plan = FaultPlan::empty().with_seed(7).with_rule(
-        Some(FaultOp::IpcOpen),
-        FaultKind::PermanentLoss,
-        1.0,
-    );
-    let k40 = gpusim::GpuArch::default_arch();
-    match transfer(Topo::Sm2Gpu, k40, faulted(plan), &tys[2].1) {
-        Ok(cell) if cell.m.counter(counters::FALLBACK_EVENTS) == 0 => {
-            violations.push("permanent IPC loss did not renegotiate".to_string());
-        }
-        Ok(cell) => println!(
-            "# permanent-ipc-loss: renegotiated to copy-in/out, makespan {}, {} fallback(s)",
-            cell.makespan,
-            cell.m.counter(counters::FALLBACK_EVENTS)
-        ),
-        Err(e) => violations.push(format!("permanent-ipc-loss: {e}")),
-    }
-
-    // Offload demotions (DESIGN.md §15): on shapes the tuner provably
-    // routes to the new path classes, a healthy run must take the
-    // offload (else the loss scenario is vacuous), and a permanent
-    // handler/doorbell loss must demote back to the GPU-pack pipeline —
-    // byte-equal (transfer() checks delivery) with exactly one sticky
-    // demotion and zero offload executions in the metrics.
+    // Shapes the tuner provably routes to the offload path classes, with
+    // their knobs set here: a run that never takes the offload rolls no
+    // offload fault.
     let coarse = DataType::vector(64, 4096, 8192, &DataType::double())
         .expect("coarse")
         .commit();
@@ -228,6 +206,88 @@ fn main() {
         stream_trigger: true,
         ..env::config()
     };
+    let (k40, a100, p100) = (
+        gpusim::GpuArch::default_arch(),
+        gpusim::GpuArch::named("a100"),
+        gpusim::GpuArch::named("p100"),
+    );
+
+    // Permanent losses, one per handshake step the connection driver
+    // runs: each must demote this transfer, deliver the exact bytes and
+    // meter exactly one fallback.
+    // The pin is rolled by the copy-in/out handshake: keep the offload
+    // classes from taking the transfer.
+    let pin_cfg = MpiConfig {
+        zero_copy: true,
+        nic_offload: false,
+        stream_trigger: false,
+        ..env::config()
+    };
+    let losses = [
+        (
+            "ipc",
+            "renegotiated to copy-in/out",
+            Topo::Sm2Gpu,
+            k40,
+            &tys[2].1,
+            FaultOp::IpcOpen,
+            env::config(),
+        ),
+        (
+            "pin",
+            "demoted to staged copy-in/out",
+            Topo::Ib,
+            k40,
+            &tys[2].1,
+            FaultOp::PinnedRegister,
+            pin_cfg,
+        ),
+        (
+            "nic",
+            "demoted to GPU-pack",
+            Topo::Ib,
+            a100,
+            &coarse,
+            FaultOp::NicHandler,
+            nic_cfg.clone(),
+        ),
+        (
+            "doorbell",
+            "demoted to GPU-pack",
+            Topo::Ib,
+            p100,
+            &medium,
+            FaultOp::StreamDoorbell,
+            stream_cfg.clone(),
+        ),
+    ];
+    for (step, outcome, topo, arch, ty, op, cfg) in losses {
+        let plan =
+            FaultPlan::empty()
+                .with_seed(7)
+                .with_rule(Some(op), FaultKind::PermanentLoss, 1.0);
+        let lossy = MpiConfig {
+            fault_plan: plan,
+            ..cfg
+        };
+        match transfer(topo, arch, lossy, ty) {
+            Ok(cell) if cell.m.counter(counters::FALLBACK_EVENTS) != 1 => violations.push(format!(
+                "permanent-{step}-loss: expected one metered fallback, got {}",
+                cell.m.counter(counters::FALLBACK_EVENTS)
+            )),
+            Ok(cell) => println!(
+                "# permanent-{step}-loss: {outcome}, makespan {}, 1 fallback(s)",
+                cell.makespan
+            ),
+            Err(e) => violations.push(format!("permanent-{step}-loss: {e}")),
+        }
+    }
+
+    // Offload demotions (DESIGN.md §15): a healthy run must take the
+    // offload (else the loss scenario is vacuous), and a permanent
+    // handler/doorbell loss must demote back to the GPU-pack pipeline —
+    // byte-equal (transfer() checks delivery) with exactly one sticky
+    // demotion and zero offload executions in the metrics.
     let scenarios: [(
         &str,
         &'static gpusim::GpuArch,
@@ -239,7 +299,7 @@ fn main() {
     ); 2] = [
         (
             "nic-handler-loss",
-            gpusim::GpuArch::named("a100"),
+            a100,
             &coarse,
             nic_cfg,
             FaultOp::NicHandler,
@@ -248,7 +308,7 @@ fn main() {
         ),
         (
             "stream-doorbell-loss",
-            gpusim::GpuArch::named("p100"),
+            p100,
             &medium,
             stream_cfg,
             FaultOp::StreamDoorbell,

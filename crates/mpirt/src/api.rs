@@ -90,7 +90,7 @@ impl RecvArgs {
 /// the job, as a typed error naming the argument — checked before
 /// anything is charged, as `run_transfer` checks a degenerate
 /// configuration.
-fn bad_rank(
+pub(crate) fn bad_rank(
     sim: &Sim<MpiWorld>,
     ranks: impl IntoIterator<Item = (&'static str, usize)>,
 ) -> Option<MpiError> {

@@ -10,18 +10,21 @@
 //! the executor, and no stage writes a slot byte, so a ring is only an
 //! address in a memory space plus its one-time registration.
 //!
-//! What is per pair is the handshake, performed **once** per directed
-//! rank pair and remembered in `MpiState::{sm_conns, ib_conns}` — the
-//! paper's "single one-time establishment of the RDMA connection (and
-//! then caching the registration)": the receiver's IPC open of the
-//! sender's ring, and the zero-copy pin of the pinned host rings.
+//! What is established **once** is a [`Handshake`] — of an SM pair, a
+//! copy-in/out pair, a NIC-handler pair or a mapped peer allocation —
+//! the paper's "single one-time establishment of the RDMA connection
+//! (and then caching the registration)". One table,
+//! `MpiState::handshakes`, holds each begun handshake: pending with the
+//! callers waiting for its outcome, or up; a failed one leaves no entry.
 //!
-//! Establishment is also where the runtime absorbs injected faults: a
-//! transient IPC-open failure is retried under a capped exponential
-//! backoff until [`HANDSHAKE_TIMEOUT`] virtual time has elapsed; a
-//! permanent loss (or an exhausted handshake budget) evicts the
-//! half-built connection, flips the runtime IPC flag off, and surfaces a
-//! typed error so the protocol layer can renegotiate the path.
+//! Every capability step of a handshake — an IPC open, the zero-copy
+//! pin, the NIC handler install, the stream doorbell — runs through one
+//! driver, [`establish`], which absorbs injected faults: a transient is
+//! retried under a capped exponential backoff until [`HANDSHAKE_TIMEOUT`]
+//! of virtual time or [`HANDSHAKE_RETRY_MAX`] retries are spent; a
+//! permanent loss (or a spent budget) takes the [`Capability`] away for
+//! the rest of the run, meters the demotion and surfaces a typed error,
+//! so the protocol layer can renegotiate the path.
 
 // Panic freedom (DESIGN.md §11): establishment surfaces a typed `MpiError`.
 #![deny(
@@ -40,8 +43,9 @@ use crate::world::MpiWorld;
 use faultsim::{Backoff, FaultDecision, FaultOp};
 use gpusim::GpuWorld as _;
 use gpusim::{fault, ipc_open};
-use memsim::{MemError, MemSpace, Ptr, Registration};
+use memsim::{AllocId, IpcHandle, MemError, MemSpace, Ptr};
 use netsim::ensure_registered;
+use simcore::trace::names;
 use simcore::{Sim, SimTime};
 
 /// Attempt cap for one connection handshake under transient faults.
@@ -52,34 +56,201 @@ const HANDSHAKE_RETRY_MAX: u32 = 5;
 /// the runtime treats the capability as lost and renegotiates.
 const HANDSHAKE_TIMEOUT: SimTime = SimTime(5_000_000);
 
-/// The retry budget of one establishment step — an IPC open, the
-/// zero-copy pin, an offload capability: [`HANDSHAKE_TIMEOUT`] of
-/// virtual time from the first attempt and [`HANDSHAKE_RETRY_MAX`]
-/// retries, under the simulators' capped exponential backoff.
-#[derive(Clone, Copy)]
-pub(crate) struct Handshake {
-    deadline: SimTime,
-    backoff: Backoff,
+/// What a handshake establishes: the key of `MpiState::handshakes`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Handshake {
+    /// `sender -> receiver` over SM: the IPC open of the sender's ring.
+    Sm(usize, usize),
+    /// `sender -> receiver` copy-in/out: the zero-copy pin and the NIC
+    /// registration of the two host rings.
+    CopyInOut(usize, usize),
+    /// The NIC (sPIN) handler of `sender -> receiver`.
+    NicHandler(usize, usize),
+    /// A dense side's user allocation, mapped over IPC for its peer.
+    PeerBuffer(MemSpace, AllocId),
 }
 
-impl Handshake {
-    /// A budget whose clock starts now.
-    pub(crate) fn start(sim: &Sim<MpiWorld>) -> Handshake {
-        Handshake {
-            deadline: sim.now() + HANDSHAKE_TIMEOUT,
-            backoff: fault::default_backoff(),
-        }
-    }
+/// A caller waiting for a handshake's outcome.
+pub type Waiter = Box<dyn FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>)>;
 
-    /// After a transient fault on `op`: the delay before the next
-    /// attempt, metering the retry — or `None` once the budget is spent.
-    pub(crate) fn retry(&mut self, sim: &mut Sim<MpiWorld>, op: FaultOp) -> Option<SimTime> {
-        if sim.now() >= self.deadline || self.backoff.attempts() >= HANDSHAKE_RETRY_MAX {
-            return None;
+/// Where a begun handshake stands.
+pub enum Status {
+    /// Running; its callers, first to last, get its outcome.
+    Pending(Vec<Waiter>),
+    Up,
+}
+
+/// A capability the runtime offers while its knob is on and no
+/// handshake step has lost it (`MpiState::offers`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Capability {
+    /// CUDA IPC, the SM path (`MpiConfig::use_ipc`).
+    Ipc,
+    /// Mapped pinned host rings (`MpiConfig::zero_copy`).
+    ZeroCopy,
+    /// The NIC DEV executor (`MpiConfig::nic_offload`).
+    NicOffload,
+    /// Stream-triggered sends (`MpiConfig::stream_trigger`).
+    StreamTrigger,
+}
+
+impl Capability {
+    /// The fault charge point this capability's handshake step rolls.
+    pub fn op(self) -> FaultOp {
+        match self {
+            Capability::Ipc => FaultOp::IpcOpen,
+            Capability::ZeroCopy => FaultOp::PinnedRegister,
+            Capability::NicOffload => FaultOp::NicHandler,
+            Capability::StreamTrigger => FaultOp::StreamDoorbell,
         }
-        fault::count_retry(sim, op);
-        Some(self.backoff.next_delay())
     }
+}
+
+/// One establishment step: the capability it needs and the directed
+/// rank pair its demotion is metered at.
+pub(crate) type Step = (Capability, (usize, usize));
+
+/// How one attempt of a step reports: `Ok`, or the error it failed
+/// with — [`MemError::Faulted`] for an injected fault.
+pub(crate) type Report = Box<dyn FnOnce(&mut Sim<MpiWorld>, Result<(), MemError>)>;
+
+/// Run `step` until an `attempt` succeeds, then `then(Ok)`, in the event
+/// the attempt reports in. A transient fault retries under the
+/// handshake budget; a lost capability or a spent budget takes it away
+/// for the rest of the run, meters the demotion at the pair and gives
+/// `then` a [`MpiError::Faulted`]; any other error reaches `then` as
+/// [`MpiError::Mem`].
+pub(crate) fn establish<A, T>(sim: &mut Sim<MpiWorld>, step: Step, attempt: A, then: T)
+where
+    A: Fn(&mut Sim<MpiWorld>, Report) + Clone + 'static,
+    T: FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
+{
+    let budget = (sim.now() + HANDSHAKE_TIMEOUT, fault::default_backoff());
+    attempt_within(sim, step, budget, attempt, then);
+}
+
+fn attempt_within<A, T>(
+    sim: &mut Sim<MpiWorld>,
+    step: Step,
+    (deadline, mut backoff): (SimTime, Backoff),
+    attempt: A,
+    then: T,
+) where
+    A: Fn(&mut Sim<MpiWorld>, Report) + Clone + 'static,
+    T: FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
+{
+    let again = attempt.clone();
+    let report: Report = Box::new(move |sim, res| {
+        let (cap, (a, b)) = step;
+        let transient = match res {
+            Ok(()) => return then(sim, Ok(())),
+            Err(MemError::Faulted { transient }) => transient,
+            Err(e) => return then(sim, Err(MpiError::Mem(e.to_string()))),
+        };
+        let spent = sim.now() >= deadline || backoff.attempts() >= HANDSHAKE_RETRY_MAX;
+        if transient && !spent {
+            fault::count_retry(sim, cap.op());
+            let delay = backoff.next_delay();
+            let budget = (deadline, backoff);
+            sim.schedule_in(delay, move |sim| {
+                attempt_within(sim, step, budget, again, then);
+            });
+            return;
+        }
+        sim.world.mpi.lost.insert(cap);
+        let (a32, b32) = (a as u32, b as u32);
+        match cap {
+            Capability::NicOffload => sim.trace.count(names::OFFLOAD_NIC_DEMOTIONS, a32, b32, 1),
+            Capability::StreamTrigger => {
+                (sim.trace).count(names::OFFLOAD_STREAM_DEMOTIONS, a32, b32, 1)
+            }
+            Capability::Ipc | Capability::ZeroCopy => {}
+        }
+        sim.trace.count(names::FALLBACK_EVENTS, a32, b32, 1);
+        let why = if transient {
+            let n = backoff.attempts();
+            format!("{cap:?} handshake {a} -> {b} timed out after {n} retries")
+        } else {
+            format!("{cap:?} capability lost in handshake {a} -> {b}")
+        };
+        then(sim, Err(MpiError::Faulted(why)));
+    });
+    attempt(sim, report);
+}
+
+/// Roll `op`'s fault charge point as one attempt's outcome.
+pub(crate) fn roll(sim: &mut Sim<MpiWorld>, op: FaultOp) -> Result<(), MemError> {
+    match fault::fault_roll(sim, op) {
+        FaultDecision::Ok => Ok(()),
+        verdict => Err(MemError::Faulted {
+            transient: verdict == FaultDecision::Transient,
+        }),
+    }
+}
+
+/// The first of `keys` whose handshake is still in flight.
+pub(crate) fn in_flight(
+    sim: &Sim<MpiWorld>,
+    keys: impl IntoIterator<Item = Handshake>,
+) -> Option<Handshake> {
+    let table = &sim.world.mpi.handshakes;
+    (keys.into_iter()).find(|k| matches!(table.get(k), Some(Status::Pending(_))))
+}
+
+/// Queue `then` behind `key`'s handshake, in flight: it gets the outcome
+/// in the event that settles it, after the callers before it.
+pub(crate) fn wait(
+    sim: &mut Sim<MpiWorld>,
+    key: Handshake,
+    then: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
+) {
+    if let Some(Status::Pending(waiters)) = sim.world.mpi.handshakes.get_mut(&key) {
+        waiters.push(Box::new(then));
+    }
+}
+
+/// Join `key`'s handshake: when it is up `done` runs next (deferred
+/// through `schedule_now`), when in flight it waits for the outcome.
+/// Otherwise the entry goes pending and `true` tells the caller to run
+/// the handshake and [`settle`] it.
+fn claim(
+    sim: &mut Sim<MpiWorld>,
+    key: Handshake,
+    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
+) -> bool {
+    match sim.world.mpi.handshakes.get(&key) {
+        Some(Status::Up) => {
+            sim.schedule_now(move |sim| done(sim, Ok(())));
+        }
+        Some(Status::Pending(_)) => wait(sim, key, done),
+        None => {
+            let entry = Status::Pending(vec![Box::new(done)]);
+            sim.world.mpi.handshakes.insert(key, entry);
+            return true;
+        }
+    }
+    false
+}
+
+/// End `key`'s handshake with `res` — up, or forgotten so a later
+/// caller starts afresh — and hand `res` to every caller in order.
+fn settle(sim: &mut Sim<MpiWorld>, key: Handshake, res: Result<(), MpiError>) {
+    let table = &mut sim.world.mpi.handshakes;
+    let entry = match res {
+        Ok(()) => table.insert(key, Status::Up),
+        Err(_) => table.remove(&key),
+    };
+    if let Some(Status::Pending(waiters)) = entry {
+        for w in waiters {
+            w(sim, res.clone());
+        }
+    }
+}
+
+/// Settle a claimed handshake with a memory error, as an event.
+fn refuse(sim: &mut Sim<MpiWorld>, key: Handshake, e: MemError) {
+    let err = MpiError::Mem(e.to_string());
+    sim.schedule_now(move |sim| settle(sim, key, Err(err)));
 }
 
 /// Rank `rank`'s ring at `loc`, allocated on first use: `depth` slots of
@@ -118,180 +289,82 @@ fn ring(sim: &mut Sim<MpiWorld>, rank: usize, loc: Loc) -> Result<Vec<Ptr>, MemE
     Ok(slots)
 }
 
-/// Fail a connection request with a memory error, as an event.
-fn refuse(
+/// Run the IPC handshake `key` of the transfer `pair` unless it is up or
+/// in flight: `export` marks what the peer maps and yields the handle
+/// it opens (`None`: nothing to map), and the open is the step. `done`
+/// receives `Err` when the IPC capability was lost in the handshake
+/// (the caller is expected to renegotiate to copy-in/copy-out).
+fn ipc_handshake(
     sim: &mut Sim<MpiWorld>,
-    e: MemError,
+    key: Handshake,
+    pair: (usize, usize),
+    export: impl FnOnce(&mut Sim<MpiWorld>) -> Result<Option<IpcHandle>, MemError>,
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    let err = MpiError::Mem(e.to_string());
-    sim.schedule_now(move |sim| done(sim, Err(err)));
+    if !claim(sim, key, done) {
+        return;
+    }
+    let handle = match export(sim) {
+        Ok(Some(handle)) => handle,
+        Ok(None) => {
+            // Zero-depth ring: degenerate configuration, nothing to map.
+            sim.schedule_now(move |sim| settle(sim, key, Ok(())));
+            return;
+        }
+        Err(e) => return refuse(sim, key, e),
+    };
+    let open = move |sim: &mut Sim<MpiWorld>, report: Report| {
+        ipc_open(sim, handle, move |sim, res| report(sim, res.map(drop)));
+    };
+    establish(sim, (Capability::Ipc, pair), open, move |sim, res| {
+        settle(sim, key, res);
+    });
 }
 
 /// Get or lazily establish the SM connection `sender -> receiver`,
-/// charging the one-time IPC mapping cost on first use. The sender's
-/// `Dev(Send)` ring is the one exported; the receiver's `Dev(Recv)` ring
-/// stages fragments when `recv_local_staging` is on and the two GPUs
-/// differ. `done` receives `Err` when the IPC capability was permanently
-/// lost mid-handshake (the caller is expected to renegotiate to
-/// copy-in/copy-out).
+/// charging the one-time IPC open of the sender's `Dev(Send)` ring
+/// (handles for all slots travel in one exchange; the first slot's is
+/// opened). The receiver's `Dev(Recv)` ring stages fragments when
+/// `recv_local_staging` is on and the two GPUs differ.
 pub fn sm_connection(
     sim: &mut Sim<MpiWorld>,
     sender: usize,
     receiver: usize,
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    if sim.world.mpi.sm_conns.contains(&(sender, receiver)) {
-        sim.schedule_now(move |sim| done(sim, Ok(())));
-        return;
-    }
-    let frag = sim.world.mpi.config.frag_size;
-    let staged = sim.world.mpi.config.recv_local_staging
-        && sim.world.rank(receiver).gpu != sim.world.rank(sender).gpu;
-    let slots = match ring(sim, sender, Loc::Dev(End::Send)) {
-        Ok(v) => v,
-        Err(e) => return refuse(sim, e, done),
+    let export = move |sim: &mut Sim<MpiWorld>| {
+        let cfg = &sim.world.mpi.config;
+        let (frag, staged) = (cfg.frag_size, cfg.recv_local_staging);
+        let mut handle = None;
+        for slot in ring(sim, sender, Loc::Dev(End::Send))? {
+            let h = sim.world.mem().registry.export_ipc(slot, frag)?;
+            handle = handle.or(Some(h));
+        }
+        if staged && sim.world.rank(receiver).gpu != sim.world.rank(sender).gpu {
+            ring(sim, receiver, Loc::Dev(End::Recv))?;
+        }
+        Ok(handle)
     };
-    // Exporting marks the slots; the first slot's handle is the one the
-    // receiver opens (handles for all slots travel in one exchange).
-    let mut handle = None;
-    for &slot in &slots {
-        match sim.world.mem().registry.export_ipc(slot, frag) {
-            Ok(h) => handle = handle.or(Some(h)),
-            Err(e) => return refuse(sim, e, done),
-        }
-    }
-    if staged {
-        if let Err(e) = ring(sim, receiver, Loc::Dev(End::Recv)) {
-            return refuse(sim, e, done);
-        }
-    }
-    sim.world.mpi.sm_conns.insert((sender, receiver));
-    let Some(handle) = handle else {
-        // Zero-depth ring: degenerate configuration, nothing to map.
-        sim.schedule_now(move |sim| done(sim, Ok(())));
-        return;
-    };
-    let hs = Handshake::start(sim);
-    sm_open_attempt(sim, (sender, receiver), handle, hs, done);
-}
-
-fn sm_open_attempt(
-    sim: &mut Sim<MpiWorld>,
-    (sender, receiver): (usize, usize),
-    handle: memsim::IpcHandle,
-    mut hs: Handshake,
-    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
-) {
-    ipc_open(sim, handle, move |sim, res| match res {
-        Ok(_) => done(sim, Ok(())),
-        Err(MemError::Faulted { transient }) => {
-            if let Some(delay) = transient.then(|| hs.retry(sim, FaultOp::IpcOpen)).flatten() {
-                sim.schedule_in(delay, move |sim| {
-                    sm_open_attempt(sim, (sender, receiver), handle, hs, done);
-                });
-                return;
-            }
-            abandon_sm_connection(sim, sender, receiver);
-            let why = if transient {
-                format!(
-                    "IPC handshake {sender} -> {receiver} timed out after {} attempts",
-                    hs.backoff.attempts()
-                )
-            } else {
-                format!("IPC capability lost opening handle {sender} -> {receiver}")
-            };
-            done(sim, Err(MpiError::Faulted(why)));
-        }
-        Err(e) => {
-            // Unexpected bookkeeping failure (not a fault injection):
-            // drop the half-built connection and surface it typed.
-            abandon_sm_connection(sim, sender, receiver);
-            done(sim, Err(MpiError::Mem(format!("ipc open: {e}"))));
-        }
-    });
-}
-
-/// Evict a half-established SM connection and flip the runtime IPC flag
-/// off: the capability itself is gone, so later same-node transfers
-/// renegotiate straight to copy-in/copy-out. The rings stay with their
-/// ranks, for whichever connection needs them next.
-fn abandon_sm_connection(sim: &mut Sim<MpiWorld>, sender: usize, receiver: usize) {
-    sim.world.mpi.sm_conns.remove(&(sender, receiver));
-    sim.world.mpi.ipc_runtime_ok = false;
+    let key = Handshake::Sm(sender, receiver);
+    ipc_handshake(sim, key, (sender, receiver), export, done);
 }
 
 /// Open a peer's *user buffer* over IPC (for the contiguous fast paths
-/// where one side reads or writes the other's buffer directly). The
-/// mapping cost is charged only the first time a given allocation is
-/// exported — repeated transfers of the same buffer reuse the mapping.
-/// `Err` means the IPC capability is gone; the export mark is dropped so
-/// the mapping cache never claims the buffer is reachable.
+/// where one side reads or writes the other's buffer directly) for the
+/// transfer `pair`. The mapping cost is charged only the first time a
+/// given allocation is mapped — repeated transfers of the same buffer
+/// reuse the mapping.
 pub fn open_peer_buffer(
     sim: &mut Sim<MpiWorld>,
+    pair: (usize, usize),
     buf: Ptr,
     len: u64,
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    let already = sim
-        .world
-        .mem()
-        .registry
-        .is_registered(buf, Registration::IpcExport);
-    if already {
-        sim.schedule_now(move |sim| done(sim, Ok(())));
-        return;
-    }
-    let handle = match sim.world.mem().registry.export_ipc(buf, len) {
-        Ok(h) => h,
-        Err(e) => {
-            let err = MpiError::Mem(e.to_string());
-            sim.schedule_now(move |sim| done(sim, Err(err)));
-            return;
-        }
-    };
-    let hs = Handshake::start(sim);
-    peer_open_attempt(sim, buf, handle, hs, done);
-}
-
-fn peer_open_attempt(
-    sim: &mut Sim<MpiWorld>,
-    buf: Ptr,
-    handle: memsim::IpcHandle,
-    mut hs: Handshake,
-    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
-) {
-    ipc_open(sim, handle, move |sim, res| match res {
-        Ok(_) => done(sim, Ok(())),
-        Err(MemError::Faulted { transient }) => {
-            if let Some(delay) = transient.then(|| hs.retry(sim, FaultOp::IpcOpen)).flatten() {
-                sim.schedule_in(delay, move |sim| {
-                    peer_open_attempt(sim, buf, handle, hs, done);
-                });
-                return;
-            }
-            sim.world
-                .mem()
-                .registry
-                .unregister(buf, Registration::IpcExport);
-            sim.world.mpi.ipc_runtime_ok = false;
-            done(
-                sim,
-                Err(MpiError::Faulted(format!(
-                    "IPC capability lost mapping peer buffer {buf}"
-                ))),
-            );
-        }
-        Err(e) => {
-            // Unexpected bookkeeping failure (not a fault injection):
-            // drop the export mark and surface it typed.
-            sim.world
-                .mem()
-                .registry
-                .unregister(buf, Registration::IpcExport);
-            done(sim, Err(MpiError::Mem(format!("ipc open: {e}"))));
-        }
-    });
+    let export =
+        move |sim: &mut Sim<MpiWorld>| sim.world.mem().registry.export_ipc(buf, len).map(Some);
+    let key = Handshake::PeerBuffer(buf.space, buf.alloc);
+    ipc_handshake(sim, key, pair, export, done);
 }
 
 /// Get or lazily establish the copy-in/out connection `sender ->
@@ -299,19 +372,18 @@ fn peer_open_attempt(
 /// receiver's `Host(Recv)` / `Dev(Recv)` rings, registering each host
 /// ring with the NIC the first time any connection needs it.
 ///
-/// Mapping the pinned rings into the GPUs (zero copy) is its own fault
-/// charge point (`FaultOp::PinnedRegister`), rolled once per connection:
-/// a permanent loss demotes the runtime to the explicitly staged variant
-/// — the connection still comes up, just without the zero-copy
-/// capability.
+/// Mapping the pinned rings into the GPUs (zero copy) is its own step
+/// (`FaultOp::PinnedRegister`), rolled once per connection: a lost pin
+/// demotes the runtime to the explicitly staged variant — the
+/// connection still comes up, just without the zero-copy capability.
 pub fn ib_connection(
     sim: &mut Sim<MpiWorld>,
     sender: usize,
     receiver: usize,
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    if sim.world.mpi.ib_conns.contains(&(sender, receiver)) {
-        sim.schedule_now(move |sim| done(sim, Ok(())));
+    let key = Handshake::CopyInOut(sender, receiver);
+    if !claim(sim, key, done) {
         return;
     }
     let rings = [
@@ -322,13 +394,15 @@ pub fn ib_connection(
     ];
     for (rank, loc) in rings {
         if let Err(e) = ring(sim, rank, loc) {
-            return refuse(sim, e, done);
+            return refuse(sim, key, e);
         }
     }
-    sim.world.mpi.ib_conns.insert((sender, receiver));
-
-    let hs = Handshake::start(sim);
-    zero_copy_pin_attempt(sim, (sender, receiver), hs, move |sim| {
+    let pin = |sim: &mut Sim<MpiWorld>, report: Report| {
+        let res = roll(sim, FaultOp::PinnedRegister);
+        report(sim, res);
+    };
+    let step = (Capability::ZeroCopy, (sender, receiver));
+    establish(sim, step, pin, move |sim, _| {
         let first = |rank, end| {
             let slots = sim.world.rank(rank).rings.get(&Loc::Host(end));
             slots.and_then(|s| s.first()).copied()
@@ -337,41 +411,41 @@ pub fn ib_connection(
         else {
             // Zero-depth ring: degenerate configuration, nothing to
             // register.
-            return done(sim, Ok(()));
+            return settle(sim, key, Ok(()));
         };
         ensure_registered(sim, sender, first_s, move |sim| {
-            ensure_registered(sim, receiver, first_r, move |sim| done(sim, Ok(())));
+            ensure_registered(sim, receiver, first_r, move |sim| settle(sim, key, Ok(())));
         });
     });
 }
 
-/// Map the pinned host rings into both GPUs (CUDA zero copy), rolling
-/// the `PinnedRegister` fault charge point. On permanent loss the
-/// runtime zero-copy flag flips off; the staged path needs no mapping,
-/// so establishment continues either way.
-fn zero_copy_pin_attempt(
+/// Get or lazily install the NIC DEV handler of the directed `pair`: a
+/// `FaultOp::NicHandler` roll, then the arch's `nic_handler_setup`.
+/// `Err` means the NIC offload capability is lost.
+pub fn nic_handler(
     sim: &mut Sim<MpiWorld>,
-    (sender, receiver): (usize, usize),
-    mut hs: Handshake,
-    then: impl FnOnce(&mut Sim<MpiWorld>) + 'static,
+    pair: (usize, usize),
+    done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    let op = FaultOp::PinnedRegister;
-    let verdict = fault::fault_roll(sim, op);
-    if verdict == FaultDecision::Transient {
-        if let Some(delay) = hs.retry(sim, op) {
-            sim.schedule_in(delay, move |sim| {
-                zero_copy_pin_attempt(sim, (sender, receiver), hs, then);
-            });
-            return;
+    let key = Handshake::NicHandler(pair.0, pair.1);
+    if !claim(sim, key, done) {
+        return;
+    }
+    let install = |sim: &mut Sim<MpiWorld>, report: Report| match roll(sim, FaultOp::NicHandler) {
+        Ok(()) => {
+            let setup = sim.world.gpus_ref().topo.nic_handler_setup;
+            sim.schedule_in(setup, move |sim| report(sim, Ok(())));
         }
-    }
-    if verdict != FaultDecision::Ok {
-        sim.world.mpi.zero_copy_runtime_ok = false;
-        let (a, b) = (sender as u32, receiver as u32);
-        sim.trace
-            .count(faultsim::counters::FALLBACK_EVENTS, a, b, 1);
-    }
-    then(sim);
+        err => report(sim, err),
+    };
+    establish(
+        sim,
+        (Capability::NicOffload, pair),
+        install,
+        move |sim, res| {
+            settle(sim, key, res);
+        },
+    );
 }
 
 #[cfg(test)]
@@ -380,6 +454,7 @@ mod tests {
     use crate::config::MpiConfig;
     use crate::world::MpiWorld;
     use faultsim::{FaultKind, FaultPlan};
+    use memsim::Registration;
     use simcore::SimTime;
 
     /// The slots of `rank`'s ring at `loc` (empty when it has none).
@@ -487,11 +562,13 @@ mod tests {
             .mem()
             .alloc(MemSpace::Device(memsim::GpuId(0)), 4096)
             .unwrap();
-        open_peer_buffer(&mut sim, buf, 4096, |_, res| res.expect("no faults"));
+        open_peer_buffer(&mut sim, (1, 0), buf, 4096, |_, res| {
+            res.expect("no faults")
+        });
         sim.run();
         let t1 = sim.now();
         assert!(t1 >= SimTime::from_micros(120));
-        open_peer_buffer(&mut sim, buf, 4096, move |sim, _| {
+        open_peer_buffer(&mut sim, (1, 0), buf, 4096, move |sim, _| {
             assert_eq!(sim.now(), t1, "second mapping is cached");
         });
         sim.run();
@@ -517,7 +594,7 @@ mod tests {
         // Three ipc_open charges (120 µs each) plus two backoff delays.
         assert!(end >= SimTime::from_micros(360));
         assert!(
-            sim.world.mpi.ipc_runtime_ok,
+            sim.world.mpi.offers(Capability::Ipc),
             "transient faults don't disable IPC"
         );
     }
@@ -537,9 +614,9 @@ mod tests {
         let h = std::rc::Rc::clone(&hit);
         sm_connection(&mut sim, 0, 1, move |sim, conn| {
             assert!(matches!(conn, Err(MpiError::Faulted(_))));
-            assert!(!sim.world.mpi.ipc_runtime_ok);
+            assert!(!sim.world.mpi.offers(Capability::Ipc));
             assert!(
-                !sim.world.mpi.sm_conns.contains(&(0, 1)),
+                !sim.world.mpi.handshakes.contains_key(&Handshake::Sm(0, 1)),
                 "half-built connection must not stay cached"
             );
             *h.borrow_mut() = true;
@@ -561,7 +638,7 @@ mod tests {
         let mut sim = Sim::new(MpiWorld::two_ranks_ib(cfg));
         ib_connection(&mut sim, 0, 1, |sim, conn| {
             conn.expect("connects without zero copy");
-            assert!(!sim.world.mpi.zero_copy_runtime_ok);
+            assert!(!sim.world.mpi.offers(Capability::ZeroCopy));
             // The demotion is counted once, for the pair.
             let fallbacks = sim
                 .trace

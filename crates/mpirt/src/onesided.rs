@@ -14,6 +14,7 @@
 //! kernels run on the target GPU either way, which matches where the
 //! paper executes them.
 
+use crate::api::bad_rank;
 use crate::protocol::{run_transfer, Side};
 use crate::request::{MpiError, Request};
 use crate::world::MpiWorld;
@@ -136,8 +137,10 @@ pub fn get(
     rma(sim, win, origin, (target_rank, target_disp, target), false)
 }
 
-/// The body of [`put`] (`origin_sends`) and [`get`]: check both types
-/// and the target's window, then run the transfer from the sending side
+/// The body of [`put`] (`origin_sends`) and [`get`]: check both types,
+/// the origin rank (in the job, not the target — the typed error
+/// `isend` gives) and the target's window before anything is charged,
+/// then run the transfer from the sending side
 /// to the receiving one. The origin's request tracks completion at the
 /// receiving side (strictest interpretation — data visible there); the
 /// internal send handle is dropped.
@@ -151,6 +154,17 @@ fn rma(
     let req = Request::new();
     if !origin.ty.is_committed() || !target.ty.is_committed() {
         req.complete(sim, Err(MpiError::Type(datatype::TypeError::NotCommitted)));
+        return req;
+    }
+    let bad = bad_rank(sim, [("origin_rank", origin_rank)]).or_else(|| {
+        (origin_rank == target_rank).then(|| {
+            MpiError::Faulted(format!(
+                "target_rank = {target_rank} is the origin: self-access is not modeled"
+            ))
+        })
+    });
+    if let Some(err) = bad {
+        req.complete(sim, Err(err));
         return req;
     }
     if !check_sigs(

@@ -20,14 +20,19 @@
 //! what every demotion lands on: SmIpc renegotiation and both offload
 //! classes substitute this protocol's plan.
 
-use crate::connection::ib_connection;
+use crate::connection::{ib_connection, in_flight, wait, Handshake};
 use crate::protocol::exec::{self, Conn, Requests};
 use crate::protocol::plan::{plan_for, Facts};
-use crate::protocol::Side;
+use crate::protocol::{dispatch, Side};
 use crate::world::MpiWorld;
 use simcore::Sim;
 
 pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
+    // A transfer never runs past the pair's handshake: with one in
+    // flight it waits for the outcome and is dispatched afresh.
+    if let Some(key) = in_flight(sim, [Handshake::CopyInOut(s.rank, r.rank)]) {
+        return wait(sim, key, move |sim, _| dispatch(sim, s, r, done));
+    }
     let class = Facts::of(sim, s.rank, r.rank).copy_class();
     let t = exec::open(sim, s, r, class, done);
     ib_connection(sim, t.s.rank, t.r.rank, move |sim, conn| {

@@ -26,6 +26,7 @@ pub mod offload;
 pub mod plan;
 pub mod sm;
 
+use crate::connection::Capability;
 use crate::cpupack::CpuEngine;
 use crate::matcher::RecvPosting;
 use crate::protocol::comparator::RunEngine;
@@ -213,13 +214,8 @@ pub fn start_rendezvous(
     run_transfer(sim, send, recv, send_req, recv_req);
 }
 
-/// Dispatch a (signature-checked) transfer to the right protocol. Also
-/// used directly by the one-sided layer, where there is no matching.
-///
-/// Path selection consults the *runtime* IPC flag alongside the
-/// configured one: once fault injection permanently takes out the IPC
-/// capability, every later same-node transfer renegotiates straight to
-/// copy-in/copy-out without re-attempting the lost path.
+/// Run a (signature-checked) transfer. Also used directly by the
+/// one-sided layer, where there is no matching.
 pub(crate) fn run_transfer(
     sim: &mut Sim<MpiWorld>,
     send: Side,
@@ -248,19 +244,30 @@ pub(crate) fn run_transfer(
         recv_req.complete(sim, Ok(0));
         return;
     }
-    let same_node = sim.world.same_node(send.rank, recv.rank);
-    let use_ipc = sim.world.mpi.config.use_ipc && sim.world.mpi.ipc_runtime_ok;
     let done = exec::Requests {
         send: send_req,
         recv: recv_req,
     };
-    if same_node && use_ipc && send.device() && recv.device() {
+    dispatch(sim, send, recv, done);
+}
+
+/// Start a transfer down the protocol it takes now. Selection reads
+/// what the runtime *offers* ([`MpiState::offers`]): once a handshake
+/// loses the IPC capability, every later same-node transfer takes
+/// copy-in/copy-out without re-attempting the lost path. A protocol
+/// that finds a handshake it needs still in flight comes back here at
+/// that handshake's outcome.
+///
+/// [`MpiState::offers`]: crate::world::MpiState::offers
+pub(crate) fn dispatch(sim: &mut Sim<MpiWorld>, send: Side, recv: Side, done: exec::Requests) {
+    let same_node = sim.world.same_node(send.rank, recv.rank);
+    let ipc = sim.world.mpi.offers(Capability::Ipc);
+    if same_node && ipc && send.device() && recv.device() {
         sm::start(sim, send, recv, done);
     } else {
         // Cross-node (and degraded same-node) transfers consult the
-        // analytic path selector: the offload classes compete only when
-        // their knobs are on and their runtime-health flags are up, and
-        // win only past the never-worse margin.
+        // analytic path selector: the offload classes compete only while
+        // offered, and win only past the never-worse margin.
         match crate::tuner::select_path(sim, &send, &recv, same_node) {
             class @ (PathClass::NicOffload | PathClass::StreamTriggered) => {
                 offload::start(sim, class, send, recv, done)

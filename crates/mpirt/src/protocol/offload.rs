@@ -8,10 +8,10 @@
 //!   kernel, no packed staging buffer and no per-fragment control
 //!   traffic. A one-time DEV handler install per rank pair mirrors the
 //!   IPC/pinned-registration handshakes, including its fault charge
-//!   point (`FaultOp::NicHandler`): permanent loss flips
-//!   `nic_offload_runtime_ok` off and this — and every later — transfer
-//!   demotes to the GPU-pack copy-in/out pipeline, sticky and
-//!   byte-equal, exactly like the SmIpc → CopyInOut demotion.
+//!   point (`FaultOp::NicHandler`): a loss takes the NicOffload
+//!   capability away, and this — and every later — transfer demotes to
+//!   the GPU-pack copy-in/out pipeline, sticky and byte-equal, exactly
+//!   like the SmIpc → CopyInOut demotion.
 //!
 //! * **StreamTriggered** — the transfer is captured once into a GPU
 //!   stream-op graph (trigger → pack kernel → doorbell → unpack kernel
@@ -19,30 +19,30 @@
 //!   the critical path (HPE's stream-aware MPI). The doorbell ring is
 //!   the fault charge point (`FaultOp::StreamDoorbell`), rolled before
 //!   each replay: a lost doorbell demotes to the CPU-driven pipeline,
-//!   sticky via `stream_trigger_runtime_ok`.
+//!   sticky: the StreamTrigger capability is lost.
 //!
 //! Neither path is entered unless `tuner::select_path` predicted a win
 //! past its never-worse margin, so a demotion only ever returns the
 //! transfer to the timing it would have had with the knob off.
 //!
 //! Both are one-fragment [`plan_for`](crate::protocol::plan::plan_for) plans run by the executor; this
-//! module owns what precedes them — the capability handshake, the NIC
-//! program cache and graph capture — and demotion, which substitutes
-//! the incumbent's plan by handing the transfer to `copyio::start`.
+//! module owns what precedes them — the capability step (run by
+//! `connection::establish`), the NIC program cache and graph capture —
+//! and demotion, which substitutes the incumbent's plan by handing the
+//! transfer to `copyio::start`.
 
-use crate::connection::Handshake;
+use crate::connection::{establish, nic_handler, roll, Capability, Report};
 use crate::protocol::exec::{self, Conn, Requests};
 use crate::protocol::{copyio, ShapeKey, Side};
 use crate::request::MpiError;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use devengine::{flip_units, whole_units};
-use faultsim::{FaultDecision, FaultOp};
-use gpusim::{fault, GpuWorld as _, GraphCapture, StreamGraph, StreamId};
+use faultsim::FaultOp;
+use gpusim::{GpuWorld as _, GraphCapture, StreamGraph, StreamId};
 use memsim::{MemSpace, Ptr};
 use netsim::{compile_program, NicProgram};
 use simcore::par::CopyOp;
-use simcore::trace::names;
 use simcore::Sim;
 use std::rc::Rc;
 
@@ -63,13 +63,15 @@ pub struct CapturedXfer {
 /// Start one offload rendezvous (`class` is `NicOffload` or
 /// `StreamTriggered`): acquire the class's capability, fetch its cached
 /// per-shape state — the compiled descriptor program or the captured
-/// graph — and run the class's plan. A lost capability demotes to
-/// `copyio::start`: this and every later transfer renegotiate to the
-/// GPU-pack pipeline.
+/// graph — and run the class's plan. NicOffload installs (or reuses, or
+/// waits for) the pair's DEV handler; StreamTriggered rings the doorbell
+/// before every replay, one `FaultOp::StreamDoorbell` step. A lost
+/// capability demotes to `copyio::start`: this and every later transfer
+/// renegotiate to the GPU-pack pipeline.
 pub(crate) fn start(sim: &mut Sim<MpiWorld>, class: PathClass, s: Side, r: Side, done: Requests) {
-    let hs = Handshake::start(sim);
-    acquire(sim, class, (s.rank, r.rank), hs, move |sim, held| {
-        if !held {
+    let pair = (s.rank, r.rank);
+    let run = move |sim: &mut Sim<MpiWorld>, held: Result<(), MpiError>| {
+        if held.is_err() {
             return copyio::start(sim, s, r, done);
         }
         let conn = if class == PathClass::NicOffload {
@@ -82,64 +84,15 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, class: PathClass, s: Side, r: Side,
             Ok(conn) => exec::run(sim, t, conn),
             Err(e) => t.fail(sim, e),
         }
-    });
-}
-
-/// Acquire the capability `class` runs on, rolling its fault charge
-/// point. NicOffload installs (or reuses) the DEV handler of the
-/// directed pair — once, cached, charged `nic_handler_setup`, rolling
-/// `FaultOp::NicHandler`; StreamTriggered rings the doorbell before
-/// every replay, rolling `FaultOp::StreamDoorbell`. Transients retry
-/// under the connection-handshake budget; permanent loss (or an
-/// exhausted budget) flips the class's runtime flag, counts the
-/// demotion, and reports `false`.
-fn acquire(
-    sim: &mut Sim<MpiWorld>,
-    class: PathClass,
-    pair: (usize, usize),
-    mut hs: Handshake,
-    then: impl FnOnce(&mut Sim<MpiWorld>, bool) + 'static,
-) {
-    let nic = class == PathClass::NicOffload;
-    let (op, demotions) = if nic {
-        (FaultOp::NicHandler, names::OFFLOAD_NIC_DEMOTIONS)
-    } else {
-        (FaultOp::StreamDoorbell, names::OFFLOAD_STREAM_DEMOTIONS)
     };
-    if nic && sim.world.mpi.nic_handlers.contains(&pair) {
-        sim.schedule_now(move |sim| then(sim, true));
-        return;
+    if class == PathClass::NicOffload {
+        return nic_handler(sim, pair, run);
     }
-    let verdict = fault::fault_roll(sim, op);
-    if verdict == FaultDecision::Transient {
-        if let Some(delay) = hs.retry(sim, op) {
-            sim.schedule_in(delay, move |sim| acquire(sim, class, pair, hs, then));
-            return;
-        }
-    }
-    match verdict {
-        FaultDecision::Ok if nic => {
-            let setup = sim.world.gpus_ref().topo.nic_handler_setup;
-            sim.schedule_in(setup, move |sim| {
-                sim.world.mpi.nic_handlers.insert(pair);
-                then(sim, true);
-            });
-        }
-        FaultDecision::Ok => then(sim, true),
-        _ => {
-            let mpi = &mut sim.world.mpi;
-            if nic {
-                mpi.nic_offload_runtime_ok = false;
-            } else {
-                mpi.stream_trigger_runtime_ok = false;
-            }
-            let (a, b) = (pair.0 as u32, pair.1 as u32);
-            sim.trace.count(demotions, a, b, 1);
-            sim.trace
-                .count(faultsim::counters::FALLBACK_EVENTS, a, b, 1);
-            then(sim, false);
-        }
-    }
+    let doorbell = |sim: &mut Sim<MpiWorld>, report: Report| {
+        let res = roll(sim, FaultOp::StreamDoorbell);
+        report(sim, res);
+    };
+    establish(sim, (Capability::StreamTrigger, pair), doorbell, run);
 }
 
 /// Get (or compile) the merged NIC descriptor program for this shape.

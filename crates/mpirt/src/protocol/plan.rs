@@ -12,6 +12,7 @@
 //! ([`crate::tuner`]) prices the very same [`StageOp`]s, so the model
 //! cannot drift from what runs (DESIGN.md §17).
 
+use crate::connection::Capability;
 use crate::protocol::Side;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
@@ -203,7 +204,7 @@ pub struct Facts {
     /// Both ranks are bound to the same GPU.
     pub same_gpu: bool,
     pub recv_local_staging: bool,
-    /// Zero copy is configured *and* its runtime capability is up.
+    /// The runtime offers zero copy: configured and not lost.
     pub zero_copy: bool,
     /// Configured pipeline shape.
     pub frag_size: u64,
@@ -216,7 +217,7 @@ impl Facts {
         Facts {
             same_gpu: sim.world.rank(s_rank).gpu == sim.world.rank(r_rank).gpu,
             recv_local_staging: mpi.config.recv_local_staging,
-            zero_copy: mpi.config.zero_copy && mpi.zero_copy_runtime_ok,
+            zero_copy: mpi.offers(Capability::ZeroCopy),
             frag_size: mpi.config.frag_size,
             depth: mpi.config.pipeline_depth,
         }

@@ -17,11 +17,13 @@
 //! Which stages each shape has is [`plan_for`](crate::protocol::plan::plan_for)'s decision and running
 //! them the executor's; this module owns the IPC handshake — mapping a
 //! dense side's user buffer, opening the sender's fragment ring — and the
-//! renegotiation when that handshake loses the IPC capability.
+//! renegotiation when that handshake loses the IPC capability. A
+//! transfer that finds either handshake in flight waits for its outcome
+//! and is dispatched afresh.
 
-use crate::connection::{open_peer_buffer, sm_connection};
+use crate::connection::{in_flight, open_peer_buffer, sm_connection, wait, Handshake};
 use crate::protocol::exec::{self, Conn, Requests, Transfer};
-use crate::protocol::{copyio, Side};
+use crate::protocol::{copyio, dispatch, Side};
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use simcore::Sim;
@@ -29,16 +31,10 @@ use simcore::Sim;
 /// Path renegotiation: the IPC mapping was lost mid-handshake, so replay
 /// the same transfer over the copy-in/copy-out plan. Connection
 /// establishment precedes all data motion, so nothing has moved yet and
-/// the sides and requests replay verbatim; the connection layer already
-/// evicted the half-built connection and flipped the runtime IPC flag,
+/// the sides and requests replay verbatim; on a lost capability the
+/// handshake driver already metered the demotion and took IPC away,
 /// steering every *later* transfer straight to copy-in/out.
 fn renegotiate(sim: &mut Sim<MpiWorld>, t: Transfer) {
-    sim.trace.count(
-        faultsim::counters::FALLBACK_EVENTS,
-        t.s.rank as u32,
-        t.r.rank as u32,
-        1,
-    );
     sim.trace.span_end(sim.now(), t.span);
     copyio::start(sim, t.s, t.r, t.done);
 }
@@ -53,10 +49,19 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
     } else {
         None
     };
-    let total = s.total();
+    // Two dense sides need the mapping only; every other shape pipelines
+    // through the pair's rings.
+    let handshakes = [
+        window.map(|buf| Handshake::PeerBuffer(buf.space, buf.alloc)),
+        (!(s.dense() && r.dense())).then_some(Handshake::Sm(s.rank, r.rank)),
+    ];
+    if let Some(key) = in_flight(sim, handshakes.into_iter().flatten()) {
+        return wait(sim, key, move |sim, _| dispatch(sim, s, r, done));
+    }
+    let (pair, total) = ((s.rank, r.rank), s.total());
     let t = exec::open(sim, s, r, PathClass::SmIpc, done);
     match window {
-        Some(buf) => open_peer_buffer(sim, buf, total, move |sim, res| match res {
+        Some(buf) => open_peer_buffer(sim, pair, buf, total, move |sim, res| match res {
             Ok(()) => connect(sim, t),
             Err(_) => renegotiate(sim, t),
         }),

@@ -31,7 +31,7 @@
 //! data) are this module's own.
 
 use crate::schedule::{self, Exchange};
-use faultsim::{FaultDecision, FaultOp, FaultPlan, FaultSim};
+use faultsim::{Backoff, FaultDecision, FaultOp, FaultPlan, FaultSim};
 use netsim::Topology;
 use simcore::msgsim::{Envelope, MsgCtx, MsgModel, MsgRun, MsgSim};
 use simcore::rate::ceil_u64;
@@ -46,9 +46,6 @@ use std::collections::BTreeMap;
 const SEND_OVERHEAD_NS: u64 = 50;
 /// Wire size of control messages (acks, get requests).
 const CTRL_BYTES: u64 = 16;
-/// First retransmit penalty after a transient send fault; doubles per
-/// attempt.
-const RETRY_BASE_NS: u64 = 1_000;
 /// Give up retrying after this many transient hits on one send; the
 /// message still goes out (the runtime's last resort path).
 const MAX_RETRIES: u32 = 6;
@@ -287,7 +284,9 @@ fn send_msg(
     };
     let mut slowdown = 1.0;
     if st.faults.active() {
-        let mut attempts = 0;
+        // Retransmit penalties: 2 µs after the first transient hit,
+        // doubling per attempt.
+        let mut backoff = Backoff::new(SimTime::from_micros(2), SimTime::from_micros(64));
         loop {
             match st.faults.roll(op, launch) {
                 FaultDecision::Ok => break,
@@ -295,9 +294,8 @@ fn send_msg(
                     ctx.trace.count(names::RETRY_ATTEMPTS, st.rank, 0, 1);
                     ctx.trace
                         .count(names::FAULT_INJECTED, st.rank, op.index() as u32, 1);
-                    attempts += 1;
-                    launch += SimTime::from_nanos(RETRY_BASE_NS << attempts.min(6));
-                    if attempts >= MAX_RETRIES {
+                    launch += backoff.next_delay();
+                    if backoff.attempts() >= MAX_RETRIES {
                         break;
                     }
                 }

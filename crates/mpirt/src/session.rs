@@ -24,9 +24,8 @@
 //! ```
 
 use crate::config::MpiConfig;
-use crate::world::{MpiWorld, RankSpec};
+use crate::world::{MpiWorld, RankSpec, IB, ONE_GPU, TWO_GPUS};
 use gpusim::{GpuArch, GpuWorld as _};
-use memsim::GpuId;
 use simcore::trace::names;
 use simcore::{Metrics, Sim, SpanId, Track};
 use std::ops::{Deref, DerefMut};
@@ -52,16 +51,7 @@ pub struct SessionBuilder {
 impl Default for SessionBuilder {
     fn default() -> SessionBuilder {
         SessionBuilder {
-            specs: vec![
-                RankSpec {
-                    gpu: GpuId(0),
-                    node: 0,
-                },
-                RankSpec {
-                    gpu: GpuId(1),
-                    node: 0,
-                },
-            ],
+            specs: TWO_GPUS.to_vec(),
             gpu_count: 2,
             nranks: None,
             topo: netsim::Topology::default_for(2),
@@ -77,16 +67,7 @@ impl Default for SessionBuilder {
 impl SessionBuilder {
     /// Two ranks on one node sharing a single GPU ("1GPU").
     pub fn two_ranks_one_gpu(mut self) -> SessionBuilder {
-        self.specs = vec![
-            RankSpec {
-                gpu: GpuId(0),
-                node: 0,
-            },
-            RankSpec {
-                gpu: GpuId(0),
-                node: 0,
-            },
-        ];
+        self.specs = ONE_GPU.to_vec();
         self.gpu_count = 1;
         self
     }
@@ -94,32 +75,14 @@ impl SessionBuilder {
     /// Two ranks on one node, each with its own GPU ("2GPU"). The
     /// default.
     pub fn two_ranks_two_gpus(mut self) -> SessionBuilder {
-        self.specs = vec![
-            RankSpec {
-                gpu: GpuId(0),
-                node: 0,
-            },
-            RankSpec {
-                gpu: GpuId(1),
-                node: 0,
-            },
-        ];
+        self.specs = TWO_GPUS.to_vec();
         self.gpu_count = 2;
         self
     }
 
     /// Two ranks on different nodes connected by InfiniBand ("IB").
     pub fn two_ranks_ib(mut self) -> SessionBuilder {
-        self.specs = vec![
-            RankSpec {
-                gpu: GpuId(0),
-                node: 0,
-            },
-            RankSpec {
-                gpu: GpuId(1),
-                node: 1,
-            },
-        ];
+        self.specs = IB.to_vec();
         self.gpu_count = 2;
         self
     }
@@ -193,15 +156,7 @@ impl SessionBuilder {
     /// Build the world and start the session.
     pub fn build(self) -> Session {
         let (specs, gpu_count) = match self.nranks {
-            Some(n) => {
-                let specs: Vec<RankSpec> = (0..n)
-                    .map(|r| RankSpec {
-                        gpu: GpuId(r as u32),
-                        node: self.topo.node_of(r as u32) as usize,
-                    })
-                    .collect();
-                (specs, n as u32)
-            }
+            Some(n) => (RankSpec::laid_out(n, &self.topo), n as u32),
             None => (self.specs, self.gpu_count),
         };
         let world = MpiWorld::on_arch(self.arch, &specs, gpu_count, self.config);
@@ -349,7 +304,7 @@ mod tests {
     use super::*;
     use crate::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
     use datatype::DataType;
-    use memsim::MemSpace;
+    use memsim::{GpuId, MemSpace};
 
     fn contig(bytes: u64) -> DataType {
         DataType::contiguous(bytes / 8, &DataType::double())

@@ -30,6 +30,7 @@
 //! Decisions are cached in [`crate::world::MpiState::tuned_shapes`] and
 //! surfaced through the `optimizer.frag.*` trace counters.
 
+use crate::connection::Capability;
 use crate::cpupack;
 use crate::protocol::comparator::RunEngine;
 use crate::protocol::offload;
@@ -309,9 +310,9 @@ const SELECT_MARGIN: f64 = 0.9;
 /// Choose the path class for one cross-node rendezvous. The incumbent
 /// GPU-pack pipeline (zero-copy when healthy and both sides live on
 /// device, staged copy-in/out otherwise) always competes; an offload
-/// class is returned only when its knob is on, its runtime-health flag
-/// is up, both sides are device-resident, and the analytic model
-/// predicts a win past [`SELECT_MARGIN`]. With both knobs off this
+/// class is returned only while the runtime offers it (its knob is on
+/// and no handshake lost it), both sides are device-resident, and the
+/// analytic model predicts a win past [`SELECT_MARGIN`]. With both knobs off this
 /// returns the incumbent immediately — no model evaluation, no
 /// counters, so default runs stay byte-identical.
 pub fn select_path(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, same_node: bool) -> PathClass {
@@ -321,8 +322,8 @@ pub fn select_path(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, same_node: bool)
         PathClass::CopyInOut
     };
     let mpi = &sim.world.mpi;
-    let nic_ok = mpi.config.nic_offload && mpi.nic_offload_runtime_ok;
-    let stream_ok = mpi.config.stream_trigger && mpi.stream_trigger_runtime_ok;
+    let nic_ok = mpi.offers(Capability::NicOffload);
+    let stream_ok = mpi.offers(Capability::StreamTrigger);
     if (!nic_ok && !stream_ok) || same_node || !s.device() || !r.device() {
         return incumbent;
     }
@@ -618,8 +619,8 @@ mod tests {
     #[test]
     fn demoted_runtime_flags_disqualify_offload_classes() {
         let mut sim = ib_world("a100", true, true);
-        sim.world.mpi.nic_offload_runtime_ok = false;
-        sim.world.mpi.stream_trigger_runtime_ok = false;
+        let lost = [Capability::NicOffload, Capability::StreamTrigger];
+        sim.world.mpi.lost.extend(lost);
         let s = side_on(&mut sim, 0, &coarse_ty(), 1);
         let r = side_on(&mut sim, 1, &coarse_ty(), 1);
         assert_eq!(select_path(&mut sim, &s, &r, false), PathClass::ZeroCopy);

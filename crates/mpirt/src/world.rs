@@ -1,8 +1,9 @@
 //! The simulation world for MPI jobs: hardware (`ClusterWorld`) plus
-//! runtime state (matching queues, connection handshakes, per-rank GPU
+//! runtime state (matching queues, the handshake table, per-rank GPU
 //! bindings and fragment rings).
 
 use crate::config::MpiConfig;
+use crate::connection::{Capability, Handshake, Status};
 use crate::matcher::Matcher;
 use crate::protocol::exec::{MoveKey, MoveList};
 use crate::protocol::plan::Loc;
@@ -28,6 +29,30 @@ pub struct RankSpec {
     pub node: usize,
 }
 
+impl RankSpec {
+    /// Rank placement on `gpu` of `node`.
+    pub const fn at(gpu: u32, node: usize) -> RankSpec {
+        RankSpec {
+            gpu: GpuId(gpu),
+            node,
+        }
+    }
+
+    /// `n` ranks laid out by `topo`: rank `r` on GPU `r` of node
+    /// `topo.node_of(r)`.
+    pub fn laid_out(n: usize, topo: &netsim::Topology) -> Vec<RankSpec> {
+        let on = |r| RankSpec::at(r, topo.node_of(r) as usize);
+        (0..n as u32).map(on).collect()
+    }
+}
+
+/// The paper's two-rank testbeds: both ranks on one GPU ("1GPU"), one
+/// GPU each on one node ("2GPU"), and one node each over InfiniBand
+/// ("IB").
+pub const ONE_GPU: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(0, 0)];
+pub const TWO_GPUS: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(1, 0)];
+pub const IB: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(1, 1)];
+
 /// Mutable per-rank runtime state.
 pub struct RankState {
     pub rank: usize,
@@ -52,35 +77,20 @@ pub struct MpiState {
     pub config: MpiConfig,
     pub ranks: Vec<RankState>,
     pub matcher: Matcher,
-    /// Directed rank pairs whose SM (CUDA IPC) handshake ran or is
-    /// running; a pair is inserted before its handshake completes.
-    pub sm_conns: BTreeSet<(usize, usize)>,
-    /// Directed rank pairs whose copy-in/out handshake ran or is running.
-    pub ib_conns: BTreeSet<(usize, usize)>,
+    /// Every handshake begun, by what it establishes (an SM pair, a
+    /// copy-in/out pair, a NIC-handler pair or a mapped peer allocation):
+    /// pending with its waiting callers, or up (`connection`).
+    pub handshakes: DetHashMap<Handshake, Status>,
     /// Fragment/ring-depth decisions from the protocol auto-tuner,
     /// cached per (canonical layouts, message size, path class).
     pub tuned_shapes: DetHashMap<crate::tuner::TuneKey, (u64, usize)>,
-    /// Runtime health of the CUDA IPC path. Flipped off when fault
-    /// injection reports a permanent loss of the IPC capability, which
-    /// steers every later same-node GPU transfer to copy-in/copy-out.
-    pub ipc_runtime_ok: bool,
-    /// Runtime health of the zero-copy (mapped pinned host) path;
-    /// flipped off on permanent pinned-registration loss, which demotes
-    /// the copy-in/out protocol to its explicitly staged variant.
-    pub zero_copy_runtime_ok: bool,
-    /// Runtime health of the NIC DEV-executor path; flipped off on
-    /// permanent NIC-handler loss, which demotes every later NicOffload
-    /// transfer to the GPU-pack (copy-in/out) pipeline — sticky, like
-    /// the IPC flag above.
-    pub nic_offload_runtime_ok: bool,
-    /// Runtime health of the stream-triggered path; flipped off on
-    /// permanent doorbell loss, demoting StreamTriggered transfers to
-    /// the CPU-driven pipeline.
-    pub stream_trigger_runtime_ok: bool,
-    /// Directed rank pairs whose NIC handler is installed (the sPIN
-    /// handler registration is once per connection, like the zero-copy
-    /// pin of [`MpiState::ib_conns`]).
-    pub nic_handlers: BTreeSet<(usize, usize)>,
+    /// Capabilities a handshake step lost for the rest of the run — a
+    /// permanent fault or a spent retry budget. A lost capability is no
+    /// longer offered ([`MpiState::offers`]): IPC loss steers every later
+    /// same-node GPU transfer to copy-in/copy-out, zero-copy loss demotes
+    /// copy-in/out to its staged variant, and a lost NIC handler or
+    /// doorbell demotes its offload class to the GPU-pack pipeline.
+    pub lost: BTreeSet<Capability>,
     /// Compiled NIC DEV programs per transfer shape (canonical layouts
     /// and counts, collision-guarded); programs are rank-independent
     /// descriptor lists.
@@ -98,6 +108,21 @@ pub struct MpiState {
     /// The committed byte type: an eager bounce buffer of `n` bytes is
     /// `n` of them (`protocol::eager`).
     pub byte: DataType,
+}
+
+impl MpiState {
+    /// Does the runtime offer `cap` now: is its configuration knob on
+    /// and has no handshake step lost it?
+    pub fn offers(&self, cap: Capability) -> bool {
+        let c = &self.config;
+        let knob = match cap {
+            Capability::Ipc => c.use_ipc,
+            Capability::ZeroCopy => c.zero_copy,
+            Capability::NicOffload => c.nic_offload,
+            Capability::StreamTrigger => c.stream_trigger,
+        };
+        knob && !self.lost.contains(&cap)
+    }
 }
 
 /// Bounds of [`MpiState::move_lists`]: two directions of a 131 072-block
@@ -167,14 +192,9 @@ impl MpiWorld {
                 config,
                 ranks,
                 matcher: Matcher::new(specs.len()),
-                sm_conns: BTreeSet::new(),
-                ib_conns: BTreeSet::new(),
+                handshakes: DetHashMap::default(),
                 tuned_shapes: DetHashMap::default(),
-                ipc_runtime_ok: true,
-                zero_copy_runtime_ok: true,
-                nic_offload_runtime_ok: true,
-                stream_trigger_runtime_ok: true,
-                nic_handlers: BTreeSet::new(),
+                lost: BTreeSet::new(),
                 nic_programs: DetHashMap::default(),
                 stream_captures: BTreeMap::new(),
                 move_lists: Lru::with_limits(MOVE_LISTS_BYTES, MOVE_LISTS_ENTRIES),
@@ -190,68 +210,23 @@ impl MpiWorld {
     /// to ring / fat-tree / dragonfly fabrics.
     pub fn n_ranks(n: usize, topo: netsim::Topology, config: MpiConfig) -> MpiWorld {
         assert!(n > 0, "need at least one rank");
-        let specs: Vec<RankSpec> = (0..n)
-            .map(|r| RankSpec {
-                gpu: GpuId(r as u32),
-                node: topo.node_of(r as u32) as usize,
-            })
-            .collect();
-        MpiWorld::new(&specs, n as u32, config)
+        MpiWorld::new(&RankSpec::laid_out(n, &topo), n as u32, config)
     }
 
     /// Two ranks on one node sharing a single GPU (the paper's "1GPU"
     /// shared-memory configuration).
     pub fn two_ranks_one_gpu(config: MpiConfig) -> MpiWorld {
-        MpiWorld::new(
-            &[
-                RankSpec {
-                    gpu: GpuId(0),
-                    node: 0,
-                },
-                RankSpec {
-                    gpu: GpuId(0),
-                    node: 0,
-                },
-            ],
-            1,
-            config,
-        )
+        MpiWorld::new(&ONE_GPU, 1, config)
     }
 
     /// Two ranks on one node, each with its own GPU ("2GPU").
     pub fn two_ranks_two_gpus(config: MpiConfig) -> MpiWorld {
-        MpiWorld::new(
-            &[
-                RankSpec {
-                    gpu: GpuId(0),
-                    node: 0,
-                },
-                RankSpec {
-                    gpu: GpuId(1),
-                    node: 0,
-                },
-            ],
-            2,
-            config,
-        )
+        MpiWorld::new(&TWO_GPUS, 2, config)
     }
 
     /// Two ranks on different nodes connected by InfiniBand ("IB").
     pub fn two_ranks_ib(config: MpiConfig) -> MpiWorld {
-        MpiWorld::new(
-            &[
-                RankSpec {
-                    gpu: GpuId(0),
-                    node: 0,
-                },
-                RankSpec {
-                    gpu: GpuId(1),
-                    node: 1,
-                },
-            ],
-            2,
-            config,
-        )
+        MpiWorld::new(&IB, 2, config)
     }
 
     pub fn rank(&self, r: usize) -> &RankState {

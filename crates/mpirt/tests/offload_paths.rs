@@ -17,9 +17,13 @@ use datatype::DataType;
 use faultsim::{FaultKind, FaultOp, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemSpace};
+use mpirt::connection::{Capability, Handshake};
 use mpirt::{irecv, isend, wait_all, MpiConfig, RecvArgs, SendArgs, Session};
 use simcore::rng::SimRng;
 use simcore::Counter;
+
+/// The handshake table's key for the NIC handler of rank pair 0 → 1.
+const NIC_HANDLER: Handshake = Handshake::NicHandler(0, 1);
 
 /// Random coarse-grained indexed layout (1–4 KiB blocks, ~100 KiB
 /// total): large enough for rendezvous, block-granular enough that the
@@ -174,14 +178,14 @@ fn nic_handler_loss_demotes_byte_equal_and_sticky() {
     };
     let (got, m, sess) = run_transfers("a100", cfg, &ty, 99, 2);
     assert_eq!(got, base_bytes, "demoted delivery must stay byte-equal");
-    assert!(!sess.world.mpi.nic_offload_runtime_ok);
+    assert!(!sess.world.mpi.offers(Capability::NicOffload));
     assert_eq!(
         m.counter(Counter::OffloadNicDemotions),
         1,
         "sticky: the second transfer never re-attempts the handler"
     );
     assert_eq!(m.counter(Counter::OffloadNicPrograms), 0);
-    assert!(sess.world.mpi.nic_handlers.is_empty());
+    assert!(!sess.world.mpi.handshakes.contains_key(&NIC_HANDLER));
 }
 
 #[test]
@@ -200,7 +204,7 @@ fn doorbell_loss_demotes_byte_equal_and_sticky() {
     };
     let (got, m, sess) = run_transfers("p100", cfg, &ty, 31, 2);
     assert_eq!(got, base_bytes, "demoted delivery must stay byte-equal");
-    assert!(!sess.world.mpi.stream_trigger_runtime_ok);
+    assert!(!sess.world.mpi.offers(Capability::StreamTrigger));
     assert_eq!(
         m.counter(Counter::OffloadStreamDemotions),
         1,
@@ -228,7 +232,7 @@ fn transient_faults_retry_without_demoting() {
     };
     let (got, m, sess) = run_transfers("a100", cfg, &ty, 61, 1);
     assert_eq!(got, base_bytes);
-    assert!(sess.world.mpi.nic_offload_runtime_ok);
+    assert!(sess.world.mpi.offers(Capability::NicOffload));
     assert_eq!(m.counter(Counter::OffloadNicDemotions), 0);
     assert!(
         m.counter(Counter::OffloadNicPrograms) >= 1,
@@ -251,7 +255,7 @@ fn defaults_leave_offload_machinery_untouched() {
     ] {
         assert_eq!(m.counter(c), 0, "{c} must stay silent by default");
     }
-    assert!(sess.world.mpi.nic_handlers.is_empty());
+    assert!(!sess.world.mpi.handshakes.contains_key(&NIC_HANDLER));
     assert!(sess.world.mpi.nic_programs.is_empty());
     assert!(sess.world.mpi.stream_captures.is_empty());
 }

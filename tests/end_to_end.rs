@@ -7,6 +7,7 @@ use datatype::DataType;
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
 use mpirt::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
+use mpirt::connection::Handshake;
 use mpirt::{MpiConfig, MpiWorld};
 use simcore::rng::SimRng;
 use simcore::{Counter, Sim};
@@ -311,7 +312,8 @@ fn repeated_transfers_stay_correct() {
         reference_pack(&t, 1, &sbytes, sbase)
     );
     // Exactly one SM connection was established.
-    assert_eq!(sim.world.mpi.sm_conns.len(), 1);
+    let sm = (sim.world.mpi.handshakes.keys()).filter(|k| matches!(k, Handshake::Sm(..)));
+    assert_eq!(sm.count(), 1);
     assert_eq!(sim.trace.counter(Counter::MpiDeliveredBytes), 5 * t.size());
 }
 

@@ -16,6 +16,9 @@
 //! 3. An armed-but-silent fault plan (`fault.injected == 0`) leaves the
 //!    simulation bit-identical to one with no plan at all: same
 //!    makespan, same counters.
+//! 4. Every handshake step retries under one budget, and a spent budget
+//!    demotes like a permanent loss; a transfer never runs past a
+//!    handshake still in flight.
 //!
 //! Underneath, every fallible substrate charge retries through one
 //! driver (`gpusim::fault::charge`); its arithmetic is pinned per site.
@@ -26,6 +29,7 @@ use faultsim::{counters, FaultKind, FaultOp, FaultPlan, FaultSim};
 use gpusim::{GpuWorld as _, KernelConfig, KernelTraffic};
 use memsim::{GpuId, MemSpace, Ptr};
 use mpirt::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
+use mpirt::connection::Capability;
 use mpirt::{MpiConfig, Session};
 use netsim::{ChannelKind, ClusterWorld};
 use simcore::par::CopyOp;
@@ -209,7 +213,7 @@ fn permanent_ipc_loss_renegotiates_to_copy_in_out() {
     let got = deliver(&mut faulted, &ty, true);
     assert_eq!(got, want, "renegotiated path must deliver the same bytes");
     assert!(
-        !faulted.world.mpi.ipc_runtime_ok,
+        !faulted.world.mpi.offers(Capability::Ipc),
         "permanent IPC loss must stick"
     );
     let fallbacks = faulted.metrics().counter(counters::FALLBACK_EVENTS);
@@ -247,7 +251,7 @@ fn permanent_pin_loss_demotes_zero_copy_to_staged() {
     let mut faulted = Session::builder().config(config).two_ranks_ib().build();
     let got = deliver(&mut faulted, &ty, true);
     assert_eq!(got, want, "staged fallback must deliver the same bytes");
-    assert!(!faulted.world.mpi.zero_copy_runtime_ok);
+    assert!(!faulted.world.mpi.offers(Capability::ZeroCopy));
     assert!(faulted.metrics().counter(counters::FALLBACK_EVENTS) >= 1);
 }
 
@@ -409,4 +413,186 @@ fn stream_triggered_path_rolls_at_am_doorbell_and_wire() {
             "{op}: a retry costs time"
         );
     }
+}
+
+/// A handshake step whose transient faults never clear spends the
+/// handshake budget — five retries — and then demotes exactly as a
+/// permanent loss of the same capability does: the delivered bytes are
+/// the reference pack's, the capability stays lost, and
+/// `fallback.events` counts the same. One row per step: the SM ring's
+/// IPC open, a dense side's peer-buffer IPC open, the zero-copy pin,
+/// the NIC handler and the stream doorbell.
+#[test]
+fn an_exhausted_handshake_budget_demotes_like_a_permanent_loss() {
+    use Capability::*;
+    let vector = |n, len, stride| {
+        DataType::vector(n, len, stride, &DataType::double())
+            .unwrap()
+            .commit()
+    };
+    let dense = DataType::contiguous(32 << 10, &DataType::double())
+        .unwrap()
+        .commit();
+    let nic = MpiConfig {
+        nic_offload: true,
+        ..Default::default()
+    };
+    let stream = MpiConfig {
+        stream_trigger: true,
+        ..Default::default()
+    };
+    let (coarse, medium) = (vector(64, 4096, 8192), vector(512, 32, 64));
+    let plain = MpiConfig::default;
+    let rows = [
+        ("sm ring", Ipc, false, "k40", big_vec(), plain()),
+        ("peer buffer", Ipc, false, "k40", dense, plain()),
+        ("pin", ZeroCopy, true, "k40", big_vec(), plain()),
+        ("nic", NicOffload, true, "a100", coarse, nic),
+        ("doorbell", StreamTrigger, true, "p100", medium, stream),
+    ];
+    for (step, cap, ib, arch, ty, config) in rows {
+        let run = |kind| {
+            let config = MpiConfig {
+                fault_plan: FaultPlan::empty()
+                    .with_seed(17)
+                    .with_rule(Some(cap.op()), kind, 1.0),
+                ..config.clone()
+            };
+            let b = Session::builder().config(config).arch(arch);
+            let mut sess = if ib {
+                b.two_ranks_ib()
+            } else {
+                b.two_ranks_two_gpus()
+            }
+            .build();
+            let got = deliver(&mut sess, &ty, true);
+            (got, sess)
+        };
+        let (timed_out, mut t) = run(FaultKind::Transient);
+        let (lost_bytes, mut p) = run(FaultKind::PermanentLoss);
+        assert_eq!(timed_out, lost_bytes, "{step}: the same bytes");
+        let lost = |sess: &Session| !sess.world.mpi.offers(cap);
+        assert!(lost(&t) && lost(&p), "{step}: the capability stays lost");
+        let (tm, pm) = (t.metrics(), p.metrics());
+        assert_eq!(
+            tm.counter(counters::RETRY_ATTEMPTS),
+            5,
+            "{step}: the budget's retries"
+        );
+        assert_eq!(
+            tm.counter(counters::FAULT_INJECTED),
+            6,
+            "{step}: six attempts"
+        );
+        let fallbacks = pm.counter(counters::FALLBACK_EVENTS);
+        assert!(fallbacks >= 1, "{step}: the demotion is metered");
+        assert_eq!(tm.counter(counters::FALLBACK_EVENTS), fallbacks, "{step}");
+    }
+}
+
+/// Two back-to-back sends of `ty` from rank 0 to rank 1 on a fresh
+/// pair; both must deliver the reference pack of what was sent.
+fn two_sends(sess: &mut Session, ty: &DataType) {
+    let mut reqs = Vec::new();
+    let mut checks = Vec::new();
+    for tag in [1, 2] {
+        let (sbuf, sbytes, sbase, _) = alloc_typed(sess, 0, ty, true, true);
+        let (rbuf, _, rbase, rlen) = alloc_typed(sess, 1, ty, true, false);
+        reqs.push(isend(sess, SendArgs::new(0, 1, sbuf, ty, 1).tag(tag)));
+        reqs.push(irecv(sess, RecvArgs::new(1, 0, rbuf, ty, 1).tag(tag)));
+        checks.push((reference_pack(ty, 1, &sbytes, sbase), rbuf, rbase, rlen));
+    }
+    wait_all(sess, &reqs).expect("transfers failed");
+    for (want, rbuf, rbase, rlen) in checks {
+        let got = sess.world.mem().read_vec(Ptr { offset: 0, ..rbuf }, rlen);
+        assert_eq!(reference_pack(ty, 1, &got.unwrap(), rbase), want);
+    }
+}
+
+/// The `[start, end]` of every recorded span named `name`, by start.
+fn spans(sess: &Session, name: simcore::trace::Name) -> Vec<(SimTime, SimTime)> {
+    let mut v: Vec<_> = (sess.trace.events().iter())
+        .filter_map(|e| match *e {
+            simcore::trace::TraceEvent::Span {
+                name: n,
+                start,
+                end,
+                ..
+            } if n == name => Some((start, end)),
+            _ => None,
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+/// A transfer that finds its pair's handshake still in flight waits for
+/// the outcome instead of running past it. Two back-to-back rendezvous
+/// sends on a fresh pair: over shared memory the second pipeline starts
+/// once the ring's IPC open has ended, and when that open loses the
+/// capability neither send runs over IPC; over InfiniBand no fragment
+/// moves before both rings are registered; with NIC offload on, the
+/// pair runs one handler handshake, not one per transfer.
+#[test]
+fn a_transfer_waits_for_a_handshake_in_flight() {
+    let ty = big_vec();
+    let session = |config: MpiConfig, ib: bool| {
+        let b = Session::builder().config(config).record();
+        if ib {
+            b.two_ranks_ib()
+        } else {
+            b.two_ranks_two_gpus()
+        }
+        .build()
+    };
+
+    let mut sm = session(MpiConfig::default(), false);
+    two_sends(&mut sm, &ty);
+    let pipelines = spans(&sm, names::SPAN_SM_PIPELINE);
+    let opens = spans(&sm, names::SPAN_IPC_OPEN);
+    assert_eq!((pipelines.len(), opens.len()), (2, 1));
+    assert!(pipelines[1].0 >= opens[0].1, "{pipelines:?} vs {opens:?}");
+
+    let lost = MpiConfig {
+        fault_plan: FaultPlan::parse("ipc_open:lost").unwrap(),
+        ..Default::default()
+    };
+    let mut sm = session(lost, false);
+    two_sends(&mut sm, &ty);
+    assert_eq!(spans(&sm, names::SPAN_COPYIO).len(), 2, "both renegotiate");
+
+    let mut ib = session(MpiConfig::default(), true);
+    two_sends(&mut ib, &ty);
+    let registered = spans(&ib, names::SPAN_RDMA_REGISTER);
+    assert_eq!(registered.len(), 2);
+    let first_frag = spans(&ib, names::SPAN_FRAG)[0].0;
+    assert!(registered.iter().all(|&(_, end)| first_frag >= end));
+
+    // A handler roll that always fails transiently: one handshake per
+    // pair spends one budget — six rolls — and demotes once.
+    let nic = MpiConfig {
+        nic_offload: true,
+        fault_plan: FaultPlan::empty().with_seed(5).with_rule(
+            Some(FaultOp::NicHandler),
+            FaultKind::Transient,
+            1.0,
+        ),
+        ..Default::default()
+    };
+    let mut sess = Session::builder()
+        .config(nic)
+        .arch("a100")
+        .two_ranks_ib()
+        .build();
+    let coarse = DataType::vector(64, 4096, 8192, &DataType::double())
+        .unwrap()
+        .commit();
+    two_sends(&mut sess, &coarse);
+    let m = sess.metrics();
+    assert_eq!(
+        m.counter(counters::FAULT_INJECTED),
+        6,
+        "one handler handshake"
+    );
+    assert_eq!(m.counter(names::OFFLOAD_NIC_DEMOTIONS), 1);
 }
