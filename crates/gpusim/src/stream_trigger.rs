@@ -183,41 +183,34 @@ pub fn replay_issue<W: GpuWorld>(
     sim.schedule_at(end, move |sim| armed(sim, end));
 }
 
-/// Run one kernel node of a captured graph, charged
-/// [`graph_kernel_time`]. Degradation windows on
+/// Charge one kernel node of a captured graph, [`graph_kernel_time`]
+/// over `units` between `src` and `dst`, and run `done` at its
+/// completion. Nothing moves: the graph's two kernels and its wire leg
+/// are one typed → typed transfer, which the caller lands. The graph's
+/// far side is its mapped host staging, priced by its space alone —
+/// host-side traffic reads no offset. Degradation windows on
 /// [`FaultOp::KernelLaunch`] still stretch the charge; loss faults are
 /// the doorbell's to absorb (the whole replay demotes), so no retry
 /// loop lives here.
-#[expect(
-    clippy::expect_used,
-    reason = "the memory model validated both pointers when the kernel was charged; a \
-              failure at completion is corrupted bookkeeping, not an input"
-)]
 pub fn graph_kernel<W: GpuWorld>(
     sim: &mut Sim<W>,
     stream: StreamId,
-    src: Ptr,
-    dst: Ptr,
-    units: Vec<CopyOp>,
+    (src, dst): (Ptr, Ptr),
+    units: &[CopyOp],
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
     let sys = sim.world.gpus_ref();
     let g = sys.gpu(stream.gpu);
-    let traffic = KernelTraffic::of(&units, src, dst, stream.gpu, &g.spec);
+    let traffic = KernelTraffic::of(units, src, dst, stream.gpu, &g.spec);
     let duration = graph_kernel_time(g, &sys.topo, (src.space, dst.space), &traffic);
     let duration = crate::fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let end = on_stream(stream, names::SPAN_KERNEL)(sim, duration);
     sim.schedule_at(end, move |sim| {
-        sim.world
-            .mem()
-            .transfer(src, dst, &units)
-            .expect("graph kernel transfer failed");
         sim.trace
             .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, traffic.payload);
         sim.trace
             .count(names::GPUSIM_KERNEL_UNITS, stream.gpu.0, 0, traffic.units);
-        simcore::scratch::recycle_units_buf(units);
-        done(sim, sim.now());
+        done(sim, end);
     });
 }
 

@@ -295,6 +295,33 @@ impl MoveExtent {
     }
 }
 
+/// A segment list kept for reuse, stored exact-size with its extent:
+/// a typed → typed move list derived once — one fragment's merge, or an
+/// offload transfer's whole-message program — and moved every time a
+/// transfer of its shape lands.
+#[derive(Debug, PartialEq, Eq)]
+pub struct MoveList {
+    ops: Box<[CopyOp]>,
+    extent: MoveExtent,
+}
+
+impl MoveList {
+    pub fn new(ops: &[CopyOp]) -> MoveList {
+        MoveList {
+            extent: MoveExtent::of(ops),
+            ops: ops.into(),
+        }
+    }
+
+    pub fn ops(&self) -> &[CopyOp] {
+        &self.ops
+    }
+
+    pub fn extent(&self) -> MoveExtent {
+        self.extent
+    }
+}
+
 /// One entry of [`Memory::transfer_batch`]: a segment list between two
 /// base pointers, with the extent it needs of them.
 #[derive(Clone, Copy, Debug)]

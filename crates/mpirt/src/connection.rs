@@ -43,7 +43,7 @@ use crate::world::MpiWorld;
 use faultsim::{Backoff, FaultDecision, FaultOp};
 use gpusim::GpuWorld as _;
 use gpusim::{fault, ipc_open};
-use memsim::{AllocId, IpcHandle, MemError, MemSpace, Ptr};
+use memsim::{IpcHandle, MemError, MemSpace, Ptr, Registration};
 use netsim::ensure_registered;
 use simcore::trace::names;
 use simcore::{Sim, SimTime};
@@ -66,8 +66,9 @@ pub enum Handshake {
     CopyInOut(usize, usize),
     /// The NIC (sPIN) handler of `sender -> receiver`.
     NicHandler(usize, usize),
-    /// A dense side's user allocation, mapped over IPC for its peer.
-    PeerBuffer(MemSpace, AllocId),
+    /// A dense side's user allocation (its base pointer), mapped over
+    /// IPC by the importing rank: each importer opens the handle itself.
+    PeerBuffer(usize, Ptr),
 }
 
 /// A caller waiting for a handshake's outcome.
@@ -349,21 +350,33 @@ pub fn sm_connection(
     ipc_handshake(sim, key, (sender, receiver), export, done);
 }
 
-/// Open a peer's *user buffer* over IPC (for the contiguous fast paths
-/// where one side reads or writes the other's buffer directly) for the
-/// transfer `pair`. The mapping cost is charged only the first time a
-/// given allocation is mapped — repeated transfers of the same buffer
-/// reuse the mapping.
+/// Map a peer's *user buffer* into `importer` over IPC (for the
+/// contiguous fast paths where one side reads or writes the other's
+/// buffer directly) for the transfer `pair`. The mapping cost is charged
+/// the first time a given importer maps a given allocation — its
+/// repeated transfers of the same buffer reuse the mapping. A fresh
+/// mapping first forgets those of freed allocations: `Memory::free`
+/// withdraws a buffer's IPC export, and its mappings go with it.
 pub fn open_peer_buffer(
     sim: &mut Sim<MpiWorld>,
     pair: (usize, usize),
+    importer: usize,
     buf: Ptr,
     len: u64,
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
 ) {
-    let export =
-        move |sim: &mut Sim<MpiWorld>| sim.world.mem().registry.export_ipc(buf, len).map(Some);
-    let key = Handshake::PeerBuffer(buf.space, buf.alloc);
+    let export = move |sim: &mut Sim<MpiWorld>| {
+        let MpiWorld { cluster, mpi } = &mut sim.world;
+        let registry = &mut cluster.memory.registry;
+        (mpi.handshakes).retain(|key, status| match (key, status) {
+            (Handshake::PeerBuffer(_, base), Status::Up) => {
+                registry.is_registered(*base, Registration::IpcExport)
+            }
+            _ => true,
+        });
+        registry.export_ipc(buf, len).map(Some)
+    };
+    let key = Handshake::PeerBuffer(importer, Ptr { offset: 0, ..buf });
     ipc_handshake(sim, key, pair, export, done);
 }
 
@@ -452,9 +465,8 @@ pub fn nic_handler(
 mod tests {
     use super::*;
     use crate::config::MpiConfig;
-    use crate::world::MpiWorld;
+    use crate::world::{MpiWorld, RankSpec};
     use faultsim::{FaultKind, FaultPlan};
-    use memsim::Registration;
     use simcore::SimTime;
 
     /// The slots of `rank`'s ring at `loc` (empty when it has none).
@@ -562,16 +574,72 @@ mod tests {
             .mem()
             .alloc(MemSpace::Device(memsim::GpuId(0)), 4096)
             .unwrap();
-        open_peer_buffer(&mut sim, (1, 0), buf, 4096, |_, res| {
+        open_peer_buffer(&mut sim, (1, 0), 0, buf, 4096, |_, res| {
             res.expect("no faults")
         });
         sim.run();
         let t1 = sim.now();
         assert!(t1 >= SimTime::from_micros(120));
-        open_peer_buffer(&mut sim, (1, 0), buf, 4096, move |sim, _| {
+        open_peer_buffer(&mut sim, (1, 0), 0, buf, 4096, move |sim, _| {
             assert_eq!(sim.now(), t1, "second mapping is cached");
         });
         sim.run();
+    }
+
+    /// Each importing process opens a dense buffer's handle itself: a
+    /// same-node broadcast from a dense device root to two peers maps
+    /// the root's buffer twice, once per receiver.
+    #[test]
+    fn peer_buffer_mapping_is_paid_per_importer() {
+        use crate::coll::bcast;
+        use datatype::DataType;
+        let specs = [RankSpec::at(0, 0), RankSpec::at(1, 0), RankSpec::at(2, 0)];
+        let mut sim = Sim::new(MpiWorld::new(&specs, 3, MpiConfig::default()));
+        let ty = (DataType::contiguous(32 << 10, &DataType::double()).expect("valid")).commit();
+        let bufs: Vec<Ptr> = (0..3)
+            .map(|g| {
+                let space = MemSpace::Device(memsim::GpuId(g));
+                sim.world.mem().alloc(space, ty.size()).expect("fits")
+            })
+            .collect();
+        let done = bcast(&mut sim, 0, &ty, 1, &bufs, 0);
+        sim.run();
+        assert_eq!(done.expect_bytes(), ty.size());
+        let opens = sim.trace.counter_at(names::GPUSIM_IPC_OPEN_COUNT, 0, 0);
+        assert_eq!(opens, 2, "one IPC open per importing rank");
+        let mapped = |importer| Handshake::PeerBuffer(importer, bufs[0]);
+        for importer in [1, 2] {
+            assert!(matches!(
+                sim.world.mpi.handshakes.get(&mapped(importer)),
+                Some(Status::Up)
+            ));
+        }
+    }
+
+    /// A freed buffer's mapping goes with it: sending from fresh dense
+    /// device buffers, each freed after its transfer, keeps one
+    /// peer-buffer entry in the handshake table — the live buffer's.
+    #[test]
+    fn freed_peer_buffers_leave_the_handshake_table() {
+        use crate::api::{irecv, isend, wait_all, RecvArgs, SendArgs};
+        use datatype::DataType;
+        let mut sim = Sim::new(MpiWorld::two_ranks_two_gpus(MpiConfig::default()));
+        let ty = (DataType::contiguous(32 << 10, &DataType::double()).expect("valid")).commit();
+        let dev = |g| MemSpace::Device(memsim::GpuId(g));
+        let rbuf = sim.world.mem().alloc(dev(1), ty.size()).expect("fits");
+        for _ in 0..8 {
+            let sbuf = sim.world.mem().alloc(dev(0), ty.size()).expect("fits");
+            let reqs = [
+                isend(&mut sim, SendArgs::new(0, 1, sbuf, &ty, 1)),
+                irecv(&mut sim, RecvArgs::new(1, 0, rbuf, &ty, 1)),
+            ];
+            wait_all(&mut sim, &reqs).expect("no faults");
+            let peers = (sim.world.mpi.handshakes.keys())
+                .filter(|k| matches!(k, Handshake::PeerBuffer(..)))
+                .count();
+            assert_eq!(peers, 1, "only the live buffer stays mapped");
+            sim.world.mem().free(sbuf).expect("live");
+        }
     }
 
     #[test]

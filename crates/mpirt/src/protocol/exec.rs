@@ -20,7 +20,8 @@
 //! them, and [`landed`] resolves the fragment's one move, source buffer
 //! → destination buffer: a typed end's own list against a dense end's
 //! window, or the merge of the two lists ([`devengine::merge_units`])
-//! when both ends are typed. The packed stream is an index, never
+//! when both ends are typed — an offload plan's connection holds its
+//! whole message's merge already. The packed stream is an index, never
 //! memory. The move is range-checked and accounted at the landing
 //! instant and appended to the transfer's queue; [`flush`] hands the
 //! queue to [`memsim::Memory::transfer_batch`] as one job the copy pool
@@ -29,9 +30,7 @@
 //! early when the queue holds [`QUEUE_UNITS`], and after every fragment
 //! of a transfer whose two buffers share an allocation. A fragment due
 //! at once with nothing queued ahead of it — the one fragment of a
-//! one-fragment transfer — moves alone through the same batch. The offload
-//! stages ([`StageOp::moves_payload`]) are one hardware gather/scatter
-//! already and land their own bytes.
+//! one-fragment transfer — moves alone through the same batch.
 //!
 //! **Derive per fragment, once.** The merge is a pure function of the
 //! two layouts and the fragment's packed window, so its result is kept
@@ -65,7 +64,7 @@ use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
-use memsim::{MemError, Move, MoveExtent, Ptr};
+use memsim::{AllocId, MemSpace, Move, MoveExtent, MoveList, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts, NicProgram};
 use simcore::par::CopyOp;
 use simcore::scratch::{recycle_units_buf, take_units_buf};
@@ -91,6 +90,19 @@ pub(crate) enum Conn {
 
 // Every transfer's state holds its connection inline: two words at most.
 const _: () = assert!(std::mem::size_of::<Conn>() <= 16);
+
+impl Conn {
+    /// An offload plan's one move — the whole message, typed → typed —
+    /// and the `true_lb` shifts of the send and the receive buffer it is
+    /// relative to.
+    fn whole_move(&self) -> Option<(&Rc<MoveList>, (i64, i64))> {
+        match self {
+            Conn::Nic(prog) => Some((prog.moves(), prog.shifts())),
+            Conn::Graph(cap) => Some((&cap.moves, cap.shifts)),
+            _ => None,
+        }
+    }
+}
 
 /// How a transfer resolves. It is the last thing in a transfer's
 /// state, so a continuation lives inline there, in the one allocation,
@@ -231,13 +243,6 @@ pub struct MoveKey {
     n: u64,
 }
 
-/// A fragment's typed → typed moves, stored exact-size, with the
-/// bookkeeping [`memsim::Memory::transfer`] would derive from them.
-pub struct MoveList {
-    units: Box<[CopyOp]>,
-    extent: MoveExtent,
-}
-
 /// The conversion engines a plan runs: none, one end's, or — two typed
 /// ends — both, boxed with the key of the move lists their fragments
 /// merge into, so a transfer's state holds one engine inline.
@@ -366,7 +371,8 @@ impl Queued {
 }
 
 enum QueuedList {
-    /// Two typed ends: the fragment's (cached) merged list.
+    /// Two typed ends: the fragment's (cached) merged list, or an
+    /// offload plan's whole-message one.
     Pinned(Rc<MoveList>),
     /// A lone typed end's own list, in a unit buffer.
     Owned(Vec<CopyOp>),
@@ -377,7 +383,7 @@ enum QueuedList {
 impl QueuedList {
     fn ops(&self) -> &[CopyOp] {
         match self {
-            QueuedList::Pinned(list) => &list.units,
+            QueuedList::Pinned(list) => list.ops(),
             QueuedList::Owned(units) => units,
             QueuedList::Window(op) => op,
         }
@@ -693,99 +699,102 @@ fn run_op(
             sim.schedule_now(move |sim| next(sim, f));
         }
         StageOp::NicProgram => {
-            let (prog, s_buf, r_buf) = match &*st.borrow() {
-                Exec {
-                    conn: Conn::Nic(p),
-                    t,
-                    ..
-                } => (Rc::clone(p), t.s.buf, t.r.buf),
+            let prog = match &st.borrow().conn {
+                Conn::Nic(p) => Rc::clone(p),
                 _ => return Err(faulted("NIC stage without a compiled program")),
             };
             let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-            let stw = Rc::clone(st);
-            // A buffer that cannot hold the program's extent fails the
-            // transfer at the landing instant, as the executor's own
-            // landings do.
-            let done = move |sim: &mut Sim<MpiWorld>, landed: Result<(), MemError>| match landed {
-                Ok(()) => next(sim, f),
-                Err(e) => fail(sim, &stw, MpiError::Mem(e.to_string())),
-            };
             let (s_rank, r_rank) = (rank_of(End::Send), rank_of(End::Recv));
-            execute_program(sim, s_rank, r_rank, s_buf, r_buf, &prog, &costs, done)
+            execute_program(sim, s_rank, r_rank, &prog, &costs, move |sim| next(sim, f))
                 .map_err(MpiError::Net)?;
         }
         StageOp::GraphReplay => {
-            let (cap, sides) = match &*st.borrow() {
-                Exec {
-                    conn: Conn::Graph(c),
-                    t,
-                    ..
-                } => (Rc::clone(c), (t.s.clone(), t.r.clone())),
+            let cap = match &st.borrow().conn {
+                Conn::Graph(c) => Rc::clone(c),
                 _ => return Err(faulted("replay stage without a captured graph")),
             };
-            graph_replay(sim, cap, sides, Rc::clone(st), move |sim| next(sim, f));
+            graph_replay(sim, cap, Rc::clone(st), move |sim| next(sim, f));
         }
     }
     Ok(())
 }
 
+/// The far side of a graph kernel: the mapped host staging the pack
+/// kernel streams to and the unpack kernel from. Host-side traffic is
+/// priced by its space alone, so it needs no allocation.
+const GRAPH_HOST: Ptr = Ptr {
+    space: MemSpace::Host,
+    alloc: AllocId(0),
+    offset: 0,
+};
+
 /// Replay a captured graph for one iteration: re-arm on the stream
 /// front-end, then pack kernel → wire → unpack kernel with no CPU event
 /// in between (the graph kernels skip the driver launch path — they
-/// were baked at capture).
+/// were baked at capture). Every leg only charges; `next` runs when the
+/// unpack kernel completes, and the transfer lands the capture's one
+/// move then.
 fn graph_replay(
     sim: &mut Sim<MpiWorld>,
     cap: Rc<CapturedXfer>,
-    (s, r): (Side, Side),
     st: St,
     next: impl FnOnce(&mut Sim<MpiWorld>) + 'static,
 ) {
+    let ((s_rank, s_buf), (r_rank, r_buf)) = {
+        let t = &st.borrow().t;
+        ((t.s.rank, t.s.buf), (t.r.rank, t.r.buf))
+    };
     let armed = Rc::clone(&cap);
     gpusim::replay_issue(sim, &armed.graph, move |sim, _| {
-        let src = s.buf.offset_by(cap.s_shift);
-        let pack = cap.pack_units.clone();
-        let stream = sim.world.rank(s.rank).kernel_stream;
-        graph_kernel(sim, stream, src, cap.bounce, pack, move |sim, _| {
-            let stw = Rc::clone(&st);
-            let shipped = wire_send(sim, s.rank, r.rank, cap.total, move |sim| {
-                let dst = r.buf.offset_by(cap.r_shift);
-                let unpack = cap.unpack_units.clone();
-                let stream = sim.world.rank(r.rank).kernel_stream;
-                graph_kernel(sim, stream, cap.bounce, dst, unpack, move |sim, _| {
+        let pack = (s_buf.offset_by(cap.shifts.0), GRAPH_HOST);
+        let stream = sim.world.rank(s_rank).kernel_stream;
+        let units = Rc::clone(&cap);
+        graph_kernel(sim, stream, pack, &units.pack_units, move |sim, _| {
+            let total = cap.moves.extent().bytes;
+            let shipped = wire_send(sim, s_rank, r_rank, total, move |sim| {
+                let unpack = (GRAPH_HOST, r_buf.offset_by(cap.shifts.1));
+                let stream = sim.world.rank(r_rank).kernel_stream;
+                graph_kernel(sim, stream, unpack, &cap.unpack_units, move |sim, _| {
                     next(sim)
                 });
             });
             if let Err(e) = shipped {
-                fail(sim, &stw, MpiError::Net(e));
+                fail(sim, &st, MpiError::Net(e));
             }
         });
     });
 }
 
-/// Queue fragment `f`'s one move, sender's buffer → receiver's, and move
-/// the queue if `last` or if it cannot wait. An end that runs no
-/// conversion is dense and its window of the user buffer *is* the
-/// fragment, so a lone typed end's list applies as it stands; two typed
-/// ends meet through their [`typed_moves`]. The queue cannot wait when
-/// it holds [`QUEUE_UNITS`], or when the two buffers share an
-/// allocation — a later fragment's source may be this one's
+/// Queue fragment `f`'s one move, sender's buffer → receiver's, and
+/// move the queue if `last` or if it cannot wait. An offload plan's two
+/// ends are typed, and its one fragment is the whole message. Otherwise
+/// an end that runs no conversion is dense and its window of the user
+/// buffer *is* the fragment, so a lone typed end's list applies as it
+/// stands; two typed ends meet through their [`typed_moves`]. The queue
+/// cannot wait when it holds [`QUEUE_UNITS`], or when the two buffers
+/// share an allocation — a later fragment's source may be this one's
 /// destination, so such a transfer gathers-then-scatters fragment by
 /// fragment, as ever. Both ranges are checked against the live
 /// allocations at the landing instant, so a bad buffer fails the
 /// transfer there: by the move itself when it is due and nothing waits
-/// ahead of it, else here and again by [`flush`], which is when they are
-/// dereferenced.
+/// ahead of it, else here and again by [`flush`], which is when they
+/// are dereferenced.
 fn queue_fragment(
     sim: &mut Sim<MpiWorld>,
     st: &St,
     f: &mut Frag,
     last: bool,
 ) -> Result<(), MpiError> {
-    // Each end's base: where its engine's unit offsets are relative
-    // to, or — a dense end, which has no engine — its window.
+    // Each end's base: where its unit offsets are relative to — its
+    // engine's typed base, or an offload plan's shifted buffer — or, a
+    // dense end, which has neither, its window.
     let base = |end: End| {
         let x = st.borrow();
-        match x.engines.typed_base(end) {
+        let shifted = (x.conn.whole_move()).map(|(_, (s_shift, r_shift))| {
+            let shift = if end == End::Send { s_shift } else { r_shift };
+            x.t.side(end).buf.offset_by(shift)
+        });
+        match x.engines.typed_base(end).or(shifted) {
             Some(typed) => Ok((true, typed)),
             None => x
                 .resolve(&sim.world, Loc::User(end), f)
@@ -804,7 +813,7 @@ fn queue_fragment(
         }]),
     };
     let extent = match &list {
-        QueuedList::Pinned(known) => known.extent,
+        QueuedList::Pinned(known) => known.extent(),
         other => MoveExtent::of(other.ops()),
     };
     let q = Queued {
@@ -877,48 +886,42 @@ fn move_now(
     moved.map_err(|e| MpiError::Mem(e.to_string()))
 }
 
-/// Fragment `f`'s typed → typed move list: the one pinned when the
-/// fragment started, or — a miss — the merge of the two lists the
-/// conversion charges handed back over the fragment's packed window,
-/// left in `move_lists` for the next transfer through the same window
-/// of the same two layouts. [`merge_units`] validates the lists it
+/// Fragment `f`'s typed → typed move list: an offload plan's, the one
+/// pinned when the fragment started, or — a miss — the merge of the two
+/// lists the conversion charges handed back over the fragment's packed
+/// window, left in `move_lists` for the next transfer through the same
+/// window of the same two layouts. [`merge_units`] validates the lists it
 /// merges; its result is a pure function of the [`MoveKey`].
 fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<MoveList>, MpiError> {
-    if let Some(known) = f.moves.take() {
+    let whole = (st.borrow().conn.whole_move()).map(|(list, _)| Rc::clone(list));
+    if let Some(known) = whole.or_else(|| f.moves.take()) {
         return Ok(known);
     }
     let mut merged = st.borrow_mut().units_buf();
     // Back to pack orientation: typed side first on both lists.
     flip_units_in_place(&mut f.r_units);
-    let moves = merge_units(&f.s_units, &f.r_units, f.n as usize, &mut merged).map(|()| {
-        Rc::new(MoveList {
-            extent: MoveExtent::of(&merged),
-            units: merged.as_slice().into(),
-        })
-    });
+    let moves = merge_units(&f.s_units, &f.r_units, f.n as usize, &mut merged)
+        .map(|()| Rc::new(MoveList::new(&merged)));
     st.borrow_mut().spare_buf(merged);
     let moves = moves?;
     if let Some(key) = st.borrow().move_key(f) {
-        let bytes = std::mem::size_of_val(&*moves.units) as u64;
+        let bytes = std::mem::size_of_val(moves.ops()) as u64;
         (sim.world.mpi.move_lists).insert(key, Rc::clone(&moves), bytes);
     }
     Ok(moves)
 }
 
-/// A fragment's last stage completed: queue its bytes' move (unless a
-/// stage landed them itself) and move the queue if this is the last
-/// fragment — before either end resolves — or the queue cannot wait;
-/// account the fragment, return the slot's credit per the plan's
-/// policy, and resolve the ends when everything has moved.
+/// A fragment's last stage completed: queue its bytes' move and move
+/// the queue if this is the last fragment — before either end resolves
+/// — or the queue cannot wait; account the fragment, return the slot's
+/// credit per the plan's policy, and resolve the ends when everything
+/// has moved.
 fn landed(sim: &mut Sim<MpiWorld>, st: &St, mut f: Frag) -> Result<(), MpiError> {
-    let (self_moving, last) = {
+    let last = {
         let x = st.borrow();
-        let self_moving = x.t.plan.stages.iter().any(|op| op.moves_payload());
-        (self_moving, x.landed + f.n >= x.total)
+        x.landed + f.n >= x.total
     };
-    if !self_moving {
-        queue_fragment(sim, st, &mut f, last)?;
-    }
+    queue_fragment(sim, st, &mut f, last)?;
     let (credit, (a, b), total, done, counts) = {
         let mut x = st.borrow_mut();
         x.landed += f.n;

@@ -29,7 +29,9 @@
 //! module owns what precedes them — the capability step (run by
 //! `connection::establish`), the NIC program cache and graph capture —
 //! and demotion, which substitutes the incumbent's plan by handing the
-//! transfer to `copyio::start`.
+//! transfer to `copyio::start`. Their one stage only charges: each
+//! class's connection carries the whole message's typed → typed
+//! [`MoveList`], which the executor lands as it lands every plan's.
 
 use crate::connection::{establish, nic_handler, roll, Capability, Report};
 use crate::protocol::exec::{self, Conn, Requests};
@@ -37,27 +39,27 @@ use crate::protocol::{copyio, ShapeKey, Side};
 use crate::request::MpiError;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
-use devengine::{flip_units, whole_units};
+use devengine::{flip_units, merge_units, whole_units};
 use faultsim::FaultOp;
-use gpusim::{GpuWorld as _, GraphCapture, StreamGraph, StreamId};
-use memsim::{MemSpace, Ptr};
+use gpusim::{GraphCapture, StreamGraph, StreamId};
+use memsim::MoveList;
 use netsim::{compile_program, NicProgram};
 use simcore::par::CopyOp;
 use simcore::Sim;
 use std::rc::Rc;
 
 /// One captured stream-triggered transfer shape: the replayable graph
-/// plus everything the replay needs baked at capture time — whole-
-/// message pack/unpack unit lists, `true_lb` shifts, and the pinned
-/// bounce buffer the graph kernels stream through.
+/// plus everything the replay needs baked at capture time — the
+/// whole-message pack and unpack unit lists its two kernels are priced
+/// on, and their merge: the transfer's one typed → typed move, relative
+/// to the two buffers shifted by their `true_lb`s.
 pub struct CapturedXfer {
     pub graph: StreamGraph,
     pub pack_units: Vec<CopyOp>,
     pub unpack_units: Vec<CopyOp>,
-    pub s_shift: i64,
-    pub r_shift: i64,
-    pub bounce: Ptr,
-    pub total: u64,
+    pub moves: Rc<MoveList>,
+    /// The send and the receive buffer's `true_lb` shifts.
+    pub shifts: (i64, i64),
 }
 
 /// Start one offload rendezvous (`class` is `NicOffload` or
@@ -118,7 +120,8 @@ pub(crate) fn transfer_graph(stream: StreamId, total: u64) -> GraphCapture {
 
 /// Get (or capture) the stream-op graph for this pair and shape. The
 /// capture is the expensive, once-per-shape step: bake whole-message
-/// pack/unpack unit lists, pin a bounce buffer, and walk the graph
+/// pack/unpack unit lists and merge them ([`merge_units`], as
+/// [`compile_program`] merges a NIC program's), and walk the graph
 /// through the capture API (its only sanctioned constructor).
 fn captured(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<CapturedXfer>, MpiError> {
     let key = ShapeKey::of(sim, s, r);
@@ -140,22 +143,17 @@ fn captured(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<CapturedXf
         whole_units(&s.ty, s.count, unit_size, coalesce).map_err(MpiError::Type)?;
     let (r_pack, r_shift) =
         whole_units(&r.ty, r.count, unit_size, coalesce).map_err(MpiError::Type)?;
+    let mut merged = Vec::new();
+    merge_units(&pack_units, &r_pack, total as usize, &mut merged)?;
     let unpack_units = flip_units(&r_pack);
-    let bounce = sim
-        .world
-        .mem()
-        .alloc(MemSpace::Host, total)
-        .map_err(|e| MpiError::Mem(e.to_string()))?;
     let stream = sim.world.rank(s.rank).kernel_stream;
     let graph = transfer_graph(stream, total).finish(sim);
     let cap = Rc::new(CapturedXfer {
         graph,
         pack_units,
         unpack_units,
-        s_shift,
-        r_shift,
-        bounce,
-        total,
+        moves: Rc::new(MoveList::new(&merged)),
+        shifts: (s_shift, r_shift),
     });
     sim.world
         .mpi

@@ -85,16 +85,6 @@ pub enum StageOp {
     Memcpy2d { end: End, frag: Loc },
 }
 
-impl StageOp {
-    /// Does the stage land the payload itself? The offload stages are
-    /// one hardware gather/scatter; every other stage only charges, and
-    /// the executor moves the fragment once when its last stage
-    /// completes.
-    pub fn moves_payload(&self) -> bool {
-        matches!(self, StageOp::NicProgram | StageOp::GraphReplay)
-    }
-}
-
 /// The most stages a plan has: a strided device end on each side of a
 /// staged copy-in/out wire (kernel, copy, wire, copy, kernel).
 pub const MAX_STAGES: usize = 5;

@@ -26,6 +26,7 @@ use crate::protocol::exec::{self, Conn, Requests, Transfer};
 use crate::protocol::{copyio, dispatch, Side};
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
+use memsim::Ptr;
 use simcore::Sim;
 
 /// Path renegotiation: the IPC mapping was lost mid-handshake, so replay
@@ -41,18 +42,18 @@ fn renegotiate(sim: &mut Sim<MpiWorld>, t: Transfer) {
 
 pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
     // A dense side's user buffer is read (sender) or written (receiver)
-    // in place by the peer, so it must be mapped over IPC first.
+    // in place by the peer, which must map it over IPC first.
     let window = if s.dense() {
-        Some(s.data_ptr())
+        Some((r.rank, s.data_ptr()))
     } else if r.dense() {
-        Some(r.data_ptr())
+        Some((s.rank, r.data_ptr()))
     } else {
         None
     };
     // Two dense sides need the mapping only; every other shape pipelines
     // through the pair's rings.
     let handshakes = [
-        window.map(|buf| Handshake::PeerBuffer(buf.space, buf.alloc)),
+        window.map(|(importer, buf)| Handshake::PeerBuffer(importer, Ptr { offset: 0, ..buf })),
         (!(s.dense() && r.dense())).then_some(Handshake::Sm(s.rank, r.rank)),
     ];
     if let Some(key) = in_flight(sim, handshakes.into_iter().flatten()) {
@@ -61,10 +62,12 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, s: Side, r: Side, done: Requests) {
     let (pair, total) = ((s.rank, r.rank), s.total());
     let t = exec::open(sim, s, r, PathClass::SmIpc, done);
     match window {
-        Some(buf) => open_peer_buffer(sim, pair, buf, total, move |sim, res| match res {
-            Ok(()) => connect(sim, t),
-            Err(_) => renegotiate(sim, t),
-        }),
+        Some((importer, buf)) => {
+            open_peer_buffer(sim, pair, importer, buf, total, move |sim, res| match res {
+                Ok(()) => connect(sim, t),
+                Err(_) => renegotiate(sim, t),
+            })
+        }
         None => connect(sim, t),
     }
 }

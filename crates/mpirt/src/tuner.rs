@@ -251,7 +251,7 @@ fn price<'a>(
         }
         StageOp::GraphReplay => {
             // Replay re-arm on the stream front-end, then the graph's
-            // own legs: zero-copy pack into the mapped bounce, the wire,
+            // own legs: zero-copy pack into mapped host staging, the wire,
             // zero-copy unpack. Completion is the graph's flag write — no
             // per-fragment active messages, no CPU.
             let topo = &sim.world.gpus_ref().topo;
@@ -769,10 +769,12 @@ mod tests {
     /// The priced plan is the executed plan. One multi-fragment
     /// transfer per row of {SmIpc one GPU, SmIpc two GPUs staged and
     /// unstaged, CopyInOut, ZeroCopy} × {dense, strided}² × legal
-    /// placements, plus one message of each comparator between two
-    /// strided device ends over InfiniBand, run
+    /// placements, plus one message of each comparator and one transfer
+    /// of each offload class between two strided device ends over
+    /// InfiniBand, run
     /// with the tracer on: the primitives the run actually issued — kernel
-    /// launches, `cudaMemcpy`s, CPU convertor passes, wire sends, active
+    /// launches, `cudaMemcpy`s, CPU convertor passes, wire sends, NIC
+    /// programs, graph replays, active
     /// messages — must equal, per fragment, the `StageOp`s of
     /// `plan_for(..)`, the tuner must have priced exactly that many
     /// stages, the received bytes must equal the CPU reference
@@ -786,6 +788,7 @@ mod tests {
     #[test]
     fn executed_primitives_match_the_planned_and_priced_stages() {
         use crate::protocol::comparator::comparator_transfer;
+        use crate::protocol::exec::Requests;
         use crate::protocol::plan::{comparator_plan, vectorize, Comparator};
         use crate::protocol::run_transfer;
         use crate::request::Request;
@@ -814,6 +817,8 @@ mod tests {
             IbZeroCopy,
             /// A comparator message over InfiniBand.
             Ib(Comparator),
+            /// An offload transfer over InfiniBand.
+            Offload(PathClass),
         }
         let mut rows = 0;
         for topo in [
@@ -824,20 +829,27 @@ mod tests {
             Topo::IbZeroCopy,
             Topo::Ib(Comparator::Wang),
             Topo::Ib(Comparator::Jenkins),
+            Topo::Offload(PathClass::NicOffload),
+            Topo::Offload(PathClass::StreamTriggered),
         ] {
             let sm = matches!(topo, Topo::Sm1Gpu | Topo::Sm2Gpu | Topo::Sm2GpuUnstaged);
             let comparator = match topo {
                 Topo::Ib(which) => Some(which),
                 _ => None,
             };
-            // sm and the comparators run device-to-device only;
-            // copy-in/out takes any mix.
-            let placements: &[(bool, bool)] = if sm || comparator.is_some() {
+            let offload = match topo {
+                Topo::Offload(class) => Some(class),
+                _ => None,
+            };
+            let typed_only = comparator.is_some() || offload.is_some();
+            // sm, the comparators and the offload classes run
+            // device-to-device only; copy-in/out takes any mix.
+            let placements: &[(bool, bool)] = if sm || typed_only {
                 &[(true, true)]
             } else {
                 &[(true, true), (true, false), (false, true), (false, false)]
             };
-            let densities: &[(bool, bool)] = if comparator.is_some() {
+            let densities: &[(bool, bool)] = if typed_only {
                 &[(false, false)]
             } else {
                 &[(true, true), (true, false), (false, true), (false, false)]
@@ -851,8 +863,8 @@ mod tests {
                         frag_size: FRAG,
                         zero_copy: matches!(topo, Topo::IbZeroCopy),
                         recv_local_staging: !matches!(topo, Topo::Sm2GpuUnstaged),
-                        nic_offload: false,
-                        stream_trigger: false,
+                        nic_offload: offload == Some(PathClass::NicOffload),
+                        stream_trigger: offload == Some(PathClass::StreamTriggered),
                         fault_plan: FaultPlan::empty(),
                         engine: EngineConfig {
                             optimizer: OptimizerConfig {
@@ -866,7 +878,7 @@ mod tests {
                     let mut sim = Sim::new(match topo {
                         Topo::Sm1Gpu => MpiWorld::two_ranks_one_gpu(config),
                         Topo::Sm2Gpu | Topo::Sm2GpuUnstaged => MpiWorld::two_ranks_two_gpus(config),
-                        Topo::IbStaged | Topo::IbZeroCopy | Topo::Ib(_) => {
+                        Topo::IbStaged | Topo::IbZeroCopy | Topo::Ib(_) | Topo::Offload(_) => {
                             MpiWorld::two_ranks_ib(config)
                         }
                     });
@@ -900,7 +912,7 @@ mod tests {
                     let class = if sm {
                         PathClass::SmIpc
                     } else {
-                        facts.copy_class()
+                        offload.unwrap_or(facts.copy_class())
                     };
                     // The primitives a stage issues per fragment: one, but
                     // a 2-D copy stage's one copy per vector run.
@@ -938,8 +950,9 @@ mod tests {
                     // warm one. Nothing a run can observe may tell the
                     // two apart: the caches are transparent.
                     sim.trace.set_recording(true);
-                    // Only two typed ends meet through a merged list.
-                    let merged = if s_dense || r_dense {
+                    // Only two typed ends meet through a merged list; an
+                    // offload class's is its connection's.
+                    let merged = if s_dense || r_dense || offload.is_some() {
                         0
                     } else {
                         nfrags as usize
@@ -965,13 +978,21 @@ mod tests {
                             }
                             None => {
                                 let (sreq, rreq) = (Request::new(), Request::new());
-                                run_transfer(
-                                    &mut sim,
-                                    s.clone(),
-                                    r.clone(),
-                                    sreq.clone(),
-                                    rreq.clone(),
-                                );
+                                let (send, recv) = (sreq.clone(), rreq.clone());
+                                match offload {
+                                    // Past the tuner's choice: the row is
+                                    // the class's plan.
+                                    Some(class) => offload::start(
+                                        &mut sim,
+                                        class,
+                                        s.clone(),
+                                        r.clone(),
+                                        Requests { send, recv },
+                                    ),
+                                    None => {
+                                        run_transfer(&mut sim, s.clone(), r.clone(), send, recv)
+                                    }
+                                }
                                 (sreq, rreq)
                             }
                         };
@@ -1018,6 +1039,8 @@ mod tests {
                         let cpu_passes =
                             spans(names::SPAN_CPU_PACK) + spans(names::SPAN_CPU_UNPACK);
                         let wires = spans(names::SPAN_WIRE);
+                        let offloads = counter(names::OFFLOAD_NIC_PROGRAMS)
+                            + counter(names::OFFLOAD_STREAM_REPLAYS);
                         let ams = counter(names::NETSIM_AM_COUNT);
                         assert_eq!(
                             kernels,
@@ -1042,6 +1065,14 @@ mod tests {
                             nfrags * planned(|op| matches!(op, StageOp::Wire { .. })),
                             "{row}: wire sends"
                         );
+                        assert_eq!(
+                            offloads,
+                            nfrags
+                                * planned(|op| {
+                                    matches!(op, StageOp::NicProgram | StageOp::GraphReplay)
+                                }),
+                            "{row}: NIC programs and graph replays"
+                        );
                         // Per fragment: one AM per Notify, one more under
                         // Ack credit; a Local credit adds one per transfer.
                         let (per_frag_credit, per_transfer) = match plan.credit {
@@ -1064,7 +1095,7 @@ mod tests {
                         // fragment (the one per-transfer AM is unpriced).
                         assert_eq!(
                             priced * nfrags,
-                            kernels + memcpys + cpu_passes + wires + ams - per_transfer,
+                            kernels + memcpys + cpu_passes + wires + offloads + ams - per_transfer,
                             "{row}: priced stages vs executed primitives"
                         );
                         if iter > 0 {
@@ -1081,7 +1112,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rows, 3 * 4 + 2 * 16 + 2);
+        assert_eq!(rows, 3 * 4 + 2 * 16 + 2 + 2);
     }
 
     /// The eager rows of the stage table. One eager message per row of

@@ -5,14 +5,14 @@
 use crate::config::MpiConfig;
 use crate::connection::{Capability, Handshake, Status};
 use crate::matcher::Matcher;
-use crate::protocol::exec::{MoveKey, MoveList};
+use crate::protocol::exec::MoveKey;
 use crate::protocol::plan::Loc;
 use crate::protocol::ShapeKey;
 use datatype::DataType;
 use devengine::{DevCache, Lru};
 use faultsim::FaultSim;
 use gpusim::{FifoResource, GpuArch, GpuSystem, GpuWorld, StreamId};
-use memsim::{GpuId, Memory, Ptr};
+use memsim::{GpuId, Memory, MoveList, Ptr};
 use netsim::{ChannelKind, ClusterWorld, NetSystem, NetWorld};
 use simcore::hash::DetHashMap;
 use std::cell::RefCell;
@@ -95,8 +95,8 @@ pub struct MpiState {
     /// and counts, collision-guarded); programs are rank-independent
     /// descriptor lists.
     pub nic_programs: DetHashMap<ShapeKey, Rc<netsim::NicProgram>>,
-    /// Captured stream-op graphs plus their baked unit lists and bounce
-    /// buffer, per directed rank pair and transfer shape (persistent /
+    /// Captured stream-op graphs plus their baked unit lists and move
+    /// list, per directed rank pair and transfer shape (persistent /
     /// partitioned requests capture once, replay per iteration).
     pub stream_captures:
         BTreeMap<(usize, usize), DetHashMap<ShapeKey, Rc<crate::protocol::offload::CapturedXfer>>>,

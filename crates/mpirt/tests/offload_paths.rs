@@ -1,10 +1,15 @@
 //! End-to-end guarantees for the offload path classes.
 //!
-//! Three properties the ISSUE pins:
+//! Four properties:
 //!
 //! * **byte identity** — NicOffload and StreamTriggered deliver exactly
 //!   the bytes the GPU-pack baseline delivers, across seeded random
 //!   datatypes;
+//! * **one landing** — each offload transfer lands through the
+//!   executor's one move, like every other plan: every delivered byte is
+//!   written once, two replays of one capture never share bytes, and a
+//!   receive buffer that cannot take the message — freed under the
+//!   transfer, or short — fails it with a typed error;
 //! * **fault demotion** — a lost NIC handler / doorbell demotes to the
 //!   GPU-pack pipeline byte-equal and *sticky* (no re-attempt on later
 //!   transfers), mirroring the SmIpc → CopyInOut demotion;
@@ -12,13 +17,14 @@
 //!   machinery runs: zero counters, no handlers, no programs, no
 //!   captures, so default runs stay byte-identical to the seed.
 
+use datatype::convertor::{pack_all, unpack_all};
 use datatype::testutil::buffer_span;
 use datatype::DataType;
 use faultsim::{FaultKind, FaultOp, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemSpace};
 use mpirt::connection::{Capability, Handshake};
-use mpirt::{irecv, isend, wait_all, MpiConfig, RecvArgs, SendArgs, Session};
+use mpirt::{irecv, isend, wait_all, MpiConfig, MpiError, RecvArgs, SendArgs, Session};
 use simcore::rng::SimRng;
 use simcore::Counter;
 
@@ -153,11 +159,11 @@ fn stream_trigger_is_byte_identical_and_captures_once() {
             "seed {seed}: the second iteration reuses the capture"
         );
         assert_eq!(st_bytes, base_bytes, "seed {seed}: delivery differs");
-        // The graph kernels still stream through the pinned bounce
-        // buffer: each delivered byte is written twice.
+        // The graph kernels only charge: the executor lands the
+        // capture's one move, and each delivered byte is written once.
         assert_eq!(
             st_m.counter(Counter::MemsimBytesMoved),
-            2 * st_m.counter(Counter::MpiDeliveredBytes)
+            st_m.counter(Counter::MpiDeliveredBytes)
         );
     }
 }
@@ -258,4 +264,121 @@ fn defaults_leave_offload_machinery_untouched() {
     assert!(!sess.world.mpi.handshakes.contains_key(&NIC_HANDLER));
     assert!(sess.world.mpi.nic_programs.is_empty());
     assert!(sess.world.mpi.stream_captures.is_empty());
+}
+
+/// A device buffer spanning one `ty` on `rank`'s GPU of a two-rank IB
+/// session, filled from `seed`, and the bytes written.
+fn filled(sess: &mut Session, rank: u32, ty: &DataType, seed: u64) -> (memsim::Ptr, Vec<u8>) {
+    let len = buffer_span(ty, 1).1;
+    let buf = (sess.world.mem())
+        .alloc(MemSpace::Device(GpuId(rank)), len as u64)
+        .unwrap();
+    let mut bytes = vec![0u8; len];
+    simcore::rng::fill_bytes(seed, &mut bytes);
+    sess.world.mem().write(buf, &bytes).unwrap();
+    (buf, bytes)
+}
+
+/// Two in-flight replays of one warm capture, from two send buffers into
+/// two receive buffers, each deliver their own sender's bytes: the
+/// capture bakes the control path and no byte path of its own.
+#[test]
+fn concurrent_replays_of_one_capture_deliver_their_own_bytes() {
+    let ty = random_medium_ty(&mut SimRng::new(5));
+    let cfg = MpiConfig {
+        stream_trigger: true,
+        ..MpiConfig::default()
+    };
+    let b = Session::builder().two_ranks_ib().arch("p100").config(cfg);
+    let mut sess = b.build();
+    let (a, a_bytes) = filled(&mut sess, 0, &ty, 1);
+    let (b, b_bytes) = filled(&mut sess, 0, &ty, 2);
+    let (x, x_bytes) = filled(&mut sess, 1, &ty, 3);
+    let (y, y_bytes) = filled(&mut sess, 1, &ty, 4);
+    // The first transfer captures the shape.
+    let warm = [
+        isend(&mut sess, SendArgs::new(0, 1, a, &ty, 1)),
+        irecv(&mut sess, RecvArgs::new(1, 0, x, &ty, 1)),
+    ];
+    wait_all(&mut sess, &warm).unwrap();
+    sess.world.mem().write(x, &x_bytes).unwrap();
+    let reqs = [
+        isend(&mut sess, SendArgs::new(0, 1, a, &ty, 1)),
+        isend(&mut sess, SendArgs::new(0, 1, b, &ty, 1)),
+        irecv(&mut sess, RecvArgs::new(1, 0, x, &ty, 1)),
+        irecv(&mut sess, RecvArgs::new(1, 0, y, &ty, 1)),
+    ];
+    wait_all(&mut sess, &reqs).unwrap();
+    let m = sess.metrics();
+    assert_eq!(m.counter(Counter::OffloadStreamCaptures), 1);
+    assert_eq!(m.counter(Counter::OffloadStreamReplays), 3);
+    for (name, recv, blank, sent) in [("x", x, x_bytes, a_bytes), ("y", y, y_bytes, b_bytes)] {
+        let mut want = blank.clone();
+        unpack_all(&ty, 1, &mut want, 0, &pack_all(&ty, 1, &sent, 0));
+        let got = sess.world.mem().read_vec(recv, blank.len() as u64).unwrap();
+        assert!(got == want, "{name} holds another sender's bytes");
+    }
+}
+
+/// A receive buffer that cannot take the message fails an offload
+/// transfer at its landing, for either class: one freed after the
+/// transfer's stage was issued, or one a double short of the type's
+/// span. Both requests resolve with a typed memory error, nothing moves
+/// or counts as delivered, and a short buffer is left as it was.
+#[test]
+fn a_receive_buffer_that_cannot_take_an_offload_transfer_is_a_typed_error() {
+    let nic = MpiConfig {
+        nic_offload: true,
+        ..MpiConfig::default()
+    };
+    let stream = MpiConfig {
+        stream_trigger: true,
+        ..MpiConfig::default()
+    };
+    let rows = [
+        ("nic", "a100", nic, random_coarse_ty(&mut SimRng::new(11))),
+        (
+            "stream",
+            "p100",
+            stream,
+            random_medium_ty(&mut SimRng::new(5)),
+        ),
+    ];
+    for (class, arch, cfg, ty) in rows {
+        for freed in [true, false] {
+            let row = format!("{class} freed={freed}");
+            let b = Session::builder().two_ranks_ib().arch(arch);
+            let mut sess = b.config(cfg.clone()).build();
+            let (sbuf, _) = filled(&mut sess, 0, &ty, 1);
+            let len = buffer_span(&ty, 1).1 as u64 - if freed { 0 } else { 8 };
+            let rbuf = (sess.world.mem())
+                .alloc(MemSpace::Device(GpuId(1)), len)
+                .unwrap();
+            let blank = vec![9u8; len as usize];
+            sess.world.mem().write(rbuf, &blank).unwrap();
+            let reqs = [
+                isend(&mut sess, SendArgs::new(0, 1, sbuf, &ty, 1)),
+                irecv(&mut sess, RecvArgs::new(1, 0, rbuf, &ty, 1)),
+            ];
+            // The program is compiled, or the graph captured, in the
+            // event that issues the transfer's one stage.
+            let issued = sess
+                .run_until(|w| !w.mpi.nic_programs.is_empty() || !w.mpi.stream_captures.is_empty());
+            assert!(issued, "{row}: the shape must take the offload class");
+            if freed {
+                sess.world.mem().free(rbuf).unwrap();
+            }
+            assert!(matches!(wait_all(&mut sess, &reqs), Err(MpiError::Mem(_))));
+            for req in &reqs {
+                let res = req.result();
+                assert!(matches!(res, Some(Err(MpiError::Mem(_)))), "{row}: {res:?}");
+            }
+            if !freed {
+                assert_eq!(sess.world.mem().read_vec(rbuf, len).unwrap(), blank);
+            }
+            let m = sess.metrics();
+            assert_eq!(m.counter(Counter::MpiDeliveredBytes), 0, "{row}");
+            assert_eq!(m.counter(Counter::MemsimBytesMoved), 0, "{row}");
+        }
+    }
 }

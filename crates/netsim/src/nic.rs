@@ -10,7 +10,9 @@
 //! CPU engines use), then *executed* per message — the NIC handler
 //! issues one gather/scatter descriptor per work unit and streams the
 //! payload straight from the sender's typed GPU buffer into the
-//! receiver's typed GPU buffer.
+//! receiver's typed GPU buffer. The program is that one direct move —
+//! [`NicProgram::moves`] — and executing it only charges: the caller
+//! lands the list, as it lands every other transfer's.
 //!
 //! Timing rides three per-NIC constants from the node topology tables
 //! (`nic_desc_issue`, `nic_dma_bw`; `nic_handler_setup` is paid by the
@@ -33,10 +35,10 @@ use crate::world::NetWorld;
 use datatype::{DataType, TypeError};
 use devengine::merge_units;
 use gpusim::NodeTopology;
-use memsim::{MemError, Ptr};
-use simcore::par::CopyOp;
+use memsim::MoveList;
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
+use std::rc::Rc;
 
 /// Per-NIC packet-processor cost constants, lifted from the node
 /// topology tables (the single source of raw arch numbers).
@@ -91,14 +93,11 @@ pub struct NicProgram {
     /// Direct sender-typed → receiver-typed moves (packed stream
     /// eliminated): `src_off` relative to the shifted send buffer,
     /// `dst_off` relative to the shifted recv buffer.
-    units: Vec<CopyOp>,
+    moves: Rc<MoveList>,
     /// Descriptors the handler issues (gather + scatter sides).
     descriptors: u64,
-    /// Payload bytes the program moves.
-    bytes: u64,
-    /// `true_lb` adjustments for the two typed buffers.
-    send_shift: i64,
-    recv_shift: i64,
+    /// `true_lb` adjustments for the send and the receive buffer.
+    shifts: (i64, i64),
 }
 
 impl NicProgram {
@@ -106,8 +105,20 @@ impl NicProgram {
         self.descriptors
     }
 
+    /// Payload bytes the program moves.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.moves.extent().bytes
+    }
+
+    /// The one gather/scatter the program performs.
+    pub fn moves(&self) -> &Rc<MoveList> {
+        &self.moves
+    }
+
+    /// The `true_lb` shifts of the send and the receive buffer
+    /// [`Self::moves`] is relative to.
+    pub fn shifts(&self) -> (i64, i64) {
+        self.shifts
     }
 }
 
@@ -131,8 +142,7 @@ pub fn compile_program(
     use devengine::dev::DevCursor;
     let mut s_cur = DevCursor::with_coalesce(send_ty, send_count, u64::MAX, true)?;
     let mut r_cur = DevCursor::with_coalesce(recv_ty, recv_count, u64::MAX, true)?;
-    let send_shift = s_cur.base_shift();
-    let recv_shift = r_cur.base_shift();
+    let shifts = (s_cur.base_shift(), r_cur.base_shift());
     let bytes = s_cur.total_bytes();
     let mut s_units = Vec::new();
     let mut r_units = Vec::new();
@@ -150,40 +160,31 @@ pub fn compile_program(
         }
     })?;
     Ok(NicProgram {
-        units,
+        moves: Rc::new(MoveList::new(&units)),
         descriptors,
-        bytes,
-        send_shift,
-        recv_shift,
+        shifts,
     })
 }
 
 /// Execute a compiled program for one message on the NIC pair
 /// `from → to`: charge the handler front-end, stream the payload over
-/// the data link at `min(dma_bw, wire_bw)`, then land the bytes and run
-/// `done` with the landing's outcome.
-///
-/// Functionally this is one direct gather/scatter: the sender's typed
-/// GPU buffer maps straight into the receiver's typed GPU buffer with
-/// no packed staging and no kernel launches. The wire leg inherits
-/// `FaultOp::WireCopy` injection and retransmission from
-/// [`wire_send`]; a lost fragment retransmits before `done` runs, so
-/// delivery stays exactly-once. A buffer that cannot hold the program's
-/// extent at landing moves nothing and hands `done` the memory error.
-#[allow(clippy::too_many_arguments)]
+/// the data link at `min(dma_bw, wire_bw)`, and run `done` when the
+/// stream has arrived — the instant the program's one gather/scatter
+/// ([`NicProgram::moves`]) lands, which is the caller's to move. The
+/// wire leg inherits `FaultOp::WireCopy` injection and retransmission
+/// from [`wire_send`]; a lost fragment retransmits before `done` runs,
+/// so delivery stays exactly-once.
 pub fn execute_program<W: NetWorld>(
     sim: &mut Sim<W>,
     from: usize,
     to: usize,
-    send_buf: Ptr,
-    recv_buf: Ptr,
     prog: &NicProgram,
     costs: &NicCosts,
-    done: impl FnOnce(&mut Sim<W>, Result<(), MemError>) + 'static,
+    done: impl FnOnce(&mut Sim<W>) + 'static,
 ) -> Result<(), NetError> {
     let wire_bw = sim.world.net().try_channel(from, to)?.data.bandwidth;
     let issue = costs.issue_time(prog.descriptors);
-    let bytes = prog.bytes;
+    let bytes = prog.bytes();
     let wire_bytes = costs.wire_bytes(bytes, wire_bw);
     let now = sim.now();
     sim.trace.span_at(
@@ -196,21 +197,15 @@ pub fn execute_program<W: NetWorld>(
             to: to as u32,
         },
     );
-    let src = send_buf.offset_by(prog.send_shift);
-    let dst = recv_buf.offset_by(prog.recv_shift);
-    let units = prog.units.clone();
     let (from_u, to_u) = (from as u32, to as u32);
     sim.schedule_in(issue, move |sim| {
         // Existence was checked above; the channel is an invariant here.
         let sent = wire_send(sim, from, to, wire_bytes, move |sim| {
-            let landed = sim.world.mem().transfer(src, dst, &units);
-            if landed.is_ok() {
-                sim.trace
-                    .count(names::OFFLOAD_NIC_PROGRAMS, from_u, to_u, 1);
-                sim.trace
-                    .count(names::OFFLOAD_NIC_BYTES, from_u, to_u, bytes);
-            }
-            done(sim, landed);
+            sim.trace
+                .count(names::OFFLOAD_NIC_PROGRAMS, from_u, to_u, 1);
+            sim.trace
+                .count(names::OFFLOAD_NIC_BYTES, from_u, to_u, bytes);
+            done(sim);
         });
         debug_assert!(sent.is_ok());
     });
@@ -225,8 +220,8 @@ mod tests {
     use datatype::testutil::{buffer_span, pattern, reference_pack};
     use gpusim::GpuWorld;
     use memsim::MemSpace;
+    use simcore::par::CopyOp;
     use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn world() -> Sim<ClusterWorld> {
         let mut w = ClusterWorld::new(2);
@@ -268,22 +263,25 @@ mod tests {
         let costs = NicCosts::of(&sim.world.gpus_ref().topo);
         let hit = Rc::new(RefCell::new(false));
         let h = Rc::clone(&hit);
-        execute_program(
-            &mut sim,
-            0,
-            1,
-            src.add(s_base as u64),
-            dst.add(r_base as u64),
-            &prog,
-            &costs,
-            move |_, landed| *h.borrow_mut() = landed.is_ok(),
-        )
+        execute_program(&mut sim, 0, 1, &prog, &costs, move |_| {
+            *h.borrow_mut() = true
+        })
         .unwrap();
         let end = sim.run();
         assert!(*hit.borrow());
         assert!(end > SimTime::ZERO, "NIC execution charges virtual time");
+        assert_eq!(sim.world.memory.bytes_moved(), 0, "executing only charges");
 
-        // The scatter result equals reference pack → reference unpack.
+        // The program's one move, applied between the shifted buffers,
+        // equals reference pack → reference unpack.
+        let (s_shift, r_shift) = prog.shifts();
+        let (from, to) = (
+            src.add(s_base as u64).offset_by(s_shift),
+            dst.add(r_base as u64).offset_by(r_shift),
+        );
+        (sim.world.memory)
+            .transfer(from, to, prog.moves().ops())
+            .unwrap();
         let packed = reference_pack(&s_ty, count, &bytes, s_base);
         let got = sim.world.memory.read_vec(dst, r_len as u64).unwrap();
         let mut pos = 0usize;
@@ -312,14 +310,14 @@ mod tests {
             len,
         };
         assert_eq!(
-            prog.units,
+            prog.moves().ops(),
             [op(0, 0, 8), op(8, 16, 8), op(32, 24, 16), op(64, 64, 16)]
         );
         assert_eq!((prog.bytes(), prog.descriptors()), (48, 6));
         // A receive posted longer than the message: the same moves, and
         // the handler still issues the whole receive program.
         let long = compile_program(&s_ty, 1, &r_ty, 2).unwrap();
-        assert_eq!(long.units, prog.units);
+        assert_eq!(long.moves(), prog.moves());
         assert!(long.descriptors() > prog.descriptors());
         // A shorter one cannot take the message.
         assert_eq!(
@@ -337,31 +335,7 @@ mod tests {
         let ty = datatype::DataType::double().commit();
         let prog = compile_program(&ty, 8, &ty, 8).unwrap();
         let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-        let p = sim.world.memory.alloc(MemSpace::Host, 64).unwrap();
-        let err = execute_program(&mut sim, 0, 9, p, p, &prog, &costs, |_, _| {}).unwrap_err();
+        let err = execute_program(&mut sim, 0, 9, &prog, &costs, |_| {}).unwrap_err();
         assert_eq!(err, NetError::NoChannel { from: 0, to: 9 });
-    }
-
-    #[test]
-    fn a_short_receive_buffer_is_a_typed_error_at_landing() {
-        let mut sim = world();
-        let ty = datatype::DataType::double().commit();
-        let prog = compile_program(&ty, 8, &ty, 8).unwrap();
-        let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-        let src = sim.world.memory.alloc(MemSpace::Host, 64).unwrap();
-        let dst = sim.world.memory.alloc(MemSpace::Host, 56).unwrap();
-        sim.world.memory.write(dst, &[9; 56]).unwrap();
-        let landed = Rc::new(RefCell::new(None));
-        let l = Rc::clone(&landed);
-        execute_program(&mut sim, 0, 1, src, dst, &prog, &costs, move |_, r| {
-            *l.borrow_mut() = Some(r)
-        })
-        .unwrap();
-        sim.run();
-        assert!(matches!(
-            *landed.borrow(),
-            Some(Err(memsim::MemError::OutOfBounds { .. }))
-        ));
-        assert_eq!(sim.world.memory.read_vec(dst, 56).unwrap(), [9; 56]);
     }
 }
