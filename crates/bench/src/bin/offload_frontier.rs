@@ -14,27 +14,14 @@
 //! (256 B blocks — one doorbell re-arm beats two kernel launches plus
 //! the per-fragment active message). Run with `--arch
 //! k40,p100,v100,a100` to see the per-arch frontier; `--smoke`
-//! restricts each panel to its first size for CI.
+//! restricts each panel to its first size for CI. `--trace` records
+//! each panel's first size, the one where the offload classes run.
 
 use bench::env;
 use bench::harness::ms;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
-use datatype::DataType;
+use bench::workloads::{offload_coarse as coarse, offload_medium as medium};
 use mpirt::MpiConfig;
-
-/// Coarse-strided: `blocks` × 32 KiB blocks with 32 KiB gaps.
-fn coarse(blocks: u64) -> DataType {
-    DataType::vector(blocks, 4096, 8192, &DataType::double())
-        .expect("coarse")
-        .commit()
-}
-
-/// Latency-bound: `blocks` × 256 B blocks with 256 B gaps.
-fn medium(blocks: u64) -> DataType {
-    DataType::vector(blocks, 32, 64, &DataType::double())
-        .expect("medium")
-        .commit()
-}
 
 fn variants() -> Vec<(&'static str, MpiConfig)> {
     vec![
@@ -67,7 +54,8 @@ fn main() {
         "coarse-strided ping-pong RTT per path class (ms, ib, 32 KiB blocks)",
         "blocks_32k",
         &[16, 32, 64, 128],
-    );
+    )
+    .trace_first_x();
     for (name, cfg) in variants() {
         co = co.series(name, move |n, arch, r| {
             let t = coarse(n);
@@ -86,7 +74,8 @@ fn main() {
         "latency-bound ping-pong RTT per path class (ms, ib, 256 B blocks)",
         "blocks_256b",
         &[512, 1024, 2048, 4096],
-    );
+    )
+    .trace_first_x();
     for (name, cfg) in variants() {
         me = me.series(name, move |n, arch, r| {
             let t = medium(n);

@@ -24,7 +24,8 @@ use std::path::PathBuf;
 
 /// Command-line options shared by every figure binary.
 pub struct BenchOpts {
-    /// Write a merged Chrome trace of the largest-x run here.
+    /// Write a merged Chrome trace of one x's runs here: the sweep's
+    /// last, unless it traces its first ([`Sweep::trace_first_x`]).
     pub trace: Option<PathBuf>,
     /// GPU architectures to sweep (`--arch`), resolution order
     /// preserved, duplicates removed. Empty means "registry default".
@@ -117,6 +118,8 @@ pub struct Sweep {
     x_label: &'static str,
     xs: Vec<u64>,
     series: Vec<(String, Eval)>,
+    /// `--trace` re-runs the first x instead of the last.
+    trace_first: bool,
 }
 
 impl Sweep {
@@ -127,7 +130,15 @@ impl Sweep {
             x_label,
             xs: xs.to_vec(),
             series: Vec::new(),
+            trace_first: false,
         }
+    }
+
+    /// Trace the sweep's first x rather than its last: for a figure
+    /// whose last x is not where the behaviour its trace shows happens.
+    pub fn trace_first_x(mut self) -> Sweep {
+        self.trace_first = true;
+        self
     }
 
     /// Add a named series.
@@ -174,7 +185,12 @@ impl Sweep {
             }
         }
         if let Some(path) = &opts.trace {
-            let x = *xs.last().expect("sweep has at least one x");
+            let x = *if self.trace_first {
+                xs.first()
+            } else {
+                xs.last()
+            }
+            .expect("sweep has at least one x");
             let mut events = Vec::new();
             let mut pid = 0u32;
             eprintln!("# {}: tracing {} = {x}", self.id, self.x_label);
@@ -318,6 +334,25 @@ pub fn comparator_rtt(
 mod tests {
     use super::*;
     use crate::workloads::{submatrix, triangular};
+
+    /// `offload_frontier --trace` records its latency panel's first
+    /// cell, 512 × 256 B, because the stream-triggered class runs
+    /// there: on the arches the CI smoke traces, the series' traced run
+    /// replays its captured graph.
+    #[test]
+    fn the_traced_latency_cell_takes_the_stream_class() {
+        let t = crate::workloads::offload_medium(512);
+        for arch in ["k40", "a100"] {
+            let cfg = MpiConfig {
+                stream_trigger: true,
+                ..MpiConfig::default()
+            };
+            let (_, trace) = ours_rtt(Topo::Ib, GpuArch::named(arch), cfg, &t, &t, 2, true);
+            let replays =
+                Metrics::from_trace(&trace).counter(simcore::Counter::OffloadStreamReplays);
+            assert!(replays > 0, "{arch}: the stream class never ran");
+        }
+    }
 
     #[test]
     fn topo_parse() {

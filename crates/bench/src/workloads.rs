@@ -61,6 +61,22 @@ pub fn transpose_type(n: u64) -> DataType {
         .commit()
 }
 
+/// `offload_frontier`'s coarse-strided panel: `blocks` × 32 KiB blocks
+/// with 32 KiB gaps.
+pub fn offload_coarse(blocks: u64) -> DataType {
+    DataType::vector(blocks, 4096, 8192, &DataType::double())
+        .expect("coarse")
+        .commit()
+}
+
+/// `offload_frontier`'s latency-bound panel: `blocks` × 256 B blocks
+/// with 256 B gaps.
+pub fn offload_medium(blocks: u64) -> DataType {
+    DataType::vector(blocks, 32, 64, &DataType::double())
+        .expect("medium")
+        .commit()
+}
+
 /// A plain vector with explicit block size in bytes (Figure 8 sweeps).
 pub fn raw_vector(block_count: u64, block_bytes: u64, gap_bytes: u64) -> DataType {
     DataType::hvector(

@@ -8,6 +8,7 @@
 
 use crate::convertor::pack_all;
 use crate::typ::DataType;
+use simcore::par::Strided2D;
 use simcore::rng::SimRng;
 
 /// The slice geometry needed to hold `count` instances of `ty`:
@@ -108,6 +109,64 @@ pub fn transposed_triangular(n: u64) -> DataType {
     DataType::structure(&vec![1; n as usize], &disps, &rows)
         .expect("transposed triangular")
         .commit()
+}
+
+/// Seeded generator: a random doubly-strided shape as the specialized
+/// kernel runs it, with the byte length of its packed stream and the
+/// lowest displacement any of its blocks starts at. Blocks are 1 to 600
+/// bytes, so they meet the 128-byte lines and the 256-byte warp chunks
+/// at every phase. Every fourth shape is a vector (one endless row);
+/// the others hold up to six rows of up to nine blocks, either side by
+/// side or interleaved the way a transpose's are. Inner and outer
+/// strides take either sign. No two blocks overlap, so an unpack of any
+/// window writes each typed byte at most once.
+pub fn arb_strided(r: &mut SimRng) -> (Strided2D, i64, u64) {
+    let vector = r.range(0, 4) == 0;
+    let block_bytes = match r.range(0, 3) {
+        0 => r.range_u64(1, 17),
+        1 => 8 * r.range_u64(1, 9),
+        _ => r.range_u64(1, 601),
+    };
+    let (rows, cols) = if vector {
+        (1, r.range_u64(1, 41))
+    } else {
+        (r.range_u64(1, 7), r.range_u64(1, 10))
+    };
+    let sign = |r: &mut SimRng, v: u64| {
+        if r.range(0, 3) == 0 {
+            -(v as i64)
+        } else {
+            v as i64
+        }
+    };
+    let interleaved = r.range(0, 2) == 0;
+    // Interleaved: row `i` sits `i · pitch` into every column's slot,
+    // and a slot holds all rows. Side by side: a row's span, then a gap.
+    let pitch = block_bytes + r.range_u64(0, 9);
+    let inner = if interleaved {
+        rows * pitch + r.range_u64(0, 64)
+    } else {
+        block_bytes + r.range_u64(0, 300)
+    };
+    let inner_stride = sign(r, inner);
+    let outer = if interleaved {
+        pitch
+    } else {
+        (cols - 1) * inner + block_bytes + r.range_u64(0, 300)
+    };
+    let shape = Strided2D {
+        outer: rows,
+        inner: if vector { u64::MAX } else { cols },
+        block_bytes,
+        inner_stride,
+        outer_stride: sign(r, outer),
+        first_disp: r.range_u64(0, 1000) as i64 - 500,
+    };
+    let reach = |n: u64, stride: i64| (n as i64 - 1) * stride;
+    let lo = shape.first_disp
+        + reach(rows, shape.outer_stride).min(0)
+        + reach(cols, shape.inner_stride).min(0);
+    (shape, lo, rows * cols * block_bytes)
 }
 
 /// Seeded generator: a random primitive.

@@ -13,6 +13,7 @@
 use crate::error::TypeError;
 use crate::primitive::Primitive;
 use crate::segment::{Segment, SegmentSink};
+use simcore::par::Strided2D;
 use std::cell::OnceCell;
 use std::fmt;
 use std::rc::Rc;
@@ -112,19 +113,6 @@ pub(crate) struct Node {
     /// Lazily computed [`DataType::signature_runs`], shared by every
     /// `dup` / `commit` of the type the same way.
     signature_runs: OnceCell<Rc<[(Primitive, u64)]>>,
-}
-
-/// Two-level strided description: `outer` groups, each of `inner`
-/// equal blocks — the shape of a matrix transpose or a
-/// contiguous-of-vector tree. Returned by [`DataType::strided2d_shape`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Strided2D {
-    pub outer: u64,
-    pub inner: u64,
-    pub block_bytes: u64,
-    pub inner_stride: i64,
-    pub outer_stride: i64,
-    pub first_disp: i64,
 }
 
 /// An MPI derived datatype. Cheap to clone (shared tree).

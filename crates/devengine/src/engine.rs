@@ -10,8 +10,8 @@ use gpusim::{
     charge_transfer_kernel, kernel_time, GpuSpec, GpuSystem, GpuWorld, KernelConfig, KernelTraffic,
     Rolled, StreamId,
 };
-use memsim::{MemSpace, Ptr};
-use simcore::par::CopyOp;
+use memsim::{MemSpace, Move, Ptr};
+use simcore::par::{strided_units, CopyOp, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Counter, Sim, SimTime, Track};
@@ -39,42 +39,9 @@ enum UnitSource {
     /// Vector-shaped or doubly-strided type (e.g. a matrix transpose):
     /// units come from one or two nested strides computed arithmetically
     /// by the specialized kernel — no descriptor array, no per-unit CPU
-    /// cost. A vector is one row of blocks that never ends.
+    /// cost. A vector is one row of blocks that never ends. A fragment
+    /// is a [`StridedWindow`], priced and moved without a list.
     Strided(Strided2D),
-}
-
-/// Fill `units` (cleared first) with the packed window `from..to` of a
-/// doubly-strided layout, pack orientation, packed offsets relative to
-/// `from`, typed offsets relative to `base_shift`. The window's first
-/// block is found by division, once; every later block steps `(i, j)`
-/// and its displacement by addition — the transpose cells pay this per
-/// 8-byte unit.
-fn strided_units(shape: &Strided2D, base_shift: i64, from: u64, to: u64, units: &mut Vec<CopyOp>) {
-    units.clear();
-    let bb = shape.block_bytes;
-    let (block, mut intra) = (from / bb, from % bb);
-    let (i, mut j) = (block / shape.inner, block % shape.inner);
-    // Displacement of block (i, 0), then of block (i, j).
-    let mut row = shape.first_disp + i as i64 * shape.outer_stride - base_shift;
-    let mut disp = row + j as i64 * shape.inner_stride;
-    let mut p = from;
-    while p < to {
-        let take = (bb - intra).min(to - p);
-        units.push(CopyOp {
-            src_off: (disp + intra as i64) as usize,
-            dst_off: (p - from) as usize,
-            len: take as usize,
-        });
-        p += take;
-        intra = 0;
-        j += 1;
-        disp += shape.inner_stride;
-        if j == shape.inner {
-            j = 0;
-            row += shape.outer_stride;
-            disp = row;
-        }
-    }
 }
 
 /// The arithmetic source an engine over `count` × `work_ty` (already
@@ -387,18 +354,6 @@ impl FragmentEngine {
         self.chunk_hint
     }
 
-    pub fn total_bytes(&self) -> u64 {
-        self.total
-    }
-
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    pub fn finished(&self) -> bool {
-        self.pos >= self.total
-    }
-
     /// Does this engine have a CPU preparation stage at all? Vector
     /// and cached sources are prep-free — the paper launches a single
     /// kernel for those instead of pipelining CPU chunks.
@@ -412,11 +367,19 @@ impl FragmentEngine {
     ///
     /// The window's unit list (kernel orientation, packed offsets
     /// rebased to the fragment) is derived only when something reads
-    /// it. Pricing does, for every source but a cached plan that has
-    /// launched this window between these places before (it remembers
-    /// what it priced, per [`TrafficKey`]); the caller does when it
-    /// lent `units` to get the list back. A list only pricing read is
-    /// built in a scratch buffer that returns to the shelf at once.
+    /// it. Pricing does, for a fresh source and for a cached plan that
+    /// has not launched this window between these places before (it
+    /// remembers what it priced, per [`TrafficKey`]); a strided source
+    /// prices its window in closed form. The caller reads the list when
+    /// it lent `units` to get it back. A list only pricing read is built
+    /// in a scratch buffer that returns to the shelf at once. Writing
+    /// into a caller-supplied buffer keeps the steady-state fragment
+    /// loop allocation-free — the buffers themselves cycle through
+    /// [`simcore::scratch`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fragment engine is the GPU's DEV executor"
+    )]
     fn advance(
         &mut self,
         n: u64,
@@ -425,21 +388,39 @@ impl FragmentEngine {
         units: &mut Option<Vec<CopyOp>>,
     ) -> (KernelTraffic, bool) {
         let (unpack, gpu) = (self.dir == Direction::Unpack, self.stream.gpu);
+        let (from, to) = (self.pos, self.pos + n);
         let wanted = units.is_some();
-        let memo = match &self.source {
-            UnitSource::Cached(plan) => {
-                let window = (self.pos, self.pos + n);
-                let key = TrafficKey::new(window, unpack, ends, gpu, spec);
-                Some((Rc::clone(plan), key))
+        let plan = match &mut self.source {
+            UnitSource::Strided(shape) => {
+                let w = strided_window(*shape, self.base_shift, from, to, self.dir);
+                if let Some(list) = units {
+                    strided_units(&w, list);
+                }
+                return (
+                    KernelTraffic::of_window(&w, ends.0, ends.1, gpu, spec),
+                    false,
+                );
             }
-            _ => None,
+            UnitSource::Fresh(cur) => {
+                let list = units.get_or_insert_with(take_units_buf);
+                cur.next_units_into(n, list);
+                for u in list.iter_mut() {
+                    u.dst_off -= from as usize;
+                }
+                None
+            }
+            UnitSource::Cached(plan) => Some(Rc::clone(plan)),
         };
+        let charge_prep = plan.is_none();
+        let memo = plan.map(|plan| (plan, TrafficKey::new((from, to), unpack, ends, gpu, spec)));
         let known = (memo.as_ref()).and_then(|(plan, key)| plan.known_traffic(key));
         if let (Some(traffic), false) = (known, wanted) {
             return (traffic, false);
         }
         let list = units.get_or_insert_with(take_units_buf);
-        let charge_prep = self.take_units_into(n, list);
+        if let Some((plan, _)) = &memo {
+            plan.slice_into(from, to, list);
+        }
         if unpack {
             flip_units_in_place(list);
         }
@@ -453,34 +434,16 @@ impl FragmentEngine {
         (traffic, charge_prep)
     }
 
-    /// Fill `units` (cleared first) with the units for the next `n`
-    /// packed bytes (pack orientation, packed offsets rebased to the
-    /// fragment). Returns whether CPU prep is owed. Writing into a
-    /// caller-supplied buffer keeps the steady-state fragment loop
-    /// allocation-free — the buffers themselves cycle through
-    /// [`simcore::scratch`].
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the fragment engine is the GPU's DEV executor"
-    )]
-    fn take_units_into(&mut self, n: u64, units: &mut Vec<CopyOp>) -> bool {
-        let from = self.pos;
-        match &mut self.source {
-            UnitSource::Fresh(cur) => {
-                cur.next_units_into(n, units);
-                for u in units {
-                    u.dst_off -= from as usize;
-                }
-                true
-            }
-            UnitSource::Cached(plan) => {
-                plan.slice_into(from, from + n, units);
-                false
-            }
+    /// The packed range `from..to` of a strided source as the window the
+    /// specialized kernel converts, in its orientation; `None` for a
+    /// source that lists its units. A fragment of a strided end whose
+    /// other end is dense is this window: priced and moved with no list.
+    pub fn window(&self, from: u64, to: u64) -> Option<StridedWindow> {
+        match self.source {
             UnitSource::Strided(shape) => {
-                strided_units(shape, self.base_shift, from, from + n, units);
-                false
+                Some(strided_window(shape, self.base_shift, from, to, self.dir))
             }
+            _ => None,
         }
     }
 
@@ -490,7 +453,7 @@ impl FragmentEngine {
     }
 
     /// Kernel source and destination for a fragment stored at `frag`.
-    pub fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
+    fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
         match self.dir {
             Direction::Pack => (self.typed_base(), frag),
             Direction::Unpack => (frag, self.typed_base()),
@@ -506,7 +469,7 @@ impl FragmentEngine {
     /// `on_prepped` fires when the CPU stage is done (the caller may
     /// immediately start the next fragment — that is the pipeline);
     /// `on_complete` fires when the kernel has moved the bytes, with the
-    /// fragment's size.
+    /// fragment's size. A strided source moves its window, unlisted.
     pub fn process_fragment<W: GpuWorld>(
         &mut self,
         sim: &mut Sim<W>,
@@ -516,6 +479,16 @@ impl FragmentEngine {
         on_complete: impl FnOnce(&mut Sim<W>, u64) + 'static,
     ) {
         let (ksrc, kdst) = self.kernel_ends(frag);
+        let n = cap.min(self.total - self.pos);
+        if let Some(w) = self.window(self.pos, self.pos + n) {
+            self.charge_fragment(sim, frag, cap, None, on_prepped, move |sim, n, _| {
+                (sim.world.mem())
+                    .transfer_batch(&[Move::window(ksrc, kdst, w, false)])
+                    .expect("fragment transfer failed");
+                on_complete(sim, n);
+            });
+            return;
+        }
         // Unit buffers cycle through the scratch shelf so steady-state
         // streaming reuses a handful of Vecs.
         let units = Some(take_units_buf());
@@ -611,6 +584,24 @@ impl FragmentEngine {
             sim.schedule_now(move |sim| on_prepped(sim));
             launch(sim);
         }
+    }
+}
+
+/// The packed range `from..to` of `shape`, typed offsets relative to
+/// `base_shift`, in the orientation of `dir`.
+fn strided_window(
+    shape: Strided2D,
+    base_shift: i64,
+    from: u64,
+    to: u64,
+    dir: Direction,
+) -> StridedWindow {
+    StridedWindow {
+        shape,
+        base_shift,
+        from,
+        to,
+        unpack: dir == Direction::Unpack,
     }
 }
 
@@ -723,6 +714,8 @@ fn run_async<W: GpuWorld>(
     let state = Rc::new(RefCell::new(Driver {
         engine: Some(engine),
         packed,
+        launched: 0,
+        total: ty.size() * count,
         chunk,
         inflight: 0,
         launched_all: false,
@@ -738,6 +731,9 @@ type DoneFn<W> = Box<dyn FnOnce(&mut Sim<W>, SimTime)>;
 struct Driver<W: GpuWorld> {
     engine: Option<FragmentEngine>,
     packed: Ptr,
+    /// Packed bytes handed to the engine so far, of `total`.
+    launched: u64,
+    total: u64,
     chunk: u64,
     inflight: u32,
     launched_all: bool,
@@ -762,14 +758,14 @@ impl<W: GpuWorld> Driver<W> {
     fn step(sim: &mut Sim<W>, state: Rc<RefCell<Driver<W>>>) {
         let (frag, cap) = {
             let mut s = state.borrow_mut();
-            let engine = s.engine.as_ref().expect("engine in use");
-            if engine.finished() {
+            if s.launched >= s.total {
                 s.launched_all = true;
                 drop(s);
                 Driver::finish_if_idle(sim, &state);
                 return;
             }
-            let frag = s.packed.add(engine.position());
+            let frag = s.packed.add(s.launched);
+            s.launched += s.chunk.min(s.total - s.launched);
             s.inflight += 1;
             (frag, s.chunk)
         };
@@ -805,81 +801,6 @@ mod tests {
 
     fn world() -> Sim<NodeWorld> {
         Sim::new(NodeWorld::new(2))
-    }
-
-    /// The division form [`strided_units`] replaced: block, row and
-    /// column of every unit recomputed from its packed position.
-    fn strided_units_by_division(
-        s: &Strided2D,
-        base_shift: i64,
-        from: u64,
-        to: u64,
-    ) -> Vec<CopyOp> {
-        let mut units = Vec::new();
-        let mut p = from;
-        while p < to {
-            let (block, intra) = (p / s.block_bytes, p % s.block_bytes);
-            let take = (s.block_bytes - intra).min(to - p);
-            let (i, j) = ((block / s.inner) as i64, (block % s.inner) as i64);
-            let disp = s.first_disp + i * s.outer_stride + j * s.inner_stride + intra as i64;
-            units.push(CopyOp {
-                src_off: (disp - base_shift) as usize,
-                dst_off: (p - from) as usize,
-                len: take as usize,
-            });
-            p += take;
-        }
-        units
-    }
-
-    #[test]
-    fn stepping_units_equal_the_division_form_over_random_shapes_and_window_cuts() {
-        let mut rng = simcore::rng::rng(0x57e9);
-        let mut units = Vec::new();
-        for case in 0..400 {
-            // Every fourth shape is a vector: one endless row.
-            let inner = match case % 4 {
-                0 => u64::MAX,
-                _ => rng.range_u64(1, 9),
-            };
-            let rows = rng.range_u64(1, 7);
-            let block_bytes = 8 * rng.range_u64(1, 6);
-            let inner_stride = block_bytes as i64 + 8 * rng.range_u64(0, 5) as i64;
-            let shape = Strided2D {
-                outer: rows,
-                inner,
-                block_bytes,
-                inner_stride: if case % 3 == 0 {
-                    -inner_stride
-                } else {
-                    inner_stride
-                },
-                outer_stride: 8 * rng.range_u64(0, 400) as i64 - 800,
-                first_disp: 8 * rng.range_u64(0, 50) as i64,
-            };
-            let base_shift = -(1 << 20);
-            let total = block_bytes * inner.min(11) * rows;
-            // Random cuts, plus one inside a block, one at a block end
-            // and one at a row end.
-            let row_bytes = block_bytes * inner.min(11);
-            let mut cuts = vec![0, total, block_bytes / 2, block_bytes, row_bytes];
-            cuts.extend((0..6).map(|_| rng.range_u64(0, total + 1)));
-            cuts.retain(|&c| c <= total);
-            cuts.sort_unstable();
-            cuts.dedup();
-            for w in cuts.windows(2) {
-                strided_units(&shape, base_shift, w[0], w[1], &mut units);
-                let want = strided_units_by_division(&shape, base_shift, w[0], w[1]);
-                assert_eq!(units, want, "{shape:?} window {w:?}");
-                assert_eq!(units.iter().map(|u| u.len as u64).sum::<u64>(), w[1] - w[0]);
-            }
-            // And the whole stream at once.
-            strided_units(&shape, base_shift, 0, total, &mut units);
-            assert_eq!(
-                units,
-                strided_units_by_division(&shape, base_shift, 0, total)
-            );
-        }
     }
 
     /// Allocate a device buffer holding `count` instances of `ty`,
@@ -1149,9 +1070,8 @@ mod tests {
         )
         .unwrap();
         assert!(eng.cpu_stage_free(), "strided2d source has no CPU stage");
-        while !eng.finished() {
-            let frag = packed.add(eng.position());
-            eng.process_fragment(&mut sim, frag, 1000, |_| {}, |_, _| {});
+        for at in (0..total).step_by(1000) {
+            eng.process_fragment(&mut sim, packed.add(at), 1000, |_| {}, |_, _| {});
             sim.run();
         }
         let got = sim.world.memory.read_vec(packed, total).unwrap();
@@ -1237,9 +1157,8 @@ mod tests {
         )
         .unwrap();
         // Drive fragments of 1000 bytes manually.
-        while !eng.finished() {
-            let frag = packed.add(eng.position());
-            eng.process_fragment(&mut sim, frag, 1000, |_| {}, |_, _| {});
+        for at in (0..total).step_by(1000) {
+            eng.process_fragment(&mut sim, packed.add(at), 1000, |_| {}, |_, _| {});
             sim.run();
         }
         let got = sim.world.memory.read_vec(packed, total).unwrap();

@@ -26,7 +26,9 @@
 //! the list. The summary is a pure function of the list, both sides'
 //! placement and the spec's access geometry, which is what lets the
 //! caller that owns the list — a cached DEV plan — keep it per launch
-//! it has priced (`devengine::dev::TrafficKey`). A caller with no list
+//! it has priced (`devengine::dev::TrafficKey`). A strided kernel's
+//! launch is priced from its window instead ([`KernelTraffic::of_window`]):
+//! the same summary, exactly, in closed form. A caller with no list
 //! — the tuner pricing a fragment before it exists — prices
 //! [`KernelTraffic::estimate`] through the same [`kernel_time`].
 
@@ -35,7 +37,7 @@ use crate::spec::{GpuSpec, NodeTopology, Pow2};
 use crate::system::{on_stream, GpuState, GpuWorld, StreamId};
 use faultsim::FaultOp;
 use memsim::{MemSpace, Ptr};
-use simcore::par::CopyOp;
+use simcore::par::{CopyOp, Grid, StridedWindow};
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime};
 
@@ -81,6 +83,51 @@ pub(crate) fn access_lines(disp: u64, len: u64, txn: Pow2, chunk: Pow2) -> u64 {
     lines
 }
 
+/// `stride` against the line: its residue, and the period after which
+/// the phases of accesses `stride` apart repeat, `txn / gcd(stride mod
+/// txn, txn)` (1 when the stride is a multiple of the line).
+fn phase_step(stride: i64, txn: Pow2) -> (u64, u64) {
+    // Two's complement: the residue of a negative stride too.
+    let step = stride as u64 & txn.mask();
+    let period = if step == 0 {
+        1
+    } else {
+        txn.get() >> step.trailing_zeros()
+    };
+    (step, period)
+}
+
+/// Lines touched by `count` accesses of `len` bytes, the first at
+/// address `at` and each next `stride` further: [`access_lines`] reads
+/// an address only through its phase against the line, so one period
+/// of phases is summed, not the run.
+fn run_lines(at: u64, count: u64, stride: i64, len: u64, txn: Pow2, chunk: Pow2) -> u64 {
+    let (step, period) = phase_step(stride, txn);
+    let rest = count % period;
+    let (mut per_period, mut head) = (0, 0);
+    for k in 0..count.min(period) {
+        let lines = access_lines(at.wrapping_add(k * step) & txn.mask(), len, txn, chunk);
+        per_period += lines;
+        head += if k < rest { lines } else { 0 };
+    }
+    count / period * per_period + head
+}
+
+/// Lines the typed side of `grid` touches from a base at `base`: a run
+/// per row, and rows whose first blocks share a phase share their sum —
+/// the row phases repeat like a run's.
+fn grid_lines(base: u64, grid: &Grid, txn: Pow2, chunk: Pow2) -> u64 {
+    let at = base.wrapping_add(grid.typed as u64);
+    let (step, period) = phase_step(grid.row_stride, txn);
+    (0..grid.rows.min(period))
+        .map(|t| {
+            let rows = (grid.rows - 1 - t) / period + 1;
+            let first = at.wrapping_add(t * step);
+            rows * run_lines(first, grid.cols, grid.col_stride, grid.len, txn, chunk)
+        })
+        .sum()
+}
+
 /// Where one side of the transfer lives, relative to the executing GPU.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Side {
@@ -120,6 +167,18 @@ pub struct KernelTraffic {
     pub pcie_bytes: u64,
 }
 
+/// Whether (source, destination) is in the executing GPU's own DRAM; a
+/// transfer kernel touches it on at least one side.
+fn local_sides(src: Ptr, dst: Ptr, exec_gpu: memsim::GpuId) -> (bool, bool) {
+    let src_local = classify(src, exec_gpu) == Side::LocalDevice;
+    let dst_local = classify(dst, exec_gpu) == Side::LocalDevice;
+    assert!(
+        src_local || dst_local,
+        "transfer kernel must touch the executing GPU's memory on at least one side"
+    );
+    (src_local, dst_local)
+}
+
 impl KernelTraffic {
     /// One pass over `units`.
     pub fn of(
@@ -129,12 +188,7 @@ impl KernelTraffic {
         exec_gpu: memsim::GpuId,
         spec: &GpuSpec,
     ) -> KernelTraffic {
-        let src_local = classify(src, exec_gpu) == Side::LocalDevice;
-        let dst_local = classify(dst, exec_gpu) == Side::LocalDevice;
-        assert!(
-            src_local || dst_local,
-            "transfer kernel must touch the executing GPU's memory on at least one side"
-        );
+        let (src_local, dst_local) = local_sides(src, dst, exec_gpu);
         let (txn, chunk) = (spec.transaction_bytes, spec.warp_chunk());
         let (mut payload, mut lines) = (0u64, 0u64);
         for u in units {
@@ -149,6 +203,44 @@ impl KernelTraffic {
         }
         KernelTraffic {
             units: units.len() as u64,
+            payload,
+            dram_bytes: lines << txn.log2(),
+            pcie_bytes: payload * (u64::from(!src_local) + u64::from(!dst_local)),
+        }
+    }
+
+    /// [`KernelTraffic::of`] the window's segments
+    /// ([`simcore::par::strided_units`]) between `src` and `dst`,
+    /// exactly, in closed form: its [`StridedWindow::grids`], each side
+    /// priced per period of line phases — the typed side per row class,
+    /// the packed side as one run at the block stride.
+    pub fn of_window(
+        window: &StridedWindow,
+        src: Ptr,
+        dst: Ptr,
+        exec_gpu: memsim::GpuId,
+        spec: &GpuSpec,
+    ) -> KernelTraffic {
+        let (src_local, dst_local) = local_sides(src, dst, exec_gpu);
+        let ((typed, typed_local), (packed, packed_local)) = if window.unpack {
+            ((dst, dst_local), (src, src_local))
+        } else {
+            ((src, src_local), (dst, dst_local))
+        };
+        let (txn, chunk) = (spec.transaction_bytes, spec.warp_chunk());
+        let mut lines = 0;
+        for g in window.grids() {
+            if typed_local {
+                lines += grid_lines(typed.offset, &g, txn, chunk);
+            }
+            if packed_local {
+                let at = packed.offset.wrapping_add(g.packed);
+                lines += run_lines(at, g.rows * g.cols, g.len as i64, g.len, txn, chunk);
+            }
+        }
+        let payload = window.bytes();
+        KernelTraffic {
+            units: window.segments(),
             payload,
             dram_bytes: lines << txn.log2(),
             pcie_bytes: payload * (u64::from(!src_local) + u64::from(!dst_local)),

@@ -13,7 +13,9 @@ use crate::registry::RegistrationTable;
 use crate::shelf;
 use crate::space::{GpuId, MemSpace};
 use simcore::hash::DetHashMap;
-use simcore::par::{par_copy, par_transfer_batch, CopyOp, SegList};
+use simcore::par::{
+    par_copy, par_transfer_batch, strided_units, CopyOp, SegList, Segs, StridedWindow,
+};
 use std::cell::OnceCell;
 
 /// One allocation: its length, and its bytes from the first access on.
@@ -241,14 +243,22 @@ impl MemPool {
     /// buffer): gather every source segment into a scratch copy first,
     /// then scatter, so a destination segment that overlaps a later
     /// op's source cannot clobber it — what the fragment ring used to
-    /// provide for such a transfer.
+    /// provide for such a transfer. A strided window is listed first.
     fn transfer_within(
         &mut self,
         src: Ptr,
         dst: Ptr,
-        ops: &[CopyOp],
+        segs: Segs<'_>,
         bytes: u64,
     ) -> Result<(), MemError> {
+        let mut listed = Vec::new();
+        let ops = match segs {
+            Segs::List(ops) => ops,
+            Segs::Strided(w) => {
+                strided_units(&w, &mut listed);
+                &listed
+            }
+        };
         let backing = (self.allocs.get_mut(&src.alloc)).ok_or(MemError::InvalidPointer(src))?;
         // Only slice indexing bounds the scatter below: the whole
         // allocation counts as written.
@@ -281,6 +291,19 @@ pub struct MoveExtent {
 }
 
 impl MoveExtent {
+    /// What `window` needs, in closed form: exactly [`MoveExtent::of`]
+    /// its [`strided_units`], but for a typed end reaching below its
+    /// base, which needs `u64::MAX` — more than any allocation holds,
+    /// as the list's wrapped offset is.
+    pub fn of_window(window: &StridedWindow) -> MoveExtent {
+        let (src_need, dst_need) = window.needs();
+        MoveExtent {
+            src_need,
+            dst_need,
+            bytes: window.bytes(),
+        }
+    }
+
     pub fn of(ops: &[CopyOp]) -> MoveExtent {
         // An end that would wrap saturates: more than any allocation
         // holds.
@@ -322,13 +345,14 @@ impl MoveList {
     }
 }
 
-/// One entry of [`Memory::transfer_batch`]: a segment list between two
-/// base pointers, with the extent it needs of them.
+/// One entry of [`Memory::transfer_batch`]: segments between two base
+/// pointers — listed, or a strided window — with the extent they need
+/// of them.
 #[derive(Clone, Copy, Debug)]
 pub struct Move<'a> {
     pub src: Ptr,
     pub dst: Ptr,
-    pub ops: &'a [CopyOp],
+    pub segs: Segs<'a>,
     pub extent: MoveExtent,
     /// Land whole destination cache lines with streaming stores
     /// ([`SegList::stream`]): for a destination nothing reads back soon.
@@ -338,6 +362,18 @@ pub struct Move<'a> {
 }
 
 impl<'a> Move<'a> {
+    /// A strided window between `src` (its base, for a pack) and `dst`,
+    /// with its closed-form extent.
+    pub fn window(src: Ptr, dst: Ptr, window: StridedWindow, stream: bool) -> Move<'static> {
+        Move {
+            src,
+            dst,
+            segs: Segs::Strided(window),
+            extent: MoveExtent::of_window(&window),
+            stream,
+        }
+    }
+
     /// The entry as the copy layer takes it: offsets relative to the two
     /// allocations' first bytes, windows as wide as the extent.
     fn seg_list(&self) -> SegList<'a> {
@@ -347,7 +383,7 @@ impl<'a> Move<'a> {
             dst_at: self.dst.offset as usize,
             dst_len: self.extent.dst_need as usize,
             bytes: self.extent.bytes as usize,
-            ops: self.ops,
+            segs: self.segs,
             stream: self.stream,
         }
     }
@@ -485,7 +521,7 @@ impl Memory {
         let entry = Move {
             src,
             dst,
-            ops,
+            segs: Segs::List(ops),
             extent,
             stream: false,
         };
@@ -527,7 +563,7 @@ impl Memory {
                     (self.pool_mut(src.space)).transfer_within(
                         m.src,
                         m.dst,
-                        m.ops,
+                        m.segs,
                         m.extent.bytes,
                     )?;
                 }
@@ -916,7 +952,7 @@ mod tests {
             .map(|&(s, d, s_at, d_at, l)| Move {
                 src: b[s].add(s_at),
                 dst: b[d].add(d_at),
-                ops: &lists[l],
+                segs: Segs::List(&lists[l]),
                 extent: MoveExtent::of(&lists[l]),
                 stream: l % 2 == 0,
             })
@@ -947,7 +983,7 @@ mod tests {
                 let entry = |src, dst, ops| Move {
                     src,
                     dst,
-                    ops,
+                    segs: Segs::List(ops),
                     extent: MoveExtent::of(ops),
                     stream: true,
                 };

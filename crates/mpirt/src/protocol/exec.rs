@@ -19,10 +19,12 @@
 //! conversion charge hands its unit list back, the fragment carries
 //! them, and [`landed`] resolves the fragment's one move, source buffer
 //! → destination buffer: a typed end's own list against a dense end's
-//! window, or the merge of the two lists ([`devengine::merge_units`])
-//! when both ends are typed — an offload plan's connection holds its
-//! whole message's merge already. The packed stream is an index, never
-//! memory. The move is range-checked and accounted at the landing
+//! window — or, a strided GPU end, the [`StridedWindow`] its kernel
+//! converts, which no list ever spells out — or the merge of the two
+//! lists ([`devengine::merge_units`]) when both ends are typed — an
+//! offload plan's connection holds its whole message's merge already.
+//! The packed stream is an index, never memory. The move is
+//! range-checked and accounted at the landing
 //! instant and appended to the transfer's queue; [`flush`] hands the
 //! queue to [`memsim::Memory::transfer_batch`] as one job the copy pool
 //! can split — when the last fragment lands (before either request
@@ -66,7 +68,7 @@ use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
 use memsim::{AllocId, MemSpace, Move, MoveExtent, MoveList, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts, NicProgram};
-use simcore::par::CopyOp;
+use simcore::par::{CopyOp, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Sim, SpanId, Track};
@@ -283,6 +285,16 @@ impl Engines {
             _ => None,
         }
     }
+
+    /// A lone strided end's packed range `from..to` as the window its
+    /// kernel converts: the fragment's whole move, so the end lends no
+    /// unit buffer. Two typed ends merge lists, so neither is one.
+    fn window(&self, end: End, from: u64, to: u64) -> Option<StridedWindow> {
+        match self {
+            Engines::One(e, engine) if *e == end => engine.window(from, to),
+            _ => None,
+        }
+    }
 }
 
 /// State of one transfer in flight. The transfer comes last: its
@@ -363,7 +375,7 @@ impl Queued {
         Move {
             src: self.src,
             dst: self.dst,
-            ops: self.list.ops(),
+            segs: self.list.segs(),
             extent: self.extent,
             stream: self.stream,
         }
@@ -376,16 +388,29 @@ enum QueuedList {
     Pinned(Rc<MoveList>),
     /// A lone typed end's own list, in a unit buffer.
     Owned(Vec<CopyOp>),
+    /// A lone strided end: its kernel's window, unlisted.
+    Strided(StridedWindow),
     /// Two dense ends: the fragment's window, one op.
     Window([CopyOp; 1]),
 }
 
 impl QueuedList {
-    fn ops(&self) -> &[CopyOp] {
+    fn segs(&self) -> Segs<'_> {
         match self {
-            QueuedList::Pinned(list) => list.ops(),
-            QueuedList::Owned(units) => units,
-            QueuedList::Window(op) => op,
+            QueuedList::Pinned(list) => Segs::List(list.ops()),
+            QueuedList::Owned(units) => Segs::List(units),
+            QueuedList::Strided(w) => Segs::Strided(*w),
+            QueuedList::Window(op) => Segs::List(op),
+        }
+    }
+
+    /// What it counts against [`QUEUE_UNITS`]: its list's length, or
+    /// one for a window, which holds no list.
+    fn held_units(&self) -> usize {
+        match self {
+            QueuedList::Pinned(list) => list.ops().len(),
+            QueuedList::Owned(units) => units.len(),
+            QueuedList::Strided(_) | QueuedList::Window(_) => 1,
         }
     }
 }
@@ -637,8 +662,12 @@ fn run_op(
             }
             let due = {
                 let mut x = st.borrow_mut();
-                // The list is read at landing, unless the moves are known.
-                let buf = (f.moves.is_none()).then(|| x.units_buf());
+                // The list is read at landing, unless the moves are known
+                // or the end is a lone strided one, whose window is its
+                // move.
+                let from = seq * x.t.plan.frag;
+                let listed = x.engines.window(end, from, from + f.n).is_none();
+                let buf = (f.moves.is_none() && listed).then(|| x.units_buf());
                 let engine = (x.engines.get(end)).ok_or_else(|| faulted("no conversion engine"))?;
                 // The charge completes in a later event, never within
                 // this call, so the engine is used in place.
@@ -769,8 +798,9 @@ fn graph_replay(
 /// move the queue if `last` or if it cannot wait. An offload plan's two
 /// ends are typed, and its one fragment is the whole message. Otherwise
 /// an end that runs no conversion is dense and its window of the user
-/// buffer *is* the fragment, so a lone typed end's list applies as it
-/// stands; two typed ends meet through their [`typed_moves`]. The queue
+/// buffer *is* the fragment, so a lone typed end's list — or a strided
+/// end's window, whose extent is closed form — applies as it stands;
+/// two typed ends meet through their [`typed_moves`]. The queue
 /// cannot wait when it holds [`QUEUE_UNITS`], or when the two buffers
 /// share an allocation — a later fragment's source may be this one's
 /// destination, so such a transfer gathers-then-scatters fragment by
@@ -802,10 +832,18 @@ fn queue_fragment(
         }
     };
     let ((s_typed, src), (r_typed, dst)) = (base(End::Send)?, base(End::Recv)?);
+    let lone = |end: End, units: &mut Vec<CopyOp>| {
+        let from = f.seq * st.borrow().t.plan.frag;
+        let window = st.borrow().engines.window(end, from, from + f.n);
+        window.map_or_else(
+            || QueuedList::Owned(std::mem::take(units)),
+            QueuedList::Strided,
+        )
+    };
     let list = match (s_typed, r_typed) {
         (true, true) => QueuedList::Pinned(typed_moves(sim, st, f)?),
-        (true, false) => QueuedList::Owned(std::mem::take(&mut f.s_units)),
-        (false, true) => QueuedList::Owned(std::mem::take(&mut f.r_units)),
+        (true, false) => lone(End::Send, &mut f.s_units),
+        (false, true) => lone(End::Recv, &mut f.r_units),
         (false, false) => QueuedList::Window([CopyOp {
             src_off: 0,
             dst_off: 0,
@@ -814,7 +852,9 @@ fn queue_fragment(
     };
     let extent = match &list {
         QueuedList::Pinned(known) => known.extent(),
-        other => MoveExtent::of(other.ops()),
+        QueuedList::Strided(w) => MoveExtent::of_window(w),
+        QueuedList::Owned(units) => MoveExtent::of(units),
+        QueuedList::Window(op) => MoveExtent::of(op),
     };
     let q = Queued {
         src,
@@ -830,7 +870,7 @@ fn queue_fragment(
         let (queued, alone) =
             (x.pipe.as_ref()).map_or((0, true), |p| (p.queued_units, p.queue.is_empty()));
         let due =
-            last || queued + q.list.ops().len() >= QUEUE_UNITS || src.distance_to(dst).is_some();
+            last || queued + q.list.held_units() >= QUEUE_UNITS || src.distance_to(dst).is_some();
         (due, alone)
     };
     if due && alone {
@@ -843,7 +883,7 @@ fn queue_fragment(
     {
         let mut x = st.borrow_mut();
         let p = x.pipe();
-        p.queued_units += q.list.ops().len();
+        p.queued_units += q.list.held_units();
         p.queue.push(q);
     }
     if due {

@@ -37,7 +37,7 @@ use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
 use devengine::{Direction, FragmentEngine, LayoutKey};
 use memsim::Ptr;
-use simcore::par::CopyOp;
+use simcore::par::{CopyOp, StridedWindow};
 use simcore::Sim;
 
 /// One endpoint of a transfer.
@@ -132,6 +132,15 @@ impl SideEngine {
             }
             SideEngine::Cpu(eng) => eng.charge_fragment(sim, n, units, |sim, _, u| done(sim, u)),
             SideEngine::Runs(eng) => eng.charge_fragment(sim, frag, units, done),
+        }
+    }
+
+    /// A strided GPU end's packed range `from..to` as the window its
+    /// kernel converts; `None` for an engine that lists its units.
+    pub(crate) fn window(&self, from: u64, to: u64) -> Option<StridedWindow> {
+        match self {
+            SideEngine::Gpu(eng) => eng.window(from, to),
+            SideEngine::Cpu(_) | SideEngine::Runs(_) => None,
         }
     }
 

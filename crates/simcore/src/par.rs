@@ -8,8 +8,9 @@
 //! shape of work:
 //!
 //! * [`par_transfer_batch`] — a run of segment lists ([`SegList`]: a
-//!   DEV work-unit list with the window of each buffer its offsets are
-//!   relative to), copied as one job;
+//!   DEV work-unit list, or a [`StridedWindow`] that computes its
+//!   segments, with the window of each buffer its offsets are relative
+//!   to), copied as one job;
 //! * [`par_transfer`] / [`par_transfer_total`] — its one-list case;
 //! * [`par_copy`] — its one-list, one-segment case.
 //!
@@ -29,7 +30,8 @@
 //! (validated, `1..=64`); the choice is logged once at initialization.
 //!
 //! Safety relies on every segment lying inside its two buffers, which is
-//! asserted — overflow-proof, per segment, before a byte moves — and on
+//! asserted — overflow-proof, per segment of a list and in closed form
+//! on a strided window's extreme blocks, before a byte moves — and on
 //! the segments being disjoint **in the destination**, which the
 //! datatype engine guarantees by construction (a pack writes each packed
 //! byte exactly once); debug builds verify it across the whole batch.
@@ -49,6 +51,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::OnceLock;
 
+mod strided;
+pub use strided::{strided_units, Grid, Segments, Strided2D, StridedWindow};
+
 /// One segment move, offsets relative to the source/destination slices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CopyOp {
@@ -57,7 +62,44 @@ pub struct CopyOp {
     pub len: usize,
 }
 
-/// One segment list of a batch: `ops` whose offsets are relative to
+/// The segments of a [`SegList`]: listed, or computed by a strided
+/// window block by block.
+#[derive(Clone, Copy, Debug)]
+pub enum Segs<'a> {
+    List(&'a [CopyOp]),
+    Strided(StridedWindow),
+}
+
+impl Segs<'_> {
+    /// How many segments.
+    fn len(&self) -> usize {
+        match self {
+            Segs::List(ops) => ops.len(),
+            Segs::Strided(w) => w.segments() as usize,
+        }
+    }
+
+    /// Segment `k`, if there is one.
+    fn get(&self, k: usize) -> Option<CopyOp> {
+        match self {
+            Segs::List(ops) => ops.get(k).copied(),
+            Segs::Strided(w) => (k < self.len()).then(|| w.segments_from(k as u64).next())?,
+        }
+    }
+
+    /// Every segment, in order.
+    fn iter(&self) -> impl Iterator<Item = CopyOp> + '_ {
+        let (list, window) = match self {
+            Segs::List(ops) => (Some(ops.iter().copied()), None),
+            Segs::Strided(w) => (None, Some(w.segments_from(0))),
+        };
+        list.into_iter()
+            .flatten()
+            .chain(window.into_iter().flatten())
+    }
+}
+
+/// One segment list of a batch: `segs` whose offsets are relative to
 /// `src[src_at..]` / `dst[dst_at..]` and may reach `src_len` /
 /// `dst_len` bytes past those points — every segment is checked against
 /// that window, and the window against the buffer.
@@ -71,7 +113,7 @@ pub struct SegList<'a> {
     /// split (debug builds check it); a wrong sum costs balance, never
     /// coverage.
     pub bytes: usize,
-    pub ops: &'a [CopyOp],
+    pub segs: Segs<'a>,
     /// Land the whole destination cache lines of a coarse list with
     /// non-temporal stores ([`copy_ops_stream`]): for a destination
     /// nothing reads back soon, so a store need not first fetch the
@@ -88,7 +130,7 @@ impl<'a> SegList<'a> {
             dst_at: 0,
             dst_len: dst.len(),
             bytes,
-            ops,
+            segs: Segs::List(ops),
             stream: false,
         }
     }
@@ -319,7 +361,7 @@ fn partition(lists: &[SegList<'_>], n: usize, cuts: &mut [Cut; MAX_POOL_THREADS 
         while let Some(l) = lists.get(at.list) {
             if at.op == 0 && seen + l.bytes <= target {
                 (at.list, seen) = (at.list + 1, seen + l.bytes);
-            } else if let Some(o) = l.ops.get(at.op) {
+            } else if let Some(o) = l.segs.get(at.op) {
                 at.byte = round_up_cache_line(target.saturating_sub(seen));
                 if at.byte < o.len {
                     break;
@@ -364,39 +406,36 @@ unsafe fn copy_span(dst: *mut u8, src: *const u8, lists: &[SegList<'_>], from: C
         let (end, tail) = if li == to.list {
             (to.op, to.byte)
         } else {
-            (l.ops.len(), 0)
+            (l.segs.len(), 0)
         };
-        // The part `a..b` of a segment a cut falls in, as a segment.
-        let part = |o: CopyOp, a: usize, b: usize| {
+        // The part `a..b` of the segment a cut falls in, as a segment.
+        let part = |k: usize, a: usize, b: Option<usize>| {
+            let o = l.segs.get(k).expect("a cut lies inside a segment");
             [CopyOp {
                 src_off: o.src_off + a,
                 dst_off: o.dst_off + a,
-                len: b - a,
+                len: b.unwrap_or(o.len) - a,
             }]
         };
         let stream = takes_stream_loop(l);
         streamed |= stream;
-        let copy: SegLoop = if stream {
-            copy_ops_stream
-        } else {
-            copy_ops_raw
-        };
+        let how = if stream { Loop::Stream } else { Loop::Tier };
         // SAFETY: the caller's contract — the list's windows and every
         // segment in them are in bounds, and a cut lies inside its
         // segment, so each part is too.
         unsafe {
             let (s, d) = (src.add(l.src_at), dst.add(l.dst_at));
             if byte > 0 {
-                let stop = if op == end { tail } else { l.ops[op].len };
-                copy(d, s, &part(l.ops[op], byte, stop));
+                let stop = (op == end).then_some(tail);
+                run_loop(how, d, s, part(op, byte, stop));
                 if op == end {
                     continue;
                 }
                 op += 1;
             }
-            copy(d, s, &l.ops[op..end]);
+            copy_range(how, d, s, &l.segs, op..end);
             if tail > 0 {
-                copy(d, s, &part(l.ops[end], 0, tail));
+                run_loop(how, d, s, part(end, 0, Some(tail)));
             }
         }
     }
@@ -487,16 +526,79 @@ unsafe fn copy_segment(src: *const u8, dst: *mut u8, len: usize) {
 
 /// Raw-pointer segment copies (bounds already validated by the caller).
 /// The tiers of [`copy_segment`] inline into this loop.
-unsafe fn copy_ops_raw(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
-    for o in ops {
+unsafe fn copy_ops_raw(dst: *mut u8, src: *const u8, ops: impl IntoIterator<Item = CopyOp>) {
+    ops.into_iter().for_each(|o| {
         // SAFETY: bounds validated by the caller; destinations disjoint.
         unsafe { copy_segment(src.add(o.src_off), dst.add(o.dst_off), o.len) };
+    });
+}
+
+/// A single-thread segment loop: [`copy_ops_raw`], [`copy_ops_stream`]
+/// or [`copy_ops_masked`]. Each takes its segments as an iterator and
+/// drives it with `for_each`, so a list and a strided window run the
+/// same loop body — a window through its 2-D loop
+/// ([`Segments`]' `fold`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Loop {
+    Tier,
+    Stream,
+    Masked,
+}
+
+/// Run `segs` through the loop `how` names.
+///
+/// # Safety
+/// [`copy_ops_raw`]'s contract, and [`Loop::Masked`] only where
+/// [`masked_copy_available`].
+#[inline]
+unsafe fn run_loop(
+    how: Loop,
+    dst: *mut u8,
+    src: *const u8,
+    segs: impl IntoIterator<Item = CopyOp>,
+) {
+    // SAFETY: the caller's contract.
+    unsafe {
+        match how {
+            Loop::Tier => copy_ops_raw(dst, src, segs),
+            Loop::Stream => copy_ops_stream(dst, src, segs),
+            #[cfg(target_arch = "x86_64")]
+            Loop::Masked => copy_ops_masked(dst, src, segs),
+            #[cfg(not(target_arch = "x86_64"))]
+            Loop::Masked => copy_ops_raw(dst, src, segs),
+        }
     }
 }
 
-/// A single-thread segment loop: [`copy_ops_raw`], [`copy_ops_masked`]
-/// or [`copy_ops_stream`].
-type SegLoop = unsafe fn(*mut u8, *const u8, &[CopyOp]);
+/// Run segments `range` of `segs` through the loop `how` names: a
+/// slice of a list, or a strided window's blocks stepped from the
+/// range's first.
+///
+/// # Safety
+/// [`run_loop`]'s.
+unsafe fn copy_range(
+    how: Loop,
+    dst: *mut u8,
+    src: *const u8,
+    segs: &Segs<'_>,
+    range: std::ops::Range<usize>,
+) {
+    // SAFETY: the caller's contract.
+    unsafe {
+        match segs {
+            Segs::List(ops) => run_loop(how, dst, src, ops[range].iter().copied()),
+            // A whole window keeps its 2-D loop; a lane's stretch of one
+            // steps block by block.
+            Segs::Strided(w) if range == (0..segs.len()) => {
+                run_loop(how, dst, src, w.segments_from(0))
+            }
+            Segs::Strided(w) => {
+                let blocks = w.segments_from(range.start as u64);
+                run_loop(how, dst, src, blocks.take(range.len()))
+            }
+        }
+    }
+}
 
 /// Whether this build has [`copy_ops_stream`]. SSE2, and with it the
 /// non-temporal 16-byte store, is baseline on x86_64, so no detection
@@ -517,9 +619,9 @@ const STREAM_LOOP: bool = cfg!(all(target_arch = "x86_64", not(miri)));
 /// # Safety
 /// [`copy_ops_raw`]'s contract.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-unsafe fn copy_ops_stream(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
+unsafe fn copy_ops_stream(dst: *mut u8, src: *const u8, ops: impl IntoIterator<Item = CopyOp>) {
     use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_stream_si128};
-    for o in ops {
+    ops.into_iter().for_each(|o| {
         // SAFETY: bounds validated by the caller; destinations disjoint.
         // `head + lines · 64 + rest == len`, so every access stays in
         // the segment; each streamed store is 16-byte aligned, since
@@ -539,7 +641,7 @@ unsafe fn copy_ops_stream(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
             }
             copy_segment(s, d, o.len - head - lines * CACHE_LINE);
         }
-    }
+    });
 }
 
 /// Where the build has no stream loop the tier loop stands in for it
@@ -599,9 +701,9 @@ fn masked_copy_available() -> bool {
 /// `avx512bw` and `bmi2` ([`masked_copy_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,bmi2")]
-unsafe fn copy_ops_masked(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
+unsafe fn copy_ops_masked(dst: *mut u8, src: *const u8, ops: impl IntoIterator<Item = CopyOp>) {
     use std::arch::x86_64::{_bzhi_u64, _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi8};
-    for o in ops {
+    ops.into_iter().for_each(|o| {
         // SAFETY: bounds validated by the caller; destinations disjoint.
         // The mask holds lanes `0..len` (`bzhi` of 64 or more keeps all
         // 64), so the load reads and the store writes exactly the
@@ -620,13 +722,13 @@ unsafe fn copy_ops_masked(dst: *mut u8, src: *const u8, ops: &[CopyOp]) {
                 copy_segment(s, d, o.len);
             }
         }
-    }
+    });
 }
 
 /// Whether `l` is fine-grained: its mean segment is under
 /// [`CHUNKED_COPY_MAX`].
 fn is_fine(l: &SegList<'_>) -> bool {
-    l.bytes / CHUNKED_COPY_MAX < l.ops.len()
+    l.bytes / CHUNKED_COPY_MAX < l.segs.len()
 }
 
 /// Whether the one-lane path moves `l` through the masked loop: the list
@@ -648,11 +750,13 @@ pub fn par_copy(dst: &mut [u8], src: &[u8]) {
     par_transfer_total(dst, src, &whole, dst.len());
 }
 
+/// Debug builds: no two segments of the batch — a strided window's
+/// expanded — write one destination byte.
 #[cfg(debug_assertions)]
 fn assert_dst_disjoint(lists: &[SegList<'_>]) {
     let mut spans: Vec<(usize, usize)> = lists
         .iter()
-        .flat_map(|l| l.ops.iter().map(|o| (l.dst_at + o.dst_off, o.len)))
+        .flat_map(|l| l.segs.iter().map(|o| (l.dst_at + o.dst_off, o.len)))
         .filter(|&(_, len)| len > 0)
         .map(|(at, len)| (at, at + len))
         .collect();
@@ -672,7 +776,10 @@ fn assert_dst_disjoint(lists: &[SegList<'_>]) {
 /// profile has overflow checks off, and a wrapped `off + len` passed
 /// `<=` and read the bytes *before* the buffer. A sum that saturates
 /// exceeds any window that fits a slice, and the windows are checked
-/// against the slices first.
+/// against the slices first. A strided window is checked on its extreme
+/// blocks ([`StridedWindow::needs`]), which holds exactly when every
+/// block would pass: a block reaching below its base needs more than any
+/// window holds, as a listed block's wrapped offset does.
 fn assert_in_bounds(dst: &[u8], src: &[u8], lists: &[SegList<'_>]) {
     let fits = |at: usize, len: usize, room: usize| at.saturating_add(len) <= room;
     for l in lists {
@@ -686,7 +793,20 @@ fn assert_in_bounds(dst: &[u8], src: &[u8], lists: &[SegList<'_>]) {
             l.dst_len,
             dst.len()
         );
-        for o in l.ops {
+        let ops = match l.segs {
+            Segs::List(ops) => ops,
+            Segs::Strided(w) => {
+                let (src_need, dst_need) = w.needs();
+                assert!(
+                    src_need <= l.src_len as u64 && dst_need <= l.dst_len as u64,
+                    "strided window out of bounds: needs {src_need} / {dst_need} of {} / {}: {w:?}",
+                    l.src_len,
+                    l.dst_len
+                );
+                continue;
+            }
+        };
+        for o in ops {
             assert!(
                 fits(o.src_off, o.len, l.src_len),
                 "source segment out of bounds: {o:?} vs len {}",
@@ -734,7 +854,7 @@ pub fn par_transfer_total(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usi
 pub fn par_transfer_batch(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>]) {
     let (bytes, segments) = lists
         .iter()
-        .fold((0, 0), |(b, s), l| (b + l.bytes, s + l.ops.len()));
+        .fold((0, 0), |(b, s), l| (b + l.bytes, s + l.segs.len()));
     transfer_with(dst, src, lists, lanes_for(bytes, segments));
 }
 
@@ -744,7 +864,7 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
     assert_dst_disjoint(lists);
     debug_assert!(lists
         .iter()
-        .all(|l| l.bytes == l.ops.iter().map(|o| o.len).sum::<usize>()));
+        .all(|l| l.bytes == l.segs.iter().map(|o| o.len).sum::<usize>()));
     if n > 1 {
         let mut cuts = [Cut::default(); MAX_POOL_THREADS + 1];
         let lanes = partition(lists, n, &mut cuts);
@@ -762,19 +882,15 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
         // features.
         unsafe {
             let (d, s) = (dst.add(l.dst_at), src.add(l.src_at));
-            if takes_stream_loop(l) {
-                copy_ops_stream(d, s, l.ops);
+            let how = if takes_stream_loop(l) {
                 streamed = true;
-                continue;
-            }
-            if takes_masked_loop(l) {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    copy_ops_masked(d, s, l.ops);
-                    continue;
-                }
-            }
-            copy_ops_raw(d, s, l.ops);
+                Loop::Stream
+            } else if takes_masked_loop(l) {
+                Loop::Masked
+            } else {
+                Loop::Tier
+            };
+            copy_range(how, d, s, &l.segs, 0..l.segs.len());
         }
     }
     fence_streamed(streamed);
@@ -789,6 +905,13 @@ mod tests {
             src_off,
             dst_off,
             len,
+        }
+    }
+
+    fn ops_of<'a>(l: &SegList<'a>) -> &'a [CopyOp] {
+        match l.segs {
+            Segs::List(ops) => ops,
+            Segs::Strided(_) => panic!("a listed batch"),
         }
     }
 
@@ -887,7 +1010,8 @@ mod tests {
             assert!(w[0] < w[1] || lanes == 1, "cuts must ascend: {cuts:?}");
         }
         for c in &cuts[1..lanes] {
-            assert!(c.byte < lists[c.list].ops[c.op].len, "cut outside its op");
+            let cut = lists[c.list].segs.get(c.op).expect("a cut names a segment");
+            assert!(c.byte < cut.len, "cut outside its op");
             assert_eq!(c.byte % CACHE_LINE, 0, "interior split unaligned");
         }
         for w in cuts.windows(2) {
@@ -936,7 +1060,7 @@ mod tests {
             dst_at,
             dst_len: bytes,
             bytes,
-            ops,
+            segs: Segs::List(ops),
             stream: false,
         };
         let lists = [
@@ -947,7 +1071,7 @@ mod tests {
         let mut want = vec![0u8; f + h + c];
         for l in &lists {
             let (d, s) = (&mut want[l.dst_at..], &src[l.src_at..]);
-            par_transfer(d, s, l.ops);
+            par_transfer(d, s, ops_of(l));
         }
         let mut seen = [false; 2]; // a boundary inside a list / inside the huge op
         for n in 1..=64usize {
@@ -1108,7 +1232,7 @@ mod tests {
                 dst_at,
                 dst_len,
                 bytes: 16,
-                ops,
+                segs: Segs::List(ops),
                 stream: false,
             }
         }
@@ -1174,7 +1298,7 @@ mod tests {
             dst_at,
             dst_len: 8,
             bytes: 8,
-            ops: &ops,
+            segs: Segs::List(&ops),
             stream: false,
         };
         par_transfer_batch(&mut dst, &src, &[list(0), list(4)]);
@@ -1233,16 +1357,16 @@ mod tests {
     /// The tier loop, the stream loop where the build has it, and the
     /// masked loop where this CPU has it (saying so when either is
     /// missing; under Miri both are).
-    fn segment_loops() -> Vec<(&'static str, SegLoop)> {
-        let mut loops: Vec<(&'static str, SegLoop)> = vec![("tier", copy_ops_raw)];
+    fn segment_loops() -> Vec<(&'static str, Loop)> {
+        let mut loops = vec![("tier", Loop::Tier)];
         if STREAM_LOOP {
-            loops.push(("stream", copy_ops_stream));
+            loops.push(("stream", Loop::Stream));
         } else {
             eprintln!("stream segment loop skipped: not built for this target (or under Miri)");
         }
         #[cfg(target_arch = "x86_64")]
         if masked_copy_available() {
-            loops.push(("masked", copy_ops_masked));
+            loops.push(("masked", Loop::Masked));
         }
         if !loops.iter().any(|&(name, _)| name == "masked") {
             eprintln!("masked segment loop skipped: the CPU lacks avx512f, avx512bw or bmi2");
@@ -1296,7 +1420,14 @@ mod tests {
                         // `dst[d0..]`, destinations are disjoint, and the
                         // masked loop is in `loops` only where the CPU
                         // has its features.
-                        unsafe { copy(dst.as_mut_ptr().add(d0), src.as_ptr(), &ops) };
+                        unsafe {
+                            run_loop(
+                                copy,
+                                dst.as_mut_ptr().add(d0),
+                                src.as_ptr(),
+                                ops.iter().copied(),
+                            )
+                        };
                         fence_streamed(name == "stream");
                         assert!(
                             dst == want,
@@ -1335,7 +1466,7 @@ mod tests {
             dst_at,
             dst_len,
             bytes,
-            ops,
+            segs: Segs::List(ops),
             stream: false,
         };
         let plain = [
@@ -1349,7 +1480,7 @@ mod tests {
         // The sequential reference: one bounds-checked slice copy per op.
         let mut want = vec![0u8; b + c + f_dst];
         for l in &plain {
-            for o in l.ops {
+            for o in ops_of(l) {
                 let (s, d) = (l.src_at + o.src_off, l.dst_at + o.dst_off);
                 want[d..d + o.len].copy_from_slice(&src[s..s + o.len]);
             }
@@ -1408,6 +1539,169 @@ mod tests {
             stream: false,
             ..coarse
         }));
+    }
+
+    /// Batches of strided windows — consecutive fragments of one
+    /// transfer, packed and unpacked, a transpose-like 2-D shape and a
+    /// vector with a negative stride — move what their expanded lists
+    /// move, in the reference order, at every lane count, wherever a
+    /// lane boundary cuts (inside a block, between windows), with and
+    /// without streaming stores.
+    #[test]
+    fn a_batch_of_windows_moves_what_its_lists_move_wherever_the_lanes_cut() {
+        let interleaved = Strided2D {
+            outer: 6,
+            inner: 9,
+            block_bytes: 200,
+            inner_stride: 1300,
+            outer_stride: 208,
+            first_disp: 0,
+        };
+        let vector = Strided2D {
+            outer: 1,
+            inner: u64::MAX,
+            block_bytes: 300,
+            inner_stride: -500,
+            outer_stride: 0,
+            first_disp: 0,
+        };
+        let mut rng = crate::rng::rng(0x1a4e5);
+        for (shape, base_shift, total) in
+            [(interleaved, 0, 6 * 9 * 200), (vector, -500 * 39, 40 * 300)]
+        {
+            let whole = StridedWindow {
+                shape,
+                base_shift,
+                from: 0,
+                to: total,
+                unpack: false,
+            };
+            let typed_len = whole.needs().0 as usize;
+            let src_bytes: Vec<u8> = (0..typed_len.max(total as usize))
+                .map(|i| (i % 241) as u8 + 1)
+                .collect();
+            let mut cuts = vec![0, total, 100, 7 * 200 + 50];
+            cuts.extend((0..5).map(|_| rng.range_u64(0, total)));
+            cuts.sort_unstable();
+            cuts.dedup();
+            for unpack in [false, true] {
+                let windows: Vec<StridedWindow> = (cuts.windows(2))
+                    .map(|c| StridedWindow {
+                        shape,
+                        base_shift,
+                        from: c[0],
+                        to: c[1],
+                        unpack,
+                    })
+                    .collect();
+                let expanded: Vec<Vec<CopyOp>> = (windows.iter())
+                    .map(|w| {
+                        let mut units = Vec::new();
+                        strided_units(w, &mut units);
+                        units
+                    })
+                    .collect();
+                let dst_len = if unpack { typed_len } else { total as usize };
+                // Each window's packed side sits at its own offset.
+                let entry = |w: &StridedWindow, segs| {
+                    let (src_at, dst_at) = if unpack {
+                        (w.from as usize, 0)
+                    } else {
+                        (0, w.from as usize)
+                    };
+                    SegList {
+                        src_at,
+                        src_len: src_bytes.len() - src_at,
+                        dst_at,
+                        dst_len: dst_len - dst_at,
+                        bytes: w.bytes() as usize,
+                        segs,
+                        stream: false,
+                    }
+                };
+                let mut want = vec![0u8; dst_len];
+                for (w, units) in windows.iter().zip(&expanded) {
+                    let l = entry(w, Segs::List(units));
+                    for o in units {
+                        let (s, d) = (l.src_at + o.src_off, l.dst_at + o.dst_off);
+                        want[d..d + o.len].copy_from_slice(&src_bytes[s..s + o.len]);
+                    }
+                }
+                for stream in [false, true] {
+                    let lists: Vec<SegList<'_>> = (windows.iter())
+                        .map(|w| SegList {
+                            stream,
+                            ..entry(w, Segs::Strided(*w))
+                        })
+                        .collect();
+                    let mut dst = vec![0u8; dst_len];
+                    par_transfer_batch(&mut dst, &src_bytes, &lists);
+                    assert!(dst == want, "unpack {unpack} stream {stream}: lane rule");
+                    for n in 1..=8usize {
+                        dst.fill(0);
+                        run_split(&mut dst, &src_bytes, &lists, n);
+                        assert!(dst == want, "unpack {unpack} stream {stream} n={n}: split");
+                        dst.fill(0);
+                        transfer_with(&mut dst, &src_bytes, &lists, n.min(pool_info().threads));
+                        assert!(dst == want, "unpack {unpack} stream {stream} n={n}: pooled");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A window one byte past either of its list's windows, or reaching
+    /// below its typed base, panics before a byte moves — as its
+    /// expanded list does.
+    #[test]
+    fn a_window_out_of_bounds_panics_like_its_list() {
+        let shape = Strided2D {
+            outer: 3,
+            inner: 4,
+            block_bytes: 24,
+            inner_stride: -40,
+            outer_stride: 200,
+            first_disp: 120,
+        };
+        for unpack in [false, true] {
+            let w = StridedWindow {
+                shape,
+                base_shift: 0,
+                from: 5,
+                to: 3 * 4 * 24 - 7,
+                unpack,
+            };
+            let mut units = Vec::new();
+            strided_units(&w, &mut units);
+            let (src_need, dst_need) = w.needs();
+            let src = vec![1u8; 1024];
+            for (src_len, dst_len, base_shift) in [
+                (src_need - 1, dst_need, 0),
+                (src_need, dst_need - 1, 0),
+                (src_need, dst_need, 1),
+                (src_need, dst_need, 0),
+            ] {
+                let w = StridedWindow { base_shift, ..w };
+                let mut listed = Vec::new();
+                strided_units(&w, &mut listed);
+                let fits = src_len == src_need && dst_len == dst_need && base_shift == 0;
+                for segs in [Segs::Strided(w), Segs::List(&listed)] {
+                    let l = SegList {
+                        src_at: 0,
+                        src_len: src_len as usize,
+                        dst_at: 0,
+                        dst_len: dst_len as usize,
+                        bytes: w.bytes() as usize,
+                        segs,
+                        stream: false,
+                    };
+                    let mut dst = vec![0u8; 1024];
+                    let moved = !panics(|| par_transfer_batch(&mut dst, &src, &[l]));
+                    assert_eq!(moved, fits, "{segs:?} in {src_len} / {dst_len}");
+                    assert_eq!(dst.iter().any(|&b| b != 0), fits, "{segs:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -423,19 +423,34 @@ fn a_transfer_failing_after_k_fragments_shows_exactly_those_k() {
     }
 }
 
+/// Single doubles at irregular gaps of one to three doubles: no stride
+/// describes them, so the kernel converts them from a unit list.
+fn scattered_doubles(blocks: u64) -> DataType {
+    let mut rng = simcore::rng::rng(blocks);
+    let mut at = 0i64;
+    let disps: Vec<i64> = (0..blocks)
+        .map(|_| {
+            at += 2 + rng.range_u64(0, 3) as i64;
+            at
+        })
+        .collect();
+    let lens = vec![1; blocks as usize];
+    DataType::indexed(&lens, &disps, &DataType::double())
+        .unwrap()
+        .commit()
+}
+
 /// A lone typed end queues its own unit lists, and the queue moves
-/// early once it holds too many units: a strided vector of single
-/// doubles — 512 units per fragment, thousands of fragments — is moved
-/// in batches of dozens of fragments, not one batch and not one per
-/// fragment, equals the reference, and takes no more fresh unit
-/// buffers when it is twice as long.
+/// early once it holds too many units: single doubles at irregular gaps
+/// — 512 units per fragment, thousands of fragments — are moved in
+/// batches of dozens of fragments, not one batch and not one per
+/// fragment, equal the reference, and take no more fresh unit buffers
+/// when they are twice as long.
 #[test]
 fn a_long_fine_transfer_flushes_by_unit_budget_and_reuses_its_buffers() {
     let mut fresh = Vec::new();
     for blocks in [600u64 << 10, 1200 << 10] {
-        let s_ty = DataType::vector(blocks, 1, 2, &DataType::double())
-            .unwrap()
-            .commit();
+        let s_ty = scattered_doubles(blocks);
         let nfrags = s_ty.size().div_ceil(FRAG);
         let r_ty = dense(s_ty.size());
         let mut sess = session(Path::SmIpc, 4, FaultPlan::empty());
