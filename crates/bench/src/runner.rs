@@ -109,7 +109,7 @@ impl BenchOpts {
 /// run's tracer alongside. Build sims through [`Session`] (threading the
 /// arch into the builder) and return `session.into_trace()` so the
 /// tracer always comes back, recorded or not.
-pub type Eval = Box<dyn Fn(u64, &'static GpuArch, bool) -> (f64, Tracer)>;
+pub(crate) type Eval = Box<dyn Fn(u64, &'static GpuArch, bool) -> (f64, Tracer)>;
 
 /// A figure: an x-axis sweep over named series.
 pub struct Sweep {

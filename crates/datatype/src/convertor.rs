@@ -324,7 +324,7 @@ impl Convertor {
     /// the datatype describes; `base` is the byte index in `typed` that
     /// corresponds to displacement 0 (so negative lower bounds work).
     /// Returns the number of bytes produced.
-    pub fn pack_into(&mut self, typed: &[u8], base: i64, out: &mut [u8]) -> usize {
+    pub(crate) fn pack_into(&mut self, typed: &[u8], base: i64, out: &mut [u8]) -> usize {
         assert_eq!(
             self.kind,
             PackKind::Pack,
@@ -346,7 +346,7 @@ impl Convertor {
 
     /// Unpack up to `inp.len()` bytes from `inp` into the typed memory.
     /// Returns the number of bytes consumed.
-    pub fn unpack_from(&mut self, typed: &mut [u8], base: i64, inp: &[u8]) -> usize {
+    pub(crate) fn unpack_from(&mut self, typed: &mut [u8], base: i64, inp: &[u8]) -> usize {
         assert_eq!(
             self.kind,
             PackKind::Unpack,
@@ -371,14 +371,7 @@ impl Convertor {
     /// is the DEV-generation entry point: the GPU engine calls it
     /// repeatedly to convert the datatype part by part (the paper's
     /// CPU-side pipeline stage). Segments are relative to displacement 0
-    /// and already clipped to the requested byte window.
-    pub fn next_segments(&mut self, max_bytes: u64) -> Vec<(Segment, u64)> {
-        let mut out = Vec::new();
-        self.next_segments_into(max_bytes, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Self::next_segments`]: clears `out`
+    /// and already clipped to the requested byte window. Clears `out`
     /// and fills it, so a caller streaming many batches can reuse one
     /// buffer for the whole conversion.
     pub fn next_segments_into(&mut self, max_bytes: u64, out: &mut Vec<(Segment, u64)>) {
@@ -561,14 +554,15 @@ mod tests {
         let v = DataType::vector(4, 2, 4, &dbl()).unwrap().commit();
         let mut cv = Convertor::new(&v, 1, PackKind::Pack).unwrap();
         // Blocks of 16 bytes; ask for 24: one full + half of next.
-        let segs = cv.next_segments(24);
+        let mut segs = Vec::new();
+        cv.next_segments_into(24, &mut segs);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].0, Segment::new(0, 16));
         assert_eq!(segs[1].0, Segment::new(32, 8));
         assert_eq!(cv.position(), 24);
         // Resume mid-segment.
-        let segs2 = cv.next_segments(1000);
-        assert_eq!(segs2[0].0, Segment::new(40, 8));
+        cv.next_segments_into(1000, &mut segs);
+        assert_eq!(segs[0].0, Segment::new(40, 8));
         assert_eq!(cv.position(), 64);
         assert!(cv.finished());
     }

@@ -15,11 +15,11 @@
 
 pub mod convertor;
 pub mod error;
-pub mod primitive;
+pub(crate) mod primitive;
 pub mod segment;
 pub mod signature;
 pub mod testutil;
-pub mod typ;
+pub(crate) mod typ;
 
 pub use convertor::{Convertor, PackKind};
 pub use error::TypeError;
@@ -29,4 +29,4 @@ pub use signature::Signature;
 /// The shape [`DataType::strided2d_shape`] returns: defined by the copy
 /// layer, which moves a window of it without listing its blocks.
 pub use simcore::par::Strided2D;
-pub use typ::{Combiner, DataType};
+pub use typ::DataType;

@@ -25,7 +25,7 @@ impl Segment {
 /// `contiguous(vector)` composition doesn't shatter into needless
 /// pieces).
 #[derive(Default)]
-pub struct SegmentSink {
+pub(crate) struct SegmentSink {
     pending: Option<Segment>,
     out: Vec<Segment>,
 }

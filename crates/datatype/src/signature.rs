@@ -107,34 +107,8 @@ impl Signature {
     }
 
     /// Total bytes described.
-    pub fn byte_count(&self) -> u64 {
+    pub(crate) fn byte_count(&self) -> u64 {
         self.runs.iter().map(|(p, n)| p.size() * n).sum::<u64>() * self.count
-    }
-
-    /// How many whole primitive elements fit in a `bytes`-long prefix of
-    /// this signature — the semantics of `MPI_Get_elements` for a
-    /// partially filled receive. Returns `None` if `bytes` splits a
-    /// primitive (a malformed message).
-    pub fn elements_in_bytes(&self, bytes: u64) -> Option<u64> {
-        let mut left = bytes;
-        let mut elems = 0u64;
-        for (p, n) in MergedRuns::new(self) {
-            let run_bytes = p.size() * n;
-            if left >= run_bytes {
-                left -= run_bytes;
-                elems += n;
-                continue;
-            }
-            if !left.is_multiple_of(p.size()) {
-                return None;
-            }
-            return Some(elems + left / p.size());
-        }
-        if left == 0 {
-            Some(elems)
-        } else {
-            None // message longer than the signature
-        }
     }
 
     /// Do two signatures describe the same primitive sequence?
@@ -356,20 +330,6 @@ mod tests {
         assert_eq!(a.element_count(), 6);
         let c = of(&s, 2);
         assert!(!a.matches(&c));
-    }
-
-    #[test]
-    fn get_elements_semantics() {
-        let s = DataType::structure(&[2, 1], &[0, 8], &[DataType::int(), dbl()]).unwrap();
-        let sig = of(&s, 2); // [i32 x2, f64] x2
-        assert_eq!(sig.elements_in_bytes(0), Some(0));
-        assert_eq!(sig.elements_in_bytes(8), Some(2)); // the two ints
-        assert_eq!(sig.elements_in_bytes(16), Some(3)); // + the double
-        assert_eq!(sig.elements_in_bytes(24), Some(5));
-        assert_eq!(sig.elements_in_bytes(32), Some(6));
-        assert_eq!(sig.elements_in_bytes(4), Some(1));
-        assert_eq!(sig.elements_in_bytes(10), None, "splits a double");
-        assert_eq!(sig.elements_in_bytes(33), None, "longer than the type");
     }
 
     #[test]

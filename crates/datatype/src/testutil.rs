@@ -170,7 +170,7 @@ pub fn arb_strided(r: &mut SimRng) -> (Strided2D, i64, u64) {
 }
 
 /// Seeded generator: a random primitive.
-pub fn arb_primitive(r: &mut SimRng) -> crate::Primitive {
+pub(crate) fn arb_primitive(r: &mut SimRng) -> crate::Primitive {
     *r.choose(&crate::Primitive::ALL)
 }
 

@@ -122,38 +122,6 @@ pub struct DataType {
     committed: bool,
 }
 
-/// Decoded construction of a datatype (`MPI_Type_get_envelope` +
-/// `MPI_Type_get_contents`). Element-unit constructors (`vector`,
-/// `indexed`, `indexed_block`, `subarray`) are reported in their
-/// canonical byte-displacement form, mirroring how Open MPI normalizes
-/// on commit.
-#[derive(Clone, Debug)]
-pub enum Combiner {
-    Named(Primitive),
-    Contiguous {
-        count: u64,
-        child: DataType,
-    },
-    HVector {
-        count: u64,
-        blocklen: u64,
-        stride_bytes: i64,
-        child: DataType,
-    },
-    HIndexed {
-        blocks: Vec<(u64, i64)>,
-        child: DataType,
-    },
-    Struct {
-        fields: Vec<(u64, i64, DataType)>,
-    },
-    Resized {
-        lb: i64,
-        extent: i64,
-        child: DataType,
-    },
-}
-
 impl DataType {
     // ----- constructors: primitives -----
 
@@ -700,7 +668,7 @@ impl DataType {
 
     /// Is one instance's data a single contiguous run (no internal
     /// gaps)? Note this says nothing about repetition: see [`Self::dense`].
-    pub fn is_gapless(&self) -> bool {
+    pub(crate) fn is_gapless(&self) -> bool {
         self.node.gapless
     }
 
@@ -819,7 +787,7 @@ impl DataType {
     }
 
     /// Visit every primitive leaf in datatype order (for signatures).
-    pub fn for_each_primitive(&self, mut f: impl FnMut(Primitive, u64)) {
+    pub(crate) fn for_each_primitive(&self, mut f: impl FnMut(Primitive, u64)) {
         self.visit_prims(&mut f);
     }
 
@@ -901,8 +869,8 @@ impl DataType {
     }
 
     /// Structural fingerprint of the type tree: an FNV-1a hash over the
-    /// normalized constructor tree (the same byte-displacement form
-    /// [`Self::combiner`] reports). Two types built through identical
+    /// normalized constructor tree (element-unit constructors in their
+    /// byte-displacement form). Two types built through identical
     /// constructor calls — even in different Sessions — hash equal, so
     /// caches keyed on the fingerprint survive type re-construction,
     /// which identity keys ([`Self::id`]) never do.
@@ -973,42 +941,6 @@ impl DataType {
                 h.write_i64(*extent);
                 child.fingerprint_into(h);
             }
-        }
-    }
-
-    /// How this type was constructed — the analogue of
-    /// `MPI_Type_get_envelope` + `MPI_Type_get_contents`, letting tools
-    /// and tests decode committed types.
-    pub fn combiner(&self) -> Combiner {
-        match &self.node.kind {
-            Kind::Primitive(p) => Combiner::Named(*p),
-            Kind::Contiguous { count, child } => Combiner::Contiguous {
-                count: *count,
-                child: child.clone(),
-            },
-            Kind::Vector {
-                count,
-                blocklen,
-                stride_bytes,
-                child,
-            } => Combiner::HVector {
-                count: *count,
-                blocklen: *blocklen,
-                stride_bytes: *stride_bytes,
-                child: child.clone(),
-            },
-            Kind::Indexed { blocks, child } => Combiner::HIndexed {
-                blocks: blocks.to_vec(),
-                child: child.clone(),
-            },
-            Kind::Struct { fields } => Combiner::Struct {
-                fields: fields.iter().map(|(l, d, t)| (*l, *d, t.clone())).collect(),
-            },
-            Kind::Resized { lb, extent, child } => Combiner::Resized {
-                lb: *lb,
-                extent: *extent,
-                child: child.clone(),
-            },
         }
     }
 
@@ -1424,7 +1356,7 @@ impl DataType {
     }
 
     /// If every leaf of this type is the same primitive, return it.
-    pub fn is_homogeneous(&self) -> Option<Primitive> {
+    pub(crate) fn is_homogeneous(&self) -> Option<Primitive> {
         match &self.node.kind {
             Kind::Primitive(p) => Some(*p),
             Kind::Contiguous { child, .. }
@@ -1465,6 +1397,66 @@ impl fmt::Display for DataType {
             Kind::Resized { lb, extent, child } => {
                 write!(f, "resized(lb={lb}, extent={extent}, {child})")
             }
+        }
+    }
+}
+
+/// Decoded construction of a datatype (`MPI_Type_get_envelope` +
+/// `MPI_Type_get_contents`), as far as the tests read it. Element-unit
+/// constructors (`vector`, `indexed`, `indexed_block`, `subarray`) are
+/// reported in their canonical byte-displacement form, mirroring how
+/// Open MPI normalizes on commit.
+#[cfg(test)]
+#[derive(Debug)]
+enum Combiner {
+    Named(Primitive),
+    Contiguous,
+    HVector {
+        count: u64,
+        blocklen: u64,
+        stride_bytes: i64,
+        child: DataType,
+    },
+    HIndexed {
+        blocks: Vec<(u64, i64)>,
+    },
+    Struct {
+        fields: Vec<(u64, i64, DataType)>,
+    },
+    Resized {
+        lb: i64,
+        extent: i64,
+    },
+}
+
+#[cfg(test)]
+impl DataType {
+    /// How this type was constructed.
+    fn combiner(&self) -> Combiner {
+        match &self.node.kind {
+            Kind::Primitive(p) => Combiner::Named(*p),
+            Kind::Contiguous { .. } => Combiner::Contiguous,
+            Kind::Vector {
+                count,
+                blocklen,
+                stride_bytes,
+                child,
+            } => Combiner::HVector {
+                count: *count,
+                blocklen: *blocklen,
+                stride_bytes: *stride_bytes,
+                child: child.clone(),
+            },
+            Kind::Indexed { blocks, .. } => Combiner::HIndexed {
+                blocks: blocks.to_vec(),
+            },
+            Kind::Struct { fields } => Combiner::Struct {
+                fields: fields.iter().map(|(l, d, t)| (*l, *d, t.clone())).collect(),
+            },
+            Kind::Resized { lb, extent, .. } => Combiner::Resized {
+                lb: *lb,
+                extent: *extent,
+            },
         }
     }
 }

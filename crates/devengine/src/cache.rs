@@ -189,21 +189,11 @@ impl DevCache {
         }
     }
 
-    /// Fetch the plan for `(ty, count, unit_size)`, building and
-    /// inserting it on a miss. Returns the plan and whether it was a
-    /// cache hit (the caller charges CPU preparation time only on a
+    /// Fetch the plan for `(ty, count, unit_size)` in a coalescing
+    /// mode, building and inserting it on a miss, keyed so split and
+    /// coalesced plans never alias. Returns the plan and whether it was
+    /// a cache hit (the caller charges CPU preparation time only on a
     /// miss).
-    pub fn get_or_build(
-        &mut self,
-        ty: &DataType,
-        count: u64,
-        unit_size: u64,
-    ) -> Result<(Rc<DevPlan>, bool), TypeError> {
-        self.get_or_build_opt(ty, count, unit_size, false)
-    }
-
-    /// [`DevCache::get_or_build`] with an explicit coalescing mode, keyed
-    /// so split and coalesced plans never alias.
     pub fn get_or_build_opt(
         &mut self,
         ty: &DataType,
@@ -269,6 +259,19 @@ impl DevCache {
 impl Default for DevCache {
     fn default() -> Self {
         DevCache::new(8 << 20)
+    }
+}
+
+#[cfg(test)]
+impl DevCache {
+    /// [`DevCache::get_or_build_opt`] with split plans.
+    fn get_or_build(
+        &mut self,
+        ty: &DataType,
+        count: u64,
+        unit_size: u64,
+    ) -> Result<(Rc<DevPlan>, bool), TypeError> {
+        self.get_or_build_opt(ty, count, unit_size, false)
     }
 }
 

@@ -123,7 +123,7 @@ impl DevPlan {
     /// the interior units come straight from the plan (no copy), with at
     /// most two boundary-split ops materialized for ranges that start or
     /// end mid-unit. Offsets stay absolute.
-    pub fn slice_parts(&self, from: u64, to: u64) -> SliceParts<'_> {
+    pub(crate) fn slice_parts(&self, from: u64, to: u64) -> SliceParts<'_> {
         debug_assert!(from <= to && to <= self.total_bytes);
         // Units are sorted by dst_off; binary search both boundaries.
         let start = self

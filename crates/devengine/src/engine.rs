@@ -350,14 +350,14 @@ impl FragmentEngine {
 
     /// The auto-tuner's pipeline-chunk pick, if it deviated from the
     /// configured default.
-    pub fn pipeline_chunk_hint(&self) -> Option<u64> {
+    pub(crate) fn pipeline_chunk_hint(&self) -> Option<u64> {
         self.chunk_hint
     }
 
     /// Does this engine have a CPU preparation stage at all? Vector
     /// and cached sources are prep-free — the paper launches a single
     /// kernel for those instead of pipelining CPU chunks.
-    pub fn cpu_stage_free(&self) -> bool {
+    pub(crate) fn cpu_stage_free(&self) -> bool {
         !matches!(self.source, UnitSource::Fresh(_))
     }
 

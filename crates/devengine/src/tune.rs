@@ -51,14 +51,19 @@ pub fn pipeline_makespan_ns<F: Fn(u64) -> SimTime>(
 }
 
 /// Work-unit candidates from §3.2 (the paper sweeps S ∈ {1, 2, 4} KB).
-pub const UNIT_CANDIDATES: [u64; 3] = [1024, 2048, 4096];
+pub(crate) const UNIT_CANDIDATES: [u64; 3] = [1024, 2048, 4096];
 
 /// Pick the work-unit size S for the generic DEV path: a layout with
 /// `segments` contiguous runs totalling `total` bytes shatters into
 /// about `segments + total / S` units, and `price` is what converting
 /// the layout costs in that many units. The static `base` is always a
 /// candidate and wins ties.
-pub fn pick_unit_size(base: u64, total: u64, segments: u64, price: impl Fn(u64) -> SimTime) -> u64 {
+pub(crate) fn pick_unit_size(
+    base: u64,
+    total: u64,
+    segments: u64,
+    price: impl Fn(u64) -> SimTime,
+) -> u64 {
     let cost = |s: u64| price(segments + total / s.max(1));
     let mut best = base;
     let mut best_cost = cost(base);
@@ -82,7 +87,7 @@ const CHUNK_MARGIN: f64 = 0.97;
 /// launch dominates and a single launch wins; with expensive
 /// preparation overlapping chunks win — the two-stage makespan model
 /// decides, with the configured default always a candidate.
-pub fn pick_pipeline_chunk(
+pub(crate) fn pick_pipeline_chunk(
     total: u64,
     default_chunk: u64,
     prep: impl Fn(u64) -> SimTime,

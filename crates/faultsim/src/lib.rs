@@ -341,7 +341,6 @@ pub struct FaultSim {
     rules: Vec<RuleState>,
     /// Ops whose capability a `PermanentLoss` rule has destroyed.
     lost: [bool; SLOTS],
-    injected_total: u64,
 }
 
 impl Default for FaultSim {
@@ -358,7 +357,6 @@ impl FaultSim {
             rng: SimRng::new(0),
             rules: Vec::new(),
             lost: [false; SLOTS],
-            injected_total: 0,
         }
     }
 
@@ -373,7 +371,6 @@ impl FaultSim {
                 .map(|rule| RuleState { rule, injected: 0 })
                 .collect(),
             lost: [false; SLOTS],
-            injected_total: 0,
         }
     }
 
@@ -398,7 +395,6 @@ impl FaultSim {
                 })
                 .collect(),
             lost: [false; SLOTS],
-            injected_total: 0,
         }
     }
 
@@ -407,11 +403,6 @@ impl FaultSim {
     /// that would otherwise advance virtual time).
     pub fn active(&self) -> bool {
         self.active
-    }
-
-    /// Total injections so far (transient + permanent, not degrade).
-    pub fn injected_total(&self) -> u64 {
-        self.injected_total
     }
 
     /// Whether the capability behind `op` is still available.
@@ -448,7 +439,6 @@ impl FaultSim {
                 continue;
             }
             st.injected += 1;
-            self.injected_total += 1;
             return match st.rule.kind {
                 FaultKind::Transient => FaultDecision::Transient,
                 FaultKind::PermanentLoss => {
@@ -522,6 +512,14 @@ impl Backoff {
 /// exactly one place ([`simcore::trace::names`]).
 pub mod counters {
     pub use simcore::trace::names::{FALLBACK_EVENTS, FAULT_INJECTED, RETRY_ATTEMPTS};
+}
+
+#[cfg(test)]
+impl FaultSim {
+    /// Total injections so far (transient + permanent, not degrade).
+    fn injected_total(&self) -> u64 {
+        self.rules.iter().map(|st| st.injected).sum()
+    }
 }
 
 #[cfg(test)]

@@ -237,14 +237,17 @@ impl FifoResource {
         (start, end)
     }
 
-    /// When the resource next becomes free.
-    pub fn free_at(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Number of operations that have reserved this resource.
     pub fn op_count(&self) -> u64 {
         self.ops
+    }
+}
+
+#[cfg(test)]
+impl FifoResource {
+    /// When the resource next becomes free.
+    pub(crate) fn free_at(&self) -> SimTime {
+        self.busy_until
     }
 }
 

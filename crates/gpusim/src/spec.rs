@@ -186,13 +186,6 @@ impl GpuSpec {
     pub fn warp_chunk(&self) -> Pow2 {
         Pow2(self.warp_size.0 + self.bytes_per_thread.0)
     }
-
-    /// Practical peak *copy* rate (payload bytes per second) of a
-    /// perfectly coalesced in-device copy — the `cudaMemcpy` rate the
-    /// paper treats as the achievable ceiling in Figure 6.
-    pub fn peak_copy_rate(&self) -> Bandwidth {
-        Bandwidth::from_bytes_per_sec(self.dram_traffic_bw.bytes_per_sec() / 2.0)
-    }
 }
 
 impl Default for GpuSpec {
@@ -376,13 +369,6 @@ impl NodeTopology {
             stream_op_issue: SimTime::from_nanos(120),
         }
     }
-
-    /// Does this node model the Figure 8 `cudaMemcpy2D` misaligned-row
-    /// bandwidth cliff? Kepler-era DMA engines fall to ~15% of peak on
-    /// rows that are not 64-byte multiples; later engines mostly don't.
-    pub fn memcpy2d_cliff(&self) -> bool {
-        self.memcpy2d_misaligned_factor < 0.5
-    }
 }
 
 impl Default for NodeTopology {
@@ -424,6 +410,26 @@ pub(crate) static REGISTRY: [GpuArch; 4] = [
         NodeTopology::dgxa100_node,
     ),
 ];
+
+#[cfg(test)]
+impl GpuSpec {
+    /// Practical peak *copy* rate (payload bytes per second) of a
+    /// perfectly coalesced in-device copy — the `cudaMemcpy` rate the
+    /// paper treats as the achievable ceiling in Figure 6.
+    pub(crate) fn peak_copy_rate(&self) -> Bandwidth {
+        Bandwidth::from_bytes_per_sec(self.dram_traffic_bw.bytes_per_sec() / 2.0)
+    }
+}
+
+#[cfg(test)]
+impl NodeTopology {
+    /// Does this node model the Figure 8 `cudaMemcpy2D` misaligned-row
+    /// bandwidth cliff? Kepler-era DMA engines fall to ~15% of peak on
+    /// rows that are not 64-byte multiples; later engines mostly don't.
+    pub(crate) fn memcpy2d_cliff(&self) -> bool {
+        self.memcpy2d_misaligned_factor < 0.5
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -51,7 +51,6 @@ enum StreamOp {
 pub struct StreamGraph {
     stream: StreamId,
     ops: Vec<StreamOp>,
-    doorbell_bytes: u64,
 }
 
 impl StreamGraph {
@@ -61,11 +60,6 @@ impl StreamGraph {
 
     pub fn op_count(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Total bytes rung through doorbell ops.
-    pub fn doorbell_bytes(&self) -> u64 {
-        self.doorbell_bytes
     }
 }
 
@@ -127,18 +121,9 @@ impl GraphCapture {
         );
         on_stream(self.stream, names::SPAN_STREAM_CAPTURE)(sim, cost);
         sim.trace.count(names::OFFLOAD_STREAM_CAPTURES, 0, 0, 1);
-        let doorbell_bytes = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                StreamOp::Doorbell { bytes } => *bytes,
-                _ => 0,
-            })
-            .sum();
         StreamGraph {
             stream: self.stream,
             ops: self.ops,
-            doorbell_bytes,
         }
     }
 }
@@ -212,6 +197,19 @@ pub fn graph_kernel<W: GpuWorld>(
             .count(names::GPUSIM_KERNEL_UNITS, stream.gpu.0, 0, traffic.units);
         done(sim, end);
     });
+}
+
+#[cfg(test)]
+impl StreamGraph {
+    /// Total bytes rung through doorbell ops.
+    fn doorbell_bytes(&self) -> u64 {
+        (self.ops.iter())
+            .map(|op| match op {
+                StreamOp::Doorbell { bytes } => *bytes,
+                _ => 0,
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ impl GpuState {
 
     /// DRAM traffic bandwidth kernels can actually use, after occupancy
     /// throttling and external contention.
-    pub fn effective_traffic_bw(&self) -> Bandwidth {
+    pub(crate) fn effective_traffic_bw(&self) -> Bandwidth {
         let occupancy = match self.block_limit {
             Some(blocks) => (blocks as f64 / self.spec.sm_count as f64).min(1.0),
             None => 1.0,
@@ -89,12 +89,6 @@ impl GpuSystem {
             topo,
             arch,
         }
-    }
-
-    /// A node of default-architecture (K40) GPUs — the paper's PSG node
-    /// had 6; callers choose the count.
-    pub fn k40_node(gpu_count: u32) -> Self {
-        GpuSystem::for_arch(GpuArch::default_arch(), gpu_count)
     }
 
     pub fn gpu_count(&self) -> u32 {
@@ -144,7 +138,7 @@ impl GpuSystem {
         clippy::indexing_slicing,
         reason = "per-GPU tables are fixed at construction and ids come from the same node"
     )]
-    pub fn stream_mut(&mut self, id: StreamId) -> &mut FifoResource {
+    pub(crate) fn stream_mut(&mut self, id: StreamId) -> &mut FifoResource {
         &mut self.gpus[id.gpu.index()].streams[id.index]
     }
 }
@@ -281,7 +275,7 @@ mod tests {
 
     #[test]
     fn streams_are_per_gpu() {
-        let mut sys = GpuSystem::k40_node(2);
+        let mut sys = GpuSystem::for_arch(GpuArch::default_arch(), 2);
         let s1 = sys.create_stream(GpuId(0));
         let s2 = sys.create_stream(GpuId(1));
         assert_eq!(s1.index, 1);
@@ -292,7 +286,7 @@ mod tests {
 
     #[test]
     fn effective_bw_throttles() {
-        let mut sys = GpuSystem::k40_node(1);
+        let mut sys = GpuSystem::for_arch(GpuArch::default_arch(), 1);
         let full = sys.gpu(GpuId(0)).effective_traffic_bw().as_gbps();
         sys.gpu_mut(GpuId(0)).block_limit = Some(3);
         let limited = sys.gpu(GpuId(0)).effective_traffic_bw().as_gbps();
@@ -305,7 +299,7 @@ mod tests {
 
     #[test]
     fn block_limit_above_sm_count_is_full_speed() {
-        let mut sys = GpuSystem::k40_node(1);
+        let mut sys = GpuSystem::for_arch(GpuArch::default_arch(), 1);
         sys.gpu_mut(GpuId(0)).block_limit = Some(100);
         assert!(
             (sys.gpu(GpuId(0)).effective_traffic_bw().as_gbps()

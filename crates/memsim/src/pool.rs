@@ -133,7 +133,7 @@ impl MemPool {
     }
 
     /// Size of the allocation behind `ptr`.
-    pub fn alloc_len(&self, ptr: Ptr) -> Result<u64, MemError> {
+    pub(crate) fn alloc_len(&self, ptr: Ptr) -> Result<u64, MemError> {
         self.check_space(ptr)?;
         self.allocs
             .get(&ptr.alloc)
@@ -508,7 +508,7 @@ impl Memory {
     /// [`Memory::transfer`] for a list whose [`MoveExtent`] the caller
     /// already holds: the one-entry [`Memory::transfer_batch`], with
     /// plain stores.
-    pub fn transfer_measured(
+    pub(crate) fn transfer_measured(
         &mut self,
         src: Ptr,
         dst: Ptr,

@@ -50,15 +50,8 @@ impl RegistrationTable {
         }
     }
 
-    /// Remove one registration kind.
-    pub fn unregister(&mut self, ptr: Ptr, kind: Registration) {
-        if let Some(kinds) = self.regs.get_mut(&(ptr.space, ptr.alloc)) {
-            kinds.retain(|k| *k != kind);
-        }
-    }
-
     /// Drop every registration on an allocation (called on free).
-    pub fn drop_all(&mut self, space: MemSpace, alloc: AllocId) {
+    pub(crate) fn drop_all(&mut self, space: MemSpace, alloc: AllocId) {
         self.regs.remove(&(space, alloc));
     }
 
@@ -129,7 +122,7 @@ mod tests {
         t.register(p, Registration::Rdma);
         assert!(t.is_registered(p, Registration::Rdma));
         assert!(t.require(p, Registration::Rdma).is_ok());
-        t.unregister(p, Registration::Rdma);
+        t.drop_all(p.space, p.alloc);
         assert!(matches!(
             t.require(p, Registration::Rdma),
             Err(MemError::NotRegistered(_))
@@ -186,7 +179,6 @@ mod tests {
         let p = dptr();
         t.register(p, Registration::Rdma);
         t.register(p, Registration::Rdma);
-        t.unregister(p, Registration::Rdma);
-        assert!(!t.is_registered(p, Registration::Rdma));
+        assert_eq!(t.regs[&(p.space, p.alloc)], [Registration::Rdma]);
     }
 }

@@ -68,18 +68,6 @@ impl RecvArgs {
         }
     }
 
-    /// A receive matching `MPI_ANY_SOURCE`.
-    pub fn any_source(rank: usize, buf: Ptr, ty: &DataType, count: u64) -> RecvArgs {
-        RecvArgs {
-            rank,
-            src: None,
-            tag: None,
-            ty: ty.clone(),
-            count,
-            buf,
-        }
-    }
-
     pub fn tag(mut self, tag: u64) -> RecvArgs {
         self.tag = Some(tag);
         self

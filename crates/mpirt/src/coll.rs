@@ -633,14 +633,14 @@ mod tests {
         });
     }
 
-    /// A barrier releases its scratch when it resolves: a fence per
-    /// epoch leaves the host pool where it found it.
+    /// A barrier releases its scratch when it resolves: one per epoch
+    /// leaves the host pool where it found it.
     #[test]
     fn barriers_release_their_scratch() {
         let mut sim = four_ranks();
         let before = sim.world.mem().pool(MemSpace::Host).used();
         for epoch in 0..100 {
-            let req = crate::onesided::fence(&mut sim, epoch);
+            let req = barrier(&mut sim, 1_000_000 + epoch);
             sim.run();
             req.expect_bytes();
         }

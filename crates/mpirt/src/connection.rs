@@ -72,7 +72,7 @@ pub enum Handshake {
 }
 
 /// A caller waiting for a handshake's outcome.
-pub type Waiter = Box<dyn FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>)>;
+pub(crate) type Waiter = Box<dyn FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>)>;
 
 /// Where a begun handshake stands.
 pub enum Status {
@@ -327,7 +327,7 @@ fn ipc_handshake(
 /// (handles for all slots travel in one exchange; the first slot's is
 /// opened). The receiver's `Dev(Recv)` ring stages fragments when
 /// `recv_local_staging` is on and the two GPUs differ.
-pub fn sm_connection(
+pub(crate) fn sm_connection(
     sim: &mut Sim<MpiWorld>,
     sender: usize,
     receiver: usize,
@@ -357,7 +357,7 @@ pub fn sm_connection(
 /// repeated transfers of the same buffer reuse the mapping. A fresh
 /// mapping first forgets those of freed allocations: `Memory::free`
 /// withdraws a buffer's IPC export, and its mappings go with it.
-pub fn open_peer_buffer(
+pub(crate) fn open_peer_buffer(
     sim: &mut Sim<MpiWorld>,
     pair: (usize, usize),
     importer: usize,
@@ -435,7 +435,7 @@ pub fn ib_connection(
 /// Get or lazily install the NIC DEV handler of the directed `pair`: a
 /// `FaultOp::NicHandler` roll, then the arch's `nic_handler_setup`.
 /// `Err` means the NIC offload capability is lost.
-pub fn nic_handler(
+pub(crate) fn nic_handler(
     sim: &mut Sim<MpiWorld>,
     pair: (usize, usize),
     done: impl FnOnce(&mut Sim<MpiWorld>, Result<(), MpiError>) + 'static,
@@ -534,7 +534,8 @@ mod tests {
             ranks_per_node: 1,
             radix: 4,
         };
-        let mut sim = Sim::new(MpiWorld::n_ranks(3, topo, MpiConfig::default()));
+        let specs = RankSpec::laid_out(3, &topo);
+        let mut sim = Sim::new(MpiWorld::new(&specs, 3, MpiConfig::default()));
         sim.trace.set_recording(true);
         ib_connection(&mut sim, 0, 1, |_, conn| conn.expect("no faults"));
         sim.run();

@@ -26,7 +26,7 @@ const GBPS: f64 = 5.0;
 
 /// The price of one pass over `n` packed bytes on the CPU convertor:
 /// what [`CpuEngine::charge_fragment`] charges before faults.
-pub fn pass_time(n: u64) -> SimTime {
+pub(crate) fn pass_time(n: u64) -> SimTime {
     Bandwidth::from_gbps(GBPS).time_for(n) + PER_CALL
 }
 
@@ -35,7 +35,7 @@ pub fn pass_time(n: u64) -> SimTime {
     clippy::disallowed_types,
     reason = "the host CPU convertor is a sanctioned DEV executor"
 )]
-pub struct CpuEngine {
+pub(crate) struct CpuEngine {
     cursor: devengine::dev::DevCursor,
     dir: Direction,
     typed: Ptr,
@@ -65,16 +65,8 @@ impl CpuEngine {
         })
     }
 
-    pub fn total_bytes(&self) -> u64 {
-        self.cursor.total_bytes()
-    }
-
     pub fn position(&self) -> u64 {
         self.cursor.position()
-    }
-
-    pub fn finished(&self) -> bool {
-        self.cursor.finished()
     }
 
     /// The pointer every typed-side unit offset is relative to.
@@ -161,6 +153,17 @@ impl CpuEngine {
             sim.trace.count(counter, rank, 0, n);
             done(sim, n, units);
         });
+    }
+}
+
+#[cfg(test)]
+impl CpuEngine {
+    fn total_bytes(&self) -> u64 {
+        self.cursor.total_bytes()
+    }
+
+    fn finished(&self) -> bool {
+        self.cursor.finished()
     }
 }
 

@@ -25,7 +25,6 @@ pub mod config;
 pub mod connection;
 pub mod cpupack;
 pub mod matcher;
-pub mod onesided;
 pub mod protocol;
 pub mod request;
 pub mod scale;
@@ -39,7 +38,6 @@ pub use api::{
 };
 pub use coll::{allgather, alltoall, barrier, bcast};
 pub use config::MpiConfig;
-pub use onesided::{fence, get, put, RmaArgs, Win};
 pub use protocol::comparator::comparator_transfer;
 pub use protocol::plan::Comparator;
 pub use protocol::Side;

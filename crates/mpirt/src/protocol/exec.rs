@@ -122,7 +122,7 @@ pub(crate) trait Resolve: 'static {
     fn fail(&mut self, sim: &mut Sim<MpiWorld>, err: MpiError);
 }
 
-/// A rendezvous or an RMA operation: the send and the receive request.
+/// A rendezvous: the send and the receive request.
 /// The executor counts what each fragment delivers.
 pub(crate) struct Requests {
     pub send: Request,

@@ -64,7 +64,7 @@ impl Side {
 
     /// Displacement-0 pointer adjusted to the first data byte, for the
     /// contiguous fast paths (dense data starts at `true_lb`).
-    pub fn data_ptr(&self) -> Ptr {
+    pub(crate) fn data_ptr(&self) -> Ptr {
         self.buf.offset_by(self.ty.true_lb())
     }
 }
@@ -201,7 +201,7 @@ pub(crate) fn make_engine(
 /// protocol — same-node GPU↔GPU with IPC takes the pipelined RDMA
 /// protocol; everything else (InfiniBand, host data, IPC disabled) the
 /// pipelined copy-in/copy-out protocol.
-pub fn start_rendezvous(
+pub(crate) fn start_rendezvous(
     sim: &mut Sim<MpiWorld>,
     send: Side,
     send_req: Request,
@@ -223,8 +223,7 @@ pub fn start_rendezvous(
     run_transfer(sim, send, recv, send_req, recv_req);
 }
 
-/// Run a (signature-checked) transfer. Also used directly by the
-/// one-sided layer, where there is no matching.
+/// Run a (signature-checked) transfer.
 pub(crate) fn run_transfer(
     sim: &mut Sim<MpiWorld>,
     send: Side,

@@ -114,7 +114,11 @@ impl Request {
     /// Resolve the request unless it already resolved. Error paths use
     /// this: an abort may race with a completion that beat it by one
     /// event, and the first resolution must stand.
-    pub fn complete_if_pending(&self, sim: &mut Sim<MpiWorld>, result: Result<u64, MpiError>) {
+    pub(crate) fn complete_if_pending(
+        &self,
+        sim: &mut Sim<MpiWorld>,
+        result: Result<u64, MpiError>,
+    ) {
         if self.state.borrow().result.is_some() {
             return;
         }

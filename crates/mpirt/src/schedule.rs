@@ -11,7 +11,7 @@ fn wrap(x: usize, n: usize) -> usize {
 }
 
 /// `⌈log₂ n⌉`, with `0` for `n ≤ 1`.
-pub fn ceil_log2(n: usize) -> usize {
+pub(crate) fn ceil_log2(n: usize) -> usize {
     (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize
 }
 
@@ -76,7 +76,7 @@ fn relative(rank: usize, root: usize, n: usize) -> usize {
 
 /// Binomial-tree broadcast: whom `rank` receives from — relative rank
 /// with its lowest set bit cleared — or `None` at the root.
-pub fn bcast_parent(rank: usize, root: usize, n: usize) -> Option<usize> {
+pub(crate) fn bcast_parent(rank: usize, root: usize, n: usize) -> Option<usize> {
     let v = relative(rank, root, n);
     (v != 0).then(|| wrap((v & (v - 1)) + root % n, n))
 }
@@ -84,7 +84,7 @@ pub fn bcast_parent(rank: usize, root: usize, n: usize) -> Option<usize> {
 /// Binomial-tree broadcast: whom `rank` forwards to once it holds the
 /// data — relative rank plus each power of two below its lowest set bit
 /// (below `n` at the root), largest sub-tree first (MPICH order).
-pub fn bcast_children(rank: usize, root: usize, n: usize) -> impl Iterator<Item = usize> {
+pub(crate) fn bcast_children(rank: usize, root: usize, n: usize) -> impl Iterator<Item = usize> {
     let v = relative(rank, root, n);
     let top = if v == 0 {
         n.next_power_of_two()

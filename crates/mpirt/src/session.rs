@@ -253,13 +253,6 @@ impl Session {
         }
     }
 
-    /// Take the simulation out of the session, dropping the
-    /// observability state (for handing off to APIs that want the
-    /// `Sim` by value).
-    pub fn into_sim(self) -> Sim<MpiWorld> {
-        self.sim
-    }
-
     /// End the run span and hand back the raw tracer, for callers that
     /// merge several runs into one trace document (the bench runner).
     pub fn into_trace(mut self) -> simcore::Tracer {

@@ -315,7 +315,12 @@ const SELECT_MARGIN: f64 = 0.9;
 /// analytic model predicts a win past [`SELECT_MARGIN`]. With both knobs off this
 /// returns the incumbent immediately — no model evaluation, no
 /// counters, so default runs stay byte-identical.
-pub fn select_path(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, same_node: bool) -> PathClass {
+pub(crate) fn select_path(
+    sim: &mut Sim<MpiWorld>,
+    s: &Side,
+    r: &Side,
+    same_node: bool,
+) -> PathClass {
     let incumbent = if s.device() && r.device() {
         Facts::of(sim, s.rank, r.rank).copy_class()
     } else {

@@ -49,8 +49,8 @@ impl RankSpec {
 /// The paper's two-rank testbeds: both ranks on one GPU ("1GPU"), one
 /// GPU each on one node ("2GPU"), and one node each over InfiniBand
 /// ("IB").
-pub const ONE_GPU: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(0, 0)];
-pub const TWO_GPUS: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(1, 0)];
+pub(crate) const ONE_GPU: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(0, 0)];
+pub(crate) const TWO_GPUS: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(1, 0)];
 pub const IB: [RankSpec; 2] = [RankSpec::at(0, 0), RankSpec::at(1, 1)];
 
 /// Mutable per-rank runtime state.
@@ -149,7 +149,7 @@ impl MpiWorld {
     /// is the same part (mixed-arch jobs are a later extension), and
     /// everything above — protocol costs, tuner decisions, metrics —
     /// reads it back from `cluster.gpu_system.arch`.
-    pub fn on_arch(
+    pub(crate) fn on_arch(
         arch: &'static GpuArch,
         specs: &[RankSpec],
         gpu_count: u32,
@@ -201,16 +201,6 @@ impl MpiWorld {
                 byte: DataType::byte().commit(),
             },
         }
-    }
-
-    /// An `n`-rank job laid out by a [`netsim::Topology`]: rank `r`
-    /// gets its own GPU and lives on node `topo.node_of(r)`, so ranks
-    /// sharing a node talk over shared memory and everything else goes
-    /// through InfiniBand — the paper's two-node testbeds generalized
-    /// to ring / fat-tree / dragonfly fabrics.
-    pub fn n_ranks(n: usize, topo: netsim::Topology, config: MpiConfig) -> MpiWorld {
-        assert!(n > 0, "need at least one rank");
-        MpiWorld::new(&RankSpec::laid_out(n, &topo), n as u32, config)
     }
 
     /// Two ranks on one node sharing a single GPU (the paper's "1GPU"

@@ -16,7 +16,7 @@ use simcore::{Sim, SimTime, Track};
 
 /// Fixed header size of an active message (matches the BTL fragment
 /// header: callback reference + fragment index + tag).
-pub const AM_HEADER_BYTES: u64 = 64;
+pub(crate) const AM_HEADER_BYTES: u64 = 64;
 
 /// The price of an active message of `payload_bytes` on an idle
 /// control link: what [`send_am`] charges when nothing queues ahead.

@@ -43,7 +43,7 @@ impl Link {
     }
 
     /// Serialization time of `bytes` on the wire (excluding latency).
-    pub fn wire_time(&self, bytes: u64) -> SimTime {
+    pub(crate) fn wire_time(&self, bytes: u64) -> SimTime {
         self.bandwidth.time_for(bytes)
     }
 
@@ -127,7 +127,7 @@ impl NetSystem {
 
     /// Fallible lookup; protocol code uses this and converts the error
     /// into its own typed failure instead of crashing the run.
-    pub fn try_channel(&self, from: usize, to: usize) -> Result<&Channel, NetError> {
+    pub(crate) fn try_channel(&self, from: usize, to: usize) -> Result<&Channel, NetError> {
         self.channels
             .get(&(from, to))
             .ok_or(NetError::NoChannel { from, to })
@@ -156,24 +156,13 @@ impl NetSystem {
         reason = "the documented infallible lookup, used only after the handshake \
                   established the channel"
     )]
-    pub fn channel_mut(&mut self, from: usize, to: usize) -> &mut Channel {
+    pub(crate) fn channel_mut(&mut self, from: usize, to: usize) -> &mut Channel {
         self.try_channel_mut(from, to)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Tear down both directions of a connection (fault-injection /
-    /// chaos tooling: models a pair losing connectivity mid-run).
-    pub fn disconnect(&mut self, a: usize, b: usize) {
-        self.channels.remove(&(a, b));
-        self.channels.remove(&(b, a));
-    }
-
     pub fn kind(&self, from: usize, to: usize) -> ChannelKind {
         self.channel(from, to).kind
-    }
-
-    pub fn is_connected(&self, from: usize, to: usize) -> bool {
-        self.channels.contains_key(&(from, to))
     }
 }
 
@@ -197,10 +186,10 @@ mod tests {
     fn connect_is_bidirectional() {
         let mut n = NetSystem::new();
         n.connect(0, 1, ChannelKind::InfiniBand);
-        assert!(n.is_connected(0, 1));
-        assert!(n.is_connected(1, 0));
+        assert!(n.try_channel(0, 1).is_ok());
+        assert!(n.try_channel(1, 0).is_ok());
         assert_eq!(n.kind(0, 1), ChannelKind::InfiniBand);
-        assert!(!n.is_connected(0, 2));
+        assert!(n.try_channel(0, 2).is_err());
     }
 
     #[test]
@@ -237,15 +226,5 @@ mod tests {
         n.connect(0, 1, ChannelKind::SharedMemory);
         assert!(n.try_channel(0, 1).is_ok());
         assert!(n.try_channel_mut(1, 0).is_ok());
-    }
-
-    #[test]
-    fn disconnect_removes_both_directions() {
-        let mut n = NetSystem::new();
-        n.connect(0, 1, ChannelKind::InfiniBand);
-        n.disconnect(1, 0);
-        assert!(!n.is_connected(0, 1));
-        assert!(!n.is_connected(1, 0));
-        assert!(n.try_channel(0, 1).is_err());
     }
 }

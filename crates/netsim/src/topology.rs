@@ -164,7 +164,7 @@ impl Topology {
 
 /// Base one-way latency of a channel kind (mirrors
 /// [`crate::channel::Channel::new`]).
-pub fn base_latency(kind: ChannelKind) -> SimTime {
+pub(crate) fn base_latency(kind: ChannelKind) -> SimTime {
     match kind {
         ChannelKind::SharedMemory => SimTime::from_nanos(400),
         ChannelKind::InfiniBand => SimTime::from_nanos(1300),

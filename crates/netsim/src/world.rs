@@ -90,7 +90,7 @@ mod tests {
         let mut w = ClusterWorld::new(2);
         w.net_system.connect(0, 1, ChannelKind::SharedMemory);
         assert_eq!(w.gpu_system.gpu_count(), 2);
-        assert!(w.net_system.is_connected(1, 0));
+        assert!(w.net_system.try_channel(1, 0).is_ok());
         // CPU resources auto-grow per rank.
         let _ = w.cpu(3);
         assert_eq!(w.cpus.len(), 4);

@@ -192,7 +192,7 @@ impl<P: Copy> CalendarQueue<P> {
     /// promoting buckets and re-anchoring the overflow rung as needed.
     /// Does not remove anything — safe to use as a peek.
     #[inline]
-    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
+    pub(crate) fn peek(&mut self) -> Option<(SimTime, u64)> {
         if self.cursor < self.active.len() {
             let e = &self.active[self.cursor];
             return Some((e.at, e.key));
@@ -335,7 +335,7 @@ impl<P: Copy> CalendarQueue<P> {
     /// Take the entry `peek` reported. Must be called directly after a
     /// `Some` return from `peek`.
     #[inline]
-    pub fn pop_head(&mut self) -> (SimTime, u64, P) {
+    pub(crate) fn pop_head(&mut self) -> (SimTime, u64, P) {
         debug_assert!(self.cursor < self.active.len());
         let e = self.active[self.cursor];
         self.cursor += 1;

@@ -4,17 +4,17 @@
 //! so iteration order differs between runs. Nothing in the workspace
 //! is allowed to observe that: `clippy.toml` bans the std maps
 //! everywhere but here. Code that wants O(1) lookups uses
-//! [`DetHashMap`]/[`DetHashSet`] instead — the same std containers
-//! behind an FxHash-style hasher with a fixed seed, so iteration order
-//! is a pure function of the insertion sequence and is identical on
-//! every run and every platform.
+//! [`DetHashMap`] instead — the same std container behind an
+//! FxHash-style hasher with a fixed seed, so iteration order is a pure
+//! function of the insertion sequence and is identical on every run and
+//! every platform.
 
 #![expect(
     clippy::disallowed_types,
     reason = "the deterministic maps wrap std's, with the seeded hasher fixed"
 )]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash-style multiply-xor hasher with no per-process seed.
@@ -83,14 +83,11 @@ impl Hasher for DetHasher {
     }
 }
 
-/// The fixed-seed `BuildHasher` behind [`DetHashMap`]/[`DetHashSet`].
-pub type DetBuildHasher = BuildHasherDefault<DetHasher>;
+/// The fixed-seed `BuildHasher` behind [`DetHashMap`].
+pub(crate) type DetBuildHasher = BuildHasherDefault<DetHasher>;
 
 /// `HashMap` with a deterministic, explicitly seeded hasher.
 pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
-
-/// `HashSet` with a deterministic, explicitly seeded hasher.
-pub type DetHashSet<T> = HashSet<T, DetBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -110,9 +107,9 @@ mod tests {
 
     #[test]
     fn hasher_distributes() {
-        let mut s: DetHashSet<u64> = DetHashSet::default();
+        let mut s: DetHashMap<u64, ()> = DetHashMap::default();
         for i in 0..10_000u64 {
-            s.insert(i);
+            s.insert(i, ());
         }
         assert_eq!(s.len(), 10_000);
     }

@@ -22,7 +22,6 @@ pub mod par;
 pub mod rate;
 pub mod rng;
 pub mod scratch;
-pub mod stats;
 pub mod time;
 pub mod trace;
 

@@ -160,7 +160,7 @@ const MIN_BYTES_PER_LANE: usize = 2 << 20;
 const MIN_MEAN_SEGMENT: usize = 512;
 
 /// Hard ceiling on the pool size (env override included).
-pub const MAX_POOL_THREADS: usize = 64;
+pub(crate) const MAX_POOL_THREADS: usize = 64;
 
 /// Default cap when the environment does not override the pool size.
 const DEFAULT_POOL_CAP: usize = 8;

@@ -110,7 +110,7 @@ impl StridedWindow {
     /// The window's segments from the `k`th on, in its orientation. The
     /// first one's block is found by division, once; every later block
     /// steps its column, row and displacement by addition.
-    pub fn segments_from(&self, k: u64) -> Segments {
+    pub(crate) fn segments_from(&self, k: u64) -> Segments {
         let bb = self.shape.block_bytes;
         let block = self.from / bb + k;
         let (p, intra) = if k == 0 {

@@ -47,7 +47,7 @@ macro_rules! counters {
 
         impl Counter {
             /// Number of counters.
-            pub const COUNT: usize = [$($name),+].len();
+            pub(crate) const COUNT: usize = [$($name),+].len();
 
             /// Every counter, in `as usize` (= display-name) order.
             pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant),+];
@@ -370,10 +370,6 @@ impl Tracer {
         self.recording = on;
     }
 
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
     /// Record a span whose window is already known — the shape of every
     /// `FifoResource::reserve` call site, which learns `(start, end)` up
     /// front.
@@ -490,11 +486,6 @@ impl Tracer {
     /// All recorded events.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Number of spans still open. Zero after a well-formed run.
-    pub fn open_spans(&self) -> usize {
-        self.open.iter().filter(|s| s.is_some()).count()
     }
 
     /// The distinct tracks touched by recorded events, in stable order.
@@ -796,6 +787,14 @@ impl Metrics {
             }
         }
         s
+    }
+}
+
+#[cfg(test)]
+impl Tracer {
+    /// Number of spans still open. Zero after a well-formed run.
+    fn open_spans(&self) -> usize {
+        self.open.iter().filter(|s| s.is_some()).count()
     }
 }
 

@@ -6,7 +6,7 @@ use devengine::{EngineConfig, OptimizerConfig};
 use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemError, MemSpace};
 use mpirt::api::{irecv, isend, RecvArgs, SendArgs};
-use mpirt::{get, put, MpiConfig, MpiError, MpiWorld, RmaArgs, Win};
+use mpirt::{MpiConfig, MpiError, MpiWorld};
 use simcore::Sim;
 
 fn world() -> Sim<MpiWorld> {
@@ -329,9 +329,8 @@ fn self_send_rejected() {
     assert_eq!(sim.run(), simcore::SimTime::ZERO, "nothing was charged");
 }
 
-/// A rank argument outside the job — or an RMA origin that is its own
-/// target — completes its request at once with a typed error naming the
-/// argument, on host and device buffers alike, before anything is
+/// A rank argument outside the job completes its request at once with a
+/// typed error naming the argument, on host and device buffers alike, before anything is
 /// charged or any per-rank state grows.
 #[test]
 fn out_of_range_rank_is_a_typed_error() {
@@ -341,11 +340,6 @@ fn out_of_range_rank_is_a_typed_error() {
     for space in [MemSpace::Host, MemSpace::Device(GpuId(0))] {
         let mut sim = world();
         let buf = sim.world.mem().alloc(space, 1 << 20).unwrap();
-        let win = Win::create(&sim, vec![buf, buf], vec![1 << 20, 1 << 20]);
-        let rma = || RmaArgs {
-            ty: t.clone(),
-            count: 1,
-        };
         let reqs = [
             (
                 "SendArgs::from",
@@ -362,14 +356,6 @@ fn out_of_range_rank_is_a_typed_error() {
             (
                 "RecvArgs::src",
                 irecv(&mut sim, RecvArgs::new(1, 5, buf, &t, 1)),
-            ),
-            (
-                "origin_rank",
-                put(&mut sim, &win, 5, rma(), buf, 1, 0, rma()),
-            ),
-            (
-                "target_rank",
-                get(&mut sim, &win, 1, rma(), buf, 1, 0, rma()),
             ),
         ];
         for (arg, req) in reqs {

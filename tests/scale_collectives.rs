@@ -11,7 +11,7 @@ use datatype::DataType;
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
 use mpirt::scale::{self, ScaleConfig, ScaleOp};
-use mpirt::{allgather, alltoall, barrier, bcast, fence, get, put, RmaArgs, Session, Win};
+use mpirt::{allgather, alltoall, barrier, bcast, Session};
 use netsim::{ChannelKind, Topology};
 use simcore::Counter;
 
@@ -195,84 +195,5 @@ fn full_stack_and_scale_model_send_the_same_messages() {
             let model = scale::run(&ScaleConfig::new(n as u32, vec![op]), false).msgs;
             assert_eq!((full, model), (want, want), "{op:?} on {n} ranks");
         }
-    }
-}
-
-#[test]
-fn rma_put_get_ring_on_32_ranks() {
-    let n = 32usize;
-    let mut sess = Session::builder().ranks(n).build();
-    let ty = contig(1024);
-    let len = ty.size();
-    let win_bufs: Vec<Ptr> = (0..n).map(|_| host_alloc(&mut sess, len)).collect();
-    let win = Win::create(&sess, win_bufs.clone(), vec![len; n]);
-    let origins: Vec<Ptr> = (0..n).map(|_| host_alloc(&mut sess, len)).collect();
-    for (r, o) in origins.iter().enumerate() {
-        let d = vec![r as u8 + 1; len as usize];
-        sess.world.mem().write(*o, &d).unwrap();
-    }
-    // Every rank puts into its right neighbor's window.
-    let puts: Vec<_> = (0..n)
-        .map(|r| {
-            put(
-                &mut sess,
-                &win,
-                r,
-                RmaArgs {
-                    ty: ty.clone(),
-                    count: 1,
-                },
-                origins[r],
-                (r + 1) % n,
-                0,
-                RmaArgs {
-                    ty: ty.clone(),
-                    count: 1,
-                },
-            )
-        })
-        .collect();
-    let f = fence(&mut sess, 0);
-    sess.run();
-    assert!(puts.iter().all(|p| p.is_complete()) && f.is_complete());
-    for (r, wb) in win_bufs.iter().enumerate() {
-        let got = sess.world.mem().read_vec(*wb, len).unwrap();
-        let left = (r + n - 1) % n;
-        assert!(
-            got.iter().all(|&x| x == left as u8 + 1),
-            "rank {r}'s window should hold rank {left}'s put"
-        );
-    }
-    // And every rank gets its left neighbor's window back.
-    let gets: Vec<_> = (0..n)
-        .map(|r| {
-            get(
-                &mut sess,
-                &win,
-                r,
-                RmaArgs {
-                    ty: ty.clone(),
-                    count: 1,
-                },
-                origins[r],
-                (r + n - 1) % n,
-                0,
-                RmaArgs {
-                    ty: ty.clone(),
-                    count: 1,
-                },
-            )
-        })
-        .collect();
-    let f = fence(&mut sess, 1);
-    sess.run();
-    assert!(gets.iter().all(|g| g.is_complete()) && f.is_complete());
-    for (r, o) in origins.iter().enumerate() {
-        let got = sess.world.mem().read_vec(*o, len).unwrap();
-        let two_left = (r + n - 2) % n;
-        assert!(
-            got.iter().all(|&x| x == two_left as u8 + 1),
-            "rank {r} should read the value rank {two_left} put two hops back"
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! MPI semantics: ordering, wildcards, partial receives, multi-count
-//! transfers, collectives and one-sided ops across mixed transports.
+//! transfers and collectives across mixed transports.
 
 use datatype::convertor::unpack_all;
 use datatype::testutil::{buffer_span, pattern, reference_pack};
@@ -362,52 +362,6 @@ fn bcast_triangular_across_mixed_transports() {
             assert_eq!(&got[range.clone()], &data[range], "rank {r}");
         }
     }
-}
-
-/// One-sided put across nodes (copy-in/out path under the hood).
-#[test]
-fn onesided_put_over_ib() {
-    let mut sim = Sim::new(MpiWorld::two_ranks_ib(MpiConfig::default()));
-    let ty = DataType::vector(64, 8, 16, &DataType::double())
-        .unwrap()
-        .commit();
-    let (base, len) = buffer_span(&ty, 1);
-    let span = (base as usize + len) as u64;
-    let bufs: Vec<Ptr> = (0..2).map(|r| alloc(&mut sim, r, span, true)).collect();
-    let win = mpirt::Win::create(&sim, bufs.clone(), vec![span; 2]);
-    let data = pattern(len);
-    sim.world
-        .mem()
-        .write(bufs[0].add(base as u64), &data)
-        .unwrap();
-
-    let req = mpirt::put(
-        &mut sim,
-        &win,
-        0,
-        mpirt::RmaArgs {
-            ty: ty.clone(),
-            count: 1,
-        },
-        bufs[0].add(base as u64),
-        1,
-        base as u64,
-        mpirt::RmaArgs {
-            ty: ty.clone(),
-            count: 1,
-        },
-    );
-    sim.run();
-    assert_eq!(req.expect_bytes(), ty.size());
-    let got = sim
-        .world
-        .mem()
-        .read_vec(bufs[1].add(base as u64), len as u64)
-        .unwrap();
-    assert_eq!(
-        reference_pack(&ty, 1, &got, 0),
-        reference_pack(&ty, 1, &data, 0)
-    );
 }
 
 /// Sends to distinct peers from one rank share nothing and both finish.

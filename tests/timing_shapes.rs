@@ -7,7 +7,7 @@ use datatype::DataType;
 use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemSpace, Ptr};
 use mpirt::api::PingPongSpec;
-use mpirt::{ping_pong, MpiConfig, MpiWorld};
+use mpirt::{ping_pong, MpiConfig, MpiWorld, RankSpec};
 use simcore::trace::{names, TraceEvent};
 use simcore::{Counter, Sim, SimTime};
 
@@ -261,7 +261,8 @@ fn pipeline_memory_is_bounded_by_ring() {
         ranks_per_node: 4,
         radix: 4,
     };
-    let mut sim = Sim::new(MpiWorld::n_ranks(n, topo, MpiConfig::default()));
+    let specs = RankSpec::laid_out(n, &topo);
+    let mut sim = Sim::new(MpiWorld::new(&specs, n as u32, MpiConfig::default()));
     sim.trace.set_recording(true);
     let ty = DataType::hvector(512, 256, 512, &DataType::byte())
         .unwrap()
@@ -340,7 +341,7 @@ fn pipeline_memory_is_bounded_by_ring() {
 #[test]
 fn engine_pipeline_overlap_visible_in_metrics() {
     use devengine::{pack_async, EngineConfig};
-    use mpirt::{RankSpec, Session};
+    use mpirt::Session;
 
     fn overlap(pipeline: bool) -> f64 {
         use devengine::OptimizerConfig;
