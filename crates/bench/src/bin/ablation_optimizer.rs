@@ -8,8 +8,10 @@
 //! optimization's contribution; `all-on` is the shipping default.
 //!
 //! Before printing the CSV the binary asserts the tuner's safety
-//! property on the figure workloads: with auto-tuning enabled the
-//! simulated round-trip is never worse than the static default — both
+//! property on the figure workloads — held by the schedule the tuner
+//! prices being the executor's, not by a safety margin: with
+//! auto-tuning enabled the simulated round-trip is never worse than the
+//! static default — both
 //! starting from everything-off and from everything-else-on — across
 //! the triangular (fig7/fig10) and transpose (fig12) datatypes on all
 //! three topologies. The same property is then asserted for the
@@ -114,9 +116,11 @@ fn assert_tuner_never_worse() {
 
 /// The five-way path-class gate: with the offload knobs on, the tuner
 /// may route a cross-node transfer to the NIC DEV executor or the
-/// stream-op graph — but only where the analytic model predicts a win
-/// past the selection margin, so the measured round-trip must never be
-/// worse than the three-class incumbent. Swept across every registered
+/// stream-op graph — but only where the schedule the executor runs,
+/// each class priced at the shape it would run, is strictly shorter; no
+/// margin covers a gap between model and run, so the measured
+/// round-trip must never be worse than the three-class incumbent.
+/// Swept across every registered
 /// architecture (NIC DMA rates and doorbell latencies diverge per
 /// arch) and the three fragmentation regimes the model separates.
 fn assert_offload_never_worse() {

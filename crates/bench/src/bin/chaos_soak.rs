@@ -182,7 +182,7 @@ fn main() {
                     }
                 }
             }
-            print_row(rate, (!legacy).then_some(arch.name), &row);
+            print_row(rate, (!legacy).then_some(arch.name), &row, &[]);
         }
     }
     if total_injected == 0 {

@@ -4,9 +4,12 @@
 //! Each series enables one offload knob and lets the tuner choose: the
 //! `gpu-pack` column is the three-class incumbent, `nic-offload` admits
 //! the NIC DEV executor, `stream-triggered` admits the stream-op graph.
-//! Where a column tracks `gpu-pack` exactly the model declined the
-//! offload (the never-worse gate in `ablation_optimizer` holds it to
-//! that); where it drops below, the offload crossed the frontier.
+//! The `nic-ran` and `stream-ran` columns name the class the offload
+//! series' transfers took — `nic` or `stream` when the run counted a
+//! NIC program or a graph replay (`offload.nic.programs`,
+//! `offload.stream.replays`), else `gpu-pack`, where the tuner kept the
+//! incumbent and the series equals the `gpu-pack` column (the
+//! never-worse gate in `ablation_optimizer` holds the choice to that).
 //!
 //! Two panels split the regimes the analytic model separates: a
 //! coarse-strided sweep (32 KiB blocks, DMA-bound — the NIC wins where
@@ -22,6 +25,24 @@ use bench::harness::ms;
 use bench::runner::{ours_rtt, BenchOpts, Sweep, Topo};
 use bench::workloads::{offload_coarse as coarse, offload_medium as medium};
 use mpirt::MpiConfig;
+use simcore::trace::names;
+use simcore::Tracer;
+
+/// The class a series' transfers took.
+fn ran(trace: &Tracer) -> &'static str {
+    if trace.counter(names::OFFLOAD_NIC_PROGRAMS) > 0 {
+        "nic"
+    } else if trace.counter(names::OFFLOAD_STREAM_REPLAYS) > 0 {
+        "stream"
+    } else {
+        "gpu-pack"
+    }
+}
+
+/// The two `ran` columns.
+fn with_ran(sweep: Sweep) -> Sweep {
+    (sweep.label("nic-ran", "nic-offload", ran)).label("stream-ran", "stream-triggered", ran)
+}
 
 fn variants() -> Vec<(&'static str, MpiConfig)> {
     vec![
@@ -63,7 +84,7 @@ fn main() {
             (ms(rtt), tr)
         });
     }
-    co.run(&opts.for_panel("coarse"));
+    with_ran(co).run(&opts.for_panel("coarse"));
     println!();
 
     // Panel 2: medium blocks, message size 128 KiB – 1 MiB. Launch
@@ -83,5 +104,5 @@ fn main() {
             (ms(rtt), tr)
         });
     }
-    me.run(&opts.for_panel("medium"));
+    with_ran(me).run(&opts.for_panel("medium"));
 }

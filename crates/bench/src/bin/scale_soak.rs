@@ -9,7 +9,9 @@
 //! cost of the soak is `soak_1k`'s to measure (BENCHMARK.json).
 //!
 //! Usage:
-//!   scale_soak [--smoke] [--ranks <n>] [--out <path>]
+//! ```text
+//! scale_soak [--smoke] [--ranks <n>] [--out <path>]
+//! ```
 //!
 //! `--smoke` shrinks the soak to 64 ranks for CI; the JSON keeps the
 //! same shape with `"mode": "smoke"`. `--ranks` overrides the rank

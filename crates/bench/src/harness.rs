@@ -28,9 +28,9 @@ pub fn print_header(fig: &Figure) {
 }
 
 /// Print one CSV row: x value, the arch name when the sweep carries the
-/// arch column, and one f64 per series (NaN prints empty, matching
-/// points the paper's figures omit as off-scale).
-pub fn print_row(x: u64, arch: Option<&str>, values: &[f64]) {
+/// arch column, one f64 per series (NaN prints empty, matching points
+/// the paper's figures omit as off-scale), then the text `labels`.
+pub fn print_row(x: u64, arch: Option<&str>, values: &[f64], labels: &[&str]) {
     print!("{x}");
     if let Some(arch) = arch {
         print!(",{arch}");
@@ -41,6 +41,9 @@ pub fn print_row(x: u64, arch: Option<&str>, values: &[f64]) {
         } else {
             print!(",{v:.4}");
         }
+    }
+    for label in labels {
+        print!(",{label}");
     }
     println!();
 }

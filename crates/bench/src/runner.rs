@@ -118,9 +118,15 @@ pub struct Sweep {
     x_label: &'static str,
     xs: Vec<u64>,
     series: Vec<(String, Eval)>,
+    /// Text columns after the series: a name, the series whose run it
+    /// reads, and what it reads off that run's tracer.
+    labels: Vec<(String, usize, Label)>,
     /// `--trace` re-runs the first x instead of the last.
     trace_first: bool,
 }
+
+/// What a text column reads off one run's tracer.
+pub type Label = fn(&Tracer) -> &'static str;
 
 impl Sweep {
     pub fn new(id: &'static str, title: &'static str, x_label: &'static str, xs: &[u64]) -> Sweep {
@@ -130,6 +136,7 @@ impl Sweep {
             x_label,
             xs: xs.to_vec(),
             series: Vec::new(),
+            labels: Vec::new(),
             trace_first: false,
         }
     }
@@ -148,6 +155,15 @@ impl Sweep {
         eval: impl Fn(u64, &'static GpuArch, bool) -> (f64, Tracer) + 'static,
     ) -> Sweep {
         self.series.push((name.to_string(), Box::new(eval)));
+        self
+    }
+
+    /// Add a text column `name`, printed after the series: `label` of
+    /// the tracer of series `of`'s run at each point.
+    pub fn label(mut self, name: &str, of: &str, label: Label) -> Sweep {
+        let of = (self.series.iter().position(|(n, _)| n == of))
+            .unwrap_or_else(|| panic!("no series {of}"));
+        self.labels.push((name.to_string(), of, label));
         self
     }
 
@@ -171,17 +187,20 @@ impl Sweep {
             title: self.title,
             x_label: self.x_label,
             arch_column: !legacy,
-            series: self.series.iter().map(|(n, _)| n.clone()).collect(),
+            series: (self.series.iter().map(|(n, _)| n))
+                .chain(self.labels.iter().map(|(n, ..)| n))
+                .cloned()
+                .collect(),
         };
         print_header(&fig);
         for &x in &xs {
             for &arch in &archs {
-                let row: Vec<f64> = self
-                    .series
-                    .iter()
-                    .map(|(_, f)| f(x, arch, false).0)
+                let (row, traces): (Vec<f64>, Vec<Tracer>) =
+                    self.series.iter().map(|(_, f)| f(x, arch, false)).unzip();
+                let labels: Vec<&str> = (self.labels.iter())
+                    .map(|&(_, of, label)| label(&traces[of]))
                     .collect();
-                print_row(x, (!legacy).then_some(arch.name), &row);
+                print_row(x, (!legacy).then_some(arch.name), &row, &labels);
             }
         }
         if let Some(path) = &opts.trace {

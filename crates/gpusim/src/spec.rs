@@ -5,7 +5,7 @@
 //! harnesses use these defaults; tests may build cheaper specs.
 //!
 //! This module is the *only* place raw per-architecture constants are
-//! written down: the constructors are private, and [`REGISTRY`] is
+//! written down: the constructors are private, and `REGISTRY` is
 //! their one reader. The [`GpuArch`] registry layers lookup-by-name
 //! and aliases on top; newer parts
 //! (P100/V100/A100) exist so the figure harnesses can ask whether the

@@ -16,6 +16,16 @@ pub struct StreamId {
     pub index: usize,
 }
 
+impl StreamId {
+    /// The trace track the stream's spans land on.
+    pub fn track(self) -> Track {
+        Track::Stream {
+            gpu: self.gpu.0,
+            index: self.index as u32,
+        }
+    }
+}
+
 /// Mutable per-GPU runtime state.
 pub struct GpuState {
     pub spec: GpuSpec,
@@ -259,12 +269,8 @@ pub(crate) fn on_stream<W: GpuWorld>(
     move |sim, charge| {
         let now = sim.now();
         let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, charge);
-        let track = Track::Stream {
-            gpu: stream.gpu.0,
-            index: stream.index as u32,
-        };
         sim.trace
-            .span_at(start, end, names::CAT_GPUSIM, name, track);
+            .span_at(start, end, names::CAT_GPUSIM, name, stream.track());
         end
     }
 }

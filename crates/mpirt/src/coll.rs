@@ -11,8 +11,8 @@
 //! defined once, in [`crate::schedule`] (the textbook algorithms Open
 //! MPI's `coll/base` uses at these scales: binomial-tree broadcast,
 //! ring allgather, pairwise alltoall, dissemination barrier);
-//! [`exchange`] posts one round of a round-structured schedule and
-//! [`fan_out`] one level of the broadcast tree.
+//! `exchange` posts one round of a round-structured schedule and
+//! `fan_out` one level of the broadcast tree.
 //!
 //! Buffers are passed as one pointer per rank (each rank's buffer in
 //! its own memory space), since all ranks live in one simulation.

@@ -19,9 +19,9 @@
 //!
 //! Every capability step of a handshake — an IPC open, the zero-copy
 //! pin, the NIC handler install, the stream doorbell — runs through one
-//! driver, [`establish`], which absorbs injected faults: a transient is
-//! retried under a capped exponential backoff until [`HANDSHAKE_TIMEOUT`]
-//! of virtual time or [`HANDSHAKE_RETRY_MAX`] retries are spent; a
+//! driver, `establish`, which absorbs injected faults: a transient is
+//! retried under a capped exponential backoff until `HANDSHAKE_TIMEOUT`
+//! of virtual time or `HANDSHAKE_RETRY_MAX` retries are spent; a
 //! permanent loss (or a spent budget) takes the [`Capability`] away for
 //! the rest of the run, meters the demotion and surfaces a typed error,
 //! so the protocol layer can renegotiate the path.

@@ -536,9 +536,7 @@ fn fail(sim: &mut Sim<MpiWorld>, st: &St, err: MpiError) {
 /// ring, build the conversion engines the plan uses, then pump.
 pub(crate) fn run<D: Resolve>(sim: &mut Sim<MpiWorld>, mut t: Transfer<D>, conn: Conn) {
     if let Conn::Rings = conn {
-        let cfg = &sim.world.mpi.config;
-        let (frag0, depth0) = (cfg.frag_size, cfg.pipeline_depth);
-        (t.plan.frag, t.plan.depth) = tuned_shape(sim, &t.s, &t.r, t.plan.class, frag0, depth0);
+        (t.plan.frag, t.plan.depth) = tuned_shape(sim, &t.s, &t.r, t.plan.class);
     }
     let engine = |sim: &mut Sim<MpiWorld>, end, dir| {
         if t.plan.converts(end) {

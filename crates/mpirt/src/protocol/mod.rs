@@ -259,6 +259,29 @@ pub(crate) fn run_transfer(
     dispatch(sim, send, recv, done);
 }
 
+/// Run one (signature-checked) transfer down `class`, past the path
+/// choice — what [`crate::tuner::predict`] prices. A same-node or
+/// copy-in/out class is the one the world's facts give the pair.
+pub fn transfer_down(
+    sim: &mut Sim<MpiWorld>,
+    class: PathClass,
+    s: Side,
+    r: Side,
+) -> (Request, Request) {
+    let (send, recv) = (Request::new(), Request::new());
+    let done = exec::Requests {
+        send: send.clone(),
+        recv: recv.clone(),
+    };
+    match class {
+        PathClass::NicOffload | PathClass::StreamTriggered => {
+            offload::start(sim, class, s, r, done)
+        }
+        _ => dispatch(sim, s, r, done),
+    }
+    (send, recv)
+}
+
 /// Start a transfer down the protocol it takes now. Selection reads
 /// what the runtime *offers* ([`MpiState::offers`]): once a handshake
 /// loses the IPC capability, every later same-node transfer takes
@@ -275,7 +298,7 @@ pub(crate) fn dispatch(sim: &mut Sim<MpiWorld>, send: Side, recv: Side, done: ex
     } else {
         // Cross-node (and degraded same-node) transfers consult the
         // analytic path selector: the offload classes compete only while
-        // offered, and win only past the never-worse margin.
+        // offered, and win only when their schedule is strictly shorter.
         match crate::tuner::select_path(sim, &send, &recv, same_node) {
             class @ (PathClass::NicOffload | PathClass::StreamTriggered) => {
                 offload::start(sim, class, send, recv, done)

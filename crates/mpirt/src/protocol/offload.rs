@@ -21,9 +21,9 @@
 //!   each replay: a lost doorbell demotes to the CPU-driven pipeline,
 //!   sticky: the StreamTrigger capability is lost.
 //!
-//! Neither path is entered unless `tuner::select_path` predicted a win
-//! past its never-worse margin, so a demotion only ever returns the
-//! transfer to the timing it would have had with the knob off.
+//! Neither path is entered unless `tuner::select_path` predicted it
+//! strictly faster than the incumbent, so a demotion only ever returns
+//! the transfer to the timing it would have had with the knob off.
 //!
 //! Both are one-fragment [`plan_for`](crate::protocol::plan::plan_for) plans run by the executor; this
 //! module owns what precedes them — the capability step (run by

@@ -1,34 +1,24 @@
-//! Protocol-level fragment-size / ring-depth auto-tuning.
+//! Protocol-level path-class, fragment-size and ring-depth tuning.
 //!
-//! The rendezvous protocols pipeline a transfer through a ring of
-//! `pipeline_depth` fragments of `frag_size` bytes, both hand-picked
-//! constants in [`crate::MpiConfig`]. This module prices the very
-//! [`TransferPlan`] the executor runs — one `price` arm per
-//! [`StageOp`], next to the one `run` arm in `protocol::exec` — with
-//! the price function of the crate whose charge the `run` arm calls
-//! (`gpusim::kernel_time`, `gpusim::copy_time`,
-//! `gpusim::memcpy_2d_time`, `netsim::Link::time`,
-//! `netsim::am_time`, `NicCosts::time`, `cpupack::pass_time`, …), so
-//! it holds no rate or latency of its own. A kernel is priced on
-//! [`KernelTraffic::estimate`], the one input the executor knows
-//! exactly and the tuner does not. The stage prices fold into a
-//! closed-form pipeline makespan
-//! ([`devengine::tune::pipeline_makespan_ns`]) from which
-//! [`devengine::tune::pick_fragment`] chooses a (fragment, depth) shape
-//! per *(canonical sender layout, canonical receiver layout, message
-//! size, path class)*.
-//!
-//! Two hard safety properties:
-//!
-//! * the static configuration always competes and wins ties (plus a 7%
-//!   margin), so a tuned transfer is never predicted slower than the
-//!   default — `ablation_optimizer` asserts the simulated times agree;
-//! * tuned fragments only ever *shrink* and tuned depths never grow, so
-//!   the rings allocated at connection establishment (at the configured
-//!   shape) always fit the tuned schedule.
-//!
-//! Decisions are cached in [`crate::world::MpiState::tuned_shapes`] and
-//! surfaced through the `optimizer.frag.*` trace counters.
+//! This module prices the very [`TransferPlan`] the executor runs: one
+//! `price` arm per [`StageOp`], next to the one `run` arm in
+//! `protocol::exec`, with the price function of the crate whose charge
+//! the `run` arm calls (`gpusim::kernel_time`, `gpusim::copy_time`,
+//! `netsim::Link::time`, `netsim::am_time`, `NicCosts::time`,
+//! `cpupack::pass_time`, …) and the resource that charge holds — the
+//! stream, CPU or link whose trace track its span lands on. The plan's
+//! stages and its [`Credit`] make one [`devengine::tune::Pipeline`],
+//! whose list schedule is what the executor runs, so on an idle pair
+//! the prediction is the run; the one input the tuner estimates is a
+//! kernel's traffic ([`KernelTraffic::estimate`]).
+//! [`tuned_shape`] picks a (fragment, depth) from it per *(canonical
+//! sender layout, canonical receiver layout, message size, path
+//! class)*, and `select_path` the class; the incumbent wins ties.
+//! Tuned fragments only ever *shrink* and tuned depths never grow, so
+//! the rings allocated at connection establishment (at the configured
+//! shape) always fit the tuned schedule. Decisions are cached in
+//! [`crate::world::MpiState::tuned_shapes`] and surfaced through the
+//! `optimizer.frag.*` trace counters.
 
 use crate::connection::Capability;
 use crate::cpupack;
@@ -39,19 +29,19 @@ use crate::protocol::plan::{
 };
 use crate::protocol::Side;
 use crate::world::MpiWorld;
-use devengine::tune::{pick_fragment, pipeline_makespan_ns};
+use devengine::tune::{pick_fragment, Cost};
 use devengine::{Direction, LaunchEstimate, OptimizerConfig};
 use gpusim::{
-    copy_time, graph_kernel_time, kernel_time, replay_time, CopyDirection, GpuState, GpuWorld as _,
-    KernelConfig, KernelTraffic, NodeTopology,
+    copy_time, graph_kernel_time, kernel_time, replay_time, CopyDirection, GpuWorld as _,
+    KernelConfig, KernelTraffic,
 };
 use memsim::{AllocId, MemSpace, Ptr};
 use netsim::{am_time, NetWorld as _, NicCosts};
 use simcore::trace::names;
-use simcore::{Sim, SimTime};
+use simcore::{Sim, SimTime, Track};
 
 /// Which transfer pipeline a rendezvous took.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum PathClass {
     /// Same-node CUDA IPC fragment ring (`protocol::sm`, §4.1).
     SmIpc,
@@ -74,10 +64,7 @@ pub enum PathClass {
 /// One cached tuning decision.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TuneKey {
-    /// GPU architecture the model constants came from. The cache lives
-    /// on a single-arch `MpiState` today, but keying on the arch keeps
-    /// cached decisions honest if states are ever shared or compared
-    /// across worlds (and makes per-arch divergence directly testable).
+    /// GPU architecture the model constants came from.
     pub arch: &'static str,
     /// Structural fingerprint of the sender layout (canonical form when
     /// canonicalization is on, so equivalent trees share a decision).
@@ -120,8 +107,8 @@ fn cache_key(sim: &Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> TuneK
     }
 }
 
-/// One stage's price for a fragment of the given size.
-type Price<'a> = Box<dyn Fn(u64) -> SimTime + 'a>;
+type Stage<'a> = devengine::tune::Stage<'a, Track>;
+type Pipeline<'a> = devengine::tune::Pipeline<'a, Track>;
 
 /// Where a fragment location lives.
 fn space_of(sim: &Sim<MpiWorld>, (s, r): (&Side, &Side), loc: Loc) -> MemSpace {
@@ -135,100 +122,94 @@ fn space_of(sim: &Sim<MpiWorld>, (s, r): (&Side, &Side), loc: Loc) -> MemSpace {
 
 /// The conversion kernel `side`'s engine launches between its typed
 /// buffer and a fragment in `frag`, as far as its price is concerned:
-/// [`gpusim::kernel_time`] — or [`gpusim::graph_kernel_time`] for a
-/// kernel baked into a captured graph, which streams a whole-message
-/// descriptor list — over the launch's traffic. The executor's charge
-/// calls the same function on the exact traffic; the tuner on
+/// its time over a launch's traffic — [`gpusim::kernel_time`], or
+/// [`gpusim::graph_kernel_time`] for a kernel baked into a captured
+/// graph — which the executor's charge calls on the exact traffic, and
+/// the tuner's price of a window of `n` bytes, on
 /// [`KernelTraffic::estimate`].
-struct KernelStage<'a> {
-    g: &'a GpuState,
-    topo: &'a NodeTopology,
-    spaces: (MemSpace, MemSpace),
-    /// Which of the two spaces is the executing GPU's own DRAM.
-    local: (bool, bool),
-    kcfg: KernelConfig,
-    est: LaunchEstimate,
+fn kernel_stage<'a>(
+    sim: &'a Sim<MpiWorld>,
+    side: &Side,
+    end: End,
+    frag: MemSpace,
     graph: bool,
-}
-
-impl<'a> KernelStage<'a> {
-    fn of(sim: &'a Sim<MpiWorld>, side: &Side, end: End, frag: MemSpace, graph: bool) -> Self {
-        let sys = sim.world.gpus_ref();
-        let cfg = &sim.world.mpi.config.engine;
-        let est = LaunchEstimate::of(&side.ty, side.count, cfg);
-        let gpu = sim.world.rank(side.rank).gpu;
-        let spaces = match end {
-            End::Send => (side.buf.space, frag),
-            End::Recv => (frag, side.buf.space),
-        };
-        let here = MemSpace::Device(gpu);
-        KernelStage {
-            g: sys.gpu(gpu),
-            topo: &sys.topo,
-            spaces,
-            local: (spaces.0 == here, spaces.1 == here),
-            kcfg: KernelConfig {
-                blocks: cfg.blocks,
-                descriptor_stream: est.descriptor_stream,
-            },
-            est,
-            graph,
-        }
-    }
-
-    fn time(&self, traffic: &KernelTraffic) -> SimTime {
-        if self.graph {
-            graph_kernel_time(self.g, self.topo, self.spaces, traffic)
-        } else {
-            kernel_time(self.g, self.topo, self.spaces, self.kcfg, traffic)
-        }
-    }
-
-    fn price(self) -> Price<'a> {
-        Box::new(move |n| {
-            let units = self.est.units_in(n);
-            self.time(&KernelTraffic::estimate(n, units, self.local, &self.g.spec))
-        })
-    }
+) -> (
+    impl Fn(&KernelTraffic) -> SimTime + Copy + 'a,
+    impl Fn(u64) -> SimTime + 'a,
+) {
+    let (sys, cfg) = (sim.world.gpus_ref(), &sim.world.mpi.config.engine);
+    let est = LaunchEstimate::of(&side.ty, side.count, cfg);
+    let gpu = sim.world.rank(side.rank).gpu;
+    let (g, here) = (sys.gpu(gpu), MemSpace::Device(gpu));
+    let spaces = match end {
+        End::Send => (side.buf.space, frag),
+        End::Recv => (frag, side.buf.space),
+    };
+    let kcfg = KernelConfig {
+        blocks: cfg.blocks,
+        descriptor_stream: est.descriptor_stream,
+    };
+    let time = move |traffic: &KernelTraffic| match graph {
+        true => graph_kernel_time(g, &sys.topo, spaces, traffic),
+        false => kernel_time(g, &sys.topo, spaces, kcfg, traffic),
+    };
+    // Which of the two spaces is the executing GPU's own DRAM.
+    let local = (spaces.0 == here, spaces.1 == here);
+    let price = move |n| time(&KernelTraffic::estimate(n, est.units_in(n), local, &g.spec));
+    (time, price)
 }
 
 /// The model's price of one executable stage — the `price` arm matching
 /// the executor's `run` arm for the same [`StageOp`] — built from the
-/// function the stage's charge calls. `Direct` moves nothing and has
-/// no stage; a graph replay is four serial legs in one stage.
+/// function the stage's charge calls, and the track of the resource the
+/// charge holds. `Direct` moves nothing and has no stage; a graph
+/// replay is four serial legs in one stage, holding the sender's stream
+/// for the re-arm and the pack.
 fn price<'a>(
     sim: &'a Sim<MpiWorld>,
     op: StageOp,
     (s, r): (&'a Side, &'a Side),
-) -> Option<Price<'a>> {
+) -> Option<Stage<'a>> {
     let side = |end| match end {
         End::Send => s,
         End::Recv => r,
     };
     let at = |loc| space_of(sim, (s, r), loc);
-    let channel = |from: &Side, to: &Side| sim.world.net_ref().channel(from.rank, to.rank);
+    let rank = |end| sim.world.rank(side(end).rank);
+    let (from, to) = (s.rank as u32, r.rank as u32);
     // The data link, for the stages that use one: an eager half's two
     // ends share a rank.
     let data = move || &sim.world.net_ref().channel(s.rank, r.rank).data;
     let wire = move |n| data().time(n);
+    let zero = SimTime::ZERO;
     Some(match op {
         StageOp::Kernel { end, frag } => {
-            KernelStage::of(sim, side(end), end, at(frag), false).price()
+            let kernel = kernel_stage(sim, side(end), end, at(frag), false).1;
+            Stage::new(rank(end).kernel_stream.track(), zero, kernel)
         }
-        StageOp::CpuConvert { .. } => Box::new(cpupack::pass_time),
+        StageOp::CpuConvert { end, .. } => {
+            let cpu = Track::Cpu {
+                rank: side(end).rank as u32,
+            };
+            Stage::new(cpu, zero, cpupack::pass_time)
+        }
         StageOp::Copy {
             stream_of,
             from,
             to,
         } => {
-            let gpu = sim.world.rank(side(stream_of).rank).gpu;
+            let gpu = rank(stream_of).gpu;
             let dir = CopyDirection::of(at(from), at(to));
-            Box::new(move |n| copy_time(sim.world.gpus_ref(), gpu, dir, n))
+            let copy = move |n| copy_time(sim.world.gpus_ref(), gpu, dir, n);
+            Stage::new(rank(stream_of).copy_stream.track(), zero, copy)
         }
-        StageOp::Wire { .. } => Box::new(wire),
+        StageOp::Wire { .. } => Stage::new(Track::LinkData { from, to }, data().latency, wire),
         StageOp::Notify { to } => {
-            let ctrl = &channel(side(to.other()), side(to)).ctrl;
-            Box::new(move |_| am_time(ctrl, CONTROL_BYTES))
+            let (from, to) = (side(to.other()).rank, side(to).rank);
+            let ctrl = &sim.world.net_ref().channel(from, to).ctrl;
+            let (from, to) = (from as u32, to as u32);
+            let am = move |_| am_time(ctrl, CONTROL_BYTES);
+            Stage::new(Track::LinkCtrl { from, to }, ctrl.latency, am)
         }
         StageOp::Direct => return None,
         StageOp::NicProgram => {
@@ -243,11 +224,11 @@ fn price<'a>(
                 LaunchEstimate::of(&s.ty, s.count, cfg),
                 LaunchEstimate::of(&r.ty, r.count, cfg),
             );
-            let data = data();
-            Box::new(move |n| {
+            let program = move |n| {
                 let descriptors = s_est.units_in(n) + r_est.units_in(n);
-                costs.time(descriptors, n, data)
-            })
+                costs.time(descriptors, n, data())
+            };
+            Stage::new(Track::LinkData { from, to }, data().latency, program)
         }
         StageOp::GraphReplay => {
             // Replay re-arm on the stream front-end, then the graph's
@@ -255,11 +236,18 @@ fn price<'a>(
             // zero-copy unpack. Completion is the graph's flag write — no
             // per-fragment active messages, no CPU.
             let topo = &sim.world.gpus_ref().topo;
-            let stream = sim.world.rank(s.rank).kernel_stream;
-            let re_arm = replay_time(topo, offload::transfer_graph(stream, 0).op_count());
-            let pack = KernelStage::of(sim, s, End::Send, MemSpace::Host, true).price();
-            let unpack = KernelStage::of(sim, r, End::Recv, MemSpace::Host, true).price();
-            Box::new(move |n| re_arm + pack(n) + wire(n) + unpack(n))
+            let id = rank(End::Send).kernel_stream;
+            let re_arm = replay_time(topo, offload::transfer_graph(id, 0).op_count());
+            let pack = kernel_stage(sim, s, End::Send, MemSpace::Host, true).1;
+            let unpack = kernel_stage(sim, r, End::Recv, MemSpace::Host, true).1;
+            let replay = move |n| Cost {
+                hold: re_arm + pack(n),
+                until: wire(n) + unpack(n),
+            };
+            Stage {
+                resource: id.track(),
+                cost: Box::new(replay),
+            }
         }
         StageOp::Memcpy2d { end, frag } => {
             // The whole type's copies: a comparator plan is one
@@ -275,45 +263,38 @@ fn price<'a>(
                 offset: 0,
             };
             let t = RunEngine::new(sim, side(end), dir).time(sim, staging);
-            Box::new(move |_| t)
+            Stage::new(rank(end).copy_stream.track(), zero, move |_| t)
         }
     })
 }
 
-/// The plan a transfer would run down `class` right now, and its
-/// per-fragment stage prices: every stage comes from a [`StageOp`] the
-/// executor would run, plus the credit stage the plan declares — one
-/// active message per fragment under [`Credit::Ack`]; `Local` and
-/// `Fused` credits cost nothing per fragment.
-fn path_stages<'a>(
-    sim: &'a Sim<MpiWorld>,
-    s: &'a Side,
-    r: &'a Side,
-    class: PathClass,
-) -> (TransferPlan, Vec<Price<'a>>) {
-    let plan = plan_for(&Facts::of(sim, s.rank, r.rank), s, r, class);
-    let mut stages: Vec<Price<'a>> = (plan.stages.iter())
-        .filter_map(|&op| price(sim, op, (s, r)))
-        .collect();
-    if plan.credit == Credit::Ack {
-        // The receiver's slot ack: a control message back to the sender.
-        stages.extend(price(sim, StageOp::Notify { to: End::Send }, (s, r)));
-    }
-    (plan, stages)
+/// The schedule `plan` runs, each stage priced by `price`: its stages,
+/// then its credit — under [`Credit::Ack`] the receiver acks every slot
+/// back, under [`Credit::Local`] one message closes the transfer.
+fn schedule<'a>(
+    plan: &TransferPlan,
+    mut price: impl FnMut(StageOp) -> Option<Stage<'a>>,
+) -> Pipeline<'a> {
+    let mut stages: Vec<Stage<'a>> = plan.stages.iter().filter_map(|&op| price(op)).collect();
+    let closing = match plan.credit {
+        Credit::Ack => {
+            stages.extend(price(StageOp::Notify { to: End::Send }));
+            None
+        }
+        Credit::Local { far } => price(StageOp::Notify { to: far }),
+        Credit::Fused => None,
+    };
+    Pipeline { stages, closing }
 }
-
-/// Fraction of the incumbent's predicted makespan an offload candidate
-/// must beat to be selected: the never-worse gate with a 10% hysteresis
-/// band, mirroring the 7% tie margin inside `pick_fragment`.
-const SELECT_MARGIN: f64 = 0.9;
 
 /// Choose the path class for one cross-node rendezvous. The incumbent
 /// GPU-pack pipeline (zero-copy when healthy and both sides live on
-/// device, staged copy-in/out otherwise) always competes; an offload
-/// class is returned only while the runtime offers it (its knob is on
-/// and no handshake lost it), both sides are device-resident, and the
-/// analytic model predicts a win past [`SELECT_MARGIN`]. With both knobs off this
-/// returns the incumbent immediately — no model evaluation, no
+/// device, staged copy-in/out otherwise) always competes and wins ties;
+/// an offload class is returned only while the runtime offers it (its
+/// knob is on and no handshake lost it), both sides are
+/// device-resident, and its schedule is strictly shorter. Every class
+/// is priced at the shape it would run ([`predict`]). With both knobs
+/// off this returns the incumbent immediately — no model evaluation, no
 /// counters, so default runs stay byte-identical.
 pub(crate) fn select_path(
     sim: &mut Sim<MpiWorld>,
@@ -326,78 +307,67 @@ pub(crate) fn select_path(
     } else {
         PathClass::CopyInOut
     };
-    let mpi = &sim.world.mpi;
-    let nic_ok = mpi.offers(Capability::NicOffload);
-    let stream_ok = mpi.offers(Capability::StreamTrigger);
-    if (!nic_ok && !stream_ok) || same_node || !s.device() || !r.device() {
+    let offload = [
+        (Capability::NicOffload, PathClass::NicOffload),
+        (Capability::StreamTrigger, PathClass::StreamTriggered),
+    ];
+    let offered: Vec<_> = (offload.into_iter())
+        .filter(|&(cap, _)| sim.world.mpi.offers(cap))
+        .collect();
+    if offered.is_empty() || same_node || !s.device() || !r.device() {
         return incumbent;
     }
-    // Predicted makespan of the plan `class` would run, at the plan's
-    // own shape: the configured ring for the pipelined incumbent, one
-    // whole-message fragment for the offload classes.
-    let total = s.total().max(1);
-    let predict = |class| {
-        let (plan, stages) = path_stages(sim, s, r, class);
-        pipeline_makespan_ns(total, plan.frag.min(total), plan.depth, &stages)
-    };
-    let mut best = incumbent;
-    // The candidate must beat the incumbent by the margin; between the
-    // two offload classes, plain better-than wins.
-    let mut best_ns = predict(incumbent) * SELECT_MARGIN;
-    for (ok, class) in [
-        (nic_ok, PathClass::NicOffload),
-        (stream_ok, PathClass::StreamTriggered),
-    ] {
-        if ok {
-            let ns = predict(class);
-            if ns < best_ns {
-                best = class;
-                best_ns = ns;
-            }
-        }
-    }
-    best
+    // Ties go to the earlier class: the incumbent, then the NIC.
+    let incumbent = (predict(sim, s, r, incumbent), incumbent);
+    (offered.into_iter())
+        .fold(incumbent, |best, (_, class)| {
+            best.min((predict(sim, s, r, class), class))
+        })
+        .1
 }
 
-/// Pick the pipeline shape for one transfer: the configured
-/// `(frag0, depth0)` unless the auto-tuner is enabled *and* the cost
-/// model predicts a ≥7% win for a smaller fragment / shallower ring.
+/// The tuner's prediction for one transfer `s → r` down `class`: the
+/// schedule of the plan it would run, at the shape it would run — a
+/// ring at the shape [`tuned_shape`] picks, a one-fragment plan whole.
+pub fn predict(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> SimTime {
+    let plan = plan_for(&Facts::of(sim, s.rank, r.rank), s, r, class);
+    let (frag, depth) = if plan.ring {
+        tuned_shape(sim, s, r, class)
+    } else {
+        (plan.frag, plan.depth)
+    };
+    schedule(&plan, |op| price(sim, op, (s, r))).makespan(s.total(), frag, depth)
+}
+
+/// Pick the pipeline shape for one transfer: the configured fragment
+/// size and ring depth unless the auto-tuner is enabled *and* a smaller
+/// fragment / shallower ring has a strictly shorter schedule.
 /// Decisions are cached per (layouts, size, path) and counted in the
 /// trace (`optimizer.frag.tuned` / `.default` / `.cache.hit`).
-pub fn tuned_shape(
-    sim: &mut Sim<MpiWorld>,
-    s: &Side,
-    r: &Side,
-    class: PathClass,
-    frag0: u64,
-    depth0: usize,
-) -> (u64, usize) {
-    let opt = sim.world.mpi.config.engine.optimizer;
-    if !opt.autotune {
-        return (frag0, depth0);
+pub fn tuned_shape(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> (u64, usize) {
+    let cfg = &sim.world.mpi.config;
+    let configured = (cfg.frag_size, cfg.pipeline_depth);
+    if !cfg.engine.optimizer.autotune {
+        return configured;
     }
-    let total = s.total();
+    let (a, b) = (s.rank as u32, r.rank as u32);
     let key = cache_key(sim, s, r, class);
     if let Some(&shape) = sim.world.mpi.tuned_shapes.get(&key) {
-        sim.trace.count(
-            names::OPTIMIZER_FRAG_CACHE_HIT,
-            s.rank as u32,
-            r.rank as u32,
-            1,
-        );
+        sim.trace.count(names::OPTIMIZER_FRAG_CACHE_HIT, a, b, 1);
         return shape;
     }
+    let plan = plan_for(&Facts::of(sim, s.rank, r.rank), s, r, class);
     let shape = {
-        let (_, stages) = path_stages(sim, s, r, class);
-        pick_fragment(total, frag0, depth0, &stages)
+        let pipe = schedule(&plan, |op| price(sim, op, (s, r)));
+        pick_fragment(&pipe, s.total(), configured.0, configured.1)
     };
     sim.world.mpi.tuned_shapes.insert(key, shape);
-    let counter = if shape == (frag0, depth0) {
+    let counter = if shape == configured {
         names::OPTIMIZER_FRAG_DEFAULT
     } else {
         names::OPTIMIZER_FRAG_TUNED
     };
-    sim.trace.count(counter, s.rank as u32, r.rank as u32, 1);
+    sim.trace.count(counter, a, b, 1);
     shape
 }
 
@@ -443,7 +413,7 @@ mod tests {
         let mut sim = world(OptimizerConfig::disabled());
         let s = strided_side(&mut sim, 0);
         let r = strided_side(&mut sim, 1);
-        let shape = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc, 512 << 10, 4);
+        let shape = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc);
         assert_eq!(shape, (512 << 10, 4));
         assert!(sim.world.mpi.tuned_shapes.is_empty());
     }
@@ -453,12 +423,12 @@ mod tests {
         let mut sim = world(OptimizerConfig::enabled());
         let s = strided_side(&mut sim, 0);
         let r = strided_side(&mut sim, 1);
-        let (f, d) = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc, 512 << 10, 4);
+        let (f, d) = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc);
         assert!(f <= 512 << 10, "fragments must fit the allocated ring");
         assert!(d <= 4, "depth must fit the allocated ring");
         assert!(f >= devengine::tune::MIN_FRAG);
         assert_eq!(sim.world.mpi.tuned_shapes.len(), 1);
-        let again = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc, 512 << 10, 4);
+        let again = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc);
         assert_eq!(again, (f, d));
         assert_eq!(sim.trace.counter(names::OPTIMIZER_FRAG_CACHE_HIT), 1);
         assert_eq!(sim.world.mpi.tuned_shapes.len(), 1);
@@ -645,7 +615,6 @@ mod tests {
     ) {
         use simcore::trace::{Name, TraceEvent, Track};
         let n = plan.frag.min(s.total());
-        let side = |end| if end == End::Send { s } else { r };
         let span = |name: Name, track: Track| {
             let first = events.iter().find_map(|e| match *e {
                 TraceEvent::Span {
@@ -658,14 +627,6 @@ mod tests {
                 _ => None,
             });
             first.unwrap_or_else(|| panic!("{row}: no {name:?} span on {track}"))
-        };
-        let stream = |s: gpusim::StreamId| Track::Stream {
-            gpu: s.gpu.0,
-            index: s.index as u32,
-        };
-        let ctrl = |from: &Side, to: &Side| Track::LinkCtrl {
-            from: from.rank as u32,
-            to: to.rank as u32,
         };
         // A 2-D copy stage issues one copy per vector run, back to back
         // on one stream: the stage lasts their sum.
@@ -687,72 +648,25 @@ mod tests {
                 })
                 .fold(SimTime::ZERO, |a, b| a + b)
         };
-        let mut checks: Vec<(StageOp, Track, Name)> = Vec::new();
-        for &op in plan.stages.iter() {
-            let rank = |end| sim.world.rank(side(end).rank);
-            checks.push(match op {
-                StageOp::Kernel { end, .. } => {
-                    (op, stream(rank(end).kernel_stream), names::SPAN_KERNEL)
-                }
-                StageOp::CpuConvert { end, .. } => {
-                    let pass = if end == End::Send {
-                        names::SPAN_CPU_PACK
-                    } else {
-                        names::SPAN_CPU_UNPACK
-                    };
-                    (
-                        op,
-                        Track::Cpu {
-                            rank: side(end).rank as u32,
-                        },
-                        pass,
-                    )
-                }
-                StageOp::Copy { stream_of, .. } => {
-                    (op, stream(rank(stream_of).copy_stream), names::SPAN_MEMCPY)
-                }
-                StageOp::Memcpy2d { end, .. } => {
-                    (op, stream(rank(end).copy_stream), names::SPAN_MEMCPY2D)
-                }
-                StageOp::Wire { .. } => {
-                    let data = Track::LinkData {
-                        from: s.rank as u32,
-                        to: r.rank as u32,
-                    };
-                    (op, data, names::SPAN_WIRE)
-                }
-                StageOp::Notify { to } => (op, ctrl(side(to.other()), side(to)), names::SPAN_AM),
-                _ => continue,
-            });
-        }
-        for (op, track, name) in checks {
+        // Every stage is charged on the track of the resource it holds;
+        // the ack is the receiver's notification of the sender.
+        let credit = (plan.credit == Credit::Ack).then_some(StageOp::Notify { to: End::Send });
+        for op in plan.stages.iter().copied().chain(credit) {
+            let name = match op {
+                StageOp::Kernel { .. } => names::SPAN_KERNEL,
+                StageOp::CpuConvert { end: End::Send, .. } => names::SPAN_CPU_PACK,
+                StageOp::CpuConvert { .. } => names::SPAN_CPU_UNPACK,
+                StageOp::Copy { .. } => names::SPAN_MEMCPY,
+                StageOp::Wire { .. } => names::SPAN_WIRE,
+                StageOp::Notify { .. } => names::SPAN_AM,
+                StageOp::Memcpy2d { .. } => names::SPAN_MEMCPY2D,
+                StageOp::Direct | StageOp::NicProgram | StageOp::GraphReplay => continue,
+            };
+            let stage = price(sim, op, (s, r)).unwrap();
+            let track = stage.resource;
             let priced = match op {
-                StageOp::Kernel { end, frag } => {
-                    let typed = side(end);
-                    let frag = space_of(sim, (s, r), frag);
-                    let at = |space| memsim::Ptr {
-                        space,
-                        alloc: memsim::AllocId(0),
-                        offset: 0,
-                    };
-                    // Every fragment slot and the first window of a user
-                    // buffer start their allocation.
-                    let mut units = devengine::whole_units(&typed.ty, 1, 1 << 30, true)
-                        .unwrap()
-                        .0;
-                    units.retain(|u| (u.dst_off as u64) < n);
-                    let (src, dst) = if end == End::Send {
-                        (at(typed.buf.space), at(frag))
-                    } else {
-                        devengine::flip_units_in_place(&mut units);
-                        (at(frag), at(typed.buf.space))
-                    };
-                    let gpu = sim.world.rank(typed.rank).gpu;
-                    let spec = &sim.world.gpus_ref().gpu(gpu).spec;
-                    let exact = KernelTraffic::of(&units, src, dst, gpu, spec);
-                    KernelStage::of(sim, typed, end, frag, false).time(&exact)
-                }
-                _ => price(sim, op, (s, r)).unwrap()(n),
+                StageOp::Kernel { end, frag } => exact_kernel(sim, (s, r), end, frag, n),
+                _ => stage_time(stage, n),
             };
             let charged = if let StageOp::Memcpy2d { .. } = op {
                 copies(track)
@@ -761,14 +675,46 @@ mod tests {
             };
             assert_eq!(charged, priced, "{row}: {op:?} charged vs priced");
         }
-        if plan.credit == Credit::Ack {
-            let priced = price(sim, StageOp::Notify { to: End::Send }, (s, r)).unwrap()(n);
-            assert_eq!(
-                span(names::SPAN_AM, ctrl(r, s)),
-                priced,
-                "{row}: Ack credit"
-            );
-        }
+    }
+
+    /// What a stage's charge lasts on an idle resource.
+    fn stage_time(stage: Stage<'_>, n: u64) -> SimTime {
+        let cost = (stage.cost)(n);
+        cost.hold + cost.until
+    }
+
+    /// The kernel `end` launches on a fragment of `n` bytes at `frag`,
+    /// priced on the launch's exact traffic — the one input the tuner
+    /// otherwise estimates. Every fragment slot and the first window of
+    /// a user buffer start their allocation.
+    fn exact_kernel(
+        sim: &Sim<MpiWorld>,
+        (s, r): (&Side, &Side),
+        end: End,
+        frag: Loc,
+        n: u64,
+    ) -> SimTime {
+        let typed = if end == End::Send { s } else { r };
+        let frag = space_of(sim, (s, r), frag);
+        let at = |space| memsim::Ptr {
+            space,
+            alloc: memsim::AllocId(0),
+            offset: 0,
+        };
+        let mut units = devengine::whole_units(&typed.ty, 1, 1 << 30, true)
+            .unwrap()
+            .0;
+        units.retain(|u| (u.dst_off as u64) < n);
+        let (src, dst) = if end == End::Send {
+            (at(typed.buf.space), at(frag))
+        } else {
+            devengine::flip_units_in_place(&mut units);
+            (at(frag), at(typed.buf.space))
+        };
+        let gpu = sim.world.rank(typed.rank).gpu;
+        let spec = &sim.world.gpus_ref().gpu(gpu).spec;
+        let exact = KernelTraffic::of(&units, src, dst, gpu, spec);
+        kernel_stage(sim, typed, end, frag, false).0(&exact)
     }
 
     /// The priced plan is the executed plan. One multi-fragment
@@ -789,14 +735,13 @@ mod tests {
     /// world — handshake, cold caches, warm caches — and the warm run
     /// must equal the cold one in virtual duration, recorded events and
     /// every counter delta (DESIGN.md §17, "What a repeated transfer
-    /// reuses").
+    /// reuses"), and last to the nanosecond the plan's schedule
+    /// ([`devengine::tune::Pipeline::makespan`]) at its exact prices.
     #[test]
     fn executed_primitives_match_the_planned_and_priced_stages() {
         use crate::protocol::comparator::comparator_transfer;
-        use crate::protocol::exec::Requests;
         use crate::protocol::plan::{comparator_plan, vectorize, Comparator};
-        use crate::protocol::run_transfer;
-        use crate::request::Request;
+        use crate::protocol::transfer_down;
         use datatype::convertor::{pack_all, unpack_all};
         use faultsim::FaultPlan;
         use simcore::trace::{Name, TraceEvent};
@@ -928,19 +873,28 @@ mod tests {
                         }
                         _ => 1,
                     };
-                    let (plan, priced) = {
-                        let (plan, prices) = match comparator {
-                            Some(which) => {
-                                let plan = comparator_plan(which, &s, &r);
-                                let prices: Vec<_> = (plan.stages.iter())
-                                    .filter_map(|&op| price(&sim, op, (&s, &r)))
-                                    .collect();
-                                (plan, prices)
-                            }
-                            None => path_stages(&sim, &s, &r, class),
-                        };
+                    let plan = match comparator {
+                        Some(which) => comparator_plan(which, &s, &r),
+                        None => plan_for(&Facts::of(&sim, 0, 1), &s, &r, class),
+                    };
+                    let priced = {
+                        let pipe = schedule(&plan, |op| price(&sim, op, (&s, &r)));
                         let more: u64 = plan.stages.iter().map(|op| issued(op) - 1).sum();
-                        (plan, prices.len() as u64 + more)
+                        pipe.stages.len() as u64 + more
+                    };
+                    // The schedule of the plan's stages at their exact
+                    // prices: a kernel on its exact traffic.
+                    let scheduled = {
+                        let exact = schedule(&plan, |op| {
+                            let stage = price(&sim, op, (&s, &r))?;
+                            let StageOp::Kernel { end, frag } = op else {
+                                return Some(stage);
+                            };
+                            let (sim, sides) = (&sim, (&s, &r));
+                            let kernel = move |n| exact_kernel(sim, sides, end, frag, n);
+                            Some(Stage::new(stage.resource, SimTime::ZERO, kernel))
+                        });
+                        exact.makespan(total, plan.frag, plan.depth)
                     };
                     let nfrags = if plan.ring { total.div_ceil(FRAG) } else { 1 };
                     assert!(!plan.ring || nfrags >= 3, "{row}: not multi-fragment");
@@ -981,25 +935,9 @@ mod tests {
                                     comparator_transfer(&mut sim, which, s.clone(), r.clone());
                                 (req.clone(), req)
                             }
-                            None => {
-                                let (sreq, rreq) = (Request::new(), Request::new());
-                                let (send, recv) = (sreq.clone(), rreq.clone());
-                                match offload {
-                                    // Past the tuner's choice: the row is
-                                    // the class's plan.
-                                    Some(class) => offload::start(
-                                        &mut sim,
-                                        class,
-                                        s.clone(),
-                                        r.clone(),
-                                        Requests { send, recv },
-                                    ),
-                                    None => {
-                                        run_transfer(&mut sim, s.clone(), r.clone(), send, recv)
-                                    }
-                                }
-                                (sreq, rreq)
-                            }
+                            // Past the tuner's choice: the row is the
+                            // class's plan.
+                            None => transfer_down(&mut sim, class, s.clone(), r.clone()),
                         };
                         sim.run();
                         assert_eq!(sreq.expect_bytes(), total, "{row}");
@@ -1112,6 +1050,10 @@ mod tests {
                         observed[1] == observed[2],
                         "{row}: a warm transfer differs from the cold one in virtual \
                          duration, recorded events or a counter delta"
+                    );
+                    assert_eq!(
+                        observed[2].0, scheduled,
+                        "{row}: the warm transfer's duration vs its priced schedule"
                     );
                     rows += 1;
                 }
@@ -1268,9 +1210,9 @@ mod tests {
         let mut sim = world(OptimizerConfig::enabled());
         let s = strided_side(&mut sim, 0);
         let r = strided_side(&mut sim, 1);
-        tuned_shape(&mut sim, &s, &r, PathClass::SmIpc, 512 << 10, 4);
-        tuned_shape(&mut sim, &s, &r, PathClass::ZeroCopy, 512 << 10, 4);
-        tuned_shape(&mut sim, &s, &r, PathClass::CopyInOut, 512 << 10, 4);
+        tuned_shape(&mut sim, &s, &r, PathClass::SmIpc);
+        tuned_shape(&mut sim, &s, &r, PathClass::ZeroCopy);
+        tuned_shape(&mut sim, &s, &r, PathClass::CopyInOut);
         assert_eq!(sim.world.mpi.tuned_shapes.len(), 3);
     }
 }

@@ -10,7 +10,7 @@
 //! order (DESIGN.md §13):
 //!
 //! * the **calendar ring** — entries bucketed by virtual-time epoch
-//!   (`at >> shift`). A ring of [`RING`] buckets covers one *lap* of
+//!   (`at >> shift`). A ring of `RING` buckets covers one *lap* of
 //!   epochs; buckets are unsorted until promoted, so insertion is O(1);
 //! * the **sorted active run** — the bucket at the current epoch,
 //!   promoted, sorted by `(at, key)` and drained through a cursor;
@@ -18,9 +18,9 @@
 //!   ring drains, the rung is re-anchored: the bucket width (`shift`)
 //!   widens until the rung's span fits in the next lap.
 //!
-//! The width also narrows: a bucket promoted with more than [`CROWDED`]
+//! The width also narrows: a bucket promoted with more than `CROWDED`
 //! entries is not sorted as one run; it and the ring are re-bucketed at
-//! a width that spreads it to about [`PER_BUCKET`] entries a bucket
+//! a width that spreads it to about `PER_BUCKET` entries a bucket
 //! (Brown's calendar queue sizes buckets to the event spacing for the
 //! same reason).
 

@@ -14,11 +14,11 @@
 //! * [`par_transfer`] / [`par_transfer_total`] — its one-list case;
 //! * [`par_copy`] — its one-list, one-segment case.
 //!
-//! One partitioner ([`partition`]) splits a batch's bytes evenly across
+//! One partitioner (`partition`) splits a batch's bytes evenly across
 //! lanes at segment boundaries, and inside a segment that straddles a
-//! boundary; one rule ([`lanes_for`]) decides how many lanes a batch is
+//! boundary; one rule (`lanes_for`) decides how many lanes a batch is
 //! worth, from the measured cost of handing work to a parked thread
-//! (see [`MIN_BYTES_PER_LANE`]). The calling thread is always lane 0.
+//! (see `MIN_BYTES_PER_LANE`). The calling thread is always lane 0.
 //!
 //! The pool is lazily initialized by the first batch the rule gives a
 //! second lane and lives for the process. Workers block on channels and
@@ -115,7 +115,7 @@ pub struct SegList<'a> {
     pub bytes: usize,
     pub segs: Segs<'a>,
     /// Land the whole destination cache lines of a coarse list with
-    /// non-temporal stores ([`copy_ops_stream`]): for a destination
+    /// non-temporal stores (`copy_ops_stream`): for a destination
     /// nothing reads back soon, so a store need not first fetch the
     /// line it overwrites. A fine list ignores it.
     pub stream: bool,

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Golden check: regenerate all 15 results/*.csv with the release figure
+# Golden check: regenerate all 16 results/*.csv with the release figure
 # binaries and `cmp` each against the committed copy, compare the stdout
 # of `chaos_soak --smoke --arch k40,a100` (the fault paths: transient
 # sweeps and permanent-loss demotions) with results/chaos_smoke.txt, then
@@ -55,6 +55,7 @@ ablation_pipeline:ablation_pipeline
 ablation_unit_size:ablation_unit_size
 latency_sweep:latency_sweep
 offload_frontier:offload_frontier:--arch k40,p100,v100,a100
+model_residuals:model_residuals
 EOF
 
 "$bin/chaos_soak" --smoke --arch k40,a100 > "$out/chaos_smoke.txt"
@@ -69,4 +70,4 @@ if [ "$status" -ne 0 ]; then
     echo "golden: results/ differ from the regenerated files in $out" >&2
     exit 1
 fi
-echo "golden: all 15 CSVs, the chaos smoke and the benchmark's exact: lines byte-identical"
+echo "golden: all 16 CSVs, the chaos smoke and the benchmark's exact: lines byte-identical"

@@ -120,7 +120,7 @@ fn session_reports_resolved_arch() {
 /// The auto-tuner keys its cache on the architecture and its decisions
 /// actually move: the same (layout, size, path) resolves to different
 /// pipeline shapes on at least two registered architectures, because
-/// the closed-form makespan folds in per-arch launch/bandwidth
+/// the pipeline schedule folds in per-arch launch/bandwidth
 /// constants.
 #[test]
 fn tuner_decisions_diverge_across_archs() {
@@ -136,10 +136,6 @@ fn tuner_decisions_diverge_across_archs() {
     let mut vectors: Vec<(&str, Vec<(u64, usize)>)> = Vec::new();
     for arch in GpuArch::registry() {
         let mut sess = two_gpu_session(arch);
-        let (frag0, depth0) = {
-            let cfg = &sess.world.mpi.config;
-            (cfg.frag_size, cfg.pipeline_depth)
-        };
         let mut decisions = Vec::new();
         for ty in &workloads {
             let mk_side = |sess: &mut Session, rank: usize| {
@@ -159,7 +155,7 @@ fn tuner_decisions_diverge_across_archs() {
             let s = mk_side(&mut sess, 0);
             let r = mk_side(&mut sess, 1);
             for class in classes {
-                decisions.push(tuned_shape(&mut sess, &s, &r, class, frag0, depth0));
+                decisions.push(tuned_shape(&mut sess, &s, &r, class));
             }
         }
         // Every cached key carries this arch's name.

@@ -394,7 +394,12 @@ fn stream_triggered_path_rolls_at_am_doorbell_and_wire() {
         };
         Session::builder().config(config).two_ranks_ib().build()
     };
-    let ty = big_vec();
+    // 128 KiB: the size where one re-arm beats the staged pipeline
+    // (58.4 vs 76.2 µs warm on the K40). At `big_vec`'s 256 KiB the
+    // pipeline wins, 98.1 vs 106.4 µs, and the tuner keeps it.
+    let ty = DataType::vector(256, 64, 128, &DataType::double())
+        .unwrap()
+        .commit();
     let mut clean = session("");
     let want = deliver(&mut clean, &ty, true);
     for op in ["am", "doorbell", "wire", "kernel", "memcpy", "cpupack"] {
