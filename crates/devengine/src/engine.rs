@@ -10,8 +10,8 @@ use gpusim::{
     charge_transfer_kernel, kernel_time, GpuSpec, GpuSystem, GpuWorld, KernelConfig, KernelTraffic,
     Rolled, StreamId,
 };
-use memsim::{MemSpace, Move, Ptr};
-use simcore::par::{strided_units, CopyOp, StridedWindow};
+use memsim::{MemSpace, Move, MoveExtent, Ptr};
+use simcore::par::{strided_units, CopyOp, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Counter, Sim, SimTime, Track};
@@ -480,22 +480,23 @@ impl FragmentEngine {
     ) {
         let (ksrc, kdst) = self.kernel_ends(frag);
         let n = cap.min(self.total - self.pos);
-        if let Some(w) = self.window(self.pos, self.pos + n) {
-            self.charge_fragment(sim, frag, cap, None, on_prepped, move |sim, n, _| {
-                (sim.world.mem())
-                    .transfer_batch(&[Move::window(ksrc, kdst, w, false)])
-                    .expect("fragment transfer failed");
-                on_complete(sim, n);
-            });
-            return;
-        }
-        // Unit buffers cycle through the scratch shelf so steady-state
-        // streaming reuses a handful of Vecs.
-        let units = Some(take_units_buf());
+        let window = self.window(self.pos, self.pos + n);
+        // A listed source's unit buffers cycle through the scratch shelf
+        // so steady-state streaming reuses a handful of Vecs.
+        let units = window.is_none().then(take_units_buf);
         self.charge_fragment(sim, frag, cap, units, on_prepped, move |sim, n, units| {
-            sim.world
-                .mem()
-                .transfer(ksrc, kdst, &units)
+            let entry = window.map_or_else(
+                || Move {
+                    src: ksrc,
+                    dst: kdst,
+                    segs: Segs::List(&units),
+                    extent: MoveExtent::of(&units),
+                    stream: false,
+                },
+                |w| Move::window(ksrc, kdst, w, false),
+            );
+            (sim.world.mem())
+                .transfer_batch(&[entry])
                 .expect("fragment transfer failed");
             recycle_units_buf(units);
             on_complete(sim, n);

@@ -63,7 +63,8 @@ pub fn copy_time(sys: &GpuSystem, gpu: GpuId, dir: CopyDirection, bytes: u64) ->
 }
 
 /// Asynchronous contiguous copy on `stream` (like `cudaMemcpyAsync`):
-/// [`charge_memcpy`], then move the bytes at the completion instant and
+/// [`charge_memcpy`], then land the bytes at the completion instant as
+/// a one-op move — a `memmove` where the two ranges overlap — and
 /// invoke `done`.
 #[expect(
     clippy::expect_used,
@@ -79,9 +80,13 @@ pub fn memcpy<W: GpuWorld>(
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
     charge_memcpy(sim, stream, src, dst, bytes, move |sim, at| {
-        sim.world
-            .mem()
-            .copy(src, dst, bytes)
+        let whole = CopyOp {
+            src_off: 0,
+            dst_off: 0,
+            len: bytes as usize,
+        };
+        (sim.world.mem())
+            .transfer(src, dst, &[whole])
             .expect("memcpy failed");
         done(sim, at);
     });
@@ -302,6 +307,26 @@ mod tests {
         let secs = end.as_secs_f64();
         let rate = len as f64 / secs / 1e9;
         assert!((9.0..=10.0).contains(&rate), "PCIe rate was {rate} GB/s");
+    }
+
+    #[test]
+    fn an_overlapping_memcpy_in_one_allocation_lands_as_memmove() {
+        let mut sim = setup(1);
+        let d = MemSpace::Device(GpuId(0));
+        let buf = sim.world.memory.alloc(d, 4096).unwrap();
+        let data: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        sim.world.memory.write(buf, &data).unwrap();
+        let before = sim.world.memory.bytes_moved();
+        let st = sim.world.gpu_system.default_stream(GpuId(0));
+        // Forward by less than its length: a front-to-back copy would
+        // read bytes it has already overwritten.
+        let (at, bytes) = (100, 3000);
+        memcpy(&mut sim, st, buf.add(8), buf.add(8 + at), bytes, |_, _| {});
+        sim.run();
+        let mut want = data.clone();
+        want.copy_within(8..8 + bytes as usize, 8 + at as usize);
+        assert_eq!(sim.world.memory.read_vec(buf, 4096).unwrap(), want);
+        assert_eq!(sim.world.memory.bytes_moved(), before + bytes);
     }
 
     #[test]

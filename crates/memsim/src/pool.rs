@@ -1,10 +1,13 @@
-//! Slab allocators backing the simulated memory spaces, and the
-//! cross-space byte mover.
+//! Slab allocators backing the simulated memory spaces, and the one
+//! byte mover: [`Memory::transfer_batch`] writes every simulated byte
+//! that moves, whatever the spaces, the segment shape or the caller
+//! (`cudaMemcpy`, a pack or unpack kernel, a landed fragment, a NIC
+//! program, a collective's self-copy).
 
 #![expect(
     unsafe_code,
-    reason = "a copy between two allocations of one table splits the borrow through \
-              raw pointers; every block states its SAFETY argument"
+    reason = "a move between two allocations of one table splits the borrow through \
+              a raw pointer; the one block states its SAFETY argument"
 )]
 
 use crate::error::MemError;
@@ -13,9 +16,7 @@ use crate::registry::RegistrationTable;
 use crate::shelf;
 use crate::space::{GpuId, MemSpace};
 use simcore::hash::DetHashMap;
-use simcore::par::{
-    par_copy, par_transfer_batch, strided_units, CopyOp, SegList, Segs, StridedWindow,
-};
+use simcore::par::{par_transfer_batch, strided_units, CopyOp, SegList, Segs, StridedWindow};
 use std::cell::OnceCell;
 
 /// One allocation: its length, and its bytes from the first access on.
@@ -206,38 +207,6 @@ impl MemPool {
         Ok(self.slice(ptr, len)?.to_vec())
     }
 
-    /// Disjoint mutable + shared borrows of two ranges for same-pool
-    /// copies. Falls back to a buffered copy when both live in the same
-    /// allocation (potential overlap).
-    fn copy_internal(&mut self, src: Ptr, dst: Ptr, len: u64) -> Result<(), MemError> {
-        self.check_range(src, len)?;
-        self.check_range(dst, len)?;
-        if src.alloc == dst.alloc {
-            let data = self.allocs.get_mut(&src.alloc).expect("checked");
-            data.bytes_mut(dst.offset + len).copy_within(
-                src.offset as usize..(src.offset + len) as usize,
-                dst.offset as usize,
-            );
-        } else {
-            // Two distinct boxed slices: split the borrow through raw
-            // pointers.
-            let src_ptr = self.allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
-            let dst_slice = self.allocs.get_mut(&dst.alloc).expect("checked");
-            // SAFETY: distinct `AllocId`s map to distinct heap
-            // allocations, so the ranges cannot alias; the source is
-            // backed before its pointer is taken, and backing the
-            // destination afterwards does not move it.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src_ptr,
-                    dst_slice.bytes_mut(dst.offset + len)[dst.offset as usize..].as_mut_ptr(),
-                    len as usize,
-                );
-            }
-        }
-        Ok(())
-    }
-
     /// Range-checked segment moves whose source and destination share
     /// this pool's allocation `src.alloc` (a self-send inside one
     /// buffer): gather every source segment into a scratch copy first,
@@ -395,7 +364,7 @@ pub struct Memory {
     host: MemPool,
     devices: Vec<MemPool>,
     pub registry: RegistrationTable,
-    /// Bytes written by [`Memory::copy`] and [`Memory::transfer`].
+    /// Bytes written by [`Memory::transfer_batch`].
     bytes_moved: u64,
 }
 
@@ -413,7 +382,7 @@ impl Memory {
         }
     }
 
-    /// Physical traffic so far: every byte `copy` and `transfer` wrote.
+    /// Physical traffic so far: every byte `transfer_batch` wrote.
     /// Divided by the payload delivered it says how many times the
     /// simulator itself touched each byte (1 on the rendezvous paths:
     /// staging hops are charged, not executed).
@@ -466,66 +435,20 @@ impl Memory {
         self.pool_mut(ptr.space).slice_mut(ptr, len)
     }
 
-    /// Contiguous copy between any two locations, across spaces. This is
-    /// the functional half of every simulated DMA (`cudaMemcpy` in all
-    /// its direction variants); the timing half lives in `gpusim`.
-    pub fn copy(&mut self, src: Ptr, dst: Ptr, len: u64) -> Result<(), MemError> {
-        if len == 0 {
-            return Ok(());
-        }
-        if src.space == dst.space {
-            self.pool_mut(src.space).copy_internal(src, dst, len)?;
-            self.bytes_moved += len;
-            return Ok(());
-        }
-        // Cross-space: distinct pools, distinct heap allocations.
-        self.pool(src.space).check_range(src, len)?;
-        self.pool(dst.space).check_range(dst, len)?;
-        self.bytes_moved += len;
-        let src_raw =
-            self.pool(src.space).allocs[&src.alloc].bytes()[src.offset as usize..].as_ptr();
-        let dst_pool = self.pool_mut(dst.space);
-        let dst_slice = dst_pool.allocs.get_mut(&dst.alloc).expect("checked");
-        let end = dst.offset + len;
-        let dst_range = &mut dst_slice.bytes_mut(end)[dst.offset as usize..end as usize];
-        // SAFETY: source and destination are different heap allocations,
-        // and the source was backed before its pointer was taken.
-        let src_range = unsafe { std::slice::from_raw_parts(src_raw, len as usize) };
-        par_copy(dst_range, src_range);
-        Ok(())
-    }
-
     /// Batch of segment moves between a source and destination base
-    /// pointer (the functional half of a pack/unpack kernel, and of a
-    /// rendezvous fragment moved typed → typed). Offsets in `ops` are
-    /// relative to `src`/`dst`. Destination segments must be disjoint.
-    /// `src` and `dst` may share an allocation: every source segment is
-    /// then read before any destination segment is written.
+    /// pointer: the one-entry [`Memory::transfer_batch`], with plain
+    /// stores. Offsets in `ops` are relative to `src`/`dst`; destination
+    /// segments must be disjoint. `src` and `dst` may share an
+    /// allocation: every source segment is then read before any
+    /// destination segment is written, so one op is a `memmove`.
     pub fn transfer(&mut self, src: Ptr, dst: Ptr, ops: &[CopyOp]) -> Result<(), MemError> {
-        self.transfer_measured(src, dst, ops, MoveExtent::of(ops))
-    }
-
-    /// [`Memory::transfer`] for a list whose [`MoveExtent`] the caller
-    /// already holds: the one-entry [`Memory::transfer_batch`], with
-    /// plain stores.
-    pub(crate) fn transfer_measured(
-        &mut self,
-        src: Ptr,
-        dst: Ptr,
-        ops: &[CopyOp],
-        extent: MoveExtent,
-    ) -> Result<(), MemError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let entry = Move {
+        self.transfer_batch(&[Move {
             src,
             dst,
             segs: Segs::List(ops),
-            extent,
+            extent: MoveExtent::of(ops),
             stream: false,
-        };
-        self.transfer_batch(&[entry])
+        }])
     }
 
     /// Whether `len` bytes at `ptr` lie inside a live allocation.
@@ -544,16 +467,23 @@ impl Memory {
     /// allocation (those entries gather-then-scatter one at a time) —
     /// so an extent that understates its list panics instead of letting
     /// a segment out of bounds. Within a run, destination segments must
-    /// be disjoint across entries.
+    /// be disjoint across entries. An entry that moves no byte is no
+    /// entry: it is neither checked nor touches an allocation.
     pub fn transfer_batch(&mut self, moves: &[Move<'_>]) -> Result<(), MemError> {
-        for m in moves {
+        let moving = |m: &&Move<'_>| m.extent.bytes > 0;
+        for m in moves.iter().filter(moving) {
             self.check_range(m.src, m.extent.src_need)?;
             self.check_range(m.dst, m.extent.dst_need)?;
         }
         let mut rest = moves;
-        while let Some(&Move { src, dst, .. }) = rest.first() {
+        while let Some((first, tail)) = rest.split_first() {
+            if !moving(&first) {
+                rest = tail;
+                continue;
+            }
+            let (src, dst) = (first.src, first.dst);
             let same = |m: &&Move<'_>| {
-                m.src.distance_to(src).is_some() && m.dst.distance_to(dst).is_some()
+                moving(m) && m.src.distance_to(src).is_some() && m.dst.distance_to(dst).is_some()
             };
             let run;
             (run, rest) = rest.split_at(rest.iter().take_while(same).count());
@@ -671,12 +601,12 @@ mod tests {
         let d = m.alloc(MemSpace::Device(GpuId(0)), 256).unwrap();
         let pattern: Vec<u8> = (0..=255).collect();
         m.write(h, &pattern).unwrap();
-        m.copy(h, d, 256).unwrap(); // H2D
+        m.transfer(h, d, &[op(0, 0, 256)]).unwrap(); // H2D
         let back = m.read_vec(d, 256).unwrap();
         assert_eq!(back, pattern);
         // D2D to second GPU.
         let d2 = m.alloc(MemSpace::Device(GpuId(1)), 256).unwrap();
-        m.copy(d, d2, 256).unwrap();
+        m.transfer(d, d2, &[op(0, 0, 256)]).unwrap();
         assert_eq!(m.read_vec(d2, 256).unwrap(), pattern);
     }
 
@@ -686,7 +616,7 @@ mod tests {
         let p = m.alloc(MemSpace::Host, 16).unwrap();
         m.write(p, &[1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0, 0])
             .unwrap();
-        m.copy(p, p.add(4), 8).unwrap(); // overlapping forward copy
+        m.transfer(p, p.add(4), &[op(0, 0, 8)]).unwrap(); // overlapping forward copy
         assert_eq!(m.read_vec(p, 16).unwrap()[4..12], [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -757,8 +687,8 @@ mod tests {
             0,
             "write() is the test harness, not traffic"
         );
-        m.copy(h, d, 48).unwrap();
-        m.copy(h, h.add(32), 16).unwrap();
+        m.transfer(h, d, &[op(0, 0, 48)]).unwrap();
+        m.transfer(h, h.add(32), &[op(0, 0, 16)]).unwrap();
         assert_eq!(m.bytes_moved(), 64);
         let ops = [CopyOp {
             src_off: 0,
@@ -769,8 +699,13 @@ mod tests {
         m.transfer(h, h, &ops).unwrap();
         assert_eq!(m.bytes_moved(), 64 + 48);
         // A failed move is not traffic.
-        assert!(m.copy(h, d, 65).is_err());
+        assert!(m.transfer(h, d, &[op(0, 0, 65)]).is_err());
         assert!(m.transfer(h.add(48), d, &ops).is_err());
+        assert_eq!(m.bytes_moved(), 64 + 48);
+        // Neither is a move of no byte: it succeeds, whatever it names.
+        m.free(d).unwrap();
+        m.transfer(h, d.add(1 << 20), &[op(0, 0, 0)]).unwrap();
+        m.transfer(d, d, &[]).unwrap();
         assert_eq!(m.bytes_moved(), 64 + 48);
     }
 
@@ -815,7 +750,11 @@ mod tests {
             m.alloc(d, 64).unwrap(),
             m.alloc(MemSpace::Host, 64).unwrap(),
         );
-        m.copy(src, dst, 32).unwrap();
+        // A move of no byte — one empty op, or no op — touches neither.
+        m.transfer(src, dst, &[op(0, 0, 0)]).unwrap();
+        m.transfer(src, dst, &[]).unwrap();
+        assert!(!backed(&m, src) && !backed(&m, dst));
+        m.transfer(src, dst, &[op(0, 0, 32)]).unwrap();
         assert!(backed(&m, src) && backed(&m, dst));
         let (src, dst) = (m.alloc(d, 64).unwrap(), m.alloc(d, 64).unwrap());
         let ops = [CopyOp {
@@ -869,7 +808,14 @@ mod tests {
             m.alloc(MemSpace::Device(GpuId(0)), 32).unwrap(),
         );
         m.write(src, &(0..48).collect::<Vec<u8>>()).unwrap();
-        m.transfer_measured(src, dst, &ops, extent).unwrap();
+        let entry = |extent| Move {
+            src,
+            dst,
+            segs: Segs::List(&ops),
+            extent,
+            stream: false,
+        };
+        m.transfer_batch(&[entry(extent)]).unwrap();
         assert_eq!(m.read_vec(dst, 8).unwrap(), (40..48).collect::<Vec<u8>>());
         assert_eq!(m.bytes_moved(), 20);
         // Overstated: refused against the live allocation.
@@ -878,7 +824,7 @@ mod tests {
             ..extent
         };
         assert!(matches!(
-            m.transfer_measured(src, dst, &ops, wide),
+            m.transfer_batch(&[entry(wide)]),
             Err(MemError::OutOfBounds { .. })
         ));
         // Understated: the copy layer's per-segment check panics before
@@ -888,7 +834,7 @@ mod tests {
             ..extent
         };
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = m.transfer_measured(src, dst, &ops, narrow);
+            let _ = m.transfer_batch(&[entry(narrow)]);
         }));
         assert!(r.is_err(), "an understated extent must not reach memory");
     }
@@ -1069,13 +1015,17 @@ mod tests {
         let by_write = first.alloc(d0, BIG).unwrap();
         first.write(by_write.add(tail), &[2; 64]).unwrap();
         let by_copy_across = first.alloc(d1, BIG).unwrap();
-        first.copy(head, by_copy_across.add(tail), 64).unwrap();
+        first
+            .transfer(head, by_copy_across.add(tail), &[op(0, 0, 64)])
+            .unwrap();
         let by_copy_beside = first.alloc(h, BIG).unwrap();
-        first.copy(head, by_copy_beside.add(tail), 64).unwrap();
+        first
+            .transfer(head, by_copy_beside.add(tail), &[op(0, 0, 64)])
+            .unwrap();
         let by_copy_within = first.alloc(d0, BIG).unwrap();
         first.write(by_copy_within, &[3; 64]).unwrap();
         first
-            .copy(by_copy_within, by_copy_within.add(tail), 64)
+            .transfer(by_copy_within, by_copy_within.add(tail), &[op(0, 0, 64)])
             .unwrap();
         let by_transfer = first.alloc(d1, BIG).unwrap();
         first

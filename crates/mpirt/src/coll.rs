@@ -27,6 +27,7 @@ use crate::world::MpiWorld;
 use datatype::DataType;
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
+use simcore::par::CopyOp;
 use simcore::Sim;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -136,9 +137,10 @@ fn exchange(
     });
 }
 
-/// Copy `rank`'s own block `src → dst` on its copy stream, then run
-/// `then`; a buffer that does not hold the block fails the collective
-/// with `MpiError::Mem` when the copy lands.
+/// Copy `rank`'s own block `src → dst` on its copy stream — the raw
+/// block, gaps included, as a one-op move — then run `then`; a buffer
+/// that does not hold the block fails the collective with
+/// `MpiError::Mem` when the copy lands.
 fn self_copy(
     sim: &mut Sim<MpiWorld>,
     cx: &Rc<Coll>,
@@ -148,7 +150,12 @@ fn self_copy(
 ) {
     let (cx, stream) = (Rc::clone(cx), sim.world.mpi.ranks[rank].copy_stream);
     gpusim::charge_memcpy(sim, stream, src, dst, cx.block, move |sim, _| {
-        match sim.world.mem().copy(src, dst, cx.block) {
+        let whole = CopyOp {
+            src_off: 0,
+            dst_off: 0,
+            len: cx.block as usize,
+        };
+        match sim.world.mem().transfer(src, dst, &[whole]) {
             Ok(()) => then(sim, cx),
             Err(e) => cx.fail(sim, &MpiError::Mem(e.to_string())),
         }

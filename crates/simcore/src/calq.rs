@@ -113,8 +113,7 @@ impl<P: Copy> CalendarQueue<P> {
         }
     }
 
-    /// Entries held, including any the caller has logically cancelled
-    /// but not yet swept.
+    /// Entries held.
     pub fn len(&self) -> usize {
         self.len
     }

@@ -21,42 +21,20 @@
 //!   driver's tiebreak key is a globally monotonic sequence number, so
 //!   ties in firing time break by insertion order.
 //!
-//! Event payloads live in generation-tagged **slots** (`Slab`): each
-//! closure is boxed into a slot taken from a free list. `EventId`
-//! carries (slot, generation), so cancellation is an O(1) tombstone —
-//! the payload drops immediately and the queue entry is skipped when it
-//! surfaces. Why the payload is boxed rather than stored in the slot:
-//! DESIGN.md §13.
+//! Event payloads live in **slots** (`Slab`): each closure is boxed
+//! into a slot taken from a free list, and the queues carry only the
+//! slot index. An event once scheduled fires; nothing cancels it. Why
+//! the payload is boxed rather than stored in the slot: DESIGN.md §13.
 //!
 //! The old `BinaryHeap` scheduler this replaces is preserved as the
 //! reference model in `simcore/tests/event_queue_prop.rs`, which drives
-//! both through randomized schedule/cancel/run interleavings and
-//! requires identical pop order and cancellation observability.
+//! both through randomized schedule/run interleavings and requires
+//! identical pop order.
 
 use crate::calq::CalendarQueue;
 use crate::time::SimTime;
 use crate::trace::Tracer;
 use std::collections::VecDeque;
-
-/// Identifier of a scheduled event, usable for cancellation. Packs a
-/// slot index (low 32 bits) and that slot's generation at
-/// scheduling time (high 32 bits), so a stale id — fired, cancelled, or
-/// from a recycled slot — can never cancel a live event.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventId(((gen as u64) << 32) | slot as u64)
-    }
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-    #[inline]
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
 
 // ---------------------------------------------------------------------
 // Event slots
@@ -64,21 +42,13 @@ impl EventId {
 
 type Payload<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
-enum SlotState<W> {
-    Free,
-    Scheduled(Payload<W>),
-    /// Cancelled: payload already dropped; the queue entry still points
-    /// here and frees the slot when it surfaces.
-    Tombstone,
-}
-
+/// A scheduled payload, or `None` on the free list.
 struct Slot<W> {
-    state: SlotState<W>,
-    gen: u32,
+    payload: Option<Payload<W>>,
     next_free: u32,
 }
 
-/// Generation-tagged slab of event slots with an intrusive free list.
+/// Slab of event slots with an intrusive free list.
 struct Slab<W> {
     slots: Vec<Slot<W>>,
     free_head: u32,
@@ -101,35 +71,29 @@ impl<W> Slab<W> {
             NO_SLOT => {
                 assert!(self.slots.len() < NO_SLOT as usize, "event slots exhausted");
                 self.slots.push(Slot {
-                    state: SlotState::Scheduled(f),
-                    gen: 0,
+                    payload: Some(f),
                     next_free: NO_SLOT,
                 });
                 (self.slots.len() - 1) as u32
             }
             head => {
                 let slot = &mut self.slots[head as usize];
-                debug_assert!(matches!(slot.state, SlotState::Free));
+                debug_assert!(slot.payload.is_none());
                 self.free_head = slot.next_free;
-                slot.state = SlotState::Scheduled(f);
+                slot.payload = Some(f);
                 head
             }
         }
     }
 
-    /// Free the slot and hand back what it held. The generation bump
-    /// makes every id issued for the slot so far stale.
-    fn free(&mut self, idx: u32) -> SlotState<W> {
+    /// Free the slot and hand back the payload it held.
+    fn free(&mut self, idx: u32) -> Payload<W> {
         let slot = &mut self.slots[idx as usize];
-        debug_assert!(!matches!(slot.state, SlotState::Free));
-        slot.gen = slot.gen.wrapping_add(1);
         slot.next_free = self.free_head;
         self.free_head = idx;
-        std::mem::replace(&mut slot.state, SlotState::Free)
-    }
-
-    fn gen(&self, idx: u32) -> u32 {
-        self.slots[idx as usize].gen
+        slot.payload
+            .take()
+            .expect("a queued slot holds its payload")
     }
 }
 
@@ -184,8 +148,7 @@ impl<W> Sim<W> {
         self.executed
     }
 
-    /// Number of events still pending (cancelled-but-unswept entries
-    /// included, matching the pre-calendar scheduler).
+    /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
         self.cal.len() + self.lane.len()
     }
@@ -193,7 +156,7 @@ impl<W> Sim<W> {
     /// Schedule `f` to run at absolute time `at`. Scheduling in the past
     /// is a logic error in the models and panics in debug builds; in
     /// release it clamps to `now` to keep long runs alive.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
@@ -211,50 +174,27 @@ impl<W> Sim<W> {
             self.next_seq += 1;
             self.cal.insert(at, seq, slot);
         }
-        EventId::new(slot, self.slab.gen(slot))
     }
 
     /// Schedule `f` to run `delay` after the current time.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimTime,
-        f: impl FnOnce(&mut Sim<W>) + 'static,
-    ) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimTime, f: impl FnOnce(&mut Sim<W>) + 'static) {
         self.schedule_at(self.now + delay, f)
     }
 
     /// Schedule `f` to run "immediately" (at the current time, after all
     /// events already queued for this instant).
-    pub fn schedule_now(&mut self, f: impl FnOnce(&mut Sim<W>) + 'static) -> EventId {
+    pub fn schedule_now(&mut self, f: impl FnOnce(&mut Sim<W>) + 'static) {
         self.schedule_at(self.now, f)
     }
 
-    /// Cancel a previously scheduled event: O(1). The payload drops
-    /// immediately; the queue entry becomes a tombstone swept when it
-    /// surfaces. Cancelling an event that has already fired (or was
-    /// already cancelled) is a no-op — the generation tag in the id
-    /// catches slot reuse.
-    pub fn cancel(&mut self, id: EventId) {
-        let idx = id.slot();
-        let Some(slot) = self.slab.slots.get_mut(idx as usize) else {
-            return;
-        };
-        if slot.gen == id.gen() && matches!(slot.state, SlotState::Scheduled(_)) {
-            slot.state = SlotState::Tombstone;
-        }
-    }
-
-    /// Consume the queue entry for `slot_idx`: sweep it if it was
-    /// tombstoned by `cancel`, otherwise run its payload. The slot is
-    /// freed before the call, so the closure may freely schedule (and
-    /// thereby grow or reuse the slots) while it runs, and its own id is
-    /// already stale.
+    /// Consume the queue entry for `slot_idx` and run its payload. The
+    /// slot is freed before the call, so the closure may freely schedule
+    /// (and thereby grow or reuse the slots) while it runs.
     #[inline]
     fn fire(&mut self, slot_idx: u32) {
-        if let SlotState::Scheduled(f) = self.slab.free(slot_idx) {
-            self.executed += 1;
-            f(self);
-        }
+        let f = self.slab.free(slot_idx);
+        self.executed += 1;
+        f(self);
     }
 
     /// Execute a single event. Returns `false` when the queue is empty.
@@ -266,34 +206,26 @@ impl<W> Sim<W> {
     /// drains before time advances), so it fires first; one at a later
     /// time waits for the lane.
     pub fn step(&mut self) -> bool {
-        loop {
-            let executed_before = self.executed;
-            if !self.lane.is_empty() {
-                if self.lane_wins() {
-                    let slot = self.lane.pop_front().expect("lane checked non-empty");
-                    self.fire(slot);
-                } else {
-                    // lane_wins is only false when a calendar head
-                    // exists (at `now`, inserted before the lane's
-                    // entries).
-                    let (at, _, slot) = self.cal.pop_head();
-                    debug_assert!(at == self.now);
-                    self.fire(slot);
-                }
-            } else if self.cal.peek().is_some() {
-                let (at, _, slot) = self.cal.pop_head();
-                debug_assert!(at >= self.now, "time went backwards");
-                self.now = at;
+        if !self.lane.is_empty() {
+            if self.lane_wins() {
+                let slot = self.lane.pop_front().expect("lane checked non-empty");
                 self.fire(slot);
             } else {
-                return false;
+                // lane_wins is only false when a calendar head exists
+                // (at `now`, inserted before the lane's entries).
+                let (at, _, slot) = self.cal.pop_head();
+                debug_assert!(at == self.now);
+                self.fire(slot);
             }
-            // A tombstone sweep executes nothing: keep going until a
-            // real event fires or the queue drains.
-            if self.executed > executed_before {
-                return true;
-            }
+        } else if self.cal.peek().is_some() {
+            let (at, _, slot) = self.cal.pop_head();
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
+            self.fire(slot);
+        } else {
+            return false;
         }
+        true
     }
 
     /// Fire every event currently in (or appended to) the same-instant
@@ -422,16 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
-        let mut sim = Sim::new(0u32);
-        let id = sim.schedule_at(SimTime::from_nanos(5), |s| s.world += 1);
-        sim.schedule_at(SimTime::from_nanos(6), |s| s.world += 100);
-        sim.cancel(id);
-        sim.run();
-        assert_eq!(sim.world, 100);
-    }
-
-    #[test]
     fn run_until_predicate() {
         let mut sim = Sim::new(0u32);
         for i in 1..=10u64 {
@@ -448,18 +370,6 @@ mod tests {
         let mut sim = Sim::new(());
         sim.schedule_at(SimTime::from_millis(10), |_| {});
         sim.run_with_deadline(SimTime::from_micros(1));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut sim = Sim::new(0u32);
-        let id = sim.schedule_at(SimTime::from_nanos(1), |s| s.world += 1);
-        sim.run();
-        assert_eq!(sim.world, 1);
-        sim.cancel(id); // already fired: must not poison later events
-        sim.schedule_at(SimTime::from_nanos(2), |s| s.world += 10);
-        sim.run();
-        assert_eq!(sim.world, 11);
     }
 
     #[test]
@@ -512,19 +422,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn lane_events_can_be_cancelled() {
-        let mut sim = Sim::new(0u32);
-        sim.schedule_at(SimTime::from_nanos(1), |s| {
-            let id = s.schedule_now(|s| s.world += 100);
-            s.schedule_now(|s| s.world += 1);
-            s.cancel(id);
-        });
-        sim.run();
-        assert_eq!(sim.world, 1);
-        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
@@ -594,51 +491,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cancel_far_future_overflow_event() {
-        let mut sim = Sim::new(0u32);
-        let id = sim.schedule_at(SimTime::from_millis(500), |s| s.world += 1);
-        sim.schedule_at(SimTime::from_millis(700), |s| s.world += 100);
-        sim.cancel(id);
-        sim.run();
-        assert_eq!(sim.world, 100);
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
-    fn stale_id_from_recycled_slot_is_noop() {
-        let mut sim = Sim::new(0u32);
-        let stale = sim.schedule_at(SimTime::from_nanos(1), |s| s.world += 1);
-        sim.run();
-        // The slot was freed; this schedule recycles it with a new
-        // generation.
-        let _live = sim.schedule_at(SimTime::from_nanos(2), |s| s.world += 10);
-        sim.cancel(stale); // must NOT cancel the recycled slot's event
-        sim.run();
-        assert_eq!(sim.world, 11);
-    }
-
-    #[test]
-    fn double_cancel_is_noop() {
-        let mut sim = Sim::new(0u32);
-        let id = sim.schedule_at(SimTime::from_nanos(5), |s| s.world += 1);
-        sim.schedule_at(SimTime::from_nanos(6), |s| s.world += 100);
-        sim.cancel(id);
-        sim.cancel(id);
-        sim.run();
-        assert_eq!(sim.world, 100);
-        assert_eq!(sim.pending_events(), 0);
-    }
-
     /// Capture size of the big test closures: well past anything the
     /// engine schedules, so payload handling is shown size-independent.
     const BIG_CAPTURE: usize = 512;
 
     #[test]
-    fn closures_of_any_size_run_once_or_drop_unrun_when_cancelled() {
+    fn closures_of_any_size_run_once_or_drop_unrun_with_the_sim() {
         // Capture-free, 16-byte and 512-byte closures: each runs exactly
-        // once, and a cancelled twin is dropped (its `Rc` released) at
-        // `cancel`, without running.
+        // once, and a twin still pending when the `Sim` drops is dropped
+        // with it (its `Rc` released) without running.
         let mut sim = Sim::new(0u64);
         let alive = Rc::new(());
         sim.schedule_at(SimTime::from_nanos(1), |s| s.world += 1);
@@ -650,52 +511,39 @@ mod tests {
         sim.schedule_at(SimTime::from_nanos(1), move |s| {
             s.world += big.iter().map(|&b| b as u64).sum::<u64>();
         });
-        let cancelled = [
-            sim.schedule_at(SimTime::from_nanos(2), |s| s.world += 1_000_000),
-            {
-                let (pair, held) = ([1u64 << 32, 1 << 33], Rc::clone(&alive));
-                sim.schedule_at(SimTime::from_nanos(2), move |s| {
-                    s.world += pair[0] + pair[1] + Rc::strong_count(&held) as u64;
-                })
-            },
-            {
-                let (big, held) = ([1u8; BIG_CAPTURE], Rc::clone(&alive));
-                sim.schedule_at(SimTime::from_nanos(2), move |s| {
-                    s.world += big.len() as u64 + Rc::strong_count(&held) as u64;
-                })
-            },
-        ];
-        assert_eq!(Rc::strong_count(&alive), 3);
-        for id in cancelled {
-            sim.cancel(id);
+        sim.schedule_at(SimTime::from_nanos(2), |s| s.world += 1_000_000);
+        {
+            let (pair, held) = ([1u64 << 32, 1 << 33], Rc::clone(&alive));
+            sim.schedule_at(SimTime::from_nanos(2), move |s| {
+                s.world += pair[0] + pair[1] + Rc::strong_count(&held) as u64;
+            });
         }
-        assert_eq!(Rc::strong_count(&alive), 1, "payloads drop at cancel");
-        sim.run();
-        assert_eq!(sim.world, 1 + 30 + 7 * BIG_CAPTURE as u64);
+        {
+            let (big, held) = ([1u8; BIG_CAPTURE], Rc::clone(&alive));
+            sim.schedule_at(SimTime::from_nanos(2), move |s| {
+                s.world += big.len() as u64 + Rc::strong_count(&held) as u64;
+            });
+        }
+        let first = 1 + 30 + 7 * BIG_CAPTURE as u64;
+        assert!(sim.run_until(|&w| w == first));
+        assert_eq!(sim.now(), SimTime::from_nanos(1));
         assert_eq!(sim.executed_events(), 3);
-        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.pending_events(), 3);
+        assert_eq!(Rc::strong_count(&alive), 3);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&alive), 1, "payloads drop with the Sim");
     }
 
     #[test]
-    fn a_firing_event_may_grow_the_slots_and_cancel_siblings_and_itself() {
-        let own_id = Rc::new(RefCell::new(None));
+    fn a_firing_event_may_grow_the_slots() {
         let mut sim = Sim::new(0u64);
-        let sibling = sim.schedule_at(SimTime::from_nanos(9), |s| s.world += 1_000_000);
-        let id = {
-            let own_id = Rc::clone(&own_id);
-            sim.schedule_at(SimTime::from_nanos(5), move |s| {
-                // Far more events than slots exist: the slab reallocates
-                // under the running closure, which was moved out first.
-                for i in 0..1000u64 {
-                    s.schedule_in(SimTime::from_nanos(1 + i % 3), |s| s.world += 1);
-                }
-                s.cancel(sibling);
-                // Its own id went stale when the slot was freed before
-                // the call — the slot's new tenant must survive this.
-                s.cancel(own_id.borrow().expect("id stored before run"));
-            })
-        };
-        *own_id.borrow_mut() = Some(id);
+        sim.schedule_at(SimTime::from_nanos(5), move |s| {
+            // Far more events than slots exist: the slab reallocates
+            // under the running closure, which was moved out first.
+            for i in 0..1000u64 {
+                s.schedule_in(SimTime::from_nanos(1 + i % 3), |s| s.world += 1);
+            }
+        });
         sim.run();
         assert_eq!(sim.world, 1000);
         assert_eq!(sim.executed_events(), 1001);

@@ -26,7 +26,7 @@ pub mod time;
 pub mod trace;
 
 pub use calq::CalendarQueue;
-pub use event::{EventId, Sim};
+pub use event::Sim;
 pub use rate::Bandwidth;
 pub use time::SimTime;
 pub use trace::{Counter, Metrics, SpanId, Tracer, Track};

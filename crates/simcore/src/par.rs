@@ -11,8 +11,11 @@
 //!   DEV work-unit list, or a [`StridedWindow`] that computes its
 //!   segments, with the window of each buffer its offsets are relative
 //!   to), copied as one job;
-//! * [`par_transfer`] / [`par_transfer_total`] — its one-list case;
-//! * [`par_copy`] — its one-list, one-segment case.
+//! * [`par_transfer`] — its one-list case.
+//!
+//! Outside this module, [`par_transfer_batch`] has one library caller,
+//! `memsim`'s `Memory::transfer_batch`, through which every simulated
+//! byte lands.
 //!
 //! One partitioner (`partition`) splits a batch's bytes evenly across
 //! lanes at segment boundaries, and inside a segment that straddles a
@@ -738,18 +741,6 @@ fn takes_masked_loop(l: &SegList<'_>) -> bool {
     is_fine(l) && masked_copy_available()
 }
 
-/// Parallel contiguous copy: `dst.copy_from_slice(src)`, the one-list,
-/// one-segment batch.
-pub fn par_copy(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "par_copy length mismatch");
-    let whole = [CopyOp {
-        src_off: 0,
-        dst_off: 0,
-        len: dst.len(),
-    }];
-    par_transfer_total(dst, src, &whole, dst.len());
-}
-
 /// Debug builds: no two segments of the batch — a strided window's
 /// expanded — write one destination byte.
 #[cfg(debug_assertions)]
@@ -828,20 +819,14 @@ fn round_up_cache_line(n: usize) -> usize {
     n.saturating_add(CACHE_LINE - 1) & !(CACHE_LINE - 1)
 }
 
-/// Execute a batch of segment moves from `src` into `dst`.
+/// Execute one list of segment moves from `src` into `dst`: the
+/// one-list [`par_transfer_batch`].
 ///
 /// Segments must lie in bounds and be pairwise disjoint in `dst`
 /// (overlap in `src` is fine — a broadcast-style unpack may read the same
 /// source bytes twice).
 pub fn par_transfer(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
-    par_transfer_total(dst, src, ops, ops.iter().map(|o| o.len).sum());
-}
-
-/// [`par_transfer`] for a caller that already holds the sum of the
-/// segment lengths (it summed them for its own bookkeeping, or the list
-/// is a cached one that carries its sum). `total` only sizes the lane
-/// count and the split; every segment is still bounds-checked.
-pub fn par_transfer_total(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usize) {
+    let total = ops.iter().map(|o| o.len).sum();
     par_transfer_batch(dst, src, &[SegList::whole(dst, src, ops, total)]);
 }
 
@@ -921,10 +906,11 @@ mod tests {
 
     #[test]
     fn par_copy_small_and_large() {
+        // A contiguous copy is the one-op list.
         for len in [0usize, 13, 4096, (1 << 20) + 17, (5 << 20) + 3] {
             let src: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let mut dst = vec![0u8; len];
-            par_copy(&mut dst, &src);
+            par_transfer(&mut dst, &src, &[op(0, 0, len)]);
             assert_eq!(dst, src, "len={len}");
         }
     }
@@ -1139,8 +1125,8 @@ mod tests {
         let big: Vec<u8> = (0..(5 << 20)).map(|i| (i % 241) as u8).collect();
         let whole = [op(0, 0, big.len())];
         let mut a = vec![0u8; big.len()];
-        par_copy(&mut a, &big);
-        assert!(a == big, "par_copy");
+        par_transfer(&mut a, &big, &whole);
+        assert!(a == big, "one segment");
         for lanes in [1usize, 2, 4, 8, 64] {
             a.fill(0);
             par_transfer_lanes(&mut a, &big, &whole, lanes);
@@ -1190,14 +1176,16 @@ mod tests {
             let mut want = vec![0u8; seg * count];
             par_transfer(&mut want, &src, &ops);
             let mut dst = vec![0u8; seg * count];
-            par_transfer_total(&mut dst, &src, &ops, seg * count);
+            let list = SegList::whole(&dst, &src, &ops, seg * count);
+            par_transfer_batch(&mut dst, &src, &[list]);
             assert_eq!(dst, want, "seg={seg}");
         }
         let src = vec![7u8; 16];
         let mut dst = vec![0u8; 16];
         for bad in bad_ops() {
+            let list = SegList::whole(&dst, &src, std::slice::from_ref(&bad), bad.len);
             assert!(
-                panics(|| par_transfer_total(&mut dst, &src, &[bad], bad.len)),
+                panics(|| par_transfer_batch(&mut dst, &src, &[list])),
                 "{bad:?} must panic"
             );
             assert_eq!(dst, [0u8; 16], "{bad:?} moved a byte");

@@ -122,7 +122,7 @@ pub mod names {
         const GPUSIM_MEMCPY_P2P_BYTES: GpusimMemcpyP2pBytes = "gpusim.memcpy.p2p.bytes";
 
         // ---- memory substrate ----
-        /// Bytes the simulator itself wrote (`Memory::copy` + `transfer`):
+        /// Bytes the simulator itself wrote (`Memory::transfer_batch`):
         /// physical traffic, against `mpi.delivered.bytes` of payload.
         const MEMSIM_BYTES_MOVED: MemsimBytesMoved = "memsim.bytes_moved";
 

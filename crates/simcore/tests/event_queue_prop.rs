@@ -3,32 +3,29 @@
 //!
 //! The model is the data structure the simulator used before the
 //! calendar/arena rewrite — a plain `BinaryHeap` ordered by
-//! `(time, insertion seq)` — with cancellation as a seq set. The real
-//! scheduler routes the same schedule through three structures (the
-//! same-instant fast lane, the bucketed calendar ring, the far-future
-//! overflow rung) and sweeps cancellations lazily as tombstones; this
-//! test drives both through random interleavings of schedule / cancel /
-//! partial-run and asserts they observe the *identical* history:
+//! `(time, insertion seq)`. The real scheduler routes the same schedule
+//! through three structures (the same-instant fast lane, the bucketed
+//! calendar ring, the far-future overflow rung); this test drives both
+//! through random interleavings of schedule / partial-run and asserts
+//! they observe the *identical* history:
 //!
 //! * the sequence of fired event tags (total `(time, seq)` order,
 //!   including FIFO among same-instant events),
-//! * virtual time after every segment (tombstone sweeps advance it),
-//! * the executed-event count (cancelled events never execute),
-//! * the pending count (cancelled entries stay pending until swept).
+//! * virtual time after every segment,
+//! * the executed-event count,
+//! * the pending count.
 //!
 //! Workload shapes are chosen to cross every internal boundary:
 //! zero-delay bursts (fast lane), nearby deltas (same / adjacent
 //! buckets), lap-edge deltas (bucket promotion and re-anchoring), and
 //! multi-second deltas (overflow rung + adaptive shift), with nested
-//! scheduling from inside callbacks and cancels aimed at live, already
-//! fired, and already cancelled handles. One case packs tens of
-//! thousands of events into a few tens of microseconds, so buckets
-//! crowd and the width narrows, again after every re-anchor.
+//! scheduling from inside callbacks. One case packs tens of thousands
+//! of events into a few tens of microseconds, so buckets crowd and the
+//! width narrows, again after every re-anchor.
 
 use simcore::rng::{rng, SimRng};
-use simcore::{EventId, Sim, SimTime};
+use simcore::{Sim, SimTime};
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
 
 type World = Vec<u64>;
 
@@ -86,38 +83,29 @@ fn spawn(sim: &mut Sim<World>, seed: u64, tag: u64) {
 )]
 struct Model {
     heap: std::collections::BinaryHeap<Reverse<(u64, u64, u64)>>,
-    cancelled: BTreeSet<u64>,
     next_seq: u64,
     now: u64,
     fired: Vec<u64>,
 }
 
 impl Model {
-    fn schedule(&mut self, at: u64, tag: u64) -> u64 {
+    fn schedule(&mut self, at: u64, tag: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse((at, seq, tag)));
-        seq
     }
 
-    /// Pop until one live event fires (sweeping cancelled entries, which
-    /// still advance time, exactly like the real tombstone sweep).
+    /// Fire the next event, if there is one.
     fn pop_one(&mut self, seed: u64) -> bool {
-        while let Some(Reverse((at, seq, tag))) = self.heap.pop() {
-            self.now = at;
-            if self.cancelled.contains(&seq) {
-                continue;
-            }
-            self.fired.push(tag);
-            for (delta, child) in children(seed, tag) {
-                let child_seq = self.next_seq;
-                self.next_seq += 1;
-                self.heap
-                    .push(Reverse((at + delta, child_seq, tag_checked(child))));
-            }
-            return true;
+        let Some(Reverse((at, _, tag))) = self.heap.pop() else {
+            return false;
+        };
+        self.now = at;
+        self.fired.push(tag);
+        for (delta, child) in children(seed, tag) {
+            self.schedule(at + delta, tag_checked(child));
         }
-        false
+        true
     }
 
     fn run_until_count(&mut self, seed: u64, k: usize) {
@@ -155,15 +143,12 @@ fn assert_in_sync(sim: &Sim<World>, model: &Model, ctx: &str) {
     assert_eq!(sim.world, model.fired, "fired order diverged ({ctx})");
 }
 
-/// One random interleaving of schedule / cancel / partial-run phases,
-/// ending in a full drain.
+/// One random interleaving of schedule / partial-run phases, ending in
+/// a full drain.
 fn differential_case(seed: u64) {
     let mut r = rng(seed);
     let mut sim = Sim::new(World::new());
     let mut model = Model::default();
-    // Every top-level handle ever issued — cancels deliberately target
-    // live, already-fired, and already-cancelled entries alike.
-    let mut handles: Vec<(EventId, u64)> = Vec::new();
     let mut next_tag = 1u64;
 
     for phase in 0..8 {
@@ -179,16 +164,8 @@ fn differential_case(seed: u64) {
             let at = model.now + delta;
             let tag = next_tag;
             next_tag += 1;
-            let id = sim.schedule_at(SimTime::from_nanos(at), move |s| spawn(s, seed, tag));
-            let seq = model.schedule(at, tag);
-            handles.push((id, seq));
-        }
-        // Cancel a handful of arbitrary handles (stale ids are no-ops
-        // on both sides; double-cancels too).
-        for _ in 0..r.range(0, 2 + handles.len() / 4) {
-            let (id, seq) = handles[r.range(0, handles.len())];
-            sim.cancel(id);
-            model.cancelled.insert(seq);
+            sim.schedule_at(SimTime::from_nanos(at), move |s| spawn(s, seed, tag));
+            model.schedule(at, tag);
         }
         // Partially drain to a fired-count threshold.
         let k = model.fired.len() + r.range(0, 40);
@@ -216,22 +193,15 @@ fn random_interleavings_match_reference_model() {
 }
 
 /// Purely same-instant storm: everything rides the fast lane and must
-/// come out in exact insertion order, interleaved with cancels.
+/// come out in exact insertion order.
 #[test]
 fn same_instant_storm_matches_reference_model() {
     let seed = 999;
     let mut sim = Sim::new(World::new());
     let mut model = Model::default();
-    let mut handles = Vec::new();
     for tag in 1..=400u64 {
-        let id = sim.schedule_at(SimTime::ZERO, move |s| spawn(s, seed, tag));
-        let seq = model.schedule(0, tag);
-        handles.push((id, seq));
-    }
-    // Cancel every seventh before anything runs.
-    for (id, seq) in handles.iter().step_by(7) {
-        sim.cancel(*id);
-        model.cancelled.insert(*seq);
+        sim.schedule_at(SimTime::ZERO, move |s| spawn(s, seed, tag));
+        model.schedule(0, tag);
     }
     sim.run();
     model.drain(seed);
@@ -239,23 +209,17 @@ fn same_instant_storm_matches_reference_model() {
 }
 
 /// Far-future–only workload: every event lives on the overflow rung
-/// until re-anchoring promotes it, and half are cancelled out there.
+/// until re-anchoring promotes it.
 #[test]
 fn far_future_overflow_matches_reference_model() {
     let seed = 4242;
     let mut r = rng(seed);
     let mut sim = Sim::new(World::new());
     let mut model = Model::default();
-    let mut handles = Vec::new();
     for tag in 1..=120u64 {
         let delta = r.range_u64(2_000_000_000, 20_000_000_000);
-        let id = sim.schedule_at(SimTime::from_nanos(delta), move |s| spawn(s, seed, tag));
-        let seq = model.schedule(delta, tag);
-        handles.push((id, seq));
-    }
-    for (id, seq) in handles.iter().skip(1).step_by(2) {
-        sim.cancel(*id);
-        model.cancelled.insert(*seq);
+        sim.schedule_at(SimTime::from_nanos(delta), move |s| spawn(s, seed, tag));
+        model.schedule(delta, tag);
     }
     sim.run();
     model.drain(seed);
