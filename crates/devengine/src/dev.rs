@@ -6,17 +6,11 @@
 //! fragment of the packed stream be described by a contiguous run of
 //! units, which both the fragment engine and the cache slicing rely on.
 //!
-//! [`DevCursor`] walks a descriptor program directly. `clippy.toml`
-//! bans it outside the sanctioned executors (devengine, the NIC
-//! executor, the CPU convertor); everyone
-//! else builds on the wrapped walks ([`whole_units`], [`flip_units`])
-//! or an engine, so each executor charges time and faults at one layer.
-
-#![expect(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "this module defines the DEV cursor and its wrapped walks"
-)]
+//! `DevCursor` walks a descriptor program directly. It is
+//! crate-private: the fragment engine and the CPU convertor drive it,
+//! and every other crate builds on the wrapped walks ([`whole_units`],
+//! [`flip_units`]) or an engine, so each executor charges time and
+//! faults at one layer.
 
 use crate::cache::Lru;
 use datatype::{Convertor, DataType, PackKind, TypeError};
@@ -323,7 +317,7 @@ pub fn whole_units(
 /// Streaming DEV generator: wraps the stack-based convertor and splits
 /// segments into `unit_size` work units on demand — the CPU half of the
 /// paper's pipeline.
-pub struct DevCursor {
+pub(crate) struct DevCursor {
     cv: Convertor,
     unit_size: u64,
     /// Coalesce mode: one work unit per contiguous run instead of
@@ -357,28 +351,13 @@ impl DevCursor {
         self.base_shift
     }
 
-    pub fn total_bytes(&self) -> u64 {
-        self.cv.total_bytes()
-    }
-
     pub fn position(&self) -> u64 {
         self.cv.position()
     }
 
-    pub fn finished(&self) -> bool {
-        self.cv.finished()
-    }
-
-    /// Produce the units covering the next `max_packed` bytes of the
-    /// packed stream (pack orientation, absolute packed offsets).
-    pub fn next_units(&mut self, max_packed: u64) -> Vec<CopyOp> {
-        let mut units = Vec::new();
-        self.next_units_into(max_packed, &mut units);
-        units
-    }
-
-    /// Allocation-free variant of [`Self::next_units`]: clears `out` and
-    /// fills it straight from the convertor's segments.
+    /// Clear `out` and fill it with the units covering the next
+    /// `max_packed` bytes of the packed stream (pack orientation,
+    /// absolute packed offsets), straight from the convertor's segments.
     pub fn next_units_into(&mut self, max_packed: u64, out: &mut Vec<CopyOp>) {
         out.clear();
         let (coalesce, unit_size, shift) = (self.coalesce, self.unit_size, self.base_shift);
@@ -452,19 +431,33 @@ pub fn build_plan_opt(
     unit_size: u64,
     coalesce: bool,
 ) -> Result<DevPlan, TypeError> {
-    let mut cur = DevCursor::with_coalesce(ty, count, unit_size, coalesce)?;
-    let total = cur.total_bytes();
-    let mut units = Vec::new();
-    while !cur.finished() {
-        units.extend(cur.next_units(u64::MAX));
-    }
+    let (units, base_shift) = whole_units(ty, count, unit_size, coalesce)?;
     Ok(DevPlan {
         units,
-        base_shift: cur.base_shift(),
-        total_bytes: total,
+        base_shift,
+        total_bytes: ty.size() * count,
         unit_size,
         traffic: RefCell::new(Lru::with_limits(u64::MAX, MAX_TRAFFIC_MEMOS)),
     })
+}
+
+#[cfg(test)]
+impl DevCursor {
+    pub fn total_bytes(&self) -> u64 {
+        self.cv.total_bytes()
+    }
+
+    pub fn finished(&self) -> bool {
+        self.cv.finished()
+    }
+
+    /// The units covering the next `max_packed` bytes of the packed
+    /// stream, in a new list.
+    pub fn next_units(&mut self, max_packed: u64) -> Vec<CopyOp> {
+        let mut units = Vec::new();
+        self.next_units_into(max_packed, &mut units);
+        units
+    }
 }
 
 #[cfg(test)]
@@ -770,5 +763,270 @@ mod tests {
             assert_eq!(a.dst_off, b.src_off);
             assert_eq!(a.len, b.len);
         }
+    }
+}
+
+/// The three unit sources — streaming conversion (`Fresh`, the cursor
+/// walked fragment by fragment), cached-plan slicing (`Cached`) and
+/// arithmetic generation for vector-shaped types (`Vector`) — describe
+/// the *same byte movement* for any committed datatype at any fragment
+/// size. The fragment engine picks between them purely on cost grounds;
+/// this pins down that the choice can never change what gets copied.
+///
+/// Units differ per source (unit-size splits, fragment-boundary splits,
+/// whole-block vector ops), so coverage is compared as the multiset of
+/// `(src_off, dst_off, len)` after merging ops that are adjacent on
+/// both sides — the normalized form is the canonical byte mapping.
+#[cfg(test)]
+mod unit_sources_prop {
+    use super::*;
+    use datatype::testutil::{arb_datatype, lower_triangular};
+    use simcore::rng::SimRng;
+
+    /// Canonical byte mapping: sort by packed offset, drop empties, merge
+    /// runs contiguous on both the typed and the packed side.
+    fn normalize(mut ops: Vec<CopyOp>) -> Vec<(usize, usize, usize)> {
+        ops.sort_by_key(|u| u.dst_off);
+        let mut out: Vec<(usize, usize, usize)> = Vec::new();
+        for u in ops {
+            if u.len == 0 {
+                continue;
+            }
+            if let Some(last) = out.last_mut() {
+                if last.0 + last.2 == u.src_off && last.1 + last.2 == u.dst_off {
+                    last.2 += u.len;
+                    continue;
+                }
+            }
+            out.push((u.src_off, u.dst_off, u.len));
+        }
+        out
+    }
+
+    /// `Fresh`: stream units fragment by fragment through the convertor.
+    fn fresh_units(ty: &DataType, count: u64, unit_size: u64, frag: u64) -> Vec<CopyOp> {
+        let mut cur = DevCursor::new(ty, count, unit_size).unwrap();
+        let mut ops = Vec::new();
+        while !cur.finished() {
+            ops.extend(cur.next_units(frag));
+        }
+        ops
+    }
+
+    /// `Cached`: materialize the plan once, then slice the same fragment
+    /// windows through the production `slice_into` path (which rebases
+    /// packed offsets per fragment — undo that to compare absolutes).
+    fn cached_units(ty: &DataType, count: u64, unit_size: u64, frag: u64) -> Vec<CopyOp> {
+        let plan = build_plan(ty, count, unit_size).unwrap();
+        let mut ops = Vec::new();
+        let mut buf = Vec::new();
+        let mut pos = 0u64;
+        while pos < plan.total_bytes {
+            let to = (pos + frag).min(plan.total_bytes);
+            plan.slice_into(pos, to, &mut buf);
+            for u in &buf {
+                ops.push(CopyOp {
+                    src_off: u.src_off,
+                    dst_off: u.dst_off + pos as usize,
+                    len: u.len,
+                });
+            }
+            pos = to;
+        }
+        ops
+    }
+
+    /// `Vector`: arithmetic unit generation, exactly as the fragment
+    /// engine's specialized path computes it (no descriptors at all).
+    fn vector_units(ty: &DataType, count: u64, frag: u64) -> Option<Vec<CopyOp>> {
+        let effective = if count <= 1 {
+            ty.clone()
+        } else {
+            DataType::contiguous(count, ty).unwrap().commit()
+        };
+        let (_, block_bytes, stride, first_disp) = effective.vector_shape()?;
+        let base_shift = ty.true_lb().min(0);
+        let total = ty.size() * count;
+        let mut ops = Vec::new();
+        let mut pos = 0u64;
+        while pos < total {
+            let to = (pos + frag).min(total);
+            let mut p = pos;
+            while p < to {
+                let block = p / block_bytes;
+                let intra = p % block_bytes;
+                let take = (block_bytes - intra).min(to - p);
+                let disp = first_disp + block as i64 * stride + intra as i64;
+                ops.push(CopyOp {
+                    src_off: (disp - base_shift) as usize,
+                    dst_off: p as usize,
+                    len: take as usize,
+                });
+                p += take;
+            }
+            pos = to;
+        }
+        Some(ops)
+    }
+
+    /// `Strided2D`: the doubly-strided arithmetic path, exactly as the
+    /// fragment engine's specialized kernel computes it.
+    fn strided2d_units(ty: &DataType, count: u64, frag: u64) -> Option<Vec<CopyOp>> {
+        let effective = if count <= 1 {
+            ty.clone()
+        } else {
+            DataType::contiguous(count, ty).unwrap().commit()
+        };
+        let shape = effective.strided2d_shape()?;
+        let base_shift = ty.true_lb().min(0);
+        let total = ty.size() * count;
+        let mut ops = Vec::new();
+        let mut pos = 0u64;
+        while pos < total {
+            let to = (pos + frag).min(total);
+            let mut p = pos;
+            while p < to {
+                let block = p / shape.block_bytes;
+                let intra = p % shape.block_bytes;
+                let take = (shape.block_bytes - intra).min(to - p);
+                let i = (block / shape.inner) as i64;
+                let j = (block % shape.inner) as i64;
+                let disp = shape.first_disp
+                    + i * shape.outer_stride
+                    + j * shape.inner_stride
+                    + intra as i64;
+                ops.push(CopyOp {
+                    src_off: (disp - base_shift) as usize,
+                    dst_off: p as usize,
+                    len: take as usize,
+                });
+                p += take;
+            }
+            pos = to;
+        }
+        Some(ops)
+    }
+
+    /// Optimizer-transformed plan (canonicalization and/or coalescing),
+    /// sliced fragment by fragment like the cached source does.
+    fn optimized_units(
+        ty: &DataType,
+        count: u64,
+        unit_size: u64,
+        frag: u64,
+        canonicalize: bool,
+        coalesce: bool,
+    ) -> Vec<CopyOp> {
+        let work = if canonicalize {
+            ty.canonical()
+        } else {
+            ty.clone()
+        };
+        let plan = build_plan_opt(&work, count, unit_size, coalesce).unwrap();
+        let mut ops = Vec::new();
+        let mut buf = Vec::new();
+        let mut pos = 0u64;
+        while pos < plan.total_bytes {
+            let to = (pos + frag).min(plan.total_bytes);
+            plan.slice_into(pos, to, &mut buf);
+            for u in &buf {
+                ops.push(CopyOp {
+                    src_off: u.src_off,
+                    dst_off: u.dst_off + pos as usize,
+                    len: u.len,
+                });
+            }
+            pos = to;
+        }
+        ops
+    }
+
+    fn check(ty: &DataType, count: u64, seed_note: &str) {
+        let total = ty.size() * count;
+        for unit_size in [8u64, 64, 1024] {
+            // Fragment sizes straddle unit, block and total boundaries.
+            for frag in [1u64, 7, 64, total.max(1).div_ceil(3), u64::MAX] {
+                let fresh = normalize(fresh_units(ty, count, unit_size, frag));
+                let cached = normalize(cached_units(ty, count, unit_size, frag));
+                assert_eq!(
+                    fresh, cached,
+                    "{seed_note}: fresh vs cached, count={count} unit={unit_size} frag={frag}"
+                );
+                if let Some(vec_ops) = vector_units(ty, count, frag) {
+                    assert_eq!(
+                        fresh,
+                        normalize(vec_ops),
+                        "{seed_note}: fresh vs vector, count={count} frag={frag}"
+                    );
+                }
+                let covered: usize = fresh.iter().map(|&(_, _, l)| l).sum();
+                assert_eq!(covered as u64, total, "{seed_note}: bytes covered");
+
+                // Every optimizer toggle combination must describe the same
+                // byte mapping as the unoptimized plan: the passes reshape
+                // units (fewer descriptors, merged runs), never the bytes.
+                for canon in [false, true] {
+                    for coalesce in [false, true] {
+                        let opt =
+                            normalize(optimized_units(ty, count, unit_size, frag, canon, coalesce));
+                        assert_eq!(
+                            fresh, opt,
+                            "{seed_note}: fresh vs optimized(canon={canon}, \
+                             coalesce={coalesce}), count={count} unit={unit_size} frag={frag}"
+                        );
+                    }
+                }
+                if let Some(s2d) = strided2d_units(ty, count, frag) {
+                    assert_eq!(
+                        fresh,
+                        normalize(s2d),
+                        "{seed_note}: fresh vs strided2d, count={count} frag={frag}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_sources_agree_on_arbitrary_types() {
+        let mut vector_shaped = 0u32;
+        for seed in 0..120u64 {
+            let mut rng = SimRng::new(0xDD7 ^ seed);
+            let ty = arb_datatype(&mut rng).commit();
+            if ty.vector_shape().is_some() {
+                vector_shaped += 1;
+            }
+            for count in [1u64, 2] {
+                check(&ty, count, &format!("seed {seed}"));
+            }
+        }
+        // The generator must actually exercise the specialized path, not
+        // just the two descriptor-based sources.
+        assert!(
+            vector_shaped >= 10,
+            "only {vector_shaped} vector-shaped types out of 120"
+        );
+    }
+
+    #[test]
+    fn sources_agree_on_the_paper_workloads() {
+        // Triangular (indexed) and submatrix (vector) shapes from the
+        // figures, small enough for the exhaustive fragment sweep.
+        check(&lower_triangular(24), 1, "triangular");
+        let sub = DataType::vector(16, 16, 32, &DataType::double())
+            .unwrap()
+            .commit();
+        check(&sub, 1, "submatrix");
+        check(&sub, 2, "submatrix x2");
+        // Matrix transpose (fig12): a doubly-strided tree that must hit the
+        // arithmetic Strided2D source, not just agree on descriptors.
+        let n = 24u64;
+        let col = DataType::vector(n, 1, n as i64, &DataType::double()).unwrap();
+        let transpose = DataType::hvector(n, 1, 8, &col).unwrap().commit();
+        assert!(
+            transpose.strided2d_shape().is_some(),
+            "transpose must be strided2d-shaped"
+        );
+        check(&transpose, 1, "transpose");
     }
 }

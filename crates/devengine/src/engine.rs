@@ -26,10 +26,6 @@ pub enum Direction {
 }
 
 /// Where work units come from.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the fragment engine is the GPU's DEV executor"
-)]
 enum UnitSource {
     /// Streaming conversion on the CPU (charged preparation time).
     Fresh(Box<crate::dev::DevCursor>),
@@ -102,6 +98,8 @@ pub struct LaunchEstimate {
     /// but the arithmetic strided ones.
     pub descriptor_stream: bool,
     units: u64,
+    /// Contiguous runs: the units of a coalesced walk.
+    runs: u64,
     total: u64,
 }
 
@@ -125,13 +123,24 @@ impl LaunchEstimate {
             } else {
                 plan_units(segments, total, opt, cfg.unit_size)
             },
+            runs: segments,
             total,
         }
     }
 
     /// About how many units a window of `n` packed bytes holds.
     pub fn units_in(&self, n: u64) -> u64 {
-        (self.units as f64 * n as f64 / self.total.max(1) as f64).round() as u64
+        self.share(self.units, n)
+    }
+
+    /// About how many contiguous runs a window of `n` packed bytes
+    /// holds, whatever the unit size splits.
+    pub fn runs_in(&self, n: u64) -> u64 {
+        self.share(self.runs, n)
+    }
+
+    fn share(&self, of: u64, n: u64) -> u64 {
+        (of as f64 * n as f64 / self.total.max(1) as f64).round() as u64
     }
 }
 
@@ -165,10 +174,6 @@ impl FragmentEngine {
     /// When `cache` is given, a miss materializes the full plan and
     /// charges its preparation once, up front; hits are free — exactly
     /// the paper's cached-CUDA-DEV behaviour.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the fragment engine is the GPU's DEV executor"
-    )]
     #[allow(clippy::too_many_arguments)] // mirrors the convertor-creation surface
     pub fn new<W: GpuWorld>(
         sim: &mut Sim<W>,
@@ -316,6 +321,7 @@ impl FragmentEngine {
                 let est = LaunchEstimate {
                     descriptor_stream: true,
                     units: plan_units(segments, total, opt, unit_size),
+                    runs: segments,
                     total,
                 };
                 let sys = sim.world.gpus_ref();
@@ -376,10 +382,6 @@ impl FragmentEngine {
     /// into a caller-supplied buffer keeps the steady-state fragment
     /// loop allocation-free — the buffers themselves cycle through
     /// [`simcore::scratch`].
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the fragment engine is the GPU's DEV executor"
-    )]
     fn advance(
         &mut self,
         n: u64,

@@ -18,9 +18,15 @@
 //! launch, keep converting), and because the CUDA-DEV list depends only
 //! on the datatype — not the buffer addresses — it is **cached** and
 //! reused across messages ([`DevCache`]).
+//!
+//! Host-resident data takes the CPU convertor ([`cpupack`]) over the
+//! same DEV walk. DEV programs are walked only in this crate: its cursor
+//! is crate-private, and every other crate takes a whole-message walk
+//! ([`whole_units`], [`flip_units`]) or an engine.
 
 pub mod cache;
 pub mod config;
+pub mod cpupack;
 pub mod dev;
 pub mod engine;
 pub mod tune;

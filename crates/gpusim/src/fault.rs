@@ -26,7 +26,7 @@ use simcore::{Sim, SimTime};
 /// operation. At the fault rates `chaos_soak` sweeps (≤ 50%) the odds of
 /// hitting this are astronomically small; reaching it means the plan
 /// made the op fail deterministically and no retry loop can terminate.
-pub const RETRY_MAX: u32 = 64;
+const RETRY_MAX: u32 = 64;
 
 /// Default backoff schedule for simulator-internal retries: 2 µs
 /// doubling up to 500 µs.
@@ -131,8 +131,8 @@ pub fn fault_scaled<W: GpuWorld, Q: Quantity>(
 /// returns the landing instant), then roll `op`. At the landing instant
 /// a clean attempt runs `landed`; a transient verdict meters a retry,
 /// waits the next backoff and re-issues the attempt from the top; a lost
-/// op, or [`RETRY_MAX`] transients in a row, ends the run
-/// ([`retries_exhausted`]) — these ops have no fallback path. Returns
+/// op, or `RETRY_MAX` (64) transients in a row, ends the run with a
+/// panic — these ops have no fallback path. Returns
 /// the first attempt's landing instant.
 pub fn charge<W, Q, P, R, L>(
     sim: &mut Sim<W>,
@@ -185,16 +185,16 @@ where
     end
 }
 
-/// Panic for retry loops that cannot make progress: [`charge`], whose
-/// ops have no fallback path, and the CPU convertor's retry fold, itself
-/// the fallback of last resort. Ops with a fallback (IPC open, pinned
-/// registration) surface a typed error instead.
+/// Panic for a retry loop that cannot make progress: [`charge`]'s ops
+/// have no fallback path (the CPU convertor is itself the fallback of
+/// last resort). Ops with a fallback (IPC open, pinned registration)
+/// surface a typed error instead.
 #[expect(
     clippy::panic,
     reason = "the fault plan makes an op with no fallback path fail deterministically; \
               there is no run to continue"
 )]
-pub fn retries_exhausted(op: FaultOp, attempts: u32) -> ! {
+fn retries_exhausted(op: FaultOp, attempts: u32) -> ! {
     panic!(
         "{} failed {attempts} consecutive attempts (injected faults); \
          the fault plan makes this op fail deterministically and it has \

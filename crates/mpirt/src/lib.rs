@@ -14,16 +14,15 @@
 //!   [`protocol::comparator`] — are [`protocol::plan::TransferPlan`]s:
 //!   one stage list per transfer that the single executor in
 //!   `protocol::exec` runs and [`tuner`] prices.
-//! * The **GPU datatype engine** (`devengine`) packs and unpacks device
-//!   data; the **CPU convertor** (`datatype` + [`cpupack`]) handles host
-//!   data. Contiguous datatypes short-circuit the pack and/or unpack
+//! * The **GPU datatype engine** (`devengine::FragmentEngine`) packs and
+//!   unpacks device data; the **CPU convertor** (`devengine::cpupack`)
+//!   host data. Contiguous datatypes short-circuit the pack and/or unpack
 //!   stages after the rendezvous handshake, exactly as in §4.1.
 
 pub mod api;
 pub mod coll;
 pub mod config;
 pub mod connection;
-pub mod cpupack;
 pub mod matcher;
 pub mod protocol;
 pub mod request;

@@ -56,7 +56,7 @@
 //! buffer unobserved — from pack charge to the flush that precedes
 //! completion; a failure resolves both ends at most once.
 
-use crate::protocol::offload::CapturedXfer;
+use crate::protocol::offload::{CapturedXfer, Program};
 use crate::protocol::plan::{
     plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan, CONTROL_BYTES,
 };
@@ -67,7 +67,7 @@ use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
 use memsim::{AllocId, MemSpace, Move, MoveExtent, MoveList, Ptr};
-use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts, NicProgram};
+use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts};
 use simcore::par::{CopyOp, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
@@ -83,7 +83,7 @@ pub(crate) enum Conn {
     /// The two ranks' own rings (`RankState::rings`), one per ring
     /// [`Loc`] the plan names.
     Rings,
-    Nic(Rc<NicProgram>),
+    Nic(Rc<Program>),
     Graph(Rc<CapturedXfer>),
     /// A comparator message's own staging: a whole-message buffer for
     /// each ring location its one-fragment plan names.
@@ -94,13 +94,12 @@ pub(crate) enum Conn {
 const _: () = assert!(std::mem::size_of::<Conn>() <= 16);
 
 impl Conn {
-    /// An offload plan's one move — the whole message, typed → typed —
-    /// and the `true_lb` shifts of the send and the receive buffer it is
-    /// relative to.
-    fn whole_move(&self) -> Option<(&Rc<MoveList>, (i64, i64))> {
+    /// An offload plan's compiled program: its one move is the whole
+    /// message, typed → typed.
+    fn program(&self) -> Option<&Program> {
         match self {
-            Conn::Nic(prog) => Some((prog.moves(), prog.shifts())),
-            Conn::Graph(cap) => Some((&cap.moves, cap.shifts)),
+            Conn::Nic(prog) => Some(prog),
+            Conn::Graph(cap) => Some(&cap.program),
             _ => None,
         }
     }
@@ -731,9 +730,10 @@ fn run_op(
                 _ => return Err(faulted("NIC stage without a compiled program")),
             };
             let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-            let (s_rank, r_rank) = (rank_of(End::Send), rank_of(End::Recv));
-            execute_program(sim, s_rank, r_rank, &prog, &costs, move |sim| next(sim, f))
-                .map_err(MpiError::Net)?;
+            let (from, to) = (rank_of(End::Send), rank_of(End::Recv));
+            let program = (prog.descriptors, prog.bytes());
+            let landed = move |sim: &mut Sim<MpiWorld>| next(sim, f);
+            execute_program(sim, from, to, program, &costs, landed).map_err(MpiError::Net)?;
         }
         StageOp::GraphReplay => {
             let cap = match &st.borrow().conn {
@@ -771,17 +771,16 @@ fn graph_replay(
         let t = &st.borrow().t;
         ((t.s.rank, t.s.buf), (t.r.rank, t.r.buf))
     };
-    let armed = Rc::clone(&cap);
-    gpusim::replay_issue(sim, &armed.graph, move |sim, _| {
-        let pack = (s_buf.offset_by(cap.shifts.0), GRAPH_HOST);
+    let prog = Rc::clone(&cap.program);
+    gpusim::replay_issue(sim, &cap.graph, move |sim, _| {
+        let pack = (s_buf.offset_by(prog.shifts.0), GRAPH_HOST);
         let stream = sim.world.rank(s_rank).kernel_stream;
-        let units = Rc::clone(&cap);
+        let units = Rc::clone(&prog);
         graph_kernel(sim, stream, pack, &units.pack_units, move |sim, _| {
-            let total = cap.moves.extent().bytes;
-            let shipped = wire_send(sim, s_rank, r_rank, total, move |sim| {
-                let unpack = (GRAPH_HOST, r_buf.offset_by(cap.shifts.1));
+            let shipped = wire_send(sim, s_rank, r_rank, prog.bytes(), move |sim| {
+                let unpack = (GRAPH_HOST, r_buf.offset_by(prog.shifts.1));
                 let stream = sim.world.rank(r_rank).kernel_stream;
-                graph_kernel(sim, stream, unpack, &cap.unpack_units, move |sim, _| {
+                graph_kernel(sim, stream, unpack, &prog.unpack_units, move |sim, _| {
                     next(sim)
                 });
             });
@@ -818,7 +817,8 @@ fn queue_fragment(
     // dense end, which has neither, its window.
     let base = |end: End| {
         let x = st.borrow();
-        let shifted = (x.conn.whole_move()).map(|(_, (s_shift, r_shift))| {
+        let shifted = (x.conn.program()).map(|p| {
+            let (s_shift, r_shift) = p.shifts;
             let shift = if end == End::Send { s_shift } else { r_shift };
             x.t.side(end).buf.offset_by(shift)
         });
@@ -931,7 +931,7 @@ fn move_now(
 /// window of the same two layouts. [`merge_units`] validates the lists it
 /// merges; its result is a pure function of the [`MoveKey`].
 fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<MoveList>, MpiError> {
-    let whole = (st.borrow().conn.whole_move()).map(|(list, _)| Rc::clone(list));
+    let whole = (st.borrow().conn.program()).map(|p| Rc::clone(&p.moves));
     if let Some(known) = whole.or_else(|| f.moves.take()) {
         return Ok(known);
     }

@@ -27,7 +27,6 @@ pub mod plan;
 pub mod sm;
 
 use crate::connection::Capability;
-use crate::cpupack::CpuEngine;
 use crate::matcher::RecvPosting;
 use crate::protocol::comparator::RunEngine;
 use crate::protocol::plan::Comparator;
@@ -35,6 +34,7 @@ use crate::request::{MpiError, Request};
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
+use devengine::cpupack::CpuEngine;
 use devengine::{Direction, FragmentEngine, LayoutKey};
 use memsim::Ptr;
 use simcore::par::{CopyOp, StridedWindow};

@@ -21,7 +21,6 @@
 //! `optimizer.frag.*` trace counters.
 
 use crate::connection::Capability;
-use crate::cpupack;
 use crate::protocol::comparator::RunEngine;
 use crate::protocol::offload;
 use crate::protocol::plan::{
@@ -29,6 +28,7 @@ use crate::protocol::plan::{
 };
 use crate::protocol::Side;
 use crate::world::MpiWorld;
+use devengine::cpupack;
 use devengine::tune::{pick_fragment, Cost};
 use devengine::{Direction, LaunchEstimate, OptimizerConfig};
 use gpusim::{
@@ -217,7 +217,8 @@ fn price<'a>(
             // of the merged program while the payload streams at the
             // slower of the wire and the NIC gather/scatter DMA. No pack
             // kernels, no staging copies, no per-fragment active
-            // messages.
+            // messages. The program issues one descriptor per
+            // contiguous run, however the engine splits units.
             let costs = NicCosts::of(&sim.world.gpus_ref().topo);
             let cfg = &sim.world.mpi.config.engine;
             let (s_est, r_est) = (
@@ -225,7 +226,7 @@ fn price<'a>(
                 LaunchEstimate::of(&r.ty, r.count, cfg),
             );
             let program = move |n| {
-                let descriptors = s_est.units_in(n) + r_est.units_in(n);
+                let descriptors = s_est.runs_in(n) + r_est.runs_in(n);
                 costs.time(descriptors, n, data())
             };
             Stage::new(Track::LinkData { from, to }, data().latency, program)
@@ -435,14 +436,18 @@ mod tests {
     }
 
     fn ib_world(arch: &str, nic: bool, stream: bool) -> Sim<MpiWorld> {
-        use crate::world::RankSpec;
-        use gpusim::GpuArch;
-        use memsim::GpuId;
         let config = MpiConfig {
             nic_offload: nic,
             stream_trigger: stream,
             ..MpiConfig::default()
         };
+        ib_world_with(arch, config)
+    }
+
+    fn ib_world_with(arch: &str, config: MpiConfig) -> Sim<MpiWorld> {
+        use crate::world::RankSpec;
+        use gpusim::GpuArch;
+        use memsim::GpuId;
         let specs = [
             RankSpec {
                 gpu: GpuId(0),
@@ -589,6 +594,30 @@ mod tests {
         let s = side_on(&mut sim, 0, &twice, 1);
         let r = side_on(&mut sim, 1, &twice, 1);
         assert_eq!(select_path(&mut sim, &s, &r, false), PathClass::ZeroCopy);
+    }
+
+    /// The NIC program issues one descriptor per contiguous run, so its
+    /// stage costs the same whether or not the engine coalesces units:
+    /// uncoalesced, a 1 KiB unit size splits each 3–4 KiB block.
+    #[test]
+    fn nic_stage_prices_runs_under_every_optimizer_config() {
+        let ty = DataType::indexed(&[384, 512, 384], &[0, 1024, 2048], &DataType::double())
+            .unwrap()
+            .commit();
+        assert!(ty.vector_shape().is_none() && ty.strided2d_shape().is_none());
+        let priced = |coalesce| {
+            let mut config = MpiConfig {
+                nic_offload: true,
+                ..MpiConfig::default()
+            };
+            config.engine.optimizer.coalesce = coalesce;
+            let mut sim = ib_world_with("a100", config);
+            let s = side_on(&mut sim, 0, &ty, 4);
+            let r = side_on(&mut sim, 1, &ty, 4);
+            let stage = price(&sim, StageOp::NicProgram, (&s, &r)).unwrap();
+            stage_time(stage, s.total())
+        };
+        assert_eq!(priced(true), priced(false));
     }
 
     #[test]

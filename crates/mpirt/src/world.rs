@@ -91,13 +91,13 @@ pub struct MpiState {
     /// copy-in/out to its staged variant, and a lost NIC handler or
     /// doorbell demotes its offload class to the GPU-pack pipeline.
     pub lost: BTreeSet<Capability>,
-    /// Compiled NIC DEV programs per transfer shape (canonical layouts
-    /// and counts, collision-guarded); programs are rank-independent
-    /// descriptor lists.
-    pub nic_programs: DetHashMap<ShapeKey, Rc<netsim::NicProgram>>,
-    /// Captured stream-op graphs plus their baked unit lists and move
-    /// list, per directed rank pair and transfer shape (persistent /
-    /// partitioned requests capture once, replay per iteration).
+    /// The offload classes' compiled programs per transfer shape
+    /// (canonical layouts and counts, collision-guarded); programs are
+    /// rank-independent, and both classes share them.
+    pub offload_programs: DetHashMap<ShapeKey, Rc<crate::protocol::offload::Program>>,
+    /// Captured stream-op graphs over their shape's program, per
+    /// directed rank pair and transfer shape (persistent / partitioned
+    /// requests capture once, replay per iteration).
     pub stream_captures:
         BTreeMap<(usize, usize), DetHashMap<ShapeKey, Rc<crate::protocol::offload::CapturedXfer>>>,
     /// Typed → typed move lists of the fragments transferred so far
@@ -195,7 +195,7 @@ impl MpiWorld {
                 handshakes: DetHashMap::default(),
                 tuned_shapes: DetHashMap::default(),
                 lost: BTreeSet::new(),
-                nic_programs: DetHashMap::default(),
+                offload_programs: DetHashMap::default(),
                 stream_captures: BTreeMap::new(),
                 move_lists: Lru::with_limits(MOVE_LISTS_BYTES, MOVE_LISTS_ENTRIES),
                 byte: DataType::byte().commit(),

@@ -262,7 +262,7 @@ fn defaults_leave_offload_machinery_untouched() {
         assert_eq!(m.counter(c), 0, "{c} must stay silent by default");
     }
     assert!(!sess.world.mpi.handshakes.contains_key(&NIC_HANDLER));
-    assert!(sess.world.mpi.nic_programs.is_empty());
+    assert!(sess.world.mpi.offload_programs.is_empty());
     assert!(sess.world.mpi.stream_captures.is_empty());
 }
 
@@ -360,10 +360,9 @@ fn a_receive_buffer_that_cannot_take_an_offload_transfer_is_a_typed_error() {
                 isend(&mut sess, SendArgs::new(0, 1, sbuf, &ty, 1)),
                 irecv(&mut sess, RecvArgs::new(1, 0, rbuf, &ty, 1)),
             ];
-            // The program is compiled, or the graph captured, in the
-            // event that issues the transfer's one stage.
-            let issued = sess
-                .run_until(|w| !w.mpi.nic_programs.is_empty() || !w.mpi.stream_captures.is_empty());
+            // The program is compiled in the event that issues the
+            // transfer's one stage.
+            let issued = sess.run_until(|w| !w.mpi.offload_programs.is_empty());
             assert!(issued, "{row}: the shape must take the offload class");
             if freed {
                 sess.world.mem().free(rbuf).unwrap();

@@ -15,7 +15,9 @@
 //! **RDMA registration** with a one-time cost and a registration cache —
 //! the cost structure that motivates the paper's single-connection
 //! pipelined protocol. Each is one fallible charge through
-//! `gpusim::fault::charge`.
+//! `gpusim::fault::charge`. The **NIC DEV executor** ([`nic`]) charges
+//! a gather/scatter program given as its descriptor and byte counts:
+//! this crate knows no datatype — the runtime compiles the program.
 
 // Panic freedom (DESIGN.md §11): the interconnect surfaces typed errors.
 #![deny(
@@ -38,7 +40,7 @@ pub mod world;
 
 pub use am::{am_time, send_am};
 pub use channel::{Channel, ChannelKind, Link, NetError, NetSystem};
-pub use nic::{compile_program, execute_program, NicCosts, NicProgram};
+pub use nic::{execute_program, NicCosts};
 pub use rdma::ensure_registered;
 pub use topology::Topology;
 pub use wire::wire_send;

@@ -25,6 +25,8 @@
 
 use datatype::testutil::{buffer_span, pattern, reference_pack};
 use datatype::DataType;
+use devengine::cpupack::CpuEngine;
+use devengine::Direction;
 use faultsim::{counters, FaultKind, FaultOp, FaultPlan, FaultSim};
 use gpusim::{GpuWorld as _, KernelConfig, KernelTraffic};
 use memsim::{GpuId, MemSpace, Ptr};
@@ -343,6 +345,13 @@ fn register_site(sim: &mut Sim<ClusterWorld>) {
     netsim::ensure_registered(sim, 0, buf, |_| {});
 }
 
+fn cpupack_site(sim: &mut Sim<ClusterWorld>) {
+    let ty = big_vec();
+    let typed = alloc(sim, MemSpace::Host, ty.extent() as u64);
+    let mut eng = CpuEngine::new(&ty, 1, typed, Direction::Pack, 0).unwrap();
+    eng.charge_fragment(sim, u64::MAX, None, |_, _, _| {});
+}
+
 /// The retry arithmetic of every fallible charge, pinned: a plan that
 /// fails the first two attempts transiently costs each site exactly two
 /// retries and two injections, and the third attempt lands at the
@@ -350,13 +359,14 @@ fn register_site(sim: &mut Sim<ClusterWorld>) {
 /// resource plus the 2 µs and 4 µs backoffs.
 #[test]
 fn every_fallible_charge_retries_twice_and_lands_at_its_pinned_instant() {
-    let sites: [(&str, FaultOp, Site, u64); 6] = [
+    let sites: [(&str, FaultOp, Site, u64); 7] = [
         ("kernel", FaultOp::KernelLaunch, kernel_site, 24_600),
         ("memcpy", FaultOp::Memcpy, memcpy_site, 338_574),
         ("memcpy_2d", FaultOp::Memcpy, memcpy_2d_site, 559_041),
         ("am", FaultOp::AmDeliver, am_site, 11_982),
         ("wire", FaultOp::WireCopy, wire_site, 42_669),
         ("register", FaultOp::RdmaRegister, register_site, 156_000),
+        ("cpupack", FaultOp::CpuPack, cpupack_site, 164_787),
     ];
     for (name, op, issue, landed_ns) in sites {
         let mut world = ClusterWorld::new(1);
