@@ -8,7 +8,7 @@
 //! | variable | field |
 //! |---|---|
 //! | `GPU_DDT_OPT` | every [`OptimizerConfig`] pass; `off` starts from [`OptimizerConfig::disabled`] |
-//! | `GPU_DDT_CANON` / `_COALESCE` / `_VECTOR` / `_TUNE` | one pass each, applied after `GPU_DDT_OPT` |
+//! | `GPU_DDT_COALESCE` / `GPU_DDT_TUNE` | one pass each, applied after `GPU_DDT_OPT` |
 //! | `GPU_DDT_NIC_OFFLOAD` / `GPU_DDT_STREAM_TRIGGER` | `nic_offload` / `stream_trigger` |
 //! | `GPU_DDT_FAULT_PLAN` / `GPU_DDT_FAULT_SEED` | `fault_plan` (rule DSL, [`FaultPlan::parse`]) and its seed |
 //!
@@ -55,9 +55,7 @@ pub fn config_from(lookup: impl Fn(&str) -> Option<String>) -> Result<MpiConfig,
         _ => OptimizerConfig::enabled(),
     };
     for (name, field) in [
-        ("GPU_DDT_CANON", &mut opt.canonicalize),
         ("GPU_DDT_COALESCE", &mut opt.coalesce),
-        ("GPU_DDT_VECTOR", &mut opt.vector_dispatch),
         ("GPU_DDT_TUNE", &mut opt.autotune),
     ] {
         if let Some(on) = pass(name) {

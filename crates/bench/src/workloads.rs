@@ -171,7 +171,9 @@ mod tests {
 
     #[test]
     fn submatrix_is_vector_shaped_but_triangular_is_not() {
-        assert!(submatrix(32).vector_shape().is_some());
-        assert!(triangular(32).vector_shape().is_none());
+        assert!(submatrix(32)
+            .strided(1)
+            .is_some_and(|s| s.inner == u64::MAX));
+        assert!(triangular(32).strided(1).is_none());
     }
 }

@@ -26,7 +26,7 @@ pub use error::TypeError;
 pub use primitive::Primitive;
 pub use segment::Segment;
 pub use signature::Signature;
-/// The shape [`DataType::strided2d_shape`] returns: defined by the copy
+/// The shape [`DataType::strided`] returns: defined by the copy
 /// layer, which moves a window of it without listing its blocks.
 pub use simcore::par::Strided2D;
 pub use typ::DataType;

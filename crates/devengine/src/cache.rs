@@ -10,7 +10,7 @@
 //! Keys are **structural**: the datatype's layout fingerprint plus
 //! `(count, unit_size)`, so a type rebuilt through the same constructor
 //! calls — a fresh Session, a bench sweep re-deriving its datatypes —
-//! still hits. TEMPI showed canonical keying is what makes datatype
+//! still hits. TEMPI showed structural keying is what makes datatype
 //! caching pay off in real MPI applications, where types are routinely
 //! reconstructed per communication epoch. Fingerprints are
 //! collision-guarded by the type's exact size and true bounds
@@ -313,7 +313,7 @@ mod tests {
     fn structurally_equal_types_share_one_entry() {
         // Two separately constructed (distinct trees, distinct ids) but
         // structurally identical types: the second lookup must hit — the
-        // acceptance shape of TEMPI-style canonical keying.
+        // acceptance shape of TEMPI-style structural keying.
         let mut c = DevCache::default();
         let a = vec_type(16);
         let b = vec_type(16);

@@ -836,48 +836,11 @@ mod unit_sources_prop {
         ops
     }
 
-    /// `Vector`: arithmetic unit generation, exactly as the fragment
-    /// engine's specialized path computes it (no descriptors at all).
-    fn vector_units(ty: &DataType, count: u64, frag: u64) -> Option<Vec<CopyOp>> {
-        let effective = if count <= 1 {
-            ty.clone()
-        } else {
-            DataType::contiguous(count, ty).unwrap().commit()
-        };
-        let (_, block_bytes, stride, first_disp) = effective.vector_shape()?;
-        let base_shift = ty.true_lb().min(0);
-        let total = ty.size() * count;
-        let mut ops = Vec::new();
-        let mut pos = 0u64;
-        while pos < total {
-            let to = (pos + frag).min(total);
-            let mut p = pos;
-            while p < to {
-                let block = p / block_bytes;
-                let intra = p % block_bytes;
-                let take = (block_bytes - intra).min(to - p);
-                let disp = first_disp + block as i64 * stride + intra as i64;
-                ops.push(CopyOp {
-                    src_off: (disp - base_shift) as usize,
-                    dst_off: p as usize,
-                    len: take as usize,
-                });
-                p += take;
-            }
-            pos = to;
-        }
-        Some(ops)
-    }
-
-    /// `Strided2D`: the doubly-strided arithmetic path, exactly as the
-    /// fragment engine's specialized kernel computes it.
-    fn strided2d_units(ty: &DataType, count: u64, frag: u64) -> Option<Vec<CopyOp>> {
-        let effective = if count <= 1 {
-            ty.clone()
-        } else {
-            DataType::contiguous(count, ty).unwrap().commit()
-        };
-        let shape = effective.strided2d_shape()?;
+    /// `Strided`: arithmetic unit generation, exactly as the fragment
+    /// engine's specialized kernel computes it (no descriptors at all).
+    /// A vector is one row of blocks that never ends.
+    fn strided_units(ty: &DataType, count: u64, frag: u64) -> Option<Vec<CopyOp>> {
+        let shape = ty.strided(count)?;
         let base_shift = ty.true_lb().min(0);
         let total = ty.size() * count;
         let mut ops = Vec::new();
@@ -907,22 +870,16 @@ mod unit_sources_prop {
         Some(ops)
     }
 
-    /// Optimizer-transformed plan (canonicalization and/or coalescing),
-    /// sliced fragment by fragment like the cached source does.
+    /// Coalesced or split plan, sliced fragment by fragment like the
+    /// cached source does.
     fn optimized_units(
         ty: &DataType,
         count: u64,
         unit_size: u64,
         frag: u64,
-        canonicalize: bool,
         coalesce: bool,
     ) -> Vec<CopyOp> {
-        let work = if canonicalize {
-            ty.canonical()
-        } else {
-            ty.clone()
-        };
-        let plan = build_plan_opt(&work, count, unit_size, coalesce).unwrap();
+        let plan = build_plan_opt(ty, count, unit_size, coalesce).unwrap();
         let mut ops = Vec::new();
         let mut buf = Vec::new();
         let mut pos = 0u64;
@@ -952,35 +909,25 @@ mod unit_sources_prop {
                     fresh, cached,
                     "{seed_note}: fresh vs cached, count={count} unit={unit_size} frag={frag}"
                 );
-                if let Some(vec_ops) = vector_units(ty, count, frag) {
+                if let Some(ops) = strided_units(ty, count, frag) {
                     assert_eq!(
                         fresh,
-                        normalize(vec_ops),
-                        "{seed_note}: fresh vs vector, count={count} frag={frag}"
+                        normalize(ops),
+                        "{seed_note}: fresh vs strided, count={count} frag={frag}"
                     );
                 }
                 let covered: usize = fresh.iter().map(|&(_, _, l)| l).sum();
                 assert_eq!(covered as u64, total, "{seed_note}: bytes covered");
 
-                // Every optimizer toggle combination must describe the same
-                // byte mapping as the unoptimized plan: the passes reshape
-                // units (fewer descriptors, merged runs), never the bytes.
-                for canon in [false, true] {
-                    for coalesce in [false, true] {
-                        let opt =
-                            normalize(optimized_units(ty, count, unit_size, frag, canon, coalesce));
-                        assert_eq!(
-                            fresh, opt,
-                            "{seed_note}: fresh vs optimized(canon={canon}, \
-                             coalesce={coalesce}), count={count} unit={unit_size} frag={frag}"
-                        );
-                    }
-                }
-                if let Some(s2d) = strided2d_units(ty, count, frag) {
+                // Coalesced or not, the plan describes the same byte
+                // mapping as the unoptimized one: the pass reshapes units
+                // (fewer descriptors, merged runs), never the bytes.
+                for coalesce in [false, true] {
+                    let opt = normalize(optimized_units(ty, count, unit_size, frag, coalesce));
                     assert_eq!(
-                        fresh,
-                        normalize(s2d),
-                        "{seed_note}: fresh vs strided2d, count={count} frag={frag}"
+                        fresh, opt,
+                        "{seed_note}: fresh vs optimized(coalesce={coalesce}), \
+                         count={count} unit={unit_size} frag={frag}"
                     );
                 }
             }
@@ -989,23 +936,43 @@ mod unit_sources_prop {
 
     #[test]
     fn all_sources_agree_on_arbitrary_types() {
-        let mut vector_shaped = 0u32;
+        // The (seed, count) cases a tree-rewriting pass used to put in
+        // reach of the strided kernel: count-1 vectors, `contig(n,
+        // vector)` and `hindexed(1 block)`. Recognising the raw tree
+        // must take them too.
+        const MUST: [(u64, u64); 13] = [
+            (8, 1),
+            (8, 2),
+            (22, 2),
+            (27, 1),
+            (27, 2),
+            (32, 1),
+            (32, 2),
+            (59, 1),
+            (59, 2),
+            (107, 1),
+            (107, 2),
+            (111, 1),
+            (111, 2),
+        ];
+        let mut strided = 0u32;
         for seed in 0..120u64 {
             let mut rng = SimRng::new(0xDD7 ^ seed);
             let ty = arb_datatype(&mut rng).commit();
-            if ty.vector_shape().is_some() {
-                vector_shaped += 1;
-            }
             for count in [1u64, 2] {
+                let shape = ty.strided(count);
+                strided += u32::from(shape.is_some());
+                assert!(
+                    shape.is_some() || !MUST.contains(&(seed, count)),
+                    "seed {seed} count {count}: {ty} must take the strided kernel"
+                );
                 check(&ty, count, &format!("seed {seed}"));
             }
         }
         // The generator must actually exercise the specialized path, not
-        // just the two descriptor-based sources.
-        assert!(
-            vector_shaped >= 10,
-            "only {vector_shaped} vector-shaped types out of 120"
-        );
+        // just the descriptor-based sources: every case the tree
+        // rewrites reached (142) and five more.
+        assert!(strided >= 147, "only {strided} of 240 cases strided");
     }
 
     #[test]
@@ -1024,7 +991,7 @@ mod unit_sources_prop {
         let col = DataType::vector(n, 1, n as i64, &DataType::double()).unwrap();
         let transpose = DataType::hvector(n, 1, 8, &col).unwrap().commit();
         assert!(
-            transpose.strided2d_shape().is_some(),
+            transpose.strided(1).is_some_and(|s| s.inner == n),
             "transpose must be strided2d-shaped"
         );
         check(&transpose, 1, "transpose");

@@ -547,7 +547,7 @@ pub(crate) fn run<D: Resolve>(sim: &mut Sim<MpiWorld>, mut t: Transfer<D>, conn:
     let engines = engine(sim, End::Send, Direction::Pack)
         .and_then(|p| engine(sim, End::Recv, Direction::Unpack).map(|u| (p, u)));
     let engines = match engines {
-        Ok((Some(s), Some(r))) => Engines::Both(Box::new(([s, r], ShapeKey::of(sim, &t.s, &t.r)))),
+        Ok((Some(s), Some(r))) => Engines::Both(Box::new(([s, r], ShapeKey::of(&t.s, &t.r)))),
         Ok((Some(s), None)) => Engines::One(End::Send, s),
         Ok((None, Some(r))) => Engines::One(End::Recv, r),
         Ok((None, None)) => Engines::None,

@@ -73,9 +73,9 @@ impl Side {
 /// decides bytes — compiled NIC programs, captured graphs, merged move
 /// lists: each side's [`LayoutKey`], so a fingerprint collision must
 /// also match exact size, true bounds and count before a wrong entry
-/// could be served. Taken of the canonical tree when canonicalization
-/// is on, so equivalent datatype trees share an entry. (The tuner's
-/// `TuneKey` folds bare fingerprints; it may only ever decide time.)
+/// could be served. The fingerprint is structural, so a rebuilt type
+/// shares its entry. (The tuner's `TuneKey` folds bare fingerprints;
+/// it may only ever decide time.)
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ShapeKey {
     pub s: LayoutKey,
@@ -83,18 +83,10 @@ pub struct ShapeKey {
 }
 
 impl ShapeKey {
-    pub(crate) fn of(sim: &Sim<MpiWorld>, s: &Side, r: &Side) -> ShapeKey {
-        let canonicalize = sim.world.mpi.config.engine.optimizer.canonicalize;
-        let key = |side: &Side| {
-            if canonicalize {
-                LayoutKey::of(&side.ty.canonical(), side.count)
-            } else {
-                LayoutKey::of(&side.ty, side.count)
-            }
-        };
+    pub(crate) fn of(s: &Side, r: &Side) -> ShapeKey {
         ShapeKey {
-            s: key(s),
-            r: key(r),
+            s: LayoutKey::of(&s.ty, s.count),
+            r: LayoutKey::of(&r.ty, r.count),
         }
     }
 }

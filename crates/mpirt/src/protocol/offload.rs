@@ -163,7 +163,7 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, class: PathClass, s: Side, r: Side,
 /// Get (or compile) the [`Program`] for this shape: one cache serves
 /// both offload classes.
 fn program(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<Program>, MpiError> {
-    let key = ShapeKey::of(sim, s, r);
+    let key = ShapeKey::of(s, r);
     if let Some(p) = sim.world.mpi.offload_programs.get(&key) {
         return Ok(Rc::clone(p));
     }
@@ -190,7 +190,7 @@ pub(crate) fn transfer_graph(stream: StreamId, total: u64) -> GraphCapture {
 /// graph through the capture API (its only sanctioned constructor) over
 /// the shape's [`Program`].
 fn captured(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<CapturedXfer>, MpiError> {
-    let key = ShapeKey::of(sim, s, r);
+    let key = ShapeKey::of(s, r);
     if let Some(c) = sim
         .world
         .mpi

@@ -11,9 +11,9 @@
 //! whose list schedule is what the executor runs, so on an idle pair
 //! the prediction is the run; the one input the tuner estimates is a
 //! kernel's traffic ([`KernelTraffic::estimate`]).
-//! [`tuned_shape`] picks a (fragment, depth) from it per *(canonical
-//! sender layout, canonical receiver layout, message size, path
-//! class)*, and `select_path` the class; the incumbent wins ties.
+//! [`tuned_shape`] picks a (fragment, depth) from it per *(sender
+//! layout, receiver layout, message size, path class)*, and
+//! `select_path` the class; the incumbent wins ties.
 //! Tuned fragments only ever *shrink* and tuned depths never grow, so
 //! the rings allocated at connection establishment (at the configured
 //! shape) always fit the tuned schedule. Decisions are cached in
@@ -30,7 +30,7 @@ use crate::protocol::Side;
 use crate::world::MpiWorld;
 use devengine::cpupack;
 use devengine::tune::{pick_fragment, Cost};
-use devengine::{Direction, LaunchEstimate, OptimizerConfig};
+use devengine::{Direction, LaunchEstimate};
 use gpusim::{
     copy_time, graph_kernel_time, kernel_time, replay_time, CopyDirection, GpuWorld as _,
     KernelConfig, KernelTraffic,
@@ -66,8 +66,8 @@ pub enum PathClass {
 pub struct TuneKey {
     /// GPU architecture the model constants came from.
     pub arch: &'static str,
-    /// Structural fingerprint of the sender layout (canonical form when
-    /// canonicalization is on, so equivalent trees share a decision).
+    /// Structural fingerprint of the sender layout (a rebuilt type
+    /// shares its decision).
     pub s_layout: u64,
     /// Structural fingerprint of the receiver layout.
     pub r_layout: u64,
@@ -77,13 +77,8 @@ pub struct TuneKey {
     pub class: PathClass,
 }
 
-fn side_fingerprint(side: &Side, opt: &OptimizerConfig) -> u64 {
-    let ty = if opt.canonicalize {
-        side.ty.canonical()
-    } else {
-        side.ty.clone()
-    };
-    let mut fp = ty.layout_fingerprint();
+fn side_fingerprint(side: &Side) -> u64 {
+    let mut fp = side.ty.layout_fingerprint();
     // Fold in count, density and placement: the same element layout
     // tunes differently on host vs device, dense vs strided.
     for word in [side.count, side.dense() as u64, side.device() as u64] {
@@ -97,11 +92,10 @@ fn side_fingerprint(side: &Side, opt: &OptimizerConfig) -> u64 {
 /// time and never bytes. State that decides bytes is keyed by
 /// [`crate::protocol::ShapeKey`].
 fn cache_key(sim: &Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> TuneKey {
-    let opt = sim.world.mpi.config.engine.optimizer;
     TuneKey {
         arch: sim.world.gpus_ref().arch.name,
-        s_layout: side_fingerprint(s, &opt),
-        r_layout: side_fingerprint(r, &opt),
+        s_layout: side_fingerprint(s),
+        r_layout: side_fingerprint(r),
         total: s.total(),
         class,
     }
@@ -377,7 +371,7 @@ mod tests {
     use super::*;
     use crate::config::MpiConfig;
     use datatype::DataType;
-    use devengine::{EngineConfig, Lru};
+    use devengine::{EngineConfig, Lru, OptimizerConfig};
     use memsim::MemSpace;
 
     fn world(opt: OptimizerConfig) -> Sim<MpiWorld> {
@@ -604,7 +598,7 @@ mod tests {
         let ty = DataType::indexed(&[384, 512, 384], &[0, 1024, 2048], &DataType::double())
             .unwrap()
             .commit();
-        assert!(ty.vector_shape().is_none() && ty.strided2d_shape().is_none());
+        assert!(ty.strided(4).is_none());
         let priced = |coalesce| {
             let mut config = MpiConfig {
                 nic_offload: true,

@@ -82,7 +82,7 @@ pub struct MpiState {
     /// pending with its waiting callers, or up (`connection`).
     pub handshakes: DetHashMap<Handshake, Status>,
     /// Fragment/ring-depth decisions from the protocol auto-tuner,
-    /// cached per (canonical layouts, message size, path class).
+    /// cached per (layout fingerprints, message size, path class).
     pub tuned_shapes: DetHashMap<crate::tuner::TuneKey, (u64, usize)>,
     /// Capabilities a handshake step lost for the rest of the run — a
     /// permanent fault or a spent retry budget. A lost capability is no
@@ -92,7 +92,7 @@ pub struct MpiState {
     /// doorbell demotes its offload class to the GPU-pack pipeline.
     pub lost: BTreeSet<Capability>,
     /// The offload classes' compiled programs per transfer shape
-    /// (canonical layouts and counts, collision-guarded); programs are
+    /// (layout fingerprints and counts, collision-guarded); programs are
     /// rank-independent, and both classes share them.
     pub offload_programs: DetHashMap<ShapeKey, Rc<crate::protocol::offload::Program>>,
     /// Captured stream-op graphs over their shape's program, per

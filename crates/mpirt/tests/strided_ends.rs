@@ -13,6 +13,9 @@
 //! * **lanes** — a coarse strided transfer large enough for several copy
 //!   lanes (run under `GPU_DDT_COPY_THREADS=1` and `=4` in CI) lands the
 //!   same bytes.
+//! * **halos** — the faces and an interior box of a 3-D array, each a
+//!   `subarray` with a non-zero start, send by arithmetic: a subarray's
+//!   innermost dimension is the block, so each is at most 2-D in blocks.
 
 use datatype::convertor::{pack_all, unpack_all};
 use datatype::testutil::{buffer_span, pattern};
@@ -173,4 +176,56 @@ fn a_coarse_strided_transfer_lands_on_every_lane_count() {
     let mut sess = session(false, MpiConfig::default());
     transfer(&mut sess, &dense, &blocks);
     transfer(&mut sess, &blocks, &dense);
+}
+
+/// A 64³ array of doubles with a halo of width `w`: the x / y / z faces
+/// of the interior (fixed innermost, middle, outermost index) and the
+/// 32³ box at its centre, sent from device memory to a contiguous
+/// receive over shared memory and over InfiniBand. Each send builds
+/// only arithmetic sources — the face's is the doubly-strided one where
+/// its shape has two dims, the vector one where a width-1 face leaves
+/// one — and no descriptor list, and the received bytes are the
+/// convertor's.
+#[test]
+fn three_d_halo_faces_send_by_arithmetic() {
+    let n = 64u64;
+    let mut shapes = Vec::new();
+    for w in [1u64, 2] {
+        let m = n - 2 * w;
+        shapes.push(([m, m, w], [w; 3], true));
+        shapes.push(([m, w, m], [w; 3], w > 1));
+        shapes.push(([w, m, m], [w; 3], w > 1));
+    }
+    shapes.push(([32; 3], [16; 3], true));
+    for ib in [false, true] {
+        let mut sess = session(ib, MpiConfig::default());
+        for &(sub, start, two_dims) in &shapes {
+            let face = DataType::subarray(&[n; 3], &sub, &start, &DataType::double())
+                .unwrap()
+                .commit();
+            let dense = DataType::contiguous(face.size() / 8, &DataType::double())
+                .unwrap()
+                .commit();
+            let counters = |sess: &mut Session| {
+                [
+                    Counter::DevengineSourceStrided2d,
+                    Counter::DevengineSourceVector,
+                    Counter::DevengineSourceCached,
+                    Counter::DevengineSourceFresh,
+                ]
+                .map(|c| sess.metrics().counter(c))
+            };
+            let before = counters(&mut sess);
+            transfer(&mut sess, &face, &dense);
+            let after = counters(&mut sess);
+            let [grid, vector, cached, fresh]: [u64; 4] =
+                std::array::from_fn(|i| after[i] - before[i]);
+            let what = format!("{sub:?} at {start:?}, ib: {ib}");
+            assert_eq!((cached, fresh), (0, 0), "{what}: a descriptor source");
+            // The dense end may run a vector kernel of its own (an
+            // eager half's bounce), so only the face's kind is pinned.
+            let face_kind = if two_dims { grid } else { vector };
+            assert!(face_kind > 0, "{what}: {grid} 2-D, {vector} vector");
+        }
+    }
 }
