@@ -2,12 +2,13 @@
 //!
 //! For every architecture, path class, layout and size the binary asks
 //! `mpirt::tuner::predict` what one transfer down the class costs — the
-//! schedule of the class's plan at the shape it would run, priced from
-//! the tuner's own inputs (`KernelTraffic::estimate` for every kernel)
-//! — then runs that transfer on an otherwise idle two-rank world and
-//! reads its virtual duration. Each transfer runs three times on one
-//! world (handshake, cold caches, warm caches); the warm run is the
-//! realised time. `error` is predicted / realised − 1.
+//! schedule of the class's plan at the shape it would run, a kernel on
+//! its first window's exact traffic (`devengine::window_traffic`) — then
+//! runs that transfer on an otherwise idle two-rank world and reads its
+//! virtual duration. Each transfer runs three times on one world
+//! (handshake, cold caches, warm caches); the warm run is the realised
+//! time. `error` is predicted / realised − 1, 0 wherever every fragment
+//! repeats the first one's traffic, as in every cell here.
 //!
 //! Grid: k40, p100, v100, a100 × {SM one GPU, SM two GPUs, IB staged, IB
 //! zero-copy, NIC offload, stream-triggered} × {dense, `vector(·, 2, 4)`,

@@ -150,6 +150,17 @@ impl Blocks {
     }
 }
 
+/// Whether `(start, bytes)` spans follow one another in order, each
+/// starting where the one before it ends.
+fn tiles(mut spans: impl Iterator<Item = (i64, u64)>) -> bool {
+    let mut end = None;
+    spans.all(|(start, bytes)| {
+        let follows = end.is_none_or(|e| e == start);
+        end = Some(start + bytes as i64);
+        follows
+    })
+}
+
 #[derive(Debug)]
 pub(crate) struct Node {
     pub(crate) kind: Kind,
@@ -159,9 +170,6 @@ pub(crate) struct Node {
     true_lb: i64,
     true_ub: i64,
     gapless: bool,
-    /// Upper bound on the number of (unmerged) contiguous segments in
-    /// one instance — used for planning, not correctness.
-    segment_estimate: u64,
     depth: u32,
     /// Lazily computed count-free [`DataType::strided`] shape.
     blocks: OnceCell<Option<Blocks>>,
@@ -194,7 +202,6 @@ impl DataType {
                 true_lb: 0,
                 true_ub: size as i64,
                 gapless: true,
-                segment_estimate: 1,
                 depth: 0,
                 blocks: OnceCell::new(),
                 fingerprint: OnceCell::new(),
@@ -257,11 +264,6 @@ impl DataType {
                 true_lb,
                 true_ub,
                 gapless,
-                segment_estimate: if gapless {
-                    1
-                } else {
-                    count.saturating_mul(c.segment_estimate)
-                },
                 depth: c.depth + 1,
                 blocks: OnceCell::new(),
                 fingerprint: OnceCell::new(),
@@ -333,15 +335,6 @@ impl DataType {
                 true_lb,
                 true_ub,
                 gapless,
-                segment_estimate: if gapless {
-                    1
-                } else {
-                    count.saturating_mul(if block_contig {
-                        1
-                    } else {
-                        blocklen.saturating_mul(c.segment_estimate)
-                    })
-                },
                 depth: c.depth + 1,
                 blocks: OnceCell::new(),
                 fingerprint: OnceCell::new(),
@@ -442,39 +435,13 @@ impl DataType {
         }
 
         // Gapless iff every block's data is itself contiguous and the
-        // blocks' data spans tile an interval exactly.
-        let gapless = if c.size == 0 {
-            true
-        } else {
-            let block_contig = child.dense() || c.gapless;
-            let per_block_ok = blocks.iter().all(|&(l, _)| l <= 1 || child.dense());
-            if block_contig && per_block_ok {
-                let mut spans: Vec<(i64, i64)> = blocks
-                    .iter()
-                    .filter(|&&(l, _)| l > 0)
-                    .map(|&(l, d)| {
-                        let start = d + c.true_lb;
-                        (start, start + (l * c.size) as i64)
-                    })
-                    .collect();
-                spans.sort_unstable();
-                spans.windows(2).all(|w| w[0].1 == w[1].0)
-            } else {
-                false
-            }
-        };
-
-        let segment_estimate = blocks
-            .iter()
-            .map(|&(l, _)| {
-                if child.dense() {
-                    1
-                } else {
-                    l.saturating_mul(c.segment_estimate)
-                }
-            })
-            .sum::<u64>()
-            .max(1);
+        // blocks tile an interval in declaration order, the order they
+        // pack in.
+        let live = blocks.iter().filter(|&&(l, _)| l > 0);
+        let gapless = c.size == 0
+            || ((child.dense() || c.gapless)
+                && live.clone().all(|&(l, _)| l == 1 || child.dense())
+                && tiles(live.map(|&(l, d)| (d + c.true_lb, l * c.size))));
 
         Ok(DataType {
             node: Rc::new(Node {
@@ -488,7 +455,6 @@ impl DataType {
                 true_lb,
                 true_ub,
                 gapless,
-                segment_estimate: if gapless { 1 } else { segment_estimate },
                 depth: c.depth + 1,
                 blocks: OnceCell::new(),
                 fingerprint: OnceCell::new(),
@@ -528,7 +494,6 @@ impl DataType {
         let mut true_lb = i64::MAX;
         let mut true_ub = i64::MIN;
         let mut depth = 0;
-        let mut seg = 0u64;
         for (l, d, t) in &fields {
             let n = t.node.as_ref();
             depth = depth.max(n.depth);
@@ -541,11 +506,6 @@ impl DataType {
             ub = ub.max(d + (*l as i64 - 1) * ext + n.ub);
             true_lb = true_lb.min(d + n.true_lb);
             true_ub = true_ub.max(d + (*l as i64 - 1) * ext + n.true_ub);
-            seg = seg.saturating_add(if t.dense() {
-                1
-            } else {
-                l.saturating_mul(n.segment_estimate)
-            });
         }
         if lb == i64::MAX {
             lb = 0;
@@ -554,28 +514,12 @@ impl DataType {
             true_ub = 0;
         }
 
-        let gapless = {
-            let mut spans: Vec<(i64, i64)> = Vec::new();
-            let mut simple = true;
-            for (l, d, t) in &fields {
-                let n = t.node.as_ref();
-                if *l == 0 || n.size == 0 {
-                    continue;
-                }
-                if (*l > 1 && !t.dense()) || !n.gapless {
-                    simple = false;
-                    break;
-                }
-                let start = d + n.true_lb;
-                spans.push((start, start + (*l * n.size) as i64));
-            }
-            if simple {
-                spans.sort_unstable();
-                spans.windows(2).all(|w| w[0].1 == w[1].0)
-            } else {
-                false
-            }
-        };
+        // Likewise over the fields that hold data.
+        let live = fields.iter().filter(|(l, _, t)| *l > 0 && t.node.size > 0);
+        let gapless = live
+            .clone()
+            .all(|(l, _, t)| (*l == 1 || t.dense()) && t.node.gapless)
+            && tiles(live.map(|(l, d, t)| (d + t.node.true_lb, l * t.node.size)));
 
         Ok(DataType {
             node: Rc::new(Node {
@@ -588,7 +532,6 @@ impl DataType {
                 true_lb,
                 true_ub,
                 gapless,
-                segment_estimate: if gapless { 1 } else { seg.max(1) },
                 depth: depth + 1,
                 blocks: OnceCell::new(),
                 fingerprint: OnceCell::new(),
@@ -619,7 +562,6 @@ impl DataType {
                 true_lb: c.true_lb,
                 true_ub: c.true_ub,
                 gapless: c.gapless,
-                segment_estimate: c.segment_estimate,
                 depth: c.depth + 1,
                 blocks: OnceCell::new(),
                 fingerprint: OnceCell::new(),
@@ -756,11 +698,6 @@ impl DataType {
         self.node.size > 0
             && self.node.gapless
             && (count <= 1 || self.extent() == self.node.size as i64)
-    }
-
-    /// Upper bound on contiguous segments in one instance.
-    pub fn segment_estimate(&self) -> u64 {
-        self.node.segment_estimate
     }
 
     /// Tree depth (primitives are 0).
@@ -1354,6 +1291,25 @@ mod tests {
     }
 
     #[test]
+    fn touching_blocks_out_of_order_pack_in_declaration_order() {
+        // The blocks tile 0..16, but the list names 8..16 first: not one
+        // segment, and MPI packs 8..16 then 0..8.
+        let typed: Vec<u8> = (0..16).collect();
+        let expect: Vec<u8> = (8..16).chain(0..8).collect();
+        let idx = DataType::indexed(&[1, 1], &[1, 0], &dbl())
+            .unwrap()
+            .commit();
+        let fields = DataType::structure(&[1, 1], &[8, 0], &[dbl(), dbl()])
+            .unwrap()
+            .commit();
+        for t in [idx, fields] {
+            assert!(!t.is_gapless(), "{t}");
+            assert_eq!(t.segments(1), vec![Segment::new(8, 8), Segment::new(0, 8)]);
+            assert_eq!(crate::convertor::pack_all(&t, 1, &typed, 0), expect, "{t}");
+        }
+    }
+
+    #[test]
     fn struct_mixed_types() {
         // struct { int32 a; double b[2]; } with C layout (b at offset 8).
         let t = DataType::structure(&[1, 2], &[0, 8], &[DataType::int(), dbl()]).unwrap();
@@ -1491,14 +1447,6 @@ mod tests {
         assert_eq!(v.is_homogeneous(), Some(Primitive::Float64));
         let s = DataType::structure(&[1, 1], &[0, 8], &[dbl(), dbl()]).unwrap();
         assert_eq!(s.is_homogeneous(), Some(Primitive::Float64));
-    }
-
-    #[test]
-    fn segment_estimate_sane() {
-        let v = DataType::vector(100, 2, 4, &dbl()).unwrap();
-        assert_eq!(v.segment_estimate(), 100);
-        let c = DataType::contiguous(10, &dbl()).unwrap();
-        assert_eq!(c.segment_estimate(), 1);
     }
 
     #[test]

@@ -210,6 +210,18 @@ pub fn flip_units_in_place(units: &mut [CopyOp]) {
     }
 }
 
+/// Contiguous runs of a unit list, as the coalescing walk would emit
+/// them: a unit starts a run unless it starts where the previous one
+/// ended on both sides.
+pub fn runs(units: &[CopyOp]) -> u64 {
+    let (mut runs, mut end) = (0, None);
+    for u in units {
+        runs += u64::from(end != Some((u.src_off, u.dst_off)));
+        end = Some((u.src_off + u.len, u.dst_off + u.len));
+    }
+    runs
+}
+
 /// Why two unit lists could not be merged over a packed window.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MergeError {

@@ -2,15 +2,15 @@
 //! kernels, fragment by fragment.
 
 use crate::cache::DevCache;
-use crate::config::{EngineConfig, OptimizerConfig};
-use crate::dev::{flip_units_in_place, DevPlan, TrafficKey};
+use crate::config::EngineConfig;
+use crate::dev::{flip_units_in_place, runs, DevPlan, TrafficKey};
 use crate::tune;
 use datatype::{DataType, Strided2D, TypeError};
 use gpusim::{
     charge_transfer_kernel, kernel_time, GpuSpec, GpuSystem, GpuWorld, KernelConfig, KernelTraffic,
     Rolled, StreamId,
 };
-use memsim::{MemSpace, Move, MoveExtent, Ptr};
+use memsim::{GpuId, MemSpace, Move, MoveExtent, Ptr};
 use simcore::par::{strided_units, CopyOp, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
@@ -54,65 +54,66 @@ fn strided_source(ty: &DataType, count: u64) -> Option<(Strided2D, Counter)> {
     Some((shape, counter))
 }
 
-/// Units of a descriptor plan over `segments` contiguous runs totalling
-/// `total` bytes: one per run, plus — uncoalesced — a split at every
-/// `unit_size` bytes.
-fn plan_units(segments: u64, total: u64, opt: OptimizerConfig, unit_size: u64) -> u64 {
-    if opt.coalesce {
-        segments
-    } else {
-        segments + total / unit_size
-    }
+/// What an engine over `count` × `ty` launches on its first `n` packed
+/// bytes at (unit size, coalescing) `units`, converting in `dir` between
+/// `typed` (its displacement-0 pointer) and a fragment at `frag` on
+/// `gpu`: the launch's [`KernelTraffic`], exactly as the engine charges
+/// it, and the window's contiguous runs ([`runs`]). A strided layout is
+/// priced in closed form, any other on its walk ([`listed_window`]).
+pub fn window_traffic(
+    (ty, count): (&DataType, u64),
+    units: (u64, bool),
+    dir: Direction,
+    (typed, frag): (Ptr, Ptr),
+    (gpu, spec): (GpuId, &GpuSpec),
+    n: u64,
+) -> Result<(KernelTraffic, u64), TypeError> {
+    let Some(shape) = ty.strided(count) else {
+        return listed_window((ty, count), units, dir, (typed, frag), (gpu, spec), n);
+    };
+    let base_shift = ty.true_lb().min(0);
+    let w = strided_window(shape, base_shift, 0, n, dir);
+    let (src, dst) = kernel_ends(dir, typed.offset_by(base_shift), frag);
+    let traffic = KernelTraffic::of_window(&w, src, dst, gpu, spec);
+    Ok((traffic, window_runs(&w)))
 }
 
-/// What a fragment engine over a layout launches, read off the layout
-/// without building the engine: for the tuner, which prices a
-/// conversion stage before the transfer's engines exist.
-#[derive(Clone, Copy, Debug)]
-pub struct LaunchEstimate {
-    /// The kernels stream a CUDA-DEV descriptor per unit: every source
-    /// but the arithmetic strided ones.
-    pub descriptor_stream: bool,
-    units: u64,
-    /// Contiguous runs: the units of a coalesced walk.
-    runs: u64,
-    total: u64,
+/// [`window_traffic`] on the DEV walk of the window, whatever the
+/// layout: [`KernelTraffic::of`] its units and their runs. A captured
+/// graph's kernels run the walk even for a strided layout.
+pub fn listed_window(
+    (ty, count): (&DataType, u64),
+    (unit_size, coalesce): (u64, bool),
+    dir: Direction,
+    (typed, frag): (Ptr, Ptr),
+    (gpu, spec): (GpuId, &GpuSpec),
+    n: u64,
+) -> Result<(KernelTraffic, u64), TypeError> {
+    let mut cur = crate::dev::DevCursor::with_coalesce(ty, count, unit_size, coalesce)?;
+    let mut units = take_units_buf();
+    cur.next_units_into(n, &mut units);
+    let runs = runs(&units);
+    if dir == Direction::Unpack {
+        flip_units_in_place(&mut units);
+    }
+    let (src, dst) = kernel_ends(dir, typed.offset_by(cur.base_shift()), frag);
+    let traffic = KernelTraffic::of(&units, src, dst, gpu, spec);
+    recycle_units_buf(units);
+    Ok((traffic, runs))
 }
 
-impl LaunchEstimate {
-    /// The launches of a fragment engine over `count` × `ty`.
-    pub fn of(ty: &DataType, count: u64, cfg: &EngineConfig) -> LaunchEstimate {
-        let opt = cfg.optimizer;
-        let strided = ty.strided(count).is_some();
-        let segments = ty.segment_estimate().saturating_mul(count).max(1);
-        let total = ty.size() * count;
-        LaunchEstimate {
-            descriptor_stream: !strided,
-            // A strided kernel runs one unit per block.
-            units: if strided {
-                segments
-            } else {
-                plan_units(segments, total, opt, cfg.unit_size)
-            },
-            runs: segments,
-            total,
-        }
+/// Contiguous runs of a strided window: its segments, less one wherever
+/// a row's last block ends where the next row's first begins. Two blocks
+/// of one row never touch — the recogniser grows the block instead.
+fn window_runs(w: &StridedWindow) -> u64 {
+    let (s, segments) = (&w.shape, w.segments());
+    let touching = s.inner != u64::MAX
+        && s.outer_stride == (s.inner as i64 - 1) * s.inner_stride + s.block_bytes as i64;
+    if segments == 0 || !touching {
+        return segments;
     }
-
-    /// About how many units a window of `n` packed bytes holds.
-    pub fn units_in(&self, n: u64) -> u64 {
-        self.share(self.units, n)
-    }
-
-    /// About how many contiguous runs a window of `n` packed bytes
-    /// holds, whatever the unit size splits.
-    pub fn runs_in(&self, n: u64) -> u64 {
-        self.share(self.runs, n)
-    }
-
-    fn share(&self, of: u64, n: u64) -> u64 {
-        (of as f64 * n as f64 / self.total.max(1) as f64).round() as u64
-    }
+    let bb = s.block_bytes;
+    segments - ((w.to - 1) / bb / s.inner - w.from / bb / s.inner)
 }
 
 /// Drives one logical pack or unpack job fragment by fragment.
@@ -132,7 +133,6 @@ pub struct FragmentEngine {
     base_shift: i64,
     total: u64,
     pos: u64,
-    descriptor_stream: bool,
     /// Auto-tuned pipeline chunk for streaming sources (None = use the
     /// configured default).
     chunk_hint: Option<u64>,
@@ -176,39 +176,40 @@ impl FragmentEngine {
                 base_shift,
                 total,
                 pos: 0,
-                descriptor_stream: false,
                 chunk_hint: None,
             });
         }
 
-        // The descriptor kernel that converts `n` packed bytes in `units`
-        // units, priced on an estimated traffic against a fragment in
-        // the executing GPU's memory. The pickers below add the units'
-        // preparation, `prep_time`.
-        let kernel = |sys: &GpuSystem, n: u64, units: u64| {
+        // The CPU preparation and the descriptor kernel of the first `n`
+        // packed bytes at unit size `s`, on their exact launch against a
+        // fragment at the start of the executing GPU's memory. The walk
+        // needs a committed type.
+        if !ty.is_committed() {
+            return Err(TypeError::NotCommitted);
+        }
+        let frag = Ptr::start_of(MemSpace::Device(stream.gpu));
+        let kcfg = KernelConfig {
+            blocks: cfg.blocks,
+            descriptor_stream: true,
+        };
+        let (src, dst) = kernel_ends(dir, typed, frag);
+        let launch = |sys: &GpuSystem, s: u64, n: u64| {
             let g = sys.gpu(stream.gpu);
-            let frag = MemSpace::Device(stream.gpu);
-            let spaces = match dir {
-                Direction::Pack => (typed.space, frag),
-                Direction::Unpack => (frag, typed.space),
-            };
-            let local = (spaces.0 == frag, spaces.1 == frag);
-            let traffic = KernelTraffic::estimate(n, units, local, &g.spec);
-            let kcfg = KernelConfig {
-                blocks: cfg.blocks,
-                descriptor_stream: true,
-            };
-            kernel_time(g, &sys.topo, spaces, kcfg, &traffic)
+            let on = (stream.gpu, &g.spec);
+            let walk = listed_window((ty, count), (s, opt.coalesce), dir, (typed, frag), on, n);
+            let (traffic, _) = walk.expect("committed");
+            let kernel = kernel_time(g, &sys.topo, (src.space, dst.space), kcfg, &traffic);
+            (prep_time(traffic.units as usize), kernel)
         };
 
         // Work-unit size: with coalescing the plan no longer splits at S
-        // so there is nothing to tune; otherwise price the whole job in
-        // the units each of the paper's candidate sizes shatters it into.
-        let segments = ty.segment_estimate().saturating_mul(count).max(1);
+        // so there is nothing to tune; otherwise price the whole job at
+        // each of the paper's candidate sizes.
         let unit_size = if opt.autotune && !opt.coalesce {
             let sys = sim.world.gpus_ref();
-            let picked = tune::pick_unit_size(cfg.unit_size, total, segments, |units| {
-                prep_time(units as usize) + kernel(sys, total, units)
+            let picked = tune::pick_unit_size(cfg.unit_size, |s| {
+                let (prep, kernel) = launch(sys, s, total);
+                prep + kernel
             });
             if picked != cfg.unit_size {
                 sim.trace
@@ -276,22 +277,17 @@ impl FragmentEngine {
         // Pipeline-granularity tuning for streaming sources: weigh the
         // CPU preparation that pipelining hides against the extra kernel
         // launches it costs, each priced by the function its charge
-        // calls.
+        // calls, on a chunk's exact launch.
         let mut chunk_hint = None;
         if opt.autotune && cfg.pipeline && total > 0 {
             if let UnitSource::Fresh(_) = source {
-                let est = LaunchEstimate {
-                    descriptor_stream: true,
-                    units: plan_units(segments, total, opt, unit_size),
-                    runs: segments,
-                    total,
-                };
                 let sys = sim.world.gpus_ref();
+                let launch = tune::memo(|n| launch(sys, unit_size, n));
                 let picked = tune::pick_pipeline_chunk(
                     total,
                     cfg.pipeline_chunk,
-                    |n| prep_time(est.units_in(n) as usize),
-                    |n| kernel(sys, n, est.units_in(n)),
+                    |n| launch(n).0,
+                    |n| launch(n).1,
                 );
                 if picked != cfg.pipeline_chunk {
                     sim.trace
@@ -311,7 +307,6 @@ impl FragmentEngine {
             base_shift,
             total,
             pos: 0,
-            descriptor_stream: true,
             chunk_hint,
         })
     }
@@ -418,10 +413,7 @@ impl FragmentEngine {
 
     /// Kernel source and destination for a fragment stored at `frag`.
     fn kernel_ends(&self, frag: Ptr) -> (Ptr, Ptr) {
-        match self.dir {
-            Direction::Pack => (self.typed_base(), frag),
-            Direction::Unpack => (frag, self.typed_base()),
-        }
+        kernel_ends(self.dir, self.typed_base(), frag)
     }
 
     /// Process the next fragment: up to `cap` packed bytes moved
@@ -508,7 +500,7 @@ impl FragmentEngine {
 
         let kcfg = KernelConfig {
             blocks: self.cfg.blocks,
-            descriptor_stream: self.descriptor_stream,
+            descriptor_stream: !matches!(self.source, UnitSource::Strided(_)),
         };
         let stream = self.stream;
         let rank = self.rank as u32;
@@ -549,6 +541,15 @@ impl FragmentEngine {
             sim.schedule_now(move |sim| on_prepped(sim));
             launch(sim);
         }
+    }
+}
+
+/// Kernel source and destination in `dir` between a typed base and a
+/// fragment.
+fn kernel_ends(dir: Direction, typed_base: Ptr, frag: Ptr) -> (Ptr, Ptr) {
+    match dir {
+        Direction::Pack => (typed_base, frag),
+        Direction::Unpack => (frag, typed_base),
     }
 }
 
@@ -981,15 +982,11 @@ mod tests {
 
     #[test]
     fn strided2d_dispatch_beats_descriptor_path_on_transpose() {
-        // The fig12 shape: column-vector of a row-vector (a transpose,
-        // here of every other column), against the same blocks listed
-        // one by one, which no stride describes and so streams
-        // descriptors. Every other column, because the full transpose's
-        // listed blocks tile an interval: that list is marked gapless
-        // and packs in memory order, not type order (the FOUND line on
-        // gapless permutations in CHANGES.md), so `pa == pb` would fail.
+        // The fig12 shape: column-vector of a row-vector (a transpose),
+        // against the same blocks listed one by one, which no stride
+        // describes and so streams descriptors.
         let n = 128u64;
-        let col = DataType::vector(n, 1, 2 * n as i64, &DataType::double()).unwrap();
+        let col = DataType::vector(n, 1, n as i64, &DataType::double()).unwrap();
         let t = DataType::hvector(n, 1, 8, &col).unwrap().commit();
         assert!(t.strided(1).is_some_and(|s| s.inner == n && s.outer == n));
         let disps: Vec<i64> = t.segments(1).iter().map(|s| s.disp).collect();
@@ -1063,6 +1060,104 @@ mod tests {
             warm < fresh,
             "cached CUDA-DEVs skip preparation: {warm} vs {fresh}"
         );
+    }
+
+    /// [`window_traffic`] is the first launch an engine charges, strided
+    /// or listed, packing or unpacking, coalesced or split at the unit
+    /// size; its runs are the listed walk's, strided or not.
+    #[test]
+    fn window_traffic_is_the_first_launch_an_engine_charges() {
+        use datatype::testutil::arb_datatype;
+        use simcore::rng::SimRng;
+        let gpu = GpuId(0);
+        let mut strided = 0;
+        for seed in 0..120u64 {
+            let ty = arb_datatype(&mut SimRng::new(0x3A7 ^ seed)).commit();
+            for (count, coalesce) in [(1, true), (3, true), (3, false)] {
+                let total = ty.size() * count;
+                strided += u32::from(ty.strided(count).is_some());
+                for dir in [Direction::Pack, Direction::Unpack] {
+                    let mut sim = world();
+                    let (typed, _, _) = setup_typed(&mut sim, &ty, count, gpu);
+                    let frag = (sim.world.memory)
+                        .alloc(MemSpace::Device(gpu), total.max(1))
+                        .unwrap();
+                    let stream = sim.world.gpu_system.default_stream(gpu);
+                    let cfg = EngineConfig {
+                        unit_size: 256,
+                        optimizer: OptimizerConfig {
+                            coalesce,
+                            autotune: false,
+                        },
+                        ..Default::default()
+                    };
+                    let mut engine =
+                        FragmentEngine::new(&mut sim, 0, stream, &ty, count, typed, dir, cfg, None)
+                            .unwrap();
+                    let spec = sim.world.gpu_system.gpu(gpu).spec.clone();
+                    let n = total - total / 3;
+                    let ends = engine.kernel_ends(frag);
+                    let (charged, _) = engine.advance(n, ends, &spec, &mut None);
+                    let at = (typed, frag);
+                    let priced =
+                        window_traffic((&ty, count), (256, coalesce), dir, at, (gpu, &spec), n);
+                    let listed =
+                        listed_window((&ty, count), (256, coalesce), dir, at, (gpu, &spec), n);
+                    let (priced, listed) = (priced.unwrap(), listed.unwrap());
+                    assert_eq!(priced.0, charged, "seed {seed} count {count} {dir:?}");
+                    assert_eq!(priced.1, listed.1, "seed {seed} count {count}: runs");
+                }
+            }
+        }
+        assert!(strided >= 100, "only {strided} strided cases");
+    }
+
+    /// Uncoalesced, each candidate unit size is priced on the units it
+    /// splits the layout into. Every column of `triangular(127)` is at
+    /// most 1 016 bytes, so every candidate launches the same 127 units:
+    /// the static 1 KiB stays, and the cache holds one plan at it.
+    /// `triangular(512)`'s columns reach 4 KiB, where 4 KiB units are
+    /// 512 instead of 1 280.
+    #[test]
+    fn unit_size_is_tuned_only_where_it_splits_fewer_units() {
+        let cfg = EngineConfig {
+            optimizer: OptimizerConfig {
+                coalesce: false,
+                autotune: true,
+            },
+            ..Default::default()
+        };
+        for (n, picked) in [(127, 1024), (512, 4096)] {
+            let ty = triangular(n);
+            let mut sim = world();
+            let gpu = GpuId(0);
+            let (typed, _, _) = setup_typed(&mut sim, &ty, 1, gpu);
+            let stream = sim.world.gpu_system.default_stream(gpu);
+            let cache = Rc::new(RefCell::new(DevCache::default()));
+            let dir = Direction::Pack;
+            FragmentEngine::new(
+                &mut sim,
+                0,
+                stream,
+                &ty,
+                1,
+                typed,
+                dir,
+                cfg.clone(),
+                Some(&cache),
+            )
+            .unwrap();
+            let tuned = sim.trace.counter(names::OPTIMIZER_UNIT_TUNED);
+            assert_eq!(tuned, u64::from(picked != 1024), "triangular({n})");
+            let mut cache = cache.borrow_mut();
+            let (plan, hit) = cache.get_or_build_opt(&ty, 1, picked, false).unwrap();
+            assert!(hit && cache.len() == 1, "triangular({n}): one plan");
+            assert_eq!(
+                plan.units.len() as u64,
+                n,
+                "triangular({n}): a unit per column"
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub mod tune;
 pub use cache::{DevCache, LayoutKey, Lru};
 pub use config::{EngineConfig, OptimizerConfig};
 pub use dev::{
-    build_plan, build_plan_opt, flip_units, flip_units_in_place, merge_units, whole_units, DevPlan,
-    MergeError, SliceParts,
+    build_plan, build_plan_opt, flip_units, flip_units_in_place, merge_units, runs, whole_units,
+    DevPlan, MergeError, SliceParts,
 };
-pub use engine::{pack_async, unpack_async, Direction, FragmentEngine, LaunchEstimate};
+pub use engine::{
+    listed_window, pack_async, unpack_async, window_traffic, Direction, FragmentEngine,
+};

@@ -8,10 +8,13 @@
 //! `prep_time`, …). The prices fold into one schedule,
 //! [`Pipeline::makespan`] — the list schedule the executor runs, FIFO
 //! resources and ring slots that return on the plan's credit — so on
-//! an idle system the prediction is the run, but for estimated inputs.
-//! Every picker keeps the static default on a tie.
+//! an idle system the prediction is the run. A kernel is priced on the
+//! exact traffic of the launch it prices
+//! ([`crate::engine::window_traffic`]), each distinct size once per
+//! decision ([`memo`]). Every picker keeps the static default on a tie.
 
 use simcore::SimTime;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// What one stage costs one fragment: how long it holds its resource,
@@ -114,20 +117,11 @@ impl<R: Copy + PartialEq> Pipeline<'_, R> {
 /// Work-unit candidates from §3.2 (the paper sweeps S ∈ {1, 2, 4} KB).
 pub(crate) const UNIT_CANDIDATES: [u64; 3] = [1024, 2048, 4096];
 
-/// Pick the work-unit size S for the generic DEV path: a layout with
-/// `segments` contiguous runs totalling `total` bytes shatters into
-/// about `segments + total / S` units, and `price` is what converting
-/// the layout costs in that many units. The static `base` is always a
-/// candidate and wins ties.
-pub(crate) fn pick_unit_size(
-    base: u64,
-    total: u64,
-    segments: u64,
-    price: impl Fn(u64) -> SimTime,
-) -> u64 {
-    best_of(base, UNIT_CANDIDATES.into_iter(), |s| {
-        price(segments + total / s.max(1))
-    })
+/// Pick the work-unit size S for the generic DEV path: `price` is what
+/// converting the layout costs in the units S splits it into, asked
+/// once per size. The static `base` is always a candidate and wins ties.
+pub(crate) fn pick_unit_size(base: u64, price: impl Fn(u64) -> SimTime) -> u64 {
+    best_of(base, UNIT_CANDIDATES.into_iter(), memo(price))
 }
 
 /// Pick the CPU→kernel pipeline chunk for a streaming (Fresh) job of
@@ -155,6 +149,25 @@ pub(crate) fn pick_pipeline_chunk(
         candidates.into_iter().chain([u64::MAX]),
         |chunk| pipe.makespan(total, chunk, usize::MAX),
     )
+}
+
+/// `price`, remembering what it returned for each argument: a decision
+/// that prices a stage at one size many times, or a candidate twice,
+/// walks its window once.
+pub fn memo<T: Copy>(price: impl Fn(u64) -> T) -> impl Fn(u64) -> T {
+    let seen = RefCell::new(Vec::new());
+    move |n| {
+        let known = seen
+            .borrow()
+            .iter()
+            .find(|&&(m, _)| m == n)
+            .map(|&(_, v)| v);
+        known.unwrap_or_else(|| {
+            let v = price(n);
+            seen.borrow_mut().push((n, v));
+            v
+        })
+    }
 }
 
 /// The candidate with the strictly shortest schedule, or `incumbent`.
@@ -278,11 +291,13 @@ mod tests {
 
     #[test]
     fn unit_size_prefers_fewer_units() {
-        // Monotone model: the largest candidate wins for any shattered
-        // layout; an explicitly larger base survives as the incumbent.
-        let price = |units: u64| SimTime::from_nanos(12 * units);
-        assert_eq!(pick_unit_size(1024, 1 << 20, 1000, price), 4096);
-        assert_eq!(pick_unit_size(8192, 1 << 20, 1000, price), 8192);
+        // 1 000 runs over 1 MiB, split at every S: the largest candidate
+        // wins; an explicitly larger base survives as the incumbent, and
+        // a layout no S splits keeps the base.
+        let price = |s: u64| SimTime::from_nanos(12 * (1000 + (1 << 20) / s));
+        assert_eq!(pick_unit_size(1024, price), 4096);
+        assert_eq!(pick_unit_size(8192, price), 8192);
+        assert_eq!(pick_unit_size(1024, |_| SimTime::from_nanos(12_000)), 1024);
     }
 
     #[test]

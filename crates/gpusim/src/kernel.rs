@@ -28,9 +28,9 @@
 //! caller that owns the list — a cached DEV plan — keep it per launch
 //! it has priced (`devengine::dev::TrafficKey`). A strided kernel's
 //! launch is priced from its window instead ([`KernelTraffic::of_window`]):
-//! the same summary, exactly, in closed form. A caller with no list
-//! — the tuner pricing a fragment before it exists — prices
-//! [`KernelTraffic::estimate`] through the same [`kernel_time`].
+//! the same summary, exactly, in closed form. The tuner prices a
+//! fragment before it exists on the same summary of the launch it
+//! will be, through the same [`kernel_time`].
 
 use crate::fault;
 use crate::spec::{GpuSpec, NodeTopology, Pow2};
@@ -246,43 +246,13 @@ impl KernelTraffic {
             pcie_bytes: payload * (u64::from(!src_local) + u64::from(!dst_local)),
         }
     }
-
-    /// The closed-form expectation of [`KernelTraffic::of`] for `units`
-    /// runs of equal length totalling `payload` bytes, with `local`
-    /// saying which of (source, destination) is in the executing GPU's
-    /// DRAM (at least one is). One local side — a kernel's typed buffer always is — holds
-    /// the runs at any phase: each run pays a partial line and each
-    /// warp chunk one straddled line. A second local side holds the
-    /// runs end to end and pays the partial line only. The unit test
-    /// below bounds the estimate against the exact form.
-    pub fn estimate(
-        payload: u64,
-        units: u64,
-        local: (bool, bool),
-        spec: &GpuSpec,
-    ) -> KernelTraffic {
-        let txn = spec.transaction_bytes.get() as f64;
-        let run = (payload as f64 / units as f64).max(1.0);
-        let scattered = 1.0 + txn / spec.warp_chunk().get() as f64 + txn / run;
-        let dense = 1.0 + txn / run;
-        let per_byte = if local.0 && local.1 {
-            scattered + dense
-        } else {
-            scattered
-        };
-        KernelTraffic {
-            units,
-            payload,
-            dram_bytes: (payload as f64 * per_byte).round() as u64,
-            pcie_bytes: payload * (u64::from(!local.0) + u64::from(!local.1)),
-        }
-    }
 }
 
 /// The price of one transfer kernel on GPU `g`: what
 /// [`charge_transfer_kernel`] reserves on the stream before faults, for
 /// `traffic` between a source in `spaces.0` and a destination in
-/// `spaces.1`. The tuner prices a stage with it, on an estimate.
+/// `spaces.1`. The tuner prices a stage with it, on the launch's exact
+/// traffic.
 pub fn kernel_time(
     g: &GpuState,
     topo: &NodeTopology,
@@ -563,59 +533,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// [`KernelTraffic::estimate`] against [`KernelTraffic::of`] for
-    /// uniform runs — every unit one length, every typed-side run at one
-    /// phase of the line — at every phase, on every registry spec: a
-    /// pack from a scattered typed buffer into a packed fragment in the
-    /// same DRAM, and into a mapped host fragment. The estimate gets
-    /// units, payload and PCIe bytes exact; its DRAM bytes stay within
-    /// [0.54, 2.0] of the exact ones. The ends are the K40's 128-byte
-    /// lines: an 8-byte run that straddles two of them costs twice the
-    /// one line the average run pays (0.55×), and an aligned 256-byte
-    /// run touches neither the straddled nor the partial line the
-    /// estimate charges every run (2×).
-    #[test]
-    fn estimate_is_bounded_against_the_exact_traffic_for_uniform_runs() {
-        let gpu = GpuId(0);
-        let at = |space| Ptr {
-            space,
-            alloc: memsim::AllocId(0),
-            offset: 0,
-        };
-        let (dev, host) = (at(MemSpace::Device(gpu)), at(MemSpace::Host));
-        let (mut lo, mut hi) = (f64::MAX, 0f64);
-        for arch in crate::arch::GpuArch::registry() {
-            let s = arch.spec();
-            let txn = s.transaction_bytes.get();
-            for len in [8u64, 24, 64, 200, 256, 1000, 1024, 4096, 65_536] {
-                let stride = len.next_multiple_of(txn) + txn;
-                for phase in 0..txn {
-                    let units: Vec<CopyOp> = (0..64u64)
-                        .map(|i| CopyOp {
-                            src_off: (i * stride + phase) as usize,
-                            dst_off: (i * len) as usize,
-                            len: len as usize,
-                        })
-                        .collect();
-                    for (dst, local) in [(dev, (true, true)), (host, (true, false))] {
-                        let exact = KernelTraffic::of(&units, dev, dst, gpu, &s);
-                        let est = KernelTraffic::estimate(exact.payload, 64, local, &s);
-                        assert_eq!(
-                            (est.units, est.payload, est.pcie_bytes),
-                            (exact.units, exact.payload, exact.pcie_bytes)
-                        );
-                        let ratio = est.dram_bytes as f64 / exact.dram_bytes as f64;
-                        (lo, hi) = (lo.min(ratio), hi.max(ratio));
-                    }
-                }
-            }
-        }
-        assert!(
-            lo >= 0.54 && hi <= 2.0,
-            "estimate / exact DRAM bytes in [{lo:.3}, {hi:.3}]"
-        );
     }
 
     #[test]

@@ -21,6 +21,16 @@ pub struct Ptr {
 }
 
 impl Ptr {
+    /// The start of an allocation in `space`, for a price: a price reads
+    /// a pointer's space and offset, never which allocation it names.
+    pub const fn start_of(space: MemSpace) -> Ptr {
+        Ptr {
+            space,
+            alloc: AllocId(0),
+            offset: 0,
+        }
+    }
+
     /// Pointer displaced `bytes` forward.
     #[must_use]
     #[allow(clippy::should_implement_trait)] // deliberate pointer-arithmetic name, like `ptr::add`

@@ -66,7 +66,7 @@ use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
-use memsim::{AllocId, MemSpace, Move, MoveExtent, MoveList, Ptr};
+use memsim::{MemSpace, Move, MoveExtent, MoveList, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts};
 use simcore::par::{CopyOp, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
@@ -749,11 +749,7 @@ fn run_op(
 /// The far side of a graph kernel: the mapped host staging the pack
 /// kernel streams to and the unpack kernel from. Host-side traffic is
 /// priced by its space alone, so it needs no allocation.
-const GRAPH_HOST: Ptr = Ptr {
-    space: MemSpace::Host,
-    alloc: AllocId(0),
-    offset: 0,
-};
+const GRAPH_HOST: Ptr = Ptr::start_of(MemSpace::Host);
 
 /// Replay a captured graph for one iteration: re-arm on the stream
 /// front-end, then pack kernel → wire → unpack kernel with no CPU event

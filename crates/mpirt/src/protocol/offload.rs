@@ -41,7 +41,7 @@ use crate::request::MpiError;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use datatype::{DataType, TypeError};
-use devengine::{flip_units, merge_units, whole_units};
+use devengine::{flip_units, merge_units, runs, whole_units};
 use faultsim::FaultOp;
 use gpusim::{GraphCapture, StreamGraph, StreamId};
 use memsim::MoveList;
@@ -103,18 +103,6 @@ impl Program {
     pub(crate) fn bytes(&self) -> u64 {
         self.moves.extent().bytes
     }
-}
-
-/// Contiguous runs of a pack-orientation unit list, as the coalescing
-/// walk would emit them: a unit starts a run unless it starts where the
-/// previous one ended on both sides.
-fn runs(units: &[CopyOp]) -> u64 {
-    let (mut runs, mut end) = (0, None);
-    for u in units {
-        runs += u64::from(end != Some((u.src_off, u.dst_off)));
-        end = Some((u.src_off + u.len, u.dst_off + u.len));
-    }
-    runs
 }
 
 /// One captured stream-triggered transfer shape: the replayable graph

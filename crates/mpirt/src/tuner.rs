@@ -8,9 +8,10 @@
 //! `cpupack::pass_time`, …) and the resource that charge holds — the
 //! stream, CPU or link whose trace track its span lands on. The plan's
 //! stages and its [`Credit`] make one [`devengine::tune::Pipeline`],
-//! whose list schedule is what the executor runs, so on an idle pair
-//! the prediction is the run; the one input the tuner estimates is a
-//! kernel's traffic ([`KernelTraffic::estimate`]).
+//! whose list schedule is what the executor runs, and a kernel is priced
+//! on the exact traffic of its launch ([`devengine::window_traffic`]),
+//! so on an idle pair the prediction is the run wherever every fragment
+//! repeats the first one's traffic.
 //! [`tuned_shape`] picks a (fragment, depth) from it per *(sender
 //! layout, receiver layout, message size, path class)*, and
 //! `select_path` the class; the incumbent wins ties.
@@ -29,13 +30,13 @@ use crate::protocol::plan::{
 use crate::protocol::Side;
 use crate::world::MpiWorld;
 use devengine::cpupack;
-use devengine::tune::{pick_fragment, Cost};
-use devengine::{Direction, LaunchEstimate};
+use devengine::tune::{self, pick_fragment, Cost};
+use devengine::{listed_window, window_traffic, Direction};
 use gpusim::{
     copy_time, graph_kernel_time, kernel_time, replay_time, CopyDirection, GpuWorld as _,
     KernelConfig, KernelTraffic,
 };
-use memsim::{AllocId, MemSpace, Ptr};
+use memsim::{MemSpace, Ptr};
 use netsim::{am_time, NetWorld as _, NicCosts};
 use simcore::trace::names;
 use simcore::{Sim, SimTime, Track};
@@ -114,43 +115,57 @@ fn space_of(sim: &Sim<MpiWorld>, (s, r): (&Side, &Side), loc: Loc) -> MemSpace {
     }
 }
 
+/// What `side`'s engine launches on its first `n` packed bytes, in
+/// `dir` against a fragment at the start of an allocation in `frag`:
+/// the launch's exact traffic and runs ([`devengine::window_traffic`]),
+/// or with `graph` the DEV walk's ([`devengine::listed_window`]), which
+/// a captured graph's kernels run.
+fn launch(
+    sim: &Sim<MpiWorld>,
+    side: &Side,
+    dir: Direction,
+    frag: MemSpace,
+    graph: bool,
+    n: u64,
+) -> (KernelTraffic, u64) {
+    let cfg = &sim.world.mpi.config.engine;
+    let units = (cfg.unit_size, cfg.optimizer.coalesce);
+    let gpu = sim.world.rank(side.rank).gpu;
+    let on = (gpu, &sim.world.gpus_ref().gpu(gpu).spec);
+    let ends = (side.buf, Ptr::start_of(frag));
+    let walk = if graph { listed_window } else { window_traffic };
+    walk((&side.ty, side.count), units, dir, ends, on, n).expect("committed types")
+}
+
 /// The conversion kernel `side`'s engine launches between its typed
-/// buffer and a fragment in `frag`, as far as its price is concerned:
-/// its time over a launch's traffic — [`gpusim::kernel_time`], or
+/// buffer and a fragment in `frag`, priced on a window of `n` bytes as
+/// the executor charges it: [`gpusim::kernel_time`], or
 /// [`gpusim::graph_kernel_time`] for a kernel baked into a captured
-/// graph — which the executor's charge calls on the exact traffic, and
-/// the tuner's price of a window of `n` bytes, on
-/// [`KernelTraffic::estimate`].
+/// graph, over the [`launch`]'s traffic. Each size is priced once.
 fn kernel_stage<'a>(
     sim: &'a Sim<MpiWorld>,
-    side: &Side,
+    side: &'a Side,
     end: End,
     frag: MemSpace,
     graph: bool,
-) -> (
-    impl Fn(&KernelTraffic) -> SimTime + Copy + 'a,
-    impl Fn(u64) -> SimTime + 'a,
-) {
+) -> impl Fn(u64) -> SimTime + 'a {
     let (sys, cfg) = (sim.world.gpus_ref(), &sim.world.mpi.config.engine);
-    let est = LaunchEstimate::of(&side.ty, side.count, cfg);
-    let gpu = sim.world.rank(side.rank).gpu;
-    let (g, here) = (sys.gpu(gpu), MemSpace::Device(gpu));
-    let spaces = match end {
-        End::Send => (side.buf.space, frag),
-        End::Recv => (frag, side.buf.space),
+    let g = sys.gpu(sim.world.rank(side.rank).gpu);
+    let (dir, spaces) = match end {
+        End::Send => (Direction::Pack, (side.buf.space, frag)),
+        End::Recv => (Direction::Unpack, (frag, side.buf.space)),
     };
     let kcfg = KernelConfig {
         blocks: cfg.blocks,
-        descriptor_stream: est.descriptor_stream,
+        descriptor_stream: side.ty.strided(side.count).is_none(),
     };
-    let time = move |traffic: &KernelTraffic| match graph {
-        true => graph_kernel_time(g, &sys.topo, spaces, traffic),
-        false => kernel_time(g, &sys.topo, spaces, kcfg, traffic),
-    };
-    // Which of the two spaces is the executing GPU's own DRAM.
-    let local = (spaces.0 == here, spaces.1 == here);
-    let price = move |n| time(&KernelTraffic::estimate(n, est.units_in(n), local, &g.spec));
-    (time, price)
+    tune::memo(move |n| {
+        let (traffic, _) = launch(sim, side, dir, frag, graph, n);
+        match graph {
+            true => graph_kernel_time(g, &sys.topo, spaces, &traffic),
+            false => kernel_time(g, &sys.topo, spaces, kcfg, &traffic),
+        }
+    })
 }
 
 /// The model's price of one executable stage — the `price` arm matching
@@ -164,12 +179,12 @@ fn price<'a>(
     op: StageOp,
     (s, r): (&'a Side, &'a Side),
 ) -> Option<Stage<'a>> {
-    let side = |end| match end {
+    let side = move |end| match end {
         End::Send => s,
         End::Recv => r,
     };
     let at = |loc| space_of(sim, (s, r), loc);
-    let rank = |end| sim.world.rank(side(end).rank);
+    let rank = move |end| sim.world.rank(side(end).rank);
     let (from, to) = (s.rank as u32, r.rank as u32);
     // The data link, for the stages that use one: an eager half's two
     // ends share a rank.
@@ -178,7 +193,7 @@ fn price<'a>(
     let zero = SimTime::ZERO;
     Some(match op {
         StageOp::Kernel { end, frag } => {
-            let kernel = kernel_stage(sim, side(end), end, at(frag), false).1;
+            let kernel = kernel_stage(sim, side(end), end, at(frag), false);
             Stage::new(rank(end).kernel_stream.track(), zero, kernel)
         }
         StageOp::CpuConvert { end, .. } => {
@@ -211,18 +226,17 @@ fn price<'a>(
             // of the merged program while the payload streams at the
             // slower of the wire and the NIC gather/scatter DMA. No pack
             // kernels, no staging copies, no per-fragment active
-            // messages. The program issues one descriptor per
-            // contiguous run, however the engine splits units.
+            // messages. One descriptor per contiguous run of either
+            // side, however units split, wherever a fragment sits.
             let costs = NicCosts::of(&sim.world.gpus_ref().topo);
-            let cfg = &sim.world.mpi.config.engine;
-            let (s_est, r_est) = (
-                LaunchEstimate::of(&s.ty, s.count, cfg),
-                LaunchEstimate::of(&r.ty, r.count, cfg),
-            );
-            let program = move |n| {
-                let descriptors = s_est.runs_in(n) + r_est.runs_in(n);
-                costs.time(descriptors, n, data())
+            let runs = move |end, n| {
+                let gpu = MemSpace::Device(rank(end).gpu);
+                launch(sim, side(end), Direction::Pack, gpu, false, n).1
             };
+            let program = tune::memo(move |n| {
+                let descriptors = runs(End::Send, n) + runs(End::Recv, n);
+                costs.time(descriptors, n, data())
+            });
             Stage::new(Track::LinkData { from, to }, data().latency, program)
         }
         StageOp::GraphReplay => {
@@ -233,8 +247,8 @@ fn price<'a>(
             let topo = &sim.world.gpus_ref().topo;
             let id = rank(End::Send).kernel_stream;
             let re_arm = replay_time(topo, offload::transfer_graph(id, 0).op_count());
-            let pack = kernel_stage(sim, s, End::Send, MemSpace::Host, true).1;
-            let unpack = kernel_stage(sim, r, End::Recv, MemSpace::Host, true).1;
+            let pack = kernel_stage(sim, s, End::Send, MemSpace::Host, true);
+            let unpack = kernel_stage(sim, r, End::Recv, MemSpace::Host, true);
             let replay = move |n| Cost {
                 hold: re_arm + pack(n),
                 until: wire(n) + unpack(n),
@@ -252,11 +266,7 @@ fn price<'a>(
                 End::Send => Direction::Pack,
                 End::Recv => Direction::Unpack,
             };
-            let staging = Ptr {
-                space: at(frag),
-                alloc: AllocId(0),
-                offset: 0,
-            };
+            let staging = Ptr::start_of(at(frag));
             let t = RunEngine::new(sim, side(end), dir).time(sim, staging);
             Stage::new(rank(end).copy_stream.track(), zero, move |_| t)
         }
@@ -626,9 +636,8 @@ mod tests {
 
     /// Priced ≡ charged: the first fragment's charge of every stage of
     /// `plan` — its span, with nothing queued ahead of it — lasts
-    /// exactly the tuner's price at the fragment's size. A kernel is
-    /// priced on the launch's exact traffic, the one input the tuner
-    /// otherwise estimates; `events` are the transfer's.
+    /// exactly the tuner's price at the fragment's size; `events` are
+    /// the transfer's.
     fn first_fragment_costs_its_price(
         sim: &Sim<MpiWorld>,
         plan: &TransferPlan,
@@ -687,10 +696,7 @@ mod tests {
             };
             let stage = price(sim, op, (s, r)).unwrap();
             let track = stage.resource;
-            let priced = match op {
-                StageOp::Kernel { end, frag } => exact_kernel(sim, (s, r), end, frag, n),
-                _ => stage_time(stage, n),
-            };
+            let priced = stage_time(stage, n);
             let charged = if let StageOp::Memcpy2d { .. } = op {
                 copies(track)
             } else {
@@ -704,40 +710,6 @@ mod tests {
     fn stage_time(stage: Stage<'_>, n: u64) -> SimTime {
         let cost = (stage.cost)(n);
         cost.hold + cost.until
-    }
-
-    /// The kernel `end` launches on a fragment of `n` bytes at `frag`,
-    /// priced on the launch's exact traffic — the one input the tuner
-    /// otherwise estimates. Every fragment slot and the first window of
-    /// a user buffer start their allocation.
-    fn exact_kernel(
-        sim: &Sim<MpiWorld>,
-        (s, r): (&Side, &Side),
-        end: End,
-        frag: Loc,
-        n: u64,
-    ) -> SimTime {
-        let typed = if end == End::Send { s } else { r };
-        let frag = space_of(sim, (s, r), frag);
-        let at = |space| memsim::Ptr {
-            space,
-            alloc: memsim::AllocId(0),
-            offset: 0,
-        };
-        let mut units = devengine::whole_units(&typed.ty, 1, 1 << 30, true)
-            .unwrap()
-            .0;
-        units.retain(|u| (u.dst_off as u64) < n);
-        let (src, dst) = if end == End::Send {
-            (at(typed.buf.space), at(frag))
-        } else {
-            devengine::flip_units_in_place(&mut units);
-            (at(frag), at(typed.buf.space))
-        };
-        let gpu = sim.world.rank(typed.rank).gpu;
-        let spec = &sim.world.gpus_ref().gpu(gpu).spec;
-        let exact = KernelTraffic::of(&units, src, dst, gpu, spec);
-        kernel_stage(sim, typed, end, frag, false).0(&exact)
     }
 
     /// The priced plan is the executed plan. One multi-fragment
@@ -777,8 +749,15 @@ mod tests {
         let strided = DataType::vector(DOUBLES / 2, 2, 4, &DataType::double())
             .unwrap()
             .commit();
-        let total = dense.size();
-        assert_eq!(strided.size(), total);
+        assert_eq!(strided.size(), dense.size());
+        // Listed on both sides, 4 fragments and a bit, each costing its
+        // kernels differently. The tuner prices the first, so a row's
+        // schedule equals its run where no other fragment's kernel sets
+        // the pace: on the unstaged ring (the peer-bound unpack does),
+        // whose first fragment checks the listed pack kernel against its
+        // charge, and in the offload classes' one fragment, whose
+        // schedule checks the NIC program's runs and the graph kernels.
+        let triangular = datatype::testutil::lower_triangular(256);
 
         #[derive(Clone, Copy, Debug)]
         enum Topo {
@@ -822,16 +801,22 @@ mod tests {
             } else {
                 &[(true, true), (true, false), (false, true), (false, false)]
             };
-            let densities: &[(bool, bool)] = if typed_only {
-                &[(false, false)]
+            let (d, v, t) = (
+                ("dense", &dense),
+                ("strided", &strided),
+                ("triangular", &triangular),
+            );
+            let mut layouts = if typed_only {
+                vec![(v, v)]
             } else {
-                &[(true, true), (true, false), (false, true), (false, false)]
+                vec![(d, d), (d, v), (v, d), (v, v)]
             };
-            for &(s_dense, r_dense) in densities {
+            if matches!(topo, Topo::Sm2GpuUnstaged | Topo::Offload(_)) {
+                layouts.push((t, t));
+            }
+            for ((s_name, s_ty), (r_name, r_ty)) in layouts {
                 for &(s_dev, r_dev) in placements {
-                    let row = format!(
-                        "{topo:?} s(dense={s_dense},dev={s_dev}) r(dense={r_dense},dev={r_dev})"
-                    );
+                    let row = format!("{topo:?} s({s_name},dev={s_dev}) r({r_name},dev={r_dev})");
                     let config = MpiConfig {
                         frag_size: FRAG,
                         zero_copy: matches!(topo, Topo::IbZeroCopy),
@@ -855,8 +840,7 @@ mod tests {
                             MpiWorld::two_ranks_ib(config)
                         }
                     });
-                    let side = |sim: &mut Sim<MpiWorld>, rank: usize, is_dense, dev| {
-                        let ty: &DataType = if is_dense { &dense } else { &strided };
+                    let side = |sim: &mut Sim<MpiWorld>, rank: usize, ty: &DataType, dev| {
                         let space = if dev {
                             MemSpace::Device(sim.world.mpi.ranks[rank].gpu)
                         } else {
@@ -870,8 +854,11 @@ mod tests {
                             buf,
                         }
                     };
-                    let s = side(&mut sim, 0, s_dense, s_dev);
-                    let r = side(&mut sim, 1, r_dense, r_dev);
+                    let (s, r) = (
+                        side(&mut sim, 0, s_ty, s_dev),
+                        side(&mut sim, 1, r_ty, r_dev),
+                    );
+                    let total = s.total();
                     let sent: Vec<u8> = (0..s.ty.extent() as usize)
                         .map(|i| (i * 31 + 7) as u8)
                         .collect();
@@ -905,20 +892,9 @@ mod tests {
                         let more: u64 = plan.stages.iter().map(|op| issued(op) - 1).sum();
                         pipe.stages.len() as u64 + more
                     };
-                    // The schedule of the plan's stages at their exact
-                    // prices: a kernel on its exact traffic.
-                    let scheduled = {
-                        let exact = schedule(&plan, |op| {
-                            let stage = price(&sim, op, (&s, &r))?;
-                            let StageOp::Kernel { end, frag } = op else {
-                                return Some(stage);
-                            };
-                            let (sim, sides) = (&sim, (&s, &r));
-                            let kernel = move |n| exact_kernel(sim, sides, end, frag, n);
-                            Some(Stage::new(stage.resource, SimTime::ZERO, kernel))
-                        });
-                        exact.makespan(total, plan.frag, plan.depth)
-                    };
+                    // The schedule of the plan's stages at their prices.
+                    let scheduled = schedule(&plan, |op| price(&sim, op, (&s, &r)))
+                        .makespan(total, plan.frag, plan.depth);
                     let nfrags = if plan.ring { total.div_ceil(FRAG) } else { 1 };
                     assert!(!plan.ring || nfrags >= 3, "{row}: not multi-fragment");
                     let planned = |pick: fn(&StageOp) -> bool| -> u64 {
@@ -934,7 +910,7 @@ mod tests {
                     sim.trace.set_recording(true);
                     // Only two typed ends meet through a merged list; an
                     // offload class's is its connection's.
-                    let merged = if s_dense || r_dense || offload.is_some() {
+                    let merged = if s.dense() || r.dense() || offload.is_some() {
                         0
                     } else {
                         nfrags as usize
@@ -1082,7 +1058,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rows, 3 * 4 + 2 * 16 + 2 + 2);
+        assert_eq!(rows, 3 * 4 + 2 * 16 + 2 + 2 + 3);
     }
 
     /// The eager rows of the stage table. One eager message per row of

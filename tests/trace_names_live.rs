@@ -171,14 +171,15 @@ fn every_registered_trace_name_is_emitted() {
     seen.run(ib(cfg), |sess| transfer(sess, (&tri, &tri), true));
 
     // A one-entry DEV cache evicts; without coalescing the unit size is
-    // tuned.
+    // tuned where a larger one splits fewer runs: `big`'s columns reach
+    // 4 KiB.
     let mut cfg = MpiConfig::default();
     cfg.engine.optimizer.coalesce = false;
     seen.run(sm(cfg), |sess| {
         for rank in &mut sess.world.mpi.ranks {
             rank.dev_cache = Rc::new(RefCell::new(DevCache::with_limits(u64::MAX, 1)));
         }
-        for ty in [&tri, &triangular(127), &tri] {
+        for ty in [&tri, &big, &tri] {
             transfer(sess, (ty, ty), true);
         }
     });
