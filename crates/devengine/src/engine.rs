@@ -10,8 +10,8 @@ use gpusim::{
     charge_transfer_kernel, kernel_time, GpuSpec, GpuSystem, GpuWorld, KernelConfig, KernelTraffic,
     Rolled, StreamId,
 };
-use memsim::{GpuId, MemSpace, Move, MoveExtent, Ptr};
-use simcore::par::{strided_units, CopyOp, Segs, StridedWindow};
+use memsim::{GpuId, MemSpace, Move, Ptr};
+use simcore::par::{strided_units, CopyOp, OpList, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Counter, Sim, SimTime, Track};
@@ -441,16 +441,12 @@ impl FragmentEngine {
         // so steady-state streaming reuses a handful of Vecs.
         let units = window.is_none().then(take_units_buf);
         self.charge_fragment(sim, frag, cap, units, on_prepped, move |sim, n, units| {
-            let entry = window.map_or_else(
-                || Move {
-                    src: ksrc,
-                    dst: kdst,
-                    segs: Segs::List(&units),
-                    extent: MoveExtent::of(&units),
-                    stream: false,
-                },
-                |w| Move::window(ksrc, kdst, w, false),
-            );
+            let entry = Move {
+                src: ksrc,
+                dst: kdst,
+                segs: window.map_or_else(|| Segs::List(OpList::new(&units)), Segs::Strided),
+                stream: false,
+            };
             (sim.world.mem())
                 .transfer_batch(&[entry])
                 .expect("fragment transfer failed");
@@ -580,7 +576,7 @@ const PREP_CALL: SimTime = SimTime::from_micros(1);
 
 /// The price of preparing `units` CUDA-DEV units on the CPU: what a
 /// fresh window or a cache miss charges the rank's CPU.
-fn prep_time(units: usize) -> SimTime {
+pub fn prep_time(units: usize) -> SimTime {
     SimTime::from_nanos(PREP_PER_UNIT.as_nanos() * units as u64) + PREP_CALL
 }
 

@@ -38,5 +38,5 @@ pub use dev::{
     DevPlan, MergeError, SliceParts,
 };
 pub use engine::{
-    listed_window, pack_async, unpack_async, window_traffic, Direction, FragmentEngine,
+    listed_window, pack_async, prep_time, unpack_async, window_traffic, Direction, FragmentEngine,
 };

@@ -6,7 +6,7 @@
 //! vector form, blocks of any byte length) and windows cut anywhere,
 //! mid-block included, in both directions:
 //!
-//! * [`MoveExtent::of_window`] is [`MoveExtent::of`] the list;
+//! * a window's closed-form [`Segs::reach`] is its list's scanned one;
 //! * [`KernelTraffic::of_window`] is [`KernelTraffic::of`] the list, on
 //!   every registry arch, with the typed end local, on a peer GPU or in
 //!   mapped host memory, at every phase of the line;
@@ -19,8 +19,8 @@
 
 use datatype::testutil::arb_strided;
 use gpusim::{GpuArch, KernelTraffic};
-use memsim::{AllocId, GpuId, MemError, MemSpace, Memory, Move, MoveExtent, Ptr};
-use simcore::par::{strided_units, CopyOp, Segs, Strided2D, StridedWindow};
+use memsim::{AllocId, GpuId, MemError, MemSpace, Memory, Move, Ptr};
+use simcore::par::{strided_units, CopyOp, OpList, Segs, Strided2D, StridedWindow};
 use simcore::rng::SimRng;
 
 const CASES: usize = 300;
@@ -85,7 +85,11 @@ fn extent_and_traffic_in_closed_form_equal_the_list_forms() {
         for w in windows(&mut rng) {
             let units = listed(&w);
             assert_eq!(w.segments(), units.len() as u64, "{w:?}");
-            assert_eq!(MoveExtent::of_window(&w), MoveExtent::of(&units), "{w:?}");
+            assert_eq!(
+                Segs::Strided(w).reach(),
+                OpList::new(&units).reach(),
+                "{w:?}"
+            );
             for arch in GpuArch::registry() {
                 let spec = arch.spec();
                 for (typed, packed) in placements {
@@ -208,16 +212,16 @@ fn land_both_ways(
         let (mut m, typed, packed) = buffers(typed_len, packed_len);
         let (t, p) = (typed.add(shift.0), packed.add(shift.1));
         let (src, dst) = if w.unpack { (p, t) } else { (t, p) };
-        let entry = if as_window {
-            Move::window(src, dst, *w, stream)
+        let segs = if as_window {
+            Segs::Strided(*w)
         } else {
-            Move {
-                src,
-                dst,
-                segs: Segs::List(&units),
-                extent: MoveExtent::of(&units),
-                stream,
-            }
+            Segs::List(OpList::new(&units))
+        };
+        let entry = Move {
+            src,
+            dst,
+            segs,
+            stream,
         };
         results.push(m.transfer_batch(&[entry]));
         landed.push((
@@ -242,7 +246,7 @@ fn the_bounds_verdict_and_the_bytes_are_the_lists() {
         let stream = case % 2 == 0;
         for w in windows(&mut rng) {
             let n = w.bytes();
-            let need = MoveExtent::of_window(&w);
+            let need = Segs::Strided(w).reach();
             let typed_need = if w.unpack {
                 need.dst_need
             } else {
@@ -309,7 +313,7 @@ fn an_aliased_window_lands_the_lists_bytes() {
     for case in 0..CASES {
         for w in windows(&mut rng) {
             let units = listed(&w);
-            let need = MoveExtent::of_window(&w);
+            let need = Segs::Strided(w).reach();
             let typed_need = if w.unpack {
                 need.dst_need
             } else {
@@ -331,16 +335,16 @@ fn an_aliased_window_lands_the_lists_bytes() {
                     .unwrap();
                 let (t, p) = (buf, buf.add(packed_at));
                 let (src, dst) = if w.unpack { (p, t) } else { (t, p) };
-                let entry = if as_window {
-                    Move::window(src, dst, w, case % 3 == 0)
+                let (segs, stream) = if as_window {
+                    (Segs::Strided(w), case % 3 == 0)
                 } else {
-                    Move {
-                        src,
-                        dst,
-                        segs: Segs::List(&units),
-                        extent: MoveExtent::of(&units),
-                        stream: false,
-                    }
+                    (Segs::List(OpList::new(&units)), false)
+                };
+                let entry = Move {
+                    src,
+                    dst,
+                    segs,
+                    stream,
                 };
                 m.transfer_batch(&[entry]).unwrap();
                 landed.push(m.read_vec(buf, len).unwrap());

@@ -16,7 +16,7 @@ use crate::registry::RegistrationTable;
 use crate::shelf;
 use crate::space::{GpuId, MemSpace};
 use simcore::hash::DetHashMap;
-use simcore::par::{par_transfer_batch, strided_units, CopyOp, SegList, Segs, StridedWindow};
+use simcore::par::{par_transfer_batch, strided_units, CopyOp, OpList, OpListBuf, SegList, Segs};
 use std::cell::OnceCell;
 
 /// One allocation: its length, and its bytes from the first access on.
@@ -213,16 +213,10 @@ impl MemPool {
     /// then scatter, so a destination segment that overlaps a later
     /// op's source cannot clobber it — what the fragment ring used to
     /// provide for such a transfer. A strided window is listed first.
-    fn transfer_within(
-        &mut self,
-        src: Ptr,
-        dst: Ptr,
-        segs: Segs<'_>,
-        bytes: u64,
-    ) -> Result<(), MemError> {
+    fn transfer_within(&mut self, src: Ptr, dst: Ptr, segs: Segs<'_>) -> Result<(), MemError> {
         let mut listed = Vec::new();
         let ops = match segs {
-            Segs::List(ops) => ops,
+            Segs::List(l) => l.ops(),
             Segs::Strided(w) => {
                 strided_units(&w, &mut listed);
                 &listed
@@ -233,7 +227,7 @@ impl MemPool {
         // allocation counts as written.
         let data = backing.bytes_mut(backing.len);
         let (s0, d0) = (src.offset as usize, dst.offset as usize);
-        let mut scratch = Vec::with_capacity(bytes as usize);
+        let mut scratch = Vec::with_capacity(segs.bytes() as usize);
         for o in ops {
             scratch.extend_from_slice(&data[s0 + o.src_off..s0 + o.src_off + o.len]);
         }
@@ -246,83 +240,36 @@ impl MemPool {
     }
 }
 
-/// What a batch of segment moves needs of its two buffers, and how much
-/// it moves: the bookkeeping [`Memory::transfer`] derives from a list
-/// in one pass, and a cached list carries with it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct MoveExtent {
-    /// Bytes the source must hold past its base pointer.
-    pub src_need: u64,
-    /// Bytes the destination must hold past its base pointer.
-    pub dst_need: u64,
-    /// Sum of the segment lengths.
-    pub bytes: u64,
-}
-
-impl MoveExtent {
-    /// What `window` needs, in closed form: exactly [`MoveExtent::of`]
-    /// its [`strided_units`], but for a typed end reaching below its
-    /// base, which needs `u64::MAX` — more than any allocation holds,
-    /// as the list's wrapped offset is.
-    pub fn of_window(window: &StridedWindow) -> MoveExtent {
-        let (src_need, dst_need) = window.needs();
-        MoveExtent {
-            src_need,
-            dst_need,
-            bytes: window.bytes(),
-        }
-    }
-
-    pub fn of(ops: &[CopyOp]) -> MoveExtent {
-        // An end that would wrap saturates: more than any allocation
-        // holds.
-        let end = |off: usize, len: usize| (off as u64).saturating_add(len as u64);
-        let mut e = MoveExtent::default();
-        for o in ops {
-            e.src_need = e.src_need.max(end(o.src_off, o.len));
-            e.dst_need = e.dst_need.max(end(o.dst_off, o.len));
-            e.bytes += o.len as u64;
-        }
-        e
-    }
-}
-
-/// A segment list kept for reuse, stored exact-size with its extent:
-/// a typed → typed move list derived once — one fragment's merge, or an
-/// offload transfer's whole-message program — and moved every time a
-/// transfer of its shape lands.
+/// A segment list kept for reuse, stored exact-size and scanned once
+/// ([`OpListBuf`]): a typed → typed move list derived once — one
+/// fragment's merge, or an offload transfer's whole-message program —
+/// and moved every time a transfer of its shape lands, its reach
+/// trusted.
 #[derive(Debug, PartialEq, Eq)]
-pub struct MoveList {
-    ops: Box<[CopyOp]>,
-    extent: MoveExtent,
-}
+pub struct MoveList(OpListBuf);
 
 impl MoveList {
     pub fn new(ops: &[CopyOp]) -> MoveList {
-        MoveList {
-            extent: MoveExtent::of(ops),
-            ops: ops.into(),
-        }
+        MoveList(OpListBuf::new(ops.to_vec()))
+    }
+
+    pub fn list(&self) -> OpList<'_> {
+        self.0.list()
     }
 
     pub fn ops(&self) -> &[CopyOp] {
-        &self.ops
-    }
-
-    pub fn extent(&self) -> MoveExtent {
-        self.extent
+        self.list().ops()
     }
 }
 
 /// One entry of [`Memory::transfer_batch`]: segments between two base
-/// pointers — listed, or a strided window — with the extent they need
-/// of them.
+/// pointers — listed, or a strided window — whose reach is what they
+/// need of them.
 #[derive(Clone, Copy, Debug)]
 pub struct Move<'a> {
     pub src: Ptr,
     pub dst: Ptr,
     pub segs: Segs<'a>,
-    pub extent: MoveExtent,
     /// Land whole destination cache lines with streaming stores
     /// ([`SegList::stream`]): for a destination nothing reads back soon.
     /// Every backing starts on a cache line, so a simulated 64-byte
@@ -331,27 +278,15 @@ pub struct Move<'a> {
 }
 
 impl<'a> Move<'a> {
-    /// A strided window between `src` (its base, for a pack) and `dst`,
-    /// with its closed-form extent.
-    pub fn window(src: Ptr, dst: Ptr, window: StridedWindow, stream: bool) -> Move<'static> {
-        Move {
-            src,
-            dst,
-            segs: Segs::Strided(window),
-            extent: MoveExtent::of_window(&window),
-            stream,
-        }
-    }
-
     /// The entry as the copy layer takes it: offsets relative to the two
-    /// allocations' first bytes, windows as wide as the extent.
+    /// allocations' first bytes, windows as wide as the reach.
     fn seg_list(&self) -> SegList<'a> {
+        let reach = self.segs.reach();
         SegList {
             src_at: self.src.offset as usize,
-            src_len: self.extent.src_need as usize,
+            src_len: reach.src_need as usize,
             dst_at: self.dst.offset as usize,
-            dst_len: self.extent.dst_need as usize,
-            bytes: self.extent.bytes as usize,
+            dst_len: reach.dst_need as usize,
             segs: self.segs,
             stream: self.stream,
         }
@@ -445,8 +380,7 @@ impl Memory {
         self.transfer_batch(&[Move {
             src,
             dst,
-            segs: Segs::List(ops),
-            extent: MoveExtent::of(ops),
+            segs: Segs::List(OpList::new(ops)),
             stream: false,
         }])
     }
@@ -461,19 +395,21 @@ impl Memory {
     /// allocations before any entry moves a byte, and each run of
     /// entries between the same two allocations reaches the copy layer
     /// as one job, so a transfer's fragments share its lanes the way
-    /// one list of their total size would. Every segment is still
-    /// checked on its way to memory — by the copy layer against the
-    /// entry's two ranges, by slice indexing when the ranges share an
-    /// allocation (those entries gather-then-scatter one at a time) —
-    /// so an extent that understates its list panics instead of letting
-    /// a segment out of bounds. Within a run, destination segments must
+    /// one list of their total size would. An entry's reach is its
+    /// segments' ([`Segs::reach`]): found when its list was scanned, or
+    /// closed form for a window, so no caller can state one that
+    /// understates its list, and a cached list is checked in O(1) — by
+    /// the copy layer against the entry's two ranges; entries whose
+    /// ranges share an allocation gather-then-scatter one at a time
+    /// through slice indexing. Within a run, destination segments must
     /// be disjoint across entries. An entry that moves no byte is no
     /// entry: it is neither checked nor touches an allocation.
     pub fn transfer_batch(&mut self, moves: &[Move<'_>]) -> Result<(), MemError> {
-        let moving = |m: &&Move<'_>| m.extent.bytes > 0;
+        let moving = |m: &&Move<'_>| m.segs.bytes() > 0;
         for m in moves.iter().filter(moving) {
-            self.check_range(m.src, m.extent.src_need)?;
-            self.check_range(m.dst, m.extent.dst_need)?;
+            let reach = m.segs.reach();
+            self.check_range(m.src, reach.src_need)?;
+            self.check_range(m.dst, reach.dst_need)?;
         }
         let mut rest = moves;
         while let Some((first, tail)) = rest.split_first() {
@@ -487,15 +423,10 @@ impl Memory {
             };
             let run;
             (run, rest) = rest.split_at(rest.iter().take_while(same).count());
-            self.bytes_moved += run.iter().map(|m| m.extent.bytes).sum::<u64>();
+            self.bytes_moved += run.iter().map(|m| m.segs.bytes()).sum::<u64>();
             if src.distance_to(dst).is_some() {
                 for m in run {
-                    (self.pool_mut(src.space)).transfer_within(
-                        m.src,
-                        m.dst,
-                        m.segs,
-                        m.extent.bytes,
-                    )?;
+                    (self.pool_mut(src.space)).transfer_within(m.src, m.dst, m.segs)?;
                 }
                 continue;
             }
@@ -511,7 +442,7 @@ impl Memory {
                 }
             };
             // The copy layer keeps each entry inside its window.
-            let ends = run.iter().map(|m| m.dst.offset + m.extent.dst_need);
+            let ends = run.iter().map(|m| m.dst.offset + m.segs.reach().dst_need);
             let dst_end = ends.max().unwrap_or_default();
             let src_all = self.pool(src.space).allocs[&src.alloc].bytes();
             let (src_raw, src_len) = (src_all.as_ptr(), src_all.len());
@@ -529,6 +460,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::par::Reach;
 
     fn mem() -> Memory {
         Memory::new(2, 64 << 20)
@@ -768,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn extent_is_what_three_scans_found_and_a_wrong_one_cannot_reach_memory() {
+    fn a_reach_is_what_three_scans_found_cached_or_not() {
         let ops = [
             CopyOp {
                 src_off: 40,
@@ -781,8 +713,8 @@ mod tests {
                 len: 12,
             },
         ];
-        let extent = MoveExtent::of(&ops);
-        let by_scans = MoveExtent {
+        let reach = OpList::new(&ops).reach();
+        let by_scans = Reach {
             src_need: ops
                 .iter()
                 .map(|o| (o.src_off + o.len) as u64)
@@ -795,12 +727,11 @@ mod tests {
                 .unwrap(),
             bytes: ops.iter().map(|o| o.len as u64).sum(),
         };
-        assert_eq!(extent, by_scans);
-        assert_eq!(
-            (extent.src_need, extent.dst_need, extent.bytes),
-            (48, 32, 20)
-        );
-        assert_eq!(MoveExtent::of(&[]), MoveExtent::default());
+        assert_eq!(reach, by_scans);
+        assert_eq!((reach.src_need, reach.dst_need, reach.bytes), (48, 32, 20));
+        assert_eq!(OpList::new(&[]).reach(), Reach::default());
+        let cached = MoveList::new(&ops);
+        assert_eq!((cached.list().reach(), cached.ops()), (reach, &ops[..]));
 
         let mut m = mem();
         let (src, dst) = (
@@ -808,35 +739,28 @@ mod tests {
             m.alloc(MemSpace::Device(GpuId(0)), 32).unwrap(),
         );
         m.write(src, &(0..48).collect::<Vec<u8>>()).unwrap();
-        let entry = |extent| Move {
-            src,
-            dst,
-            segs: Segs::List(&ops),
-            extent,
-            stream: false,
-        };
-        m.transfer_batch(&[entry(extent)]).unwrap();
-        assert_eq!(m.read_vec(dst, 8).unwrap(), (40..48).collect::<Vec<u8>>());
-        assert_eq!(m.bytes_moved(), 20);
-        // Overstated: refused against the live allocation.
-        let wide = MoveExtent {
-            src_need: 49,
-            ..extent
-        };
-        assert!(matches!(
-            m.transfer_batch(&[entry(wide)]),
-            Err(MemError::OutOfBounds { .. })
-        ));
-        // Understated: the copy layer's per-segment check panics before
-        // a byte moves.
-        let narrow = MoveExtent {
-            dst_need: 16,
-            ..extent
-        };
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = m.transfer_batch(&[entry(narrow)]);
-        }));
-        assert!(r.is_err(), "an understated extent must not reach memory");
+        for (k, list) in [OpList::new(&ops), cached.list()].into_iter().enumerate() {
+            let entry = Move {
+                src,
+                dst,
+                segs: Segs::List(list),
+                stream: false,
+            };
+            assert_eq!(entry.segs.reach(), reach);
+            m.transfer_batch(&[entry]).unwrap();
+            assert_eq!(m.read_vec(dst, 8).unwrap(), (40..48).collect::<Vec<u8>>());
+            assert_eq!(m.bytes_moved(), 20 * (k as u64 + 1));
+            // One byte short of its reach: refused against the live
+            // allocation, cached or not.
+            let short = Move {
+                src: src.add(1),
+                ..entry
+            };
+            assert!(matches!(
+                m.transfer_batch(&[short]),
+                Err(MemError::OutOfBounds { .. })
+            ));
+        }
     }
 
     /// Four allocations in three spaces, filled alike on every call.
@@ -898,8 +822,7 @@ mod tests {
             .map(|&(s, d, s_at, d_at, l)| Move {
                 src: b[s].add(s_at),
                 dst: b[d].add(d_at),
-                segs: Segs::List(&lists[l]),
-                extent: MoveExtent::of(&lists[l]),
+                segs: Segs::List(OpList::new(&lists[l])),
                 stream: l % 2 == 0,
             })
             .collect();
@@ -929,8 +852,7 @@ mod tests {
                 let entry = |src, dst, ops| Move {
                     src,
                     dst,
-                    segs: Segs::List(ops),
-                    extent: MoveExtent::of(ops),
+                    segs: Segs::List(OpList::new(ops)),
                     stream: true,
                 };
                 let mut moves = vec![entry(h, d0, &good[..]), entry(h, d0.add(16), &good[..])];
@@ -942,8 +864,8 @@ mod tests {
                 assert_eq!(m.read_vec(d0, 256).unwrap(), before);
                 assert_eq!(m.bytes_moved(), 0, "a failed batch is not traffic");
                 // The one-list call refuses the same ops the same way: a
-                // wrapped end is an extent no allocation holds.
-                assert_eq!(MoveExtent::of(&wraps_src).src_need, u64::MAX);
+                // wrapped end is a reach no allocation holds.
+                assert_eq!(OpList::new(&wraps_src).reach().src_need, u64::MAX);
                 assert!(matches!(
                     m.transfer(d1, d0, bad),
                     Err(MemError::OutOfBounds { .. })

@@ -66,9 +66,9 @@ use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
-use memsim::{MemSpace, Move, MoveExtent, MoveList, Ptr};
+use memsim::{MemSpace, Move, MoveList, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts};
-use simcore::par::{CopyOp, Segs, StridedWindow};
+use simcore::par::{CopyOp, OpList, OpListBuf, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
 use simcore::trace::names;
 use simcore::{Sim, SpanId, Track};
@@ -346,10 +346,10 @@ struct Pipeline {
 
 /// The queue is flushed early once its lists hold this many units
 /// (768 KiB of `CopyOp`s). The bound is on what holding the queue costs
-/// — memory, and lists that should still be in cache when a flush reads
-/// them the second time (every segment is checked before any moves) —
-/// not on payload. Coarse lists reach tens of megabytes of payload
-/// first (a 67 MB triangle is 4 Ki units as the optimizer coalesces it
+/// — memory, and owned lists that should still be in cache when a
+/// flush copies what their scan read at landing — not on payload.
+/// Coarse lists reach tens of megabytes of payload first (a 67 MB
+/// triangle is 4 Ki units as the optimizer coalesces it
 /// — one flush — and 70 Ki in bare 1 KiB units: three flushes, each two
 /// full lanes), and a fine list is moved on one lane whenever it is
 /// flushed, so it loses nothing by going early: `pp_irregular` read the
@@ -364,7 +364,6 @@ struct Queued {
     src: Ptr,
     dst: Ptr,
     list: QueuedList,
-    extent: MoveExtent,
     /// The plan's [`TransferPlan::stream`].
     stream: bool,
 }
@@ -375,7 +374,6 @@ impl Queued {
             src: self.src,
             dst: self.dst,
             segs: self.list.segs(),
-            extent: self.extent,
             stream: self.stream,
         }
     }
@@ -385,21 +383,22 @@ enum QueuedList {
     /// Two typed ends: the fragment's (cached) merged list, or an
     /// offload plan's whole-message one.
     Pinned(Rc<MoveList>),
-    /// A lone typed end's own list, in a unit buffer.
-    Owned(Vec<CopyOp>),
+    /// A lone typed end's own list, in a unit buffer, scanned once.
+    Owned(OpListBuf),
     /// A lone strided end: its kernel's window, unlisted.
     Strided(StridedWindow),
-    /// Two dense ends: the fragment's window, one op.
+    /// Two dense ends: the fragment's window, one op, scanned where it
+    /// is read.
     Window([CopyOp; 1]),
 }
 
 impl QueuedList {
     fn segs(&self) -> Segs<'_> {
         match self {
-            QueuedList::Pinned(list) => Segs::List(list.ops()),
-            QueuedList::Owned(units) => Segs::List(units),
+            QueuedList::Pinned(list) => Segs::List(list.list()),
+            QueuedList::Owned(units) => Segs::List(units.list()),
             QueuedList::Strided(w) => Segs::Strided(*w),
-            QueuedList::Window(op) => Segs::List(op),
+            QueuedList::Window(op) => Segs::List(OpList::new(op)),
         }
     }
 
@@ -408,7 +407,7 @@ impl QueuedList {
     fn held_units(&self) -> usize {
         match self {
             QueuedList::Pinned(list) => list.ops().len(),
-            QueuedList::Owned(units) => units.len(),
+            QueuedList::Owned(units) => units.list().ops().len(),
             QueuedList::Strided(_) | QueuedList::Window(_) => 1,
         }
     }
@@ -792,7 +791,7 @@ fn graph_replay(
 /// ends are typed, and its one fragment is the whole message. Otherwise
 /// an end that runs no conversion is dense and its window of the user
 /// buffer *is* the fragment, so a lone typed end's list — or a strided
-/// end's window, whose extent is closed form — applies as it stands;
+/// end's window, whose reach is closed form — applies as it stands;
 /// two typed ends meet through their [`typed_moves`]. The queue
 /// cannot wait when it holds [`QUEUE_UNITS`], or when the two buffers
 /// share an allocation — a later fragment's source may be this one's
@@ -830,7 +829,7 @@ fn queue_fragment(
         let from = f.seq * st.borrow().t.plan.frag;
         let window = st.borrow().engines.window(end, from, from + f.n);
         window.map_or_else(
-            || QueuedList::Owned(std::mem::take(units)),
+            || QueuedList::Owned(OpListBuf::new(std::mem::take(units))),
             QueuedList::Strided,
         )
     };
@@ -844,17 +843,10 @@ fn queue_fragment(
             len: f.n as usize,
         }]),
     };
-    let extent = match &list {
-        QueuedList::Pinned(known) => known.extent(),
-        QueuedList::Strided(w) => MoveExtent::of_window(w),
-        QueuedList::Owned(units) => MoveExtent::of(units),
-        QueuedList::Window(op) => MoveExtent::of(op),
-    };
     let q = Queued {
         src,
         dst,
         list,
-        extent,
         stream: st.borrow().t.plan.stream,
     };
     let (due, alone) = {
@@ -870,9 +862,9 @@ fn queue_fragment(
     if due && alone {
         return move_now(sim, st, [q]);
     }
-    let mem = sim.world.mem();
-    let in_range = (mem.check_range(src, extent.src_need))
-        .and_then(|()| mem.check_range(dst, extent.dst_need));
+    let (mem, reach) = (sim.world.mem(), q.list.segs().reach());
+    let in_range =
+        (mem.check_range(src, reach.src_need)).and_then(|()| mem.check_range(dst, reach.dst_need));
     in_range.map_err(|e| MpiError::Mem(e.to_string()))?;
     {
         let mut x = st.borrow_mut();
@@ -914,7 +906,7 @@ fn move_now(
     let mut x = st.borrow_mut();
     for q in queue {
         if let QueuedList::Owned(units) = q.list {
-            x.spare_buf(units);
+            x.spare_buf(units.into_ops());
         }
     }
     moved.map_err(|e| MpiError::Mem(e.to_string()))

@@ -101,7 +101,7 @@ impl Program {
 
     /// Payload bytes the program moves.
     pub(crate) fn bytes(&self) -> u64 {
-        self.moves.extent().bytes
+        self.moves.list().reach().bytes
     }
 }
 
@@ -266,9 +266,13 @@ mod tests {
             src.add(s_base as u64).offset_by(s_shift),
             dst.add(r_base as u64).offset_by(r_shift),
         );
-        (sim.world.memory)
-            .transfer(from, to, prog.moves.ops())
-            .unwrap();
+        let whole = memsim::Move {
+            src: from,
+            dst: to,
+            segs: simcore::par::Segs::List(prog.moves.list()),
+            stream: false,
+        };
+        sim.world.memory.transfer_batch(&[whole]).unwrap();
         let packed = reference_pack(&s_ty, count, &bytes, s_base);
         let got = sim.world.memory.read_vec(dst, r_len as u64).unwrap();
         let mut pos = 0usize;

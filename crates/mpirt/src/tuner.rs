@@ -31,7 +31,7 @@ use crate::protocol::Side;
 use crate::world::MpiWorld;
 use devengine::cpupack;
 use devengine::tune::{self, pick_fragment, Cost};
-use devengine::{listed_window, window_traffic, Direction};
+use devengine::{listed_window, prep_time, window_traffic, Direction};
 use gpusim::{
     copy_time, graph_kernel_time, kernel_time, replay_time, CopyDirection, GpuWorld as _,
     KernelConfig, KernelTraffic,
@@ -141,13 +141,16 @@ fn launch(
 /// buffer and a fragment in `frag`, priced on a window of `n` bytes as
 /// the executor charges it: [`gpusim::kernel_time`], or
 /// [`gpusim::graph_kernel_time`] for a kernel baked into a captured
-/// graph, over the [`launch`]'s traffic. Each size is priced once.
+/// graph, over the [`launch`]'s traffic. An engine that converts
+/// `fresh` (a comparator's) first prepares a listed window's units on
+/// the CPU ([`prep_time`]). Each size is priced once.
 fn kernel_stage<'a>(
     sim: &'a Sim<MpiWorld>,
     side: &'a Side,
     end: End,
     frag: MemSpace,
     graph: bool,
+    fresh: bool,
 ) -> impl Fn(u64) -> SimTime + 'a {
     let (sys, cfg) = (sim.world.gpus_ref(), &sim.world.mpi.config.engine);
     let g = sys.gpu(sim.world.rank(side.rank).gpu);
@@ -161,21 +164,26 @@ fn kernel_stage<'a>(
     };
     tune::memo(move |n| {
         let (traffic, _) = launch(sim, side, dir, frag, graph, n);
-        match graph {
+        let prep = match fresh && kcfg.descriptor_stream {
+            true => prep_time(traffic.units as usize),
+            false => SimTime::ZERO,
+        };
+        prep + match graph {
             true => graph_kernel_time(g, &sys.topo, spaces, &traffic),
             false => kernel_time(g, &sys.topo, spaces, kcfg, &traffic),
         }
     })
 }
 
-/// The model's price of one executable stage — the `price` arm matching
-/// the executor's `run` arm for the same [`StageOp`] — built from the
-/// function the stage's charge calls, and the track of the resource the
-/// charge holds. `Direct` moves nothing and has no stage; a graph
-/// replay is four serial legs in one stage, holding the sender's stream
-/// for the re-arm and the pack.
+/// The model's price of one executable stage of `plan` — the `price`
+/// arm matching the executor's `run` arm for the same [`StageOp`] —
+/// built from the function the stage's charge calls, and the track of
+/// the resource the charge holds. `Direct` moves nothing and has no
+/// stage; a graph replay is four serial legs in one stage, holding the
+/// sender's stream for the re-arm and the pack.
 fn price<'a>(
     sim: &'a Sim<MpiWorld>,
+    plan: &TransferPlan,
     op: StageOp,
     (s, r): (&'a Side, &'a Side),
 ) -> Option<Stage<'a>> {
@@ -193,7 +201,8 @@ fn price<'a>(
     let zero = SimTime::ZERO;
     Some(match op {
         StageOp::Kernel { end, frag } => {
-            let kernel = kernel_stage(sim, side(end), end, at(frag), false);
+            let fresh = plan.comparator.is_some();
+            let kernel = kernel_stage(sim, side(end), end, at(frag), false, fresh);
             Stage::new(rank(end).kernel_stream.track(), zero, kernel)
         }
         StageOp::CpuConvert { end, .. } => {
@@ -247,8 +256,8 @@ fn price<'a>(
             let topo = &sim.world.gpus_ref().topo;
             let id = rank(End::Send).kernel_stream;
             let re_arm = replay_time(topo, offload::transfer_graph(id, 0).op_count());
-            let pack = kernel_stage(sim, s, End::Send, MemSpace::Host, true);
-            let unpack = kernel_stage(sim, r, End::Recv, MemSpace::Host, true);
+            let pack = kernel_stage(sim, s, End::Send, MemSpace::Host, true, false);
+            let unpack = kernel_stage(sim, r, End::Recv, MemSpace::Host, true, false);
             let replay = move |n| Cost {
                 hold: re_arm + pack(n),
                 until: wire(n) + unpack(n),
@@ -273,13 +282,16 @@ fn price<'a>(
     })
 }
 
-/// The schedule `plan` runs, each stage priced by `price`: its stages,
-/// then its credit — under [`Credit::Ack`] the receiver acks every slot
-/// back, under [`Credit::Local`] one message closes the transfer.
+/// The schedule `plan` runs between `s` and `r`, each stage at its
+/// [`price`]: its stages, then its credit — under [`Credit::Ack`] the
+/// receiver acks every slot back, under [`Credit::Local`] one message
+/// closes the transfer.
 fn schedule<'a>(
+    sim: &'a Sim<MpiWorld>,
     plan: &TransferPlan,
-    mut price: impl FnMut(StageOp) -> Option<Stage<'a>>,
+    (s, r): (&'a Side, &'a Side),
 ) -> Pipeline<'a> {
+    let price = |op| price(sim, plan, op, (s, r));
     let mut stages: Vec<Stage<'a>> = plan.stages.iter().filter_map(|&op| price(op)).collect();
     let closing = match plan.credit {
         Credit::Ack => {
@@ -341,7 +353,7 @@ pub fn predict(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) ->
     } else {
         (plan.frag, plan.depth)
     };
-    schedule(&plan, |op| price(sim, op, (s, r))).makespan(s.total(), frag, depth)
+    schedule(sim, &plan, (s, r)).makespan(s.total(), frag, depth)
 }
 
 /// Pick the pipeline shape for one transfer: the configured fragment
@@ -363,7 +375,7 @@ pub fn tuned_shape(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass
     }
     let plan = plan_for(&Facts::of(sim, s.rank, r.rank), s, r, class);
     let shape = {
-        let pipe = schedule(&plan, |op| price(sim, op, (s, r)));
+        let pipe = schedule(sim, &plan, (s, r));
         pick_fragment(&pipe, s.total(), configured.0, configured.1)
     };
     sim.world.mpi.tuned_shapes.insert(key, shape);
@@ -618,7 +630,8 @@ mod tests {
             let mut sim = ib_world_with("a100", config);
             let s = side_on(&mut sim, 0, &ty, 4);
             let r = side_on(&mut sim, 1, &ty, 4);
-            let stage = price(&sim, StageOp::NicProgram, (&s, &r)).unwrap();
+            let plan = plan_for(&Facts::of(&sim, 0, 1), &s, &r, PathClass::NicOffload);
+            let stage = price(&sim, &plan, StageOp::NicProgram, (&s, &r)).unwrap();
             stage_time(stage, s.total())
         };
         assert_eq!(priced(true), priced(false));
@@ -694,13 +707,24 @@ mod tests {
                 StageOp::Memcpy2d { .. } => names::SPAN_MEMCPY2D,
                 StageOp::Direct | StageOp::NicProgram | StageOp::GraphReplay => continue,
             };
-            let stage = price(sim, op, (s, r)).unwrap();
+            let stage = price(sim, plan, op, (s, r)).unwrap();
             let track = stage.resource;
             let priced = stage_time(stage, n);
-            let charged = if let StageOp::Memcpy2d { .. } = op {
-                copies(track)
-            } else {
-                span(name, track)
+            let side = |end| if end == End::Send { s } else { r };
+            let charged = match op {
+                StageOp::Memcpy2d { .. } => copies(track),
+                // A comparator's engine prepares a listed end's units on
+                // the rank's CPU before it launches the kernel.
+                StageOp::Kernel { end, .. }
+                    if plan.comparator.is_some()
+                        && side(end).ty.strided(side(end).count).is_none() =>
+                {
+                    let cpu = Track::Cpu {
+                        rank: side(end).rank as u32,
+                    };
+                    span(names::SPAN_PREP, cpu) + span(name, track)
+                }
+                _ => span(name, track),
             };
             assert_eq!(charged, priced, "{row}: {op:?} charged vs priced");
         }
@@ -755,8 +779,10 @@ mod tests {
         // schedule equals its run where no other fragment's kernel sets
         // the pace: on the unstaged ring (the peer-bound unpack does),
         // whose first fragment checks the listed pack kernel against its
-        // charge, and in the offload classes' one fragment, whose
-        // schedule checks the NIC program's runs and the graph kernels.
+        // charge, in the offload classes' one fragment, whose schedule
+        // checks the NIC program's runs and the graph kernels, and in
+        // the Jenkins comparator's, whose fresh engine prepares each
+        // end's units on the CPU before its kernel.
         let triangular = datatype::testutil::lower_triangular(256);
 
         #[derive(Clone, Copy, Debug)]
@@ -811,7 +837,10 @@ mod tests {
             } else {
                 vec![(d, d), (d, v), (v, d), (v, v)]
             };
-            if matches!(topo, Topo::Sm2GpuUnstaged | Topo::Offload(_)) {
+            if matches!(
+                topo,
+                Topo::Sm2GpuUnstaged | Topo::Offload(_) | Topo::Ib(Comparator::Jenkins)
+            ) {
                 layouts.push((t, t));
             }
             for ((s_name, s_ty), (r_name, r_ty)) in layouts {
@@ -888,13 +917,13 @@ mod tests {
                         None => plan_for(&Facts::of(&sim, 0, 1), &s, &r, class),
                     };
                     let priced = {
-                        let pipe = schedule(&plan, |op| price(&sim, op, (&s, &r)));
+                        let pipe = schedule(&sim, &plan, (&s, &r));
                         let more: u64 = plan.stages.iter().map(|op| issued(op) - 1).sum();
                         pipe.stages.len() as u64 + more
                     };
                     // The schedule of the plan's stages at their prices.
-                    let scheduled = schedule(&plan, |op| price(&sim, op, (&s, &r)))
-                        .makespan(total, plan.frag, plan.depth);
+                    let scheduled =
+                        schedule(&sim, &plan, (&s, &r)).makespan(total, plan.frag, plan.depth);
                     let nfrags = if plan.ring { total.div_ceil(FRAG) } else { 1 };
                     assert!(!plan.ring || nfrags >= 3, "{row}: not multi-fragment");
                     let planned = |pick: fn(&StageOp) -> bool| -> u64 {
@@ -1058,7 +1087,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(rows, 3 * 4 + 2 * 16 + 2 + 2 + 3);
+        assert_eq!(rows, 3 * 4 + 2 * 16 + 2 + 2 + 4);
     }
 
     /// The eager rows of the stage table. One eager message per row of

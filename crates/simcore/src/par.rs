@@ -33,11 +33,14 @@
 //! (validated, `1..=64`); the choice is logged once at initialization.
 //!
 //! Safety relies on every segment lying inside its two buffers, which is
-//! asserted — overflow-proof, per segment of a list and in closed form
-//! on a strided window's extreme blocks, before a byte moves — and on
-//! the segments being disjoint **in the destination**, which the
-//! datatype engine guarantees by construction (a pack writes each packed
-//! byte exactly once); debug builds verify it across the whole batch.
+//! asserted before a byte moves, in O(1) per list: a listed list is an
+//! [`OpList`], whose one scan found its reach — overflow-proof, per
+//! segment — when it was built, and a strided window's reach is closed
+//! form on its extreme blocks; each reach is checked against its window,
+//! and the window against the buffer. The segments must also be disjoint
+//! **in the destination**, which the datatype engine guarantees by
+//! construction (a pack writes each packed byte exactly once); debug
+//! builds verify it across the whole batch.
 
 #![expect(
     unsafe_code,
@@ -65,19 +68,112 @@ pub struct CopyOp {
     pub len: usize,
 }
 
+/// What a segment list needs of its two buffers past their bases, and
+/// how much it moves.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Reach {
+    /// The furthest source segment end. An end that would wrap
+    /// saturates: it needs more than any buffer holds.
+    pub src_need: u64,
+    /// The furthest destination segment end, saturating alike.
+    pub dst_need: u64,
+    /// Sum of the segment lengths.
+    pub bytes: u64,
+}
+
+/// A segment list and its [`Reach`], found by the one scan that builds
+/// it ([`OpList::new`]). The list cannot change after that, so the copy
+/// layer trusts the reach and checks a list of any length in O(1).
+#[derive(Clone, Copy, Debug)]
+pub struct OpList<'a> {
+    ops: &'a [CopyOp],
+    reach: Reach,
+}
+
+impl<'a> OpList<'a> {
+    /// Scan `ops` once, overflow-proof: each segment's ends saturate.
+    pub fn new(ops: &'a [CopyOp]) -> Self {
+        let end = |off: usize, len: usize| (off as u64).saturating_add(len as u64);
+        let reach = ops.iter().fold(Reach::default(), |r, o| Reach {
+            src_need: r.src_need.max(end(o.src_off, o.len)),
+            dst_need: r.dst_need.max(end(o.dst_off, o.len)),
+            bytes: r.bytes.saturating_add(o.len as u64),
+        });
+        OpList { ops, reach }
+    }
+
+    pub fn ops(&self) -> &'a [CopyOp] {
+        self.ops
+    }
+
+    pub fn reach(&self) -> Reach {
+        self.reach
+    }
+}
+
+/// An owned [`OpList`]: scanned once when built, lent out unscanned.
+#[derive(Debug, PartialEq, Eq)]
+pub struct OpListBuf {
+    ops: Vec<CopyOp>,
+    reach: Reach,
+}
+
+impl OpListBuf {
+    pub fn new(ops: Vec<CopyOp>) -> Self {
+        let reach = OpList::new(&ops).reach;
+        OpListBuf { ops, reach }
+    }
+
+    pub fn list(&self) -> OpList<'_> {
+        OpList {
+            ops: &self.ops,
+            reach: self.reach,
+        }
+    }
+
+    /// The segments back, for reuse.
+    pub fn into_ops(self) -> Vec<CopyOp> {
+        self.ops
+    }
+}
+
 /// The segments of a [`SegList`]: listed, or computed by a strided
 /// window block by block.
 #[derive(Clone, Copy, Debug)]
 pub enum Segs<'a> {
-    List(&'a [CopyOp]),
+    List(OpList<'a>),
     Strided(StridedWindow),
 }
 
 impl Segs<'_> {
+    /// What the segments need and move, in O(1): the list's scanned
+    /// reach, or the window's closed form ([`StridedWindow::needs`]).
+    pub fn reach(&self) -> Reach {
+        match self {
+            Segs::List(l) => l.reach,
+            Segs::Strided(w) => {
+                let (src_need, dst_need) = w.needs();
+                Reach {
+                    src_need,
+                    dst_need,
+                    bytes: w.bytes(),
+                }
+            }
+        }
+    }
+
+    /// Sum of the segment lengths.
+    pub fn bytes(&self) -> u64 {
+        match self {
+            Segs::List(l) => l.reach.bytes,
+            Segs::Strided(w) => w.bytes(),
+        }
+    }
+
     /// How many segments.
     fn len(&self) -> usize {
         match self {
-            Segs::List(ops) => ops.len(),
+            Segs::List(l) => l.ops.len(),
             Segs::Strided(w) => w.segments() as usize,
         }
     }
@@ -85,7 +181,7 @@ impl Segs<'_> {
     /// Segment `k`, if there is one.
     fn get(&self, k: usize) -> Option<CopyOp> {
         match self {
-            Segs::List(ops) => ops.get(k).copied(),
+            Segs::List(l) => l.ops.get(k).copied(),
             Segs::Strided(w) => (k < self.len()).then(|| w.segments_from(k as u64).next())?,
         }
     }
@@ -93,7 +189,7 @@ impl Segs<'_> {
     /// Every segment, in order.
     fn iter(&self) -> impl Iterator<Item = CopyOp> + '_ {
         let (list, window) = match self {
-            Segs::List(ops) => (Some(ops.iter().copied()), None),
+            Segs::List(l) => (Some(l.ops.iter().copied()), None),
             Segs::Strided(w) => (None, Some(w.segments_from(0))),
         };
         list.into_iter()
@@ -104,18 +200,14 @@ impl Segs<'_> {
 
 /// One segment list of a batch: `segs` whose offsets are relative to
 /// `src[src_at..]` / `dst[dst_at..]` and may reach `src_len` /
-/// `dst_len` bytes past those points — every segment is checked against
-/// that window, and the window against the buffer.
+/// `dst_len` bytes past those points — the segments' reach is checked
+/// against that window, and the window against the buffer.
 #[derive(Clone, Copy, Debug)]
 pub struct SegList<'a> {
     pub src_at: usize,
     pub src_len: usize,
     pub dst_at: usize,
     pub dst_len: usize,
-    /// Sum of the segment lengths. It only sizes the lane count and the
-    /// split (debug builds check it); a wrong sum costs balance, never
-    /// coverage.
-    pub bytes: usize,
     pub segs: Segs<'a>,
     /// Land the whole destination cache lines of a coarse list with
     /// non-temporal stores (`copy_ops_stream`): for a destination
@@ -126,16 +218,20 @@ pub struct SegList<'a> {
 
 impl<'a> SegList<'a> {
     /// `ops` relative to the whole of `dst` and `src`.
-    fn whole(dst: &[u8], src: &[u8], ops: &'a [CopyOp], bytes: usize) -> Self {
+    fn whole(dst: &[u8], src: &[u8], ops: OpList<'a>) -> Self {
         SegList {
             src_at: 0,
             src_len: src.len(),
             dst_at: 0,
             dst_len: dst.len(),
-            bytes,
             segs: Segs::List(ops),
             stream: false,
         }
+    }
+
+    /// Sum of the segment lengths: what sizes the lane count and split.
+    fn bytes(&self) -> usize {
+        self.segs.bytes() as usize
     }
 }
 
@@ -353,7 +449,7 @@ fn partition(lists: &[SegList<'_>], n: usize, cuts: &mut [Cut; MAX_POOL_THREADS 
         list: lists.len(),
         ..Cut::default()
     };
-    let total: usize = lists.iter().map(|l| l.bytes).sum();
+    let total: usize = lists.iter().map(SegList::bytes).sum();
     let per_lane = total.div_ceil(n);
     cuts[0] = Cut::default();
     let mut lanes = 0;
@@ -362,8 +458,8 @@ fn partition(lists: &[SegList<'_>], n: usize, cuts: &mut [Cut; MAX_POOL_THREADS 
     for k in 1..n {
         let target = per_lane * k;
         while let Some(l) = lists.get(at.list) {
-            if at.op == 0 && seen + l.bytes <= target {
-                (at.list, seen) = (at.list + 1, seen + l.bytes);
+            if at.op == 0 && seen + l.bytes() <= target {
+                (at.list, seen) = (at.list + 1, seen + l.bytes());
             } else if let Some(o) = l.segs.get(at.op) {
                 at.byte = round_up_cache_line(target.saturating_sub(seen));
                 if at.byte < o.len {
@@ -589,7 +685,7 @@ unsafe fn copy_range(
     // SAFETY: the caller's contract.
     unsafe {
         match segs {
-            Segs::List(ops) => run_loop(how, dst, src, ops[range].iter().copied()),
+            Segs::List(l) => run_loop(how, dst, src, l.ops[range].iter().copied()),
             // A whole window keeps its 2-D loop; a lane's stretch of one
             // steps block by block.
             Segs::Strided(w) if range == (0..segs.len()) => {
@@ -731,7 +827,7 @@ unsafe fn copy_ops_masked(dst: *mut u8, src: *const u8, ops: impl IntoIterator<I
 /// Whether `l` is fine-grained: its mean segment is under
 /// [`CHUNKED_COPY_MAX`].
 fn is_fine(l: &SegList<'_>) -> bool {
-    l.bytes / CHUNKED_COPY_MAX < l.segs.len()
+    l.bytes() / CHUNKED_COPY_MAX < l.segs.len()
 }
 
 /// Whether the one-lane path moves `l` through the masked loop: the list
@@ -762,14 +858,14 @@ fn assert_dst_disjoint(lists: &[SegList<'_>]) {
     }
 }
 
-/// Every list's windows against the buffers and every segment against
-/// its list's windows, with no addition that can wrap: the release
-/// profile has overflow checks off, and a wrapped `off + len` passed
-/// `<=` and read the bytes *before* the buffer. A sum that saturates
-/// exceeds any window that fits a slice, and the windows are checked
-/// against the slices first. A strided window is checked on its extreme
-/// blocks ([`StridedWindow::needs`]), which holds exactly when every
-/// block would pass: a block reaching below its base needs more than any
+/// Every list's windows against the buffers and its segments' reach
+/// against its windows, in O(1) per list, with no addition that can wrap:
+/// the release profile has overflow checks off, and a wrapped `off +
+/// len` passed `<=` and read the bytes *before* the buffer. A sum that
+/// saturates exceeds any window that fits a slice, and the windows are
+/// checked against the slices first. A listed reach saturates alike
+/// ([`OpList::new`]); a strided window's holds exactly when every block
+/// would pass: a block reaching below its base needs more than any
 /// window holds, as a listed block's wrapped offset does.
 fn assert_in_bounds(dst: &[u8], src: &[u8], lists: &[SegList<'_>]) {
     let fits = |at: usize, len: usize, room: usize| at.saturating_add(len) <= room;
@@ -784,31 +880,16 @@ fn assert_in_bounds(dst: &[u8], src: &[u8], lists: &[SegList<'_>]) {
             l.dst_len,
             dst.len()
         );
-        let ops = match l.segs {
-            Segs::List(ops) => ops,
-            Segs::Strided(w) => {
-                let (src_need, dst_need) = w.needs();
-                assert!(
-                    src_need <= l.src_len as u64 && dst_need <= l.dst_len as u64,
-                    "strided window out of bounds: needs {src_need} / {dst_need} of {} / {}: {w:?}",
-                    l.src_len,
-                    l.dst_len
-                );
-                continue;
-            }
-        };
-        for o in ops {
-            assert!(
-                fits(o.src_off, o.len, l.src_len),
-                "source segment out of bounds: {o:?} vs len {}",
-                l.src_len
-            );
-            assert!(
-                fits(o.dst_off, o.len, l.dst_len),
-                "destination segment out of bounds: {o:?} vs len {}",
-                l.dst_len
-            );
-        }
+        let reach = l.segs.reach();
+        assert!(
+            reach.src_need <= l.src_len as u64 && reach.dst_need <= l.dst_len as u64,
+            "segments out of bounds: {} of them need {} / {} of {} / {}",
+            l.segs.len(),
+            reach.src_need,
+            reach.dst_need,
+            l.src_len,
+            l.dst_len
+        );
     }
 }
 
@@ -826,20 +907,19 @@ fn round_up_cache_line(n: usize) -> usize {
 /// (overlap in `src` is fine — a broadcast-style unpack may read the same
 /// source bytes twice).
 pub fn par_transfer(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
-    let total = ops.iter().map(|o| o.len).sum();
-    par_transfer_batch(dst, src, &[SegList::whole(dst, src, ops, total)]);
+    par_transfer_batch(dst, src, &[SegList::whole(dst, src, OpList::new(ops))]);
 }
 
 /// Execute a run of segment lists from `src` into `dst` as one job: the
 /// lists' bytes are split across lanes as if they were one list, so a
 /// hundred half-megabyte fragments share the pool the way one transfer
-/// of their total size would. Every segment of every list is checked
-/// before a byte moves; segments must be pairwise disjoint in `dst`
-/// across the whole batch.
+/// of their total size would. Every list's reach is checked against its
+/// window before a byte moves; segments must be pairwise disjoint in
+/// `dst` across the whole batch.
 pub fn par_transfer_batch(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>]) {
     let (bytes, segments) = lists
         .iter()
-        .fold((0, 0), |(b, s), l| (b + l.bytes, s + l.segs.len()));
+        .fold((0, 0), |(b, s), l| (b + l.bytes(), s + l.segs.len()));
     transfer_with(dst, src, lists, lanes_for(bytes, segments));
 }
 
@@ -847,9 +927,6 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
     assert_in_bounds(dst, src, lists);
     #[cfg(debug_assertions)]
     assert_dst_disjoint(lists);
-    debug_assert!(lists
-        .iter()
-        .all(|l| l.bytes == l.segs.iter().map(|o| o.len).sum::<usize>()));
     if n > 1 {
         let mut cuts = [Cut::default(); MAX_POOL_THREADS + 1];
         let lanes = partition(lists, n, &mut cuts);
@@ -895,7 +972,7 @@ mod tests {
 
     fn ops_of<'a>(l: &SegList<'a>) -> &'a [CopyOp] {
         match l.segs {
-            Segs::List(ops) => ops,
+            Segs::List(l) => l.ops(),
             Segs::Strided(_) => panic!("a listed batch"),
         }
     }
@@ -959,9 +1036,8 @@ mod tests {
     /// [`par_transfer`] with an explicit lane count, clamped to the
     /// pool's actual size; returns the count used.
     fn par_transfer_lanes(dst: &mut [u8], src: &[u8], ops: &[CopyOp], lanes: usize) -> usize {
-        let total: usize = ops.iter().map(|o| o.len).sum();
         let n = lanes.clamp(1, pool_info().threads);
-        transfer_with(dst, src, &[SegList::whole(dst, src, ops, total)], n);
+        transfer_with(dst, src, &[SegList::whole(dst, src, OpList::new(ops))], n);
         n
     }
 
@@ -1014,7 +1090,7 @@ mod tests {
             let (src, ops) = gather_case(seg, count);
             let mut want = vec![0u8; seg * count];
             par_transfer(&mut want, &src, &ops);
-            let list = [SegList::whole(&want, &src, &ops, seg * count)];
+            let list = [SegList::whole(&want, &src, OpList::new(&ops))];
             let mut dst = vec![0u8; seg * count];
             par_transfer_batch(&mut dst, &src, &list);
             assert_eq!(dst, want, "seg={seg}: batch");
@@ -1045,8 +1121,7 @@ mod tests {
             src_len: src.len() - src_at,
             dst_at,
             dst_len: bytes,
-            bytes,
-            segs: Segs::List(ops),
+            segs: Segs::List(OpList::new(ops)),
             stream: false,
         };
         let lists = [
@@ -1092,7 +1167,7 @@ mod tests {
         // A huge op next to a tiny one still spreads (the old `ops.len()
         // < n` guard left this on one lane).
         let pair = [op(0, 0, 1 << 20), op(1 << 20, 1 << 20, 8)];
-        let lists = [SegList::whole(&want, &src, &pair, (1 << 20) + 8)];
+        let lists = [SegList::whole(&want, &src, OpList::new(&pair))];
         let mut dst = vec![0u8; want.len()];
         let cuts = run_split(&mut dst, &src, &lists, 2);
         assert_eq!((cuts.len(), cuts[1].op), (3, 0));
@@ -1169,27 +1244,119 @@ mod tests {
     }
 
     #[test]
-    fn a_handed_in_total_moves_the_same_bytes_and_skips_no_bounds_check() {
-        // Small (inline) and large (pooled) lists.
+    fn a_scanned_list_moves_the_same_bytes_and_skips_no_bounds_check() {
+        // Small (inline) and large (pooled) lists, borrowed and owned.
         for (seg, count) in GATHERS {
             let (src, ops) = gather_case(seg, count);
             let mut want = vec![0u8; seg * count];
             par_transfer(&mut want, &src, &ops);
-            let mut dst = vec![0u8; seg * count];
-            let list = SegList::whole(&dst, &src, &ops, seg * count);
-            par_transfer_batch(&mut dst, &src, &[list]);
-            assert_eq!(dst, want, "seg={seg}");
+            let owned = OpListBuf::new(ops.clone());
+            for list in [OpList::new(&ops), owned.list()] {
+                assert_eq!(list.reach().bytes as usize, seg * count);
+                let mut dst = vec![0u8; seg * count];
+                let list = SegList::whole(&dst, &src, list);
+                par_transfer_batch(&mut dst, &src, &[list]);
+                assert_eq!(dst, want, "seg={seg}");
+            }
         }
         let src = vec![7u8; 16];
         let mut dst = vec![0u8; 16];
         for bad in bad_ops() {
-            let list = SegList::whole(&dst, &src, std::slice::from_ref(&bad), bad.len);
-            assert!(
-                panics(|| par_transfer_batch(&mut dst, &src, &[list])),
-                "{bad:?} must panic"
-            );
-            assert_eq!(dst, [0u8; 16], "{bad:?} moved a byte");
+            let owned = OpListBuf::new(vec![bad]);
+            for list in [OpList::new(std::slice::from_ref(&bad)), owned.list()] {
+                let list = SegList::whole(&dst, &src, list);
+                assert!(
+                    panics(|| par_transfer_batch(&mut dst, &src, &[list])),
+                    "{bad:?} must panic"
+                );
+                assert_eq!(dst, [0u8; 16], "{bad:?} moved a byte");
+            }
         }
+    }
+
+    /// The reach gives the verdict the per-segment check it replaced
+    /// gave: over seeded lists — zero-length segments, ends past either
+    /// window, offsets within `len` of `usize::MAX` that wrap — the copy
+    /// layer refuses a list exactly when some segment leaves its window,
+    /// before any byte of its batch moves, borrowed or owned alike.
+    #[test]
+    fn a_list_is_refused_exactly_when_a_segment_leaves_its_window() {
+        const SRC: usize = 2048;
+        const DST: usize = 1024;
+        let per_segment = |ops: &[CopyOp], src_len: usize, dst_len: usize| {
+            let fits =
+                |off: usize, len: usize, room| off.checked_add(len).is_some_and(|e| e <= room);
+            (ops.iter()).all(|o| fits(o.src_off, o.len, src_len) && fits(o.dst_off, o.len, dst_len))
+        };
+        let src: Vec<u8> = (0..SRC + 64).map(|i| (i % 251) as u8 + 1).collect();
+        let mut rng = crate::rng::rng(0x5EC5);
+        let mut seen = [0usize; 3]; // accepted, refused, refused for a wrapped end
+        for case in 0..3000 {
+            let mut ops = Vec::new();
+            let mut d = 0;
+            for _ in 0..rng.range(0, 24) {
+                let (len, gap) = (rng.range(0, 33), rng.range(0, 8));
+                ops.push(op(rng.range(0, SRC - 32), d + gap, len));
+                d += gap + len;
+            }
+            if !ops.is_empty() && rng.chance(0.4) {
+                let k = rng.range(0, ops.len());
+                let o = &mut ops[k];
+                let wraps = usize::MAX - rng.range(0, o.len + 2);
+                match rng.range(0, 4) {
+                    0 => o.src_off = wraps,
+                    1 => o.dst_off = wraps,
+                    2 => o.src_off = SRC - o.len + rng.range(0, 3),
+                    _ => o.len = 0,
+                }
+            }
+            let src_len = rng.range(SRC - 64, SRC + 1);
+            let dst_len = (d + 4).saturating_sub(rng.range(0, 12)).min(DST);
+            let fits = per_segment(&ops, src_len, dst_len);
+            let wrapped = ops.iter().any(|o| o.src_off.checked_add(o.len).is_none());
+            let wrapped = wrapped || ops.iter().any(|o| o.dst_off.checked_add(o.len).is_none());
+            seen[usize::from(!fits) + usize::from(!fits && wrapped)] += 1;
+            let mut want = vec![0u8; DST + 64];
+            want[DST..].copy_from_slice(&src[SRC..]);
+            if fits {
+                for o in &ops {
+                    want[o.dst_off..][..o.len].copy_from_slice(&src[o.src_off..][..o.len]);
+                }
+            }
+            let (owned, good) = (OpListBuf::new(ops.clone()), [op(0, 0, 64)]);
+            for list in [OpList::new(&ops), owned.list()] {
+                // A good list first: a refused batch moves none of it.
+                let lists = [
+                    SegList {
+                        src_at: SRC,
+                        src_len: 64,
+                        dst_at: DST,
+                        dst_len: 64,
+                        ..SegList::whole(&want, &src, OpList::new(&good))
+                    },
+                    SegList {
+                        src_len,
+                        dst_len,
+                        ..SegList::whole(&want, &src, list)
+                    },
+                ];
+                let mut dst = vec![0u8; DST + 64];
+                let moved = !panics(|| par_transfer_batch(&mut dst, &src, &lists));
+                assert_eq!(moved, fits, "case {case}: {ops:?} in {src_len} / {dst_len}");
+                if moved {
+                    assert!(dst == want, "case {case}: bytes");
+                } else {
+                    assert!(
+                        dst.iter().all(|&b| b == 0),
+                        "case {case}: a refused batch moved"
+                    );
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 100),
+            "a verdict went untested: {seen:?}"
+        );
     }
 
     #[test]
@@ -1219,8 +1386,7 @@ mod tests {
                 src_len,
                 dst_at,
                 dst_len,
-                bytes: 16,
-                segs: Segs::List(ops),
+                segs: Segs::List(OpList::new(ops)),
                 stream: false,
             }
         }
@@ -1285,8 +1451,7 @@ mod tests {
             src_len: 8,
             dst_at,
             dst_len: 8,
-            bytes: 8,
-            segs: Segs::List(&ops),
+            segs: Segs::List(OpList::new(&ops)),
             stream: false,
         };
         par_transfer_batch(&mut dst, &src, &[list(0), list(4)]);
@@ -1448,19 +1613,18 @@ mod tests {
         let (f_src, f_dst) = (last.src_off + last.len, last.dst_off + last.len);
         let (c_at, f_at) = (1024 * 4700, 1024 * 4700 + 64 * 320);
         let src: Vec<u8> = (0..f_at + f_src).map(|i| (i % 241) as u8).collect();
-        let list = |src_at, src_len, dst_at, dst_len, bytes, ops| SegList {
+        let list = |src_at, src_len, dst_at, dst_len, ops| SegList {
             src_at,
             src_len,
             dst_at,
             dst_len,
-            bytes,
-            segs: Segs::List(ops),
+            segs: Segs::List(OpList::new(ops)),
             stream: false,
         };
         let plain = [
-            list(0, c_at, 0, b, b, &big[..]),
-            list(c_at, 64 * 320, b, c, c, &coarse[..]),
-            list(f_at, f_src, b + c, f_dst, f, &fine[..]),
+            list(0, c_at, 0, b, &big[..]),
+            list(c_at, 64 * 320, b, c, &coarse[..]),
+            list(f_at, f_src, b + c, f_dst, &fine[..]),
         ];
         assert!(lanes_wanted(b + c + f, 1024 + 64 + 700) >= 2);
         assert!(!takes_masked_loop(&plain[0]) && !takes_masked_loop(&plain[1]));
@@ -1508,7 +1672,6 @@ mod tests {
 
     #[test]
     fn a_fine_list_marked_stream_keeps_the_masked_or_tier_loop() {
-        let sum = |ops: &[CopyOp]| ops.iter().map(|o| o.len).sum::<usize>();
         // Mean segment 127 bytes (fine) and 128 bytes (coarse).
         let fine: Vec<CopyOp> = (0..64).map(|i| op(i * 256, i * 127, 127)).collect();
         let coarse: Vec<CopyOp> = (0..64).map(|i| op(i * 256, i * 128, 128)).collect();
@@ -1516,7 +1679,7 @@ mod tests {
         let dst = vec![0u8; 64 * 128];
         let marked = |ops| SegList {
             stream: true,
-            ..SegList::whole(&dst, &src, ops, sum(ops))
+            ..SegList::whole(&dst, &src, OpList::new(ops))
         };
         let (fine, coarse) = (marked(&fine), marked(&coarse));
         assert!(!takes_stream_loop(&fine), "a fine list never streams");
@@ -1602,14 +1765,13 @@ mod tests {
                         src_len: src_bytes.len() - src_at,
                         dst_at,
                         dst_len: dst_len - dst_at,
-                        bytes: w.bytes() as usize,
                         segs,
                         stream: false,
                     }
                 };
                 let mut want = vec![0u8; dst_len];
                 for (w, units) in windows.iter().zip(&expanded) {
-                    let l = entry(w, Segs::List(units));
+                    let l = entry(w, Segs::List(OpList::new(units)));
                     for o in units {
                         let (s, d) = (l.src_at + o.src_off, l.dst_at + o.dst_off);
                         want[d..d + o.len].copy_from_slice(&src_bytes[s..s + o.len]);
@@ -1673,13 +1835,12 @@ mod tests {
                 let mut listed = Vec::new();
                 strided_units(&w, &mut listed);
                 let fits = src_len == src_need && dst_len == dst_need && base_shift == 0;
-                for segs in [Segs::Strided(w), Segs::List(&listed)] {
+                for segs in [Segs::Strided(w), Segs::List(OpList::new(&listed))] {
                     let l = SegList {
                         src_at: 0,
                         src_len: src_len as usize,
                         dst_at: 0,
                         dst_len: dst_len as usize,
-                        bytes: w.bytes() as usize,
                         segs,
                         stream: false,
                     };
@@ -1709,7 +1870,7 @@ mod tests {
         let ops = [op(10, 3, 1_000_000), op(2_000_000, 1_000_003, 100)];
         let src: Vec<u8> = (0..2_000_100).map(|i| (i % 233) as u8).collect();
         let mut dst = vec![0u8; 1_000_103];
-        let lists = [SegList::whole(&dst, &src, &ops, 1_000_100)];
+        let lists = [SegList::whole(&dst, &src, OpList::new(&ops))];
         // `run_split` checks alignment; four lanes, all inside the
         // first op, the short second op never cut.
         let cuts = run_split(&mut dst, &src, &lists, 4);
@@ -1722,13 +1883,12 @@ mod tests {
     #[test]
     fn partitioning_covers_all_ops() {
         let ops: Vec<CopyOp> = (0..37).map(|i| op(i * 100, i * 50, 13 + (i % 7))).collect();
-        let total: usize = ops.iter().map(|o| o.len).sum();
         let src: Vec<u8> = (0..3700).map(|i| (i % 251) as u8).collect();
         let mut want = vec![0u8; 37 * 50];
         par_transfer(&mut want, &src, &ops);
         for n in 1..=8usize {
             let mut dst = vec![0u8; want.len()];
-            let lists = [SegList::whole(&dst, &src, &ops, total)];
+            let lists = [SegList::whole(&dst, &src, OpList::new(&ops))];
             let cuts = run_split(&mut dst, &src, &lists, n);
             // Segments shorter than a cache line are never cut.
             assert!(cuts.iter().all(|c| c.byte == 0), "n={n}: {cuts:?}");

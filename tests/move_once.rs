@@ -512,3 +512,67 @@ fn freeing_a_buffer_under_a_queued_transfer_is_a_typed_error() {
         );
     }
 }
+
+/// A seeded irregular layout: `blocks` runs of 1–8 doubles, 1–8
+/// doubles apart — `pp_irregular`'s shape, scaled down. `seeds` draw
+/// the run lengths and the gaps, so two layouts that share the first
+/// seed carry the same doubles.
+fn irregular(blocks: u64, seeds: (u64, u64)) -> DataType {
+    let (mut lens, mut gaps) = (simcore::rng::rng(seeds.0), simcore::rng::rng(seeds.1));
+    let mut at = 0i64;
+    let (blocklens, disps): (Vec<u64>, Vec<i64>) = (0..blocks)
+        .map(|_| {
+            let (len, disp) = (lens.range_u64(1, 9), at);
+            at += (len + gaps.range_u64(1, 9)) as i64;
+            (len, disp)
+        })
+        .unzip();
+    DataType::indexed(&blocklens, &disps, &DataType::double())
+        .unwrap()
+        .commit()
+}
+
+/// A seeded irregular cell, indexed ↔ indexed over InfiniBand: cold,
+/// then warm twice through the cached move lists, whose reach the copy
+/// layer trusts without scanning them again. Every run lands the
+/// oracle's bytes — every gap byte of the receive buffer keeps its
+/// value — and writes each delivered byte exactly once.
+#[test]
+fn a_seeded_irregular_cell_matches_the_oracle_cold_and_warm() {
+    let (s_ty, r_ty) = (irregular(4096, (7, 11)), irregular(4096, (7, 13)));
+    assert_eq!(s_ty.size(), r_ty.size());
+    let nfrags = s_ty.size().div_ceil(FRAG);
+    let mut sess = session(Path::CopyInOut, 2, FaultPlan::empty());
+    let (s_buf, s_alloc, s_len, s_base) = alloc_typed(&mut sess, 0, &s_ty, 1);
+    let (r_buf, r_alloc, r_len, r_base) = alloc_typed(&mut sess, 1, &r_ty, 1);
+    let sent = pattern(s_len);
+    sess.world.mem().write(s_alloc, &sent).unwrap();
+    let before = vec![0xA5u8; r_len];
+    let mut expect = before.clone();
+    let packed = pack_all(&s_ty, 1, &sent, s_base);
+    unpack_all(&r_ty, 1, &mut expect, r_base, &packed);
+    assert!(r_len as u64 > r_ty.size(), "the layout has gaps");
+    for run in 0..3 {
+        sess.world.mem().write(r_alloc, &before).unwrap();
+        let moved = sess.world.mem().bytes_moved();
+        let delivered = sess.metrics().counter(Counter::MpiDeliveredBytes);
+        let s = isend(&mut sess, SendArgs::new(0, 1, s_buf, &s_ty, 1));
+        let r = irecv(&mut sess, RecvArgs::new(1, 0, r_buf, &r_ty, 1));
+        wait_all(&mut sess, &[s, r]).expect("transfer failed");
+        let got = sess.world.mem().read_vec(r_alloc, r_len as u64).unwrap();
+        assert!(got == expect, "run {run}: bytes differ from the oracle");
+        let delivered = sess.metrics().counter(Counter::MpiDeliveredBytes) - delivered;
+        assert_eq!(delivered, s_ty.size(), "run {run}: delivered");
+        let moved = sess.world.mem().bytes_moved() - moved;
+        assert_eq!(
+            moved, delivered,
+            "run {run}: bytes moved per byte delivered"
+        );
+        let hits = sess.world.mpi.move_lists.hits();
+        assert_eq!(
+            hits,
+            run * nfrags,
+            "run {run}: warm runs take the cached lists"
+        );
+    }
+}
