@@ -20,7 +20,7 @@ pub mod shelf;
 pub mod space;
 
 pub use error::MemError;
-pub use pool::{MemPool, Memory, Move, MoveList};
+pub use pool::{MemPool, Memory, Move};
 pub use ptr::{AllocId, Ptr};
 pub use registry::{IpcHandle, Registration, RegistrationTable};
 pub use space::{GpuId, MemSpace};

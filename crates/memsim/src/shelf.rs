@@ -35,9 +35,9 @@
 //! more 16 bytes past a page and a smaller one at any 16-byte offset, so
 //! a block is allocated [`LINE`]` - 1` bytes longer than it is used and
 //! used from its first aligned byte on. The bytes before it — the
-//! **lead** — are fixed for the block's life, since a boxed slice never
-//! moves, and never written, so they stay zero; the dirty extent counts
-//! from the aligned start.
+//! **lead** — are fixed for the block's life, since a block never grows
+//! and so its bytes never move, and never written, so they stay zero;
+//! the dirty extent counts from the aligned start.
 
 use std::cell::RefCell;
 
@@ -81,8 +81,12 @@ pub struct ShelfStats {
 pub const LINE: usize = 64;
 
 /// A zeroed heap block whose usable bytes start on a [`LINE`] boundary.
+/// Its length never changes. It is a `Vec` rather than a box so that a
+/// block moved with its allocation's entry keeps the raw pointers the
+/// copy lane holds into it valid: moving a `Vec` asserts nothing about
+/// the bytes it points to.
 pub(crate) struct Block {
-    raw: Box<[u8]>,
+    raw: Vec<u8>,
     /// Bytes of `raw` before the first aligned one.
     lead: usize,
 }
@@ -90,7 +94,7 @@ pub(crate) struct Block {
 impl Block {
     /// A fresh block of `len` usable bytes, all zero.
     fn fresh(len: usize) -> Block {
-        let raw = vec![0u8; len + LINE - 1].into_boxed_slice();
+        let raw = vec![0u8; len + LINE - 1];
         // An address is always alignable for `u8`; the `min` only keeps
         // the window inside `raw` should `align_offset` ever decline.
         let lead = raw.as_ptr().align_offset(LINE).min(LINE - 1);
@@ -109,6 +113,18 @@ impl Block {
     pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
         let len = self.len();
         &mut self.raw[self.lead..][..len]
+    }
+
+    /// The first usable byte, for reading, with no reference made to
+    /// the bytes: a queued landing may be writing them.
+    pub(crate) fn as_ptr(&self) -> *const u8 {
+        self.raw.as_ptr().wrapping_add(self.lead)
+    }
+
+    /// The first usable byte, for writing, with no reference made to
+    /// the bytes.
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut u8 {
+        self.raw.as_mut_ptr().wrapping_add(self.lead)
     }
 }
 

@@ -5,6 +5,7 @@ use crate::protocol::{self, eager, Side};
 use crate::request::{MpiError, Request};
 use crate::world::MpiWorld;
 use datatype::DataType;
+use gpusim::GpuWorld as _;
 use memsim::Ptr;
 use netsim::send_am;
 use simcore::{Sim, SimTime};
@@ -266,7 +267,8 @@ fn run_round(sim: &mut Sim<MpiWorld>, spec: &PingPongSpec) {
     wait_all(sim, &[s2, r2]).expect("ping-pong round failed");
 }
 
-/// Run the simulation until the given requests complete (`MPI_Waitall`).
+/// Run the simulation until the given requests complete (`MPI_Waitall`),
+/// and the memory's copy lane until their bytes have landed.
 ///
 /// Returns [`MpiError::Stalled`] when the event queue drains with
 /// requests still incomplete (an unmatched rendezvous or a protocol
@@ -281,6 +283,9 @@ pub fn wait_all(sim: &mut Sim<MpiWorld>, reqs: &[Request]) -> Result<(), MpiErro
             return Err(MpiError::Stalled);
         }
     }
+    // The bytes the requests delivered have landed when the wait
+    // returns, not only by the time something reads them.
+    sim.world.mem().drain();
     for r in reqs {
         if let Some(Err(e)) = r.result() {
             return Err(e);
@@ -294,7 +299,6 @@ mod tests {
     use super::*;
     use crate::config::MpiConfig;
     use datatype::testutil::{buffer_span, pattern, reference_pack};
-    use gpusim::GpuWorld as _;
     use memsim::MemSpace;
 
     fn dbl() -> DataType {

@@ -324,8 +324,10 @@ pub fn alltoall(
 /// Dissemination barrier over 1-byte eager messages.
 pub fn barrier(sim: &mut Sim<MpiWorld>, op_tag: u64) -> Request {
     let p = sim.world.mpi.ranks.len();
-    // Tiny host scratch per rank, released when the barrier resolves.
-    let scratch = match sim.world.mem().alloc(MemSpace::Host, 8 * p as u64) {
+    // Tiny host scratch per rank, leased on rank 0's behalf and given
+    // back when the barrier resolves.
+    let len = 8 * p as u64;
+    let scratch = match sim.world.lease(0, MemSpace::Host, len) {
         Ok(base) => base,
         Err(e) => return failed(sim, MpiError::Mem(e.to_string())),
     };
@@ -333,7 +335,7 @@ pub fn barrier(sim: &mut Sim<MpiWorld>, op_tag: u64) -> Request {
     let (rounds, all) = parts(sim, p);
     all.on_complete(sim, move |sim, _| {
         // Nothing to report to: the barrier has already resolved.
-        let _ = sim.world.mem().free(scratch);
+        let _ = sim.world.give_back(0, scratch, len);
     });
     let cx = Rc::new(Coll {
         ty: DataType::byte().commit(),
@@ -640,18 +642,20 @@ mod tests {
         });
     }
 
-    /// A barrier releases its scratch when it resolves: one per epoch
-    /// leaves the host pool where it found it.
+    /// A barrier gives its scratch back to the lease when it resolves:
+    /// the next epoch leases the same block, so after the first epoch
+    /// the host pool stays where it is.
     #[test]
     fn barriers_release_their_scratch() {
         let mut sim = four_ranks();
-        let before = sim.world.mem().pool(MemSpace::Host).used();
+        let mut after_first = None;
         for epoch in 0..100 {
             let req = barrier(&mut sim, 1_000_000 + epoch);
             sim.run();
             req.expect_bytes();
+            let used = sim.world.mem().pool(MemSpace::Host).used();
+            assert_eq!(*after_first.get_or_insert(used), used, "epoch {epoch}");
         }
-        assert_eq!(sim.world.mem().pool(MemSpace::Host).used(), before);
         assert_eq!(sim.world.mpi.matcher.pending(), 0);
     }
 }

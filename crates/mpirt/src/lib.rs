@@ -23,6 +23,7 @@ pub mod api;
 pub mod coll;
 pub mod config;
 pub mod connection;
+pub mod lease;
 pub mod matcher;
 pub mod protocol;
 pub mod request;

@@ -23,8 +23,8 @@ use std::rc::Rc;
 /// the message size once the receiver holds every byte, or with a typed
 /// error: a host buffer (the comparators move device data), a signature
 /// mismatch, a failed staging allocation. The staging — a whole-message
-/// host buffer on each end, and a device one for Jenkins-style — is
-/// freed either way.
+/// host buffer on each end, and a device one for Jenkins-style, leased
+/// from that end's rank — goes back to the leases either way.
 pub fn comparator_transfer(
     sim: &mut Sim<MpiWorld>,
     which: Comparator,
@@ -40,13 +40,14 @@ pub fn comparator_transfer(
         }
     };
     let (from, to, done) = (send.rank as u32, recv.rank as u32, req.clone());
+    let (ranks, len) = ((send.rank, recv.rank), send.total());
     let staging = Rc::new(staging);
     let held = Rc::clone(&staging);
     let resolve = move |sim: &mut Sim<MpiWorld>, moved: Result<u64, MpiError>| {
         if let Ok(n) = moved {
             sim.trace.count(names::MPI_DELIVERED_BYTES, from, to, n);
         }
-        let freed = release(sim, &held);
+        let freed = release(sim, &held, ranks, len);
         done.complete(sim, moved.and_then(|n| freed.map(|()| n)));
     };
     let t = Transfer {
@@ -60,7 +61,7 @@ pub fn comparator_transfer(
     req
 }
 
-/// Check a message and allocate its staging: none for an empty message.
+/// Check a message and lease its staging: none for an empty message.
 fn stage(
     sim: &mut Sim<MpiWorld>,
     which: Comparator,
@@ -88,11 +89,11 @@ fn stage(
             Loc::Dev(_) => MemSpace::Device(sim.world.rank(side.rank).gpu),
             _ => MemSpace::Host,
         };
-        match sim.world.mem().alloc(space, s.total()) {
+        match sim.world.lease(side.rank, space, s.total()) {
             Ok(buf) => staging.push((loc, buf)),
             Err(e) => {
                 // The allocation failure is the error to report.
-                let _ = release(sim, &staging);
+                let _ = release(sim, &staging, (s.rank, r.rank), s.total());
                 return Err(MpiError::Mem(e.to_string()));
             }
         }
@@ -100,11 +101,22 @@ fn stage(
     Ok(staging)
 }
 
-/// Free the staging; the first failure is reported.
-fn release(sim: &mut Sim<MpiWorld>, staging: &[(Loc, Ptr)]) -> Result<(), MpiError> {
+/// Give the `len`-byte staging back to the leases of the two ranks
+/// (send, receive) it was leased from; the first failure is reported.
+fn release(
+    sim: &mut Sim<MpiWorld>,
+    staging: &[(Loc, Ptr)],
+    (s_rank, r_rank): (usize, usize),
+    len: u64,
+) -> Result<(), MpiError> {
     let mut freed = Ok(());
-    for &(_, buf) in staging {
-        let one = sim.world.mem().free(buf).map(|_| ());
+    for &(loc, buf) in staging {
+        let (Loc::User(end) | Loc::Dev(end) | Loc::Host(end)) = loc;
+        let rank = match end {
+            End::Send => s_rank,
+            End::Recv => r_rank,
+        };
+        let one = sim.world.give_back(rank, buf, len);
         freed = freed.and(one.map_err(|e| MpiError::Mem(e.to_string())));
     }
     freed
@@ -347,7 +359,9 @@ mod tests {
     }
 
     /// Both comparators complete with exact bytes under transient faults
-    /// on every charge, with the staging freed.
+    /// on every charge, with the staging given back to the leases: a
+    /// second message leases the same blocks, so the pools stay where
+    /// the first left them.
     #[test]
     fn comparators_deliver_exact_bytes_under_transient_faults() {
         let mut fault_plan =
@@ -371,8 +385,7 @@ mod tests {
                     .map(|space| mem.pool(space).used())
                     .sum::<u64>()
             };
-            let before = used(&sim);
-            let req = comparator_transfer(&mut sim, which, s, r);
+            let req = comparator_transfer(&mut sim, which, s.clone(), r.clone());
             sim.run();
             assert_eq!(req.expect_bytes(), t.size(), "{which:?}");
             let got = sim
@@ -389,7 +402,11 @@ mod tests {
                 .map(|(_, v)| v)
                 .sum();
             assert!(injected > 0, "{which:?}: no fault was injected");
-            assert_eq!(used(&sim), before, "{which:?}: staging leaked");
+            let after_first = used(&sim);
+            let again = comparator_transfer(&mut sim, which, s, r);
+            sim.run();
+            assert_eq!(again.expect_bytes(), t.size(), "{which:?}");
+            assert_eq!(used(&sim), after_first, "{which:?}: staging leaked");
         }
     }
 

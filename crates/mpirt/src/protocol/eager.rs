@@ -1,9 +1,10 @@
 //! The eager protocol for small messages.
 //!
-//! The sender packs into a transient host bounce buffer and ships the
-//! bytes with the first (and only) active message; the send completes
-//! as soon as the data is buffered. The receiver unpacks at match time
-//! — possibly much later, from the unexpected queue.
+//! The sender packs into a host bounce buffer leased from its rank
+//! (`crate::lease`) and ships the bytes with the first (and only)
+//! active message; the send completes as soon as the data is buffered.
+//! The receiver unpacks at match time — possibly much later, from the
+//! unexpected queue — and the bounce goes back to the sender's lease.
 //!
 //! Both conversions are plans the executor runs: [`eager_half`] packs
 //! the typed buffer into the bounce, and at match unpacks the bounce
@@ -72,7 +73,8 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
             return;
         }
     }
-    let bounce = match sim.world.mem().alloc(memsim::MemSpace::Host, n.max(1)) {
+    let from = s.rank;
+    let bounce = match sim.world.lease(from, memsim::MemSpace::Host, n) {
         Ok(p) => p,
         Err(e) => {
             send_req.complete(sim, Err(MpiError::Mem(e.to_string())));
@@ -80,7 +82,6 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
         }
     };
     let sig = Signature::of(&s.ty, s.count);
-    let from = s.rank;
     let span = sim.trace.span_begin(
         sim.now(),
         names::CAT_MPIRT,
@@ -90,12 +91,12 @@ pub fn send(sim: &mut Sim<MpiWorld>, s: Side, to: usize, tag: u64, send_req: Req
             to: to as u32,
         },
     );
-    // However the send fails, the bounce buffer is released and the
-    // span closes. The error is the root cause; releasing a pointer we
-    // allocated cannot fail independently of it.
+    // However the send fails, the bounce buffer goes back to the lease
+    // and the span closes. The error is the root cause; returning a
+    // block we leased cannot fail independently of it.
     let sreq = send_req.clone();
     let fail = move |sim: &mut Sim<MpiWorld>, e: MpiError| {
-        let _ = sim.world.mem().free(bounce);
+        let _ = sim.world.give_back(from, bounce, n);
         sim.trace.span_end(sim.now(), span);
         sreq.complete(sim, Err(e));
     };
@@ -147,13 +148,13 @@ fn deliver(
     let req = posting.request.clone();
     let to = posting.rank;
     // However the delivery ends, the receive resolves, the bounce
-    // buffer is released and the span closes.
+    // buffer goes back to the sender's lease and the span closes.
     let finish = move |sim: &mut Sim<MpiWorld>, unpacked: Result<u64, MpiError>| {
         if unpacked.is_ok() {
             sim.trace
                 .count(names::MPI_DELIVERED_BYTES, from as u32, to as u32, n);
         }
-        let freed = sim.world.mem().free(bounce);
+        let freed = sim.world.give_back(from, bounce, n);
         let freed = freed.map_err(|e| MpiError::Mem(e.to_string()));
         req.complete(sim, unpacked.and(freed).map(|_| n));
         sim.trace.span_end(sim.now(), span);

@@ -66,7 +66,7 @@ use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
 use devengine::{flip_units_in_place, merge_units, Direction};
 use gpusim::{charge_memcpy, graph_kernel, GpuWorld as _};
-use memsim::{MemSpace, Move, MoveList, Ptr};
+use memsim::{MemSpace, Move, Ptr};
 use netsim::{ensure_registered, execute_program, send_am, wire_send, NicCosts};
 use simcore::par::{CopyOp, OpList, OpListBuf, Segs, StridedWindow};
 use simcore::scratch::{recycle_units_buf, take_units_buf};
@@ -75,6 +75,7 @@ use simcore::{Sim, SpanId, Track};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// What the handshake established for a plan to run over.
 pub(crate) enum Conn {
@@ -382,7 +383,7 @@ impl Queued {
 enum QueuedList {
     /// Two typed ends: the fragment's (cached) merged list, or an
     /// offload plan's whole-message one.
-    Pinned(Rc<MoveList>),
+    Pinned(Arc<OpListBuf>),
     /// A lone typed end's own list, in a unit buffer, scanned once.
     Owned(OpListBuf),
     /// A lone strided end: its kernel's window, unlisted.
@@ -395,7 +396,7 @@ enum QueuedList {
 impl QueuedList {
     fn segs(&self) -> Segs<'_> {
         match self {
-            QueuedList::Pinned(list) => Segs::List(list.list()),
+            QueuedList::Pinned(list) => Segs::Shared(list),
             QueuedList::Owned(units) => Segs::List(units.list()),
             QueuedList::Strided(w) => Segs::Strided(*w),
             QueuedList::Window(op) => Segs::List(OpList::new(op)),
@@ -433,7 +434,7 @@ struct Frag {
     /// The fragment's typed → typed move list, if an earlier transfer
     /// left it in [`crate::world::MpiState::move_lists`]: found once,
     /// when the fragment starts, and pinned here until it lands.
-    moves: Option<Rc<MoveList>>,
+    moves: Option<Arc<OpListBuf>>,
 }
 
 impl Exec {
@@ -918,8 +919,8 @@ fn move_now(
 /// window, left in `move_lists` for the next transfer through the same
 /// window of the same two layouts. [`merge_units`] validates the lists it
 /// merges; its result is a pure function of the [`MoveKey`].
-fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<MoveList>, MpiError> {
-    let whole = (st.borrow().conn.program()).map(|p| Rc::clone(&p.moves));
+fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Arc<OpListBuf>, MpiError> {
+    let whole = (st.borrow().conn.program()).map(|p| Arc::clone(&p.moves));
     if let Some(known) = whole.or_else(|| f.moves.take()) {
         return Ok(known);
     }
@@ -927,12 +928,12 @@ fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Rc<Move
     // Back to pack orientation: typed side first on both lists.
     flip_units_in_place(&mut f.r_units);
     let moves = merge_units(&f.s_units, &f.r_units, f.n as usize, &mut merged)
-        .map(|()| Rc::new(MoveList::new(&merged)));
+        .map(|()| Arc::new(OpListBuf::new(merged.clone())));
     st.borrow_mut().spare_buf(merged);
     let moves = moves?;
     if let Some(key) = st.borrow().move_key(f) {
         let bytes = std::mem::size_of_val(moves.ops()) as u64;
-        (sim.world.mpi.move_lists).insert(key, Rc::clone(&moves), bytes);
+        (sim.world.mpi.move_lists).insert(key, Arc::clone(&moves), bytes);
     }
     Ok(moves)
 }

@@ -31,7 +31,7 @@
 //! share and graph capture — and demotion, which substitutes the
 //! incumbent's plan by handing the transfer to `copyio::start`. Their
 //! one stage only charges: each class's connection carries the
-//! program's whole-message typed → typed [`MoveList`], which the
+//! program's whole-message typed → typed move list, which the
 //! executor lands as it lands every plan's.
 
 use crate::connection::{establish, nic_handler, roll, Capability, Report};
@@ -44,10 +44,10 @@ use datatype::{DataType, TypeError};
 use devengine::{flip_units, merge_units, runs, whole_units};
 use faultsim::FaultOp;
 use gpusim::{GraphCapture, StreamGraph, StreamId};
-use memsim::MoveList;
-use simcore::par::CopyOp;
+use simcore::par::{CopyOp, OpListBuf};
 use simcore::Sim;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One transfer shape compiled on the host for both offload classes
 /// (sPIN's host-side compile): the two whole-message DEV walks at the
@@ -62,7 +62,7 @@ pub struct Program {
     /// unpack kernel is priced on.
     pub(crate) unpack_units: Vec<CopyOp>,
     /// The one move, relative to the two buffers shifted by `shifts`.
-    pub(crate) moves: Rc<MoveList>,
+    pub(crate) moves: Arc<OpListBuf>,
     /// The send and the receive buffer's `true_lb` shifts.
     pub(crate) shifts: (i64, i64),
     /// Descriptors the NIC handler issues: one per contiguous run of
@@ -94,7 +94,7 @@ impl Program {
             descriptors: runs(&pack_units) + runs(&r_pack),
             unpack_units: flip_units(&r_pack),
             pack_units,
-            moves: Rc::new(MoveList::new(&merged)),
+            moves: Arc::new(OpListBuf::new(merged)),
             shifts: (s_shift, r_shift),
         })
     }
@@ -269,7 +269,7 @@ mod tests {
         let whole = memsim::Move {
             src: from,
             dst: to,
-            segs: simcore::par::Segs::List(prog.moves.list()),
+            segs: simcore::par::Segs::Shared(&prog.moves),
             stream: false,
         };
         sim.world.memory.transfer_batch(&[whole]).unwrap();

@@ -4,6 +4,7 @@
 
 use crate::config::MpiConfig;
 use crate::connection::{Capability, Handshake, Status};
+use crate::lease::Leases;
 use crate::matcher::Matcher;
 use crate::protocol::exec::MoveKey;
 use crate::protocol::plan::Loc;
@@ -12,12 +13,14 @@ use datatype::DataType;
 use devengine::{DevCache, Lru};
 use faultsim::FaultSim;
 use gpusim::{FifoResource, GpuArch, GpuSystem, GpuWorld, StreamId};
-use memsim::{GpuId, Memory, MoveList, Ptr};
+use memsim::{GpuId, Memory, Ptr};
 use netsim::{ChannelKind, ClusterWorld, NetSystem, NetWorld};
 use simcore::hash::DetHashMap;
+use simcore::par::OpListBuf;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Placement of one MPI rank.
 #[derive(Clone, Copy, Debug)]
@@ -70,6 +73,9 @@ pub struct RankState {
     /// first time a connection needs the ring and shared by all of the
     /// rank's connections (`connection`).
     pub rings: BTreeMap<Loc, Vec<Ptr>>,
+    /// Transient buffers this rank used and keeps for the next use
+    /// (eager bounces, barrier scratch, comparator staging).
+    pub leases: Leases,
 }
 
 /// Runtime-global state.
@@ -104,7 +110,7 @@ pub struct MpiState {
     /// (`protocol::exec`): what a repeated transfer of the same shape
     /// through the same fragment windows would merge again. Bounded in
     /// bytes, least recently used first out.
-    pub move_lists: Lru<MoveKey, Rc<MoveList>>,
+    pub move_lists: Lru<MoveKey, Arc<OpListBuf>>,
     /// The committed byte type: an eager bounce buffer of `n` bytes is
     /// `n` of them (`protocol::eager`).
     pub byte: DataType,
@@ -174,6 +180,7 @@ impl MpiWorld {
                 copy_stream,
                 dev_cache: Rc::new(RefCell::new(DevCache::default())),
                 rings: BTreeMap::new(),
+                leases: Leases::default(),
             });
         }
         for a in 0..specs.len() {

@@ -13,9 +13,13 @@
 //!   to), copied as one job;
 //! * [`par_transfer`] — its one-list case.
 //!
-//! Outside this module, [`par_transfer_batch`] has one library caller,
-//! `memsim`'s `Memory::transfer_batch`, through which every simulated
-//! byte lands.
+//! Beside it, a [`Lane`] queues one-lane batches on the pool's first
+//! worker, in order, while the caller goes on (DESIGN.md §8, "The copy
+//! lane").
+//!
+//! Outside this module, [`par_transfer_batch`] and [`Lane`] have one
+//! library caller, `memsim`'s `Memory::transfer_batch`, through which
+//! every simulated byte lands.
 //!
 //! One partitioner (`partition`) splits a batch's bytes evenly across
 //! lanes at segment boundaries, and inside a segment that straddles a
@@ -53,9 +57,11 @@
               workers never touch simulation state, only the bytes of the job"
 )]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 mod strided;
 pub use strided::{strided_units, Grid, Segments, Strided2D, StridedWindow};
@@ -131,27 +137,44 @@ impl OpListBuf {
         }
     }
 
+    pub fn ops(&self) -> &[CopyOp] {
+        &self.ops
+    }
+
     /// The segments back, for reuse.
     pub fn into_ops(self) -> Vec<CopyOp> {
         self.ops
     }
 }
 
-/// The segments of a [`SegList`]: listed, or computed by a strided
-/// window block by block.
+/// The segments of a [`SegList`]: listed — borrowed, or a cached list
+/// shared with whoever else holds it — or computed by a strided window
+/// block by block.
 #[derive(Clone, Copy, Debug)]
 pub enum Segs<'a> {
     List(OpList<'a>),
+    /// A cached list: the copy lane ([`Lane`]) takes its own count on
+    /// it, so a queued landing owns what it moves.
+    Shared(&'a Arc<OpListBuf>),
     Strided(StridedWindow),
 }
 
 impl Segs<'_> {
+    /// The list, or the window that stands in for one.
+    fn listed(&self) -> Result<OpList<'_>, StridedWindow> {
+        match *self {
+            Segs::List(l) => Ok(l),
+            Segs::Shared(l) => Ok(l.list()),
+            Segs::Strided(w) => Err(w),
+        }
+    }
+
     /// What the segments need and move, in O(1): the list's scanned
     /// reach, or the window's closed form ([`StridedWindow::needs`]).
     pub fn reach(&self) -> Reach {
-        match self {
-            Segs::List(l) => l.reach,
-            Segs::Strided(w) => {
+        match self.listed() {
+            Ok(l) => l.reach,
+            Err(w) => {
                 let (src_need, dst_need) = w.needs();
                 Reach {
                     src_need,
@@ -164,33 +187,34 @@ impl Segs<'_> {
 
     /// Sum of the segment lengths.
     pub fn bytes(&self) -> u64 {
-        match self {
-            Segs::List(l) => l.reach.bytes,
-            Segs::Strided(w) => w.bytes(),
+        match self.listed() {
+            Ok(l) => l.reach.bytes,
+            Err(w) => w.bytes(),
         }
     }
 
     /// How many segments.
     fn len(&self) -> usize {
-        match self {
-            Segs::List(l) => l.ops.len(),
-            Segs::Strided(w) => w.segments() as usize,
+        match self.listed() {
+            Ok(l) => l.ops.len(),
+            Err(w) => w.segments() as usize,
         }
     }
 
     /// Segment `k`, if there is one.
     fn get(&self, k: usize) -> Option<CopyOp> {
-        match self {
-            Segs::List(l) => l.ops.get(k).copied(),
-            Segs::Strided(w) => (k < self.len()).then(|| w.segments_from(k as u64).next())?,
+        match self.listed() {
+            Ok(l) => l.ops.get(k).copied(),
+            Err(w) => (k < self.len()).then(|| w.segments_from(k as u64).next())?,
         }
     }
 
     /// Every segment, in order.
+    #[cfg(debug_assertions)]
     fn iter(&self) -> impl Iterator<Item = CopyOp> + '_ {
-        let (list, window) = match self {
-            Segs::List(l) => (Some(l.ops.iter().copied()), None),
-            Segs::Strided(w) => (None, Some(w.segments_from(0))),
+        let (list, window) = match self.listed() {
+            Ok(l) => (Some(l.ops.iter().copied()), None),
+            Err(w) => (None, Some(w.segments_from(0))),
         };
         list.into_iter()
             .flatten()
@@ -311,9 +335,17 @@ struct Completion {
     caller: std::thread::Thread,
 }
 
+/// What a worker is handed: one lane of a caller's batch, or a landing
+/// of the copy lane.
+enum Work {
+    Span(Job),
+    Land(Landing),
+}
+
 struct CopyPool {
-    /// One channel per parked worker; lane `i` goes to worker `i - 1`.
-    senders: Vec<Sender<Job>>,
+    /// One channel per parked worker; lane `i` goes to worker `i - 1`,
+    /// and the copy lane ([`Lane`]) to the first worker.
+    senders: Vec<Sender<Work>>,
     info: PoolInfo,
 }
 
@@ -357,7 +389,7 @@ fn pool() -> &'static CopyPool {
         let info = desired_threads();
         let senders = (1..info.threads)
             .map(|i| {
-                let (tx, rx) = channel::<Job>();
+                let (tx, rx) = channel::<Work>();
                 std::thread::Builder::new()
                     .name(format!("gpuddt-copy-{i}"))
                     .spawn(move || worker_loop(rx))
@@ -393,8 +425,15 @@ pub fn pool_info_if_started() -> Option<PoolInfo> {
     POOL.get().map(|p| p.info)
 }
 
-fn worker_loop(rx: Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
+fn worker_loop(rx: Receiver<Work>) {
+    while let Ok(work) = rx.recv() {
+        let job = match work {
+            Work::Span(job) => job,
+            Work::Land(landing) => {
+                landing.run();
+                continue;
+            }
+        };
         // SAFETY: the submitting thread keeps src/dst/lists/done alive
         // until the latch releases, every segment was bounds-checked
         // before submission, and destination ranges are disjoint across
@@ -562,7 +601,7 @@ fn run_lanes(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], cuts: &[Cut]) {
             done: &completion,
         };
         p.senders[i % p.senders.len()]
-            .send(job)
+            .send(Work::Span(job))
             .expect("copy-pool worker died");
     }
     // The calling thread is lane 0 — it copies too instead of idling.
@@ -573,6 +612,285 @@ fn run_lanes(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], cuts: &[Cut]) {
     unsafe { copy_span(dst_ptr, src_ptr, lists, cuts[0], cuts[1]) };
     while completion.remaining.load(Ordering::Acquire) != 0 {
         std::thread::park();
+    }
+}
+
+/// A segment list a queued landing owns: what [`OwnedSegs::of`] takes
+/// of a [`Segs`] without copying a list.
+#[derive(Debug)]
+enum OwnedSegs {
+    Strided(StridedWindow),
+    Shared(Arc<OpListBuf>),
+    /// A one-segment list (a dense window), by value.
+    One([CopyOp; 1]),
+}
+
+impl OwnedSegs {
+    /// `segs` as a job can own them cheaply: a window by value, a
+    /// cached list by its reference count, a one-segment list by value.
+    /// A longer borrowed list is none of these.
+    fn of(segs: Segs<'_>) -> Option<OwnedSegs> {
+        match segs {
+            Segs::Strided(w) => Some(OwnedSegs::Strided(w)),
+            Segs::Shared(l) => Some(OwnedSegs::Shared(Arc::clone(l))),
+            Segs::List(l) => match l.ops() {
+                [op] => Some(OwnedSegs::One([*op])),
+                _ => None,
+            },
+        }
+    }
+
+    fn segs(&self) -> Segs<'_> {
+        match self {
+            OwnedSegs::Strided(w) => Segs::Strided(*w),
+            OwnedSegs::Shared(l) => Segs::Shared(l),
+            OwnedSegs::One(op) => Segs::List(OpList::new(op)),
+        }
+    }
+}
+
+/// One landing queued on a [`Lane`]: a segment list it owns, between
+/// two buffers it holds by raw pointer.
+struct Landing {
+    dst: *mut u8,
+    dst_len: usize,
+    src: *const u8,
+    src_len: usize,
+    src_at: usize,
+    seg_src_len: usize,
+    dst_at: usize,
+    seg_dst_len: usize,
+    segs: OwnedSegs,
+    stream: bool,
+    /// What the landing adds to the lane's counts: its bytes, at least
+    /// one.
+    weight: u64,
+    lane: Arc<LaneState>,
+}
+// SAFETY: the pointers stay valid and unaliased by writes until the
+// lane's count passes this landing (the contract of [`Lane::land`]: the
+// submitting side waits before any other access to either buffer), and
+// the segments are owned or shared through an `Arc`.
+unsafe impl Send for Landing {}
+
+impl Landing {
+    fn seg_list(&self) -> SegList<'_> {
+        SegList {
+            src_at: self.src_at,
+            src_len: self.seg_src_len,
+            dst_at: self.dst_at,
+            dst_len: self.seg_dst_len,
+            segs: self.segs.segs(),
+            stream: self.stream,
+        }
+    }
+
+    /// Move the bytes, then count the landing done — also when the move
+    /// panicked: the panic goes back to the lane's owner, which raises
+    /// it at its next wait, and the worker serves the next landing.
+    fn run(self) {
+        let moved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let lists = [self.seg_list()];
+            assert_in_bounds(self.dst_len, self.src_len, &lists);
+            // SAFETY: the reach was checked against both buffers just
+            // above, and `Lane::land`'s contract keeps them alive and
+            // written by nobody else until this landing is counted.
+            unsafe { copy_inline(self.dst, self.src, &lists) };
+        }));
+        if let Err(panic) = moved {
+            // The owner may be gone (its drop waited first), so the
+            // panic has no one left to reach.
+            let _ = self.lane.panics.send(panic);
+        }
+        // SeqCst (a release): every store above, fenced if streamed, is
+        // visible to an owner that reads the count past this landing;
+        // and of this add and the owner's `wake_at` store, at least one
+        // sees the other, so a waiting owner is never left asleep.
+        let landed = self.lane.landed.fetch_add(self.weight, Ordering::SeqCst) + self.weight;
+        if landed >= self.lane.wake_at.load(Ordering::SeqCst) {
+            self.lane.owner.unpark();
+        }
+    }
+}
+
+/// What a lane shares with the worker that serves it.
+struct LaneState {
+    /// Bytes landed so far, each landing counted at least one, in queue
+    /// order.
+    landed: AtomicU64,
+    /// The `landed` count the owner waits for; `u64::MAX` when it is
+    /// not waiting.
+    wake_at: AtomicU64,
+    panics: Sender<Box<dyn Any + Send>>,
+    /// The thread that made the lane: the one a finished landing wakes.
+    owner: std::thread::Thread,
+}
+
+/// How far a lane may fall behind its caller: once more bytes than this
+/// are queued and not landed, [`Lane::land`] waits until half of them
+/// have. The caller runs ahead of the bytes by a bounded amount, so the
+/// wall time of a steady stream of landings is its copy time whenever
+/// copying is the slower side; half the bound is left queued when the
+/// caller resumes, so the worker does not run dry while it wakes.
+const LANE_LAG_BYTES: u64 = 4 << 20;
+
+/// Batches a caller moves itself after it last settled ([`Lane::settle`])
+/// before the lane takes any. A caller that moves a few batches and then
+/// looks at their bytes — a ping-pong leg, one transfer — gains nothing
+/// from a second thread and would pay two wake-ups for each: a parked
+/// worker's (40–100 µs, see [`MIN_BYTES_PER_LANE`]) and its own. A
+/// stream of landings between two looks — a 64-rank alltoall's 8 064
+/// eager halves — keeps the worker busy and pays the first few inline.
+const LANE_STREAK: u32 = 64;
+
+/// A FIFO copy lane: landings queued on it move on the pool's first
+/// worker, in order, while the caller goes on, at most
+/// `LANE_LAG_BYTES` behind; [`Lane::wait`] returns once every landing
+/// queued so far has moved. The lane takes batches only in a streak
+/// (`LANE_STREAK`), and a pool of one thread has no worker: then the
+/// lane takes nothing ([`Lane::takes`]) and every landing runs inline.
+///
+/// A landing that panics on the worker is counted done all the same,
+/// and its panic is raised on the caller's thread by the next
+/// [`Lane::wait`] (or when the lane drops).
+pub struct Lane {
+    state: Arc<LaneState>,
+    /// Bytes queued so far, counted as `landed` counts them.
+    queued: Cell<u64>,
+    /// Batches offered ([`Lane::takes`]) since the caller last settled.
+    streak: Cell<u32>,
+    panics: Receiver<Box<dyn Any + Send>>,
+}
+
+impl Default for Lane {
+    fn default() -> Self {
+        let (tx, rx) = channel();
+        Lane {
+            state: Arc::new(LaneState {
+                landed: AtomicU64::new(0),
+                wake_at: AtomicU64::new(u64::MAX),
+                panics: tx,
+                owner: std::thread::current(),
+            }),
+            queued: Cell::new(0),
+            streak: Cell::new(0),
+            panics: rx,
+        }
+    }
+}
+
+impl Lane {
+    /// Whether the lane takes `lists` as one batch: the caller is in a
+    /// streak (`LANE_STREAK`), the batch fits one copy lane by the lane
+    /// rule (a batch worth more copies inline, across the pool), each
+    /// list can be owned (a window, a shared list or one segment), and the pool has a worker
+    /// to serve the lane. Every call counts toward the streak.
+    pub fn takes(&self, lists: &[SegList<'_>]) -> bool {
+        let streak = self.streak.get().saturating_add(1);
+        self.streak.set(streak);
+        let (bytes, segments) =
+            (lists.iter()).fold((0, 0), |(b, s), l| (b + l.bytes(), s + l.segs.len()));
+        streak > LANE_STREAK
+            && lanes_wanted(bytes, segments) == 1
+            && lists.iter().all(|l| OwnedSegs::of(l.segs).is_some())
+            && !pool().senders.is_empty()
+    }
+
+    /// Queue `list`'s move from the `src_len` bytes at `src` into the
+    /// `dst_len` bytes at `dst` behind every landing queued before it,
+    /// then wait if the lane has fallen `LANE_LAG_BYTES` behind. The
+    /// list's reach is checked against both buffers first: a bad one
+    /// panics here, before anything is queued. A list the lane cannot
+    /// own ([`Lane::takes`]) panics too.
+    ///
+    /// # Safety
+    /// Both ranges must stay allocated, and must not overlap each other
+    /// or a destination of another landing queued after a read of them.
+    /// Until [`Lane::wait`] returns (or the lane drops), nothing but the
+    /// lane may write the source or destination range, and nothing may
+    /// read or borrow the destination range.
+    pub unsafe fn land(
+        &self,
+        dst: *mut u8,
+        dst_len: usize,
+        src: *const u8,
+        src_len: usize,
+        list: &SegList<'_>,
+    ) {
+        assert_in_bounds(dst_len, src_len, std::slice::from_ref(list));
+        let segs = OwnedSegs::of(list.segs).expect("the lane takes the list");
+        self.submit(Landing {
+            dst,
+            dst_len,
+            src,
+            src_len,
+            src_at: list.src_at,
+            seg_src_len: list.src_len,
+            dst_at: list.dst_at,
+            seg_dst_len: list.dst_len,
+            weight: list.segs.bytes().max(1),
+            segs,
+            stream: list.stream,
+            lane: Arc::clone(&self.state),
+        });
+        let queued = self.queued.get();
+        if queued - self.state.landed.load(Ordering::Acquire) > LANE_LAG_BYTES {
+            self.drain_to(queued - LANE_LAG_BYTES / 2);
+        }
+    }
+
+    fn submit(&self, landing: Landing) {
+        self.queued.set(self.queued.get() + landing.weight);
+        pool().senders[0]
+            .send(Work::Land(landing))
+            .expect("copy-pool worker died");
+    }
+
+    /// Bytes queued on the lane so far, each landing counted at least
+    /// one.
+    pub fn queued(&self) -> u64 {
+        self.queued.get()
+    }
+
+    /// [`Lane::wait`], for a caller about to look at the bytes: its
+    /// streak ends.
+    pub fn settle(&self) {
+        self.streak.set(0);
+        self.wait();
+    }
+
+    /// Block until every landing queued so far has moved, then raise
+    /// the first panic one of them hit — unless this thread is already
+    /// unwinding, when a second panic would abort.
+    pub fn wait(&self) {
+        self.drain_to(self.queued.get());
+        if std::thread::panicking() {
+            return;
+        }
+        if let Ok(panic) = self.panics.try_recv() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// Block until `target` bytes have landed. A lane whose owner moved
+    /// to another thread still finishes: the wait re-reads the count at
+    /// least every millisecond.
+    fn drain_to(&self, target: u64) {
+        let state = &self.state;
+        if state.landed.load(Ordering::Acquire) >= target {
+            return;
+        }
+        state.wake_at.store(target, Ordering::SeqCst);
+        while state.landed.load(Ordering::SeqCst) < target {
+            std::thread::park_timeout(std::time::Duration::from_millis(1));
+        }
+        state.wake_at.store(u64::MAX, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Lane {
+    fn drop(&mut self) {
+        self.wait();
     }
 }
 
@@ -684,14 +1002,12 @@ unsafe fn copy_range(
 ) {
     // SAFETY: the caller's contract.
     unsafe {
-        match segs {
-            Segs::List(l) => run_loop(how, dst, src, l.ops[range].iter().copied()),
+        match segs.listed() {
+            Ok(l) => run_loop(how, dst, src, l.ops[range].iter().copied()),
             // A whole window keeps its 2-D loop; a lane's stretch of one
             // steps block by block.
-            Segs::Strided(w) if range == (0..segs.len()) => {
-                run_loop(how, dst, src, w.segments_from(0))
-            }
-            Segs::Strided(w) => {
+            Err(w) if range == (0..segs.len()) => run_loop(how, dst, src, w.segments_from(0)),
+            Err(w) => {
                 let blocks = w.segments_from(range.start as u64);
                 run_loop(how, dst, src, blocks.take(range.len()))
             }
@@ -867,18 +1183,18 @@ fn assert_dst_disjoint(lists: &[SegList<'_>]) {
 /// ([`OpList::new`]); a strided window's holds exactly when every block
 /// would pass: a block reaching below its base needs more than any
 /// window holds, as a listed block's wrapped offset does.
-fn assert_in_bounds(dst: &[u8], src: &[u8], lists: &[SegList<'_>]) {
+fn assert_in_bounds(dst_len: usize, src_len: usize, lists: &[SegList<'_>]) {
     let fits = |at: usize, len: usize, room: usize| at.saturating_add(len) <= room;
     for l in lists {
         assert!(
-            fits(l.src_at, l.src_len, src.len()) && fits(l.dst_at, l.dst_len, dst.len()),
+            fits(l.src_at, l.src_len, src_len) && fits(l.dst_at, l.dst_len, dst_len),
             "segment list out of bounds: source {}+{} of {}, destination {}+{} of {}",
             l.src_at,
             l.src_len,
-            src.len(),
+            src_len,
             l.dst_at,
             l.dst_len,
-            dst.len()
+            dst_len
         );
         let reach = l.segs.reach();
         assert!(
@@ -924,7 +1240,7 @@ pub fn par_transfer_batch(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>]) {
 }
 
 fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
-    assert_in_bounds(dst, src, lists);
+    assert_in_bounds(dst.len(), src.len(), lists);
     #[cfg(debug_assertions)]
     assert_dst_disjoint(lists);
     if n > 1 {
@@ -936,12 +1252,22 @@ fn transfer_with(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) {
     }
     // One lane is the whole stream, inline; the small copies that
     // dominate by count never see a cut or the pool.
-    let (dst, src) = (dst.as_mut_ptr(), src.as_ptr());
+    // SAFETY: bounds asserted above; the borrows make this thread the
+    // one writer of `dst`.
+    unsafe { copy_inline(dst.as_mut_ptr(), src.as_ptr(), lists) };
+}
+
+/// Move every list of a batch on this thread, each through its own
+/// loop, and fence if one streamed.
+///
+/// # Safety
+/// Every list must lie inside `src` and `dst` ([`assert_in_bounds`]),
+/// and no other thread may touch the destination bytes meanwhile.
+unsafe fn copy_inline(dst: *mut u8, src: *const u8, lists: &[SegList<'_>]) {
     let mut streamed = false;
     for l in lists {
-        // SAFETY: bounds asserted above; a single thread writes dst; the
-        // masked loop runs only where `masked_copy_available` found its
-        // features.
+        // SAFETY: the caller's contract; the masked loop runs only where
+        // `masked_copy_available` found its features.
         unsafe {
             let (d, s) = (dst.add(l.dst_at), src.add(l.src_at));
             let how = if takes_stream_loop(l) {
@@ -973,7 +1299,7 @@ mod tests {
     fn ops_of<'a>(l: &SegList<'a>) -> &'a [CopyOp] {
         match l.segs {
             Segs::List(l) => l.ops(),
-            Segs::Strided(_) => panic!("a listed batch"),
+            Segs::Shared(_) | Segs::Strided(_) => panic!("a borrowed list"),
         }
     }
 
@@ -1061,7 +1387,7 @@ mod tests {
     /// the way: strictly ascending, inside their segments, a cut inside
     /// a segment a whole number of cache lines in.
     fn run_split(dst: &mut [u8], src: &[u8], lists: &[SegList<'_>], n: usize) -> Vec<Cut> {
-        assert_in_bounds(dst, src, lists);
+        assert_in_bounds(dst.len(), src.len(), lists);
         let mut cuts = [Cut::default(); MAX_POOL_THREADS + 1];
         let lanes = partition(lists, n, &mut cuts);
         assert!((1..=n.max(1)).contains(&lanes), "n={n} lanes={lanes}");
@@ -1357,6 +1683,71 @@ mod tests {
             seen.iter().all(|&n| n > 100),
             "a verdict went untested: {seen:?}"
         );
+    }
+
+    /// A landing that panics on the lane is counted done; its panic is
+    /// raised on the caller's thread by the next wait, which returns
+    /// instead of hanging, and the worker goes on to serve the next
+    /// landing. A panic still pending when the lane drops is raised by
+    /// the drop. `land` itself refuses a list its buffers do not hold,
+    /// before queueing it.
+    #[test]
+    fn a_landing_that_panics_on_the_lane_re_raises_at_the_next_wait() {
+        if pool_info().threads < 2 {
+            eprintln!("lane panic test skipped: a pool of one thread has no lane");
+            return;
+        }
+        let src: Vec<u8> = (1..=64).collect();
+        let mut dst = vec![0u8; 64];
+        let one = [op(0, 0, 64)];
+        let list = SegList {
+            src_at: 0,
+            src_len: 64,
+            dst_at: 0,
+            dst_len: 64,
+            segs: Segs::List(OpList::new(&one)),
+            stream: false,
+        };
+        // Past the end of a 32-byte destination: `land` would refuse
+        // it, so it goes to the worker directly, which checks it again.
+        let bad = |lane: &Lane, dst: &mut Vec<u8>| {
+            lane.submit(Landing {
+                dst: dst.as_mut_ptr(),
+                dst_len: 32,
+                src: src.as_ptr(),
+                src_len: 64,
+                src_at: 0,
+                seg_src_len: 64,
+                dst_at: 0,
+                seg_dst_len: 64,
+                segs: OwnedSegs::One(one),
+                stream: false,
+                weight: 64,
+                lane: Arc::clone(&lane.state),
+            })
+        };
+        let lane = Lane::default();
+        bad(&lane, &mut dst);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lane.wait()));
+        let why = raised.expect_err("the landing's panic reaches the caller");
+        let why = why.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(why.contains("out of bounds"), "{why}");
+        assert_eq!(dst, [0u8; 64], "the refused landing moved a byte");
+        // The worker survived it, and the panic was raised once.
+        // SAFETY: both vectors outlive the wait below and nothing else
+        // touches them until it returns.
+        unsafe { lane.land(dst.as_mut_ptr(), 64, src.as_ptr(), 64, &list) };
+        lane.wait();
+        assert_eq!(dst, src);
+        let queued = lane.queued();
+        // SAFETY: as above; the list is refused before it is queued.
+        let refused =
+            panics(|| unsafe { lane.land(dst.as_mut_ptr(), 32, src.as_ptr(), 64, &list) });
+        assert!(refused && lane.queued() == queued);
+        // Pending when the lane drops: the drop raises it.
+        let lane = Lane::default();
+        bad(&lane, &mut dst);
+        assert!(panics(move || drop(lane)), "the drop swallowed the panic");
     }
 
     #[test]

@@ -106,8 +106,8 @@ fn eager_signature_mismatch_fails_receiver_only() {
 
 /// An eager message that does not fit the buffer it lands in fails
 /// the receive with a typed error at the landing instant — host or
-/// device — and releases its bounce buffer; the send, complete since
-/// the bytes were buffered, stands.
+/// device — and gives its bounce buffer back to the sender's lease; the
+/// send, complete since the bytes were buffered, stands.
 #[test]
 fn eager_landing_outside_the_buffer_is_a_typed_error() {
     let ty = DataType::contiguous(64, &DataType::double())
@@ -117,17 +117,28 @@ fn eager_landing_outside_the_buffer_is_a_typed_error() {
         let mut sim = world();
         let sbuf = sim.world.mem().alloc(MemSpace::Host, ty.size()).unwrap();
         let rbuf = sim.world.mem().alloc(space, ty.size() / 2).unwrap();
-        let host_used = sim.world.mem().pool(MemSpace::Host).used();
-        let s = isend(&mut sim, SendArgs::new(0, 1, sbuf, &ty, 1));
-        let r = irecv(&mut sim, RecvArgs::new(1, 0, rbuf, &ty, 1));
-        sim.run();
-        assert_eq!(s.expect_bytes(), ty.size());
-        assert!(
-            matches!(r.result(), Some(Err(MpiError::Mem(_)))),
-            "{space:?}: {:?}",
-            r.result()
-        );
-        assert_eq!(sim.world.mem().pool(MemSpace::Host).used(), host_used);
+        // The failed landing's bounce goes back to the sender's lease,
+        // and the next message leases it again: over ten failures the
+        // host pool holds one bounce, no more.
+        let mut after_first = None;
+        for attempt in 0..10 {
+            let s = isend(&mut sim, SendArgs::new(0, 1, sbuf, &ty, 1));
+            let r = irecv(&mut sim, RecvArgs::new(1, 0, rbuf, &ty, 1));
+            sim.run();
+            assert_eq!(s.expect_bytes(), ty.size());
+            assert!(
+                matches!(r.result(), Some(Err(MpiError::Mem(_)))),
+                "{space:?}: {:?}",
+                r.result()
+            );
+            let used = sim.world.mem().pool(MemSpace::Host).used();
+            assert_eq!(
+                *after_first.get_or_insert(used),
+                used,
+                "{space:?}: failure {attempt}"
+            );
+        }
+        assert_eq!(sim.world.mpi.ranks[0].leases.idle(), 1, "{space:?}");
     }
 }
 

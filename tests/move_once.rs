@@ -123,13 +123,16 @@ fn ring_slots(sess: &Session) -> Vec<Ptr> {
 }
 
 /// FNV-1a over the virtual clock and every counter dimension, in name
-/// order. `memsim.bytes_moved` is left out: it counts the simulator's
-/// own traffic, which is the one thing meant to differ from the parent.
+/// order. Two host facts are left out: `memsim.bytes_moved` counts the
+/// simulator's own traffic, which is the one thing meant to differ from
+/// the parent, and `simcore.par.pool_threads`, the copy pool's size, is
+/// reported by every session built after the first landing of the
+/// process started the pool.
 fn fingerprint(sess: &mut Session) -> (u64, u64) {
     let now = sess.now().as_nanos();
     let mut text = format!("{now}");
     for (k, v) in sess.metrics().counters {
-        if k.counter != Counter::MemsimBytesMoved {
+        if ![Counter::MemsimBytesMoved, Counter::ParPoolThreads].contains(&k.counter) {
             text.push_str(&format!(";{}[{},{}]={v}", k.counter, k.a, k.b));
         }
     }
