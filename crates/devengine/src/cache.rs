@@ -14,17 +14,18 @@
 //! caching pay off in real MPI applications, where types are routinely
 //! reconstructed per communication epoch. Fingerprints are
 //! collision-guarded by the type's exact size and true bounds
-//! ([`LayoutKey`], which the runtime's byte-deciding caches share).
+//! ([`LayoutKey`], which `mpirt`'s shape table keys by too).
 //!
 //! The plan is the first of the facts a repeated transfer would
 //! otherwise re-derive; the rest are memoised where their inputs live,
 //! all under the one [`Lru`] discipline: a plan keeps the kernel traffic
 //! of each window it has launched (`DevPlan`'s traffic memo — it lives
-//! in the plan, so it is evicted with it), and the runtime keeps each
-//! fragment's merged typed → typed move list (`mpirt`'s `move_lists`).
-//! Each is lookup-or-compute keyed by the exact inputs of a pure
-//! function, so a hit and a miss differ only in whether it ran
-//! (DESIGN.md §17, "What a repeated transfer reuses").
+//! in the plan, so it is evicted with it), and the runtime keeps all it
+//! derives from a transfer's two layouts, each fragment's merged
+//! typed → typed move list among it, in one entry per shape
+//! (`mpirt::shape`). Each memo is lookup-or-compute keyed by the exact
+//! inputs of a pure function, so a hit and a miss differ only in
+//! whether it ran (DESIGN.md §17, "What a repeated transfer reuses").
 
 use crate::dev::{build_plan_opt, DevPlan};
 use datatype::{DataType, TypeError};
@@ -58,8 +59,9 @@ impl LayoutKey {
     }
 }
 
+/// A plan's key: its layout, unit size and coalescing.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Key {
+pub struct PlanKey {
     layout: LayoutKey,
     unit_size: u64,
     /// Coalesced and split plans have different unit lists; they must
@@ -69,7 +71,7 @@ struct Key {
 
 /// A map bounded in bytes *and* entries that evicts its least recently
 /// used entry: the discipline of every derived-fact cache here (plans,
-/// their traffic summaries, the runtime's merged move lists). An entry
+/// their traffic summaries, the runtime's shape table). An entry
 /// bigger than the whole capacity is still kept — alone, until the next
 /// insertion — so a lookup-or-compute caller always makes progress.
 #[derive(Clone, Debug)]
@@ -133,6 +135,18 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         self.map.insert(key, (value, bytes, self.clock));
     }
 
+    /// Take `key`'s entry out, with what it was charged.
+    pub fn remove(&mut self, key: &K) -> Option<(V, u64)> {
+        let (value, bytes, _) = self.map.remove(key)?;
+        self.used_bytes -= bytes;
+        Some((value, bytes))
+    }
+
+    /// Every entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.map.iter().map(|(key, (value, _, _))| (key, value))
+    }
+
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
     }
@@ -172,16 +186,10 @@ const DEFAULT_MAX_ENTRIES: usize = 256;
 
 /// LRU cache of materialized [`DevPlan`]s.
 pub struct DevCache {
-    plans: Lru<Key, Rc<DevPlan>>,
+    plans: Lru<PlanKey, Rc<DevPlan>>,
 }
 
 impl DevCache {
-    /// `capacity_bytes` bounds the descriptor memory (the paper spends
-    /// "a few MBs of GPU memory"; default callers pass 8 MB).
-    pub fn new(capacity_bytes: u64) -> DevCache {
-        DevCache::with_limits(capacity_bytes, DEFAULT_MAX_ENTRIES)
-    }
-
     /// Bound both descriptor bytes and the number of cached plans.
     pub fn with_limits(capacity_bytes: u64, max_entries: usize) -> DevCache {
         DevCache {
@@ -201,7 +209,7 @@ impl DevCache {
         unit_size: u64,
         coalesce: bool,
     ) -> Result<(Rc<DevPlan>, bool), TypeError> {
-        let key = Key {
+        let key = PlanKey {
             layout: LayoutKey::of(ty, count),
             unit_size,
             coalesce,
@@ -214,51 +222,16 @@ impl DevCache {
         Ok((plan, false))
     }
 
-    pub fn used_bytes(&self) -> u64 {
-        self.plans.used_bytes()
-    }
-
-    pub fn capacity_bytes(&self) -> u64 {
-        self.plans.capacity_bytes()
-    }
-
-    pub fn max_entries(&self) -> usize {
-        self.plans.max_entries()
-    }
-
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.plans.hits()
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.plans.misses()
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.plans.evictions()
-    }
-
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits() + self.misses();
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / lookups as f64
-        }
+    /// The cached plans, with their tallies and bounds.
+    pub fn plans(&self) -> &Lru<PlanKey, Rc<DevPlan>> {
+        &self.plans
     }
 }
 
+/// 8 MB of descriptors: the paper spends "a few MBs of GPU memory".
 impl Default for DevCache {
     fn default() -> Self {
-        DevCache::new(8 << 20)
+        DevCache::with_limits(8 << 20, DEFAULT_MAX_ENTRIES)
     }
 }
 
@@ -293,8 +266,8 @@ mod tests {
         assert!(!hit1);
         let (_, hit2) = c.get_or_build(&t, 1, 1024).unwrap();
         assert!(hit2);
-        assert_eq!(c.len(), 1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(c.plans().len(), 1);
+        assert_eq!((c.plans().hits(), c.plans().misses()), (1, 1));
     }
 
     #[test]
@@ -306,7 +279,7 @@ mod tests {
         assert!(!hit);
         let (_, hit) = c.get_or_build(&t, 1, 2048).unwrap();
         assert!(!hit);
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.plans().len(), 3);
     }
 
     #[test]
@@ -323,8 +296,8 @@ mod tests {
         let (pb, hit) = c.get_or_build(&b, 1, 1024).unwrap();
         assert!(hit, "structural key must alias identical layouts");
         assert!(Rc::ptr_eq(&pa, &pb));
-        assert_eq!(c.len(), 1);
-        assert!(c.hit_rate() > 0.0);
+        assert_eq!(c.plans().len(), 1);
+        assert!(c.plans().hits() > 0);
         // A clone still hits, and a structurally different type doesn't.
         let (_, hit) = c.get_or_build(&a.dup(), 1, 1024).unwrap();
         assert!(hit);
@@ -350,7 +323,7 @@ mod tests {
     fn lru_eviction_under_byte_pressure() {
         // Plans for vector(n, 2, 4) have n units of 32 bytes each. Use
         // structurally distinct types so each occupies its own entry.
-        let mut c = DevCache::new(3000);
+        let mut c = DevCache::with_limits(3000, DEFAULT_MAX_ENTRIES);
         let t1 = vec_type(32); // 1024 descriptor bytes
         let t2 = vec_type(33); // 1056
         let t3 = vec_type(34); // 1088
@@ -358,8 +331,8 @@ mod tests {
         c.get_or_build(&t2, 1, 1024).unwrap();
         c.get_or_build(&t1, 1, 1024).unwrap(); // refresh t1
         c.get_or_build(&t3, 1, 1024).unwrap(); // 1024+1056+1088 > 3000: evicts t2 (LRU)
-        assert_eq!(c.len(), 2);
-        assert!(c.used_bytes() <= c.capacity_bytes());
+        assert_eq!(c.plans().len(), 2);
+        assert!(c.plans().used_bytes() <= c.plans().capacity_bytes());
         let (_, hit1) = c.get_or_build(&t1, 1, 1024).unwrap();
         assert!(hit1, "t1 was refreshed and must survive");
         let (_, hit2) = c.get_or_build(&t2, 1, 1024).unwrap();
@@ -377,7 +350,7 @@ mod tests {
         c.get_or_build(&t2, 1, 1024).unwrap();
         c.get_or_build(&t1, 1, 1024).unwrap(); // refresh t1
         c.get_or_build(&t3, 1, 1024).unwrap(); // evicts t2 (LRU)
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.plans().len(), 2);
         let (_, hit) = c.get_or_build(&t1, 1, 1024).unwrap();
         assert!(hit);
         let (_, hit) = c.get_or_build(&t2, 1, 1024).unwrap();
@@ -389,7 +362,7 @@ mod tests {
         let mut c = DevCache::default();
         let t = vec_type(8);
         let (plan, _) = c.get_or_build(&t, 1, 1024).unwrap();
-        assert_eq!(c.used_bytes(), plan.descriptor_bytes());
+        assert_eq!(c.plans().used_bytes(), plan.descriptor_bytes());
     }
 
     #[test]
@@ -461,15 +434,37 @@ mod tests {
     }
 
     #[test]
+    fn a_removed_entry_reinserted_larger_evicts_the_others_in_lru_order() {
+        let mut c: Lru<u32, &str> = Lru::with_limits(100, 8);
+        c.insert(1, "a", 30);
+        c.insert(2, "b", 30);
+        c.insert(3, "c", 30);
+        c.get(&1); // 2 is now the least recently used
+        let (value, bytes) = c.remove(&3).unwrap();
+        assert_eq!(
+            (value, bytes, c.used_bytes(), c.evictions()),
+            ("c", 30, 60, 0)
+        );
+        c.insert(3, "c, grown", 60); // 30 + 30 + 60 > 100: evicts 2
+        assert_eq!((c.len(), c.used_bytes(), c.evictions()), (2, 90, 1));
+        assert!(c.get(&2).is_none());
+        assert_eq!(c.iter().count(), 2);
+        assert!(c.remove(&7).is_none());
+    }
+
+    #[test]
     fn eviction_counter_tracks_lru_removals() {
         let mut c = DevCache::with_limits(u64::MAX, 2);
-        assert_eq!((c.hits(), c.misses(), c.evictions()), (0, 0, 0));
+        assert_eq!(
+            (c.plans().hits(), c.plans().misses(), c.plans().evictions()),
+            (0, 0, 0)
+        );
         c.get_or_build(&vec_type(8), 1, 1024).unwrap();
         c.get_or_build(&vec_type(9), 1, 1024).unwrap();
         c.get_or_build(&vec_type(10), 1, 1024).unwrap(); // evicts
         c.get_or_build(&vec_type(10), 1, 1024).unwrap(); // hit
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 3);
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.plans().hits(), 1);
+        assert_eq!(c.plans().misses(), 3);
+        assert_eq!(c.plans().evictions(), 1);
     }
 }

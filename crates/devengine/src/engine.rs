@@ -223,9 +223,9 @@ impl FragmentEngine {
         let source = if let Some(cache) = cache {
             let (plan, hit, evicted) = {
                 let mut c = cache.borrow_mut();
-                let ev0 = c.evictions();
+                let ev0 = c.plans().evictions();
                 let (plan, hit) = c.get_or_build_opt(ty, count, unit_size, opt.coalesce)?;
-                (plan, hit, c.evictions() - ev0)
+                (plan, hit, c.plans().evictions() - ev0)
             };
             let now = sim.now();
             let cpu_track = Track::Cpu { rank: rank as u32 };
@@ -857,7 +857,7 @@ mod tests {
         run_pack(&t, 1, EngineConfig::default(), Some(&cache));
         // Warm cache second run.
         run_pack(&t, 1, EngineConfig::default(), Some(&cache));
-        assert!(cache.borrow().hit_rate() > 0.0);
+        assert!(cache.borrow().plans().hits() > 0);
     }
 
     #[test]
@@ -1147,7 +1147,7 @@ mod tests {
             assert_eq!(tuned, u64::from(picked != 1024), "triangular({n})");
             let mut cache = cache.borrow_mut();
             let (plan, hit) = cache.get_or_build_opt(&ty, 1, picked, false).unwrap();
-            assert!(hit && cache.len() == 1, "triangular({n}): one plan");
+            assert!(hit && cache.plans().len() == 1, "triangular({n}): one plan");
             assert_eq!(
                 plan.units.len() as u64,
                 n,

@@ -31,7 +31,7 @@ pub mod dev;
 pub mod engine;
 pub mod tune;
 
-pub use cache::{DevCache, LayoutKey, Lru};
+pub use cache::{DevCache, LayoutKey, Lru, PlanKey};
 pub use config::{EngineConfig, OptimizerConfig};
 pub use dev::{
     build_plan, build_plan_opt, flip_units, flip_units_in_place, merge_units, runs, whole_units,

@@ -30,6 +30,7 @@ pub mod request;
 pub mod scale;
 pub mod schedule;
 pub mod session;
+pub mod shape;
 pub mod tuner;
 pub mod world;
 

@@ -36,7 +36,7 @@
 //!
 //! **Derive per fragment, once.** The merge is a pure function of the
 //! two layouts and the fragment's packed window, so its result is kept
-//! in `MpiState::move_lists` under exactly that ([`MoveKey`]) with the
+//! in the shape table ([`crate::shape`]) under exactly that, with the
 //! bookkeeping `Memory::transfer` would derive from it. A fragment looks
 //! its list up when it starts and pins what it finds; with the list in
 //! hand nothing will read either end's unit list, so the conversion
@@ -60,7 +60,7 @@ use crate::protocol::offload::{CapturedXfer, Program};
 use crate::protocol::plan::{
     plan_for, Credit, End, Facts, Loc, StageOp, TransferPlan, CONTROL_BYTES,
 };
-use crate::protocol::{make_engine, ShapeKey, Side, SideEngine};
+use crate::protocol::{make_engine, Side, SideEngine};
 use crate::request::{MpiError, Request};
 use crate::tuner::{tuned_shape, PathClass};
 use crate::world::MpiWorld;
@@ -234,24 +234,13 @@ pub(crate) fn open(
     }
 }
 
-/// Which fragment of which exchange a typed → typed move list belongs
-/// to: exactly what [`merge_units`] of the two ends' lists depends on —
-/// both layouts and the packed window `[seq·frag, seq·frag + n)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct MoveKey {
-    shape: ShapeKey,
-    frag: u64,
-    seq: u64,
-    n: u64,
-}
-
 /// The conversion engines a plan runs: none, one end's, or — two typed
-/// ends — both, boxed with the key of the move lists their fragments
-/// merge into, so a transfer's state holds one engine inline.
+/// ends, whose fragments merge into move lists — both, boxed so a
+/// transfer's state holds one engine inline.
 enum Engines {
     None,
     One(End, SideEngine),
-    Both(Box<([SideEngine; 2], ShapeKey)>),
+    Both(Box<[SideEngine; 2]>),
 }
 
 impl Engines {
@@ -259,7 +248,7 @@ impl Engines {
         match self {
             Engines::One(e, engine) if *e == end => Some(engine),
             Engines::Both(both) => {
-                let [s, r] = &mut both.0;
+                let [s, r] = &mut **both;
                 Some(if end == End::Send { s } else { r })
             }
             _ => None,
@@ -272,16 +261,9 @@ impl Engines {
         match self {
             Engines::One(e, engine) if *e == end => Some(engine.typed_base()),
             Engines::Both(both) => {
-                let [s, r] = &both.0;
+                let [s, r] = &**both;
                 Some(if end == End::Send { s } else { r }.typed_base())
             }
-            _ => None,
-        }
-    }
-
-    fn shape(&self) -> Option<ShapeKey> {
-        match self {
-            Engines::Both(both) => Some(both.1),
             _ => None,
         }
     }
@@ -355,7 +337,7 @@ struct Pipeline {
 /// full lanes), and a fine list is moved on one lane whenever it is
 /// flushed, so it loses nothing by going early: `pp_irregular` read the
 /// same with eight times this bound. Pinned lists count like owned
-/// ones — `move_lists` may evict a list while the queue holds it, and
+/// ones — the shape table may evict a list while the queue holds it, and
 /// then the queue is all that keeps it alive.
 const QUEUE_UNITS: usize = 32 << 10;
 
@@ -432,7 +414,7 @@ struct Frag {
     s_units: Vec<CopyOp>,
     r_units: Vec<CopyOp>,
     /// The fragment's typed → typed move list, if an earlier transfer
-    /// left it in [`crate::world::MpiState::move_lists`]: found once,
+    /// left it in the shape table: found once,
     /// when the fragment starts, and pinned here until it lands.
     moves: Option<Arc<OpListBuf>>,
 }
@@ -478,13 +460,10 @@ impl Exec {
         }
     }
 
-    fn move_key(&self, f: &Frag) -> Option<MoveKey> {
-        self.engines.shape().map(|shape| MoveKey {
-            shape,
-            frag: self.t.plan.frag,
-            seq: f.seq,
-            n: f.n,
-        })
+    /// Fragment `f`'s packed window `[seq·frag, seq·frag + n)` as the
+    /// shape table keys its move list, if both ends are typed.
+    fn list_window(&self, f: &Frag) -> Option<(u64, u64, u64)> {
+        matches!(self.engines, Engines::Both(_)).then_some((self.t.plan.frag, f.seq, f.n))
     }
 
     fn turn(&mut self, end: End) -> &mut u64 {
@@ -547,7 +526,7 @@ pub(crate) fn run<D: Resolve>(sim: &mut Sim<MpiWorld>, mut t: Transfer<D>, conn:
     let engines = engine(sim, End::Send, Direction::Pack)
         .and_then(|p| engine(sim, End::Recv, Direction::Unpack).map(|u| (p, u)));
     let engines = match engines {
-        Ok((Some(s), Some(r))) => Engines::Both(Box::new(([s, r], ShapeKey::of(&t.s, &t.r)))),
+        Ok((Some(s), Some(r))) => Engines::Both(Box::new([s, r])),
         Ok((Some(s), None)) => Engines::One(End::Send, s),
         Ok((None, Some(r))) => Engines::One(End::Recv, r),
         Ok((None, None)) => Engines::None,
@@ -611,9 +590,11 @@ fn pump(sim: &mut Sim<MpiWorld>, st: St) {
             r_units: Vec::new(),
             moves: None,
         };
-        if let Some(key) = st.borrow().move_key(&f) {
-            f.moves = sim.world.mpi.move_lists.get(&key).cloned();
+        let x = st.borrow();
+        if let Some(window) = x.list_window(&f) {
+            f.moves = sim.world.mpi.shapes.moves(&x.t.s, &x.t.r, window);
         }
+        drop(x);
         step(sim, Rc::clone(&st), f, 0);
     }
 }
@@ -916,9 +897,9 @@ fn move_now(
 /// Fragment `f`'s typed → typed move list: an offload plan's, the one
 /// pinned when the fragment started, or — a miss — the merge of the two
 /// lists the conversion charges handed back over the fragment's packed
-/// window, left in `move_lists` for the next transfer through the same
-/// window of the same two layouts. [`merge_units`] validates the lists it
-/// merges; its result is a pure function of the [`MoveKey`].
+/// window, left in the shape table for the next transfer through the
+/// same window of the same two layouts. [`merge_units`] validates the
+/// lists it merges; its result is a pure function of that key.
 fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Arc<OpListBuf>, MpiError> {
     let whole = (st.borrow().conn.program()).map(|p| Arc::clone(&p.moves));
     if let Some(known) = whole.or_else(|| f.moves.take()) {
@@ -931,9 +912,9 @@ fn typed_moves(sim: &mut Sim<MpiWorld>, st: &St, f: &mut Frag) -> Result<Arc<OpL
         .map(|()| Arc::new(OpListBuf::new(merged.clone())));
     st.borrow_mut().spare_buf(merged);
     let moves = moves?;
-    if let Some(key) = st.borrow().move_key(f) {
-        let bytes = std::mem::size_of_val(moves.ops()) as u64;
-        (sim.world.mpi.move_lists).insert(key, Arc::clone(&moves), bytes);
+    let x = st.borrow();
+    if let Some(window) = x.list_window(f) {
+        (sim.world.mpi.shapes).keep_moves(&x.t.s, &x.t.r, window, &moves);
     }
     Ok(moves)
 }

@@ -35,7 +35,7 @@ use crate::tuner::PathClass;
 use crate::world::MpiWorld;
 use datatype::{DataType, Signature};
 use devengine::cpupack::CpuEngine;
-use devengine::{Direction, FragmentEngine, LayoutKey};
+use devengine::{Direction, FragmentEngine};
 use memsim::Ptr;
 use simcore::par::{CopyOp, StridedWindow};
 use simcore::Sim;
@@ -66,28 +66,6 @@ impl Side {
     /// contiguous fast paths (dense data starts at `true_lb`).
     pub(crate) fn data_ptr(&self) -> Ptr {
         self.buf.offset_by(self.ty.true_lb())
-    }
-}
-
-/// The two layouts of a transfer as the key of per-shape state that
-/// decides bytes — compiled NIC programs, captured graphs, merged move
-/// lists: each side's [`LayoutKey`], so a fingerprint collision must
-/// also match exact size, true bounds and count before a wrong entry
-/// could be served. The fingerprint is structural, so a rebuilt type
-/// shares its entry. (The tuner's `TuneKey` folds bare fingerprints;
-/// it may only ever decide time.)
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ShapeKey {
-    pub s: LayoutKey,
-    pub r: LayoutKey,
-}
-
-impl ShapeKey {
-    pub(crate) fn of(s: &Side, r: &Side) -> ShapeKey {
-        ShapeKey {
-            s: LayoutKey::of(&s.ty, s.count),
-            r: LayoutKey::of(&r.ty, r.count),
-        }
     }
 }
 

@@ -36,7 +36,7 @@
 
 use crate::connection::{establish, nic_handler, roll, Capability, Report};
 use crate::protocol::exec::{self, Conn, Requests};
-use crate::protocol::{copyio, ShapeKey, Side};
+use crate::protocol::{copyio, Side};
 use crate::request::MpiError;
 use crate::tuner::PathClass;
 use crate::world::MpiWorld;
@@ -148,19 +148,13 @@ pub(crate) fn start(sim: &mut Sim<MpiWorld>, class: PathClass, s: Side, r: Side,
     establish(sim, (Capability::StreamTrigger, pair), doorbell, run);
 }
 
-/// Get (or compile) the [`Program`] for this shape: one cache serves
-/// both offload classes.
+/// Get (or compile) the [`Program`] for this shape: one shape-table
+/// entry serves both offload classes.
 fn program(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<Program>, MpiError> {
-    let key = ShapeKey::of(s, r);
-    if let Some(p) = sim.world.mpi.offload_programs.get(&key) {
-        return Ok(Rc::clone(p));
-    }
     let engine = &sim.world.mpi.config.engine;
     let (unit_size, coalesce) = (engine.unit_size, engine.optimizer.coalesce);
-    let p = Program::compile((&s.ty, s.count), (&r.ty, r.count), unit_size, coalesce)?;
-    let p = Rc::new(p);
-    sim.world.mpi.offload_programs.insert(key, Rc::clone(&p));
-    Ok(p)
+    let compile = || Program::compile((&s.ty, s.count), (&r.ty, r.count), unit_size, coalesce);
+    Ok(sim.world.mpi.shapes.program(s, r, compile)?)
 }
 
 /// The graph a stream-triggered transfer of `total` bytes captures on
@@ -178,26 +172,14 @@ pub(crate) fn transfer_graph(stream: StreamId, total: u64) -> GraphCapture {
 /// graph through the capture API (its only sanctioned constructor) over
 /// the shape's [`Program`].
 fn captured(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side) -> Result<Rc<CapturedXfer>, MpiError> {
-    let key = ShapeKey::of(s, r);
-    if let Some(c) = sim
-        .world
-        .mpi
-        .stream_captures
-        .get(&(s.rank, r.rank))
-        .and_then(|m| m.get(&key))
-    {
-        return Ok(Rc::clone(c));
+    if let Some(c) = sim.world.mpi.shapes.capture(s, r) {
+        return Ok(c);
     }
     let program = program(sim, s, r)?;
     let stream = sim.world.rank(s.rank).kernel_stream;
     let graph = transfer_graph(stream, s.total()).finish(sim);
     let cap = Rc::new(CapturedXfer { graph, program });
-    sim.world
-        .mpi
-        .stream_captures
-        .entry((s.rank, r.rank))
-        .or_default()
-        .insert(key, Rc::clone(&cap));
+    sim.world.mpi.shapes.keep_capture(s, r, &cap);
     Ok(cap)
 }
 

@@ -173,12 +173,10 @@ impl SessionBuilder {
             Track::Session,
         );
         // Surface the copy-pool sizing decision (GPU_DDT_COPY_THREADS or
-        // the default) in the trace, once per session. Lazily-started
-        // pools that never spun up have nothing to report.
-        if let Some(info) = simcore::par::pool_info_if_started() {
-            sim.trace
-                .count(names::PAR_POOL_THREADS, 0, 0, info.threads as u64);
-        }
+        // the default) in the trace, once per session, whether or not a
+        // landing has started the pool yet.
+        let threads = simcore::par::pool_info().threads as u64;
+        sim.trace.count(names::PAR_POOL_THREADS, 0, 0, threads);
         Session {
             sim,
             label: self.label,
@@ -229,16 +227,22 @@ impl Session {
     /// bytes written. Each rank's `DevCache` hit/miss/evict tallies: the
     /// engines bump `devengine.cache.*` as they go; raising to the
     /// cache's own (monotone) totals also covers plans built outside a
-    /// `FragmentEngine` without ever double counting.
+    /// `FragmentEngine` without ever double counting. The shape table's
+    /// evictions only once there are any: a run that evicts no entry
+    /// reports the counter set it always did.
     fn sync_counters(&mut self) {
         let moved = self.sim.world.mem().bytes_moved();
         self.sim
             .trace
             .count_to(names::MEMSIM_BYTES_MOVED, 0, 0, moved);
+        let evicted = self.sim.world.mpi.shapes.entries().evictions();
+        if evicted > 0 {
+            (self.sim.trace).count_to(names::MPIRT_SHAPE_EVICTED, 0, 0, evicted);
+        }
         for i in 0..self.sim.world.mpi.ranks.len() {
             let (hits, misses, evictions) = {
                 let c = self.sim.world.mpi.ranks[i].dev_cache.borrow();
-                (c.hits(), c.misses(), c.evictions())
+                (c.plans().hits(), c.plans().misses(), c.plans().evictions())
             };
             let r = i as u32;
             self.sim

@@ -12,13 +12,12 @@
 //! on the exact traffic of its launch ([`devengine::window_traffic`]),
 //! so on an idle pair the prediction is the run wherever every fragment
 //! repeats the first one's traffic.
-//! [`tuned_shape`] picks a (fragment, depth) from it per *(sender
-//! layout, receiver layout, message size, path class)*, and
-//! `select_path` the class; the incumbent wins ties.
+//! [`tuned_shape`] picks a (fragment, depth) from it per transfer shape
+//! and path class, and `select_path` the class; the incumbent wins ties.
 //! Tuned fragments only ever *shrink* and tuned depths never grow, so
 //! the rings allocated at connection establishment (at the configured
-//! shape) always fit the tuned schedule. Decisions are cached in
-//! [`crate::world::MpiState::tuned_shapes`] and surfaced through the
+//! shape) always fit the tuned schedule. Decisions are cached in the
+//! shape table ([`crate::shape`]) and surfaced through the
 //! `optimizer.frag.*` trace counters.
 
 use crate::connection::Capability;
@@ -60,46 +59,6 @@ pub enum PathClass {
     /// into a GPU stream-op graph and replayed per iteration with zero
     /// CPU events on the critical path (`protocol::offload`).
     StreamTriggered,
-}
-
-/// One cached tuning decision.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TuneKey {
-    /// GPU architecture the model constants came from.
-    pub arch: &'static str,
-    /// Structural fingerprint of the sender layout (a rebuilt type
-    /// shares its decision).
-    pub s_layout: u64,
-    /// Structural fingerprint of the receiver layout.
-    pub r_layout: u64,
-    /// Total message size in bytes.
-    pub total: u64,
-    /// Protocol pipeline the transfer takes.
-    pub class: PathClass,
-}
-
-fn side_fingerprint(side: &Side) -> u64 {
-    let mut fp = side.ty.layout_fingerprint();
-    // Fold in count, density and placement: the same element layout
-    // tunes differently on host vs device, dense vs strided.
-    for word in [side.count, side.dense() as u64, side.device() as u64] {
-        fp = (fp ^ word).wrapping_mul(0x100_0000_01b3);
-    }
-    fp
-}
-
-/// Key of a tuning decision. The folded fingerprints are not guarded
-/// against collisions: a decision picks a pipeline shape, which changes
-/// time and never bytes. State that decides bytes is keyed by
-/// [`crate::protocol::ShapeKey`].
-fn cache_key(sim: &Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> TuneKey {
-    TuneKey {
-        arch: sim.world.gpus_ref().arch.name,
-        s_layout: side_fingerprint(s),
-        r_layout: side_fingerprint(r),
-        total: s.total(),
-        class,
-    }
 }
 
 type Stage<'a> = devengine::tune::Stage<'a, Track>;
@@ -359,8 +318,8 @@ pub fn predict(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) ->
 /// Pick the pipeline shape for one transfer: the configured fragment
 /// size and ring depth unless the auto-tuner is enabled *and* a smaller
 /// fragment / shallower ring has a strictly shorter schedule.
-/// Decisions are cached per (layouts, size, path) and counted in the
-/// trace (`optimizer.frag.tuned` / `.default` / `.cache.hit`).
+/// Decisions are cached in the shape table and counted in the trace
+/// (`optimizer.frag.tuned` / `.default` / `.cache.hit`).
 pub fn tuned_shape(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> (u64, usize) {
     let cfg = &sim.world.mpi.config;
     let configured = (cfg.frag_size, cfg.pipeline_depth);
@@ -368,17 +327,20 @@ pub fn tuned_shape(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass
         return configured;
     }
     let (a, b) = (s.rank as u32, r.rank as u32);
-    let key = cache_key(sim, s, r, class);
-    if let Some(&shape) = sim.world.mpi.tuned_shapes.get(&key) {
+    let facts = Facts::of(sim, s.rank, r.rank);
+    if let Some(shape) = sim.world.mpi.shapes.decision(s, r, (class, facts.same_gpu)) {
         sim.trace.count(names::OPTIMIZER_FRAG_CACHE_HIT, a, b, 1);
         return shape;
     }
-    let plan = plan_for(&Facts::of(sim, s.rank, r.rank), s, r, class);
+    let plan = plan_for(&facts, s, r, class);
     let shape = {
         let pipe = schedule(sim, &plan, (s, r));
         pick_fragment(&pipe, s.total(), configured.0, configured.1)
     };
-    sim.world.mpi.tuned_shapes.insert(key, shape);
+    sim.world
+        .mpi
+        .shapes
+        .decide(s, r, (class, facts.same_gpu), shape);
     let counter = if shape == configured {
         names::OPTIMIZER_FRAG_DEFAULT
     } else {
@@ -393,7 +355,7 @@ mod tests {
     use super::*;
     use crate::config::MpiConfig;
     use datatype::DataType;
-    use devengine::{EngineConfig, Lru, OptimizerConfig};
+    use devengine::{EngineConfig, OptimizerConfig};
     use memsim::MemSpace;
 
     fn world(opt: OptimizerConfig) -> Sim<MpiWorld> {
@@ -432,7 +394,7 @@ mod tests {
         let r = strided_side(&mut sim, 1);
         let shape = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc);
         assert_eq!(shape, (512 << 10, 4));
-        assert!(sim.world.mpi.tuned_shapes.is_empty());
+        assert!(sim.world.mpi.shapes.entries().is_empty());
     }
 
     #[test]
@@ -444,11 +406,11 @@ mod tests {
         assert!(f <= 512 << 10, "fragments must fit the allocated ring");
         assert!(d <= 4, "depth must fit the allocated ring");
         assert!(f >= devengine::tune::MIN_FRAG);
-        assert_eq!(sim.world.mpi.tuned_shapes.len(), 1);
+        assert_eq!(sim.world.mpi.shapes.held()[0], 1);
         let again = tuned_shape(&mut sim, &s, &r, PathClass::SmIpc);
         assert_eq!(again, (f, d));
         assert_eq!(sim.trace.counter(names::OPTIMIZER_FRAG_CACHE_HIT), 1);
-        assert_eq!(sim.world.mpi.tuned_shapes.len(), 1);
+        assert_eq!(sim.world.mpi.shapes.held()[0], 1);
     }
 
     fn ib_world(arch: &str, nic: bool, stream: bool) -> Sim<MpiWorld> {
@@ -522,7 +484,7 @@ mod tests {
         let s = side_on(&mut sim, 0, &coarse_ty(), 1);
         let r = side_on(&mut sim, 1, &coarse_ty(), 1);
         assert_eq!(select_path(&mut sim, &s, &r, false), PathClass::ZeroCopy);
-        assert!(sim.world.mpi.tuned_shapes.is_empty());
+        assert!(sim.world.mpi.shapes.entries().is_empty());
     }
 
     #[test]
@@ -947,7 +909,7 @@ mod tests {
                     let mut observed = Vec::new();
                     for iter in 0..3 {
                         if iter == 1 {
-                            sim.world.mpi.move_lists = Lru::with_limits(8 << 20, 1024);
+                            sim.world.mpi.shapes.forget_lists();
                         }
                         let row = format!("{row} iteration {iter}");
                         sim.world.mem().write(r.buf, &blank).unwrap();
@@ -973,7 +935,7 @@ mod tests {
                         let got = sim.world.mem().read_vec(r.buf, r_len).unwrap();
                         assert!(got == expect, "{row}: bytes differ from the CPU reference");
                         assert_eq!(
-                            sim.world.mpi.move_lists.len(),
+                            sim.world.mpi.shapes.held()[3],
                             merged,
                             "{row}: one move list per merged fragment"
                         );
@@ -1233,6 +1195,34 @@ mod tests {
         assert_eq!(rows, 4);
     }
 
+    /// One shape, two plans: ranks 0 and 1 share GPU 0, so 0 → 1
+    /// unpacks where the sender packed, while 0 → 2 first stages each
+    /// fragment into GPU 1's memory. A decision made for one pair is not
+    /// the other's: each pair gets its fresh world's choice, in either
+    /// order.
+    #[test]
+    fn pairs_whose_plans_differ_do_not_share_a_decision() {
+        use crate::world::RankSpec;
+        use datatype::testutil::{lower_triangular, transposed_triangular};
+        let specs = [RankSpec::at(0, 0), RankSpec::at(0, 0), RankSpec::at(1, 0)];
+        let fresh = || Sim::new(MpiWorld::new(&specs, 2, MpiConfig::default()));
+        let (s_ty, r_ty) = (lower_triangular(256), transposed_triangular(256));
+        let decide = |sim: &mut Sim<MpiWorld>, to: usize| {
+            let s = side_on(sim, 0, &s_ty, 1);
+            let r = side_on(sim, to, &r_ty, 1);
+            tuned_shape(sim, &s, &r, PathClass::SmIpc)
+        };
+        let alone = [decide(&mut fresh(), 1), decide(&mut fresh(), 2)];
+        assert_ne!(alone[0], alone[1], "the two plans tune alike");
+        for order in [[1, 2], [2, 1]] {
+            let mut sim = fresh();
+            for to in order {
+                let got = decide(&mut sim, to);
+                assert_eq!(got, alone[to - 1], "0 → {to}, pairs in order {order:?}");
+            }
+        }
+    }
+
     #[test]
     fn path_classes_tune_independently() {
         let mut sim = world(OptimizerConfig::enabled());
@@ -1241,6 +1231,6 @@ mod tests {
         tuned_shape(&mut sim, &s, &r, PathClass::SmIpc);
         tuned_shape(&mut sim, &s, &r, PathClass::ZeroCopy);
         tuned_shape(&mut sim, &s, &r, PathClass::CopyInOut);
-        assert_eq!(sim.world.mpi.tuned_shapes.len(), 3);
+        assert_eq!(sim.world.mpi.shapes.held()[0], 3);
     }
 }

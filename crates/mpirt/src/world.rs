@@ -6,21 +6,18 @@ use crate::config::MpiConfig;
 use crate::connection::{Capability, Handshake, Status};
 use crate::lease::Leases;
 use crate::matcher::Matcher;
-use crate::protocol::exec::MoveKey;
 use crate::protocol::plan::Loc;
-use crate::protocol::ShapeKey;
+use crate::shape::ShapeTable;
 use datatype::DataType;
-use devengine::{DevCache, Lru};
+use devengine::DevCache;
 use faultsim::FaultSim;
 use gpusim::{FifoResource, GpuArch, GpuSystem, GpuWorld, StreamId};
 use memsim::{GpuId, Memory, Ptr};
 use netsim::{ChannelKind, ClusterWorld, NetSystem, NetWorld};
 use simcore::hash::DetHashMap;
-use simcore::par::OpListBuf;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Placement of one MPI rank.
 #[derive(Clone, Copy, Debug)]
@@ -87,9 +84,6 @@ pub struct MpiState {
     /// copy-in/out pair, a NIC-handler pair or a mapped peer allocation):
     /// pending with its waiting callers, or up (`connection`).
     pub handshakes: DetHashMap<Handshake, Status>,
-    /// Fragment/ring-depth decisions from the protocol auto-tuner,
-    /// cached per (layout fingerprints, message size, path class).
-    pub tuned_shapes: DetHashMap<crate::tuner::TuneKey, (u64, usize)>,
     /// Capabilities a handshake step lost for the rest of the run — a
     /// permanent fault or a spent retry budget. A lost capability is no
     /// longer offered ([`MpiState::offers`]): IPC loss steers every later
@@ -97,20 +91,9 @@ pub struct MpiState {
     /// copy-in/out to its staged variant, and a lost NIC handler or
     /// doorbell demotes its offload class to the GPU-pack pipeline.
     pub lost: BTreeSet<Capability>,
-    /// The offload classes' compiled programs per transfer shape
-    /// (layout fingerprints and counts, collision-guarded); programs are
-    /// rank-independent, and both classes share them.
-    pub offload_programs: DetHashMap<ShapeKey, Rc<crate::protocol::offload::Program>>,
-    /// Captured stream-op graphs over their shape's program, per
-    /// directed rank pair and transfer shape (persistent / partitioned
-    /// requests capture once, replay per iteration).
-    pub stream_captures:
-        BTreeMap<(usize, usize), DetHashMap<ShapeKey, Rc<crate::protocol::offload::CapturedXfer>>>,
-    /// Typed → typed move lists of the fragments transferred so far
-    /// (`protocol::exec`): what a repeated transfer of the same shape
-    /// through the same fragment windows would merge again. Bounded in
-    /// bytes, least recently used first out.
-    pub move_lists: Lru<MoveKey, Arc<OpListBuf>>,
+    /// Everything derived from a transfer's shape: tuner decisions,
+    /// offload programs, captured graphs and merged move lists.
+    pub shapes: ShapeTable,
     /// The committed byte type: an eager bounce buffer of `n` bytes is
     /// `n` of them (`protocol::eager`).
     pub byte: DataType,
@@ -130,11 +113,6 @@ impl MpiState {
         knob && !self.lost.contains(&cap)
     }
 }
-
-/// Bounds of [`MpiState::move_lists`]: two directions of a 131 072-block
-/// indexed exchange (3.1 MB of moves each) fit.
-const MOVE_LISTS_BYTES: u64 = 8 << 20;
-const MOVE_LISTS_ENTRIES: usize = 1024;
 
 /// The complete world: hardware + runtime.
 pub struct MpiWorld {
@@ -200,11 +178,8 @@ impl MpiWorld {
                 ranks,
                 matcher: Matcher::new(specs.len()),
                 handshakes: DetHashMap::default(),
-                tuned_shapes: DetHashMap::default(),
                 lost: BTreeSet::new(),
-                offload_programs: DetHashMap::default(),
-                stream_captures: BTreeMap::new(),
-                move_lists: Lru::with_limits(MOVE_LISTS_BYTES, MOVE_LISTS_ENTRIES),
+                shapes: ShapeTable::default(),
                 byte: DataType::byte().commit(),
             },
         }

@@ -24,7 +24,8 @@ use faultsim::{FaultKind, FaultOp, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{GpuId, MemSpace};
 use mpirt::connection::{Capability, Handshake};
-use mpirt::{irecv, isend, wait_all, MpiConfig, MpiError, RecvArgs, SendArgs, Session};
+use mpirt::shape::ShapeTable;
+use mpirt::{irecv, isend, wait_all, MpiConfig, MpiError, MpiWorld, RecvArgs, SendArgs, Session};
 use simcore::rng::SimRng;
 use simcore::Counter;
 
@@ -217,7 +218,8 @@ fn doorbell_loss_demotes_byte_equal_and_sticky() {
         "sticky: the second transfer never re-rings the doorbell"
     );
     assert_eq!(m.counter(Counter::OffloadStreamReplays), 0);
-    assert!(sess.world.mpi.stream_captures.is_empty());
+    let shapes = sess.world.mpi.shapes.entries();
+    assert!(shapes.iter().all(|(_, e)| e.captures.is_empty()));
 }
 
 #[test]
@@ -262,8 +264,10 @@ fn defaults_leave_offload_machinery_untouched() {
         assert_eq!(m.counter(c), 0, "{c} must stay silent by default");
     }
     assert!(!sess.world.mpi.handshakes.contains_key(&NIC_HANDLER));
-    assert!(sess.world.mpi.offload_programs.is_empty());
-    assert!(sess.world.mpi.stream_captures.is_empty());
+    let shapes = sess.world.mpi.shapes.entries();
+    assert!(shapes
+        .iter()
+        .all(|(_, e)| e.program.is_none() && e.captures.is_empty()));
 }
 
 /// A device buffer spanning one `ty` on `rank`'s GPU of a two-rank IB
@@ -320,6 +324,58 @@ fn concurrent_replays_of_one_capture_deliver_their_own_bytes() {
     }
 }
 
+/// With room for one shape-table entry, two shapes take turns: each
+/// evicts the other's capture, and the shape that comes back captures
+/// again — one capture more, which costs exactly one capture's virtual
+/// time over a replay of a kept one — and still lands the CPU
+/// reference's bytes.
+#[test]
+fn an_evicted_capture_is_made_again_at_the_price_of_one_capture() {
+    let [a, b] = [5, 17].map(|seed| random_medium_ty(&mut SimRng::new(seed)));
+    let cfg = MpiConfig {
+        stream_trigger: true,
+        ..MpiConfig::default()
+    };
+    let run = |one_entry: bool| {
+        let builder = Session::builder().two_ranks_ib().arch("p100");
+        let mut sess = builder.config(cfg.clone()).build();
+        if one_entry {
+            sess.world.mpi.shapes = ShapeTable::with_limits(u64::MAX, 1);
+        }
+        let mut took = Vec::new();
+        for (i, ty) in [&a, &b, &a].into_iter().enumerate() {
+            let (sbuf, sent) = filled(&mut sess, 0, ty, i as u64);
+            let (rbuf, blank) = filled(&mut sess, 1, ty, 10 + i as u64);
+            let then = sess.now();
+            let reqs = [
+                isend(&mut sess, SendArgs::new(0, 1, sbuf, ty, 1)),
+                irecv(&mut sess, RecvArgs::new(1, 0, rbuf, ty, 1)),
+            ];
+            wait_all(&mut sess, &reqs).unwrap();
+            took.push(sess.now() - then);
+            let mut want = blank.clone();
+            unpack_all(ty, 1, &mut want, 0, &pack_all(ty, 1, &sent, 0));
+            let got = sess.world.mem().read_vec(rbuf, blank.len() as u64).unwrap();
+            assert!(
+                got == want,
+                "transfer {i}: bytes differ from the CPU reference"
+            );
+        }
+        let m = sess.metrics();
+        let counted = [Counter::OffloadStreamCaptures, Counter::MpirtShapeEvicted];
+        (took, counted.map(|c| m.counter(c)))
+    };
+    let (kept, counted) = run(false);
+    assert_eq!(counted, [2, 0], "captures, evictions");
+    let (one, counted) = run(true);
+    assert_eq!(counted, [3, 2], "captures, evictions");
+    assert_eq!(one[..2], kept[..2], "the first capture of each shape");
+    let sess = Session::builder().two_ranks_ib().arch("p100").build();
+    let issue = sess.world.gpus_ref().topo.stream_op_issue.as_nanos();
+    let capture = 5 * issue; // trigger, pack, doorbell, unpack, completion
+    assert_eq!((one[2] - kept[2]).as_nanos(), capture, "the re-capture");
+}
+
 /// A receive buffer that cannot take the message fails an offload
 /// transfer at its landing, for either class: one freed after the
 /// transfer's stage was issued, or one a double short of the type's
@@ -362,7 +418,14 @@ fn a_receive_buffer_that_cannot_take_an_offload_transfer_is_a_typed_error() {
             ];
             // The program is compiled in the event that issues the
             // transfer's one stage.
-            let issued = sess.run_until(|w| !w.mpi.offload_programs.is_empty());
+            let compiled = |w: &MpiWorld| {
+                w.mpi
+                    .shapes
+                    .entries()
+                    .iter()
+                    .any(|(_, e)| e.program.is_some())
+            };
+            let issued = sess.run_until(compiled);
             assert!(issued, "{row}: the shape must take the offload class");
             if freed {
                 sess.world.mem().free(rbuf).unwrap();

@@ -413,16 +413,9 @@ fn pool() -> &'static CopyPool {
 }
 
 /// The pool's sizing decision. Forces initialization (spawns the
-/// workers) — the repo benchmark's probes call this; the data path
-/// initializes lazily instead.
+/// workers): every `mpirt` session reports it when it is built.
 pub fn pool_info() -> PoolInfo {
     pool().info
-}
-
-/// The sizing decision if the pool has already been started, without
-/// forcing initialization. Used to surface the choice through tracers.
-pub fn pool_info_if_started() -> Option<PoolInfo> {
-    POOL.get().map(|p| p.info)
 }
 
 fn worker_loop(rx: Receiver<Work>) {
@@ -1554,7 +1547,6 @@ mod tests {
         }
         let info = pool_info();
         assert!(info.threads >= 1 && info.threads <= MAX_POOL_THREADS);
-        assert_eq!(pool_info_if_started(), Some(info));
     }
 
     /// Ops no buffer holds: past the end, and with an `off + len` that

@@ -129,6 +129,8 @@ pub mod names {
         // ---- protocol layer ----
         /// Bytes landed in a matched receive buffer (the end-to-end total).
         const MPI_DELIVERED_BYTES: MpiDeliveredBytes = "mpi.delivered.bytes";
+        /// Whole shape-table entries evicted (`mpirt::shape`).
+        const MPIRT_SHAPE_EVICTED: MpirtShapeEvicted = "mpirt.shape.evicted";
         /// Bytes that crossed the staged copy-in/copy-out wire hop.
         const MPIRT_WIRE_BYTES: MpirtWireBytes = "mpirt.wire.bytes";
 

@@ -69,11 +69,12 @@ fn main() {
     println!("panel transfer #3:                                                  {warm2}");
 
     let cache = sess.world.mpi.ranks[0].dev_cache.borrow();
+    let plans = cache.plans();
     println!(
         "sender DEV cache: {} plan(s), {} KB of descriptors, hit rate {:.0}%",
-        cache.len(),
-        cache.used_bytes() / 1024,
-        cache.hit_rate() * 100.0
+        plans.len(),
+        plans.used_bytes() / 1024,
+        100.0 * plans.hits() as f64 / (plans.hits() + plans.misses()) as f64
     );
     drop(cache);
     assert!(warm1 < cold, "warm transfers must beat the cold one");

@@ -158,11 +158,8 @@ fn tuner_decisions_diverge_across_archs() {
                 decisions.push(tuned_shape(&mut sess, &s, &r, class));
             }
         }
-        // Every cached key carries this arch's name.
-        assert!(!sess.world.mpi.tuned_shapes.is_empty());
-        for key in sess.world.mpi.tuned_shapes.keys() {
-            assert_eq!(key.arch, arch.name);
-        }
+        let shapes = sess.world.mpi.shapes.entries();
+        assert!(shapes.iter().any(|(_, e)| !e.decisions.is_empty()));
         vectors.push((arch.name, decisions));
     }
     let distinct: std::collections::BTreeSet<_> = vectors.iter().map(|(_, v)| v.clone()).collect();

@@ -24,10 +24,11 @@
 use datatype::convertor::{pack_all, unpack_all};
 use datatype::testutil::{buffer_span, lower_triangular, pattern, transposed_triangular};
 use datatype::DataType;
-use devengine::{EngineConfig, Lru, OptimizerConfig};
+use devengine::{EngineConfig, OptimizerConfig};
 use faultsim::{counters, FaultKind, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
+use mpirt::shape::ShapeTable;
 use mpirt::{irecv, isend, wait_all, MpiConfig, MpiError, RecvArgs, SendArgs, Session};
 use simcore::Counter;
 
@@ -123,16 +124,23 @@ fn ring_slots(sess: &Session) -> Vec<Ptr> {
 }
 
 /// FNV-1a over the virtual clock and every counter dimension, in name
-/// order. Two host facts are left out: `memsim.bytes_moved` counts the
-/// simulator's own traffic, which is the one thing meant to differ from
-/// the parent, and `simcore.par.pool_threads`, the copy pool's size, is
-/// reported by every session built after the first landing of the
-/// process started the pool.
+/// order. Three facts of the host or of the cache are left out:
+/// `memsim.bytes_moved` counts the simulator's own traffic, which is
+/// the one thing meant to differ from the parent;
+/// `simcore.par.pool_threads`, the copy pool's size, which every
+/// session reports and `GPU_DDT_COPY_THREADS` sets; and
+/// `mpirt.shape.evicted`, which a bounded shape table is meant to move
+/// and the tests below count on their own.
 fn fingerprint(sess: &mut Session) -> (u64, u64) {
+    const HOST: [Counter; 3] = [
+        Counter::MemsimBytesMoved,
+        Counter::ParPoolThreads,
+        Counter::MpirtShapeEvicted,
+    ];
     let now = sess.now().as_nanos();
     let mut text = format!("{now}");
     for (k, v) in sess.metrics().counters {
-        if ![Counter::MemsimBytesMoved, Counter::ParPoolThreads].contains(&k.counter) {
+        if !HOST.contains(&k.counter) {
             text.push_str(&format!(";{}[{},{}]={v}", k.counter, k.a, k.b));
         }
     }
@@ -172,12 +180,12 @@ fn rings_are_charged_never_written_and_the_model_does_not_move() {
                     0 => FaultPlan::empty(),
                     _ => chaos(rate, 1000 + 100 * depth as u64 + rate),
                 };
-                // Three fresh sessions, the move lists of each handed to
-                // the next: cold under the cell's fault plan — every
-                // lookup misses, and retries, parked fragments and
-                // demotion re-opens meet the merge — then warm and
-                // fault-free, then warm under the cell's plan again,
-                // where they meet pinned hits instead.
+                // Three fresh sessions, the shape table of each (here
+                // only move lists) handed to the next: cold under the
+                // cell's fault plan — every lookup misses, and retries,
+                // parked fragments and demotion re-opens meet the merge
+                // — then warm and fault-free, then warm under the cell's
+                // plan again, where they meet pinned hits instead.
                 let mut lists = None;
                 let mut cold = None;
                 for (iter, plan) in [
@@ -189,9 +197,9 @@ fn rings_are_charged_never_written_and_the_model_does_not_move() {
                     let faulted = !plan.rules.is_empty();
                     let mut sess = session(path, depth, plan);
                     if let Some(lists) = lists.take() {
-                        sess.world.mpi.move_lists = lists;
+                        sess.world.mpi.shapes = lists;
                     }
-                    let hits = sess.world.mpi.move_lists.hits();
+                    let hits = sess.world.mpi.shapes.list_hits;
                     transfer(&mut sess, &s_ty, &r_ty);
 
                     // Fault-free, cold or warm, is the parent's run to
@@ -221,23 +229,24 @@ fn rings_are_charged_never_written_and_the_model_does_not_move() {
                         assert!(bytes.iter().all(|&b| b == 0), "{note}: a slot was written");
                     }
 
-                    let known = &sess.world.mpi.move_lists;
-                    assert_eq!(known.len() as u64, nfrags, "{note}: one list per fragment");
+                    let known = &sess.world.mpi.shapes;
+                    let held: usize = known.entries().iter().map(|(_, e)| e.moves.len()).sum();
+                    assert_eq!(held as u64, nfrags, "{note}: one list per fragment");
                     let warm = if iter == "cold" { 0 } else { nfrags };
-                    assert_eq!(known.hits() - hits, warm, "{note}: move-list hits");
-                    let keep = Lru::with_limits(0, 1);
-                    lists = Some(std::mem::replace(&mut sess.world.mpi.move_lists, keep));
+                    assert_eq!(known.list_hits - hits, warm, "{note}: move-list hits");
+                    lists = Some(std::mem::take(&mut sess.world.mpi.shapes));
                 }
             }
         }
     }
 }
 
-/// What the caches hold is bounded, and the bound is invisible: with
-/// room for one move list — every insertion evicts, no lookup ever
-/// hits — a ping-pong between two irregular layouts reads the same
-/// clock, counters and bytes after every transfer as with the default
-/// bounds, where the second round trip is all hits.
+/// What the shape table holds is bounded, and the bound is invisible
+/// where it drops only move lists: with room for one entry — each
+/// direction's shape evicts the other's, no lookup ever hits — a
+/// ping-pong between two irregular layouts reads the same clock,
+/// counters and bytes after every transfer as with the default bounds,
+/// where the second round trip is all hits.
 #[test]
 fn a_cache_with_room_for_one_entry_changes_nothing_but_its_evictions() {
     let (a_ty, b_ty) = (lower_triangular(200), transposed_triangular(200));
@@ -245,7 +254,7 @@ fn a_cache_with_room_for_one_entry_changes_nothing_but_its_evictions() {
     let run = |one_entry: bool| {
         let mut sess = session(Path::ZeroCopy, 4, FaultPlan::empty());
         if one_entry {
-            sess.world.mpi.move_lists = Lru::with_limits(u64::MAX, 1);
+            sess.world.mpi.shapes = ShapeTable::with_limits(u64::MAX, 1);
         }
         let mut seen = Vec::new();
         for _ in 0..2 {
@@ -254,17 +263,13 @@ fn a_cache_with_room_for_one_entry_changes_nothing_but_its_evictions() {
             transfer_between(&mut sess, (1, &b_ty), (0, &a_ty));
             seen.push(fingerprint(&mut sess));
         }
-        let lists = &sess.world.mpi.move_lists;
-        (seen, lists.hits(), lists.evictions())
+        let lists = &sess.world.mpi.shapes;
+        (seen, lists.list_hits, lists.entries().evictions())
     };
     let (default, hits, evictions) = run(false);
     assert_eq!((hits, evictions), (2 * nfrags, 0), "second round trip hits");
     let (one, hits, evictions) = run(true);
-    assert_eq!(
-        (hits, evictions),
-        (0, 4 * nfrags - 1),
-        "every insertion evicts"
-    );
+    assert_eq!((hits, evictions), (0, 3), "every other transfer evicts");
     assert_eq!(
         one, default,
         "the bound showed in virtual time or a counter"
@@ -298,7 +303,7 @@ fn a_receive_longer_than_the_message_matches_the_oracle_cold_and_warm() {
             got == expect,
             "iteration {iter}: bytes differ from the oracle"
         );
-        assert_eq!(sess.world.mpi.move_lists.hits(), iter * nfrags);
+        assert_eq!(sess.world.mpi.shapes.list_hits, iter * nfrags);
     }
 }
 
@@ -346,7 +351,7 @@ fn self_send_inside_one_allocation_matches_the_oracle() {
             "iteration {iter}: bytes differ from the oracle"
         );
         assert_eq!(sess.world.mem().bytes_moved(), (iter + 1) * s_ty.size());
-        assert_eq!(sess.world.mpi.move_lists.hits(), iter * nfrags);
+        assert_eq!(sess.world.mpi.shapes.list_hits, iter * nfrags);
     }
 }
 
@@ -571,7 +576,7 @@ fn a_seeded_irregular_cell_matches_the_oracle_cold_and_warm() {
             moved, delivered,
             "run {run}: bytes moved per byte delivered"
         );
-        let hits = sess.world.mpi.move_lists.hits();
+        let hits = sess.world.mpi.shapes.list_hits;
         assert_eq!(
             hits,
             run * nfrags,

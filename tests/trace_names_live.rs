@@ -2,8 +2,8 @@
 //! total, and every span category and span / instant name in
 //! [`Name::ALL`] is recorded, across one small fixed set of runs — each
 //! path class on shared memory and InfiniBand, the offload classes and
-//! their loss plans, a transient fault plan, an evicting DEV cache, the
-//! comparators, and one `mpirt::scale` job. A registered name that no run emits fails here.
+//! their loss plans, a transient fault plan, an evicting DEV cache, an
+//! evicting shape table, the comparators, and one `mpirt::scale` job. A registered name that no run emits fails here.
 
 use datatype::testutil::lower_triangular as triangular;
 use datatype::DataType;
@@ -12,6 +12,7 @@ use faultsim::{FaultKind, FaultOp, FaultPlan};
 use gpusim::GpuWorld as _;
 use memsim::{MemSpace, Ptr};
 use mpirt::scale::{self, random_program, ScaleConfig};
+use mpirt::shape::ShapeTable;
 use mpirt::{
     alltoall, comparator_transfer, irecv, isend, wait_all, Comparator, MpiConfig, RecvArgs,
     SendArgs, Session, Side,
@@ -82,8 +83,6 @@ fn transfer(sess: &mut Session, (s_ty, r_ty): (&DataType, &DataType), dev: bool)
 #[test]
 fn every_registered_trace_name_is_emitted() {
     let mut seen = Seen::default();
-    // `simcore.par.pool_threads` reports a started copy pool.
-    simcore::par::pool_info();
     let sm = |cfg| Session::builder().config(cfg);
     let ib = |cfg| Session::builder().config(cfg).two_ranks_ib();
 
@@ -180,6 +179,14 @@ fn every_registered_trace_name_is_emitted() {
             rank.dev_cache = Rc::new(RefCell::new(DevCache::with_limits(u64::MAX, 1)));
         }
         for ty in [&tri, &big, &tri] {
+            transfer(sess, (ty, ty), true);
+        }
+    });
+
+    // A one-entry shape table: each new shape evicts the last.
+    seen.run(sm(MpiConfig::default()), |sess| {
+        sess.world.mpi.shapes = ShapeTable::with_limits(u64::MAX, 1);
+        for ty in [&tri, &big] {
             transfer(sess, (ty, ty), true);
         }
     });
